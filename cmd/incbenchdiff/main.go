@@ -14,6 +14,12 @@
 // by more than the tolerance, so a change that keeps every absolute
 // ns/op within tolerance but flattens the scaling curve still fails.
 //
+// One gate looks inside the candidate alone: the offload tier's GET hit
+// may cost at most 1.25x the host handler's GET hit measured beside it
+// in the same run (same host, same minute, so no tolerance applies) —
+// an emulated offload that is slower than the path it offloads is not
+// one.
+//
 //	incbenchdiff -old BENCH_5.json -new BENCH_7.json            # 15%
 //	incbenchdiff -old BENCH_5.json -new ci.json -tolerance 75   # cross-host smoke
 package main
@@ -67,6 +73,13 @@ func key(e entry) string {
 	}
 	return e.Package + " " + name
 }
+
+// The within-run gate: the tier's GET hit against the host's beside it.
+const (
+	tierGetHit    = "./internal/nictier BenchmarkNICTierKVSGetHit"
+	hostGetHit    = "./internal/nictier BenchmarkNICTierKVSHostGetHit"
+	maxTierVsHost = 1.25
+)
 
 // shardSuffix picks the shard count out of a normalized key; keys
 // sharing the remainder form one scaling family.
@@ -198,6 +211,14 @@ func main() {
 					fmt.Sprintf("%s: %d-shard speedup %.2f -> %.2f (-%.1f%% > %.0f%%)",
 						fam, p.shards, oldSp, newSp, -deltaPct, *tolerance))
 			}
+		}
+	}
+	if t, h := newB[tierGetHit], newB[hostGetHit]; t.NsPerOp > 0 && h.NsPerOp > 0 && t.Iterations >= minCalibrated && h.Iterations >= minCalibrated {
+		line := fmt.Sprintf("%s: %.1f ns/op is x%.2f of %s (%.1f ns/op), max x%.2f",
+			tierGetHit, t.NsPerOp, t.NsPerOp/h.NsPerOp, hostGetHit, h.NsPerOp, maxTierVsHost)
+		fmt.Println("  " + line)
+		if t.NsPerOp > maxTierVsHost*h.NsPerOp {
+			regressions = append(regressions, line)
 		}
 	}
 	fmt.Printf("incbenchdiff: %d matched benchmarks, tolerance %.0f%%\n", matched, *tolerance)

@@ -49,9 +49,9 @@ func main() {
 		"placement policy: "+strings.Join(core.PolicyNames(), " | "))
 	ctrl := flag.String("ctrl", "", "control-plane HTTP address (e.g. :8080); empty disables")
 	useTier := flag.Bool("nictier", false,
-		"attach the emulated NIC offload tier (LaKe-style L1/L2 cache): policy shifts become real dataplane transitions")
+		"attach the emulated NIC offload tier (LaKe-style lookaside cache): policy shifts become real dataplane transitions")
 	hotKeys := flag.Int("hotkeys", 16,
-		"per-shard hot-key top-K sample size fed by the GET path (surfaced in /v1/dataplane, seeds the NIC tier's L1 on warm-up; 0 disables)")
+		"per-shard hot-key top-K sample size fed by the GET path (surfaced as hot_keys in /v1/dataplane; 0 disables)")
 	flag.Parse()
 
 	store := kvs.NewShardedStore(*shards, *maxEntries)

@@ -116,9 +116,10 @@ func NewKVSStack(seed int64, cfg StackConfig, n int) *KVSStack {
 	store := kvs.NewShardedStore(1, 1<<15)
 	preloadKVS(store, n)
 	h := kvs.NewHandler(store)
-	// Sweep-sized caches: the board-default L2 table is DRAM-scale and
-	// would dominate every stack build and every Park reset.
-	tier := NewCrashableTier(nictier.NewKVSSized(h, 256, 1<<12))
+	// The board-default tier: its table holds memory only for what it
+	// caches, so a stack build and a Park reset cost microseconds, and
+	// no property relies on the tier evicting.
+	tier := NewCrashableTier(nictier.NewKVS(h))
 	node := NewServerNode(sim, net, ServerAddr, h, cfg.BatchWindow)
 	net.Attach(node)
 	orch := daemon.NewOrchestrator(0)

@@ -46,8 +46,15 @@
 // before the writer mutates anything through the new one. A poisoned
 // read reloads the table pointer and re-probes.
 //
+// Table size follows contents: every partition, bounded or not, starts
+// at the minimum table and grows by generations, a bounded one no
+// further than 2*bound. FillFrom (the offload tier's warm-up) copies
+// store to store, slot to slot, under both partitions' writer mutexes;
+// the boxed keys it shares between the stores are immutable.
+//
 // Eviction is CLOCK second-chance: a GET hit sets the slot's reference
-// bit with a plain atomic store (no list splice, no lock), and the
+// bit with a plain atomic store (no list splice, no lock, and none at
+// all once the bit is set, so a hot entry's line stays clean), and the
 // writer's hand clears bits until it finds an unreferenced live entry
 // to tombstone. Entries are inserted with the bit clear, so an entry
 // earns its second chance on first touch.

@@ -86,19 +86,26 @@ type partition struct {
 
 	sampler atomic.Pointer[telemetry.TopK] // hot-key sketch, nil unless enabled
 	stats   partStats
+
+	// Writer-owned and cold, so kept off the lines readers share above.
+	maxSlots int // table size a bounded partition stops growing at, else 0
+	rehashes int // table generations built so far
 }
 
 const minTableSlots = 64
 
+// newPartition starts at the minimum table whatever the bound: memory
+// follows contents. A bounded partition grows no further than 2*bound
+// (load 1/2 at the bound), so churn at the bound never grows it.
 func newPartition(maxEntries int) *partition {
 	p := &partition{maxEntries: maxEntries}
-	size := minTableSlots
-	// Bounded partitions size the table once so steady-state churn at
-	// the bound never grows it: 2*bound keeps load at or below 1/2.
-	for maxEntries > 0 && size < 2*maxEntries {
-		size <<= 1
+	if maxEntries > 0 {
+		p.maxSlots = minTableSlots
+		for p.maxSlots < 2*maxEntries {
+			p.maxSlots <<= 1
+		}
 	}
-	p.table.Store(&lfTable{mask: uint64(size - 1), slots: make([]slot, size)})
+	p.table.Store(&lfTable{mask: minTableSlots - 1, slots: make([]slot, minTableSlots)})
 	return p
 }
 
@@ -225,8 +232,8 @@ retry:
 					continue retry // torn value copy; drop and redo
 				}
 				h := p.stats.hits.Add(1)
-				if p.maxEntries > 0 {
-					s.ref.Store(1) // CLOCK touch
+				if p.maxEntries > 0 && s.ref.Load() == 0 {
+					s.ref.Store(1) // CLOCK touch; a hot entry's line stays clean
 				}
 				if sam := p.sampler.Load(); sam != nil && h&hotSampleMask == 0 {
 					sam.Observe(hash, *kp)
@@ -248,8 +255,9 @@ retry:
 // pays the sketch scan on every 8th hit.
 const hotSampleMask = 7
 
-// contains reports whether key is live (expired or not) — the
-// SetIfAbsent presence check, writer-locked by the caller.
+// findForWrite probes for key under the writer lock: the live slot that
+// holds it (expired or not), or else the first reusable slot on its
+// probe path (nil when the table is all live and tombstones).
 func (t *lfTable) findForWrite(hash uint64, keyB []byte, keyS string, useB bool) (existing, claim *slot) {
 	idx := hash & t.mask
 	for range t.slots {
@@ -304,26 +312,36 @@ func (p *partition) overwrite(s *slot, e Entry) {
 	s.seq.Add(1) // -> even, new generation
 }
 
-// insertAt claims an empty or tombstoned slot for key. The key string is
-// boxed once and shared with the hot-key sketch thereafter.
-func (p *partition) insertAt(s *slot, hash uint64, key string, e Entry) {
+// insertAt claims an empty or tombstoned slot for key. The boxed key is
+// shared with the hot-key sketch thereafter. With from set, the value is
+// not e.Value but another store's live slot (installAbsent): its packed
+// words are copied across as they are.
+func (p *partition) insertAt(s *slot, hash uint64, key *string, e Entry, from *slot) {
 	wasTomb := s.state.Load() == slotTomb
+	vlen := len(e.Value)
+	if from != nil {
+		vlen = int(from.vlen.Load())
+	}
+	nw := (vlen + 7) >> 3
 	s.seq.Add(1) // -> odd
 	s.hash.Store(hash)
-	k := key
-	s.key.Store(&k)
-	nw := (len(e.Value) + 7) >> 3
-	vp := s.val.Load() // a tombstone's retained array is reusable
-	if vp == nil || nw > cap(*vp) {
-		nv := make(valWords, nw)
-		storeWords(nv, e.Value)
-		s.val.Store(&nv)
+	s.key.Store(key)
+	var w valWords
+	if vp := s.val.Load(); vp == nil || nw > cap(*vp) {
+		w = make(valWords, nw)
 	} else {
-		w := (*vp)[:nw]
-		storeWords(w, e.Value)
-		s.val.Store(&w)
+		w = (*vp)[:nw] // a tombstone's retained array is reusable
 	}
-	s.vlen.Store(uint32(len(e.Value)))
+	if from != nil {
+		src := *from.val.Load()
+		for i := range w {
+			w[i].Store(src[i].Load())
+		}
+	} else {
+		storeWords(w, e.Value)
+	}
+	s.val.Store(&w)
+	s.vlen.Store(uint32(vlen))
 	s.flags.Store(e.Flags)
 	s.expires.Store(e.Expires)
 	s.expObserved.Store(0)
@@ -378,17 +396,19 @@ func (p *partition) needRehash(t *lfTable) bool {
 	return (p.live+p.tombs+1)*8 >= len(t.slots)*7
 }
 
-// rehash rebuilds the table (growing if the live count warrants it),
-// purging tombstones, then publishes the new generation and poisons
+// rehash rebuilds the table (growing, as far as the bound allows, if the
+// live count or the caller's want entries warrant it), purging tombstones, then publishes the new generation and poisons
 // every old slot. The poison — bumping each retired slot's seq to odd,
 // forever — is load-bearing: value arrays alias between generations, so
 // any reader still probing the old table must be made to fail seq
 // validation before the writer mutates anything through the new one.
-func (p *partition) rehash(told *lfTable) {
+func (p *partition) rehash(told *lfTable, want int) {
 	size := len(told.slots)
-	for p.live*4 >= size*2 { // keep live load at or below 1/2
+	// Keep live load at or below 1/2. (An unbounded maxSlots is 0.)
+	for max(want, p.live)*2 >= size && size != p.maxSlots {
 		size <<= 1
 	}
+	p.rehashes++
 	nt := &lfTable{mask: uint64(size - 1), slots: make([]slot, size)}
 	for i := range told.slots {
 		s := &told.slots[i]
@@ -423,24 +443,31 @@ func (p *partition) rehash(told *lfTable) {
 // setLocked is the insert/overwrite core; the caller holds p.mu and has
 // already counted the set.
 func (p *partition) setLocked(hash uint64, keyB []byte, keyS string, useB bool, e Entry) {
-	t := p.table.Load()
-	existing, claim := t.findForWrite(hash, keyB, keyS, useB)
+	existing, claim := p.table.Load().findForWrite(hash, keyB, keyS, useB)
 	if existing != nil {
 		p.overwrite(existing, e)
 		return
 	}
+	key := keyS // boxed here, past the overwrite return, so only an insert allocates it
+	if useB {
+		key = string(keyB)
+	}
+	p.insertAt(p.makeRoom(claim, hash, key), hash, &key, e, nil)
+}
+
+// makeRoom readies the partition for one more entry — evict at the
+// bound, rebuild a full or tombstone-choked table — and returns the slot
+// the absent key goes in: findForWrite's claim, or the rebuilt table's.
+func (p *partition) makeRoom(claim *slot, hash uint64, key string) *slot {
+	t := p.table.Load()
 	if p.maxEntries > 0 && p.live >= p.maxEntries {
 		p.evict(t)
 	}
 	if claim == nil || p.needRehash(t) {
-		p.rehash(t)
-		t = p.table.Load()
-		_, claim = t.findForWrite(hash, keyB, keyS, useB)
+		p.rehash(t, 0)
+		_, claim = p.table.Load().findForWrite(hash, nil, key, false)
 	}
-	if useB {
-		keyS = string(keyB)
-	}
-	p.insertAt(claim, hash, keyS, e)
+	return claim
 }
 
 func (p *partition) set(hash uint64, keyB []byte, keyS string, useB bool, e Entry) {
@@ -450,17 +477,30 @@ func (p *partition) set(hash uint64, keyB []byte, keyS string, useB bool, e Entr
 	p.mu.Unlock()
 }
 
-// setIfAbsent stores key only when no live entry (expired or not) holds
-// it, mirroring the mutex store's Contains-guarded semantics.
-func (p *partition) setIfAbsent(hash uint64, key string, e Entry) bool {
+// reserve grows the table in one step to the shape n entries settle into.
+func (p *partition) reserve(n int) {
+	p.mu.Lock()
+	if t := p.table.Load(); n*2 >= len(t.slots) && len(t.slots) != p.maxSlots {
+		p.rehash(t, n)
+	}
+	p.mu.Unlock()
+}
+
+// installAbsent copies src — a live slot of another store, held stable
+// by its partition's writer mutex — into this partition unless a live
+// entry (expired or not) already holds its key: one probe, one copy of
+// the value words, the boxed key shared.
+func (p *partition) installAbsent(src *slot) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t := p.table.Load()
-	if existing, _ := t.findForWrite(hash, nil, key, false); existing != nil {
+	hash, key := src.hash.Load(), src.key.Load()
+	existing, claim := p.table.Load().findForWrite(hash, nil, *key, false)
+	if existing != nil {
 		return false
 	}
 	p.stats.sets.Add(1)
-	p.setLocked(hash, nil, key, false, e)
+	e := Entry{Flags: src.flags.Load(), Expires: src.expires.Load()}
+	p.insertAt(p.makeRoom(claim, hash, *key), hash, key, e, src)
 	return true
 }
 
@@ -502,29 +542,19 @@ func (p *partition) sweep(now simnet.Time) int {
 	return n
 }
 
-// rangeAll walks every live entry (slot order) under the writer lock,
-// handing fn a fresh copy of each value. Returns false if fn stopped
-// the walk.
-func (p *partition) rangeAll(fn func(key string, e Entry) bool) bool {
+// fillInto offers every live entry to dst, holding the writer lock for
+// the walk so no slot changes under the copy.
+func (p *partition) fillInto(dst *ShardedStore) (installed int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t := p.table.Load()
 	for i := range t.slots {
 		s := &t.slots[i]
-		if s.state.Load() != slotLive {
-			continue
-		}
-		vl := int(s.vlen.Load())
-		e := Entry{
-			Flags:   s.flags.Load(),
-			Value:   appendWords(make([]byte, 0, vl), s.val.Load(), vl),
-			Expires: s.expires.Load(),
-		}
-		if !fn(*s.key.Load(), e) {
-			return false
+		if s.state.Load() == slotLive && dst.parts[s.hash.Load()&dst.mask].installAbsent(s) {
+			installed++
 		}
 	}
-	return true
+	return installed
 }
 
 func (p *partition) len() int {

@@ -316,3 +316,116 @@ func TestShardedStoreRehashUnderReaders(t *testing.T) {
 		}
 	}
 }
+
+// tableSlots returns each partition's current table size.
+func tableSlots(st *ShardedStore) []int {
+	out := make([]int, len(st.parts))
+	for i, p := range st.parts {
+		out[i] = len(p.table.Load().slots)
+	}
+	return out
+}
+
+func rehashes(st *ShardedStore) (n int) {
+	for _, p := range st.parts {
+		n += p.rehashes
+	}
+	return n
+}
+
+// A bounded store's memory follows its contents: it starts at the
+// minimum table whatever the bound, grows by rehash, and stops at the
+// 2*bound shape it used to preallocate however hard it is churned.
+func TestBoundedStoreGrowsToItsBoundShape(t *testing.T) {
+	const bound = 1 << 12
+	st := NewShardedStore(1, bound)
+	if got := tableSlots(st)[0]; got != minTableSlots {
+		t.Fatalf("empty bounded store holds a %d-slot table, want %d", got, minTableSlots)
+	}
+	for i := 0; i < 100; i++ {
+		st.Set(fmt.Sprintf("k%d", i), Entry{Value: []byte("v")})
+	}
+	if got := tableSlots(st)[0]; got > 512 {
+		t.Fatalf("100 entries hold a %d-slot table", got)
+	}
+	for i := 0; i < 10*bound; i++ {
+		st.Set(fmt.Sprintf("k%d", i), Entry{Value: []byte("v")})
+	}
+	if got := tableSlots(st)[0]; got != 2*bound {
+		t.Fatalf("store churned at its bound holds a %d-slot table, want %d", got, 2*bound)
+	}
+	if n := st.Len(); n != bound {
+		t.Fatalf("Len = %d, want the bound %d", n, bound)
+	}
+	st.Reserve(1 << 20)
+	if got := tableSlots(st)[0]; got != 2*bound {
+		t.Fatalf("Reserve grew a bounded table past its shape: %d slots", got)
+	}
+}
+
+// FillFrom walks the source in hash order and the destination hashes
+// alike, so it must reserve before it walks: growing mid-walk wraps the
+// ordered stream onto an already dense prefix and linear probing
+// degenerates (100k entries took 3x as long). Counted in table rebuilds,
+// not milliseconds: one per partition for the reservation, none after,
+// against ten each when the table doubles its way up from 64 slots.
+func TestFillFromReservesBeforeItWalks(t *testing.T) {
+	const n = 100_000
+	src := NewShardedStore(2, 0)
+	for i := 0; i < n; i++ {
+		src.Set(fmt.Sprintf("key-%d", i), Entry{Flags: uint32(i), Value: []byte("value")})
+	}
+	dst := NewShardedStore(2, 1<<20)
+	if got := dst.FillFrom(src); got != n {
+		t.Fatalf("FillFrom installed %d of %d", got, n)
+	}
+	if got := rehashes(dst); got != len(dst.parts) {
+		t.Fatalf("filling %d entries rebuilt the tables %d times, want %d (one reservation per partition)",
+			n, got, len(dst.parts))
+	}
+	if dst.Len() != n {
+		t.Fatalf("Len = %d, want %d", dst.Len(), n)
+	}
+	for _, i := range []int{0, 1, n / 2, n - 1} {
+		if e, ok := dst.GetString(fmt.Sprintf("key-%d", i), 0); !ok || e.Flags != uint32(i) || string(e.Value) != "value" {
+			t.Fatalf("key-%d after fill: %+v %v", i, e, ok)
+		}
+	}
+}
+
+// FillFrom is install-if-absent: an entry the destination already holds
+// (a write-through that beat the snapshot — newer by definition) is
+// left alone, expired or not; everything else arrives whole, expiry and
+// flags included, for every value length around the 8-byte word packing.
+func TestFillFromInstallsOnlyAbsentEntries(t *testing.T) {
+	src, dst := NewShardedStore(4, 0), NewShardedStore(2, 0)
+	lengths := []int{0, 1, 7, 8, 9, 1400}
+	for _, n := range lengths {
+		src.Set(fmt.Sprintf("len-%d", n), Entry{Flags: uint32(n), Value: bytes.Repeat([]byte{'x'}, n), Expires: int64(1000 + n)})
+	}
+	src.Set("raced", Entry{Value: []byte("snapshot")})
+	src.Set("raced-expired", Entry{Value: []byte("snapshot")})
+	dst.Set("raced", Entry{Value: []byte("written-through")})
+	dst.Set("raced-expired", Entry{Value: []byte("written-through"), Expires: 1})
+	if got := dst.FillFrom(src); got != len(lengths) {
+		t.Fatalf("installed %d, want %d", got, len(lengths))
+	}
+	for _, n := range lengths {
+		e, ok := dst.GetString(fmt.Sprintf("len-%d", n), 0)
+		if !ok || e.Flags != uint32(n) || e.Expires != int64(1000+n) || !bytes.Equal(e.Value, bytes.Repeat([]byte{'x'}, n)) {
+			t.Fatalf("len-%d after fill: %+v %v", n, e, ok)
+		}
+	}
+	if e, _ := dst.GetString("raced", 0); string(e.Value) != "written-through" {
+		t.Fatalf("snapshot clobbered a newer write: %q", e.Value)
+	}
+	if _, ok := dst.GetString("raced-expired", 5); ok {
+		t.Fatal("snapshot replaced an expired-but-present entry")
+	}
+	// The copy is a copy: overwriting the source in place afterwards
+	// must not reach the destination.
+	src.SetBytes([]byte("len-9"), Entry{Value: []byte("AAAAAAAAA")})
+	if e, _ := dst.GetString("len-9", 0); string(e.Value) != "xxxxxxxxx" {
+		t.Fatalf("destination aliases the source's value words: %q", e.Value)
+	}
+}

@@ -168,28 +168,32 @@ func (st *ShardedStore) DeleteBytes(key []byte) bool {
 	return st.parts[h&st.mask].del(h, key, "", true)
 }
 
-// SetIfAbsent stores key only when it is not already present, reporting
-// whether it stored. The check and the insert run under the key's
-// partition writer mutex, so a concurrent Set for the same key can never
-// be overwritten by a stale snapshot value — the property the offload
-// tier's warm-up depends on.
-func (st *ShardedStore) SetIfAbsent(key string, e Entry) bool {
-	h := dataplane.HashString(key)
-	return st.parts[h&st.mask].setIfAbsent(h, key, e)
+// Reserve sizes the tables in one step for n entries in total (as far as
+// the bound allows), sparing a bulk load log n rebuilds on the way.
+func (st *ShardedStore) Reserve(n int) {
+	share := (n + len(st.parts) - 1) / len(st.parts)
+	for _, p := range st.parts {
+		p.reserve(share)
+	}
 }
 
-// Range calls fn for every live entry, partition by partition in slot
-// order, until fn returns false. Each partition's writer mutex is held
-// while fn walks it, so fn must be quick and must not write back into
-// this store (other stores are fine — the tier warm-up copies entries
-// into its own cache layers from here). The Entry.Value passed to fn is
-// a fresh copy.
-func (st *ShardedStore) Range(fn func(key string, e Entry) bool) {
-	for _, p := range st.parts {
-		if !p.rangeAll(fn) {
-			return
-		}
+// FillFrom installs every live entry of src (another store) that this
+// store does not already hold and returns how many — the offload tier's
+// warm-up. Each src partition is walked under its writer mutex (src
+// keeps serving lock-free reads; writes to that partition wait) and each
+// install checks and inserts under this store's partition mutex, so a
+// concurrent Set of the same key here — newer by definition — is never
+// overwritten by the snapshot. An entry costs one probe and one copy of
+// its value words. The walk is in hash order and both stores hash alike,
+// hence the Reserve: growing mid-walk wraps the ordered stream onto an
+// already dense prefix and linear probing degenerates.
+func (st *ShardedStore) FillFrom(src *ShardedStore) int {
+	st.Reserve(src.Len())
+	n := 0
+	for _, p := range src.parts {
+		n += p.fillInto(st)
 	}
+	return n
 }
 
 // Delete removes key, reporting whether it existed.

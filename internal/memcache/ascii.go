@@ -68,7 +68,10 @@ func ParseRequest(body []byte) (Request, error) {
 	if !found {
 		return Request{}, ErrMalformed
 	}
-	fields := bytes.Fields(line)
+	// ASCII whitespace and plain decimals, as in ParseRequestView
+	// (bytes.Fields also splits on Unicode space inside a key, strconv
+	// takes signs): FuzzParseRequestView holds the two parsers together.
+	fields := bytes.FieldsFunc(line, func(r rune) bool { return r < 0x80 && asciiSpace(byte(r)) })
 	if len(fields) == 0 {
 		return Request{}, ErrMalformed
 	}
@@ -101,16 +104,16 @@ func ParseRequest(body []byte) (Request, error) {
 		if len(key) > MaxKeyLen {
 			return Request{}, ErrKeyTooLong
 		}
-		flags, err := strconv.ParseUint(string(fields[2]), 10, 32)
-		if err != nil {
+		flags, ok := parseUintBytes(fields[2])
+		if !ok || flags > 1<<32-1 {
 			return Request{}, ErrMalformed
 		}
-		exp, err := strconv.ParseInt(string(fields[3]), 10, 64)
-		if err != nil {
+		exp, ok := parseIntBytes(fields[3])
+		if !ok {
 			return Request{}, ErrMalformed
 		}
-		n, err := strconv.Atoi(string(fields[4]))
-		if err != nil || n < 0 || n > len(rest) {
+		n, ok := parseUintBytes(fields[4])
+		if !ok || n > uint64(len(rest)) {
 			return Request{}, ErrMalformed
 		}
 		if !bytes.HasPrefix(rest[n:], crlf) {

@@ -25,8 +25,8 @@ type RequestView struct {
 	Value    []byte
 }
 
-// asciiSpace mirrors bytes.Fields' notion of whitespace, so the view
-// parser splits lines exactly where ParseRequest does.
+// asciiSpace is the protocol's whitespace; ParseRequest splits its fields
+// on the same set, so both parsers cut a line in the same places.
 func asciiSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
@@ -102,7 +102,10 @@ func ParseRequestView(body []byte, v *RequestView) error {
 			return ErrKeyTooLong
 		}
 		v.Op, v.Key = OpGet, key
-		if more, _ := nextField(line); len(more) > 0 {
+		for more, line := nextField(line); len(more) > 0; more, line = nextField(line) {
+			if len(more) > MaxKeyLen {
+				return ErrKeyTooLong
+			}
 			v.MultiKey = true
 		}
 		return nil

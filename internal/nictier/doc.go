@@ -4,10 +4,13 @@
 // designs are restated as dataplane.FastPath implementations that
 // interpose on engine dispatch before the host handler:
 //
-//   - KVSTier — a LaKe-style layered lookaside cache (§3.1): L1 sized to
-//     the on-chip BRAM entry budget, L2 to the DRAM layer, serving
-//     single-key memcached GET hits with zero heap allocations; writes
-//     are write-through-interposed and fall to the host store of record.
+//   - KVSTier — a LaKe-style lookaside cache (§3.1): one table bounded at
+//     the DRAM layer's entry count, holding memory only for what it
+//     caches, serving single-key memcached GET hits with one parse, one
+//     hash and one lock-free read; writes are write-through-interposed
+//     in place and fall to the host store of record. Nothing on that
+//     path allocates. (The paper's L1/L2 latency figures are modeled
+//     sim-side, in kvs.LaKe.)
 //   - DNSTier — an Emu-DNS-style answer table (§3.3) synced from the
 //     authoritative zone, answering A/IN queries and NXDOMAIN directly.
 //   - PaxosAcceptorTier — a P4xos-style acceptor (§3.2) that takes a

@@ -14,28 +14,32 @@ import (
 	"incod/internal/telemetry"
 )
 
-// KVSTier is the LaKe-style fast path (§3.1): a layered lookaside cache
-// in front of the host memcached handler. L1 is sized to the on-chip
-// BRAM value budget, L2 to the (simulation-default) DRAM layer. GET hits
-// are served from the cache with zero heap allocations; GET misses and
-// everything else fall through to the host, with SET/DELETE interposed
-// write-through so the cache never holds a value the store of record
-// does not ("a query is only forwarded to software if there are misses
-// at both layers" — here the miss *is* the forward).
+// KVSTier is the LaKe-style fast path (§3.1): one lookaside table in
+// front of the host memcached handler, bounded at the (simulation-
+// default) DRAM layer's entry count and holding memory only for what it
+// caches. A GET hit is one parse, one hash and one lock-free read
+// encoded straight onto the reply; GET misses and everything else fall
+// through to the host, with SET/DELETE interposed write-through, in
+// place, so the table never holds a value the store of record does not
+// ("a query is only forwarded to software if there are misses" — here
+// the miss *is* the forward). None of it allocates. (The paper-figure
+// L1/L2 latency model lives sim-side, in kvs.LaKe.)
 //
 // Coherence contract: the engine must dispatch by key (kvs.ShardByKey),
-// so all operations on one key are serialized by one worker; the cache
+// so all operations on one key are serialized by one worker; the table
 // then observes every write in store order. The one writer the engine
 // does not serialize is Warm's bulk snapshot, which is made safe by
-// SetIfAbsent installs plus a deletion log covering the warm window.
+// install-if-absent plus a deletion log covering the warm window.
 type KVSTier struct {
 	store *kvs.ShardedStore // host store of record (warm-up source)
 	epoch time.Time         // shared with the host handler's virtual clock
 
-	l1, l2       *kvs.ShardedStore
-	l1Cap, l2Cap int // entry bounds, reused by Park's reset
-	active       atomic.Bool
-	meter        *telemetry.AtomicRateMeter
+	// cache is replaced only by Stage and Park, which Service runs with
+	// the fast path uninstalled (before the flip, after the drain).
+	cache  *kvs.ShardedStore
+	bound  int
+	active atomic.Bool
+	meter  *telemetry.AtomicRateMeter
 
 	// The deletion log: while warming, write-through deletes are
 	// recorded so the final warm pass can undo any snapshot install
@@ -45,45 +49,38 @@ type KVSTier struct {
 	warming bool
 	delLog  []string
 
-	counters    *telemetry.AtomicCounters
-	l1Hits      *atomic.Uint64
-	l2Hits      *atomic.Uint64
-	misses      *atomic.Uint64
-	writes      *atomic.Uint64
-	passthrough *atomic.Uint64
-	warmed      *atomic.Uint64
+	// Every hit counts under l2_hit — the DRAM-scale layer is the one
+	// that survived — and l1_hit stays exported at 0, because benchmark/
+	// reads both by name; the next benchmark PR renames them.
+	counters                          *telemetry.AtomicCounters
+	hits, misses, writes, passthrough *atomic.Uint64
+	warmed                            *atomic.Uint64
 }
 
 // NewKVS returns a LaKe-style tier in front of h's store, sharing h's
-// expiry clock, with the board-default cache capacities.
+// expiry clock, bounded at the board-default DRAM cache capacity.
 func NewKVS(h *kvs.Handler) *KVSTier {
-	return NewKVSSized(h, fpga.OnChipValueEntries, kvs.L2DefaultCapacity)
+	return NewKVSSized(h, 0, kvs.L2DefaultCapacity)
 }
 
-// NewKVSSized is NewKVS with explicit L1/L2 entry bounds (<= 0 selects
-// the board default for that layer). The bounds also size the backing
-// tables, so small ones keep tier construction and Park's cache reset
-// cheap — the chaos harness builds and parks thousands of tiers per
-// sweep, where the default DRAM-scale L2 table would dominate the run.
-func NewKVSSized(h *kvs.Handler, l1Cap, l2Cap int) *KVSTier {
-	if l1Cap <= 0 {
-		l1Cap = fpga.OnChipValueEntries
-	}
-	if l2Cap <= 0 {
-		l2Cap = kvs.L2DefaultCapacity
+// NewKVSSized is NewKVS with an explicit entry bound (<= 0 selects the
+// board default). The first capacity is accepted and ignored: it sized
+// the L1 the tier no longer has, benchmark/ still passes it, and the
+// next benchmark PR removes it.
+func NewKVSSized(h *kvs.Handler, _, bound int) *KVSTier {
+	if bound <= 0 {
+		bound = kvs.L2DefaultCapacity
 	}
 	c := telemetry.NewAtomicCounters()
+	c.Handle("l1_hit")
 	return &KVSTier{
 		store:       h.Store(),
 		epoch:       h.Epoch(),
-		l1:          kvs.NewShardedStore(0, l1Cap),
-		l2:          kvs.NewShardedStore(0, l2Cap),
-		l1Cap:       l1Cap,
-		l2Cap:       l2Cap,
+		cache:       kvs.NewShardedStore(0, bound),
+		bound:       bound,
 		meter:       telemetry.NewAtomicRateMeter(meterBucket, meterBuckets),
 		counters:    c,
-		l1Hits:      c.Handle("l1_hit"),
-		l2Hits:      c.Handle("l2_hit"),
+		hits:        c.Handle("l2_hit"),
 		misses:      c.Handle("miss"),
 		writes:      c.Handle("write_through"),
 		passthrough: c.Handle("passthrough"),
@@ -100,13 +97,13 @@ func (t *KVSTier) Counters() *telemetry.AtomicCounters { return t.counters }
 // StatsCounters lets dataplane.Snapshot fold the tier counters in.
 func (t *KVSTier) StatsCounters() *telemetry.AtomicCounters { return t.counters }
 
-// CacheSizes returns the current L1 and L2 entry counts.
-func (t *KVSTier) CacheSizes() (l1, l2 int) { return t.l1.Len(), t.l2.Len() }
+// Len returns the number of entries the tier holds.
+func (t *KVSTier) Len() int { return t.cache.Len() }
 
 // HitRatio implements Tier: the fraction of classified GETs served from
-// either cache layer.
+// the table.
 func (t *KVSTier) HitRatio() float64 {
-	hits := t.l1Hits.Load() + t.l2Hits.Load()
+	hits := t.hits.Load()
 	total := hits + t.misses.Load()
 	if total == 0 {
 		return 0
@@ -123,53 +120,34 @@ func (t *KVSTier) PowerWatts() float64 {
 	return parkedWatts(fpga.LaKeDesign)
 }
 
-// Stage implements Tier: cold caches, deletion log armed.
-func (t *KVSTier) Stage() error {
+// reset drops the table (a fresh one is a few KB until something is
+// cached) and re-arms or disarms the deletion log.
+func (t *KVSTier) reset(warming bool) {
+	t.cache = kvs.NewShardedStore(0, t.bound)
 	t.delMu.Lock()
-	t.warming = true
-	t.delLog = t.delLog[:0]
+	t.warming = warming
+	t.delLog = nil
 	t.delMu.Unlock()
+}
+
+// Stage implements Tier: table dropped — whether or not a Park ran since
+// the last Stage — and deletion log armed.
+func (t *KVSTier) Stage() error {
+	t.reset(true)
 	t.active.Store(true)
 	return nil
 }
 
 // Warm implements Tier: the LaKe cache activation — bulk-install the
-// store of record into L2, and seed L1 with the host's measured hot-key
-// top-K (falling back to walk order when hot-key sampling is off) while
-// the host keeps serving. SetIfAbsent keeps concurrent write-through
-// values (newer by definition) from being clobbered, and the deletion
-// log erases any install that raced a delete.
+// store of record into the table while the host keeps serving. Install-
+// if-absent keeps concurrent write-through values (newer by definition)
+// from being clobbered, and the deletion log erases any install that
+// raced a delete.
 func (t *KVSTier) Warm() error {
-	// Snapshot the hot set before the walk: a shift pre-loads the keys
-	// the host actually served, not whatever order the table yields.
-	hot := t.store.HotKeys(fpga.OnChipValueEntries)
-	installed := 0
-	t.store.Range(func(key string, e kvs.Entry) bool {
-		// Range hands the walk a fresh copy of each value, so the tier
-		// caches can own the bytes directly.
-		if t.l2.SetIfAbsent(key, e) {
-			installed++
-		}
-		if len(hot) == 0 && installed <= fpga.OnChipValueEntries {
-			// No hot-key telemetry: seed L1 with the first slice of the
-			// walk; its own bound caps it at the on-chip budget either
-			// way, and real popularity sorts itself out via promotion.
-			t.l1.SetIfAbsent(key, e)
-		}
-		return true
-	})
-	// Seed L1 from the measured hot set, hottest first, reading through
-	// L2 so the host store's serving counters stay untouched.
-	now := simnet.Time(time.Since(t.epoch))
-	for _, hk := range hot {
-		if e, ok := t.l2.GetString(hk.Key, now); ok {
-			t.l1.SetIfAbsent(hk.Key, e)
-		}
-	}
+	installed := t.cache.FillFrom(t.store)
 	t.delMu.Lock()
 	for _, k := range t.delLog {
-		t.l1.Delete(k)
-		t.l2.Delete(k)
+		t.cache.Delete(k)
 	}
 	t.delLog = nil
 	t.warming = false
@@ -182,40 +160,54 @@ func (t *KVSTier) Warm() error {
 // state lost.
 func (t *KVSTier) Park() error {
 	t.active.Store(false)
-	t.l1 = kvs.NewShardedStore(0, t.l1Cap)
-	t.l2 = kvs.NewShardedStore(0, t.l2Cap)
-	t.delMu.Lock()
-	t.warming = false
-	t.delLog = nil
-	t.delMu.Unlock()
+	t.reset(false)
 	return nil
 }
 
-// TryHandleDatagram implements dataplane.FastPath. The single-key GET
-// hit path — frame decode, view parse, L1 lookup, reply encode — does no
-// heap allocation.
+// kvsTally is one call's worth of counter increments, flushed once per
+// TryHandleBatch (or per datagram on the single path) instead of once
+// per datagram: the rate meter alone reads the clock on every Add.
+type kvsTally struct {
+	hits, misses, writes uint64
+	parsed               uint64 // well-formed requests, what the meter counts
+}
+
+func (t *KVSTier) flush(n *kvsTally) {
+	if n.parsed == 0 {
+		return
+	}
+	t.hits.Add(n.hits)
+	t.misses.Add(n.misses)
+	t.writes.Add(n.writes)
+	t.meter.Add(n.parsed)
+}
+
+// TryHandleDatagram implements dataplane.FastPath.
 func (t *KVSTier) TryHandleDatagram(in []byte, _ netip.AddrPort, scratch *[]byte) ([]byte, bool, bool) {
-	return t.tryHandleAt(in, simnet.Time(time.Since(t.epoch)), scratch)
+	var n kvsTally
+	out, served := t.tryHandleAt(in, simnet.Time(time.Since(t.epoch)), scratch, &n)
+	t.flush(&n)
+	return out, served, served
 }
 
 // TryHandleBatch implements dataplane.BatchFastPath: the epoch is read
-// and converted to the virtual clock once for the whole batch instead of
-// once per datagram; each item then takes the same classification as
-// TryHandleDatagram.
+// and the counters and rate meter are updated once for the whole batch;
+// each item takes the same classification as TryHandleDatagram.
 func (t *KVSTier) TryHandleBatch(items []*dataplane.BatchItem) {
 	now := simnet.Time(time.Since(t.epoch))
+	var n kvsTally
 	for _, it := range items {
-		out, served, reply := t.tryHandleAt(it.In, now, it.Scratch)
-		if served {
-			it.Served = true
-			if reply {
-				it.Out = out
-			}
+		if out, served := t.tryHandleAt(it.In, now, it.Scratch, &n); served {
+			it.Served, it.Out = true, out
 		}
 	}
+	t.flush(&n)
 }
 
-func (t *KVSTier) tryHandleAt(in []byte, now simnet.Time, scratch *[]byte) ([]byte, bool, bool) {
+// tryHandleAt classifies one datagram. Only a GET hit is served (and
+// always with a reply); everything else is the host's, after the table
+// has seen the write.
+func (t *KVSTier) tryHandleAt(in []byte, now simnet.Time, scratch *[]byte, n *kvsTally) ([]byte, bool) {
 	var v memcache.RequestView
 	framed := false
 	var reqID uint16
@@ -224,9 +216,9 @@ func (t *KVSTier) tryHandleAt(in []byte, now simnet.Time, scratch *[]byte) ([]by
 	} else if memcache.ParseRequestView(in, &v) != nil {
 		// Malformed: the host path owns error replies.
 		t.passthrough.Add(1)
-		return nil, false, false
+		return nil, false
 	}
-	t.meter.Add(1)
+	n.parsed++
 	switch {
 	case v.Op == memcache.OpGet && !v.MultiKey:
 		// Encode the reply straight out of the lock-free read: the frame
@@ -236,56 +228,39 @@ func (t *KVSTier) tryHandleAt(in []byte, now simnet.Time, scratch *[]byte) ([]by
 		if framed {
 			out = memcache.AppendFrame(out, memcache.Frame{RequestID: reqID, Total: 1})
 		}
-		if res, ok := t.l1.AppendGetHit(out, v.Key, now); ok {
-			t.l1Hits.Add(1)
+		if res, ok := t.cache.AppendGetHit(out, v.Key, now); ok {
+			n.hits++
 			*scratch = res
-			return res, true, true
+			return res, true
 		}
-		if res, ok := t.l2.AppendGetHit(out, v.Key, now); ok {
-			t.l2Hits.Add(1)
-			if e, ok2 := t.l2.Get(v.Key, now); ok2 {
-				t.l1.Set(string(v.Key), e) // promote; off the allocation-free path
-			}
-			*scratch = res
-			return res, true, true
-		}
-		// Miss at both layers: the host software services it (§3.1).
-		t.misses.Add(1)
-		return nil, false, false
+		// Miss: the host software services it (§3.1).
+		n.misses++
 	case v.Op == memcache.OpSet:
-		// Write-through into the cache layers, then fall through so the
-		// host store stays authoritative and sends the reply.
-		t.writes.Add(1)
+		// Write-through, in place, then fall through so the host store
+		// stays authoritative and sends the reply.
+		n.writes++
 		var exp int64
 		if v.Exptime > 0 {
 			exp = int64(now.Add(time.Duration(v.Exptime) * time.Second))
 		}
-		val := make([]byte, len(v.Value))
-		copy(val, v.Value)
-		key := string(v.Key)
-		e := kvs.Entry{Flags: v.Flags, Value: val, Expires: exp}
-		t.l2.Set(key, e)
-		t.l1.Set(key, e)
-		return nil, false, false
+		t.cache.SetBytes(v.Key, kvs.Entry{Flags: v.Flags, Value: v.Value, Expires: exp})
 	case v.Op == memcache.OpDelete:
-		t.writes.Add(1)
-		key := string(v.Key)
+		n.writes++
 		// Log BEFORE invalidating: if the warm pass already replayed the
 		// log (warming=false here), its snapshot installs are all done
-		// and the deletes below land last; if it has not, the key is in
+		// and the delete below lands last; if it has not, the key is in
 		// the log and the replay erases any racing snapshot install.
 		// Invalidate-first would leave a window where Warm reinstalls
 		// the key after the delete but before the log append.
 		t.delMu.Lock()
 		if t.warming {
-			t.delLog = append(t.delLog, key)
+			t.delLog = append(t.delLog, string(v.Key))
 		}
 		t.delMu.Unlock()
-		t.l1.Delete(key)
-		t.l2.Delete(key)
-		return nil, false, false
+		t.cache.DeleteBytes(v.Key)
+	default:
+		// Multi-key gets and anything else: the general host path.
+		t.passthrough.Add(1)
 	}
-	// Multi-key gets and anything else: the general host path.
-	t.passthrough.Add(1)
-	return nil, false, false
+	return nil, false
 }

@@ -8,14 +8,17 @@
 # (achieved-kpps) including the TX-mode comparison (per-datagram mmsg vs
 # mmsg+GSO-train vs uring+GSO-train reply TX, with tx-segs-per-train
 # evidence), the engine three-way transport sweep
-# (single/mmsg/uring at 1/2/4 shards) and the NIC-tier hit path.
+# (single/mmsg/uring at 1/2/4 shards) and the NIC KVS tier's cost model
+# (GET hit beside the host handler's, miss, SET write-through, and a
+# 100k-entry warm and park).
 #
 # After writing the snapshot it diffs against the newest committed
 # BENCH_*.json via cmd/incbenchdiff and fails (nonzero exit) on any
-# hot-path ns/op or loopback kpps regression beyond the tolerance.
+# hot-path ns/op or loopback kpps regression beyond the tolerance, or if
+# the tier's GET hit costs more than 1.25x the host's in this run.
 #
 # Usage:
-#   ./scripts/bench.sh                 # ~full run, writes BENCH_9.json
+#   ./scripts/bench.sh                 # ~full run, writes BENCH_15.json
 #   BENCH_TIME=1x ./scripts/bench.sh   # CI smoke: one iteration per bench
 #   BENCH_OUT=out.json ./scripts/bench.sh
 #   BENCH_MAX_REGRESS=75 ./scripts/bench.sh  # cross-host tolerance
@@ -27,7 +30,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${BENCH_OUT:-BENCH_9.json}"
+OUT="${BENCH_OUT:-BENCH_15.json}"
 BENCHTIME="${BENCH_TIME:-200ms}"
 # The loopback throughput benches need a fixed, large-enough request
 # count: time-based calibration lands on small b.N where connection
@@ -51,7 +54,8 @@ run_bench . 'LoopbackBatched|LoopbackUring' "$LOOPTIME"
 # The engine's batched-vs-single loopback comparison plus the three-way
 # transport sweep (single/mmsg/uring at 1/2/4 shards).
 run_bench ./internal/dataplane 'DataplaneBatchedLoopback|DataplaneSingleReaderLoopback|DataplaneEngineLoopback' "$LOOPTIME"
-# The offload tier's zero-alloc GET hit.
+# The offload tier: KVS GET hit (tier and host side by side), miss, SET
+# write-through and the 100k-entry warm/park — all 0 B/op but the warm.
 run_bench ./internal/nictier 'NICTier' "$BENCHTIME"
 
 goversion="$(go env GOVERSION)"
