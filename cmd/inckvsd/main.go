@@ -40,8 +40,7 @@ func main() {
 	bufCache := flag.Int("bufcache", 0, "per-worker private receive-buffer free list size in batched mode (0 = rxbatch, negative disables)")
 	engineMode := flag.String("engine", "batched",
 		"batched-mode transport: batched (recvmmsg/sendmmsg) | uring (io_uring multishot recv, falls back to batched when the kernel can't) | single (portable fallback)")
-	busyPoll := flag.Int("busypoll", 0, "SO_BUSY_POLL microseconds on the serving sockets (0 = off; trades CPU for latency)")
-	pin := flag.Bool("pin", false, "pin each batched shard worker to a CPU via sched_setaffinity")
+	pin := flag.Bool("pin", false, "lock each batched shard worker to its OS thread and pin it to one of the allowed CPUs (sched_setaffinity)")
 	gsoTx := flag.Bool("gsotx", false, "coalesce same-destination replies into UDP_SEGMENT trains in batched mode (degrades to per-datagram sends on kernels without UDP_SEGMENT)")
 	maxEntries := flag.Int("max-entries", 0, "LRU-bound the store to this many entries (0 = unbounded)")
 	crossKpps := flag.Float64("crossover", 80, "software/hardware crossover (kpps)")
@@ -59,7 +58,7 @@ func main() {
 	handler := kvs.NewHandler(store)
 	eng, err := daemon.ListenEngine(
 		daemon.EngineOptions{Addr: *addr, Sockets: *sockets, RxBatch: *rxBatch, TxBatch: *txBatch,
-			BufCache: *bufCache, Engine: *engineMode, BusyPollUs: *busyPoll, Pin: *pin, GSOTx: *gsoTx},
+			BufCache: *bufCache, Engine: *engineMode, Pin: *pin, GSOTx: *gsoTx},
 		handler, dataplane.Config{Name: "inckvsd", Shards: *shards, ShardBy: kvs.ShardByKey})
 	if err != nil {
 		log.Fatalf("inckvsd: %v", err)

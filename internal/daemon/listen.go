@@ -31,11 +31,8 @@ type EngineOptions struct {
 	// when netio.ProbeUring fails. "single" forces the portable
 	// fallback. Ignored when Sockets is 0.
 	Engine string
-	// BusyPollUs enables SO_BUSY_POLL on every serving socket for that
-	// many microseconds (0 = off). Failure to set it is logged, not
-	// fatal (needs CAP_NET_ADMIN on older kernels).
-	BusyPollUs int
-	// Pin locks each shard worker to a CPU (dataplane.Config.PinShards).
+	// Pin locks each shard worker to its thread and to one of the CPUs
+	// the process is allowed (dataplane.Config.PinShards).
 	Pin bool
 	// GSOTx requests train-oriented reply transmission
 	// (dataplane.Config.GSOTx): replies to one destination are coalesced
@@ -66,14 +63,6 @@ func ListenEngine(o EngineOptions, h dataplane.Handler, cfg dataplane.Config) (*
 	conns, err := netio.ListenReusePortGroup("udp", o.Addr, o.Sockets)
 	if err != nil {
 		return nil, err
-	}
-	if o.BusyPollUs > 0 {
-		for i, c := range conns {
-			if err := netio.SetBusyPoll(c, o.BusyPollUs); err != nil {
-				log.Printf("%s: SO_BUSY_POLL unavailable (socket %d, continuing without): %v", cfg.Name, i, err)
-				break
-			}
-		}
 	}
 	bcs, err := buildBatchConns(conns, o, cfg)
 	if err != nil {

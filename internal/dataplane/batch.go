@@ -191,13 +191,16 @@ func (e *Engine) batchWorker(i int) {
 	defer e.workersWG.Done()
 	if e.cfg.PinShards {
 		// The thread must be locked before the affinity call or the Go
-		// scheduler migrates the goroutine off the pinned thread. With
-		// fewer cores than shards, shards share cores modulo NumCPU —
-		// still a win for cache locality, though pinning buys the most
-		// when every shard owns a whole core.
+		// scheduler migrates the goroutine off the pinned thread. Locked
+		// for good, the thread is the worker's own, and the socket is
+		// told so: it may wait for datagrams on it (netio.BatchConn).
+		// Shard i takes the (i mod n)-th CPU the process is allowed; with
+		// fewer CPUs than shards, shards share them — still a win for
+		// cache locality, though pinning buys the most when every shard
+		// owns a whole core.
 		runtime.LockOSThread()
-		cpu := i % runtime.NumCPU()
-		if err := netio.PinThread(cpu); err != nil {
+		e.bconns[i].OwnThread()
+		if _, err := netio.PinThread(i); err != nil {
 			if i == 0 {
 				log.Printf("%s: shard pinning unavailable, continuing unpinned: %v", e.cfg.Name, err)
 			}
@@ -207,6 +210,10 @@ func (e *Engine) batchWorker(i int) {
 	}
 	w := e.newBatchState(i)
 	for !e.closing.Load() {
+		// Armed before every read, whether or not the read comes to park:
+		// a deadline armed only for a park and left standing after the
+		// park succeeds fires a millisecond later and fails the next read
+		// on a socket that has data.
 		_ = w.bc.SetReadDeadline(time.Now().Add(queuePollInterval))
 		w.fillRx()
 		n, err := w.bc.ReadBatch(w.rx)

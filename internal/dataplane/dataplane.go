@@ -95,12 +95,15 @@ type Config struct {
 	// TxBatch is the maximum replies flushed per sendmmsg call in
 	// batched mode (default 32).
 	TxBatch int
-	// PinShards locks each batched shard worker to an OS thread and
-	// binds that thread to CPU shard%NumCPU. Helps when shards ≤ cores
-	// (cache locality, no migration); with more shards than cores it
-	// only forces sharing patterns the scheduler would pick anyway, and
-	// on platforms without sched_setaffinity it degrades to a logged
-	// no-op. Ignored in single-reader mode.
+	// PinShards locks each batched shard worker to an OS thread, which
+	// lets its socket wait for datagrams on that thread instead of
+	// through the netpoller (see doc.go), and binds the thread to one of
+	// the CPUs the process is allowed: shard i to the (i mod n)-th of
+	// those n. The binding helps when shards ≤ cores (cache locality, no
+	// migration); with more shards than cores it only forces sharing
+	// patterns the scheduler would pick anyway, and on platforms without
+	// sched_setaffinity it degrades to a logged no-op. Ignored in
+	// single-reader mode.
 	PinShards bool
 	// BufCache is the per-worker private receive-buffer free list size
 	// in batched mode (default RxBatch, negative disables). Pinned shard

@@ -48,31 +48,74 @@ func serveBackend(t *testing.T, backend string, h dataplane.Handler, cfg datapla
 	return e, conns[0].LocalAddr().String()
 }
 
+// compareReplies sends every request to both engines and demands the
+// same bytes back from each.
+func compareReplies(t *testing.T, addrA, addrB string, reqs [][]byte) {
+	t.Helper()
+	connA, err := net.Dial("udp", addrA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer connA.Close()
+	connB, err := net.Dial("udp", addrB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer connB.Close()
+	for i, req := range reqs {
+		a := exchange(t, connA, req)
+		b := exchange(t, connB, req)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("request %d: reply %q from %s != reply %q from %s", i, a, addrA, b, addrB)
+		}
+	}
+}
+
+// equivDNSRequests is the DNS stream of the equivalence suites, for a
+// zone of 16 sequential names: every name, an NXDOMAIN and a
+// case-folded hit.
+func equivDNSRequests(t *testing.T) [][]byte {
+	t.Helper()
+	var reqs [][]byte
+	for i := 0; i < 16; i++ {
+		q, err := dns.Encode(dns.NewQuery(uint16(1000+i), dns.SequentialName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, q)
+	}
+	q, _ := dns.Encode(dns.NewQuery(2000, "nowhere.example.com"))
+	reqs = append(reqs, q)
+	q, _ = dns.Encode(dns.NewQuery(2001, "HOST3.EXAMPLE.COM"))
+	return append(reqs, q)
+}
+
+// equivKVSRequests is the KVS stream: a mutation history whose replies
+// stay identical on two fresh stores only if both engines deliver every
+// payload intact, in order per key.
+func equivKVSRequests() [][]byte {
+	frame := func(id uint16, r memcache.Request) []byte {
+		return memcache.EncodeFrame(memcache.Frame{RequestID: id, Total: 1}, memcache.EncodeRequest(r))
+	}
+	var reqs [][]byte
+	for i := 0; i < 8; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		reqs = append(reqs,
+			frame(uint16(3000+i), memcache.Request{Op: memcache.OpSet, Key: key,
+				Flags: uint32(i), Value: []byte(fmt.Sprintf("value-%d", i))}),
+			frame(uint16(3100+i), memcache.Request{Op: memcache.OpGet, Key: key}))
+	}
+	return append(reqs,
+		frame(3200, memcache.Request{Op: memcache.OpGet, Key: "missing"}),
+		frame(3201, memcache.Request{Op: memcache.OpDelete, Key: "key-0"}),
+		frame(3202, memcache.Request{Op: memcache.OpGet, Key: "key-0"}),
+		[]byte("get key-1\r\n"), // raw ASCII path through both engines
+	)
+}
+
 func TestBatchedVsUringByteIdenticalReplies(t *testing.T) {
 	if err := netio.ProbeUring(); err != nil {
 		t.Skipf("io_uring unavailable: %v", err)
-	}
-
-	// compare sends every request to both engines and demands the same
-	// bytes back from each.
-	compare := func(t *testing.T, addrA, addrB string, reqs [][]byte) {
-		connA, err := net.Dial("udp", addrA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer connA.Close()
-		connB, err := net.Dial("udp", addrB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer connB.Close()
-		for i, req := range reqs {
-			a := exchange(t, connA, req)
-			b := exchange(t, connB, req)
-			if !bytes.Equal(a, b) {
-				t.Fatalf("request %d: batched reply %q != uring reply %q", i, a, b)
-			}
-		}
 	}
 
 	t.Run("dns", func(t *testing.T) {
@@ -86,26 +129,11 @@ func TestBatchedVsUringByteIdenticalReplies(t *testing.T) {
 		if got := eB.Backend(); got != "uring" {
 			t.Fatalf("uring engine backend = %q, want uring", got)
 		}
-		var reqs [][]byte
-		for i := 0; i < 16; i++ {
-			q, err := dns.Encode(dns.NewQuery(uint16(1000+i), dns.SequentialName(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			reqs = append(reqs, q)
-		}
-		// NXDOMAIN and a case-folded hit must also match.
-		q, _ := dns.Encode(dns.NewQuery(2000, "nowhere.example.com"))
-		reqs = append(reqs, q)
-		q, _ = dns.Encode(dns.NewQuery(2001, "HOST3.EXAMPLE.COM"))
-		reqs = append(reqs, q)
-		compare(t, addrA, addrB, reqs)
+		compareReplies(t, addrA, addrB, equivDNSRequests(t))
 	})
 
 	t.Run("kvs", func(t *testing.T) {
-		// Separate stores, mutated by the same request stream: replies
-		// stay identical only if both transports deliver every payload
-		// intact and in usable form.
+		// Separate stores, mutated by the same request stream.
 		mk := func(name string) string {
 			_, addr := serveBackend(t, map[bool]string{true: "uring", false: "mmsg"}[name == "uring"],
 				kvs.NewHandler(kvs.NewShardedStore(4, 0)),
@@ -113,23 +141,6 @@ func TestBatchedVsUringByteIdenticalReplies(t *testing.T) {
 			return addr
 		}
 		addrA, addrB := mk("mmsg"), mk("uring")
-		var reqs [][]byte
-		frame := func(id uint16, r memcache.Request) []byte {
-			return memcache.EncodeFrame(memcache.Frame{RequestID: id, Total: 1}, memcache.EncodeRequest(r))
-		}
-		for i := 0; i < 8; i++ {
-			key := fmt.Sprintf("key-%d", i)
-			reqs = append(reqs,
-				frame(uint16(3000+i), memcache.Request{Op: memcache.OpSet, Key: key,
-					Flags: uint32(i), Value: []byte(fmt.Sprintf("value-%d", i))}),
-				frame(uint16(3100+i), memcache.Request{Op: memcache.OpGet, Key: key}))
-		}
-		reqs = append(reqs,
-			frame(3200, memcache.Request{Op: memcache.OpGet, Key: "missing"}),
-			frame(3201, memcache.Request{Op: memcache.OpDelete, Key: "key-0"}),
-			frame(3202, memcache.Request{Op: memcache.OpGet, Key: "key-0"}),
-			[]byte("get key-1\r\n"), // raw ASCII path through both transports
-		)
-		compare(t, addrA, addrB, reqs)
+		compareReplies(t, addrA, addrB, equivKVSRequests())
 	})
 }

@@ -4,54 +4,54 @@ package netio
 
 import (
 	"fmt"
-	"net"
+	"math/bits"
 	"syscall"
 	"unsafe"
 )
 
-// PinThread binds the calling OS thread to the given CPU via
-// sched_setaffinity. Callers must hold the thread first with
-// runtime.LockOSThread, or the Go scheduler will migrate the goroutine
-// off the pinned thread.
-func PinThread(cpu int) error {
-	if cpu < 0 {
-		return fmt.Errorf("netio: pin to negative cpu %d", cpu)
+// cpuMask is a kernel CPU affinity mask: 1024 CPUs, the size of glibc's
+// cpu_set_t.
+type cpuMask [16]uint64
+
+// PinThread binds the calling OS thread to one of the CPUs its affinity
+// mask already allows — the (i mod n)-th of those n, in id order — and
+// returns that CPU's id. The mask is what taskset, a cpuset cgroup or a
+// container runtime confined the process to, so shard workers spread
+// over exactly the CPUs the operator gave the daemon and never leave
+// them; the ids need not start at 0 or be contiguous. Callers must hold
+// the thread first with runtime.LockOSThread, or the Go scheduler will
+// migrate the goroutine off the pinned thread.
+func PinThread(i int) (int, error) {
+	if i < 0 {
+		return 0, fmt.Errorf("netio: pin index %d is negative", i)
 	}
-	var mask [16]uint64 // 1024 CPUs, same size as glibc's cpu_set_t
-	if cpu >= len(mask)*64 {
-		return fmt.Errorf("netio: cpu %d out of range", cpu)
+	var mask cpuMask
+	if _, _, errno := syscall.RawSyscall(syscall.SYS_SCHED_GETAFFINITY, 0,
+		unsafe.Sizeof(mask), uintptr(unsafe.Pointer(&mask))); errno != 0 {
+		return 0, fmt.Errorf("netio: sched_getaffinity: %v", errno)
 	}
+	n := 0
+	for _, w := range mask {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return 0, fmt.Errorf("netio: empty affinity mask")
+	}
+	// Walk to the (i mod n)-th set bit; n > 0 bounds the walk.
+	cpu := 0
+	for k := i % n; ; cpu++ {
+		if mask[cpu/64]>>(uint(cpu)%64)&1 == 1 {
+			if k == 0 {
+				break
+			}
+			k--
+		}
+	}
+	mask = cpuMask{}
 	mask[cpu/64] = 1 << (uint(cpu) % 64)
-	_, _, errno := syscall.Syscall(sysSchedSetaffinity, 0,
-		unsafe.Sizeof(mask), uintptr(unsafe.Pointer(&mask)))
-	if errno != 0 {
-		return fmt.Errorf("netio: sched_setaffinity(cpu=%d): %v", cpu, errno)
+	if _, _, errno := syscall.RawSyscall(syscall.SYS_SCHED_SETAFFINITY, 0,
+		unsafe.Sizeof(mask), uintptr(unsafe.Pointer(&mask))); errno != 0 {
+		return cpu, fmt.Errorf("netio: sched_setaffinity(cpu=%d): %v", cpu, errno)
 	}
-	return nil
-}
-
-// soBusyPoll is SO_BUSY_POLL, not in the frozen syscall package.
-const soBusyPoll = 46
-
-// SetBusyPoll enables kernel busy-polling on the socket for the given
-// number of microseconds: blocked receives spin on the device queue
-// before sleeping, trading CPU for latency. Requires a *net.UDPConn;
-// typical values are 50–200 µs.
-func SetBusyPoll(pc net.PacketConn, usec int) error {
-	udp, ok := pc.(*net.UDPConn)
-	if !ok {
-		return fmt.Errorf("netio: busy-poll needs a *net.UDPConn, got %T", pc)
-	}
-	rc, err := udp.SyscallConn()
-	if err != nil {
-		return err
-	}
-	var serr error
-	err = rc.Control(func(fd uintptr) {
-		serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soBusyPoll, usec)
-	})
-	if err != nil {
-		return err
-	}
-	return serr
+	return cpu, nil
 }

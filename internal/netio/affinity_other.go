@@ -4,17 +4,11 @@ package netio
 
 import (
 	"fmt"
-	"net"
 	"runtime"
 )
 
 // PinThread is linux-only; elsewhere pinning silently costs nothing to
 // skip, so callers log and continue.
-func PinThread(cpu int) error {
-	return fmt.Errorf("netio: thread pinning unsupported on %s/%s", runtime.GOOS, runtime.GOARCH)
-}
-
-// SetBusyPoll is linux-only (SO_BUSY_POLL).
-func SetBusyPoll(pc net.PacketConn, usec int) error {
-	return fmt.Errorf("netio: SO_BUSY_POLL unsupported on %s/%s", runtime.GOOS, runtime.GOARCH)
+func PinThread(i int) (int, error) {
+	return 0, fmt.Errorf("netio: thread pinning unsupported on %s/%s", runtime.GOOS, runtime.GOARCH)
 }

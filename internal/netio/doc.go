@@ -9,7 +9,8 @@
 //	        unrolled into per-segment sends.
 //	mmsg    recvmmsg(2)/sendmmsg(2) via syscall.RawConn: many datagrams
 //	        per syscall, with the runtime netpoller still parking the
-//	        goroutine between batches. A Message marked as a train
+//	        goroutine between batches (a reader that owns its thread
+//	        first waits on it, see below). A Message marked as a train
 //	        (SegSize set) carries a UDP_SEGMENT cmsg on its slot of the
 //	        sendmmsg vector, so one syscall can push a whole batch of
 //	        trains — kernel segmentation fans each back into datagrams
@@ -123,7 +124,7 @@
 // the race. Kernels where the eventfd cannot be registered fall back
 // to bounded enter waits.
 //
-// # Reuseport groups, pinning and busy-polling
+// # Reuseport groups, pinning and thread ownership
 //
 // ListenReusePortGroup opens N UDP sockets bound to the same address
 // with SO_REUSEPORT, so the kernel spreads inbound flows across them
@@ -133,14 +134,27 @@
 // group of one socket still works; asking for more reports an error,
 // which the daemons surface at startup.
 //
-// PinThread (sched_setaffinity) pins the calling OS thread to a CPU;
-// the dataplane uses it for per-shard affinity (-pin), which helps
-// when shards <= cores — stable cache residency, no cross-CPU wakeup
-// — and actively hurts when shards exceed cores, since pinned workers
-// can no longer migrate off a contended CPU. SetBusyPoll arms
-// SO_BUSY_POLL, trading spin CPU for receive latency; it only pays on
-// an otherwise idle core, so it is off by default and a flag
-// (-busypoll) where it matters.
+// PinThread (sched_getaffinity, then sched_setaffinity) pins the
+// calling OS thread to one of the CPUs its affinity mask already allows
+// — index i takes the (i mod n)-th of those n, by id — so a daemon under
+// taskset or a cpuset spreads its shards over exactly the CPUs it was
+// given, whatever their ids. The dataplane uses it for per-shard
+// affinity (-pin), which helps when shards <= cores — stable cache
+// residency, no cross-CPU wakeup — and actively hurts when shards
+// exceed cores, since pinned workers can no longer migrate off a
+// contended CPU.
+//
+// A pinned worker has locked itself to its thread, and says so to its
+// conn with BatchConn.OwnThread. That is the one fact a rung needs to
+// choose how its reader waits, and the choice stays here: the mmsg rung
+// (see mmsgConn for the mechanics) waits on an owned thread directly
+// after a productive read, for at most ownWaitBudget, and in the
+// netpoller otherwise. "Owned", because the same wait from an ordinary
+// goroutine blocks an M its neighbours need (the in-process loopback
+// benches halve); "after a productive read", because on an idle socket
+// it keeps the P in a syscall while start-up work wants it. (SO_BUSY_POLL,
+// once a flag here, is gone: it polls a NIC queue loopback does not
+// have, and nothing measured ever set it.)
 //
 // # Saturating the path: GSO at the endpoints
 //

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 	"unsafe"
@@ -45,10 +46,25 @@ func (s *mmsgScratch) ensure(n int) {
 	s.ctrls = s.ctrls[:n*gsoCtrlSpace]
 }
 
+// ownWaitBudget bounds one on-thread wait (mmsgConn), and with it how
+// long an owned reader holds its P in a syscall while others want it.
+const ownWaitBudget = 100 * time.Microsecond
+
 // mmsgConn is the Linux BatchConn: recvmmsg/sendmmsg with MSG_DONTWAIT
 // inside syscall.RawConn callbacks, so the runtime netpoller still parks
 // the goroutine on EAGAIN and read deadlines behave exactly like
 // net.UDPConn's.
+//
+// A reader that owns its thread (OwnThread) waits differently in one
+// case. Parking a thread-locked goroutine is the dearest park Go has: the
+// thread hands its P to a second one, which blocks in epoll_wait, and is
+// handed it back on arrival — two futex wakes and two thread switches per
+// wake-up. So directly after a read that returned data, and only then,
+// such a reader blocks its own thread in ppoll(2) on the socket for at
+// most ownWaitBudget (clipped to the read deadline) and reads again: the
+// kernel wakes the worker itself. An idle socket, a wait that timed out
+// and every other reader park in the netpoller as before, so deadlines
+// and Close keep their semantics, late by at most one budget.
 type mmsgConn struct {
 	udp *net.UDPConn
 	rc  syscall.RawConn
@@ -56,6 +72,15 @@ type mmsgConn struct {
 	rx  mmsgScratch
 	tx  mmsgScratch
 	txc txCounters
+
+	// owned and armed (the previous read returned data) belong to the
+	// reader goroutine; deadline mirrors the read deadline in unix ns, 0
+	// for none. budget is ownWaitBudget outside tests; threadWaits and
+	// parks count the two ways of waiting, for the tests.
+	owned, armed       bool
+	budget             time.Duration
+	deadline           atomic.Int64
+	threadWaits, parks atomic.Uint64
 }
 
 // newMmsgConn returns the recvmmsg/sendmmsg implementation when pc is a
@@ -70,12 +95,51 @@ func newMmsgConn(pc net.PacketConn) BatchConn {
 		return nil
 	}
 	la, _ := udp.LocalAddr().(*net.UDPAddr)
-	return &mmsgConn{udp: udp, rc: rc, ip4: la != nil && la.IP.To4() != nil}
+	return &mmsgConn{udp: udp, rc: rc, ip4: la != nil && la.IP.To4() != nil, budget: ownWaitBudget}
 }
 
-func (c *mmsgConn) LocalAddr() net.Addr               { return c.udp.LocalAddr() }
-func (c *mmsgConn) Close() error                      { return c.udp.Close() }
-func (c *mmsgConn) SetReadDeadline(t time.Time) error { return c.udp.SetReadDeadline(t) }
+func (c *mmsgConn) LocalAddr() net.Addr { return c.udp.LocalAddr() }
+func (c *mmsgConn) Close() error        { return c.udp.Close() }
+
+func (c *mmsgConn) SetReadDeadline(t time.Time) error {
+	var ns int64
+	if !t.IsZero() {
+		ns = t.UnixNano()
+	}
+	c.deadline.Store(ns)
+	return c.udp.SetReadDeadline(t)
+}
+
+// OwnThread implements BatchConn.
+func (c *mmsgConn) OwnThread() { c.owned = true }
+
+// waitOnThread blocks the calling thread until fd is readable (or in
+// error: the retried recvmmsg reports it) or the budget runs out, and
+// reports whether a read is worth retrying.
+func (c *mmsgConn) waitOnThread(fd uintptr) bool {
+	wait := c.budget
+	if dl := c.deadline.Load(); dl != 0 {
+		wait = min(wait, time.Duration(dl-time.Now().UnixNano()))
+	}
+	if wait <= 0 {
+		return false
+	}
+	c.threadWaits.Add(1)
+	pfd := pollFd{fd: int32(fd), events: pollIn}
+	ts := syscall.NsecToTimespec(int64(wait))
+	r, _, _ := syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&pfd)), 1,
+		uintptr(unsafe.Pointer(&ts)), 0, 0, 0)
+	return int(r) > 0
+}
+
+// pollFd mirrors the kernel's struct pollfd.
+type pollFd struct {
+	fd      int32
+	events  int16
+	revents int16
+}
+
+const pollIn = 0x1
 
 // Backend names the transport rung for stats and logs.
 func (c *mmsgConn) Backend() string { return "mmsg" }
@@ -102,6 +166,9 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 	}
 	var n int
 	var operr syscall.Errno
+	// At most one on-thread wait, and only after a productive read.
+	onThread := c.owned && c.armed
+	c.armed = false
 	err := c.rc.Read(func(fd uintptr) bool {
 		for {
 			r, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
@@ -114,6 +181,13 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 			case syscall.EINTR:
 				continue
 			case syscall.EAGAIN:
+				if onThread {
+					onThread = false
+					if c.waitOnThread(fd) {
+						continue
+					}
+				}
+				c.parks.Add(1)
 				return false // park in the netpoller until readable
 			default:
 				operr = errno
@@ -131,6 +205,7 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 		ms[i].N = int(c.rx.hdrs[i].n)
 		ms[i].Src = sockaddrToAddrPort(&c.rx.names[i])
 	}
+	c.armed = n > 0
 	return n, nil
 }
 

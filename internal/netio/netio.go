@@ -53,10 +53,18 @@ func (m *Message) Segments() int {
 // message or returns how many were sent before the error. One ReadBatch
 // or WriteBatch call is one syscall on Linux, so a batch of 32 amortizes
 // the per-packet syscall cost 32x.
+//
+// OwnThread is the reader's declaration that it has locked itself to its
+// OS thread (runtime.LockOSThread) for good, made once by the goroutine
+// that calls ReadBatch, before its first read. A rung may then wait for
+// datagrams on that thread instead of in the netpoller (mmsgConn does);
+// how and when is the rung's business. It is a required method so that a
+// wrapper embedding a BatchConn forwards it without knowing.
 type BatchConn interface {
 	ReadBatch(ms []Message) (int, error)
 	WriteBatch(ms []Message) (int, error)
 	SetReadDeadline(t time.Time) error
+	OwnThread()
 	LocalAddr() net.Addr
 	Close() error
 }
@@ -217,6 +225,10 @@ func (c *singleConn) TxStats() TxStats { return c.tx.snapshot() }
 func (c *singleConn) SetReadDeadline(t time.Time) error { return c.pc.SetReadDeadline(t) }
 func (c *singleConn) LocalAddr() net.Addr               { return c.pc.LocalAddr() }
 func (c *singleConn) Close() error                      { return c.pc.Close() }
+
+// OwnThread implements BatchConn; net.PacketConn reads always wait in
+// the netpoller.
+func (c *singleConn) OwnThread() {}
 
 // Backend names the transport rung for stats and logs.
 func (c *singleConn) Backend() string { return "single" }

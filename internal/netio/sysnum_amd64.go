@@ -5,8 +5,7 @@ package netio
 // The frozen syscall package predates sendmmsg, so the numbers live
 // here. From the linux/amd64 syscall table.
 const (
-	sysRecvmmsg         = 299
-	sysSendmmsg         = 307
-	sysSchedSetaffinity = 203
-	sysEventfd2         = 290
+	sysRecvmmsg = 299
+	sysSendmmsg = 307
+	sysEventfd2 = 290
 )

@@ -4,8 +4,7 @@ package netio
 
 // From the linux generic (asm-generic) 64-bit syscall table.
 const (
-	sysRecvmmsg         = 243
-	sysSendmmsg         = 269
-	sysSchedSetaffinity = 122
-	sysEventfd2         = 19
+	sysRecvmmsg = 243
+	sysSendmmsg = 269
+	sysEventfd2 = 19
 )

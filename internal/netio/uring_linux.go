@@ -1081,6 +1081,10 @@ func (c *uringConn) SetReadDeadline(t time.Time) error {
 
 func (c *uringConn) LocalAddr() net.Addr { return c.pc.LocalAddr() }
 
+// OwnThread implements BatchConn; the ring's reader already spins before
+// it parks on the CQ eventfd.
+func (c *uringConn) OwnThread() {}
+
 // Backend names the transport rung for stats and logs.
 func (c *uringConn) Backend() string { return "uring" }
 
