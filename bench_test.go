@@ -21,6 +21,7 @@ import (
 	"incod/internal/memcache"
 	"incod/internal/paxos"
 	"incod/internal/power"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
@@ -433,18 +434,6 @@ func BenchmarkDNSQuestionView(b *testing.B) {
 	}
 }
 
-func BenchmarkLRUCache(b *testing.B) {
-	c := kvs.NewCache(1024)
-	for i := 0; i < 1024; i++ {
-		c.Put(fmt.Sprint(i), kvs.Entry{Value: []byte("v")})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Get(fmt.Sprint(i & 1023))
-	}
-}
-
 func BenchmarkSimulatorEvents(b *testing.B) {
 	b.ReportAllocs()
 	sim := simnet.New(1)
@@ -536,7 +525,7 @@ func BenchmarkAblationIdleStrategy(b *testing.B) {
 	b.ReportMetric(keepWarm, "idle-watts(keep-warm)")
 	b.ReportMetric(parked, "idle-watts(reset+gated)")
 	b.ReportMetric(reconf, "idle-watts(partial-reconfig)")
-	b.ReportMetric(float64(kvs.ReconfigHalt.Milliseconds()), "reconfig-halt-ms")
+	b.ReportMetric(float64(simhost.ReconfigHalt.Milliseconds()), "reconfig-halt-ms")
 }
 
 // Client-timeout tuning for the Paxos leader shift: stall vs timeout.

@@ -35,9 +35,6 @@ func main() {
 	shards := flag.Int("shards", 0, "dataplane shard workers (0 = GOMAXPROCS)")
 	sockets := flag.Int("sockets", 0,
 		"per-shard SO_REUSEPORT sockets with batched recvmmsg/sendmmsg I/O (0 = classic single-reader engine; batched mode runs one shard per socket, Linux)")
-	rxBatch := flag.Int("rxbatch", 0, "datagrams per receive batch in batched mode (0 = default 32)")
-	txBatch := flag.Int("txbatch", 0, "datagrams per send batch in batched mode (0 = default 32)")
-	bufCache := flag.Int("bufcache", 0, "per-worker private receive-buffer free list size in batched mode (0 = rxbatch, negative disables)")
 	engineMode := flag.String("engine", "batched",
 		"batched-mode transport: batched (recvmmsg/sendmmsg) | uring (io_uring multishot recv, falls back to batched when the kernel can't) | single (portable fallback)")
 	pin := flag.Bool("pin", false, "lock each batched shard worker to its OS thread and pin it to one of the allowed CPUs (sched_setaffinity)")
@@ -57,8 +54,8 @@ func main() {
 	store.EnableHotKeys(*hotKeys)
 	handler := kvs.NewHandler(store)
 	eng, err := daemon.ListenEngine(
-		daemon.EngineOptions{Addr: *addr, Sockets: *sockets, RxBatch: *rxBatch, TxBatch: *txBatch,
-			BufCache: *bufCache, Engine: *engineMode, Pin: *pin, GSOTx: *gsoTx},
+		daemon.EngineOptions{Addr: *addr, Sockets: *sockets,
+			Engine: *engineMode, Pin: *pin, GSOTx: *gsoTx},
 		handler, dataplane.Config{Name: "inckvsd", Shards: *shards, ShardBy: kvs.ShardByKey})
 	if err != nil {
 		log.Fatalf("inckvsd: %v", err)

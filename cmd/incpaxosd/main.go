@@ -41,9 +41,6 @@ func main() {
 	shards := flag.Int("shards", 1, "dataplane shard workers (role state is serialized either way; >1 only parallelizes decode)")
 	sockets := flag.Int("sockets", 0,
 		"per-shard SO_REUSEPORT sockets with batched recvmmsg/sendmmsg I/O (0 = classic single-reader engine; batched mode runs one shard per socket, Linux)")
-	rxBatch := flag.Int("rxbatch", 0, "datagrams per receive batch in batched mode (0 = default 32)")
-	txBatch := flag.Int("txbatch", 0, "datagrams per send batch in batched mode (0 = default 32)")
-	bufCache := flag.Int("bufcache", 0, "per-worker private receive-buffer free list size in batched mode (0 = rxbatch, negative disables)")
 	engineMode := flag.String("engine", "batched",
 		"batched-mode transport: batched (recvmmsg/sendmmsg) | uring (io_uring multishot recv, falls back to batched when the kernel can't) | single (portable fallback)")
 	pin := flag.Bool("pin", false, "lock each batched shard worker to its OS thread and pin it to one of the allowed CPUs (sched_setaffinity)")
@@ -94,8 +91,8 @@ func main() {
 	if *useTier && *role != "acceptor" {
 		log.Printf("incpaxosd: -nictier only offloads the acceptor role (P4xos, §3.2); ignoring for %q", *role)
 	}
-	io := daemon.EngineOptions{Addr: *addr, Sockets: *sockets, RxBatch: *rxBatch, TxBatch: *txBatch,
-		BufCache: *bufCache, Engine: *engineMode, Pin: *pin, GSOTx: *gsoTx}
+	io := daemon.EngineOptions{Addr: *addr, Sockets: *sockets,
+		Engine: *engineMode, Pin: *pin, GSOTx: *gsoTx}
 	var r serverRole
 	switch *role {
 	case "acceptor":

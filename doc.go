@@ -9,7 +9,9 @@
 // TransitionCost hook for the §9.2 transition tasks), Policy (the §9.1
 // decision kernels — mirrored-threshold, power-aware, static pin — as
 // pluggable Observe(Sample) Decision rules), and Controller (drives a
-// Policy in simulated time). internal/daemon runs the same Policy code on
+// Policy in simulated time, over the same handlers, tiers and
+// nictier.Service the daemons run: internal/simhost serves them on the
+// simulator's clock under the paper's cost model). internal/daemon runs the same Policy code on
 // wall-clock request streams via a multi-service Orchestrator, exposed to
 // operators through the versioned /v1 HTTP control API served by every
 // daemon (see README.md).
@@ -17,6 +19,6 @@
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory), runnable daemons under cmd/, and worked examples under
 // examples/. The benchmarks in this package regenerate every table and
-// figure in the paper's evaluation; EXPERIMENTS.md records paper-vs-
-// measured results.
+// figure in the paper's evaluation, as does `go run ./cmd/incbench all`,
+// whose table notes quote the paper's figure beside the measured one.
 package incod

@@ -12,8 +12,8 @@ import (
 
 	"incod/internal/core"
 	"incod/internal/dns"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
-	"incod/internal/telemetry"
 	"incod/internal/trafficgen"
 )
 
@@ -22,18 +22,14 @@ func main() {
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	zone := dns.NewZone()
 	zone.PopulateSequential(1000)
-	host := dns.NewSoftServer(net, "host", zone)
-	emu := dns.NewEmuDNS(net, "emu", host)
-	emu.Deactivate()
+	emu := simhost.NewDNS(net, "emu", zone, simhost.EmuDNS()) // starts in software
 	client := dns.NewClient(net, "client", "emu")
 	keys := trafficgen.NewZipfKeys(sim.Rand(), 1000, 1.1)
 	client.NameFunc = func() string { return dns.SequentialName(int(keys.NextIndex())) }
 
-	svc := core.NewDNSService(emu)
+	svc := emu.Service
 	ctl := core.NewNetworkController(sim, svc, emu.RateKpps, core.DefaultNetworkConfig(150))
 	ctl.Start()
-
-	combined := telemetry.SumPower{host, emu}
 
 	// Ramp up 20 -> 400 kpps, hold, ramp down.
 	profile := trafficgen.Profile{
@@ -51,7 +47,7 @@ func main() {
 		med := client.Latency.Median()
 		client.Latency.Reset()
 		fmt.Printf("%4d  %10.1f  %11v  %8.1f  %s\n",
-			t+1, float64(recv-last)/1000, med, combined.PowerWatts(sim.Now()), svc.Placement())
+			t+1, float64(recv-last)/1000, med, emu.PowerWatts(sim.Now()), svc.Placement())
 		last = recv
 	}
 	client.Stop()

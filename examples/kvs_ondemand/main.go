@@ -12,7 +12,7 @@ import (
 
 	"incod/internal/core"
 	"incod/internal/kvs"
-	"incod/internal/power"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
 	"incod/internal/trafficgen"
@@ -21,15 +21,11 @@ import (
 func main() {
 	sim := simnet.New(7)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	host := kvs.NewSoftServer(net, "host", power.MemcachedMellanox)
-	lake := kvs.NewLaKe(net, "lake", host)
-	lake.Deactivate() // day starts in software
+	lake := simhost.NewKVS(net, "lake", simhost.LaKe()) // day starts in software
 	client := kvs.NewClient(net, "client", "lake")
 
 	etc := trafficgen.NewETC(sim.Rand(), 2000)
-	for i := 0; i < 2000; i++ {
-		host.Store().Set(fmt.Sprintf("key-%d", i), kvs.Entry{Value: make([]byte, 64)})
-	}
+	lake.Preload(2000, 64)
 	client.KeyFunc = etc.Keys.Next
 
 	// Background training job between t=4s and t=14s.
@@ -43,11 +39,11 @@ func main() {
 		return 0
 	}
 
-	svc := core.NewKVSService(lake)
+	svc := lake.Service
 	ctl := core.NewHostController(sim, svc,
-		func() float64 { return host.PowerWatts(sim.Now()) + bgPower() },
+		func() float64 { return lake.HostWatts() + bgPower() },
 		func() float64 {
-			u := host.Utilization()
+			u := lake.HostUtilization()
 			if bgOn {
 				u += 0.8
 			}
@@ -81,7 +77,7 @@ func main() {
 		}
 	})
 
-	combined := telemetry.SumPower{host, lake,
+	combined := telemetry.SumPower{lake,
 		telemetry.PowerSourceFunc(func(simnet.Time) float64 { return bgPower() })}
 
 	client.Start(16)

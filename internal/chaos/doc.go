@@ -6,8 +6,8 @@
 //
 // # Architecture
 //
-// ServerNode is the bridge: a simnet.Node that reproduces the dataplane
-// engine's dispatch contract (fast-path interposition before the host
+// simhost.Node is the bridge: a simnet.Node that runs the dataplane
+// engine's dispatch core (fast-path interposition before the host
 // handler, optional delivery batching with a flush window) and implements
 // nictier.Dataplane, so an unmodified nictier.Service shifts placement on
 // it exactly as it does on a real engine. CrashableTier wraps any

@@ -13,6 +13,7 @@ import (
 	"incod/internal/kvs"
 	"incod/internal/nictier"
 	"incod/internal/paxos"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
@@ -93,7 +94,7 @@ func preloadKVS(store *kvs.ShardedStore, n int) {
 // --- KVS ------------------------------------------------------------------
 
 // KVSStack is a live kvs.Handler with its LaKe offload tier behind a
-// CrashableTier, served by a ServerNode and placed by a real
+// CrashableTier, served by a simhost.Node and placed by a real
 // orchestrator, all on one simulated network.
 type KVSStack struct {
 	Sim      *simnet.Simulator
@@ -101,7 +102,7 @@ type KVSStack struct {
 	Store    *kvs.ShardedStore
 	Handler  *kvs.Handler
 	Tier     *CrashableTier
-	Node     *ServerNode
+	Node     *simhost.Node
 	Orch     *daemon.Orchestrator
 	StopTick func()
 }
@@ -120,8 +121,7 @@ func NewKVSStack(seed int64, cfg StackConfig, n int) *KVSStack {
 	// caches, so a stack build and a Park reset cost microseconds, and
 	// no property relies on the tier evicting.
 	tier := NewCrashableTier(nictier.NewKVS(h))
-	node := NewServerNode(sim, net, ServerAddr, h, cfg.BatchWindow)
-	net.Attach(node)
+	node := simhost.NewNode(net, ServerAddr, h, cfg.BatchWindow, nil)
 	orch := daemon.NewOrchestrator(0)
 	if _, err := orch.Register("kvs", daemon.ServiceConfig{
 		Service: nictier.NewService("kvs", node, tier),
@@ -146,7 +146,7 @@ type DNSStack struct {
 	Zone     *dns.Zone
 	Handler  *dns.Handler
 	Tier     *CrashableTier
-	Node     *ServerNode
+	Node     *simhost.Node
 	Orch     *daemon.Orchestrator
 	StopTick func()
 }
@@ -161,8 +161,7 @@ func NewDNSStack(seed int64, cfg StackConfig, n int) *DNSStack {
 	zone.PopulateSequential(n)
 	h := dns.NewHandler(zone)
 	tier := NewCrashableTier(nictier.NewDNS(zone))
-	node := NewServerNode(sim, net, ServerAddr, h, cfg.BatchWindow)
-	net.Attach(node)
+	node := simhost.NewNode(net, ServerAddr, h, cfg.BatchWindow, nil)
 	orch := daemon.NewOrchestrator(0)
 	if _, err := orch.Register("dns", daemon.ServiceConfig{
 		Service: nictier.NewService("dns", node, tier),
@@ -360,7 +359,7 @@ type PaxosStack struct {
 	Learner   *paxos.LiveLearner
 	Acceptors [3]*paxos.LiveAcceptor
 	Tier      *CrashableTier
-	Node      *ServerNode // acceptor 0's serving node
+	Node      *simhost.Node // acceptor 0's serving node
 	Orch      *daemon.Orchestrator
 	Audit     *VoteAuditor
 	Clients   []*PaxosClient
@@ -382,10 +381,10 @@ func NewPaxosStack(seed int64, cfg StackConfig, nclients int) *PaxosStack {
 		acceptorNames[i] = string(AcceptorAddr(i))
 	}
 	s.Leader = paxos.NewLiveLeader(1, acceptorNames, netSender(net, LeaderAddr))
-	net.Attach(&simnet.NodeFunc{Address: LeaderAddr, Handler: serveHandler(net, LeaderAddr, s.Leader)})
+	simhost.NewNode(net, LeaderAddr, s.Leader, 0, nil)
 
 	s.Learner = paxos.NewLiveLearner(2, string(LeaderAddr), netSender(net, LearnerAddr))
-	net.Attach(&simnet.NodeFunc{Address: LearnerAddr, Handler: serveHandler(net, LearnerAddr, s.Learner)})
+	simhost.NewNode(net, LearnerAddr, s.Learner, 0, nil)
 
 	for i := 0; i < 3; i++ {
 		addr := AcceptorAddr(i)
@@ -394,11 +393,9 @@ func NewPaxosStack(seed int64, cfg StackConfig, nclients int) *PaxosStack {
 	}
 	// Acceptor 0 is the managed service: offload tier + orchestrator.
 	s.Tier = NewCrashableTier(nictier.NewPaxosAcceptor(s.Acceptors[0]))
-	s.Node = NewServerNode(sim, net, ServerAddr, s.Acceptors[0], cfg.BatchWindow)
-	net.Attach(s.Node)
+	s.Node = simhost.NewNode(net, ServerAddr, s.Acceptors[0], cfg.BatchWindow, nil)
 	for i := 1; i < 3; i++ {
-		net.Attach(&simnet.NodeFunc{Address: AcceptorAddr(i),
-			Handler: serveHandler(net, AcceptorAddr(i), s.Acceptors[i])})
+		simhost.NewNode(net, AcceptorAddr(i), s.Acceptors[i], 0, nil)
 	}
 
 	s.Orch = daemon.NewOrchestrator(0)
@@ -430,17 +427,4 @@ func NewPaxosStack(seed int64, cfg StackConfig, nclients int) *PaxosStack {
 func (s *PaxosStack) RunAndDrain(d time.Duration) {
 	runAndDrain(s.Sim, d, s.stops...)
 	s.stops = nil
-}
-
-// serveHandler adapts a dataplane.Handler into a NodeFunc body that
-// replies to the packet source — the single-datagram serving loop for
-// the unmanaged consensus roles.
-func serveHandler(net *simnet.Network, addr simnet.Addr, h dataplane.Handler) func(*simnet.Packet) {
-	var scratch []byte
-	return func(pkt *simnet.Packet) {
-		if out, ok := h.HandleDatagram(pkt.Payload, &scratch); ok && len(out) > 0 {
-			net.Send(&simnet.Packet{Src: addr, Dst: pkt.Src,
-				Payload: append([]byte(nil), out...)})
-		}
-	}
 }

@@ -107,19 +107,7 @@ func (t *CrashableTier) TryHandleBatch(items []*dataplane.BatchItem) {
 	if t.crashed {
 		return
 	}
-	if b, ok := t.inner.(dataplane.BatchFastPath); ok {
-		b.TryHandleBatch(items)
-		return
-	}
-	for _, it := range items {
-		out, served, reply := t.inner.TryHandleDatagram(it.In, netip.AddrPort{}, it.Scratch)
-		if served {
-			it.Served = true
-			if reply {
-				it.Out = out
-			}
-		}
-	}
+	dataplane.OfferBatch(t.inner, items)
 }
 
 // Name, Counters, HitRatio, PowerWatts delegate to the wrapped tier.

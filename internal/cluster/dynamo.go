@@ -140,7 +140,8 @@ func SafeForOnDemand(v VariationStats, maxP99Pct float64) bool {
 }
 
 // DynamoPublished returns the variance numbers the paper quotes from the
-// Dynamo study, for side-by-side reporting in EXPERIMENTS.md.
+// Dynamo study, for side-by-side reporting in the dynamo table of
+// `go run ./cmd/incbench all`.
 func DynamoPublished() map[string]VariationStats {
 	return map[string]VariationStats{
 		"rack-3s":     {Window: 3 * time.Second, MedianPct: 5, P99Pct: 12.8},

@@ -4,115 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"incod/internal/dns"
-	"incod/internal/kvs"
 	"incod/internal/paxos"
 )
-
-// KVSService adapts a LaKe card to the Service interface. The §9.2 KVS
-// transition task: activating brings the memories out of reset with cold
-// caches (queries keep flowing to software until the cache warms, so the
-// query rate is maintained); deactivating parks the card in the
-// reset+gated low-power state.
-type KVSService struct {
-	lake *kvs.LaKe
-}
-
-// NewKVSService wraps lake, aligning the initial placement with the
-// board's module state.
-func NewKVSService(lake *kvs.LaKe) *KVSService { return &KVSService{lake: lake} }
-
-// Name implements Service.
-func (s *KVSService) Name() string { return "kvs" }
-
-// Placement implements Service.
-func (s *KVSService) Placement() Placement {
-	if s.lake.Active() {
-		return Network
-	}
-	return Host
-}
-
-// Shift implements Service. Under the partial-reconfiguration idle
-// strategy a shift can fail while the previous reconfiguration is still
-// flashing the fabric.
-func (s *KVSService) Shift(to Placement) error {
-	if to == s.Placement() {
-		return nil
-	}
-	if s.lake.Strategy == kvs.PartialReconfig && s.lake.Reconfiguring() {
-		return fmt.Errorf("kvs: partial reconfiguration in progress, cannot shift to %s yet", to)
-	}
-	if to == Network {
-		s.lake.Activate()
-	} else {
-		s.lake.Deactivate()
-	}
-	return nil
-}
-
-// TransitionCost implements CostReporter.
-func (s *KVSService) TransitionCost(to Placement) TransitionCost {
-	if s.lake.Strategy == kvs.PartialReconfig {
-		return TransitionCost{Duration: kvs.ReconfigHalt,
-			Note: "partial reconfiguration halts all card traffic"}
-	}
-	if to == Network {
-		return TransitionCost{Note: "LaKe cache warm-up (queries fall through to software until warm)"}
-	}
-	return TransitionCost{Note: "park card in reset+gated low-power state"}
-}
-
-// DNSService adapts an Emu DNS card. Its transition task syncs the
-// on-chip resolution table before enabling hardware service (§9.2: the
-// DNS shift "is much the same as shifting KVS", with a simpler host-side
-// task).
-type DNSService struct {
-	emu *dns.EmuDNS
-}
-
-// NewDNSService wraps emu.
-func NewDNSService(emu *dns.EmuDNS) *DNSService { return &DNSService{emu: emu} }
-
-// Name implements Service.
-func (s *DNSService) Name() string { return "dns" }
-
-// Placement implements Service.
-func (s *DNSService) Placement() Placement {
-	if s.emu.Active() {
-		return Network
-	}
-	return Host
-}
-
-// Shift implements Service.
-func (s *DNSService) Shift(to Placement) error {
-	if to == s.Placement() {
-		return nil
-	}
-	if to == Network {
-		if s.emu.Zone() == nil {
-			return fmt.Errorf("dns: no zone to sync onto the card")
-		}
-		s.emu.SyncZone()
-		s.emu.Activate()
-	} else {
-		s.emu.Deactivate()
-	}
-	return nil
-}
-
-// TransitionCost implements CostReporter.
-func (s *DNSService) TransitionCost(to Placement) TransitionCost {
-	if to == Network {
-		n := 0
-		if z := s.emu.Zone(); z != nil {
-			n = z.Len()
-		}
-		return TransitionCost{Note: fmt.Sprintf("sync %d-record zone onto the card", n)}
-	}
-	return TransitionCost{Note: "disable hardware pipeline, software keeps zone"}
-}
 
 // PaxosService adapts a Paxos deployment: shifting runs the §9.2 leader
 // election (ballot bump, sequence restart, forwarding-rule rewrite), with

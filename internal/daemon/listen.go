@@ -18,13 +18,6 @@ type EngineOptions struct {
 	// in the batched per-shard-socket mode (one shard worker per
 	// socket, recvmmsg/sendmmsg batches). Requires Linux when > 1.
 	Sockets int
-	// RxBatch and TxBatch override the batched-mode batch sizes
-	// (0 = engine defaults).
-	RxBatch, TxBatch int
-	// BufCache sizes the per-worker private receive-buffer free lists in
-	// batched mode (dataplane.Config.BufCache): 0 = engine default
-	// (RxBatch), negative disables the private lists.
-	BufCache int
 	// Engine picks the batched-mode transport: "" or "batched" uses
 	// recvmmsg/sendmmsg (NewBatchConn's choice), "uring" asks for the
 	// io_uring backend and degrades to mmsg — with a logged warning —
@@ -49,8 +42,6 @@ type EngineOptions struct {
 // provide degrades to mmsg so the daemon always comes up — the chosen
 // backend is reported truthfully in the /v1/dataplane stats.
 func ListenEngine(o EngineOptions, h dataplane.Handler, cfg dataplane.Config) (*dataplane.Engine, error) {
-	cfg.RxBatch, cfg.TxBatch = o.RxBatch, o.TxBatch
-	cfg.BufCache = o.BufCache
 	cfg.PinShards = o.Pin
 	cfg.GSOTx = o.GSOTx
 	if o.Sockets <= 0 {

@@ -21,8 +21,8 @@ func TestListenEngineModes(t *testing.T) {
 		t.Fatal("Sockets=0 must build the single-reader engine")
 	}
 
-	batched, err := ListenEngine(EngineOptions{Addr: "127.0.0.1:0", Sockets: 2, RxBatch: 16, TxBatch: 16},
-		echo, dataplane.Config{})
+	batched, err := ListenEngine(EngineOptions{Addr: "127.0.0.1:0", Sockets: 2},
+		echo, dataplane.Config{RxBatch: 16, TxBatch: 16})
 	if err != nil {
 		t.Skipf("reuseport group unavailable: %v", err)
 	}

@@ -90,7 +90,6 @@ func NewBatchedConns(conns []net.PacketConn, bcs []netio.BatchConn, h Handler, c
 	e.batched = true
 	e.arrivalDispatch = arrival
 	e.bconns = bcs
-	e.bh, _ = h.(BatchHandler)
 	if cfg.GSOTx {
 		if err := netio.ProbeGSO(); err != nil {
 			log.Printf("%s: GSO TX requested but unavailable, serving per-datagram: %v", cfg.Name, err)
@@ -134,8 +133,8 @@ type batchState struct {
 	rx     []netio.Message
 	rxBufs []*[]byte
 
-	// free is the worker-private receive-buffer free list (cap
-	// cfg.BufCache): pinned workers that recycle through the shared
+	// free is the worker-private receive-buffer free list (RxBatch
+	// long): pinned workers that recycle through the shared
 	// sync.Pool steal buffers across CPUs, because a pool's per-P caches
 	// follow the scheduler rather than the pinned thread. Buffers parked
 	// here remain counted in bufsOut (they are outside the pool) and are
@@ -166,7 +165,7 @@ func (e *Engine) newBatchState(i int) *batchState {
 		e: e, s: e.shards[i], i: i, bc: e.bconns[i],
 		rx:        make([]netio.Message, n),
 		rxBufs:    make([]*[]byte, n),
-		free:      make([]*[]byte, 0, e.cfg.BufCache),
+		free:      make([]*[]byte, 0, n),
 		items:     make([]BatchItem, n),
 		ptrs:      make([]*BatchItem, 0, n),
 		host:      make([]*BatchItem, 0, n),
@@ -263,7 +262,7 @@ func (w *batchState) getBuf() *[]byte {
 }
 
 // putBuf parks a buffer on the worker's free list, overflowing into the
-// shared pool when the list is full (or disabled).
+// shared pool when the list is full.
 func (w *batchState) putBuf(bufp *[]byte) {
 	if len(w.free) < cap(w.free) {
 		w.free = append(w.free, bufp)
@@ -414,53 +413,13 @@ func (w *batchState) processItems(items []*BatchItem) {
 	if len(items) == 0 {
 		return
 	}
-	if e.fastPath.Load() != nil {
-		// Token first, then re-load — same fencing as the single-reader
-		// worker, one token per batch.
-		e.fpInflight.Add(1)
-		if ref := e.fastPath.Load(); ref != nil {
-			if bfp, ok := ref.fp.(BatchFastPath); ok {
-				bfp.TryHandleBatch(items)
-			} else {
-				for _, it := range items {
-					out, served, reply := ref.fp.TryHandleDatagram(it.In, it.Src, it.Scratch)
-					if served {
-						it.Served = true
-						if reply {
-							it.Out = out
-						}
-					}
-				}
-			}
-		}
+	fp, fenced := e.enterTier() // one token per batch
+	w.host = e.disp.Batch(fp, items, w.host)
+	if fenced {
 		e.fpInflight.Add(-1)
-	}
-	w.host = w.host[:0]
-	for _, it := range items {
-		if !it.Served {
-			w.host = append(w.host, it)
-		}
 	}
 	if served := len(items) - len(w.host); served > 0 {
 		s.offloaded.Add(uint64(served))
-	}
-	if len(w.host) > 0 {
-		switch {
-		case e.bh != nil:
-			e.bh.HandleBatch(w.host)
-		case e.sh != nil:
-			for _, it := range w.host {
-				if out, ok := e.sh.HandleDatagramFrom(it.In, it.Src, it.Scratch); ok {
-					it.Out = out
-				}
-			}
-		default:
-			for _, it := range w.host {
-				if out, ok := e.h.HandleDatagram(it.In, it.Scratch); ok {
-					it.Out = out
-				}
-			}
-		}
 	}
 	s.handled.Add(uint64(len(items)))
 	e.meter.Add(uint64(len(items)))

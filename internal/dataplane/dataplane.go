@@ -105,14 +105,6 @@ type Config struct {
 	// sched_setaffinity it degrades to a logged no-op. Ignored in
 	// single-reader mode.
 	PinShards bool
-	// BufCache is the per-worker private receive-buffer free list size
-	// in batched mode (default RxBatch, negative disables). Pinned shard
-	// workers that get/put through the shared sync.Pool steal buffers
-	// across CPUs (a pool's per-P caches follow the scheduler, not the
-	// pinned thread), so each worker first recycles buffers through its
-	// own free list and only overflows into the pool. Cached buffers
-	// still count as in-flight until the worker exits.
-	BufCache int
 	// GSOTx requests train-oriented reply transmission in batched mode:
 	// each shard's flush coalesces consecutive same-destination replies
 	// into UDP_SEGMENT trains before WriteBatch. It only engages when
@@ -140,11 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RxBatch <= 0 {
 		c.RxBatch = 32
-	}
-	if c.BufCache == 0 {
-		c.BufCache = c.RxBatch
-	} else if c.BufCache < 0 {
-		c.BufCache = 0
 	}
 	if c.TxBatch <= 0 {
 		c.TxBatch = 32
@@ -198,18 +185,16 @@ type Engine struct {
 	conn net.PacketConn
 	udp  *net.UDPConn // non-nil enables the allocation-free address path
 	h    Handler
-	sh   SourceHandler // non-nil when h implements SourceHandler
+	disp Dispatcher // fast path first, then h: shared with internal/simhost
 	cfg  Config
 
-	// Batched per-shard-socket mode: bconns[i] is shard i's socket and
-	// bh/bfp-capable handlers amortize work across a batch. Empty in
-	// single-reader mode. arrivalDispatch means the kernel's reuseport
+	// Batched per-shard-socket mode: bconns[i] is shard i's socket.
+	// Empty in single-reader mode. arrivalDispatch means the kernel's reuseport
 	// flow hash is the dispatch (no cfg.ShardBy given): every datagram
 	// is handled by the shard whose socket it arrived on.
 	batched         bool
 	arrivalDispatch bool
 	bconns          []netio.BatchConn
-	bh              BatchHandler // non-nil when h implements BatchHandler
 	// gsoTx is cfg.GSOTx gated on the kernel actually supporting
 	// UDP_SEGMENT trains (ProbeGSO), resolved once at construction.
 	gsoTx bool
@@ -260,13 +245,13 @@ func New(conn net.PacketConn, h Handler, cfg Config) *Engine {
 	e := &Engine{
 		conn:       conn,
 		h:          h,
+		disp:       NewDispatcher(h),
 		cfg:        cfg,
 		meter:      telemetry.NewAtomicRateMeter(100*time.Millisecond, 10),
 		readerDone: make(chan struct{}),
 		done:       make(chan struct{}),
 	}
 	e.udp, _ = conn.(*net.UDPConn)
-	e.sh, _ = h.(SourceHandler)
 	e.pool.New = func() any {
 		b := make([]byte, cfg.MaxDatagram)
 		return &b
@@ -328,9 +313,9 @@ func (e *Engine) SetFastPath(fp FastPath) {
 }
 
 // ClearFastPath uninstalls the offload tier and drains it: it blocks
-// until no worker is still inside the tier's TryHandleDatagram, so when
-// it returns the tier can be parked (state flushed) without dropping an
-// in-flight request. Subsequent datagrams go to the host handler. The
+// until no worker is still dispatching a datagram (or batch) it offered
+// to the tier, so when it returns the tier can be parked (state flushed)
+// without dropping an in-flight request. Subsequent datagrams go to the host handler. The
 // wait escalates from Gosched through growing sleeps, so a tier call
 // stalled mid-shift-down cannot peg a core.
 func (e *Engine) ClearFastPath() {
@@ -345,6 +330,23 @@ func (e *Engine) ClearFastPath() {
 			time.Sleep(time.Millisecond)
 		}
 	}
+}
+
+// enterTier returns the installed fast path for one dispatch (nil = none)
+// and whether it took a fence token, which the worker gives back with
+// fpInflight.Add(-1) once the dispatch is done. Token first, then
+// re-load: ClearFastPath stores nil and waits for fpInflight==0, so once
+// it reads zero, any worker that later takes a token re-reads the
+// pointer as nil — no worker can slip into a tier that is being parked.
+func (e *Engine) enterTier() (fp FastPath, fenced bool) {
+	if e.fastPath.Load() == nil {
+		return nil, false
+	}
+	e.fpInflight.Add(1)
+	if ref := e.fastPath.Load(); ref != nil {
+		fp = ref.fp
+	}
+	return fp, true
 }
 
 // FastPathActive reports whether an offload tier is installed.
@@ -527,44 +529,17 @@ func (e *Engine) worker(s *shard) {
 			continue
 		}
 		in := (*pkt.buf)[:pkt.n]
-		if e.fastPath.Load() != nil {
-			// Token first, then re-load: ClearFastPath stores nil and
-			// waits for fpInflight==0, so once it reads zero, any worker
-			// that later takes a token re-reads the pointer as nil —
-			// no worker can slip into a tier that is being parked.
-			e.fpInflight.Add(1)
-			ref := e.fastPath.Load()
-			var out []byte
-			var served, reply bool
-			if ref != nil {
-				out, served, reply = ref.fp.TryHandleDatagram(in, pkt.src, &scratch)
-			}
+		fp, fenced := e.enterTier()
+		out, offloaded := e.disp.One(fp, in, pkt.src, &scratch)
+		if fenced {
 			e.fpInflight.Add(-1)
-			if served {
-				s.offloaded.Add(1)
-				s.handled.Add(1)
-				e.meter.Add(1)
-				if reply && len(out) > 0 {
-					if err := e.reply(out, pkt); err != nil {
-						s.writeErrs.Add(1)
-					} else {
-						s.replies.Add(1)
-					}
-				}
-				e.putBuf(pkt.buf)
-				continue
-			}
 		}
-		var out []byte
-		var ok bool
-		if e.sh != nil {
-			out, ok = e.sh.HandleDatagramFrom(in, pkt.src, &scratch)
-		} else {
-			out, ok = e.h.HandleDatagram(in, &scratch)
+		if offloaded {
+			s.offloaded.Add(1)
 		}
 		s.handled.Add(1)
 		e.meter.Add(1)
-		if ok && len(out) > 0 {
+		if len(out) > 0 {
 			if err := e.reply(out, pkt); err != nil {
 				s.writeErrs.Add(1)
 			} else {

@@ -39,23 +39,3 @@ func TestBatchedFreeListCachesAndDrains(t *testing.T) {
 		t.Fatalf("after Close: in-flight=%d cached=%d, want 0/0", st.BuffersInFlight, st.BuffersCached)
 	}
 }
-
-// TestBufCacheDisabled pins the BufCache=-1 escape hatch: everything
-// recycles straight through the shared pool.
-func TestBufCacheDisabled(t *testing.T) {
-	e := newBatchedEngine(t, 2, echoHandler, Config{
-		Name:     "test-freelist-off",
-		BufCache: -1,
-		ShardBy:  func(b []byte, _ netip.AddrPort) uint64 { return uint64(b[len(b)-1]) },
-	})
-	e.Start()
-	echoClient(t, e.LocalAddr().String(), "flo", 20)
-	e.Barrier()
-	if st := e.Snapshot(); st.BuffersCached != 0 {
-		t.Fatalf("BufCache disabled but %d buffers cached", st.BuffersCached)
-	}
-	e.Close()
-	if st := e.Snapshot(); st.BuffersInFlight != 0 {
-		t.Fatalf("%d buffers leaked after Close", st.BuffersInFlight)
-	}
-}

@@ -21,7 +21,7 @@ type Client struct {
 	nextID   uint16
 	pending  map[uint16]simnet.Time
 	Latency  *telemetry.Histogram
-	Counters *telemetry.Counters
+	Counters *telemetry.AtomicCounters
 	cancel   func()
 }
 
@@ -35,7 +35,7 @@ func NewClient(net *simnet.Network, addr, server simnet.Addr) *Client {
 		NameFunc: func() string { return SequentialName(0) },
 		pending:  make(map[uint16]simnet.Time),
 		Latency:  telemetry.NewHistogram(),
-		Counters: telemetry.NewCounters(),
+		Counters: telemetry.NewAtomicCounters(),
 	}
 	net.Attach(c)
 	return c

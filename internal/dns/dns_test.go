@@ -1,13 +1,6 @@
 package dns
 
-import (
-	"strings"
-	"testing"
-	"time"
-
-	"incod/internal/simnet"
-	"incod/internal/telemetry"
-)
+import "testing"
 
 func TestZoneBasics(t *testing.T) {
 	z := NewZone()
@@ -45,179 +38,5 @@ func TestZoneResolve(t *testing.T) {
 	q.QType = 28 // AAAA unsupported
 	if resp := z.Resolve(q); resp.RCode != RCodeNotImpl {
 		t.Errorf("AAAA should be NOTIMPL: %+v", resp)
-	}
-}
-
-func dnsRig(t *testing.T) (*simnet.Simulator, *Client, *EmuDNS, *SoftServer) {
-	t.Helper()
-	sim := simnet.New(11)
-	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	zone := NewZone()
-	zone.PopulateSequential(100)
-	backend := NewSoftServer(net, "host", zone)
-	emu := NewEmuDNS(net, "emu", backend)
-	client := NewClient(net, "client", "emu")
-	return sim, client, emu, backend
-}
-
-func TestEmuServesFromHardware(t *testing.T) {
-	sim, client, emu, backend := dnsRig(t)
-	i := 0
-	client.NameFunc = func() string { i++; return SequentialName(i % 100) }
-	client.Start(100)
-	sim.RunFor(100 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-
-	if emu.Counters.Get("queries") == 0 {
-		t.Fatal("hardware served nothing")
-	}
-	if backend.Counters.Get("queries") != 0 {
-		t.Error("software should see no queries while hardware is active")
-	}
-	if got := client.Counters.Get("resolved"); got != client.Counters.Get("recv") {
-		t.Errorf("resolved %d of %d", got, client.Counters.Get("recv"))
-	}
-	// Hardware latency ~1.3µs.
-	if med := client.Latency.Median(); med > 3*time.Microsecond {
-		t.Errorf("hardware median = %v, want ~1.3µs + wire", med)
-	}
-}
-
-func TestEmuNXDomain(t *testing.T) {
-	sim, client, emu, _ := dnsRig(t)
-	client.NameFunc = func() string { return "nonexistent.example.com" }
-	client.Start(10)
-	sim.RunFor(20 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(5 * time.Millisecond)
-	if client.Counters.Get("nxdomain") == 0 {
-		t.Error("client should see NXDOMAIN for unknown names")
-	}
-	if emu.Counters.Get("nxdomain") == 0 {
-		t.Error("hardware should count NXDOMAIN")
-	}
-}
-
-func TestEmuDeepNamesGoToSoftware(t *testing.T) {
-	sim, client, emu, backend := dnsRig(t)
-	deep := strings.Repeat("x.", MaxLabels+2) + "example.com"
-	backend.Zone().Add(deep, [4]byte{10, 0, 0, 1}, 60)
-	emu.SyncZone()
-	client.NameFunc = func() string { return deep }
-	client.Start(10)
-	sim.RunFor(50 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-	if emu.Counters.Get("too_deep") == 0 {
-		t.Fatal("deep names should hit the depth limit")
-	}
-	if client.Counters.Get("resolved") == 0 {
-		t.Error("software should still resolve deep names")
-	}
-	// Deep queries pay the software latency.
-	if med := client.Latency.Median(); med < 50*time.Microsecond {
-		t.Errorf("deep-name median = %v, want software-class latency", med)
-	}
-}
-
-func TestSoftwareVsHardwareLatencyX70(t *testing.T) {
-	sim, client, _, _ := dnsRig(t)
-	i := 0
-	client.NameFunc = func() string { i++; return SequentialName(i % 100) }
-	client.Start(100)
-	sim.RunFor(100 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-	hwMed := client.Latency.Median()
-
-	// Same load against the software directly.
-	sim2 := simnet.New(12)
-	net2 := simnet.NewNetwork(sim2, simnet.TenGigE)
-	zone2 := NewZone()
-	zone2.PopulateSequential(100)
-	NewSoftServer(net2, "host", zone2)
-	client2 := NewClient(net2, "client", "host")
-	j := 0
-	client2.NameFunc = func() string { j++; return SequentialName(j % 100) }
-	client2.Start(100)
-	sim2.RunFor(100 * time.Millisecond)
-	client2.Stop()
-	sim2.RunFor(10 * time.Millisecond)
-	swMed := client2.Latency.Median()
-
-	ratio := float64(swMed) / float64(hwMed)
-	// §3.3: ~x70 latency improvement. Wire time compresses the
-	// end-to-end ratio slightly; accept 30-90.
-	if ratio < 30 || ratio > 90 {
-		t.Errorf("software/hardware latency ratio = %.0f (sw=%v hw=%v), want ~70", ratio, swMed, hwMed)
-	}
-}
-
-func TestEmuInactivePassthrough(t *testing.T) {
-	sim, client, emu, backend := dnsRig(t)
-	emu.Deactivate()
-	client.NameFunc = func() string { return SequentialName(1) }
-	client.Start(20)
-	sim.RunFor(50 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-	if emu.Counters.Get("queries") != 0 {
-		t.Error("inactive module must not serve")
-	}
-	if backend.Counters.Get("queries") == 0 {
-		t.Error("software should serve while module is parked")
-	}
-	if client.Counters.Get("resolved") == 0 {
-		t.Error("client got no resolutions via software")
-	}
-}
-
-func TestEmuPowerShape(t *testing.T) {
-	sim, client, emu, backend := dnsRig(t)
-	combined := telemetry.SumPower{backend, emu}
-	// §4.4: Emu DNS totals ~47.5 W idle and stays under ~48 W loaded.
-	idle := combined.PowerWatts(sim.Now())
-	if idle < 47 || idle > 48.2 {
-		t.Errorf("idle combined = %v W, want ~47.5", idle)
-	}
-	i := 0
-	client.NameFunc = func() string { i++; return SequentialName(i % 100) }
-	client.Start(900)
-	sim.RunFor(1200 * time.Millisecond)
-	loaded := combined.PowerWatts(sim.Now())
-	client.Stop()
-	if loaded >= 48.5 {
-		t.Errorf("loaded combined = %v W, want < 48.5", loaded)
-	}
-}
-
-func TestEmuNonDNSPassthrough(t *testing.T) {
-	sim, _, emu, backend := dnsRig(t)
-	emu.Receive(&simnet.Packet{Src: "x", Dst: "emu", DstPort: 9999, Payload: []byte("data")})
-	sim.RunFor(time.Millisecond)
-	if emu.Counters.Get("passthrough") != 1 {
-		t.Error("non-DNS traffic should pass through to the host")
-	}
-	if backend.Counters.Get("non_dns") != 1 {
-		t.Error("host should receive the passthrough packet")
-	}
-}
-
-func TestSyncZoneCopies(t *testing.T) {
-	sim, client, emu, backend := dnsRig(t)
-	backend.Zone().Add("new.example.com", [4]byte{10, 9, 8, 7}, 60)
-	// Not yet synced: hardware answers NXDOMAIN.
-	client.NameFunc = func() string { return "new.example.com" }
-	client.Query("new.example.com")
-	sim.RunFor(5 * time.Millisecond)
-	if client.Counters.Get("nxdomain") != 1 {
-		t.Fatalf("expected NXDOMAIN before sync, counters: %v", client.Counters)
-	}
-	emu.SyncZone()
-	client.Query("new.example.com")
-	sim.RunFor(5 * time.Millisecond)
-	if client.Counters.Get("resolved") != 1 {
-		t.Error("after SyncZone the hardware should resolve the new name")
 	}
 }

@@ -13,7 +13,7 @@ func init() {
 // equivalent to the power consumption of a stand alone NetFPGA card
 // programmed with LaKe but also idle" (~28 W). This differs from the 39 W
 // idle figure of §4, which includes the NIC and a different measurement
-// configuration; EXPERIMENTS.md records the discrepancy.
+// configuration.
 const serverNoCardsWatts = 27.0
 
 // Figure4Bars computes the nine standalone-board configurations of

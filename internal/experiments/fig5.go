@@ -34,9 +34,9 @@ func fig5() *Table {
 			paxos.SW(kpps), paxos.Power(kpps),
 			dns.SW(kpps), dns.Power(kpps))
 	}
-	for name, c := range map[string]core.DemandCurve{"kvs": kvs, "paxos": paxos, "dns": dns} {
+	for _, c := range []core.DemandCurve{kvs, paxos, dns} {
 		frac, at := c.MaxSaving(1200, 240)
-		t.AddNote("%s: shift at %.0f kpps, max saving %.0f%% at %.0f kpps", name, c.CrossKpps, frac*100, at)
+		t.AddNote("%s: shift at %.0f kpps, max saving %.0f%% at %.0f kpps", c.Name, c.CrossKpps, frac*100, at)
 	}
 	t.AddNote("paper: on-demand 'saves up to 50%% of the power compared with software-based solutions'")
 	return t

@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"incod/internal/core"
 	"incod/internal/kvs"
-	"incod/internal/power"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
 	"incod/internal/trafficgen"
@@ -34,16 +33,12 @@ type Fig6Result struct {
 func RunFig6() *Fig6Result {
 	sim := simnet.New(1234)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	backend := kvs.NewSoftServer(net, "host", power.MemcachedMellanox)
-	lake := kvs.NewLaKe(net, "lake", backend)
-	lake.Deactivate() // start of the day: everything in software
+	lake := simhost.NewKVS(net, "lake", simhost.LaKe()) // start of the day: everything in software
 	client := kvs.NewClient(net, "client", "lake")
 
 	// ETC key popularity over a modest pool (cache-warmable).
 	etc := trafficgen.NewETC(sim.Rand(), 5000)
-	for i := uint64(0); i < 5000; i++ {
-		backend.Store().Set(fmt.Sprintf("key-%d", i), kvs.Entry{Value: make([]byte, 64)})
-	}
+	lake.Preload(5000, 64)
 	client.KeyFunc = etc.Keys.Next
 
 	// ChainerMN (deep learning) as background load: active from 5 s until
@@ -64,10 +59,10 @@ func RunFig6() *Fig6Result {
 		return 0
 	}
 
-	svc := core.NewKVSService(lake)
+	svc := lake.Service
 	ctl := core.NewHostController(sim, svc,
-		func() float64 { return backend.PowerWatts(sim.Now()) + chainerPower() },
-		func() float64 { return backend.Utilization() + chainerCPU() },
+		func() float64 { return lake.HostWatts() + chainerPower() },
+		func() float64 { return lake.HostUtilization() + chainerCPU() },
 		lake.RateKpps,
 		core.HostControllerConfig{
 			ToNetworkPowerWatts: 70,
@@ -102,7 +97,7 @@ func RunFig6() *Fig6Result {
 	})
 	ctl.Start()
 
-	combined := telemetry.SumPower{backend, lake,
+	combined := telemetry.SumPower{lake,
 		telemetry.PowerSourceFunc(func(simnet.Time) float64 { return chainerPower() })}
 
 	t := &Table{
@@ -129,7 +124,7 @@ func RunFig6() *Fig6Result {
 		if svc.Placement() == core.Host && med > 0 {
 			swLat = med
 		}
-		if svc.Placement() == core.Network && med > 0 && lake.HitRatio() > 0.9 {
+		if svc.Placement() == core.Network && med > 0 && lake.Tier.HitRatio() > 0.9 {
 			hwLat = med
 		}
 		samples = append(samples, kppsNow)

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"incod/internal/core"
 	"incod/internal/fpga"
 	"incod/internal/kvs"
 	"incod/internal/power"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
@@ -45,48 +47,50 @@ func infraTable() *Table {
 }
 
 // strategiesTable measures the §9.2 idle-strategy trade-off live: parked
-// power vs reactivation cost (warm-up misses, halted packets).
+// power vs reactivation cost (entries to transfer again, halted packets).
 func strategiesTable() *Table {
 	t := &Table{
 		ID:      "strategies",
 		Title:   "§9.2: idle strategies for the parked LaKe card",
-		Columns: []string{"strategy", "parked-card[W]", "reactivation-misses", "halted-packets"},
+		Columns: []string{"strategy", "parked-card[W]", "reactivation-warmed", "halted-packets"},
 	}
-	for _, s := range []kvs.IdleStrategy{kvs.ParkReset, kvs.KeepWarm, kvs.PartialReconfig} {
-		watts, misses, halted := measureStrategy(s)
-		t.AddRow(s.String(), watts, misses, halted)
+	for _, s := range []simhost.IdleStrategy{simhost.ParkReset, simhost.KeepWarm, simhost.PartialReconfig} {
+		watts, warmed, halted := measureStrategy(s)
+		t.AddRow(s.String(), watts, warmed, halted)
 	}
 	t.AddNote("the paper picks park-reset: 'the best of both performance and power efficiency worlds' (§9.2)")
-	t.AddNote("keep-warm shifts instantly but forfeits the memory-reset saving; partial reconfiguration saves the most but halts traffic for ~%v", kvs.ReconfigHalt)
+	t.AddNote("keep-warm shifts instantly but forfeits the memory-reset saving; partial reconfiguration saves the most but halts traffic for ~%v", simhost.ReconfigHalt)
+	t.AddNote("reactivation-warmed is the tier's warmed_entries on the shift back: a shift is the real stage, flip, barrier, warm inside one simulated instant, so its cost shows as entries moved, not as queries missed while a cache refills")
 	return t
 }
 
-// measureStrategy warms a LaKe card, parks it with the strategy, then
+// measureStrategy lights a LaKe card, parks it with the strategy, then
 // reactivates under load and reports the costs.
-func measureStrategy(s kvs.IdleStrategy) (parkedWatts float64, misses, halted uint64) {
+func measureStrategy(s simhost.IdleStrategy) (parked float64, warmed, halted uint64) {
 	sim := simnet.New(92)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	backend := kvs.NewSoftServer(net, "host", power.MemcachedMellanox)
-	lake := kvs.NewLaKe(net, "lake", backend)
-	lake.Strategy = s
+	m := simhost.LaKe()
+	m.Strategy = s
+	lake := simhost.NewKVS(net, "lake", m)
+	lake.Preload(200, 64)
+	mustShift(lake.Service, core.Network)
+	sim.RunFor(simhost.ReconfigHalt) // past the first programming, if any
 	client := kvs.NewClient(net, "client", "lake")
-	for i := 0; i < 200; i++ {
-		backend.Store().Set(fmt.Sprintf("key-%d", i), kvs.Entry{Value: make([]byte, 64)})
-	}
 	i := 0
 	client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%200) }
 
-	// Warm, park, measure, reactivate under load.
+	// Serve, park, measure, reactivate under load.
 	client.Start(50)
 	sim.RunFor(100 * time.Millisecond)
-	lake.Deactivate()
+	mustShift(lake.Service, core.Host)
 	sim.RunFor(100 * time.Millisecond)
-	parkedWatts = lake.PowerWatts(sim.Now())
-	preMisses := lake.Counters.Get("miss")
-	preHalted := lake.Counters.Get("reconfig_dropped")
-	lake.Activate()
+	parked = lake.CardWatts()
+	_, preHalted := lake.Dropped()
+	mustShift(lake.Service, core.Network)
+	warmed = lake.Tier.Counters().Get("warmed_entries")
 	sim.RunFor(200 * time.Millisecond)
 	client.Stop()
 	sim.RunFor(10 * time.Millisecond)
-	return parkedWatts, lake.Counters.Get("miss") - preMisses, lake.Counters.Get("reconfig_dropped") - preHalted
+	_, nowHalted := lake.Dropped()
+	return parked, warmed, nowHalted - preHalted
 }

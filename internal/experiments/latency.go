@@ -4,17 +4,27 @@ import (
 	"fmt"
 	"time"
 
+	"incod/internal/core"
 	"incod/internal/dns"
 	"incod/internal/kvs"
 	"incod/internal/paxos"
 	"incod/internal/placement"
-	"incod/internal/power"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
+	"incod/internal/telemetry"
 )
 
 func init() {
 	register("latency", "Software vs hardware latency across applications (§9.5)", latencyTable)
 	register("place", "FPGA, SmartNIC or Switch? platform guide (§10)", placeTable)
+}
+
+// mustShift moves svc to a placement; on the simulated stacks, which
+// nothing crashes, a shift cannot fail.
+func mustShift(svc core.Service, to core.Placement) {
+	if err := svc.Shift(to); err != nil {
+		panic(err)
+	}
 }
 
 // latencyTable measures end-to-end p50/p99 for each application in both
@@ -26,32 +36,30 @@ func latencyTable() *Table {
 		Columns: []string{"application", "placement", "p50", "p99"},
 	}
 
+	// phases measures a client's end-to-end latency at 100 kpps with svc
+	// on the card, then on the host.
+	phases := func(app string, sim *simnet.Simulator, svc core.Service, start func(kpps float64), stop func(), lat *telemetry.Histogram) {
+		for _, where := range []core.Placement{core.Network, core.Host} {
+			mustShift(svc, where)
+			lat.Reset()
+			start(100)
+			sim.RunFor(300 * time.Millisecond)
+			stop()
+			sim.RunFor(10 * time.Millisecond)
+			t.AddRow(app, where.String(), lat.Median(), lat.P99())
+		}
+	}
+
 	// KVS.
 	{
 		sim := simnet.New(951)
 		net := simnet.NewNetwork(sim, simnet.TenGigE)
-		backend := kvs.NewSoftServer(net, "host", power.MemcachedMellanox)
-		lake := kvs.NewLaKe(net, "lake", backend)
+		lake := simhost.NewKVS(net, "lake", simhost.LaKe())
+		lake.Preload(100, 64)
 		client := kvs.NewClient(net, "client", "lake")
-		for i := 0; i < 100; i++ {
-			backend.Store().Set(fmt.Sprintf("key-%d", i), kvs.Entry{Value: make([]byte, 64)})
-		}
 		i := 0
 		client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%100) }
-		// Hardware phase.
-		client.Start(100)
-		sim.RunFor(300 * time.Millisecond)
-		client.Stop()
-		sim.RunFor(10 * time.Millisecond)
-		t.AddRow("kvs", "network", client.Latency.Median(), client.Latency.P99())
-		// Software phase.
-		lake.Deactivate()
-		client.Latency.Reset()
-		client.Start(100)
-		sim.RunFor(300 * time.Millisecond)
-		client.Stop()
-		sim.RunFor(10 * time.Millisecond)
-		t.AddRow("kvs", "host", client.Latency.Median(), client.Latency.P99())
+		phases("kvs", sim, lake.Service, client.Start, client.Stop, client.Latency)
 	}
 
 	// DNS.
@@ -60,23 +68,11 @@ func latencyTable() *Table {
 		net := simnet.NewNetwork(sim, simnet.TenGigE)
 		zone := dns.NewZone()
 		zone.PopulateSequential(100)
-		backend := dns.NewSoftServer(net, "host", zone)
-		emu := dns.NewEmuDNS(net, "emu", backend)
+		emu := simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())
 		client := dns.NewClient(net, "client", "emu")
 		i := 0
 		client.NameFunc = func() string { i++; return dns.SequentialName(i % 100) }
-		client.Start(100)
-		sim.RunFor(300 * time.Millisecond)
-		client.Stop()
-		sim.RunFor(10 * time.Millisecond)
-		t.AddRow("dns", "network", client.Latency.Median(), client.Latency.P99())
-		emu.Deactivate()
-		client.Latency.Reset()
-		client.Start(100)
-		sim.RunFor(300 * time.Millisecond)
-		client.Stop()
-		sim.RunFor(10 * time.Millisecond)
-		t.AddRow("dns", "host", client.Latency.Median(), client.Latency.P99())
+		phases("dns", sim, emu.Service, client.Start, client.Stop, client.Latency)
 	}
 
 	// Paxos (leader placement).

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"incod/internal/core"
 	"incod/internal/fpga"
 	"incod/internal/kvs"
 	"incod/internal/power"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
@@ -47,43 +49,39 @@ func memoriesTable() *Table {
 		Title:   "§5.3: on-chip vs off-chip vs software",
 		Columns: []string{"path", "capacity[entries]", "power[W]", "p50-latency", "p99-latency"},
 	}
-	sim := simnet.New(53)
-	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	backend := kvs.NewSoftServer(net, "host", power.MemcachedMellanox)
-	lake := kvs.NewLaKe(net, "lake", backend)
-	client := kvs.NewClient(net, "client", "lake")
-
-	// Small hot set: all L1 hits after warm-up.
-	for i := 0; i < 100; i++ {
-		backend.Store().Set(fmt.Sprintf("key-%d", i), kvs.Entry{Value: make([]byte, 64)})
+	// drive cycles a client over n preloaded keys, all of them on the
+	// lit card, for d at kpps.
+	drive := func(seed int64, n int, kpps float64, d time.Duration) (*simnet.Simulator, *simhost.KVS, *kvs.Client) {
+		sim := simnet.New(seed)
+		net := simnet.NewNetwork(sim, simnet.TenGigE)
+		lake := simhost.NewKVS(net, "lake", simhost.LaKe())
+		lake.Preload(n, 64)
+		mustShift(lake.Service, core.Network)
+		client := kvs.NewClient(net, "client", "lake")
+		i := 0
+		client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%n) }
+		client.Start(kpps)
+		sim.RunFor(d)
+		client.Stop()
+		sim.RunFor(10 * time.Millisecond)
+		return sim, lake, client
 	}
-	i := 0
-	client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%100) }
+
+	// Small hot set: every hit after a key's first comes from on-chip.
+	sim, lake, client := drive(53, 100, 100, 500*time.Millisecond)
+	l1p50, l1p99 := lake.CardLatency.Median(), lake.CardLatency.P99()
+	// The miss path: keys the card does not hold go to the host software
+	// and come back across PCIe.
+	client.KeyFunc = func() string { return "absent" }
 	client.Start(100)
-	sim.RunFor(500 * time.Millisecond)
+	sim.RunFor(100 * time.Millisecond)
 	client.Stop()
 	sim.RunFor(10 * time.Millisecond)
+	missP50, missP99 := lake.HostLatency.Median(), lake.HostLatency.P99()
 
-	l1p50, l1p99 := lake.HitLatency.Median(), lake.HitLatency.P99()
-	missP50, missP99 := lake.MissLatency.Median(), lake.MissLatency.P99()
-
-	// L2: key set larger than L1 (BRAM) but cached in DRAM.
-	sim2 := simnet.New(54)
-	net2 := simnet.NewNetwork(sim2, simnet.TenGigE)
-	backend2 := kvs.NewSoftServer(net2, "host", power.MemcachedMellanox)
-	lake2 := kvs.NewLaKe(net2, "lake", backend2)
-	client2 := kvs.NewClient(net2, "client", "lake")
-	n := fpga.OnChipValueEntries * 20
-	for i := 0; i < n; i++ {
-		backend2.Store().Set(fmt.Sprintf("key-%d", i), kvs.Entry{Value: make([]byte, 64)})
-	}
-	j := 0
-	client2.KeyFunc = func() string { j++; return fmt.Sprintf("key-%d", j%n) } // cycling defeats L1
-	client2.Start(200)
-	sim2.RunFor(800 * time.Millisecond)
-	client2.Stop()
-	sim2.RunFor(10 * time.Millisecond)
-	l2p50, l2p99 := lake2.HitLatency.Median(), lake2.HitLatency.P99()
+	// Off-chip: a key set x20 the on-chip layer, cycled, defeats it.
+	_, lake2, _ := drive(54, fpga.OnChipValueEntries*20, 200, 800*time.Millisecond)
+	l2p50, l2p99 := lake2.CardLatency.Median(), lake2.CardLatency.P99()
 
 	t.AddRow("L1 on-chip (BRAM)", fpga.OnChipValueEntries, 0.0, l1p50, l1p99)
 	t.AddRow("L2 off-chip (DRAM+SRAM)", fpga.DRAMValueEntries, fpga.DRAMWatts+fpga.SRAMWatts, l2p50, l2p99)

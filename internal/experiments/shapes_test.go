@@ -80,6 +80,27 @@ func TestLatencyTableShape(t *testing.T) {
 	}
 }
 
+// The KVS and DNS cells of the latency table, pinned: they are what the
+// paper-calibrated cost model has rendered since the seed, whichever
+// code did the serving underneath it.
+func TestLatencyGoldenRows(t *testing.T) {
+	want := [][]string{
+		{"kvs", "network", "2.479µs", "2.544µs"},
+		{"kvs", "host", "15.252µs", "16.052µs"},
+		{"dns", "network", "2.417µs", "2.544µs"},
+		{"dns", "host", "91.434µs", "98.728µs"},
+	}
+	rows := latencyTable().Rows
+	for i, w := range want {
+		for j := range w {
+			if rows[i][j] != w[j] {
+				t.Errorf("latency row %d = %v, want %v", i, rows[i], w)
+				break
+			}
+		}
+	}
+}
+
 func TestStrategiesTableShape(t *testing.T) {
 	tab := strategiesTable()
 	byName := map[string][]string{}

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (§4-§9). Each experiment returns a Table — named columns of
-// rows — that the incbench CLI and the repository's benchmarks print; the
-// EXPERIMENTS.md file records the paper-vs-measured comparison for each.
+// rows — that the incbench CLI and the repository's benchmarks print
+// (`go run ./cmd/incbench all`); each table's notes quote the paper's
+// figure beside the measured one.
 package experiments
 
 import (

@@ -5,8 +5,9 @@ import (
 	"math"
 	"time"
 
+	"incod/internal/core"
 	"incod/internal/kvs"
-	"incod/internal/power"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
 )
@@ -32,7 +33,7 @@ func validateTable() *Table {
 		sim := simulateKVSPower(kpps)
 		t.AddRow(kpps, model, sim, math.Abs(model-sim))
 	}
-	t.AddNote("the simulated column meters the live client->LaKe->host system with the telemetry.PowerMeter (SHW-3A stand-in)")
+	t.AddNote("the simulated column meters the simulated card-and-host serving through the live handler and tier with the telemetry.PowerMeter (SHW-3A stand-in)")
 	return t
 }
 
@@ -42,21 +43,18 @@ func validateTable() *Table {
 func simulateKVSPower(kpps float64) float64 {
 	sim := simnet.New(1701)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	backend := kvs.NewSoftServer(net, "host", power.MemcachedMellanox)
-	lake := kvs.NewLaKe(net, "lake", backend)
+	lake := simhost.NewKVS(net, "lake", simhost.LaKe())
+	lake.Preload(100, 64)
+	mustShift(lake.Service, core.Network)
 	client := kvs.NewClient(net, "client", "lake")
-	for i := 0; i < 100; i++ {
-		backend.Store().Set(fmt.Sprintf("key-%d", i), kvs.Entry{Value: make([]byte, 64)})
-	}
 	i := 0
 	client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%100) }
 
-	combined := telemetry.SumPower{backend, lake}
 	if kpps > 0 {
 		client.Start(kpps)
 	}
 	sim.RunFor(1500 * time.Millisecond) // warm-up past the meter window
-	meter := telemetry.NewPowerMeter(sim, combined, 10*time.Millisecond, false)
+	meter := telemetry.NewPowerMeter(sim, lake, 10*time.Millisecond, false)
 	sim.RunFor(time.Second)
 	client.Stop()
 	return meter.AverageWatts()

@@ -9,6 +9,10 @@ import (
 	"incod/internal/telemetry"
 )
 
+// MemcachedPort is the UDP port the card's packet classifier matches
+// (§3.1).
+const MemcachedPort = 11211
+
 // Client is a mutilate-style memcached load generator (§9.2 uses mutilate
 // with the Facebook ETC arrival distribution). It issues GETs (and an
 // optional SET fraction) against a server address at a controlled rate and
@@ -32,7 +36,7 @@ type Client struct {
 	pending map[uint16]simnet.Time
 
 	Latency  *telemetry.Histogram
-	Counters *telemetry.Counters
+	Counters *telemetry.AtomicCounters
 	cancel   func()
 }
 
@@ -47,7 +51,7 @@ func NewClient(net *simnet.Network, addr, server simnet.Addr) *Client {
 		Poisson:  true,
 		pending:  make(map[uint16]simnet.Time),
 		Latency:  telemetry.NewHistogram(),
-		Counters: telemetry.NewCounters(),
+		Counters: telemetry.NewAtomicCounters(),
 	}
 	net.Attach(c)
 	return c

@@ -1,6 +1,11 @@
-// Package kvs implements the memcached-dialect key-value store behind
-// inckvsd: a plain single-threaded Store for the simulator and tests,
-// and the lock-free ShardedStore the live dataplane serves from.
+// Package kvs implements the memcached-dialect key-value store of the
+// §3.1 case study: the lock-free ShardedStore, the Handler that serves
+// the memcached UDP protocol from it, and a load-generating Client for
+// the simulated network. There is one store and one handler: inckvsd
+// serves them on sockets, internal/simhost serves the same two on the
+// simulator's clock, and the paper's LaKe cost model (on-chip and
+// off-chip hit times, the host's service time, the card's watts) lives
+// there, in simhost.LaKe, as data attached to the serving node.
 //
 // # ShardedStore memory model
 //

@@ -22,7 +22,7 @@ import (
 // encode — perform zero heap allocations per steady-state request: GETs
 // encode under the shard lock (ShardedStore.AppendGetHit/AppendGetBatch)
 // and SET overwrites reuse the entry's value buffer in place
-// (Store.SetBytes); only a first-time insert allocates.
+// (ShardedStore.SetBytes); only a first-time insert allocates.
 type Handler struct {
 	store *ShardedStore
 	epoch time.Time

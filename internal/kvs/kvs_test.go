@@ -1,289 +1,292 @@
-package kvs
+package kvs_test
+
+// The KVS case study end to end (§3.1): the handler and store of this
+// package on the host, nictier's LaKe table on the card, served by the
+// simulated card-and-host of internal/simhost under the paper's cost
+// model.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
+	"incod/internal/core"
+	"incod/internal/kvs"
 	"incod/internal/memcache"
 	"incod/internal/power"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
-	"incod/internal/telemetry"
 )
 
-// rig builds client -> LaKe -> backend on a 10GE network.
-func rig(t *testing.T) (*simnet.Simulator, *Client, *LaKe, *SoftServer) {
-	t.Helper()
-	sim := simnet.New(7)
-	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	backend := NewSoftServer(net, "host", power.MemcachedMellanox)
-	lake := NewLaKe(net, "lake", backend)
-	client := NewClient(net, "client", "lake")
-	return sim, client, lake, backend
+// bed is client -> card-and-host on a 10GE network.
+type bed struct {
+	sim    *simnet.Simulator
+	net    *simnet.Network
+	client *kvs.Client
+	*simhost.KVS
 }
 
-func TestLaKeMissThenHit(t *testing.T) {
-	sim, client, lake, backend := rig(t)
-	backend.Store().Set("key-1", Entry{Value: []byte("v1")})
+// rig builds a bed under model m (nil = the default LaKe model). The
+// service starts on the host.
+func rig(seed int64, m *simhost.Model) *bed {
+	if m == nil {
+		m = simhost.LaKe()
+	}
+	sim := simnet.New(seed)
+	net := simnet.NewNetwork(sim, simnet.TenGigE)
+	lake := simhost.NewKVS(net, "lake", m)
+	return &bed{sim: sim, net: net, client: kvs.NewClient(net, "client", "lake"), KVS: lake}
+}
 
-	client.KeyFunc = func() string { return "key-1" }
-	client.Start(10) // 10 kpps
-	sim.RunFor(50 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
+func (b *bed) shift(t *testing.T, to core.Placement) {
+	t.Helper()
+	if err := b.Service.Shift(to); err != nil {
+		t.Fatalf("shift to %s: %v", to, err)
+	}
+}
 
-	if lake.Counters.Get("miss") != 1 {
-		t.Errorf("misses = %d, want exactly 1 (first query warms the cache)", lake.Counters.Get("miss"))
-	}
-	hits := lake.Counters.Get("l1_hit") + lake.Counters.Get("l2_hit")
-	if hits < 100 {
-		t.Errorf("cache hits = %d, want hundreds", hits)
-	}
-	if got := client.Counters.Get("hit"); got != client.Counters.Get("recv") {
-		t.Errorf("client saw %d hits of %d responses", got, client.Counters.Get("recv"))
-	}
-	if client.Outstanding() != 0 {
-		t.Errorf("%d requests unanswered", client.Outstanding())
-	}
+// drive runs the client at kpps for d, then lets the last replies land.
+func (b *bed) drive(kpps float64, d time.Duration) {
+	b.client.Start(kpps)
+	b.sim.RunFor(d)
+	b.client.Stop()
+	b.sim.RunFor(10 * time.Millisecond)
+}
+
+// probe delivers one raw request from a node of its own and returns the
+// reply, if any.
+func (b *bed) probe(payload []byte) []byte {
+	var reply []byte
+	b.net.Attach(&simnet.NodeFunc{Address: "probe", Handler: func(p *simnet.Packet) { reply = p.Payload }})
+	b.Receive(&simnet.Packet{Src: "probe", Dst: "lake", SrcPort: 9, DstPort: kvs.MemcachedPort, Payload: payload})
+	b.sim.RunFor(time.Millisecond)
+	b.net.Detach("probe")
+	return reply
+}
+
+// framed wraps an ASCII request body in a UDP frame.
+func framed(body string) []byte {
+	return append([]byte{0, 1, 0, 0, 0, 1, 0, 0}, body...)
 }
 
 func TestLaKeLatencyAnchors(t *testing.T) {
-	sim, client, lake, backend := rig(t)
-	for i := 0; i < 100; i++ {
-		backend.Store().Set(fmt.Sprintf("key-%d", i), Entry{Value: []byte("v")})
-	}
+	b := rig(7, nil)
+	b.Preload(100, 1)
+	b.shift(t, core.Network)
 	i := 0
-	client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%100) }
-	client.Start(100)
-	sim.RunFor(200 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
+	b.client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%100) }
 
-	// §5.3: hardware hits sit below 2µs more than an order of magnitude
-	// under the ~13.5µs software path.
-	if p50 := lake.HitLatency.Median(); p50 > 2*time.Microsecond {
-		t.Errorf("hit median = %v, want < 2µs", p50)
+	// The first hit on each key comes from the off-chip layer (~1.6µs),
+	// every later one from the on-chip layer (<= 1.4µs).
+	b.drive(100, 500*time.Microsecond) // ~50 requests, 100 keys: no repeats
+	if n, lo := b.CardLatency.Count(), b.CardLatency.Min(); n == 0 || n > 100 || lo < 1600*time.Nanosecond {
+		t.Fatalf("first touches: %d hits, fastest %v, want <= 100 hits all >= 1.6µs", n, lo)
 	}
-	if p50 := lake.MissLatency.Median(); p50 < 12*time.Microsecond || p50 > 16*time.Microsecond {
-		t.Errorf("miss median = %v, want ~13.5µs", p50)
+	b.drive(100, 3*time.Millisecond) // every key touched by now
+	b.CardLatency.Reset()
+	b.drive(100, 200*time.Millisecond)
+	if hi := b.CardLatency.Max(); hi > 1400*time.Nanosecond {
+		t.Errorf("on-chip hits reach %v, want <= 1.4µs", hi)
 	}
-	ratio := float64(lake.MissLatency.Median()) / float64(lake.HitLatency.Median())
-	if ratio < 5 {
+	if _, host := b.Served(); host != 0 {
+		t.Errorf("host handled %d requests while the card held every key", host)
+	}
+
+	// §5.3: a request the card cannot serve costs the ~13.5µs software
+	// path, more than an order of magnitude over a hit.
+	b.client.KeyFunc = func() string { return "absent" }
+	b.drive(100, 10*time.Millisecond)
+	hit, miss := b.CardLatency.Median(), b.HostLatency.Median()
+	if miss < 12*time.Microsecond || miss > 16*time.Microsecond {
+		t.Errorf("miss median = %v, want ~13.5µs", miss)
+	}
+	if ratio := float64(miss) / float64(hit); ratio < 5 {
 		t.Errorf("miss/hit latency ratio = %.1f, want ~10x", ratio)
 	}
 }
 
 func TestLaKeSetWriteThrough(t *testing.T) {
-	sim, client, lake, backend := rig(t)
-	client.KeyFunc = func() string { return "w" }
-	client.SetFraction = 1
-	client.Start(10)
-	sim.RunFor(10 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(5 * time.Millisecond)
+	b := rig(7, nil)
+	b.shift(t, core.Network)
+	b.client.KeyFunc = func() string { return "w" }
+	b.client.SetFraction = 1
+	b.drive(10, 10*time.Millisecond)
 
-	if lake.Counters.Get("set") == 0 {
-		t.Fatal("no sets classified")
+	if b.Tier.Counters().Get("write_through") == 0 {
+		t.Fatal("no sets classified by the card")
 	}
-	if _, ok := backend.Store().Get("w", sim.Now()); !ok {
+	if _, ok := b.Store.GetString("w", 0); !ok {
 		t.Error("write-through did not reach the host store")
 	}
-	if _, ok := lake.l1.Peek("w"); !ok {
-		t.Error("set should populate L1")
+	if b.Tier.Len() != 1 {
+		t.Errorf("card holds %d entries after the set, want 1", b.Tier.Len())
+	}
+	// The written value is served from the card from then on.
+	fast, _ := b.Served()
+	b.client.SetFraction = 0
+	b.drive(10, 5*time.Millisecond)
+	if now, _ := b.Served(); now == fast {
+		t.Error("a get after the set should hit the card")
 	}
 }
 
 func TestLaKeDeleteInvalidates(t *testing.T) {
-	sim, client, lake, backend := rig(t)
-	backend.Store().Set("d", Entry{Value: []byte("v")})
-	// Warm the cache.
-	client.KeyFunc = func() string { return "d" }
-	client.Start(10)
-	sim.RunFor(5 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(5 * time.Millisecond)
-	if _, ok := lake.l2.Peek("d"); !ok {
-		t.Fatal("cache did not warm")
+	b := rig(7, nil)
+	b.Store.Set("d", kvs.Entry{Value: []byte("v")})
+	b.shift(t, core.Network)
+	if b.Tier.Len() != 1 {
+		t.Fatal("the warm-up did not move the entry onto the card")
 	}
-	// Now delete through the data path.
-	lake.Receive(&simnet.Packet{
-		Src: "client", Dst: "lake", SrcPort: 40000, DstPort: MemcachedPort,
-		Payload: clientDatagram(t, "delete d\r\n"),
-	})
-	sim.RunFor(5 * time.Millisecond)
-	if _, ok := lake.l1.Peek("d"); ok {
-		t.Error("delete should invalidate L1")
+	// Delete through the data path.
+	b.probe(framed("delete d\r\n"))
+	if b.Tier.Len() != 0 {
+		t.Error("delete should invalidate the card's copy")
 	}
-	if _, ok := lake.l2.Peek("d"); ok {
-		t.Error("delete should invalidate L2")
-	}
-	if _, ok := backend.Store().Get("d", sim.Now()); ok {
+	if _, ok := b.Store.GetString("d", 0); ok {
 		t.Error("delete should reach the host store")
 	}
 }
 
 func TestLaKeInactivePassesToSoftware(t *testing.T) {
-	sim, client, lake, backend := rig(t)
-	backend.Store().Set("key-1", Entry{Value: []byte("v")})
-	lake.Deactivate()
+	b := rig(7, nil)
+	b.Store.Set("key-1", kvs.Entry{Value: []byte("v")})
+	b.client.KeyFunc = func() string { return "key-1" }
+	b.drive(20, 50*time.Millisecond)
 
-	client.KeyFunc = func() string { return "key-1" }
-	client.Start(20)
-	sim.RunFor(50 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-
-	if lake.Counters.Get("l1_hit")+lake.Counters.Get("l2_hit") != 0 {
-		t.Error("inactive module must not serve from cache")
+	if fast, host := b.Served(); fast != 0 || host == 0 {
+		t.Errorf("parked card served %d, host %d; everything must pass to the host", fast, host)
 	}
-	if lake.Counters.Get("to_software") == 0 {
-		t.Error("queries should pass through to the host")
+	if got := b.client.Counters.Get("hit"); got == 0 || got != b.client.Counters.Get("recv") {
+		t.Errorf("client saw %d hits of %d responses via the software path", got, b.client.Counters.Get("recv"))
 	}
-	if client.Counters.Get("recv") == 0 {
-		t.Error("client got no responses via the software path")
+	// Latency through software is the ~13.5µs class, not the ~1.4µs
+	// class, and pays the card's 600ns store-and-forward hop on top.
+	if med := b.client.Latency.Median(); med < 10*time.Microsecond {
+		t.Errorf("software-path median = %v, want > 10µs", med)
 	}
-	// Latency through software is the ~13.5µs class, not the ~1.4µs class.
-	if client.Latency.Median() < 10*time.Microsecond {
-		t.Errorf("software-path median = %v, want > 10µs", client.Latency.Median())
+	if extra := b.client.Latency.Min() - b.HostLatency.Min(); extra < 600*time.Nanosecond {
+		t.Errorf("client sees only %v beyond the host's service time, want the 600ns NIC hop and the wire", extra)
 	}
 }
 
 func TestDeactivateFlushesAndActivateWarmsAgain(t *testing.T) {
-	sim, client, lake, backend := rig(t)
-	backend.Store().Set("key-1", Entry{Value: []byte("v")})
-	client.KeyFunc = func() string { return "key-1" }
-	client.Start(20)
-	sim.RunFor(20 * time.Millisecond)
-	if l1, l2 := lake.CacheSizes(); l1 == 0 || l2 == 0 {
-		t.Fatal("caches did not warm")
+	b := rig(7, nil)
+	b.Store.Set("key-1", kvs.Entry{Value: []byte("v")})
+	b.client.KeyFunc = func() string { return "key-1" }
+	b.shift(t, core.Network)
+	b.client.Start(20)
+	b.sim.RunFor(20 * time.Millisecond)
+	if b.Tier.Len() == 0 {
+		t.Fatal("the card did not warm")
 	}
-	lake.Deactivate()
-	if l1, l2 := lake.CacheSizes(); l1 != 0 || l2 != 0 {
-		t.Error("Deactivate (memories in reset) must lose cached state")
+	b.shift(t, core.Host)
+	if b.Tier.Len() != 0 {
+		t.Error("parking (memories in reset) must lose the card's state")
 	}
-	if !lake.Board().MemoriesReset() || !lake.Board().ClockGated() {
-		t.Error("Deactivate should park the board in the low-power state")
+	if !b.Board().MemoriesReset() || !b.Board().ClockGated() || b.Board().ModuleActive() {
+		t.Error("parking should put the board in the low-power state")
 	}
-	lake.Activate()
-	sim.RunFor(50 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-	if lake.HitRatio() == 0 {
-		t.Error("cache should re-warm after Activate")
+	b.shift(t, core.Network)
+	fast, _ := b.Served()
+	b.sim.RunFor(50 * time.Millisecond)
+	b.client.Stop()
+	b.sim.RunFor(10 * time.Millisecond)
+	if now, _ := b.Served(); b.Tier.Len() == 0 || now == fast {
+		t.Error("the card should warm and serve again after the shift back")
 	}
-	if lake.Board().MemoriesReset() || lake.Board().ClockGated() {
-		t.Error("Activate should release reset and gating")
+	if b.Board().MemoriesReset() || b.Board().ClockGated() || !b.Board().ModuleActive() {
+		t.Error("activation should release reset and gating")
 	}
 }
 
 func TestCombinedPowerMatchesPaperShape(t *testing.T) {
-	sim, client, lake, backend := rig(t)
-	combined := telemetry.SumPower{backend, lake}
+	b := rig(7, nil)
+	b.Store.Set("key-1", kvs.Entry{Value: []byte("v")})
+	b.shift(t, core.Network)
 	// Idle: 39 (server) + ~20 (card) = ~59 W (§4.2).
-	idle := combined.PowerWatts(sim.Now())
+	idle := b.PowerWatts(b.sim.Now())
 	if idle < 58 || idle > 61 {
 		t.Errorf("idle combined power = %v W, want ~59", idle)
 	}
-	// Warm cache, then drive load: server stays near idle (all hits in
-	// hardware), so combined power barely moves (§4.2, Figure 3a).
-	backend.Store().Set("key-1", Entry{Value: []byte("v")})
-	client.KeyFunc = func() string { return "key-1" }
-	client.Start(500) // 500 kpps
-	sim.RunFor(300 * time.Millisecond)
-	loaded := combined.PowerWatts(sim.Now())
-	client.Stop()
+	// Under load the server stays near idle (all hits in hardware), so
+	// combined power barely moves (§4.2, Figure 3a).
+	b.client.KeyFunc = func() string { return "key-1" }
+	b.client.Start(500)
+	b.sim.RunFor(300 * time.Millisecond)
+	loaded := b.PowerWatts(b.sim.Now())
+	b.client.Stop()
 	if loaded > idle+3 {
 		t.Errorf("combined power under load = %v W, want close to idle %v (hits stay in hardware)", loaded, idle)
 	}
 	// Pure software at the same rate would cost far more.
-	sw := power.MemcachedMellanox.Power(500)
-	if sw < loaded+20 {
+	if sw := power.MemcachedMellanox.Power(500); sw < loaded+20 {
 		t.Errorf("software at 500kpps = %v W should far exceed LaKe's %v W", sw, loaded)
 	}
 }
 
 func TestSoftServerDirectService(t *testing.T) {
-	sim := simnet.New(3)
-	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	server := NewSoftServer(net, "host", power.MemcachedMellanox)
-	client := NewClient(net, "client", "host")
-	server.Store().Set("k", Entry{Value: []byte("v")})
-	client.KeyFunc = func() string { return "k" }
-	client.Start(50)
+	b := rig(3, nil)
+	b.Store.Set("k", kvs.Entry{Value: []byte("v")})
+	b.client.KeyFunc = func() string { return "k" }
+	b.client.Start(50)
 	// Run past the 1s averaging window so the measured rate converges
 	// (§4.1: "average throughput was measured at the granularity of a
 	// second").
-	sim.RunFor(1200 * time.Millisecond)
-	if server.RateKpps() < 40 {
-		t.Errorf("server rate = %v kpps, want ~50", server.RateKpps())
+	b.sim.RunFor(1200 * time.Millisecond)
+	if b.HostRateKpps() < 40 {
+		t.Errorf("host rate = %v kpps, want ~50", b.HostRateKpps())
 	}
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-	recv := client.Counters.Get("recv")
-	if recv == 0 || client.Counters.Get("hit") != recv {
-		t.Fatalf("recv=%d hit=%d", recv, client.Counters.Get("hit"))
+	b.client.Stop()
+	b.sim.RunFor(10 * time.Millisecond)
+	recv := b.client.Counters.Get("recv")
+	if recv == 0 || b.client.Counters.Get("hit") != recv {
+		t.Fatalf("recv=%d hit=%d", recv, b.client.Counters.Get("hit"))
 	}
-	if med := client.Latency.Median(); med < 12*time.Microsecond || med > 18*time.Microsecond {
+	if med := b.client.Latency.Median(); med < 12*time.Microsecond || med > 18*time.Microsecond {
 		t.Errorf("software median latency = %v, want ~13.5µs", med)
 	}
 }
 
 func TestSoftServerShedsOverload(t *testing.T) {
-	sim := simnet.New(3)
-	net := simnet.NewNetwork(sim, simnet.LinkConfig{})
-	curve := power.MemcachedMellanox
-	curve.PeakKpps = 20 // tiny server for the test
-	server := NewSoftServer(net, "host", curve)
-	client := NewClient(net, "client", "host")
-	client.KeyFunc = func() string { return "k" }
-	client.Start(200) // 10x peak
-	sim.RunFor(300 * time.Millisecond)
-	client.Stop()
-	if server.Counters.Get("dropped") == 0 {
+	m := simhost.LaKe()
+	m.Curve.PeakKpps = 20 // tiny server for the test
+	b := rig(3, m)
+	b.client.KeyFunc = func() string { return "k" }
+	b.client.Start(200) // 10x peak
+	b.sim.RunFor(300 * time.Millisecond)
+	b.client.Stop()
+	if shed, _ := b.Dropped(); shed == 0 {
 		t.Error("overloaded server should shed load")
 	}
-	if server.Utilization() < 0.9 {
-		t.Errorf("utilization = %v, want saturated", server.Utilization())
+	if b.HostUtilization() < 0.9 {
+		t.Errorf("utilization = %v, want saturated", b.HostUtilization())
 	}
 }
 
+// What the card cannot parse is the host's to answer, parked or lit, and
+// the host answers ERROR.
 func TestSoftServerErrorPaths(t *testing.T) {
-	sim := simnet.New(3)
-	net := simnet.NewNetwork(sim, simnet.LinkConfig{})
-	server := NewSoftServer(net, "host", power.MemcachedMellanox)
-	// Non-KVS port.
-	server.Receive(&simnet.Packet{Dst: "host", DstPort: 53, Payload: []byte("x")})
-	if server.Counters.Get("non_kvs") != 1 {
-		t.Error("non-KVS packet not counted")
-	}
-	// Short frame.
-	server.Receive(&simnet.Packet{Dst: "host", DstPort: MemcachedPort, Payload: []byte{1}})
-	if server.Counters.Get("bad_frame") != 1 {
-		t.Error("bad frame not counted")
-	}
-	// Unparsable request gets an ERROR reply.
-	got := make(chan string, 1)
-	net.Attach(&simnet.NodeFunc{Address: "c", Handler: func(p *simnet.Packet) {
-		got <- string(p.Payload)
-	}})
-	server.Receive(&simnet.Packet{Src: "c", Dst: "host", SrcPort: 9, DstPort: MemcachedPort,
-		Payload: clientDatagram(t, "bogus\r\n")})
-	sim.RunFor(time.Millisecond)
-	select {
-	case s := <-got:
-		if len(s) < 8 || string(s[8:]) != "ERROR\r\n" {
-			t.Errorf("reply = %q, want ERROR", s)
+	b := rig(3, nil)
+	for _, where := range []core.Placement{core.Host, core.Network} {
+		b.shift(t, where)
+		for _, req := range [][]byte{{1}, framed("bogus\r\n")} {
+			fast, host := b.Served()
+			if reply := b.probe(req); !bytes.HasSuffix(reply, []byte("ERROR\r\n")) {
+				t.Errorf("%s: reply to %q = %q, want ERROR", where, req, reply)
+			}
+			if f, h := b.Served(); f != fast || h != host+1 {
+				t.Errorf("%s: %q was not handed to the host", where, req)
+			}
 		}
-	default:
-		t.Error("no ERROR reply sent")
 	}
 }
 
 func TestLaKePowerStates(t *testing.T) {
-	sim, _, lake, _ := rig(t)
-	active := lake.PowerWatts(sim.Now())
-	lake.Deactivate()
-	parked := lake.PowerWatts(sim.Now())
+	b := rig(7, nil)
+	parked := b.CardWatts()
+	b.shift(t, core.Network)
+	active := b.CardWatts()
 	if parked >= active {
 		t.Errorf("parked power %v W should be below active %v W", parked, active)
 	}
@@ -294,54 +297,31 @@ func TestLaKePowerStates(t *testing.T) {
 	}
 }
 
+// A multi-key get is beyond the card's pipeline: it passes to the host,
+// which answers every key it has.
 func TestLaKeMultiGet(t *testing.T) {
-	sim, _, lake, backend := rig(t)
+	b := rig(7, nil)
 	for _, k := range []string{"m1", "m2", "m3"} {
-		backend.Store().Set(k, Entry{Value: []byte("v-" + k)})
+		b.Store.Set(k, kvs.Entry{Value: []byte("v-" + k)})
 	}
-	got := make(chan string, 4)
-	net := lake.net
-	net.Attach(&simnet.NodeFunc{Address: "mc", Handler: func(p *simnet.Packet) {
-		got <- string(p.Payload[8:])
-	}})
-	send := func() {
-		lake.Receive(&simnet.Packet{Src: "mc", Dst: "lake", SrcPort: 9, DstPort: MemcachedPort,
-			Payload: clientDatagram(t, "get m1 m2 missing m3\r\n")})
-		sim.RunFor(10 * time.Millisecond)
+	b.shift(t, core.Network)
+	for round := uint64(1); round <= 2; round++ {
+		reply := b.probe(framed("get m1 m2 missing m3\r\n"))
+		if len(reply) < memcache.FrameHeaderSize {
+			t.Fatal("no reply")
+		}
+		resp, err := memcache.ParseResponse(reply[memcache.FrameHeaderSize:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Items) != 3 {
+			t.Fatalf("items = %d, want 3 (missing key omitted)", len(resp.Items))
+		}
+		if got := b.Tier.Counters().Get("passthrough"); got != round {
+			t.Errorf("card passed %d multi-gets up, want %d", got, round)
+		}
+		if fast, host := b.Served(); fast != 0 || host != round {
+			t.Errorf("served fast=%d host=%d, want 0 and %d", fast, host, round)
+		}
 	}
-	// First round: all three keys miss the cache and come from software.
-	send()
-	var body string
-	select {
-	case body = <-got:
-	default:
-		t.Fatal("no reply")
-	}
-	resp, err := memcache.ParseResponse([]byte(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Items) != 3 {
-		t.Fatalf("items = %d, want 3 (missing key omitted)", len(resp.Items))
-	}
-	if lake.Counters.Get("miss") != 4 { // m1 m2 m3 + "missing"
-		t.Errorf("misses = %d, want 4", lake.Counters.Get("miss"))
-	}
-	// Second round: the three live keys now hit the cache; only
-	// "missing" goes to software again.
-	before := lake.Counters.Get("miss")
-	send()
-	<-got
-	if hits := lake.Counters.Get("l1_hit"); hits != 3 {
-		t.Errorf("l1 hits = %d, want 3", hits)
-	}
-	if lake.Counters.Get("miss") != before+1 {
-		t.Errorf("second-round misses = %d, want +1", lake.Counters.Get("miss")-before)
-	}
-}
-
-// clientDatagram wraps an ASCII request body in a UDP frame.
-func clientDatagram(t *testing.T, body string) []byte {
-	t.Helper()
-	return append([]byte{0, 1, 0, 0, 0, 1, 0, 0}, body...)
 }

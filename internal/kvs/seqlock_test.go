@@ -166,12 +166,41 @@ func TestClockSecondChanceEviction(t *testing.T) {
 	}
 }
 
+// mapStore is the oracle of TestLockFreeMatchesMutexStore: memcached
+// semantics over a plain map, nothing else.
+type mapStore map[string]Entry
+
+func (m mapStore) Apply(req memcache.Request, _ simnet.Time) memcache.Response {
+	switch req.Op {
+	case memcache.OpGet:
+		resp := memcache.Response{Status: memcache.StatusEnd}
+		for _, k := range req.AllKeys() {
+			if e, ok := m[k]; ok {
+				resp.Items = append(resp.Items, memcache.Item{Key: k, Flags: e.Flags, Value: e.Value})
+			}
+		}
+		if len(resp.Items) > 0 {
+			first := resp.Items[0]
+			resp.Key, resp.Flags, resp.Value, resp.Hit = first.Key, first.Flags, first.Value, true
+		}
+		return resp
+	case memcache.OpSet:
+		m[req.Key] = Entry{Flags: req.Flags, Value: req.Value}
+		return memcache.Response{Status: memcache.StatusStored}
+	}
+	if _, ok := m[req.Key]; !ok {
+		return memcache.Response{Status: memcache.StatusNotFound}
+	}
+	delete(m, req.Key)
+	return memcache.Response{Status: memcache.StatusDeleted}
+}
+
 // TestLockFreeMatchesMutexStore replays one deterministic request
-// sequence against the plain mutex/LRU Store (the oracle) and the
-// lock-free ShardedStore, comparing every encoded response byte for
-// byte — the PR 5 equivalence harness applied across implementations.
+// sequence against a plain map (the oracle) and the lock-free
+// ShardedStore, comparing every encoded response byte for byte — the
+// PR 5 equivalence harness applied across implementations.
 func TestLockFreeMatchesMutexStore(t *testing.T) {
-	oracle := NewStore()
+	oracle := mapStore{}
 	st := NewShardedStore(4, 0)
 	rng := rand.New(rand.NewSource(9))
 	key := func(i int) string { return fmt.Sprintf("eq-%02d", i) }
@@ -193,7 +222,7 @@ func TestLockFreeMatchesMutexStore(t *testing.T) {
 		want := memcache.AppendResponse(nil, oracle.Apply(req, now))
 		got := memcache.AppendResponse(nil, st.Apply(req, now))
 		if !bytes.Equal(want, got) {
-			t.Fatalf("op %d (%+v): lock-free response %q != mutex store %q", op, req, got, want)
+			t.Fatalf("op %d (%+v): lock-free response %q != map oracle %q", op, req, got, want)
 		}
 	}
 }

@@ -11,7 +11,35 @@ import (
 	"incod/internal/telemetry"
 )
 
-// ShardedStore is the concurrent serving form of Store: N shared-nothing
+// Entry is a stored value with its memcached metadata.
+type Entry struct {
+	Flags   uint32
+	Value   []byte
+	Expires int64 // virtual nanoseconds; 0 means no expiry
+}
+
+// StoreStats is a snapshot of a store's lifetime counters; partitions
+// merge theirs with StoreStats.Add.
+type StoreStats struct {
+	Gets        uint64 `json:"gets"`
+	Hits        uint64 `json:"hits"`
+	Sets        uint64 `json:"sets"`
+	Deletes     uint64 `json:"deletes"`
+	Evictions   uint64 `json:"evictions"`
+	Expirations uint64 `json:"expirations"`
+}
+
+// Add accumulates o into s.
+func (s *StoreStats) Add(o StoreStats) {
+	s.Gets += o.Gets
+	s.Hits += o.Hits
+	s.Sets += o.Sets
+	s.Deletes += o.Deletes
+	s.Evictions += o.Evictions
+	s.Expirations += o.Expirations
+}
+
+// ShardedStore is the memcached-semantics store: N shared-nothing
 // partitions with key-hash fan-out. Reads are lock-free — a per-slot
 // sequence counter detects torn reads and the reader retries — so GET
 // hits acquire no mutex at all; writes are serialized per partition by a
@@ -241,8 +269,9 @@ func (st *ShardedStore) HitRatio() float64 {
 }
 
 // Apply executes a parsed memcached request at virtual time now, routing
-// each key to its partition — Store.Apply semantics over the sharded
-// form. Multi-key gets resolve each key independently.
+// each key to its partition. Multi-key gets resolve each key
+// independently. Exptime is seconds of virtual time from now (relative
+// form only; the store has no epoch).
 func (st *ShardedStore) Apply(req memcache.Request, now simnet.Time) memcache.Response {
 	switch req.Op {
 	case memcache.OpGet:

@@ -8,17 +8,20 @@ import (
 	"incod/internal/simnet"
 )
 
+// Memcached store semantics, on one partition of the one store (the
+// multi-partition forms are in sharded_test.go and seqlock_test.go).
+
 func TestStoreBasics(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1, 0)
 	s.Set("k", Entry{Flags: 1, Value: []byte("v")})
-	e, ok := s.Get("k", 0)
+	e, ok := s.GetString("k", 0)
 	if !ok || string(e.Value) != "v" || e.Flags != 1 {
 		t.Fatalf("Get = %+v, %v", e, ok)
 	}
 	if !s.Delete("k") {
 		t.Error("Delete should succeed")
 	}
-	if _, ok := s.Get("k", 0); ok {
+	if _, ok := s.GetString("k", 0); ok {
 		t.Error("deleted key still present")
 	}
 	if s.Delete("k") {
@@ -27,21 +30,24 @@ func TestStoreBasics(t *testing.T) {
 }
 
 func TestStoreExpiry(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1, 0)
 	s.Set("k", Entry{Value: []byte("v"), Expires: int64(simnet.Time(5 * time.Second))})
-	if _, ok := s.Get("k", simnet.Time(time.Second)); !ok {
+	if _, ok := s.GetString("k", simnet.Time(time.Second)); !ok {
 		t.Error("entry should be live before expiry")
 	}
-	if _, ok := s.Get("k", simnet.Time(6*time.Second)); ok {
+	if _, ok := s.GetString("k", simnet.Time(6*time.Second)); ok {
 		t.Error("entry should expire")
 	}
-	if s.Len() != 0 {
-		t.Error("expired entry should be reaped on access")
+	// A lock-free reader cannot remove what it saw expired: the entry is
+	// charged once and stays counted until Sweep reaps it.
+	s.GetString("k", simnet.Time(7*time.Second))
+	if s.Len() != 1 || s.Stats().Expirations != 1 {
+		t.Errorf("Len=%d Expirations=%d, want 1 and 1", s.Len(), s.Stats().Expirations)
 	}
 }
 
 func TestStoreApply(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1, 0)
 	resp := s.Apply(memcache.Request{Op: memcache.OpSet, Key: "a", Flags: 2, Value: []byte("x")}, 0)
 	if resp.Status != memcache.StatusStored {
 		t.Fatalf("set -> %+v", resp)
@@ -69,41 +75,19 @@ func TestStoreApply(t *testing.T) {
 }
 
 func TestStoreApplyExptime(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1, 0)
 	now := simnet.Time(10 * time.Second)
 	s.Apply(memcache.Request{Op: memcache.OpSet, Key: "a", Exptime: 5, Value: []byte("x")}, now)
-	if _, ok := s.Get("a", now.Add(4*time.Second)); !ok {
+	if _, ok := s.GetString("a", now.Add(4*time.Second)); !ok {
 		t.Error("entry should live for 5 virtual seconds")
 	}
-	if _, ok := s.Get("a", now.Add(6*time.Second)); ok {
+	if _, ok := s.GetString("a", now.Add(6*time.Second)); ok {
 		t.Error("entry should have expired")
 	}
 }
 
-func TestBoundedStoreLRUEviction(t *testing.T) {
-	s := NewBoundedStore(2)
-	s.Set("a", Entry{})
-	s.Set("b", Entry{})
-	s.Get("a", 0) // refresh a
-	s.Set("c", Entry{})
-	if _, ok := s.Get("b", 0); ok {
-		t.Error("b should have been LRU-evicted")
-	}
-	if _, ok := s.Get("a", 0); !ok {
-		t.Error("a should have survived")
-	}
-	if s.Evictions() != 1 {
-		t.Errorf("evictions = %d, want 1", s.Evictions())
-	}
-	// Updating an existing key must not evict.
-	s.Set("a", Entry{Value: []byte("2")})
-	if s.Evictions() != 1 || s.Len() != 2 {
-		t.Error("update should not evict")
-	}
-}
-
 func TestStoreSweep(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1, 0)
 	now := simnet.Time(10 * time.Second)
 	s.Set("live", Entry{})
 	s.Set("dead1", Entry{Expires: int64(simnet.Time(5 * time.Second))})
@@ -111,8 +95,8 @@ func TestStoreSweep(t *testing.T) {
 	if n := s.Sweep(now); n != 2 {
 		t.Errorf("Sweep reaped %d, want 2", n)
 	}
-	if s.Len() != 1 || s.Expirations() != 2 {
-		t.Errorf("Len=%d Expirations=%d", s.Len(), s.Expirations())
+	if s.Len() != 1 || s.Stats().Expirations != 2 {
+		t.Errorf("Len=%d Expirations=%d", s.Len(), s.Stats().Expirations)
 	}
 	if n := s.Sweep(now); n != 0 {
 		t.Errorf("second Sweep reaped %d, want 0", n)
@@ -120,13 +104,13 @@ func TestStoreSweep(t *testing.T) {
 }
 
 func TestStoreHitRatio(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1, 0)
 	if s.HitRatio() != 0 {
 		t.Error("empty store hit ratio should be 0")
 	}
 	s.Set("a", Entry{})
-	s.Get("a", 0)
-	s.Get("b", 0)
+	s.GetString("a", 0)
+	s.GetString("b", 0)
 	if s.HitRatio() != 0.5 {
 		t.Errorf("hit ratio = %v, want 0.5", s.HitRatio())
 	}

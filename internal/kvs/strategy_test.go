@@ -1,39 +1,43 @@
-package kvs
+package kvs_test
+
+// The §9.2 idle strategies of the card, through the live tier lifecycle.
 
 import (
 	"testing"
 	"time"
 
+	"incod/internal/core"
 	"incod/internal/fpga"
-	"incod/internal/power"
-	"incod/internal/simnet"
+	"incod/internal/kvs"
+	"incod/internal/simhost"
 )
 
-func strategyRig(t *testing.T, s IdleStrategy) (*simnet.Simulator, *Client, *LaKe, *SoftServer) {
+// strategyRig is a bed parking with strategy s, one key "k" in the store,
+// the service on the card and past any programming halt.
+func strategyRig(t *testing.T, s simhost.IdleStrategy) *bed {
 	t.Helper()
-	sim := simnet.New(31)
-	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	backend := NewSoftServer(net, "host", power.MemcachedMellanox)
-	lake := NewLaKe(net, "lake", backend)
-	lake.Strategy = s
-	client := NewClient(net, "client", "lake")
-	backend.Store().Set("k", Entry{Value: []byte("v")})
-	client.KeyFunc = func() string { return "k" }
-	return sim, client, lake, backend
+	m := simhost.LaKe()
+	m.Strategy = s
+	b := rig(31, m)
+	b.Store.Set("k", kvs.Entry{Value: []byte("v")})
+	b.client.KeyFunc = func() string { return "k" }
+	b.shift(t, core.Network)
+	b.sim.RunFor(2 * simhost.ReconfigHalt)
+	return b
 }
 
 // §9.2 ablation: idle power ordering partial-reconfig < park-reset <
-// keep-warm, and keep-warm preserves the cache.
+// keep-warm.
 func TestIdleStrategyPowerOrdering(t *testing.T) {
-	idle := func(s IdleStrategy) float64 {
-		sim, _, lake, _ := strategyRig(t, s)
-		lake.Deactivate()
-		sim.RunFor(100 * time.Millisecond) // past any reconfig halt
-		return lake.PowerWatts(sim.Now())
+	idle := func(s simhost.IdleStrategy) float64 {
+		b := strategyRig(t, s)
+		b.shift(t, core.Host)
+		b.sim.RunFor(100 * time.Millisecond) // past any reconfig halt
+		return b.CardWatts()
 	}
-	reconf := idle(PartialReconfig)
-	park := idle(ParkReset)
-	warm := idle(KeepWarm)
+	reconf := idle(simhost.PartialReconfig)
+	park := idle(simhost.ParkReset)
+	warm := idle(simhost.KeepWarm)
 	if !(reconf < park && park < warm) {
 		t.Errorf("idle power ordering wrong: reconfig %v, park %v, warm %v", reconf, park, warm)
 	}
@@ -43,94 +47,89 @@ func TestIdleStrategyPowerOrdering(t *testing.T) {
 	}
 }
 
+// Keep-warm keeps the table across parking: nothing to transfer again,
+// and the card serves from the first request after the shift back.
 func TestKeepWarmPreservesCache(t *testing.T) {
-	sim, client, lake, _ := strategyRig(t, KeepWarm)
-	client.Start(20)
-	sim.RunFor(50 * time.Millisecond) // warm the cache
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-	if l1, _ := lake.CacheSizes(); l1 == 0 {
-		t.Fatal("cache did not warm")
+	b := strategyRig(t, simhost.KeepWarm)
+	b.drive(20, 50*time.Millisecond)
+	if b.Tier.Len() == 0 {
+		t.Fatal("the card did not warm")
 	}
-	missesBefore := lake.Counters.Get("miss")
-
-	lake.Deactivate()
-	if l1, _ := lake.CacheSizes(); l1 == 0 {
-		t.Fatal("KeepWarm must retain cached state")
+	b.shift(t, core.Host)
+	if b.Tier.Len() == 0 {
+		t.Fatal("KeepWarm must retain the card's state")
 	}
-	lake.Activate()
-	client.Start(20)
-	sim.RunFor(50 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-	if got := lake.Counters.Get("miss"); got != missesBefore {
-		t.Errorf("misses after keep-warm reactivation = %d, want unchanged %d", got, missesBefore)
+	b.shift(t, core.Network)
+	if got := b.Tier.Counters().Get("warmed_entries"); got != 0 {
+		t.Errorf("keep-warm reactivation transferred %d entries, want 0", got)
+	}
+	_, host := b.Served()
+	b.drive(20, 50*time.Millisecond)
+	if _, now := b.Served(); now != host {
+		t.Errorf("%d requests reached the host after keep-warm reactivation, want 0", now-host)
 	}
 }
 
 func TestPartialReconfigHaltsTraffic(t *testing.T) {
-	sim, client, lake, _ := strategyRig(t, PartialReconfig)
-	client.Start(50)
-	sim.RunFor(50 * time.Millisecond)
-	lake.Deactivate() // reprogram to NIC: halt starts
-	if !lake.Reconfiguring() {
+	b := strategyRig(t, simhost.PartialReconfig)
+	b.client.Start(50)
+	b.sim.RunFor(50 * time.Millisecond)
+	b.shift(t, core.Host) // reprogram to NIC: halt starts
+	if !b.Reconfiguring() {
 		t.Fatal("reconfiguration halt should be in progress")
 	}
-	sim.RunFor(ReconfigHalt / 2)
-	if lake.Counters.Get("reconfig_dropped") == 0 {
+	b.sim.RunFor(simhost.ReconfigHalt / 2)
+	if _, halted := b.Dropped(); halted == 0 {
 		t.Error("traffic during the halt must be dropped")
 	}
-	sim.RunFor(ReconfigHalt)
-	if lake.Reconfiguring() {
+	b.sim.RunFor(simhost.ReconfigHalt)
+	if b.Reconfiguring() {
 		t.Error("halt should have ended")
 	}
 	// Software now serves through the NIC bitstream.
-	before := client.Counters.Get("recv")
-	sim.RunFor(50 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-	if client.Counters.Get("recv") == before {
+	before := b.client.Counters.Get("recv")
+	b.sim.RunFor(50 * time.Millisecond)
+	b.client.Stop()
+	b.sim.RunFor(10 * time.Millisecond)
+	if b.client.Counters.Get("recv") == before {
 		t.Error("no service after reconfiguration completed")
 	}
-	if lake.Board().Config().Name != fpga.ReferenceNIC.Name {
-		t.Errorf("board runs %q, want reference NIC", lake.Board().Config().Name)
+	if b.Board().Config().Name != fpga.ReferenceNIC.Name {
+		t.Errorf("board runs %q, want reference NIC", b.Board().Config().Name)
 	}
 }
 
 func TestPartialReconfigReactivation(t *testing.T) {
-	sim, client, lake, _ := strategyRig(t, PartialReconfig)
-	lake.Deactivate()
-	sim.RunFor(100 * time.Millisecond)
-	lake.Activate()
-	if lake.Board().Config().Name != fpga.LaKeDesign.Name {
-		t.Fatal("Activate should reload the LaKe bitstream")
+	b := strategyRig(t, simhost.PartialReconfig)
+	b.shift(t, core.Host)
+	b.sim.RunFor(100 * time.Millisecond)
+	b.shift(t, core.Network)
+	if b.Board().Config().Name != fpga.LaKeDesign.Name {
+		t.Fatal("activation should reload the LaKe bitstream")
 	}
-	if !lake.Reconfiguring() {
+	if !b.Reconfiguring() {
 		t.Fatal("reactivation also halts traffic")
 	}
-	sim.RunFor(100 * time.Millisecond)
-	client.Start(20)
-	sim.RunFor(50 * time.Millisecond)
-	client.Stop()
-	sim.RunFor(10 * time.Millisecond)
-	if lake.HitRatio() == 0 {
-		t.Error("cache should warm after reconfigured activation")
+	b.sim.RunFor(100 * time.Millisecond)
+	b.drive(20, 50*time.Millisecond)
+	if fast, _ := b.Served(); fast == 0 {
+		t.Error("the card should serve after reconfigured activation")
 	}
 }
 
 func TestStrategyString(t *testing.T) {
-	if ParkReset.String() != "park-reset" || KeepWarm.String() != "keep-warm" ||
-		PartialReconfig.String() != "partial-reconfig" {
+	if simhost.ParkReset.String() != "park-reset" || simhost.KeepWarm.String() != "keep-warm" ||
+		simhost.PartialReconfig.String() != "partial-reconfig" {
 		t.Error("IdleStrategy names wrong")
 	}
 }
 
-// Activate on an already-active PartialReconfig card must not halt again.
+// Shifting to the network a service that is already there must not halt
+// a PartialReconfig card again.
 func TestActivateIdempotentNoHalt(t *testing.T) {
-	sim, _, lake, _ := strategyRig(t, PartialReconfig)
-	lake.Activate() // already running the LaKe bitstream
-	if lake.Reconfiguring() {
+	b := strategyRig(t, simhost.PartialReconfig) // already running the LaKe bitstream
+	b.shift(t, core.Network)
+	if b.Reconfiguring() {
 		t.Error("activating an already-loaded design must not halt traffic")
 	}
-	_ = sim
 }

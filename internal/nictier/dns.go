@@ -29,6 +29,7 @@ type DNSTier struct {
 	table  atomic.Pointer[dns.AnswerTable] // nil while parked or unwarmed
 	active atomic.Bool
 	meter  *telemetry.AtomicRateMeter
+	power  cardPower
 
 	counters    *telemetry.AtomicCounters
 	answered    *atomic.Uint64
@@ -46,6 +47,7 @@ func NewDNS(zone *dns.Zone) *DNSTier {
 	return &DNSTier{
 		zone:        zone,
 		meter:       telemetry.NewAtomicRateMeter(meterBucket, meterBuckets),
+		power:       newCardPower(fpga.EmuDNSDesign),
 		counters:    c,
 		answered:    c.Handle("answered"),
 		nxdomain:    c.Handle("nxdomain"),
@@ -77,10 +79,7 @@ func (t *DNSTier) HitRatio() float64 {
 
 // PowerWatts implements Tier.
 func (t *DNSTier) PowerWatts() float64 {
-	if t.active.Load() {
-		return designWatts(fpga.EmuDNSDesign, utilization(t.meter, fpga.EmuDNSDesign.PeakKpps))
-	}
-	return parkedWatts(fpga.EmuDNSDesign)
+	return t.power.watts(t.active.Load(), t.meter)
 }
 
 // Stage implements Tier. The table stays empty until Warm, so queries

@@ -9,18 +9,19 @@
 //     caches, serving single-key memcached GET hits with one parse, one
 //     hash and one lock-free read; writes are write-through-interposed
 //     in place and fall to the host store of record. Nothing on that
-//     path allocates. (The paper's L1/L2 latency figures are modeled
-//     sim-side, in kvs.LaKe.)
+//     path allocates. (The paper's on-chip/off-chip hit times are a
+//     property of the cost model a simulated node carries,
+//     simhost.LaKe, not of a second cache.)
 //   - DNSTier — an Emu-DNS-style answer table (§3.3) synced from the
 //     authoritative zone, answering A/IN queries and NXDOMAIN directly.
 //   - PaxosAcceptorTier — a P4xos-style acceptor (§3.2) that takes a
 //     state handoff of the host role's AcceptorTable and serves
 //     Phase1A/2A, fanning votes out to the learners.
 //
-// Each tier models its card's power draw from the internal/fpga §5
-// component constants (active design watts when serving, the §9.2
-// park-reset draw when idle), so power-aware policies and the /v1 API see
-// a live per-tier wattage.
+// Each tier reports its card's power draw from internal/fpga's board
+// model (the design's watts at the metered utilization when serving, the
+// §9.2 park-reset draw when idle), so power-aware policies and the /v1
+// API see a live per-tier wattage.
 //
 // Service binds a tier to an engine as a core.Service whose Shift
 // performs the §9.2 transition tasks for real: shifting to "network"

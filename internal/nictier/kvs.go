@@ -22,8 +22,9 @@ import (
 // through to the host, with SET/DELETE interposed write-through, in
 // place, so the table never holds a value the store of record does not
 // ("a query is only forwarded to software if there are misses" — here
-// the miss *is* the forward). None of it allocates. (The paper-figure
-// L1/L2 latency model lives sim-side, in kvs.LaKe.)
+// the miss *is* the forward). None of it allocates. (The paper's
+// on-chip/off-chip hit times live in the cost model the simulated node
+// carries, simhost.LaKe.)
 //
 // Coherence contract: the engine must dispatch by key (kvs.ShardByKey),
 // so all operations on one key are serialized by one worker; the table
@@ -40,6 +41,7 @@ type KVSTier struct {
 	bound  int
 	active atomic.Bool
 	meter  *telemetry.AtomicRateMeter
+	power  cardPower
 
 	// The deletion log: while warming, write-through deletes are
 	// recorded so the final warm pass can undo any snapshot install
@@ -57,10 +59,16 @@ type KVSTier struct {
 	warmed                            *atomic.Uint64
 }
 
+// defaultBound is the table's entry bound unless NewKVSSized says
+// otherwise. The real board's DRAM holds 33M value entries
+// (fpga.DRAMValueEntries); a smaller default stays memory-friendly
+// while preserving the hit/miss structure.
+const defaultBound = 1 << 20
+
 // NewKVS returns a LaKe-style tier in front of h's store, sharing h's
 // expiry clock, bounded at the board-default DRAM cache capacity.
 func NewKVS(h *kvs.Handler) *KVSTier {
-	return NewKVSSized(h, 0, kvs.L2DefaultCapacity)
+	return NewKVSSized(h, 0, defaultBound)
 }
 
 // NewKVSSized is NewKVS with an explicit entry bound (<= 0 selects the
@@ -69,7 +77,7 @@ func NewKVS(h *kvs.Handler) *KVSTier {
 // next benchmark PR removes it.
 func NewKVSSized(h *kvs.Handler, _, bound int) *KVSTier {
 	if bound <= 0 {
-		bound = kvs.L2DefaultCapacity
+		bound = defaultBound
 	}
 	c := telemetry.NewAtomicCounters()
 	c.Handle("l1_hit")
@@ -79,6 +87,7 @@ func NewKVSSized(h *kvs.Handler, _, bound int) *KVSTier {
 		cache:       kvs.NewShardedStore(0, bound),
 		bound:       bound,
 		meter:       telemetry.NewAtomicRateMeter(meterBucket, meterBuckets),
+		power:       newCardPower(fpga.LaKeDesign),
 		counters:    c,
 		hits:        c.Handle("l2_hit"),
 		misses:      c.Handle("miss"),
@@ -114,10 +123,7 @@ func (t *KVSTier) HitRatio() float64 {
 // PowerWatts implements Tier: the LaKe design draw while serving, the
 // park-reset draw while idle.
 func (t *KVSTier) PowerWatts() float64 {
-	if t.active.Load() {
-		return designWatts(fpga.LaKeDesign, utilization(t.meter, fpga.LaKeDesign.PeakKpps))
-	}
-	return parkedWatts(fpga.LaKeDesign)
+	return t.power.watts(t.active.Load(), t.meter)
 }
 
 // reset drops the table (a fresh one is a few KB until something is

@@ -12,7 +12,6 @@ import (
 
 	"incod/internal/dataplane"
 	"incod/internal/dns"
-	"incod/internal/fpga"
 	"incod/internal/kvs"
 	"incod/internal/memcache"
 	"incod/internal/nictier"
@@ -360,26 +359,6 @@ func TestPaxosTierHandoff(t *testing.T) {
 	}
 	if _, served, _ := tier.TryHandleDatagram(p1a2, netip.AddrPort{}, &scratch); served {
 		t.Fatal("parked tier must fall through")
-	}
-}
-
-func TestTierPowerModel(t *testing.T) {
-	store := kvs.NewShardedStore(2, 0)
-	tier := nictier.NewKVS(kvs.NewHandler(store))
-	parked := tier.PowerWatts()
-	if err := tier.Stage(); err != nil {
-		t.Fatal(err)
-	}
-	active := tier.PowerWatts()
-	if parked >= active {
-		t.Fatalf("park-reset draw (%.1fW) must be below the active design draw (%.1fW)", parked, active)
-	}
-	if parked < fpga.NICBaseCardWatts {
-		t.Fatalf("parked card still forwards as a NIC: %.1fW < base %.1fW", parked, fpga.NICBaseCardWatts)
-	}
-	// §4.2 anchor: the active LaKe card adds roughly 20 W to the server.
-	if active < 15 || active > 25 {
-		t.Fatalf("active LaKe draw %.1fW implausible vs the ~20W §4.2 anchor", active)
 	}
 }
 

@@ -30,6 +30,7 @@ type PaxosAcceptorTier struct {
 
 	active atomic.Bool
 	meter  *telemetry.AtomicRateMeter
+	power  cardPower
 
 	counters    *telemetry.AtomicCounters
 	phase1      *atomic.Uint64
@@ -49,6 +50,7 @@ func NewPaxosAcceptor(host *paxos.LiveAcceptor) *PaxosAcceptorTier {
 	return &PaxosAcceptorTier{
 		host:        host,
 		meter:       telemetry.NewAtomicRateMeter(meterBucket, meterBuckets),
+		power:       newCardPower(fpga.P4xosDesign),
 		counters:    c,
 		phase1:      c.Handle("phase1"),
 		phase2:      c.Handle("phase2"),
@@ -79,10 +81,7 @@ func (t *PaxosAcceptorTier) HitRatio() float64 {
 
 // PowerWatts implements Tier.
 func (t *PaxosAcceptorTier) PowerWatts() float64 {
-	if t.active.Load() {
-		return designWatts(fpga.P4xosDesign, utilization(t.meter, fpga.P4xosDesign.PeakKpps))
-	}
-	return parkedWatts(fpga.P4xosDesign)
+	return t.power.watts(t.active.Load(), t.meter)
 }
 
 // Stage implements Tier. The tier has no state yet, so consensus traffic

@@ -13,8 +13,9 @@ import (
 // Dataplane is the slice of a serving engine a placement shift drives:
 // install the offload tier on dispatch, drain it back out, and fence
 // in-flight host work. *dataplane.Engine implements it for the live
-// daemons; internal/chaos implements it over the deterministic simnet
-// substrate so the same Service code shifts under fault injection.
+// daemons; simhost.Node implements it over the deterministic simnet
+// substrate, so the same Service code shifts in the paper figures and
+// under chaos fault injection.
 type Dataplane interface {
 	// SetFastPath atomically interposes fp on dispatch (nil clears).
 	SetFastPath(fp dataplane.FastPath)

@@ -49,50 +49,29 @@ const (
 	meterBuckets = 10
 )
 
-// designWatts models the in-server power increment of a board running
-// design c at pipeline utilization util, from the §5 component constants:
-// reference-NIC base, fixed application logic, PEs, external memories,
-// plus the (small, §4.3) dynamic term. This deliberately does not reuse
-// fpga.Board, which is bound to the simulator clock; the two models share
-// the same §5 constants but the board adds sim-time load tracking the
-// wall-clock tiers meter themselves.
-func designWatts(c fpga.Config, util float64) float64 {
-	p := fpga.NICBaseCardWatts + c.LogicFixedWatts + float64(c.NumPEs)*fpga.PEWatts
-	if c.UsesDRAM {
-		p += fpga.DRAMWatts
-	}
-	if c.UsesSRAM {
-		p += fpga.SRAMWatts
-	}
-	if util < 0 {
-		util = 0
-	}
-	if util > 1 {
-		util = 1
-	}
-	return p + c.DynamicWattsMax*util
+// cardPower is a tier's card power model (§5): one fpga.Board
+// programmed with the design and serving, one parked the §9.2 way —
+// module off, memory interfaces in reset, clocks gated, still forwarding
+// as a NIC. Both are built once and never mutated afterwards, because
+// PowerWatts is read concurrently with serving.
+type cardPower struct{ lit, parked *fpga.Board }
+
+func newCardPower(design fpga.Config) cardPower {
+	parked := fpga.NewBoard(design)
+	parked.SetModuleActive(false)
+	parked.SetMemoryReset(true)
+	parked.SetClockGating(true)
+	return cardPower{lit: fpga.NewBoard(design), parked: parked}
 }
 
-// parkedWatts models the same board parked with the paper's chosen idle
-// strategy (§9.2 park-reset): module inactive, external memory interfaces
-// held in reset (saving MemoryResetSaveFraction of their draw), clocks
-// gated. The card keeps forwarding as a NIC, so it never drops below the
-// reference-NIC base.
-func parkedWatts(c fpga.Config) float64 {
-	p := fpga.NICBaseCardWatts + c.LogicFixedWatts + float64(c.NumPEs)*fpga.PEWatts
-	mem := 0.0
-	if c.UsesDRAM {
-		mem += fpga.DRAMWatts
+// watts is the card's in-server power increment right now: the design's
+// draw at the metered utilization while serving, the parked draw while
+// idle.
+func (p cardPower) watts(active bool, meter *telemetry.AtomicRateMeter) float64 {
+	if !active {
+		return p.parked.CardWatts(0)
 	}
-	if c.UsesSRAM {
-		mem += fpga.SRAMWatts
-	}
-	p += mem * (1 - fpga.MemoryResetSaveFraction)
-	p -= fpga.ClockGatingSavesWatts
-	if p < fpga.NICBaseCardWatts {
-		p = fpga.NICBaseCardWatts
-	}
-	return p
+	return p.lit.CardWatts(utilization(meter, p.lit.PeakKpps()))
 }
 
 // utilization is rate/peak clamped to [0,1].

@@ -96,7 +96,7 @@ type role struct {
 	runtime *Runtime
 	rate    *telemetry.RateMeter
 
-	Counters *telemetry.Counters
+	Counters *telemetry.AtomicCounters
 }
 
 func newRole(net *simnet.Network, addr simnet.Addr, rt *Runtime) role {
@@ -106,7 +106,7 @@ func newRole(net *simnet.Network, addr simnet.Addr, rt *Runtime) role {
 		net:      net,
 		runtime:  rt,
 		rate:     telemetry.NewRateMeter(10*time.Millisecond, 100),
-		Counters: telemetry.NewCounters(),
+		Counters: telemetry.NewAtomicCounters(),
 	}
 	if rt.Board != nil {
 		rt.Board.SetLoadFunc(func() float64 {

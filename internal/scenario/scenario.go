@@ -17,6 +17,7 @@ import (
 	"incod/internal/kvs"
 	"incod/internal/paxos"
 	"incod/internal/power"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
 	"incod/internal/trafficgen"
@@ -161,10 +162,6 @@ func Run(s Scenario) (*Result, error) {
 		if err := r.svc.Shift(core.Network); err != nil {
 			return nil, fmt.Errorf("scenario: start placement: %w", err)
 		}
-	} else if s.App != "paxos" { // kvs/dns rigs start active; park them
-		if err := r.svc.Shift(core.Host); err != nil {
-			return nil, fmt.Errorf("scenario: start placement: %w", err)
-		}
 	}
 
 	res := &Result{}
@@ -257,54 +254,27 @@ func appCurve(app string) power.SoftwareCurve {
 func buildRig(s Scenario, sim *simnet.Simulator, net *simnet.Network) (*rig, error) {
 	switch s.App {
 	case "kvs":
-		backend := kvs.NewSoftServer(net, "host", power.MemcachedMellanox)
-		lake := kvs.NewLaKe(net, "lake", backend)
+		m := simhost.LaKe()
 		switch s.Strategy {
 		case "keep-warm":
-			lake.Strategy = kvs.KeepWarm
+			m.Strategy = simhost.KeepWarm
 		case "partial-reconfig":
-			lake.Strategy = kvs.PartialReconfig
+			m.Strategy = simhost.PartialReconfig
 		}
+		lake := simhost.NewKVS(net, "lake", m)
 		client := kvs.NewClient(net, "client", "lake")
 		etc := trafficgen.NewETC(sim.Rand(), uint64(s.Keys))
-		for i := 0; i < s.Keys; i++ {
-			backend.Store().Set(fmt.Sprintf("key-%d", i), kvs.Entry{Value: make([]byte, 64)})
-		}
+		lake.Preload(s.Keys, 64)
 		client.KeyFunc = etc.Keys.Next
-		return &rig{
-			svc:      core.NewKVSService(lake),
-			power:    telemetry.SumPower{backend, lake},
-			rateKpps: lake.RateKpps,
-			hostTele: func() (float64, float64) { return backend.PowerWatts(sim.Now()), backend.Utilization() },
-			setRate:  func(kpps float64) { client.Stop(); client.Start(kpps) },
-			served:   func() uint64 { return client.Counters.Get("recv") },
-			p50: func() time.Duration {
-				d := client.Latency.Median()
-				client.Latency.Reset()
-				return d
-			},
-		}, nil
+		return nodeRig(lake.Node, lake.Service, client.Start, client.Counters, client.Latency), nil
 	case "dns":
 		zone := dns.NewZone()
 		zone.PopulateSequential(s.Keys)
-		backend := dns.NewSoftServer(net, "host", zone)
-		emu := dns.NewEmuDNS(net, "emu", backend)
+		emu := simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())
 		client := dns.NewClient(net, "client", "emu")
 		keys := trafficgen.NewZipfKeys(sim.Rand(), uint64(s.Keys), 1.1)
 		client.NameFunc = func() string { return dns.SequentialName(int(keys.NextIndex())) }
-		return &rig{
-			svc:      core.NewDNSService(emu),
-			power:    telemetry.SumPower{backend, emu},
-			rateKpps: emu.RateKpps,
-			hostTele: func() (float64, float64) { return backend.PowerWatts(sim.Now()), backend.Utilization() },
-			setRate:  func(kpps float64) { client.Stop(); client.Start(kpps) },
-			served:   func() uint64 { return client.Counters.Get("recv") },
-			p50: func() time.Duration {
-				d := client.Latency.Median()
-				client.Latency.Reset()
-				return d
-			},
-		}, nil
+		return nodeRig(emu.Node, emu.Service, client.Start, client.Counters, client.Latency), nil
 	case "paxos":
 		dep := paxos.NewDeployment(net, paxos.Config{})
 		c := dep.Clients[0]
@@ -326,6 +296,25 @@ func buildRig(s Scenario, sim *simnet.Simulator, net *simnet.Network) (*rig, err
 		}, nil
 	}
 	return nil, fmt.Errorf("scenario: unknown app %q", s.App)
+}
+
+// nodeRig wires a simulated card-and-host and its load client into the
+// runner.
+func nodeRig(n *simhost.Node, svc core.Service, setRate func(kpps float64),
+	counters *telemetry.AtomicCounters, latency *telemetry.Histogram) *rig {
+	return &rig{
+		svc:      svc,
+		power:    n,
+		rateKpps: n.RateKpps,
+		hostTele: func() (float64, float64) { return n.HostWatts(), n.HostUtilization() },
+		setRate:  setRate, // a client's Start replaces its running stream
+		served:   func() uint64 { return counters.Get("recv") },
+		p50: func() time.Duration {
+			d := latency.Median()
+			latency.Reset()
+			return d
+		},
+	}
 }
 
 // CSV renders the result timeline.

@@ -1,0 +1,231 @@
+// Package simhost is the simulated serving node: the live handlers and
+// offload tiers of the daemons — kvs.Handler, dns.Handler, the paxos
+// roles, nictier's fast paths — served on simnet's virtual clock under a
+// real nictier.Service. It is the second substrate of the one stack: the
+// chaos harness runs it bare, and the paper figures attach a Model to
+// it, the calibrated cost of the card and host it stands for.
+package simhost
+
+import (
+	"net/netip"
+	"time"
+
+	"incod/internal/dataplane"
+	"incod/internal/fpga"
+	"incod/internal/nictier"
+	"incod/internal/simnet"
+	"incod/internal/telemetry"
+)
+
+// Node is a serving engine on the simulated network: it receives
+// datagrams as a simnet.Node, dispatches them through the same core the
+// live dataplane engine uses — installed fast path first, host handler
+// for everything unserved — and sends non-empty replies back to the
+// packet source. It implements nictier.Dataplane, so a real
+// nictier.Service drives placement shifts on it unmodified.
+//
+// With a zero window every datagram is handled at delivery time (the
+// single-datagram path). With a nonzero window, deliveries queue and
+// flush together after the window elapses, exercising the batched
+// TryHandleBatch/HandleBatch path; Barrier flushes synchronously, which
+// is exactly the pre-warm fence the shift sequence needs.
+//
+// With a Model the node is the paper's card-and-host: each reply is
+// delayed by the service time of whoever served it, card-observed and
+// host-served rates are metered on the virtual clock, the host sheds
+// load beyond its peak, an fpga.Board follows the placement and the idle
+// strategy, and the node is a telemetry.PowerSource. Without one it
+// costs nothing and answers at once.
+//
+// Everything runs inside the single-threaded simulation loop, so no
+// locking is needed — but replies must be copied before Send, because
+// handlers reuse their scratch buffers while simnet defers delivery.
+type Node struct {
+	sim  *simnet.Simulator
+	net  *simnet.Network
+	addr simnet.Addr
+
+	disp   dataplane.Dispatcher
+	fp     dataplane.FastPath
+	window time.Duration
+
+	pending []*simnet.Packet
+	armed   bool // a flush is scheduled
+
+	scratch    []byte
+	items      []dataplane.BatchItem
+	itemPtrs   []*dataplane.BatchItem
+	hostPtrs   []*dataplane.BatchItem
+	scratches  [][]byte
+	fastServed uint64
+	hostServed uint64
+
+	// The cost model and what it drives; all unused when m is nil.
+	m         *Model
+	board     *fpga.Board
+	cardRate  *telemetry.RateMeter // what the card's classifier sees
+	hostRate  *telemetry.RateMeter // what reaches the host software
+	haltUntil simnet.Time          // end of a partial-reconfiguration halt
+	shed      uint64
+	halted    uint64
+
+	// CardLatency and HostLatency record the modeled service time of
+	// every request the card and the host served.
+	CardLatency *telemetry.Histogram
+	HostLatency *telemetry.Histogram
+}
+
+var _ simnet.Node = (*Node)(nil)
+var _ nictier.Dataplane = (*Node)(nil)
+var _ telemetry.PowerSource = (*Node)(nil)
+
+// NewNode attaches a node at addr serving host, with deliveries batched
+// over window (0 = single-datagram dispatch), under cost model m (nil =
+// none). The card starts parked: the host serves everything until a
+// fast path is installed.
+func NewNode(net *simnet.Network, addr simnet.Addr, host dataplane.Handler, window time.Duration, m *Model) *Node {
+	n := &Node{sim: net.Sim(), net: net, addr: addr, disp: dataplane.NewDispatcher(host), window: window, m: m}
+	if m != nil {
+		n.board = fpga.NewBoard(m.Design)
+		n.cardRate = telemetry.NewRateMeter(10*time.Millisecond, 100)
+		n.hostRate = telemetry.NewRateMeter(10*time.Millisecond, 100)
+		n.CardLatency = telemetry.NewHistogram()
+		n.HostLatency = telemetry.NewHistogram()
+		n.park()
+		n.haltUntil = 0 // booted parked, not reconfigured into it
+	}
+	net.Attach(n)
+	return n
+}
+
+// Addr implements simnet.Node.
+func (n *Node) Addr() simnet.Addr { return n.addr }
+
+// Served reports how many datagrams the fast path consumed and how many
+// reached the host handler.
+func (n *Node) Served() (fast, host uint64) { return n.fastServed, n.hostServed }
+
+// SetFastPath implements nictier.Dataplane. The simulation loop is
+// single-threaded, so installation is trivially atomic with dispatch.
+func (n *Node) SetFastPath(fp dataplane.FastPath) {
+	if fp == nil {
+		n.ClearFastPath()
+		return
+	}
+	n.fp = fp
+	if n.m != nil {
+		n.light()
+	}
+}
+
+// ClearFastPath implements nictier.Dataplane. No call can be inside the
+// tier when it returns — dispatch and this call share the event loop.
+func (n *Node) ClearFastPath() {
+	n.fp = nil
+	if n.m != nil {
+		n.park()
+	}
+}
+
+// Barrier implements nictier.Dataplane: every datagram delivered before
+// the call has fully landed once the pending batch is flushed.
+func (n *Node) Barrier() { n.flush() }
+
+// Receive implements simnet.Node.
+func (n *Node) Receive(pkt *simnet.Packet) {
+	if n.m == nil {
+		n.deliver(pkt)
+		return
+	}
+	now := n.sim.Now()
+	if now < n.haltUntil {
+		// Partial reconfiguration halts the whole card (§9.2).
+		n.halted++
+		return
+	}
+	n.cardRate.Add(now, 1)
+	if n.fp != nil {
+		n.deliver(pkt)
+		return
+	}
+	// Module parked: the card is a plain NIC in front of the host, which
+	// saturates at its peak and sheds the excess (§4.2).
+	n.sim.Schedule(n.m.Passthrough, func() {
+		peak := n.m.Curve.PeakKpps
+		if rate := n.HostRateKpps(); rate > peak && peak > 0 && n.sim.Rand().Float64() > peak/rate {
+			n.shed++
+			return
+		}
+		n.deliver(pkt)
+	})
+}
+
+// deliver handles pkt now, or queues it for the window's flush.
+func (n *Node) deliver(pkt *simnet.Packet) {
+	if n.window <= 0 {
+		out, offloaded := n.disp.One(n.fp, pkt.Payload, netip.AddrPort{}, &n.scratch)
+		n.reply(pkt, out, offloaded)
+		return
+	}
+	n.pending = append(n.pending, pkt)
+	if !n.armed {
+		n.armed = true
+		n.sim.Schedule(n.window, n.flush)
+	}
+}
+
+// flush runs the batched dispatch over every pending delivery; replies
+// go out in arrival order.
+func (n *Node) flush() {
+	n.armed = false
+	batch := n.pending
+	n.pending = n.pending[:0]
+	if len(batch) == 0 {
+		return
+	}
+	c := len(batch)
+	if cap(n.items) < c {
+		n.items = make([]dataplane.BatchItem, c)
+		n.itemPtrs = make([]*dataplane.BatchItem, c)
+		n.scratches = make([][]byte, c)
+	}
+	items, ptrs := n.items[:c], n.itemPtrs[:c]
+	for i, pkt := range batch {
+		items[i] = dataplane.BatchItem{In: pkt.Payload, Scratch: &n.scratches[i]}
+		ptrs[i] = &items[i]
+	}
+	n.hostPtrs = n.disp.Batch(n.fp, ptrs, n.hostPtrs)
+	for i, pkt := range batch {
+		n.reply(pkt, items[i].Out, items[i].Served)
+	}
+}
+
+// reply accounts one dispatched request and sends out (if any) back to
+// its source after the server's modeled service time. out is copied:
+// handlers reuse scratch, delivery is deferred.
+func (n *Node) reply(req *simnet.Packet, out []byte, offloaded bool) {
+	if offloaded {
+		n.fastServed++
+	} else {
+		n.hostServed++
+	}
+	var after time.Duration
+	if n.m != nil {
+		after = n.serviceTime(req.Payload, offloaded)
+	}
+	if len(out) == 0 {
+		return
+	}
+	pkt := &simnet.Packet{
+		Src:     n.addr,
+		Dst:     req.Src,
+		SrcPort: req.DstPort,
+		DstPort: req.SrcPort,
+		Payload: append([]byte(nil), out...),
+	}
+	if n.m == nil {
+		n.net.Send(pkt)
+		return
+	}
+	n.sim.Schedule(after, func() { n.net.Send(pkt) })
+}

@@ -1,12 +1,11 @@
 package telemetry
 
-// The sim-time instruments in this package (Counters, RateMeter,
-// Histogram) are single-threaded by contract: the discrete-event
-// simulator that drives them never runs two events at once. The live
-// daemons' sharded dataplane does, so the Atomic* variants below restate
-// the two hot-path instruments over atomics. The split is deliberate —
-// the sim-time types stay allocation- and synchronization-free, and the
-// live types carry no virtual clock.
+// The sim-time instruments in this package (RateMeter, Histogram) are
+// single-threaded by contract: the discrete-event simulator that drives
+// them never runs two events at once. The live daemons' sharded
+// dataplane does, so AtomicRateMeter restates the rate meter over
+// atomics and carries no virtual clock. Counters come in one form only:
+// AtomicCounters counts for both worlds.
 
 import (
 	"fmt"
@@ -16,8 +15,9 @@ import (
 	"time"
 )
 
-// AtomicCounters is the concurrent counterpart of Counters: a named
-// counter set safe for use from many dataplane workers at once. Hot paths
+// AtomicCounters is a named counter set, safe for use from many
+// dataplane workers at once and cheap enough for the single-threaded
+// simulator's clients and roles. Hot paths
 // should resolve a *atomic.Uint64 once via Handle and increment that
 // directly; Inc takes a read lock to find the counter.
 type AtomicCounters struct {
