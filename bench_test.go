@@ -550,7 +550,7 @@ func BenchmarkAblationPaxosTimeout(b *testing.B) {
 func measureShiftStall(timeout time.Duration) float64 {
 	sim := simnet.New(7)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	dep := paxos.NewDeployment(net, paxos.Config{NumClients: 4})
+	dep := simhost.NewPaxos(net, simhost.PaxosConfig{Clients: 4})
 	for _, c := range dep.Clients {
 		c.RetryTimeout = timeout
 		c.StartClosedLoop(1)
@@ -562,7 +562,7 @@ func measureShiftStall(timeout time.Duration) float64 {
 	const interval = 10 * time.Millisecond
 	for t := time.Duration(0); t < 2*time.Second; t += interval {
 		sim.RunFor(interval)
-		decided := dep.Learner.Counters.Get("decided")
+		decided := dep.Learner.StatsCounters().Get("decided")
 		rate := float64(decided - last)
 		last = decided
 		if sim.Now() <= simnet.Time(time.Second) {

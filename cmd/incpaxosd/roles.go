@@ -17,8 +17,8 @@ import (
 )
 
 // The protocol logic lives in internal/paxos (LiveAcceptor, LiveLeader,
-// LiveLearner); this file only wires sockets, senders and the dataplane
-// engine around it.
+// LiveLearner — the same roles internal/simhost runs in simulation); this
+// file only wires sockets, senders and the dataplane engine around it.
 
 func listen(addr string) net.PacketConn {
 	conn, err := net.ListenPacket("udp", addr)

@@ -12,25 +12,24 @@ import (
 	"time"
 
 	"incod/internal/core"
-	"incod/internal/paxos"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
 func main() {
 	sim := simnet.New(99)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	dep := paxos.NewDeployment(net, paxos.Config{NumClients: 4})
+	dep := simhost.NewPaxos(net, simhost.PaxosConfig{Clients: 4})
 	for _, c := range dep.Clients {
 		c.RetryTimeout = 100 * time.Millisecond
 	}
 
-	// Drive the shift through the Service abstraction: the leader
-	// election is the §9.2 transition task and can fail.
-	svc := core.NewPaxosService(dep)
+	// Drive the shift through the Service abstraction (the deployment
+	// is a core.Service): the leader election is the §9.2 transition task.
 	shift := func(to core.Placement) func() {
 		return func() {
-			cost := svc.TransitionCost(to)
-			if err := svc.Shift(to); err != nil {
+			cost := dep.TransitionCost(to)
+			if err := core.Service(dep).Shift(to); err != nil {
 				log.Printf("shift to %s failed: %v", to, err)
 				return
 			}
@@ -48,7 +47,7 @@ func main() {
 	var last uint64
 	for t := 0; t < 50; t++ {
 		sim.RunFor(100 * time.Millisecond)
-		decided := dep.Learner.Counters.Get("decided")
+		decided := dep.Learner.StatsCounters().Get("decided")
 		med := dep.Clients[0].Latency.Median()
 		dep.Clients[0].Latency.Reset()
 		leader := "software"
@@ -65,5 +64,5 @@ func main() {
 	}
 	sim.RunFor(time.Second)
 	fmt.Printf("\ndecided instances: %d, remaining gaps: %d, no-op fills: %d\n",
-		dep.Learner.DecidedCount(), len(dep.Learner.Gaps()), dep.Learner.Counters.Get("noop"))
+		dep.Learner.DecidedCount(), len(dep.Learner.Gaps()), dep.Learner.StatsCounters().Get("noop"))
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"incod/internal/telemetry"
 )
@@ -36,7 +37,10 @@ func TestPropertiesQuickSweep(t *testing.T) {
 }
 
 // TestSameSeedSameTrace is the replay guarantee: identical (seed,
-// property) pairs produce identical order-sensitive trace hashes.
+// property) pairs produce identical order-sensitive trace hashes, and the
+// identical packet trace to the last line — the hash is taken where the
+// workload ends, the trace also covers what a property does afterwards
+// (the Paxos retention audit).
 func TestSameSeedSameTrace(t *testing.T) {
 	for _, p := range Properties() {
 		if p.Name == "controller-no-flap" {
@@ -44,8 +48,9 @@ func TestSameSeedSameTrace(t *testing.T) {
 		}
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			h1, err1 := p.Run(7, Config{Quick: true})
-			h2, err2 := p.Run(7, Config{Quick: true})
+			var t1, t2 strings.Builder
+			h1, err1 := p.Run(7, Config{Quick: true, Trace: &t1})
+			h2, err2 := p.Run(7, Config{Quick: true, Trace: &t2})
 			if err1 != nil || err2 != nil {
 				t.Fatalf("runs errored: %v, %v", err1, err2)
 			}
@@ -55,7 +60,30 @@ func TestSameSeedSameTrace(t *testing.T) {
 			if h1 == 0 {
 				t.Fatal("trace hash 0: no packet events folded in")
 			}
+			if a, b := t1.String(), t2.String(); a != b {
+				l1, l2 := strings.Split(a, "\n"), strings.Split(b, "\n")
+				for i := 0; i < len(l1) && i < len(l2); i++ {
+					if l1[i] != l2[i] {
+						t.Fatalf("same seed, traces differ from line %d of %d:\n%s\n%s", i+1, len(l1), l1[i], l2[i])
+					}
+				}
+				t.Fatalf("same seed, traces differ in length: %d vs %d lines", len(l1), len(l2))
+			}
 		})
+	}
+}
+
+// TestVoteAuditBites hands the tier an empty table instead of the host's
+// (the host role forgets its votes just before an up-shift): the property
+// must report the lost votes.
+func TestVoteAuditBites(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		_, err := paxosVoteSafety(seed, Config{Quick: true}, func(st *PaxosStack) {
+			st.Sim.Schedule(2400*time.Microsecond, func() { st.Acceptors[0].BeginHandoff(nil) })
+		})
+		if err == nil {
+			t.Errorf("seed %d: acceptor 0 lost every vote across a handoff and the property held", seed)
+		}
 	}
 }
 

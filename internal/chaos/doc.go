@@ -28,7 +28,9 @@
 // run asserting against an in-process oracle:
 //
 //   - paxos-vote-safety: no acceptor vote is lost or doubled across
-//     placement shifts, including a tier crash between stage and flip.
+//     placement shifts, including a tier crash between stage and flip,
+//     and no two learners and no client learn different values for an
+//     instance (the consensus deployment is simhost.NewPaxos, run bare).
 //   - batch-equivalence: batched serving answers byte-identically to the
 //     single-datagram path, for KVS and DNS, host and tier alike.
 //   - migration-correctness: zero wrong answers from KVS/DNS while the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"slices"
 	"time"
 
 	"incod/internal/core"
@@ -179,19 +181,18 @@ func scheduleServing(sim *simnet.Simulator, orch *daemon.Orchestrator, tier *Cra
 	return stops, crash
 }
 
-// runKVSServing drives a faulted KVS workload and byte-compares every
-// reply against the fault-free single-datagram oracle.
-func runKVSServing(seed int64, cfg Config, o servingOpts) (uint64, error) {
-	st := NewKVSStack(seed, StackConfig{
-		Link:        simnet.LinkConfig{Delay: 2 * time.Microsecond},
-		Faults:      o.faults,
-		BatchWindow: o.window,
-		Trace:       cfg.Trace,
-	}, o.preload)
-	r := st.Sim.Rand()
+// servingApp is what differs between the KVS and the DNS serving runs.
+type servingApp struct {
+	name   string
+	stack  func(seed int64, cfg StackConfig, n int) *ServingStack
+	oracle func(n int) *Oracle
+	// request draws request i of the workload.
+	request func(r *rand.Rand, o servingOpts, i int) ([]byte, error)
+	replyID func([]byte) (uint16, bool)
+}
 
-	reqs := make([][]byte, o.requests)
-	for i := range reqs {
+var kvsApp = servingApp{"kvs", NewKVSStack, NewKVSOracle,
+	func(r *rand.Rand, o servingOpts, i int) ([]byte, error) {
 		var req memcache.Request
 		switch draw := r.Float64(); {
 		case o.mutate && draw < 0.25:
@@ -203,37 +204,23 @@ func runKVSServing(seed int64, cfg Config, o servingOpts) (uint64, error) {
 		default:
 			req = memcache.Request{Op: memcache.OpGet, Key: chaosKey(r.Intn(o.preload))}
 		}
-		reqs[i] = memcache.EncodeFrame(memcache.Frame{RequestID: uint16(i), Total: 1},
-			memcache.EncodeRequest(req))
-	}
+		return memcache.EncodeFrame(memcache.Frame{RequestID: uint16(i), Total: 1},
+			memcache.EncodeRequest(req)), nil
+	}, kvsReplyID}
 
-	rec := &replyRecorder{address: "client", decode: kvsReplyID}
-	st.Net.Attach(rec)
-	for i := range reqs {
-		i := i
-		st.Sim.Schedule(time.Duration(i+1)*o.spacing, func() {
-			st.Net.Send(&simnet.Packet{Src: rec.address, Dst: ServerAddr, Payload: reqs[i]})
-		})
-	}
-	stops, crash := scheduleServing(st.Sim, st.Orch, st.Tier, "kvs", o, []func(){st.StopTick})
-	runAndDrain(st.Sim, o.total(), stops...)
-
-	hash := st.Net.TraceHash()
-	if err := verifyReplies(rec.replies, reqs, NewKVSOracle(o.preload), o.expectAll); err != nil {
-		return hash, err
-	}
-	if crash != nil {
-		status, _ := st.Orch.Status("kvs")
-		if err := crash.verify(o.watchEvery, status.Placement); err != nil {
-			return hash, err
+var dnsApp = servingApp{"dns", NewDNSStack, NewDNSOracle,
+	func(r *rand.Rand, o servingOpts, i int) ([]byte, error) {
+		name := dns.SequentialName(r.Intn(o.preload))
+		if o.mutate && r.Float64() < 0.3 {
+			name = fmt.Sprintf("missing%d.example.com", r.Intn(16))
 		}
-	}
-	return hash, nil
-}
+		return dns.Encode(dns.NewQuery(uint16(i), name))
+	}, dnsReplyID}
 
-// runDNSServing is the DNS twin of runKVSServing.
-func runDNSServing(seed int64, cfg Config, o servingOpts) (uint64, error) {
-	st := NewDNSStack(seed, StackConfig{
+// runServing drives a faulted KVS or DNS workload and byte-compares
+// every reply against the fault-free single-datagram oracle.
+func runServing(app servingApp, seed int64, cfg Config, o servingOpts) (uint64, error) {
+	st := app.stack(seed, StackConfig{
 		Link:        simnet.LinkConfig{Delay: 2 * time.Microsecond},
 		Faults:      o.faults,
 		BatchWindow: o.window,
@@ -243,18 +230,13 @@ func runDNSServing(seed int64, cfg Config, o servingOpts) (uint64, error) {
 
 	reqs := make([][]byte, o.requests)
 	for i := range reqs {
-		name := dns.SequentialName(r.Intn(o.preload))
-		if o.mutate && r.Float64() < 0.3 {
-			name = fmt.Sprintf("missing%d.example.com", r.Intn(16))
+		var err error
+		if reqs[i], err = app.request(r, o, i); err != nil {
+			return 0, fmt.Errorf("encode request: %w", err)
 		}
-		q, err := dns.Encode(dns.NewQuery(uint16(i), name))
-		if err != nil {
-			return 0, fmt.Errorf("encode query: %w", err)
-		}
-		reqs[i] = q
 	}
 
-	rec := &replyRecorder{address: "client", decode: dnsReplyID}
+	rec := &replyRecorder{address: "client", decode: app.replyID}
 	st.Net.Attach(rec)
 	for i := range reqs {
 		i := i
@@ -262,15 +244,15 @@ func runDNSServing(seed int64, cfg Config, o servingOpts) (uint64, error) {
 			st.Net.Send(&simnet.Packet{Src: rec.address, Dst: ServerAddr, Payload: reqs[i]})
 		})
 	}
-	stops, crash := scheduleServing(st.Sim, st.Orch, st.Tier, "dns", o, []func(){st.StopTick})
+	stops, crash := scheduleServing(st.Sim, st.Orch, st.Tier, app.name, o, []func(){st.StopTick})
 	runAndDrain(st.Sim, o.total(), stops...)
 
 	hash := st.Net.TraceHash()
-	if err := verifyReplies(rec.replies, reqs, NewDNSOracle(o.preload), o.expectAll); err != nil {
+	if err := verifyReplies(rec.replies, reqs, app.oracle(o.preload), o.expectAll); err != nil {
 		return hash, err
 	}
 	if crash != nil {
-		status, _ := st.Orch.Status("dns")
+		status, _ := st.Orch.Status(app.name)
 		if err := crash.verify(o.watchEvery, status.Placement); err != nil {
 			return hash, err
 		}
@@ -282,8 +264,15 @@ func runDNSServing(seed int64, cfg Config, o servingOpts) (uint64, error) {
 
 // runPaxosVoteSafety shifts the acceptor tier up and down — including a
 // crash between stage and flip — under loss, duplication and reordering,
-// and asserts no acceptor vote is ever lost or doubled.
+// and asserts that no acceptor vote is ever lost or doubled and that no
+// two learners and no client ever learn different values for an instance.
 func runPaxosVoteSafety(seed int64, cfg Config) (uint64, error) {
+	return paxosVoteSafety(seed, cfg, nil)
+}
+
+// paxosVoteSafety is the property with an optional sabotage of the stack
+// before the run, for the test that shows the audit still bites.
+func paxosVoteSafety(seed int64, cfg Config, sabotage func(*PaxosStack)) (uint64, error) {
 	plan := simnet.FaultPlan{Default: simnet.Faults{
 		LossRate:      0.05,
 		DupRate:       0.10,
@@ -333,10 +322,53 @@ func runPaxosVoteSafety(seed int64, cfg Config) (uint64, error) {
 			}
 		})
 	}
+	if sabotage != nil {
+		sabotage(st)
+	}
 
 	total := time.Duration(toggles)*time.Millisecond + 2*time.Millisecond
-	st.RunAndDrain(total)
+	runAndDrain(st.Sim, total, st.stops...)
 	hash := st.Net.TraceHash()
+
+	// Retention audit: park the tier for good, then replay a poisoned 2A
+	// (same ballot, different value) at every instance acceptor 0 voted
+	// on, in instance order. The acceptor answers with the vote it holds;
+	// any other reply means the vote was lost across the shifts (and the
+	// auditor sees the poisoned ballot carry a second value).
+	st.Tier.Restart()
+	if err := st.Orch.Pin("paxos", core.Host); err != nil {
+		return hash, fmt.Errorf("final pin to host: %w", err)
+	}
+	var insts []uint64
+	for k := range st.Audit.votes {
+		if k.Node == 0 {
+			insts = append(insts, k.Instance)
+		}
+	}
+	slices.Sort(insts)
+	var scratch []byte
+	for _, inst := range insts {
+		vote := st.Audit.votes[voteKey{0, inst}]
+		poison := paxos.Encode(paxos.Msg{
+			Type:     paxos.MsgPhase2A,
+			Instance: inst,
+			Ballot:   vote.VBallot,
+			Value:    []byte("poison"),
+		})
+		out, ok := st.Acceptors[0].HandleDatagram(poison, &scratch)
+		if !ok {
+			return hash, fmt.Errorf("instance %d: vote lost (no reply to re-vote probe)", inst)
+		}
+		var v paxos.MsgView
+		if err := paxos.DecodeView(out, &v); err != nil || v.Type != paxos.MsgPhase2B {
+			return hash, fmt.Errorf("instance %d: unexpected probe reply", inst)
+		}
+		if !bytes.Equal(v.Value, vote.Value) || v.VBallot != vote.VBallot {
+			return hash, fmt.Errorf("instance %d: vote lost: probe answered (b%d %q), voted (b%d %q)",
+				inst, v.VBallot, v.Value, vote.VBallot, vote.Value)
+		}
+	}
+	st.Sim.Run() // land the probes' re-votes: the checks below see the trace at rest
 
 	if len(st.Audit.Conflicts) > 0 {
 		return hash, fmt.Errorf("doubled vote: %s", st.Audit.Conflicts[0])
@@ -355,34 +387,21 @@ func runPaxosVoteSafety(seed int64, cfg Config) (uint64, error) {
 	if st.Learner.DecidedCount() == 0 {
 		return hash, fmt.Errorf("nothing decided in the whole run")
 	}
-
-	// Retention audit: park the tier for good, then replay a poisoned 2A
-	// (same ballot, different value) at every instance acceptor 0 voted
-	// on. The settled-vote contract answers with the ORIGINAL value; any
-	// other reply means the vote was lost across the shifts.
-	st.Tier.Restart()
-	if err := st.Orch.Pin("paxos", core.Host); err != nil {
-		return hash, fmt.Errorf("final pin to host: %w", err)
-	}
-	var scratch []byte
-	for inst, vote := range st.Audit.Votes(0) {
-		poison := paxos.Encode(paxos.Msg{
-			Type:     paxos.MsgPhase2A,
-			Instance: inst,
-			Ballot:   vote.VBallot,
-			Value:    []byte("poison"),
-		})
-		out, ok := st.Acceptors[0].HandleDatagram(poison, &scratch)
-		if !ok {
-			return hash, fmt.Errorf("instance %d: vote lost (no reply to re-vote probe)", inst)
+	// Agreement: whatever two learners, or a learner and a client, each
+	// learned for an instance is one value.
+	highest := max(st.Learners[0].Highest(), st.Learners[1].Highest())
+	for inst := uint64(1); inst <= highest; inst++ {
+		v0, ok0 := st.Learners[0].Decided(inst)
+		v1, ok1 := st.Learners[1].Decided(inst)
+		if ok0 && ok1 && !bytes.Equal(v0, v1) {
+			return hash, fmt.Errorf("learners disagree on instance %d: %q vs %q", inst, v0, v1)
 		}
-		var v paxos.MsgView
-		if err := paxos.DecodeView(out, &v); err != nil || v.Type != paxos.MsgPhase2B {
-			return hash, fmt.Errorf("instance %d: unexpected probe reply", inst)
-		}
-		if !bytes.Equal(v.Value, vote.Value) || v.VBallot != vote.VBallot {
-			return hash, fmt.Errorf("instance %d: vote lost: probe answered (b%d %q), voted (b%d %q)",
-				inst, v.VBallot, v.Value, vote.VBallot, vote.Value)
+		for _, cl := range st.Clients {
+			told, ok := cl.ByInstance[inst]
+			if ok && (ok0 && !bytes.Equal(told, v0) || ok1 && !bytes.Equal(told, v1)) {
+				return hash, fmt.Errorf("client %d was told %q for instance %d, learners learned %q, %q",
+					cl.ID, told, inst, v0, v1)
+			}
 		}
 	}
 	return hash, nil
@@ -409,13 +428,13 @@ func runBatchEquivalence(seed int64, cfg Config) (uint64, error) {
 	}
 	kvsOpts := base
 	kvsOpts.preload = 48
-	h1, err := runKVSServing(seed, cfg, kvsOpts)
+	h1, err := runServing(kvsApp, seed, cfg, kvsOpts)
 	if err != nil {
 		return h1, fmt.Errorf("kvs: %w", err)
 	}
 	dnsOpts := base
 	dnsOpts.preload = 48
-	h2, err := runDNSServing(seed+seedStride, cfg, dnsOpts)
+	h2, err := runServing(dnsApp, seed+seedStride, cfg, dnsOpts)
 	if err != nil {
 		return mix(h1, h2), fmt.Errorf("dns: %w", err)
 	}
@@ -444,13 +463,13 @@ func runMigrationCorrectness(seed int64, cfg Config) (uint64, error) {
 	}
 	kvsOpts := base
 	kvsOpts.preload = 64
-	h1, err := runKVSServing(seed, cfg, kvsOpts)
+	h1, err := runServing(kvsApp, seed, cfg, kvsOpts)
 	if err != nil {
 		return h1, fmt.Errorf("kvs: %w", err)
 	}
 	dnsOpts := base
 	dnsOpts.preload = 48
-	h2, err := runDNSServing(seed+seedStride, cfg, dnsOpts)
+	h2, err := runServing(dnsApp, seed+seedStride, cfg, dnsOpts)
 	if err != nil {
 		return mix(h1, h2), fmt.Errorf("dns: %w", err)
 	}
@@ -536,5 +555,5 @@ func runCrashFailback(seed int64, cfg Config) (uint64, error) {
 	// comes first so it is part of the seed's deterministic prefix.
 	span := time.Duration(requests) * spacing
 	o.crashAt = span/4 + time.Duration(simnet.New(seed+1).Rand().Int63n(int64(span/2)))
-	return runKVSServing(seed, cfg, o)
+	return runServing(kvsApp, seed, cfg, o)
 }

@@ -40,14 +40,20 @@ type StackConfig struct {
 	Trace io.Writer
 }
 
-// attachTrace installs a line-per-event tracer when w is set.
-func attachTrace(net *simnet.Network, w io.Writer) {
-	if w == nil {
+// attachTrace installs a line-per-event tracer when w is set, and shows
+// every datagram to sent (if set) as it enters the network.
+func attachTrace(net *simnet.Network, w io.Writer, sent func(payload []byte)) {
+	if w == nil && sent == nil {
 		return
 	}
 	net.SetTracer(func(kind string, at simnet.Time, src, dst simnet.Addr, payload []byte) {
-		fmt.Fprintf(w, "%12v %-14s %s -> %s  %d bytes\n",
-			time.Duration(at), kind, src, dst, len(payload))
+		if sent != nil && kind == simnet.TraceSend {
+			sent(payload)
+		}
+		if w != nil {
+			fmt.Fprintf(w, "%12v %-14s %s -> %s  %d bytes\n",
+				time.Duration(at), kind, src, dst, len(payload))
+		}
 	})
 }
 
@@ -91,89 +97,61 @@ func preloadKVS(store *kvs.ShardedStore, n int) {
 	}
 }
 
-// --- KVS ------------------------------------------------------------------
+// --- KVS and DNS ----------------------------------------------------------
 
-// KVSStack is a live kvs.Handler with its LaKe offload tier behind a
+// ServingStack is a live host handler with its offload tier behind a
 // CrashableTier, served by a simhost.Node and placed by a real
 // orchestrator, all on one simulated network.
-type KVSStack struct {
+type ServingStack struct {
 	Sim      *simnet.Simulator
 	Net      *simnet.Network
-	Store    *kvs.ShardedStore
-	Handler  *kvs.Handler
 	Tier     *CrashableTier
 	Node     *simhost.Node
 	Orch     *daemon.Orchestrator
 	StopTick func()
 }
 
-// NewKVSStack wires the stack up with n preloaded entries. Placement
+// newServingStack wires h and its tier up as service name. Placement
 // starts on the host.
-func NewKVSStack(seed int64, cfg StackConfig, n int) *KVSStack {
+func newServingStack(seed int64, cfg StackConfig, name string, h dataplane.Handler, tier nictier.Tier) *ServingStack {
 	sim := simnet.New(seed)
 	net := simnet.NewNetwork(sim, cfg.Link)
 	net.SetFaultPlan(cfg.Faults)
-	attachTrace(net, cfg.Trace)
-	store := kvs.NewShardedStore(1, 1<<15)
-	preloadKVS(store, n)
-	h := kvs.NewHandler(store)
-	// The board-default tier: its table holds memory only for what it
-	// caches, so a stack build and a Park reset cost microseconds, and
-	// no property relies on the tier evicting.
-	tier := NewCrashableTier(nictier.NewKVS(h))
-	node := simhost.NewNode(net, ServerAddr, h, cfg.BatchWindow, nil)
-	orch := daemon.NewOrchestrator(0)
-	if _, err := orch.Register("kvs", daemon.ServiceConfig{
-		Service: nictier.NewService("kvs", node, tier),
+	attachTrace(net, cfg.Trace, nil)
+	s := &ServingStack{Sim: sim, Net: net, Tier: NewCrashableTier(tier), Orch: daemon.NewOrchestrator(0)}
+	s.Node = simhost.NewNode(net, ServerAddr, h, cfg.BatchWindow, nil)
+	if _, err := s.Orch.Register(name, daemon.ServiceConfig{
+		Service: nictier.NewService(name, s.Node, s.Tier),
 		Policy:  cfg.Policy,
 	}); err != nil {
 		panic(err) // static wiring; cannot fail
 	}
-	return &KVSStack{
-		Sim: sim, Net: net, Store: store, Handler: h, Tier: tier,
-		Node: node, Orch: orch,
-		StopTick: driveOrchestrator(sim, orch, cfg.tickEvery()),
-	}
+	s.StopTick = driveOrchestrator(sim, s.Orch, cfg.tickEvery())
+	return s
 }
 
-// --- DNS ------------------------------------------------------------------
-
-// DNSStack is the Emu-DNS equivalent of KVSStack: a populated zone, its
-// host handler and offload tier on the simulated network.
-type DNSStack struct {
-	Sim      *simnet.Simulator
-	Net      *simnet.Network
-	Zone     *dns.Zone
-	Handler  *dns.Handler
-	Tier     *CrashableTier
-	Node     *simhost.Node
-	Orch     *daemon.Orchestrator
-	StopTick func()
+// kvsHandler is the memcached host software over n preloaded entries.
+func kvsHandler(n int) *kvs.Handler {
+	store := kvs.NewShardedStore(1, 1<<15)
+	preloadKVS(store, n)
+	return kvs.NewHandler(store)
 }
 
-// NewDNSStack wires the stack up with n sequentially-populated names.
-func NewDNSStack(seed int64, cfg StackConfig, n int) *DNSStack {
-	sim := simnet.New(seed)
-	net := simnet.NewNetwork(sim, cfg.Link)
-	net.SetFaultPlan(cfg.Faults)
-	attachTrace(net, cfg.Trace)
+// NewKVSStack is the KVS stack with n preloaded entries: kvs.Handler and
+// the board-default LaKe tier, whose table holds memory only for what it
+// caches, so a stack build and a Park reset cost microseconds, and no
+// property relies on the tier evicting.
+func NewKVSStack(seed int64, cfg StackConfig, n int) *ServingStack {
+	h := kvsHandler(n)
+	return newServingStack(seed, cfg, "kvs", h, nictier.NewKVS(h))
+}
+
+// NewDNSStack is the Emu-DNS stack: a zone of n sequentially populated
+// names, its host handler and its answer-table tier.
+func NewDNSStack(seed int64, cfg StackConfig, n int) *ServingStack {
 	zone := dns.NewZone()
 	zone.PopulateSequential(n)
-	h := dns.NewHandler(zone)
-	tier := NewCrashableTier(nictier.NewDNS(zone))
-	node := simhost.NewNode(net, ServerAddr, h, cfg.BatchWindow, nil)
-	orch := daemon.NewOrchestrator(0)
-	if _, err := orch.Register("dns", daemon.ServiceConfig{
-		Service: nictier.NewService("dns", node, tier),
-		Policy:  cfg.Policy,
-	}); err != nil {
-		panic(err)
-	}
-	return &DNSStack{
-		Sim: sim, Net: net, Zone: zone, Handler: h, Tier: tier,
-		Node: node, Orch: orch,
-		StopTick: driveOrchestrator(sim, orch, cfg.tickEvery()),
-	}
+	return newServingStack(seed, cfg, "dns", dns.NewHandler(zone), nictier.NewDNS(zone))
 }
 
 // --- Oracle ---------------------------------------------------------------
@@ -189,9 +167,7 @@ type Oracle struct {
 
 // NewKVSOracle replicates a KVS stack preloaded with n entries.
 func NewKVSOracle(n int) *Oracle {
-	store := kvs.NewShardedStore(1, 1<<15)
-	preloadKVS(store, n)
-	return &Oracle{h: kvs.NewHandler(store), memo: make(map[uint16][]byte)}
+	return &Oracle{h: kvsHandler(n), memo: make(map[uint16][]byte)}
 }
 
 // NewDNSOracle replicates a DNS stack populated with n names.
@@ -223,30 +199,6 @@ func (o *Oracle) ReplyID(id uint16, req []byte) []byte {
 
 // --- Paxos ----------------------------------------------------------------
 
-// PaxosAddrs names the fixed consensus topology.
-var (
-	LeaderAddr  = simnet.Addr("leader")
-	LearnerAddr = simnet.Addr("learner")
-)
-
-// AcceptorAddr returns acceptor i's address ("server" for acceptor 0,
-// which carries the offload tier and the orchestrator).
-func AcceptorAddr(i int) simnet.Addr {
-	if i == 0 {
-		return ServerAddr
-	}
-	return simnet.Addr(fmt.Sprintf("acceptor-%d", i))
-}
-
-// netSender adapts the network to paxos.Sender for a node at from. Each
-// message is freshly encoded, so deferred delivery never aliases a
-// reused buffer.
-func netSender(net *simnet.Network, from simnet.Addr) paxos.Sender {
-	return func(to string, m paxos.Msg) {
-		net.Send(&simnet.Packet{Src: from, Dst: simnet.Addr(to), Payload: paxos.Encode(m)})
-	}
-}
-
 // voteKey identifies one acceptor's vote slot.
 type voteKey struct {
 	Node     uint16
@@ -259,64 +211,67 @@ type Vote struct {
 	Value   []byte
 }
 
-// VoteAuditor observes every Phase2B fanned out to the learners — the
-// host role and the offload tier share the acceptor's Sender, so
-// wrapping it sees votes from both substrates. A second 2B for the same
-// (acceptor, instance) with a different ballot or value is a doubled
-// vote: the safety violation a botched state handoff would produce.
+// VoteAuditor observes every Phase2B any acceptor puts on the wire — to
+// learners and proposer, from the host role and the offload tier alike —
+// and holds the stream to the protocol's own rule: an acceptor never
+// casts a new vote below one it already cast, and one (instance, ballot)
+// carries one value, whichever acceptor votes it. A promised overwrite
+// at a higher ballot is legal, and so is sending an earlier vote again (a
+// duplicate, as the network makes them); a tier or host that forgot a
+// vote across a handoff and votes anew is not.
 type VoteAuditor struct {
-	votes     map[voteKey]Vote
+	votes     map[voteKey]Vote     // the highest vote each acceptor cast
+	cast      map[[3]uint64]bool   // (acceptor, instance, ballot) voted
+	ballots   map[[2]uint64][]byte // (instance, ballot) -> the value it carries
 	Conflicts []string
 }
 
 // NewVoteAuditor returns an empty auditor.
 func NewVoteAuditor() *VoteAuditor {
-	return &VoteAuditor{votes: make(map[voteKey]Vote)}
+	return &VoteAuditor{votes: make(map[voteKey]Vote), cast: make(map[[3]uint64]bool),
+		ballots: make(map[[2]uint64][]byte)}
 }
 
-// Wrap interposes the auditor on send.
-func (a *VoteAuditor) Wrap(send paxos.Sender) paxos.Sender {
-	return func(to string, m paxos.Msg) {
-		if m.Type == paxos.MsgPhase2B {
-			a.record(m)
-		}
-		send(to, m)
-	}
-}
-
-func (a *VoteAuditor) record(m paxos.Msg) {
-	k := voteKey{m.NodeID, m.Instance}
-	prev, seen := a.votes[k]
-	if !seen {
-		a.votes[k] = Vote{VBallot: m.VBallot, Value: append([]byte(nil), m.Value...)}
+// observe folds in one datagram as it is sent.
+func (a *VoteAuditor) observe(payload []byte) {
+	var m paxos.MsgView
+	if paxos.DecodeView(payload, &m) != nil || m.Type != paxos.MsgPhase2B {
 		return
 	}
-	if prev.VBallot != m.VBallot || !bytes.Equal(prev.Value, m.Value) {
+	b := [2]uint64{m.Instance, uint64(m.VBallot)}
+	if carried, ok := a.ballots[b]; !ok {
+		a.ballots[b] = append([]byte(nil), m.Value...)
+	} else if !bytes.Equal(carried, m.Value) {
 		a.Conflicts = append(a.Conflicts, fmt.Sprintf(
-			"acceptor %d instance %d voted (b%d %q) then (b%d %q)",
+			"instance %d ballot %d carries %q and, from acceptor %d, %q",
+			m.Instance, m.VBallot, carried, m.NodeID, m.Value))
+		return
+	}
+	c := [3]uint64{uint64(m.NodeID), m.Instance, uint64(m.VBallot)}
+	if a.cast[c] {
+		return // the same vote again
+	}
+	a.cast[c] = true
+	k := voteKey{m.NodeID, m.Instance}
+	if prev, seen := a.votes[k]; seen && m.VBallot < prev.VBallot {
+		a.Conflicts = append(a.Conflicts, fmt.Sprintf(
+			"acceptor %d instance %d voted (b%d %q) then anew (b%d %q)",
 			k.Node, k.Instance, prev.VBallot, prev.Value, m.VBallot, m.Value))
+		return
 	}
+	a.votes[k] = Vote{VBallot: m.VBallot, Value: a.ballots[b]}
 }
 
-// Votes returns the recorded votes of one acceptor, keyed by instance.
-func (a *VoteAuditor) Votes(node uint16) map[uint64]Vote {
-	out := make(map[uint64]Vote)
-	for k, v := range a.votes {
-		if k.Node == node {
-			out[k.Instance] = v
-		}
-	}
-	return out
-}
-
-// PaxosClient proposes values and records learned decisions, flagging
-// any sequence decided twice with different values.
+// PaxosClient proposes values and records the decisions it is told, by
+// sequence and by instance, flagging any it is told twice differently.
 type PaxosClient struct {
-	ID        uint16
-	addr      simnet.Addr
-	net       *simnet.Network
-	Decided   map[uint64][]byte
-	Conflicts []string
+	ID         uint16
+	addr       simnet.Addr
+	leader     simnet.Addr
+	net        *simnet.Network
+	Decided    map[uint64][]byte
+	ByInstance map[uint64][]byte
+	Conflicts  []string
 }
 
 // Addr implements simnet.Node.
@@ -328,19 +283,23 @@ func (c *PaxosClient) Receive(pkt *simnet.Packet) {
 	if paxos.DecodeView(pkt.Payload, &v) != nil || v.Type != paxos.MsgDecision {
 		return
 	}
-	if prev, ok := c.Decided[v.Seq]; ok {
-		if !bytes.Equal(prev, v.Value) {
-			c.Conflicts = append(c.Conflicts, fmt.Sprintf(
-				"client %d seq %d decided %q then %q", c.ID, v.Seq, prev, v.Value))
-		}
-		return
+	value := append([]byte(nil), v.Value...)
+	c.record("seq", c.Decided, v.Seq, value)
+	c.record("instance", c.ByInstance, v.Instance, value)
+}
+
+func (c *PaxosClient) record(what string, told map[uint64][]byte, key uint64, value []byte) {
+	if prev, ok := told[key]; !ok {
+		told[key] = value
+	} else if !bytes.Equal(prev, value) {
+		c.Conflicts = append(c.Conflicts, fmt.Sprintf(
+			"client %d %s %d decided %q then %q", c.ID, what, key, prev, value))
 	}
-	c.Decided[v.Seq] = append([]byte(nil), v.Value...)
 }
 
 // Propose submits value under seq to the leader.
 func (c *PaxosClient) Propose(seq uint64, value []byte) {
-	c.net.Send(&simnet.Packet{Src: c.addr, Dst: LeaderAddr, Payload: paxos.Encode(paxos.Msg{
+	c.net.Send(&simnet.Packet{Src: c.addr, Dst: c.leader, Payload: paxos.Encode(paxos.Msg{
 		Type:       paxos.MsgClientRequest,
 		ClientID:   c.ID,
 		Seq:        seq,
@@ -349,21 +308,18 @@ func (c *PaxosClient) Propose(seq uint64, value []byte) {
 	})})
 }
 
-// PaxosStack is a full consensus deployment on the simulated network:
-// one leader, three acceptors (acceptor 0 carrying the P4xos offload
-// tier and its orchestrator), one learner, and auditing of every vote.
+// PaxosStack is simhost's consensus deployment run bare — the leader,
+// three acceptors and two learners that each hear every acceptor — with
+// acceptor 0 carrying the P4xos offload tier and its orchestrator, and
+// every vote on the wire audited.
 type PaxosStack struct {
-	Sim       *simnet.Simulator
-	Net       *simnet.Network
-	Leader    *paxos.LiveLeader
-	Learner   *paxos.LiveLearner
-	Acceptors [3]*paxos.LiveAcceptor
-	Tier      *CrashableTier
-	Node      *simhost.Node // acceptor 0's serving node
-	Orch      *daemon.Orchestrator
-	Audit     *VoteAuditor
-	Clients   []*PaxosClient
-	stops     []func()
+	*simhost.Paxos
+	Sim     *simnet.Simulator
+	Tier    *CrashableTier
+	Orch    *daemon.Orchestrator
+	Audit   *VoteAuditor
+	Clients []*PaxosClient
+	stops   []func() // the periodic drivers: orchestrator ticks, gap scans
 }
 
 // NewPaxosStack wires the deployment up with nclients proposers.
@@ -373,58 +329,33 @@ func NewPaxosStack(seed int64, cfg StackConfig, nclients int) *PaxosStack {
 	sim := simnet.New(seed)
 	net := simnet.NewNetwork(sim, cfg.Link)
 	net.SetFaultPlan(cfg.Faults)
-	attachTrace(net, cfg.Trace)
-	s := &PaxosStack{Sim: sim, Net: net, Audit: NewVoteAuditor()}
-
-	acceptorNames := make([]string, 3)
-	for i := range acceptorNames {
-		acceptorNames[i] = string(AcceptorAddr(i))
-	}
-	s.Leader = paxos.NewLiveLeader(1, acceptorNames, netSender(net, LeaderAddr))
-	simhost.NewNode(net, LeaderAddr, s.Leader, 0, nil)
-
-	s.Learner = paxos.NewLiveLearner(2, string(LeaderAddr), netSender(net, LearnerAddr))
-	simhost.NewNode(net, LearnerAddr, s.Learner, 0, nil)
-
-	for i := 0; i < 3; i++ {
-		addr := AcceptorAddr(i)
-		s.Acceptors[i] = paxos.NewLiveAcceptor(uint16(i), []string{string(LearnerAddr)},
-			s.Audit.Wrap(netSender(net, addr)))
-	}
+	s := &PaxosStack{Sim: sim, Audit: NewVoteAuditor()}
+	attachTrace(net, cfg.Trace, s.Audit.observe)
+	s.Paxos = simhost.NewPaxos(net, simhost.PaxosConfig{
+		Learners: 2, Bare: true, Window: cfg.BatchWindow, GapTimeout: 500 * time.Microsecond,
+	})
 	// Acceptor 0 is the managed service: offload tier + orchestrator.
-	s.Tier = NewCrashableTier(nictier.NewPaxosAcceptor(s.Acceptors[0]))
-	s.Node = simhost.NewNode(net, ServerAddr, s.Acceptors[0], cfg.BatchWindow, nil)
-	for i := 1; i < 3; i++ {
-		simhost.NewNode(net, AcceptorAddr(i), s.Acceptors[i], 0, nil)
-	}
-
+	s.Tier = NewCrashableTier(nictier.NewPaxosAcceptor(s.Acceptors[0].LiveAcceptor))
 	s.Orch = daemon.NewOrchestrator(0)
 	if _, err := s.Orch.Register("paxos", daemon.ServiceConfig{
-		Service: nictier.NewService("paxos", s.Node, s.Tier),
+		Service: nictier.NewService("paxos", s.Acceptors[0].Node, s.Tier),
 		Policy:  cfg.Policy,
 	}); err != nil {
 		panic(err)
 	}
-	s.stops = append(s.stops, driveOrchestrator(sim, s.Orch, cfg.tickEvery()))
-	// §9.2 gap recovery on the virtual clock.
-	s.stops = append(s.stops, sim.Every(500*time.Microsecond, s.Learner.ScanGaps))
+	s.stops = []func(){driveOrchestrator(sim, s.Orch, cfg.tickEvery()), s.Paxos.Stop}
 
 	for c := 0; c < nclients; c++ {
 		cl := &PaxosClient{
-			ID:      uint16(c + 1),
-			addr:    simnet.Addr(fmt.Sprintf("client-%d", c)),
-			net:     net,
-			Decided: make(map[uint64][]byte),
+			ID:         uint16(c + 1),
+			addr:       simnet.Addr(fmt.Sprintf("client-%d", c)),
+			leader:     s.SWLeader.Addr(),
+			net:        net,
+			Decided:    make(map[uint64][]byte),
+			ByInstance: make(map[uint64][]byte),
 		}
 		net.Attach(cl)
 		s.Clients = append(s.Clients, cl)
 	}
 	return s
-}
-
-// RunAndDrain advances the stack d of virtual time, then stops the
-// periodic drivers and drains in-flight packets.
-func (s *PaxosStack) RunAndDrain(d time.Duration) {
-	runAndDrain(s.Sim, d, s.stops...)
-	s.stops = nil
 }

@@ -8,7 +8,6 @@ import (
 	"incod/internal/core"
 	"incod/internal/dns"
 	"incod/internal/kvs"
-	"incod/internal/paxos"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
@@ -135,10 +134,10 @@ func TestDNSOnDemand(t *testing.T) {
 func TestPaxosOnDemandLeaderShift(t *testing.T) {
 	sim := simnet.New(24)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	dep := paxos.NewDeployment(net, paxos.Config{})
+	dep := simhost.NewPaxos(net, simhost.PaxosConfig{Clients: 1})
 	c := dep.Clients[0]
 	c.RetryTimeout = 100 * time.Millisecond
-	svc := core.NewPaxosService(dep)
+	var svc core.Service = dep
 	if svc.Placement() != core.Host {
 		t.Fatal("paxos starts in software")
 	}

@@ -6,9 +6,10 @@
 // The control plane is built from three first-class abstractions:
 //
 //   - Service: a workload that can run on either substrate, with a
-//     fallible Shift (the §9.2 transition tasks — Paxos leader election,
-//     LaKe cache activation, DNS zone sync — can fail) and an optional
-//     TransitionCost hook.
+//     fallible Shift (the §9.2 transition tasks can fail) and an optional
+//     TransitionCost hook. The tasks live with what they move, not here:
+//     nictier.Service (LaKe cache activation, DNS zone sync, acceptor
+//     state handoff), simhost.Paxos (leader election).
 //
 //   - Policy: a pluggable placement decision rule (Observe(Sample)
 //     Decision). ThresholdPolicy is the §9.1 network-controlled kernel

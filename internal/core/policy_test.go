@@ -164,7 +164,3 @@ func TestControllerRetriesFailedShift(t *testing.T) {
 	}
 	ctl.Stop()
 }
-
-// The Paxos adapter advertises its §9.2 transition task (the KVS and DNS
-// service is nictier.Service, which asserts the same over there).
-var _ CostReporter = (*PaxosService)(nil)

@@ -3,7 +3,7 @@ package experiments
 import (
 	"time"
 
-	"incod/internal/paxos"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
@@ -30,7 +30,7 @@ type Fig7Result struct {
 func RunFig7() *Fig7Result {
 	sim := simnet.New(77)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	dep := paxos.NewDeployment(net, paxos.Config{NumClients: 4})
+	dep := simhost.NewPaxos(net, simhost.PaxosConfig{Clients: 4})
 	for _, c := range dep.Clients {
 		c.RetryTimeout = 100 * time.Millisecond
 	}
@@ -44,7 +44,7 @@ func RunFig7() *Fig7Result {
 
 	shifts := []struct {
 		at time.Duration
-		to *paxos.Leader
+		to *simhost.PaxosLeader
 	}{
 		{1500 * time.Millisecond, dep.HWLeader},
 		{3500 * time.Millisecond, dep.SWLeader},
@@ -69,7 +69,7 @@ func RunFig7() *Fig7Result {
 	)
 	for now := time.Duration(0); now < 5*time.Second; now += interval {
 		sim.RunFor(interval)
-		decided := dep.Learner.Counters.Get("decided")
+		decided := dep.Learner.StatsCounters().Get("decided")
 		kpps := float64(decided-lastDecided) / interval.Seconds() / 1000
 		lastDecided = decided
 		med := c.Latency.Median()

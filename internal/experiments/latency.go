@@ -7,7 +7,6 @@ import (
 	"incod/internal/core"
 	"incod/internal/dns"
 	"incod/internal/kvs"
-	"incod/internal/paxos"
 	"incod/internal/placement"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
@@ -79,7 +78,7 @@ func latencyTable() *Table {
 	{
 		sim := simnet.New(953)
 		net := simnet.NewNetwork(sim, simnet.TenGigE)
-		dep := paxos.NewDeployment(net, paxos.Config{})
+		dep := simhost.NewPaxos(net, simhost.PaxosConfig{Clients: 1})
 		c := dep.Clients[0]
 		c.Start(5)
 		sim.RunFor(time.Second)

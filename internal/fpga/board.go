@@ -22,9 +22,6 @@ package fpga
 import (
 	"math"
 	"time"
-
-	"incod/internal/simnet"
-	"incod/internal/telemetry"
 )
 
 // Component power constants (watts). See package comment for provenance.
@@ -129,7 +126,7 @@ var (
 
 // Board is a NetFPGA SUME card programmed with one design. Its power is a
 // function of its configuration state (active PEs, gating, memory reset)
-// and the current offered load, provided by a load function.
+// and the offered load the caller reports.
 type Board struct {
 	cfg Config
 	// Standalone adds the host-less overhead (own PSU, §4.3).
@@ -141,9 +138,6 @@ type Board struct {
 	// moduleActive is false when the design is held inactive and the
 	// board serves as a plain NIC (the §9.2 idle strategy).
 	moduleActive bool
-
-	// loadFn returns current load as a fraction of PeakKpps; may be nil.
-	loadFn func() float64
 }
 
 // NewBoard programs a board with cfg; the design starts active with all
@@ -170,10 +164,6 @@ func (b *Board) Reprogram(cfg Config) {
 
 // SetStandalone marks the board as host-less (adds PSU overhead).
 func (b *Board) SetStandalone(v bool) { b.standalone = v }
-
-// SetLoadFunc installs the function reporting offered load (fraction of
-// the design's peak rate).
-func (b *Board) SetLoadFunc(fn func() float64) { b.loadFn = fn }
 
 // SetClockGating enables or disables clock gating of the logic module and
 // PEs (§5.1).
@@ -269,18 +259,6 @@ func (b *Board) CardWatts(load float64) float64 {
 	}
 	return w
 }
-
-// PowerWatts implements telemetry.PowerSource using the installed load
-// function (zero load if none).
-func (b *Board) PowerWatts(simnet.Time) float64 {
-	var load float64
-	if b.loadFn != nil {
-		load = b.loadFn()
-	}
-	return b.CardWatts(load)
-}
-
-var _ telemetry.PowerSource = (*Board)(nil)
 
 // Memory access latencies for the on-board memories, used by LaKe's
 // latency model (§5.3: on-chip hits stay under 1.4 µs end to end; DRAM

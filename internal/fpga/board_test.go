@@ -185,17 +185,6 @@ func TestScaledConfig(t *testing.T) {
 	}
 }
 
-func TestLoadFuncAndPowerSource(t *testing.T) {
-	b := NewBoard(P4xosDesign)
-	if b.PowerWatts(0) != b.CardWatts(0) {
-		t.Error("no load func should mean zero load")
-	}
-	b.SetLoadFunc(func() float64 { return 1 })
-	if b.PowerWatts(0) != b.CardWatts(1) {
-		t.Error("PowerWatts should use the installed load func")
-	}
-}
-
 // Property: power is monotone in load and never below the NIC base.
 func TestBoardPowerProperty(t *testing.T) {
 	f := func(load8 uint8, pes uint8, gate, reset, active bool) bool {

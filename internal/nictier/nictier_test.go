@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -359,6 +360,90 @@ func TestPaxosTierHandoff(t *testing.T) {
 	}
 	if _, served, _ := tier.TryHandleDatagram(p1a2, netip.AddrPort{}, &scratch); served {
 		t.Fatal("parked tier must fall through")
+	}
+}
+
+// A promised overwrite on a settled instance works wherever the table
+// lives: on the tier, and when the promise was made on the host and the
+// handoff happens before the promised 2A arrives. The lookaside must miss
+// from the promise until the overwrite republishes it, on both sides of
+// the Clone. Readers keep re-voting throughout; run under -race.
+func TestPaxosTierPromisedOverwrite(t *testing.T) {
+	for _, promiseOnHost := range []bool{false, true} {
+		host := paxos.NewLiveAcceptor(3, []string{"learner-1"}, func(string, paxos.Msg) {})
+		tier := nictier.NewPaxosAcceptor(host)
+		scratch := make([]byte, 0, 4096)
+		onHost := func(m paxos.Msg) paxos.Msg {
+			t.Helper()
+			out, ok := host.HandleDatagram(paxos.Encode(m), &scratch)
+			reply, err := paxos.Decode(out)
+			if !ok || err != nil {
+				t.Fatalf("host gave no reply to %v (%v)", m.Type, err)
+			}
+			return reply
+		}
+		onTier := func(m paxos.Msg) paxos.Msg {
+			t.Helper()
+			out, served, _ := tier.TryHandleDatagram(paxos.Encode(m), netip.AddrPort{}, &scratch)
+			reply, err := paxos.Decode(out)
+			if !served || err != nil {
+				t.Fatalf("tier did not serve %v (%v)", m.Type, err)
+			}
+			return reply
+		}
+		prepare := paxos.Msg{Type: paxos.MsgPhase1A, Instance: 5, Ballot: 2}
+		dup := paxos.Msg{Type: paxos.MsgPhase2A, Instance: 5, Ballot: 1, Value: []byte("dup")}
+
+		onHost(paxos.Msg{Type: paxos.MsgPhase2A, Instance: 5, Ballot: 1, Value: []byte("X")})
+		if promiseOnHost {
+			onHost(prepare)
+		}
+		if err := tier.Stage(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tier.Warm(); err != nil {
+			t.Fatal(err)
+		}
+
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				in, buf := paxos.Encode(dup), make([]byte, 0, 1024)
+				for !stop.Load() {
+					out, served, _ := tier.TryHandleDatagram(in, netip.AddrPort{}, &buf)
+					var v paxos.MsgView
+					if !served || paxos.DecodeView(out, &v) != nil ||
+						!(v.VBallot == 1 && string(v.Value) == "X" || v.VBallot == 2 && string(v.Value) == "Y") {
+						t.Errorf("re-vote answered %+v", v)
+						return
+					}
+				}
+			}()
+		}
+		if !promiseOnHost {
+			if m := onTier(prepare); m.VBallot != 1 || string(m.Value) != "X" {
+				t.Fatalf("tier promise: %+v", m)
+			}
+		}
+		if m := onTier(paxos.Msg{Type: paxos.MsgPhase2A, Instance: 5, Ballot: 2, Value: []byte("Y")}); m.Type != paxos.MsgPhase2B || m.VBallot != 2 || string(m.Value) != "Y" {
+			t.Fatalf("promiseOnHost=%v: promised 2A did not overwrite on the tier: %+v", promiseOnHost, m)
+		}
+		if m := onTier(dup); m.VBallot != 2 || string(m.Value) != "Y" {
+			t.Fatalf("overwrite not republished on the tier: %+v", m)
+		}
+		stop.Store(true)
+		wg.Wait()
+
+		// The overwrite survives the handback.
+		if err := tier.Park(); err != nil {
+			t.Fatal(err)
+		}
+		if m := onHost(dup); m.VBallot != 2 || string(m.Value) != "Y" {
+			t.Fatalf("handback lost the overwrite: %+v", m)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package nictier
 
 import (
 	"net/netip"
-	"sync"
 	"sync/atomic"
 
 	"incod/internal/dataplane"
@@ -12,21 +11,18 @@ import (
 )
 
 // PaxosAcceptorTier is the P4xos-style fast path (§3.2): the acceptor
-// role served from "NIC memory". Warm takes a state handoff of the host
+// role served from "NIC memory". The card runs the same role as the host
+// — a second paxos.LiveAcceptor with the host's identity, learners and
+// sender — and what moves is the state: Warm takes a handoff of the host
 // role's AcceptorTable (every promise and vote made on the host is in
-// the table the tier serves from); until the down-shift hands it back,
+// the table the card serves from); until the down-shift hands it back,
 // the host role delegates stragglers here, so exactly one copy of the
-// acceptor state ever answers. Messages other than Phase1A/2A fall
-// through to the host handler.
+// acceptor state ever answers. A parked card holds no state and lets
+// consensus traffic fall through to the host; messages other than
+// Phase1A/2A always do.
 type PaxosAcceptorTier struct {
-	host *paxos.LiveAcceptor
-
-	// mu serializes mutating table accesses (ProcessView, delegated
-	// processing) and the Warm/Park swaps; the pointer itself is atomic so
-	// the lock-free settled-vote pre-pass can read it without the lock.
-	// Nil while parked.
-	mu    sync.Mutex
-	table atomic.Pointer[paxos.AcceptorTable]
+	host, card *paxos.LiveAcceptor
+	warm       bool // the card holds the state; Warm/Park are serialized by the Service
 
 	active atomic.Bool
 	meter  *telemetry.AtomicRateMeter
@@ -39,16 +35,21 @@ type PaxosAcceptorTier struct {
 	handedOff   *atomic.Uint64
 }
 
-var _ paxos.AcceptorDelegate = (*PaxosAcceptorTier)(nil)
 var _ dataplane.FastPath = (*PaxosAcceptorTier)(nil)
 var _ dataplane.BatchFastPath = (*PaxosAcceptorTier)(nil)
 
+// noState is what a parked card delegates to: nothing is answered, so the
+// datagram falls through to the host (or, for a straggler the host sent
+// over in the instant of a handback, is dropped — proposers retry).
+var noState = dataplane.HandlerFunc(func([]byte, *[]byte) ([]byte, bool) { return nil, false })
+
 // NewPaxosAcceptor returns a tier that can take over host's acceptor
-// state. Vote fan-out reuses the host role's learner list and sender.
+// state.
 func NewPaxosAcceptor(host *paxos.LiveAcceptor) *PaxosAcceptorTier {
 	c := telemetry.NewAtomicCounters()
-	return &PaxosAcceptorTier{
+	t := &PaxosAcceptorTier{
 		host:        host,
+		card:        paxos.NewLiveAcceptor(host.ID(), host.Learners(), host.Sender()),
 		meter:       telemetry.NewAtomicRateMeter(meterBucket, meterBuckets),
 		power:       newCardPower(fpga.P4xosDesign),
 		counters:    c,
@@ -57,6 +58,8 @@ func NewPaxosAcceptor(host *paxos.LiveAcceptor) *PaxosAcceptorTier {
 		passthrough: c.Handle("passthrough"),
 		handedOff:   c.Handle("handoff_instances"),
 	}
+	t.card.BeginHandoff(noState)
+	return t
 }
 
 // Name implements Tier.
@@ -84,7 +87,7 @@ func (t *PaxosAcceptorTier) PowerWatts() float64 {
 	return t.power.watts(t.active.Load(), t.meter)
 }
 
-// Stage implements Tier. The tier has no state yet, so consensus traffic
+// Stage implements Tier. The card has no state yet, so consensus traffic
 // keeps falling through to the host role until Warm hands it over.
 func (t *PaxosAcceptorTier) Stage() error {
 	t.active.Store(true)
@@ -93,16 +96,13 @@ func (t *PaxosAcceptorTier) Stage() error {
 
 // Warm implements Tier: the acceptor state handoff. The host role
 // surrenders its table (serialized with its in-flight processing) and
-// starts delegating stragglers here; the tier installs a deep copy — the
+// starts delegating stragglers here; the card installs a deep copy — the
 // modeled DMA into NIC memory.
 func (t *PaxosAcceptorTier) Warm() error {
-	moved := t.host.BeginHandoff(t)
-	clone := moved.Clone()
-	instances := clone.Instances() // before publishing: workers own it after
-	t.mu.Lock()
-	t.table.Store(clone)
-	t.mu.Unlock()
-	t.handedOff.Store(uint64(instances))
+	clone := t.host.BeginHandoff(t).Clone()
+	t.handedOff.Store(uint64(clone.Instances())) // before publishing: workers own it after
+	t.card.EndHandoff(clone)
+	t.warm = true
 	return nil
 }
 
@@ -110,192 +110,87 @@ func (t *PaxosAcceptorTier) Warm() error {
 // after the fast path has been drained; a straggler delegated in the
 // instant between the detach and the reattach is dropped (UDP loss
 // semantics — proposers retry), never answered from a stale copy. The
-// table moves back by reference — the tier holds the only live copy at
+// table moves back by reference — the card holds the only live copy at
 // this point, and cloning here would only widen the drop window.
 func (t *PaxosAcceptorTier) Park() error {
 	t.active.Store(false)
-	t.mu.Lock()
-	table := t.table.Load()
-	t.table.Store(nil)
-	t.mu.Unlock()
+	var table *paxos.AcceptorTable // nil after a failed up-shift: the host kept its own
+	if t.warm {
+		table, t.warm = t.card.BeginHandoff(noState), false
+	}
 	t.host.EndHandoff(table)
 	return nil
 }
 
-// ProcessDelegated implements paxos.AcceptorDelegate: a straggler that
-// reached the host role after the handoff lands on the tier's copy of
-// the state. Called with the host role's mutex held (lock order: role,
-// then tier).
-func (t *PaxosAcceptorTier) ProcessDelegated(m paxos.Msg) (paxos.Msg, bool) {
-	t.mu.Lock()
-	tab := t.table.Load()
-	if tab == nil {
-		t.mu.Unlock()
-		return paxos.Msg{}, false
-	}
-	resp, vote, ok := tab.Process(m, t.host.ID())
-	t.mu.Unlock()
-	return t.finish(m.Type, resp, vote, ok)
+// consensus reports whether in is for an acceptor (a Phase1A or 2A).
+func consensus(in []byte) bool {
+	return len(in) > 0 && (paxos.MsgType(in[0]) == paxos.MsgPhase1A || paxos.MsgType(in[0]) == paxos.MsgPhase2A)
 }
 
-// finish counts a processed message and fans a vote out to the learners.
-func (t *PaxosAcceptorTier) finish(typ paxos.MsgType, resp paxos.Msg, vote, ok bool) (paxos.Msg, bool) {
-	if !ok {
-		return paxos.Msg{}, false
-	}
-	switch typ {
-	case paxos.MsgPhase1A:
-		t.phase1.Add(1)
-	case paxos.MsgPhase2A:
-		t.phase2.Add(1)
-	}
-	if vote {
-		send := t.host.Sender()
-		for _, l := range t.host.Learners() {
-			send(l, resp)
-		}
-	}
-	return resp, true
+// HandleDatagram is what the host role delegates to during a handoff: a
+// straggler that reached it after the flip lands on the card's copy of
+// the state. Called with the host role's mutex held (lock order: host
+// role, then card).
+func (t *PaxosAcceptorTier) HandleDatagram(in []byte, scratch *[]byte) ([]byte, bool) {
+	out, served, _ := t.TryHandleDatagram(in, netip.AddrPort{}, scratch)
+	return out, served
 }
 
-// TryHandleDatagram implements dataplane.FastPath. Like the host role,
-// the steady-state promise and re-vote paths decode a view over the
-// datagram, touch only retained table state and encode into the scratch
-// buffer — no heap allocation.
+// TryHandleDatagram implements dataplane.FastPath: consensus messages go
+// to the card's role — the same zero-allocation promise and re-vote
+// paths as on the host — and whatever it does not answer falls through.
 func (t *PaxosAcceptorTier) TryHandleDatagram(in []byte, _ netip.AddrPort, scratch *[]byte) ([]byte, bool, bool) {
-	var v paxos.MsgView
-	if paxos.DecodeView(in, &v) != nil {
-		t.passthrough.Add(1)
-		return nil, false, false
-	}
-	if v.Type != paxos.MsgPhase1A && v.Type != paxos.MsgPhase2A {
+	if !consensus(in) {
 		t.passthrough.Add(1)
 		return nil, false, false
 	}
 	t.meter.Add(1)
-	// Lock-free pre-pass: a re-vote for a settled instance is answered
-	// straight from the table's published lookaside without the tier lock
-	// (the settled vote is immutable, so a stale table generation still
-	// answers correctly — see LiveAcceptor.table).
-	if v.Type == paxos.MsgPhase2A {
-		if tab := t.table.Load(); tab != nil {
-			if resp, ok := tab.TryVote(&v, t.host.ID()); ok {
-				resp, _ = t.finish(v.Type, resp, true, true)
-				*scratch = paxos.AppendMsg((*scratch)[:0], resp)
-				return *scratch, true, true
-			}
-		}
+	out, ok := t.card.HandleDatagram(in, scratch)
+	if !ok {
+		return nil, false, false // malformed, or the host still owns the state
 	}
-	t.mu.Lock()
-	tab := t.table.Load()
-	if tab == nil {
-		t.mu.Unlock()
-		// Not yet warmed: the host role still owns the state.
-		return nil, false, false
+	if paxos.MsgType(in[0]) == paxos.MsgPhase1A {
+		t.phase1.Add(1)
+	} else {
+		t.phase2.Add(1)
 	}
-	resp, vote, ok := tab.ProcessView(&v, t.host.ID())
-	t.mu.Unlock()
-	if resp, ok = t.finish(v.Type, resp, vote, ok); !ok {
-		return nil, false, false
-	}
-	*scratch = paxos.AppendMsg((*scratch)[:0], resp)
-	return *scratch, true, true
+	return out, true, true
 }
 
-// TryHandleBatch implements dataplane.BatchFastPath: the whole chunk of
-// consensus messages is processed under one acquisition of the tier's
-// lock — the per-batch epoch check is the same table-nil test the single
-// path does per datagram — with fan-out and reply encoding after the
-// lock is released, exactly like the batch form of the host role.
+// TryHandleBatch implements dataplane.BatchFastPath: the batch's
+// consensus messages go to the card's role as one batch — one
+// acquisition of its lock per chunk — and are marked served when
+// answered.
 func (t *PaxosAcceptorTier) TryHandleBatch(items []*dataplane.BatchItem) {
 	const chunk = 64
+	var sub [chunk]*dataplane.BatchItem
 	for off := 0; off < len(items); off += chunk {
-		t.handleChunk(items[off:min(off+chunk, len(items))])
-	}
-}
-
-func (t *PaxosAcceptorTier) handleChunk(items []*dataplane.BatchItem) {
-	var (
-		views [64]paxos.MsgView
-		resps [64]paxos.Msg
-		votes [64]bool
-		oks   [64]bool
-		done  [64]bool
-	)
-	classified := uint64(0)
-	passed := uint64(0)
-	for i, it := range items {
-		if paxos.DecodeView(it.In, &views[i]) != nil ||
-			(views[i].Type != paxos.MsgPhase1A && views[i].Type != paxos.MsgPhase2A) {
-			passed++
+		n := 0
+		for _, it := range items[off:min(off+chunk, len(items))] {
+			if consensus(it.In) {
+				sub[n] = it
+				n++
+			}
+		}
+		if passed := uint64(min(chunk, len(items)-off) - n); passed > 0 {
+			t.passthrough.Add(passed)
+		}
+		if n == 0 {
 			continue
 		}
-		classified++
-		oks[i] = true
-	}
-	if passed > 0 {
-		t.passthrough.Add(passed)
-	}
-	if classified == 0 {
-		return
-	}
-	t.meter.Add(classified)
-	// Lock-free pre-pass: settled re-votes are answered from the table's
-	// published lookaside before the tier lock is taken; only the
-	// remainder pays for serialization.
-	if tab := t.table.Load(); tab != nil {
-		for i := range items {
-			if oks[i] && views[i].Type == paxos.MsgPhase2A {
-				if resp, ok := tab.TryVote(&views[i], t.host.ID()); ok {
-					resps[i], votes[i], done[i] = resp, true, true
+		t.meter.Add(uint64(n))
+		t.card.HandleBatch(sub[:n])
+		var p1, served uint64
+		for _, it := range sub[:n] {
+			if it.Out != nil {
+				it.Served = true
+				served++
+				if paxos.MsgType(it.In[0]) == paxos.MsgPhase1A {
+					p1++
 				}
 			}
 		}
-	}
-	t.mu.Lock()
-	if tab := t.table.Load(); tab != nil {
-		for i := range items {
-			if oks[i] && !done[i] {
-				resps[i], votes[i], oks[i] = tab.ProcessView(&views[i], t.host.ID())
-			}
-		}
-		t.mu.Unlock()
-	} else {
-		t.mu.Unlock()
-		// Not yet warmed (or parked mid-batch): undecided items fall
-		// through to the host role. Pre-pass answers were served from a
-		// still-valid generation and go out below.
-		for i := range items {
-			if !done[i] {
-				oks[i] = false
-			}
-		}
-	}
-	var p1, p2 uint64
-	send := t.host.Sender()
-	for i, it := range items {
-		if !oks[i] {
-			continue
-		}
-		if views[i].Type == paxos.MsgPhase1A {
-			p1++
-		} else {
-			p2++
-		}
-		if votes[i] {
-			for _, l := range t.host.Learners() {
-				send(l, resps[i])
-			}
-		}
-		out := paxos.AppendMsg((*it.Scratch)[:0], resps[i])
-		*it.Scratch = out
-		it.Served = true
-		it.Out = out
-	}
-	if p1 > 0 {
 		t.phase1.Add(p1)
-	}
-	if p2 > 0 {
-		t.phase2.Add(p2)
+		t.phase2.Add(served - p1)
 	}
 }

@@ -13,7 +13,9 @@ import (
 // the §9.2 retry that lets a freshly shifted leader converge on the next
 // sequence number ("the clients resend requests after a time-out period").
 type Client struct {
-	role
+	addr   simnet.Addr
+	sim    *simnet.Simulator
+	net    *simnet.Network
 	id     uint16
 	leader simnet.Addr
 
@@ -26,8 +28,9 @@ type Client struct {
 	nextSeq uint64
 	pending map[uint64]*pendingReq
 
-	Latency *telemetry.Histogram
-	cancel  func()
+	Latency  *telemetry.Histogram
+	Counters *telemetry.AtomicCounters
+	cancel   func()
 	// closedLoop, when set, submits the next request on completion.
 	closedLoop func()
 }
@@ -43,17 +46,23 @@ type pendingReq struct {
 // NewClient attaches a proposer targeting leader.
 func NewClient(net *simnet.Network, addr simnet.Addr, id uint16, leader simnet.Addr) *Client {
 	c := &Client{
-		role:         newRole(net, addr, &Runtime{Name: "client", BaseLatency: time.Microsecond, Jitter: time.Microsecond, PeakKpps: 1e9}),
+		addr:         addr,
+		sim:          net.Sim(),
+		net:          net,
 		id:           id,
 		leader:       leader,
 		RetryTimeout: 100 * time.Millisecond,
 		MaxRetries:   10,
 		pending:      make(map[uint64]*pendingReq),
 		Latency:      telemetry.NewHistogram(),
+		Counters:     telemetry.NewAtomicCounters(),
 	}
 	net.Attach(c)
 	return c
 }
+
+// Addr implements simnet.Node.
+func (c *Client) Addr() simnet.Addr { return c.addr }
 
 // Retarget points subsequent requests (and retries) at a new leader —
 // the controller "modifies switch forwarding rules to send messages to
@@ -62,9 +71,6 @@ func (c *Client) Retarget(leader simnet.Addr) { c.leader = leader }
 
 // Outstanding returns the number of undecided requests.
 func (c *Client) Outstanding() int { return len(c.pending) }
-
-// DecidedRate returns decisions/sec observed over the sliding window.
-func (c *Client) DecidedRate() float64 { return c.rate.Rate(c.sim.Now()) }
 
 // Submit proposes one value.
 func (c *Client) Submit(value []byte) uint64 {
@@ -81,13 +87,14 @@ func (c *Client) sendRequest(seq uint64, req *pendingReq) {
 	req.sentAt = c.sim.Now()
 	req.timerGen++
 	gen := req.timerGen
-	c.send(c.leader, Msg{
-		Type:       MsgClientRequest,
-		ClientID:   c.id,
-		Seq:        seq,
-		ClientAddr: c.addr,
-		Value:      req.value,
-	}, 0)
+	c.net.Send(&simnet.Packet{Src: c.addr, Dst: c.leader, SrcPort: Port, DstPort: Port,
+		Payload: Encode(Msg{
+			Type:       MsgClientRequest,
+			ClientID:   c.id,
+			Seq:        seq,
+			ClientAddr: c.addr,
+			Value:      req.value,
+		})})
 	c.sim.Schedule(c.RetryTimeout, func() { c.maybeRetry(seq, gen) })
 }
 
@@ -182,7 +189,6 @@ func (c *Client) Receive(pkt *simnet.Packet) {
 		return
 	}
 	delete(c.pending, m.Seq)
-	c.rate.Add(c.sim.Now(), 1)
 	c.Counters.Inc("decided", 1)
 	c.Latency.Observe(c.sim.Now().Sub(req.firstAt))
 	if c.closedLoop != nil {

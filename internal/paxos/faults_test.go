@@ -1,19 +1,19 @@
-package paxos
+package paxos_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
 // Failure injection: with 5% random packet loss, client retries keep the
 // system live and learners still agree on everything decided.
 func TestConsensusUnderPacketLoss(t *testing.T) {
-	sim := simnet.New(71)
-	net := simnet.NewNetwork(sim, simnet.TenGigE.WithLoss(0.05))
-	d := NewDeployment(net, Config{NumLearners: 2})
+	net := simnet.NewNetwork(simnet.New(71), simnet.TenGigE.WithLoss(0.05))
+	sim, d := deployOn(net, simhost.PaxosConfig{Learners: 2})
 	c := d.Clients[0]
 	c.RetryTimeout = 50 * time.Millisecond
 	d.Learner.GapTimeout = 50 * time.Millisecond
@@ -48,9 +48,8 @@ func TestConsensusUnderPacketLoss(t *testing.T) {
 
 // A leader shift while packets are being lost must still converge.
 func TestLeaderShiftUnderPacketLoss(t *testing.T) {
-	sim := simnet.New(72)
-	net := simnet.NewNetwork(sim, simnet.TenGigE.WithLoss(0.03))
-	d := NewDeployment(net, Config{})
+	net := simnet.NewNetwork(simnet.New(72), simnet.TenGigE.WithLoss(0.03))
+	sim, d := deployOn(net, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	c.RetryTimeout = 50 * time.Millisecond
 	d.Learner.GapTimeout = 50 * time.Millisecond
@@ -70,9 +69,7 @@ func TestLeaderShiftUnderPacketLoss(t *testing.T) {
 }
 
 func TestMultipleLearnersDeployment(t *testing.T) {
-	sim := simnet.New(73)
-	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	d := NewDeployment(net, Config{NumLearners: 3})
+	sim, d := deploy(t, 73, simhost.PaxosConfig{Learners: 3})
 	if len(d.Learners) != 3 || d.Learner != d.Learners[0] {
 		t.Fatalf("learners = %d", len(d.Learners))
 	}

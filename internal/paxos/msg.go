@@ -1,9 +1,10 @@
-// Package paxos implements the consensus case study (§3.2): a complete
-// Paxos deployment — proposer clients, a leader (coordinator), acceptors
-// and learners — over the simulated network, in the shape of P4xos ("Paxos
-// Made Switch-y"). The same protocol logic runs in three variants:
-// libpaxos-style software, DPDK-style polling software, and P4xos hardware
-// (FPGA or ASIC), differing only in service latency, capacity and power.
+// Package paxos implements the consensus case study (§3.2) in the shape
+// of P4xos ("Paxos Made Switch-y"): the wire codec, the leader, acceptor
+// and learner roles as dataplane handlers (live.go), and a simnet load
+// client. One set of roles runs everywhere — incpaxosd serves them on
+// sockets, internal/simhost on the virtual clock as libpaxos software or
+// P4xos hardware, which differ only in service latency, capacity and
+// power (§3.2's interchangeability).
 //
 // The §9.2 leader-shift machinery is implemented in full: acceptors
 // piggyback their last-voted instance on every response, new leaders start
@@ -94,7 +95,10 @@ func Encode(m Msg) []byte {
 
 // AppendMsg is Encode into a caller-provided buffer; the live roles
 // encode replies into their dataplane scratch buffer with it.
-func AppendMsg(dst []byte, m Msg) []byte {
+func AppendMsg(dst []byte, m Msg) []byte { return appendMsg(dst, &m) }
+
+// appendMsg is AppendMsg without the copy of m, for the serving paths.
+func appendMsg(dst []byte, m *Msg) []byte {
 	b := dst
 	b = append(b, byte(m.Type))
 	b = binary.BigEndian.AppendUint64(b, m.Instance)

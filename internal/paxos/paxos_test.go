@@ -1,22 +1,40 @@
-package paxos
+package paxos_test
+
+// The protocol tests run the roles of this package as the simulated
+// deployment of internal/simhost wires them (which is why they live in
+// the external test package: simhost imports paxos).
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
+	. "incod/internal/paxos"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
-func deploy(t *testing.T, seed int64, cfg Config) (*simnet.Simulator, *Deployment) {
+// deploy builds a deployment (one client unless cfg says otherwise) on a
+// fresh 10GE network.
+func deploy(t *testing.T, seed int64, cfg simhost.PaxosConfig) (*simnet.Simulator, *simhost.Paxos) {
 	t.Helper()
-	sim := simnet.New(seed)
-	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	return sim, NewDeployment(net, cfg)
+	return deployOn(simnet.NewNetwork(simnet.New(seed), simnet.TenGigE), cfg)
+}
+
+func deployOn(net *simnet.Network, cfg simhost.PaxosConfig) (*simnet.Simulator, *simhost.Paxos) {
+	if cfg.Clients == 0 {
+		cfg.Clients = 1
+	}
+	return net.Sim(), simhost.NewPaxos(net, cfg)
+}
+
+// inject delivers a raw message to a node as if from src.
+func inject(n simnet.Node, src simnet.Addr, m Msg) {
+	n.Receive(&simnet.Packet{Src: src, Dst: n.Addr(), SrcPort: Port, DstPort: Port, Payload: Encode(m)})
 }
 
 func TestBasicConsensus(t *testing.T) {
-	sim, d := deploy(t, 1, Config{})
+	sim, d := deploy(t, 1, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	c.Submit([]byte("value-1"))
 	sim.RunFor(10 * time.Millisecond)
@@ -30,8 +48,8 @@ func TestBasicConsensus(t *testing.T) {
 	}
 	// All three acceptors voted.
 	for i, a := range d.Acceptors {
-		if a.Counters.Get("voted") != 1 {
-			t.Errorf("acceptor %d voted %d times, want 1", i, a.Counters.Get("voted"))
+		if got := a.StatsCounters().Get("voted"); got != 1 {
+			t.Errorf("acceptor %d voted %d times, want 1", i, got)
 		}
 		if a.LastVoted() != 1 {
 			t.Errorf("acceptor %d LastVoted = %d, want 1", i, a.LastVoted())
@@ -40,7 +58,7 @@ func TestBasicConsensus(t *testing.T) {
 }
 
 func TestSequentialInstances(t *testing.T) {
-	sim, d := deploy(t, 2, Config{})
+	sim, d := deploy(t, 2, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	for i := 0; i < 50; i++ {
 		c.Submit([]byte(fmt.Sprintf("v%d", i)))
@@ -52,29 +70,18 @@ func TestSequentialInstances(t *testing.T) {
 	if gaps := d.Learner.Gaps(); len(gaps) != 0 {
 		t.Errorf("gaps = %v, want none", gaps)
 	}
-	if d.CurrentLeader().NextInstance() != 51 {
-		t.Errorf("leader next = %d, want 51", d.CurrentLeader().NextInstance())
+	if d.CurrentLeader().Next() != 51 {
+		t.Errorf("leader next = %d, want 51", d.CurrentLeader().Next())
 	}
 }
 
-// Safety: all learners agree on every decided instance even with competing
-// proposals for the same instance.
+// Safety: all learners agree on every decided instance.
 func TestAgreementAcrossLearners(t *testing.T) {
-	sim := simnet.New(3)
-	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	accAddrs := []simnet.Addr{"a0", "a1", "a2"}
-	learners := []simnet.Addr{"l0", "l1"}
-	leader := NewLeader(net, "ld", NewLibpaxosLeader(), 1, accAddrs)
-	for i, aa := range accAddrs {
-		NewAcceptor(net, aa, uint16(i), NewLibpaxosAcceptor(), "ld", learners)
-	}
-	l0 := NewLearner(net, "l0", NewLibpaxosAcceptor(), 2, "ld")
-	l1 := NewLearner(net, "l1", NewLibpaxosAcceptor(), 2, "ld")
-	c := NewClient(net, "c0", 0, "ld")
+	sim, d := deploy(t, 3, simhost.PaxosConfig{Learners: 2})
+	l0, l1 := d.Learners[0], d.Learners[1]
 	for i := 0; i < 20; i++ {
-		c.Submit([]byte(fmt.Sprintf("v%d", i)))
+		d.Clients[0].Submit([]byte(fmt.Sprintf("v%d", i)))
 	}
-	_ = leader
 	sim.RunFor(100 * time.Millisecond)
 	if l0.DecidedCount() == 0 {
 		t.Fatal("nothing decided")
@@ -93,16 +100,13 @@ func TestAgreementAcrossLearners(t *testing.T) {
 
 // Safety: an accepted instance is never overwritten by a later Phase2A.
 func TestReinitiationPreservesDecidedValue(t *testing.T) {
-	sim, d := deploy(t, 4, Config{})
+	sim, d := deploy(t, 4, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	c.Submit([]byte("original"))
 	sim.RunFor(10 * time.Millisecond)
 
 	// A (confused) leader re-initiates instance 1 with a no-op.
-	d.CurrentLeader().Receive(&simnet.Packet{
-		Src: "learner", Dst: d.CurrentLeader().Addr(), SrcPort: Port, DstPort: Port,
-		Payload: Encode(Msg{Type: MsgGapRequest, Instance: 1}),
-	})
+	inject(d.CurrentLeader(), "learner", Msg{Type: MsgGapRequest, Instance: 1})
 	sim.RunFor(10 * time.Millisecond)
 
 	v, ok := d.Learner.Decided(1)
@@ -119,7 +123,7 @@ func TestReinitiationPreservesDecidedValue(t *testing.T) {
 // §9.2 shift: software -> hardware leader with client-timeout stall and
 // full recovery, no lost or corrupted instances.
 func TestLeaderShiftSWToHW(t *testing.T) {
-	sim, d := deploy(t, 5, Config{})
+	sim, d := deploy(t, 5, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	c.RetryTimeout = 100 * time.Millisecond
 	c.Start(5) // 5 kpps
@@ -130,7 +134,7 @@ func TestLeaderShiftSWToHW(t *testing.T) {
 	}
 
 	d.ShiftLeader(d.HWLeader)
-	if d.HWLeader.NextInstance() != 1 {
+	if d.HWLeader.Next() != 1 {
 		t.Fatal("new leader must start at sequence 1 (§9.2)")
 	}
 	sim.RunFor(2 * time.Second)
@@ -141,10 +145,10 @@ func TestLeaderShiftSWToHW(t *testing.T) {
 		t.Fatal("no progress after shift")
 	}
 	// The new leader fast-forwarded past the old instances.
-	if d.HWLeader.NextInstance() <= uint64(preShift) {
-		t.Errorf("hw leader next = %d, want > %d (piggyback fast-forward)", d.HWLeader.NextInstance(), preShift)
+	if d.HWLeader.Next() <= uint64(preShift) {
+		t.Errorf("hw leader next = %d, want > %d (piggyback fast-forward)", d.HWLeader.Next(), preShift)
 	}
-	if d.HWLeader.Counters.Get("fast_forward") == 0 {
+	if d.HWLeader.StatsCounters().Get("fast_forward") == 0 {
 		t.Error("fast-forward path never exercised")
 	}
 	// Clients needed retries across the stall.
@@ -158,7 +162,7 @@ func TestLeaderShiftSWToHW(t *testing.T) {
 }
 
 func TestLeaderShiftLatencyDrops(t *testing.T) {
-	sim, d := deploy(t, 6, Config{})
+	sim, d := deploy(t, 6, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	c.Start(5)
 	sim.RunFor(1 * time.Second)
@@ -181,7 +185,7 @@ func TestLeaderShiftLatencyDrops(t *testing.T) {
 }
 
 func TestShiftBackToSoftware(t *testing.T) {
-	sim, d := deploy(t, 7, Config{})
+	sim, d := deploy(t, 7, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	c.Start(5)
 	sim.RunFor(300 * time.Millisecond)
@@ -192,8 +196,8 @@ func TestShiftBackToSoftware(t *testing.T) {
 	c.Stop()
 	sim.RunFor(500 * time.Millisecond)
 
-	if d.Shifts() != 2 {
-		t.Errorf("shifts = %d, want 2", d.Shifts())
+	if d.Shifts != 2 {
+		t.Errorf("shifts = %d, want 2", d.Shifts)
 	}
 	if d.CurrentLeader() != d.SWLeader {
 		t.Error("leadership should be back in software")
@@ -207,20 +211,20 @@ func TestShiftBackToSoftware(t *testing.T) {
 }
 
 func TestShiftToSameLeaderIsNoop(t *testing.T) {
-	_, d := deploy(t, 8, Config{})
+	_, d := deploy(t, 8, simhost.PaxosConfig{})
 	d.ShiftLeader(d.SWLeader)
-	if d.Shifts() != 0 {
+	if d.Shifts != 0 {
 		t.Error("shifting to the current leader should be a no-op")
 	}
 }
 
 func TestGapRecoveryWithNoOp(t *testing.T) {
-	sim, d := deploy(t, 9, Config{})
+	sim, d := deploy(t, 9, simhost.PaxosConfig{})
 	d.Learner.GapTimeout = 20 * time.Millisecond
 	// Manufacture a gap: decide instance 3 but never instance 1-2, by
-	// having the leader skip instances (simulating lost proposals).
-	lead := d.CurrentLeader()
-	lead.next = 3
+	// having the leader skip instances (simulating lost proposals): an
+	// acceptor's last-voted piggyback fast-forwards it past them.
+	inject(d.CurrentLeader(), "acceptor-0", Msg{Type: MsgPhase2B, LastVoted: 2})
 	d.Clients[0].Submit([]byte("late"))
 	sim.RunFor(5 * time.Millisecond)
 	if _, ok := d.Learner.Decided(3); !ok {
@@ -231,8 +235,8 @@ func TestGapRecoveryWithNoOp(t *testing.T) {
 	if gaps := d.Learner.Gaps(); len(gaps) != 0 {
 		t.Fatalf("gaps not recovered: %v", gaps)
 	}
-	if d.Learner.Counters.Get("noop") != 2 {
-		t.Errorf("noop decisions = %d, want 2", d.Learner.Counters.Get("noop"))
+	if got := d.Learner.StatsCounters().Get("noop"); got != 2 {
+		t.Errorf("noop decisions = %d, want 2", got)
 	}
 	for _, inst := range []uint64{1, 2} {
 		if v, ok := d.Learner.Decided(inst); !ok || len(v) != 0 {
@@ -242,40 +246,39 @@ func TestGapRecoveryWithNoOp(t *testing.T) {
 }
 
 func TestPhase1Exchange(t *testing.T) {
-	sim, d := deploy(t, 10, Config{})
+	sim, d := deploy(t, 10, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	c.Submit([]byte("v"))
 	sim.RunFor(10 * time.Millisecond)
-	// Run an explicit Phase1 over the decided range from the HW leader.
-	d.HWLeader.SetBallot(10)
-	d.HWLeader.Prepare(1, 1)
+	// Run an explicit Phase1 over the decided range from the HW leader:
+	// its Phase1As travel the network like any proposal.
+	for _, a := range d.Acceptors {
+		d.Net.Send(&simnet.Packet{Src: d.HWLeader.Addr(), Dst: a.Addr(),
+			Payload: Encode(Msg{Type: MsgPhase1A, Instance: 1, Ballot: 10})})
+	}
 	sim.RunFor(10 * time.Millisecond)
 	for i, a := range d.Acceptors {
-		if a.Counters.Get("phase1a") != 1 {
-			t.Errorf("acceptor %d phase1a = %d", i, a.Counters.Get("phase1a"))
+		if got := a.StatsCounters().Get("phase1a"); got != 1 {
+			t.Errorf("acceptor %d phase1a = %d", i, got)
 		}
 	}
 	// Phase1B piggyback fast-forwards the prospective leader.
-	if d.HWLeader.NextInstance() < 2 {
-		t.Errorf("hw leader next = %d, want >= 2 after promises", d.HWLeader.NextInstance())
+	if d.HWLeader.Next() < 2 {
+		t.Errorf("hw leader next = %d, want >= 2 after promises", d.HWLeader.Next())
 	}
 }
 
 func TestAcceptorRejectsStaleBallot(t *testing.T) {
-	sim := simnet.New(11)
-	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	a := NewAcceptor(net, "acc", 0, NewLibpaxosAcceptor(), "ld", []simnet.Addr{"lrn"})
-	NewLearner(net, "lrn", NewLibpaxosAcceptor(), 1, "ld")
+	sim, d := deploy(t, 11, simhost.PaxosConfig{})
+	a := d.Acceptors[0]
 	// Promise ballot 5 first.
-	a.Receive(&simnet.Packet{Src: "ld", Dst: "acc",
-		Payload: Encode(Msg{Type: MsgPhase1A, Instance: 1, Ballot: 5})})
+	inject(a, "ld", Msg{Type: MsgPhase1A, Instance: 1, Ballot: 5})
 	sim.RunFor(time.Millisecond)
 	// A stale ballot-3 proposal must be rejected.
-	a.Receive(&simnet.Packet{Src: "old-ld", Dst: "acc",
-		Payload: Encode(Msg{Type: MsgPhase2A, Instance: 1, Ballot: 3, Value: []byte("stale")})})
+	inject(a, "old-ld", Msg{Type: MsgPhase2A, Instance: 1, Ballot: 3, Value: []byte("stale")})
 	sim.RunFor(time.Millisecond)
-	if a.Counters.Get("rejected") != 1 {
-		t.Errorf("rejected = %d, want 1", a.Counters.Get("rejected"))
+	if got := a.StatsCounters().Get("rejected"); got != 1 {
+		t.Errorf("rejected = %d, want 1", got)
 	}
 	if _, ok := a.AcceptedValue(1); ok {
 		t.Error("stale proposal must not be accepted")
@@ -283,7 +286,7 @@ func TestAcceptorRejectsStaleBallot(t *testing.T) {
 }
 
 func TestInactiveLeaderIgnoresRequests(t *testing.T) {
-	sim, d := deploy(t, 12, Config{})
+	sim, d := deploy(t, 12, simhost.PaxosConfig{})
 	d.SWLeader.SetActive(false)
 	d.Clients[0].MaxRetries = 1
 	d.Clients[0].Submit([]byte("v"))
@@ -291,7 +294,7 @@ func TestInactiveLeaderIgnoresRequests(t *testing.T) {
 	if d.Learner.DecidedCount() != 0 {
 		t.Error("paused leader should not decide anything")
 	}
-	if d.SWLeader.Counters.Get("ignored_inactive") == 0 {
+	if d.SWLeader.StatsCounters().Get("ignored_inactive") == 0 {
 		t.Error("paused leader should count ignored requests")
 	}
 	if d.Clients[0].Counters.Get("gave_up") != 1 {
@@ -300,14 +303,13 @@ func TestInactiveLeaderIgnoresRequests(t *testing.T) {
 }
 
 func TestDeploymentPowerSource(t *testing.T) {
-	sim, d := deploy(t, 13, Config{})
-	src := d.PowerSource()
-	idleSW := src.PowerWatts(sim.Now())
+	sim, d := deploy(t, 13, simhost.PaxosConfig{})
+	idleSW := d.PowerWatts(sim.Now())
 	if idleSW != 39 {
 		t.Errorf("software idle = %v W, want 39", idleSW)
 	}
 	d.ShiftLeader(d.HWLeader)
-	hw := src.PowerWatts(sim.Now())
+	hw := d.PowerWatts(sim.Now())
 	// 39 + ~10 W card.
 	if hw < 48 || hw > 51 {
 		t.Errorf("hardware leader power = %v W, want ~49", hw)
@@ -315,7 +317,7 @@ func TestDeploymentPowerSource(t *testing.T) {
 }
 
 func TestClientToleratesDuplicateDecision(t *testing.T) {
-	sim, d := deploy(t, 14, Config{})
+	sim, d := deploy(t, 14, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	seq := c.Submit([]byte("v"))
 	sim.RunFor(10 * time.Millisecond)
@@ -323,8 +325,7 @@ func TestClientToleratesDuplicateDecision(t *testing.T) {
 		t.Fatal("request not decided")
 	}
 	// Deliver the same decision again: must be counted, not crash.
-	c.Receive(&simnet.Packet{Src: "learner", Dst: c.Addr(),
-		Payload: Encode(Msg{Type: MsgDecision, Instance: 1, ClientID: 0, Seq: seq, Value: []byte("v")})})
+	inject(c, "learner", Msg{Type: MsgDecision, Instance: 1, ClientID: 0, Seq: seq, Value: []byte("v")})
 	if c.Counters.Get("duplicate_decision") != 1 {
 		t.Errorf("duplicate_decision = %d, want 1", c.Counters.Get("duplicate_decision"))
 	}

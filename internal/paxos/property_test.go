@@ -1,10 +1,11 @@
-package paxos
+package paxos_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
@@ -19,10 +20,9 @@ func TestRandomScheduleAgreementProperty(t *testing.T) {
 	for seed := int64(100); seed < 112; seed++ {
 		seed := seed
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			sim := simnet.New(seed)
 			loss := float64(seed%4) * 0.01 // 0-3%
-			net := simnet.NewNetwork(sim, simnet.TenGigE.WithLoss(loss))
-			d := NewDeployment(net, Config{NumLearners: 2, NumClients: 2})
+			net := simnet.NewNetwork(simnet.New(seed), simnet.TenGigE.WithLoss(loss))
+			sim, d := deployOn(net, simhost.PaxosConfig{Learners: 2, Clients: 2})
 			for _, c := range d.Clients {
 				c.RetryTimeout = 50 * time.Millisecond
 			}

@@ -1,27 +1,28 @@
-package paxos
+package paxos_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
-	"incod/internal/simnet"
+	. "incod/internal/paxos"
+	"incod/internal/simhost"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	sim, d := deploy(t, 41, Config{})
+	sim, d := deploy(t, 41, simhost.PaxosConfig{})
 	for i := 0; i < 20; i++ {
 		d.Clients[0].Submit([]byte(fmt.Sprintf("v%d", i)))
 	}
 	sim.RunFor(50 * time.Millisecond)
 
 	src := d.Acceptors[0]
-	records, lastVoted := src.Snapshot()
-	if len(records) != 20 || lastVoted != 20 {
-		t.Fatalf("snapshot: %d records, lastVoted %d", len(records), lastVoted)
+	snap := src.Snapshot()
+	if snap.Instances() != 20 || snap.LastVoted() != 20 {
+		t.Fatalf("snapshot: %d records, lastVoted %d", snap.Instances(), snap.LastVoted())
 	}
-	fresh := NewAcceptor(d.Net, "fresh", 9, NewLibpaxosAcceptor(), "leader-sw", nil)
-	fresh.Restore(records, lastVoted)
+	fresh := NewLiveAcceptor(9, nil, func(string, Msg) {})
+	fresh.EndHandoff(snap)
 	if fresh.LastVoted() != 20 {
 		t.Errorf("restored LastVoted = %d", fresh.LastVoted())
 	}
@@ -32,15 +33,20 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("instance %d: restored %q, want %q", inst, got, want)
 		}
 	}
-	// Mutating the snapshot source must not alias the restored state.
-	records[1].Value[0] = 'X'
-	if v, _ := fresh.AcceptedValue(1); v[0] == 'X' {
-		t.Error("Restore must deep-copy values")
+	// The restored state is the replacement's own: what the source votes
+	// next does not appear in it.
+	d.Clients[0].Submit([]byte("later"))
+	sim.RunFor(10 * time.Millisecond)
+	if _, ok := src.AcceptedValue(21); !ok {
+		t.Fatal("source did not vote on instance 21")
+	}
+	if _, ok := fresh.AcceptedValue(21); ok || fresh.LastVoted() != 20 {
+		t.Error("the snapshot must not alias the source's table")
 	}
 }
 
 func TestReplaceAcceptorPreservesSafetyAndProgress(t *testing.T) {
-	sim, d := deploy(t, 42, Config{})
+	sim, d := deploy(t, 42, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	c.Start(5)
 	sim.RunFor(500 * time.Millisecond)
@@ -49,7 +55,7 @@ func TestReplaceAcceptorPreservesSafetyAndProgress(t *testing.T) {
 		t.Fatal("no progress before reconfiguration")
 	}
 
-	replacement, err := d.ReplaceAcceptor(1, NewLibpaxosAcceptor())
+	replacement, err := d.ReplaceAcceptor(1, simhost.Libpaxos("acceptor"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,7 @@ func TestReplaceAcceptorPreservesSafetyAndProgress(t *testing.T) {
 	if replacement.LastVoted() <= uint64(before) {
 		t.Errorf("replacement lastVoted = %d, want beyond transferred %d", replacement.LastVoted(), before)
 	}
-	if replacement.Counters.Get("voted") == 0 {
+	if replacement.StatsCounters().Get("voted") == 0 {
 		t.Error("replacement never voted")
 	}
 	// Old history intact on the replacement.
@@ -78,11 +84,11 @@ func TestReplaceAcceptorPreservesSafetyAndProgress(t *testing.T) {
 }
 
 func TestReplaceAcceptorDuringLeaderShift(t *testing.T) {
-	sim, d := deploy(t, 43, Config{})
+	sim, d := deploy(t, 43, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	c.Start(5)
 	sim.RunFor(300 * time.Millisecond)
-	if _, err := d.ReplaceAcceptor(0, NewP4xosRuntime("acceptor")); err != nil {
+	if _, err := d.ReplaceAcceptor(0, simhost.P4xos()); err != nil {
 		t.Fatal(err)
 	}
 	d.ShiftLeader(d.HWLeader)
@@ -96,35 +102,34 @@ func TestReplaceAcceptorDuringLeaderShift(t *testing.T) {
 		t.Fatal("nothing decided")
 	}
 	// The replacement acceptor votes to the hardware leader now.
-	if d.HWLeader.Counters.Get("fast_forward") == 0 {
+	if d.HWLeader.StatsCounters().Get("fast_forward") == 0 {
 		t.Error("piggyback learning should still work with the replaced acceptor")
 	}
 }
 
 func TestReplaceAcceptorErrors(t *testing.T) {
-	_, d := deploy(t, 44, Config{})
-	if _, err := d.ReplaceAcceptor(-1, NewLibpaxosAcceptor()); err == nil {
+	_, d := deploy(t, 44, simhost.PaxosConfig{})
+	if _, err := d.ReplaceAcceptor(-1, simhost.Libpaxos("acceptor")); err == nil {
 		t.Error("negative index should error")
 	}
-	if _, err := d.ReplaceAcceptor(99, NewLibpaxosAcceptor()); err == nil {
+	if _, err := d.ReplaceAcceptor(99, simhost.Libpaxos("acceptor")); err == nil {
 		t.Error("out-of-range index should error")
 	}
 }
 
 func TestDetachedAcceptorStopsVoting(t *testing.T) {
-	sim, d := deploy(t, 45, Config{})
+	sim, d := deploy(t, 45, simhost.PaxosConfig{})
 	old := d.Acceptors[2]
-	if _, err := d.ReplaceAcceptor(2, NewLibpaxosAcceptor()); err != nil {
+	if _, err := d.ReplaceAcceptor(2, simhost.Libpaxos("acceptor")); err != nil {
 		t.Fatal(err)
 	}
-	votesBefore := old.Counters.Get("voted")
+	votesBefore := old.StatsCounters().Get("voted")
 	d.Clients[0].Submit([]byte("after"))
 	sim.RunFor(50 * time.Millisecond)
-	if old.Counters.Get("voted") != votesBefore {
+	if old.StatsCounters().Get("voted") != votesBefore {
 		t.Error("detached acceptor still receiving proposals")
 	}
 	if _, ok := d.Learner.Decided(1); !ok {
 		t.Error("quorum should still decide with the replacement")
 	}
-	_ = simnet.Addr("")
 }

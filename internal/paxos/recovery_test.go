@@ -1,25 +1,28 @@
-package paxos
+package paxos_test
 
 import (
 	"testing"
 	"time"
 
-	"incod/internal/simnet"
+	. "incod/internal/paxos"
+	"incod/internal/simhost"
 )
-
-// inject delivers a raw message to a node as if from src.
-func inject(n simnet.Node, src simnet.Addr, m Msg) {
-	n.Receive(&simnet.Packet{Src: src, Dst: n.Addr(), SrcPort: Port, DstPort: Port, Payload: Encode(m)})
-}
 
 // Divergent instance: one acceptor voted X at ballot 1, the other two
 // voted Y at ballot 2 minus one — i.e. no quorum agrees on a ballot. The
 // leader's escalated Phase1/Phase2 recovery must converge all learners on
 // the highest-ballot value.
 func TestRecoveryResolvesDivergentInstance(t *testing.T) {
-	sim, d := deploy(t, 61, Config{})
+	sim, d := deploy(t, 61, simhost.PaxosConfig{Learners: 2})
 	d.Learner.GapTimeout = 20 * time.Millisecond
 	lead := d.CurrentLeader()
+	// The second learner is the fresh one: cut off from the acceptors
+	// while the divergent votes go out, it never sees them.
+	fresh := d.Learners[1]
+	fresh.GapTimeout = 20 * time.Millisecond
+	for _, a := range d.Acceptors {
+		d.Net.Partition(a.Addr(), fresh.Addr())
+	}
 
 	// Hand-craft divergence at instance 1: acceptor 0 accepted "X"@1;
 	// acceptors 1-2 accepted "Y"@2. (As would happen if a shifted leader
@@ -27,19 +30,15 @@ func TestRecoveryResolvesDivergentInstance(t *testing.T) {
 	inject(d.Acceptors[0], "ghost-1", Msg{Type: MsgPhase2A, Instance: 1, Ballot: 1, Value: []byte("X")})
 	inject(d.Acceptors[1], "ghost-2", Msg{Type: MsgPhase2A, Instance: 1, Ballot: 2, Value: []byte("Y")})
 	inject(d.Acceptors[2], "ghost-2", Msg{Type: MsgPhase2A, Instance: 1, Ballot: 2, Value: []byte("Y")})
-	// Drain the 2B fan-out: the learner sees 1x vb1 + 2x vb2 and decides
-	// "Y" at quorum... with quorum 2 this already decides. To force the
-	// stuck case, use a learner whose votes got lost: reset it.
+	// Drain the 2B fan-out: the first learner sees 1x vb1 + 2x vb2 and
+	// decides "Y" at quorum. The stuck case is the learner whose votes
+	// got lost.
 	sim.RunFor(10 * time.Millisecond)
+	d.Net.HealAll()
 
-	// Now push the frontier so instance 1 becomes a gap for a FRESH
+	// Now push the frontier so instance 1 becomes a gap for the fresh
 	// learner that never saw those votes.
-	lead.next = 2
-	fresh := NewLearner(d.Net, "fresh-learner", NewLibpaxosAcceptor(), 2, lead.Addr())
-	fresh.GapTimeout = 20 * time.Millisecond
-	for _, a := range d.Acceptors {
-		a.learners = append(a.learners, fresh.Addr())
-	}
+	inject(lead, "acceptor-0", Msg{Type: MsgPhase2B, LastVoted: 1})
 	d.Clients[0].Submit([]byte("frontier"))
 	sim.RunFor(10 * time.Millisecond)
 	if _, ok := fresh.Decided(2); !ok {
@@ -51,7 +50,7 @@ func TestRecoveryResolvesDivergentInstance(t *testing.T) {
 	sim.RunFor(300 * time.Millisecond)
 	v, ok := fresh.Decided(1)
 	if !ok {
-		t.Fatalf("gap never recovered; learner counters: %v", fresh.Counters)
+		t.Fatalf("gap never recovered; learner counters: %v", fresh.StatsCounters())
 	}
 	if string(v) != "Y" {
 		t.Errorf("recovered %q, want the highest-ballot value Y", v)
@@ -62,7 +61,7 @@ func TestRecoveryResolvesDivergentInstance(t *testing.T) {
 // quorum shares a ballot and re-announces can never decide. Only the
 // Phase1 escalation converges it.
 func TestRecoveryResolvesThreeWaySplit(t *testing.T) {
-	sim, d := deploy(t, 62, Config{})
+	sim, d := deploy(t, 62, simhost.PaxosConfig{})
 	d.Learner.GapTimeout = 20 * time.Millisecond
 	lead := d.CurrentLeader()
 
@@ -75,18 +74,18 @@ func TestRecoveryResolvesThreeWaySplit(t *testing.T) {
 	}
 
 	// Advance the frontier so the learner flags the gap.
-	lead.next = 2
+	inject(lead, "acceptor-0", Msg{Type: MsgPhase2B, LastVoted: 1})
 	d.Clients[0].Submit([]byte("frontier"))
 	sim.RunFor(500 * time.Millisecond)
 
 	v, ok := d.Learner.Decided(1)
 	if !ok {
-		t.Fatalf("split instance never recovered (learner: %v, leader: %v)", d.Learner.Counters, lead.Counters)
+		t.Fatalf("split instance never recovered (learner: %v, leader: %v)", d.Learner.StatsCounters(), lead.StatsCounters())
 	}
 	// The recovery must adopt the highest-ballot value seen in its
 	// promise quorum — any of A/B/C is safe (none was chosen), but the
 	// result must now be uniform across acceptors.
-	if lead.Counters.Get("recoveries") == 0 {
+	if lead.StatsCounters().Get("recoveries") == 0 {
 		t.Error("recovery escalation never triggered")
 	}
 	uniform := 0
@@ -103,7 +102,7 @@ func TestRecoveryResolvesThreeWaySplit(t *testing.T) {
 // A chosen (quorum-decided) value must survive recovery attempts: the
 // Phase1 exchange adopts it rather than the no-op.
 func TestRecoveryNeverDisplacesChosenValue(t *testing.T) {
-	sim, d := deploy(t, 63, Config{})
+	sim, d := deploy(t, 63, simhost.PaxosConfig{})
 	d.Learner.GapTimeout = 20 * time.Millisecond
 	c := d.Clients[0]
 	c.Submit([]byte("chosen"))

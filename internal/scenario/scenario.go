@@ -15,7 +15,6 @@ import (
 	"incod/internal/core"
 	"incod/internal/dns"
 	"incod/internal/kvs"
-	"incod/internal/paxos"
 	"incod/internal/power"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
@@ -276,11 +275,11 @@ func buildRig(s Scenario, sim *simnet.Simulator, net *simnet.Network) (*rig, err
 		client.NameFunc = func() string { return dns.SequentialName(int(keys.NextIndex())) }
 		return nodeRig(emu.Node, emu.Service, client.Start, client.Counters, client.Latency), nil
 	case "paxos":
-		dep := paxos.NewDeployment(net, paxos.Config{})
+		dep := simhost.NewPaxos(net, simhost.PaxosConfig{Clients: 1})
 		c := dep.Clients[0]
 		return &rig{
-			svc:      core.NewPaxosService(dep),
-			power:    dep.PowerSource(),
+			svc:      dep,
+			power:    dep,
 			rateKpps: func() float64 { return dep.CurrentLeader().RateKpps() },
 			hostTele: func() (float64, float64) {
 				w := dep.SWLeader.PowerWatts(sim.Now())

@@ -40,7 +40,13 @@ type Model struct {
 	PCIe time.Duration
 	// Strategy is how the card parks while the host serves (§9.2).
 	Strategy IdleStrategy
+	// Metered, if set, picks the requests the curves were calibrated on:
+	// only those are counted into the rates and shed at saturation. The
+	// rest (a Paxos leader's acceptor feedback) is served uncounted.
+	Metered func(req []byte) bool
 }
+
+func (m *Model) metered(req []byte) bool { return m.Metered == nil || m.Metered(req) }
 
 // IdleStrategy selects how the card parks while the service runs in
 // software. §9.2 weighs three options and the paper picks ParkReset; the
@@ -122,7 +128,9 @@ func (n *Node) serviceTime(req []byte, offloaded bool) time.Duration {
 		n.CardLatency.Observe(d)
 		return d
 	}
-	n.hostRate.Add(n.sim.Now(), 1)
+	if n.m.metered(req) {
+		n.hostRate.Add(n.sim.Now(), 1)
+	}
 	d := n.m.HostTime(rng, n.HostUtilization())
 	if n.fp != nil {
 		d += n.m.PCIe
@@ -165,8 +173,14 @@ func (n *Node) HostUtilization() float64 { return n.m.Curve.Utilization(n.HostRa
 // HostWatts is the whole server's wall power without the card.
 func (n *Node) HostWatts() float64 { return n.m.Curve.Power(n.HostRateKpps()) }
 
-// CardWatts is the card's in-server power increment.
-func (n *Node) CardWatts() float64 { return n.board.CardWatts(n.cardLoad()) }
+// CardWatts is the card's in-server power increment (none for a model
+// without a Design: the curve's server has only its plain NIC).
+func (n *Node) CardWatts() float64 {
+	if n.board == nil {
+		return 0
+	}
+	return n.board.CardWatts(n.cardLoad())
+}
 
 // PowerWatts implements telemetry.PowerSource: server plus card, the
 // §4.2 combined measurement.

@@ -3,7 +3,9 @@
 // roles, nictier's fast paths — served on simnet's virtual clock under a
 // real nictier.Service. It is the second substrate of the one stack: the
 // chaos harness runs it bare, and the paper figures attach a Model to
-// it, the calibrated cost of the card and host it stands for.
+// it, the calibrated cost of the card and host it stands for. KVS, DNS
+// and Paxos (paxos.go) are the three stacks built on it; no protocol
+// role has a second, sim-only implementation.
 package simhost
 
 import (
@@ -13,6 +15,7 @@ import (
 	"incod/internal/dataplane"
 	"incod/internal/fpga"
 	"incod/internal/nictier"
+	"incod/internal/paxos"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
 )
@@ -30,8 +33,9 @@ import (
 // TryHandleBatch/HandleBatch path; Barrier flushes synchronously, which
 // is exactly the pre-warm fence the shift sequence needs.
 //
-// With a Model the node is the paper's card-and-host: each reply is
-// delayed by the service time of whoever served it, card-observed and
+// With a Model the node is the paper's card-and-host: what handling a
+// datagram sends — the reply and a Paxos role's fan-out through Sender —
+// is delayed by the service time of whoever served it, card-observed and
 // host-served rates are metered on the virtual clock, the host sheds
 // load beyond its peak, an fpga.Board follows the placement and the idle
 // strategy, and the node is a telemetry.PowerSource. Without one it
@@ -51,6 +55,11 @@ type Node struct {
 
 	pending []*simnet.Packet
 	armed   bool // a flush is scheduled
+
+	// outbox holds what the datagrams being handled send until their
+	// service time is known.
+	handling bool
+	outbox   []*simnet.Packet
 
 	scratch    []byte
 	items      []dataplane.BatchItem
@@ -86,13 +95,15 @@ var _ telemetry.PowerSource = (*Node)(nil)
 func NewNode(net *simnet.Network, addr simnet.Addr, host dataplane.Handler, window time.Duration, m *Model) *Node {
 	n := &Node{sim: net.Sim(), net: net, addr: addr, disp: dataplane.NewDispatcher(host), window: window, m: m}
 	if m != nil {
-		n.board = fpga.NewBoard(m.Design)
 		n.cardRate = telemetry.NewRateMeter(10*time.Millisecond, 100)
 		n.hostRate = telemetry.NewRateMeter(10*time.Millisecond, 100)
 		n.CardLatency = telemetry.NewHistogram()
 		n.HostLatency = telemetry.NewHistogram()
-		n.park()
-		n.haltUntil = 0 // booted parked, not reconfigured into it
+		if m.Design.Name != "" { // else a server with a plain NIC: no card
+			n.board = fpga.NewBoard(m.Design)
+			n.park()
+			n.haltUntil = 0 // booted parked, not reconfigured into it
+		}
 	}
 	net.Attach(n)
 	return n
@@ -113,7 +124,7 @@ func (n *Node) SetFastPath(fp dataplane.FastPath) {
 		return
 	}
 	n.fp = fp
-	if n.m != nil {
+	if n.board != nil {
 		n.light()
 	}
 }
@@ -122,7 +133,7 @@ func (n *Node) SetFastPath(fp dataplane.FastPath) {
 // tier when it returns — dispatch and this call share the event loop.
 func (n *Node) ClearFastPath() {
 	n.fp = nil
-	if n.m != nil {
+	if n.board != nil {
 		n.park()
 	}
 }
@@ -143,7 +154,10 @@ func (n *Node) Receive(pkt *simnet.Packet) {
 		n.halted++
 		return
 	}
-	n.cardRate.Add(now, 1)
+	metered := n.m.metered(pkt.Payload)
+	if metered {
+		n.cardRate.Add(now, 1)
+	}
 	if n.fp != nil {
 		n.deliver(pkt)
 		return
@@ -152,7 +166,7 @@ func (n *Node) Receive(pkt *simnet.Packet) {
 	// saturates at its peak and sheds the excess (§4.2).
 	n.sim.Schedule(n.m.Passthrough, func() {
 		peak := n.m.Curve.PeakKpps
-		if rate := n.HostRateKpps(); rate > peak && peak > 0 && n.sim.Rand().Float64() > peak/rate {
+		if rate := n.HostRateKpps(); metered && rate > peak && peak > 0 && n.sim.Rand().Float64() > peak/rate {
 			n.shed++
 			return
 		}
@@ -163,8 +177,10 @@ func (n *Node) Receive(pkt *simnet.Packet) {
 // deliver handles pkt now, or queues it for the window's flush.
 func (n *Node) deliver(pkt *simnet.Packet) {
 	if n.window <= 0 {
+		n.handling = true
 		out, offloaded := n.disp.One(n.fp, pkt.Payload, netip.AddrPort{}, &n.scratch)
-		n.reply(pkt, out, offloaded)
+		n.handling = false
+		n.release(n.reply(pkt, out, offloaded))
 		return
 	}
 	n.pending = append(n.pending, pkt)
@@ -174,8 +190,9 @@ func (n *Node) deliver(pkt *simnet.Packet) {
 	}
 }
 
-// flush runs the batched dispatch over every pending delivery; replies
-// go out in arrival order.
+// flush runs the batched dispatch over every pending delivery; the
+// batch's fan-out and then its replies, in arrival order, go out when its
+// slowest datagram is done.
 func (n *Node) flush() {
 	n.armed = false
 	batch := n.pending
@@ -194,38 +211,72 @@ func (n *Node) flush() {
 		items[i] = dataplane.BatchItem{In: pkt.Payload, Scratch: &n.scratches[i]}
 		ptrs[i] = &items[i]
 	}
+	n.handling = true
 	n.hostPtrs = n.disp.Batch(n.fp, ptrs, n.hostPtrs)
+	n.handling = false
+	var after time.Duration
 	for i, pkt := range batch {
-		n.reply(pkt, items[i].Out, items[i].Served)
+		after = max(after, n.reply(pkt, items[i].Out, items[i].Served))
 	}
+	n.release(after)
 }
 
-// reply accounts one dispatched request and sends out (if any) back to
-// its source after the server's modeled service time. out is copied:
+// reply accounts one dispatched request, queues out (if any) for its
+// source and returns the server's modeled service time. out is copied:
 // handlers reuse scratch, delivery is deferred.
-func (n *Node) reply(req *simnet.Packet, out []byte, offloaded bool) {
+func (n *Node) reply(req *simnet.Packet, out []byte, offloaded bool) (after time.Duration) {
 	if offloaded {
 		n.fastServed++
 	} else {
 		n.hostServed++
 	}
-	var after time.Duration
 	if n.m != nil {
 		after = n.serviceTime(req.Payload, offloaded)
 	}
-	if len(out) == 0 {
-		return
+	if len(out) > 0 {
+		n.outbox = append(n.outbox, &simnet.Packet{
+			Src:     n.addr,
+			Dst:     req.Src,
+			SrcPort: req.DstPort,
+			DstPort: req.SrcPort,
+			Payload: append([]byte(nil), out...),
+		})
 	}
-	pkt := &simnet.Packet{
-		Src:     n.addr,
-		Dst:     req.Src,
-		SrcPort: req.DstPort,
-		DstPort: req.SrcPort,
-		Payload: append([]byte(nil), out...),
+	return after
+}
+
+// release sends the outbox once the service time after has elapsed.
+func (n *Node) release(after time.Duration) {
+	if len(n.outbox) == 0 {
+		return
 	}
 	if n.m == nil {
-		n.net.Send(pkt)
+		for _, pkt := range n.outbox {
+			n.net.Send(pkt)
+		}
+		n.outbox = n.outbox[:0]
 		return
 	}
-	n.sim.Schedule(after, func() { n.net.Send(pkt) })
+	out := n.outbox
+	n.outbox = nil
+	n.sim.Schedule(after, func() {
+		for _, pkt := range out {
+			n.net.Send(pkt)
+		}
+	})
+}
+
+// Sender returns the node's fan-out for a Paxos role: a message sent
+// while the node handles a datagram leaves with that datagram's reply,
+// after its service time; one sent at any other moment (a learner's gap
+// scan) leaves at once. Each message is freshly encoded.
+func (n *Node) Sender() paxos.Sender {
+	return func(to string, m paxos.Msg) {
+		pkt := &simnet.Packet{Src: n.addr, Dst: simnet.Addr(to), Payload: paxos.Encode(m)}
+		if n.handling {
+			n.outbox = append(n.outbox, pkt)
+			return
+		}
+		n.net.Send(pkt)
+	}
 }
