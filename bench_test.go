@@ -7,8 +7,6 @@ package incod
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,9 +60,11 @@ func BenchmarkIdleStrategies(b *testing.B)      { benchExperiment(b, "strategies
 func BenchmarkModelValidation(b *testing.B)     { benchExperiment(b, "validate") }
 
 // Dataplane serving-path benchmarks: the handler hot paths the live
-// daemons run per datagram, and the sharded store's scaling across
-// workers. CI runs these as a smoke test (-bench=Dataplane -benchtime=1x)
-// so allocation regressions on the serving path are visible.
+// daemons run per datagram, single and batched, and the sharded store
+// under parallel readers. scripts/bench.sh runs them and gates them
+// inside one run: no B/op or allocs/op on any row, and each batched
+// form's cost per request held against its single-datagram form's. What
+// a request costs end to end is benchmark/'s to say, not these rows'.
 
 // BenchmarkDataplaneKVSGet is the headline hot path: framed memcached
 // GET through parse, sharded lookup and encode. It must report 0 B/op.
@@ -296,63 +296,6 @@ func BenchmarkDataplaneShardedStore(b *testing.B) {
 					i++
 				}
 			})
-		})
-	}
-}
-
-// BenchmarkShardedStoreScaling is the shard-scaling curve artifact: one
-// goroutine per partition, each reading only keys its own partition
-// owns, so the curve isolates shared-nothing store scaling from
-// dispatch contention and scheduler noise. Every sub-bench does b.N
-// reads per goroutine — flat ns/op across shards-1/2/4/8 is perfect
-// (linear) scaling, rising ns/op is cross-partition interference.
-// scripts/bench.sh records the curve and cmd/incbenchdiff gates both
-// the per-shard-count ns/op and the curve shape.
-func BenchmarkShardedStoreScaling(b *testing.B) {
-	const perShard = 512 // power of two: the read loop masks into it
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			st := kvs.NewShardedStore(shards, 0)
-			// Bucket keys by owning partition with the same hash+mask
-			// dispatch the store uses.
-			mask := uint64(st.Shards() - 1)
-			buckets := make([][][]byte, st.Shards())
-			for i, filled := 0, 0; filled < len(buckets); i++ {
-				k := fmt.Appendf(nil, "scale-%d", i)
-				s := dataplane.HashBytes(k) & mask
-				if len(buckets[s]) >= perShard {
-					continue
-				}
-				buckets[s] = append(buckets[s], k)
-				if len(buckets[s]) == perShard {
-					filled++
-				}
-				st.SetBytes(k, kvs.Entry{Value: []byte("0123456789abcdef")})
-			}
-			var misses atomic.Uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for s := 0; s < st.Shards(); s++ {
-				wg.Add(1)
-				go func(keys [][]byte) {
-					defer wg.Done()
-					scratch := make([]byte, 0, 256)
-					for i := 0; i < b.N; i++ {
-						out, ok := st.AppendGetHit(scratch[:0], keys[i&(perShard-1)], 0)
-						if !ok {
-							misses.Add(1)
-							return
-						}
-						scratch = out
-					}
-				}(buckets[s])
-			}
-			wg.Wait()
-			b.StopTimer()
-			if misses.Load() > 0 {
-				b.Fatalf("%d unexpected misses", misses.Load())
-			}
 		})
 	}
 }

@@ -39,12 +39,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":5353", "UDP listen address")
 	shards := flag.Int("shards", 0, "dataplane shard workers (0 = GOMAXPROCS)")
-	sockets := flag.Int("sockets", 0,
-		"per-shard SO_REUSEPORT sockets with batched recvmmsg/sendmmsg I/O (0 = classic single-reader engine; batched mode runs one shard per socket, Linux)")
-	engineMode := flag.String("engine", "batched",
-		"batched-mode transport: batched (recvmmsg/sendmmsg) | uring (io_uring multishot recv, falls back to batched when the kernel can't) | single (portable fallback)")
-	pin := flag.Bool("pin", false, "lock each batched shard worker to its OS thread and pin it to one of the allowed CPUs (sched_setaffinity)")
-	gsoTx := flag.Bool("gsotx", false, "coalesce same-destination replies into UDP_SEGMENT trains in batched mode (degrades to per-datagram sends on kernels without UDP_SEGMENT)")
+	var opts daemon.EngineOptions
+	opts.RegisterFlags(flag.CommandLine)
 	zonePath := flag.String("zone", "", "zone file (name ipv4 [ttl] per line); empty = demo zone")
 	crossKpps := flag.Float64("crossover", 150, "software/hardware crossover (kpps)")
 	policy := flag.String("policy", "threshold",
@@ -53,6 +49,7 @@ func main() {
 	useTier := flag.Bool("nictier", false,
 		"attach the emulated NIC offload tier (Emu-DNS-style answer table): policy shifts become real dataplane transitions")
 	flag.Parse()
+	opts.Addr = *addr
 
 	// The zone must be fully loaded before serving starts: it is read
 	// lock-free by every shard worker.
@@ -64,9 +61,7 @@ func main() {
 		log.Fatalf("incdnsd: %v", err)
 	}
 
-	eng, err := daemon.ListenEngine(
-		daemon.EngineOptions{Addr: *addr, Sockets: *sockets,
-			Engine: *engineMode, Pin: *pin, GSOTx: *gsoTx},
+	eng, err := daemon.ListenEngine(opts,
 		dns.NewHandler(zone), dataplane.Config{
 			Name: "incdnsd", Shards: *shards,
 			// DNS datagrams are small; a tight bound also caps the
@@ -84,7 +79,7 @@ func main() {
 	}
 	io := "single-reader"
 	if eng.Batched() {
-		io = fmt.Sprintf("batched/%s over %d sockets", eng.Backend(), *sockets)
+		io = fmt.Sprintf("batched/%s over %d sockets", eng.Backend(), opts.Sockets)
 	}
 	log.Printf("incdnsd: serving %d records on %s (%s, policy %s, %s)", zone.Len(), *addr, io, *policy, mode)
 

@@ -33,12 +33,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":11211", "UDP listen address")
 	shards := flag.Int("shards", 0, "dataplane shard workers (0 = GOMAXPROCS)")
-	sockets := flag.Int("sockets", 0,
-		"per-shard SO_REUSEPORT sockets with batched recvmmsg/sendmmsg I/O (0 = classic single-reader engine; batched mode runs one shard per socket, Linux)")
-	engineMode := flag.String("engine", "batched",
-		"batched-mode transport: batched (recvmmsg/sendmmsg) | uring (io_uring multishot recv, falls back to batched when the kernel can't) | single (portable fallback)")
-	pin := flag.Bool("pin", false, "lock each batched shard worker to its OS thread and pin it to one of the allowed CPUs (sched_setaffinity)")
-	gsoTx := flag.Bool("gsotx", false, "coalesce same-destination replies into UDP_SEGMENT trains in batched mode (degrades to per-datagram sends on kernels without UDP_SEGMENT)")
+	var opts daemon.EngineOptions
+	opts.RegisterFlags(flag.CommandLine)
 	maxEntries := flag.Int("max-entries", 0, "LRU-bound the store to this many entries (0 = unbounded)")
 	crossKpps := flag.Float64("crossover", 80, "software/hardware crossover (kpps)")
 	policy := flag.String("policy", "threshold",
@@ -49,13 +45,12 @@ func main() {
 	hotKeys := flag.Int("hotkeys", 16,
 		"per-shard hot-key top-K sample size fed by the GET path (surfaced as hot_keys in /v1/dataplane; 0 disables)")
 	flag.Parse()
+	opts.Addr = *addr
 
 	store := kvs.NewShardedStore(*shards, *maxEntries)
 	store.EnableHotKeys(*hotKeys)
 	handler := kvs.NewHandler(store)
-	eng, err := daemon.ListenEngine(
-		daemon.EngineOptions{Addr: *addr, Sockets: *sockets,
-			Engine: *engineMode, Pin: *pin, GSOTx: *gsoTx},
+	eng, err := daemon.ListenEngine(opts,
 		handler, dataplane.Config{Name: "inckvsd", Shards: *shards, ShardBy: kvs.ShardByKey})
 	if err != nil {
 		log.Fatalf("inckvsd: %v", err)
@@ -68,7 +63,7 @@ func main() {
 	}
 	io := "single-reader"
 	if eng.Batched() {
-		io = fmt.Sprintf("batched/%s over %d sockets", eng.Backend(), *sockets)
+		io = fmt.Sprintf("batched/%s over %d sockets", eng.Backend(), opts.Sockets)
 	}
 	log.Printf("inckvsd: serving memcached UDP on %s (%d store shards, %s, policy %s, %s, crossover %.0f kpps)",
 		*addr, store.Shards(), io, *policy, mode, *crossKpps)

@@ -1,8 +1,9 @@
 // Command incloadgen drives real-UDP load against inckvsd, incdnsd or an
 // incpaxosd acceptor — a software stand-in for the paper's OSNT traffic
 // generator: open-loop paced load, Zipf key popularity, and client-side
-// achieved-rate and latency reporting, so the 1-shard vs N-shard
-// dataplane speedup is measurable from the CLI.
+// achieved-rate and latency reporting. It offers a rate; what a daemon
+// can sustain is benchmark/'s question (its generator saturates and
+// checks every reply).
 //
 //	incloadgen -proto kvs -target localhost:11211 -rate 50000 -keys 1000 -duration 5s
 //	incloadgen -proto dns -target localhost:5353  -rate 20000 -keys 16   -duration 5s
@@ -78,6 +79,15 @@ type RunReport struct {
 	Error string `json:"error,omitempty"`
 }
 
+const (
+	// ioBatch is the datagrams per recvmmsg / sendmmsg call on each
+	// client socket — the dataplane's own batch size.
+	ioBatch = 32
+	// tickEvery is the pacer's period: each tick sends what the profile
+	// says is due by now.
+	tickEvery = time.Millisecond
+)
+
 func main() {
 	proto := flag.String("proto", "kvs", "protocol: kvs | dns | paxos (Phase2A votes against an acceptor)")
 	target := flag.String("target", "localhost:11211", "server address")
@@ -87,32 +97,13 @@ func main() {
 	preload := flag.Bool("preload", true, "kvs: SET every key before the run")
 	sockets := flag.Int("sockets", 1,
 		"client sockets (distinct source ports, so a reuseport server spreads the flows)")
-	rxBatch := flag.Int("rxbatch", 32, "replies read per recvmmsg batch")
-	txBatch := flag.Int("txbatch", 32, "requests sent per sendmmsg batch")
 	profile := flag.String("profile", "",
 		"phased load, comma-separated: ramp:<from>-<to>:<dur> | hold:<rate>:<dur> | spike:<rate>:<dur>; overrides -rate/-duration")
-	engine := flag.String("engine", "",
-		"client transport: \"\" auto (recvmmsg/sendmmsg on linux) | uring (io_uring rings) | single (portable fallback)")
-	fast := flag.Bool("fast", false,
-		"saturating fast-send mode: pre-encoded request images blasted open-loop from one worker per socket for -duration; ignores -rate/-profile, samples latency 1/64")
-	gsoTx := flag.Bool("gsotx", false,
-		"fast mode: pack runs of equal-size request images into UDP_SEGMENT trains, one send per train (degrades to per-datagram sends on kernels without UDP_SEGMENT)")
 	reportPath := flag.String("report", "", "write the final run report as JSON to this path on exit")
 	quiet := flag.Bool("quiet", false, "suppress per-phase progress logs (final summary still printed)")
 	flag.Parse()
 
-	var rep *RunReport
-	var err error
-	if *fast {
-		rep, err = runFast(*proto, *target, *duration, *keys, *preload,
-			*sockets, *rxBatch, *txBatch, *engine, *gsoTx, *quiet)
-	} else {
-		if *gsoTx {
-			log.Printf("incloadgen: -gsotx only applies to -fast mode; ignoring")
-		}
-		rep, err = run(*proto, *target, *rate, *duration, *keys, *preload,
-			*sockets, *rxBatch, *txBatch, *profile, *engine, *quiet)
-	}
+	rep, err := run(*proto, *target, *rate, *duration, *keys, *preload, *sockets, *profile, *quiet)
 	if err != nil {
 		rep.Error = err.Error()
 		log.Printf("incloadgen: %v", err)
@@ -140,7 +131,7 @@ func writeReport(path string, rep *RunReport) error {
 // whatever was achieved — on error the caller records it and exits
 // nonzero instead of silently reporting 0 kpps.
 func run(proto, target string, rate float64, duration time.Duration, keys uint64,
-	preload bool, sockets, rxBatch, txBatch int, profile string, engine string, quiet bool) (*RunReport, error) {
+	preload bool, sockets int, profile string, quiet bool) (*RunReport, error) {
 	rep := &RunReport{Proto: proto, Target: target}
 
 	phases, err := parseProfile(profile, rate, duration)
@@ -150,12 +141,6 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 	rep.Phases = len(phases)
 	if sockets < 1 {
 		sockets = 1
-	}
-	if rxBatch < 1 {
-		rxBatch = 1
-	}
-	if txBatch < 1 {
-		txBatch = 1
 	}
 
 	// One connected socket per flow: distinct source ports make a
@@ -171,9 +156,7 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 		}
 		defer c.Close()
 		conns[i] = c
-		if bconns[i], err = clientConn(c.(*net.UDPConn), engine); err != nil {
-			return rep, err
-		}
+		bconns[i] = netio.NewBatchConn(c.(*net.UDPConn))
 	}
 
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
@@ -192,7 +175,7 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 	// One batched receiver per socket.
 	for _, bc := range bconns {
 		go func(bc netio.BatchConn) {
-			ms := make([]netio.Message, rxBatch)
+			ms := make([]netio.Message, ioBatch)
 			for i := range ms {
 				ms[i].Buf = make([]byte, 64*1024)
 			}
@@ -244,7 +227,7 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 	}
 	if !quiet {
 		log.Printf("incloadgen: %s load on %s, %d phase(s) over %v (%d sockets, tx batch %d)",
-			proto, target, len(phases), totalDur, sockets, txBatch)
+			proto, target, len(phases), totalDur, sockets, ioBatch)
 	}
 
 	// Open-loop pacer: every tick, send however many requests are due by
@@ -255,7 +238,7 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 	var id uint16
 	var total uint64
 	nextConn := 0
-	txq := make([]netio.Message, 0, txBatch)
+	txq := make([]netio.Message, 0, ioBatch)
 	flush := func() error {
 		if len(txq) == 0 {
 			return nil
@@ -283,7 +266,6 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 		rep.P99Micros = float64(hist.P99()) / float64(time.Microsecond)
 		rep.MaxMicros = float64(hist.Max()) / float64(time.Microsecond)
 	}
-	const tickEvery = time.Millisecond
 	const maxBatch = 4096 // bound catch-up bursts after a stall
 	start := time.Now()
 	for i, ph := range phases {
@@ -313,7 +295,7 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 				sent[id] = time.Now()
 				mu.Unlock()
 				txq = append(txq, netio.Message{Buf: payload, N: len(payload)})
-				if len(txq) == txBatch {
+				if len(txq) == ioBatch {
 					if err := flush(); err != nil {
 						finish(time.Since(start))
 						return rep, err
@@ -347,283 +329,6 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 		rep.Sent, rep.AchievedKpps, rep.Answered, rep.AnsweredKpps, frac, rep.Outstanding, rep.Bad)
 	log.Printf("incloadgen: latency p50=%v p99=%v max=%v", hist.Median(), hist.P99(), hist.Max())
 	return rep, nil
-}
-
-// clientConn wraps a connected client socket in the requested transport.
-// The uring rings are sized small: replies for all three protocols are
-// well under 8 KiB, and a modest provided-buffer ring per socket keeps
-// the generator's memory bounded at high socket counts.
-func clientConn(c *net.UDPConn, engine string) (netio.BatchConn, error) {
-	switch engine {
-	case "uring":
-		bc, err := netio.NewUringConn(c, netio.UringConfig{Entries: 256, Buffers: 1024, BufSize: 8192})
-		if err != nil {
-			return nil, fmt.Errorf("uring client socket: %w", err)
-		}
-		return bc, nil
-	case "single":
-		return netio.NewSingleConn(c), nil
-	case "", "batched", "mmsg":
-		return netio.NewBatchConn(c), nil
-	}
-	return nil, fmt.Errorf("unknown -engine %q (want uring, single or empty)", engine)
-}
-
-// fastSampleEvery is the latency sampling stride of the fast-send path:
-// 1 in 64 requests gets a timestamp, so latency tracking costs nothing
-// measurable at Mpps rates while the percentiles stay statistically
-// sound.
-const fastSampleEvery = 64
-
-// runFast is the saturating generator: every request image is encoded
-// once up front, then one worker per socket blasts WriteBatch calls in
-// a tight loop with zero per-request encode, map or clock work. This is
-// what it takes to actually saturate the uring server path — the paced
-// run() tops out near 300–400 kpps per core on encode + bookkeeping
-// long before the server does.
-func runFast(proto, target string, duration time.Duration, keys uint64,
-	preload bool, sockets, rxBatch, txBatch int, engine string, gsoTx, quiet bool) (*RunReport, error) {
-	rep := &RunReport{Proto: proto, Target: target, Phases: 1}
-	if sockets < 1 {
-		sockets = 1
-	}
-	if gsoTx {
-		if err := netio.ProbeGSO(); err != nil {
-			log.Printf("incloadgen: GSO TX unavailable, sending per-datagram: %v", err)
-			gsoTx = false
-		}
-	}
-	if rxBatch < 1 {
-		rxBatch = 1
-	}
-	if txBatch < 1 {
-		txBatch = 1
-	}
-
-	// Pre-encode one request image per wire id. Zipf key popularity is
-	// baked into the image set, so replaying the id space reproduces the
-	// paced generator's key distribution.
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	sampler := trafficgen.NewZipfKeys(rng, keys, 1.06)
-	const idSpace = 1 << 16
-	images := make([][]byte, idSpace)
-	for i := range images {
-		img, err := request(proto, uint16(i), sampler)
-		if err != nil {
-			return rep, err
-		}
-		images[i] = img
-	}
-
-	type fastWorker struct {
-		conn net.Conn
-		bc   netio.BatchConn
-
-		sent, recv, bad uint64 // owned counters, collected after the run
-
-		mu      sync.Mutex
-		pending map[uint16]time.Time // sampled in-flight ids
-	}
-	workers := make([]*fastWorker, sockets)
-	for i := range workers {
-		c, err := net.Dial("udp", target)
-		if err != nil {
-			return rep, fmt.Errorf("dial %s: %w", target, err)
-		}
-		defer c.Close()
-		bc, err := clientConn(c.(*net.UDPConn), engine)
-		if err != nil {
-			return rep, err
-		}
-		workers[i] = &fastWorker{conn: c, bc: bc, pending: make(map[uint16]time.Time)}
-	}
-
-	if proto == "kvs" && preload {
-		if err := preloadKVS(workers[0].conn, keys); err != nil {
-			return rep, err
-		}
-		if !quiet {
-			log.Printf("incloadgen: preloaded %d keys", keys)
-		}
-	}
-	if !quiet {
-		log.Printf("incloadgen: fast %s load on %s for %v (%d worker(s), tx batch %d, engine %q)",
-			proto, target, duration, sockets, txBatch, engine)
-	}
-
-	hist := telemetry.NewHistogram()
-	var histMu sync.Mutex
-	var recvWG sync.WaitGroup
-	for _, w := range workers {
-		recvWG.Add(1)
-		go func(w *fastWorker) {
-			defer recvWG.Done()
-			ms := make([]netio.Message, rxBatch)
-			for i := range ms {
-				ms[i].Buf = make([]byte, 8192)
-			}
-			for {
-				n, err := w.bc.ReadBatch(ms)
-				if err != nil {
-					return
-				}
-				now := time.Now()
-				for i := 0; i < n; i++ {
-					id, ok := responseID(proto, ms[i].Buf[:ms[i].N])
-					if !ok {
-						w.bad++
-						continue
-					}
-					w.recv++
-					if id%fastSampleEvery != 0 {
-						continue
-					}
-					w.mu.Lock()
-					t0, pending := w.pending[id]
-					if pending {
-						delete(w.pending, id)
-					}
-					w.mu.Unlock()
-					if pending {
-						histMu.Lock()
-						hist.Observe(now.Sub(t0))
-						histMu.Unlock()
-					}
-				}
-			}
-		}(w)
-	}
-
-	// Senders: cycle the image pool, check the clock once per batch.
-	start := time.Now()
-	deadline := start.Add(duration)
-	var sendWG sync.WaitGroup
-	errCh := make(chan error, sockets)
-	for wi, w := range workers {
-		sendWG.Add(1)
-		go func(w *fastWorker, off uint64) {
-			defer sendWG.Done()
-			msgs := make([]netio.Message, txBatch)
-			// With -gsotx, runs of equal-size images are copied into these
-			// reusable buffers and sent as UDP_SEGMENT trains — at most one
-			// train buffer per message slot, since a run never splits.
-			var trainBufs [][]byte
-			if gsoTx {
-				trainBufs = make([][]byte, txBatch)
-			}
-			idx := off // decorrelate the workers' id phases
-			for time.Now().Before(deadline) {
-				if gsoTx {
-					out := msgs[:0]
-					n := 0
-					for n < txBatch {
-						segSize := len(images[uint16(idx)])
-						buf := trainBufs[len(out)][:0]
-						segs := 0
-						for n < txBatch && segs < netio.MaxTrainSegs {
-							id := uint16(idx)
-							img := images[id]
-							if len(img) != segSize || len(buf)+len(img) > netio.MaxTrainBytes {
-								break
-							}
-							buf = append(buf, img...)
-							if id%fastSampleEvery == 0 {
-								w.mu.Lock()
-								w.pending[id] = time.Now()
-								w.mu.Unlock()
-							}
-							idx++
-							n++
-							segs++
-						}
-						trainBufs[len(out)] = buf
-						m := netio.Message{Buf: buf, N: len(buf)}
-						if segs > 1 {
-							m.SegSize = segSize
-						}
-						out = append(out, m)
-					}
-					if _, err := w.bc.WriteBatch(out); err != nil {
-						errCh <- fmt.Errorf("fast send: %w", err)
-						return
-					}
-					w.sent += uint64(n)
-					continue
-				}
-				for j := range msgs {
-					id := uint16(idx)
-					img := images[id]
-					msgs[j] = netio.Message{Buf: img, N: len(img)}
-					if id%fastSampleEvery == 0 {
-						w.mu.Lock()
-						w.pending[id] = time.Now()
-						w.mu.Unlock()
-					}
-					idx++
-				}
-				if _, err := w.bc.WriteBatch(msgs); err != nil {
-					errCh <- fmt.Errorf("fast send: %w", err)
-					return
-				}
-				w.sent += uint64(txBatch)
-			}
-		}(w, uint64(wi)*(idSpace/uint64(sockets)))
-	}
-	sendWG.Wait()
-	sendSpan := time.Since(start)
-	time.Sleep(300 * time.Millisecond) // collect stragglers
-	for _, w := range workers {
-		_ = w.bc.Close() // unblocks the receiver
-	}
-	recvWG.Wait()
-
-	var sendErr error
-	select {
-	case sendErr = <-errCh:
-	default:
-	}
-	outstanding := 0
-	for _, w := range workers {
-		rep.Sent += w.sent
-		rep.Answered += w.recv
-		rep.Bad += w.bad
-		outstanding += len(w.pending)
-	}
-	rep.Outstanding = outstanding * fastSampleEvery // scale the sample back up
-	rep.SendSeconds = sendSpan.Seconds()
-	if sendSpan > 0 {
-		rep.AchievedKpps = float64(rep.Sent) / sendSpan.Seconds() / 1000
-		rep.AnsweredKpps = float64(rep.Answered) / sendSpan.Seconds() / 1000
-	}
-	rep.P50Micros = float64(hist.Median()) / float64(time.Microsecond)
-	rep.P99Micros = float64(hist.P99()) / float64(time.Microsecond)
-	rep.MaxMicros = float64(hist.Max()) / float64(time.Microsecond)
-
-	frac := 0.0
-	if rep.Sent > 0 {
-		frac = float64(rep.Answered) / float64(rep.Sent) * 100
-	}
-	log.Printf("incloadgen: fast sent %d (%.1f kpps), answered %d (%.1f kpps, %.1f%%), bad %d",
-		rep.Sent, rep.AchievedKpps, rep.Answered, rep.AnsweredKpps, frac, rep.Bad)
-	log.Printf("incloadgen: sampled latency p50=%v p99=%v max=%v", hist.Median(), hist.P99(), hist.Max())
-	return rep, sendErr
-}
-
-// preloadKVS SETs every key so the fast GET workload hits a warm store.
-func preloadKVS(conn net.Conn, keys uint64) error {
-	for i := uint64(0); i < keys; i++ {
-		payload := memcache.EncodeFrame(memcache.Frame{RequestID: 0, Total: 1},
-			memcache.EncodeRequest(memcache.Request{
-				Op: memcache.OpSet, Key: fmt.Sprintf("key-%d", i), Value: []byte("value")}))
-		if _, err := conn.Write(payload); err != nil {
-			return fmt.Errorf("preload: %w", err)
-		}
-		if i%256 == 255 {
-			time.Sleep(time.Millisecond) // don't outrun the socket buffer
-		}
-	}
-	time.Sleep(200 * time.Millisecond)
-	return nil
 }
 
 // phase is one segment of the offered-load profile.

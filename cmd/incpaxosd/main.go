@@ -39,12 +39,8 @@ func main() {
 	role := flag.String("role", "", "acceptor | leader | learner | client")
 	addr := flag.String("addr", ":0", "UDP listen address")
 	shards := flag.Int("shards", 1, "dataplane shard workers (role state is serialized either way; >1 only parallelizes decode)")
-	sockets := flag.Int("sockets", 0,
-		"per-shard SO_REUSEPORT sockets with batched recvmmsg/sendmmsg I/O (0 = classic single-reader engine; batched mode runs one shard per socket, Linux)")
-	engineMode := flag.String("engine", "batched",
-		"batched-mode transport: batched (recvmmsg/sendmmsg) | uring (io_uring multishot recv, falls back to batched when the kernel can't) | single (portable fallback)")
-	pin := flag.Bool("pin", false, "lock each batched shard worker to its OS thread and pin it to one of the allowed CPUs (sched_setaffinity)")
-	gsoTx := flag.Bool("gsotx", false, "coalesce same-destination replies into UDP_SEGMENT trains in batched mode (degrades to per-datagram sends on kernels without UDP_SEGMENT)")
+	var io daemon.EngineOptions
+	io.RegisterFlags(flag.CommandLine)
 	id := flag.Int("id", 0, "acceptor id")
 	ballot := flag.Int("ballot", 1, "leader ballot (epoch); a replacement leader must use a higher one")
 	acceptors := flag.String("acceptors", "", "comma-separated acceptor addresses (leader)")
@@ -91,8 +87,7 @@ func main() {
 	if *useTier && *role != "acceptor" {
 		log.Printf("incpaxosd: -nictier only offloads the acceptor role (P4xos, §3.2); ignoring for %q", *role)
 	}
-	io := daemon.EngineOptions{Addr: *addr, Sockets: *sockets,
-		Engine: *engineMode, Pin: *pin, GSOTx: *gsoTx}
+	io.Addr = *addr
 	var r serverRole
 	switch *role {
 	case "acceptor":

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"flag"
 	"fmt"
 	"log"
 	"net"
@@ -33,6 +34,18 @@ type EngineOptions struct {
 	// with a logged warning — on kernels without UDP_SEGMENT. Ignored
 	// when Sockets is 0.
 	GSOTx bool
+}
+
+// RegisterFlags defines the I/O flags every serving daemon shares
+// (-sockets, -engine, -pin, -gsotx) on fs, parsing into o. Addr stays
+// with the daemon: the default port differs per protocol.
+func (o *EngineOptions) RegisterFlags(fs *flag.FlagSet) {
+	fs.IntVar(&o.Sockets, "sockets", 0,
+		"per-shard SO_REUSEPORT sockets with batched recvmmsg/sendmmsg I/O (0 = classic single-reader engine; batched mode runs one shard per socket, Linux)")
+	fs.StringVar(&o.Engine, "engine", "batched",
+		"batched-mode transport: batched (recvmmsg/sendmmsg) | uring (io_uring multishot recv, falls back to batched when the kernel can't) | single (portable fallback)")
+	fs.BoolVar(&o.Pin, "pin", false, "lock each batched shard worker to its OS thread and pin it to one of the allowed CPUs (sched_setaffinity)")
+	fs.BoolVar(&o.GSOTx, "gsotx", false, "coalesce same-destination replies into UDP_SEGMENT trains in batched mode (degrades to per-datagram sends on kernels without UDP_SEGMENT)")
 }
 
 // ListenEngine opens o.Addr and builds the serving engine in the mode

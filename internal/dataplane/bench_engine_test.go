@@ -84,39 +84,13 @@ func benchServeLoopback(b *testing.B, e *Engine, clients int) {
 	}
 }
 
-// benchShards is the server worker count for both modes; benchClients
-// keeps several flows in flight per shard so the comparison measures
-// server throughput rather than one window's round-trip latency (and
-// smooths the kernel's reuseport hash distribution).
-const (
-	benchShards  = 4
-	benchClients = 4 * benchShards
-)
-
-// BenchmarkDataplaneSingleReaderLoopback is the baseline: one reader
-// goroutine, two syscalls per request, N shard workers.
-func BenchmarkDataplaneSingleReaderLoopback(b *testing.B) {
-	conn, err := net.ListenPacket("udp4", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchServeLoopback(b, New(conn, echoHandler, Config{Name: "bench-single", Shards: benchShards}), benchClients)
-}
-
-// BenchmarkDataplaneBatchedLoopback is the same shard count served in
-// per-shard-socket batched mode: at equal shards it must sustain
-// strictly higher achieved kpps than the single-reader baseline.
-func BenchmarkDataplaneBatchedLoopback(b *testing.B) {
-	conns, err := netio.ListenReusePortGroup("udp4", "127.0.0.1:0", benchShards)
-	if err != nil {
-		b.Skipf("reuseport group unavailable: %v", err)
-	}
-	benchServeLoopback(b, NewBatched(conns, echoHandler, Config{Name: "bench-batched"}), benchClients)
-}
-
 // BenchmarkDataplaneEngineLoopback sweeps the three transport rungs
-// (single-reader, recvmmsg/sendmmsg, io_uring) across shard counts, so
-// BENCH_*.json carries the full engine comparison the README quotes.
+// (single-reader, recvmmsg/sendmmsg, io_uring) across shard counts. The
+// generator shares the server's cores and the workers do not own their
+// threads (Config.PinShards off), a mode no BENCHMARK.json workload
+// runs, so the kpps are not a capacity figure: scripts/bench.sh only
+// checks that no batched rung falls under 0.6x the single-reader row
+// at the same shard count.
 func BenchmarkDataplaneEngineLoopback(b *testing.B) {
 	for _, backend := range []string{"single", "mmsg", "uring"} {
 		for _, shards := range []int{1, 2, 4} {

@@ -158,16 +158,15 @@
 //
 // # Saturating the path: GSO at the endpoints
 //
-// EnableGSO arms UDP_SEGMENT socket-wide on a load generator's socket:
-// one plain Write carries a train the kernel segments at delivery,
-// collapsing the generator's dominant per-datagram send cost to
-// per-train (incloadgen -fast -gsotx builds the trains per send
-// instead, via Message.SegSize, which needs no socket option). Paired
-// with a GRO-enabled uring server the whole loopback path — send
-// syscall, socket delivery, wakeup, completion — runs once per train;
-// with the server's reply side building trains too (-gsotx on the
-// daemons), the return direction matches, and neither end of the
-// connection pays per-datagram kernel cost anywhere.
+// A generator marks its trains per send through Message.SegSize, as the
+// engine's reply path does (benchmark/'s generator is the one in use):
+// one send carries a train the kernel segments at delivery, collapsing
+// the dominant per-datagram send cost to per-train. Paired with a
+// GRO-enabled uring server the whole loopback path — send syscall,
+// socket delivery, wakeup, completion — runs once per train; with the
+// server's reply side building trains too (-gsotx on the daemons), the
+// return direction matches, and neither end of the connection pays
+// per-datagram kernel cost anywhere.
 //
 // Everything here uses the standard library's syscall package only.
 package netio

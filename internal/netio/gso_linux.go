@@ -9,50 +9,22 @@ import (
 	"net"
 	"os"
 	"sync"
-	"syscall"
 	"time"
 	"unsafe"
 )
 
 // UDP generic segmentation offload (UDP_SEGMENT, linux >= 4.18): a single
 // send call carries a train of equal-size datagrams that the kernel
-// segments at delivery. For a load generator this collapses the dominant
-// per-datagram cost — one udp_sendmsg walk per train instead of per
-// datagram — which is what it takes to saturate a receive-side-batched
-// server from the same host.
+// segments at delivery — one udp_sendmsg walk per train instead of per
+// datagram.
 const (
 	solUDP     = 17
 	udpSegment = 103
 	udpGRO     = 104
 )
 
-// EnableGSO sets the socket's UDP segment size: any payload longer than
-// segSize is split into segSize-byte datagrams (final one may be short),
-// while payloads of at most segSize are sent unchanged. Returns an error
-// on kernels without UDP_SEGMENT; callers fall back to per-datagram
-// sends.
-func EnableGSO(c *net.UDPConn, segSize int) error {
-	if segSize <= 0 || segSize > 65535 {
-		return fmt.Errorf("netio: GSO segment size %d out of range", segSize)
-	}
-	rc, err := c.SyscallConn()
-	if err != nil {
-		return err
-	}
-	var serr error
-	if err := rc.Control(func(fd uintptr) {
-		serr = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, segSize)
-	}); err != nil {
-		return err
-	}
-	if serr != nil {
-		return fmt.Errorf("netio: UDP_SEGMENT unavailable: %w", serr)
-	}
-	return nil
-}
-
-// Per-send UDP_SEGMENT: instead of a socket-wide segment size, a send
-// carries its own via a cmsg, which is what lets one socket mix plain
+// Per-send UDP_SEGMENT: a send carries its own segment size via a cmsg,
+// which is what lets one socket mix plain
 // datagrams and trains of different widths — the shape a reply path
 // produces. The layout below is cmsghdr on 64-bit linux: u64 cmsg_len,
 // i32 cmsg_level, i32 cmsg_type, then the u16 segment size.

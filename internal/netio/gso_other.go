@@ -2,16 +2,7 @@
 
 package netio
 
-import (
-	"errors"
-	"net"
-)
-
-// EnableGSO requires linux's UDP_SEGMENT; other platforms send one
-// datagram per call.
-func EnableGSO(c *net.UDPConn, segSize int) error {
-	return errors.New("netio: UDP GSO requires linux")
-}
+import "errors"
 
 // ProbeGSO always fails off linux: train messages still work through
 // every rung's per-datagram unroll, there is just no kernel to coalesce

@@ -803,13 +803,13 @@ func (c *uringConn) deliver(ms []Message) int {
 // (letting producers run, then peeking the CQ) are far cheaper than the
 // park/wake cycle they avoid.
 //
-// Tuned on the DNS reply loop (BenchmarkLoopbackUringDNS, 4 shards,
-// 16 windowed clients), where the uring rung trailed mmsg in the
-// BENCH_7 snapshot (260 vs 277 kpps): 4 spins ~285 kpps, 8 ~294, 16
-// ~293, 32 ~282 on the same rig. 8 recovers most of the gap — the
-// window's last few replies land within the longer peek budget instead
-// of paying a park/wake — and doubling again only burns CPU the shard
-// workers want.
+// Tuned in PR 7 on a windowed DNS reply loop over loopback (4 shards,
+// 16 clients, each with one 32-query window in flight; that bench is
+// gone), where the uring rung trailed mmsg at 260 vs 277 kpps: 4 spins
+// ~285 kpps, 8 ~294, 16 ~293, 32 ~282 on the same rig. 8 recovers most
+// of the gap — the window's last few replies land within the longer
+// peek budget instead of paying a park/wake — and doubling again only
+// burns CPU the shard workers want.
 const readSpins = 8
 
 func (c *uringConn) ReadBatch(ms []Message) (int, error) {

@@ -173,23 +173,17 @@ func TestUringLargeWriteBatch(t *testing.T) {
 }
 
 // TestUringGROTrainSplit sends one GSO train of equal-size datagrams
-// (plus a short tail segment) at a uring server: whether the kernel
-// delivers it coalesced (UDP_GRO active, one completion split by
-// deliver) or pre-segmented (older kernel), ReadBatch must hand back
-// exactly the per-datagram messages the train carried, in order. The
-// deliberately tiny read batch forces mid-train resume across calls.
+// (plus a short tail segment) at a uring server, marked per send with
+// Message.SegSize as the engine's reply path and the benchmark's
+// generator mark theirs: whether the kernel delivers it coalesced
+// (UDP_GRO active, one completion split by deliver) or pre-segmented
+// (older kernel, or a sender without UDP_SEGMENT unrolling the train),
+// ReadBatch must hand back exactly the per-datagram messages the train
+// carried, in order. The deliberately tiny read batch forces mid-train
+// resume across calls.
 func TestUringGROTrainSplit(t *testing.T) {
-	server, _ := newUringPair(t, UringConfig{BufSize: 4096})
-	cconn, err := net.Dial("udp4", server.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cconn.Close()
-	udp := cconn.(*net.UDPConn)
+	server, client := newUringPair(t, UringConfig{BufSize: 4096})
 	const seg = 32
-	if err := EnableGSO(udp, seg); err != nil {
-		t.Skipf("UDP GSO unavailable: %v", err)
-	}
 	var train []byte
 	var want []string
 	for i := 0; i < 9; i++ {
@@ -200,7 +194,7 @@ func TestUringGROTrainSplit(t *testing.T) {
 	tail := "short-tail"
 	want = append(want, tail)
 	train = append(train, tail...)
-	if _, err := udp.Write(train); err != nil {
+	if _, err := client.WriteBatch([]Message{{Buf: train, N: len(train), SegSize: seg}}); err != nil {
 		t.Fatal(err)
 	}
 

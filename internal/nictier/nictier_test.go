@@ -450,8 +450,8 @@ func TestPaxosTierPromisedOverwrite(t *testing.T) {
 // benchKVSBatches is how every NICTierKVS row is measured, so rows
 // compare: 32-datagram batches of mk's requests over 1024 resident keys
 // through a batch entry point — the tier's, or the host handler's for
-// the row incbenchdiff holds the tier's GET hit against. ns/op is per
-// request; every row must report 0 B/op.
+// the row scripts/bench.sh holds the tier's GET hit against. ns/op is
+// per request; every row must report 0 B/op.
 func benchKVSBatches(b *testing.B, mk func(id uint16, key string) []byte, entry func(*kvs.Handler, *nictier.KVSTier) func([]*dataplane.BatchItem), wantServed bool) {
 	const keys, batch = 1024, 32
 	h, tier := warmKVSTier(b, func(st *kvs.ShardedStore) {
@@ -493,7 +493,7 @@ func viaHost(h *kvs.Handler, _ *nictier.KVSTier) func([]*dataplane.BatchItem) {
 func BenchmarkNICTierKVSGetHit(b *testing.B) { benchKVSBatches(b, framedGet, viaTier, true) }
 
 // The same GETs answered by the host handler: the offload is honest only
-// while the row above stays within 1.25x of this one (cmd/incbenchdiff).
+// while the row above stays within 1.25x of this one (scripts/bench.sh).
 func BenchmarkNICTierKVSHostGetHit(b *testing.B) { benchKVSBatches(b, framedGet, viaHost, false) }
 
 // A GET the tier does not hold: what it adds to a request the host

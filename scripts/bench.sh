@@ -1,41 +1,58 @@
 #!/usr/bin/env bash
-# bench.sh — run the serving-path benchmarks and emit a machine-readable
-# snapshot of the repo's bench trajectory.
+# bench.sh — run the in-process micro-benchmarks of the serving path,
+# write them as a machine-readable snapshot, and gate them against each
+# other inside this one run.
 #
-# Covers the dataplane handler hot paths (KVS/DNS/Paxos, single and
-# batched — the 0 B/op acceptance surfaces), the codec micro-benches,
-# the per-protocol batched and uring loopback throughput benches
-# (achieved-kpps) including the TX-mode comparison (per-datagram mmsg vs
-# mmsg+GSO-train vs uring+GSO-train reply TX, with tx-segs-per-train
-# evidence), the engine three-way transport sweep
-# (single/mmsg/uring at 1/2/4 shards) and the NIC KVS tier's cost model
-# (GET hit beside the host handler's, miss, SET write-through, and a
-# 100k-entry warm and park).
+# What a Go micro-bench can judge is ns/op, B/op and allocs/op of a hot
+# path, and how two rows measured in the same minute on the same host
+# relate. What a request costs end to end — capacity, latency, server
+# CPU, memory, against a bare echo, over repeated runs from disjoint
+# cores — is benchmark/'s job (BENCHMARK.json), not this script's, and
+# nothing here is compared with an earlier snapshot.
 #
-# After writing the snapshot it diffs against the newest committed
-# BENCH_*.json via cmd/incbenchdiff and fails (nonzero exit) on any
-# hot-path ns/op or loopback kpps regression beyond the tolerance, or if
-# the tier's GET hit costs more than 1.25x the host's in this run.
+# Rows: the handler hot paths (KVS/DNS/Paxos, single and batched), the
+# store under parallel readers, the codecs, the NIC KVS tier's cost
+# model (GET hit beside the host handler's, miss, SET write-through, a
+# 100k-entry warm and park) and the engine's transport sweep
+# (single/mmsg/uring at 1/2/4 shards, an echo handler on loopback).
+#
+# The suites run PASSES times over, interleaved, and a row is its
+# fastest pass: on a shared host a row's cost swings by a third from one
+# second to the next, and the least-disturbed sample is the one two rows
+# can be compared by.
+#
+# Gates, each on rows of this run with at least 10 iterations:
+#   1. every serving row reports 0 B/op and 0 allocs/op;
+#   2. the tier's GET hit costs at most 1.25x the host handler's;
+#   3. each batched handler form costs at most 1.25x its single-datagram
+#      form per request (the acceptor's 1.5x: its batch form clears its
+#      chunk arrays and takes the role mutex once per chunk even when
+#      the lock-free lookaside answered every item, which the single
+#      form then never touches; 0.98-1.35x on the reference host);
+#   4. in the sweep, each batched rung answers at least 0.6x the kpps of
+#      the single-reader engine at the same shard count. The sweep's
+#      workers do not own their threads, a mode no BENCHMARK.json
+#      workload runs; the bound catches a collapse, not a drift.
 #
 # Usage:
-#   ./scripts/bench.sh                 # ~full run, writes BENCH_15.json
-#   BENCH_TIME=1x ./scripts/bench.sh   # CI smoke: one iteration per bench
-#   BENCH_OUT=out.json ./scripts/bench.sh
-#   BENCH_MAX_REGRESS=75 ./scripts/bench.sh  # cross-host tolerance
-#   BENCH_DIFF=0 ./scripts/bench.sh          # skip the regression diff
+#   ./scripts/bench.sh                          # writes bench_ci.json (git-ignored)
+#   BENCH_OUT=BENCH_19.json ./scripts/bench.sh  # refresh the committed snapshot
+#   BENCH_TIME=50ms ./scripts/bench.sh          # CI: shorter rows, gates still live
 #
 # Output schema (incod-bench/v1): one entry per benchmark with
 # ns_per_op / b_per_op / allocs_per_op and any custom metrics
-# (achieved-kpps, answered-%) keyed by their go-bench unit.
+# (achieved-kpps, answered-%) keyed by their go-bench unit, then one
+# entry per gate with the ratio it saw and the bound it held it to.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${BENCH_OUT:-BENCH_15.json}"
+OUT="${BENCH_OUT:-bench_ci.json}"
 BENCHTIME="${BENCH_TIME:-200ms}"
-# The loopback throughput benches need a fixed, large-enough request
-# count: time-based calibration lands on small b.N where connection
-# setup and window round trips dominate and the kpps number is noise.
-LOOPTIME="${BENCH_LOOPBACK:-200000x}"
+# The sweep needs a fixed, large-enough request count: time-based
+# calibration lands on small b.N where connection setup and window
+# round trips dominate and the kpps number is noise.
+SWEEPTIME=200000x
+PASSES=5
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
@@ -43,72 +60,115 @@ run_bench() {
   local pkg="$1" pattern="$2" benchtime="$3"
   echo ">> go test -bench '$pattern' -benchtime $benchtime $pkg" >&2
   go test -run '^$' -bench "$pattern" -benchtime "$benchtime" "$pkg" \
-    | tee /dev/stderr \
-    | awk -v pkg="$pkg" '/^Benchmark/ { printf "%s %s\n", pkg, $0 }' >> "$raw"
+    | awk -v pkg="$pkg" '{ print > "/dev/stderr" } /^Benchmark/ { printf "%s %s\n", pkg, $0 }' >> "$raw"
 }
 
-# The serving hot paths and codecs (root suite).
-run_bench . 'DataplaneKVS|DataplaneBatchedKVS|DataplaneDNS|DataplaneBatchedDNS|DataplanePaxos|DataplaneBatchedPaxos|DataplaneShardedStore|ShardedStoreScaling|MemcacheParseGet|PaxosCodec|DNSCodec|DNSQuestionView' "$BENCHTIME"
-# Per-protocol loopback kpps, batched (recvmmsg) and io_uring modes.
-run_bench . 'LoopbackBatched|LoopbackUring' "$LOOPTIME"
-# The engine's batched-vs-single loopback comparison plus the three-way
-# transport sweep (single/mmsg/uring at 1/2/4 shards).
-run_bench ./internal/dataplane 'DataplaneBatchedLoopback|DataplaneSingleReaderLoopback|DataplaneEngineLoopback' "$LOOPTIME"
-# The offload tier: KVS GET hit (tier and host side by side), miss, SET
-# write-through and the 100k-entry warm/park — all 0 B/op but the warm.
-run_bench ./internal/nictier 'NICTier' "$BENCHTIME"
+for _ in $(seq "$PASSES"); do
+  # The serving hot paths and codecs (root suite).
+  run_bench . 'DataplaneKVS|DataplaneBatchedKVS|DataplaneDNS|DataplaneBatchedDNS|DataplanePaxos|DataplaneBatchedPaxos|DataplaneShardedStore|MemcacheParseGet|PaxosCodec|DNSCodec|DNSQuestionView' "$BENCHTIME"
+  # The offload tier: KVS GET hit (tier and host side by side), miss, SET
+  # write-through and the 100k-entry warm/park — all 0 B/op but the warm.
+  run_bench ./internal/nictier 'NICTier' "$BENCHTIME"
+  # The three transport rungs at 1/2/4 shards.
+  run_bench ./internal/dataplane 'DataplaneEngineLoopback' "$SWEEPTIME"
+done
 
 goversion="$(go env GOVERSION)"
 stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 host_cpu="$(awk -F': ' '/model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)"
 
-awk -v go="$goversion" -v bt="$BENCHTIME" -v stamp="$stamp" -v cpu="$host_cpu" '
+awk -v go="$goversion" -v bt="$BENCHTIME" -v passes="$PASSES" -v stamp="$stamp" -v cpu="$host_cpu" '
+# gate records one within-run check: value must be <= bound (le) or >=
+# bound, and says so on stderr either way.
+function gate(what, value, le, bound,    ok) {
+  ok = le ? value <= bound : value >= bound
+  gates[g++] = sprintf("    {\"gate\":\"%s\",\"value\":%.3f,\"%s\":%s,\"ok\":%s}", \
+    what, value, le ? "max" : "min", bound, ok ? "true" : "false")
+  printf("bench.sh: %-4s %s = %.3f (%s %s)\n", ok ? "ok" : "FAIL", what, value, le ? "max" : "min", bound) > "/dev/stderr"
+  if (!ok) failed++
+}
+# costs gates ns/op of row a at no more than bound x row b, when both
+# ran calibrated.
+function costs(a, b, bound) {
+  if ((a in ns) && (b in ns)) gate(a " / " b " ns/op", ns[a] / ns[b], 1, bound)
+}
 {
-  pkg = $1
-  name = $2 # as printed by go test (incl. any -GOMAXPROCS suffix)
+  key = $1 " " $2 # package, name as go test prints it (incl. any -GOMAXPROCS suffix)
   iters = $3
-  out = sprintf("    {\"name\":\"%s\",\"package\":\"%s\",\"iterations\":%s", name, pkg, iters)
+  out = sprintf("    {\"name\":\"%s\",\"package\":\"%s\",\"iterations\":%s", $2, $1, iters)
   metrics = ""
+  nsop = bop = allocs = kpps = ""
   for (i = 4; i + 1 <= NF; i += 2) {
     val = $i
     unit = $(i + 1)
-    if (unit == "ns/op")          out = out sprintf(",\"ns_per_op\":%s", val)
-    else if (unit == "B/op")      out = out sprintf(",\"b_per_op\":%s", val)
-    else if (unit == "allocs/op") out = out sprintf(",\"allocs_per_op\":%s", val)
+    if (unit == "ns/op")          { nsop = val;   out = out sprintf(",\"ns_per_op\":%s", val) }
+    else if (unit == "B/op")      { bop = val;    out = out sprintf(",\"b_per_op\":%s", val) }
+    else if (unit == "allocs/op") { allocs = val; out = out sprintf(",\"allocs_per_op\":%s", val) }
     else {
       gsub(/"/, "", unit)
+      if (unit == "achieved-kpps") kpps = val
       metrics = metrics (metrics == "" ? "" : ",") sprintf("\"%s\":%s", unit, val)
     }
   }
   if (metrics != "") out = out ",\"metrics\":{" metrics "}"
-  lines[n++] = out "}"
+
+  name = $2
+  if (name !~ /\/shards-[0-9]+$/) sub(/-[0-9]+$/, "", name) # GOMAXPROCS suffix
+  sub(/^Benchmark/, "", name)
+  # A row under 10 iterations timed lazy init and timer granularity: it
+  # is reported and gated nowhere.
+  gated = iters >= 10
+  if (gated && name ~ /^(Dataplane(Batched)?(KVS|DNS|Paxos)|DataplaneShardedStore|MemcacheParseGet|PaxosCodecView|DNSQuestionView|NICTierKVS(GetHit|HostGetHit|Miss|Set)$)/) {
+    if (!(key in fastest)) serving++
+    if ((bop != "0" || allocs != "0") && !(key in allocates)) {
+      printf("bench.sh: FAIL %s allocates on the serving path: %s B/op, %s allocs/op (want 0, 0)\n", \
+        name, bop == "" ? "no" : bop, allocs == "" ? "no" : allocs) > "/dev/stderr"
+      allocates[key] = 1
+      allocating++
+    }
+  }
+  # A row is its fastest pass.
+  if (key in fastest && nsop + 0 >= fastest[key] + 0) next
+  if (!(key in fastest)) order[n++] = key
+  fastest[key] = nsop
+  entry[key] = out "}"
+  if (gated) {
+    ns[name] = nsop
+    if (kpps != "") tput[name] = kpps
+  }
 }
 END {
+  if (serving > 0) gate("serving rows that allocate, of " serving, allocating + 0, 1, 0)
+  costs("NICTierKVSGetHit", "NICTierKVSHostGetHit", 1.25)
+  costs("DataplaneBatchedKVSGet", "DataplaneKVSGet", 1.25)
+  costs("DataplaneBatchedDNS", "DataplaneDNS", 1.25)
+  costs("DataplaneBatchedPaxosAcceptor", "DataplanePaxosAcceptor2A", 1.5)
+  for (s = 1; s <= 4; s *= 2) {
+    single = "DataplaneEngineLoopback/single-" s "shard"
+    for (b = 0; b < 2; b++) {
+      rung = "DataplaneEngineLoopback/" (b ? "uring" : "mmsg") "-" s "shard"
+      if ((rung in tput) && (single in tput))
+        gate(rung " / " single " kpps", tput[rung] / tput[single], 0, 0.6)
+    }
+  }
   printf "{\n"
   printf "  \"schema\": \"incod-bench/v1\",\n"
   printf "  \"generated\": \"%s\",\n", stamp
   printf "  \"go\": \"%s\",\n", go
   printf "  \"cpu\": \"%s\",\n", cpu
   printf "  \"benchtime\": \"%s\",\n", bt
+  printf "  \"passes\": %d,\n", passes
   printf "  \"benchmarks\": [\n"
-  for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n - 1 ? "," : "")
+  for (i = 0; i < n; i++) printf "%s%s\n", entry[order[i]], (i < n - 1 ? "," : "")
+  printf "  ],\n"
+  printf "  \"gates\": [\n"
+  for (i = 0; i < g; i++) printf "%s%s\n", gates[i], (i < g - 1 ? "," : "")
   printf "  ]\n}\n"
+  if (failed) exit 1
 }
-' "$raw" > "$OUT"
+' "$raw" > "$OUT" || {
+  echo "bench.sh: wrote $OUT; a within-run gate failed (see FAIL above)" >&2
+  exit 1
+}
 
-echo "bench.sh: wrote $(grep -c '"name"' "$OUT") benchmark entries to $OUT" >&2
-
-# Regression gate: diff the fresh snapshot against the newest committed
-# BENCH_*.json (by number, skipping the file we just wrote). Same-host
-# runs use the strict default; CI smoke on unknown hardware passes a
-# generous BENCH_MAX_REGRESS so only collapses fail, not host variance.
-if [ "${BENCH_DIFF:-1}" != "0" ]; then
-  baseline="$(git ls-files 'BENCH_*.json' | sort -t_ -k2 -n | grep -Fvx "$(basename "$OUT")" | tail -1 || true)"
-  if [ -n "$baseline" ]; then
-    echo "bench.sh: diffing $OUT against committed $baseline" >&2
-    go run ./cmd/incbenchdiff -old "$baseline" -new "$OUT" \
-      -tolerance "${BENCH_MAX_REGRESS:-15}"
-  else
-    echo "bench.sh: no committed BENCH_*.json baseline; skipping diff" >&2
-  fi
-fi
+echo "bench.sh: wrote $(grep -c '"name"' "$OUT") benchmark entries to $OUT; every within-run gate held" >&2
