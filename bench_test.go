@@ -7,10 +7,14 @@ package incod
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"testing"
 	"time"
 
 	"incod/internal/core"
+	"incod/internal/daemon"
 	"incod/internal/dataplane"
 	"incod/internal/dns"
 	"incod/internal/experiments"
@@ -399,27 +403,30 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 // Hysteresis (mirrored threshold pairs) vs a single threshold, on load
 // oscillating inside the hysteresis band: flaps per simulated minute.
 func BenchmarkAblationHysteresis(b *testing.B) {
+	log.SetOutput(io.Discard) // one orchestrator log line per flap otherwise
+	defer log.SetOutput(os.Stderr)
 	run := func(toHostKpps float64) int {
 		sim := simnet.New(1)
-		svc := &core.FuncService{ServiceName: "x", Where: core.Host}
-		rate := 0.0
-		ctl := core.NewNetworkController(sim, svc, func() float64 { return rate },
-			core.NetworkControllerConfig{
+		const period = 50 * time.Millisecond
+		// Load oscillates 80..120 kpps around the 100 kpps threshold.
+		var total uint64
+		sim.Every(period, func() {
+			kpps := 80.0
+			if int((sim.Now()-1).Seconds())%2 == 0 { // the second this tick closes
+				kpps = 120
+			}
+			total += uint64(kpps * 1000 * period.Seconds())
+		})
+		orch, _ := simhost.Orchestrate(sim, period, daemon.ServiceConfig{
+			Service: &core.FuncService{ServiceName: "x"},
+			Policy: core.NewThresholdPolicy(core.NetworkControllerConfig{
 				ToNetworkKpps: 100, ToNetworkWindow: 500 * time.Millisecond,
 				ToHostKpps: toHostKpps, ToHostWindow: 500 * time.Millisecond,
-				SamplePeriod: 50 * time.Millisecond,
-			})
-		ctl.Start()
-		// Load oscillates 80..120 kpps around the 100 kpps threshold.
-		for t := 0; t < 60; t++ {
-			if t%2 == 0 {
-				rate = 120
-			} else {
-				rate = 80
-			}
-			sim.RunFor(time.Second)
-		}
-		return len(ctl.Transitions)
+			}),
+		}, func() uint64 { return total })
+		sim.RunFor(time.Minute)
+		status, _ := orch.Status("x")
+		return status.Shifts
 	}
 	var withHyst, without int
 	for i := 0; i < b.N; i++ {

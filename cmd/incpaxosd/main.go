@@ -25,7 +25,9 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -57,6 +59,11 @@ func main() {
 	useTier := flag.Bool("nictier", false,
 		"acceptor role: attach the emulated P4xos acceptor fast path; policy shifts hand the acceptor state between host and NIC")
 	flag.Parse()
+	leaderBallot, err := validBallot(*ballot)
+	if err != nil {
+		log.Printf("incpaxosd: %v", err)
+		os.Exit(2)
+	}
 
 	startCtrl := func(tierSvc core.Service, ready func() bool) (*daemon.Orchestrator, *daemon.ManagedService, *daemon.CtrlServer) {
 		orch, svc, ctrlSrv, err := daemon.StartControlPlane(daemon.StartOptions{
@@ -93,7 +100,7 @@ func main() {
 	case "acceptor":
 		r = newAcceptor(io, uint16(*id), splitAddrs(*learners), *shards, *useTier)
 	case "leader":
-		r = newLeader(io, uint32(*ballot), splitAddrs(*acceptors), *shards)
+		r = newLeader(io, leaderBallot, splitAddrs(*acceptors), *shards)
 	case "learner":
 		r = newLearner(io, *quorum, *leader, *shards)
 	default:
@@ -120,6 +127,16 @@ func main() {
 
 	r.eng.Run()
 	log.Printf("incpaxosd: shut down cleanly")
+}
+
+// validBallot checks -ballot. Ballots start at 1 — the leader reads an
+// accepted value at ballot 0 as "no vote" — and travel as uint32, so a
+// negative or oversized flag must not wrap into one.
+func validBallot(v int) (uint32, error) {
+	if v < 1 || int64(v) > math.MaxUint32 {
+		return 0, fmt.Errorf("-ballot must be between 1 and %d (got %d)", uint32(math.MaxUint32), v)
+	}
+	return uint32(v), nil
 }
 
 func splitAddrs(s string) []string {

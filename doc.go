@@ -4,17 +4,17 @@
 // NetFPGA SUME and a Tofino-class ASIC) and the on-demand controllers that
 // shift those services between host software and network hardware.
 //
-// The control plane is organized around three abstractions in
-// internal/core: Service (a workload with a fallible Shift and a
-// TransitionCost hook for the §9.2 transition tasks), Policy (the §9.1
+// The control plane is organized around two abstractions in
+// internal/core — Service (a workload with a fallible Shift and a
+// TransitionCost hook for the §9.2 transition tasks) and Policy (the §9.1
 // decision kernels — mirrored-threshold, power-aware, static pin — as
-// pluggable Observe(Sample) Decision rules), and Controller (drives a
-// Policy in simulated time, over the same handlers, tiers and
-// nictier.Service the daemons run: internal/simhost serves them on the
-// simulator's clock under the paper's cost model). internal/daemon runs the same Policy code on
-// wall-clock request streams via a multi-service Orchestrator, exposed to
+// pluggable Observe(Sample) Decision rules) — and one loop that runs
+// them: internal/daemon's multi-service Orchestrator, exposed to
 // operators through the versioned /v1 HTTP control API served by every
-// daemon (see README.md).
+// daemon (see README.md). The same Orchestrator, reading the simulator's
+// clock instead of the wall clock, places the same handlers, tiers and
+// nictier.Service in every figure, scenario and example: internal/simhost
+// serves them in simulated time under the paper's cost model.
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory), runnable daemons under cmd/, and worked examples under

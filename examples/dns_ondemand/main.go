@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"incod/internal/core"
+	"incod/internal/daemon"
 	"incod/internal/dns"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
@@ -28,8 +29,10 @@ func main() {
 	client.NameFunc = func() string { return dns.SequentialName(int(keys.NextIndex())) }
 
 	svc := emu.Service
-	ctl := core.NewNetworkController(sim, svc, emu.RateKpps, core.DefaultNetworkConfig(150))
-	ctl.Start()
+	orch, _ := simhost.Orchestrate(sim, 100*time.Millisecond, daemon.ServiceConfig{
+		Service: svc,
+		Policy:  core.NewThresholdPolicy(core.DefaultNetworkConfig(150)),
+	}, emu.Observed)
 
 	// Ramp up 20 -> 400 kpps, hold, ramp down.
 	profile := trafficgen.Profile{
@@ -52,7 +55,7 @@ func main() {
 	}
 	client.Stop()
 	fmt.Println("\ncontroller transitions:")
-	for _, tr := range ctl.Transitions {
+	for _, tr := range orch.Transitions(svc.Name()) {
 		fmt.Printf("  %s\n", tr)
 	}
 }

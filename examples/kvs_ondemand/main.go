@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"incod/internal/core"
+	"incod/internal/daemon"
 	"incod/internal/kvs"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
@@ -40,42 +41,25 @@ func main() {
 	}
 
 	svc := lake.Service
-	ctl := core.NewHostController(sim, svc,
-		func() float64 { return lake.HostWatts() + bgPower() },
-		func() float64 {
+	// The host-controlled policy, returning not on a rate threshold but
+	// once the background job has been gone for 3s (§9.2: the experiment
+	// shifts back "as ChainerMN stops") — run by the orchestrator the
+	// daemons run, on the simulator's clock.
+	pol := core.ReturnWhen(core.NewPowerPolicy(core.HostControllerConfig{
+		ToNetworkPowerWatts: 70, ToNetworkCPUUtil: 0.5,
+		ToNetworkSustain: 3 * time.Second,
+	}), func() bool { return !bgOn }, 3*time.Second, "background workload stopped")
+	orch, _ := simhost.Orchestrate(sim, 100*time.Millisecond, daemon.ServiceConfig{
+		Service: svc,
+		Policy:  pol,
+		Model: func(float64) (watts, cpu float64) {
 			u := lake.HostUtilization()
 			if bgOn {
 				u += 0.8
 			}
-			return u
+			return lake.HostWatts() + bgPower(), u
 		},
-		lake.RateKpps,
-		core.HostControllerConfig{
-			ToNetworkPowerWatts: 70, ToNetworkCPUUtil: 0.5,
-			ToNetworkSustain: 3 * time.Second,
-			// Rate-based return disabled (0 never fires): the §9.2
-			// experiment shifts back "as ChainerMN stops", below.
-			ToHostKpps: 0, ToHostSustain: 3 * time.Second,
-			SamplePeriod: 100 * time.Millisecond,
-		})
-	ctl.Start()
-	// Shift back once the background job has been gone for 3s.
-	var quietSince simnet.Time
-	sim.Every(100*time.Millisecond, func() {
-		if svc.Placement() == core.Network && !bgOn {
-			if quietSince == 0 {
-				quietSince = sim.Now()
-			} else if sim.Now().Sub(quietSince) >= 3*time.Second {
-				if err := svc.Shift(core.Host); err == nil {
-					ctl.Transitions = append(ctl.Transitions, core.Transition{
-						At: sim.Now(), To: core.Host, Reason: "background workload stopped"})
-				}
-				quietSince = 0
-			}
-		} else {
-			quietSince = 0
-		}
-	})
+	}, lake.Observed)
 
 	combined := telemetry.SumPower{lake,
 		telemetry.PowerSourceFunc(func(simnet.Time) float64 { return bgPower() })}
@@ -96,8 +80,9 @@ func main() {
 	client.Stop()
 
 	fmt.Println("\ncontroller transitions:")
-	for _, tr := range ctl.Transitions {
+	for _, tr := range orch.Transitions(svc.Name()) {
 		fmt.Printf("  %s\n", tr)
 	}
-	fmt.Printf("RAPL reads by controller: %d\n", ctl.RAPLReads())
+	status, _ := orch.Status(svc.Name())
+	fmt.Printf("RAPL reads by controller: %d\n", status.PowerReads)
 }

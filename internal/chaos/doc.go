@@ -14,7 +14,10 @@
 // nictier.Tier with schedulable failure: a crash armed at Stage makes the
 // following Warm fail before any state leaves the host (the §9.2
 // transition task dying mid-shift), and a crash while lit makes the fast
-// path fall through so every datagram lands on the host software.
+// path fall through so every datagram lands on the host software. The
+// orchestrator is built and ticked by simhost.Orchestrate, like every
+// other orchestrator on the virtual clock: its pins, shift durations and
+// transition log are dated by the simulator, never by the host.
 //
 // Faults come from simnet's FaultPlan — per-link loss, duplication,
 // bounded reordering, jitter, stragglers, plus partitions and node

@@ -14,6 +14,7 @@ import (
 	"incod/internal/fleet"
 	"incod/internal/memcache"
 	"incod/internal/paxos"
+	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
@@ -482,28 +483,22 @@ func runMigrationCorrectness(seed int64, cfg Config) (uint64, error) {
 // scheduler with adversarial load that oscillates around the crossover
 // but stays inside the hysteresis band: neither may move placement once.
 func runControllerNoFlap(seed int64, cfg Config) (uint64, error) {
-	r := simnet.New(seed).Rand()
+	sim := simnet.New(seed)
+	r := sim.Rand()
 	ticks := cfg.scale(200, 600)
 
 	// Part A: the daemon threshold policy. Crossover 100 kpps means
 	// shift-up above 110 (1s of it) and shift-down below 70 (2s). Load
 	// oscillating through [72, 108] crosses the crossover constantly but
 	// never completes a threshold window.
-	orch := daemon.NewOrchestrator(0)
-	m, err := orch.Register("svc", daemon.ServiceConfig{
-		Policy: core.NewThresholdPolicy(core.DefaultNetworkConfig(100)),
-	})
-	if err != nil {
-		return 0, err
-	}
-	now := time.Unix(0, 0)
-	orch.Tick(now)
-	for i := 0; i < ticks; i++ {
-		now = now.Add(100 * time.Millisecond)
-		kpps := 72 + r.Float64()*36
-		m.ObserveN(uint64(kpps * 100)) // kpps * 1000/s * 0.1s
-		orch.Tick(now)
-	}
+	const tick = 100 * time.Millisecond
+	var total uint64
+	sim.Every(tick, func() { total += uint64((72 + r.Float64()*36) * 100) }) // kpps * 1000/s * 0.1s
+	orch, _ := simhost.Orchestrate(sim, tick, daemon.ServiceConfig{
+		Service: &core.FuncService{ServiceName: "svc"},
+		Policy:  core.NewThresholdPolicy(core.DefaultNetworkConfig(100)),
+	}, func() uint64 { return total })
+	sim.RunFor(time.Duration(ticks) * tick)
 	status, err := orch.Status("svc")
 	if err != nil {
 		return 0, err

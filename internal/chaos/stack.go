@@ -29,7 +29,7 @@ type StackConfig struct {
 	Faults simnet.FaultPlan
 	// BatchWindow batches deliveries at the server (0 = single-datagram).
 	BatchWindow time.Duration
-	// TickEvery drives the orchestrator on the virtual clock
+	// TickEvery is the orchestrator's period on the virtual clock
 	// (default 500µs).
 	TickEvery time.Duration
 	// Policy decides placement; nil leaves the orchestrator pin-driven
@@ -62,15 +62,6 @@ func (c StackConfig) tickEvery() time.Duration {
 		return c.TickEvery
 	}
 	return 500 * time.Microsecond
-}
-
-// driveOrchestrator ticks orch on the virtual clock: the orchestrator's
-// wall-clock `now` is synthesized from the simulator's time, so decision
-// windows are as deterministic as everything else.
-func driveOrchestrator(sim *simnet.Simulator, orch *daemon.Orchestrator, every time.Duration) (cancel func()) {
-	return sim.Every(every, func() {
-		orch.Tick(time.Unix(0, 0).Add(time.Duration(sim.Now())))
-	})
 }
 
 // runAndDrain advances the simulation by d, cancels the periodic drivers
@@ -118,15 +109,12 @@ func newServingStack(seed int64, cfg StackConfig, name string, h dataplane.Handl
 	net := simnet.NewNetwork(sim, cfg.Link)
 	net.SetFaultPlan(cfg.Faults)
 	attachTrace(net, cfg.Trace, nil)
-	s := &ServingStack{Sim: sim, Net: net, Tier: NewCrashableTier(tier), Orch: daemon.NewOrchestrator(0)}
+	s := &ServingStack{Sim: sim, Net: net, Tier: NewCrashableTier(tier)}
 	s.Node = simhost.NewNode(net, ServerAddr, h, cfg.BatchWindow, nil)
-	if _, err := s.Orch.Register(name, daemon.ServiceConfig{
+	s.Orch, s.StopTick = simhost.Orchestrate(sim, cfg.tickEvery(), daemon.ServiceConfig{
 		Service: nictier.NewService(name, s.Node, s.Tier),
 		Policy:  cfg.Policy,
-	}); err != nil {
-		panic(err) // static wiring; cannot fail
-	}
-	s.StopTick = driveOrchestrator(sim, s.Orch, cfg.tickEvery())
+	}, nil)
 	return s
 }
 
@@ -336,14 +324,12 @@ func NewPaxosStack(seed int64, cfg StackConfig, nclients int) *PaxosStack {
 	})
 	// Acceptor 0 is the managed service: offload tier + orchestrator.
 	s.Tier = NewCrashableTier(nictier.NewPaxosAcceptor(s.Acceptors[0].LiveAcceptor))
-	s.Orch = daemon.NewOrchestrator(0)
-	if _, err := s.Orch.Register("paxos", daemon.ServiceConfig{
+	var stopTick func()
+	s.Orch, stopTick = simhost.Orchestrate(sim, cfg.tickEvery(), daemon.ServiceConfig{
 		Service: nictier.NewService("paxos", s.Acceptors[0].Node, s.Tier),
 		Policy:  cfg.Policy,
-	}); err != nil {
-		panic(err)
-	}
-	s.stops = []func(){driveOrchestrator(sim, s.Orch, cfg.tickEvery()), s.Paxos.Stop}
+	}, nil)
+	s.stops = []func(){stopTick, s.Paxos.Stop}
 
 	for c := 0; c < nclients; c++ {
 		cl := &PaxosClient{

@@ -6,162 +6,7 @@ import (
 	"time"
 
 	"incod/internal/power"
-	"incod/internal/simnet"
 )
-
-func TestNetworkControllerShiftsUpAndBack(t *testing.T) {
-	sim := simnet.New(1)
-	svc := &FuncService{ServiceName: "test", Where: Host}
-	rate := 0.0
-	ctl := NewNetworkController(sim, svc, func() float64 { return rate }, NetworkControllerConfig{
-		ToNetworkKpps: 100, ToNetworkWindow: time.Second,
-		ToHostKpps: 50, ToHostWindow: time.Second,
-		SamplePeriod: 100 * time.Millisecond,
-	})
-	ctl.Start()
-
-	// Low rate: stays on host.
-	rate = 20
-	sim.RunFor(3 * time.Second)
-	if svc.Placement() != Host {
-		t.Fatal("low rate should stay on host")
-	}
-	// High rate: shifts to network after a full window.
-	rate = 200
-	sim.RunFor(2 * time.Second)
-	if svc.Placement() != Network {
-		t.Fatal("high sustained rate should shift to network")
-	}
-	// Mid rate (between thresholds): hysteresis holds it in the network.
-	rate = 80
-	sim.RunFor(5 * time.Second)
-	if svc.Placement() != Network {
-		t.Fatal("hysteresis band should not shift back")
-	}
-	// Low rate: returns to host.
-	rate = 10
-	sim.RunFor(2 * time.Second)
-	if svc.Placement() != Host {
-		t.Fatal("low sustained rate should shift back to host")
-	}
-	if len(ctl.Transitions) != 2 {
-		t.Errorf("transitions = %v, want 2", ctl.Transitions)
-	}
-	if ctl.Flaps() != 1 {
-		t.Errorf("flaps = %d, want 1", ctl.Flaps())
-	}
-	ctl.Stop()
-}
-
-func TestNetworkControllerNeedsFullWindow(t *testing.T) {
-	sim := simnet.New(2)
-	svc := &FuncService{ServiceName: "test", Where: Host}
-	rate := 1000.0
-	ctl := NewNetworkController(sim, svc, func() float64 { return rate }, NetworkControllerConfig{
-		ToNetworkKpps: 100, ToNetworkWindow: 2 * time.Second,
-		ToHostKpps: 50, ToHostWindow: 2 * time.Second,
-		SamplePeriod: 100 * time.Millisecond,
-	})
-	ctl.Start()
-	sim.RunFor(1 * time.Second)
-	if svc.Placement() != Host {
-		t.Error("must not shift on a partial averaging window")
-	}
-	sim.RunFor(1500 * time.Millisecond)
-	if svc.Placement() != Network {
-		t.Error("should shift once the window has fully elapsed")
-	}
-}
-
-func TestNetworkControllerSpikeSuppression(t *testing.T) {
-	sim := simnet.New(3)
-	svc := &FuncService{ServiceName: "test", Where: Host}
-	rate := 10.0
-	ctl := NewNetworkController(sim, svc, func() float64 { return rate }, NetworkControllerConfig{
-		ToNetworkKpps: 100, ToNetworkWindow: 2 * time.Second,
-		ToHostKpps: 50, ToHostWindow: 2 * time.Second,
-		SamplePeriod: 100 * time.Millisecond,
-	})
-	ctl.Start()
-	sim.RunFor(3 * time.Second)
-	// A 300ms spike must not trigger: the 2s average stays low.
-	rate = 500
-	sim.RunFor(300 * time.Millisecond)
-	rate = 10
-	sim.RunFor(3 * time.Second)
-	if svc.Placement() != Host {
-		t.Error("short spike should be averaged away")
-	}
-	if len(ctl.Transitions) != 0 {
-		t.Errorf("transitions = %v, want none", ctl.Transitions)
-	}
-}
-
-func TestHostControllerPowerAndCPU(t *testing.T) {
-	sim := simnet.New(4)
-	svc := &FuncService{ServiceName: "test", Where: Host}
-	powerW, cpu, netRate := 40.0, 0.1, 500.0
-	ctl := NewHostController(sim, svc,
-		func() float64 { return powerW },
-		func() float64 { return cpu },
-		func() float64 { return netRate },
-		HostControllerConfig{
-			ToNetworkPowerWatts: 55, ToNetworkCPUUtil: 0.6, ToNetworkSustain: 3 * time.Second,
-			ToHostKpps: 50, ToHostSustain: 3 * time.Second,
-			SamplePeriod: 100 * time.Millisecond,
-		})
-	ctl.Start()
-
-	// High power alone is not sufficient (§9.1: could be another app).
-	powerW = 90
-	sim.RunFor(5 * time.Second)
-	if svc.Placement() != Host {
-		t.Fatal("power without CPU must not shift")
-	}
-	// High CPU too: shift after the sustain period.
-	cpu = 0.9
-	sim.RunFor(2 * time.Second)
-	if svc.Placement() != Host {
-		t.Fatal("must hold for the full 3s sustain")
-	}
-	sim.RunFor(2 * time.Second)
-	if svc.Placement() != Network {
-		t.Fatal("sustained power+CPU should shift to network")
-	}
-	// Shift back requires network-side rate info to stay low.
-	netRate = 10
-	sim.RunFor(4 * time.Second)
-	if svc.Placement() != Host {
-		t.Fatal("low device rate should shift back to host")
-	}
-	if ctl.RAPLReads() == 0 {
-		t.Error("controller should be reading RAPL")
-	}
-	if len(ctl.Transitions) != 2 {
-		t.Errorf("transitions = %v", ctl.Transitions)
-	}
-}
-
-func TestHostControllerSpikeSuppression(t *testing.T) {
-	sim := simnet.New(5)
-	svc := &FuncService{ServiceName: "test", Where: Host}
-	powerW, cpu := 40.0, 0.1
-	ctl := NewHostController(sim, svc,
-		func() float64 { return powerW },
-		func() float64 { return cpu },
-		func() float64 { return 0 },
-		DefaultHostConfig(55, 50))
-	ctl.Start()
-	sim.RunFor(time.Second)
-	// 1s spike < 3s sustain: no shift.
-	powerW, cpu = 100, 1
-	sim.RunFor(time.Second)
-	powerW, cpu = 40, 0.1
-	sim.RunFor(5 * time.Second)
-	if svc.Placement() != Host || len(ctl.Transitions) != 0 {
-		t.Error("spike shorter than the sustain window must not shift")
-	}
-}
 
 func TestDemandCurveEnvelope(t *testing.T) {
 	lake := func(float64) float64 { return 59.2 }
@@ -224,7 +69,7 @@ func TestFuncServiceShiftNoop(t *testing.T) {
 }
 
 func TestTransitionString(t *testing.T) {
-	tr := Transition{At: simnet.Time(time.Second), To: Network, Reason: "r"}
+	tr := Transition{At: time.Second, To: Network, Reason: "r"}
 	if tr.String() != "1s -> network (r)" {
 		t.Errorf("String() = %q", tr.String())
 	}

@@ -1,21 +1,193 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"incod/internal/core"
+	"incod/internal/daemon"
 	"incod/internal/dns"
 	"incod/internal/kvs"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
 
-// The controllers of this package over the real services: the simulated
+// The policies of this package under the one control loop, on the virtual
+// clock: daemon.Orchestrator ticked by simhost.Orchestrate, first over
+// synthetic monitors, then over the real services — the simulated
 // card-and-host serves through the daemons' handlers and offload tiers,
 // and a shift is nictier.Service's stage, flip, barrier, warm / drain,
 // park.
+
+const tick = 100 * time.Millisecond
+
+// orchestrate places svc under pol, metered by total.
+func orchestrate(sim *simnet.Simulator, svc core.Service, pol core.Policy, model daemon.PowerModel, total func() uint64) *daemon.Orchestrator {
+	orch, _ := simhost.Orchestrate(sim, tick, daemon.ServiceConfig{Service: svc, Policy: pol, Model: model}, total)
+	return orch
+}
+
+// offered is a request total growing at *kpps of virtual time.
+func offered(sim *simnet.Simulator, kpps *float64) func() uint64 {
+	var total uint64
+	sim.Every(tick, func() { total += uint64(*kpps * 1000 * tick.Seconds()) })
+	return func() uint64 { return total }
+}
+
+func TestNetworkControllerShiftsUpAndBack(t *testing.T) {
+	sim := simnet.New(1)
+	svc := &core.FuncService{ServiceName: "test"}
+	rate := 20.0
+	orch := orchestrate(sim, svc, core.NewThresholdPolicy(core.NetworkControllerConfig{
+		ToNetworkKpps: 100, ToNetworkWindow: time.Second,
+		ToHostKpps: 50, ToHostWindow: time.Second,
+	}), nil, offered(sim, &rate))
+	for _, step := range []struct {
+		kpps float64
+		d    time.Duration
+		want core.Placement
+		why  string
+	}{
+		{20, 3 * time.Second, core.Host, "low rate should stay on host"},
+		{200, 2 * time.Second, core.Network, "high sustained rate should shift to network"},
+		{80, 5 * time.Second, core.Network, "hysteresis band should not shift back"},
+		{10, 2 * time.Second, core.Host, "low sustained rate should shift back to host"},
+	} {
+		rate = step.kpps
+		sim.RunFor(step.d)
+		if svc.Placement() != step.want {
+			t.Fatal(step.why)
+		}
+	}
+	if status, _ := orch.Status("test"); status.Shifts != 2 || status.Flaps != 1 {
+		t.Errorf("shifts, flaps = %d, %d, want 2, 1; transitions %v", status.Shifts, status.Flaps, orch.Transitions("test"))
+	}
+}
+
+func TestNetworkControllerSpikeSuppression(t *testing.T) {
+	sim := simnet.New(3)
+	svc := &core.FuncService{ServiceName: "test"}
+	rate := 10.0
+	orch := orchestrate(sim, svc, core.NewThresholdPolicy(core.NetworkControllerConfig{
+		ToNetworkKpps: 100, ToNetworkWindow: 2 * time.Second,
+		ToHostKpps: 50, ToHostWindow: 2 * time.Second,
+	}), nil, offered(sim, &rate))
+	sim.RunFor(3 * time.Second)
+	// A 300ms spike must not trigger: the 2s average stays low.
+	rate = 500
+	sim.RunFor(300 * time.Millisecond)
+	rate = 10
+	sim.RunFor(3 * time.Second)
+	if svc.Placement() != core.Host || len(orch.Transitions("test")) != 0 {
+		t.Errorf("short spike should be averaged away, got %v", orch.Transitions("test"))
+	}
+}
+
+// A failing transition task must leave the service in place; the loop
+// records the error and retries on a later tick.
+func TestControllerRetriesFailedShift(t *testing.T) {
+	sim := simnet.New(9)
+	fail := true
+	svc := &core.FuncService{ServiceName: "flaky", OnShift: func(core.Placement) error {
+		if fail {
+			return errors.New("leader election lost")
+		}
+		return nil
+	}}
+	rate := 500.0
+	orch := orchestrate(sim, svc, core.NewThresholdPolicy(core.NetworkControllerConfig{
+		ToNetworkKpps: 100, ToNetworkWindow: time.Second,
+		ToHostKpps: 50, ToHostWindow: time.Second,
+	}), nil, offered(sim, &rate))
+	sim.RunFor(3 * time.Second)
+	status, _ := orch.Status("flaky")
+	if svc.Placement() != core.Host || status.LastError == "" || status.Shifts != 0 {
+		t.Fatalf("failed shift must stay put and record the error, got %+v", status)
+	}
+	fail = false
+	sim.RunFor(2 * time.Second)
+	status, _ = orch.Status("flaky")
+	if svc.Placement() != core.Network || status.Shifts != 1 || status.LastError != "" {
+		t.Fatalf("the loop should retry, succeed and clear the error, got %+v", status)
+	}
+}
+
+func TestNetworkControllerNeedsFullWindow(t *testing.T) {
+	sim := simnet.New(2)
+	svc := &core.FuncService{ServiceName: "test"}
+	rate := 1000.0
+	orchestrate(sim, svc, core.NewThresholdPolicy(core.NetworkControllerConfig{
+		ToNetworkKpps: 100, ToNetworkWindow: 2 * time.Second,
+		ToHostKpps: 50, ToHostWindow: 2 * time.Second,
+	}), nil, offered(sim, &rate))
+	sim.RunFor(1 * time.Second)
+	if svc.Placement() != core.Host {
+		t.Error("must not shift on a partial averaging window")
+	}
+	sim.RunFor(1500 * time.Millisecond)
+	if svc.Placement() != core.Network {
+		t.Error("should shift once the window has fully elapsed")
+	}
+}
+
+func TestHostControllerPowerAndCPU(t *testing.T) {
+	sim := simnet.New(4)
+	svc := &core.FuncService{ServiceName: "test"}
+	powerW, cpu, netRate := 40.0, 0.1, 500.0
+	orch := orchestrate(sim, svc, core.NewPowerPolicy(core.HostControllerConfig{
+		ToNetworkPowerWatts: 55, ToNetworkCPUUtil: 0.6, ToNetworkSustain: 3 * time.Second,
+		ToHostKpps: 50, ToHostSustain: 3 * time.Second,
+	}), func(float64) (float64, float64) { return powerW, cpu }, offered(sim, &netRate))
+
+	// High power alone is not sufficient (§9.1: could be another app).
+	powerW = 90
+	sim.RunFor(5 * time.Second)
+	if svc.Placement() != core.Host {
+		t.Fatal("power without CPU must not shift")
+	}
+	// High CPU too: shift after the sustain period.
+	cpu = 0.9
+	sim.RunFor(2 * time.Second)
+	if svc.Placement() != core.Host {
+		t.Fatal("must hold for the full 3s sustain")
+	}
+	sim.RunFor(2 * time.Second)
+	if svc.Placement() != core.Network {
+		t.Fatal("sustained power+CPU should shift to network")
+	}
+	// Shift back requires network-side rate info to stay low.
+	netRate = 10
+	sim.RunFor(4 * time.Second)
+	if svc.Placement() != core.Host {
+		t.Fatal("low device rate should shift back to host")
+	}
+	status, _ := orch.Status("test")
+	if status.PowerReads == 0 {
+		t.Error("controller should be reading RAPL")
+	}
+	if status.Shifts != 2 || status.Flaps != 1 {
+		t.Errorf("shifts, flaps = %d, %d; transitions %v", status.Shifts, status.Flaps, orch.Transitions("test"))
+	}
+}
+
+func TestHostControllerSpikeSuppression(t *testing.T) {
+	sim := simnet.New(5)
+	svc := &core.FuncService{ServiceName: "test"}
+	powerW, cpu := 40.0, 0.1
+	orch := orchestrate(sim, svc, core.NewPowerPolicy(core.DefaultHostConfig(55, 50)),
+		func(float64) (float64, float64) { return powerW, cpu }, nil)
+	sim.RunFor(time.Second)
+	// 1s spike < 3s sustain: no shift.
+	powerW, cpu = 100, 1
+	sim.RunFor(time.Second)
+	powerW, cpu = 40, 0.1
+	sim.RunFor(5 * time.Second)
+	if svc.Placement() != core.Host || len(orch.Transitions("test")) != 0 {
+		t.Error("spike shorter than the sustain window must not shift")
+	}
+}
 
 // Figure 6 flow: host-controlled shift of the KVS from software to
 // hardware under sustained load, with no throughput dip and a ~10x hit
@@ -34,19 +206,16 @@ func TestKVSOnDemandTransition(t *testing.T) {
 		t.Fatal("service should start on the host")
 	}
 	// Host controller: CPU util and power come from the host model.
-	ctl := core.NewHostController(sim, svc, lake.HostWatts, lake.HostUtilization, lake.RateKpps,
-		core.HostControllerConfig{
-			ToNetworkPowerWatts: 45, ToNetworkCPUUtil: 0.05,
-			ToNetworkSustain: 1 * time.Second,
-			ToHostKpps:       1, ToHostSustain: 2 * time.Second,
-			SamplePeriod: 100 * time.Millisecond,
-		})
-	ctl.Start()
+	orch := orchestrate(sim, svc, core.NewPowerPolicy(core.HostControllerConfig{
+		ToNetworkPowerWatts: 45, ToNetworkCPUUtil: 0.05,
+		ToNetworkSustain: 1 * time.Second,
+		ToHostKpps:       1, ToHostSustain: 2 * time.Second,
+	}), func(float64) (float64, float64) { return lake.HostWatts(), lake.HostUtilization() }, lake.Observed)
 
 	client.Start(100) // 100 kpps, above the KVS crossover
 	sim.RunFor(5 * time.Second)
 	if svc.Placement() != core.Network {
-		t.Fatalf("controller did not offload (transitions: %v)", ctl.Transitions)
+		t.Fatalf("controller did not offload (transitions: %v)", orch.Transitions("kvs"))
 	}
 	// §9.2: "the transition from software to hardware had no effect on
 	// KVS throughput" — every request answered.
@@ -76,8 +245,7 @@ func TestKVSNetworkControlled(t *testing.T) {
 	client.KeyFunc = func() string { return "k" }
 
 	svc := lake.Service
-	ctl := core.NewNetworkController(sim, svc, lake.RateKpps, core.DefaultNetworkConfig(80))
-	ctl.Start()
+	orch := orchestrate(sim, svc, core.NewThresholdPolicy(core.DefaultNetworkConfig(80)), nil, lake.Observed)
 
 	client.Start(150)
 	sim.RunFor(4 * time.Second)
@@ -89,7 +257,7 @@ func TestKVSNetworkControlled(t *testing.T) {
 	sim.RunFor(6 * time.Second)
 	client.Stop()
 	if svc.Placement() != core.Host {
-		t.Errorf("network controller did not shift back (transitions: %v)", ctl.Transitions)
+		t.Errorf("network controller did not shift back (transitions: %v)", orch.Transitions("kvs"))
 	}
 }
 
@@ -109,8 +277,7 @@ func TestDNSOnDemand(t *testing.T) {
 	zone.Add("late.example.com", [4]byte{10, 0, 0, 99}, 60)
 
 	svc := emu.Service
-	ctl := core.NewNetworkController(sim, svc, emu.RateKpps, core.DefaultNetworkConfig(150))
-	ctl.Start()
+	orchestrate(sim, svc, core.NewThresholdPolicy(core.DefaultNetworkConfig(150)), nil, emu.Observed)
 
 	client.Start(300)
 	sim.RunFor(4 * time.Second)
@@ -142,18 +309,15 @@ func TestPaxosOnDemandLeaderShift(t *testing.T) {
 		t.Fatal("paxos starts in software")
 	}
 
-	ctl := core.NewNetworkController(sim, svc, func() float64 { return dep.CurrentLeader().RateKpps() },
-		core.NetworkControllerConfig{
-			ToNetworkKpps: 3, ToNetworkWindow: time.Second,
-			ToHostKpps: 1, ToHostWindow: 2 * time.Second,
-			SamplePeriod: 100 * time.Millisecond,
-		})
-	ctl.Start()
+	orch := orchestrate(sim, svc, core.NewThresholdPolicy(core.NetworkControllerConfig{
+		ToNetworkKpps: 3, ToNetworkWindow: time.Second,
+		ToHostKpps: 1, ToHostWindow: 2 * time.Second,
+	}), nil, dep.Requests)
 
 	c.Start(8)
 	sim.RunFor(4 * time.Second)
 	if svc.Placement() != core.Network {
-		t.Fatalf("paxos leader not shifted; transitions: %v", ctl.Transitions)
+		t.Fatalf("paxos leader not shifted; transitions: %v", orch.Transitions("paxos"))
 	}
 	sim.RunFor(2 * time.Second)
 	c.Stop()
@@ -164,10 +328,9 @@ func TestPaxosOnDemandLeaderShift(t *testing.T) {
 	if gaps := dep.Learner.Gaps(); len(gaps) != 0 {
 		t.Errorf("gaps after on-demand shift: %v", gaps)
 	}
-	// Rate meter tracks the HW leader now: ctl sees the SW leader's rate
-	// fall to zero... but the service moved, so the shift-back reads the
-	// current leader via the closure and must stay in the network under
-	// sustained load. (The closure reads CurrentLeader each tick.)
+	// The rate input counts client requests at whichever leader they
+	// reach, so the shift itself does not look like load falling away: the
+	// service must stay in the network under sustained load.
 	if svc.Placement() == core.Host {
 		t.Error("unexpected shift back while load persisted")
 	}

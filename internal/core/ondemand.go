@@ -3,7 +3,7 @@
 // a programmable network device so the system always sits on the
 // power-optimal side of the software/hardware crossover.
 //
-// The control plane is built from three first-class abstractions:
+// The control plane is built from two first-class abstractions:
 //
 //   - Service: a workload that can run on either substrate, with a
 //     fallible Shift (the §9.2 transition tasks can fail) and an optional
@@ -16,20 +16,19 @@
 //     ("40 lines of code within the FPGA's classifier module"),
 //     PowerPolicy the §9.1 host-controlled kernel ("204 lines of code ...
 //     0.3% CPU usage, mainly for performing RAPL reads"), StaticPolicy a
-//     manual pin. The same policy code drives the sim-time Controller here
-//     and the wall-clock Orchestrator in internal/daemon.
+//     manual pin.
 //
-//   - Controller: drives one Policy over one Service on the simulator
-//     clock. NewNetworkController and NewHostController build the two
-//     paper configurations.
+// The loop that samples, decides and shifts is daemon.Orchestrator — one
+// implementation, on the wall clock in the daemons and on the simulator's
+// clock (simhost.Orchestrate) in every figure, scenario and example. This
+// package knows no clock: a Sample and a Transition carry durations since
+// the loop's first tick.
 package core
 
 import (
 	"fmt"
 	"sync"
 	"time"
-
-	"incod/internal/simnet"
 )
 
 // Placement is where a service currently runs.
@@ -59,8 +58,8 @@ type Service interface {
 	Placement() Placement
 	// Shift moves the service, running its transition task. Shifting to
 	// the current placement must be a no-op returning nil. A non-nil error
-	// means the service stayed where it was (controllers retry on the
-	// next decision).
+	// means the service stayed where it was (the orchestrator retries on
+	// the next decision).
 	Shift(to Placement) error
 }
 
@@ -76,23 +75,27 @@ type TransitionCost struct {
 }
 
 // CostReporter is an optional Service extension reporting the expected
-// cost of shifting to a placement. Controllers and the daemon
-// orchestrator attach it to the transition log and status API.
+// cost of shifting to a placement. The orchestrator attaches it to the
+// transition record.
 type CostReporter interface {
 	TransitionCost(to Placement) TransitionCost
 }
 
-// Transition records one controller decision.
+// Transition records one applied placement change, on whichever clock the
+// orchestrator runs.
 type Transition struct {
-	At     simnet.Time
+	// At is when the shift was decided, since the loop's first tick.
+	At     time.Duration
 	To     Placement
 	Reason string
+	// Took is how long the service's Shift ran.
+	Took time.Duration
 	// Cost is the service-reported transition cost, when the service
 	// implements CostReporter.
 	Cost TransitionCost
 }
 
-// String renders the transition for logs.
+// String renders the transition for figure notes and scenario logs.
 func (t Transition) String() string {
 	return fmt.Sprintf("%v -> %s (%s)", t.At, t.To, t.Reason)
 }

@@ -13,8 +13,8 @@ import (
 // available at that moment. Monitors that are not attached (e.g. RAPL on
 // a daemon with no power counters) are NaN.
 type Sample struct {
-	// At is monotonic time since the controller started (virtual time in
-	// the simulator, wall time in the live daemons).
+	// At is monotonic time since the control loop's first tick (virtual
+	// time in the simulator, wall time in the live daemons).
 	At time.Duration
 	// Placement is where the service runs at sampling time.
 	Placement Placement
@@ -39,9 +39,8 @@ type Decision struct {
 }
 
 // Policy is a pluggable placement decision rule: the §9.1 controller
-// kernels, distilled so the sim-time controllers and the live daemons run
-// literally the same code. Implementations are not safe for concurrent
-// use; callers serialize Observe/Reset.
+// kernels, run by daemon.Orchestrator on either clock. Implementations
+// are not safe for concurrent use; callers serialize Observe/Reset.
 type Policy interface {
 	// Name identifies the policy ("threshold", "power", "static-host"...).
 	Name() string
@@ -69,6 +68,32 @@ type Tunable interface {
 
 // --- mirrored-threshold policy --------------------------------------------
 
+// NetworkControllerConfig holds the two mirrored parameter pairs of the
+// §9.1 network-controlled design, i.e. the ThresholdPolicy parameters.
+// "Using two sets of parameters provides hysteresis, and attends to
+// concerns of rapidly shifting workloads back-and-forth."
+type NetworkControllerConfig struct {
+	// ToNetworkKpps: shift to the network when the average rate over
+	// ToNetworkWindow exceeds this.
+	ToNetworkKpps   float64
+	ToNetworkWindow time.Duration
+	// ToHostKpps: shift back when the average rate over ToHostWindow
+	// falls below this. Must be below ToNetworkKpps for hysteresis.
+	ToHostKpps   float64
+	ToHostWindow time.Duration
+}
+
+// DefaultNetworkConfig returns thresholds bracketing a crossover rate,
+// with the paper-style hysteresis gap.
+func DefaultNetworkConfig(crossKpps float64) NetworkControllerConfig {
+	return NetworkControllerConfig{
+		ToNetworkKpps:   crossKpps * 1.1,
+		ToNetworkWindow: time.Second,
+		ToHostKpps:      crossKpps * 0.7,
+		ToHostWindow:    2 * time.Second,
+	}
+}
+
 // ThresholdPolicy is the §9.1 network-controlled decision kernel: average
 // the application message rate over a window, shift to the network above
 // one threshold, back to the host below a mirrored lower one. "Using two
@@ -91,8 +116,9 @@ type rateSample struct {
 	kpps float64
 }
 
-// NewThresholdPolicy returns the mirrored-threshold policy, applying the
-// window defaults of NewNetworkController.
+// NewThresholdPolicy returns the mirrored-threshold policy; a missing
+// window defaults to one second, a missing to-host window to the
+// to-network one.
 func NewThresholdPolicy(cfg NetworkControllerConfig) *ThresholdPolicy {
 	if cfg.ToNetworkWindow <= 0 {
 		cfg.ToNetworkWindow = time.Second
@@ -197,18 +223,52 @@ func validKpps(name string, v float64) error {
 
 // --- power-aware policy ---------------------------------------------------
 
+// HostControllerConfig holds the §9.1 host-controlled parameters, i.e.
+// the PowerPolicy parameters: one set for shifting to the network (power +
+// CPU, sustained) and one for shifting back (network-observed rate,
+// sustained).
+type HostControllerConfig struct {
+	// ToNetworkPowerWatts: RAPL package power that must be exceeded...
+	ToNetworkPowerWatts float64
+	// ToNetworkCPUUtil: ...together with this CPU utilization ("monitoring
+	// the power consumption alone is not sufficient, as a high power
+	// consumption can be triggered by multiple applications").
+	ToNetworkCPUUtil float64
+	// ToNetworkSustain is how long both must hold ("the information is
+	// inspected over time, avoiding harsh decisions based on spikes and
+	// outliers"). Figure 6 uses three seconds.
+	ToNetworkSustain time.Duration
+	// ToHostKpps: shift back when the device-reported application rate
+	// stays below this ("the controller needs information from the
+	// network ... otherwise the shift may ... bounce back and forth").
+	ToHostKpps float64
+	// ToHostSustain is the mirrored sustain window.
+	ToHostSustain time.Duration
+}
+
+// DefaultHostConfig returns the Figure 6 parameters: 3 s sustained high
+// power+CPU to offload, mirrored to return.
+func DefaultHostConfig(powerWatts, toHostKpps float64) HostControllerConfig {
+	return HostControllerConfig{
+		ToNetworkPowerWatts: powerWatts,
+		ToNetworkCPUUtil:    0.7,
+		ToNetworkSustain:    3 * time.Second,
+		ToHostKpps:          toHostKpps,
+		ToHostSustain:       3 * time.Second,
+	}
+}
+
 // PowerPolicy is the §9.1 host-controlled decision kernel: shift to the
 // network when RAPL package power and CPU utilization stay high for a
 // sustained period ("monitoring the power consumption alone is not
 // sufficient"), shift back when the device-observed rate stays low.
 type PowerPolicy struct {
-	cfg       HostControllerConfig
-	condOn    bool
-	condSince time.Duration
+	cfg  HostControllerConfig
+	cond sustained
 }
 
-// NewPowerPolicy returns the power-aware policy, applying the sustain
-// defaults of NewHostController.
+// NewPowerPolicy returns the power-aware policy; a missing sustain
+// defaults to the Figure 6 three seconds, mirrored.
 func NewPowerPolicy(cfg HostControllerConfig) *PowerPolicy {
 	if cfg.ToNetworkSustain <= 0 {
 		cfg.ToNetworkSustain = 3 * time.Second
@@ -230,14 +290,14 @@ func (p *PowerPolicy) Observe(s Sample) Decision {
 	switch s.Placement {
 	case Host:
 		hot := s.PowerW > p.cfg.ToNetworkPowerWatts && s.CPUUtil > p.cfg.ToNetworkCPUUtil
-		if p.holdCondition(hot, s.At, p.cfg.ToNetworkSustain) {
+		if p.cond.held(hot, s.At, p.cfg.ToNetworkSustain) {
 			return Decision{Shift: true, Target: Network,
 				Reason: fmt.Sprintf("power %.1fW cpu %.0f%% sustained %v",
 					s.PowerW, s.CPUUtil*100, p.cfg.ToNetworkSustain)}
 		}
 	case Network:
 		cold := s.RateKpps < p.cfg.ToHostKpps
-		if p.holdCondition(cold, s.At, p.cfg.ToHostSustain) {
+		if p.cond.held(cold, s.At, p.cfg.ToHostSustain) {
 			return Decision{Shift: true, Target: Host,
 				Reason: fmt.Sprintf("network rate %.1f kpps sustained %v below threshold",
 					s.RateKpps, p.cfg.ToHostSustain)}
@@ -246,24 +306,30 @@ func (p *PowerPolicy) Observe(s Sample) Decision {
 	return Decision{}
 }
 
-// holdCondition tracks how long cond has held continuously and reports
-// whether it has been true for at least sustain — the paper's spike
-// suppression ("avoiding harsh decisions based on spikes and outliers").
-func (p *PowerPolicy) holdCondition(cond bool, now time.Duration, sustain time.Duration) bool {
+// sustained tracks how long a condition has held continuously — the
+// paper's spike suppression ("avoiding harsh decisions based on spikes and
+// outliers").
+type sustained struct {
+	on    bool
+	since time.Duration
+}
+
+// held folds in cond at time now and reports whether it has been true
+// for at least sustain.
+func (c *sustained) held(cond bool, now, sustain time.Duration) bool {
 	if !cond {
-		p.condOn = false
+		c.on = false
 		return false
 	}
-	if !p.condOn {
-		p.condOn = true
-		p.condSince = now
+	if !c.on {
+		c.on, c.since = true, now
 		return sustain == 0
 	}
-	return now-p.condSince >= sustain
+	return now-c.since >= sustain
 }
 
 // Reset implements Policy.
-func (p *PowerPolicy) Reset() { p.condOn = false }
+func (p *PowerPolicy) Reset() { p.cond.on = false }
 
 // RateThresholds implements Tunable. The power policy has no to-network
 // rate threshold (that side triggers on watts + CPU), reported as zero.
@@ -284,6 +350,41 @@ func (p *PowerPolicy) SetRateThresholds(toNet, toHost float64) (bool, error) {
 		p.cfg.ToHostKpps = toHost
 	}
 	return false, nil
+}
+
+// --- host-side return rule --------------------------------------------------
+
+// ReturnWhen replaces p's way back to the host: on the network p is not
+// consulted, and the service returns once quiet has held for sustain. It
+// is the §9.2 experiment's rule — the KVS shifts back "as ChainerMN
+// stops", a condition of the host that no rate threshold expresses.
+func ReturnWhen(p Policy, quiet func() bool, sustain time.Duration, reason string) Policy {
+	return &returnWhen{Policy: p, quiet: quiet, sustain: sustain, reason: reason}
+}
+
+type returnWhen struct {
+	Policy
+	quiet   func() bool
+	sustain time.Duration
+	reason  string
+	cond    sustained
+}
+
+// Observe implements Policy.
+func (p *returnWhen) Observe(s Sample) Decision {
+	if s.Placement != Network {
+		return p.Policy.Observe(s)
+	}
+	if p.cond.held(p.quiet(), s.At, p.sustain) {
+		return Decision{Shift: true, Target: Host, Reason: p.reason}
+	}
+	return Decision{}
+}
+
+// Reset implements Policy.
+func (p *returnWhen) Reset() {
+	p.Policy.Reset()
+	p.cond.on = false
 }
 
 // --- static/manual policy -------------------------------------------------

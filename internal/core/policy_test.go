@@ -1,12 +1,9 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"time"
-
-	"incod/internal/simnet"
 )
 
 // feed drives a policy with a constant-rate sample stream and returns the
@@ -58,6 +55,37 @@ func TestPowerPolicyIgnoresMissingMonitors(t *testing.T) {
 		if d.Shift {
 			t.Fatalf("NaN monitors decided %+v", d)
 		}
+	}
+}
+
+// ReturnWhen leaves the way out to the wrapped policy and replaces the way
+// back: the wrapped return rule (here: rate below 50 kpps) is not
+// consulted, the condition must hold for the whole sustain, and a Reset
+// restarts it.
+func TestReturnWhenReplacesReturnRule(t *testing.T) {
+	quiet := false
+	p := ReturnWhen(NewPowerPolicy(DefaultHostConfig(55, 50)), func() bool { return quiet }, time.Second, "quiet")
+	if p.Name() != "power" {
+		t.Errorf("name = %q", p.Name())
+	}
+	hot := Sample{Placement: Host, PowerW: 90, CPUUtil: 0.9}
+	p.Observe(hot)
+	hot.At = 3 * time.Second
+	if d := p.Observe(hot); !d.Shift || d.Target != Network {
+		t.Fatalf("the wrapped policy should still shift out, got %+v", d)
+	}
+	p.Reset()
+	if d, _ := feed(p, Network, 0, 0, 10*time.Second, 100*time.Millisecond); d.Shift {
+		t.Fatalf("zero rate must not return while not quiet, got %+v", d)
+	}
+	quiet = true
+	d, at := feed(p, Network, 500, 10*time.Second, 2*time.Second, 100*time.Millisecond)
+	if !d.Shift || d.Target != Host || d.Reason != "quiet" || at != 11*time.Second {
+		t.Fatalf("quiet for the sustain should return at 11s, got %+v at %v", d, at)
+	}
+	p.Reset()
+	if d := p.Observe(Sample{At: at + 100*time.Millisecond, Placement: Network}); d.Shift {
+		t.Fatalf("Reset must restart the sustain, got %+v", d)
 	}
 }
 
@@ -127,40 +155,4 @@ func TestParsePlacement(t *testing.T) {
 	if _, err := ParsePlacement("fpga"); err == nil {
 		t.Error("bad placement must error")
 	}
-}
-
-// A failing transition task must leave the service in place; the
-// controller records the error and retries on a later tick.
-func TestControllerRetriesFailedShift(t *testing.T) {
-	sim := simnet.New(9)
-	fail := true
-	svc := &FuncService{ServiceName: "flaky", Where: Host, OnShift: func(Placement) error {
-		if fail {
-			return errors.New("leader election lost")
-		}
-		return nil
-	}}
-	rate := 500.0
-	ctl := NewNetworkController(sim, svc, func() float64 { return rate }, NetworkControllerConfig{
-		ToNetworkKpps: 100, ToNetworkWindow: time.Second,
-		ToHostKpps: 50, ToHostWindow: time.Second,
-		SamplePeriod: 100 * time.Millisecond,
-	})
-	ctl.Start()
-	sim.RunFor(3 * time.Second)
-	if svc.Placement() != Host {
-		t.Fatal("failed shift must not move the service")
-	}
-	if ctl.LastErr == nil || len(ctl.Transitions) != 0 {
-		t.Fatalf("want recorded error and no transitions, got err=%v transitions=%v", ctl.LastErr, ctl.Transitions)
-	}
-	fail = false
-	sim.RunFor(2 * time.Second)
-	if svc.Placement() != Network || len(ctl.Transitions) != 1 {
-		t.Fatalf("controller should retry and succeed (placement %v, transitions %v)", svc.Placement(), ctl.Transitions)
-	}
-	if ctl.LastErr != nil {
-		t.Errorf("LastErr should clear on success, got %v", ctl.LastErr)
-	}
-	ctl.Stop()
 }

@@ -1,7 +1,10 @@
-// Package daemon provides the shared control plane for the runnable UDP
-// daemons: a multi-service Orchestrator that applies the same core.Policy
-// decision code the simulator validates to live, wall-clock request
-// streams, and the versioned /v1 HTTP API that exposes it. A service
+// Package daemon provides the one control loop of the repository: a
+// multi-service Orchestrator that meters each service's request total,
+// feeds its core.Policy and applies the decision, and the versioned /v1
+// HTTP API that exposes it. It runs on either clock. The daemons Start it
+// on the wall clock; simhost.Orchestrate installs the simulator's clock
+// (SetClock) and ticks it from the event loop, so every figure, scenario,
+// example and chaos property exercises the loop the daemons run. A service
 // registered without a Service implementation is advisory — the
 // orchestrator only reports where it *would* run — while a real one
 // (nictier.Service, wired by the daemons' -nictier flag) performs actual
@@ -44,7 +47,9 @@ type DataplaneSource interface {
 // PowerModel estimates host package power and CPU utilization from the
 // observed request rate, standing in for RAPL on machines where the
 // daemon has no hardware counters. Policies that need power input (the
-// "power" policy) read these modeled values.
+// "power" policy) read these modeled values. The orchestrator reads it
+// once per tick and only while the service runs on the host (the paper's
+// controller pays its 0.3% CPU "mainly for performing RAPL reads").
 type PowerModel func(kpps float64) (watts, cpu float64)
 
 // CurveModel derives a PowerModel from one of the §4 calibrated software
@@ -91,7 +96,8 @@ type ManagedService struct {
 	window      []float64 // recent per-tick kpps, for status display
 	pinned      *core.Placement
 	shifts      int
-	transitions []string
+	powerReads  uint64            // model reads by the tick, host-side only
+	transitions []core.Transition // the last 32 applied shifts
 	lastErr     string
 	// shifting marks a transition task in flight: the orchestrator
 	// releases its mutex while Shift runs (warm-up and drains take real
@@ -136,11 +142,15 @@ type Orchestrator struct {
 	services   map[string]*ManagedService
 	order      []string
 	dataplanes map[string]DataplaneSource
-	epoch      time.Time
-	period     time.Duration
-	stop       chan struct{}
-	stopOnce   sync.Once
-	started    bool
+	// clock is the one clock the orchestrator reads — for the loop's
+	// ticks, pins, shift durations and the transition log. time.Now
+	// unless SetClock installed another.
+	clock    func() time.Time
+	epoch    time.Time // when the first Tick or Pin happened
+	period   time.Duration
+	stop     chan struct{}
+	stopOnce sync.Once
+	started  bool
 	// ready, when set, gates GET /v1/healthz: the endpoint answers 200
 	// only while ready() is true (the daemons wire the serving engine's
 	// Running). Unset means always ready.
@@ -156,10 +166,17 @@ func NewOrchestrator(period time.Duration) *Orchestrator {
 	}
 	return &Orchestrator{
 		services: make(map[string]*ManagedService),
+		clock:    time.Now,
 		period:   period,
 		stop:     make(chan struct{}),
 	}
 }
+
+// SetClock replaces the wall clock, the way SetReady installs a probe:
+// the simulation driver passes the simulator's virtual time, so ticks,
+// pins, measured shift durations and the transition log all share it.
+// Install it before Start, the first Tick or the first Pin.
+func (o *Orchestrator) SetClock(now func() time.Time) { o.clock = now }
 
 // SetReady installs the readiness probe behind GET /v1/healthz. Pass the
 // serving engine's Running so the endpoint reports 200 only once the
@@ -195,7 +212,9 @@ func (o *Orchestrator) Register(name string, cfg ServiceConfig) (*ManagedService
 	}
 	svc := cfg.Service
 	if svc == nil {
-		svc = Advisory(name)
+		// No hardware attached: shifts always succeed, modeling where the
+		// workload would run (apply logs each one).
+		svc = &core.FuncService{ServiceName: name}
 	}
 	pol := cfg.Policy
 	if pol == nil {
@@ -205,30 +224,6 @@ func (o *Orchestrator) Register(name string, cfg ServiceConfig) (*ManagedService
 	o.services[name] = m
 	o.order = append(o.order, name)
 	return m, nil
-}
-
-// Advisory returns a Service with no hardware attached: shifts always
-// succeed, modeling where the workload would run (apply logs each one).
-// Placement is atomic because the orchestrator releases its mutex while
-// Shift runs — status reads race the write on a plain field.
-func Advisory(name string) core.Service {
-	return &advisoryService{name: name}
-}
-
-type advisoryService struct {
-	name  string
-	where atomic.Int32 // core.Placement; zero value = Host
-}
-
-func (a *advisoryService) Name() string { return a.name }
-
-func (a *advisoryService) Placement() core.Placement {
-	return core.Placement(a.where.Load())
-}
-
-func (a *advisoryService) Shift(to core.Placement) error {
-	a.where.Store(int32(to))
-	return nil
 }
 
 // Start launches the background evaluation loop.
@@ -253,24 +248,31 @@ func (o *Orchestrator) loop() {
 		select {
 		case <-o.stop:
 			return
-		case now := <-tick.C:
-			o.Tick(now)
+		case <-tick.C:
+			o.Tick(o.clock())
 		}
 	}
 }
 
-// Tick performs one sampling + decision step for every service at wall
-// time now. The background loop calls it; tests drive it directly with
-// synthetic clocks.
+// Tick performs one sampling + decision step for every service at time
+// now: the step primitive. Whoever owns time calls it — the background
+// loop with the clock's reading, the simulation driver from the event
+// loop, tests with synthetic times.
 func (o *Orchestrator) Tick(now time.Time) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.epoch.IsZero() {
-		o.epoch = now
-	}
+	o.since(now)
 	for _, name := range o.order {
 		o.tickService(o.services[name], now)
 	}
+}
+
+// since returns now relative to the epoch, which the first call sets.
+func (o *Orchestrator) since(now time.Time) time.Duration {
+	if o.epoch.IsZero() {
+		o.epoch = now
+	}
+	return now.Sub(o.epoch)
 }
 
 func (o *Orchestrator) tickService(m *ManagedService, now time.Time) {
@@ -305,13 +307,14 @@ func (o *Orchestrator) tickService(m *ManagedService, now time.Time) {
 		return
 	}
 	s := core.Sample{
-		At:        now.Sub(o.epoch),
+		At:        o.since(now),
 		Placement: placement,
 		RateKpps:  kpps,
 		PowerW:    math.NaN(),
 		CPUUtil:   math.NaN(),
 	}
-	if m.model != nil {
+	if m.model != nil && placement == core.Host {
+		m.powerReads++
 		s.PowerW, s.CPUUtil = m.model(kpps)
 	}
 	if d := m.pol.Observe(s); d.Shift {
@@ -321,10 +324,10 @@ func (o *Orchestrator) tickService(m *ManagedService, now time.Time) {
 	}
 }
 
-// apply shifts m to target, logging the outcome. It reports success.
-// It is called with the orchestrator mutex held and RELEASES it while
-// the service's transition task runs — real transition work (cache
-// warm-up, state handoff, fast-path drains) takes wall time, and the
+// apply shifts m to target at time now, recording the outcome. It reports
+// success. It is called with the orchestrator mutex held and RELEASES it
+// while the service's transition task runs — real transition work (cache
+// warm-up, state handoff, fast-path drains) takes time, and the
 // control plane must stay responsive (and pinnable) throughout. The
 // m.shifting flag keeps concurrent ticks and pins from overlapping a
 // second transition; they re-evaluate on the next tick instead.
@@ -337,9 +340,9 @@ func (o *Orchestrator) apply(m *ManagedService, now time.Time, target core.Place
 	m.shifting = true
 	from := m.svc.Placement()
 	o.mu.Unlock()
-	start := time.Now()
+	start := o.clock()
 	err := m.svc.Shift(target)
-	dur := time.Since(start)
+	dur := o.clock().Sub(start)
 	rolledBack := false
 	var rollbackErr error
 	if err != nil && m.svc.Placement() != from {
@@ -376,14 +379,11 @@ func (o *Orchestrator) apply(m *ManagedService, now time.Time, target core.Place
 	}
 	m.lastErr = ""
 	m.shifts++
-	entry := fmt.Sprintf("%s -> %s in %v (%s)", now.Format(time.RFC3339), target,
-		dur.Round(time.Microsecond), reason)
+	tr := core.Transition{At: o.since(now), To: target, Reason: reason, Took: dur}
 	if cr, ok := m.svc.(core.CostReporter); ok {
-		if c := cr.TransitionCost(target); c.Note != "" {
-			entry += " [task: " + c.Note + "]"
-		}
+		tr.Cost = cr.TransitionCost(target)
 	}
-	m.transitions = append(m.transitions, entry)
+	m.transitions = append(m.transitions, tr)
 	if len(m.transitions) > 32 {
 		m.transitions = m.transitions[1:]
 	}
@@ -415,6 +415,12 @@ type ServiceStatus struct {
 	// rate — the host-software draw a fleet controller ranks placement
 	// candidates by. Absent when the service has no power model.
 	ModeledWatts float64 `json:"modeled_watts,omitempty"`
+	// Flaps counts shifts beyond the first — the quantity hysteresis is
+	// meant to minimize.
+	Flaps int `json:"flaps"`
+	// PowerReads counts the tick's reads of the power model, made only
+	// while the service is on the host.
+	PowerReads uint64 `json:"power_reads"`
 
 	// Shifting reports a transition task in flight right now.
 	Shifting bool `json:"shifting,omitempty"`
@@ -440,12 +446,14 @@ func (o *Orchestrator) lookup(name string) (*ManagedService, error) {
 	return m, nil
 }
 
-func statusLocked(m *ManagedService) ServiceStatus {
+func (o *Orchestrator) statusLocked(m *ManagedService) ServiceStatus {
 	s := ServiceStatus{
 		Name:           m.name,
 		Placement:      m.svc.Placement().String(),
 		Policy:         m.pol.Name(),
 		Shifts:         m.shifts,
+		Flaps:          max(m.shifts-1, 0),
+		PowerReads:     m.powerReads,
 		Requests:       m.total(),
 		LastError:      m.lastErr,
 		Shifting:       m.shifting,
@@ -474,10 +482,27 @@ func statusLocked(m *ManagedService) ServiceStatus {
 		toNet, toHost := tun.RateThresholds()
 		s.Thresholds = &Thresholds{ToNetworkKpps: toNet, ToHostKpps: toHost}
 	}
-	if len(m.transitions) > 0 {
-		s.Transitions = append(s.Transitions, m.transitions...)
+	for _, tr := range m.transitions {
+		entry := fmt.Sprintf("%s -> %s in %v (%s)", o.epoch.Add(tr.At).Format(time.RFC3339), tr.To,
+			tr.Took.Round(time.Microsecond), tr.Reason)
+		if tr.Cost.Note != "" {
+			entry += " [task: " + tr.Cost.Note + "]"
+		}
+		s.Transitions = append(s.Transitions, entry)
 	}
 	return s
+}
+
+// Transitions returns name's transition records, oldest first (the last
+// 32; nil for an unknown service): what the status strings are rendered
+// from, and what the figures print.
+func (o *Orchestrator) Transitions(name string) []core.Transition {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if m, ok := o.services[name]; ok {
+		return append([]core.Transition(nil), m.transitions...)
+	}
+	return nil
 }
 
 // Status snapshots one service.
@@ -488,7 +513,7 @@ func (o *Orchestrator) Status(name string) (ServiceStatus, error) {
 	if err != nil {
 		return ServiceStatus{}, err
 	}
-	return statusLocked(m), nil
+	return o.statusLocked(m), nil
 }
 
 // Statuses snapshots every service in registration order.
@@ -497,7 +522,7 @@ func (o *Orchestrator) Statuses() []ServiceStatus {
 	defer o.mu.Unlock()
 	out := make([]ServiceStatus, 0, len(o.order))
 	for _, name := range o.order {
-		out = append(out, statusLocked(o.services[name]))
+		out = append(out, o.statusLocked(o.services[name]))
 	}
 	return out
 }
@@ -551,6 +576,7 @@ func (o *Orchestrator) SetThresholds(name string, t Thresholds) (Thresholds, err
 // orchestrator retries every tick until it succeeds or the pin is
 // released.
 func (o *Orchestrator) Pin(name string, p core.Placement) error {
+	now := o.clock()
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	m, err := o.lookup(name)
@@ -559,7 +585,7 @@ func (o *Orchestrator) Pin(name string, p core.Placement) error {
 	}
 	m.pinned = &p
 	if m.svc.Placement() != p {
-		o.apply(m, time.Now(), p, "manual placement pin")
+		o.apply(m, now, p, "manual placement pin")
 	}
 	return nil
 }

@@ -97,8 +97,7 @@ func TestOrchestratorSpikeSuppression(t *testing.T) {
 }
 
 // The power policy runs live off a modeled RAPL (an energy-model curve
-// mapping the metered rate to watts and CPU) — the same decision code the
-// sim-time host controller uses.
+// mapping the metered rate to watts and CPU).
 func TestOrchestratorPowerPolicy(t *testing.T) {
 	curve := power.SoftwareCurve{
 		Name: "synthetic", IdleWatts: 40,
@@ -120,10 +119,25 @@ func TestOrchestratorPowerPolicy(t *testing.T) {
 	if placement(t, o, "kvs") != "network" {
 		t.Fatal("sustained power+CPU should shift to network")
 	}
+	// The model stands in for RAPL, which the controller reads only while
+	// the service is on the host: in the band above the return threshold
+	// nothing moves and nothing is read.
+	up, _ := o.Status("kvs")
+	if up.PowerReads == 0 {
+		t.Fatal("the host-side ticks should have read the power model")
+	}
+	now = drive(o, m, now, 90, 2*time.Second)
+	if s, _ := o.Status("kvs"); s.Placement != "network" || s.PowerReads != up.PowerReads {
+		t.Fatalf("power_reads went %d -> %d while on the network (%s)", up.PowerReads, s.PowerReads, s.Placement)
+	}
 	// Low device rate sustained: back to host (to-host threshold 56 kpps).
 	_ = drive(o, m, now, 10, 4*time.Second)
-	if placement(t, o, "kvs") != "host" {
-		t.Fatal("low sustained rate should shift back to host")
+	s, _ := o.Status("kvs")
+	if s.Placement != "host" || s.Flaps != 1 {
+		t.Fatalf("low sustained rate should shift back to host with one flap, got %+v", s)
+	}
+	if s.PowerReads <= up.PowerReads {
+		t.Error("back on the host the reads should resume")
 	}
 }
 

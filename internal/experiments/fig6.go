@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"incod/internal/core"
+	"incod/internal/daemon"
 	"incod/internal/kvs"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
@@ -60,42 +61,21 @@ func RunFig6() *Fig6Result {
 	}
 
 	svc := lake.Service
-	ctl := core.NewHostController(sim, svc,
-		func() float64 { return lake.HostWatts() + chainerPower() },
-		func() float64 { return lake.HostUtilization() + chainerCPU() },
-		lake.RateKpps,
-		core.HostControllerConfig{
-			ToNetworkPowerWatts: 70,
-			ToNetworkCPUUtil:    0.5,
-			ToNetworkSustain:    3 * time.Second, // the paper's trigger
-			// The generic rate-based return rule is disabled (threshold 0
-			// never fires): the §9.2 experiment shifts back "as ChainerMN
-			// stops", which the explicit monitor below implements.
-			ToHostKpps:    0,
-			ToHostSustain: 3 * time.Second,
-			SamplePeriod:  100 * time.Millisecond,
-		})
-	// The §9.2 experiment shifts back "as ChainerMN stops": model the
-	// return path as its own monitor (the host controller's network-rate
-	// input in the paper includes host state; our config above disables
-	// the generic return rule in favour of this explicit one).
-	backHot := simnet.Time(0)
-	sim.Every(100*time.Millisecond, func() {
-		if svc.Placement() == core.Network && !chainerOn {
-			if backHot == 0 {
-				backHot = sim.Now()
-			} else if sim.Now().Sub(backHot) >= 3*time.Second {
-				if err := svc.Shift(core.Host); err == nil {
-					ctl.Transitions = append(ctl.Transitions, core.Transition{
-						At: sim.Now(), To: core.Host, Reason: "background workload stopped"})
-				}
-				backHot = 0
-			}
-		} else {
-			backHot = 0
-		}
-	})
-	ctl.Start()
+	// The §9.1 host controller with the paper's 3 s trigger. Its generic
+	// rate-based return rule gives way to the §9.2 one: the experiment
+	// shifts back "as ChainerMN stops".
+	pol := core.ReturnWhen(core.NewPowerPolicy(core.HostControllerConfig{
+		ToNetworkPowerWatts: 70,
+		ToNetworkCPUUtil:    0.5,
+		ToNetworkSustain:    3 * time.Second,
+	}), func() bool { return !chainerOn }, 3*time.Second, "background workload stopped")
+	orch, _ := simhost.Orchestrate(sim, 100*time.Millisecond, daemon.ServiceConfig{
+		Service: svc,
+		Policy:  pol,
+		Model: func(float64) (watts, cpu float64) {
+			return lake.HostWatts() + chainerPower(), lake.HostUtilization() + chainerCPU()
+		},
+	}, lake.Observed)
 
 	combined := telemetry.SumPower{lake,
 		telemetry.PowerSourceFunc(func(simnet.Time) float64 { return chainerPower() })}
@@ -140,11 +120,11 @@ func RunFig6() *Fig6Result {
 			dip = f
 		}
 	}
-	res := &Fig6Result{Table: t, Transitions: ctl.Transitions, ThroughputDipFraction: dip}
+	res := &Fig6Result{Table: t, Transitions: orch.Transitions(svc.Name()), ThroughputDipFraction: dip}
 	if hwLat > 0 {
 		res.LatencyImprovement = float64(swLat) / float64(hwLat)
 	}
-	for _, tr := range ctl.Transitions {
+	for _, tr := range res.Transitions {
 		t.AddNote("transition: %s", tr)
 	}
 	t.AddNote("worst-interval throughput = %.0f%% of offered (paper: 'no effect on KVS throughput')", dip*100)

@@ -829,7 +829,10 @@ type LiveLearner struct {
 	votes   map[uint64]map[uint16]Msg
 	decided map[uint64][]byte
 	highest uint64
-	asked   map[uint64]time.Time
+	// contiguous is the watermark below which nothing is missing: every
+	// instance 1..contiguous is decided, so a gap scan starts above it.
+	contiguous uint64
+	asked      map[uint64]time.Time
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -890,7 +893,7 @@ func (l *LiveLearner) Gaps() []uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var gaps []uint64
-	for inst := uint64(1); inst < l.highest; inst++ {
+	for inst := l.contiguous + 1; inst < l.highest; inst++ {
 		if _, ok := l.decided[inst]; !ok {
 			gaps = append(gaps, inst)
 		}
@@ -990,6 +993,12 @@ func (l *LiveLearner) fold(v *MsgView) (decision Msg, decided bool) {
 	delete(l.votes, v.Instance)
 	delete(l.asked, v.Instance)
 	l.highest = max(l.highest, v.Instance)
+	for {
+		if _, ok := l.decided[l.contiguous+1]; !ok {
+			break
+		}
+		l.contiguous++
+	}
 	return Msg{Type: MsgDecision, Instance: v.Instance,
 		ClientID: chosen.ClientID, Seq: chosen.Seq,
 		ClientAddr: chosen.ClientAddr, Value: chosen.Value}, true

@@ -1,6 +1,7 @@
 package paxos
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,5 +188,58 @@ func TestPromisedOverwriteOnSettledInstance(t *testing.T) {
 	}
 	if got := a.StatsCounters().Get("recovered"); got != 1 {
 		t.Errorf("recovered = %d, want 1", got)
+	}
+}
+
+// Gaps walks only above the contiguous-decided watermark and still reports
+// every hole: below the highest decision, whatever order decisions land in.
+func TestLearnerGapsAboveWatermark(t *testing.T) {
+	decide := func(l *LiveLearner, insts ...uint64) {
+		for _, inst := range insts {
+			v := MsgView{Type: MsgPhase2B, Instance: inst, VBallot: 1, Value: []byte("v")}
+			if inst%2 == 0 {
+				v.Value = nil // a no-op decides with a nil value
+			}
+			if _, ok := l.fold(&v); !ok {
+				t.Fatalf("instance %d did not decide at quorum 1", inst)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		decide     []uint64
+		contiguous uint64
+		gaps       []uint64
+	}{
+		{"nothing decided", nil, 0, nil},
+		{"contiguous prefix", []uint64{1, 2, 3}, 3, nil},
+		{"hole at the watermark", []uint64{1, 2, 4}, 2, []uint64{3}},
+		{"holes above the watermark", []uint64{1, 4, 7}, 1, []uint64{2, 3, 5, 6}},
+		{"instance 1 missing", []uint64{2, 3}, 0, []uint64{1}},
+		{"out of order, filled from above", []uint64{5, 3, 4, 1, 2}, 5, nil},
+		{"out of order, hole left below", []uint64{6, 1, 5, 2, 4}, 2, []uint64{3}},
+		{"hole closed later", []uint64{1, 3, 2, 5}, 3, []uint64{4}},
+	} {
+		l := NewLiveLearner(1, "", (&mailbox{}).send)
+		decide(l, tc.decide...)
+		if got := l.Gaps(); !slices.Equal(got, tc.gaps) || l.contiguous != tc.contiguous {
+			t.Errorf("%s: gaps %v above watermark %d, want %v above %d",
+				tc.name, got, l.contiguous, tc.gaps, tc.contiguous)
+		}
+	}
+
+	// A long contiguous prefix costs a scan nothing: the walk covers the
+	// instances strictly between the watermark and the highest decision.
+	l := NewLiveLearner(1, "", (&mailbox{}).send)
+	const prefix = 1_000_000
+	for inst := uint64(1); inst <= prefix; inst++ {
+		decide(l, inst)
+	}
+	decide(l, prefix+3)
+	if walked := l.highest - 1 - l.contiguous; walked != 2 {
+		t.Errorf("scan walks %d instances after a %d-instance prefix, want 2", walked, prefix)
+	}
+	if got := l.Gaps(); !slices.Equal(got, []uint64{prefix + 1, prefix + 2}) {
+		t.Errorf("gaps = %v", got)
 	}
 }

@@ -1,6 +1,5 @@
 // Package power models the power draw of the servers, NICs and software
-// stacks in the paper's testbed, plus a simulated RAPL (running average
-// power limit) interface used by the host-side controller.
+// stacks in the paper's testbed.
 //
 // All constants are calibrated against numbers printed in the paper:
 //
@@ -16,12 +15,7 @@
 // SHW-3A meter, PSU overhead included).
 package power
 
-import (
-	"math"
-
-	"incod/internal/simnet"
-	"incod/internal/telemetry"
-)
+import "math"
 
 // CPUModel is a whole-server power model parameterized by active core count
 // and per-core utilization. Its shape follows the §7 observations: a large
@@ -192,11 +186,3 @@ var (
 	MellanoxCX311A = NICModel{Name: "Mellanox MCX311A-XCCT", IdleWatts: 2.0, DynWatts: 1.5}
 	NoNIC          = NICModel{Name: "none"}
 )
-
-// ConstantSource is a fixed-wattage telemetry.PowerSource.
-type ConstantSource float64
-
-// PowerWatts implements telemetry.PowerSource.
-func (c ConstantSource) PowerWatts(simnet.Time) float64 { return float64(c) }
-
-var _ telemetry.PowerSource = ConstantSource(0)

@@ -4,10 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"incod/internal/simnet"
-	"incod/internal/telemetry"
 )
 
 // §7 anchors for the dual Xeon E5-2660 v4.
@@ -179,59 +175,6 @@ func TestNICModels(t *testing.T) {
 	}
 	if NoNIC.Power(1) != 0 {
 		t.Error("NoNIC should draw nothing")
-	}
-}
-
-func TestRAPLCounters(t *testing.T) {
-	sim := simnet.New(1)
-	r := NewRAPL(sim)
-	r.AddDomain("package-0", ConstantSource(50))
-	e0 := r.EnergyMicroJoules("package-0")
-	sim.RunFor(2 * time.Second)
-	e1 := r.EnergyMicroJoules("package-0")
-	joules := float64(e1-e0) / 1e6
-	if math.Abs(joules-100) > 0.1 {
-		t.Errorf("energy = %v J, want 100 (50W x 2s)", joules)
-	}
-	if r.EnergyMicroJoules("missing") != 0 {
-		t.Error("unknown domain should read 0")
-	}
-	if len(r.Domains()) != 1 || r.Domains()[0] != "package-0" {
-		t.Errorf("Domains() = %v", r.Domains())
-	}
-	if r.Reads() < 2 {
-		t.Error("read counter not tracking")
-	}
-}
-
-func TestRAPLDuplicateDomainPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on duplicate domain")
-		}
-	}()
-	r := NewRAPL(simnet.New(1))
-	r.AddDomain("x", ConstantSource(1))
-	r.AddDomain("x", ConstantSource(1))
-}
-
-func TestRAPLWindow(t *testing.T) {
-	sim := simnet.New(1)
-	watts := 30.0
-	r := NewRAPL(sim)
-	r.AddDomain("pkg", telemetry.PowerSourceFunc(func(simnet.Time) float64 { return watts }))
-	w := r.NewWindow("pkg")
-	sim.RunFor(time.Second)
-	if got := w.Watts(); math.Abs(got-30) > 0.1 {
-		t.Errorf("window watts = %v, want 30", got)
-	}
-	watts = 90
-	sim.RunFor(time.Second)
-	if got := w.Watts(); math.Abs(got-90) > 0.1 {
-		t.Errorf("window watts after change = %v, want 90", got)
-	}
-	if w.Watts() != 0 {
-		t.Error("zero-length window should read 0")
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package scenario runs user-defined what-if simulations: a JSON scenario
 // picks an application (kvs/dns/paxos), an on-demand controller
 // (host/network/none), an idle strategy and an offered-load profile; the
-// runner executes it in virtual time and emits a timeline (throughput,
-// latency, power, placement) plus the controller's transition log. It is
-// the front door for exploring the paper's design space beyond the
-// figures the harness reproduces.
+// runner executes it in virtual time — the app on internal/simhost,
+// placed by the daemons' orchestrator on the simulator's clock — and emits
+// a timeline (throughput, latency, power, placement) plus the transition
+// log. It is the front door for exploring the paper's design space beyond
+// the figures the harness reproduces.
 package scenario
 
 import (
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"incod/internal/core"
+	"incod/internal/daemon"
 	"incod/internal/dns"
 	"incod/internal/kvs"
 	"incod/internal/power"
@@ -30,9 +32,8 @@ type Scenario struct {
 	// "none" (static placement per Start).
 	Controller string `json:"controller"`
 	// Policy selects a named core placement policy (threshold, power,
-	// static-host, static-network) instead of Controller; both the
-	// sim-time controller here and the live daemons run the same policy
-	// code.
+	// static-host, static-network) instead of Controller — the names the
+	// daemons' -policy flag takes.
 	Policy string `json:"policy"`
 	// Start placement: "host" (default) or "network".
 	Start string `json:"start"`
@@ -139,8 +140,8 @@ func (s *Scenario) validate() error {
 type rig struct {
 	svc      core.Service
 	power    telemetry.PowerSource
-	rateKpps func() float64 // device-observed application rate
-	hostTele func() (watts, cpu float64)
+	observed func() uint64     // device-observed application requests, monotonic
+	hostTele daemon.PowerModel // host watts and CPU; the rate argument is unused
 	setRate  func(kpps float64)
 	served   func() uint64
 	p50      func() time.Duration // and resets
@@ -183,15 +184,13 @@ func Run(s Scenario) (*Result, error) {
 			return nil, err
 		}
 	}
-	var ctlTransitions *[]core.Transition
+	var orch *daemon.Orchestrator
 	if pol != nil {
-		ctl := core.NewController(sim, r.svc, pol, core.Monitors{
-			RateKpps:   r.rateKpps,
-			PowerWatts: func() float64 { w, _ := r.hostTele(); return w },
-			CPUUtil:    func() float64 { _, c := r.hostTele(); return c },
-		}, 100*time.Millisecond)
-		ctl.Start()
-		ctlTransitions = &ctl.Transitions
+		orch, _ = simhost.Orchestrate(sim, 100*time.Millisecond, daemon.ServiceConfig{
+			Service: r.svc,
+			Policy:  pol,
+			Model:   r.hostTele,
+		}, r.observed)
 	}
 
 	// Schedule the load profile.
@@ -231,8 +230,8 @@ func Run(s Scenario) (*Result, error) {
 	if offeredTotal > 0 {
 		res.ServedFrac = float64(r.served()) / offeredTotal
 	}
-	if ctlTransitions != nil {
-		for _, tr := range *ctlTransitions {
+	if orch != nil {
+		for _, tr := range orch.Transitions(r.svc.Name()) {
 			res.Transitions = append(res.Transitions, tr.String())
 		}
 	}
@@ -280,8 +279,8 @@ func buildRig(s Scenario, sim *simnet.Simulator, net *simnet.Network) (*rig, err
 		return &rig{
 			svc:      dep,
 			power:    dep,
-			rateKpps: func() float64 { return dep.CurrentLeader().RateKpps() },
-			hostTele: func() (float64, float64) {
+			observed: dep.Requests,
+			hostTele: func(float64) (float64, float64) {
 				w := dep.SWLeader.PowerWatts(sim.Now())
 				return w, dep.SWLeader.RateKpps() / 170
 			},
@@ -304,8 +303,8 @@ func nodeRig(n *simhost.Node, svc core.Service, setRate func(kpps float64),
 	return &rig{
 		svc:      svc,
 		power:    n,
-		rateKpps: n.RateKpps,
-		hostTele: func() (float64, float64) { return n.HostWatts(), n.HostUtilization() },
+		observed: n.Observed,
+		hostTele: func(float64) (float64, float64) { return n.HostWatts(), n.HostUtilization() },
 		setRate:  setRate, // a client's Start replaces its running stream
 		served:   func() uint64 { return counters.Get("recv") },
 		p50: func() time.Duration {

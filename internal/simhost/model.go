@@ -164,6 +164,10 @@ func (n *Node) Dropped() (shed, halted uint64) { return n.shed, n.halted }
 // serves it — the network controller's input (§9.1).
 func (n *Node) RateKpps() float64 { return n.cardRate.Rate(n.sim.Now()) / 1000 }
 
+// Observed is the monotonic count behind RateKpps: every metered request
+// the card has seen, whoever served it — the orchestrator's rate input.
+func (n *Node) Observed() uint64 { return n.cardRate.Total() }
+
 // HostRateKpps is the rate of requests reaching the host software.
 func (n *Node) HostRateKpps() float64 { return n.hostRate.Rate(n.sim.Now()) / 1000 }
 

@@ -194,7 +194,7 @@ func NewPaxos(net *simnet.Network, cfg PaxosConfig) *Paxos {
 	// §9.2 gap recovery on the virtual clock.
 	d.Stop = net.Sim().Every(cfg.GapTimeout, func() {
 		for _, l := range d.Learners {
-			l.ScanGaps(time.Unix(0, 0).Add(time.Duration(net.Sim().Now())))
+			l.ScanGaps(wallTime(net.Sim()))
 		}
 	})
 
@@ -222,6 +222,10 @@ func (d *Paxos) acceptor(addr simnet.Addr, id uint16, window time.Duration, m *M
 
 // CurrentLeader returns the active leader.
 func (d *Paxos) CurrentLeader() *PaxosLeader { return d.current }
+
+// Requests is the monotonic count of client requests either leader has
+// seen — the orchestrator's rate input for the leader shift.
+func (d *Paxos) Requests() uint64 { return d.SWLeader.Observed() + d.HWLeader.Observed() }
 
 // ShiftLeader moves the leader role to target (SWLeader or HWLeader), the
 // §9.2 centralized-controller shift: the outgoing leader is paused, the

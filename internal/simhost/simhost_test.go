@@ -3,9 +3,12 @@ package simhost
 import (
 	"container/list"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"incod/internal/core"
+	"incod/internal/daemon"
 	"incod/internal/dataplane"
 	"incod/internal/fpga"
 	"incod/internal/power"
@@ -89,5 +92,43 @@ func TestModelDelaysReplies(t *testing.T) {
 		if len(*got) != 1 || (*got)[0] != want {
 			t.Errorf("window %v: reply at %v, want one at %v (NIC hop, window, host time)", window, *got, want)
 		}
+	}
+}
+
+// The orchestrator reads one clock. On the virtual one a pin is dated by
+// the simulator, not by the host the test runs on: the record's At is the
+// virtual time of the pin, the /v1 string is 1970 plus it, the shift took
+// no virtual time, and two runs of one seed agree on all of it.
+func TestPinIsDatedOnTheVirtualClock(t *testing.T) {
+	run := func() (core.Transition, daemon.ServiceStatus) {
+		sim := simnet.New(3)
+		lake := NewKVS(simnet.NewNetwork(sim, simnet.TenGigE), "lake", LaKe())
+		lake.Preload(100, 8)
+		orch, _ := Orchestrate(sim, 100*time.Millisecond, daemon.ServiceConfig{Service: lake.Service}, lake.Observed)
+		sim.RunFor(1250 * time.Millisecond)
+		if err := orch.Pin("kvs", core.Network); err != nil {
+			t.Fatal(err)
+		}
+		sim.RunFor(time.Second)
+		status, _ := orch.Status("kvs")
+		trs := orch.Transitions("kvs")
+		if status.Placement != "network" || len(trs) != 1 || len(status.Transitions) != 1 {
+			t.Fatalf("pin did not shift once: %+v", status)
+		}
+		trs[0].Cost = core.TransitionCost{} // the tier's note times its own steps on the wall clock
+		return trs[0], status
+	}
+	tr, status := run()
+	if tr.At != 1250*time.Millisecond || tr.Took != 0 {
+		t.Errorf("pin at virtual 1.25s recorded at %v, took %v", tr.At, tr.Took)
+	}
+	stamp := time.Unix(0, 0).Add(tr.At).Format(time.RFC3339) + " -> network in 0s (manual placement pin)"
+	if !strings.HasPrefix(status.Transitions[0], stamp) {
+		t.Errorf("status entry %q, want prefix %q", status.Transitions[0], stamp)
+	}
+	again, statusAgain := run()
+	if tr != again || status.LastShiftDuration != statusAgain.LastShiftDuration {
+		t.Errorf("same seed, different records: %+v (%q) vs %+v (%q)",
+			tr, status.LastShiftDuration, again, statusAgain.LastShiftDuration)
 	}
 }

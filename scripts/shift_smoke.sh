@@ -1,26 +1,35 @@
 #!/usr/bin/env bash
-# Loopback shift-under-load smoke: build inckvsd and incloadgen, start
-# the daemon with the NIC offload tier and a low crossover, drive a
-# phased ramp across the threshold, and assert on the /v1 control API
-# that a real placement shift happened and the tier served traffic.
+# Loopback shift-under-load smoke: build one daemon (kvs, dns or paxos —
+# the first argument, default kvs) and incloadgen, start the daemon with
+# its NIC offload tier and a low crossover, drive a phased ramp across the
+# threshold and back, and assert on the /v1 control API that the policy
+# shifted the service up and down once each and the tier served traffic.
 #
-# INCKVSD_EXTRA_FLAGS / INCLOADGEN_EXTRA_FLAGS let CI run the same
+# DAEMON_EXTRA_FLAGS / INCLOADGEN_EXTRA_FLAGS let CI run the same
 # assertions in batched per-shard-socket mode (e.g. "-sockets 2").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BIN=$(mktemp -d)
-trap 'kill "${KVSD_PID:-}" 2>/dev/null || true; rm -rf "$BIN"' EXIT
+APP=${1:-kvs}
+case "$APP" in
+  kvs)   DAEMON=inckvsd   ROLE=""               TIER=lake           KEYS=200 ;;
+  dns)   DAEMON=incdnsd   ROLE=""               TIER=emu-dns        KEYS=16 ;; # the demo zone
+  paxos) DAEMON=incpaxosd ROLE="-role acceptor" TIER=p4xos-acceptor KEYS=200 ;;
+  *) echo "usage: $0 [kvs|dns|paxos]" >&2; exit 2 ;;
+esac
 
-go build -o "$BIN/inckvsd" ./cmd/inckvsd
+BIN=$(mktemp -d)
+trap 'kill "${DAEMON_PID:-}" 2>/dev/null || true; rm -rf "$BIN"' EXIT
+
+go build -o "$BIN/$DAEMON" "./cmd/$DAEMON"
 go build -o "$BIN/incloadgen" ./cmd/incloadgen
 
 ADDR=127.0.0.1:11311
 CTRL=127.0.0.1:18080
-# shellcheck disable=SC2086  # extra flags are intentionally word-split
-"$BIN/inckvsd" -addr "$ADDR" -ctrl "$CTRL" -nictier -crossover 2 -shards 2 \
-  ${INCKVSD_EXTRA_FLAGS:-} &
-KVSD_PID=$!
+# shellcheck disable=SC2086  # role and extra flags are intentionally word-split
+"$BIN/$DAEMON" $ROLE -addr "$ADDR" -ctrl "$CTRL" -nictier -crossover 2 -shards 2 \
+  ${DAEMON_EXTRA_FLAGS:-} &
+DAEMON_PID=$!
 
 # Wait for the control API to report the dataplane serving, with
 # exponential backoff instead of a fixed boot sleep: fast machines move on
@@ -41,7 +50,7 @@ wait_healthy "http://$CTRL/v1/healthz"
 # Ramp over the 2.2 kpps to-network threshold, hold, ramp back under the
 # 1.4 kpps to-host threshold.
 # shellcheck disable=SC2086
-"$BIN/incloadgen" -proto kvs -target "$ADDR" -keys 200 \
+"$BIN/incloadgen" -proto "$APP" -target "$ADDR" -keys "$KEYS" \
   ${INCLOADGEN_EXTRA_FLAGS:-} \
   -profile 'ramp:0-8000:2s,hold:8000:3s,ramp:8000-0:2s'
 
@@ -49,13 +58,13 @@ wait_healthy "http://$CTRL/v1/healthz"
 # poll for the return to host instead of guessing with a fixed sleep.
 deadline=$((SECONDS + 10))
 while :; do
-  status=$(curl -sf "http://$CTRL/v1/services/kvs")
+  status=$(curl -sf "http://$CTRL/v1/services/$APP")
   echo "$status" | grep -q '"placement":"host"' && break
   [ "$SECONDS" -ge "$deadline" ] && break # asserts below still diagnose
   sleep 0.25
 done
 echo "service status: $status"
-dataplane=$(curl -sf "http://$CTRL/v1/services/kvs/dataplane")
+dataplane=$(curl -sf "http://$CTRL/v1/services/$APP/dataplane")
 echo "dataplane: $dataplane"
 
 shifts=$(echo "$status" | grep -o '"shifts":[0-9]*' | cut -d: -f2)
@@ -63,6 +72,12 @@ if [ "${shifts:-0}" -lt 1 ]; then
   echo "FAIL: expected at least one placement shift, got ${shifts:-0}" >&2
   exit 1
 fi
+# One ramp up and back is one shift each way: a second flap means the
+# hysteresis did not hold under real traffic.
+echo "$status" | grep -q '"flaps":1[,}]' || {
+  echo "FAIL: expected \"flaps\":1 after the ramp up and back" >&2
+  exit 1
+}
 echo "$status" | grep -q '"last_shift_duration"' || {
   echo "FAIL: shift duration missing from /v1/services" >&2
   exit 1
@@ -74,8 +89,8 @@ if [ "${offloaded:-0}" -lt 1 ]; then
   echo "FAIL: the NIC tier never served a datagram" >&2
   exit 1
 fi
-echo "$dataplane" | grep -q '"tier_name":"lake"' || {
+echo "$dataplane" | grep -q "\"tier_name\":\"$TIER\"" || {
   echo "FAIL: tier stats missing from /v1/dataplane" >&2
   exit 1
 }
-echo "shift smoke OK: shifts=$shifts offloaded=$offloaded"
+echo "shift smoke OK ($APP): shifts=$shifts offloaded=$offloaded"
