@@ -3,9 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -14,36 +12,38 @@ import (
 	"time"
 
 	"incod/internal/dataplane"
-	"incod/internal/dns"
 	"incod/internal/fleet"
 	"incod/internal/kvs"
-	"incod/internal/paxos"
 	"incod/internal/trafficgen"
 )
+
+func seg(kind string, from, to float64, d time.Duration) trafficgen.Segment {
+	return trafficgen.Segment{Kind: kind, From: from, To: to, Dur: d}
+}
 
 func TestParseProfile(t *testing.T) {
 	const sec = time.Second
 	good := []struct {
 		spec string
-		want []phase
+		want trafficgen.Profile
 	}{
 		// Empty spec: one hold at -rate for -duration.
-		{"", []phase{{"hold", 700, 700, 3 * sec}}},
-		{"  ", []phase{{"hold", 700, 700, 3 * sec}}},
-		{"hold:100:2s", []phase{{"hold", 100, 100, 2 * sec}}},
-		{"spike:1500.5:250ms", []phase{{"spike", 1500.5, 1500.5, 250 * time.Millisecond}}},
-		{"ramp:0-8000:2s", []phase{{"ramp", 0, 8000, 2 * sec}}},
-		{"ramp:0-8000:2s, hold:8000:3s ,ramp:8000-0:2s", []phase{
-			{"ramp", 0, 8000, 2 * sec}, {"hold", 8000, 8000, 3 * sec}, {"ramp", 8000, 0, 2 * sec}}},
+		{"", trafficgen.Profile{seg("hold", 700, 700, 3*sec)}},
+		{"  ", trafficgen.Profile{seg("hold", 700, 700, 3*sec)}},
+		{"hold:100:2s", trafficgen.Profile{seg("hold", 100, 100, 2*sec)}},
+		{"spike:1500.5:250ms", trafficgen.Profile{seg("spike", 1500.5, 1500.5, 250*time.Millisecond)}},
+		{"ramp:0-8000:2s", trafficgen.Profile{seg("ramp", 0, 8000, 2*sec)}},
+		{"ramp:0-8000:2s, hold:8000:3s ,ramp:8000-0:2s", trafficgen.Profile{
+			seg("ramp", 0, 8000, 2*sec), seg("hold", 8000, 8000, 3*sec), seg("ramp", 8000, 0, 2*sec)}},
 	}
 	for _, c := range good {
-		got, err := parseProfile(c.spec, 700, 3*sec)
+		got, err := trafficgen.ParseProfile(c.spec, 700, 3*sec)
 		if err != nil {
-			t.Errorf("parseProfile(%q): %v", c.spec, err)
+			t.Errorf("ParseProfile(%q): %v", c.spec, err)
 			continue
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("parseProfile(%q) = %v, want %v", c.spec, got, c.want)
+			t.Errorf("ParseProfile(%q) = %v, want %v", c.spec, got, c.want)
 		}
 	}
 	bad := []string{
@@ -62,114 +62,51 @@ func TestParseProfile(t *testing.T) {
 		"burst:100:1s",      // unknown kind
 	}
 	for _, spec := range bad {
-		if got, err := parseProfile(spec, 700, 3*sec); err == nil {
-			t.Errorf("parseProfile(%q) = %v, want an error", spec, got)
+		if got, err := trafficgen.ParseProfile(spec, 700, 3*sec); err == nil {
+			t.Errorf("ParseProfile(%q) = %v, want an error", spec, got)
 		}
 	}
 }
 
 func TestPhaseDueAt(t *testing.T) {
 	cases := []struct {
-		p     phase
+		p     trafficgen.Segment
 		total uint64 // due at the phase's end
 	}{
-		{phase{"hold", 2000, 2000, 500 * time.Millisecond}, 1000},
-		{phase{"spike", 300, 300, 2 * time.Second}, 600},
+		{seg("hold", 2000, 2000, 500*time.Millisecond), 1000},
+		{seg("spike", 300, 300, 2*time.Second), 600},
 		// A ramp integrates to the trapezoid (from+to)/2 × dur.
-		{phase{"ramp", 0, 8000, 2 * time.Second}, 8000},
-		{phase{"ramp", 8000, 0, 2 * time.Second}, 8000},
-		{phase{"ramp", 1000, 3000, time.Second}, 2000},
+		{seg("ramp", 0, 8000, 2*time.Second), 8000},
+		{seg("ramp", 8000, 0, 2*time.Second), 8000},
+		{seg("ramp", 1000, 3000, time.Second), 2000},
 	}
 	for _, c := range cases {
-		if got := c.p.dueAt(c.p.dur); got != c.total {
+		dueAt := trafficgen.Profile{c.p}.Due
+		if got := dueAt(c.p.Dur); got != c.total {
 			t.Errorf("%v: due at end = %d, want %d", c.p, got, c.total)
 		}
-		if got := c.p.dueAt(0); got != 0 {
+		if got := dueAt(0); got != 0 {
 			t.Errorf("%v: due at 0 = %d, want 0", c.p, got)
 		}
 		var prev uint64
 		for step := 0; step <= 1000; step++ {
-			at := c.p.dur * time.Duration(step) / 1000
-			got := c.p.dueAt(at)
+			at := c.p.Dur * time.Duration(step) / 1000
+			got := dueAt(at)
 			if got < prev {
 				t.Fatalf("%v: due falls from %d to %d at %v", c.p, prev, got, at)
 			}
 			prev = got
-			if c.p.kind != "ramp" {
+			if c.p.Kind != "ramp" {
 				// A hold is linear in t.
-				if want := c.p.from * at.Seconds(); math.Abs(float64(got)-want) > 1 {
+				if want := c.p.From * at.Seconds(); math.Abs(float64(got)-want) > 1 {
 					t.Fatalf("%v: due at %v = %d, want %.1f", c.p, at, got, want)
 				}
 			}
 		}
 	}
 	// Halfway up a ramp from zero a quarter of the total is due.
-	if got := (phase{"ramp", 0, 8000, 2 * time.Second}).dueAt(time.Second); got != 2000 {
+	if got := (trafficgen.Profile{seg("ramp", 0, 8000, 2*time.Second)}).Due(time.Second); got != 2000 {
 		t.Errorf("ramp 0->8000 over 2s: due at 1s = %d, want 2000", got)
-	}
-}
-
-// TestRequestRoundTrip sends what request builds through the handler
-// each daemon serves with and reads the reply back with responseID: the
-// id must survive, and the reply must be the answer the workload is
-// meant to draw (a hit, an address, a vote).
-func TestRequestRoundTrip(t *testing.T) {
-	const keys = 16
-	sampler := trafficgen.NewZipfKeys(rand.New(rand.NewSource(1)), keys, 1.06)
-
-	store := kvs.NewShardedStore(2, 0)
-	for i := 0; i < keys; i++ {
-		store.Set(fmt.Sprintf("key-%d", i), kvs.Entry{Value: []byte("value")})
-	}
-	zone := dns.NewZone()
-	zone.PopulateSequential(keys)
-	handlers := map[string]dataplane.Handler{
-		"kvs":   kvs.NewHandler(store),
-		"dns":   dns.NewHandler(zone),
-		"paxos": paxos.NewLiveAcceptor(1, nil, func(string, paxos.Msg) {}),
-	}
-	answered := map[string]func([]byte) bool{
-		"kvs": func(out []byte) bool { return bytes.Contains(out, []byte("VALUE key-")) },
-		"dns": func(out []byte) bool {
-			m, err := dns.Decode(out, 0)
-			return err == nil && m.HasAnswer
-		},
-		"paxos": func(out []byte) bool {
-			m, err := paxos.Decode(out)
-			return err == nil && m.Type == paxos.MsgPhase2B && bytes.Equal(m.Value, paxosValue)
-		},
-	}
-	for proto, h := range handlers {
-		scratch := make([]byte, 0, 4096)
-		for _, id := range []uint16{1, 2, 255, 256, 40000, 65535} {
-			req, err := request(proto, id, sampler)
-			if err != nil {
-				t.Fatalf("%s: request: %v", proto, err)
-			}
-			if _, ok := responseID(proto, req); ok && proto == "dns" {
-				t.Errorf("dns: a query was read as a response")
-			}
-			out, ok := h.HandleDatagram(req, &scratch)
-			if !ok {
-				t.Fatalf("%s id %d: handler gave no reply", proto, id)
-			}
-			got, ok := responseID(proto, out)
-			if !ok || got != id {
-				t.Errorf("%s: responseID = %d, %v; want %d", proto, got, ok, id)
-			}
-			if !answered[proto](out) {
-				t.Errorf("%s id %d: reply %q is not the workload's answer", proto, id, out)
-			}
-		}
-		if _, ok := responseID(proto, []byte{0xff}); ok {
-			t.Errorf("%s: responseID accepted a one-byte datagram", proto)
-		}
-	}
-	if _, err := request("smtp", 1, sampler); err == nil {
-		t.Error("request: unknown protocol accepted")
-	}
-	if _, ok := responseID("smtp", []byte("x")); ok {
-		t.Error("responseID: unknown protocol accepted")
 	}
 }
 
@@ -189,23 +126,22 @@ func TestRunLoopback(t *testing.T) {
 	defer eng.Close()
 
 	const profile = "ramp:0-2000:150ms,hold:2000:150ms"
-	phases, err := parseProfile(profile, 0, 0)
+	phases, err := trafficgen.ParseProfile(profile, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var due, tick uint64
-	for _, p := range phases {
-		due += p.dueAt(p.dur)
-		// What one pacer period carries at the phase's peak rate, plus
-		// one for dueAt's truncation.
-		tick += uint64(math.Ceil(math.Max(p.from, p.to)*tickEvery.Seconds())) + 1
-	}
+	due := phases.Due(phases.Total())
+	// What one pacer period (a millisecond) carries at the last phase's
+	// rate, plus one for Due's truncation: a phase that ends a tick
+	// short is made up in the next, the last one is not.
+	last := phases[len(phases)-1]
+	tick := uint64(math.Ceil(math.Max(last.From, last.To)*time.Millisecond.Seconds())) + 1
 
 	// A tick on a loaded machine can overrun its millisecond, which ends
 	// a phase early by that much; the bound is on the best of a few runs
 	// so that only a pacer that is wrong, not one that was descheduled,
 	// fails.
-	var rep *RunReport
+	var rep *trafficgen.Report
 	for attempt := 0; attempt < 5; attempt++ {
 		rep, err = run("kvs", eng.LocalAddr().String(), 0, 0, 64, true, 2, profile, true)
 		if err != nil {
@@ -237,13 +173,13 @@ func TestRunLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got fleet.LoadReport
+	got := fleet.WorkerResult{Report: new(trafficgen.Report)} // what fleet.Replay reads it into
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&got); err != nil {
-		t.Fatalf("report does not parse as fleet.LoadReport: %v", err)
+	if err := dec.Decode(got.Report); err != nil {
+		t.Fatalf("report does not parse as fleet's worker report: %v", err)
 	}
-	if got.Sent != rep.Sent || got.Answered != rep.Answered || got.Phases != rep.Phases || got.P99Micros != rep.P99Micros {
-		t.Errorf("fleet.LoadReport %+v lost fields of %+v", got, rep)
+	if got.Report.Sent != rep.Sent || got.Report.Answered != rep.Answered || got.Report.Phases != rep.Phases || got.Report.P99Micros != rep.P99Micros {
+		t.Errorf("fleet's report %+v lost fields of %+v", got.Report, rep)
 	}
 }

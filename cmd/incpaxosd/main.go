@@ -14,6 +14,13 @@
 //	    -acceptors localhost:7000,localhost:7001,localhost:7002 &
 //	incpaxosd -role client   -leader localhost:7200 -rate 1000 -duration 5s
 //
+// The client role is the load generator of internal/trafficgen — its
+// proposer app on its socket driver: it listens on the local address the
+// route to -leader selects (an address a learner bound to one interface
+// can answer), submits what -rate over -duration makes due, resends
+// after -timeout at most ten times, reports achieved and decided rates,
+// and exits nonzero when nothing it submitted was decided.
+//
 // Shifting leadership to a second leader process (higher -ballot) and
 // re-pointing clients at it reproduces the Figure 7 hand-off on real
 // sockets. Every role serves the same /v1 control API as the other
@@ -24,6 +31,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -81,13 +89,19 @@ func main() {
 	}
 
 	if *role == "client" {
+		if err := validClient(*leader, *rate, *duration, *timeout); err != nil {
+			log.Printf("incpaxosd: %v", err)
+			os.Exit(2)
+		}
 		orch, svc, ctrlSrv := startCtrl(nil, nil)
-		defer orch.Close()
 		// The client has no engine to drain; a signal mid-run still
 		// stops the control plane and exits cleanly.
 		daemon.OnShutdown("incpaxosd", ctrlSrv, orch, func() { os.Exit(0) })
-		runClient(*leader, *rate, *duration, *timeout, svc)
+		_, err := clientRole(*leader, *rate, *duration, *timeout, svc)
 		daemon.GracefulStop("incpaxosd", ctrlSrv, orch)
+		if err != nil {
+			log.Fatalf("incpaxosd: client: %v", err)
+		}
 		return
 	}
 
@@ -137,6 +151,23 @@ func validBallot(v int) (uint32, error) {
 		return 0, fmt.Errorf("-ballot must be between 1 and %d (got %d)", uint32(math.MaxUint32), v)
 	}
 	return uint32(v), nil
+}
+
+// validClient checks the client role's flags: the pacer integrates
+// -rate over -duration and the retry queue orders deadlines by -timeout,
+// so none of the three may be zero or negative.
+func validClient(leader string, rate float64, duration, timeout time.Duration) error {
+	switch {
+	case leader == "":
+		return errors.New("client needs -leader")
+	case !(rate > 0):
+		return fmt.Errorf("-rate must be positive (got %v)", rate)
+	case duration <= 0:
+		return fmt.Errorf("-duration must be positive (got %v)", duration)
+	case timeout <= 0:
+		return fmt.Errorf("-timeout must be positive (got %v)", timeout)
+	}
+	return nil
 }
 
 func splitAddrs(s string) []string {

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/binary"
+	"errors"
 	"log"
 	"net"
 	"sync"
@@ -12,21 +12,12 @@ import (
 	"incod/internal/dataplane"
 	"incod/internal/nictier"
 	"incod/internal/paxos"
-	"incod/internal/simnet"
-	"incod/internal/telemetry"
+	"incod/internal/trafficgen"
 )
 
 // The protocol logic lives in internal/paxos (LiveAcceptor, LiveLeader,
 // LiveLearner — the same roles internal/simhost runs in simulation); this
 // file only wires sockets, senders and the dataplane engine around it.
-
-func listen(addr string) net.PacketConn {
-	conn, err := net.ListenPacket("udp", addr)
-	if err != nil {
-		log.Fatalf("incpaxosd: %v", err)
-	}
-	return conn
-}
 
 // datagramWriter is the outbound side a role needs: net.PacketConn and
 // *dataplane.Engine (whose WriteTo transmits from the serving socket,
@@ -130,86 +121,31 @@ func newLearner(io daemon.EngineOptions, quorum int, leader string, shards int) 
 	return serverRole{eng: eng, stop: h.Stop}
 }
 
-// runClient submits requests at rate for duration, retrying per §9.2 on
-// timeout, and reports decided count, retries and latency percentiles.
-// Decisions arrive through a single-shard engine so transient socket
-// errors can't kill the receive path.
-func runClient(leader string, rate float64, duration, timeout time.Duration, svc *daemon.ManagedService) {
-	if leader == "" {
-		log.Fatal("incpaxosd: client needs -leader")
+// clientRole submits requests at rate for duration through the shared
+// socket driver — the proposer app, the §9.2 retry on timeout — and
+// reports submitted and decided counts and rates, retries and latency
+// percentiles. It fails when a send did, or when requests were submitted
+// and none was decided; the client it returns holds the run's counters.
+func clientRole(leader string, rate float64, duration, timeout time.Duration, svc *daemon.ManagedService) (*trafficgen.Client, error) {
+	d, err := trafficgen.Dial(leader, 1, false)
+	if err != nil {
+		return nil, err
 	}
-	conn := listen(":0")
-	var w datagramWriter = conn
-	send := sender(&w)
-	self := conn.LocalAddr().String()
-	log.Printf("incpaxosd: client on %s -> leader %s, %.0f req/s for %v", self, leader, rate, duration)
-
-	var mu sync.Mutex
-	pending := make(map[uint64]time.Time)
-	var decidedCount, retries uint64
-	hist := telemetry.NewHistogram()
-
-	eng := dataplane.New(conn, dataplane.HandlerFunc(func(in []byte, _ *[]byte) ([]byte, bool) {
-		m, err := paxos.Decode(in)
-		if err != nil || m.Type != paxos.MsgDecision {
-			return nil, false
-		}
-		mu.Lock()
-		if sent, ok := pending[m.Seq]; ok {
-			delete(pending, m.Seq)
-			decidedCount++
-			hist.Observe(time.Since(sent))
-		}
-		mu.Unlock()
-		return nil, false
-	}), dataplane.Config{Name: "incpaxosd", Shards: 1})
-	eng.Start()
-	defer eng.Close()
+	defer d.Close()
+	c := trafficgen.NewClient(&trafficgen.Proposer{Addr: d.LocalAddr()}, d.Send)
+	c.RetryTimeout = timeout
 	if svc != nil {
-		svc.UseCounter(eng.Handled)
+		svc.UseCounter(func() uint64 { return c.Counters.Get("recv") })
 	}
+	log.Printf("incpaxosd: client on %s -> leader %s, %.0f req/s for %v", d.LocalAddr(), leader, rate, duration)
 
-	request := func(s uint64) paxos.Msg {
-		v := make([]byte, 8)
-		binary.BigEndian.PutUint64(v, s)
-		return paxos.Msg{Type: paxos.MsgClientRequest, Seq: s,
-			ClientAddr: simnet.Addr(self), Value: v}
+	rep := trafficgen.Report{Proto: "paxos", Target: leader}
+	err = d.Run(c, trafficgen.Profile{trafficgen.Hold(rate, duration)}, &rep, func(string, ...any) {})
+	log.Printf("incpaxosd: client done: submitted %d (%.1f kpps), %d decided (%.1f kpps), %d outstanding, %d retries, %d gave up, latency p50=%v p99=%v",
+		rep.Sent, rep.AchievedKpps, rep.Answered, rep.AnsweredKpps, rep.Outstanding,
+		c.Counters.Get("retries"), c.Counters.Get("gave_up"), c.Latency.Median(), c.Latency.P99())
+	if err == nil && rep.Sent > 0 && rep.Answered == 0 {
+		err = errors.New("no submitted request was decided")
 	}
-	var seq uint64
-	submit := func() {
-		mu.Lock()
-		seq++
-		s := seq
-		pending[s] = time.Now()
-		mu.Unlock()
-		send(leader, request(s))
-		go func(s uint64) {
-			tick := time.NewTicker(timeout)
-			defer tick.Stop()
-			for range tick.C {
-				mu.Lock()
-				_, still := pending[s]
-				if still {
-					retries++
-				}
-				mu.Unlock()
-				if !still {
-					return
-				}
-				send(leader, request(s))
-			}
-		}(s)
-	}
-
-	gap := time.Duration(float64(time.Second) / rate)
-	deadline := time.Now().Add(duration)
-	for time.Now().Before(deadline) {
-		submit()
-		time.Sleep(gap)
-	}
-	time.Sleep(500 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	log.Printf("incpaxosd: client done: %d decided, %d outstanding, %d retries, latency p50=%v p99=%v",
-		decidedCount, len(pending), retries, hist.Median(), hist.P99())
+	return c, err
 }

@@ -24,9 +24,9 @@ func main() {
 	zone := dns.NewZone()
 	zone.PopulateSequential(1000)
 	emu := simhost.NewDNS(net, "emu", zone, simhost.EmuDNS()) // starts in software
-	client := dns.NewClient(net, "client", "emu")
 	keys := trafficgen.NewZipfKeys(sim.Rand(), 1000, 1.1)
-	client.NameFunc = func() string { return dns.SequentialName(int(keys.NextIndex())) }
+	client := simhost.NewClient(net, "client", "emu",
+		&trafficgen.DNS{Name: func() string { return dns.SequentialName(int(keys.NextIndex())) }})
 
 	svc := emu.Service
 	orch, _ := simhost.Orchestrate(sim, 100*time.Millisecond, daemon.ServiceConfig{
@@ -35,12 +35,11 @@ func main() {
 	}, emu.Observed)
 
 	// Ramp up 20 -> 400 kpps, hold, ramp down.
-	profile := trafficgen.Profile{
-		{Duration: 3 * time.Second, Kpps: 20},
-		{Duration: 5 * time.Second, Kpps: 400},
-		{Duration: 6 * time.Second, Kpps: 20},
-	}
-	profile.Apply(sim, func(kpps float64) { client.Stop(); client.Start(kpps) })
+	client.Run(trafficgen.Profile{
+		trafficgen.Hold(20e3, 3*time.Second),
+		trafficgen.Hold(400e3, 5*time.Second),
+		trafficgen.Hold(20e3, 6*time.Second),
+	})
 
 	fmt.Println("t[s]  rate[kpps]  p50-latency  power[W]  placement")
 	var last uint64

@@ -12,7 +12,6 @@ import (
 
 	"incod/internal/core"
 	"incod/internal/daemon"
-	"incod/internal/kvs"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
@@ -23,11 +22,9 @@ func main() {
 	sim := simnet.New(7)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	lake := simhost.NewKVS(net, "lake", simhost.LaKe()) // day starts in software
-	client := kvs.NewClient(net, "client", "lake")
-
 	etc := trafficgen.NewETC(sim.Rand(), 2000)
 	lake.Preload(2000, 64)
-	client.KeyFunc = etc.Keys.Next
+	client := simhost.NewClient(net, "client", "lake", &trafficgen.KVS{Key: etc.Keys.Next})
 
 	// Background training job between t=4s and t=14s.
 	bgOn := false

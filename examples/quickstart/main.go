@@ -12,11 +12,11 @@ import (
 	"time"
 
 	"incod/internal/core"
-	"incod/internal/kvs"
 	"incod/internal/power"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
+	"incod/internal/trafficgen"
 )
 
 func main() {
@@ -30,9 +30,9 @@ func main() {
 	if err := lake.Service.Shift(core.Network); err != nil {
 		panic(err)
 	}
-	client := kvs.NewClient(net, "client", "lake")
 	i := 0
-	client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%100) }
+	app := &trafficgen.KVS{Key: func() string { i++; return fmt.Sprintf("key-%d", i%100) }}
+	client := simhost.NewClient(net, "client", "lake", app)
 
 	// Measure combined wall power like the paper's SHW-3A meter.
 	meter := telemetry.NewPowerMeter(sim, lake, 10*time.Millisecond, false)
@@ -44,7 +44,7 @@ func main() {
 	sim.RunFor(10 * time.Millisecond)
 	hitP50, hitP99 := lake.CardLatency.Median(), lake.CardLatency.P99()
 	// A key the card does not hold takes the software path.
-	client.KeyFunc = func() string { return "absent" }
+	app.Key = func() string { return "absent" }
 	client.Start(10)
 	sim.RunFor(10 * time.Millisecond)
 	client.Stop()

@@ -12,6 +12,7 @@ import (
 	"incod/internal/kvs"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
+	"incod/internal/trafficgen"
 )
 
 // The policies of this package under the one control loop, on the virtual
@@ -197,9 +198,9 @@ func TestKVSOnDemandTransition(t *testing.T) {
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	lake := simhost.NewKVS(net, "lake", simhost.LaKe()) // the "start of the day" state: software
 	lake.Preload(200, 1)
-	client := kvs.NewClient(net, "client", "lake")
 	i := 0
-	client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%200) }
+	client := simhost.NewClient(net, "client", "lake",
+		&trafficgen.KVS{Key: func() string { i++; return fmt.Sprintf("key-%d", i%200) }})
 
 	svc := lake.Service
 	if svc.Placement() != core.Host {
@@ -241,8 +242,7 @@ func TestKVSNetworkControlled(t *testing.T) {
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	lake := simhost.NewKVS(net, "lake", simhost.LaKe())
 	lake.Store.Set("k", kvs.Entry{Value: []byte("v")})
-	client := kvs.NewClient(net, "client", "lake")
-	client.KeyFunc = func() string { return "k" }
+	client := simhost.NewClient(net, "client", "lake", &trafficgen.KVS{Key: func() string { return "k" }})
 
 	svc := lake.Service
 	orch := orchestrate(sim, svc, core.NewThresholdPolicy(core.DefaultNetworkConfig(80)), nil, lake.Observed)
@@ -268,9 +268,9 @@ func TestDNSOnDemand(t *testing.T) {
 	zone := dns.NewZone()
 	zone.PopulateSequential(50)
 	emu := simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())
-	client := dns.NewClient(net, "client", "emu")
 	i := 0
-	client.NameFunc = func() string { i++; return dns.SequentialName(i % 50) }
+	client := simhost.NewClient(net, "client", "emu",
+		&trafficgen.DNS{Name: func() string { i++; return dns.SequentialName(i % 50) }})
 
 	// A record added while the hardware is parked: the sync-on-shift
 	// must pick it up.
@@ -289,7 +289,7 @@ func TestDNSOnDemand(t *testing.T) {
 		t.Errorf("Shift(Network) synced %d records onto the card, want all 51", got)
 	}
 	_, hostBefore := emu.Served()
-	client.Query("late.example.com")
+	client.Submit([]byte("late.example.com"))
 	sim.RunFor(time.Millisecond)
 	if _, host := emu.Served(); host != hostBefore {
 		t.Error("the card must answer the late record itself")

@@ -1,10 +1,9 @@
 // Package dns implements the DNS case study (§3.3): a real DNS wire codec
 // (header, question, A answers with name compression), the authoritative
-// Zone, the Handler that answers from it (the NSD role), and a
-// load-generating Client for the simulated network. The Emu DNS card —
-// non-recursive name -> IPv4 resolution from an on-chip copy of the zone,
-// behind a packet classifier so the card also serves as a NIC — is
-// nictier.DNSTier; internal/simhost serves handler and tier on the
+// Zone, and the Handler that answers from it (the NSD role). The Emu DNS
+// card — non-recursive name -> IPv4 resolution from an on-chip copy of
+// the zone, behind a packet classifier so the card also serves as a NIC
+// — is nictier.DNSTier; internal/simhost serves handler and tier on the
 // simulator's clock, and the paper's cost model for the pair (NSD at ~70x
 // the pipeline's latency, the card's watts) is simhost.EmuDNS.
 //

@@ -14,13 +14,15 @@ import (
 	"incod/internal/dns"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
+	"incod/internal/trafficgen"
 )
 
 // bed is client -> card-and-host on a 10GE network.
 type bed struct {
 	sim    *simnet.Simulator
 	net    *simnet.Network
-	client *dns.Client
+	app    *trafficgen.DNS
+	client *simhost.Client
 	*simhost.DNS
 }
 
@@ -33,9 +35,9 @@ func dnsRig(t *testing.T, seed int64, where core.Placement) *bed {
 	zone := dns.NewZone()
 	zone.PopulateSequential(100)
 	b := &bed{sim: sim, net: net, DNS: simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())}
-	b.client = dns.NewClient(net, "client", "emu")
 	i := 0
-	b.client.NameFunc = func() string { i++; return dns.SequentialName(i % 100) }
+	b.app = &trafficgen.DNS{Name: func() string { i++; return dns.SequentialName(i % 100) }}
+	b.client = simhost.NewClient(net, "client", "emu", b.app)
 	b.shift(t, where)
 	return b
 }
@@ -77,7 +79,7 @@ func TestEmuServesFromHardware(t *testing.T) {
 
 func TestEmuNXDomain(t *testing.T) {
 	b := dnsRig(t, 11, core.Network)
-	b.client.NameFunc = func() string { return "nonexistent.example.com" }
+	b.app.Name = func() string { return "nonexistent.example.com" }
 	b.drive(10, 20*time.Millisecond)
 	if b.client.Counters.Get("nxdomain") == 0 {
 		t.Error("client should see NXDOMAIN for unknown names")
@@ -98,7 +100,7 @@ func TestEmuDeepNamesGoToSoftware(t *testing.T) {
 	deep := strings.Repeat("x.", dns.MaxLabels+2) + "example.com"
 	b.Zone.Add(deep, [4]byte{10, 0, 0, 1}, 60)
 	b.shift(t, core.Network)
-	b.client.NameFunc = func() string { return deep }
+	b.app.Name = func() string { return deep }
 	b.drive(10, 50*time.Millisecond)
 	if fast, host := b.Served(); fast != 0 || host == 0 {
 		t.Fatalf("deep names: card served %d, host %d; want all on the host", fast, host)
@@ -150,7 +152,7 @@ func TestSoftwareVsHardwareLatencyX70(t *testing.T) {
 
 func TestEmuInactivePassthrough(t *testing.T) {
 	b := dnsRig(t, 11, core.Host)
-	b.client.NameFunc = func() string { return dns.SequentialName(1) }
+	b.app.Name = func() string { return dns.SequentialName(1) }
 	b.drive(20, 50*time.Millisecond)
 	if fast, host := b.Served(); fast != 0 || host == 0 {
 		t.Errorf("parked card served %d, host %d; software must serve everything", fast, host)
@@ -191,7 +193,7 @@ func TestEmuNonDNSPassthrough(t *testing.T) {
 	if fast, host := b.Served(); fast != 0 || host != 1 {
 		t.Errorf("served fast=%d host=%d, want the host to receive the packet", fast, host)
 	}
-	if got := b.client.Counters.Get("recv") + b.client.Counters.Get("bad_response"); got != 0 {
+	if got := b.client.Counters.Get("recv") + b.client.Counters.Get("bad"); got != 0 {
 		t.Errorf("client received %d replies to a non-DNS datagram", got)
 	}
 }
@@ -202,14 +204,14 @@ func TestSyncZoneCopies(t *testing.T) {
 	b := dnsRig(t, 11, core.Network)
 	b.Zone.Add("new.example.com", [4]byte{10, 9, 8, 7}, 60)
 	// Not yet synced: hardware answers NXDOMAIN.
-	b.client.Query("new.example.com")
+	b.client.Submit([]byte("new.example.com"))
 	b.sim.RunFor(5 * time.Millisecond)
 	if b.client.Counters.Get("nxdomain") != 1 {
 		t.Fatalf("expected NXDOMAIN before sync, counters: %v", b.client.Counters)
 	}
 	b.shift(t, core.Host)
 	b.shift(t, core.Network)
-	b.client.Query("new.example.com")
+	b.client.Submit([]byte("new.example.com"))
 	b.sim.RunFor(5 * time.Millisecond)
 	if b.client.Counters.Get("resolved") != 1 {
 		t.Error("after the sync the hardware should resolve the new name")

@@ -5,7 +5,6 @@ import (
 
 	"incod/internal/core"
 	"incod/internal/daemon"
-	"incod/internal/kvs"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
@@ -35,12 +34,10 @@ func RunFig6() *Fig6Result {
 	sim := simnet.New(1234)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	lake := simhost.NewKVS(net, "lake", simhost.LaKe()) // start of the day: everything in software
-	client := kvs.NewClient(net, "client", "lake")
-
 	// ETC key popularity over a modest pool (cache-warmable).
 	etc := trafficgen.NewETC(sim.Rand(), 5000)
 	lake.Preload(5000, 64)
-	client.KeyFunc = etc.Keys.Next
+	client := simhost.NewClient(net, "client", "lake", &trafficgen.KVS{Key: etc.Keys.Next})
 
 	// ChainerMN (deep learning) as background load: active from 5 s until
 	// 20 s, drawing CPU and power on the same host.

@@ -6,7 +6,6 @@ import (
 
 	"incod/internal/core"
 	"incod/internal/fpga"
-	"incod/internal/kvs"
 	"incod/internal/power"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
@@ -75,9 +74,7 @@ func measureStrategy(s simhost.IdleStrategy) (parked float64, warmed, halted uin
 	lake.Preload(200, 64)
 	mustShift(lake.Service, core.Network)
 	sim.RunFor(simhost.ReconfigHalt) // past the first programming, if any
-	client := kvs.NewClient(net, "client", "lake")
-	i := 0
-	client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%200) }
+	client := simhost.NewClient(net, "client", "lake", cyclingKeys(200))
 
 	// Serve, park, measure, reactivate under load.
 	client.Start(50)

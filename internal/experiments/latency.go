@@ -6,16 +6,21 @@ import (
 
 	"incod/internal/core"
 	"incod/internal/dns"
-	"incod/internal/kvs"
 	"incod/internal/placement"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
-	"incod/internal/telemetry"
+	"incod/internal/trafficgen"
 )
 
 func init() {
 	register("latency", "Software vs hardware latency across applications (§9.5)", latencyTable)
 	register("place", "FPGA, SmartNIC or Switch? platform guide (§10)", placeTable)
+}
+
+// cyclingKeys is GET traffic cycling over n preloaded keys.
+func cyclingKeys(n int) *trafficgen.KVS {
+	i := 0
+	return &trafficgen.KVS{Key: func() string { i++; return fmt.Sprintf("key-%d", i%n) }}
 }
 
 // mustShift moves svc to a placement; on the simulated stacks, which
@@ -37,15 +42,15 @@ func latencyTable() *Table {
 
 	// phases measures a client's end-to-end latency at 100 kpps with svc
 	// on the card, then on the host.
-	phases := func(app string, sim *simnet.Simulator, svc core.Service, start func(kpps float64), stop func(), lat *telemetry.Histogram) {
+	phases := func(app string, sim *simnet.Simulator, svc core.Service, client *simhost.Client) {
 		for _, where := range []core.Placement{core.Network, core.Host} {
 			mustShift(svc, where)
-			lat.Reset()
-			start(100)
+			client.Latency.Reset()
+			client.Start(100)
 			sim.RunFor(300 * time.Millisecond)
-			stop()
+			client.Stop()
 			sim.RunFor(10 * time.Millisecond)
-			t.AddRow(app, where.String(), lat.Median(), lat.P99())
+			t.AddRow(app, where.String(), client.Latency.Median(), client.Latency.P99())
 		}
 	}
 
@@ -55,10 +60,8 @@ func latencyTable() *Table {
 		net := simnet.NewNetwork(sim, simnet.TenGigE)
 		lake := simhost.NewKVS(net, "lake", simhost.LaKe())
 		lake.Preload(100, 64)
-		client := kvs.NewClient(net, "client", "lake")
-		i := 0
-		client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%100) }
-		phases("kvs", sim, lake.Service, client.Start, client.Stop, client.Latency)
+		client := simhost.NewClient(net, "client", "lake", cyclingKeys(100))
+		phases("kvs", sim, lake.Service, client)
 	}
 
 	// DNS.
@@ -68,10 +71,10 @@ func latencyTable() *Table {
 		zone := dns.NewZone()
 		zone.PopulateSequential(100)
 		emu := simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())
-		client := dns.NewClient(net, "client", "emu")
 		i := 0
-		client.NameFunc = func() string { i++; return dns.SequentialName(i % 100) }
-		phases("dns", sim, emu.Service, client.Start, client.Stop, client.Latency)
+		client := simhost.NewClient(net, "client", "emu",
+			&trafficgen.DNS{Name: func() string { i++; return dns.SequentialName(i % 100) }})
+		phases("dns", sim, emu.Service, client)
 	}
 
 	// Paxos (leader placement).

@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"incod/internal/core"
 	"incod/internal/fpga"
-	"incod/internal/kvs"
 	"incod/internal/power"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
+	"incod/internal/trafficgen"
 )
 
 func init() {
@@ -51,28 +50,27 @@ func memoriesTable() *Table {
 	}
 	// drive cycles a client over n preloaded keys, all of them on the
 	// lit card, for d at kpps.
-	drive := func(seed int64, n int, kpps float64, d time.Duration) (*simnet.Simulator, *simhost.KVS, *kvs.Client) {
+	drive := func(seed int64, n int, kpps float64, d time.Duration) (*simnet.Simulator, *simhost.KVS, *trafficgen.KVS, *simhost.Client) {
 		sim := simnet.New(seed)
 		net := simnet.NewNetwork(sim, simnet.TenGigE)
 		lake := simhost.NewKVS(net, "lake", simhost.LaKe())
 		lake.Preload(n, 64)
 		mustShift(lake.Service, core.Network)
-		client := kvs.NewClient(net, "client", "lake")
-		i := 0
-		client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%n) }
+		app := cyclingKeys(n)
+		client := simhost.NewClient(net, "client", "lake", app)
 		client.Start(kpps)
 		sim.RunFor(d)
 		client.Stop()
 		sim.RunFor(10 * time.Millisecond)
-		return sim, lake, client
+		return sim, lake, app, client
 	}
 
 	// Small hot set: every hit after a key's first comes from on-chip.
-	sim, lake, client := drive(53, 100, 100, 500*time.Millisecond)
+	sim, lake, app, client := drive(53, 100, 100, 500*time.Millisecond)
 	l1p50, l1p99 := lake.CardLatency.Median(), lake.CardLatency.P99()
 	// The miss path: keys the card does not hold go to the host software
 	// and come back across PCIe.
-	client.KeyFunc = func() string { return "absent" }
+	app.Key = func() string { return "absent" }
 	client.Start(100)
 	sim.RunFor(100 * time.Millisecond)
 	client.Stop()
@@ -80,7 +78,7 @@ func memoriesTable() *Table {
 	missP50, missP99 := lake.HostLatency.Median(), lake.HostLatency.P99()
 
 	// Off-chip: a key set x20 the on-chip layer, cycled, defeats it.
-	_, lake2, _ := drive(54, fpga.OnChipValueEntries*20, 200, 800*time.Millisecond)
+	_, lake2, _, _ := drive(54, fpga.OnChipValueEntries*20, 200, 800*time.Millisecond)
 	l2p50, l2p99 := lake2.CardLatency.Median(), lake2.CardLatency.P99()
 
 	t.AddRow("L1 on-chip (BRAM)", fpga.OnChipValueEntries, 0.0, l1p50, l1p99)

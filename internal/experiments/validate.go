@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"incod/internal/core"
-	"incod/internal/kvs"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
@@ -46,9 +44,7 @@ func simulateKVSPower(kpps float64) float64 {
 	lake := simhost.NewKVS(net, "lake", simhost.LaKe())
 	lake.Preload(100, 64)
 	mustShift(lake.Service, core.Network)
-	client := kvs.NewClient(net, "client", "lake")
-	i := 0
-	client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%100) }
+	client := simhost.NewClient(net, "client", "lake", cyclingKeys(100))
 
 	if kpps > 0 {
 		client.Start(kpps)

@@ -4,46 +4,25 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"incod/internal/cluster"
+	"incod/internal/trafficgen"
 )
-
-// LoadReport mirrors incloadgen's -report JSON: the generator-side truth
-// about what load actually arrived and how it was answered. Bad counts
-// replies that failed to decode — the fleet's wrong-answer metric.
-type LoadReport struct {
-	Proto  string `json:"proto"`
-	Target string `json:"target"`
-	Phases int    `json:"phases"`
-
-	Sent        uint64 `json:"sent"`
-	Answered    uint64 `json:"answered"`
-	Bad         uint64 `json:"bad"`
-	Outstanding int    `json:"outstanding"`
-
-	SendSeconds  float64 `json:"send_seconds"`
-	AchievedKpps float64 `json:"achieved_kpps"`
-	AnsweredKpps float64 `json:"answered_kpps"`
-
-	P50Micros float64 `json:"p50_us"`
-	P99Micros float64 `json:"p99_us"`
-	MaxMicros float64 `json:"max_us"`
-
-	Error string `json:"error,omitempty"`
-}
 
 // WorkerResult is one member's finished load run.
 type WorkerResult struct {
 	Member string `json:"member"`
-	// Report is the parsed -report file; nil when the worker died before
-	// writing one.
-	Report *LoadReport `json:"report,omitempty"`
+	// Report is the parsed -report file — the generator-side truth about
+	// what load arrived and how it was answered (Bad, replies that failed
+	// to decode, is the fleet's wrong-answer metric); nil when the worker
+	// died before writing one.
+	Report *trafficgen.Report `json:"report,omitempty"`
 	// Err records a nonzero exit or unreadable report.
 	Err string `json:"error,omitempty"`
 }
@@ -70,16 +49,12 @@ func ProfileString(t cluster.LoadTrace, wall time.Duration, segments int, rateSc
 	if step <= 0 {
 		step = time.Second
 	}
-	var b strings.Builder
-	for i := 0; i+1 < len(pts); i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		from := pts[i] * 1000 / rateScale
-		to := pts[i+1] * 1000 / rateScale
-		fmt.Fprintf(&b, "ramp:%.0f-%.0f:%s", from, to, step.Round(time.Millisecond))
+	p := make(trafficgen.Profile, len(pts)-1)
+	for i := range p {
+		p[i] = trafficgen.Segment{Kind: "ramp", From: math.RoundToEven(pts[i] * 1000 / rateScale),
+			To: math.RoundToEven(pts[i+1] * 1000 / rateScale), Dur: step.Round(time.Millisecond)}
 	}
-	return b.String()
+	return p.String()
 }
 
 // ReplayConfig parameterizes a fleet-wide trace replay.
@@ -178,7 +153,7 @@ func runWorker(ctx context.Context, cfg ReplayConfig, m *Member, trace cluster.L
 	logf("fleet: replaying %s on %s (%d ramps over %v)", m.Name, m.Data, cfg.Segments, cfg.Wall)
 	runErr := cmd.Run()
 	if b, err := os.ReadFile(reportPath); err == nil {
-		var rep LoadReport
+		var rep trafficgen.Report
 		if jerr := json.Unmarshal(b, &rep); jerr == nil {
 			res.Report = &rep
 		} else {

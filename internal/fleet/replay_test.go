@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"incod/internal/cluster"
+	"incod/internal/trafficgen"
 )
 
 func TestProfileStringRampsAndScale(t *testing.T) {
@@ -54,8 +55,8 @@ func TestBuildReportTotalsAndDayExtrapolation(t *testing.T) {
 		},
 	}
 	workers := []WorkerResult{
-		{Member: "a", Report: &LoadReport{Sent: 100, Answered: 99, Bad: 1}},
-		{Member: "b", Report: &LoadReport{Sent: 50, Answered: 50}},
+		{Member: "a", Report: &trafficgen.Report{Sent: 100, Answered: 99, Bad: 1}},
+		{Member: "b", Report: &trafficgen.Report{Sent: 50, Answered: 50}},
 		{Member: "c"}, // died before reporting
 	}
 	r := BuildReport(snap, nil, workers)

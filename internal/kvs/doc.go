@@ -1,11 +1,11 @@
 // Package kvs implements the memcached-dialect key-value store of the
-// §3.1 case study: the lock-free ShardedStore, the Handler that serves
-// the memcached UDP protocol from it, and a load-generating Client for
-// the simulated network. There is one store and one handler: inckvsd
-// serves them on sockets, internal/simhost serves the same two on the
-// simulator's clock, and the paper's LaKe cost model (on-chip and
-// off-chip hit times, the host's service time, the card's watts) lives
-// there, in simhost.LaKe, as data attached to the serving node.
+// §3.1 case study: the lock-free ShardedStore and the Handler that serves
+// the memcached UDP protocol from it. There is one store and one
+// handler: inckvsd serves them on sockets, internal/simhost serves the
+// same two on the simulator's clock, and the paper's LaKe cost model
+// (on-chip and off-chip hit times, the host's service time, the card's
+// watts) lives there, in simhost.LaKe, as data attached to the serving
+// node.
 //
 // # ShardedStore memory model
 //
@@ -74,3 +74,7 @@
 // merges the per-partition sketches, which is exact because a key
 // lives in exactly one partition.
 package kvs
+
+// MemcachedPort is the UDP port the card's packet classifier matches
+// (§3.1).
+const MemcachedPort = 11211

@@ -17,13 +17,15 @@ import (
 	"incod/internal/power"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
+	"incod/internal/trafficgen"
 )
 
 // bed is client -> card-and-host on a 10GE network.
 type bed struct {
 	sim    *simnet.Simulator
 	net    *simnet.Network
-	client *kvs.Client
+	app    *trafficgen.KVS
+	client *simhost.Client
 	*simhost.KVS
 }
 
@@ -36,7 +38,8 @@ func rig(seed int64, m *simhost.Model) *bed {
 	sim := simnet.New(seed)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	lake := simhost.NewKVS(net, "lake", m)
-	return &bed{sim: sim, net: net, client: kvs.NewClient(net, "client", "lake"), KVS: lake}
+	app := &trafficgen.KVS{Key: func() string { return "key" }, ValueSize: 64, Rand: sim.Rand()}
+	return &bed{sim: sim, net: net, app: app, client: simhost.NewClient(net, "client", "lake", app), KVS: lake}
 }
 
 func (b *bed) shift(t *testing.T, to core.Placement) {
@@ -75,7 +78,7 @@ func TestLaKeLatencyAnchors(t *testing.T) {
 	b.Preload(100, 1)
 	b.shift(t, core.Network)
 	i := 0
-	b.client.KeyFunc = func() string { i++; return fmt.Sprintf("key-%d", i%100) }
+	b.app.Key = func() string { i++; return fmt.Sprintf("key-%d", i%100) }
 
 	// The first hit on each key comes from the off-chip layer (~1.6µs),
 	// every later one from the on-chip layer (<= 1.4µs).
@@ -95,7 +98,7 @@ func TestLaKeLatencyAnchors(t *testing.T) {
 
 	// §5.3: a request the card cannot serve costs the ~13.5µs software
 	// path, more than an order of magnitude over a hit.
-	b.client.KeyFunc = func() string { return "absent" }
+	b.app.Key = func() string { return "absent" }
 	b.drive(100, 10*time.Millisecond)
 	hit, miss := b.CardLatency.Median(), b.HostLatency.Median()
 	if miss < 12*time.Microsecond || miss > 16*time.Microsecond {
@@ -109,8 +112,8 @@ func TestLaKeLatencyAnchors(t *testing.T) {
 func TestLaKeSetWriteThrough(t *testing.T) {
 	b := rig(7, nil)
 	b.shift(t, core.Network)
-	b.client.KeyFunc = func() string { return "w" }
-	b.client.SetFraction = 1
+	b.app.Key = func() string { return "w" }
+	b.app.SetFraction = 1
 	b.drive(10, 10*time.Millisecond)
 
 	if b.Tier.Counters().Get("write_through") == 0 {
@@ -124,7 +127,7 @@ func TestLaKeSetWriteThrough(t *testing.T) {
 	}
 	// The written value is served from the card from then on.
 	fast, _ := b.Served()
-	b.client.SetFraction = 0
+	b.app.SetFraction = 0
 	b.drive(10, 5*time.Millisecond)
 	if now, _ := b.Served(); now == fast {
 		t.Error("a get after the set should hit the card")
@@ -151,7 +154,7 @@ func TestLaKeDeleteInvalidates(t *testing.T) {
 func TestLaKeInactivePassesToSoftware(t *testing.T) {
 	b := rig(7, nil)
 	b.Store.Set("key-1", kvs.Entry{Value: []byte("v")})
-	b.client.KeyFunc = func() string { return "key-1" }
+	b.app.Key = func() string { return "key-1" }
 	b.drive(20, 50*time.Millisecond)
 
 	if fast, host := b.Served(); fast != 0 || host == 0 {
@@ -173,7 +176,7 @@ func TestLaKeInactivePassesToSoftware(t *testing.T) {
 func TestDeactivateFlushesAndActivateWarmsAgain(t *testing.T) {
 	b := rig(7, nil)
 	b.Store.Set("key-1", kvs.Entry{Value: []byte("v")})
-	b.client.KeyFunc = func() string { return "key-1" }
+	b.app.Key = func() string { return "key-1" }
 	b.shift(t, core.Network)
 	b.client.Start(20)
 	b.sim.RunFor(20 * time.Millisecond)
@@ -211,7 +214,7 @@ func TestCombinedPowerMatchesPaperShape(t *testing.T) {
 	}
 	// Under load the server stays near idle (all hits in hardware), so
 	// combined power barely moves (§4.2, Figure 3a).
-	b.client.KeyFunc = func() string { return "key-1" }
+	b.app.Key = func() string { return "key-1" }
 	b.client.Start(500)
 	b.sim.RunFor(300 * time.Millisecond)
 	loaded := b.PowerWatts(b.sim.Now())
@@ -228,7 +231,7 @@ func TestCombinedPowerMatchesPaperShape(t *testing.T) {
 func TestSoftServerDirectService(t *testing.T) {
 	b := rig(3, nil)
 	b.Store.Set("k", kvs.Entry{Value: []byte("v")})
-	b.client.KeyFunc = func() string { return "k" }
+	b.app.Key = func() string { return "k" }
 	b.client.Start(50)
 	// Run past the 1s averaging window so the measured rate converges
 	// (§4.1: "average throughput was measured at the granularity of a
@@ -252,7 +255,7 @@ func TestSoftServerShedsOverload(t *testing.T) {
 	m := simhost.LaKe()
 	m.Curve.PeakKpps = 20 // tiny server for the test
 	b := rig(3, m)
-	b.client.KeyFunc = func() string { return "k" }
+	b.app.Key = func() string { return "k" }
 	b.client.Start(200) // 10x peak
 	b.sim.RunFor(300 * time.Millisecond)
 	b.client.Stop()

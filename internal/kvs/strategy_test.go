@@ -20,7 +20,7 @@ func strategyRig(t *testing.T, s simhost.IdleStrategy) *bed {
 	m.Strategy = s
 	b := rig(31, m)
 	b.Store.Set("k", kvs.Entry{Value: []byte("v")})
-	b.client.KeyFunc = func() string { return "k" }
+	b.app.Key = func() string { return "k" }
 	b.shift(t, core.Network)
 	b.sim.RunFor(2 * simhost.ReconfigHalt)
 	return b

@@ -1,10 +1,10 @@
 // Package paxos implements the consensus case study (§3.2) in the shape
-// of P4xos ("Paxos Made Switch-y"): the wire codec, the leader, acceptor
-// and learner roles as dataplane handlers (live.go), and a simnet load
-// client. One set of roles runs everywhere — incpaxosd serves them on
-// sockets, internal/simhost on the virtual clock as libpaxos software or
-// P4xos hardware, which differ only in service latency, capacity and
-// power (§3.2's interchangeability).
+// of P4xos ("Paxos Made Switch-y"): the wire codec and the leader,
+// acceptor and learner roles as dataplane handlers (live.go). One set of
+// roles runs everywhere — incpaxosd serves them on sockets,
+// internal/simhost on the virtual clock as libpaxos software or P4xos
+// hardware, which differ only in service latency, capacity and power
+// (§3.2's interchangeability).
 //
 // The §9.2 leader-shift machinery is implemented in full: acceptors
 // piggyback their last-voted instance on every response, new leaders start

@@ -326,8 +326,8 @@ func TestClientToleratesDuplicateDecision(t *testing.T) {
 	}
 	// Deliver the same decision again: must be counted, not crash.
 	inject(c, "learner", Msg{Type: MsgDecision, Instance: 1, ClientID: 0, Seq: seq, Value: []byte("v")})
-	if c.Counters.Get("duplicate_decision") != 1 {
-		t.Errorf("duplicate_decision = %d, want 1", c.Counters.Get("duplicate_decision"))
+	if c.Counters.Get("unmatched") != 1 {
+		t.Errorf("unmatched = %d, want 1", c.Counters.Get("unmatched"))
 	}
 	if c.Outstanding() != 0 {
 		t.Error("no requests should remain outstanding")

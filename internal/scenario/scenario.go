@@ -16,7 +16,6 @@ import (
 	"incod/internal/core"
 	"incod/internal/daemon"
 	"incod/internal/dns"
-	"incod/internal/kvs"
 	"incod/internal/power"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
@@ -136,15 +135,13 @@ func (s *Scenario) validate() error {
 	return nil
 }
 
-// rig abstracts the per-app wiring the runner needs.
+// rig is the per-app wiring the runner needs.
 type rig struct {
 	svc      core.Service
 	power    telemetry.PowerSource
 	observed func() uint64     // device-observed application requests, monotonic
 	hostTele daemon.PowerModel // host watts and CPU; the rate argument is unused
-	setRate  func(kpps float64)
-	served   func() uint64
-	p50      func() time.Duration // and resets
+	client   *simhost.Client
 }
 
 // Run executes the scenario.
@@ -196,12 +193,9 @@ func Run(s Scenario) (*Result, error) {
 	// Schedule the load profile.
 	profile := make(trafficgen.Profile, len(s.Profile))
 	for i, seg := range s.Profile {
-		profile[i] = trafficgen.Segment{
-			Duration: time.Duration(seg.DurationS * float64(time.Second)),
-			Kpps:     seg.Kpps,
-		}
+		profile[i] = trafficgen.Hold(seg.Kpps*1000, time.Duration(seg.DurationS*float64(time.Second)))
 	}
-	profile.Apply(sim, r.setRate)
+	r.client.Run(profile)
 
 	meter := telemetry.NewPowerMeter(sim, r.power, 10*time.Millisecond, false)
 	interval := time.Duration(s.SampleMs) * time.Millisecond
@@ -210,25 +204,26 @@ func Run(s Scenario) (*Result, error) {
 	var offeredTotal float64
 	for t := time.Duration(0); t < total; t += interval {
 		sim.RunFor(interval)
-		served := r.served()
-		offered := profile.RateAt(t)
+		served := r.client.Counters.Get("recv")
+		offered := profile.Rate(t) / 1000
 		offeredTotal += offered * 1000 * interval.Seconds()
 		res.Samples = append(res.Samples, Sample{
 			TMs:       sim.Now().Seconds() * 1000,
 			Offered:   offered,
 			Served:    float64(served-lastServed) / interval.Seconds() / 1000,
-			P50Us:     float64(r.p50()) / 1000,
+			P50Us:     float64(r.client.Latency.Median()) / 1000,
 			PowerW:    r.power.PowerWatts(sim.Now()),
 			Placement: r.svc.Placement().String(),
 		})
+		r.client.Latency.Reset()
 		lastServed = served
 	}
-	r.setRate(0)
+	r.client.Stop()
 	sim.RunFor(200 * time.Millisecond)
 
 	res.TotalKWh = meter.Joules() / 3.6e6
 	if offeredTotal > 0 {
-		res.ServedFrac = float64(r.served()) / offeredTotal
+		res.ServedFrac = float64(r.client.Counters.Get("recv")) / offeredTotal
 	}
 	if orch != nil {
 		for _, tr := range orch.Transitions(r.svc.Name()) {
@@ -260,22 +255,18 @@ func buildRig(s Scenario, sim *simnet.Simulator, net *simnet.Network) (*rig, err
 			m.Strategy = simhost.PartialReconfig
 		}
 		lake := simhost.NewKVS(net, "lake", m)
-		client := kvs.NewClient(net, "client", "lake")
 		etc := trafficgen.NewETC(sim.Rand(), uint64(s.Keys))
 		lake.Preload(s.Keys, 64)
-		client.KeyFunc = etc.Keys.Next
-		return nodeRig(lake.Node, lake.Service, client.Start, client.Counters, client.Latency), nil
+		return nodeRig(lake.Node, lake.Service, simhost.NewClient(net, "client", "lake", &trafficgen.KVS{Key: etc.Keys.Next})), nil
 	case "dns":
 		zone := dns.NewZone()
 		zone.PopulateSequential(s.Keys)
 		emu := simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())
-		client := dns.NewClient(net, "client", "emu")
 		keys := trafficgen.NewZipfKeys(sim.Rand(), uint64(s.Keys), 1.1)
-		client.NameFunc = func() string { return dns.SequentialName(int(keys.NextIndex())) }
-		return nodeRig(emu.Node, emu.Service, client.Start, client.Counters, client.Latency), nil
+		name := func() string { return dns.SequentialName(int(keys.NextIndex())) }
+		return nodeRig(emu.Node, emu.Service, simhost.NewClient(net, "client", "emu", &trafficgen.DNS{Name: name})), nil
 	case "paxos":
 		dep := simhost.NewPaxos(net, simhost.PaxosConfig{Clients: 1})
-		c := dep.Clients[0]
 		return &rig{
 			svc:      dep,
 			power:    dep,
@@ -284,13 +275,7 @@ func buildRig(s Scenario, sim *simnet.Simulator, net *simnet.Network) (*rig, err
 				w := dep.SWLeader.PowerWatts(sim.Now())
 				return w, dep.SWLeader.RateKpps() / 170
 			},
-			setRate: func(kpps float64) { c.Stop(); c.Start(kpps) },
-			served:  func() uint64 { return c.Counters.Get("decided") },
-			p50: func() time.Duration {
-				d := c.Latency.Median()
-				c.Latency.Reset()
-				return d
-			},
+			client: dep.Clients[0],
 		}, nil
 	}
 	return nil, fmt.Errorf("scenario: unknown app %q", s.App)
@@ -298,20 +283,13 @@ func buildRig(s Scenario, sim *simnet.Simulator, net *simnet.Network) (*rig, err
 
 // nodeRig wires a simulated card-and-host and its load client into the
 // runner.
-func nodeRig(n *simhost.Node, svc core.Service, setRate func(kpps float64),
-	counters *telemetry.AtomicCounters, latency *telemetry.Histogram) *rig {
+func nodeRig(n *simhost.Node, svc core.Service, client *simhost.Client) *rig {
 	return &rig{
 		svc:      svc,
 		power:    n,
 		observed: n.Observed,
 		hostTele: func(float64) (float64, float64) { return n.HostWatts(), n.HostUtilization() },
-		setRate:  setRate, // a client's Start replaces its running stream
-		served:   func() uint64 { return counters.Get("recv") },
-		p50: func() time.Duration {
-			d := latency.Median()
-			latency.Reset()
-			return d
-		},
+		client:   client,
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"incod/internal/paxos"
 	"incod/internal/power"
 	"incod/internal/simnet"
+	"incod/internal/trafficgen"
 )
 
 // Libpaxos returns the §4.3 software model of a consensus role ("leader",
@@ -99,7 +100,7 @@ type Paxos struct {
 	// Learner is the first learner; Learners holds all of them.
 	Learner  *PaxosLearner
 	Learners []*PaxosLearner
-	Clients  []*paxos.Client
+	Clients  []*Client
 
 	// SWLeader and HWLeader are the two placements of the leader role.
 	SWLeader *PaxosLeader
@@ -124,7 +125,8 @@ type PaxosConfig struct {
 	Acceptors int
 	// Learners observe decisions, each hearing every acceptor. Default 1.
 	Learners int
-	// Clients is how many paxos.Client proposers to attach.
+	// Clients is how many proposers (trafficgen.Proposer load clients,
+	// with the §9.2 100 ms retry timeout) to attach.
 	Clients int
 	// Bare leaves every node without a cost model — the chaos harness's
 	// deployment. Otherwise the roles run under Libpaxos, the standby
@@ -199,8 +201,10 @@ func NewPaxos(net *simnet.Network, cfg PaxosConfig) *Paxos {
 	})
 
 	for i := 0; i < cfg.Clients; i++ {
-		d.Clients = append(d.Clients,
-			paxos.NewClient(net, simnet.Addr(fmt.Sprintf("pxclient-%d", i)), uint16(i), d.current.Addr()))
+		addr := simnet.Addr(fmt.Sprintf("pxclient-%d", i))
+		c := NewClient(net, addr, d.current.Addr(), &trafficgen.Proposer{ID: uint16(i), Addr: string(addr)})
+		c.RetryTimeout = 100 * time.Millisecond
+		d.Clients = append(d.Clients, c)
 	}
 	return d
 }

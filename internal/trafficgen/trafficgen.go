@@ -1,23 +1,26 @@
-// Package trafficgen provides the workload generators the experiments
-// drive clients with: Zipf key popularity and the Facebook "ETC" workload
-// shape (§9.2 replaces OSNT with "a mutilate based memcached client, using
-// the Facebook ETC arrival distribution"), plus piecewise rate profiles
-// for the timeline experiments.
+// Package trafficgen is the one load generator, the software stand-in
+// for the paper's traffic sources (OSNT in §4, a mutilate client with the
+// Facebook ETC distribution in §9.2, a proposer whose retry timeout is
+// Figure 7's stall). An App knows one traffic kind's wire forms — how
+// request n is encoded, which request a reply answers and with what
+// verdict; Client is the core every run shares: ids, the pending table,
+// latency, counters, the §9.2 retry and open- and closed-loop submission,
+// single-threaded with time passed in; Profile is the offered-load
+// schedule and Report the outcome. Two drivers run the core: Sockets
+// (socket.go) on real UDP for incloadgen and incpaxosd -role client, and
+// simhost.Client on the simulated network for every figure, scenario and
+// example. The key and value distributions (Zipf popularity, ETC sizes)
+// live here too.
 package trafficgen
 
 import (
 	"fmt"
 	"math/rand"
-	"time"
-
-	"incod/internal/simnet"
 )
 
 // KeySampler yields keys with a configured popularity distribution.
 type KeySampler struct {
-	rng  *rand.Rand
 	zipf *rand.Zipf
-	n    uint64
 }
 
 // NewZipfKeys samples from n keys with Zipf skew s (s > 1; the Facebook
@@ -30,7 +33,7 @@ func NewZipfKeys(rng *rand.Rand, n uint64, s float64) *KeySampler {
 	if s <= 1 {
 		s = 1.01
 	}
-	return &KeySampler{rng: rng, zipf: rand.NewZipf(rng, s, 1, n-1), n: n}
+	return &KeySampler{zipf: rand.NewZipf(rng, s, 1, n-1)}
 }
 
 // Next returns the next key ("key-<i>").
@@ -38,9 +41,6 @@ func (k *KeySampler) Next() string { return fmt.Sprintf("key-%d", k.zipf.Uint64(
 
 // NextIndex returns the next key index.
 func (k *KeySampler) NextIndex() uint64 { return k.zipf.Uint64() }
-
-// KeySpace returns the number of distinct keys.
-func (k *KeySampler) KeySpace() uint64 { return k.n }
 
 // ETC models the Facebook ETC workload statistics used in §5.3 and §9.2:
 // GET-dominated traffic over a large, skewed key pool with small values.
@@ -71,93 +71,4 @@ func (e *ETC) ValueSize() int {
 		v = 1024
 	}
 	return v
-}
-
-// UniqueKeyStats is the §5.3 citation of the ETC analysis: "the number of
-// unique keys requested every hour is in the order of 1e9-1e11, with the
-// percentage of unique keys requested ranging from 3% to 35%". These
-// bounds drive the §5.3 conclusion that KVS wants external memories.
-type UniqueKeyStats struct {
-	UniqueKeysPerHourLow  float64
-	UniqueKeysPerHourHigh float64
-	UniqueFractionLow     float64
-	UniqueFractionHigh    float64
-}
-
-// ETCUniqueKeys returns the published bounds.
-func ETCUniqueKeys() UniqueKeyStats {
-	return UniqueKeyStats{
-		UniqueKeysPerHourLow:  1e9,
-		UniqueKeysPerHourHigh: 1e11,
-		UniqueFractionLow:     0.03,
-		UniqueFractionHigh:    0.35,
-	}
-}
-
-// Segment is one piece of a rate profile.
-type Segment struct {
-	Duration time.Duration
-	Kpps     float64
-}
-
-// Profile is a piecewise-constant offered-load schedule.
-type Profile []Segment
-
-// Total returns the profile's duration.
-func (p Profile) Total() time.Duration {
-	var d time.Duration
-	for _, s := range p {
-		d += s.Duration
-	}
-	return d
-}
-
-// RateAt returns the offered rate at time t into the profile (0 after the
-// end).
-func (p Profile) RateAt(t time.Duration) float64 {
-	for _, s := range p {
-		if t < s.Duration {
-			return s.Kpps
-		}
-		t -= s.Duration
-	}
-	return 0
-}
-
-// Apply schedules setRate calls on the simulator for each segment
-// boundary, starting now. It returns the end time.
-func (p Profile) Apply(sim *simnet.Simulator, setRate func(kpps float64)) simnet.Time {
-	at := time.Duration(0)
-	for _, seg := range p {
-		s := seg
-		sim.Schedule(at, func() { setRate(s.Kpps) })
-		at += s.Duration
-	}
-	end := sim.Now().Add(at)
-	sim.Schedule(at, func() { setRate(0) })
-	return end
-}
-
-// StepUpDown is the Figure 6-style profile: low, then a sustained high
-// plateau, then low again.
-func StepUpDown(low, high float64, lowD, highD time.Duration) Profile {
-	return Profile{
-		{Duration: lowD, Kpps: low},
-		{Duration: highD, Kpps: high},
-		{Duration: lowD, Kpps: low},
-	}
-}
-
-// Ramp builds an n-step staircase from 0 to peak, each step holding d —
-// the §4 measurement sweep ("starting with an idle system, and then
-// gradually increasing the query rate").
-func Ramp(peak float64, n int, d time.Duration) Profile {
-	if n < 1 {
-		n = 1
-	}
-	p := make(Profile, n)
-	for i := range p {
-		p[i] = Segment{Duration: d, Kpps: peak * float64(i+1) / float64(n)}
-	}
-	return p
 }
