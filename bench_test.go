@@ -6,6 +6,7 @@ package incod
 // the cost of regeneration and report headline metrics.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log"
@@ -265,6 +266,56 @@ func BenchmarkDataplaneBatchedPaxosAcceptor(b *testing.B) {
 		a.HandleBatch(items)
 		if len(items[0].Out) == 0 {
 			b.Fatal("batched 2A failed")
+		}
+	}
+}
+
+// freshVoter returns an acceptor and a function that casts the next
+// fresh vote on it: monotonically increasing instances in a 2A shaped
+// like benchmark/stream.go's — ballot 1, a client id and seq, a 16-byte
+// value, no client address.
+func freshVoter() (*paxos.LiveAcceptor, func() bool) {
+	a := paxos.NewLiveAcceptor(1, nil, func(string, paxos.Msg) {})
+	scratch := make([]byte, 0, 4096)
+	p2a := paxos.Encode(paxos.Msg{Type: paxos.MsgPhase2A, Ballot: 1, ClientID: 1, Seq: 9,
+		Value: []byte("0123456789abcdef")})
+	inst := uint64(0)
+	return a, func() bool {
+		inst++
+		binary.BigEndian.PutUint64(p2a[1:], inst) // the wire header's instance field
+		out, ok := a.HandleDatagram(p2a, &scratch)
+		return ok && len(out) > 0
+	}
+}
+
+// BenchmarkPaxosAcceptorFresh is the vote that is 90 % of
+// paxos_vote_default and all of steady-state Paxos, into one growing
+// table. The log and the index grow, so B/op is the table's amortised
+// footprint per instance, not garbage; allocs/op must be 0.
+func BenchmarkPaxosAcceptorFresh(b *testing.B) {
+	_, vote := freshVoter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !vote() {
+			b.Fatal("fresh 2A failed")
+		}
+	}
+}
+
+// BenchmarkPaxosAcceptorSnapshot100k is the §9.2 state handoff (the
+// tier's Warm, a replacement acceptor's transfer) of 100k voted
+// instances: while it runs no copy of the state answers.
+func BenchmarkPaxosAcceptorSnapshot100k(b *testing.B) {
+	a, vote := freshVoter()
+	for i := 0; i < 100_000; i++ {
+		vote()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if snap := a.Snapshot(); snap.Instances() != 100_000 {
+			b.Fatalf("snapshot holds %d instances", snap.Instances())
 		}
 	}
 }

@@ -16,7 +16,9 @@
 //     authoritative zone, answering A/IN queries and NXDOMAIN directly.
 //   - PaxosAcceptorTier — a P4xos-style acceptor (§3.2) that takes a
 //     state handoff of the host role's AcceptorTable and serves
-//     Phase1A/2A, fanning votes out to the learners.
+//     Phase1A/2A, fanning votes out to the learners. The table is an
+//     append-only vote log, so the handoff shares its sealed chunks and
+//     copies one chunk and the index, not the history of votes.
 //
 // Each tier reports its card's power draw from internal/fpga's board
 // model (the design's watts at the metered utilization when serving, the

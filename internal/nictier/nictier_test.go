@@ -310,6 +310,10 @@ func TestPaxosTierHandoff(t *testing.T) {
 	if got := tier.Counters().Get("handoff_instances"); got != 1 {
 		t.Fatalf("handoff_instances = %d, want 1", got)
 	}
+	// The table's size follows the state: on the card now, not on the host.
+	if c, h := tier.StatsCounters(), host.StatsCounters(); c.Get("instances") != 1 || c.Get("log_bytes") == 0 || h.Get("instances") != 0 {
+		t.Fatalf("after Warm: tier %v, host %v", c.Snapshot(), h.Snapshot())
+	}
 
 	// The tier's 1B for instance 1 must carry the host-made vote.
 	out, served, reply := tier.TryHandleDatagram(p1a, netip.AddrPort{}, &scratch)

@@ -68,8 +68,14 @@ func (t *PaxosAcceptorTier) Name() string { return "p4xos-acceptor" }
 // Counters implements Tier.
 func (t *PaxosAcceptorTier) Counters() *telemetry.AtomicCounters { return t.counters }
 
-// StatsCounters lets dataplane.Snapshot fold the tier counters in.
-func (t *PaxosAcceptorTier) StatsCounters() *telemetry.AtomicCounters { return t.counters }
+// StatsCounters lets dataplane.Snapshot fold the tier counters in, with
+// the size of the card role's table as it is at the read.
+func (t *PaxosAcceptorTier) StatsCounters() *telemetry.AtomicCounters {
+	card := t.card.StatsCounters()
+	t.counters.Handle("instances").Store(card.Get("instances"))
+	t.counters.Handle("log_bytes").Store(card.Get("log_bytes"))
+	return t.counters
+}
 
 // HitRatio implements Tier: the fraction of classified consensus
 // messages the tier served.
@@ -96,8 +102,10 @@ func (t *PaxosAcceptorTier) Stage() error {
 
 // Warm implements Tier: the acceptor state handoff. The host role
 // surrenders its table (serialized with its in-flight processing) and
-// starts delegating stragglers here; the card installs a deep copy — the
-// modeled DMA into NIC memory.
+// starts delegating stragglers here; the card installs a clone — the
+// modeled DMA into NIC memory: the vote log's sealed chunks shared, its
+// open chunk and the index copied, so the window in which no copy
+// answers does not grow with the history of votes.
 func (t *PaxosAcceptorTier) Warm() error {
 	clone := t.host.BeginHandoff(t).Clone()
 	t.handedOff.Store(uint64(clone.Instances())) // before publishing: workers own it after

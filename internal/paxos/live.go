@@ -2,11 +2,13 @@ package paxos
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"incod/internal/dataplane"
 	"incod/internal/simnet"
@@ -28,20 +30,23 @@ type Sender func(to string, m Msg)
 
 // --- acceptor -------------------------------------------------------------
 
-type liveVoteState struct {
+// voteRecord is one instance's acceptor state: the header the rules
+// read, and the log bytes it was decoded from, whose tail is what a
+// response carries of the vote (nil before the instance's first record).
+type voteRecord struct {
 	promised uint32
+	vballot  uint32
 	accepted bool
 	// prepared: promised was established by an explicit Phase1A, which
 	// entitles the matching Phase2A to overwrite a lower vote (its
 	// proposer adopted the highest value of a promise quorum).
 	prepared bool
-	vballot  uint32
-	m        Msg
+	raw      []byte
 }
 
 // overwritable reports whether a Phase2A at st.promised may replace the
 // accepted vote.
-func (st *liveVoteState) overwritable() bool {
+func (st *voteRecord) overwritable() bool {
 	return st.prepared && st.promised > st.vballot
 }
 
@@ -71,184 +76,234 @@ func (o Outcome) Vote() bool { return o == Voted || o == Reannounced || o == Rec
 // is the unit of state a placement shift hands between the host role and
 // the emulated NIC fast path, and a replacement acceptor copies from a
 // surviving peer. Mutations are serialized by the owner (LiveAcceptor or
-// the NIC tier); the settled lookaside additionally lets ANY goroutine
-// answer a Phase2A for an accepted instance via TryVote.
+// the NIC tier); ANY goroutine may answer a Phase2A for a settled
+// instance via TryVote.
 //
-// An accepted value is not immutable: a ballot promised by Phase1A may
-// overwrite a lower vote (gap recovery). The lookaside stays correct
-// because the promise that makes an instance overwritable withdraws its
-// template first, so the recovery 2A misses TryVote and reaches the
-// locked path, and the overwrite republishes the new vote. A reader that
-// loaded the old template just before, or holds a retired generation,
-// may still re-send the old vote; that duplicates a message this
-// acceptor validly sent, which Paxos tolerates at any delay: a learner
-// counts it only toward a quorum that voted that very (ballot, value),
-// and such a quorum means the value was chosen.
+// Memory model. State is an append-only log of pointer-free records in
+// fixed-size chunks (the GC never scans it) and one open-addressing index
+// instance -> ref. Every state change — promise, vote, recovery
+// overwrite — appends a whole record and re-points the index; bytes
+// below the log's end are never written again. The owner publishes
+// chunk list -> record -> key -> ref through atomics, and ref 0 marks an
+// empty slot (so every uint64 is a valid key): a reader that sees a ref
+// sees its key, a complete record and the chunk holding it. A reader on
+// a retired index generation or a stale top misses newer instances, and
+// a ref without refSettled (promised only, or overwritable after a
+// Phase1A) is a miss too; a miss only costs a trip to the owner's locked
+// path. An old ref still answers with the old vote: a duplicate of a
+// message this acceptor validly sent, which Paxos tolerates at any
+// delay — a learner counts it only toward a quorum that voted that very
+// (ballot, value), and such a quorum means the value was chosen. Clone
+// shares the sealed chunks, which neither side can write, and copies the
+// open one and the index, so later votes are private to their side. The
+// table never shrinks: trimming needs a decided watermark from the
+// learners, a message the wire format does not have.
 type AcceptorTable struct {
-	states    map[uint64]*liveVoteState
 	lastVoted atomic.Uint64
+	index     atomic.Pointer[voteIndex] // current generation; nil until the first record
+	log       atomic.Pointer[[][]byte]  // chunks, the last one open; nil until the first record
+	top       atomic.Uint64             // highest instance in the index: above it nothing probes
 
-	// settled is the lock-free lookaside: an open-addressing table from
-	// instance to a prebuilt Phase2B template (nil while the instance is
-	// overwritable). The owner publishes, readers only load; templates
-	// are replaced, never mutated. Grown generations are republished
-	// whole; a reader on a retired one misses newer instances and falls
-	// back to the locked path.
-	settled      atomic.Pointer[settledTable]
-	settledCount int // owner-serialized
+	count int    // instances; owner-serialized, like end
+	end   uint64 // log position of the next record (chunk number << logChunkShift | offset)
 }
 
-// settledTable maps instance -> prebuilt Phase2B. insts holds inst+1 so
-// zero means empty (wire instance numbers start at 0 in principle);
-// votes[i] is published before insts[i], so a visible key always has a
-// visible template.
-type settledTable struct {
+// voteIndex is one generation of the index: slot i is (inst, ref) at
+// slots[2i], slots[2i+1]. A grown generation is published whole and the
+// old one left intact for stale readers.
+type voteIndex struct {
 	mask  uint64
-	insts []atomic.Uint64
-	votes []atomic.Pointer[Msg]
+	slots []atomic.Uint64
 }
 
-// settledFib is the Fibonacci multiplier spreading sequential instance
-// numbers across the table.
-const settledFib = 0x9E3779B97F4A7C15
+const (
+	// indexFib is the Fibonacci multiplier spreading sequential instance
+	// numbers across the index, which grows at 7/8 load.
+	indexFib = 0x9E3779B97F4A7C15
+	// A chunk holds the largest record: header plus two 65 535-byte fields.
+	logChunkShift = 18
+	logChunkSize  = 1 << logChunkShift
+	// A record is promised(4) vballot(4) flags(1), then the vote:
+	// clientID(2) seq(8) len(addr)(2) len(value)(2) addr value.
+	recordVote, recordHeader = 9, 23
+	// A ref is a log position << 2 with refLive set (0 is the empty
+	// slot) and refSettled when TryVote may answer from the record.
+	refLive, refSettled = 1, 2
+)
 
-// NewAcceptorTable returns an empty table.
-func NewAcceptorTable() *AcceptorTable {
-	return &AcceptorTable{states: make(map[uint64]*liveVoteState)}
+// find probes for inst: the slot holding it (ref != 0), or the empty
+// slot it would take (ref == 0).
+func (x *voteIndex) find(inst uint64) (slot, ref uint64) {
+	for i := (inst * indexFib) & x.mask; ; i = (i + 1) & x.mask {
+		if ref = x.slots[2*i+1].Load(); ref == 0 || x.slots[2*i].Load() == inst {
+			return i, ref
+		}
+	}
 }
+
+// NewAcceptorTable returns an empty table; it allocates on its first record.
+func NewAcceptorTable() *AcceptorTable { return &AcceptorTable{} }
 
 // Instances returns how many per-instance records the table holds — the
 // size of a state handoff.
-func (t *AcceptorTable) Instances() int { return len(t.states) }
+func (t *AcceptorTable) Instances() int { return t.count }
 
 // LastVoted returns the highest instance this acceptor has voted on.
 func (t *AcceptorTable) LastVoted() uint64 { return t.lastVoted.Load() }
 
 // Accepted returns the value voted for inst, if any. Owner-serialized.
 func (t *AcceptorTable) Accepted(inst uint64) ([]byte, bool) {
-	st := t.states[inst]
-	if st == nil || !st.accepted {
+	var st voteRecord
+	if t.lookup(inst, &st); !st.accepted {
 		return nil, false
 	}
-	return st.m.Value, true
+	v, end := voteEnds(st.raw)
+	return st.raw[v:end:end], true
 }
 
-// Clone copies the table (promises, prepared marks and lookaside
-// included): the modeled DMA of acceptor state into NIC memory, and the
-// state transfer to a replacement acceptor. Retained values are shared;
-// they are replaced, never written in place.
+// Clone copies the table: the modeled DMA of acceptor state into NIC
+// memory, and the state transfer to a replacement acceptor. It costs the
+// index and one chunk, whatever the history.
 func (t *AcceptorTable) Clone() *AcceptorTable {
-	out := &AcceptorTable{
-		states: make(map[uint64]*liveVoteState, len(t.states)),
-	}
+	out := &AcceptorTable{count: t.count, end: t.end}
 	out.lastVoted.Store(t.lastVoted.Load())
-	for inst, st := range t.states {
-		cp := *st
-		out.states[inst] = &cp
-		if cp.accepted {
-			out.publishSettled(inst, &cp)
+	out.top.Store(t.top.Load())
+	if x := t.index.Load(); x != nil {
+		log := slices.Clone(*t.log.Load())
+		open := len(log) - 1
+		log[open] = make([]byte, logChunkSize)
+		copy(log[open], (*t.log.Load())[open][:t.end-uint64(open)<<logChunkShift])
+		out.log.Store(&log)
+		nx := &voteIndex{mask: x.mask, slots: make([]atomic.Uint64, len(x.slots))}
+		for i := range x.slots {
+			nx.slots[i].Store(x.slots[i].Load())
 		}
+		out.index.Store(nx)
 	}
 	return out
 }
 
-// publishSettled installs the Phase2B template for an accepted instance
-// into the lookaside, replaces it after an overwrite, or withdraws it
-// (nil) while the instance is overwritable. Owner-serialized; readers
-// see votes-before-insts publication order.
-func (t *AcceptorTable) publishSettled(inst uint64, st *liveVoteState) {
-	tab := t.settled.Load()
-	if tab == nil || (t.settledCount+1)*8 >= len(tab.insts)*7 {
-		t.growSettled(tab)
-		tab = t.settled.Load()
-	}
-	var vote *Msg
-	if !st.overwritable() {
-		m := t.answer(MsgPhase2B, inst, st, 0)
-		vote = &m
-	}
-	idx := (inst * settledFib) & tab.mask
-	for key := tab.insts[idx].Load(); key != 0; key = tab.insts[idx].Load() {
-		if key == inst+1 {
-			tab.votes[idx].Store(vote)
-			return
-		}
-		idx = (idx + 1) & tab.mask
-	}
-	tab.votes[idx].Store(vote)
-	tab.insts[idx].Store(inst + 1)
-	t.settledCount++
+// record decodes the header of the record ref points at into st.
+func (t *AcceptorTable) record(ref uint64, st *voteRecord) {
+	pos := ref >> 2
+	b := (*t.log.Load())[pos>>logChunkShift][pos&(logChunkSize-1):]
+	st.promised, st.vballot = binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
+	st.accepted, st.prepared, st.raw = b[8]&1 != 0, b[8]&2 != 0, b
 }
 
-// growSettled builds and publishes a larger generation carrying every
-// settled entry. The old generation is left intact for stale readers.
-func (t *AcceptorTable) growSettled(old *settledTable) {
+// lookup reads inst's record into st and returns the index slot's ref
+// word; nil means the table has no record of inst. Owner-serialized.
+func (t *AcceptorTable) lookup(inst uint64, st *voteRecord) *atomic.Uint64 {
+	if x := t.index.Load(); x != nil && inst <= t.top.Load() {
+		if i, ref := x.find(inst); ref != 0 {
+			t.record(ref, st)
+			return &x.slots[2*i+1]
+		}
+	}
+	return nil
+}
+
+// put appends st as inst's new record — carrying the vote in v, or with
+// a nil v the one st was read with — and points the index at it (slot
+// is what lookup returned). Owner-serialized.
+func (t *AcceptorTable) put(inst uint64, st *voteRecord, slot *atomic.Uint64, v *MsgView) {
+	var log [][]byte
+	if p := t.log.Load(); p != nil {
+		log = *p
+	}
+	n := recordHeader
+	if v != nil {
+		n += len(v.ClientAddr) + len(v.Value)
+	} else if st.raw != nil {
+		_, n = voteEnds(st.raw)
+	}
+	if t.end+uint64(n) > uint64(len(log))<<logChunkShift { // seal, open the next chunk
+		t.end = uint64(len(log)) << logChunkShift
+		grown := append(log[:len(log):len(log)], make([]byte, logChunkSize))
+		t.log.Store(&grown)
+		log = grown
+	}
+	b := log[t.end>>logChunkShift][t.end&(logChunkSize-1):][:n:n]
+	binary.LittleEndian.PutUint32(b, st.promised)
+	binary.LittleEndian.PutUint32(b[4:], st.vballot)
+	if b[8] = 0; st.accepted {
+		b[8] = 1
+	}
+	if st.prepared {
+		b[8] |= 2
+	}
+	if v != nil {
+		binary.LittleEndian.PutUint16(b[9:], v.ClientID)
+		binary.LittleEndian.PutUint64(b[11:], v.Seq)
+		binary.LittleEndian.PutUint16(b[19:], uint16(len(v.ClientAddr)))
+		binary.LittleEndian.PutUint16(b[21:], uint16(len(v.Value)))
+		copy(b[recordHeader+copy(b[recordHeader:], v.ClientAddr):], v.Value)
+	} else if st.raw != nil {
+		copy(b[recordVote:], st.raw[recordVote:n])
+	}
+	st.raw = b
+	ref := t.end<<2 | refLive
+	if st.accepted && !st.overwritable() {
+		ref |= refSettled
+	}
+	t.end += uint64(n)
+	if slot != nil {
+		slot.Store(ref)
+		return
+	}
+	x := t.index.Load()
+	if x == nil || (t.count+1)*16 >= len(x.slots)*7 {
+		x = t.grow(x)
+	}
+	i, _ := x.find(inst)
+	x.slots[2*i].Store(inst)
+	x.slots[2*i+1].Store(ref)
+	t.count++
+	if inst > t.top.Load() {
+		t.top.Store(inst)
+	}
+}
+
+// grow publishes a generation of twice the slots carrying every entry.
+func (t *AcceptorTable) grow(old *voteIndex) *voteIndex {
 	size := 256
 	if old != nil {
-		size = len(old.insts) * 2
+		size = len(old.slots) // two words per slot: this doubles
 	}
-	nt := &settledTable{
-		mask:  uint64(size - 1),
-		insts: make([]atomic.Uint64, size),
-		votes: make([]atomic.Pointer[Msg], size),
-	}
+	x := &voteIndex{mask: uint64(size - 1), slots: make([]atomic.Uint64, 2*size)}
 	if old != nil {
-		for i := range old.insts {
-			key := old.insts[i].Load()
-			if key == 0 {
-				continue
+		for i := 0; i < len(old.slots); i += 2 {
+			if ref := old.slots[i+1].Load(); ref != 0 {
+				inst := old.slots[i].Load()
+				j, _ := x.find(inst)
+				x.slots[2*j].Store(inst)
+				x.slots[2*j+1].Store(ref)
 			}
-			idx := ((key - 1) * settledFib) & nt.mask
-			for nt.insts[idx].Load() != 0 {
-				idx = (idx + 1) & nt.mask
-			}
-			nt.votes[idx].Store(old.votes[i].Load())
-			nt.insts[idx].Store(key)
 		}
 	}
-	t.settled.Store(nt)
+	t.index.Store(x)
+	return x
 }
 
-// TryVote answers a Phase2A for a settled instance without any lock: the
-// template is never written after publication, so the only per-call
-// fields are the responder identity and the last-voted piggyback (a
-// stale one is harmless: the leader folds the maximum). The vote is
-// written to out (Msg copies are what this path costs). false — not in
-// the lookaside, overwritable, or not a 2A — sends the caller to the
-// locked path.
+// TryVote answers a Phase2A for a settled instance without any lock,
+// from a record that is never written after publication; the only
+// per-call fields are the responder identity and the last-voted
+// piggyback (a stale one is harmless: the leader folds the maximum).
+// The vote is written to out. false — no record, not settled, or not a
+// 2A — sends the caller to the locked path.
 func (t *AcceptorTable) TryVote(v *MsgView, id uint16, out *Msg) bool {
-	tab := t.settled.Load()
-	if v.Type != MsgPhase2A || tab == nil {
+	x := t.index.Load()
+	if v.Type != MsgPhase2A || x == nil || v.Instance > t.top.Load() {
 		return false
 	}
-	idx := (v.Instance * settledFib) & tab.mask
-	for range tab.insts {
-		got := tab.insts[idx].Load()
-		if got == 0 {
-			return false
-		}
-		if got == v.Instance+1 {
-			mp := tab.votes[idx].Load()
-			if mp == nil {
-				return false // withdrawn or mid-publication; locked path serves it
-			}
-			*out = *mp
-			out.NodeID = id
-			out.LastVoted = t.lastVoted.Load()
-			return true
-		}
-		idx = (idx + 1) & tab.mask
+	_, ref := x.find(v.Instance)
+	if ref&refSettled == 0 {
+		return false
 	}
-	return false
-}
-
-func (t *AcceptorTable) state(inst uint64) *liveVoteState {
-	st := t.states[inst]
-	if st == nil {
-		st = &liveVoteState{}
-		t.states[inst] = st
-	}
-	return st
+	var st voteRecord
+	t.record(ref, &st)
+	t.answer(out, MsgPhase2B, v.Instance, &st, id)
+	return true
 }
 
 // ProcessView applies the acceptor rules to the decoded view v for the
@@ -265,61 +320,71 @@ func (t *AcceptorTable) state(inst uint64) *liveVoteState {
 //   - a Phase2A whose ballot was explicitly promised may overwrite a
 //     lower vote: how the leader fills the holes a learner reports.
 //
-// Only a fresh 2A copies (its value and client address must outlive the
-// datagram); promises and re-votes allocate nothing.
+// A vote or a new promise copies once, into the log; re-votes and
+// repeated promises write nothing. The response aliases the log.
 func (t *AcceptorTable) ProcessView(v *MsgView, id uint16) (resp Msg, o Outcome) {
-	switch v.Type {
-	case MsgPhase1A:
-		st := t.state(v.Instance)
-		if v.Ballot >= st.promised {
-			settled := st.accepted && !st.overwritable()
-			st.promised = v.Ballot
-			st.prepared = true
-			if settled && st.overwritable() {
-				t.publishSettled(v.Instance, st) // withdraw: the recovery 2A must reach the rules
-			}
+	if v.Type != MsgPhase1A && v.Type != MsgPhase2A {
+		return resp, Ignored
+	}
+	var st voteRecord
+	slot := t.lookup(v.Instance, &st)
+	typ := MsgPhase1B
+	switch {
+	case v.Type == MsgPhase1A:
+		o = Promised
+		if v.Ballot >= st.promised && (slot == nil || !st.prepared || v.Ballot > st.promised) {
+			st.promised, st.prepared = v.Ballot, true
+			t.put(v.Instance, &st, slot, nil) // unsettles a vote below: the recovery 2A must reach the rules
 		}
-		return t.answer(MsgPhase1B, v.Instance, st, id), Promised
-	case MsgPhase2A:
-		st := t.state(v.Instance)
-		o = Voted
-		if st.accepted {
-			if !st.overwritable() || v.Ballot != st.promised {
-				return t.answer(MsgPhase2B, v.Instance, st, id), Reannounced
-			}
+	case st.accepted && (!st.overwritable() || v.Ballot != st.promised):
+		typ, o = MsgPhase2B, Reannounced
+	case v.Ballot < st.promised:
+		o = Rejected
+	default:
+		if typ, o = MsgPhase2B, Voted; st.accepted {
 			o = Recovered
 		}
-		if v.Ballot < st.promised {
-			return t.answer(MsgPhase1B, v.Instance, st, id), Rejected
-		}
-		st.promised = v.Ballot
-		st.prepared = false
-		st.accepted = true
-		st.vballot = v.Ballot
-		st.m = v.Msg() // the retention copy: state outlives the datagram
+		st = voteRecord{promised: v.Ballot, vballot: v.Ballot, accepted: true}
 		if v.Instance > t.lastVoted.Load() {
 			t.lastVoted.Store(v.Instance)
 		}
-		t.publishSettled(v.Instance, st)
-		return t.answer(MsgPhase2B, v.Instance, st, id), o
+		t.put(v.Instance, &st, slot, v) // the retention copy: state outlives the datagram
 	}
-	return Msg{}, Ignored
+	t.answer(&resp, typ, v.Instance, &st, id)
+	return resp, o
 }
 
-// answer builds a response for st under identity id: a Phase2B at the
-// vote's ballot or a Phase1B at the promise, carrying the retained vote
-// when there is one.
-func (t *AcceptorTable) answer(typ MsgType, inst uint64, st *liveVoteState, id uint16) Msg {
-	var out Msg
-	if st.accepted {
-		out = st.m
-		out.VBallot = st.vballot
-	}
+// answer builds the response for st under identity id in out: a Phase2B
+// at the vote's ballot or a Phase1B at the promise, carrying the retained
+// vote when there is one. What it carries aliases the log, capped so
+// that an append cannot reach the next record.
+func (t *AcceptorTable) answer(out *Msg, typ MsgType, inst uint64, st *voteRecord, id uint16) {
 	out.Type, out.Instance, out.NodeID, out.LastVoted = typ, inst, id, t.lastVoted.Load()
 	if out.Ballot = st.promised; typ == MsgPhase2B {
 		out.Ballot = st.vballot
 	}
-	return out
+	out.VBallot, out.ClientID, out.Seq, out.ClientAddr, out.Value = 0, 0, 0, "", nil
+	if b := st.raw; st.accepted {
+		out.VBallot = st.vballot
+		out.ClientID, out.Seq = binary.LittleEndian.Uint16(b[9:]), binary.LittleEndian.Uint64(b[11:])
+		v, end := voteEnds(b)
+		out.ClientAddr, out.Value = logAddr(b[recordHeader:v]), b[v:end:end]
+	}
+}
+
+// voteEnds returns where in record b the client address ends and where
+// the value, and with it the record, ends.
+func voteEnds(b []byte) (addr, value int) {
+	addr = recordHeader + int(binary.LittleEndian.Uint16(b[19:]))
+	return addr, addr + int(binary.LittleEndian.Uint16(b[21:]))
+}
+
+// logAddr hands a record's address bytes out as the string a Msg carries
+// without copying them. The package's one unsafe: sound because log
+// bytes are never written once their record is reachable, and the string
+// keeps its chunk alive like any other reference into it.
+func logAddr(b []byte) simnet.Addr {
+	return simnet.Addr(unsafe.String(unsafe.SliceData(b), len(b)))
 }
 
 // LiveAcceptor is the acceptor role as a dataplane handler. Phase1B/2B
@@ -339,13 +404,13 @@ type LiveAcceptor struct {
 	counters *telemetry.AtomicCounters
 	outcomes [numOutcomes]*atomic.Uint64
 
-	// table is an atomic pointer so the lock-free Phase2A pre-pass can
-	// reach the settled lookaside without the mutex, which serializes
-	// all mutation and the handoff swap. A pre-pass that loaded the
-	// pointer just before BeginHandoff swapped it may answer a straggler
-	// from the surrendered table while the tier serves its clone — safe
-	// by the duplicate argument on AcceptorTable: whatever that
-	// lookaside still holds is a vote this acceptor sent.
+	// table is an atomic pointer so the lock-free Phase2A path can reach
+	// the table without the mutex, which serializes all mutation and the
+	// handoff swap. A reader that loaded the pointer just before
+	// BeginHandoff swapped it may answer a straggler from the surrendered
+	// table while the tier serves its clone — safe by the duplicate
+	// argument on AcceptorTable: whatever a settled record holds is a
+	// vote this acceptor sent.
 	mu       sync.Mutex
 	table    atomic.Pointer[AcceptorTable]
 	delegate dataplane.Handler
@@ -374,8 +439,16 @@ func (a *LiveAcceptor) Learners() []string { return a.learners }
 func (a *LiveAcceptor) Sender() Sender { return a.send }
 
 // StatsCounters implements dataplane.StatsReporter: one count per
-// datagram the host role processed, by Outcome.
-func (a *LiveAcceptor) StatsCounters() *telemetry.AtomicCounters { return a.counters }
+// datagram the role processed, by Outcome, and two gauges — the records
+// its table holds and the length of its log (nothing while the other
+// role holds the state) — read here so that no vote pays for them.
+func (a *LiveAcceptor) StatsCounters() *telemetry.AtomicCounters {
+	a.mu.Lock()
+	a.counters.Handle("instances").Store(uint64(a.table.Load().count))
+	a.counters.Handle("log_bytes").Store(a.table.Load().end)
+	a.mu.Unlock()
+	return a.counters
+}
 
 // LastVoted returns the highest instance the host role's table has voted
 // on (the tier's copy is ahead of it while a handoff is in effect).
@@ -437,7 +510,7 @@ func (a *LiveAcceptor) fanOut(vote *Msg) {
 // without heap allocation: DecodeView aliases the datagram and the reply
 // encodes into the scratch buffer. Re-votes on settled instances, the
 // dominant retry traffic under duplication and loss, are answered
-// without the role mutex via the table's settled lookaside.
+// without the role mutex via TryVote.
 func (a *LiveAcceptor) HandleDatagram(in []byte, scratch *[]byte) ([]byte, bool) {
 	var v MsgView
 	if DecodeView(in, &v) != nil {
@@ -475,90 +548,82 @@ func (a *LiveAcceptor) reply(m *Msg, scratch *[]byte) ([]byte, bool) {
 	return *scratch, true
 }
 
-// liveBatchChunk is the unit of batch work for the roles: per-chunk
-// scratch state lives in fixed stack arrays, like the KVS handler's.
+// liveBatchChunk is the learner's unit of batch work: per-chunk scratch
+// state lives in a fixed stack array, like the KVS handler's.
 const liveBatchChunk = 64
 
-// HandleBatch implements dataplane.BatchHandler: a chunk is processed
-// under one acquisition of the role's mutex, with decodes before the
-// lock and reply encoding plus learner fan-out after it, as the single
-// path orders them. Replies built after unlock reference retained state,
-// which is replaced under the lock and never written in place.
+// HandleBatch implements dataplane.BatchHandler: the items are answered
+// in order, as the same datagrams one by one would be. Settled re-votes
+// are answered lock-free as they come; the first item TryVote misses
+// starts a locked run, so a batch of re-votes never touches the role
+// mutex and a batch of fresh votes takes it once per run.
 func (a *LiveAcceptor) HandleBatch(items []*dataplane.BatchItem) {
-	for off := 0; off < len(items); off += liveBatchChunk {
-		a.handleChunk(items[off:min(off+liveBatchChunk, len(items))])
-	}
-}
-
-func (a *LiveAcceptor) handleChunk(items []*dataplane.BatchItem) {
-	var (
-		views [liveBatchChunk]MsgView
-		resps [liveBatchChunk]Msg
-		outs  [liveBatchChunk]Outcome // Ignored until answered
-		bad   [liveBatchChunk]bool    // nothing (more) to do here
-		count [numOutcomes]uint64
-	)
-	for i, it := range items {
-		bad[i] = DecodeView(it.In, &views[i]) != nil
-	}
-	// Lock-free pre-pass: settled re-votes are answered off the
-	// lookaside before the chunk ever takes the role mutex, shrinking
-	// the locked section to fresh/unsettled work only. It stops at the
-	// chunk's first Phase1A, which may withdraw what a later 2A would
-	// hit: the batch must answer as the same datagrams one by one would.
+	var v MsgView
+	var resp Msg
+	var count [numOutcomes]uint64
 	tab := a.table.Load()
-	for i := range items {
-		if bad[i] {
-			continue
+	for i := 0; i < len(items); {
+		if it := items[i]; DecodeView(it.In, &v) != nil {
+			i++
+		} else if tab.TryVote(&v, a.id, &resp) {
+			// Off a table BeginHandoff has swapped since, this still goes
+			// out (see the field comment).
+			a.emit(it, &resp, Reannounced, &count)
+			i++
+		} else {
+			i += a.lockedRun(items[i:], &count)
+			tab = a.table.Load()
 		}
-		if views[i].Type == MsgPhase1A {
-			break
-		}
-		if tab.TryVote(&views[i], a.id, &resps[i]) {
-			outs[i] = Reannounced
-		}
-	}
-	a.mu.Lock()
-	if d := a.delegate; d != nil {
-		// Handoff in effect: stragglers route to the tier's copy, which
-		// fans its own votes out, with the role mutex held across the
-		// chunk (lock order: role, tier). What the pre-pass answered off
-		// the pre-swap table (see the field comment) still goes out.
-		for i, it := range items {
-			if !bad[i] && outs[i] == Ignored {
-				if out, ok := d.HandleDatagram(it.In, it.Scratch); ok {
-					it.Out = out
-				}
-				bad[i] = true // answered, or dropped, over there
-			}
-		}
-	} else {
-		tab = a.table.Load()
-		for i := range items {
-			if !bad[i] && outs[i] == Ignored {
-				resps[i], outs[i] = tab.ProcessView(&views[i], a.id)
-				bad[i] = outs[i] == Ignored
-			}
-		}
-	}
-	a.mu.Unlock()
-	for i, it := range items {
-		if bad[i] {
-			continue
-		}
-		count[outs[i]]++
-		if outs[i].Vote() {
-			a.fanOut(&resps[i])
-		}
-		out := appendMsg((*it.Scratch)[:0], &resps[i])
-		*it.Scratch = out
-		it.Out = out
 	}
 	for o := Promised; o < numOutcomes; o++ {
 		if count[o] > 0 {
 			a.outcomes[o].Add(count[o])
 		}
 	}
+}
+
+// lockedRun processes the head of items — at most lockedRunMax, re-votes
+// among them included: cheaper than retaking the lock — under one
+// acquisition of the role's mutex, with reply encoding and learner
+// fan-out after it, and returns how many items that was.
+func (a *LiveAcceptor) lockedRun(items []*dataplane.BatchItem, count *[numOutcomes]uint64) int {
+	const lockedRunMax = 16
+	var v MsgView
+	var resps [lockedRunMax]Msg
+	var outs [lockedRunMax]Outcome // Ignored: nothing to send from here
+	items = items[:min(len(items), lockedRunMax)]
+	a.mu.Lock()
+	d, tab := a.delegate, a.table.Load()
+	for i, it := range items {
+		if DecodeView(it.In, &v) != nil {
+			continue
+		}
+		if d == nil {
+			resps[i], outs[i] = tab.ProcessView(&v, a.id)
+		} else if out, ok := d.HandleDatagram(it.In, it.Scratch); ok {
+			// Handoff in effect: stragglers route to the tier's copy, which
+			// fans its own votes out, with the role mutex held across the
+			// run (lock order: role, tier).
+			it.Out = out
+		}
+	}
+	a.mu.Unlock()
+	for i, it := range items {
+		if outs[i] != Ignored {
+			a.emit(it, &resps[i], outs[i], count)
+		}
+	}
+	return len(items)
+}
+
+// emit sends one answer: to the learners when it is a vote, and to the
+// source through the item's scratch buffer.
+func (a *LiveAcceptor) emit(it *dataplane.BatchItem, resp *Msg, o Outcome, count *[numOutcomes]uint64) {
+	count[o]++
+	if o.Vote() {
+		a.fanOut(resp)
+	}
+	it.Out, _ = a.reply(resp, it.Scratch)
 }
 
 // --- leader ---------------------------------------------------------------

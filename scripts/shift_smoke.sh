@@ -93,4 +93,16 @@ echo "$dataplane" | grep -q "\"tier_name\":\"$TIER\"" || {
   echo "FAIL: tier stats missing from /v1/dataplane" >&2
   exit 1
 }
+if [ "$APP" = paxos ]; then
+  # The state handoff on real sockets: the up-shift moved at least one
+  # vote record to the card (handoff_instances is stored at Warm and
+  # stays), and after the down-shift the host role's table holds no fewer
+  # — no record lost across Warm -> Park.
+  handed=$(echo "$dataplane" | grep -o '"handoff_instances":[0-9]*' | cut -d: -f2)
+  held=$(echo "$dataplane" | grep -o '"handler":{[^}]*}' | grep -o '"instances":[0-9]*' | cut -d: -f2)
+  if [ "${handed:-0}" -lt 1 ] || [ "${held:-0}" -lt "${handed:-0}" ]; then
+    echo "FAIL: handoff_instances=${handed:-none}, host instances after the down-shift=${held:-none}" >&2
+    exit 1
+  fi
+fi
 echo "shift smoke OK ($APP): shifts=$shifts offloaded=$offloaded"
