@@ -42,13 +42,13 @@ func main() {
 	ctrl := flag.String("ctrl", "", "control-plane HTTP address (e.g. :8080); empty disables")
 	useTier := flag.Bool("nictier", false,
 		"attach the emulated NIC offload tier (LaKe-style lookaside cache): policy shifts become real dataplane transitions")
-	hotKeys := flag.Int("hotkeys", 16,
-		"per-shard hot-key top-K sample size fed by the GET path (surfaced as hot_keys in /v1/dataplane; 0 disables)")
 	flag.Parse()
 	opts.Addr = *addr
 
 	store := kvs.NewShardedStore(*shards, *maxEntries)
-	store.EnableHotKeys(*hotKeys)
+	// A per-shard top-16 of the GET path, surfaced as hot_keys in
+	// /v1/dataplane.
+	store.EnableHotKeys(16)
 	handler := kvs.NewHandler(store)
 	eng, err := daemon.ListenEngine(opts,
 		handler, dataplane.Config{Name: "inckvsd", Shards: *shards, ShardBy: kvs.ShardByKey})

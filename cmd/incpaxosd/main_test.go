@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"incod/internal/daemon"
+	"incod/internal/fleet"
+	"incod/internal/power"
 )
 
 func TestValidBallot(t *testing.T) {
@@ -24,6 +26,24 @@ func TestValidBallot(t *testing.T) {
 		if (err == nil) != tc.ok || got != tc.want {
 			t.Errorf("validBallot(%d) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
+	}
+}
+
+// The acceptor daemon and the fleet controller that ranks it read watts
+// from one curve; the other roles stay on the leader's.
+func TestRoleCurve(t *testing.T) {
+	for role, want := range map[string]power.SoftwareCurve{
+		"acceptor": fleet.KindSpecs()["paxos"].Curve,
+		"leader":   power.LibpaxosLeader,
+		"learner":  power.LibpaxosLeader,
+		"client":   power.LibpaxosLeader,
+	} {
+		if got := roleCurve(role); got != want {
+			t.Errorf("roleCurve(%q) = %q, want %q", role, got.Name, want.Name)
+		}
+	}
+	if roleCurve("acceptor").PeakKpps != 178 {
+		t.Errorf("acceptor curve peaks at %v kpps, want the §4.3 acceptor's 178", roleCurve("acceptor").PeakKpps)
 	}
 }
 

@@ -31,28 +31,6 @@ func (t LoadTrace) Sample(n int) LoadTrace {
 	return out
 }
 
-// Scale returns a copy of the trace with every sample multiplied by f —
-// how a datacenter-rate trace is brought down to loopback-feasible rates
-// (the controller's rate-scale un-does it in the energy model).
-func (t LoadTrace) Scale(f float64) LoadTrace {
-	out := make(LoadTrace, len(t))
-	for i, v := range t {
-		out[i] = v * f
-	}
-	return out
-}
-
-// Peak returns the highest sample in the trace.
-func (t LoadTrace) Peak() float64 {
-	var peak float64
-	for _, v := range t {
-		if v > peak {
-			peak = v
-		}
-	}
-	return peak
-}
-
 // Mean returns the average sample.
 func (t LoadTrace) Mean() float64 {
 	if len(t) == 0 {

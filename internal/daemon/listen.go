@@ -103,11 +103,12 @@ func buildBatchConns(conns []net.PacketConn, o EngineOptions, cfg dataplane.Conf
 	for i, c := range conns {
 		switch engine {
 		case "uring":
-			// Size the provided-buffer ring to absorb a few full receive
-			// batches per shard before the multishot starves.
+			// The provided-buffer ring absorbs eight full receive batches
+			// (of 32) per shard before the multishot starves; the
+			// submission ring holds two transmit batches.
 			bc, err := netio.NewUringConn(c, netio.UringConfig{
-				Entries: maxInt(2*cfg.TxBatch, 64),
-				Buffers: maxInt(8*cfg.RxBatch, 256),
+				Entries: 64,
+				Buffers: 256,
 				BufSize: cfg.MaxDatagram,
 			})
 			if err != nil {
@@ -128,11 +129,4 @@ func buildBatchConns(conns []net.PacketConn, o EngineOptions, cfg dataplane.Conf
 		}
 	}
 	return bcs, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

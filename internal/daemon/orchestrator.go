@@ -112,9 +112,6 @@ type ManagedService struct {
 // Observe records n=1 served request.
 func (m *ManagedService) Observe() { m.count.Add(1) }
 
-// ObserveN records n served requests.
-func (m *ManagedService) ObserveN(n uint64) { m.count.Add(n) }
-
 // UseCounter replaces the per-call Observe counter with an external
 // monotonic total, sampled once per orchestrator tick — the dataplane
 // wiring, where the engine already counts every handled datagram. Call

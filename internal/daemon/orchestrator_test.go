@@ -18,7 +18,7 @@ func drive(o *Orchestrator, m *ManagedService, start time.Time, kpps float64, d 
 	now := start
 	for elapsed := time.Duration(0); elapsed < d; elapsed += step {
 		now = now.Add(step)
-		m.ObserveN(uint64(kpps * 1000 * step.Seconds()))
+		m.count.Add(uint64(kpps * 1000 * step.Seconds()))
 		o.Tick(now)
 	}
 	return now
@@ -468,7 +468,7 @@ func TestConcurrentReadersDuringShiftAndShutdown(t *testing.T) {
 			case <-feedStop:
 				return
 			default:
-				m.ObserveN(5000)
+				m.count.Add(5000)
 				time.Sleep(time.Millisecond)
 			}
 		}

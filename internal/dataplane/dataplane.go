@@ -212,6 +212,7 @@ type Engine struct {
 	// subset of bufsOut — cached buffers are outside the pool).
 	bufsCached atomic.Int64
 	meter      *telemetry.AtomicRateMeter
+	born       time.Time // the meter's clock reads time.Since(born)
 
 	// fastPath is the installed offload tier (nil = host-only dispatch);
 	// lastTier remembers the most recently installed one so Snapshot can
@@ -248,6 +249,7 @@ func New(conn net.PacketConn, h Handler, cfg Config) *Engine {
 		disp:       NewDispatcher(h),
 		cfg:        cfg,
 		meter:      telemetry.NewAtomicRateMeter(100*time.Millisecond, 10),
+		born:       time.Now(),
 		readerDone: make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -287,9 +289,6 @@ func (e *Engine) putBuf(bufp *[]byte) {
 	e.bufsOut.Add(-1)
 	e.pool.Put(bufp)
 }
-
-// Meter returns the shared request-rate meter the workers feed.
-func (e *Engine) Meter() *telemetry.AtomicRateMeter { return e.meter }
 
 // Handled returns the lifetime count of handled datagrams. The daemon
 // orchestrator samples this monotonic total instead of being called back
@@ -348,9 +347,6 @@ func (e *Engine) enterTier() (fp FastPath, fenced bool) {
 	}
 	return fp, true
 }
-
-// FastPathActive reports whether an offload tier is installed.
-func (e *Engine) FastPathActive() bool { return e.fastPath.Load() != nil }
 
 // Barrier blocks until every shard worker has finished the datagrams it
 // had dequeued (or queued ahead of the sentinel) when Barrier was called.

@@ -96,7 +96,8 @@
 //   - per-shard counters and a shared telemetry.AtomicRateMeter feed both
 //     the /v1 control API (GET /v1/dataplane) and the on-demand
 //     orchestrator, which samples the meter's monotonic total instead of
-//     paying a per-packet Observe call.
+//     paying a per-packet Observe call. The packet path pays one atomic
+//     add per batch for it; rate_kpps is worked out when it is read.
 //
 // Transient socket errors (e.g. Linux delivering an async ICMP
 // port-unreachable after a write to a vanished client) are counted and

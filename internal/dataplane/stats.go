@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"time"
+
 	"incod/internal/netio"
 	"incod/internal/telemetry"
 )
@@ -52,17 +54,21 @@ type Stats struct {
 	RxBatch int    `json:"rx_batch,omitempty"`
 	TxBatch int    `json:"tx_batch,omitempty"`
 
-	Shards         []ShardStats      `json:"shards"`
-	Received       uint64            `json:"received"`
-	Handled        uint64            `json:"handled"`
-	Offloaded      uint64            `json:"offloaded"`
-	Replies        uint64            `json:"replies"`
-	Dropped        uint64            `json:"dropped"`
-	BadSourceDrops uint64            `json:"bad_source_drops"`
-	WriteErrors    uint64            `json:"write_errors"`
-	ReadErrors     uint64            `json:"read_errors"`
-	RateKpps       float64           `json:"rate_kpps"`
-	Handler        map[string]uint64 `json:"handler,omitempty"`
+	Shards         []ShardStats `json:"shards"`
+	Received       uint64       `json:"received"`
+	Handled        uint64       `json:"handled"`
+	Offloaded      uint64       `json:"offloaded"`
+	Replies        uint64       `json:"replies"`
+	Dropped        uint64       `json:"dropped"`
+	BadSourceDrops uint64       `json:"bad_source_drops"`
+	WriteErrors    uint64       `json:"write_errors"`
+	ReadErrors     uint64       `json:"read_errors"`
+	// RateKpps is the handled rate over the last second as of this
+	// snapshot. The engine's meter is worked out by its reader: a poller
+	// that looks less often than once a second gets the mean since its
+	// previous snapshot, and a daemon's first second reads low, not high.
+	RateKpps float64           `json:"rate_kpps"`
+	Handler  map[string]uint64 `json:"handler,omitempty"`
 
 	// Syscall amortization, batched mode only: datagrams moved per
 	// recvmmsg / sendmmsg syscall. 1.0 is the single-reader cost; higher
@@ -135,7 +141,7 @@ func (e *Engine) Snapshot() Stats {
 		Sockets:         1,
 		Shards:          make([]ShardStats, len(e.shards)),
 		ReadErrors:      e.readErrs.Load(),
-		RateKpps:        e.meter.Rate() / 1000,
+		RateKpps:        e.meter.Rate(time.Since(e.born)) / 1000,
 		BuffersInFlight: e.bufsOut.Load(),
 	}
 	if e.batched {

@@ -25,9 +25,6 @@ func (a *WireAnswer) Name() string { return a.name }
 // Record returns the A record the answer was compiled from.
 func (a *WireAnswer) Record() ARecord { return a.rec }
 
-// WireLen returns the response datagram's length in bytes.
-func (a *WireAnswer) WireLen() int { return len(a.image) }
-
 // AppendReply appends the complete answer for the query parsed into v:
 // one copy of the precompiled image, then patch the ID and flags (QR|AA
 // plus the query's RD bit) and echo the client's spelling of the name
@@ -171,16 +168,4 @@ func (t *AnswerTable) Clone() *AnswerTable {
 		out.buckets[h] = append([]*WireAnswer(nil), chain...)
 	}
 	return out
-}
-
-// Range calls fn for every answer (order unspecified) until fn returns
-// false.
-func (t *AnswerTable) Range(fn func(a *WireAnswer) bool) {
-	for _, chain := range t.buckets {
-		for _, a := range chain {
-			if !fn(a) {
-				return
-			}
-		}
-	}
 }

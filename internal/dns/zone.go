@@ -89,16 +89,6 @@ func (z *Zone) Lookup(name string) (ARecord, bool) {
 	return r, ok
 }
 
-// Range calls fn for every record (order unspecified) until fn returns
-// false. The offload tier's zone sync snapshots the zone through it.
-func (z *Zone) Range(fn func(name string, r ARecord) bool) {
-	for n, r := range z.records {
-		if !fn(n, r) {
-			return
-		}
-	}
-}
-
 // Names returns all record names (order unspecified).
 func (z *Zone) Names() []string {
 	out := make([]string, 0, len(z.records))

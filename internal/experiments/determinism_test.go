@@ -7,7 +7,15 @@
 
 package experiments
 
-import "testing"
+import (
+	"flag"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/incbench_all.golden from this build")
 
 // Every experiment is a pure function of its seeds — nothing the live
 // handlers and tiers read from the wall clock (expiry epochs, the tiers'
@@ -23,4 +31,46 @@ func TestExperimentsDeterministic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// `incbench all` must print what testdata/incbench_all.golden holds: a
+// refactor that is meant to leave the figures alone leaves every byte of
+// them alone, and one that means to move a number shows which in the
+// diff of that file (go test ./internal/experiments -run Golden -update).
+func TestTablesMatchGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the golden file was rendered on amd64; fused multiply-add may round differently here")
+	}
+	const path = "testdata/incbench_all.golden"
+	all := All()
+	rendered := make([]string, len(all))
+	t.Run("render", func(t *testing.T) {
+		for i, e := range all {
+			t.Run(e.ID, func(t *testing.T) {
+				t.Parallel()
+				rendered[i] = e.Run().Render() + "\n"
+			})
+		}
+	})
+	got := strings.Join(rendered, "")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d differs from %s:\n got: %s\nwant: %s", i+1, path, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("the tables render to %d lines, %s has %d", len(gotLines), path, len(wantLines))
 }

@@ -110,7 +110,7 @@ func TestFig5Envelope(t *testing.T) {
 }
 
 func TestFig6Transition(t *testing.T) {
-	res := RunFig6()
+	res := RunFig6(Fig6Params{})
 	if len(res.Transitions) < 2 {
 		t.Fatalf("transitions = %v, want shift out and back", res.Transitions)
 	}
@@ -130,7 +130,7 @@ func TestFig6Transition(t *testing.T) {
 }
 
 func TestFig7Shift(t *testing.T) {
-	res := RunFig7()
+	res := RunFig7(Fig7Params{})
 	// ~100ms stall = client timeout.
 	if res.StallMs < 50 || res.StallMs > 250 {
 		t.Errorf("stall = %v ms, want ~100", res.StallMs)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"time"
 
 	"incod/internal/core"
@@ -26,24 +27,40 @@ type Fig6Result struct {
 	LatencyImprovement float64
 }
 
+// Fig6Params varies the Figure 6 run for examples/kvs_ondemand; the zero
+// value is the figure.
+type Fig6Params struct {
+	Seed        int64         // simulator seed (0: 1234)
+	Keys        int           // ETC key pool, all preloaded (0: 5000)
+	ChainerFrom time.Duration // when ChainerMN starts (0: 5 s)
+	ChainerTo   time.Duration // and stops (0: 20 s)
+	Length      time.Duration // run length (0: 30 s)
+}
+
 // RunFig6 reproduces the §9.2 experiment: an ETC-distribution memcached
 // client at ~16 kpps, ChainerMN as a second workload raising host power,
 // and the host controller (3 s sustained condition) shifting the KVS to
 // LaKe and back as ChainerMN stops.
-func RunFig6() *Fig6Result {
-	sim := simnet.New(1234)
+func RunFig6(p Fig6Params) *Fig6Result {
+	p.Seed = cmp.Or(p.Seed, 1234)
+	p.Keys = cmp.Or(p.Keys, 5000)
+	p.ChainerFrom = cmp.Or(p.ChainerFrom, 5*time.Second)
+	p.ChainerTo = cmp.Or(p.ChainerTo, 20*time.Second)
+	p.Length = cmp.Or(p.Length, 30*time.Second)
+
+	sim := simnet.New(p.Seed)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	lake := simhost.NewKVS(net, "lake", simhost.LaKe()) // start of the day: everything in software
 	// ETC key popularity over a modest pool (cache-warmable).
-	etc := trafficgen.NewETC(sim.Rand(), 5000)
-	lake.Preload(5000, 64)
+	etc := trafficgen.NewETC(sim.Rand(), uint64(p.Keys))
+	lake.Preload(p.Keys, 64)
 	client := simhost.NewClient(net, "client", "lake", &trafficgen.KVS{Key: etc.Keys.Next})
 
-	// ChainerMN (deep learning) as background load: active from 5 s until
-	// 20 s, drawing CPU and power on the same host.
+	// ChainerMN (deep learning) as background load, drawing CPU and power
+	// on the same host while it runs.
 	chainerOn := false
-	sim.Schedule(5*time.Second, func() { chainerOn = true })
-	sim.Schedule(20*time.Second, func() { chainerOn = false })
+	sim.Schedule(p.ChainerFrom, func() { chainerOn = true })
+	sim.Schedule(p.ChainerTo, func() { chainerOn = false })
 	chainerPower := func() float64 {
 		if chainerOn {
 			return 45 // additional package watts while training
@@ -91,7 +108,7 @@ func RunFig6() *Fig6Result {
 		swLat    time.Duration
 		hwLat    time.Duration
 	)
-	for now := time.Duration(0); now < 30*time.Second; now += interval {
+	for now := time.Duration(0); now < p.Length; now += interval {
 		sim.RunFor(interval)
 		recv := client.Counters.Get("recv")
 		kppsNow := float64(recv-lastRecv) / interval.Seconds() / 1000
@@ -129,4 +146,4 @@ func RunFig6() *Fig6Result {
 	return res
 }
 
-func fig6() *Table { return RunFig6().Table }
+func fig6() *Table { return RunFig6(Fig6Params{}).Table }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"time"
 
 	"incod/internal/simhost"
@@ -24,11 +25,17 @@ type Fig7Result struct {
 	Gaps           int
 }
 
+// Fig7Params varies the Figure 7 run for examples/paxos_leadershift; the
+// zero value is the figure.
+type Fig7Params struct {
+	Seed int64 // simulator seed (0: 77)
+}
+
 // RunFig7 reproduces Figure 7: consensus throughput and latency over time
 // as the leader shifts from software to hardware (t=1.5s) and back
 // (t=3.5s), with a 100 ms client retry timeout.
-func RunFig7() *Fig7Result {
-	sim := simnet.New(77)
+func RunFig7(p Fig7Params) *Fig7Result {
+	sim := simnet.New(cmp.Or(p.Seed, 77))
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	dep := simhost.NewPaxos(net, simhost.PaxosConfig{Clients: 4})
 	for _, c := range dep.Clients {
@@ -117,4 +124,4 @@ func RunFig7() *Fig7Result {
 	return res
 }
 
-func fig7() *Table { return RunFig7().Table }
+func fig7() *Table { return RunFig7(Fig7Params{}).Table }

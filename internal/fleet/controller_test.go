@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,10 +15,10 @@ import (
 // testMember is one in-process daemon: a real orchestrator with a real
 // /v1 handler, so the controller's HTTP path is exercised end to end.
 type testMember struct {
-	orch *daemon.Orchestrator
-	ms   *daemon.ManagedService
-	svc  *core.FuncService
-	now  time.Time
+	orch   *daemon.Orchestrator
+	served atomic.Uint64 // the request total the orchestrator samples
+	svc    *core.FuncService
+	now    time.Time
 }
 
 func newTestMember(t *testing.T, name string) (Member, *testMember) {
@@ -41,7 +42,9 @@ func newTestMember(t *testing.T, name string) (Member, *testMember) {
 		Ctrl: strings.TrimPrefix(srv.URL, "http://"),
 		Data: "127.0.0.1:0",
 	}
-	return m, &testMember{orch: o, ms: ms, svc: svc, now: time.Unix(1000, 0)}
+	tm := &testMember{orch: o, svc: svc, now: time.Unix(1000, 0)}
+	ms.UseCounter(tm.served.Load)
+	return m, tm
 }
 
 // serve advances the member's measured load: ticks seconds of synthetic
@@ -49,7 +52,7 @@ func newTestMember(t *testing.T, name string) (Member, *testMember) {
 func (tm *testMember) serve(kpps float64, seconds int) {
 	for i := 0; i < seconds; i++ {
 		tm.now = tm.now.Add(time.Second)
-		tm.ms.ObserveN(uint64(kpps * 1000))
+		tm.served.Add(uint64(kpps * 1000))
 		tm.orch.Tick(tm.now)
 	}
 }

@@ -27,13 +27,6 @@ type UringConfig struct {
 	// also bounds a coalesced GSO train, so undersizing it truncates
 	// bursts a GSO sender packs into one send.
 	BufSize int
-	// DisableGRO turns off the receive-side UDP GRO the backend enables
-	// by default: with GRO, a sender's GSO train arrives as one
-	// coalesced completion carrying a segment-size cmsg and the conn
-	// splits it back into per-datagram Messages, collapsing the
-	// kernel's per-datagram delivery cost to per-train. The mmsg rung
-	// has no cmsg path, so this is a uring-rung capability.
-	DisableGRO bool
 }
 
 func (c UringConfig) withDefaults() UringConfig {

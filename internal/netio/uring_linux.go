@@ -346,7 +346,7 @@ func NewUringConn(pc net.PacketConn, cfg UringConfig) (BatchConn, error) {
 	// coalesced completion (one poll wake, one CQE, one copy) instead of
 	// one per datagram; deliver splits it back up using the UDP_GRO
 	// cmsg. Kernels without UDP_GRO just leave it off.
-	if !cfg.DisableGRO && syscall.SetsockoptInt(c.fd, solUDP, udpGRO, 1) == nil {
+	if syscall.SetsockoptInt(c.fd, solUDP, udpGRO, 1) == nil {
 		c.gro = true
 		c.ctrlSpace = groCtrlSpace
 	}

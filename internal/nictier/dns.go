@@ -28,7 +28,6 @@ type DNSTier struct {
 
 	table  atomic.Pointer[dns.AnswerTable] // nil while parked or unwarmed
 	active atomic.Bool
-	meter  *telemetry.AtomicRateMeter
 	power  cardPower
 
 	counters    *telemetry.AtomicCounters
@@ -46,7 +45,6 @@ func NewDNS(zone *dns.Zone) *DNSTier {
 	c := telemetry.NewAtomicCounters()
 	return &DNSTier{
 		zone:        zone,
-		meter:       telemetry.NewAtomicRateMeter(meterBucket, meterBuckets),
 		power:       newCardPower(fpga.EmuDNSDesign),
 		counters:    c,
 		answered:    c.Handle("answered"),
@@ -79,7 +77,7 @@ func (t *DNSTier) HitRatio() float64 {
 
 // PowerWatts implements Tier.
 func (t *DNSTier) PowerWatts() float64 {
-	return t.power.watts(t.active.Load(), t.meter)
+	return t.power.watts(t.active.Load())
 }
 
 // Stage implements Tier. The table stays empty until Warm, so queries
@@ -161,7 +159,7 @@ func (t *DNSTier) count(verdict int, n uint64) {
 func (t *DNSTier) TryHandleDatagram(in []byte, _ netip.AddrPort, scratch *[]byte) ([]byte, bool, bool) {
 	out, served, verdict := t.serve(t.table.Load(), in, scratch)
 	if verdict < tierUnparsed {
-		t.meter.Add(1)
+		t.power.meter.Add(1)
 	}
 	t.count(verdict, 1)
 	return out, served, served
@@ -183,7 +181,7 @@ func (t *DNSTier) TryHandleBatch(items []*dataplane.BatchItem) {
 		}
 	}
 	if classified := counts[tierAnswered] + counts[tierNXDomain] + counts[tierPunted]; classified > 0 {
-		t.meter.Add(classified)
+		t.power.meter.Add(classified)
 	}
 	for verdict, n := range counts {
 		t.count(verdict, n)

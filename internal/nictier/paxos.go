@@ -25,7 +25,6 @@ type PaxosAcceptorTier struct {
 	warm       bool // the card holds the state; Warm/Park are serialized by the Service
 
 	active atomic.Bool
-	meter  *telemetry.AtomicRateMeter
 	power  cardPower
 
 	counters    *telemetry.AtomicCounters
@@ -50,7 +49,6 @@ func NewPaxosAcceptor(host *paxos.LiveAcceptor) *PaxosAcceptorTier {
 	t := &PaxosAcceptorTier{
 		host:        host,
 		card:        paxos.NewLiveAcceptor(host.ID(), host.Learners(), host.Sender()),
-		meter:       telemetry.NewAtomicRateMeter(meterBucket, meterBuckets),
 		power:       newCardPower(fpga.P4xosDesign),
 		counters:    c,
 		phase1:      c.Handle("phase1"),
@@ -90,7 +88,7 @@ func (t *PaxosAcceptorTier) HitRatio() float64 {
 
 // PowerWatts implements Tier.
 func (t *PaxosAcceptorTier) PowerWatts() float64 {
-	return t.power.watts(t.active.Load(), t.meter)
+	return t.power.watts(t.active.Load())
 }
 
 // Stage implements Tier. The card has no state yet, so consensus traffic
@@ -152,7 +150,7 @@ func (t *PaxosAcceptorTier) TryHandleDatagram(in []byte, _ netip.AddrPort, scrat
 		t.passthrough.Add(1)
 		return nil, false, false
 	}
-	t.meter.Add(1)
+	t.power.meter.Add(1)
 	out, ok := t.card.HandleDatagram(in, scratch)
 	if !ok {
 		return nil, false, false // malformed, or the host still owns the state
@@ -186,7 +184,7 @@ func (t *PaxosAcceptorTier) TryHandleBatch(items []*dataplane.BatchItem) {
 		if n == 0 {
 			continue
 		}
-		t.meter.Add(uint64(n))
+		t.power.meter.Add(uint64(n))
 		t.card.HandleBatch(sub[:n])
 		var p1, served uint64
 		for _, it := range sub[:n] {

@@ -39,49 +39,44 @@ type Tier interface {
 	HitRatio() float64
 	// PowerWatts is the card's modeled in-server power increment right
 	// now: the active design draw while serving, the park-reset draw
-	// while idle.
+	// while idle. The serving draw follows the request rate over the last
+	// second; a poller that looks less often than that gets the draw at
+	// the mean rate since its previous look.
 	PowerWatts() float64
 }
-
-// meterBuckets configures every tier's utilization rate meter.
-const (
-	meterBucket  = 100 * time.Millisecond
-	meterBuckets = 10
-)
 
 // cardPower is a tier's card power model (§5): one fpga.Board
 // programmed with the design and serving, one parked the §9.2 way —
 // module off, memory interfaces in reset, clocks gated, still forwarding
-// as a NIC. Both are built once and never mutated afterwards, because
+// as a NIC — and the meter of classified requests that sets the serving
+// board's utilization, a one-second window on the wall clock since born.
+// The boards are built once and never mutated afterwards, because
 // PowerWatts is read concurrently with serving.
-type cardPower struct{ lit, parked *fpga.Board }
+type cardPower struct {
+	lit, parked *fpga.Board
+	meter       *telemetry.AtomicRateMeter
+	born        time.Time
+}
 
 func newCardPower(design fpga.Config) cardPower {
 	parked := fpga.NewBoard(design)
 	parked.SetModuleActive(false)
 	parked.SetMemoryReset(true)
 	parked.SetClockGating(true)
-	return cardPower{lit: fpga.NewBoard(design), parked: parked}
+	return cardPower{
+		lit:    fpga.NewBoard(design),
+		parked: parked,
+		meter:  telemetry.NewAtomicRateMeter(100*time.Millisecond, 10),
+		born:   time.Now(),
+	}
 }
 
 // watts is the card's in-server power increment right now: the design's
-// draw at the metered utilization while serving, the parked draw while
-// idle.
-func (p cardPower) watts(active bool, meter *telemetry.AtomicRateMeter) float64 {
+// draw at the metered utilization (rate over peak, which CardWatts clamps
+// to [0,1]) while serving, the parked draw while idle.
+func (p cardPower) watts(active bool) float64 {
 	if !active {
 		return p.parked.CardWatts(0)
 	}
-	return p.lit.CardWatts(utilization(meter, p.lit.PeakKpps()))
-}
-
-// utilization is rate/peak clamped to [0,1].
-func utilization(meter *telemetry.AtomicRateMeter, peakKpps float64) float64 {
-	if peakKpps <= 0 {
-		return 0
-	}
-	u := meter.Rate() / 1000 / peakKpps
-	if u > 1 {
-		u = 1
-	}
-	return u
+	return p.lit.CardWatts(p.meter.Rate(time.Since(p.born)) / 1000 / p.lit.PeakKpps())
 }

@@ -129,7 +129,7 @@ func (n *Node) serviceTime(req []byte, offloaded bool) time.Duration {
 		return d
 	}
 	if n.m.metered(req) {
-		n.hostRate.Add(n.sim.Now(), 1)
+		n.count(n.hostRate)
 	}
 	d := n.m.HostTime(rng, n.HostUtilization())
 	if n.fp != nil {
@@ -162,14 +162,14 @@ func (n *Node) Dropped() (shed, halted uint64) { return n.shed, n.halted }
 
 // RateKpps is the request rate the card's classifier observes, whoever
 // serves it — the network controller's input (§9.1).
-func (n *Node) RateKpps() float64 { return n.cardRate.Rate(n.sim.Now()) / 1000 }
+func (n *Node) RateKpps() float64 { return n.cardRate.Rate(time.Duration(n.sim.Now())) / 1000 }
 
 // Observed is the monotonic count behind RateKpps: every metered request
 // the card has seen, whoever served it — the orchestrator's rate input.
 func (n *Node) Observed() uint64 { return n.cardRate.Total() }
 
 // HostRateKpps is the rate of requests reaching the host software.
-func (n *Node) HostRateKpps() float64 { return n.hostRate.Rate(n.sim.Now()) / 1000 }
+func (n *Node) HostRateKpps() float64 { return n.hostRate.Rate(time.Duration(n.sim.Now())) / 1000 }
 
 // HostUtilization is the fraction of the host software's peak in use.
 func (n *Node) HostUtilization() float64 { return n.m.Curve.Utilization(n.HostRateKpps()) }

@@ -72,9 +72,9 @@ type Node struct {
 	// The cost model and what it drives; all unused when m is nil.
 	m         *Model
 	board     *fpga.Board
-	cardRate  *telemetry.RateMeter // what the card's classifier sees
-	hostRate  *telemetry.RateMeter // what reaches the host software
-	haltUntil simnet.Time          // end of a partial-reconfiguration halt
+	cardRate  *telemetry.AtomicRateMeter // what the card's classifier sees
+	hostRate  *telemetry.AtomicRateMeter // what reaches the host software
+	haltUntil simnet.Time                // end of a partial-reconfiguration halt
 	shed      uint64
 	halted    uint64
 
@@ -95,8 +95,8 @@ var _ telemetry.PowerSource = (*Node)(nil)
 func NewNode(net *simnet.Network, addr simnet.Addr, host dataplane.Handler, window time.Duration, m *Model) *Node {
 	n := &Node{sim: net.Sim(), net: net, addr: addr, disp: dataplane.NewDispatcher(host), window: window, m: m}
 	if m != nil {
-		n.cardRate = telemetry.NewRateMeter(10*time.Millisecond, 100)
-		n.hostRate = telemetry.NewRateMeter(10*time.Millisecond, 100)
+		n.cardRate = telemetry.NewAtomicRateMeter(10*time.Millisecond, 100)
+		n.hostRate = telemetry.NewAtomicRateMeter(10*time.Millisecond, 100)
 		n.CardLatency = telemetry.NewHistogram()
 		n.HostLatency = telemetry.NewHistogram()
 		if m.Design.Name != "" { // else a server with a plain NIC: no card
@@ -148,15 +148,14 @@ func (n *Node) Receive(pkt *simnet.Packet) {
 		n.deliver(pkt)
 		return
 	}
-	now := n.sim.Now()
-	if now < n.haltUntil {
+	if n.sim.Now() < n.haltUntil {
 		// Partial reconfiguration halts the whole card (§9.2).
 		n.halted++
 		return
 	}
 	metered := n.m.metered(pkt.Payload)
 	if metered {
-		n.cardRate.Add(now, 1)
+		n.count(n.cardRate)
 	}
 	if n.fp != nil {
 		n.deliver(pkt)
@@ -172,6 +171,20 @@ func (n *Node) Receive(pkt *simnet.Packet) {
 		}
 		n.deliver(pkt)
 	})
+}
+
+// count meters one request on m. The meter's window is worked out by its
+// reader from the totals seen at earlier looks, so the node looks before
+// it adds — the buckets that ended since the last request close on a
+// total without this one — and again after, so that no later look finds
+// an event it cannot date. That reproduces a ring of per-bucket counts
+// on the virtual clock event for event, which the figures depend on: the
+// ρ that queueing stretches host latency by is this reading.
+func (n *Node) count(m *telemetry.AtomicRateMeter) {
+	now := time.Duration(n.sim.Now())
+	m.Rate(now)
+	m.Add(1)
+	m.Rate(now)
 }
 
 // deliver handles pkt now, or queues it for the window's flush.

@@ -68,16 +68,6 @@ func (p FaultPlan) For(src, dst Addr) Faults {
 // sent from now on, existing links included.
 func (n *Network) SetFaultPlan(plan FaultPlan) { n.plan = plan }
 
-// SetLinkFaults sets the fault injectors for both directions between a
-// and b, keeping the rest of the current plan.
-func (n *Network) SetLinkFaults(a, b Addr, f Faults) {
-	if n.plan.Links == nil {
-		n.plan.Links = make(map[[2]Addr]Faults)
-	}
-	n.plan.Links[[2]Addr{a, b}] = f
-	n.plan.Links[[2]Addr{b, a}] = f
-}
-
 // Partition installs a bidirectional partition between a and b: every
 // packet between them (in flight ones included) is dropped until Heal.
 func (n *Network) Partition(a, b Addr) {
@@ -96,9 +86,6 @@ func (n *Network) Heal(a, b Addr) {
 
 // HealAll removes every partition.
 func (n *Network) HealAll() { n.partitioned = nil }
-
-// Partitioned reports whether a->b is currently partitioned.
-func (n *Network) Partitioned(a, b Addr) bool { return n.partitioned[[2]Addr{a, b}] }
 
 // Crash marks addr as crashed: it neither sends nor receives until
 // Restart, and packets already in flight to it are dropped on delivery.

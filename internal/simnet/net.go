@@ -145,13 +145,6 @@ func (n *Network) Detach(addr Addr) { delete(n.nodes, addr) }
 // Node returns the attached node with the given address, or nil.
 func (n *Network) Node(addr Addr) Node { return n.nodes[addr] }
 
-// Connect installs a bidirectional link between a and b with cfg in both
-// directions, replacing any existing link.
-func (n *Network) Connect(a, b Addr, cfg LinkConfig) {
-	n.links[[2]Addr{a, b}] = &link{cfg: cfg}
-	n.links[[2]Addr{b, a}] = &link{cfg: cfg}
-}
-
 func (n *Network) linkFor(src, dst Addr) *link {
 	if l, ok := n.links[[2]Addr{src, dst}]; ok {
 		return l

@@ -14,9 +14,6 @@ type Simulator struct {
 	nextSeq uint64
 	rng     *rand.Rand
 	stopped bool
-
-	// Executed counts events processed since construction.
-	executed uint64
 }
 
 // New returns a simulator whose random source is seeded with seed.
@@ -29,9 +26,6 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Rand returns the simulator's deterministic random source.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// Executed reports how many events have been processed so far.
-func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Pending reports how many events are waiting in the queue.
 func (s *Simulator) Pending() int { return len(s.queue) }
@@ -89,7 +83,6 @@ func (s *Simulator) Run() {
 		}
 		s.queue.pop()
 		s.now = ev.at
-		s.executed++
 		ev.fn()
 	}
 }
@@ -105,7 +98,6 @@ func (s *Simulator) RunUntil(deadline Time) {
 		}
 		s.queue.pop()
 		s.now = ev.at
-		s.executed++
 		ev.fn()
 	}
 	if s.now < deadline {

@@ -1,11 +1,18 @@
+// Package telemetry provides the measurement instruments used throughout
+// the reproduction: a sliding-window rate meter (the averaging window of
+// the paper's network controller, §9.1), latency histograms with
+// percentile queries (replacing the Endace DAG capture card), and
+// integrating power meters (replacing the SHW-3A wall meter).
+//
+// Counters and the rate meter come in one form for both worlds:
+// AtomicCounters and AtomicRateMeter are written by any number of
+// dataplane workers at once and are cheap enough for the single-threaded
+// simulator, and the meter takes its reader's clock as an argument, so it
+// runs on virtual and on wall time alike. Histogram has no twin either,
+// but it is single-threaded by contract: its writers are the simulator's
+// nodes and the load client, which runs on one goroutine or under one
+// lock on either substrate.
 package telemetry
-
-// The sim-time instruments in this package (RateMeter, Histogram) are
-// single-threaded by contract: the discrete-event simulator that drives
-// them never runs two events at once. The live daemons' sharded
-// dataplane does, so AtomicRateMeter restates the rate meter over
-// atomics and carries no virtual clock. Counters come in one form only:
-// AtomicCounters counts for both worlds.
 
 import (
 	"fmt"
@@ -21,9 +28,8 @@ import (
 // should resolve a *atomic.Uint64 once via Handle and increment that
 // directly; Inc takes a read lock to find the counter.
 type AtomicCounters struct {
-	mu    sync.RWMutex
-	names []string
-	vals  map[string]*atomic.Uint64
+	mu   sync.RWMutex
+	vals map[string]*atomic.Uint64
 }
 
 // NewAtomicCounters returns an empty concurrent counter set.
@@ -49,7 +55,6 @@ func (c *AtomicCounters) Handle(name string) *atomic.Uint64 {
 		p := new(PaddedUint64)
 		v = &p.Uint64
 		c.vals[name] = v
-		c.names = append(c.names, name)
 	}
 	return v
 }
@@ -65,13 +70,6 @@ func (c *AtomicCounters) Get(name string) uint64 {
 		return v.Load()
 	}
 	return 0
-}
-
-// Names returns counter names in first-use order.
-func (c *AtomicCounters) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]string(nil), c.names...)
 }
 
 // Snapshot returns a point-in-time copy of every counter.
@@ -104,29 +102,35 @@ func (c *AtomicCounters) String() string {
 	return s
 }
 
-// AtomicRateMeter is the wall-clock, concurrent counterpart of RateMeter:
-// a sliding-window event-rate estimate over fixed-width buckets, safe for
-// any number of concurrent Add callers with no locks on the hot path.
+// AtomicRateMeter estimates an event rate over a sliding window of
+// fixed-width buckets: the network controller's "average message rate
+// over the averaging period" (§9.1). The packet path only counts — Add is
+// one atomic add on a total with a cache line to itself, with no clock
+// and no loop — and the reader works out the rate from the totals it saw
+// at earlier looks, on whatever clock it passes in: the simulator's, or
+// the wall time since it started in a daemon.
 //
-// Each window slot packs a bucket sequence tag (high 24 bits) and a count
-// (low 40 bits) into one uint64, so rotating into a new bucket and
-// counting are a single CAS — stale slots from a previous rotation are
-// simply ignored by Rate.
+// Buckets are aligned to multiples of the bucket width, the window is the
+// current (partial) bucket and the n-1 before it, and a window that has
+// not filled yet still divides by its whole length. The total at a
+// boundary that passed between two looks is taken from the straight line
+// between them, so a reader that polls less often than once a bucket sees
+// the traffic between its looks as even, and one that stayed away for
+// more than a window gets the mean rate since its previous look. A
+// caller that looks on both sides of every add (simhost.Node does) leaves
+// nothing to interpolate and gets the bucketed window event for event.
 type AtomicRateMeter struct {
+	total  PaddedUint64
 	bucket time.Duration
-	epoch  time.Time
-	slots  []atomic.Uint64
-	total  atomic.Uint64
+
+	mu    sync.Mutex    // readers only
+	marks []uint64      // marks[k%n]: the total when bucket k began
+	at    time.Duration // the latest look
+	seen  uint64        // and the total it saw
 }
 
-const (
-	rateCountBits = 40
-	rateCountMask = uint64(1)<<rateCountBits - 1
-	rateTagMask   = uint64(1)<<24 - 1
-)
-
 // NewAtomicRateMeter returns a meter averaging over n buckets of width
-// bucket (window = n*bucket), starting now.
+// bucket (window = n*bucket), with its clock at zero.
 func NewAtomicRateMeter(bucket time.Duration, n int) *AtomicRateMeter {
 	if n < 1 {
 		n = 1
@@ -134,64 +138,33 @@ func NewAtomicRateMeter(bucket time.Duration, n int) *AtomicRateMeter {
 	if bucket <= 0 {
 		bucket = time.Millisecond
 	}
-	return &AtomicRateMeter{
-		bucket: bucket,
-		epoch:  time.Now(),
-		slots:  make([]atomic.Uint64, n),
-	}
+	return &AtomicRateMeter{bucket: bucket, marks: make([]uint64, n)}
 }
 
 // Window returns the averaging period.
 func (m *AtomicRateMeter) Window() time.Duration {
-	return m.bucket * time.Duration(len(m.slots))
+	return m.bucket * time.Duration(len(m.marks))
 }
 
-// Add records n events now.
-func (m *AtomicRateMeter) Add(n uint64) {
-	m.total.Add(n)
-	seq := uint64(time.Since(m.epoch) / m.bucket)
-	s := &m.slots[seq%uint64(len(m.slots))]
-	tag := (seq & rateTagMask) << rateCountBits
-	for {
-		cur := s.Load()
-		var next uint64
-		if cur&^rateCountMask == tag {
-			next = cur + n
-			if next&^rateCountMask != tag { // saturate instead of corrupting the tag
-				next = tag | rateCountMask
-			}
-		} else {
-			next = tag | n&rateCountMask
-		}
-		if s.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
+// Add records n events.
+func (m *AtomicRateMeter) Add(n uint64) { m.total.Add(n) }
 
-// Rate returns the average events/second over the window ending now.
-// Before a full window has elapsed it averages over the elapsed time, so
-// early readings are not diluted by empty history.
-func (m *AtomicRateMeter) Rate() float64 {
-	elapsed := time.Since(m.epoch)
-	if elapsed <= 0 {
-		return 0
+// Rate returns the average events/second over the window ending at now,
+// the time since the meter was made on the caller's clock. A now earlier
+// than the latest look reads as of that look.
+func (m *AtomicRateMeter) Rate(now time.Duration) float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	total := m.total.Load()
+	now = max(now, m.at)
+	n := int64(len(m.marks))
+	seq, last := int64(now/m.bucket), int64(m.at/m.bucket)
+	for k := max(last+1, seq-n+1); k <= seq; k++ {
+		along := float64(time.Duration(k)*m.bucket-m.at) / float64(now-m.at)
+		m.marks[k%n] = m.seen + uint64(along*float64(total-m.seen))
 	}
-	seq := uint64(elapsed / m.bucket)
-	n := uint64(len(m.slots))
-	var sum uint64
-	for k := uint64(0); k < n && k <= seq; k++ {
-		q := seq - k
-		cur := m.slots[q%n].Load()
-		if cur>>rateCountBits == q&rateTagMask {
-			sum += cur & rateCountMask
-		}
-	}
-	window := m.Window()
-	if elapsed < window {
-		return float64(sum) / elapsed.Seconds()
-	}
-	return float64(sum) / window.Seconds()
+	m.at, m.seen = now, total
+	return float64(total-m.marks[(seq+1)%n]) / m.Window().Seconds()
 }
 
 // Total returns the lifetime event count. It is monotonic and cheap, so

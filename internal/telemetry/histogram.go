@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -131,14 +130,4 @@ func (h *Histogram) Reset() {
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		h.count, h.Mean(), h.Median(), h.P99(), h.Max())
-}
-
-// Percentiles evaluates the histogram at the given quantiles, sorted.
-func (h *Histogram) Percentiles(qs ...float64) []time.Duration {
-	sort.Float64s(qs)
-	out := make([]time.Duration, len(qs))
-	for i, q := range qs {
-		out[i] = h.Quantile(q)
-	}
-	return out
 }

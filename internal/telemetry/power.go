@@ -97,6 +97,3 @@ func (m *PowerMeter) AverageWatts() float64 {
 
 // Samples returns retained samples (empty unless keep was set).
 func (m *PowerMeter) Samples() []Sample { return m.samples }
-
-// LastWatts returns the most recent reading.
-func (m *PowerMeter) LastWatts() float64 { return m.lastW }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,12 +11,13 @@ import (
 )
 
 func TestRateMeterSteadyRate(t *testing.T) {
-	m := NewRateMeter(10*time.Millisecond, 10) // 100ms window
+	m := NewAtomicRateMeter(10*time.Millisecond, 10) // 100ms window
 	// 1000 events/s for 1 second: one event per ms.
 	for i := 0; i < 1000; i++ {
-		m.Add(simnet.Time(i)*simnet.Time(time.Millisecond), 1)
+		m.Rate(time.Duration(i) * time.Millisecond)
+		m.Add(1)
 	}
-	got := m.Rate(simnet.Time(time.Second))
+	got := m.Rate(time.Second)
 	if math.Abs(got-1000) > 150 {
 		t.Errorf("Rate = %v, want ~1000/s", got)
 	}
@@ -25,29 +27,131 @@ func TestRateMeterSteadyRate(t *testing.T) {
 }
 
 func TestRateMeterDecaysToZero(t *testing.T) {
-	m := NewRateMeter(10*time.Millisecond, 10)
-	m.Add(0, 1000)
-	if r := m.Rate(simnet.Time(50 * time.Millisecond)); r == 0 {
-		t.Error("rate should still be non-zero inside the window")
+	m := NewAtomicRateMeter(10*time.Millisecond, 10)
+	m.Add(1000)
+	// A window that has not filled yet still divides by all of it.
+	if r := m.Rate(50 * time.Millisecond); r != 10000 {
+		t.Errorf("rate inside the window = %v, want 1000 events / 100ms", r)
 	}
-	if r := m.Rate(simnet.Time(5 * time.Second)); r != 0 {
+	if r := m.Rate(5 * time.Second); r != 0 {
 		t.Errorf("rate after long idle = %v, want 0", r)
 	}
 }
 
-func TestRateMeterReset(t *testing.T) {
-	m := NewRateMeter(time.Millisecond, 5)
-	m.Add(0, 100)
-	m.Reset(simnet.Time(time.Millisecond))
-	if r := m.Rate(simnet.Time(2 * time.Millisecond)); r != 0 {
-		t.Errorf("rate after reset = %v, want 0", r)
+func TestRateMeterWindow(t *testing.T) {
+	m := NewAtomicRateMeter(5*time.Millisecond, 20)
+	if m.Window() != 100*time.Millisecond {
+		t.Errorf("Window = %v, want 100ms", m.Window())
 	}
 }
 
-func TestRateMeterWindow(t *testing.T) {
-	m := NewRateMeter(5*time.Millisecond, 20)
-	if m.Window() != 100*time.Millisecond {
-		t.Errorf("Window = %v, want 100ms", m.Window())
+// A reader that looks less often than once a bucket gets the boundaries
+// it missed from the line between its looks: steady traffic reads steady
+// whether it polls inside the window or stays away for several, with no
+// dip after an absence. Looks are 50ms into a 100ms bucket, so the window
+// holds 950ms of traffic and still divides by its whole second.
+func TestRateMeterSlowReader(t *testing.T) {
+	m := NewAtomicRateMeter(100*time.Millisecond, 10) // the live meters' 1s window
+	at := 2050 * time.Millisecond
+	m.Rate(at)
+	for _, tc := range []struct {
+		gap  time.Duration
+		want float64
+	}{
+		{300 * time.Millisecond, 300}, // all there is: the window began idle
+		{time.Second, 950},
+		{5 * time.Second, 950},
+		{100 * time.Millisecond, 950},
+		{300 * time.Millisecond, 950},
+	} {
+		at += tc.gap
+		m.Add(uint64(1000 * tc.gap.Seconds())) // 1000 events/s meanwhile
+		if r := m.Rate(at); math.Abs(r-tc.want) > 1 {
+			t.Errorf("look at %v, %v after the last: rate %v, want %v", at, tc.gap, r, tc.want)
+		}
+	}
+	// The absence itself ages out like any other traffic.
+	if r := m.Rate(at + 2*time.Second); r != 0 {
+		t.Errorf("rate after 2s of silence = %v, want 0", r)
+	}
+}
+
+// bucketRing is the virtual-clock meter this package used to carry beside
+// the atomic one, kept as the reference for the reader-side window: a
+// ring of per-bucket counts, rotated and cleared by whoever touches it.
+type bucketRing struct {
+	bucket    time.Duration
+	buckets   []uint64
+	headStart time.Duration
+	head      int
+}
+
+func (m *bucketRing) window() time.Duration { return m.bucket * time.Duration(len(m.buckets)) }
+
+func (m *bucketRing) advance(now time.Duration) {
+	for now >= m.headStart+m.bucket {
+		m.head = (m.head + 1) % len(m.buckets)
+		m.buckets[m.head] = 0
+		m.headStart += m.bucket
+		// If the meter was idle far longer than the window, fast-forward.
+		if now-m.headStart > m.window()*2 {
+			skip := (now - m.headStart) / m.bucket
+			m.headStart += skip / time.Duration(len(m.buckets)) * m.window()
+			for i := range m.buckets {
+				m.buckets[i] = 0
+			}
+		}
+	}
+}
+
+func (m *bucketRing) add(now time.Duration, n uint64) {
+	m.advance(now)
+	m.buckets[m.head] += n
+}
+
+func (m *bucketRing) rate(now time.Duration) float64 {
+	m.advance(now)
+	var sum uint64
+	for _, b := range m.buckets {
+		sum += b
+	}
+	return float64(sum) / m.window().Seconds()
+}
+
+// The reader-side window against the ring of counts on random schedules
+// of reads and adds, with the caller looking on both sides of every add
+// as simhost.Node does: every read must agree exactly, through bursts
+// inside one bucket, reads on a boundary and idle gaps of many windows.
+func TestRateMeterMatchesBucketRing(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		bucket := time.Duration(1+rng.Intn(20)) * time.Millisecond
+		n := 1 + rng.Intn(12)
+		m := NewAtomicRateMeter(bucket, n)
+		ref := &bucketRing{bucket: bucket, buckets: make([]uint64, n)}
+		var now time.Duration
+		for step := 0; step < 2000; step++ {
+			switch rng.Intn(10) {
+			case 0: // idle for up to five windows
+				now += time.Duration(rng.Int63n(int64(5 * ref.window())))
+			case 1: // land exactly on a boundary
+				now = (now/bucket + 1) * bucket
+			case 2, 3: // same instant
+			default:
+				now += time.Duration(rng.Int63n(int64(bucket)))
+			}
+			if got, want := m.Rate(now), ref.rate(now); got != want {
+				t.Fatalf("seed %d step %d at %v: rate %v, the ring says %v", seed, step, now, got, want)
+			}
+			if rng.Intn(3) > 0 {
+				k := uint64(1 + rng.Intn(4))
+				m.Add(k)
+				ref.add(now, k)
+				if got, want := m.Rate(now), ref.rate(now); got != want {
+					t.Fatalf("seed %d step %d at %v after add: rate %v, the ring says %v", seed, step, now, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -111,7 +215,7 @@ func TestHistogramPercentilesSorted(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
 	}
-	ps := h.Percentiles(0.99, 0.5, 0.9)
+	ps := []time.Duration{h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99)}
 	if !(ps[0] <= ps[1] && ps[1] <= ps[2]) {
 		t.Errorf("percentiles not monotone: %v", ps)
 	}
@@ -189,8 +293,5 @@ func TestCounters(t *testing.T) {
 	}
 	if got := c.String(); got != "hit=5 miss=1" {
 		t.Errorf("String() = %q", got)
-	}
-	if names := c.Names(); len(names) != 2 || names[0] != "miss" || names[1] != "hit" {
-		t.Errorf("Names() = %v", names)
 	}
 }
