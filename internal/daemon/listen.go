@@ -28,24 +28,19 @@ type EngineOptions struct {
 	// Pin locks each shard worker to its thread and to one of the CPUs
 	// the process is allowed (dataplane.Config.PinShards).
 	Pin bool
-	// GSOTx requests train-oriented reply transmission
-	// (dataplane.Config.GSOTx): replies to one destination are coalesced
-	// into UDP_SEGMENT trains per flush. Degrades to per-datagram sends —
-	// with a logged warning — on kernels without UDP_SEGMENT. Ignored
-	// when Sockets is 0.
-	GSOTx bool
 }
 
 // RegisterFlags defines the I/O flags every serving daemon shares
-// (-sockets, -engine, -pin, -gsotx) on fs, parsing into o. Addr stays
-// with the daemon: the default port differs per protocol.
+// (-sockets, -engine, -pin) on fs, parsing into o, plus -gsotx, which is
+// accepted and ignored until benchmark/ stops passing it (ROADMAP item
+// A). Addr stays with the daemon: the default port differs per protocol.
 func (o *EngineOptions) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Sockets, "sockets", 0,
 		"per-shard SO_REUSEPORT sockets with batched recvmmsg/sendmmsg I/O (0 = classic single-reader engine; batched mode runs one shard per socket, Linux)")
 	fs.StringVar(&o.Engine, "engine", "batched",
 		"batched-mode transport: batched (recvmmsg/sendmmsg) | uring (io_uring multishot recv, falls back to batched when the kernel can't) | single (portable fallback)")
 	fs.BoolVar(&o.Pin, "pin", false, "lock each batched shard worker to its OS thread and pin it to one of the allowed CPUs (sched_setaffinity)")
-	fs.BoolVar(&o.GSOTx, "gsotx", false, "coalesce same-destination replies into UDP_SEGMENT trains in batched mode (degrades to per-datagram sends on kernels without UDP_SEGMENT)")
+	fs.Bool("gsotx", false, "ignored: batched engines coalesce same-destination replies into UDP_SEGMENT trains wherever the kernel and the rung take them (INCOD_NO_GSOTX=1 or -engine single serve per-datagram)")
 }
 
 // ListenEngine opens o.Addr and builds the serving engine in the mode
@@ -53,10 +48,10 @@ func (o *EngineOptions) RegisterFlags(fs *flag.FlagSet) {
 // socket count (one shard owns one socket), and o.Engine picks the
 // transport rung; a requested uring backend that the kernel cannot
 // provide degrades to mmsg so the daemon always comes up — the chosen
-// backend is reported truthfully in the /v1/dataplane stats.
+// backend is reported truthfully in the /v1/dataplane stats, and so is
+// whether the engine sends reply trains.
 func ListenEngine(o EngineOptions, h dataplane.Handler, cfg dataplane.Config) (*dataplane.Engine, error) {
 	cfg.PinShards = o.Pin
-	cfg.GSOTx = o.GSOTx
 	if o.Sockets <= 0 {
 		conn, err := net.ListenPacket("udp", o.Addr)
 		if err != nil {

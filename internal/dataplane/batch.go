@@ -90,14 +90,22 @@ func NewBatchedConns(conns []net.PacketConn, bcs []netio.BatchConn, h Handler, c
 	e.batched = true
 	e.arrivalDispatch = arrival
 	e.bconns = bcs
-	if cfg.GSOTx {
-		if err := netio.ProbeGSO(); err != nil {
-			log.Printf("%s: GSO TX requested but unavailable, serving per-datagram: %v", cfg.Name, err)
-		} else {
-			e.gsoTx = true
+	e.gsoTx = sendsTrains(bcs)
+	return e
+}
+
+// sendsTrains is the reply-train decision, made once per engine: trains
+// go out when every shard's rung hands UDP_SEGMENT to the kernel (mmsg,
+// uring — the single rung would only unroll them) and ProbeGSO saw this
+// kernel segment one. The INCOD_NO_GSOTX environment variable and the
+// netio_fallback build tag fail the probe; there is no other opt-out.
+func sendsTrains(bcs []netio.BatchConn) bool {
+	for _, bc := range bcs {
+		if b := netio.BackendOf(bc); b != "mmsg" && b != "uring" {
+			return false
 		}
 	}
-	return e
+	return netio.ProbeGSO() == nil
 }
 
 // Batched reports whether the engine runs in per-shard-socket batched
@@ -434,8 +442,9 @@ func (w *batchState) processItems(items []*BatchItem) {
 // With GSO TX active the staged replies are first coalesced into
 // destination-grouped UDP_SEGMENT trains; either way a message the
 // socket rejects is counted and skipped, and the rest of the batch still
-// goes out. Replies are counted in wire datagrams, so a train of 32
-// segments is 32 replies.
+// goes out. Replies and write errors are both counted in wire datagrams,
+// so a train of 32 segments is 32 replies, or 32 write errors when the
+// socket refuses it, and the two always add up to the replies staged.
 func (w *batchState) flushTx() {
 	s := w.s
 	out := w.tx
@@ -451,8 +460,8 @@ func (w *batchState) flushTx() {
 			sent += uint64(out[k].Segments())
 		}
 		s.replies.Add(sent)
-		if err != nil {
-			s.writeErrs.Add(1)
+		if err != nil && off+n < end {
+			s.writeErrs.Add(uint64(out[off+n].Segments()))
 			off += n + 1
 			continue
 		}

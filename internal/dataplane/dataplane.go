@@ -105,12 +105,9 @@ type Config struct {
 	// sched_setaffinity it degrades to a logged no-op. Ignored in
 	// single-reader mode.
 	PinShards bool
-	// GSOTx requests train-oriented reply transmission in batched mode:
-	// each shard's flush coalesces consecutive same-destination replies
-	// into UDP_SEGMENT trains before WriteBatch. It only engages when
-	// netio.ProbeGSO passes on this kernel — otherwise the engine logs
-	// the downgrade once and serves per-datagram, so the flag is safe to
-	// set unconditionally. Ignored in single-reader mode.
+	// GSOTx is ignored: a batched engine builds UDP_SEGMENT reply trains
+	// wherever the kernel and the shard's rung take them (Stats.GSOTx).
+	// It stays only because benchmark/ still sets it (ROADMAP item A).
 	GSOTx bool
 }
 
@@ -195,8 +192,8 @@ type Engine struct {
 	batched         bool
 	arrivalDispatch bool
 	bconns          []netio.BatchConn
-	// gsoTx is cfg.GSOTx gated on the kernel actually supporting
-	// UDP_SEGMENT trains (ProbeGSO), resolved once at construction.
+	// gsoTx is the reply-train decision (sendsTrains), made once at
+	// construction.
 	gsoTx bool
 	// pinned records that at least one shard worker successfully bound
 	// itself to a CPU (PinShards requested and sched_setaffinity took).

@@ -1,12 +1,13 @@
 package dataplane_test
 
-// GSO-train-vs-per-datagram equivalence: a batched engine with GSOTx
-// coalesces same-destination replies into UDP_SEGMENT trains, and the
-// kernel segments them back into individual datagrams at delivery — so a
-// client without GRO must receive byte-identical replies from a GSO-TX
-// engine and a per-datagram one. Any divergence is a train-builder bug
-// (mis-cut run, wrong segment size, buffer aliasing), which is exactly
-// what this test exists to catch, for all three protocols, under -race.
+// GSO-train-vs-per-datagram equivalence: a batched engine on a rung that
+// sends UDP_SEGMENT coalesces same-destination replies into trains, and
+// the kernel segments them back into individual datagrams at delivery —
+// so a client without GRO must receive byte-identical replies from a
+// training engine and a per-datagram one. Any divergence is a
+// train-builder bug (mis-cut run, wrong segment size, buffer aliasing),
+// which is exactly what this test exists to catch, for all three
+// protocols, under -race.
 
 import (
 	"bytes"
@@ -100,51 +101,35 @@ func exchangeWindows(t *testing.T, proto, addr string, reqs [][]byte) map[uint16
 	return got
 }
 
-// serveGSOBackend is serveBackend plus the GSOTx knob.
-func serveGSOBackend(t *testing.T, backend string, gsoTx bool, h dataplane.Handler, cfg dataplane.Config) (*dataplane.Engine, string) {
-	t.Helper()
-	cfg.GSOTx = gsoTx
-	return serveBackend(t, backend, h, cfg)
-}
-
 func TestGSOTrainTxByteIdenticalReplies(t *testing.T) {
-	if err := netio.ProbeGSO(); err != nil {
-		t.Skipf("UDP GSO unavailable: %v", err)
-	}
-
-	// Three engine variants per protocol: per-datagram mmsg (the
-	// reference), mmsg with train TX, and — when the kernel can — uring
-	// with train TX (trains as SENDMSG SQEs).
-	type variant struct {
-		backend string
-		gsoTx   bool
-	}
-	variants := []variant{{"mmsg", false}, {"mmsg", true}}
+	// The engine decides train TX on its own, so the per-datagram
+	// reference is the rung that never trains: single. mmsg and — when
+	// the kernel can — uring (trains as SENDMSG SQEs) train wherever
+	// ProbeGSO passes; with the probe failed (INCOD_NO_GSOTX, the
+	// netio_fallback tag) they serve per-datagram and must still agree.
+	gso := netio.ProbeGSO() == nil
+	backends := []string{"single", "mmsg"}
 	if netio.ProbeUring() == nil {
-		variants = append(variants, variant{"uring", true})
+		backends = append(backends, "uring")
 	}
 
 	run := func(t *testing.T, proto string, mkHandler func() dataplane.Handler, cfg dataplane.Config, reqs [][]byte) {
 		var ref map[uint16][]byte
-		for _, v := range variants {
-			name := v.backend
-			if v.gsoTx {
-				name += "+gso"
-			}
-			e, addr := serveGSOBackend(t, v.backend, v.gsoTx, mkHandler(), cfg)
+		for _, name := range backends {
+			e, addr := serveBackend(t, name, mkHandler(), cfg)
 			got := exchangeWindows(t, proto, addr, reqs)
 			if len(got) != len(reqs) {
 				t.Fatalf("%s: %d distinct replies for %d requests", name, len(got), len(reqs))
 			}
 			st := e.Snapshot()
-			if v.gsoTx {
-				if !st.GSOTx {
-					t.Fatalf("%s: engine reports gso_tx=false", name)
-				}
+			if want := gso && name != "single"; st.GSOTx != want {
+				t.Fatalf("%s (backend %s): engine reports gso_tx=%v, want %v", name, st.Backend, st.GSOTx, want)
+			}
+			if st.GSOTx {
 				if st.TxTrains == 0 {
 					t.Fatalf("%s: no trains were built (stats %+v) — the equivalence claim would be vacuous", name, st)
 				}
-				if v.backend == "uring" && st.RingSends == 0 {
+				if name == "uring" && st.RingSends == 0 {
 					t.Fatalf("%s: trains did not ride the ring (stats %+v)", name, st)
 				}
 			}

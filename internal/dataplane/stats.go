@@ -19,12 +19,14 @@ const hotKeysInSnapshot = 16
 
 // ShardStats is one worker's counters.
 type ShardStats struct {
-	Shard       int    `json:"shard"`
-	Received    uint64 `json:"received"`
-	Handled     uint64 `json:"handled"`
-	Offloaded   uint64 `json:"offloaded"`
-	Replies     uint64 `json:"replies"`
-	Dropped     uint64 `json:"dropped"`
+	Shard     int    `json:"shard"`
+	Received  uint64 `json:"received"`
+	Handled   uint64 `json:"handled"`
+	Offloaded uint64 `json:"offloaded"`
+	Replies   uint64 `json:"replies"`
+	Dropped   uint64 `json:"dropped"`
+	// WriteErrors counts replies the socket refused, in datagrams: a lost
+	// train counts every segment it carried, as Replies counts a sent one.
 	WriteErrors uint64 `json:"write_errors"`
 	// BadSourceDrops counts datagrams dropped before dispatch because no
 	// usable source address could be derived (distinct from queue
@@ -103,14 +105,16 @@ type Stats struct {
 	UringEnters     uint64 `json:"uring_enters,omitempty"`
 
 	// GSO TX telemetry, summed across the per-shard transports. GSOTx
-	// reports whether train-building is engaged (requested AND the kernel
-	// probe passed); the counters report what the transport actually did:
-	// TxTrains coalesced sends handed to the kernel, TxTrainSegs the
-	// datagrams they carried (TxSegsPerTrain the ratio), GSOTxFallbacks
+	// reports whether the batched engine builds reply trains, which it
+	// decides on its own: every shard's rung sends UDP_SEGMENT (mmsg,
+	// uring) and netio.ProbeGSO passed (INCOD_NO_GSOTX fails it). The
+	// counters report what the transport actually did: TxTrains
+	// coalesced sends handed to the kernel, TxTrainSegs the datagrams
+	// they carried (TxSegsPerTrain the ratio), GSOTxFallbacks
 	// trains unrolled per-datagram by a rung or kernel that refused
 	// UDP_SEGMENT, RingSends trains submitted as io_uring SENDMSG SQEs,
 	// SendZC zero-copy ring sends (always 0 today — SENDMSG_ZC is unused).
-	GSOTx          bool    `json:"gso_tx,omitempty"`
+	GSOTx          bool    `json:"gso_tx"`
 	TxTrains       uint64  `json:"tx_trains,omitempty"`
 	TxTrainSegs    uint64  `json:"tx_train_segs,omitempty"`
 	TxSegsPerTrain float64 `json:"tx_segs_per_train,omitempty"`

@@ -38,6 +38,8 @@ func serveBackend(t *testing.T, backend string, h dataplane.Handler, cfg datapla
 				t.Fatalf("uring conn over reuseport socket: %v", err)
 			}
 			bcs[i] = bc
+		case "single":
+			bcs[i] = netio.NewSingleConn(c)
 		default:
 			bcs[i] = netio.NewBatchConn(c)
 		}

@@ -63,11 +63,14 @@
 //
 // ProbeGSO reports (cached) whether the kernel can segment: it sends a
 // real three-segment train over loopback and counts the datagrams that
-// arrive. Engines use it to decide whether building trains is worth the
-// copy (dataplane.Config.GSOTx), and the INCOD_NO_GSOTX environment
-// variable fails the probe for CI's forced-fallback leg — note it
-// disables the probe, not the conns, which still coalesce any
-// train-marked Message a capable kernel allows.
+// arrive. The batched dataplane engine builds reply trains wherever it
+// passes and the shard's rung is mmsg or uring — on the single rung a
+// train would only be unrolled again — so the probe is the decision,
+// not a flag. The INCOD_NO_GSOTX environment variable fails the probe,
+// and is the one way to get per-datagram replies from mmsg or uring on
+// a capable kernel (CI's forced-fallback leg) — note it disables the
+// probe, not the conns, which still coalesce any train-marked Message a
+// capable kernel allows.
 //
 // TxStats (via TxStatsOf) is the truthful telemetry: Trains/TrainSegs
 // count coalesced sends that actually left as one submission, Fallbacks
@@ -163,10 +166,13 @@
 // one send carries a train the kernel segments at delivery, collapsing
 // the dominant per-datagram send cost to per-train. Paired with a
 // GRO-enabled uring server the whole loopback path — send syscall,
-// socket delivery, wakeup, completion — runs once per train; with the
-// server's reply side building trains too (-gsotx on the daemons), the
-// return direction matches, and neither end of the connection pays
-// per-datagram kernel cost anywhere.
+// socket delivery, wakeup, completion — runs once per train; the
+// server's reply side builds trains too (every batched engine on mmsg or
+// uring where ProbeGSO passes), so the return direction matches, and
+// neither end of the connection pays per-datagram kernel cost anywhere.
+// An mmsg server still receives per datagram: UDP_GRO there would need
+// a splitter copying out of conn-owned buffers, and a GRO train longer
+// than the engine's MaxDatagram would be cut by the kernel.
 //
 // Everything here uses the standard library's syscall package only.
 package netio

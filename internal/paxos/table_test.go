@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"incod/internal/dataplane"
 )
@@ -377,6 +378,11 @@ func TestAcceptorTableTorture(t *testing.T) {
 				t.Fatalf("clone holds %d instances, the table %d", c.Instances(), tab.Instances())
 			}
 		}
+	}
+	// On a loaded host the readers may not have run yet: give them the
+	// finished table rather than stop them before their first look.
+	for deadline := time.Now().Add(5 * time.Second); hits.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	stop.Store(true)
 	wg.Wait()
