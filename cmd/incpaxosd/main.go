@@ -45,17 +45,6 @@ import (
 	"incod/internal/power"
 )
 
-// roleCurve is the §4.3 software power curve modeled_watts is read from:
-// the acceptor has its own (peak 178 kpps, the curve the fleet controller
-// ranks the same daemon by); every other role is modeled on the leader's
-// (170).
-func roleCurve(role string) power.SoftwareCurve {
-	if role == "acceptor" {
-		return power.LibpaxosAcceptor
-	}
-	return power.LibpaxosLeader
-}
-
 func main() {
 	role := flag.String("role", "", "acceptor | leader | learner | client")
 	addr := flag.String("addr", ":0", "UDP listen address")
@@ -87,7 +76,7 @@ func main() {
 	startCtrl := func(tierSvc core.Service, ready func() bool) (*daemon.Orchestrator, *daemon.ManagedService, *daemon.CtrlServer) {
 		orch, svc, ctrlSrv, err := daemon.StartControlPlane(daemon.StartOptions{
 			Name: "paxos", Policy: *policy, CrossKpps: *crossKpps,
-			Curve: roleCurve(*role), CtrlAddr: *ctrl, Service: tierSvc,
+			Curve: power.LibpaxosRole(*role), CtrlAddr: *ctrl, Service: tierSvc,
 			Ready: ready,
 		})
 		if err != nil {

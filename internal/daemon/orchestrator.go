@@ -73,18 +73,18 @@ type ServiceConfig struct {
 	Model PowerModel
 }
 
-// ManagedService is one registered service. Its Observe method is the
-// daemon datapath hook and is safe for concurrent use without locking
-// (a single atomic increment per request). Daemons serving through the
-// dataplane engine skip per-packet Observe calls entirely: UseCounter
-// points the orchestrator at the engine's shared atomic meter, which it
-// samples once per tick.
+// ManagedService is one registered service. Its datapath hook is
+// UseCounter: the daemon points the orchestrator at the serving engine's
+// monotonic request total, which the orchestrator samples once per tick,
+// so the packet path pays nothing for metering.
 type ManagedService struct {
 	name  string
 	svc   core.Service
 	pol   core.Policy
 	model PowerModel
 
+	// count is the request total until UseCounter wires one; nothing in
+	// a daemon adds to it (tests do, to feed the loop directly).
 	count atomic.Uint64
 	// external, when set, supplies the monotonic request total instead
 	// of count (e.g. a dataplane engine's Handled).
@@ -109,13 +109,10 @@ type ManagedService struct {
 	lastShiftDur   time.Duration // duration of the last completed attempt
 }
 
-// Observe records n=1 served request.
-func (m *ManagedService) Observe() { m.count.Add(1) }
-
-// UseCounter replaces the per-call Observe counter with an external
-// monotonic total, sampled once per orchestrator tick — the dataplane
-// wiring, where the engine already counts every handled datagram. Call
-// it before traffic starts; fn must be safe for concurrent use.
+// UseCounter installs the service's request total: a monotonic count,
+// sampled once per orchestrator tick — the dataplane wiring, where the
+// engine already counts every handled datagram. Call it before traffic
+// starts; fn must be safe for concurrent use.
 func (m *ManagedService) UseCounter(fn func() uint64) { m.external.Store(&fn) }
 
 // total returns the current request count from whichever source is
@@ -196,8 +193,8 @@ func (o *Orchestrator) Ready() bool {
 	return true
 }
 
-// Register adds a service under name. It returns the datapath handle the
-// daemon calls Observe on.
+// Register adds a service under name. It returns the service's handle,
+// on which the daemon wires its request total with UseCounter.
 func (o *Orchestrator) Register(name string, cfg ServiceConfig) (*ManagedService, error) {
 	if name == "" {
 		return nil, fmt.Errorf("daemon: service name must be non-empty")

@@ -95,9 +95,10 @@
 //     this into daemon.OnShutdown;
 //   - per-shard counters and a shared telemetry.AtomicRateMeter feed both
 //     the /v1 control API (GET /v1/dataplane) and the on-demand
-//     orchestrator, which samples the meter's monotonic total instead of
-//     paying a per-packet Observe call. The packet path pays one atomic
-//     add per batch for it; rate_kpps is worked out when it is read.
+//     orchestrator, which samples the meter's monotonic total once per
+//     tick rather than being called per packet. The packet path pays
+//     one atomic add per batch for it; rate_kpps is worked out when it
+//     is read.
 //
 // Transient socket errors (e.g. Linux delivering an async ICMP
 // port-unreachable after a write to a vanished client) are counted and

@@ -36,81 +36,6 @@ func testZone() *Zone {
 	return z
 }
 
-// TestHandleBatchMatchesHandleDatagram drives the same traffic through
-// HandleDatagram and HandleBatch on identically loaded zones: replies
-// must match byte for byte and the amortized counters must agree with
-// the per-datagram ones.
-func TestHandleBatchMatchesHandleDatagram(t *testing.T) {
-	mx := NewQuery(40, SequentialName(3))
-	mx.QType = 15
-	mxq, err := Encode(mx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos := NewQuery(41, SequentialName(4))
-	chaos.QClass = 3
-	chaosq, err := Encode(chaos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := Encode(Message{ID: 50, Response: true, Name: "a.b", QType: TypeA, QClass: ClassIN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var datagrams [][]byte
-	for i := 0; i < 70; i++ { // spans two batch chunks
-		datagrams = append(datagrams, encodeQuery(t, uint16(i), SequentialName(i%32)))
-	}
-	datagrams = append(datagrams,
-		encodeQuery(t, 100, "HOST3.Example.COM"), // mixed-case hit
-		encodeQuery(t, 101, "HoSt7.eXaMpLe.CoM"), // mixed-case hit
-		encodeQuery(t, 102, "missing.example.com"),
-		encodeQuery(t, 103, "MISSING.EXAMPLE.COM"),
-		mxq,                     // NOTIMPL
-		chaosq,                  // CH class: NOTIMPL
-		resp,                    // stray response: ignored, no reply
-		[]byte{1, 2, 3},         // malformed short
-		compressedQuery(104),    // Decode fallback, root hit
-		encodeQuery(t, 105, ""), // plain root hit
-		[]byte("\xff\xff garbage please ignore"),
-	)
-
-	single := NewHandler(testZone())
-	batch := NewHandler(testZone())
-
-	want := make([][]byte, len(datagrams))
-	scratch := make([]byte, 0, 4096)
-	for i, dg := range datagrams {
-		out, ok := single.HandleDatagram(dg, &scratch)
-		if ok {
-			want[i] = append([]byte(nil), out...)
-		}
-	}
-
-	items := make([]*dataplane.BatchItem, len(datagrams))
-	for i, dg := range datagrams {
-		s := make([]byte, 0, 4096)
-		items[i] = &dataplane.BatchItem{In: dg, Scratch: &s}
-	}
-	batch.HandleBatch(items)
-	for i, it := range items {
-		if string(it.Out) != string(want[i]) {
-			t.Fatalf("datagram %d (%q):\n batch reply %q\nsingle reply %q", i, datagrams[i], it.Out, want[i])
-		}
-	}
-
-	sc := single.StatsCounters().Snapshot()
-	bc := batch.StatsCounters().Snapshot()
-	for _, k := range []string{"answered", "nxdomain", "notimpl", "malformed", "ignored"} {
-		if sc[k] != bc[k] {
-			t.Fatalf("counter %s: batch %d != single %d", k, bc[k], sc[k])
-		}
-	}
-	if sc["answered"] == 0 || sc["nxdomain"] == 0 || sc["notimpl"] == 0 || sc["malformed"] == 0 || sc["ignored"] == 0 {
-		t.Fatalf("test traffic should hit every verdict, got %v", sc)
-	}
-}
-
 // TestHandlerWireAnswersMatchResolve pins the wire cache against the
 // string codec: for hits, NXDOMAIN and NOTIMPL alike, the handler's
 // reply must be byte-identical to encoding Zone.Resolve's answer —

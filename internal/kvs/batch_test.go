@@ -1,37 +1,10 @@
 package kvs
 
 import (
-	"fmt"
 	"testing"
 
 	"incod/internal/dataplane"
-	"incod/internal/memcache"
 )
-
-func TestGetBatchMatchesGet(t *testing.T) {
-	st := NewShardedStore(4, 0)
-	const live = 100 // spans two GetBatch chunks
-	for i := 0; i < live; i++ {
-		st.Set(fmt.Sprintf("key-%d", i), Entry{Flags: uint32(i), Value: fmt.Appendf(nil, "v%d", i)})
-	}
-	// Interleave hits and misses.
-	var keys [][]byte
-	for i := 0; i < live*2; i++ {
-		keys = append(keys, fmt.Appendf(nil, "key-%d", i))
-	}
-	entries := make([]Entry, len(keys))
-	found := make([]bool, len(keys))
-	st.GetBatch(keys, 0, entries, found)
-	for i, k := range keys {
-		wantE, wantOK := st.Get(k, 0)
-		if found[i] != wantOK {
-			t.Fatalf("key %s: GetBatch found=%v, Get ok=%v", k, found[i], wantOK)
-		}
-		if wantOK && (entries[i].Flags != wantE.Flags || string(entries[i].Value) != string(wantE.Value)) {
-			t.Fatalf("key %s: GetBatch entry %+v != Get entry %+v", k, entries[i], wantE)
-		}
-	}
-}
 
 // mkItems builds BatchItems with independent scratch buffers for the
 // given datagrams.
@@ -42,77 +15,6 @@ func mkItems(datagrams [][]byte) []*dataplane.BatchItem {
 		items[i] = &dataplane.BatchItem{In: dg, Scratch: &scratch}
 	}
 	return items
-}
-
-func TestHandleBatchMatchesHandleDatagram(t *testing.T) {
-	// Two handlers over identically seeded stores: one serves the
-	// datagrams one at a time, the other as one batch. Replies must
-	// match byte for byte, including framing, errors and mutations.
-	seed := func() *Handler {
-		h := NewHandler(NewShardedStore(4, 0))
-		scratch := make([]byte, 0, 1024)
-		for i := 0; i < 80; i++ {
-			set := memcache.EncodeRequest(memcache.Request{
-				Op: memcache.OpSet, Key: fmt.Sprintf("key-%d", i), Value: fmt.Appendf(nil, "val-%d", i)})
-			if _, ok := h.HandleDatagram(set, &scratch); !ok {
-				t.Fatal("seed set failed")
-			}
-		}
-		return h
-	}
-	frame := func(id uint16, body []byte) []byte {
-		return memcache.EncodeFrame(memcache.Frame{RequestID: id, Total: 1}, body)
-	}
-	var datagrams [][]byte
-	for i := 0; i < 70; i++ { // spans two chunks
-		datagrams = append(datagrams,
-			frame(uint16(i), memcache.EncodeRequest(memcache.Request{Op: memcache.OpGet, Key: fmt.Sprintf("key-%d", i)})))
-	}
-	datagrams = append(datagrams,
-		[]byte("get key-3\r\n"),               // raw hit
-		[]byte("get nope\r\n"),                // raw miss
-		frame(900, []byte("get missing\r\n")), // framed miss
-		frame(901, memcache.EncodeRequest(memcache.Request{Op: memcache.OpSet, Key: "fresh", Value: []byte("x")})),
-		frame(902, []byte("delete key-5\r\n")),
-		frame(903, []byte("delete never\r\n")),
-		[]byte("gets key-1 key-2 nope\r\n"), // multiget
-		[]byte("\x00\x01garbage"),           // malformed
-	)
-
-	single := seed()
-	batch := seed()
-
-	var want [][]byte
-	scratch := make([]byte, 0, 1024)
-	for _, dg := range datagrams {
-		out, ok := single.HandleDatagram(dg, &scratch)
-		if !ok {
-			t.Fatalf("HandleDatagram(%q) not ok", dg)
-		}
-		want = append(want, append([]byte(nil), out...))
-	}
-
-	items := mkItems(datagrams)
-	batch.HandleBatch(items)
-	for i, it := range items {
-		if string(it.Out) != string(want[i]) {
-			t.Fatalf("datagram %d (%q):\n batch reply %q\nsingle reply %q", i, datagrams[i], it.Out, want[i])
-		}
-	}
-
-	// The amortized counters must agree with the per-datagram ones.
-	sc := single.StatsCounters().Snapshot()
-	bc := batch.StatsCounters().Snapshot()
-	for _, k := range []string{"hits", "misses", "sets", "deletes", "multiget", "malformed"} {
-		if sc[k] != bc[k] {
-			t.Fatalf("counter %s: batch %d != single %d", k, bc[k], sc[k])
-		}
-	}
-
-	// Both stores end in the same state.
-	if got, want := batch.Store().Len(), single.Store().Len(); got != want {
-		t.Fatalf("store length diverged: batch %d, single %d", got, want)
-	}
 }
 
 // TestNoreplySuppressesAcknowledgement checks both serving paths: a

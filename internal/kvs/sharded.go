@@ -140,24 +140,11 @@ func (st *ShardedStore) AppendGetHit(out []byte, key []byte, now simnet.Time) ([
 // classification arrays are sized to it).
 const getBatchChunk = 64
 
-// GetBatch resolves keys[i] into entries[i]/found[i] at now. All three
-// slices must have equal length. Each lookup is an independent lock-free
-// read — there are no shard locks left to amortize — and entries[i]'s
-// existing Value capacity is reused, so the batched GET hot path stays
-// allocation-free. Returned values are private copies.
-func (st *ShardedStore) GetBatch(keys [][]byte, now simnet.Time, entries []Entry, found []bool) {
-	for i, k := range keys {
-		h := dataplane.HashBytes(k)
-		p := st.parts[h&st.mask]
-		v, fl, exp, ok := p.read(entries[i].Value[:0], k, h, now, false)
-		entries[i] = Entry{Flags: fl, Value: v, Expires: exp}
-		found[i] = ok
-	}
-}
-
-// AppendGetBatch is GetBatch's encode form: each hit's memcached
-// "VALUE ... END" reply is appended to *outs[i] (typically a pre-seeded
-// per-reply scratch buffer). Nothing locks and nothing allocates beyond
+// AppendGetBatch is AppendGetHit over a batch: keys[i] is resolved at now
+// and, on a hit, its memcached "VALUE ... END" reply is appended to
+// *outs[i] (typically a pre-seeded per-reply scratch buffer), with
+// found[i] reporting the hit. All three slices must have equal length.
+// Each lookup is an independent lock-free read; nothing allocates beyond
 // scratch growth.
 func (st *ShardedStore) AppendGetBatch(keys [][]byte, now simnet.Time, outs []*[]byte, found []bool) {
 	for i, k := range keys {

@@ -2,7 +2,6 @@ package nictier_test
 
 import (
 	"net/netip"
-	"sync"
 	"testing"
 
 	"incod/internal/dataplane"
@@ -29,83 +28,6 @@ func encodeDNSQuery(t *testing.T, id uint16, name string) []byte {
 	return q
 }
 
-// TestDNSTierBatchMatchesPerDatagram drives the same traffic through
-// TryHandleDatagram and TryHandleBatch on identically warmed tiers: the
-// batch form (table loaded once per batch) must classify and answer
-// byte-identically — hits and NXDOMAINs served, everything else falling
-// through — with matching counters.
-func TestDNSTierBatchMatchesPerDatagram(t *testing.T) {
-	mkWarm := func() *nictier.DNSTier {
-		zone := dns.NewZone()
-		zone.PopulateSequential(8)
-		tier := nictier.NewDNS(zone)
-		if err := tier.Stage(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tier.Warm(); err != nil {
-			t.Fatal(err)
-		}
-		return tier
-	}
-	mx := dns.NewQuery(5, dns.SequentialName(1))
-	mx.QType = 15
-	mxq, err := dns.Encode(mx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stray, err := dns.Encode(dns.Message{ID: 6, Response: true, Name: "a.b", QType: dns.TypeA, QClass: dns.ClassIN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	datagrams := [][]byte{
-		encodeDNSQuery(t, 1, dns.SequentialName(3)),   // hit
-		encodeDNSQuery(t, 2, "HOST4.Example.COM"),     // mixed-case hit
-		encodeDNSQuery(t, 3, "missing.example.com"),   // authoritative NXDOMAIN
-		encodeDNSQuery(t, 4, "a.b.c.d.e.f.g.h.i.jkl"), // too deep: punt to host
-		mxq,             // non-A: punt
-		stray,           // response: punt
-		[]byte{1, 2, 3}, // malformed: punt
-	}
-
-	single := mkWarm()
-	type result struct {
-		out           []byte
-		served, reply bool
-	}
-	var want []result
-	scratch := make([]byte, 0, 4096)
-	for _, dg := range datagrams {
-		out, served, reply := single.TryHandleDatagram(dg, netip.AddrPort{}, &scratch)
-		want = append(want, result{out: append([]byte(nil), out...), served: served, reply: reply})
-	}
-
-	batched := mkWarm()
-	items := mkBatch(datagrams)
-	batched.TryHandleBatch(items)
-	for i, it := range items {
-		if it.Served != want[i].served {
-			t.Fatalf("datagram %d (%q): batch served=%v, single served=%v", i, datagrams[i], it.Served, want[i].served)
-		}
-		wantOut := ""
-		if want[i].served && want[i].reply {
-			wantOut = string(want[i].out)
-		}
-		if string(it.Out) != wantOut {
-			t.Fatalf("datagram %d (%q): batch reply %q, single reply %q", i, datagrams[i], it.Out, wantOut)
-		}
-	}
-	sc := single.Counters().Snapshot()
-	bc := batched.Counters().Snapshot()
-	for _, k := range []string{"answered", "nxdomain", "passthrough"} {
-		if sc[k] != bc[k] {
-			t.Fatalf("counter %s: batch %d != single %d", k, bc[k], sc[k])
-		}
-		if sc[k] == 0 {
-			t.Fatalf("test traffic should bump %s", k)
-		}
-	}
-}
-
 // TestDNSTierUnwarmedBatchFallsThrough: with no table installed, a whole
 // batch must fall through to the host untouched.
 func TestDNSTierUnwarmedBatchFallsThrough(t *testing.T) {
@@ -119,98 +41,6 @@ func TestDNSTierUnwarmedBatchFallsThrough(t *testing.T) {
 	tier.TryHandleBatch(items)
 	if items[0].Served || items[0].Out != nil {
 		t.Fatalf("unwarmed tier must not serve: %+v", items[0])
-	}
-}
-
-// TestPaxosTierBatchMatchesPerDatagram: the batch form (one tier lock
-// per chunk) must serve the same messages with byte-identical replies
-// and identical learner fan-out as the per-datagram form.
-func TestPaxosTierBatchMatchesPerDatagram(t *testing.T) {
-	type rig struct {
-		tier *nictier.PaxosAcceptorTier
-		sent *[]string
-	}
-	mkWarm := func() rig {
-		var mu sync.Mutex
-		sent := []string{}
-		send := func(to string, m paxos.Msg) {
-			mu.Lock()
-			sent = append(sent, to+"|"+string(paxos.Encode(m)))
-			mu.Unlock()
-		}
-		host := paxos.NewLiveAcceptor(3, []string{"learner-1"}, send)
-		scratch := make([]byte, 0, 1024)
-		// The host votes on instance 1 before the shift, so the handoff
-		// carries state.
-		p2a := paxos.Encode(paxos.Msg{Type: paxos.MsgPhase2A, Instance: 1, Ballot: 5,
-			ClientID: 9, Seq: 42, ClientAddr: "c:1", Value: []byte("cmd")})
-		if _, ok := host.HandleDatagram(p2a, &scratch); !ok {
-			t.Fatal("host seed vote failed")
-		}
-		tier := nictier.NewPaxosAcceptor(host)
-		if err := tier.Stage(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tier.Warm(); err != nil {
-			t.Fatal(err)
-		}
-		return rig{tier: tier, sent: &sent}
-	}
-
-	datagrams := [][]byte{
-		paxos.Encode(paxos.Msg{Type: paxos.MsgPhase1A, Instance: 1, Ballot: 6}),                      // 1B with the handed-off vote
-		paxos.Encode(paxos.Msg{Type: paxos.MsgPhase2A, Instance: 2, Ballot: 6, Value: []byte("c2")}), // fresh vote
-		paxos.Encode(paxos.Msg{Type: paxos.MsgPhase2A, Instance: 2, Ballot: 6, Value: []byte("c2")}), // re-vote
-		paxos.Encode(paxos.Msg{Type: paxos.MsgPhase1A, Instance: 9, Ballot: 1}),                      // fresh promise
-		paxos.Encode(paxos.Msg{Type: paxos.MsgPhase2B, Instance: 1, NodeID: 1}),                      // passthrough
-		paxos.Encode(paxos.Msg{Type: paxos.MsgClientRequest, Seq: 3, Value: []byte("r")}),            // passthrough
-		[]byte{1, 2}, // garbage: passthrough
-	}
-
-	single := mkWarm()
-	type result struct {
-		out           []byte
-		served, reply bool
-	}
-	var want []result
-	scratch := make([]byte, 0, 4096)
-	for _, dg := range datagrams {
-		out, served, reply := single.tier.TryHandleDatagram(dg, netip.AddrPort{}, &scratch)
-		want = append(want, result{out: append([]byte(nil), out...), served: served, reply: reply})
-	}
-
-	batched := mkWarm()
-	items := mkBatch(datagrams)
-	batched.tier.TryHandleBatch(items)
-	for i, it := range items {
-		if it.Served != want[i].served {
-			t.Fatalf("datagram %d: batch served=%v, single served=%v", i, it.Served, want[i].served)
-		}
-		wantOut := ""
-		if want[i].served && want[i].reply {
-			wantOut = string(want[i].out)
-		}
-		if string(it.Out) != wantOut {
-			t.Fatalf("datagram %d: batch reply %q, single reply %q", i, it.Out, wantOut)
-		}
-	}
-	if len(*single.sent) != len(*batched.sent) {
-		t.Fatalf("fan-out: batch %d != single %d", len(*batched.sent), len(*single.sent))
-	}
-	for i := range *single.sent {
-		if (*single.sent)[i] != (*batched.sent)[i] {
-			t.Fatalf("fan-out %d diverged:\n batch %q\nsingle %q", i, (*batched.sent)[i], (*single.sent)[i])
-		}
-	}
-	sc := single.tier.Counters().Snapshot()
-	bc := batched.tier.Counters().Snapshot()
-	for _, k := range []string{"phase1", "phase2", "passthrough"} {
-		if sc[k] != bc[k] {
-			t.Fatalf("counter %s: batch %d != single %d", k, bc[k], sc[k])
-		}
-		if sc[k] == 0 {
-			t.Fatalf("test traffic should bump %s", k)
-		}
 	}
 }
 

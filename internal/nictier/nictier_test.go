@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -541,73 +540,6 @@ func BenchmarkNICTierKVSWarm100k(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(park.Microseconds())/float64(b.N), "park-us")
-}
-
-// TestKVSTierBatchMatchesPerDatagram drives the same traffic through
-// TryHandleDatagram and TryHandleBatch on identically warmed tiers: the
-// batch form (one epoch read per batch) must classify and answer
-// identically — hits served, misses and mutations falling through.
-func TestKVSTierBatchMatchesPerDatagram(t *testing.T) {
-	mkWarm := func() *nictier.KVSTier {
-		_, tier := warmKVSTier(t, func(st *kvs.ShardedStore) {
-			for i := 0; i < 8; i++ {
-				st.Set(fmt.Sprintf("k%d", i), kvs.Entry{Value: []byte(fmt.Sprintf("v%d", i))})
-			}
-		})
-		return tier
-	}
-
-	datagrams := [][]byte{
-		framedGet(2, "k3"),           // hit
-		framedGet(3, "missing"),      // miss -> host
-		[]byte("get k4\r\n"),         // raw hit
-		framedSet(4, "k1", "new"),    // write-through, falls through
-		framedDelete(5, "k2"),        // invalidate, falls through
-		[]byte("gets k0 k1\r\n"),     // multiget passthrough
-		[]byte("\x00\x02\x03broken"), // malformed passthrough
-	}
-
-	single := mkWarm()
-	type result struct {
-		out           []byte
-		served, reply bool
-	}
-	var want []result
-	scratch := make([]byte, 0, 4096)
-	for _, dg := range datagrams {
-		out, served, reply := single.TryHandleDatagram(dg, netip.AddrPort{}, &scratch)
-		want = append(want, result{out: append([]byte(nil), out...), served: served, reply: reply})
-	}
-
-	batched := mkWarm()
-	items := make([]*dataplane.BatchItem, len(datagrams))
-	for i, dg := range datagrams {
-		s := make([]byte, 0, 4096)
-		items[i] = &dataplane.BatchItem{In: dg, Scratch: &s}
-	}
-	batched.TryHandleBatch(items)
-	for i, it := range items {
-		if it.Served != want[i].served {
-			t.Fatalf("datagram %d (%q): batch served=%v, single served=%v", i, datagrams[i], it.Served, want[i].served)
-		}
-		wantOut := ""
-		if want[i].served && want[i].reply {
-			wantOut = string(want[i].out)
-		}
-		if string(it.Out) != wantOut {
-			t.Fatalf("datagram %d (%q): batch reply %q, single reply %q", i, datagrams[i], it.Out, wantOut)
-		}
-	}
-	// Counters are flushed once per batch, so every one of them — not
-	// only the hits — must land where the per-datagram path puts it.
-	sc, bc := single.Counters().Snapshot(), batched.Counters().Snapshot()
-	if !reflect.DeepEqual(sc, bc) {
-		t.Fatalf("batch tier counters %v != single tier counters %v", bc, sc)
-	}
-	wantCounters := map[string]uint64{"l1_hit": 0, "l2_hit": 2, "miss": 1, "write_through": 2, "passthrough": 2, "warmed_entries": 8}
-	if !reflect.DeepEqual(sc, wantCounters) {
-		t.Fatalf("tier counters %v, want %v", sc, wantCounters)
-	}
 }
 
 // warmKVSTier returns a handler over a store preloaded by fill and its

@@ -1,21 +1,10 @@
 package paxos
 
 import (
-	"fmt"
 	"testing"
 
 	"incod/internal/dataplane"
 )
-
-// recordingSender captures fan-out as (destination, wire bytes) pairs so
-// two runs can be compared for byte identity in order.
-type recordingSender struct {
-	sent []string
-}
-
-func (r *recordingSender) send(to string, m Msg) {
-	r.sent = append(r.sent, to+"|"+string(Encode(m)))
-}
 
 func mkItems(datagrams [][]byte) []*dataplane.BatchItem {
 	items := make([]*dataplane.BatchItem, len(datagrams))
@@ -24,164 +13,6 @@ func mkItems(datagrams [][]byte) []*dataplane.BatchItem {
 		items[i] = &dataplane.BatchItem{In: dg, Scratch: &scratch}
 	}
 	return items
-}
-
-// acceptorTraffic is a mixed consensus workload: fresh votes, re-votes,
-// promises above and below accepted ballots, rejected 2As, non-acceptor
-// messages and garbage — spanning more than one batch chunk.
-func acceptorTraffic() [][]byte {
-	var dgs [][]byte
-	for i := 0; i < 70; i++ {
-		inst := uint64(i%9 + 1)
-		dgs = append(dgs, Encode(Msg{Type: MsgPhase2A, Instance: inst, Ballot: 5,
-			ClientID: uint16(i), Seq: uint64(i), ClientAddr: "client-1:9", Value: fmt.Appendf(nil, "cmd-%d", inst)}))
-	}
-	dgs = append(dgs,
-		Encode(Msg{Type: MsgPhase1A, Instance: 1, Ballot: 9}),                        // promise above the vote
-		Encode(Msg{Type: MsgPhase1A, Instance: 50, Ballot: 2}),                       // fresh promise
-		Encode(Msg{Type: MsgPhase2A, Instance: 50, Ballot: 1, Value: []byte("low")}), // below promised: nack
-		Encode(Msg{Type: MsgPhase2A, Instance: 50, Ballot: 2, Value: []byte("ok")}),  // accepted
-		Encode(Msg{Type: MsgPhase2A, Instance: 60, Ballot: 1}),                       // empty value vote
-		Encode(Msg{Type: MsgPhase2B, Instance: 1, Ballot: 5, NodeID: 2}),             // not for acceptors
-		Encode(Msg{Type: MsgClientRequest, Seq: 7, Value: []byte("x")}),              // not for acceptors
-		[]byte{1, 2, 3}, // short garbage
-	)
-	return dgs
-}
-
-// TestAcceptorHandleBatchMatchesSingle: the batch form (one lock per
-// chunk) must produce byte-identical replies, identical learner fan-out
-// and identical table state to the per-datagram form.
-func TestAcceptorHandleBatchMatchesSingle(t *testing.T) {
-	dgs := acceptorTraffic()
-
-	singleSent := &recordingSender{}
-	single := NewLiveAcceptor(3, []string{"l1", "l2"}, singleSent.send)
-	want := make([][]byte, len(dgs))
-	scratch := make([]byte, 0, 1024)
-	for i, dg := range dgs {
-		if out, ok := single.HandleDatagram(dg, &scratch); ok {
-			want[i] = append([]byte(nil), out...)
-		}
-	}
-
-	batchSent := &recordingSender{}
-	batch := NewLiveAcceptor(3, []string{"l1", "l2"}, batchSent.send)
-	items := mkItems(dgs)
-	batch.HandleBatch(items)
-
-	for i, it := range items {
-		if string(it.Out) != string(want[i]) {
-			t.Fatalf("datagram %d:\n batch reply %q\nsingle reply %q", i, it.Out, want[i])
-		}
-	}
-	if len(singleSent.sent) != len(batchSent.sent) {
-		t.Fatalf("fan-out length: batch %d != single %d", len(batchSent.sent), len(singleSent.sent))
-	}
-	for i := range singleSent.sent {
-		if singleSent.sent[i] != batchSent.sent[i] {
-			t.Fatalf("fan-out %d diverged:\n batch %q\nsingle %q", i, batchSent.sent[i], singleSent.sent[i])
-		}
-	}
-	st, bt := single.BeginHandoff(nil), batch.BeginHandoff(nil)
-	if st.Instances() != bt.Instances() || st.LastVoted() != bt.LastVoted() {
-		t.Fatalf("table state diverged: single (%d, %d) != batch (%d, %d)",
-			st.Instances(), st.LastVoted(), bt.Instances(), bt.LastVoted())
-	}
-}
-
-// learnerTraffic builds quorum streams: votes from three acceptors for a
-// run of instances (identical content per instance apart from NodeID,
-// like votes fanned out from one 2A), plus duplicates, a non-2B and
-// garbage.
-func learnerTraffic() [][]byte {
-	var dgs [][]byte
-	for inst := uint64(1); inst <= 40; inst++ {
-		for node := uint16(0); node < 3; node++ {
-			dgs = append(dgs, Encode(Msg{Type: MsgPhase2B, Instance: inst, Ballot: 4, VBallot: 4,
-				NodeID: node, ClientID: 7, Seq: inst, ClientAddr: "client-9:1", Value: fmt.Appendf(nil, "v-%d", inst)}))
-		}
-		// A duplicate vote after quorum: must be ignored identically.
-		dgs = append(dgs, Encode(Msg{Type: MsgPhase2B, Instance: inst, Ballot: 4, VBallot: 4,
-			NodeID: 1, ClientID: 7, Seq: inst, ClientAddr: "client-9:1", Value: fmt.Appendf(nil, "v-%d", inst)}))
-	}
-	dgs = append(dgs,
-		Encode(Msg{Type: MsgPhase1B, Instance: 1, NodeID: 0}), // not a vote
-		[]byte{9}, // garbage
-	)
-	return dgs
-}
-
-// TestLearnerHandleBatchMatchesSingle: folding a batch of 2Bs under one
-// lock must emit the same decisions, in order, as per-datagram folding.
-func TestLearnerHandleBatchMatchesSingle(t *testing.T) {
-	dgs := learnerTraffic()
-
-	singleSent := &recordingSender{}
-	single := NewLiveLearner(2, "", singleSent.send)
-	var scratch []byte
-	for _, dg := range dgs {
-		single.HandleDatagram(dg, &scratch)
-	}
-
-	batchSent := &recordingSender{}
-	batch := NewLiveLearner(2, "", batchSent.send)
-	batch.HandleBatch(mkItems(dgs))
-
-	if single.DecidedCount() != batch.DecidedCount() {
-		t.Fatalf("decided: batch %d != single %d", batch.DecidedCount(), single.DecidedCount())
-	}
-	if single.DecidedCount() != 40 {
-		t.Fatalf("decided %d of 40 instances", single.DecidedCount())
-	}
-	if len(singleSent.sent) != len(batchSent.sent) {
-		t.Fatalf("decision count: batch %d != single %d", len(batchSent.sent), len(singleSent.sent))
-	}
-	for i := range singleSent.sent {
-		if singleSent.sent[i] != batchSent.sent[i] {
-			t.Fatalf("decision %d diverged:\n batch %q\nsingle %q", i, batchSent.sent[i], singleSent.sent[i])
-		}
-	}
-}
-
-// TestLeaderHandleBatchMatchesSingle: a batch of client requests, gap
-// requests and fast-forward feedback must yield the same proposal stream
-// and next-instance state as the per-datagram path.
-func TestLeaderHandleBatchMatchesSingle(t *testing.T) {
-	var dgs [][]byte
-	for i := 0; i < 10; i++ {
-		dgs = append(dgs, Encode(Msg{Type: MsgClientRequest, ClientID: uint16(i), Seq: uint64(i),
-			ClientAddr: "client-2:7", Value: fmt.Appendf(nil, "req-%d", i)}))
-	}
-	dgs = append(dgs,
-		Encode(Msg{Type: MsgPhase2B, Instance: 30, LastVoted: 30, NodeID: 1}), // fast-forward
-		Encode(Msg{Type: MsgClientRequest, Seq: 99, Value: []byte("after")}),  // lands past the fast-forward
-		Encode(Msg{Type: MsgGapRequest, Instance: 12}),
-		[]byte{0},
-	)
-
-	singleSent := &recordingSender{}
-	single := NewLiveLeader(5, []string{"a1", "a2"}, singleSent.send)
-	var scratch []byte
-	for _, dg := range dgs {
-		single.HandleDatagram(dg, &scratch)
-	}
-
-	batchSent := &recordingSender{}
-	batch := NewLiveLeader(5, []string{"a1", "a2"}, batchSent.send)
-	batch.HandleBatch(mkItems(dgs))
-
-	if single.Next() != batch.Next() {
-		t.Fatalf("next instance: batch %d != single %d", batch.Next(), single.Next())
-	}
-	if len(singleSent.sent) != len(batchSent.sent) {
-		t.Fatalf("proposals: batch %d != single %d", len(batchSent.sent), len(singleSent.sent))
-	}
-	for i := range singleSent.sent {
-		if singleSent.sent[i] != batchSent.sent[i] {
-			t.Fatalf("proposal %d diverged:\n batch %q\nsingle %q", i, batchSent.sent[i], singleSent.sent[i])
-		}
-	}
 }
 
 // TestAcceptor2AZeroAlloc is the acceptance bar for the Paxos tentpole:

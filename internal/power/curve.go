@@ -152,6 +152,17 @@ var (
 	}
 )
 
+// LibpaxosRole is the §4.3 curve a libpaxos role is modeled on, on both
+// substrates: the leader's for the roles that originate proposals (leader,
+// client), the acceptor's for the roles that answer them (acceptor,
+// learner).
+func LibpaxosRole(role string) SoftwareCurve {
+	if role == "leader" || role == "client" {
+		return LibpaxosLeader
+	}
+	return LibpaxosAcceptor
+}
+
 // Crossover finds the lowest rate (kpps) in [0, limit] at which hw(R) <=
 // sw(R), by bisection over the monotone difference. It returns -1 if the
 // hardware never becomes cheaper within the limit.

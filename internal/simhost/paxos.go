@@ -21,10 +21,10 @@ import (
 // leader's curve was calibrated on client requests: the acceptors' 1B/2B
 // feedback, three times that rate, is neither counted nor shed.
 func Libpaxos(role string) *Model {
-	m := &Model{Curve: power.LibpaxosAcceptor}
+	m := &Model{Curve: power.LibpaxosRole(role)}
 	base := 120 * time.Microsecond
 	if role == "leader" {
-		m.Curve, base, m.Metered = power.LibpaxosLeader, 130*time.Microsecond, isClientRequest
+		base, m.Metered = 130*time.Microsecond, isClientRequest
 	}
 	m.HostTime = func(rng *rand.Rand, _ float64) time.Duration {
 		return base + expJitter(rng, 20*time.Microsecond)
