@@ -71,16 +71,21 @@
 // # Overload memory bound
 //
 // Every queued packet and every in-flight receive slot pins one
-// MaxDatagram-sized pooled buffer, so the engine's overload memory is
-// bounded by
+// MaxDatagram-sized pooled buffer, and an mmsg socket that takes
+// request trains stages the rest of a read's trains in one buffer of its
+// own, so the engine's overload memory is bounded by
 //
 //	Sockets*RxBatch*MaxDatagram + Shards*QueueDepth*MaxDatagram
+//	  + Sockets*RxBatch*MaxTrainBytes
 //
-// (the first term is zero in single-reader mode, where the lone reader
-// holds one buffer at a time). When a shard's queue is full the datagram
-// is dropped and counted, like a NIC ring overrun — backpressure never
+// (the first and last terms are zero in single-reader mode, where the
+// lone reader holds one buffer at a time). The last term counts only
+// mmsg sockets that take trains (gro_rx), which needs a MaxDatagram of
+// at least netio.MaxTrainBytes; the uring rung splits trains out of its
+// own provided buffers. When a shard's queue is full the datagram is
+// dropped and counted, like a NIC ring overrun — backpressure never
 // blocks a reader. Protocols with small datagrams (DNS) should pass
-// their own MaxDatagram to shrink both terms.
+// their own MaxDatagram to shrink all three terms.
 //
 // # Shared across both modes
 //

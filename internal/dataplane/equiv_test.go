@@ -13,7 +13,11 @@ package dataplane_test
 // counters. The node names each request's sender, so its replies are
 // compared request by request; on a socket the replies are compared per
 // window of outstanding requests, as a multiset, because a key-sharded
-// engine may answer two shards' requests in either order.
+// engine may answer two shards' requests in either order. The client of
+// a batched engine sends each window's runs of equal-size requests as
+// UDP_SEGMENT trains wherever netio.ProbeGSO passes, so those cells also
+// serve request trains: split by the socket where it takes UDP_GRO, by
+// the kernel where it does not.
 
 import (
 	"fmt"
@@ -66,10 +70,12 @@ type subject struct {
 
 // run is what one subject did with a row. replies holds the replies of
 // each window of requests, sorted; fan-out entries read "to|wire bytes".
+// rxTrains is set when the engine's sockets took request trains whole.
 type run struct {
 	replies  [][]string
 	fanOut   []string
 	counters string
+	rxTrains bool
 }
 
 // engineWindow is how many requests the client keeps outstanding.
@@ -141,6 +147,7 @@ func only(names ...string) []subject {
 // the reference.
 func matrix(t *testing.T, rows []workload, subjects []subject) {
 	ran, skipped, why := 0, 0, map[string]int{}
+	trainCells, perDatagram := 0, 0
 	for _, w := range rows {
 		t.Run(w.name, func(t *testing.T) {
 			perReq, ref := nodeRun(t, w, 0)
@@ -162,12 +169,21 @@ func matrix(t *testing.T, rows []workload, subjects []subject) {
 						return
 					}
 					want := windows(perReq, engineWindow)
-					compare(t, engineRun(t, w, s, want), want, ref)
+					got := engineRun(t, w, s, want)
+					compare(t, got, want, ref)
+					switch {
+					case s.rung == "":
+					case got.rxTrains:
+						trainCells++
+					default:
+						perDatagram++
+					}
 				})
 			}
 		})
 	}
-	t.Logf("%d cells run, %d skipped %v", ran, skipped, why)
+	t.Logf("%d cells run, %d skipped %v; of the batched ones %d took request trains, %d served per datagram",
+		ran, skipped, why, trainCells, perDatagram)
 }
 
 // unavailable names why the subject cannot run here, or returns "".
@@ -297,10 +313,11 @@ func nodeRun(t *testing.T, w workload, window time.Duration) ([][]byte, run) {
 
 // engineRun serves the script on a real engine over loopback, from one
 // client socket (one flow: the engine keeps its order), engineWindow
-// requests per WriteBatch; each window's replies are awaited before the
-// next goes out. The first window is queued on the sockets before the
-// engine starts, so its first read takes the whole window and the flush
-// has replies to coalesce however fast the engine wakes for later ones.
+// requests per WriteBatch, in trains where a batched engine can be sent
+// them; each window's replies are awaited before the next goes out. The
+// first window is queued on the sockets before the engine starts, so its
+// first read takes the whole window and the flush has replies to coalesce
+// however fast the engine wakes for later ones.
 func engineRun(t *testing.T, w workload, s subject, want [][]string) run {
 	var mu sync.Mutex
 	var r run
@@ -325,10 +342,14 @@ func engineRun(t *testing.T, w workload, s subject, want [][]string) run {
 	for i := range rx {
 		rx[i].Buf = make([]byte, 4096)
 	}
+	trains := s.rung != "" && netio.ProbeGSO() == nil
+	// Trains sent once the engine runs: by then every socket has decided
+	// whether it takes UDP_GRO (the mmsg rung does at its first read).
+	trainsSent := 0
 	for k, off := 0, 0; off < len(w.script); k, off = k+1, off+engineWindow {
-		var tx []netio.Message
-		for _, dg := range w.script[off:min(off+engineWindow, len(w.script))] {
-			tx = append(tx, netio.Message{Buf: dg, N: len(dg)})
+		tx, n := requests(w.script[off:min(off+engineWindow, len(w.script))], trains)
+		if k > 0 {
+			trainsSent += n
 		}
 		for len(tx) > 0 {
 			n, err := bc.WriteBatch(tx)
@@ -366,10 +387,56 @@ func engineRun(t *testing.T, w workload, s subject, want [][]string) run {
 
 	st := e.Snapshot()
 	checkTransport(t, s, st, slices.ContainsFunc(want, func(w []string) bool { return len(w) > 0 }))
+	checkRxTrains(t, st, w.cfg, trainsSent)
 	mu.Lock()
 	defer mu.Unlock()
 	r.counters = counters(h, tier, w.lit, st.Offloaded, len(r.fanOut))
+	r.rxTrains = st.RxTrains > 0
 	return r
+}
+
+// requests packs a window's requests into one write batch: with trains
+// set, each run of equal-size requests goes as one UDP_SEGMENT train. It
+// returns the batch and how many trains it holds.
+func requests(dgs [][]byte, trains bool) ([]netio.Message, int) {
+	var ms []netio.Message
+	n := 0
+	for i := 0; i < len(dgs); {
+		j := i + 1
+		for trains && j < len(dgs) && j-i < netio.MaxTrainSegs && len(dgs[j]) == len(dgs[i]) && len(dgs[i]) > 0 {
+			j++
+		}
+		if j-i == 1 {
+			ms = append(ms, netio.Message{Buf: dgs[i], N: len(dgs[i])})
+		} else {
+			buf := slices.Concat(dgs[i:j]...)
+			ms = append(ms, netio.Message{Buf: buf, N: len(buf), SegSize: len(dgs[i])})
+			n++
+		}
+		i = j
+	}
+	return ms, n
+}
+
+// checkRxTrains holds the engine's sockets to the receive-train rules: a
+// socket takes UDP_GRO only where its rung can (uring, or mmsg whose
+// slots hold the largest train), one that does must have seen the trains
+// sent to it arrive coalesced, and no train of these scripts is ever cut.
+func checkRxTrains(t *testing.T, st dataplane.Stats, cfg dataplane.Config, trainsSent int) {
+	t.Helper()
+	smallSlots := cfg.MaxDatagram > 0 && cfg.MaxDatagram < netio.MaxTrainBytes
+	if st.GRORx && (st.Backend == "single" || st.Backend == "mmsg" && smallSlots) {
+		t.Fatalf("a %s socket with %d-byte slots took UDP_GRO", st.Backend, cfg.MaxDatagram)
+	}
+	if !st.GRORx && st.RxTrains > 0 {
+		t.Fatalf("%d request trains arrived coalesced at sockets that report gro_rx=false", st.RxTrains)
+	}
+	if st.GRORx && trainsSent > 0 && st.RxTrains == 0 {
+		t.Fatalf("%d request trains sent to GRO sockets, none arrived coalesced (stats %+v)", trainsSent, st)
+	}
+	if st.RxCutSegs > 0 {
+		t.Fatalf("%d request datagrams cut from their trains", st.RxCutSegs)
+	}
 }
 
 // checkTransport holds the engine to the rung it was built on: the

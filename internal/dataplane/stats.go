@@ -122,6 +122,19 @@ type Stats struct {
 	RingSends      uint64  `json:"ring_sends,omitempty"`
 	SendZC         uint64  `json:"sendzc,omitempty"`
 
+	// Receive-train telemetry, summed across the per-shard transports.
+	// GRORx reports whether every shard's socket takes UDP_GRO trains: the
+	// uring rung wherever the kernel does, the mmsg rung where in addition
+	// MaxDatagram holds the largest train. RxTrains counts trains that
+	// arrived coalesced (RxSegsPerTrain the datagrams each carried on
+	// average), RxCutSegs datagrams of theirs never delivered because the
+	// receive buffer cut the train. A paced sender's datagrams arrive one
+	// by one, so only these say whether trains came in.
+	GRORx          bool    `json:"gro_rx"`
+	RxTrains       uint64  `json:"rx_trains,omitempty"`
+	RxSegsPerTrain float64 `json:"rx_segs_per_train,omitempty"`
+	RxCutSegs      uint64  `json:"rx_cut_segs,omitempty"`
+
 	// Offload tier telemetry. TierActive reports whether a fast path is
 	// installed right now; the remaining fields describe the most
 	// recently installed tier (lifetime counters survive a shift back to
@@ -155,7 +168,14 @@ func (e *Engine) Snapshot() Stats {
 		st.Sockets = len(e.bconns)
 		st.RxBatch = e.cfg.RxBatch
 		st.TxBatch = e.cfg.TxBatch
+		st.GRORx = true
+		var rxSegs uint64
 		for _, bc := range e.bconns {
+			rs, ok := netio.RxStatsOf(bc)
+			st.GRORx = st.GRORx && ok && rs.GRO
+			st.RxTrains += rs.Trains
+			rxSegs += rs.TrainSegs
+			st.RxCutSegs += rs.CutSegs
 			if us, ok := netio.UringStatsOf(bc); ok {
 				st.RingEntries = us.RingEntries
 				st.BufRingSize = us.BufRingSize
@@ -175,6 +195,9 @@ func (e *Engine) Snapshot() Stats {
 		st.GSOTx = e.gsoTx
 		if st.TxTrains > 0 {
 			st.TxSegsPerTrain = float64(st.TxTrainSegs) / float64(st.TxTrains)
+		}
+		if st.RxTrains > 0 {
+			st.RxSegsPerTrain = float64(rxSegs) / float64(st.RxTrains)
 		}
 	}
 	for i, s := range e.shards {

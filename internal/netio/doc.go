@@ -13,18 +13,19 @@
 //	        first waits on it, see below). A Message marked as a train
 //	        (SegSize set) carries a UDP_SEGMENT cmsg on its slot of the
 //	        sendmmsg vector, so one syscall can push a whole batch of
-//	        trains — kernel segmentation fans each back into datagrams
-//	        at delivery. Linux only; the default.
+//	        trains. The socket takes UDP GRO when its receive slots hold
+//	        the largest train, so a GSO sender's train arrives as one
+//	        slot's worth that the conn splits back into per-datagram
+//	        Messages (see Receive trains). Linux only; the default.
 //	uring   receive side rebuilt around io_uring: one multishot RECVMSG
 //	        stays armed on the socket, the kernel delivers each datagram
 //	        into a registered provided-buffer ring and posts a
 //	        completion, and a loaded socket is drained from mmap'd
 //	        memory with no receive syscall at steady state. The socket
-//	        also opts into UDP GRO, so a GSO sender's whole train lands
-//	        as one coalesced completion that the conn splits back into
-//	        per-datagram Messages — kernel cost per train, not per
-//	        datagram. Transmit splits by shape: plain datagrams flush
-//	        through the inline sendmmsg path shared with the mmsg rung
+//	        always opts into UDP GRO, so a GSO sender's whole train lands
+//	        as one coalesced completion, split the same way. Transmit
+//	        splits by shape: plain datagrams flush through the inline
+//	        sendmmsg path shared with the mmsg rung
 //	        (profiles show SENDMSG SQEs costing ~40% more than sendmmsg
 //	        for single UDP sends), while trains ride the ring as
 //	        SENDMSG SQEs — the per-SQE cost amortizes across every
@@ -81,17 +82,50 @@
 // tx_segs_per_train, gso_tx_fallbacks, ring_sends) never overstate what
 // the kernel did.
 //
+// # Receive trains: GRO on the receive side
+//
+// A socket with UDP_GRO set takes a GSO sender's train as one payload
+// with its segment size in a cmsg: one queue entry, one wake-up and one
+// copy per train. ReadBatch still returns one Message per datagram, so
+// the BatchConn contract does not change; both batched rungs keep it
+// through one trainSplitter.
+//
+// The splitter owns each received payload until its last datagram has
+// left. It hands datagrams out in arrival order and stops when the
+// caller's slots are full; the rest go out at the next ReadBatch,
+// before any new syscall. A payload's buffer stays claimed until then,
+// and a release hook hands it back: the uring rung recycles the
+// provided buffer to the ring. A train longer than its buffer is cut by
+// the kernel, so the rungs ask for the payload's full length (MSG_TRUNC
+// on recvmmsg, payloadlen on an io_uring completion). The splitter then
+// delivers only the segments that arrived whole and counts the rest in
+// RxStats.CutSegs; no fragment is ever handed out as a datagram.
+//
+// Who takes trains is decided, not configured. The uring rung sets
+// UDP_GRO wherever the kernel takes it. The mmsg rung sets it at its
+// first ReadBatch, and only when every slot holds the largest train
+// (MaxTrainBytes): the daemons' 64 KiB MaxDatagram does, incdnsd's 4 KiB
+// does not, and with smaller slots the kernel keeps splitting trains
+// before they are queued, so none is cut. recvmmsg still writes into the
+// caller's slots, with one control buffer per slot. Entries before a
+// read's first train stay where they are, so a paced reader's path is
+// the plain one. From the first train on, entries are copied into one
+// staging buffer the conn owns and handed out by the splitter: at most
+// RxBatch × MaxTrainBytes per socket. RxStats (via RxStatsOf) reports
+// whether the socket takes GRO and the trains, datagrams and cut
+// datagrams it saw, as /v1/dataplane's gro_rx, rx_trains,
+// rx_segs_per_train and rx_cut_segs.
+//
 // # Ownership rules (uring)
 //
 // The provided-buffer ring and its data slab belong to the conn: the
-// kernel picks a buffer per completion, the conn parses it and copies
-// the payload out into the caller's Message.Buf during ReadBatch, then
-// recycles the buffer to the ring. A GRO-coalesced completion holds a
-// whole train; its buffer stays claimed until every segment has been
-// delivered (possibly across ReadBatch calls). A starved ring (every
-// buffer claimed by undelivered completions) kills the multishot with
-// ENOBUFS; the conn re-arms it once delivery recycles buffers and
-// counts the event in UringStats.Resubmits / Starved.
+// kernel picks a buffer per completion, the conn parses it, queues it
+// on the splitter, and the splitter copies the payload out into the
+// caller's Message.Buf during ReadBatch and recycles the buffer. A
+// starved ring (every buffer claimed by undelivered completions) kills
+// the multishot with ENOBUFS; the conn re-arms it once delivery
+// recycles buffers and counts the event in UringStats.Resubmits /
+// Starved.
 //
 // On transmit the caller's buffers are free the moment WriteBatch
 // returns, whichever path a Message took. Plain datagrams flush
@@ -163,16 +197,14 @@
 //
 // A generator marks its trains per send through Message.SegSize, as the
 // engine's reply path does (benchmark/'s generator is the one in use):
-// one send carries a train the kernel segments at delivery, collapsing
-// the dominant per-datagram send cost to per-train. Paired with a
-// GRO-enabled uring server the whole loopback path — send syscall,
-// socket delivery, wakeup, completion — runs once per train; the
+// one send carries a train, collapsing the dominant per-datagram send
+// cost to per-train. Paired with a server socket that takes GRO (uring,
+// or mmsg with train-sized slots) the whole loopback path — send
+// syscall, socket delivery, wakeup, receive copy — runs once per train.
+// Without GRO the kernel segments the train on delivery, and on loopback
+// that work runs in the sender's softirq, on the sender's CPU. The
 // server's reply side builds trains too (every batched engine on mmsg or
-// uring where ProbeGSO passes), so the return direction matches, and
-// neither end of the connection pays per-datagram kernel cost anywhere.
-// An mmsg server still receives per datagram: UDP_GRO there would need
-// a splitter copying out of conn-owned buffers, and a GRO train longer
-// than the engine's MaxDatagram would be cut by the kernel.
+// uring where ProbeGSO passes), so the return direction matches.
 //
 // Everything here uses the standard library's syscall package only.
 package netio

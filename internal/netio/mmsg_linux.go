@@ -28,8 +28,9 @@ type mmsgScratch struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrAny
-	// ctrls holds one gsoCtrlSpace-byte control buffer per slot, used
-	// only by messages marked as GSO trains.
+	// ctrls holds one gsoCtrlSpace-byte control buffer per slot: a
+	// train's UDP_SEGMENT cmsg on transmit, the UDP_GRO cmsg on a receive
+	// socket that takes trains.
 	ctrls []byte
 }
 
@@ -65,6 +66,15 @@ const ownWaitBudget = 100 * time.Microsecond
 // kernel wakes the worker itself. An idle socket, a wait that timed out
 // and every other reader park in the netpoller as before, so deadlines
 // and Close keep their semantics, late by at most one budget.
+//
+// The socket takes UDP_GRO trains when the kernel does and the slots of
+// the first ReadBatch each hold the largest train (MaxTrainBytes); with
+// smaller slots it keeps receiving per datagram, so no train is ever cut
+// that a GRO-less socket would have delivered whole. recvmmsg still
+// writes into the caller's slots. Entries before a read's first train
+// stay there; from that train on, entries are copied into stage and
+// handed out through split, one Message per datagram, and what does not
+// fit in ms goes out at the next ReadBatch without a syscall.
 type mmsgConn struct {
 	udp *net.UDPConn
 	rc  syscall.RawConn
@@ -73,14 +83,22 @@ type mmsgConn struct {
 	tx  mmsgScratch
 	txc txCounters
 
+	// Receive trains, the reader's (under rx.mu): groDecided is set by the
+	// first ReadBatch, split.st.gro when the socket took UDP_GRO.
+	groDecided bool
+	split      trainSplitter
+	stage      []byte
+
 	// owned and armed (the previous read returned data) belong to the
 	// reader goroutine; deadline mirrors the read deadline in unix ns, 0
 	// for none. budget is ownWaitBudget outside tests; threadWaits and
-	// parks count the two ways of waiting, for the tests.
+	// parks count the two ways of waiting, and recvs the recvmmsg calls,
+	// for the tests.
 	owned, armed       bool
 	budget             time.Duration
 	deadline           atomic.Int64
 	threadWaits, parks atomic.Uint64
+	recvs              uint64
 }
 
 // newMmsgConn returns the recvmmsg/sendmmsg implementation when pc is a
@@ -150,6 +168,48 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 	}
 	c.rx.mu.Lock()
 	defer c.rx.mu.Unlock()
+	// Datagrams an earlier read had no room for go first, with no
+	// syscall; handing them out is a productive read like any other.
+	if c.split.pending() {
+		if n := c.split.deliver(ms); n > 0 {
+			c.armed = true
+			return n, nil
+		}
+	}
+	if !c.groDecided {
+		c.decideGRO(ms)
+	}
+	for {
+		n, err := c.recv(ms)
+		c.armed = n > 0
+		if n > 0 || err != nil {
+			return n, err
+		}
+		// Every entry was a train its slot cut to nothing: read again.
+	}
+}
+
+// decideGRO turns UDP_GRO on when every slot holds the largest train and
+// the kernel takes the option.
+func (c *mmsgConn) decideGRO(ms []Message) {
+	c.groDecided = true
+	for i := range ms {
+		if len(ms[i].Buf) < MaxTrainBytes {
+			return
+		}
+	}
+	var err error
+	if cerr := c.rc.Control(func(fd uintptr) {
+		err = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
+	}); cerr == nil && err == nil {
+		c.split.st.gro.Store(true)
+	}
+}
+
+// recv is one recvmmsg into ms's slots, waiting as the package comment
+// says, and returns the datagrams it filled ms with.
+func (c *mmsgConn) recv(ms []Message) (int, error) {
+	gro := c.split.st.gro.Load()
 	c.rx.ensure(len(ms))
 	for i := range ms {
 		iov := &c.rx.iovs[i]
@@ -162,18 +222,28 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 			Iov:     iov,
 		}
 		h.hdr.Iovlen = 1
+		if gro {
+			h.hdr.Control = &c.rx.ctrls[i*groCtrlSpace]
+			h.hdr.SetControllen(groCtrlSpace)
+		}
 		h.n = 0
+	}
+	// With GRO, MSG_TRUNC makes each entry's length the payload's length
+	// on the wire, so a train its slot cut is seen as cut.
+	flags := syscall.MSG_DONTWAIT
+	if gro {
+		flags |= syscall.MSG_TRUNC
 	}
 	var n int
 	var operr syscall.Errno
 	// At most one on-thread wait, and only after a productive read.
 	onThread := c.owned && c.armed
-	c.armed = false
 	err := c.rc.Read(func(fd uintptr) bool {
 		for {
+			c.recvs++
 			r, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
 				uintptr(unsafe.Pointer(&c.rx.hdrs[0])), uintptr(len(ms)),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
+				uintptr(flags), 0, 0)
 			switch errno {
 			case 0:
 				n = int(r)
@@ -201,13 +271,58 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 	if operr != 0 {
 		return 0, operr
 	}
+	return c.splitRead(ms, n), nil
+}
+
+// splitRead turns n received entries into Messages. Entries before the
+// first train — every entry, without GRO — are already in their slots.
+// From the first train on, the entries are copied into stage and queued
+// on split, which then fills the slots from the train's own onwards.
+func (c *mmsgConn) splitRead(ms []Message, n int) int {
+	first := n
 	for i := 0; i < n; i++ {
-		ms[i].N = int(c.rx.hdrs[i].n)
+		full, seg := c.entry(i)
+		if seg > 0 && seg < full {
+			first = i
+			break
+		}
+		ms[i].N = min(full, len(ms[i].Buf))
 		ms[i].Src = sockaddrToAddrPort(&c.rx.names[i])
 	}
-	c.armed = n > 0
-	return n, nil
+	if first == n {
+		return n
+	}
+	size := 0
+	for i := first; i < n; i++ {
+		size += min(int(c.rx.hdrs[i].n), len(ms[i].Buf))
+	}
+	if cap(c.stage) < size {
+		c.stage = make([]byte, size)
+	}
+	off := 0
+	for i := first; i < n; i++ {
+		full, seg := c.entry(i)
+		got := copy(c.stage[off:], ms[i].Buf[:min(full, len(ms[i].Buf))])
+		c.split.push(c.stage[off:off+got], full, seg, sockaddrToAddrPort(&c.rx.names[i]), 0)
+		off += got
+	}
+	return first + c.split.deliver(ms[first:])
 }
+
+// entry reads received entry i: its length (on the wire with GRO's
+// MSG_TRUNC, as copied without) and its UDP_GRO segment size, 0 for a
+// plain datagram.
+func (c *mmsgConn) entry(i int) (full, seg int) {
+	h := &c.rx.hdrs[i]
+	if cl := int(h.hdr.Controllen); cl > 0 {
+		ctrl := c.rx.ctrls[i*groCtrlSpace:]
+		seg = parseGROSegSize(ctrl[:min(cl, groCtrlSpace)])
+	}
+	return int(h.n), seg
+}
+
+// RxStats implements RxStatser.
+func (c *mmsgConn) RxStats() RxStats { return c.split.st.snapshot() }
 
 func (c *mmsgConn) WriteBatch(ms []Message) (int, error) {
 	return writeBatchGSO(c.rc, &c.tx, &c.txc, ms, c.ip4)

@@ -237,6 +237,55 @@ func TestMmsgWaitIdleOwnedReaderParks(t *testing.T) {
 	})
 }
 
+// A read served wholly from the segments an earlier read had no room for
+// makes no syscall, and it is a productive read: an owned reader's next
+// wait is on its thread.
+func TestMmsgWaitPendingGROSegments(t *testing.T) {
+	if err := ProbeGSO(); err != nil {
+		t.Skipf("no UDP_SEGMENT trains to send: %v", err)
+	}
+	bothReaders(t, func(t *testing.T, p *waitPair, owned bool) {
+		p.ms = mkMsgs(4, MaxTrainBytes) // slots that hold a train: the first read turns GRO on
+		p.readOne()
+		if !p.c.RxStats().GRO {
+			t.Skip("the kernel does not take UDP_GRO")
+		}
+		train, want := trainOf("wait", 6, 8, 0)
+		sender := NewBatchConn(p.client.(*net.UDPConn))
+		if _, err := sender.WriteBatch([]Message{train}); err != nil {
+			t.Fatal(err)
+		}
+		_ = p.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var got []string
+		for _, wantN := range []int{4, 2} {
+			recvs := p.c.recvs
+			n, err := p.c.ReadBatch(p.ms)
+			if n != wantN || err != nil {
+				t.Fatalf("ReadBatch = %d, %v; want %d, nil", n, err, wantN)
+			}
+			if wantN == 2 && p.c.recvs != recvs {
+				t.Errorf("the read served from pending segments made %d recvmmsg calls", p.c.recvs-recvs)
+			}
+			for _, m := range p.ms[:n] {
+				got = append(got, string(m.Buf[:m.N]))
+			}
+		}
+		sameDatagrams(t, got, want)
+		waits, parks := p.c.threadWaits.Load(), p.c.parks.Load()
+		_ = p.c.SetReadDeadline(time.Now().Add(2 * time.Millisecond))
+		if n, err := p.c.ReadBatch(p.ms); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("read of the drained socket = %d, %v; want 0, deadline exceeded", n, err)
+		}
+		waits, parks = p.c.threadWaits.Load()-waits, p.c.parks.Load()-parks
+		if owned && waits != 1 {
+			t.Errorf("owned reader: %d on-thread waits after the pending read, want 1", waits)
+		}
+		if !owned && (waits != 0 || parks == 0) {
+			t.Errorf("ordinary reader: %d on-thread waits, %d parks; want 0, >0", waits, parks)
+		}
+	})
+}
+
 func TestMmsgWaitPacedStreamPaths(t *testing.T) {
 	bothReaders(t, func(t *testing.T, p *waitPair, owned bool) {
 		// Each datagram is sent once the reader is waiting for it, and the

@@ -149,6 +149,50 @@ func (t *txCounters) snapshot() TxStats {
 	}
 }
 
+// RxStats is the receive side's GRO train telemetry, the mirror of
+// TxStats: what the socket took, not what was sent to it.
+type RxStats struct {
+	// GRO reports whether the socket takes UDP_GRO trains: the uring rung
+	// wherever the kernel does, the mmsg rung where in addition the
+	// receive slots hold the largest train.
+	GRO bool
+	// Trains counts payloads that arrived as one coalesced train of more
+	// than one datagram; TrainSegs counts the datagrams they carried.
+	Trains    uint64
+	TrainSegs uint64
+	// CutSegs counts datagrams of those trains that were never delivered
+	// because the receive buffer cut the train short of them.
+	CutSegs uint64
+}
+
+// RxStatser is implemented by conns that can take receive trains.
+type RxStatser interface{ RxStats() RxStats }
+
+// RxStatsOf reports bc's receive-train telemetry when its rung tracks
+// any.
+func RxStatsOf(bc BatchConn) (RxStats, bool) {
+	if r, ok := bc.(RxStatser); ok {
+		return r.RxStats(), true
+	}
+	return RxStats{}, false
+}
+
+// rxCounters is the atomic backing of RxStats: the packet path adds once
+// per train, a reader loads.
+type rxCounters struct {
+	gro                        atomic.Bool
+	trains, trainSegs, cutSegs atomic.Uint64
+}
+
+func (r *rxCounters) snapshot() RxStats {
+	return RxStats{
+		GRO:       r.gro.Load(),
+		Trains:    r.trains.Load(),
+		TrainSegs: r.trainSegs.Load(),
+		CutSegs:   r.cutSegs.Load(),
+	}
+}
+
 // singleConn is the portable fallback: one datagram per call, same
 // contract as the mmsg path.
 type singleConn struct {

@@ -24,8 +24,9 @@ type UringConfig struct {
 	Buffers int
 	// BufSize is the largest datagram accepted without truncation
 	// (default 64 KiB, the memcached UDP maximum). With GRO active it
-	// also bounds a coalesced GSO train, so undersizing it truncates
-	// bursts a GSO sender packs into one send.
+	// also bounds a coalesced GSO train: of a longer one only the
+	// segments that fit whole are delivered, and the rest are counted in
+	// RxStats.CutSegs.
 	BufSize int
 }
 
@@ -61,9 +62,6 @@ type UringStats struct {
 	// Starved counts ENOBUFS terminations specifically — the consumer
 	// fell more than BufRingSize datagrams behind the socket.
 	Starved uint64
-	// GRO reports whether receive-side UDP GRO is active on the socket
-	// (GSO trains arrive as one coalesced completion).
-	GRO bool
 	// SendErrors counts WriteBatch calls that returned an error from the
 	// sendmmsg transmit path (the same errors the mmsg rung surfaces).
 	SendErrors uint64

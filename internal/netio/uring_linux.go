@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/netip"
 	"os"
 	"runtime"
 	"sync"
@@ -171,24 +170,6 @@ const recvmsgOutSize = 16
 // RawSockaddrAny like the rest of this package.
 const nameSpace = int(unsafe.Sizeof(syscall.RawSockaddrAny{}))
 
-// groCtrlSpace is the control-message budget reserved per buffer when
-// UDP GRO is active: CMSG_SPACE(sizeof(int)) for the UDP_GRO
-// segment-size cmsg, the only control data this conn opts into.
-const groCtrlSpace = 24
-
-// pendingRecv is one parsed multishot completion whose provided buffer
-// is still claimed; delivery copies the payload out and recycles bid.
-// With GRO a completion may be a coalesced train: seg is the segment
-// size from the UDP_GRO cmsg (0 = plain datagram) and off tracks how far
-// delivery has consumed the payload across ReadBatch calls.
-type pendingRecv struct {
-	bid uint16
-	n   int
-	seg int
-	off int
-	src netip.AddrPort
-}
-
 // uringConn is the io_uring BatchConn. The ring carries the receive
 // direction and GSO-train sends; plain transmit goes through the
 // sendmmsg fast path on its own lock, so ReadBatch and WriteBatch still
@@ -239,19 +220,18 @@ type uringConn struct {
 	claimed    int // buffers held by pending completions
 	fence      atomic.Uint32
 
-	// Receive-side UDP GRO: when on, ctrlSpace bytes of each provided
-	// buffer hold the UDP_GRO cmsg and coalesced trains are split back
-	// into per-datagram Messages at delivery.
-	gro       bool
+	// Receive-side UDP GRO: when the socket takes it, ctrlSpace bytes of
+	// each provided buffer hold the UDP_GRO cmsg. Every completion is
+	// queued on split, which owns its buffer until the last datagram has
+	// been delivered and then hands it back through recycle.
 	ctrlSpace int
+	split     trainSplitter
 
 	// Multishot recv state. rcvHdr must stay reachable while armed.
-	rcvHdr      syscall.Msghdr
-	recvArmed   bool
-	everArmed   bool
-	recvErr     syscall.Errno
-	pending     []pendingRecv
-	pendingHead int
+	rcvHdr    syscall.Msghdr
+	recvArmed bool
+	everArmed bool
+	recvErr   syscall.Errno
 
 	// Transmit side: the reusable sendmmsg header vector, locked
 	// independently of the ring (mmsgScratch carries its own mutex) so
@@ -344,12 +324,12 @@ func NewUringConn(pc net.PacketConn, cfg UringConfig) (BatchConn, error) {
 
 	// Receive-side GRO: a GSO sender's whole train then arrives as one
 	// coalesced completion (one poll wake, one CQE, one copy) instead of
-	// one per datagram; deliver splits it back up using the UDP_GRO
-	// cmsg. Kernels without UDP_GRO just leave it off.
+	// one per datagram. Kernels without UDP_GRO just leave it off.
 	if syscall.SetsockoptInt(c.fd, solUDP, udpGRO, 1) == nil {
-		c.gro = true
+		c.split.st.gro.Store(true)
 		c.ctrlSpace = groCtrlSpace
 	}
+	c.split.release = c.recycle
 
 	ok = false
 	defer func() {
@@ -589,6 +569,9 @@ func (c *uringConn) armRecv() error {
 	sqe.fd = int32(c.fd)
 	sqe.addr = uint64(uintptr(unsafe.Pointer(&c.rcvHdr)))
 	sqe.len = 1
+	// MSG_TRUNC makes payloadlen the payload's length on the wire, so a
+	// completion its buffer cut is seen as cut.
+	sqe.opFlags = syscall.MSG_TRUNC
 	sqe.bufGroup = 0
 	sqe.userData = recvTag
 	c.recvArmed = true
@@ -715,83 +698,33 @@ func (c *uringConn) reapRecv(cqe *uringCQE) {
 	}
 	bid := uint16(cqe.flags >> cqeBufferShift)
 	base := c.slab[int(bid)*c.bufStride:]
-	payloadLen := int(binary.LittleEndian.Uint32(base[8:]))
+	// payloadlen is the payload's length on the wire, even when the
+	// buffer cut it; the splitter delivers only what arrived whole.
+	full := int(binary.LittleEndian.Uint32(base[8:]))
 	payloadOff := recvmsgOutSize + nameSpace + c.ctrlSpace
-	if payloadLen > c.bufStride-payloadOff {
-		payloadLen = c.bufStride - payloadOff // truncated oversize datagram
-	}
+	got := min(full, c.bufStride-payloadOff)
 	seg := 0
 	if controllen := int(binary.LittleEndian.Uint32(base[4:])); controllen > 0 {
 		seg = parseGROSegSize(base[recvmsgOutSize+nameSpace : recvmsgOutSize+nameSpace+min(controllen, c.ctrlSpace)])
 	}
 	src := sockaddrToAddrPort((*syscall.RawSockaddrAny)(unsafe.Pointer(&base[recvmsgOutSize])))
-	c.pending = append(c.pending, pendingRecv{bid: bid, n: payloadLen, seg: seg, src: src})
+	c.split.push(base[payloadOff:payloadOff+got], full, seg, src, bid)
 	c.claimed++
 }
 
-// parseGROSegSize walks the control region of a completion for the
-// UDP_GRO cmsg and returns its segment size (0 when absent: the payload
-// is one plain datagram). Layout per struct cmsghdr: u64 len, i32
-// level, i32 type, data, 8-byte aligned.
-func parseGROSegSize(ctrl []byte) int {
-	for len(ctrl) >= 16 {
-		clen := int(binary.LittleEndian.Uint64(ctrl))
-		if clen < 16 || clen > len(ctrl) {
-			return 0
-		}
-		level := int32(binary.LittleEndian.Uint32(ctrl[8:]))
-		typ := int32(binary.LittleEndian.Uint32(ctrl[12:]))
-		if level == solUDP && typ == udpGRO && clen >= 20 {
-			return int(int32(binary.LittleEndian.Uint32(ctrl[16:])))
-		}
-		adv := (clen + 7) &^ 7
-		if adv <= 0 || adv > len(ctrl) {
-			return 0
-		}
-		ctrl = ctrl[adv:]
-	}
-	return 0
+// recycle is the splitter's release hook: a provided buffer goes back to
+// the ring once its last datagram has been delivered.
+func (c *uringConn) recycle(bid uint16) {
+	c.provideBuf(bid)
+	c.claimed--
 }
 
-// deliver copies parsed completions into ms, recycling each provided
-// buffer as it goes, and returns the count. A GRO-coalesced completion
-// fans out into one Message per segment — the caller sees exactly the
-// datagrams the sender's GSO train carried; when ms fills mid-train the
-// remainder stays pending (its buffer claimed) for the next call.
+// deliver hands queued completions out through the splitter and
+// publishes the buffers it recycled.
 func (c *uringConn) deliver(ms []Message) int {
-	n := 0
-	for n < len(ms) && c.pendingHead < len(c.pending) {
-		p := &c.pending[c.pendingHead]
-		base := c.slab[int(p.bid)*c.bufStride+recvmsgOutSize+nameSpace+c.ctrlSpace:]
-		seg := p.seg
-		if seg <= 0 || seg > p.n {
-			seg = p.n
-		}
-		if p.n == 0 { // zero-length datagram: deliver one empty message
-			ms[n].N = 0
-			ms[n].Src = p.src
-			n++
-		}
-		for n < len(ms) && p.off < p.n {
-			end := min(p.off+seg, p.n)
-			m := &ms[n]
-			m.N = copy(m.Buf, base[p.off:end])
-			m.Src = p.src
-			p.off = end
-			n++
-		}
-		if p.off < p.n {
-			break // ms filled mid-train; resume here next call
-		}
-		c.pendingHead++
-		c.provideBuf(p.bid)
-		c.claimed--
-	}
-	if c.pendingHead == len(c.pending) {
-		c.pending = c.pending[:0]
-		c.pendingHead = 0
-	}
-	if n > 0 {
+	tail := c.bufTail
+	n := c.split.deliver(ms)
+	if c.bufTail != tail {
 		c.publishBufTail()
 	}
 	return n
@@ -841,14 +774,17 @@ func (c *uringConn) ReadBatch(ms []Message) (int, error) {
 			c.mu.Unlock()
 			return 0, err
 		}
-		if c.pendingHead < len(c.pending) {
+		if c.split.pending() {
 			n := c.deliver(ms)
 			// Recycling may have made a starved multishot armable again;
 			// queue and push it before handing data back. An arm error
 			// resurfaces on the next call — data first.
 			_ = c.rearmIfPossible()
 			c.mu.Unlock()
-			return n, nil
+			if n > 0 {
+				return n, nil
+			}
+			continue // only trains cut to nothing were queued
 		}
 		err := c.rearmIfPossible()
 		if err == nil && spins < readSpins {
@@ -870,7 +806,7 @@ func (c *uringConn) ReadBatch(ms []Message) (int, error) {
 			// enable produced no signal and would otherwise be slept on.
 			atomic.StoreUint32(c.kCQFlags, 0)
 			c.reap()
-			if c.pendingHead < len(c.pending) || c.recvErr != 0 {
+			if c.split.pending() || c.recvErr != 0 {
 				c.mu.Unlock()
 				continue // deliver (or surface the error) on the next pass
 			}
@@ -1070,6 +1006,9 @@ func (c *uringConn) flushSends() {
 // TxStats implements TxStatser.
 func (c *uringConn) TxStats() TxStats { return c.txc.snapshot() }
 
+// RxStats implements RxStatser.
+func (c *uringConn) RxStats() RxStats { return c.split.st.snapshot() }
+
 func (c *uringConn) SetReadDeadline(t time.Time) error {
 	if t.IsZero() {
 		c.deadline.Store(0)
@@ -1097,7 +1036,6 @@ func (c *uringConn) Stats() UringStats {
 	return UringStats{
 		RingEntries: int(c.sqEntries),
 		BufRingSize: c.nBufs,
-		GRO:         c.gro,
 		Resubmits:   c.resubmits,
 		Starved:     c.starved,
 		SendErrors:  c.sendErrs.Load(),
