@@ -15,64 +15,107 @@
 // under the batched dataplane the owning shard is the only writer and
 // the mutex is uncontended), and any number of lock-free readers.
 //
+// Entries and records. A slot is 32 bytes and holds no pointer: seq,
+// hash, a loc word (the record's ref plus empty/live/tombstone) and a
+// bits word (the CLOCK reference bit and expiry-seen). Everything else
+// about an entry is one record of 64-bit words in the partition's arena:
+// a header (flags, value length, key length), the expiry, then the key
+// and the value, each packed little-endian and zero-padded to a word.
+// The arena is a list of pointer-free chunks, allocated on first use,
+// each new one as large as all before it from 4 KiB up to 1 MiB, so an
+// idle or parked store holds none and the GC never scans one. Records come in 64 fixed size classes
+// about 1.25x apart (2 words to the largest record, a 255-byte key and a
+// 16 MiB value). An overwrite that keeps the class repacks the record in
+// place; one that changes it writes a record of the new class, re-points
+// the slot and frees the old one. Delete, eviction and Sweep free the
+// record too. A freed record goes on its class's free list, under the
+// writer mutex, and is only reused as a record of that class, so
+// steady-state churn allocates nothing and a warm copies record words
+// into records carved from the destination's own arena.
+//
+// The arena's bound. A class's free list is empty whenever a record of
+// the class is carved, so a partition never holds more records of class
+// c than the most entries of class c it has held at once. A chunk opens
+// only when the last one cannot fit the record being carved, so the
+// chunks hold less than twice the records' words plus the last chunk
+// (1 MiB at most, or the one oversized record it was opened for). Nothing
+// is released while the store lives: memory a burst of one class left
+// behind serves only that class again (the offload tier's Stage and Park
+// drop its whole store).
+//
 // Seqlock reads. Every slot carries a sequence counter: even means
 // stable, odd means a writer is mid-update. A writer brackets every
 // slot mutation with seq.Add(1) before and after; a reader snapshots
-// the seq, copies the header and value out, and only believes the copy
-// if the seq is unchanged and even afterwards. All shared slot fields
-// (including the value payload, packed into 64-bit words) are Go
-// atomics, so the race detector sees only synchronized accesses — the
-// seq exists to reject *mixed-version* copies, which individual atomic
-// word loads cannot rule out, not to establish happens-before.
+// the seq, reads the slot and copies the record's header and value out,
+// and only believes the copy if the seq is unchanged and even
+// afterwards. Slot fields and record words are all Go atomics, so the
+// race detector sees only synchronized accesses — the seq exists to
+// reject *mixed-version* copies, which individual atomic word loads
+// cannot rule out, not to establish happens-before.
 //
-// Publication order. A writer claiming a slot stores key, hash and
-// value while the seq is odd and flips the state to live only inside
-// the same bracket, so a reader either rejects the whole snapshot (seq
-// moved) or sees a fully published entry. Insert-time value arrays are
-// filled with atomic stores before the pointer to them is published.
+// Publication order. A new key's record is written completely before
+// the bracket in which the writer stores the slot's hash and, last, its
+// loc, so a reader either rejects the whole snapshot (seq moved) or
+// follows a loc to a complete record. A chunk joins the arena's
+// directory before any loc names a record in it, so every loc a reader
+// can load resolves.
 //
-// Why unvalidated probe steps are safe. A reader skips seq validation
-// when it walks past a slot, and that is linearizable in every case:
-// a hash/key mismatch on a live slot can only be wrong about a key
-// that a concurrent writer is removing or inserting right now (either
-// order is a legal serialization of a concurrent read); a tombstone
-// likewise only ever transitions under a concurrent delete/insert; and
-// tombstones retain their key/value pointers so a reader that loaded a
-// stale state never chases nil. Only two outcomes require validation —
-// returning a hit (the copied value must be one version) and returning
-// a miss at an empty slot (the probe's terminator must not be a
-// half-claimed insert).
+// Why a recycled record is safe. A reader may still hold a loc whose
+// record has been freed and reused — for this key's next value of
+// another class, or for another key. Three things keep that from being
+// served. Chunks are never released, so the stale loc still names
+// memory of the same class, and a reader never reads past its chunk.
+// Every path that frees a record first moves the seq of the slot that
+// pointed at it, so the reader's final validation fails and it retries.
+// And a key mismatch is validated too: after a hash match, a record that
+// now shows another key may sit under a slot that still holds this one,
+// and probing on would report a false miss.
+//
+// Why the other unvalidated probe steps are safe. A reader walks past a
+// hash mismatch and a tombstone without validating, and that is
+// linearizable: a live slot's hash changes only when the slot is claimed
+// for another key, and a tombstone only ever transitions under a
+// concurrent delete or insert — either order is a legal serialization of
+// a concurrent read. Returning a hit (the copied value must be one
+// version), a miss at an empty slot (the probe's terminator must not be
+// a half-claimed insert) and probing on past a key mismatch all
+// validate.
 //
 // Table generations. Growth and tombstone purges build a fresh slot
 // array, publish it through an atomic pointer, and then poison every
 // slot of the retired array by bumping its seq to odd, forever. The
-// poison is load-bearing: value word arrays alias between generations,
-// so a reader still probing the retired table must fail validation
-// before the writer mutates anything through the new one. A poisoned
-// read reloads the table pointer and re-probes.
+// poison is load-bearing: records alias between generations (a retired
+// slot and its copy name the same record), so a reader still probing the
+// retired table must fail validation before the writer mutates or frees
+// a record through the new one. A poisoned read reloads the table
+// pointer and re-probes.
 //
 // Table size follows contents: every partition, bounded or not, starts
 // at the minimum table and grows by generations, a bounded one no
-// further than 2*bound. FillFrom (the offload tier's warm-up) copies
-// store to store, slot to slot, under both partitions' writer mutexes;
-// the boxed keys it shares between the stores are immutable.
+// further than 2*bound. FillFrom (the offload tier's warm-up) first
+// sizes each destination table for exactly the entries it will receive —
+// the shape a store grown by Set to that count settles into — then
+// copies store to store, record to record, under both partitions'
+// writer mutexes.
 //
 // Eviction is CLOCK second-chance: a GET hit sets the slot's reference
-// bit with a plain atomic store (no list splice, no lock, and none at
-// all once the bit is set, so a hot entry's line stays clean), and the
+// bit with an atomic OR (no list splice, no lock, and no write at all
+// once the bit is set, so a hot entry's line stays clean), and the
 // writer's hand clears bits until it finds an unreferenced live entry
 // to tombstone. Entries are inserted with the bit clear, so an entry
 // earns its second chance on first touch.
 //
 // Expiry. Lock-free readers cannot remove entries, so a reader that
-// observes an entry expired reports a miss and CASes a once-flag that
-// charges the expiration stat exactly once; the entry itself stays (and
-// counts toward Len) until Sweep, running in the writer, reaps it.
+// observes an entry expired reports a miss and sets the slot's
+// expiry-seen bit, and whoever set it first charges the expiration stat,
+// exactly once; the entry itself stays (and counts toward Len) until
+// Sweep, running in the writer, reaps it.
 //
 // Hot keys. Each partition optionally feeds a space-saving top-K
-// sketch (telemetry.TopK) from sampled GET hits; ShardedStore.HotKeys
-// merges the per-partition sketches, which is exact because a key
-// lives in exactly one partition.
+// sketch (telemetry.TopK) from sampled GET hits, with the request's own
+// key bytes; the sketch copies a key into a reused per-slot buffer only
+// when it enters. ShardedStore.HotKeys merges the per-partition
+// sketches, which is exact because a key lives in exactly one partition.
 package kvs
 
 // MemcachedPort is the UDP port the card's packet classifier matches

@@ -1,7 +1,6 @@
 package kvs
 
 import (
-	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,39 +15,34 @@ import (
 // serialized by a per-partition mutex (the dataplane's shard affinity
 // means there is normally exactly one writer per partition anyway, and
 // the mutex keeps the store correct for arbitrary callers); readers use
-// a per-slot sequence counter to detect torn reads and retry. See doc.go
-// for the memory-model notes.
+// a per-slot sequence counter to detect torn reads and retry. Entries
+// live as records in the partition's arena (slab.go). See doc.go for the
+// memory-model notes.
 
-// Slot lifecycle states. A tombstone keeps its key/value pointers so a
-// concurrent reader that loaded the slot mid-transition never chases a
-// nil pointer; probes walk past tombstones, and a rehash purges them.
+// Slot states, the low two bits of a slot's loc word; above them a live
+// slot's loc holds its record's ref.
 const (
-	slotEmpty uint32 = iota // never written; terminates reader probes
+	slotEmpty uint64 = iota // never written; terminates reader probes
 	slotLive
-	slotTomb // deleted or evicted; probes continue past it
+	slotTomb  // deleted or evicted; probes continue past it
+	stateMask = 3
 )
 
-// valWords is a value payload packed into little-endian 64-bit words
-// (zero-padded tail) so readers can copy it with word-sized atomic
-// loads. Mixed-version copies are possible and are caught by the seq
-// validation, not by the loads themselves.
-type valWords []atomic.Uint64
+// Bits of a slot's bits word, set by readers with atomic ORs.
+const (
+	bitRef     = 1 // CLOCK reference bit; set on GET hit when bounded
+	bitExpSeen = 2 // set by whoever first sees the entry expired, who counts it
+)
 
-// slot is one table entry. Every field shared with lock-free readers is
-// atomic: the race detector then sees only synchronized accesses, and
-// the per-slot seq (even = stable, odd = write in progress or slot
-// retired by a rehash) is what guards against *mixed-version* reads.
+// slot is one table entry: 32 bytes, no pointers. Every field is atomic:
+// the race detector then sees only synchronized accesses, and the seq
+// (even = stable, odd = write in progress or slot retired by a rehash)
+// is what guards against *mixed-version* reads.
 type slot struct {
-	seq         atomic.Uint64
-	state       atomic.Uint32
-	ref         atomic.Uint32 // CLOCK reference bit; set on GET hit when bounded
-	hash        atomic.Uint64
-	key         atomic.Pointer[string]
-	val         atomic.Pointer[valWords]
-	vlen        atomic.Uint32
-	flags       atomic.Uint32
-	expires     atomic.Int64
-	expObserved atomic.Uint32 // 0->1 CAS when a reader first sees this entry expired
+	seq  atomic.Uint64
+	hash atomic.Uint64
+	loc  atomic.Uint64 // record ref << 2 | state
+	bits atomic.Uint64
 }
 
 // lfTable is one immutable-shape generation of a partition's table. The
@@ -87,9 +81,11 @@ type partition struct {
 	sampler atomic.Pointer[telemetry.TopK] // hot-key sketch, nil unless enabled
 	stats   partStats
 
-	// Writer-owned and cold, so kept off the lines readers share above.
+	// Writer-owned and cold, so kept off the lines readers share above
+	// (but for the arena's chunk directory, which they load).
 	maxSlots int // table size a bounded partition stops growing at, else 0
 	rehashes int // table generations built so far
+	slab     arena
 }
 
 const minTableSlots = 64
@@ -109,48 +105,6 @@ func newPartition(maxEntries int) *partition {
 	return p
 }
 
-// eqBytesString compares a byte-slice key to a stored string key without
-// allocating. Explicit loop: the read path must not depend on the
-// compiler recognizing a string-conversion comparison idiom.
-func eqBytesString(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		if b[i] != s[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// storeWords packs b into w (little-endian, zero-padded tail) with
-// atomic stores, so a concurrent reader's word loads are synchronized;
-// the writer's surrounding seq bracket is what makes the copy appear
-// whole.
-func storeWords(w valWords, b []byte) {
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		w[i>>3].Store(binary.LittleEndian.Uint64(b[i:]))
-	}
-	if i < len(b) {
-		var tmp [8]byte
-		copy(tmp[:], b[i:])
-		w[i>>3].Store(binary.LittleEndian.Uint64(tmp[:]))
-	}
-}
-
-// appendWords appends the first vlen bytes of w to dst.
-func appendWords(dst []byte, w *valWords, vlen int) []byte {
-	base := len(dst)
-	var tmp [8]byte
-	for i := 0; i < (vlen+7)>>3; i++ {
-		binary.LittleEndian.PutUint64(tmp[:], (*w)[i].Load())
-		dst = append(dst, tmp[:]...)
-	}
-	return dst[:base+vlen]
-}
-
 // read resolves key (with precomputed hash) at virtual time now without
 // acquiring any lock. On a hit it appends either the raw value bytes or,
 // with encode set, the full memcached "VALUE ... END" reply to dst.
@@ -161,7 +115,9 @@ func appendWords(dst []byte, w *valWords, vlen int) []byte {
 //     was retired; reload the table pointer and restart the probe
 //   - empty slot     -> validate seq, then miss
 //   - tombstone      -> continue probing, no validation needed
-//   - hash/key mismatch -> continue probing, no validation needed
+//   - hash mismatch  -> continue probing, no validation needed
+//   - key mismatch   -> validate seq, then continue probing: the record
+//     may have been recycled under a slot that still holds this key
 //   - matching live  -> copy header+value, then validate seq; a moved
 //     seq means the copy may be torn, so drop it and restart
 func (p *partition) read(dst []byte, key []byte, hash uint64, now simnet.Time, encode bool) (out []byte, flags uint32, expires int64, ok bool) {
@@ -184,7 +140,7 @@ retry:
 			if seq&1 != 0 {
 				continue retry
 			}
-			switch s.state.Load() {
+			switch loc := s.loc.Load(); loc & stateMask {
 			case slotEmpty:
 				if s.seq.Load() != seq {
 					continue retry
@@ -194,49 +150,47 @@ retry:
 				if s.hash.Load() != hash {
 					break // different key; keep probing
 				}
-				kp := s.key.Load()
-				if kp == nil {
-					continue retry // mid-claim; seq will have moved
+				r := p.slab.rec(loc >> 2)
+				h := r[0].Load()
+				klen, vlen := lengths(h)
+				if recordWords(klen, vlen) > len(r) {
+					continue retry // cannot happen at a stable seq; never read past the chunk
 				}
-				if !eqBytesString(key, *kp) {
+				if klen != len(key) || !keyIs(r[recHeader:], key) {
+					if s.seq.Load() != seq {
+						continue retry // recycled record: the slot may still hold key
+					}
 					break
 				}
-				exp := s.expires.Load()
+				exp := int64(r[1].Load())
 				if exp != 0 && int64(now) >= exp {
 					if s.seq.Load() != seq {
 						continue retry
 					}
 					// Readers cannot reap; count the expiration once
 					// and leave the entry for Sweep.
-					if s.expObserved.CompareAndSwap(0, 1) {
+					if s.bits.Or(bitExpSeen)&bitExpSeen == 0 {
 						p.stats.expirations.Add(1)
 					}
 					return out, 0, 0, false
 				}
-				fl := s.flags.Load()
-				vl := int(s.vlen.Load())
-				vp := s.val.Load()
-				if (vp == nil && vl > 0) || (vp != nil && (vl+7)>>3 > len(*vp)) {
-					continue retry // torn header/value pair
-				}
+				fl := uint32(h)
 				if encode {
-					out = memcache.AppendValueHeader(out, key, fl, vl)
+					out = memcache.AppendValueHeader(out, key, fl, vlen)
 				}
-				if vl > 0 {
-					out = appendWords(out, vp, vl)
-				}
+				out = appendWords(out, r[recHeader+(klen+7)>>3:], vlen)
 				if encode {
 					out = append(out, "\r\nEND\r\n"...)
 				}
 				if s.seq.Load() != seq {
 					continue retry // torn value copy; drop and redo
 				}
-				h := p.stats.hits.Add(1)
-				if p.maxEntries > 0 && s.ref.Load() == 0 {
-					s.ref.Store(1) // CLOCK touch; a hot entry's line stays clean
+				hits := p.stats.hits.Add(1)
+				if p.maxEntries > 0 && s.bits.Load()&bitRef == 0 {
+					s.bits.Or(bitRef) // CLOCK touch; a hot entry's line stays clean
 				}
-				if sam := p.sampler.Load(); sam != nil && h&hotSampleMask == 0 {
-					sam.Observe(hash, *kp)
+				if sam := p.sampler.Load(); sam != nil && hits&hotSampleMask == 0 {
+					sam.ObserveBytes(hash, key)
 				}
 				return out, fl, exp, true
 			case slotTomb:
@@ -255,14 +209,14 @@ retry:
 // pays the sketch scan on every 8th hit.
 const hotSampleMask = 7
 
-// findForWrite probes for key under the writer lock: the live slot that
-// holds it (expired or not), or else the first reusable slot on its
+// findForWrite probes t for key under the writer lock: the live slot
+// that holds it (expired or not), or else the first reusable slot on its
 // probe path (nil when the table is all live and tombstones).
-func (t *lfTable) findForWrite(hash uint64, keyB []byte, keyS string, useB bool) (existing, claim *slot) {
+func (p *partition) findForWrite(t *lfTable, hash uint64, key []byte) (existing, claim *slot) {
 	idx := hash & t.mask
 	for range t.slots {
 		s := &t.slots[idx]
-		switch s.state.Load() {
+		switch loc := s.loc.Load(); loc & stateMask {
 		case slotEmpty:
 			if claim == nil {
 				claim = s
@@ -274,8 +228,8 @@ func (t *lfTable) findForWrite(hash uint64, keyB []byte, keyS string, useB bool)
 			}
 		case slotLive:
 			if s.hash.Load() == hash {
-				kp := s.key.Load()
-				if useB && eqBytesString(keyB, *kp) || !useB && *kp == keyS {
+				r := p.slab.rec(loc >> 2)
+				if klen, _ := lengths(r[0].Load()); klen == len(key) && keyIs(r[recHeader:], key) {
 					return s, nil
 				}
 			}
@@ -285,70 +239,45 @@ func (t *lfTable) findForWrite(hash uint64, keyB []byte, keyS string, useB bool)
 	return nil, claim
 }
 
-// overwrite updates a live slot's payload in place. The seq bracket
-// (odd while mutating) forces concurrent readers of this slot to retry.
-func (p *partition) overwrite(s *slot, e Entry) {
-	nw := (len(e.Value) + 7) >> 3
-	s.seq.Add(1) // -> odd
-	vp := s.val.Load()
-	switch {
-	case vp == nil || nw > cap(*vp):
-		nv := make(valWords, nw)
-		storeWords(nv, e.Value)
-		s.val.Store(&nv)
-	case nw != len(*vp):
-		w := (*vp)[:nw]
-		storeWords(w, e.Value)
-		s.val.Store(&w)
-	default:
-		// Same word count: repack in place, zero allocations — the
-		// steady-state overwrite path.
-		storeWords(*vp, e.Value)
+// overwrite updates a live slot's entry. A value that keeps the record's
+// class is repacked in place inside the seq bracket (odd while mutating),
+// which forces concurrent readers of this slot to retry; otherwise a
+// record of the new class is written first, the slot re-pointed inside
+// the bracket, and the old record freed.
+func (p *partition) overwrite(s *slot, key []byte, e Entry) {
+	ref := s.loc.Load() >> 2
+	r := p.slab.rec(ref)
+	had := recordWords(lengths(r[0].Load()))
+	need := recordWords(len(key), len(e.Value))
+	if need == had || classOf(need) == classOf(had) {
+		// The steady-state overwrite: zero allocations.
+		s.seq.Add(1) // -> odd
+		r[0].Store(header(e.Flags, len(key), len(e.Value)))
+		r[1].Store(uint64(e.Expires))
+		storeWords(r[recHeader+(len(key)+7)>>3:], e.Value)
+		s.bits.And(^uint64(bitExpSeen))
+		s.seq.Add(1) // -> even, new generation
+		return
 	}
-	s.vlen.Store(uint32(len(e.Value)))
-	s.flags.Store(e.Flags)
-	s.expires.Store(e.Expires)
-	s.expObserved.Store(0)
-	s.seq.Add(1) // -> even, new generation
+	nref := p.slab.alloc(classOf(need))
+	put(p.slab.rec(nref), key, e)
+	s.seq.Add(1)
+	s.loc.Store(nref<<2 | slotLive)
+	s.bits.And(^uint64(bitExpSeen))
+	s.seq.Add(1)
+	p.slab.release(ref)
 }
 
-// insertAt claims an empty or tombstoned slot for key. The boxed key is
-// shared with the hot-key sketch thereafter. With from set, the value is
-// not e.Value but another store's live slot (installAbsent): its packed
-// words are copied across as they are.
-func (p *partition) insertAt(s *slot, hash uint64, key *string, e Entry, from *slot) {
-	wasTomb := s.state.Load() == slotTomb
-	vlen := len(e.Value)
-	if from != nil {
-		vlen = int(from.vlen.Load())
-	}
-	nw := (vlen + 7) >> 3
+// insertAt claims an empty or tombstoned slot for the written record
+// ref.
+func (p *partition) insertAt(s *slot, hash, ref uint64) {
+	wasTomb := s.loc.Load()&stateMask == slotTomb
 	s.seq.Add(1) // -> odd
 	s.hash.Store(hash)
-	s.key.Store(key)
-	var w valWords
-	if vp := s.val.Load(); vp == nil || nw > cap(*vp) {
-		w = make(valWords, nw)
-	} else {
-		w = (*vp)[:nw] // a tombstone's retained array is reusable
-	}
-	if from != nil {
-		src := *from.val.Load()
-		for i := range w {
-			w[i].Store(src[i].Load())
-		}
-	} else {
-		storeWords(w, e.Value)
-	}
-	s.val.Store(&w)
-	s.vlen.Store(uint32(vlen))
-	s.flags.Store(e.Flags)
-	s.expires.Store(e.Expires)
-	s.expObserved.Store(0)
 	// Fresh entries start with the reference bit clear: the CLOCK hand
 	// grants a second chance only after the first GET touches them.
-	s.ref.Store(0)
-	s.state.Store(slotLive)
+	s.bits.Store(0)
+	s.loc.Store(ref<<2 | slotLive)
 	s.seq.Add(1) // -> even
 	if wasTomb {
 		p.tombs--
@@ -356,13 +285,13 @@ func (p *partition) insertAt(s *slot, hash uint64, key *string, e Entry, from *s
 	p.live++
 }
 
-// tombstone retires a live slot, keeping its key/value pointers so
-// concurrent readers never chase nil (a rehash purges the retained
-// memory; retention is bounded by the table size).
+// tombstone retires a live slot and frees its record.
 func (p *partition) tombstone(s *slot) {
+	ref := s.loc.Load() >> 2
 	s.seq.Add(1)
-	s.state.Store(slotTomb)
+	s.loc.Store(slotTomb)
 	s.seq.Add(1)
+	p.slab.release(ref)
 	p.live--
 	p.tombs++
 }
@@ -379,11 +308,11 @@ func (p *partition) evict(t *lfTable) {
 		if p.hand == n {
 			p.hand = 0
 		}
-		if s.state.Load() != slotLive {
+		if s.loc.Load()&stateMask != slotLive {
 			continue
 		}
-		if s.ref.Load() != 0 {
-			s.ref.Store(0) // second chance
+		if s.bits.Load()&bitRef != 0 {
+			s.bits.And(^uint64(bitRef)) // second chance
 			continue
 		}
 		p.tombstone(s)
@@ -396,41 +325,31 @@ func (p *partition) needRehash(t *lfTable) bool {
 	return (p.live+p.tombs+1)*8 >= len(t.slots)*7
 }
 
-// rehash rebuilds the table (growing, as far as the bound allows, if the
-// live count or the caller's want entries warrant it), purging tombstones, then publishes the new generation and poisons
-// every old slot. The poison — bumping each retired slot's seq to odd,
-// forever — is load-bearing: value arrays alias between generations, so
-// any reader still probing the old table must be made to fail seq
-// validation before the writer mutates anything through the new one.
-func (p *partition) rehash(told *lfTable, want int) {
-	size := len(told.slots)
-	// Keep live load at or below 1/2. (An unbounded maxSlots is 0.)
-	for max(want, p.live)*2 >= size && size != p.maxSlots {
-		size <<= 1
-	}
+// rehash rebuilds the table at size slots, purging tombstones, then
+// publishes the new generation and poisons every old slot. The poison —
+// bumping each retired slot's seq to odd, forever — is load-bearing:
+// records alias between generations, so any reader still probing the old
+// table must be made to fail seq validation before the writer mutates or
+// recycles a record through the new one.
+func (p *partition) rehash(told *lfTable, size int) {
 	p.rehashes++
 	nt := &lfTable{mask: uint64(size - 1), slots: make([]slot, size)}
 	for i := range told.slots {
 		s := &told.slots[i]
-		if s.state.Load() != slotLive {
+		loc := s.loc.Load()
+		if loc&stateMask != slotLive {
 			continue
 		}
 		h := s.hash.Load()
 		idx := h & nt.mask
-		for nt.slots[idx].state.Load() == slotLive {
+		for nt.slots[idx].loc.Load() != slotEmpty {
 			idx = (idx + 1) & nt.mask
 		}
 		d := &nt.slots[idx]
 		d.seq.Store(2) // even: stable from the moment of publication
 		d.hash.Store(h)
-		d.key.Store(s.key.Load())
-		d.val.Store(s.val.Load()) // aliases the old generation; see poison
-		d.vlen.Store(s.vlen.Load())
-		d.flags.Store(s.flags.Load())
-		d.expires.Store(s.expires.Load())
-		d.expObserved.Store(s.expObserved.Load())
-		d.ref.Store(s.ref.Load())
-		d.state.Store(slotLive)
+		d.bits.Store(s.bits.Load())
+		d.loc.Store(loc) // aliases the old generation's record; see poison
 	}
 	p.tombs = 0
 	p.hand = 0
@@ -440,75 +359,87 @@ func (p *partition) rehash(told *lfTable, want int) {
 	}
 }
 
-// setLocked is the insert/overwrite core; the caller holds p.mu and has
-// already counted the set.
-func (p *partition) setLocked(hash uint64, keyB []byte, keyS string, useB bool, e Entry) {
-	existing, claim := p.table.Load().findForWrite(hash, keyB, keyS, useB)
-	if existing != nil {
-		p.overwrite(existing, e)
-		return
-	}
-	key := keyS // boxed here, past the overwrite return, so only an insert allocates it
-	if useB {
-		key = string(keyB)
-	}
-	p.insertAt(p.makeRoom(claim, hash, key), hash, &key, e, nil)
-}
-
 // makeRoom readies the partition for one more entry — evict at the
-// bound, rebuild a full or tombstone-choked table — and returns the slot
-// the absent key goes in: findForWrite's claim, or the rebuilt table's.
-func (p *partition) makeRoom(claim *slot, hash uint64, key string) *slot {
+// bound, rebuild a full or tombstone-choked table with live load at or
+// below 1/2 (as far as the bound allows) — and returns the slot the
+// absent key goes in: findForWrite's claim, or the rebuilt table's.
+func (p *partition) makeRoom(claim *slot, hash uint64, key []byte) *slot {
 	t := p.table.Load()
 	if p.maxEntries > 0 && p.live >= p.maxEntries {
 		p.evict(t)
 	}
 	if claim == nil || p.needRehash(t) {
-		p.rehash(t, 0)
-		_, claim = p.table.Load().findForWrite(hash, nil, key, false)
+		size := len(t.slots)
+		for p.live*2 >= size && size != p.maxSlots { // an unbounded maxSlots is 0
+			size <<= 1
+		}
+		p.rehash(t, size)
+		_, claim = p.findForWrite(p.table.Load(), hash, key)
 	}
 	return claim
 }
 
-func (p *partition) set(hash uint64, keyB []byte, keyS string, useB bool, e Entry) {
+// set is the insert/overwrite path. A new key's record is written before
+// the slot that will point at it is claimed.
+func (p *partition) set(hash uint64, key []byte, e Entry) {
+	checkSizes(key, e.Value)
 	p.mu.Lock()
 	p.stats.sets.Add(1)
-	p.setLocked(hash, keyB, keyS, useB, e)
-	p.mu.Unlock()
-}
-
-// reserve grows the table in one step to the shape n entries settle into.
-func (p *partition) reserve(n int) {
-	p.mu.Lock()
-	if t := p.table.Load(); n*2 >= len(t.slots) && len(t.slots) != p.maxSlots {
-		p.rehash(t, n)
+	existing, claim := p.findForWrite(p.table.Load(), hash, key)
+	if existing != nil {
+		p.overwrite(existing, key, e)
+	} else {
+		s := p.makeRoom(claim, hash, key)
+		ref := p.slab.alloc(classOf(recordWords(len(key), len(e.Value))))
+		put(p.slab.rec(ref), key, e)
+		p.insertAt(s, hash, ref)
 	}
 	p.mu.Unlock()
 }
 
-// installAbsent copies src — a live slot of another store, held stable
-// by its partition's writer mutex — into this partition unless a live
-// entry (expired or not) already holds its key: one probe, one copy of
-// the value words, the boxed key shared.
-func (p *partition) installAbsent(src *slot) bool {
+// reserve rebuilds the table, once, to the smallest shape (as far as the
+// bound allows) that takes n more entries without another rebuild: the
+// n-th insert rebuilds unless (live+n)*8 < 7*size.
+func (p *partition) reserve(n int) {
+	p.mu.Lock()
+	t := p.table.Load()
+	if (p.live+p.tombs+n)*8 >= len(t.slots)*7 {
+		size := len(t.slots)
+		for (p.live+n)*8 >= size*7 && size != p.maxSlots {
+			size <<= 1
+		}
+		p.rehash(t, size)
+	}
+	p.mu.Unlock()
+}
+
+// installAbsent copies src — a record of another store, held stable by
+// its partition's writer mutex — into this partition unless a live entry
+// (expired or not) already holds its key: one probe, one copy of the
+// record's words.
+func (p *partition) installAbsent(hash uint64, key []byte, src []atomic.Uint64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	hash, key := src.hash.Load(), src.key.Load()
-	existing, claim := p.table.Load().findForWrite(hash, nil, *key, false)
+	existing, claim := p.findForWrite(p.table.Load(), hash, key)
 	if existing != nil {
 		return false
 	}
 	p.stats.sets.Add(1)
-	e := Entry{Flags: src.flags.Load(), Expires: src.expires.Load()}
-	p.insertAt(p.makeRoom(claim, hash, *key), hash, key, e, src)
+	s := p.makeRoom(claim, hash, key)
+	n := recordWords(lengths(src[0].Load()))
+	ref := p.slab.alloc(classOf(n))
+	r := p.slab.rec(ref)
+	for i := range n {
+		r[i].Store(src[i].Load())
+	}
+	p.insertAt(s, hash, ref)
 	return true
 }
 
-func (p *partition) del(hash uint64, keyB []byte, keyS string, useB bool) bool {
+func (p *partition) del(hash uint64, key []byte) bool {
 	p.mu.Lock()
 	p.stats.deletes.Add(1)
-	t := p.table.Load()
-	existing, _ := t.findForWrite(hash, keyB, keyS, useB)
+	existing, _ := p.findForWrite(p.table.Load(), hash, key)
 	if existing == nil {
 		p.mu.Unlock()
 		return false
@@ -526,12 +457,13 @@ func (p *partition) sweep(now simnet.Time) int {
 	n := 0
 	for i := range t.slots {
 		s := &t.slots[i]
-		if s.state.Load() != slotLive {
+		loc := s.loc.Load()
+		if loc&stateMask != slotLive {
 			continue
 		}
-		exp := s.expires.Load()
+		exp := int64(p.slab.rec(loc >> 2)[1].Load())
 		if exp != 0 && int64(now) >= exp {
-			if s.expObserved.CompareAndSwap(0, 1) {
+			if s.bits.Or(bitExpSeen)&bitExpSeen == 0 {
 				p.stats.expirations.Add(1)
 			}
 			p.tombstone(s)
@@ -542,15 +474,35 @@ func (p *partition) sweep(now simnet.Time) int {
 	return n
 }
 
+// countInto adds this partition's live entries to want, indexed by the
+// partition of a store with mask they would land in.
+func (p *partition) countInto(want []int, mask uint64) {
+	p.mu.Lock()
+	t := p.table.Load()
+	for i := range t.slots {
+		if s := &t.slots[i]; s.loc.Load()&stateMask == slotLive {
+			want[s.hash.Load()&mask]++
+		}
+	}
+	p.mu.Unlock()
+}
+
 // fillInto offers every live entry to dst, holding the writer lock for
-// the walk so no slot changes under the copy.
+// the walk so no record changes under the copy.
 func (p *partition) fillInto(dst *ShardedStore) (installed int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var kb [maxKeyLen + 1]byte
 	t := p.table.Load()
 	for i := range t.slots {
 		s := &t.slots[i]
-		if s.state.Load() == slotLive && dst.parts[s.hash.Load()&dst.mask].installAbsent(s) {
+		loc := s.loc.Load()
+		if loc&stateMask != slotLive {
+			continue
+		}
+		h, r := s.hash.Load(), p.slab.rec(loc>>2)
+		klen, _ := lengths(r[0].Load())
+		if dst.parts[h&dst.mask].installAbsent(h, appendWords(kb[:0], r[recHeader:], klen), r) {
 			installed++
 		}
 	}

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"incod/internal/memcache"
 	"incod/internal/simnet"
@@ -127,6 +129,121 @@ func TestSeqlockTortureSetDeleteVsGet(t *testing.T) {
 				t.Fatalf("key %s: final state v%d, want v%d", key(w, i), e.Flags, want)
 			}
 		}
+	}
+}
+
+// TestSeqlockTortureRecycledRecords is the -race torture test for the
+// arena: the writer keeps freeing records and handing them to other keys
+// — overwrites whose values cross size classes both ways, deletes and
+// reinserts — while lock-free readers look every key up. A reader must
+// never get a value that is not some version of its own key, and never
+// miss a key that is never deleted: a record recycled under a slot that
+// still holds its key shows another key, and only the seq validation
+// after a key mismatch keeps that from reading as a miss. At the end the
+// arena must be within its stated bound: never more records of a class
+// than entries of that class at once, so at most one per key and class.
+func TestSeqlockTortureRecycledRecords(t *testing.T) {
+	const (
+		stable  = 16 // overwritten across classes, never deleted
+		churned = 16 // deleted and reinserted
+		readers = 3
+		// The writer runs for at least this many writes and a second:
+		// un-raced, a second is what it takes a reader to land in the
+		// window between loading a slot and reading its record.
+		minWrites = 60000
+	)
+	// Four size classes; the smallest holds the longest prefix below.
+	sizes := []int{16, 40, 150, 600}
+	key := func(i int) []byte { return fmt.Appendf(nil, "rec-%03d", i) }
+	// Version n of key i is "rec-iii:n:", padded to one of the sizes with
+	// a byte of the key's own.
+	value := func(i, n int) []byte {
+		v := fmt.Appendf(nil, "%s:%d:", key(i), n)
+		return append(v, bytes.Repeat([]byte{'a' + byte(i%26)}, sizes[n%len(sizes)]-len(v))...)
+	}
+	isVersionOf := func(i int, v []byte) bool {
+		rest, ok := bytes.CutPrefix(v, append(key(i), ':'))
+		digits, _, _ := bytes.Cut(rest, []byte(":"))
+		n, err := strconv.Atoi(string(digits))
+		return ok && err == nil && bytes.Equal(v, value(i, n))
+	}
+	st := NewShardedStore(1, 0)
+	version := make([]int, stable+churned) // 0: deleted
+	for i := range version {
+		version[i] = i + 1
+		st.SetBytes(key(i), Entry{Value: value(i, i+1)})
+	}
+
+	var stop atomic.Bool
+	var foreign, falseMiss atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			keys := make([][]byte, len(version))
+			for i := range keys {
+				keys[i] = key(i)
+			}
+			scratch := make([]byte, 0, 1024)
+			for n := r; !stop.Load(); n++ {
+				i := n % len(keys)
+				var v []byte
+				ok := false
+				if n&1 == 0 {
+					var e Entry
+					e, ok = st.Get(keys[i], 0)
+					v = e.Value
+				} else if scratch, ok = st.AppendGetHit(scratch[:0], keys[i], 0); ok {
+					_, v, _ = bytes.Cut(scratch, []byte("\r\n")) // past "VALUE <key> <flags> <len>"
+					v = bytes.TrimSuffix(v, []byte("\r\nEND\r\n"))
+				}
+				switch {
+				case ok && !isVersionOf(i, v):
+					foreign.Add(1)
+				case !ok && i < stable:
+					falseMiss.Add(1)
+				}
+			}
+		}(r)
+	}
+	rng := rand.New(rand.NewSource(28))
+	start := time.Now()
+	it := len(version) + 1
+	for ; it <= minWrites || time.Since(start) < time.Second; it++ {
+		if i := rng.Intn(len(version)); i < stable || version[i] == 0 {
+			version[i] = it
+			st.SetBytes(key(i), Entry{Value: value(i, it)})
+		} else {
+			version[i] = 0
+			st.DeleteBytes(key(i))
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	if n := foreign.Load(); n != 0 {
+		t.Errorf("readers got %d values that are no version of their key", n)
+	}
+	if n := falseMiss.Load(); n != 0 {
+		t.Errorf("readers missed never-deleted keys %d times", n)
+	}
+	for i, n := range version {
+		e, ok := st.Get(key(i), 0)
+		if ok != (n != 0) || ok && !bytes.Equal(e.Value, value(i, n)) {
+			t.Fatalf("key %s: final state %q %v, want version %d", key(i), e.Value, ok, n)
+		}
+	}
+	// The bound: a record per key in each class at most, and chunks of at
+	// most twice the records' words plus one more chunk.
+	records, words := 0, 0
+	for _, n := range sizes {
+		records += len(version)
+		words += len(version) * classWords[classOf(recordWords(len(key(0)), n))]
+	}
+	if a := &st.parts[0].slab; a.records > records || a.words > 2*words+maxChunkWords {
+		t.Fatalf("arena carved %d records in %d words over %d writes, bound %d records in %d words",
+			a.records, a.words, it, records, 2*words+maxChunkWords)
 	}
 }
 
@@ -308,6 +425,72 @@ func TestHotKeySampler(t *testing.T) {
 	}
 }
 
+// Sampled GET hits feed the hot-key sketch the request's own key bytes;
+// the sketch copies a key only when it enters, into its slot's reused
+// buffer. With a Zipf stream churning a 16-slot sketch, hits allocate
+// nothing once every slot has held a key.
+func TestSampledGetHitsDoNotAllocate(t *testing.T) {
+	st := NewShardedStore(1, 0)
+	st.EnableHotKeys(16)
+	keys := make([][]byte, 1024)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "k%07d", i)
+		st.SetBytes(keys[i], Entry{Value: []byte("value")})
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(28)), 1.1, 1, uint64(len(keys)-1))
+	picks := make([]int, 4096)
+	for i := range picks {
+		picks[i] = int(zipf.Uint64())
+	}
+	out := make([]byte, 0, 256)
+	hits := func() {
+		for _, i := range picks {
+			var ok bool
+			if out, ok = st.AppendGetHit(out[:0], keys[i], 0); !ok {
+				t.Fatalf("miss on %s", keys[i])
+			}
+		}
+	}
+	hits()
+	if a := testing.AllocsPerRun(20, hits); a != 0 {
+		t.Fatalf("%d sampled GET hits allocate %.1f times", len(picks), a)
+	}
+	replaced := 0
+	for _, hk := range st.HotKeys(16) {
+		if hk.Err > 0 {
+			replaced++
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("no key ever replaced another in the sketch: the stream did not churn it")
+	}
+}
+
+// The record classes cover every record the header can describe, about
+// 1.25x apart, and classOf picks the smallest that fits.
+func TestRecordClasses(t *testing.T) {
+	if last, most := classWords[numClasses-1], recordWords(maxKeyLen, maxValueLen); last < most {
+		t.Fatalf("largest class %d words, largest record %d", last, most)
+	}
+	for c := 1; c < numClasses; c++ {
+		if w, prev := classWords[c], classWords[c-1]; w <= prev || w > max(prev+1, prev*5/4) {
+			t.Fatalf("class %d: %d words after %d", c, w, prev)
+		}
+	}
+	for _, n := range []int{2, 3, 8, 9, 100, 256, 257, 1000, 1 << 20, recordWords(maxKeyLen, maxValueLen)} {
+		c := classOf(n)
+		if classWords[c] < n || c > 0 && classWords[c-1] >= n {
+			t.Fatalf("classOf(%d) = %d (%d words)", n, c, classWords[c])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a key longer than a header can say was stored")
+		}
+	}()
+	NewShardedStore(1, 0).SetBytes(make([]byte, maxKeyLen+1), Entry{})
+}
+
 // TestShardedStoreRehashUnderReaders grows a partition through several
 // table generations while readers probe it, exercising the
 // poison-old-generation path.
@@ -386,9 +569,9 @@ func TestBoundedStoreGrowsToItsBoundShape(t *testing.T) {
 	if n := st.Len(); n != bound {
 		t.Fatalf("Len = %d, want the bound %d", n, bound)
 	}
-	st.Reserve(1 << 20)
+	st.parts[0].reserve(1 << 20)
 	if got := tableSlots(st)[0]; got != 2*bound {
-		t.Fatalf("Reserve grew a bounded table past its shape: %d slots", got)
+		t.Fatalf("reserve grew a bounded table past its shape: %d slots", got)
 	}
 }
 
@@ -418,6 +601,29 @@ func TestFillFromReservesBeforeItWalks(t *testing.T) {
 	for _, i := range []int{0, 1, n / 2, n - 1} {
 		if e, ok := dst.GetString(fmt.Sprintf("key-%d", i), 0); !ok || e.Flags != uint32(i) || string(e.Value) != "value" {
 			t.Fatalf("key-%d after fill: %+v %v", i, e, ok)
+		}
+	}
+}
+
+// FillFrom reserves the table growth would have built, not twice it:
+// its destination ends with no more slots than a store that took the
+// same entries one Set at a time, whatever either side's partitions.
+func TestFillFromReservesNoMoreThanGrowth(t *testing.T) {
+	for _, tc := range []struct{ n, srcParts, dstParts int }{
+		{100, 2, 2}, {12_000, 1, 1}, {20_000, 2, 2}, {20_000, 4, 1},
+	} {
+		src, grown := NewShardedStore(tc.srcParts, 0), NewShardedStore(tc.dstParts, 0)
+		for i := 0; i < tc.n; i++ {
+			k := fmt.Sprintf("key-%d", i)
+			src.Set(k, Entry{Value: []byte("value")})
+			grown.Set(k, Entry{Value: []byte("value")})
+		}
+		dst := NewShardedStore(tc.dstParts, 0)
+		dst.FillFrom(src)
+		for i, got := range tableSlots(dst) {
+			if want := tableSlots(grown)[i]; got > want {
+				t.Errorf("%+v: partition %d filled to %d slots, Set grew it to %d", tc, i, got, want)
+			}
 		}
 	}
 }

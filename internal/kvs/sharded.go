@@ -163,33 +163,25 @@ func (st *ShardedStore) GetString(key string, now simnet.Time) (Entry, bool) {
 // Set stores key, evicting within the key's partition if bounded. The
 // value bytes are copied in; the caller keeps ownership of e.Value.
 func (st *ShardedStore) Set(key string, e Entry) {
-	h := dataplane.HashString(key)
-	st.parts[h&st.mask].set(h, nil, key, false, e)
+	st.SetBytes([]byte(key), e)
 }
 
-// SetBytes stores key with zero steady-state allocation: an overwrite
-// repacks the value into the existing slot's word array in place, under
-// the partition's writer mutex. e.Value is copied in, so the caller's
-// buffer — typically a pooled receive buffer — is free for reuse on
-// return.
+// SetBytes stores key with zero steady-state allocation: a new key's
+// record comes from its partition's arena (a freed record of its size
+// class, else a chunk's unused words), and an overwrite that keeps the
+// class repacks the record in place, under the partition's writer mutex.
+// e.Value is copied in, so the caller's buffer — typically a pooled
+// receive buffer — is free for reuse on return. A key longer than 255
+// bytes or a value of 16 MiB or more panics (memcached refuses both).
 func (st *ShardedStore) SetBytes(key []byte, e Entry) {
 	h := dataplane.HashBytes(key)
-	st.parts[h&st.mask].set(h, key, "", true, e)
+	st.parts[h&st.mask].set(h, key, e)
 }
 
 // DeleteBytes is Delete for a byte-slice key (no key allocation).
 func (st *ShardedStore) DeleteBytes(key []byte) bool {
 	h := dataplane.HashBytes(key)
-	return st.parts[h&st.mask].del(h, key, "", true)
-}
-
-// Reserve sizes the tables in one step for n entries in total (as far as
-// the bound allows), sparing a bulk load log n rebuilds on the way.
-func (st *ShardedStore) Reserve(n int) {
-	share := (n + len(st.parts) - 1) / len(st.parts)
-	for _, p := range st.parts {
-		p.reserve(share)
-	}
+	return st.parts[h&st.mask].del(h, key)
 }
 
 // FillFrom installs every live entry of src (another store) that this
@@ -199,11 +191,19 @@ func (st *ShardedStore) Reserve(n int) {
 // install checks and inserts under this store's partition mutex, so a
 // concurrent Set of the same key here — newer by definition — is never
 // overwritten by the snapshot. An entry costs one probe and one copy of
-// its value words. The walk is in hash order and both stores hash alike,
-// hence the Reserve: growing mid-walk wraps the ordered stream onto an
-// already dense prefix and linear probing degenerates.
+// its record's words into a record of this store's arena. The walk is in
+// hash order and both stores hash alike, so each partition first
+// reserves for exactly the entries it is about to receive: growing
+// mid-walk wraps the ordered stream onto an already dense prefix and
+// linear probing degenerates.
 func (st *ShardedStore) FillFrom(src *ShardedStore) int {
-	st.Reserve(src.Len())
+	want := make([]int, len(st.parts))
+	for _, p := range src.parts {
+		p.countInto(want, st.mask)
+	}
+	for i, p := range st.parts {
+		p.reserve(want[i])
+	}
 	n := 0
 	for _, p := range src.parts {
 		n += p.fillInto(st)
@@ -213,8 +213,7 @@ func (st *ShardedStore) FillFrom(src *ShardedStore) int {
 
 // Delete removes key, reporting whether it existed.
 func (st *ShardedStore) Delete(key string) bool {
-	h := dataplane.HashString(key)
-	return st.parts[h&st.mask].del(h, nil, key, false)
+	return st.DeleteBytes([]byte(key))
 }
 
 // Len returns the number of live entries across all partitions. Entries

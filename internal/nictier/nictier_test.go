@@ -3,6 +3,7 @@ package nictier_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"runtime"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"incod/internal/nictier"
 	"incod/internal/paxos"
 	"incod/internal/simnet"
+	"incod/internal/trafficgen"
 )
 
 func framedGet(id uint16, key string) []byte {
@@ -542,6 +544,58 @@ func BenchmarkNICTierKVSWarm100k(b *testing.B) {
 	b.ReportMetric(float64(park.Microseconds())/float64(b.N), "park-us")
 }
 
+// What an entry costs in memory: a 100k-entry store of ETC-size values
+// filled one SetBytes at a time, then warmed into a staged tier (ns/op is
+// both). Each side reports the live heap it added per entry, after a GC,
+// and its allocations per entry; scripts/bench.sh holds both
+// allocs/entry at 0.01, which only the arenas' chunks and the tables fit
+// under.
+func BenchmarkNICTierKVSFillWarm100k(b *testing.B) {
+	const n = 100_000
+	etc := trafficgen.NewETC(rand.New(rand.NewSource(28)), n)
+	keys, vals := make([][]byte, n), make([][]byte, n)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "k%07d", i)
+		vals[i] = bytes.Repeat([]byte{'v'}, etc.ValueSize())
+	}
+	var fill, warm struct{ bytes, allocs float64 }
+	var before, after runtime.MemStats
+	measure := func(ms *runtime.MemStats) {
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(ms)
+		b.StartTimer()
+	}
+	for i := 0; i < b.N; i++ {
+		measure(&before)
+		store := kvs.NewShardedStore(1, 0)
+		for k := range keys {
+			store.SetBytes(keys[k], kvs.Entry{Value: vals[k]})
+		}
+		measure(&after)
+		fill.bytes += float64(after.HeapAlloc) - float64(before.HeapAlloc)
+		fill.allocs += float64(after.Mallocs - before.Mallocs)
+		tier := nictier.NewKVS(kvs.NewHandler(store))
+		if err := tier.Stage(); err != nil {
+			b.Fatal(err)
+		}
+		measure(&before)
+		if err := tier.Warm(); err != nil {
+			b.Fatal(err)
+		}
+		measure(&after)
+		warm.bytes += float64(after.HeapAlloc) - float64(before.HeapAlloc)
+		warm.allocs += float64(after.Mallocs - before.Mallocs)
+		runtime.KeepAlive(store)
+		runtime.KeepAlive(tier)
+	}
+	entries := float64(n * b.N)
+	b.ReportMetric(fill.bytes/entries, "fill-B/entry")
+	b.ReportMetric(fill.allocs/entries, "fill-allocs/entry")
+	b.ReportMetric(warm.bytes/entries, "warm-B/entry")
+	b.ReportMetric(warm.allocs/entries, "warm-allocs/entry")
+}
+
 // warmKVSTier returns a handler over a store preloaded by fill and its
 // tier, staged and warmed.
 func warmKVSTier(t testing.TB, fill func(*kvs.ShardedStore)) (*kvs.Handler, *nictier.KVSTier) {
@@ -636,13 +690,13 @@ func TestKVSTierHotPathsZeroAlloc(t *testing.T) {
 
 // Whatever the tier serves must be byte for byte what the host would
 // have sent: across the value lengths either side of the store's 8-byte
-// word packing, across the three in-place overwrite shapes (same word
-// count, re-slice, re-allocate), for entries installed by Warm and by
-// write-through, framed and raw. An expired entry misses on both.
+// word packing, across overwrites that keep the record's size class and
+// ones that cross classes both ways, for entries installed by Warm and
+// by write-through, framed and raw. An expired entry misses on both.
 func TestKVSTierRepliesMatchHost(t *testing.T) {
 	lengths := []int{0, 1, 7, 8, 9, 1400}
-	// One key rewritten through every overwrite branch: grow into a new
-	// array, shrink and re-grow inside it, repack at the same word count.
+	// One key rewritten through every overwrite branch: grow into a larger
+	// class, shrink and re-grow across classes, repack within one.
 	rewrites := []int{0, 1, 7, 8, 9, 1400, 3, 700, 1400, 1399}
 	value := func(n int) []byte { return bytes.Repeat([]byte{'a' + byte(n%26)}, n) }
 	fill := func(st *kvs.ShardedStore) {

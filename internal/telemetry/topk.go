@@ -1,6 +1,9 @@
 package telemetry
 
-import "sync/atomic"
+import (
+	"bytes"
+	"sync/atomic"
+)
 
 // HotKey is one entry of a hot-key snapshot: a key and the (possibly
 // sampled) access count attributed to it.
@@ -21,7 +24,7 @@ type HotKey struct {
 type TopK struct {
 	busy   atomic.Uint32 // CAS try-lock; 1 while an Observe or Snapshot holds the slots
 	k      int
-	keys   []string
+	keys   [][]byte // per-slot buffers, reused by the key that replaces another
 	hashes []uint64
 	counts []uint64
 	errs   []uint64
@@ -36,7 +39,7 @@ func NewTopK(k int) *TopK {
 	}
 	return &TopK{
 		k:      k,
-		keys:   make([]string, k),
+		keys:   make([][]byte, k),
 		hashes: make([]uint64, k),
 		counts: make([]uint64, k),
 		errs:   make([]uint64, k),
@@ -44,10 +47,15 @@ func NewTopK(k int) *TopK {
 }
 
 // Observe records one access of key. hash must be the caller's hash of
-// key (it is used to avoid string compares on the scan). The key string
-// is retained by the sketch; callers must pass an immutable string.
-// Contended calls are dropped.
-func (t *TopK) Observe(hash uint64, key string) {
+// key (it is used to avoid key compares on the scan). The sketch copies
+// a key only when it enters, into the buffer of the slot it takes, so a
+// caller's key is never retained. Contended calls are dropped.
+func (t *TopK) Observe(hash uint64, key string) { t.ObserveBytes(hash, []byte(key)) }
+
+// ObserveBytes is Observe for a byte-slice key: the lock-free GET path
+// samples the request's own key bytes, with no allocation once every
+// slot's buffer has held a key as long.
+func (t *TopK) ObserveBytes(hash uint64, key []byte) {
 	if t == nil || !t.busy.CompareAndSwap(0, 1) {
 		return
 	}
@@ -55,7 +63,7 @@ func (t *TopK) Observe(hash uint64, key string) {
 	// the current minimum and inherit its count as the error bound.
 	min, minAt := ^uint64(0), -1
 	for i := 0; i < t.n; i++ {
-		if t.hashes[i] == hash && t.keys[i] == key {
+		if t.hashes[i] == hash && bytes.Equal(t.keys[i], key) {
 			t.counts[i]++
 			t.busy.Store(0)
 			return
@@ -65,14 +73,11 @@ func (t *TopK) Observe(hash uint64, key string) {
 		}
 	}
 	if t.n < t.k {
-		i := t.n
+		minAt, min = t.n, 0
 		t.n++
-		t.keys[i], t.hashes[i], t.counts[i], t.errs[i] = key, hash, 1, 0
-	} else {
-		t.keys[minAt], t.hashes[minAt] = key, hash
-		t.errs[minAt] = min
-		t.counts[minAt] = min + 1
 	}
+	t.keys[minAt] = append(t.keys[minAt][:0], key...)
+	t.hashes[minAt], t.errs[minAt], t.counts[minAt] = hash, min, min+1
 	t.busy.Store(0)
 }
 
@@ -84,7 +89,7 @@ func (t *TopK) Snapshot() []HotKey {
 	}
 	out := make([]HotKey, t.n)
 	for i := 0; i < t.n; i++ {
-		out[i] = HotKey{Key: t.keys[i], Count: t.counts[i], Err: t.errs[i]}
+		out[i] = HotKey{Key: string(t.keys[i]), Count: t.counts[i], Err: t.errs[i]}
 	}
 	t.busy.Store(0)
 	return out

@@ -14,8 +14,10 @@
 # acceptor's fresh vote and 100k-instance state snapshot, the store
 # under parallel readers, the codecs, the NIC KVS tier's cost
 # model (GET hit beside the host handler's, miss, SET write-through, a
-# 100k-entry warm and park) and the engine's transport sweep
-# (single/mmsg/uring at 1/2/4 shards, an echo handler on loopback).
+# 100k-entry warm and park), what a KVS entry costs in heap and
+# allocations (100k ETC-size entries filled into a store, then warmed
+# into the tier) and the engine's transport sweep (single/mmsg/uring at
+# 1/2/4 shards, an echo handler on loopback).
 #
 # The suites run PASSES times over, interleaved, and a row is its
 # fastest pass: on a shared host a row's cost swings by a third from one
@@ -33,17 +35,22 @@
 #   5. in the sweep, each batched rung answers at least 0.6x the kpps of
 #      the single-reader engine at the same shard count. The sweep's
 #      workers do not own their threads, a mode no BENCHMARK.json
-#      workload runs; the bound catches a collapse, not a drift.
+#      workload runs; the bound catches a collapse, not a drift;
+#   6. filling a store and warming the tier each allocate at most 0.01
+#      times per entry: the arenas' chunks and the tables, nothing per
+#      entry. Judged on the worst pass, whatever its iterations (each is
+#      100k entries).
 #
 # Usage:
 #   ./scripts/bench.sh                          # writes bench_ci.json (git-ignored)
-#   BENCH_OUT=BENCH_23.json ./scripts/bench.sh  # refresh the committed snapshot
+#   BENCH_OUT=BENCH_28.json ./scripts/bench.sh  # refresh the committed snapshot
 #   BENCH_TIME=50ms ./scripts/bench.sh          # CI: shorter rows, gates still live
 #
 # Output schema (incod-bench/v1): one entry per benchmark with
 # ns_per_op / b_per_op / allocs_per_op and any custom metrics
-# (achieved-kpps, answered-%) keyed by their go-bench unit, then one
-# entry per gate with the ratio it saw and the bound it held it to.
+# (achieved-kpps, answered-%, fill-B/entry, ...) keyed by their go-bench
+# unit, then one entry per gate with the ratio it saw and the bound it
+# held it to.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,7 +75,8 @@ for _ in $(seq "$PASSES"); do
   # The serving hot paths and codecs (root suite).
   run_bench . 'DataplaneKVS|DataplaneBatchedKVS|DataplaneDNS|DataplaneBatchedDNS|PaxosAcceptor|DataplaneShardedStore|MemcacheParseGet|PaxosCodec|DNSCodec|DNSQuestionView' "$BENCHTIME"
   # The offload tier: KVS GET hit (tier and host side by side), miss, SET
-  # write-through and the 100k-entry warm/park — all 0 B/op but the warm.
+  # write-through, the 100k-entry warm/park and the fill-and-warm memory
+  # row — all 0 B/op but the last three.
   run_bench ./internal/nictier 'NICTier' "$BENCHTIME"
   # The three transport rungs at 1/2/4 shards.
   run_bench ./internal/dataplane 'DataplaneEngineLoopback' "$SWEEPTIME"
@@ -108,6 +116,7 @@ function costs(a, b, bound) {
     else {
       gsub(/"/, "", unit)
       if (unit == "achieved-kpps") kpps = val
+      if (unit ~ /-allocs\/entry$/ && (!(unit in perentry) || val + 0 > perentry[unit] + 0)) perentry[unit] = val
       metrics = metrics (metrics == "" ? "" : ",") sprintf("\"%s\":%s", unit, val)
     }
   }
@@ -155,6 +164,10 @@ END {
   if (fresh > 0) {
     gate("PaxosAcceptorFresh allocs/op", freshallocs + 0, 1, 0)
     gate("PaxosAcceptorFresh B/op", freshbop + 0, 1, 128)
+  }
+  for (i = 0; i < 2; i++) {
+    u = (i ? "warm" : "fill") "-allocs/entry"
+    if (u in perentry) gate("NICTierKVSFillWarm100k " u, perentry[u] + 0, 1, 0.01)
   }
   for (s = 1; s <= 4; s *= 2) {
     single = "DataplaneEngineLoopback/single-" s "shard"
