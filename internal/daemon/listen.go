@@ -100,7 +100,8 @@ func buildBatchConns(conns []net.PacketConn, o EngineOptions, cfg dataplane.Conf
 		case "uring":
 			// The provided-buffer ring absorbs eight full receive batches
 			// (of 32) per shard before the multishot starves; the
-			// submission ring holds two transmit batches.
+			// submission ring carries only that one multishot receive, so
+			// its depth mostly sizes the completion queue.
 			bc, err := netio.NewUringConn(c, netio.UringConfig{
 				Entries: 64,
 				Buffers: 256,

@@ -159,8 +159,9 @@ type batchState struct {
 
 	// GSO train-building scratch (engine.gsoTx): txOut is the staged
 	// send vector after coalescing, trainBufs the reused buffers train
-	// payloads are copied into (replies may alias receive buffers, and a
-	// train must survive until the uring CQE; the copy settles both).
+	// payloads are copied into: one UDP_SEGMENT send needs its replies
+	// back to back, and they are separate buffers, some aliasing receive
+	// slots. Every rung is done with them when WriteBatch returns.
 	txOut     []netio.Message
 	txUsed    []bool
 	txIdx     []int

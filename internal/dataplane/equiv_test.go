@@ -459,9 +459,6 @@ func checkTransport(t *testing.T, s subject, st dataplane.Stats, replies bool) {
 	if trains && replies && st.TxTrains == 0 {
 		t.Fatalf("no reply trains were built (stats %+v): the train cells would be vacuous", st)
 	}
-	if trains && replies && backend == "uring" && st.RingSends == 0 {
-		t.Fatalf("trains did not ride the ring (stats %+v)", st)
-	}
 	if s.pin && pinWorks() && !st.Pinned {
 		t.Fatal("shards are not pinned, though this host pins threads")
 	}

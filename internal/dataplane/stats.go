@@ -91,36 +91,33 @@ type Stats struct {
 	// present when the handler samples its GET path.
 	HotKeys []telemetry.HotKey `json:"hot_keys,omitempty"`
 
-	// io_uring backend telemetry, summed across the per-shard rings
+	// io_uring receive-ring telemetry, summed across the per-shard rings
 	// (RingEntries/BufRingSize are per ring, identical for every shard).
 	// Resubmits counts multishot recv re-arms, UringStarved the ENOBUFS
-	// subset (the consumer fell a whole buffer ring behind),
-	// UringSendErrors failed async sends, UringEnters io_uring_enter
-	// syscalls across all shards.
-	RingEntries     int    `json:"ring_entries,omitempty"`
-	BufRingSize     int    `json:"bufring_size,omitempty"`
-	Resubmits       uint64 `json:"resubmits,omitempty"`
-	UringStarved    uint64 `json:"uring_starved,omitempty"`
-	UringSendErrors uint64 `json:"uring_send_errors,omitempty"`
-	UringEnters     uint64 `json:"uring_enters,omitempty"`
+	// subset (the consumer fell a whole buffer ring behind), UringEnters
+	// io_uring_enter syscalls across all shards. The uring rung sends
+	// through sendmmsg like mmsg, so a failed send shows in WriteErrors
+	// and the GSO counters below, not here.
+	RingEntries  int    `json:"ring_entries,omitempty"`
+	BufRingSize  int    `json:"bufring_size,omitempty"`
+	Resubmits    uint64 `json:"resubmits,omitempty"`
+	UringStarved uint64 `json:"uring_starved,omitempty"`
+	UringEnters  uint64 `json:"uring_enters,omitempty"`
 
 	// GSO TX telemetry, summed across the per-shard transports. GSOTx
 	// reports whether the batched engine builds reply trains, which it
 	// decides on its own: every shard's rung sends UDP_SEGMENT (mmsg,
 	// uring) and netio.ProbeGSO passed (INCOD_NO_GSOTX fails it). The
-	// counters report what the transport actually did: TxTrains
-	// coalesced sends handed to the kernel, TxTrainSegs the datagrams
-	// they carried (TxSegsPerTrain the ratio), GSOTxFallbacks
-	// trains unrolled per-datagram by a rung or kernel that refused
-	// UDP_SEGMENT, RingSends trains submitted as io_uring SENDMSG SQEs,
-	// SendZC zero-copy ring sends (always 0 today — SENDMSG_ZC is unused).
+	// counters report what the transport actually did, on either rung's
+	// one sendmmsg path: TxTrains UDP_SEGMENT sends the kernel took,
+	// TxTrainSegs the datagrams they carried (TxSegsPerTrain the ratio),
+	// GSOTxFallbacks trains unrolled per-datagram by a rung or kernel that
+	// refused UDP_SEGMENT.
 	GSOTx          bool    `json:"gso_tx"`
 	TxTrains       uint64  `json:"tx_trains,omitempty"`
 	TxTrainSegs    uint64  `json:"tx_train_segs,omitempty"`
 	TxSegsPerTrain float64 `json:"tx_segs_per_train,omitempty"`
 	GSOTxFallbacks uint64  `json:"gso_tx_fallbacks,omitempty"`
-	RingSends      uint64  `json:"ring_sends,omitempty"`
-	SendZC         uint64  `json:"sendzc,omitempty"`
 
 	// Receive-train telemetry, summed across the per-shard transports.
 	// GRORx reports whether every shard's socket takes UDP_GRO trains: the
@@ -181,15 +178,12 @@ func (e *Engine) Snapshot() Stats {
 				st.BufRingSize = us.BufRingSize
 				st.Resubmits += us.Resubmits
 				st.UringStarved += us.Starved
-				st.UringSendErrors += us.SendErrors
 				st.UringEnters += us.Enters
 			}
 			if ts, ok := netio.TxStatsOf(bc); ok {
 				st.TxTrains += ts.Trains
 				st.TxTrainSegs += ts.TrainSegs
 				st.GSOTxFallbacks += ts.Fallbacks
-				st.RingSends += ts.RingSends
-				st.SendZC += ts.SendZC
 			}
 		}
 		st.GSOTx = e.gsoTx

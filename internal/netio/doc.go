@@ -17,21 +17,16 @@
 //	        the largest train, so a GSO sender's train arrives as one
 //	        slot's worth that the conn splits back into per-datagram
 //	        Messages (see Receive trains). Linux only; the default.
-//	uring   receive side rebuilt around io_uring: one multishot RECVMSG
-//	        stays armed on the socket, the kernel delivers each datagram
-//	        into a registered provided-buffer ring and posts a
-//	        completion, and a loaded socket is drained from mmap'd
-//	        memory with no receive syscall at steady state. The socket
-//	        always opts into UDP GRO, so a GSO sender's whole train lands
-//	        as one coalesced completion, split the same way. Transmit
-//	        splits by shape: plain datagrams flush through the inline
-//	        sendmmsg path shared with the mmsg rung
-//	        (profiles show SENDMSG SQEs costing ~40% more than sendmmsg
-//	        for single UDP sends), while trains ride the ring as
-//	        SENDMSG SQEs — the per-SQE cost amortizes across every
-//	        segment in the train, and submission batches with whatever
-//	        else is queued on the SQ. Linux amd64/arm64, raw syscalls,
-//	        stdlib only.
+//	uring   a receive rung: one multishot RECVMSG stays armed on the
+//	        socket, the kernel delivers each datagram into a registered
+//	        provided-buffer ring and posts a completion, and a loaded
+//	        socket is drained from mmap'd memory with no receive syscall
+//	        at steady state. The socket always opts into UDP GRO, so a
+//	        GSO sender's whole train lands as one coalesced completion,
+//	        split the same way. Transmit is the mmsg rung's: the same
+//	        sendmmsg path, trains and refused-train unroll included; the
+//	        ring carries nothing but the receive. Linux >= 6.0 on
+//	        amd64/arm64, raw syscalls, stdlib only.
 //
 // The paper's offload argument is that the NIC amortizes per-packet
 // cost the host cannot; these rungs are the software end of that same
@@ -42,13 +37,16 @@
 //
 // NewBatchConn returns mmsg on Linux and single elsewhere; callers
 // treat it as "the best portable default". NewUringConn is explicit
-// opt-in (the daemons' -engine uring): it can fail on kernels without
-// the needed io_uring features, so callers probe first (ProbeUring
-// runs a cached loopback self-roundtrip) and degrade to NewBatchConn
-// when it errors. BackendOf names the rung a conn actually landed on
-// ("single", "mmsg", "uring"), which the dataplane surfaces in
-// /v1/dataplane stats — the reported backend is always the truth, not
-// the request.
+// opt-in (the daemons' -engine uring). It needs Linux 6.0 or later, for
+// multishot RECVMSG, and a ring that offers a provided-buffer ring, one
+// mapping for the SQ and CQ rings (IORING_FEAT_SINGLE_MMAP) and a CQ
+// eventfd the netpoller can wait on; a kernel short of any of them gets
+// ErrUringUnsupported, with no older-kernel variant to fall into. So
+// callers probe first (ProbeUring runs a cached loopback self-roundtrip
+// through that exact path) and degrade to NewBatchConn when it errors.
+// BackendOf names the rung a conn actually landed on ("single", "mmsg",
+// "uring"), which the dataplane surfaces in /v1/dataplane stats — the
+// reported backend is always the truth, not the request.
 //
 // # Reply trains: GSO on the transmit side
 //
@@ -57,10 +55,12 @@
 // Every rung accepts trains through the same WriteBatch seam and must
 // produce the identical per-datagram wire image; the rungs differ only
 // in what the train costs. The mmsg and uring rungs attach a
-// UDP_SEGMENT cmsg so the kernel segments the run after one traversal
-// of the stack; the single rung — and any kernel that refuses the cmsg
-// (EINVAL/EOPNOTSUPP at send time) — unrolls the train into per-segment
-// sends instead, so correctness never depends on kernel support.
+// UDP_SEGMENT cmsg on the one sendmmsg path they share, so the kernel
+// segments the run after one traversal of the stack; the single rung —
+// and any kernel that refuses the cmsg (EINVAL/EOPNOTSUPP at send time,
+// or a train longer than UDP_MAX_SEGMENTS) — unrolls the train into
+// per-segment sends instead, so correctness never depends on kernel
+// support.
 //
 // ProbeGSO reports (cached) whether the kernel can segment: it sends a
 // real three-segment train over loopback and counts the datagrams that
@@ -74,13 +74,11 @@
 // capable kernel allows.
 //
 // TxStats (via TxStatsOf) is the truthful telemetry: Trains/TrainSegs
-// count coalesced sends that actually left as one submission, Fallbacks
-// counts trains that were unrolled per-datagram, RingSends counts
-// trains that rode the uring SQ, and SendZC stays zero until SEND_ZC is
-// actually wired. Every submitted train lands in exactly one of Trains
-// or Fallbacks, so the /v1/dataplane counters (tx_trains,
-// tx_segs_per_train, gso_tx_fallbacks, ring_sends) never overstate what
-// the kernel did.
+// count UDP_SEGMENT sends the kernel took, and Fallbacks counts trains
+// that were unrolled per-datagram (a train longer than UDP_MAX_SEGMENTS
+// is one). Every submitted train lands in exactly one of the two, so
+// the /v1/dataplane counters (tx_trains, tx_segs_per_train,
+// gso_tx_fallbacks) never overstate what the kernel did.
 //
 // # Receive trains: GRO on the receive side
 //
@@ -127,23 +125,14 @@
 // recycles buffers and counts the event in UringStats.Resubmits /
 // Starved.
 //
-// On transmit the caller's buffers are free the moment WriteBatch
-// returns, whichever path a Message took. Plain datagrams flush
-// through the inline sendmmsg loop on the conn's send lock. A train is
-// copied into one of a fixed set of ring-owned send slots with its
-// msghdr/iovec/sockaddr/cmsg images, and that slot stays claimed from
-// SQE submission until its CQE is reaped (opportunistically, on later
-// sends and flushes) — the kernel reads the slot asynchronously, so
-// slot lifetime, not caller-buffer lifetime, spans the send. When
-// every slot is in flight WriteBatch flushes, reaps, and — if a slot
-// still cannot be had — sends the train through the inline GSO
-// sendmmsg path rather than block; per-send errors are counted rather
-// than returned, matching UDP's fire-and-forget contract.
+// Transmit is the same as mmsg: WriteBatch is the sendmmsg loop on the
+// conn's own send lock, the caller's buffers are free the moment it
+// returns, and a send error is returned to the caller.
 //
 // A uring conn supports one goroutine in ReadBatch concurrently with
-// one in WriteBatch (a loadgen's receiver/sender split); the ring
-// mutex is never held across a blocking wait, so neither direction
-// can starve the other.
+// one in WriteBatch (a loadgen's receiver/sender split): WriteBatch
+// never takes the ring mutex, and ReadBatch never holds it across a
+// blocking wait.
 //
 // # How the reader waits (uring)
 //
@@ -158,8 +147,7 @@
 // is suppressed via IORING_CQ_EVENTFD_DISABLED (the NAPI trick), so
 // senders never pay a wakeup per datagram they complete; the flag is
 // re-enabled only on the edge of parking, with a final reap to close
-// the race. Kernels where the eventfd cannot be registered fall back
-// to bounded enter waits.
+// the race. A ring that cannot register the eventfd is not built.
 //
 // # Reuseport groups, pinning and thread ownership
 //

@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"fmt"
 	"net"
 	"sort"
 	"testing"
@@ -50,6 +51,26 @@ func trainTestBatch(dst net.Addr) (ms []Message, wire []string) {
 	return ms, wire
 }
 
+// refusedTrainSegs is the segment count of a train no kernel takes whole:
+// above UDP_MAX_SEGMENTS, which is 64 on older kernels and 128 on newer.
+const refusedTrainSegs = 200
+
+// refusedTrainBatch is trainTestBatch plus one train of refusedTrainSegs
+// distinct 2-byte segments, which the kernel refuses with EINVAL and a
+// correct rung must unroll.
+func refusedTrainBatch(dst net.Addr) (ms []Message, wire []string) {
+	ms, wire = trainTestBatch(dst)
+	ap, _ := AddrPortOf(dst)
+	buf := make([]byte, 0, 2*refusedTrainSegs)
+	for i := 0; i < refusedTrainSegs; i++ {
+		seg := fmt.Sprintf("%02x", i)
+		buf = append(buf, seg...)
+		wire = append(wire, seg)
+	}
+	ms = append(ms, Message{Buf: buf, N: len(buf), Src: ap, SegSize: 2})
+	return ms, wire
+}
+
 // collectDatagrams reads want datagrams off a plain UDP socket.
 func collectDatagrams(t *testing.T, pc net.PacketConn, want int) []string {
 	t.Helper()
@@ -66,10 +87,12 @@ func collectDatagrams(t *testing.T, pc net.PacketConn, want int) []string {
 	return got
 }
 
-// TestTrainTxAcrossRungs sends the same mixed batch through every
-// transport rung and asserts the receiver — a plain UDP socket, i.e. no
-// GRO — sees the identical per-datagram wire image, with the telemetry
-// reporting truthfully whether trains were coalesced or unrolled.
+// TestTrainTxAcrossRungs sends the same batches through every transport
+// rung and asserts the receiver — a plain UDP socket, i.e. no GRO — sees
+// the identical per-datagram wire image, with the telemetry reporting
+// truthfully whether trains were coalesced or unrolled. The "refused"
+// batch adds a train the kernel will not take whole: every rung must
+// still put each of its datagrams on the wire, as one fallback.
 func TestTrainTxAcrossRungs(t *testing.T) {
 	rungs := []struct {
 		name  string
@@ -84,69 +107,92 @@ func TestTrainTxAcrossRungs(t *testing.T) {
 			return NewUringConn(pc, UringConfig{})
 		}},
 	}
+	inputs := []trainTxInput{
+		{"mixed", trainTestBatch, 2, 7, 0},
+		{"refused", refusedTrainBatch, 2, 7, 1},
+	}
 	for _, rung := range rungs {
 		t.Run(rung.name, func(t *testing.T) {
-			srv, err := net.ListenPacket("udp4", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			spc, err := net.ListenPacket("udp4", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			bc, err := rung.build(spc)
-			if err != nil {
-				_ = spc.Close()
-				t.Skipf("%s rung unavailable: %v", rung.name, err)
-			}
-			defer bc.Close()
-
-			ms, wire := trainTestBatch(srv.LocalAddr())
-			if n, err := bc.WriteBatch(ms); err != nil || n != len(ms) {
-				t.Fatalf("WriteBatch = %d, %v; want %d", n, err, len(ms))
-			}
-			got := collectDatagrams(t, srv, len(wire))
-			sort.Strings(got)
-			want := append([]string(nil), wire...)
-			sort.Strings(want)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("wire datagram %d = %q, want %q\n(train mis-split?)", i, got[i], want[i])
-				}
-			}
-
-			st, ok := TxStatsOf(bc)
-			if !ok {
-				t.Fatalf("rung %s reports no TxStats", BackendOf(bc))
-			}
-			// Conservation: every train either rode as one coalesced send
-			// or was unrolled — never both, never neither.
-			const trainsSent, trainSegsSent = 2, 7
-			if st.Trains+st.Fallbacks != trainsSent {
-				t.Fatalf("Trains=%d + Fallbacks=%d, want %d total", st.Trains, st.Fallbacks, trainsSent)
-			}
-			switch backend := BackendOf(bc); backend {
-			case "single":
-				if st.Trains != 0 || st.Fallbacks != trainsSent {
-					t.Fatalf("single rung: %+v, want every train unrolled", st)
-				}
-			default:
-				if ProbeGSO() == nil {
-					if st.Trains != trainsSent || st.TrainSegs != trainSegsSent || st.Fallbacks != 0 {
-						t.Fatalf("%s rung with working GSO: %+v, want %d coalesced trains / %d segs",
-							backend, st, trainsSent, trainSegsSent)
+			for _, in := range inputs {
+				t.Run(in.name, func(t *testing.T) {
+					srv, err := net.ListenPacket("udp4", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
 					}
-					if backend == "uring" && st.RingSends != trainsSent {
-						t.Fatalf("uring rung: RingSends=%d, want %d (trains must ride the ring)",
-							st.RingSends, trainsSent)
+					defer srv.Close()
+					// Room for every datagram of the refused train at once.
+					if err := srv.(*net.UDPConn).SetReadBuffer(1 << 20); err != nil {
+						t.Fatal(err)
 					}
-				}
-				// When the probe fails the conn may still coalesce (the
-				// INCOD_NO_GSOTX env var disables the probe, not the
-				// kernel); conservation above is the only portable claim.
+					spc, err := net.ListenPacket("udp4", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					bc, err := rung.build(spc)
+					if err != nil {
+						_ = spc.Close()
+						t.Skipf("%s rung unavailable: %v", rung.name, err)
+					}
+					defer bc.Close()
+					checkTrainTx(t, bc, srv, in)
+				})
 			}
 		})
+	}
+}
+
+// trainTxInput is one batch of TestTrainTxAcrossRungs and what a rung
+// must report for it: trains and segs are what a GSO rung coalesces,
+// refused the trains every rung unrolls.
+type trainTxInput struct {
+	name                  string
+	batch                 func(dst net.Addr) ([]Message, []string)
+	trains, segs, refused uint64
+}
+
+// checkTrainTx writes in's batch through bc, then checks the wire image
+// read off srv and bc's TxStats.
+func checkTrainTx(t *testing.T, bc BatchConn, srv net.PacketConn, in trainTxInput) {
+	t.Helper()
+	trains, segs, refused := in.trains, in.segs, in.refused
+	ms, wire := in.batch(srv.LocalAddr())
+	if n, err := bc.WriteBatch(ms); err != nil || n != len(ms) {
+		t.Fatalf("WriteBatch = %d, %v; want %d", n, err, len(ms))
+	}
+	got := collectDatagrams(t, srv, len(wire))
+	sort.Strings(got)
+	want := append([]string(nil), wire...)
+	sort.Strings(want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("wire datagram %d = %q, want %q\n(train mis-split?)", i, got[i], want[i])
+		}
+	}
+
+	st, ok := TxStatsOf(bc)
+	if !ok {
+		t.Fatalf("rung %s reports no TxStats", BackendOf(bc))
+	}
+	// Conservation: every train either rode as one coalesced send or was
+	// unrolled — never both, never neither.
+	if st.Trains+st.Fallbacks != trains+refused {
+		t.Fatalf("Trains=%d + Fallbacks=%d, want %d total", st.Trains, st.Fallbacks, trains+refused)
+	}
+	switch backend := BackendOf(bc); backend {
+	case "single":
+		if st.Trains != 0 || st.Fallbacks != trains+refused {
+			t.Fatalf("single rung: %+v, want every train unrolled", st)
+		}
+	default:
+		if ProbeGSO() == nil {
+			if st.Trains != trains || st.TrainSegs != segs || st.Fallbacks != refused {
+				t.Fatalf("%s rung with working GSO: %+v, want %d coalesced trains / %d segs, %d unrolled",
+					backend, st, trains, segs, refused)
+			}
+		}
+		// When the probe fails the conn may still coalesce (the
+		// INCOD_NO_GSOTX env var disables the probe, not the kernel);
+		// conservation above is the only portable claim.
 	}
 }
 

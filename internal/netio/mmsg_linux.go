@@ -331,11 +331,11 @@ func (c *mmsgConn) WriteBatch(ms []Message) (int, error) {
 // TxStats implements TxStatser.
 func (c *mmsgConn) TxStats() TxStats { return c.txc.snapshot() }
 
-// writeBatchGSO is the transmit entry shared by the mmsg rung and the
-// uring rung's inline side: sendmmsg with a UDP_SEGMENT cmsg on each
-// train message, plus a graceful per-datagram retry when the kernel
-// rejects one specific train (st records what actually happened, so a
-// fallback never masquerades as a coalesced send).
+// writeBatchGSO is the whole transmit side of both batched rungs, mmsg
+// and uring: sendmmsg with a UDP_SEGMENT cmsg on each train message,
+// plus a graceful per-datagram retry when the kernel rejects one
+// specific train (st records what actually happened, so a fallback
+// never masquerades as a coalesced send).
 func writeBatchGSO(rc syscall.RawConn, tx *mmsgScratch, st *txCounters, ms []Message, ip4 bool) (int, error) {
 	sent := 0
 	for sent < len(ms) {
@@ -400,10 +400,6 @@ func sendTrainSplit(rc syscall.RawConn, tx *mmsgScratch, m *Message, ip4 bool) e
 
 // sendmmsgBatch flushes ms through a sendmmsg(2) loop on rc's fd using
 // tx's reusable header vector, parking in the netpoller on EAGAIN.
-// Shared by the mmsg conn and by the uring conn's transmit side: for
-// inline UDP sends sendmmsg is the cheapest batch primitive the kernel
-// offers (an io_uring SENDMSG SQE buys async punting this workload
-// never needs, at the cost of a request lifecycle per datagram).
 func sendmmsgBatch(rc syscall.RawConn, tx *mmsgScratch, ms []Message, ip4 bool) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil

@@ -105,13 +105,6 @@ type TxStats struct {
 	// Fallbacks counts trains unrolled into per-datagram sends because
 	// the rung (or the kernel, per send) could not take UDP_SEGMENT.
 	Fallbacks uint64
-	// RingSends counts trains submitted as io_uring SENDMSG SQEs rather
-	// than inline sendmmsg.
-	RingSends uint64
-	// SendZC counts zero-copy ring sends. Reserved: the conn never uses
-	// SENDMSG_ZC today (trains are copied into ring-owned buffers), so
-	// it is truthfully zero.
-	SendZC uint64
 }
 
 // Add accumulates o into s, for summing per-socket stats.
@@ -119,8 +112,6 @@ func (s *TxStats) Add(o TxStats) {
 	s.Trains += o.Trains
 	s.TrainSegs += o.TrainSegs
 	s.Fallbacks += o.Fallbacks
-	s.RingSends += o.RingSends
-	s.SendZC += o.SendZC
 }
 
 // TxStatser is implemented by conns that track GSO transmit telemetry.
@@ -137,7 +128,7 @@ func TxStatsOf(bc BatchConn) (TxStats, bool) {
 // txCounters is the shared atomic backing of TxStats, embedded by every
 // rung's conn.
 type txCounters struct {
-	trains, trainSegs, fallbacks, ringSends atomic.Uint64
+	trains, trainSegs, fallbacks atomic.Uint64
 }
 
 func (t *txCounters) snapshot() TxStats {
@@ -145,7 +136,6 @@ func (t *txCounters) snapshot() TxStats {
 		Trains:    t.trains.Load(),
 		TrainSegs: t.trainSegs.Load(),
 		Fallbacks: t.fallbacks.Load(),
-		RingSends: t.ringSends.Load(),
 	}
 }
 

@@ -7,15 +7,17 @@ import (
 
 // ErrUringUnsupported reports that the running kernel (or platform)
 // lacks the io_uring features the uring backend needs — multishot
-// RECVMSG, provided-buffer rings and EXT_ARG timeout waits. Callers
-// test for it with errors.Is and degrade to NewBatchConn.
+// RECVMSG (Linux 6.0), a provided-buffer ring, one mapping for the SQ
+// and CQ rings (IORING_FEAT_SINGLE_MMAP) and a CQ eventfd the netpoller
+// can wait on. Callers test for it with errors.Is and degrade to
+// NewBatchConn.
 var ErrUringUnsupported = errors.New("netio: io_uring backend unsupported on this kernel")
 
 // UringConfig sizes a NewUringConn ring. The zero value is serviceable.
 type UringConfig struct {
-	// Entries is the submission-queue depth (default 128). The ring only
-	// ever carries the multishot receive, so this mostly sizes the
-	// completion queue alongside Buffers.
+	// Entries is the submission-queue depth (default 128). The ring
+	// carries nothing but the multishot receive (WriteBatch is sendmmsg),
+	// so this mostly sizes the completion queue alongside Buffers.
 	Entries int
 	// Buffers is the provided-buffer ring size (default 256, rounded up
 	// to a power of two): the number of datagrams the kernel can
@@ -62,9 +64,6 @@ type UringStats struct {
 	// Starved counts ENOBUFS terminations specifically — the consumer
 	// fell more than BufRingSize datagrams behind the socket.
 	Starved uint64
-	// SendErrors counts WriteBatch calls that returned an error from the
-	// sendmmsg transmit path (the same errors the mmsg rung surfaces).
-	SendErrors uint64
 	// Enters counts io_uring_enter syscalls, the number to compare with
 	// the datagram counters for the amortization ratio.
 	Enters uint64

@@ -16,21 +16,21 @@ import (
 	"unsafe"
 )
 
-// The io_uring backend: the third transport rung above recvmmsg/sendmmsg.
+// The io_uring backend: a receive rung. One multishot RECVMSG stays
+// armed on the socket, filling completions from a registered
+// provided-buffer ring — the kernel picks a buffer per datagram and
+// posts a CQE, so a loaded socket is drained from the mmap'd completion
+// queue with no syscall at all. Everything it sends, plain datagrams and
+// GSO trains alike, goes through the mmsg rung's sendmmsg path
+// (writeBatchGSO): a train leaves as one UDP_SEGMENT send straight from
+// the caller's buffer, and a train the kernel refuses is unrolled.
 //
-// Receive side: one multishot RECVMSG stays armed on the socket, filling
-// completions from a registered provided-buffer ring — the kernel picks
-// a buffer per datagram and posts a CQE, so a loaded socket is drained
-// from the mmap'd completion queue with no syscall at all. Send side:
-// plain datagrams flush through the same sendmmsg(2) loop as the mmsg
-// rung — profiles show a SENDMSG SQE costing ~40% more than a sendmmsg
-// slot per datagram, since each SQE pays a full io_uring request
-// lifecycle to buy async punting that MSG_DONTWAIT UDP transmit never
-// uses. GSO trains flip that economics: one SENDMSG SQE carries up to 64
-// segments in one UDP_SEGMENT send, so the request lifecycle amortizes
-// below what even sendmmsg charges per datagram, and trains therefore
-// ride the ring (payload copied into a slot that stays claimed until the
-// CQE). Each direction and shape lands on the primitive that wins it.
+// The ring needs Linux 6.0 for multishot RECVMSG, and with it features
+// every such kernel has: the provided-buffer ring, COOP_TASKRUN, a
+// single SQ/CQ mapping and a CQ eventfd the netpoller can wait on. A
+// kernel missing any of them fails NewUringConn with
+// ErrUringUnsupported, and callers fall back to mmsg; no older-kernel
+// variant of any step is kept.
 //
 // Everything is raw syscalls against the standard library only —
 // io_uring_setup/io_uring_enter/io_uring_register share one number on
@@ -45,7 +45,6 @@ const (
 )
 
 const (
-	opSendmsg = 9  // IORING_OP_SENDMSG
 	opRecvmsg = 10 // IORING_OP_RECVMSG
 
 	sqeBufferSelect   = 1 << 5 // IOSQE_BUFFER_SELECT
@@ -58,23 +57,18 @@ const (
 	cqEventfdDisabled = 1 << 0 // IORING_CQ_EVENTFD_DISABLED (CQ ring flags)
 
 	enterGetevents = 1 << 0 // IORING_ENTER_GETEVENTS
-	enterExtArg    = 1 << 3 // IORING_ENTER_EXT_ARG
 
 	setupCQSize      = 1 << 3 // IORING_SETUP_CQSIZE
 	setupClamp       = 1 << 4 // IORING_SETUP_CLAMP
 	setupCoopTaskrun = 1 << 8 // IORING_SETUP_COOP_TASKRUN
 
 	featSingleMmap = 1 << 0 // IORING_FEAT_SINGLE_MMAP
-	featExtArg     = 1 << 8 // IORING_FEAT_EXT_ARG
 
 	offSQRing = 0
-	offCQRing = 0x8000000
 	offSQEs   = 0x10000000
 
-	regEventfd    = 4  // IORING_REGISTER_EVENTFD
-	unregEventfd  = 5  // IORING_UNREGISTER_EVENTFD
-	regPbufRing   = 22 // IORING_REGISTER_PBUF_RING
-	unregPbufRing = 23 // IORING_UNREGISTER_PBUF_RING
+	regEventfd  = 4  // IORING_REGISTER_EVENTFD
+	regPbufRing = 22 // IORING_REGISTER_PBUF_RING
 )
 
 // sqringOffsets / cqringOffsets / uringParams mirror the kernel ABI
@@ -113,7 +107,7 @@ type uringSQE struct {
 	off         uint64
 	addr        uint64
 	len         uint32
-	opFlags     uint32 // msg_flags for SENDMSG/RECVMSG
+	opFlags     uint32 // msg_flags for RECVMSG
 	userData    uint64
 	bufGroup    uint16 // union buf_index / buf_group
 	personality uint16
@@ -149,17 +143,6 @@ type uringBufReg struct {
 	resv        [3]uint64
 }
 
-// kernelTimespec / geteventsArg are the IORING_ENTER_EXT_ARG timeout
-// argument (struct __kernel_timespec, struct io_uring_getevents_arg).
-type kernelTimespec struct{ sec, nsec int64 }
-
-type geteventsArg struct {
-	sigmask   uint64
-	sigmaskSz uint32
-	pad       uint32
-	ts        uint64
-}
-
 // recvmsgOutSize is sizeof(struct io_uring_recvmsg_out), the header a
 // multishot RECVMSG completion writes at the start of its provided
 // buffer, ahead of the (reserved-size) source address and the payload.
@@ -171,13 +154,12 @@ const recvmsgOutSize = 16
 const nameSpace = int(unsafe.Sizeof(syscall.RawSockaddrAny{}))
 
 // uringConn is the io_uring BatchConn. The ring carries the receive
-// direction and GSO-train sends; plain transmit goes through the
-// sendmmsg fast path on its own lock, so ReadBatch and WriteBatch still
-// run concurrently (the loadgen splits a conn that way: a dedicated
-// receiver plus a sender) — a train send takes the ring mutex only for
-// the short stage/submit window, never across a wait. The mutex guards
-// all ring state but is never held across a blocking wait — waits
-// happen with the lock dropped so Close stays prompt.
+// direction only; WriteBatch is the mmsg rung's sendmmsg path on its own
+// lock and never takes the ring mutex, so ReadBatch and WriteBatch run
+// concurrently (the loadgen splits a conn that way: a dedicated receiver
+// plus a sender). The mutex guards all ring state but is never held
+// across a blocking wait — waits happen with the lock dropped so Close
+// stays prompt.
 type uringConn struct {
 	mu sync.Mutex
 
@@ -187,12 +169,9 @@ type uringConn struct {
 	ip4 bool
 
 	ringFd    int
-	sqMem     []byte
-	cqMem     []byte // aliases sqMem under IORING_FEAT_SINGLE_MMAP
+	ringMem   []byte // SQ and CQ rings, one mapping (IORING_FEAT_SINGLE_MMAP)
 	sqeMem    []byte
-	oneMmap   bool
 	sqEntries uint32
-	cqEntries uint32
 
 	kSQHead *uint32
 	kSQTail *uint32
@@ -233,78 +212,41 @@ type uringConn struct {
 	everArmed bool
 	recvErr   syscall.Errno
 
-	// Transmit side: the reusable sendmmsg header vector, locked
-	// independently of the ring (mmsgScratch carries its own mutex) so
-	// plain sends never contend with the receive path.
+	// Transmit side: the mmsg rung's reusable sendmmsg header vector
+	// (mmsgScratch carries its own mutex) and its train counters.
 	tx  mmsgScratch
 	txc txCounters
-
-	// GSO train transmit rides the ring: one SENDMSG SQE per train, its
-	// payload copied into a send slot whose buffer, msghdr, iovec,
-	// sockaddr and cmsg all stay claimed until the CQE returns the slot
-	// to sendFree. The slab is mmap'd (non-GC memory, like the receive
-	// slab) because the kernel reads it after WriteBatch returns.
-	sendSlab  []byte
-	sendHdrs  []syscall.Msghdr
-	sendIovs  []syscall.Iovec
-	sendNames []syscall.RawSockaddrAny
-	sendCtrls []byte
-	sendFree  []uint16
 
 	// CQ-ready eventfd, registered with the ring and parked on through
 	// the Go netpoller: an idle ReadBatch blocks its goroutine, not an
 	// OS thread inside io_uring_enter. That matters enormously when
 	// cores are scarce — a thread stuck in a blocking enter pins its P
 	// until sysmon retakes it, starving the very peers whose traffic
-	// would produce the next completion. evFile is pollable (checked at
-	// setup) so read deadlines work; the raw enter wait below is the
-	// fallback for kernels where registering the eventfd fails.
-	evFile     *os.File
-	evPollable bool
-	evScratch  [8]byte
-
-	// EXT_ARG wait scratch for the fallback enter-based wait,
-	// heap-resident so the pointers inside are stable across the
-	// syscall. Only ReadBatch waits (sends complete inline via
-	// sendmmsg), so one pair suffices.
-	rdTs   kernelTimespec
-	rdEarg geteventsArg
+	// would produce the next completion. Setup checks that it is
+	// pollable, so read deadlines work.
+	evFile    *os.File
+	evScratch [8]byte
 
 	deadline atomic.Int64 // unix nanos; 0 = none
 	closed   atomic.Bool
-	waiters  atomic.Int32 // threads inside a lockless io_uring_enter wait
+	waiters  atomic.Int32 // threads inside a lockless io_uring_enter peek
 
 	resubmits uint64
 	starved   uint64
-	sendErrs  atomic.Uint64
 	enters    atomic.Uint64
 }
 
-// recvTag is the user_data of the multishot RECVMSG; sendTag marks a
-// train SENDMSG SQE, with the slot index in the low bits. The two bit
-// namespaces cannot collide: a recv CQE's user_data is exactly recvTag.
-const (
-	recvTag = uint64(1) << 63
-	sendTag = uint64(1) << 62
-)
-
-// sendSlots bounds the trains in flight on the ring at once; a full
-// slot table falls back to an inline GSO sendmmsg, so it is a working
-// set, not a limit. sendSlotSize fits the largest legal train.
-const (
-	sendSlots    = 32
-	sendSlotSize = 65536
-)
+// recvTag is the user_data of the multishot RECVMSG, the one request the
+// ring ever carries.
+const recvTag = uint64(1) << 63
 
 // NewUringConn builds the io_uring BatchConn over pc, which must be a
 // real *net.UDPConn. The conn takes ownership: Close tears down the
 // ring first and the socket second. The ring serves the receive
-// direction (multishot RECVMSG into a provided-buffer ring); WriteBatch
-// flushes through the sendmmsg path shared with the mmsg rung, which
-// profiles measurably cheaper for inline UDP transmit — see the package
-// comment above. On kernels without the needed features it fails with
-// an error wrapping ErrUringUnsupported; callers degrade to
-// NewBatchConn.
+// direction only (multishot RECVMSG into a provided-buffer ring);
+// WriteBatch is the mmsg rung's sendmmsg path, trains included. On
+// kernels without the needed features it fails with an error wrapping
+// ErrUringUnsupported; callers degrade to NewBatchConn.
 func NewUringConn(pc net.PacketConn, cfg UringConfig) (BatchConn, error) {
 	udp, ok := pc.(*net.UDPConn)
 	if !ok {
@@ -338,80 +280,58 @@ func NewUringConn(pc net.PacketConn, cfg UringConfig) (BatchConn, error) {
 		}
 	}()
 
-	// COOP_TASKRUN defers completion task-work to the ring owner's next
-	// enter instead of interrupting it per datagram — a measurable win
-	// when cores are scarce; pre-5.19 kernels reject it, so retry bare.
-	setupFlags := uint32(setupClamp | setupCQSize | setupCoopTaskrun)
-	var p uringParams
-	for {
-		// CQ must absorb a completion per provided buffer, with
-		// headroom, or the multishot overflows between reaps.
-		p = uringParams{flags: setupFlags, cqEntries: uint32(2 * (cfg.Buffers + cfg.Entries))}
-		rfd, _, errno := syscall.Syscall(sysIoUringSetup, uintptr(cfg.Entries), uintptr(unsafe.Pointer(&p)), 0)
-		if errno == syscall.EINVAL && setupFlags&setupCoopTaskrun != 0 {
-			setupFlags &^= setupCoopTaskrun
-			continue
-		}
-		if errno != 0 {
-			return nil, fmt.Errorf("%w: io_uring_setup: %v", ErrUringUnsupported, errno)
-		}
-		c.ringFd = int(rfd)
-		break
+	// CQ must absorb a completion per provided buffer, with headroom, or
+	// the multishot overflows between reaps. COOP_TASKRUN defers
+	// completion task-work to the ring owner's next enter instead of
+	// interrupting it per datagram — a measurable win when cores are
+	// scarce.
+	p := uringParams{
+		flags:     setupClamp | setupCQSize | setupCoopTaskrun,
+		cqEntries: uint32(2 * (cfg.Buffers + cfg.Entries)),
 	}
-	if p.features&featExtArg == 0 {
-		return nil, fmt.Errorf("%w: no IORING_FEAT_EXT_ARG", ErrUringUnsupported)
+	rfd, _, errno := syscall.Syscall(sysIoUringSetup, uintptr(cfg.Entries), uintptr(unsafe.Pointer(&p)), 0)
+	if errno != 0 {
+		return nil, fmt.Errorf("%w: io_uring_setup: %v", ErrUringUnsupported, errno)
 	}
-	c.sqEntries, c.cqEntries = p.sqEntries, p.cqEntries
+	c.ringFd = int(rfd)
+	if p.features&featSingleMmap == 0 {
+		return nil, fmt.Errorf("%w: no IORING_FEAT_SINGLE_MMAP", ErrUringUnsupported)
+	}
+	c.sqEntries = p.sqEntries
 
 	sqSize := int(p.sqOff.array) + int(p.sqEntries)*4
 	cqSize := int(p.cqOff.cqes) + int(p.cqEntries)*int(unsafe.Sizeof(uringCQE{}))
-	c.oneMmap = p.features&featSingleMmap != 0
-	if c.oneMmap {
-		size := max(sqSize, cqSize)
-		mem, err := syscall.Mmap(c.ringFd, offSQRing, size,
-			syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED|syscall.MAP_POPULATE)
-		if err != nil {
-			return nil, fmt.Errorf("netio: uring sq/cq mmap: %w", err)
-		}
-		c.sqMem, c.cqMem = mem, mem
-	} else {
-		if c.sqMem, err = syscall.Mmap(c.ringFd, offSQRing, sqSize,
-			syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED|syscall.MAP_POPULATE); err != nil {
-			return nil, fmt.Errorf("netio: uring sq mmap: %w", err)
-		}
-		if c.cqMem, err = syscall.Mmap(c.ringFd, offCQRing, cqSize,
-			syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED|syscall.MAP_POPULATE); err != nil {
-			return nil, fmt.Errorf("netio: uring cq mmap: %w", err)
-		}
+	if c.ringMem, err = syscall.Mmap(c.ringFd, offSQRing, max(sqSize, cqSize),
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED|syscall.MAP_POPULATE); err != nil {
+		return nil, fmt.Errorf("netio: uring sq/cq mmap: %w", err)
 	}
 	if c.sqeMem, err = syscall.Mmap(c.ringFd, offSQEs, int(p.sqEntries)*int(unsafe.Sizeof(uringSQE{})),
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED|syscall.MAP_POPULATE); err != nil {
 		return nil, fmt.Errorf("netio: uring sqe mmap: %w", err)
 	}
 
-	c.kSQHead = (*uint32)(unsafe.Pointer(&c.sqMem[p.sqOff.head]))
-	c.kSQTail = (*uint32)(unsafe.Pointer(&c.sqMem[p.sqOff.tail]))
-	c.sqMask = *(*uint32)(unsafe.Pointer(&c.sqMem[p.sqOff.ringMask]))
-	c.sqArray = unsafe.Slice((*uint32)(unsafe.Pointer(&c.sqMem[p.sqOff.array])), p.sqEntries)
+	c.kSQHead = (*uint32)(unsafe.Pointer(&c.ringMem[p.sqOff.head]))
+	c.kSQTail = (*uint32)(unsafe.Pointer(&c.ringMem[p.sqOff.tail]))
+	c.sqMask = *(*uint32)(unsafe.Pointer(&c.ringMem[p.sqOff.ringMask]))
+	c.sqArray = unsafe.Slice((*uint32)(unsafe.Pointer(&c.ringMem[p.sqOff.array])), p.sqEntries)
 	c.sqes = unsafe.Slice((*uringSQE)(unsafe.Pointer(&c.sqeMem[0])), p.sqEntries)
 	for i := range c.sqArray {
 		c.sqArray[i] = uint32(i) // identity map: slot i submits sqes[i]
 	}
 	c.sqTail = atomic.LoadUint32(c.kSQTail)
 
-	c.kCQHead = (*uint32)(unsafe.Pointer(&c.cqMem[p.cqOff.head]))
-	c.kCQTail = (*uint32)(unsafe.Pointer(&c.cqMem[p.cqOff.tail]))
-	c.kCQFlags = (*uint32)(unsafe.Pointer(&c.cqMem[p.cqOff.flags]))
-	c.cqMask = *(*uint32)(unsafe.Pointer(&c.cqMem[p.cqOff.ringMask]))
-	c.cqes = unsafe.Slice((*uringCQE)(unsafe.Pointer(&c.cqMem[p.cqOff.cqes])), p.cqEntries)
+	c.kCQHead = (*uint32)(unsafe.Pointer(&c.ringMem[p.cqOff.head]))
+	c.kCQTail = (*uint32)(unsafe.Pointer(&c.ringMem[p.cqOff.tail]))
+	c.kCQFlags = (*uint32)(unsafe.Pointer(&c.ringMem[p.cqOff.flags]))
+	c.cqMask = *(*uint32)(unsafe.Pointer(&c.ringMem[p.cqOff.ringMask]))
+	c.cqes = unsafe.Slice((*uringCQE)(unsafe.Pointer(&c.ringMem[p.cqOff.cqes])), p.cqEntries)
 
 	if err := c.setupBufRing(cfg); err != nil {
 		return nil, err
 	}
-	if err := c.setupSendSlots(); err != nil {
+	if err := c.setupEventfd(); err != nil {
 		return nil, err
 	}
-	c.setupEventfd()
 
 	// Arm the multishot receive and hand it to the kernel now, so the
 	// first ReadBatch starts with the socket already being drained. The
@@ -463,28 +383,6 @@ func (c *uringConn) setupBufRing(cfg UringConfig) error {
 	return nil
 }
 
-// setupSendSlots builds the train-transmit slot table. The payload slab
-// is mmap'd so untouched slots cost no physical pages and the memory
-// outlives the Go references the kernel cannot see; the header arrays
-// are ordinary heap slices pinned by the conn, exactly like rcvHdr.
-func (c *uringConn) setupSendSlots() error {
-	slab, err := syscall.Mmap(-1, 0, sendSlots*sendSlotSize,
-		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANONYMOUS|syscall.MAP_PRIVATE)
-	if err != nil {
-		return fmt.Errorf("netio: uring send slab mmap: %w", err)
-	}
-	c.sendSlab = slab
-	c.sendHdrs = make([]syscall.Msghdr, sendSlots)
-	c.sendIovs = make([]syscall.Iovec, sendSlots)
-	c.sendNames = make([]syscall.RawSockaddrAny, sendSlots)
-	c.sendCtrls = make([]byte, sendSlots*gsoCtrlSpace)
-	c.sendFree = make([]uint16, sendSlots)
-	for i := range c.sendFree {
-		c.sendFree[i] = uint16(i)
-	}
-	return nil
-}
-
 // provideBuf stages buffer bid at the ring tail; publishBufTail makes
 // the staged entries visible to the kernel. Only addr/len/bid are
 // written — entry 0's resv field doubles as the ring tail and must
@@ -511,35 +409,30 @@ func (c *uringConn) publishBufTail() {
 // notifier and wraps it in an os.File, which the runtime adds to the
 // netpoller (eventfds are pollable). ReadBatch then waits for
 // completions the way every other conn in this package waits for the
-// socket: goroutine parked, OS thread and P free. Failure is not fatal
-// — ReadBatch falls back to bounded io_uring_enter waits.
-func (c *uringConn) setupEventfd() {
+// socket: goroutine parked, OS thread and P free. A ring that cannot
+// take it is unsupported; teardown closes the file.
+func (c *uringConn) setupEventfd() error {
 	efd, _, errno := syscall.Syscall(sysEventfd2, 0,
 		uintptr(syscall.O_NONBLOCK|syscall.O_CLOEXEC), 0)
 	if errno != 0 {
-		return
+		return fmt.Errorf("%w: eventfd2: %v", ErrUringUnsupported, errno)
 	}
+	c.evFile = os.NewFile(efd, "uring-cq-eventfd")
 	fd32 := int32(efd)
 	if _, _, errno := syscall.Syscall6(sysIoUringRegister, uintptr(c.ringFd),
 		regEventfd, uintptr(unsafe.Pointer(&fd32)), 1, 0, 0); errno != 0 {
-		_ = syscall.Close(int(efd))
-		return
+		return fmt.Errorf("%w: IORING_REGISTER_EVENTFD: %v", ErrUringUnsupported, errno)
 	}
-	f := os.NewFile(efd, "uring-cq-eventfd")
-	// Pollability check: deadlines only work when the runtime actually
-	// registered the fd with the netpoller.
-	if f.SetReadDeadline(time.Time{}) != nil {
-		_, _, _ = syscall.Syscall6(sysIoUringRegister, uintptr(c.ringFd),
-			unregEventfd, 0, 0, 0, 0)
-		_ = f.Close()
-		return
+	// Deadlines only work when the runtime registered the fd with the
+	// netpoller.
+	if err := c.evFile.SetReadDeadline(time.Time{}); err != nil {
+		return fmt.Errorf("%w: CQ eventfd not pollable: %v", ErrUringUnsupported, err)
 	}
-	c.evFile = f
-	c.evPollable = true
 	// Signal suppression (the NAPI trick): keep the eventfd quiet while
 	// the reader is actively draining, so senders don't pay a wakeup per
 	// datagram; ReadBatch re-enables it only on the edge of parking.
 	atomic.StoreUint32(c.kCQFlags, cqEventfdDisabled)
+	return nil
 }
 
 // nextSQE claims the next submission slot, flushing to the kernel first
@@ -557,7 +450,7 @@ func (c *uringConn) nextSQE() (*uringSQE, error) {
 }
 
 // armRecv queues the multishot RECVMSG SQE. The actual submission
-// happens at the next submit/enterWait.
+// happens at the next submit.
 func (c *uringConn) armRecv() error {
 	sqe, err := c.nextSQE()
 	if err != nil {
@@ -614,65 +507,18 @@ func (c *uringConn) submit() error {
 	}
 }
 
-// waitCQE waits up to d for one completion WITHOUT holding c.mu and
-// without submitting (callers flush queued SQEs under the lock first).
-// ts/earg must be the calling site's dedicated scratch pair so the
-// reader and the writer can wait concurrently. It returns
-// syscall.ETIME when the wait expires. The waiter count keeps Close
-// from tearing the ring down while a thread is inside the syscall.
-func (c *uringConn) waitCQE(ts *kernelTimespec, earg *geteventsArg, d time.Duration) syscall.Errno {
-	if d < 0 {
-		d = 0
-	}
-	ts.sec = int64(d / time.Second)
-	ts.nsec = int64(d % time.Second)
-	*earg = geteventsArg{ts: uint64(uintptr(unsafe.Pointer(ts)))}
-	c.waiters.Add(1)
-	defer c.waiters.Add(-1)
-	if c.closed.Load() {
-		// Close is (or was) draining waiters; don't enter on a ring fd
-		// that may already be gone.
-		return syscall.ETIME
-	}
-	c.enters.Add(1)
-	_, _, errno := syscall.Syscall6(sysIoUringEnter, uintptr(c.ringFd),
-		0, 1, enterGetevents|enterExtArg,
-		uintptr(unsafe.Pointer(earg)), uintptr(unsafe.Sizeof(*earg)))
-	return errno
-}
-
-// reap drains the completion queue: multishot receives are parsed into
-// pending (their provided buffer stays claimed until delivery), train
-// send completions release their slot and account errors. Anything else
-// is skipped defensively.
+// reap drains the completion queue: multishot receives are parsed onto
+// the splitter (their provided buffer stays claimed until delivery).
+// Anything else is skipped defensively.
 func (c *uringConn) reap() {
 	head := atomic.LoadUint32(c.kCQHead)
 	tail := atomic.LoadUint32(c.kCQTail)
 	for ; head != tail; head++ {
-		cqe := c.cqes[head&c.cqMask]
-		switch {
-		case cqe.userData == recvTag:
+		if cqe := c.cqes[head&c.cqMask]; cqe.userData == recvTag {
 			c.reapRecv(&cqe)
-		case cqe.userData&sendTag != 0:
-			c.reapSend(&cqe)
 		}
 	}
 	atomic.StoreUint32(c.kCQHead, head)
-}
-
-// reapSend retires one train SENDMSG completion: the slot (buffer,
-// msghdr, cmsg) was claimed since submission and is free again only
-// now. Errors are counted, not returned — the send already succeeded
-// from the caller's point of view, matching UDP's fire-and-forget
-// contract (and the mmsg rung's own error accounting).
-func (c *uringConn) reapSend(cqe *uringCQE) {
-	slot := uint16(cqe.userData &^ sendTag)
-	if int(slot) < sendSlots {
-		c.sendFree = append(c.sendFree, slot)
-	}
-	if cqe.res < 0 {
-		c.sendErrs.Add(1)
-	}
 }
 
 func (c *uringConn) reapRecv(cqe *uringCQE) {
@@ -761,11 +607,9 @@ func (c *uringConn) ReadBatch(ms []Message) (int, error) {
 			c.mu.Unlock()
 			return 0, net.ErrClosed
 		}
-		if c.evPollable {
-			// Actively draining: suppress eventfd signals so senders
-			// don't pay a wakeup per datagram they complete into the CQ.
-			atomic.StoreUint32(c.kCQFlags, cqEventfdDisabled)
-		}
+		// Actively draining: suppress eventfd signals so senders don't
+		// pay a wakeup per datagram they complete into the CQ.
+		atomic.StoreUint32(c.kCQFlags, cqEventfdDisabled)
 		c.reap()
 		if c.recvErr != 0 {
 			err := c.recvErr
@@ -800,7 +644,7 @@ func (c *uringConn) ReadBatch(ms []Message) (int, error) {
 			c.peekCQ()
 			continue
 		}
-		if err == nil && c.evPollable {
+		if err == nil {
 			// About to park: re-enable eventfd signals, then reap once
 			// more — a completion posted between the last reap and the
 			// enable produced no signal and would otherwise be slept on.
@@ -815,11 +659,10 @@ func (c *uringConn) ReadBatch(ms []Message) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		// Nothing pending: wait with the lock dropped, bounded by the
-		// read deadline (or a housekeeping tick, so Close and deadline
-		// changes are honored even with no traffic). The preferred wait
-		// parks this goroutine on the CQ eventfd via the netpoller; the
-		// fallback blocks a thread in io_uring_enter.
+		// Nothing pending: park this goroutine on the CQ eventfd via the
+		// netpoller with the lock dropped, bounded by the read deadline
+		// (or a housekeeping tick, so Close and deadline changes are
+		// honored even with no traffic).
 		wait := 50 * time.Millisecond
 		if dl := c.deadline.Load(); dl != 0 {
 			remaining := time.Until(time.Unix(0, dl))
@@ -828,17 +671,8 @@ func (c *uringConn) ReadBatch(ms []Message) (int, error) {
 			}
 			wait = min(wait, remaining)
 		}
-		if c.evPollable {
-			if err := c.waitEventfd(wait); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		switch errno := c.waitCQE(&c.rdTs, &c.rdEarg, wait); errno {
-		case 0, syscall.ETIME, syscall.EINTR, syscall.EBUSY:
-			// Loop: reap whatever arrived, then re-check the deadline.
-		default:
-			return 0, fmt.Errorf("netio: io_uring_enter(wait): %v", errno)
+		if err := c.waitEventfd(wait); err != nil {
+			return 0, err
 		}
 	}
 }
@@ -887,120 +721,14 @@ func (c *uringConn) rearmIfPossible() error {
 	return c.submit()
 }
 
-// WriteBatch transmits plain datagrams via the shared sendmmsg path —
-// the primitive profiles show cheapest for inline per-datagram UDP —
-// and GSO trains as SENDMSG SQEs, where one SQE's request lifecycle is
-// amortized over up to 64 segments and flips that economics. Train
-// payloads are copied into ring-owned send slots, so the caller's
-// buffers are free the moment WriteBatch returns while each slot stays
-// claimed until its CQE. Runs of plain messages around a train flush
-// before the train is staged, keeping submission order aligned with the
-// caller's message order.
+// WriteBatch sends through the mmsg rung's sendmmsg path, trains as
+// UDP_SEGMENT sends straight from the caller's buffers, and unrolls a
+// train the kernel refuses. It never takes the ring mutex.
 func (c *uringConn) WriteBatch(ms []Message) (int, error) {
 	if c.closed.Load() {
 		return 0, net.ErrClosed
 	}
-	sent, staged := 0, 0
-	for i := 0; i < len(ms); {
-		if !ringTrain(&ms[i]) {
-			j := i + 1
-			for j < len(ms) && !ringTrain(&ms[j]) {
-				j++
-			}
-			n, err := writeBatchGSO(c.rc, &c.tx, &c.txc, ms[i:j], c.ip4)
-			sent += n
-			if err != nil {
-				if staged > 0 {
-					c.flushSends()
-				}
-				c.sendErrs.Add(1)
-				return sent, err
-			}
-			i = j
-			continue
-		}
-		if c.stageTrain(&ms[i]) {
-			staged++
-			sent++
-		} else {
-			// Every send slot is in flight even after a reap: send this
-			// train inline, still as one GSO datagram burst. Flush the
-			// staged SQEs first so same-destination order holds.
-			if staged > 0 {
-				c.flushSends()
-				staged = 0
-			}
-			n, err := writeBatchGSO(c.rc, &c.tx, &c.txc, ms[i:i+1], c.ip4)
-			sent += n
-			if err != nil {
-				c.sendErrs.Add(1)
-				return sent, err
-			}
-		}
-		i++
-	}
-	if staged > 0 {
-		c.flushSends()
-	}
-	return sent, nil
-}
-
-// ringTrain reports whether m should ride the ring: a GSO train that
-// fits a send slot.
-func ringTrain(m *Message) bool {
-	return m.SegSize > 0 && m.SegSize < m.N && m.N <= sendSlotSize
-}
-
-// stageTrain claims a send slot, copies the train in and queues its
-// SENDMSG SQE (submitted by flushSends). false means no slot was free
-// even after a reap.
-func (c *uringConn) stageTrain(m *Message) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.sendFree) == 0 {
-		c.reap()
-		if len(c.sendFree) == 0 {
-			return false
-		}
-	}
-	slot := c.sendFree[len(c.sendFree)-1]
-	buf := c.sendSlab[int(slot)*sendSlotSize:][:sendSlotSize]
-	n := copy(buf, m.Buf[:m.N])
-	iov := &c.sendIovs[slot]
-	iov.Base = &buf[0]
-	iov.SetLen(n)
-	hdr := &c.sendHdrs[slot]
-	*hdr = syscall.Msghdr{Iov: iov}
-	hdr.Iovlen = 1
-	if m.Src.IsValid() {
-		hdr.Name = (*byte)(unsafe.Pointer(&c.sendNames[slot]))
-		hdr.Namelen = putSockaddr(&c.sendNames[slot], m.Src, c.ip4)
-	}
-	ctrl := c.sendCtrls[int(slot)*gsoCtrlSpace : (int(slot)+1)*gsoCtrlSpace]
-	putGSOControl(ctrl, uint16(m.SegSize))
-	hdr.Control = &ctrl[0]
-	hdr.SetControllen(gsoCtrlSpace)
-	sqe, err := c.nextSQE()
-	if err != nil {
-		return false
-	}
-	c.sendFree = c.sendFree[:len(c.sendFree)-1]
-	sqe.opcode = opSendmsg
-	sqe.fd = int32(c.fd)
-	sqe.addr = uint64(uintptr(unsafe.Pointer(hdr)))
-	sqe.len = 1
-	sqe.userData = sendTag | uint64(slot)
-	c.txc.trains.Add(1)
-	c.txc.trainSegs.Add(uint64(m.Segments()))
-	c.txc.ringSends.Add(1)
-	return true
-}
-
-// flushSends pushes queued train SQEs to the kernel.
-func (c *uringConn) flushSends() {
-	c.mu.Lock()
-	_ = c.submit()
-	c.mu.Unlock()
+	return writeBatchGSO(c.rc, &c.tx, &c.txc, ms, c.ip4)
 }
 
 // TxStats implements TxStatser.
@@ -1038,7 +766,6 @@ func (c *uringConn) Stats() UringStats {
 		BufRingSize: c.nBufs,
 		Resubmits:   c.resubmits,
 		Starved:     c.starved,
-		SendErrors:  c.sendErrs.Load(),
 		Enters:      c.enters.Load(),
 	}
 }
@@ -1049,12 +776,9 @@ func (c *uringConn) Close() error {
 	}
 	// Wake a reader parked on the CQ eventfd (its Read fails with
 	// ErrClosed and the loop observes closed), then drain lockless
-	// enter-waiters: their io_uring_enter holds the (still open) ring fd
-	// and wakes within one bounded tick; a fresh waiter sees closed and
-	// never enters.
-	if c.evFile != nil {
-		_ = c.evFile.Close()
-	}
+	// peekCQ enters: a zero-wait enter on the (still open) ring fd
+	// returns at once, and a fresh one sees closed and never enters.
+	_ = c.evFile.Close()
 	for c.waiters.Load() != 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -1082,13 +806,9 @@ func (c *uringConn) teardown() {
 		_ = syscall.Munmap(c.sqeMem)
 		c.sqeMem = nil
 	}
-	if c.cqMem != nil && !c.oneMmap {
-		_ = syscall.Munmap(c.cqMem)
-	}
-	c.cqMem = nil
-	if c.sqMem != nil {
-		_ = syscall.Munmap(c.sqMem)
-		c.sqMem = nil
+	if c.ringMem != nil {
+		_ = syscall.Munmap(c.ringMem)
+		c.ringMem = nil
 	}
 	if c.bufRingMem != nil {
 		_ = syscall.Munmap(c.bufRingMem)
@@ -1097,10 +817,6 @@ func (c *uringConn) teardown() {
 	if c.slab != nil {
 		_ = syscall.Munmap(c.slab)
 		c.slab = nil
-	}
-	if c.sendSlab != nil {
-		_ = syscall.Munmap(c.sendSlab)
-		c.sendSlab = nil
 	}
 	if c.pc != nil {
 		_ = c.pc.Close()
