@@ -94,8 +94,7 @@ func BenchmarkDataplaneKVSGet(b *testing.B) {
 
 // BenchmarkDataplaneBatchedKVSGet is the batch form of the headline hot
 // path: 32 framed GETs per HandleBatch call, one virtual-clock read and
-// one store-shard lock acquisition per shard per batch. It must also
-// report 0 B/op.
+// one counter flush per batch. It must also report 0 B/op.
 func BenchmarkDataplaneBatchedKVSGet(b *testing.B) {
 	h := kvs.NewHandler(kvs.NewShardedStore(4, 0))
 	scratch := make([]byte, 0, 4096)

@@ -1,5 +1,7 @@
 package cluster
 
+import "math"
+
 // LoadTrace is an offered-load series in kpps, one sample per second —
 // the demand a service sees over (part of) a day.
 type LoadTrace []float64
@@ -18,18 +20,11 @@ func DiurnalLoad(nightKpps, peakKpps float64) LoadTrace {
 			out[s] = nightKpps
 		default:
 			// Ramp up to the afternoon peak and back down.
-			frac := 1 - abs(h-15)/8 // 0 at 7h/23h, 1 at 15h
+			frac := 1 - math.Abs(h-15)/8 // 0 at 7h/23h, 1 at 15h
 			out[s] = nightKpps + (peakKpps-nightKpps)*frac
 		}
 	}
 	return out
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // EnergyKWh integrates a power function over the load trace.

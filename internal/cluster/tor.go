@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"incod/internal/asic"
-	"incod/internal/energy"
 	"incod/internal/power"
 )
 
@@ -25,19 +24,13 @@ type ToRConfig struct {
 // ToR switch becomes cheaper than one server running it, using the §9.4
 // per-port dynamic-power arithmetic for the switch side.
 func SwitchTippingKpps(cfg ToRConfig, limitKpps float64) float64 {
-	sw := energy.Profile{
-		Name: cfg.ServerCurve.Name,
-		DynamicWatts: func(kpps float64) float64 {
-			return cfg.ServerCurve.Power(kpps) - cfg.ServerCurve.Power(0)
-		},
+	server := func(kpps float64) float64 {
+		return cfg.ServerCurve.Power(kpps) - cfg.ServerCurve.Power(0)
 	}
-	nw := energy.Profile{
-		Name: "tor-switch",
-		DynamicWatts: func(kpps float64) float64 {
-			return asic.PortDynamicWatts(kpps*1000, cfg.PacketBytes)
-		},
+	tor := func(kpps float64) float64 {
+		return asic.PortDynamicWatts(kpps*1000, cfg.PacketBytes)
 	}
-	return energy.TippingPointKpps(sw, nw, limitKpps)
+	return power.Crossover(server, tor, limitKpps)
 }
 
 // CacheSplitPower models the §9.4 partial-offload case: the switch serves
@@ -68,13 +61,6 @@ func CacheSplitPower(cfg ToRConfig, rackKpps, hitRatio float64) (split, hostOnly
 	}
 	hostOnly = float64(max(cfg.Nodes, 1)) * hostDyn(perServerAll)
 	return split, hostOnly
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RequestHalving quantifies the §10 observation that running in a switch

@@ -24,13 +24,13 @@ func TestListenEngineModes(t *testing.T) {
 	}
 
 	batched, err := ListenEngine(EngineOptions{Addr: "127.0.0.1:0", Sockets: 2},
-		echo, dataplane.Config{RxBatch: 16, TxBatch: 16})
+		echo, dataplane.Config{})
 	if err != nil {
 		t.Skipf("reuseport group unavailable: %v", err)
 	}
 	defer batched.Close()
 	st := batched.Snapshot()
-	if !batched.Batched() || st.Sockets != 2 || st.RxBatch != 16 || st.TxBatch != 16 {
+	if !batched.Batched() || st.Sockets != 2 || st.RxBatch != 32 || st.TxBatch != 32 {
 		t.Fatalf("batched engine geometry wrong: %+v", st)
 	}
 }

@@ -28,13 +28,14 @@ type BatchItem struct {
 }
 
 // BatchHandler is implemented by handlers that can amortize per-request
-// work across a whole batch — one virtual-clock read, one lock
-// acquisition per store shard (kvs.Handler) — instead of paying it per
-// datagram. When the handler passed to NewBatched implements it, the
-// engine calls HandleBatch with every host-bound datagram of a batch;
-// otherwise it falls back to per-datagram Handler/SourceHandler calls.
-// Like Handler, implementations are called concurrently from different
-// shard workers and each call must only touch the items it was given.
+// work across a whole batch — one virtual-clock read, one flush of
+// shared counters — instead of paying it per datagram. A handler serves
+// a batch's items in order, so each gets the reply it would get on its
+// own. When the engine's handler implements it, the engine calls
+// HandleBatch with every host-bound datagram of a batch; otherwise it
+// falls back to per-datagram Handler/SourceHandler calls. Like Handler,
+// implementations are called concurrently from different shard workers
+// and each call must only touch the items it was given.
 type BatchHandler interface {
 	HandleBatch(items []*BatchItem)
 }
@@ -48,14 +49,22 @@ type BatchFastPath interface {
 	TryHandleBatch(items []*BatchItem)
 }
 
-// NewBatched builds an engine in per-shard-socket batched mode: conns[i]
-// becomes shard i's socket (normally a SO_REUSEPORT group from
-// netio.ListenReusePortGroup, all bound to one address), each shard
-// reads its own recvmmsg batches, handles same-shard traffic inline
-// without the channel hop, hands cross-shard datagrams to the owning
-// shard's queue, and flushes replies with one sendmmsg per TxBatch.
-// cfg.Shards is forced to len(conns). Call Start/Run and Close exactly
-// as with New.
+// rxBatch is the most datagrams a shard reads per ReadBatch and txBatch
+// the most replies it sends per WriteBatch. Each in-flight receive slot
+// pins one MaxDatagram-sized pooled buffer, so batched-mode overload
+// memory is Sockets*rxBatch*MaxDatagram on top of the queue bound.
+const rxBatch, txBatch = 32, 32
+
+// NewBatchedConns builds an engine in per-shard-socket batched mode:
+// conns[i] becomes shard i's socket (normally a SO_REUSEPORT group from
+// netio.ListenReusePortGroup, all bound to one address) and bcs[i], which
+// wraps it, shard i's transport — netio.NewBatchConn, or
+// netio.NewUringConn where ProbeUring passes, so the engine itself stays
+// transport-agnostic behind the BatchConn seam. Each shard reads its own
+// batches, handles same-shard traffic inline without the channel hop,
+// hands cross-shard datagrams to the owning shard's queue, and flushes
+// its replies in batches. cfg.Shards is forced to len(conns). Call
+// Start/Run and Close exactly as with New.
 // With the default dispatch (no cfg.ShardBy), the arrival socket IS the
 // shard: the kernel's reuseport 4-tuple hash already pins each flow to
 // one socket, so per-flow ordering holds with no cross-shard handoff at
@@ -63,23 +72,9 @@ type BatchFastPath interface {
 // kvs.ShardByKey, whose key serialization the offload tier's coherence
 // depends on) re-enables the queue handoff for datagrams the kernel
 // landed on the wrong shard's socket.
-func NewBatched(conns []net.PacketConn, h Handler, cfg Config) *Engine {
-	bcs := make([]netio.BatchConn, len(conns))
-	for i, c := range conns {
-		bcs[i] = netio.NewBatchConn(c)
-	}
-	return NewBatchedConns(conns, bcs, h, cfg)
-}
-
-// NewBatchedConns is NewBatched with the BatchConns already built:
-// bcs[i] wraps conns[i] and becomes shard i's transport. This is how a
-// daemon selects the io_uring backend — it builds netio.NewUringConn
-// over each reuseport socket (falling back per ProbeUring) and hands
-// the result here; the engine itself stays transport-agnostic behind
-// the BatchConn seam.
 func NewBatchedConns(conns []net.PacketConn, bcs []netio.BatchConn, h Handler, cfg Config) *Engine {
 	if len(conns) == 0 {
-		panic("dataplane: NewBatched needs at least one socket")
+		panic("dataplane: NewBatchedConns needs at least one socket")
 	}
 	if len(bcs) != len(conns) {
 		panic("dataplane: NewBatchedConns needs one BatchConn per socket")
@@ -141,7 +136,7 @@ type batchState struct {
 	rx     []netio.Message
 	rxBufs []*[]byte
 
-	// free is the worker-private receive-buffer free list (RxBatch
+	// free is the worker-private receive-buffer free list (rxBatch
 	// long): pinned workers that recycle through the shared
 	// sync.Pool steal buffers across CPUs, because a pool's per-P caches
 	// follow the scheduler rather than the pinned thread. Buffers parked
@@ -169,7 +164,7 @@ type batchState struct {
 }
 
 func (e *Engine) newBatchState(i int) *batchState {
-	n := e.cfg.RxBatch
+	n := rxBatch
 	w := &batchState{
 		e: e, s: e.shards[i], i: i, bc: e.bconns[i],
 		rx:        make([]netio.Message, n),
@@ -368,13 +363,13 @@ func (w *batchState) drainQueue(final bool) {
 	}
 }
 
-// collectQueued pulls up to RxBatch queued packets, blocking for the
+// collectQueued pulls up to rxBatch queued packets, blocking for the
 // first when final is set. It stops early at a Barrier sentinel so
 // packets queued ahead of the sentinel are handled before it is
 // signaled.
 func (w *batchState) collectQueued(final bool) (pkts []packet, barrier chan<- struct{}, closed bool) {
 	pkts = w.qpkts[:0]
-	for len(pkts) < w.e.cfg.RxBatch {
+	for len(pkts) < rxBatch {
 		var pkt packet
 		var ok bool
 		if final && len(pkts) == 0 {
@@ -439,7 +434,7 @@ func (w *batchState) processItems(items []*BatchItem) {
 	}
 }
 
-// flushTx sends the staged replies, at most TxBatch per WriteBatch call.
+// flushTx sends the staged replies, at most txBatch per WriteBatch call.
 // With GSO TX active the staged replies are first coalesced into
 // destination-grouped UDP_SEGMENT trains; either way a message the
 // socket rejects is counted and skipped, and the rest of the batch still
@@ -453,7 +448,7 @@ func (w *batchState) flushTx() {
 		out = w.buildTrains()
 	}
 	for off := 0; off < len(out); {
-		end := min(off+w.e.cfg.TxBatch, len(out))
+		end := min(off+txBatch, len(out))
 		n, err := w.bc.WriteBatch(out[off:end])
 		s.writeBatches.Add(1)
 		sent := uint64(0)

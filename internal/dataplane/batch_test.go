@@ -22,7 +22,16 @@ func newBatchedEngine(t *testing.T, sockets int, h Handler, cfg Config) *Engine 
 	if err != nil {
 		t.Skipf("reuseport group unavailable: %v", err)
 	}
-	return NewBatched(conns, h, cfg)
+	return NewBatchedConns(conns, batchConns(conns), h, cfg)
+}
+
+// batchConns wraps each socket in the default batched rung.
+func batchConns(conns []net.PacketConn) []netio.BatchConn {
+	bcs := make([]netio.BatchConn, len(conns))
+	for i, c := range conns {
+		bcs[i] = netio.NewBatchConn(c)
+	}
+	return bcs
 }
 
 // echoClient round-trips msgs distinct payloads against addr with

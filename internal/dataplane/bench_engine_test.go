@@ -125,7 +125,7 @@ func BenchmarkDataplaneEngineLoopback(b *testing.B) {
 						}
 						e = NewBatchedConns(conns, bcs, echoHandler, Config{Name: "bench-eng-uring"})
 					} else {
-						e = NewBatched(conns, echoHandler, Config{Name: "bench-eng-mmsg"})
+						e = NewBatchedConns(conns, batchConns(conns), echoHandler, Config{Name: "bench-eng-mmsg"})
 					}
 				}
 				benchServeLoopback(b, e, 4*shards)

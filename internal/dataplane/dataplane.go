@@ -87,14 +87,6 @@ type Config struct {
 	// Implementations must be pure: the same payload/source pair must
 	// always map to the same value, or per-flow ordering is lost.
 	ShardBy func(payload []byte, src netip.AddrPort) uint64
-	// RxBatch is the number of datagrams read per recvmmsg call in
-	// batched mode (default 32). Each in-flight receive slot pins one
-	// MaxDatagram-sized pooled buffer, so batched-mode overload memory is
-	// Sockets*RxBatch*MaxDatagram on top of the queue bound above.
-	RxBatch int
-	// TxBatch is the maximum replies flushed per sendmmsg call in
-	// batched mode (default 32).
-	TxBatch int
 	// PinShards locks each batched shard worker to an OS thread, which
 	// lets its socket wait for datagrams on that thread instead of
 	// through the netpoller (see doc.go), and binds the thread to one of
@@ -126,12 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShardBy == nil {
 		c.ShardBy = SourceHash
-	}
-	if c.RxBatch <= 0 {
-		c.RxBatch = 32
-	}
-	if c.TxBatch <= 0 {
-		c.TxBatch = 32
 	}
 	return c
 }
@@ -174,7 +160,7 @@ type shard struct {
 
 // Engine is a sharded UDP serving runtime with two I/O modes: the
 // classic single-reader mode (one reader goroutine, N shard workers) and
-// the batched per-shard-socket mode (NewBatched: each shard reads its
+// the batched per-shard-socket mode (NewBatchedConns: each shard reads its
 // own SO_REUSEPORT socket in recvmmsg batches and flushes replies with
 // sendmmsg). Both share pooled buffers, hashed dispatch, graceful drain
 // and the offload-tier hooks. See the package comment.

@@ -20,16 +20,16 @@
 // non-Linux platforms) but pays two syscalls per request — one read, one
 // write — through a single reader.
 //
-// # Batched per-shard-socket mode (NewBatched)
+// # Batched per-shard-socket mode (NewBatchedConns)
 //
 // The software answer to the NIC's per-packet amortization: cut the
 // syscalls-per-packet from 2 to 2/B. Each shard owns one socket of a
 // SO_REUSEPORT group (netio.ListenReusePortGroup) and is its own reader:
-// it recvmmsg's up to RxBatch datagrams per syscall straight into pooled
+// it recvmmsg's up to rxBatch datagrams per syscall straight into pooled
 // buffers, handles them, and flushes the replies with one sendmmsg per
-// TxBatch. At the default RxBatch/TxBatch of 32 a full batch costs
-// 2/32 = 0.0625 syscalls per packet, and GET /v1/dataplane reports the
-// achieved amortization (rx_per_read, tx_per_write).
+// txBatch. At those batches of 32 a full batch costs 2/32 = 0.0625
+// syscalls per packet, and GET /v1/dataplane reports the achieved
+// amortization (rx_per_read, tx_per_write).
 //
 // Dispatch in batched mode: with the default ShardBy, the arrival socket
 // is the shard — the kernel's reuseport 4-tuple hash pins each flow to
@@ -64,9 +64,11 @@
 //
 // Handlers that implement BatchHandler (and offload tiers implementing
 // BatchFastPath) receive whole batches and amortize per-request work
-// further: kvs.Handler reads the virtual clock once and takes each store
-// shard's lock once per batch; nictier.KVSTier checks its epoch once per
-// batch.
+// further: kvs.Handler reads the virtual clock and flushes its GET
+// counters once per batch; nictier.KVSTier checks its epoch once per
+// batch. Every handler and tier serves a batch's items in order, so
+// per-flow order holds inside a batch too: a datagram gets the reply it
+// would get if its flow's datagrams came one at a time.
 //
 // # Overload memory bound
 //
@@ -75,8 +77,8 @@
 // request trains stages the rest of a read's trains in one buffer of its
 // own, so the engine's overload memory is bounded by
 //
-//	Sockets*RxBatch*MaxDatagram + Shards*QueueDepth*MaxDatagram
-//	  + Sockets*RxBatch*MaxTrainBytes
+//	Sockets*rxBatch*MaxDatagram + Shards*QueueDepth*MaxDatagram
+//	  + Sockets*rxBatch*MaxTrainBytes
 //
 // (the first and last terms are zero in single-reader mode, where the
 // lone reader holds one buffer at a time). The last term counts only

@@ -528,9 +528,9 @@ func workloads() []workload {
 		ClientID: 9, Seq: 42, ClientAddr: "c:1", Value: []byte("cmd")})} // the handoff carries state
 	return []workload{
 		{name: "kvs/host", cfg: kvsCfg, build: kvsStack, script: kvsScript,
-			pin: "offloaded=0 fanout=0 handler=map[deletes:3 hits:91 malformed:1 misses:5 multiget:1 sets:18] tier=map[]"},
+			pin: "offloaded=0 fanout=0 handler=map[deletes:4 hits:95 malformed:1 misses:7 multiget:1 sets:20] tier=map[]"},
 		{name: "kvs/tier", cfg: kvsCfg, lit: true, build: kvsStack, script: kvsScript,
-			pin: "offloaded=89 fanout=0 handler=map[deletes:3 hits:2 malformed:1 misses:5 multiget:1 sets:18] tier=map[l1_hit:0 l2_hit:89 miss:4 passthrough:2 warmed_entries:80 write_through:21]"},
+			pin: "offloaded=93 fanout=0 handler=map[deletes:4 hits:2 malformed:1 misses:7 multiget:1 sets:20] tier=map[l1_hit:0 l2_hit:93 miss:6 passthrough:2 warmed_entries:80 write_through:24]"},
 		{name: "dns/host", cfg: dnsCfg, build: dnsStack, script: dnsScript,
 			pin: "offloaded=0 fanout=0 handler=map[answered:74 ignored:1 malformed:2 notimpl:2 nxdomain:3] tier=map[]"},
 		{name: "dns/tier", cfg: dnsCfg, lit: true, build: dnsStack, script: dnsScript,
@@ -557,14 +557,12 @@ func kvsStack(paxos.Sender) (dataplane.Handler, nictier.Tier) {
 	return h, nictier.NewKVS(h)
 }
 
-// kvsScript never reads a key and mutates it later: kvs.Handler.HandleBatch
-// may answer such a GET after the mutation (TestHandleBatchMutationThenGet).
 func kvsScript() [][]byte {
 	framed := func(id int, body string) []byte {
 		return memcache.EncodeFrame(memcache.Frame{RequestID: uint16(id), Total: 1}, []byte(body))
 	}
 	var s [][]byte
-	for i := 0; i < 70; i++ { // seeded hits, across the handlers' 64-item chunk
+	for i := 0; i < 70; i++ { // seeded hits
 		s = append(s, framed(i, fmt.Sprintf("get key-%d\r\n", i)))
 	}
 	for i := 0; i < 16; i++ {
@@ -581,6 +579,10 @@ func kvsScript() [][]byte {
 		[]byte("set quiet 7 0 2 noreply\r\nhi\r\n"), []byte("delete key-76 noreply\r\n"),
 		[]byte("get quiet\r\n"), framed(306, "get key-76\r\n"),
 		[]byte("\x00\x01garbage"),
+		// Reads around a mutation of the same key, all in the last window.
+		framed(307, "get key-77\r\n"), framed(308, "set key-77 5 0 3\r\nnew\r\n"), framed(309, "get key-77\r\n"),
+		framed(310, "get later\r\n"), framed(311, "set later 0 0 1\r\ny\r\n"), framed(312, "get later\r\n"),
+		framed(313, "get key-78\r\n"), framed(314, "delete key-78\r\n"), framed(315, "get key-78\r\n"),
 	)
 }
 

@@ -163,8 +163,8 @@ func (e *Engine) Snapshot() Stats {
 		st.Backend = e.Backend()
 		st.Pinned = e.pinned.Load()
 		st.Sockets = len(e.bconns)
-		st.RxBatch = e.cfg.RxBatch
-		st.TxBatch = e.cfg.TxBatch
+		st.RxBatch = rxBatch
+		st.TxBatch = txBatch
 		st.GRORx = true
 		var rxSegs uint64
 		for _, bc := range e.bconns {

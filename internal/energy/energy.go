@@ -11,8 +11,8 @@
 // of fixed-function devices adopt programmable ones, which hinges on the
 // idle-power penalty Pi_N vs Pi_S; and (2) given programmable devices,
 // when should a workload move into the network — at the rate R* where
-// Pd_N(R*) = Pd_S(R*), since the device's idle/sleep power is paid
-// regardless of workload placement.
+// Pd_N(R*) = Pd_S(R*) (power.Crossover finds it), since the device's
+// idle/sleep power is paid regardless of workload placement.
 package energy
 
 import "time"
@@ -51,30 +51,6 @@ func (p Profile) Energy(wPackets uint64, kpps float64, ts, ti time.Duration) Bre
 		SleepJ:  p.SleepWatts * ts.Seconds(),
 		IdleJ:   p.IdleWatts * ti.Seconds(),
 	}
-}
-
-// TippingPointKpps returns the lowest rate at which the network placement's
-// dynamic power matches or beats the software placement's — the §8
-// condition Pd_N(R) = Pd_S(R). It returns -1 if the network never wins
-// below limitKpps.
-func TippingPointKpps(sw, nw Profile, limitKpps float64) float64 {
-	f := func(r float64) float64 { return sw.DynamicWatts(r) - nw.DynamicWatts(r) }
-	if f(0) >= 0 {
-		return 0
-	}
-	if f(limitKpps) < 0 {
-		return -1
-	}
-	lo, hi := 0.0, limitKpps
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if f(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }
 
 // AdoptionPenaltyWatts answers the first §8 question: the idle-power

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"incod/internal/power"
 )
 
 func linear(idle, slope float64) func(float64) float64 {
@@ -41,40 +39,6 @@ func TestEnergyZeroRate(t *testing.T) {
 	}
 	if b.IdleJ != 2 {
 		t.Errorf("IdleJ = %v, want 2", b.IdleJ)
-	}
-}
-
-func TestTippingPoint(t *testing.T) {
-	sw := Profile{Name: "sw", DynamicWatts: linear(0, 0.25)}
-	nw := Profile{Name: "nw", DynamicWatts: linear(20, 0.01)}
-	got := TippingPointKpps(sw, nw, 1000)
-	// 0.25R = 20 + 0.01R -> R = 83.33.
-	if math.Abs(got-83.33) > 0.1 {
-		t.Errorf("tipping point = %v, want ~83.33", got)
-	}
-}
-
-func TestTippingPointEdges(t *testing.T) {
-	cheapHW := Profile{DynamicWatts: linear(0, 0)}
-	expensiveSW := Profile{DynamicWatts: linear(5, 1)}
-	if TippingPointKpps(expensiveSW, cheapHW, 100) != 0 {
-		t.Error("hardware cheaper everywhere should tip at 0")
-	}
-	if TippingPointKpps(cheapHW, expensiveSW, 100) != -1 {
-		t.Error("hardware never cheaper should return -1")
-	}
-}
-
-// The paper's own curves: the Paxos tipping point (software vs P4xos on
-// NetFPGA) sits near 150 kpps.
-func TestPaxosTippingWithPaperCurves(t *testing.T) {
-	sw := Profile{Name: "libpaxos", DynamicWatts: power.LibpaxosLeader.Power}
-	nw := Profile{Name: "p4xos", DynamicWatts: func(r float64) float64 {
-		return 39 + 10 + 1.2*math.Min(r/10000, 1) // server + card + dynamic
-	}}
-	got := TippingPointKpps(sw, nw, 1000)
-	if math.Abs(got-150) > 25 {
-		t.Errorf("Paxos tipping point = %v kpps, want ~150", got)
 	}
 }
 

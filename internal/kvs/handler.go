@@ -19,10 +19,10 @@ import (
 // matching the simulator's relative-exptime semantics.
 //
 // The single-key GET, SET and DELETE paths — parse, shard lookup/mutate,
-// encode — perform zero heap allocations per steady-state request: GETs
-// encode under the shard lock (ShardedStore.AppendGetHit/AppendGetBatch)
-// and SET overwrites reuse the entry's value buffer in place
-// (ShardedStore.SetBytes); only a first-time insert allocates.
+// encode — perform zero heap allocations per steady-state request: a GET
+// hit is encoded straight out of the store's lock-free read
+// (ShardedStore.AppendGetHit) and a SET copies the value into its
+// partition's arena, in place on overwrite (ShardedStore.SetBytes).
 type Handler struct {
 	store *ShardedStore
 	epoch time.Time
@@ -70,9 +70,10 @@ func (h *Handler) StatsCounters() *telemetry.AtomicCounters { return h.counters 
 // API (nil unless ShardedStore.EnableHotKeys was called).
 func (h *Handler) HotKeys(max int) []telemetry.HotKey { return h.store.HotKeys(max) }
 
-// parseRequest undoes optional UDP framing and parses the request line
-// into v. ok=false means the datagram parses neither framed nor raw.
-func parseRequest(in []byte, v *memcache.RequestView) (body []byte, framed bool, reqID uint16, ok bool) {
+// ParseDatagram undoes optional UDP framing and parses the request line
+// into v. ok=false means the datagram parses neither framed nor raw. The
+// host handler and the NIC tier both decode through it.
+func ParseDatagram(in []byte, v *memcache.RequestView) (body []byte, framed bool, reqID uint16, ok bool) {
 	if f, b, err := memcache.DecodeFrame(in); err == nil && memcache.ParseRequestView(b, v) == nil {
 		return b, true, f.RequestID, true
 	}
@@ -82,45 +83,67 @@ func parseRequest(in []byte, v *memcache.RequestView) (body []byte, framed bool,
 	return nil, false, 0, false
 }
 
-// HandleDatagram implements dataplane.Handler.
+// getTally is one call's GET outcomes, flushed once per HandleBatch (or
+// per datagram on the single path): shard workers serving at once would
+// otherwise contend on the shared counter lines once per request.
+type getTally struct{ hits, misses uint64 }
+
+func (h *Handler) flush(n *getTally) {
+	if n.hits > 0 {
+		h.hits.Add(n.hits)
+	}
+	if n.misses > 0 {
+		h.misses.Add(n.misses)
+	}
+}
+
+// HandleDatagram implements dataplane.Handler: serve on one item.
 func (h *Handler) HandleDatagram(in []byte, scratch *[]byte) ([]byte, bool) {
+	it := dataplane.BatchItem{In: in, Scratch: scratch}
+	var n getTally
+	h.serve(&it, simnet.Time(time.Since(h.epoch)), &n)
+	h.flush(&n)
+	return it.Out, it.Out != nil
+}
+
+// HandleBatch implements dataplane.BatchHandler: the virtual clock is
+// read and the GET counters are flushed once per batch, and the items
+// are served in order, so a batch gets exactly the replies and store
+// state the same datagrams would get one at a time. Nothing allocates
+// but the multi-key GET.
+func (h *Handler) HandleBatch(items []*dataplane.BatchItem) {
 	now := simnet.Time(time.Since(h.epoch))
+	var n getTally
+	for _, it := range items {
+		h.serve(it, now, &n)
+	}
+	h.flush(&n)
+}
+
+// serve answers one datagram at now into *it.Scratch, setting it.Out
+// unless the request was a noreply mutation.
+func (h *Handler) serve(it *dataplane.BatchItem, now simnet.Time, n *getTally) {
 	var v memcache.RequestView
-	body, framed, reqID, ok := parseRequest(in, &v)
+	body, framed, reqID, ok := ParseDatagram(it.In, &v)
 	if !ok {
 		h.malformed.Add(1)
-		*scratch = memcache.AppendStatus((*scratch)[:0], memcache.StatusError)
-		return *scratch, true
+		*it.Scratch = memcache.AppendStatus((*it.Scratch)[:0], memcache.StatusError)
+		it.Out = *it.Scratch
+		return
 	}
-	out := (*scratch)[:0]
+	out := (*it.Scratch)[:0]
 	if framed {
 		out = memcache.AppendFrame(out, memcache.Frame{RequestID: reqID, Total: 1})
 	}
-	if v.Op == memcache.OpGet && !v.MultiKey {
+	switch {
+	case v.Op == memcache.OpGet && !v.MultiKey:
 		if hit, ok := h.store.AppendGetHit(out, v.Key, now); ok {
-			h.hits.Add(1)
+			n.hits++
 			out = hit
 		} else {
-			h.misses.Add(1)
+			n.misses++
 			out = memcache.AppendStatus(out, memcache.StatusEnd)
 		}
-	} else {
-		out = h.applyOther(&v, body, now, out)
-		if v.Noreply {
-			// Mutation applied; the protocol's fire-and-forget marker
-			// suppresses the acknowledgement.
-			*scratch = out
-			return nil, false
-		}
-	}
-	*scratch = out
-	return out, true
-}
-
-// applyOther serves everything but the single-key GET fast path,
-// appending the reply to out.
-func (h *Handler) applyOther(v *memcache.RequestView, body []byte, now simnet.Time, out []byte) []byte {
-	switch {
 	case v.Op == memcache.OpSet:
 		h.sets.Add(1)
 		var exp int64
@@ -128,7 +151,7 @@ func (h *Handler) applyOther(v *memcache.RequestView, body []byte, now simnet.Ti
 			exp = int64(now.Add(time.Duration(v.Exptime) * time.Second))
 		}
 		// The view aliases the receive buffer; SetBytes copies the value
-		// into the store (reusing the entry's buffer on overwrite), so a
+		// into the store (reusing the entry's record on overwrite), so a
 		// steady-state SET allocates nothing.
 		h.store.SetBytes(v.Key, Entry{Flags: v.Flags, Value: v.Value, Expires: exp})
 		out = memcache.AppendStatus(out, memcache.StatusStored)
@@ -147,85 +170,13 @@ func (h *Handler) applyOther(v *memcache.RequestView, body []byte, now simnet.Ti
 			break
 		}
 		resp := h.store.Apply(req, now)
-		h.hits.Add(uint64(len(resp.Items)))
-		h.misses.Add(uint64(len(req.AllKeys()) - len(resp.Items)))
+		n.hits += uint64(len(resp.Items))
+		n.misses += uint64(len(req.AllKeys()) - len(resp.Items))
 		out = memcache.AppendResponse(out, resp)
 	}
-	return out
-}
-
-// HandleBatch implements dataplane.BatchHandler: the virtual clock is
-// read once per chunk and every single-key GET in the chunk resolves
-// through ShardedStore.AppendGetBatch, so each store shard's lock is
-// taken once per chunk instead of once per request and every hit is
-// encoded onto its reply buffer while that lock is held; hit/miss
-// counters are bumped once per chunk too. Mutations apply in batch order
-// during the classification pass, so a GET may observe a later mutation
-// from the same batch early — indistinguishable from UDP reordering,
-// which the protocol already tolerates. Neither the GET path nor the
-// SET/DELETE path allocates.
-func (h *Handler) HandleBatch(items []*dataplane.BatchItem) {
-	for off := 0; off < len(items); off += getBatchChunk {
-		h.handleChunk(items[off:min(off+getBatchChunk, len(items))])
-	}
-}
-
-func (h *Handler) handleChunk(items []*dataplane.BatchItem) {
-	now := simnet.Time(time.Since(h.epoch))
-	var (
-		getIdx [getBatchChunk]int
-		keys   [getBatchChunk][]byte
-		outs   [getBatchChunk]*[]byte
-		found  [getBatchChunk]bool
-	)
-	nGets := 0
-	for i, it := range items {
-		var v memcache.RequestView
-		body, fr, id, ok := parseRequest(it.In, &v)
-		if !ok {
-			h.malformed.Add(1)
-			*it.Scratch = memcache.AppendStatus((*it.Scratch)[:0], memcache.StatusError)
-			it.Out = *it.Scratch
-			continue
-		}
-		out := (*it.Scratch)[:0]
-		if fr {
-			out = memcache.AppendFrame(out, memcache.Frame{RequestID: id, Total: 1})
-		}
-		if v.Op == memcache.OpGet && !v.MultiKey {
-			// Seed the reply with its frame header now; AppendGetBatch
-			// appends the hit lines under the shard lock.
-			*it.Scratch = out
-			getIdx[nGets] = i
-			keys[nGets] = v.Key
-			outs[nGets] = it.Scratch
-			nGets++
-			continue
-		}
-		out = h.applyOther(&v, body, now, out)
-		*it.Scratch = out
-		if v.Noreply {
-			continue // mutation applied, no acknowledgement; it.Out stays empty
-		}
+	*it.Scratch = out
+	if !v.Noreply {
 		it.Out = out
-	}
-	if nGets == 0 {
-		return
-	}
-	h.store.AppendGetBatch(keys[:nGets], now, outs[:nGets], found[:nGets])
-	hits := 0
-	for g := 0; g < nGets; g++ {
-		it := items[getIdx[g]]
-		if found[g] {
-			hits++
-		} else {
-			*it.Scratch = memcache.AppendStatus(*it.Scratch, memcache.StatusEnd)
-		}
-		it.Out = *it.Scratch
-	}
-	h.hits.Add(uint64(hits))
-	if misses := nGets - hits; misses > 0 {
-		h.misses.Add(uint64(misses))
 	}
 }
 

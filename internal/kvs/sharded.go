@@ -136,24 +136,6 @@ func (st *ShardedStore) AppendGetHit(out []byte, key []byte, now simnet.Time) ([
 	return out, ok
 }
 
-// getBatchChunk is the batched handler's unit of work (its
-// classification arrays are sized to it).
-const getBatchChunk = 64
-
-// AppendGetBatch is AppendGetHit over a batch: keys[i] is resolved at now
-// and, on a hit, its memcached "VALUE ... END" reply is appended to
-// *outs[i] (typically a pre-seeded per-reply scratch buffer), with
-// found[i] reporting the hit. All three slices must have equal length.
-// Each lookup is an independent lock-free read; nothing allocates beyond
-// scratch growth.
-func (st *ShardedStore) AppendGetBatch(keys [][]byte, now simnet.Time, outs []*[]byte, found []bool) {
-	for i, k := range keys {
-		h := dataplane.HashBytes(k)
-		p := st.parts[h&st.mask]
-		*outs[i], _, _, found[i] = p.read(*outs[i], k, h, now, true)
-	}
-}
-
 // GetString is Get for a string key (the allocating convenience form —
 // the serving path uses AppendGetHit).
 func (st *ShardedStore) GetString(key string, now simnet.Time) (Entry, bool) {

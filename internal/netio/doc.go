@@ -109,7 +109,7 @@
 // read's first train stay where they are, so a paced reader's path is
 // the plain one. From the first train on, entries are copied into one
 // staging buffer the conn owns and handed out by the splitter: at most
-// RxBatch × MaxTrainBytes per socket. RxStats (via RxStatsOf) reports
+// one read's slots × MaxTrainBytes per socket. RxStats (via RxStatsOf) reports
 // whether the socket takes GRO and the trains, datagrams and cut
 // datagrams it saw, as /v1/dataplane's gro_rx, rx_trains,
 // rx_segs_per_train and rx_cut_segs.

@@ -213,11 +213,8 @@ func (t *KVSTier) TryHandleBatch(items []*dataplane.BatchItem) {
 // has seen the write.
 func (t *KVSTier) tryHandleAt(in []byte, now simnet.Time, scratch *[]byte, n *kvsTally) ([]byte, bool) {
 	var v memcache.RequestView
-	framed := false
-	var reqID uint16
-	if f, b, err := memcache.DecodeFrame(in); err == nil && memcache.ParseRequestView(b, &v) == nil {
-		framed, reqID = true, f.RequestID
-	} else if memcache.ParseRequestView(in, &v) != nil {
+	_, framed, reqID, ok := kvs.ParseDatagram(in, &v)
+	if !ok {
 		// Malformed: the host path owns error replies.
 		t.passthrough.Add(1)
 		return nil, false
