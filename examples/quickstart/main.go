@@ -35,7 +35,7 @@ func main() {
 	client := simhost.NewClient(net, "client", "lake", app)
 
 	// Measure combined wall power like the paper's SHW-3A meter.
-	meter := telemetry.NewPowerMeter(sim, lake, 10*time.Millisecond, false)
+	meter := telemetry.NewPowerMeter(sim, lake, 10*time.Millisecond)
 
 	fmt.Println("driving 200 kpps of memcached GETs through LaKe for 2s of virtual time...")
 	client.Start(200)

@@ -17,12 +17,7 @@
 //     queries per second costs < 1 W of switch dynamic power.
 package asic
 
-import (
-	"math"
-
-	"incod/internal/simnet"
-	"incod/internal/telemetry"
-)
+import "math"
 
 // Program identifies a data-plane program loaded on the switch.
 type Program struct {
@@ -60,7 +55,6 @@ type Switch struct {
 	Fixed bool
 
 	program Program
-	loadFn  func() float64
 }
 
 // NewTofino returns the §6 evaluation switch: 32x40G snake, calibrated so
@@ -92,9 +86,6 @@ func (s *Switch) Load(p Program) bool {
 
 // Program returns the loaded program.
 func (s *Switch) Program() Program { return s.program }
-
-// SetLoadFunc installs the function reporting forwarding load (0..1).
-func (s *Switch) SetLoadFunc(fn func() float64) { s.loadFn = fn }
 
 // Power returns absolute watts at the given forwarding load fraction.
 // Program overhead phases in with load, so idle power is program-agnostic.
@@ -138,17 +129,6 @@ func (s *Switch) OpsPerWatt(load float64) float64 {
 	}
 	return s.MsgThroughputKpps(load) * 1000 / p
 }
-
-// PowerWatts implements telemetry.PowerSource.
-func (s *Switch) PowerWatts(simnet.Time) float64 {
-	var load float64
-	if s.loadFn != nil {
-		load = s.loadFn()
-	}
-	return s.Power(load)
-}
-
-var _ telemetry.PowerSource = (*Switch)(nil)
 
 // SnakeWiring returns the §6 snake connectivity for n ports: output port i
 // feeds input port (i+1) mod n, exercising every port so the device can be

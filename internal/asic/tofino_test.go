@@ -150,17 +150,6 @@ func TestPortDynamicWatts(t *testing.T) {
 	}
 }
 
-func TestPowerSourceUsesLoadFunc(t *testing.T) {
-	s := NewTofino()
-	if s.PowerWatts(0) != s.Power(0) {
-		t.Error("default load should be 0")
-	}
-	s.SetLoadFunc(func() float64 { return 0.5 })
-	if s.PowerWatts(0) != s.Power(0.5) {
-		t.Error("PowerWatts should consult the load func")
-	}
-}
-
 // Property: power is monotone in load for every program, and overhead
 // ordering diag > p4xos > l2fwd holds at any positive load.
 func TestSwitchPowerProperty(t *testing.T) {

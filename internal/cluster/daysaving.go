@@ -1,6 +1,12 @@
 package cluster
 
-import "math"
+import (
+	"math"
+	"time"
+
+	"incod/internal/power"
+	"incod/internal/telemetry"
+)
 
 // LoadTrace is an offered-load series in kpps, one sample per second —
 // the demand a service sees over (part of) a day.
@@ -27,24 +33,17 @@ func DiurnalLoad(nightKpps, peakKpps float64) LoadTrace {
 	return out
 }
 
-// EnergyKWh integrates a power function over the load trace.
-func (t LoadTrace) EnergyKWh(powerWatts func(kpps float64) float64) float64 {
-	var joules float64
-	for _, kpps := range t {
-		joules += powerWatts(kpps)
-	}
-	return joules / 3.6e6
-}
-
-// DaySaving compares always-software against an on-demand envelope over
-// the trace and returns (software kWh, on-demand kWh, saved fraction).
+// DaySaving meters always-software and an on-demand envelope over the
+// trace, one sample per second, and returns (software kWh, on-demand
+// kWh, saved fraction).
 func DaySaving(t LoadTrace, sw, onDemand func(kpps float64) float64) (swKWh, odKWh, savedFrac float64) {
-	swKWh = t.EnergyKWh(sw)
-	odKWh = t.EnergyKWh(onDemand)
-	if swKWh > 0 {
-		savedFrac = 1 - odKWh/swKWh
+	var swMeter, odMeter telemetry.PowerMeter
+	for s, kpps := range t {
+		at := time.Duration(s) * time.Second
+		swMeter.Observe(at, sw(kpps))
+		odMeter.Observe(at, onDemand(kpps))
 	}
-	return swKWh, odKWh, savedFrac
+	return swMeter.KWh(), odMeter.KWh(), power.Saving(swMeter.KWh(), odMeter.KWh())
 }
 
 // ShiftCount reports how many placement changes an on-demand controller

@@ -35,14 +35,18 @@ func TestDaySaving(t *testing.T) {
 		return sw
 	}
 	swKWh, odKWh, saved := DaySaving(tr, power.MemcachedMellanox.Power, onDemand)
-	if odKWh >= swKWh {
-		t.Fatalf("on-demand %v kWh should beat software %v", odKWh, swKWh)
+	// The diurnal KVS day that examples/datacenter_sweep prints: busy
+	// daytime sits above the crossover for most of the day, so the saving
+	// is well below the instantaneous max (~47%). Each figure is pinned
+	// within 0.5% of the value the example prints.
+	within := func(name string, got, want float64) {
+		if math.Abs(got-want) > 0.005*want {
+			t.Errorf("%s = %.4f, want %.4f within 0.5%%", name, got, want)
+		}
 	}
-	// Busy daytime sits above the crossover for most of the day; the
-	// saving should be substantial but below the instantaneous max (~47%).
-	if saved < 0.10 || saved > 0.50 {
-		t.Errorf("day saving = %.0f%%, want 10-50%%", saved*100)
-	}
+	within("software kWh", swKWh, 1.53)
+	within("on-demand kWh", odKWh, 1.30)
+	within("saved fraction", saved, 0.15)
 }
 
 func TestShiftCountHysteresis(t *testing.T) {
@@ -54,13 +58,5 @@ func TestShiftCountHysteresis(t *testing.T) {
 	// A trace that never crosses: zero shifts.
 	if got := ShiftCount(DiurnalLoad(5, 50), 88, 56); got != 0 {
 		t.Errorf("low trace shifts = %d, want 0", got)
-	}
-}
-
-func TestEnergyKWhConstant(t *testing.T) {
-	tr := make(LoadTrace, 3600) // one hour at any load
-	got := tr.EnergyKWh(func(float64) float64 { return 1000 })
-	if math.Abs(got-1) > 1e-9 {
-		t.Errorf("1kW for 1h = %v kWh, want 1", got)
 	}
 }

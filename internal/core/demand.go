@@ -51,11 +51,7 @@ func (d DemandCurve) Placement(kpps float64) Placement {
 // software power the on-demand placement saves (Figure 5; "saves up to 50%
 // of the power compared with software-based solutions").
 func (d DemandCurve) SavingFraction(kpps float64) float64 {
-	sw := d.SW(kpps)
-	if sw <= 0 {
-		return 0
-	}
-	return 1 - d.Power(kpps)/sw
+	return power.Saving(d.SW(kpps), d.Power(kpps))
 }
 
 // MaxSaving scans rates up to limitKpps and returns the best saving

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"incod/internal/asic"
-	"incod/internal/energy"
 	"incod/internal/power"
 )
 
@@ -41,14 +40,13 @@ func opsWatt() *Table {
 		Title:   "§6: consensus messages per watt across substrates",
 		Columns: []string{"substrate", "peak[kpps]", "watts", "msgs/W"},
 	}
-	sw := energy.Ladder{Name: "libpaxos (dynamic)", PeakKpps: 178, PeakWatts: power.LibpaxosAcceptor.Power(178) - power.LibpaxosAcceptor.Power(0)}
-	fp := energy.Ladder{Name: "P4xos NetFPGA (standalone)", PeakKpps: 10000, PeakWatts: p4xosStandalone(10000)}
 	tof := asic.NewTofino()
 	tof.Load(asic.P4xosL2Fwd)
-	as := energy.Ladder{Name: "P4xos Tofino (total)", PeakKpps: tof.MsgThroughputKpps(1), PeakWatts: tof.Power(1)}
-	for _, l := range []energy.Ladder{sw, fp, as} {
-		t.AddRow(l.Name, l.PeakKpps, l.PeakWatts, l.Efficiency())
-	}
+	// Each substrate at its peak rate, over the watts attributable to it.
+	row := func(name string, kpps, watts float64) { t.AddRow(name, kpps, watts, kpps*1000/watts) }
+	row("libpaxos (dynamic)", 178, power.LibpaxosAcceptor.Power(178)-power.LibpaxosAcceptor.Power(0))
+	row("P4xos NetFPGA (standalone)", 10000, p4xosStandalone(10000))
+	row("P4xos Tofino (total)", tof.MsgThroughputKpps(1), tof.Power(1))
 	t.AddNote("paper ladder: software 10K's, FPGA 100K's, ASIC 10M's msgs/W")
 	return t
 }

@@ -8,7 +8,6 @@ import (
 	"incod/internal/daemon"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
-	"incod/internal/telemetry"
 	"incod/internal/trafficgen"
 )
 
@@ -91,9 +90,6 @@ func RunFig6(p Fig6Params) *Fig6Result {
 		},
 	}, lake.Observed)
 
-	combined := telemetry.SumPower{lake,
-		telemetry.PowerSourceFunc(func(simnet.Time) float64 { return chainerPower() })}
-
 	t := &Table{
 		ID:      "fig6",
 		Title:   "Figure 6: transitioning KVS between software and hardware",
@@ -123,7 +119,7 @@ func RunFig6(p Fig6Params) *Fig6Result {
 		}
 		samples = append(samples, kppsNow)
 		t.AddRow(sim.Now().Seconds()*1000, kppsNow, float64(med)/1000, // µs
-			combined.PowerWatts(sim.Now()), svc.Placement().String())
+			lake.PowerWatts(sim.Now())+chainerPower(), svc.Placement().String())
 	}
 	client.Stop()
 

@@ -50,7 +50,7 @@ func simulateKVSPower(kpps float64) float64 {
 		client.Start(kpps)
 	}
 	sim.RunFor(1500 * time.Millisecond) // warm-up past the meter window
-	meter := telemetry.NewPowerMeter(sim, lake, 10*time.Millisecond, false)
+	meter := telemetry.NewPowerMeter(sim, lake, 10*time.Millisecond)
 	sim.RunFor(time.Second)
 	client.Stop()
 	return meter.AverageWatts()

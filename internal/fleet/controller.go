@@ -8,6 +8,9 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"incod/internal/power"
+	"incod/internal/telemetry"
 )
 
 // Member is one supervised daemon instance.
@@ -131,13 +134,13 @@ type Controller struct {
 	sched *Scheduler
 	logf  func(string, ...any)
 
-	mu          sync.Mutex // guards everything below
-	snap        Snapshot
-	curve       []CurvePoint
-	lastAt      time.Time
-	modeledSecs float64
-	joulesSoft  float64
-	joulesOnd   float64
+	mu    sync.Mutex // guards everything below
+	snap  Snapshot
+	curve []CurvePoint
+	// The meters observe at modeled time: since startAt, times WallScale.
+	startAt  time.Time
+	software telemetry.PowerMeter
+	onDemand telemetry.PowerMeter
 	// lastHit remembers each member's last real measured tier hit ratio,
 	// so a parked tier is ranked by what it actually did, not the
 	// prediction.
@@ -221,11 +224,10 @@ func (c *Controller) Tick(ctx context.Context) {
 	samples := c.poll(ctx)
 
 	c.mu.Lock()
-	dt := 0.0
-	if !c.lastAt.IsZero() {
-		dt = now.Sub(c.lastAt).Seconds() * c.cfg.WallScale
+	if c.startAt.IsZero() {
+		c.startAt = now
 	}
-	c.lastAt = now
+	modeled := time.Duration(float64(now.Sub(c.startAt)) * c.cfg.WallScale)
 
 	var (
 		cands                  []Candidate
@@ -252,9 +254,8 @@ func (c *Controller) Tick(ctx context.Context) {
 		fleetKpps += s.status.ModeledKpps
 		cands = append(cands, s.cand)
 	}
-	c.modeledSecs += dt
-	c.joulesSoft += softW * dt
-	c.joulesOnd += ondW * dt
+	c.software.Observe(modeled, softW)
+	c.onDemand.Observe(modeled, ondW)
 
 	c.snap.Roster = roster
 	c.snap.Healthy = healthy
@@ -287,16 +288,13 @@ func (c *Controller) Tick(ctx context.Context) {
 }
 
 func (c *Controller) energyLocked() EnergyTotals {
-	const joulesPerKWh = 3.6e6
 	e := EnergyTotals{
-		ModeledSeconds:  c.modeledSecs,
-		SoftwareOnlyKWh: c.joulesSoft / joulesPerKWh,
-		OnDemandKWh:     c.joulesOnd / joulesPerKWh,
+		ModeledSeconds:  c.software.Elapsed().Seconds(),
+		SoftwareOnlyKWh: c.software.KWh(),
+		OnDemandKWh:     c.onDemand.KWh(),
 	}
 	e.SavedKWh = e.SoftwareOnlyKWh - e.OnDemandKWh
-	if e.SoftwareOnlyKWh > 0 {
-		e.SavedPct = 100 * e.SavedKWh / e.SoftwareOnlyKWh
-	}
+	e.SavedPct = 100 * power.Saving(e.SoftwareOnlyKWh, e.OnDemandKWh)
 	return e
 }
 
@@ -396,9 +394,12 @@ func (c *Controller) pollMember(ctx context.Context, m *Member) sample {
 	// Software-only fleet: the host serves everything, no card at all.
 	st.SoftwareWatts = curve.Power(modeled)
 	// On-demand fleet: lit members serve the residual on the host and
-	// pay the active tier; dark members serve everything and carry the
-	// parked card.
-	darkW := curve.Power(modeled) + m.spec.TierParkedWatts
+	// pay the active tier; dark members serve everything on the host. A
+	// dark member's parked card adds nothing: the §9.2
+	// partial-reconfiguration strategy parks it as the reference NIC the
+	// §4 idle figure already includes, matching the min(sw, hw) on-demand
+	// envelope of internal/cluster.
+	darkW := curve.Power(modeled)
 	litW := curve.Power(residual) + tierW
 	if st.Lit {
 		st.OnDemandWatts = litW

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -191,6 +192,55 @@ func TestControllerSurvivesDeadMember(t *testing.T) {
 	// The live member still gets scheduled.
 	if backends[0].placement() != core.Network {
 		t.Fatal("live member should have been lit despite a dead peer")
+	}
+}
+
+// The energy account the snapshot reports is the trapezoid of the curve
+// the report publishes beside it, on modeled time: wall time between
+// ticks scaled by WallScale.
+func TestControllerEnergyIsTrapezoidOfCurve(t *testing.T) {
+	m, tm := newTestMember(t, "kvs-0")
+	const wallScale = 3600
+	ctrl, err := NewController(Config{
+		Members:   []Member{m},
+		Sched:     SchedulerConfig{K: 1, Hold: 1, LightMarginW: 1},
+		RateScale: 30,
+		WallScale: wallScale,
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const pause = 5 * time.Millisecond
+	loads := []float64{1, 5, 10, 2, 0.5}
+	for _, kpps := range loads {
+		tm.serve(kpps, 35)
+		time.Sleep(pause)
+		ctrl.Tick(ctx)
+	}
+
+	snap, curve := ctrl.Snapshot(), ctrl.Curve()
+	if len(curve) != len(loads) {
+		t.Fatalf("curve has %d points over %d ticks", len(curve), len(loads))
+	}
+	var softJ, ondJ float64
+	for i := 1; i < len(curve); i++ {
+		dt := curve[i].Seconds - curve[i-1].Seconds
+		softJ += (curve[i].SoftwareWatts + curve[i-1].SoftwareWatts) / 2 * dt
+		ondJ += (curve[i].OnDemandWatts + curve[i-1].OnDemandWatts) / 2 * dt
+	}
+	e := snap.Energy
+	near := func(name string, got, want float64) {
+		if math.Abs(got-want) > 1e-9*math.Abs(want) {
+			t.Errorf("%s = %v, want %v from the curve", name, got, want)
+		}
+	}
+	near("software-only kWh", e.SoftwareOnlyKWh, softJ/3.6e6)
+	near("on-demand kWh", e.OnDemandKWh, ondJ/3.6e6)
+	near("modeled seconds", e.ModeledSeconds, curve[len(curve)-1].Seconds)
+	if least := float64(len(loads)-1) * pause.Seconds() * wallScale; e.ModeledSeconds < least {
+		t.Errorf("modeled seconds = %v, want at least %v (wall time x WallScale)", e.ModeledSeconds, least)
 	}
 }
 

@@ -43,8 +43,8 @@
 // # Energy accounting
 //
 // Each control tick samples every member's /v1 status and dataplane
-// stats and integrates two modeled power draws over wall time, using the
-// member's §4 software curve and the measured tier hit ratio:
+// stats and models two fleet-wide power draws, using each member's §4
+// software curve and the measured tier hit ratio:
 //
 //	software-only: P_sw(modeled kpps)
 //	on-demand:     P_sw(modeled host-residual kpps) + reported tier watts
@@ -52,11 +52,16 @@
 //	               card is partial-reconfigured down to the reference NIC
 //	               the §4 idle figure already includes — §9.2)
 //
+// Each draw feeds its own telemetry.PowerMeter, the repo's one energy
+// account, so the snapshot's energy totals are the trapezoid rule over
+// the published curve.
+//
 // Loopback cannot offer datacenter rates, so measured kpps are scaled by
 // a configured RateScale into modeled kpps (the trace replayer divides
-// by the same factor when generating load), and the compressed wall
-// clock is scaled back to the trace's native duration when reporting
-// kWh. What is *measured* is real: served rates, hit ratios, shift
-// counts and durations, and wrong answers from the load generators'
-// reports — the model only converts those measurements into watts.
+// by the same factor when generating load), and the meters observe at
+// wall time since the first tick scaled by WallScale back to the trace's
+// native duration. What is *measured* is real: served
+// rates, hit ratios, shift counts and durations, and wrong answers from
+// the load generators' reports — the model only converts those
+// measurements into watts.
 package fleet

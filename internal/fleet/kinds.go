@@ -25,13 +25,6 @@ type KindSpec struct {
 	// TierActiveWatts is the modeled in-server draw of the lit tier,
 	// used to rank dark candidates before their tier reports real power.
 	TierActiveWatts float64
-	// TierParkedWatts is the extra draw, over the software-only server's
-	// own NIC, of the parked card an on-demand server carries while
-	// serving from the host. The §9.2 partial-reconfiguration strategy
-	// parks the card as the reference NIC the §4 idle figure already
-	// includes, so the built-in kinds charge zero — matching the
-	// simulated min(sw, hw) on-demand envelope in internal/cluster.
-	TierParkedWatts float64
 	// PredictedHitRatio estimates the tier hit ratio for a member whose
 	// tier has never served (no measured ratio yet).
 	PredictedHitRatio float64
@@ -53,7 +46,6 @@ func KindSpecs() map[string]KindSpec {
 			// LaKe's cache keeps hot keys on the card; a Zipf workload
 			// lands most GETs there.
 			TierActiveWatts:   lake.CardWatts(0.5),
-			TierParkedWatts:   0,
 			PredictedHitRatio: 0.9,
 		},
 		"dns": {
@@ -65,7 +57,6 @@ func KindSpecs() map[string]KindSpec {
 			// Emu DNS holds the whole zone; only out-of-zone queries fall
 			// through.
 			TierActiveWatts:   emu.CardWatts(0.5),
-			TierParkedWatts:   0,
 			PredictedHitRatio: 0.95,
 		},
 		"paxos": {
@@ -76,7 +67,6 @@ func KindSpecs() map[string]KindSpec {
 			Curve:   power.LibpaxosAcceptor,
 			// P4xos acceptors handle every classified consensus message.
 			TierActiveWatts:   p4.CardWatts(0.5),
-			TierParkedWatts:   0,
 			PredictedHitRatio: 1.0,
 		},
 	}

@@ -166,6 +166,12 @@ func LibpaxosRole(role string) SoftwareCurve {
 // Crossover finds the lowest rate (kpps) in [0, limit] at which hw(R) <=
 // sw(R), by bisection over the monotone difference. It returns -1 if the
 // hardware never becomes cheaper within the limit.
+//
+// This answers §8's second question. Equation 1 splits energy into
+// active, sleep and idle terms, E = Pd(f)·Td(W, f) + Ps·Ts + Pi·Ti. A
+// deployed programmable device pays its sleep and idle terms wherever
+// the workload runs, so the workload belongs in the network above the
+// rate R* where Pd_N(R*) = Pd_S(R*).
 func Crossover(sw, hw func(kpps float64) float64, limitKpps float64) float64 {
 	f := func(r float64) float64 { return sw(r) - hw(r) }
 	if f(0) >= 0 {
@@ -184,4 +190,15 @@ func Crossover(sw, hw func(kpps float64) float64, limitKpps float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// Saving returns the fraction of the software-only power or energy that
+// the on-demand placement saves, 1 − onDemand/software: the §9 headline
+// metric. It is negative when on-demand costs more, and 0 when software
+// is not positive.
+func Saving(software, onDemand float64) float64 {
+	if software <= 0 {
+		return 0
+	}
+	return 1 - onDemand/software
 }

@@ -145,6 +145,18 @@ func TestCrossoverBisection(t *testing.T) {
 	}
 }
 
+func TestSaving(t *testing.T) {
+	if got := Saving(100, 50); got != 0.5 {
+		t.Errorf("Saving(100, 50) = %v, want 0.5", got)
+	}
+	if got := Saving(0, 50); got != 0 {
+		t.Errorf("Saving with no software energy = %v, want 0", got)
+	}
+	if got := Saving(50, 100); got != -1 {
+		t.Errorf("Saving(50, 100) = %v, want -1 (on-demand costs more)", got)
+	}
+}
+
 // Property: all software curves are monotone non-decreasing in rate.
 func TestCurvesMonotoneProperty(t *testing.T) {
 	curves := []SoftwareCurve{MemcachedMellanox, MemcachedIntelX520,

@@ -197,7 +197,7 @@ func Run(s Scenario) (*Result, error) {
 	}
 	r.client.Run(profile)
 
-	meter := telemetry.NewPowerMeter(sim, r.power, 10*time.Millisecond, false)
+	meter := telemetry.NewPowerMeter(sim, r.power, 10*time.Millisecond)
 	interval := time.Duration(s.SampleMs) * time.Millisecond
 	total := profile.Total()
 	var lastServed uint64
@@ -221,7 +221,7 @@ func Run(s Scenario) (*Result, error) {
 	r.client.Stop()
 	sim.RunFor(200 * time.Millisecond)
 
-	res.TotalKWh = meter.Joules() / 3.6e6
+	res.TotalKWh = meter.KWh()
 	if offeredTotal > 0 {
 		res.ServedFrac = float64(r.client.Counters.Get("recv")) / offeredTotal
 	}

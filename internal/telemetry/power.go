@@ -6,94 +6,62 @@ import (
 	"incod/internal/simnet"
 )
 
-// PowerSource is anything whose instantaneous power draw can be sampled.
-// Device models in internal/power, internal/fpga and internal/asic all
-// implement it.
+// PowerSource is a power draw sampled on the simulator's clock, such as a
+// simulated serving node of internal/simhost.
 type PowerSource interface {
-	// PowerWatts returns the instantaneous power draw in watts at virtual
-	// time now.
+	// PowerWatts returns the draw in watts at virtual time now.
 	PowerWatts(now simnet.Time) float64
 }
 
-// PowerSourceFunc adapts a function to PowerSource.
-type PowerSourceFunc func(now simnet.Time) float64
-
-// PowerWatts implements PowerSource.
-func (f PowerSourceFunc) PowerWatts(now simnet.Time) float64 { return f(now) }
-
-// SumPower is a PowerSource adding the draw of several sources, e.g. a
-// server plus the NetFPGA card it hosts (§4.2: "the power consumption
-// evaluation of LaKe includes the combined power consumption of the
-// NetFPGA board and the server").
-type SumPower []PowerSource
-
-// PowerWatts implements PowerSource.
-func (s SumPower) PowerWatts(now simnet.Time) float64 {
-	var total float64
-	for _, src := range s {
-		total += src.PowerWatts(now)
-	}
-	return total
-}
-
-// PowerMeter integrates a PowerSource over virtual time, standing in for
-// the SHW-3A watt-hour meter of §4.1. It samples at a fixed period and
-// accumulates energy by the trapezoid rule.
+// PowerMeter is the repo's one energy account, standing in for the SHW-3A
+// watt-hour meter of §4.1: it integrates observed draws by the trapezoid
+// rule on whatever clock the caller observes on. The zero value is an
+// empty meter; the first observation starts it and adds no energy.
 type PowerMeter struct {
-	src     PowerSource
-	sim     *simnet.Simulator
-	period  time.Duration
-	cancel  func()
-	startAt simnet.Time
-	lastAt  simnet.Time
-	lastW   float64
-	joules  float64
-	samples []Sample
-	keep    bool
+	started         bool
+	startAt, lastAt time.Duration
+	lastW, joules   float64
 }
 
-// Sample is one power reading.
-type Sample struct {
-	At    simnet.Time
-	Watts float64
-}
-
-// NewPowerMeter attaches a meter to src, sampling every period. If keep is
-// true all samples are retained for timeline plots (Figure 6).
-func NewPowerMeter(sim *simnet.Simulator, src PowerSource, period time.Duration, keep bool) *PowerMeter {
-	m := &PowerMeter{src: src, sim: sim, period: period, keep: keep}
-	m.startAt = sim.Now()
-	m.lastAt = m.startAt
-	m.lastW = src.PowerWatts(m.lastAt)
-	m.cancel = sim.Every(period, m.sample)
-	return m
-}
-
-func (m *PowerMeter) sample() {
-	now := m.sim.Now()
-	w := m.src.PowerWatts(now)
-	dt := now.Sub(m.lastAt).Seconds()
-	m.joules += (w + m.lastW) / 2 * dt
-	m.lastAt, m.lastW = now, w
-	if m.keep {
-		m.samples = append(m.samples, Sample{At: now, Watts: w})
+// Observe records a draw of watts at time at, adding the trapezoid between
+// it and the previous observation.
+func (m *PowerMeter) Observe(at time.Duration, watts float64) {
+	if m.started {
+		m.joules += (watts + m.lastW) / 2 * (at - m.lastAt).Seconds()
+	} else {
+		m.started, m.startAt = true, at
 	}
+	m.lastAt, m.lastW = at, watts
 }
-
-// Stop detaches the meter from the simulator clock.
-func (m *PowerMeter) Stop() { m.cancel() }
 
 // Joules returns the energy integrated so far.
 func (m *PowerMeter) Joules() float64 { return m.joules }
 
-// AverageWatts returns the mean power since the meter was attached.
+// KWh returns the energy integrated so far in kilowatt-hours.
+func (m *PowerMeter) KWh() float64 { return m.joules / 3.6e6 }
+
+// Elapsed returns the time between the first and the last observation.
+func (m *PowerMeter) Elapsed() time.Duration { return m.lastAt - m.startAt }
+
+// AverageWatts returns the mean draw since the first observation, or the
+// last draw while no time has elapsed.
 func (m *PowerMeter) AverageWatts() float64 {
-	elapsed := m.lastAt.Sub(m.startAt).Seconds()
+	elapsed := m.Elapsed().Seconds()
 	if elapsed == 0 {
 		return m.lastW
 	}
 	return m.joules / elapsed
 }
 
-// Samples returns retained samples (empty unless keep was set).
-func (m *PowerMeter) Samples() []Sample { return m.samples }
+// NewPowerMeter attaches a meter to src on the simulator's clock: it
+// observes src now and every period after, for the rest of the run.
+func NewPowerMeter(sim *simnet.Simulator, src PowerSource, period time.Duration) *PowerMeter {
+	m := &PowerMeter{}
+	observe := func() {
+		now := sim.Now()
+		m.Observe(time.Duration(now), src.PowerWatts(now))
+	}
+	observe()
+	sim.Every(period, observe)
+	return m
+}

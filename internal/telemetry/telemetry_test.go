@@ -221,10 +221,13 @@ func TestHistogramPercentilesSorted(t *testing.T) {
 	}
 }
 
+type powerFunc func(now simnet.Time) float64
+
+func (f powerFunc) PowerWatts(now simnet.Time) float64 { return f(now) }
+
 func TestPowerMeterIntegratesConstantLoad(t *testing.T) {
 	sim := simnet.New(1)
-	src := PowerSourceFunc(func(simnet.Time) float64 { return 50 })
-	m := NewPowerMeter(sim, src, 10*time.Millisecond, false)
+	m := NewPowerMeter(sim, powerFunc(func(simnet.Time) float64 { return 50 }), 10*time.Millisecond)
 	sim.RunFor(2 * time.Second)
 	if math.Abs(m.Joules()-100) > 1 {
 		t.Errorf("Joules = %v, want ~100 (50W x 2s)", m.Joules())
@@ -232,25 +235,23 @@ func TestPowerMeterIntegratesConstantLoad(t *testing.T) {
 	if math.Abs(m.AverageWatts()-50) > 0.5 {
 		t.Errorf("AverageWatts = %v, want 50", m.AverageWatts())
 	}
+	// A kilowatt for an hour, one observation a second, is one kWh.
+	var hour PowerMeter
+	for s := 0; s <= 3600; s++ {
+		hour.Observe(time.Duration(s)*time.Second, 1000)
+	}
+	if math.Abs(hour.KWh()-1) > 1e-9 || hour.Elapsed() != time.Hour {
+		t.Errorf("1kW for 1h = %v kWh over %v, want 1 over 1h", hour.KWh(), hour.Elapsed())
+	}
 }
 
 func TestPowerMeterRamp(t *testing.T) {
 	sim := simnet.New(1)
 	// Power ramps 0..100W over 1s: average 50W.
-	src := PowerSourceFunc(func(now simnet.Time) float64 { return 100 * now.Seconds() })
-	m := NewPowerMeter(sim, src, time.Millisecond, true)
+	m := NewPowerMeter(sim, powerFunc(func(now simnet.Time) float64 { return 100 * now.Seconds() }), time.Millisecond)
 	sim.RunFor(time.Second)
 	if math.Abs(m.Joules()-50) > 0.5 {
 		t.Errorf("Joules = %v, want ~50", m.Joules())
-	}
-	if len(m.Samples()) == 0 {
-		t.Error("keep=true retained no samples")
-	}
-	m.Stop()
-	n := len(m.Samples())
-	sim.RunFor(time.Second)
-	if len(m.Samples()) != n {
-		t.Error("meter kept sampling after Stop")
 	}
 }
 
@@ -259,9 +260,8 @@ func TestPowerMeterRamp(t *testing.T) {
 // validation experiment).
 func TestPowerMeterLateAttach(t *testing.T) {
 	sim := simnet.New(1)
-	src := PowerSourceFunc(func(simnet.Time) float64 { return 60 })
 	sim.RunFor(10 * time.Second) // meter not yet attached
-	m := NewPowerMeter(sim, src, 10*time.Millisecond, false)
+	m := NewPowerMeter(sim, powerFunc(func(simnet.Time) float64 { return 60 }), 10*time.Millisecond)
 	sim.RunFor(time.Second)
 	if math.Abs(m.AverageWatts()-60) > 0.5 {
 		t.Errorf("late-attached AverageWatts = %v, want 60", m.AverageWatts())
@@ -271,11 +271,28 @@ func TestPowerMeterLateAttach(t *testing.T) {
 	}
 }
 
-func TestSumPower(t *testing.T) {
-	a := PowerSourceFunc(func(simnet.Time) float64 { return 39 })
-	b := PowerSourceFunc(func(simnet.Time) float64 { return 20 })
-	if got := (SumPower{a, b}).PowerWatts(0); got != 59 {
-		t.Errorf("SumPower = %v, want 59", got)
+// Observe on its own: the zero meter starts at its first observation,
+// which adds nothing, and each later one adds the trapezoid since the
+// previous one.
+func TestPowerMeterObserve(t *testing.T) {
+	var m PowerMeter
+	m.Observe(5*time.Second, 40)
+	if m.Joules() != 0 || m.Elapsed() != 0 {
+		t.Errorf("first observation: %v J over %v, want nothing", m.Joules(), m.Elapsed())
+	}
+	if m.AverageWatts() != 40 {
+		t.Errorf("zero-elapsed AverageWatts = %v, want the last draw 40", m.AverageWatts())
+	}
+	// A step from 40 W to 100 W held for 2 s, observed at each edge: the
+	// interval that spans the step is charged the mean of its two ends.
+	m.Observe(6*time.Second, 40)  // +40 J
+	m.Observe(7*time.Second, 100) // +70 J
+	m.Observe(9*time.Second, 100) // +200 J
+	if m.Joules() != 310 || m.Elapsed() != 4*time.Second {
+		t.Errorf("step: %v J over %v, want 310 J over 4s", m.Joules(), m.Elapsed())
+	}
+	if m.AverageWatts() != 77.5 {
+		t.Errorf("step AverageWatts = %v, want 77.5", m.AverageWatts())
 	}
 }
 
