@@ -49,6 +49,21 @@ func TestDaySaving(t *testing.T) {
 	within("saved fraction", saved, 0.15)
 }
 
+// One sample per second under the trapezoid rule: 3601 samples span one
+// hour, so a constant 1 kW is 1 kWh and a constant 500 W saves half.
+func TestEnergyKWhConstant(t *testing.T) {
+	tr := make(LoadTrace, 3601) // one hour at any load
+	swKWh, odKWh, saved := DaySaving(tr,
+		func(float64) float64 { return 1000 },
+		func(float64) float64 { return 500 })
+	if math.Abs(swKWh-1) > 1e-9 {
+		t.Errorf("1kW for 1h = %v kWh, want 1", swKWh)
+	}
+	if math.Abs(odKWh-0.5) > 1e-9 || math.Abs(saved-0.5) > 1e-9 {
+		t.Errorf("500W for 1h = %v kWh saving %v, want 0.5 and 0.5", odKWh, saved)
+	}
+}
+
 func TestShiftCountHysteresis(t *testing.T) {
 	tr := DiurnalLoad(20, 500)
 	// One clean excursion above the crossover: exactly 2 shifts.

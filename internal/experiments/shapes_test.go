@@ -101,6 +101,26 @@ func TestLatencyGoldenRows(t *testing.T) {
 	}
 }
 
+// §6 ladder: software 10K's, FPGA 100K's, ASIC 10M's msgs/W. The
+// software and FPGA figures count the power attributable to the
+// application (dynamic for the server, whole standalone board for the
+// FPGA), as in §6's footnote-3 usage of "dynamic power".
+func TestOpsPerWattLadder(t *testing.T) {
+	tab := opsWatt()
+	if len(tab.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3 substrates", len(tab.Rows))
+	}
+	if e := cell(t, tab, 0, 3); e < 1e4 || e >= 1e5 {
+		t.Errorf("software msgs/W = %v, want 10K's", e)
+	}
+	if e := cell(t, tab, 1, 3); e < 1e5 || e >= 1e7 {
+		t.Errorf("FPGA msgs/W = %v, want 100K's", e)
+	}
+	if e := cell(t, tab, 2, 3); e < 1e7 {
+		t.Errorf("ASIC msgs/W = %v, want 10M's", e)
+	}
+}
+
 func TestStrategiesTableShape(t *testing.T) {
 	tab := strategiesTable()
 	byName := map[string][]string{}
