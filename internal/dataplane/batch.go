@@ -81,7 +81,7 @@ func NewBatchedConns(conns []net.PacketConn, bcs []netio.BatchConn, h Handler, c
 	}
 	arrival := cfg.ShardBy == nil
 	cfg.Shards = len(conns)
-	e := New(conns[0], h, cfg)
+	e := newEngine(conns[0], h, cfg)
 	e.batched = true
 	e.arrivalDispatch = arrival
 	e.bconns = bcs
@@ -124,9 +124,11 @@ func (e *Engine) Backend() string {
 // fires.
 const queuePollInterval = time.Millisecond
 
-// batchState is one batched shard worker's reusable I/O state: receive
-// slots with their pooled buffers, the item vector handed to batch
-// handlers, per-item reply buffers, and the pending TX batch.
+// batchState is one shard worker's reusable I/O state: receive slots
+// with their pooled buffers (batched mode only), the item vector handed
+// to batch handlers, per-item reply buffers, and the pending TX batch.
+// A single-reader worker is the same state without the receive side: it
+// only drains its queue and sends through its own transmit conn.
 type batchState struct {
 	e  *Engine
 	s  *shard
@@ -169,7 +171,6 @@ func (e *Engine) newBatchState(i int) *batchState {
 		e: e, s: e.shards[i], i: i, bc: e.bconns[i],
 		rx:        make([]netio.Message, n),
 		rxBufs:    make([]*[]byte, n),
-		free:      make([]*[]byte, 0, n),
 		items:     make([]BatchItem, n),
 		ptrs:      make([]*BatchItem, 0, n),
 		host:      make([]*BatchItem, 0, n),
@@ -182,6 +183,11 @@ func (e *Engine) newBatchState(i int) *batchState {
 	}
 	for k := range w.replyBufs {
 		w.replyBufs[k] = make([]byte, 0, 512)
+	}
+	// A worker that never reads keeps no free list: its buffers go
+	// straight back to the pool the reader draws from.
+	if e.batched {
+		w.free = make([]*[]byte, 0, n)
 	}
 	return w
 }
@@ -352,7 +358,6 @@ func (w *batchState) drainQueue(final bool) {
 		if len(pkts) > 0 {
 			w.processQueued(pkts)
 		}
-		w.flushTx()
 		if barrier != nil {
 			barrier <- struct{}{}
 			continue

@@ -75,9 +75,8 @@ type Config struct {
 	// QueueDepth is the per-shard queue length (default 256). When a
 	// shard's queue is full the datagram is dropped and counted, like a
 	// NIC ring overrun — backpressure never blocks the reader. Every
-	// queued packet pins one MaxDatagram-sized pooled buffer, so worst
-	// case the engine holds Shards*QueueDepth*MaxDatagram of receive
-	// memory under overload; size the product accordingly.
+	// queued or collected packet pins one MaxDatagram-sized pooled
+	// buffer; doc.go gives the overload memory bound this implies.
 	QueueDepth int
 	// MaxDatagram is the receive buffer size (default 64 KiB, the
 	// memcached UDP maximum). Protocols with small datagrams (DNS)
@@ -128,9 +127,6 @@ type packet struct {
 	buf *[]byte
 	n   int
 	src netip.AddrPort
-	// raw is the reply address for conns that are not *net.UDPConn
-	// (tests, in-memory transports); nil on the fast path.
-	raw net.Addr
 	// barrier, when non-nil, marks a sentinel injected by Barrier: the
 	// worker signals it and handles nothing.
 	barrier chan<- struct{}
@@ -150,9 +146,9 @@ type shard struct {
 	dropped   atomic.Uint64
 	badSrc    atomic.Uint64
 	writeErrs atomic.Uint64
-	// Batched-mode syscall counters: one readBatches per recvmmsg, one
-	// writeBatches per sendmmsg, so received/readBatches is the measured
-	// RX syscall amortization.
+	// Syscall counters: one readBatches per recvmmsg (batched mode), one
+	// writeBatches per sendmmsg (both modes), so received/readBatches is
+	// the measured RX syscall amortization.
 	readBatches  atomic.Uint64
 	writeBatches atomic.Uint64
 	_            [64]byte
@@ -171,10 +167,11 @@ type Engine struct {
 	disp Dispatcher // fast path first, then h: shared with internal/simhost
 	cfg  Config
 
-	// Batched per-shard-socket mode: bconns[i] is shard i's socket.
-	// Empty in single-reader mode. arrivalDispatch means the kernel's reuseport
-	// flow hash is the dispatch (no cfg.ShardBy given): every datagram
-	// is handled by the shard whose socket it arrived on.
+	// bconns[i] is shard i's transport: its socket in batched mode, a
+	// transmit-only wrapper over conn in single-reader mode (the reader
+	// reads conn itself). arrivalDispatch means the kernel's reuseport
+	// flow hash is the dispatch (batched, no cfg.ShardBy given): every
+	// datagram is handled by the shard whose socket it arrived on.
 	batched         bool
 	arrivalDispatch bool
 	bconns          []netio.BatchConn
@@ -222,9 +219,20 @@ type Engine struct {
 	barrierMu sync.Mutex
 }
 
-// New builds an engine serving conn through h. Call Start (or Run) to
-// begin serving and Close to drain and stop.
+// New builds an engine serving conn through h in single-reader mode.
+// Call Start (or Run) to begin serving and Close to drain and stop.
 func New(conn net.PacketConn, h Handler, cfg Config) *Engine {
+	e := newEngine(conn, h, cfg)
+	e.bconns = make([]netio.BatchConn, len(e.shards))
+	for i := range e.bconns {
+		e.bconns[i] = netio.NewBatchConn(conn)
+	}
+	e.gsoTx = sendsTrains(e.bconns)
+	return e
+}
+
+// newEngine builds the engine state both modes share.
+func newEngine(conn net.PacketConn, h Handler, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		conn:       conn,
@@ -375,9 +383,15 @@ func (e *Engine) Start() {
 		}
 		return
 	}
-	for _, s := range e.shards {
+	// A single-reader shard worker is a batched worker that never reads:
+	// it drains its queue a collected batch at a time until Close closes
+	// it, replying through its own transmit conn.
+	for i := range e.shards {
 		e.workersWG.Add(1)
-		go e.worker(s)
+		go func() {
+			defer e.workersWG.Done()
+			e.newBatchState(i).drainQueue(true)
+		}()
 	}
 	go e.readLoop()
 }
@@ -491,55 +505,12 @@ func (e *Engine) readLoop() {
 		s := e.shards[e.shardIndex((*bufp)[:n], src)]
 		s.received.Add(1)
 		select {
-		case s.ch <- packet{buf: bufp, n: n, src: src, raw: raw}:
+		case s.ch <- packet{buf: bufp, n: n, src: src}:
 		default:
 			s.dropped.Add(1)
 			e.putBuf(bufp)
 		}
 	}
-}
-
-func (e *Engine) worker(s *shard) {
-	defer e.workersWG.Done()
-	scratch := make([]byte, 0, e.cfg.MaxDatagram)
-	for pkt := range s.ch {
-		if pkt.barrier != nil {
-			pkt.barrier <- struct{}{}
-			continue
-		}
-		in := (*pkt.buf)[:pkt.n]
-		fp, fenced := e.enterTier()
-		out, offloaded := e.disp.One(fp, in, pkt.src, &scratch)
-		if fenced {
-			e.fpInflight.Add(-1)
-		}
-		if offloaded {
-			s.offloaded.Add(1)
-		}
-		s.handled.Add(1)
-		e.meter.Add(1)
-		if len(out) > 0 {
-			if err := e.reply(out, pkt); err != nil {
-				s.writeErrs.Add(1)
-			} else {
-				s.replies.Add(1)
-			}
-		}
-		e.putBuf(pkt.buf)
-	}
-}
-
-func (e *Engine) reply(out []byte, pkt packet) error {
-	if e.udp != nil {
-		_, err := e.udp.WriteToUDPAddrPort(out, pkt.src)
-		return err
-	}
-	to := pkt.raw
-	if to == nil {
-		to = net.UDPAddrFromAddrPort(pkt.src)
-	}
-	_, err := e.conn.WriteTo(out, to)
-	return err
 }
 
 func (e *Engine) shardIndex(payload []byte, src netip.AddrPort) int {

@@ -3,8 +3,8 @@ package dataplane
 import "net/netip"
 
 // Dispatcher is the dispatch core every serving loop shares — the
-// engine's single-reader and batched workers and the simulated node of
-// internal/simhost: offer a datagram (or a batch) to the installed fast
+// engine's shard workers (Batch) and the simulated node of internal/simhost
+// (One, or Batch in a window): offer a datagram (or a batch) to the fast
 // path, hand whatever the tier left to the host handler, in batch form
 // when the handler has one. It is built once per handler, so the
 // optional-interface assertions are not repeated per datagram. Fencing

@@ -12,13 +12,17 @@
 //     by source address by default, or by protocol key (e.g. the memcached
 //     key, kvs.ShardByKey) so one shard owns one key range — which keeps
 //     per-source (and per-key) ordering while spreading load across cores;
+//   - a worker drains its queue as a batched shard does, up to rxBatch
+//     datagrams per handler batch, and flushes the replies through its
+//     own netio.NewBatchConn over the socket: one sendmmsg per flush on
+//     Linux, in UDP_SEGMENT trains wherever batched mode sends them;
 //   - handlers implement the small Handler interface and encode replies
 //     into a per-worker scratch buffer, so the memcached GET hot path runs
 //     with zero per-request heap allocations.
 //
 // This mode works over any net.PacketConn (tests, in-memory transports,
-// non-Linux platforms) but pays two syscalls per request — one read, one
-// write — through a single reader.
+// non-Linux platforms). It pays one read syscall per request, and one
+// write per flush: per datagram while requests trickle in one by one.
 //
 // # Batched per-shard-socket mode (NewBatchedConns)
 //
@@ -80,14 +84,15 @@
 //	Sockets*rxBatch*MaxDatagram + Shards*QueueDepth*MaxDatagram
 //	  + Sockets*rxBatch*MaxTrainBytes
 //
-// (the first and last terms are zero in single-reader mode, where the
-// lone reader holds one buffer at a time). The last term counts only
-// mmsg sockets that take trains (gro_rx), which needs a MaxDatagram of
-// at least netio.MaxTrainBytes; the uring rung splits trains out of its
-// own provided buffers. When a shard's queue is full the datagram is
-// dropped and counted, like a NIC ring overrun — backpressure never
-// blocks a reader. Protocols with small datagrams (DNS) should pass
-// their own MaxDatagram to shrink all three terms.
+// in batched mode, and by Shards*(QueueDepth+rxBatch)*MaxDatagram plus
+// the reader's one buffer in single-reader mode, where a worker holds at
+// most the one batch it collected from its queue. The last batched term
+// counts only mmsg sockets that take trains (gro_rx), which needs a
+// MaxDatagram of at least netio.MaxTrainBytes; the uring rung splits
+// trains out of its own provided buffers. When a shard's queue is full
+// the datagram is dropped and counted, like a NIC ring overrun —
+// backpressure never blocks a reader. Protocols with small datagrams
+// (DNS) should pass their own MaxDatagram to shrink every term.
 //
 // # Shared across both modes
 //

@@ -452,7 +452,8 @@ func checkTransport(t *testing.T, s subject, st dataplane.Stats, replies bool) {
 	if st.Backend != backend {
 		t.Fatalf("engine reports backend %q, want %q", st.Backend, backend)
 	}
-	trains := (backend == "mmsg" || backend == "uring") && netio.ProbeGSO() == nil
+	// The single-reader engine's workers send through the mmsg rung too.
+	trains := (backend == "mmsg" || backend == "uring" || s.rung == "") && netio.ProbeGSO() == nil
 	if st.GSOTx != trains {
 		t.Fatalf("engine reports gso_tx=%v, want %v", st.GSOTx, trains)
 	}

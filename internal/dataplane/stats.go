@@ -32,9 +32,9 @@ type ShardStats struct {
 	// usable source address could be derived (distinct from queue
 	// overruns). Only shard 0 accumulates these in single-reader mode.
 	BadSourceDrops uint64 `json:"bad_source_drops,omitempty"`
-	// ReadBatches / WriteBatches count recvmmsg / sendmmsg syscalls in
-	// batched mode; received/read_batches is the measured RX syscall
-	// amortization for this shard.
+	// ReadBatches counts recvmmsg syscalls (batched mode) and WriteBatches
+	// sendmmsg syscalls (both modes); received/read_batches is the
+	// measured RX syscall amortization for this shard.
 	ReadBatches  uint64 `json:"read_batches,omitempty"`
 	WriteBatches uint64 `json:"write_batches,omitempty"`
 }
@@ -72,8 +72,9 @@ type Stats struct {
 	RateKpps float64           `json:"rate_kpps"`
 	Handler  map[string]uint64 `json:"handler,omitempty"`
 
-	// Syscall amortization, batched mode only: datagrams moved per
-	// recvmmsg / sendmmsg syscall. 1.0 is the single-reader cost; higher
+	// Syscall amortization: datagrams moved per recvmmsg (batched mode
+	// only; the single reader reads one datagram per syscall) and per
+	// sendmmsg syscall (both modes). 1.0 is the per-datagram cost; higher
 	// is the batching win.
 	ReadBatches  uint64  `json:"read_batches,omitempty"`
 	WriteBatches uint64  `json:"write_batches,omitempty"`
@@ -104,10 +105,11 @@ type Stats struct {
 	UringStarved uint64 `json:"uring_starved,omitempty"`
 	UringEnters  uint64 `json:"uring_enters,omitempty"`
 
-	// GSO TX telemetry, summed across the per-shard transports. GSOTx
-	// reports whether the batched engine builds reply trains, which it
-	// decides on its own: every shard's rung sends UDP_SEGMENT (mmsg,
-	// uring) and netio.ProbeGSO passed (INCOD_NO_GSOTX fails it). The
+	// GSO TX telemetry, summed across the per-shard transports (in
+	// single-reader mode, the workers' transmit conns). GSOTx reports
+	// whether the engine builds reply trains, which it decides on its own:
+	// every shard's rung sends UDP_SEGMENT (mmsg, uring) and
+	// netio.ProbeGSO passed (INCOD_NO_GSOTX fails it). The
 	// counters report what the transport actually did, on either rung's
 	// one sendmmsg path: TxTrains UDP_SEGMENT sends the kernel took,
 	// TxTrainSegs the datagrams they carried (TxSegsPerTrain the ratio),
@@ -165,34 +167,34 @@ func (e *Engine) Snapshot() Stats {
 		st.Sockets = len(e.bconns)
 		st.RxBatch = rxBatch
 		st.TxBatch = txBatch
-		st.GRORx = true
-		var rxSegs uint64
-		for _, bc := range e.bconns {
-			rs, ok := netio.RxStatsOf(bc)
-			st.GRORx = st.GRORx && ok && rs.GRO
-			st.RxTrains += rs.Trains
-			rxSegs += rs.TrainSegs
-			st.RxCutSegs += rs.CutSegs
-			if us, ok := netio.UringStatsOf(bc); ok {
-				st.RingEntries = us.RingEntries
-				st.BufRingSize = us.BufRingSize
-				st.Resubmits += us.Resubmits
-				st.UringStarved += us.Starved
-				st.UringEnters += us.Enters
-			}
-			if ts, ok := netio.TxStatsOf(bc); ok {
-				st.TxTrains += ts.Trains
-				st.TxTrainSegs += ts.TrainSegs
-				st.GSOTxFallbacks += ts.Fallbacks
-			}
+	}
+	st.GRORx = e.batched // a single-reader engine's conns only transmit
+	var rxSegs uint64
+	for _, bc := range e.bconns {
+		rs, ok := netio.RxStatsOf(bc)
+		st.GRORx = st.GRORx && ok && rs.GRO
+		st.RxTrains += rs.Trains
+		rxSegs += rs.TrainSegs
+		st.RxCutSegs += rs.CutSegs
+		if us, ok := netio.UringStatsOf(bc); ok {
+			st.RingEntries = us.RingEntries
+			st.BufRingSize = us.BufRingSize
+			st.Resubmits += us.Resubmits
+			st.UringStarved += us.Starved
+			st.UringEnters += us.Enters
 		}
-		st.GSOTx = e.gsoTx
-		if st.TxTrains > 0 {
-			st.TxSegsPerTrain = float64(st.TxTrainSegs) / float64(st.TxTrains)
+		if ts, ok := netio.TxStatsOf(bc); ok {
+			st.TxTrains += ts.Trains
+			st.TxTrainSegs += ts.TrainSegs
+			st.GSOTxFallbacks += ts.Fallbacks
 		}
-		if st.RxTrains > 0 {
-			st.RxSegsPerTrain = float64(rxSegs) / float64(st.RxTrains)
-		}
+	}
+	st.GSOTx = e.gsoTx
+	if st.TxTrains > 0 {
+		st.TxSegsPerTrain = float64(st.TxTrainSegs) / float64(st.TxTrains)
+	}
+	if st.RxTrains > 0 {
+		st.RxSegsPerTrain = float64(rxSegs) / float64(st.RxTrains)
 	}
 	for i, s := range e.shards {
 		ss := ShardStats{

@@ -32,6 +32,13 @@ type mmsgScratch struct {
 	// train's UDP_SEGMENT cmsg on transmit, the UDP_GRO cmsg on a receive
 	// socket that takes trains.
 	ctrls []byte
+
+	// sendFn, the RawConn.Write callback, is bound once: a closure made
+	// per call is a heap allocation per syscall. It sends hdrs[off:] and
+	// leaves its results in n and errno.
+	sendFn func(fd uintptr) bool
+	off, n int
+	errno  syscall.Errno
 }
 
 func (s *mmsgScratch) ensure(n int) {
@@ -99,6 +106,14 @@ type mmsgConn struct {
 	deadline           atomic.Int64
 	threadWaits, parks atomic.Uint64
 	recvs              uint64
+
+	// recvFn is recv's RawConn.Read callback, bound once like
+	// mmsgScratch.sendFn; rxFlags and rxOnThread are its arguments, rxN
+	// and rxErrno its results.
+	recvFn       func(fd uintptr) bool
+	rxFlags, rxN int
+	rxOnThread   bool
+	rxErrno      syscall.Errno
 }
 
 // newMmsgConn returns the recvmmsg/sendmmsg implementation when pc is a
@@ -113,7 +128,9 @@ func newMmsgConn(pc net.PacketConn) BatchConn {
 		return nil
 	}
 	la, _ := udp.LocalAddr().(*net.UDPAddr)
-	return &mmsgConn{udp: udp, rc: rc, ip4: la != nil && la.IP.To4() != nil, budget: ownWaitBudget}
+	c := &mmsgConn{udp: udp, rc: rc, ip4: la != nil && la.IP.To4() != nil, budget: ownWaitBudget}
+	c.recvFn = c.recvmmsg
+	return c
 }
 
 func (c *mmsgConn) LocalAddr() net.Addr { return c.udp.LocalAddr() }
@@ -230,48 +247,49 @@ func (c *mmsgConn) recv(ms []Message) (int, error) {
 	}
 	// With GRO, MSG_TRUNC makes each entry's length the payload's length
 	// on the wire, so a train its slot cut is seen as cut.
-	flags := syscall.MSG_DONTWAIT
+	c.rxFlags = syscall.MSG_DONTWAIT
 	if gro {
-		flags |= syscall.MSG_TRUNC
+		c.rxFlags |= syscall.MSG_TRUNC
 	}
-	var n int
-	var operr syscall.Errno
 	// At most one on-thread wait, and only after a productive read.
-	onThread := c.owned && c.armed
-	err := c.rc.Read(func(fd uintptr) bool {
-		for {
-			c.recvs++
-			r, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&c.rx.hdrs[0])), uintptr(len(ms)),
-				uintptr(flags), 0, 0)
-			switch errno {
-			case 0:
-				n = int(r)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				if onThread {
-					onThread = false
-					if c.waitOnThread(fd) {
-						continue
-					}
-				}
-				c.parks.Add(1)
-				return false // park in the netpoller until readable
-			default:
-				operr = errno
-				return true
-			}
-		}
-	})
-	if err != nil {
+	c.rxOnThread = c.owned && c.armed
+	if err := c.rc.Read(c.recvFn); err != nil {
 		return 0, err
 	}
-	if operr != 0 {
-		return 0, operr
+	if c.rxErrno != 0 {
+		return 0, c.rxErrno
 	}
-	return c.splitRead(ms, n), nil
+	return c.splitRead(ms, c.rxN), nil
+}
+
+// recvmmsg is recv's RawConn.Read callback: one recvmmsg into rx.hdrs,
+// false to park in the netpoller.
+func (c *mmsgConn) recvmmsg(fd uintptr) bool {
+	for {
+		c.recvs++
+		r, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&c.rx.hdrs[0])), uintptr(len(c.rx.hdrs)),
+			uintptr(c.rxFlags), 0, 0)
+		switch errno {
+		case 0:
+			c.rxN, c.rxErrno = int(r), 0
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			if c.rxOnThread {
+				c.rxOnThread = false
+				if c.waitOnThread(fd) {
+					continue
+				}
+			}
+			c.parks.Add(1)
+			return false // park in the netpoller until readable
+		default:
+			c.rxErrno = errno
+			return true
+		}
+	}
 }
 
 // splitRead turns n received entries into Messages. Entries before the
@@ -378,24 +396,17 @@ func countTrains(st *txCounters, ms []Message) {
 func sendTrainSplit(rc syscall.RawConn, tx *mmsgScratch, m *Message, ip4 bool) error {
 	var segbuf [MaxTrainSegs]Message
 	segs := segbuf[:0]
-	flush := func() error {
-		if len(segs) == 0 {
-			return nil
-		}
-		_, err := sendmmsgBatch(rc, tx, segs, ip4)
-		segs = segs[:0]
-		return err
-	}
 	for off := 0; off < m.N; off += m.SegSize {
 		end := min(off+m.SegSize, m.N)
 		segs = append(segs, Message{Buf: m.Buf[off:end], N: end - off, Src: m.Src})
-		if len(segs) == cap(segs) {
-			if err := flush(); err != nil {
+		if len(segs) == cap(segs) || end == m.N {
+			if _, err := sendmmsgBatch(rc, tx, segs, ip4); err != nil {
 				return err
 			}
+			segs = segs[:0]
 		}
 	}
-	return flush()
+	return nil
 }
 
 // sendmmsgBatch flushes ms through a sendmmsg(2) loop on rc's fd using
@@ -430,41 +441,46 @@ func sendmmsgBatch(rc syscall.RawConn, tx *mmsgScratch, ms []Message, ip4 bool) 
 			h.hdr.SetControllen(gsoCtrlSpace)
 		}
 	}
+	if tx.sendFn == nil {
+		tx.sendFn = tx.send
+	}
 	sent := 0
 	for sent < len(ms) {
-		var n int
-		var operr syscall.Errno
-		err := rc.Write(func(fd uintptr) bool {
-			for {
-				r, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-					uintptr(unsafe.Pointer(&tx.hdrs[sent])), uintptr(len(ms)-sent),
-					uintptr(syscall.MSG_DONTWAIT), 0, 0)
-				switch errno {
-				case 0:
-					n = int(r)
-					return true
-				case syscall.EINTR:
-					continue
-				case syscall.EAGAIN:
-					return false
-				default:
-					operr = errno
-					return true
-				}
-			}
-		})
-		if err != nil {
+		tx.off = sent
+		if err := rc.Write(tx.sendFn); err != nil {
 			return sent, err
 		}
-		if operr != 0 {
-			return sent, operr
+		if tx.errno != 0 {
+			return sent, tx.errno
 		}
-		if n == 0 {
+		if tx.n == 0 {
 			break // defensive: the kernel reported progress of zero
 		}
-		sent += n
+		sent += tx.n
 	}
 	return sent, nil
+}
+
+// send is the RawConn.Write callback of sendmmsgBatch: one sendmmsg of
+// hdrs[off:], false on EAGAIN to park in the netpoller.
+func (s *mmsgScratch) send(fd uintptr) bool {
+	for {
+		r, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&s.hdrs[s.off])), uintptr(len(s.hdrs)-s.off),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		switch errno {
+		case 0:
+			s.n, s.errno = int(r), 0
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		default:
+			s.errno = errno
+			return true
+		}
+	}
 }
 
 // putSockaddr encodes ap into sa with the socket's family, returning the

@@ -33,9 +33,11 @@
 #      table by at most 128 B (the log and the index grow, so it cannot
 #      be 0 B/op, which is why the row is not one of gate 1's);
 #   5. in the sweep, each batched rung answers at least 0.6x the kpps of
-#      the single-reader engine at the same shard count. The sweep's
-#      workers do not own their threads, a mode no BENCHMARK.json
-#      workload runs; the bound catches a collapse, not a drift;
+#      the single-reader engine at the same shard count (1.07-1.46x in
+#      BENCH_32.json, where the single-reader workers also flush their
+#      replies through sendmmsg in trains). The sweep's workers do not
+#      own their threads, a mode no BENCHMARK.json workload runs; the
+#      bound catches a collapse, not a drift;
 #   6. filling a store and warming the tier each allocate at most 0.01
 #      times per entry: the arenas' chunks and the tables, nothing per
 #      entry. Judged on the worst pass, whatever its iterations (each is
@@ -43,7 +45,7 @@
 #
 # Usage:
 #   ./scripts/bench.sh                          # writes bench_ci.json (git-ignored)
-#   BENCH_OUT=BENCH_28.json ./scripts/bench.sh  # refresh the committed snapshot
+#   BENCH_OUT=BENCH_32.json ./scripts/bench.sh  # refresh the committed snapshot
 #   BENCH_TIME=50ms ./scripts/bench.sh          # CI: shorter rows, gates still live
 #
 # Output schema (incod-bench/v1): one entry per benchmark with
