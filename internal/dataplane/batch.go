@@ -55,6 +55,11 @@ type BatchFastPath interface {
 // memory is Sockets*rxBatch*MaxDatagram on top of the queue bound.
 const rxBatch, txBatch = 32, 32
 
+// readerShard is the shard index of the single reader's batchState: no
+// shard's, so processRead hands every datagram it reads to its shard's
+// queue and handles none itself.
+const readerShard = -1
+
 // NewBatchedConns builds an engine in per-shard-socket batched mode:
 // conns[i] becomes shard i's socket (normally a SO_REUSEPORT group from
 // netio.ListenReusePortGroup, all bound to one address) and bcs[i], which
@@ -108,8 +113,8 @@ func sendsTrains(bcs []netio.BatchConn) bool {
 func (e *Engine) Batched() bool { return e.batched }
 
 // Backend names the transport rung serving the engine: "uring", "mmsg"
-// or "single" in batched mode, "" in single-reader mode (which reads
-// the net.PacketConn directly).
+// or "single" in batched mode, "" in single-reader mode (whose reader
+// and workers take mmsg wherever the socket allows it, single elsewhere).
 func (e *Engine) Backend() string {
 	if !e.batched || len(e.bconns) == 0 {
 		return ""
@@ -128,7 +133,8 @@ const queuePollInterval = time.Millisecond
 // with their pooled buffers (batched mode only), the item vector handed
 // to batch handlers, per-item reply buffers, and the pending TX batch.
 // A single-reader worker is the same state without the receive side: it
-// only drains its queue and sends through its own transmit conn.
+// only drains its queue and sends through its own transmit conn. The
+// single reader is the receive side alone (readLoop).
 type batchState struct {
 	e  *Engine
 	s  *shard
@@ -296,7 +302,8 @@ func (w *batchState) fillRx() {
 
 // processRead dispatches one received batch: same-shard datagrams are
 // handled inline (no channel hop), cross-shard ones are handed to the
-// owning shard's queue with buffer ownership.
+// owning shard's queue with buffer ownership. For the single reader
+// (readerShard) every datagram is cross-shard.
 func (w *batchState) processRead(n int) {
 	e, s := w.e, w.s
 	w.ptrs = w.ptrs[:0]
@@ -305,10 +312,9 @@ func (w *batchState) processRead(n int) {
 		m := &w.rx[j]
 		payload := m.Buf[:m.N]
 		if !m.Src.IsValid() {
-			// Same guard as the single-reader readLoop: a transport that
-			// cannot produce a source address (portable fallback over a
-			// custom conn) must not dispatch a zero source. The slot
-			// keeps its buffer.
+			// A transport that cannot produce a source address (the
+			// portable fallback over a custom conn) must not dispatch a
+			// zero source. The slot keeps its buffer.
 			if c := s.badSrc.Add(1); c&(c-1) == 0 {
 				log.Printf("%s: dropped datagram with unusable source address (#%d)", e.cfg.Name, c)
 			}

@@ -146,9 +146,10 @@ type shard struct {
 	dropped   atomic.Uint64
 	badSrc    atomic.Uint64
 	writeErrs atomic.Uint64
-	// Syscall counters: one readBatches per recvmmsg (batched mode), one
-	// writeBatches per sendmmsg (both modes), so received/readBatches is
-	// the measured RX syscall amortization.
+	// Syscall counters: one readBatches per ReadBatch that returned
+	// datagrams (a shard's own in batched mode, the reader's on shard 0
+	// in single-reader mode), one writeBatches per WriteBatch, so
+	// received/readBatches is the measured RX syscall amortization.
 	readBatches  atomic.Uint64
 	writeBatches atomic.Uint64
 	_            [64]byte
@@ -162,19 +163,20 @@ type shard struct {
 // and the offload-tier hooks. See the package comment.
 type Engine struct {
 	conn net.PacketConn
-	udp  *net.UDPConn // non-nil enables the allocation-free address path
 	h    Handler
 	disp Dispatcher // fast path first, then h: shared with internal/simhost
 	cfg  Config
 
 	// bconns[i] is shard i's transport: its socket in batched mode, a
-	// transmit-only wrapper over conn in single-reader mode (the reader
-	// reads conn itself). arrivalDispatch means the kernel's reuseport
-	// flow hash is the dispatch (batched, no cfg.ShardBy given): every
-	// datagram is handled by the shard whose socket it arrived on.
+	// transmit-only wrapper over conn in single-reader mode, where reader
+	// is the reader's own receive-only one (nil in batched mode).
+	// arrivalDispatch means the kernel's reuseport flow hash is the
+	// dispatch (batched, no cfg.ShardBy given): every datagram is handled
+	// by the shard whose socket it arrived on.
 	batched         bool
 	arrivalDispatch bool
 	bconns          []netio.BatchConn
+	reader          netio.BatchConn
 	// gsoTx is the reply-train decision (sendsTrains), made once at
 	// construction.
 	gsoTx bool
@@ -227,6 +229,7 @@ func New(conn net.PacketConn, h Handler, cfg Config) *Engine {
 	for i := range e.bconns {
 		e.bconns[i] = netio.NewBatchConn(conn)
 	}
+	e.reader = netio.NewBatchConn(conn)
 	e.gsoTx = sendsTrains(e.bconns)
 	return e
 }
@@ -244,7 +247,6 @@ func newEngine(conn net.PacketConn, h Handler, cfg Config) *Engine {
 		readerDone: make(chan struct{}),
 		done:       make(chan struct{}),
 	}
-	e.udp, _ = conn.(*net.UDPConn)
 	e.pool.New = func() any {
 		b := make([]byte, cfg.MaxDatagram)
 		return &b
@@ -427,7 +429,7 @@ func (e *Engine) Close() {
 				}
 				e.readPhase.Wait()
 			} else {
-				_ = e.conn.SetReadDeadline(time.Now())
+				_ = e.reader.SetReadDeadline(time.Now())
 				<-e.readerDone
 			}
 			// Hold barrierMu across the close: a Barrier that already
@@ -451,64 +453,44 @@ func (e *Engine) Close() {
 	})
 }
 
+// readLoop is the single reader. It reads up to rxBatch datagrams per
+// ReadBatch through its own conn over the socket (recvmmsg and UDP_GRO
+// trains on Linux, one datagram per call elsewhere) and moves each into
+// its shard's queue with buffer ownership, through processRead's
+// cross-shard handoff: the reader is no shard, so no datagram is its
+// own. A full queue drops the datagram and the buffer stays in its slot.
+// The reader runs no handler, so backpressure never blocks it. Its reads
+// count in shard 0's read_batches, so only the engine-wide rx_per_read
+// is the reader's amortization.
 func (e *Engine) readLoop() {
 	defer close(e.readerDone)
+	w := &batchState{
+		e: e, s: e.shards[0], i: readerShard, bc: e.reader,
+		rx:     make([]netio.Message, rxBatch),
+		rxBufs: make([]*[]byte, rxBatch),
+	}
+	defer w.release()
 	for {
-		bufp := e.getBuf()
-		var (
-			n   int
-			src netip.AddrPort
-			raw net.Addr
-			err error
-		)
-		if e.udp != nil {
-			n, src, err = e.udp.ReadFromUDPAddrPort(*bufp)
-		} else {
-			n, raw, err = e.conn.ReadFrom(*bufp)
-			if err == nil {
-				// Non-*net.UDPAddr sources (test transports, in-memory
-				// conns) still get a real AddrPort when their String()
-				// is "ip:port"; otherwise the datagram is dropped below
-				// rather than dispatched with a zero source, which would
-				// hash to a bogus shard and hand Paxos SourceHandlers an
-				// invalid peer.
-				src, _ = netio.AddrPortOf(raw)
-			}
-		}
-		if err != nil {
-			e.putBuf(bufp)
-			if e.closing.Load() {
-				return
-			}
-			if errors.Is(err, net.ErrClosed) {
-				// Not our shutdown path: the socket is gone, so serving
-				// is over — but only shutdown exits silently.
-				log.Printf("%s: socket closed unexpectedly: %v", e.cfg.Name, err)
-				return
-			}
-			// Transient: async ICMP errors surfaced by a previous write,
-			// spurious wakeups. Count, log sparsely, keep serving.
-			if c := e.readErrs.Add(1); c&(c-1) == 0 {
-				log.Printf("%s: transient read error (#%d, serving continues): %v", e.cfg.Name, c, err)
-			}
+		w.fillRx()
+		n, err := w.bc.ReadBatch(w.rx)
+		if err == nil {
+			w.s.readBatches.Add(1)
+			w.processRead(n)
 			continue
 		}
-		if !src.IsValid() {
-			// Counted apart from queue-overrun drops: these datagrams
-			// were never dispatched at all.
-			if c := e.shards[0].badSrc.Add(1); c&(c-1) == 0 {
-				log.Printf("%s: dropped datagram with unusable source address %v (#%d)", e.cfg.Name, raw, c)
-			}
-			e.putBuf(bufp)
-			continue
+		if e.closing.Load() {
+			return
 		}
-		s := e.shards[e.shardIndex((*bufp)[:n], src)]
-		s.received.Add(1)
-		select {
-		case s.ch <- packet{buf: bufp, n: n, src: src}:
-		default:
-			s.dropped.Add(1)
-			e.putBuf(bufp)
+		if errors.Is(err, net.ErrClosed) {
+			// Not our shutdown path: the socket is gone, so serving
+			// is over — but only shutdown exits silently.
+			log.Printf("%s: socket closed unexpectedly: %v", e.cfg.Name, err)
+			return
+		}
+		// Transient: async ICMP errors surfaced by a previous write,
+		// spurious wakeups. Count, log sparsely, keep serving.
+		if c := e.readErrs.Add(1); c&(c-1) == 0 {
+			log.Printf("%s: transient read error (#%d, serving continues): %v", e.cfg.Name, c, err)
 		}
 	}
 }

@@ -284,8 +284,9 @@ func TestQueueOverrunDropsAreCounted(t *testing.T) {
 // asserts the drop accounting is exact: every received datagram is
 // either handled or dropped, every reply corresponds to a handled
 // datagram, and no pooled buffer leaks — the invariant that makes the
-// overload memory bound ((QueueDepth+rxBatch) * MaxDatagram per shard)
-// real.
+// overload memory bound real. While the handler is blocked it also holds
+// the pooled buffers out to that bound: (QueueDepth+rxBatch) per shard
+// plus the reader's rxBatch slots, each MaxDatagram bytes.
 func TestQueueOverrunAccountingUnderSustainedPressure(t *testing.T) {
 	conn := newFakeConn(256)
 	gate := make(chan struct{})
@@ -309,6 +310,11 @@ func TestQueueOverrunAccountingUnderSustainedPressure(t *testing.T) {
 		// before its handler blocked: everything else must be a counted
 		// drop.
 		t.Fatalf("Dropped = %d, want >= %d", st.Dropped, floor)
+	}
+	// doc.go's single-reader bound in buffers: each shard's queue and the
+	// batch its worker collected, plus the reader's receive slots.
+	if bound := int64(1*(8+rxBatch) + rxBatch); st.BuffersInFlight > bound {
+		t.Fatalf("%d pooled buffers out while the handler is blocked, bound %d", st.BuffersInFlight, bound)
 	}
 	close(gate)
 	e.Close()

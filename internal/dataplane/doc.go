@@ -6,8 +6,13 @@
 //
 // # Single-reader mode (New)
 //
-//   - one reader goroutine pulls datagrams off the socket into pooled
-//     buffers (sync.Pool, zero steady-state allocation);
+//   - one reader goroutine reads the socket through its own
+//     netio.NewBatchConn: up to rxBatch datagrams per recvmmsg into
+//     pooled buffers (sync.Pool, zero steady-state allocation), request
+//     trains taken whole through UDP_GRO where its slots hold the
+//     largest one (the default MaxDatagram does), as on a batched mmsg
+//     socket. It hands each datagram to its shard's queue with the
+//     buffer and runs no handler;
 //   - N shard workers consume from per-shard queues. Dispatch is hashed —
 //     by source address by default, or by protocol key (e.g. the memcached
 //     key, kvs.ShardByKey) so one shard owns one key range — which keeps
@@ -21,8 +26,14 @@
 //     with zero per-request heap allocations.
 //
 // This mode works over any net.PacketConn (tests, in-memory transports,
-// non-Linux platforms). It pays one read syscall per request, and one
-// write per flush: per datagram while requests trickle in one by one.
+// non-Linux platforms); over anything but a Linux *net.UDPConn the
+// reader takes the portable rung, one datagram per read. On Linux its
+// reads amortize with the load: an incpaxosd acceptor under
+// BENCHMARK.json's paxos_vote_default (loopback, two CPUs) ended its run
+// at rx_per_read 6.4 with its request trains arriving whole (rx_trains,
+// 32 datagrams each), while its paced slices, where requests trickle in
+// one by one, read 1.1–1.3 datagrams per read. Writes are one sendmmsg
+// per flush.
 //
 // # Batched per-shard-socket mode (NewBatchedConns)
 //
@@ -84,15 +95,19 @@
 //	Sockets*rxBatch*MaxDatagram + Shards*QueueDepth*MaxDatagram
 //	  + Sockets*rxBatch*MaxTrainBytes
 //
-// in batched mode, and by Shards*(QueueDepth+rxBatch)*MaxDatagram plus
-// the reader's one buffer in single-reader mode, where a worker holds at
-// most the one batch it collected from its queue. The last batched term
-// counts only mmsg sockets that take trains (gro_rx), which needs a
-// MaxDatagram of at least netio.MaxTrainBytes; the uring rung splits
-// trains out of its own provided buffers. When a shard's queue is full
-// the datagram is dropped and counted, like a NIC ring overrun —
-// backpressure never blocks a reader. Protocols with small datagrams
-// (DNS) should pass their own MaxDatagram to shrink every term.
+// in batched mode, and by
+//
+//	Shards*(QueueDepth+rxBatch)*MaxDatagram + rxBatch*MaxDatagram
+//	  + rxBatch*MaxTrainBytes
+//
+// in single-reader mode, where a worker holds at most the one batch it
+// collected from its queue and the reader its rxBatch receive slots. The
+// MaxTrainBytes terms count only mmsg sockets that take trains (gro_rx),
+// which needs a MaxDatagram of at least netio.MaxTrainBytes; the uring
+// rung splits trains out of its own provided buffers. When a shard's
+// queue is full the datagram is dropped and counted, like a NIC ring
+// overrun — backpressure never blocks a reader. Protocols with small
+// datagrams (DNS) should pass their own MaxDatagram to shrink every term.
 //
 // # Shared across both modes
 //

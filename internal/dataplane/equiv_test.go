@@ -14,7 +14,7 @@ package dataplane_test
 // compared request by request; on a socket the replies are compared per
 // window of outstanding requests, as a multiset, because a key-sharded
 // engine may answer two shards' requests in either order. The client of
-// a batched engine sends each window's runs of equal-size requests as
+// an engine sends each window's runs of equal-size requests as
 // UDP_SEGMENT trains wherever netio.ProbeGSO passes, so those cells also
 // serve request trains: split by the socket where it takes UDP_GRO, by
 // the kernel where it does not.
@@ -171,18 +171,16 @@ func matrix(t *testing.T, rows []workload, subjects []subject) {
 					want := windows(perReq, engineWindow)
 					got := engineRun(t, w, s, want)
 					compare(t, got, want, ref)
-					switch {
-					case s.rung == "":
-					case got.rxTrains:
+					if got.rxTrains {
 						trainCells++
-					default:
+					} else {
 						perDatagram++
 					}
 				})
 			}
 		})
 	}
-	t.Logf("%d cells run, %d skipped %v; of the batched ones %d took request trains, %d served per datagram",
+	t.Logf("%d cells run, %d skipped %v; of the engine cells %d took request trains, %d served per datagram",
 		ran, skipped, why, trainCells, perDatagram)
 }
 
@@ -313,10 +311,10 @@ func nodeRun(t *testing.T, w workload, window time.Duration) ([][]byte, run) {
 
 // engineRun serves the script on a real engine over loopback, from one
 // client socket (one flow: the engine keeps its order), engineWindow
-// requests per WriteBatch, in trains where a batched engine can be sent
-// them; each window's replies are awaited before the next goes out. The
-// first window is queued on the sockets before the engine starts, so its
-// first read takes the whole window and the flush has replies to coalesce
+// requests per WriteBatch, in trains where the kernel segments them;
+// each window's replies are awaited before the next goes out. The first
+// window is queued on the sockets before the engine starts, so its first
+// read takes the whole window and the flush has replies to coalesce
 // however fast the engine wakes for later ones.
 func engineRun(t *testing.T, w workload, s subject, want [][]string) run {
 	var mu sync.Mutex
@@ -342,7 +340,7 @@ func engineRun(t *testing.T, w workload, s subject, want [][]string) run {
 	for i := range rx {
 		rx[i].Buf = make([]byte, 4096)
 	}
-	trains := s.rung != "" && netio.ProbeGSO() == nil
+	trains := netio.ProbeGSO() == nil
 	// Trains sent once the engine runs: by then every socket has decided
 	// whether it takes UDP_GRO (the mmsg rung does at its first read).
 	trainsSent := 0

@@ -32,9 +32,11 @@ type ShardStats struct {
 	// usable source address could be derived (distinct from queue
 	// overruns). Only shard 0 accumulates these in single-reader mode.
 	BadSourceDrops uint64 `json:"bad_source_drops,omitempty"`
-	// ReadBatches counts recvmmsg syscalls (batched mode) and WriteBatches
-	// sendmmsg syscalls (both modes); received/read_batches is the
-	// measured RX syscall amortization for this shard.
+	// ReadBatches counts reads that returned datagrams — one recvmmsg
+	// each on Linux — and WriteBatches sendmmsg syscalls. In batched mode
+	// a shard counts its own socket's reads and received/read_batches is
+	// its RX syscall amortization; in single-reader mode the reader's
+	// reads count on shard 0, and the engine-wide ratio is the reader's.
 	ReadBatches  uint64 `json:"read_batches,omitempty"`
 	WriteBatches uint64 `json:"write_batches,omitempty"`
 }
@@ -72,10 +74,10 @@ type Stats struct {
 	RateKpps float64           `json:"rate_kpps"`
 	Handler  map[string]uint64 `json:"handler,omitempty"`
 
-	// Syscall amortization: datagrams moved per recvmmsg (batched mode
-	// only; the single reader reads one datagram per syscall) and per
-	// sendmmsg syscall (both modes). 1.0 is the per-datagram cost; higher
-	// is the batching win.
+	// Syscall amortization: datagrams moved per read (one recvmmsg on
+	// Linux; the single reader's reads in single-reader mode) and per
+	// sendmmsg syscall. 1.0 is the per-datagram cost; higher is the
+	// batching win.
 	ReadBatches  uint64  `json:"read_batches,omitempty"`
 	WriteBatches uint64  `json:"write_batches,omitempty"`
 	RxPerRead    float64 `json:"rx_per_read,omitempty"`
@@ -121,10 +123,11 @@ type Stats struct {
 	TxSegsPerTrain float64 `json:"tx_segs_per_train,omitempty"`
 	GSOTxFallbacks uint64  `json:"gso_tx_fallbacks,omitempty"`
 
-	// Receive-train telemetry, summed across the per-shard transports.
-	// GRORx reports whether every shard's socket takes UDP_GRO trains: the
-	// uring rung wherever the kernel does, the mmsg rung where in addition
-	// MaxDatagram holds the largest train. RxTrains counts trains that
+	// Receive-train telemetry, summed across the per-shard transports (in
+	// single-reader mode, the reader's one conn). GRORx reports whether
+	// every receiving socket takes UDP_GRO trains: the uring rung wherever
+	// the kernel does, the mmsg rung where in addition MaxDatagram holds
+	// the largest train. RxTrains counts trains that
 	// arrived coalesced (RxSegsPerTrain the datagrams each carried on
 	// average), RxCutSegs datagrams of theirs never delivered because the
 	// receive buffer cut the train. A paced sender's datagrams arrive one
@@ -168,14 +171,22 @@ func (e *Engine) Snapshot() Stats {
 		st.RxBatch = rxBatch
 		st.TxBatch = txBatch
 	}
-	st.GRORx = e.batched // a single-reader engine's conns only transmit
+	// The conns that receive: every shard's socket in batched mode, the
+	// reader's own in single-reader mode, whose shard conns only transmit.
+	rxConns := e.bconns
+	if !e.batched {
+		rxConns = []netio.BatchConn{e.reader}
+	}
+	st.GRORx = true
 	var rxSegs uint64
-	for _, bc := range e.bconns {
+	for _, bc := range rxConns {
 		rs, ok := netio.RxStatsOf(bc)
 		st.GRORx = st.GRORx && ok && rs.GRO
 		st.RxTrains += rs.Trains
 		rxSegs += rs.TrainSegs
 		st.RxCutSegs += rs.CutSegs
+	}
+	for _, bc := range e.bconns {
 		if us, ok := netio.UringStatsOf(bc); ok {
 			st.RingEntries = us.RingEntries
 			st.BufRingSize = us.BufRingSize
