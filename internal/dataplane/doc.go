@@ -61,21 +61,25 @@
 // socket's read under a 1ms deadline (the queue poll above), re-armed
 // before every read; by default that is a park in the runtime netpoller.
 // With PinShards (-pin) the worker locks itself to its OS thread for good
-// and tells its socket so, once. The mmsg rung then uses the thread:
-// directly after a read that returned datagrams, and only then, it waits
-// for the next one by blocking that thread on the socket itself for at
-// most about 100µs before falling back to the park. At a paced load
-// nearly every datagram is its own wake-up, and the netpoller park of a
-// thread-locked goroutine costs two thread hand-offs where this costs
-// one kernel wake-up of the worker. That, more than the CPU affinity
-// -pin also sets (shard i on the (i mod n)-th CPU the process is
-// allowed), is what the flag buys: about a sixth of the server's CPU per
-// request on the KVS workloads of BENCHMARK.json. The price is bounded:
-// a worker inside that wait holds its P in a syscall until sysmon retakes
-// it, so there is at most one such wait per productive read and none on
-// an idle socket — an idle pinned daemon holds no P. The policy lives in
-// netio; the engine's part is one call after LockOSThread. The uring and
-// single rungs ignore it.
+// and tells its socket so, once. Both batched rungs then use the thread:
+// directly after a read that returned datagrams, and only then, the next
+// read waits for data by blocking that thread in the kernel — the mmsg
+// rung on the socket for at most about 100µs, the uring rung on its ring
+// until the read deadline — before falling back to the park. At a paced
+// load nearly every datagram (or train) is its own wake-up, and the
+// netpoller park of a thread-locked goroutine costs two thread hand-offs
+// where this costs one kernel wake-up of the worker. That, more than the
+// CPU affinity -pin also sets (shard i on the (i mod n)-th CPU the
+// process is allowed), is what the flag buys: about a sixth of the
+// server's CPU per request on the KVS workloads of BENCHMARK.json, and
+// about as much on dns_train_uring. The price is bounded: a worker inside
+// that wait holds its P in a syscall until sysmon retakes it, so there is
+// at most one such wait per productive read, none longer than the 1ms
+// queue poll, and none on an idle socket — an idle pinned daemon holds no
+// P. The policy lives in netio; the engine's part is one call after
+// LockOSThread. The single rung ignores it. Stats reports both ways of
+// waiting, summed over the receiving sockets, as rx_thread_waits and
+// rx_parks.
 //
 // Handlers that implement BatchHandler (and offload tiers implementing
 // BatchFastPath) receive whole batches and amortize per-request work

@@ -1,12 +1,15 @@
 package dataplane
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/netip"
 	"sync"
 	"testing"
 	"time"
+
+	"incod/internal/netio"
 )
 
 // The suites of batch_test.go and freelist_test.go once more with
@@ -131,4 +134,53 @@ func TestPinnedEngineClosesPromptly(t *testing.T) {
 		close(stop)
 		wg.Wait()
 	})
+}
+
+// TestPinnedEngineReportsThreadWaits: under a paced stream (each request
+// sent once the previous reply is back) a pinned worker's next read after
+// a productive one waits on its own thread, and /v1/dataplane says so in
+// rx_thread_waits, on both batched rungs.
+func TestPinnedEngineReportsThreadWaits(t *testing.T) {
+	for _, rung := range []string{"mmsg", "uring"} {
+		t.Run(rung, func(t *testing.T) {
+			if rung == "uring" {
+				if err := netio.ProbeUring(); err != nil {
+					t.Skipf("io_uring unavailable: %v", err)
+				}
+			}
+			conns, err := netio.ListenReusePortGroup("udp4", "127.0.0.1:0", 2)
+			if err != nil {
+				t.Skipf("reuseport group unavailable: %v", err)
+			}
+			bcs := batchConns(conns)
+			if rung == "uring" {
+				for i, c := range conns {
+					if bcs[i], err = netio.NewUringConn(c, netio.UringConfig{}); err != nil {
+						t.Fatalf("uring conn over a reuseport socket, though the probe passed: %v", err)
+					}
+				}
+			}
+			e := NewBatchedConns(conns, bcs, echoHandler, Config{Name: "test-pinned-waits-" + rung, PinShards: true})
+			e.Start()
+			defer e.Close()
+			if b := e.Backend(); b != rung {
+				t.Skipf("the %s rung serves here", b)
+			}
+			echoClient(t, e.LocalAddr().String(), "pw", 50)
+			raw, err := json.Marshal(e.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v struct {
+				Waits uint64 `json:"rx_thread_waits"`
+				Parks uint64 `json:"rx_parks"`
+			}
+			if err := json.Unmarshal(raw, &v); err != nil {
+				t.Fatal(err)
+			}
+			if v.Waits == 0 {
+				t.Errorf("rx_thread_waits 0 after a paced stream of 50 on pinned workers (rx_parks %d)", v.Parks)
+			}
+		})
+	}
 }

@@ -131,11 +131,16 @@ type Stats struct {
 	// arrived coalesced (RxSegsPerTrain the datagrams each carried on
 	// average), RxCutSegs datagrams of theirs never delivered because the
 	// receive buffer cut the train. A paced sender's datagrams arrive one
-	// by one, so only these say whether trains came in.
+	// by one, so only these say whether trains came in. RxThreadWaits
+	// counts the readers' waits on their own threads (pinned workers,
+	// directly after a productive read) and RxParks their parks in the
+	// netpoller: how the readers waited for data.
 	GRORx          bool    `json:"gro_rx"`
 	RxTrains       uint64  `json:"rx_trains,omitempty"`
 	RxSegsPerTrain float64 `json:"rx_segs_per_train,omitempty"`
 	RxCutSegs      uint64  `json:"rx_cut_segs,omitempty"`
+	RxThreadWaits  uint64  `json:"rx_thread_waits,omitempty"`
+	RxParks        uint64  `json:"rx_parks,omitempty"`
 
 	// Offload tier telemetry. TierActive reports whether a fast path is
 	// installed right now; the remaining fields describe the most
@@ -185,6 +190,8 @@ func (e *Engine) Snapshot() Stats {
 		st.RxTrains += rs.Trains
 		rxSegs += rs.TrainSegs
 		st.RxCutSegs += rs.CutSegs
+		st.RxThreadWaits += rs.ThreadWaits
+		st.RxParks += rs.Parks
 	}
 	for _, bc := range e.bconns {
 		if us, ok := netio.UringStatsOf(bc); ok {

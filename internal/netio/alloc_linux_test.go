@@ -4,6 +4,7 @@ package netio
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -11,9 +12,11 @@ import (
 // TestBatchedRungsDoNotAllocate holds the batched rungs' syscall paths to
 // zero heap allocations per call: a loopback WriteBatch plus ReadBatch
 // round on the mmsg rung, a train refused by the kernel and unrolled by
-// sendTrainSplit, and a train WriteBatch on the uring rung. A RawConn
-// callback made per call, or a vector the compiler moves to the heap,
-// shows here as allocations per run.
+// sendTrainSplit, a train WriteBatch on the uring rung, and a ReadBatch
+// on a uring conn whose reader owns its thread and waits on it for each
+// datagram. A RawConn callback made per call, or a
+// vector the compiler moves to the heap, shows here as allocations per
+// run.
 func TestBatchedRungsDoNotAllocate(t *testing.T) {
 	sink, err := net.ListenPacket("udp4", "127.0.0.1:0")
 	if err != nil {
@@ -84,5 +87,51 @@ func TestBatchedRungsDoNotAllocate(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("uring train WriteBatch: %.1f allocs, want 0", a)
+	}
+
+	// The owned reader: this goroutine stays locked to its thread until
+	// the test returns, past the conn's Close. Each round's datagram is
+	// sent from the mmsg conn once the reader is waiting on its thread.
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	uc.OwnThread()
+	ucc := uc.(*uringConn)
+	uself, _ := AddrPortOf(upc.LocalAddr())
+	uping := []Message{{Buf: []byte("ping"), N: 4, Src: uself}}
+	kick, sent := make(chan uint64), make(chan error)
+	defer close(kick)
+	go func() {
+		for from := range kick {
+			for ucc.split.st.threadWaits.Load() == from {
+				runtime.Gosched()
+			}
+			_, err := bc.WriteBatch(uping)
+			sent <- err
+		}
+	}()
+	if err := uc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bc.WriteBatch(uping); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := uc.ReadBatch(in); err != nil || n != 1 {
+		t.Fatalf("uring ReadBatch = %d, %v", n, err)
+	}
+	waits := ucc.split.st.threadWaits.Load()
+	const rounds = 200
+	if a := testing.AllocsPerRun(rounds, func() {
+		kick <- ucc.split.st.threadWaits.Load()
+		if n, err := uc.ReadBatch(in); err != nil || n != 1 {
+			t.Fatalf("owned uring ReadBatch = %d, %v", n, err)
+		}
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("owned uring ReadBatch after an on-thread wait: %.1f allocs, want 0", a)
+	}
+	if w := ucc.split.st.threadWaits.Load() - waits; w < rounds {
+		t.Fatalf("%d on-thread waits over %d rounds: the check above is vacuous", w, rounds)
 	}
 }

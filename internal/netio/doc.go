@@ -10,7 +10,7 @@
 //	mmsg    recvmmsg(2)/sendmmsg(2) via syscall.RawConn: many datagrams
 //	        per syscall, with the runtime netpoller still parking the
 //	        goroutine between batches (a reader that owns its thread
-//	        first waits on it, see below). A Message marked as a train
+//	        may first wait on it, see below). A Message marked as a train
 //	        (SegSize set) carries a UDP_SEGMENT cmsg on its slot of the
 //	        sendmmsg vector, so one syscall can push a whole batch of
 //	        trains. The socket takes UDP GRO when its receive slots hold
@@ -136,18 +136,16 @@
 //
 // # How the reader waits (uring)
 //
-// An empty ReadBatch never blocks an OS thread in io_uring_enter if it
-// can help it. It spins a few yield-and-peek rounds first —
-// runtime.Gosched, then a zero-wait GETEVENTS enter to run deferred
-// completion work — which under load finds the next batch without ever
-// sleeping. Only then does it park the goroutine on a registered CQ
-// eventfd through the runtime netpoller, exactly how the other rungs
-// wait for a socket: the P stays free for the peers whose traffic
-// produces the next completion. While the reader is awake the eventfd
-// is suppressed via IORING_CQ_EVENTFD_DISABLED (the NAPI trick), so
-// senders never pay a wakeup per datagram they complete; the flag is
-// re-enabled only on the edge of parking, with a final reap to close
-// the race. A ring that cannot register the eventfd is not built.
+// An empty ReadBatch waits in one of two ways, by the rule below (see
+// Reuseport groups, pinning and thread ownership): on the reader's own
+// thread, in ppoll(2) on the ring fd, which is readable while the
+// completion queue holds an entry; or parked on a registered CQ eventfd
+// through the runtime netpoller, exactly how the other rungs wait for a
+// socket. While the reader is awake, and through an on-thread wait, the
+// eventfd is suppressed via IORING_CQ_EVENTFD_DISABLED (the NAPI trick),
+// so senders never pay a wakeup per datagram they complete; the flag is
+// re-enabled only on the edge of parking, with a final reap to close the
+// race. A ring that cannot register the eventfd is not built.
 //
 // # Reuseport groups, pinning and thread ownership
 //
@@ -171,15 +169,31 @@
 //
 // A pinned worker has locked itself to its thread, and says so to its
 // conn with BatchConn.OwnThread. That is the one fact a rung needs to
-// choose how its reader waits, and the choice stays here: the mmsg rung
-// (see mmsgConn for the mechanics) waits on an owned thread directly
-// after a productive read, for at most ownWaitBudget, and in the
-// netpoller otherwise. "Owned", because the same wait from an ordinary
-// goroutine blocks an M its neighbours need (the in-process loopback
-// benches halve); "after a productive read", because on an idle socket
-// it keeps the P in a syscall while start-up work wants it. (SO_BUSY_POLL,
-// once a flag here, is gone: it polls a NIC queue loopback does not
-// have, and nothing measured ever set it.)
+// choose how its reader waits, and the choice stays here. One rule
+// covers both batched rungs: a reader waits on its own thread when it
+// owns it and its last ReadBatch returned data, and parks in the
+// netpoller otherwise. Parking a thread-locked goroutine is the dearest
+// park Go has (its thread hands the P to another thread and is handed it
+// back on arrival: two futex wakes, two thread switches), and the
+// on-thread wait lets the kernel wake the worker itself. "Owned", because
+// the same wait from an ordinary goroutine blocks an M its neighbours
+// need (the in-process loopback benches halve); "after a productive
+// read", because on an idle socket it keeps the P in a syscall while
+// start-up work wants it (set-up's HTTP took half as long again in a
+// uring variant that waited on the thread when idle too). Both counts
+// are in RxStats, as ThreadWaits and Parks.
+//
+// The rungs differ only in how long the wait may last. The mmsg rung
+// (see mmsgConn) waits at most ownWaitBudget, 100 µs, clipped to the
+// read deadline: its paced KVS traffic arrives inside that, and waiting
+// out the whole deadline cost set-up time and capacity on kvs_get_host
+// more than it saved CPU. The uring rung waits until the read deadline,
+// and not at all without one: the engine re-arms a 1 ms deadline before
+// every read, and its paced trains arrive about 800 µs apart, so a
+// 100 µs budget timed out and parked anyway. Either way Close and a
+// deadline take effect late by at most one wait. (SO_BUSY_POLL, once a
+// flag here, is gone: it polls a NIC queue loopback does not have, and
+// nothing measured ever set it.)
 //
 // # Saturating the path: GSO at the endpoints
 //

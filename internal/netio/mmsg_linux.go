@@ -98,14 +98,13 @@ type mmsgConn struct {
 
 	// owned and armed (the previous read returned data) belong to the
 	// reader goroutine; deadline mirrors the read deadline in unix ns, 0
-	// for none. budget is ownWaitBudget outside tests; threadWaits and
-	// parks count the two ways of waiting, and recvs the recvmmsg calls,
-	// for the tests.
-	owned, armed       bool
-	budget             time.Duration
-	deadline           atomic.Int64
-	threadWaits, parks atomic.Uint64
-	recvs              uint64
+	// for none. budget is ownWaitBudget outside tests, and recvs counts
+	// the recvmmsg calls for them. The two ways of waiting are counted in
+	// split.st, as RxStats.ThreadWaits and Parks.
+	owned, armed bool
+	budget       time.Duration
+	deadline     atomic.Int64
+	recvs        uint64
 
 	// recvFn is recv's RawConn.Read callback, bound once like
 	// mmsgScratch.sendFn; rxFlags and rxOnThread are its arguments, rxN
@@ -159,7 +158,16 @@ func (c *mmsgConn) waitOnThread(fd uintptr) bool {
 	if wait <= 0 {
 		return false
 	}
-	c.threadWaits.Add(1)
+	c.split.st.threadWaits.Add(1)
+	return pollOnThread(fd, wait)
+}
+
+// pollOnThread is the on-thread wait of both batched rungs: it blocks
+// the calling thread in ppoll(2) until fd is readable or wait runs out,
+// and reports whether fd became readable. The socket is the mmsg rung's
+// fd, the ring the uring rung's: a ring fd is readable while its
+// completion queue holds an entry.
+func pollOnThread(fd uintptr, wait time.Duration) bool {
 	pfd := pollFd{fd: int32(fd), events: pollIn}
 	ts := syscall.NsecToTimespec(int64(wait))
 	r, _, _ := syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&pfd)), 1,
@@ -283,7 +291,7 @@ func (c *mmsgConn) recvmmsg(fd uintptr) bool {
 					continue
 				}
 			}
-			c.parks.Add(1)
+			c.split.st.parks.Add(1)
 			return false // park in the netpoller until readable
 		default:
 			c.rxErrno = errno

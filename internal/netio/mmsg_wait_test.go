@@ -11,12 +11,15 @@ import (
 	"time"
 )
 
-// waitPair is an mmsg server conn and a connected client socket on
-// loopback. The tests drive the server's ReadBatch from a goroutine that
-// is, or is not, locked to its thread.
+// waitPair is a batched server conn and a connected client socket on
+// loopback: c is the conn when it is the mmsg rung's, u when it is the
+// uring rung's, bc either way. The tests drive the server's ReadBatch
+// from a goroutine that is, or is not, locked to its thread.
 type waitPair struct {
 	t      *testing.T
+	bc     BatchConn
 	c      *mmsgConn
+	u      *uringConn
 	client net.Conn
 	ms     []Message
 }
@@ -31,12 +34,21 @@ func newWaitPair(t *testing.T) *waitPair {
 	if c == nil {
 		t.Fatal("no mmsg conn over a UDP socket")
 	}
-	client, err := net.Dial("udp4", spc.LocalAddr().String())
+	p := &waitPair{t: t, bc: c, c: c}
+	p.dial(spc.LocalAddr())
+	return p
+}
+
+// dial connects the client to addr and registers the pair's cleanup.
+func (p *waitPair) dial(addr net.Addr) {
+	p.t.Helper()
+	client, err := net.Dial("udp4", addr.String())
 	if err != nil {
-		t.Fatal(err)
+		p.bc.Close()
+		p.t.Fatal(err)
 	}
-	t.Cleanup(func() { client.Close(); c.Close() })
-	return &waitPair{t: t, c: c, client: client, ms: mkMsgs(4, 512)}
+	p.client, p.ms = client, mkMsgs(4, 512)
+	p.t.Cleanup(func() { client.Close(); p.bc.Close() })
 }
 
 // reader runs fn on a fresh goroutine and waits for it. With owned set
@@ -48,7 +60,7 @@ func (p *waitPair) reader(owned bool, fn func()) {
 		defer close(done)
 		if owned {
 			runtime.LockOSThread()
-			p.c.OwnThread()
+			p.bc.OwnThread()
 		}
 		fn()
 	}()
@@ -67,16 +79,21 @@ func (p *waitPair) send() {
 func (p *waitPair) readOne() {
 	p.t.Helper()
 	p.send()
-	_ = p.c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if n, err := p.c.ReadBatch(p.ms); n != 1 || err != nil {
+	_ = p.bc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := p.bc.ReadBatch(p.ms); n != 1 || err != nil {
 		p.t.Errorf("productive read = %d, %v; want 1, nil", n, err)
 	}
 }
 
-// afterCount calls fn once *ctr has moved past from.
-func afterCount(ctr interface{ Load() uint64 }, from uint64, fn func()) {
+// waits and parks count the reader's on-thread waits and netpoller parks.
+func (p *waitPair) waits() uint64 { st, _ := RxStatsOf(p.bc); return st.ThreadWaits }
+func (p *waitPair) parks() uint64 { st, _ := RxStatsOf(p.bc); return st.Parks }
+
+// afterCount calls fn once count() has moved past its value at the call.
+func afterCount(count func() uint64, fn func()) {
+	from := count()
 	go func() {
-		for ctr.Load() == from {
+		for count() == from {
 			time.Sleep(20 * time.Microsecond)
 		}
 		fn()
@@ -84,13 +101,19 @@ func afterCount(ctr interface{ Load() uint64 }, from uint64, fn func()) {
 }
 
 func bothReaders(t *testing.T, fn func(t *testing.T, p *waitPair, owned bool)) {
+	bothReadersOf(t, newWaitPair, fn)
+}
+
+// bothReadersOf runs fn on a pair from newPair once with an owned reader
+// and once with an ordinary one.
+func bothReadersOf(t *testing.T, newPair func(*testing.T) *waitPair, fn func(t *testing.T, p *waitPair, owned bool)) {
 	for _, owned := range []bool{true, false} {
 		name := "goroutine"
 		if owned {
 			name = "owned-thread"
 		}
 		t.Run(name, func(t *testing.T) {
-			p := newWaitPair(t)
+			p := newPair(t)
 			p.reader(owned, func() { fn(t, p, owned) })
 		})
 	}
@@ -100,40 +123,43 @@ func bothReaders(t *testing.T, fn func(t *testing.T, p *waitPair, owned bool)) {
 const slack = 50 * time.Millisecond
 
 func TestMmsgWaitEmptySocketTimesOutAtTheDeadline(t *testing.T) {
-	bothReaders(t, func(t *testing.T, p *waitPair, _ bool) {
-		p.readOne()
-		// First right after a productive read, then after a timeout.
-		for _, state := range []string{"after a productive read", "after a timeout"} {
-			const d = 30 * time.Millisecond
-			start := time.Now()
-			_ = p.c.SetReadDeadline(start.Add(d))
-			n, err := p.c.ReadBatch(p.ms)
-			took := time.Since(start)
-			if n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
-				t.Errorf("%s: ReadBatch = %d, %v; want 0, deadline exceeded", state, n, err)
-			}
-			if took < d || took > d+slack {
-				t.Errorf("%s: timed out after %v, want within [%v, %v]", state, took, d, d+slack)
-			}
+	bothReaders(t, emptySocketTimesOutAtTheDeadline)
+}
+
+// emptySocketTimesOutAtTheDeadline is shared with the uring rung's tests.
+func emptySocketTimesOutAtTheDeadline(t *testing.T, p *waitPair, _ bool) {
+	p.readOne()
+	// First right after a productive read, then after a timeout.
+	for _, state := range []string{"after a productive read", "after a timeout"} {
+		const d = 30 * time.Millisecond
+		start := time.Now()
+		_ = p.bc.SetReadDeadline(start.Add(d))
+		n, err := p.bc.ReadBatch(p.ms)
+		took := time.Since(start)
+		if n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: ReadBatch = %d, %v; want 0, deadline exceeded", state, n, err)
 		}
-	})
+		if took < d || took > d+slack {
+			t.Errorf("%s: timed out after %v, want within [%v, %v]", state, took, d, d+slack)
+		}
+	}
 }
 
 func TestMmsgWaitDeadlineFromAnotherGoroutineReleasesReader(t *testing.T) {
 	bothReaders(t, func(t *testing.T, p *waitPair, _ bool) {
 		p.readOne()
 		for _, state := range []string{"after a productive read", "after a timeout"} {
-			_ = p.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			_ = p.bc.SetReadDeadline(time.Now().Add(5 * time.Second))
 			// The reader counts a park just before it blocks in the
 			// netpoller, in both states (an owned reader's on-thread wait
 			// times out first).
 			released := make(chan time.Time, 1)
-			afterCount(&p.c.parks, p.c.parks.Load(), func() {
+			afterCount(p.parks, func() {
 				now := time.Now()
-				_ = p.c.SetReadDeadline(now)
+				_ = p.bc.SetReadDeadline(now)
 				released <- now
 			})
-			n, err := p.c.ReadBatch(p.ms)
+			n, err := p.bc.ReadBatch(p.ms)
 			if n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Errorf("%s: ReadBatch = %d, %v; want 0, deadline exceeded", state, n, err)
 			}
@@ -152,14 +178,14 @@ func TestMmsgWaitDeadlineDuringOnThreadWait(t *testing.T) {
 		// budget is stretched so that the reader is still inside.
 		p.c.budget = 20 * time.Millisecond
 		p.readOne()
-		_ = p.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_ = p.bc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		released := make(chan time.Time, 1)
-		afterCount(&p.c.threadWaits, p.c.threadWaits.Load(), func() {
+		afterCount(p.waits, func() {
 			now := time.Now()
-			_ = p.c.SetReadDeadline(now)
+			_ = p.bc.SetReadDeadline(now)
 			released <- now
 		})
-		n, err := p.c.ReadBatch(p.ms)
+		n, err := p.bc.ReadBatch(p.ms)
 		if n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Errorf("ReadBatch = %d, %v; want 0, deadline exceeded", n, err)
 		}
@@ -174,25 +200,31 @@ func TestMmsgWaitArrivalDuringWaitIsReturnedByThatRead(t *testing.T) {
 		// A budget far beyond scheduling noise: the owned reader is still
 		// inside its on-thread wait when the datagram arrives.
 		p.c.budget = 2 * time.Second
-		p.readOne()
-		waits, parks := p.c.threadWaits.Load(), p.c.parks.Load()
-		ctr := &p.c.parks
-		if owned {
-			ctr = &p.c.threadWaits
-		}
-		afterCount(ctr, ctr.Load(), p.send)
-		_ = p.c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if n, err := p.c.ReadBatch(p.ms); n != 1 || err != nil {
-			t.Fatalf("ReadBatch = %d, %v; want the datagram that arrived during the wait", n, err)
-		}
-		waits, parks = p.c.threadWaits.Load()-waits, p.c.parks.Load()-parks
-		if owned && (waits != 1 || parks != 0) {
-			t.Errorf("owned reader: %d on-thread waits, %d parks; want 1, 0", waits, parks)
-		}
-		if !owned && (waits != 0 || parks == 0) {
-			t.Errorf("ordinary reader: %d on-thread waits, %d parks; want 0, >0", waits, parks)
-		}
+		arrivalDuringWaitIsReturnedByThatRead(t, p, owned)
 	})
+}
+
+// arrivalDuringWaitIsReturnedByThatRead is shared with the uring rung's
+// tests.
+func arrivalDuringWaitIsReturnedByThatRead(t *testing.T, p *waitPair, owned bool) {
+	p.readOne()
+	waits, parks := p.waits(), p.parks()
+	ctr := p.parks
+	if owned {
+		ctr = p.waits
+	}
+	afterCount(ctr, p.send)
+	_ = p.bc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := p.bc.ReadBatch(p.ms); n != 1 || err != nil {
+		t.Fatalf("ReadBatch = %d, %v; want the datagram that arrived during the wait", n, err)
+	}
+	waits, parks = p.waits()-waits, p.parks()-parks
+	if owned && (waits != 1 || parks != 0) {
+		t.Errorf("owned reader: %d on-thread waits, %d parks; want 1, 0", waits, parks)
+	}
+	if !owned && (waits != 0 || parks == 0) {
+		t.Errorf("ordinary reader: %d on-thread waits, %d parks; want 0, >0", waits, parks)
+	}
 }
 
 // A deadline that was armed for a park which then succeeded must not
@@ -201,15 +233,15 @@ func TestMmsgWaitArrivalDuringWaitIsReturnedByThatRead(t *testing.T) {
 func TestMmsgWaitNoSpuriousTimeoutAfterSuccessfulPark(t *testing.T) {
 	bothReaders(t, func(t *testing.T, p *waitPair, _ bool) {
 		const old = 20 * time.Millisecond
-		afterCount(&p.c.parks, p.c.parks.Load(), p.send)
-		_ = p.c.SetReadDeadline(time.Now().Add(old))
-		if n, err := p.c.ReadBatch(p.ms); n != 1 || err != nil {
+		afterCount(p.parks, p.send)
+		_ = p.bc.SetReadDeadline(time.Now().Add(old))
+		if n, err := p.bc.ReadBatch(p.ms); n != 1 || err != nil {
 			t.Fatalf("parked read = %d, %v; want 1, nil", n, err)
 		}
-		_ = p.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_ = p.bc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		time.Sleep(old + 5*time.Millisecond)
 		p.send()
-		if n, err := p.c.ReadBatch(p.ms); n != 1 || err != nil {
+		if n, err := p.bc.ReadBatch(p.ms); n != 1 || err != nil {
 			t.Fatalf("read after the old deadline passed = %d, %v; want 1, nil", n, err)
 		}
 	})
@@ -219,15 +251,15 @@ func TestMmsgWaitIdleOwnedReaderParks(t *testing.T) {
 	p := newWaitPair(t)
 	p.reader(true, func() {
 		p.readOne()
-		waits, parks := p.c.threadWaits.Load(), p.c.parks.Load()
+		waits, parks := p.waits(), p.parks()
 		const idleReads = 5
 		for i := 0; i < idleReads; i++ {
-			_ = p.c.SetReadDeadline(time.Now().Add(2 * time.Millisecond))
-			if n, err := p.c.ReadBatch(p.ms); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+			_ = p.bc.SetReadDeadline(time.Now().Add(2 * time.Millisecond))
+			if n, err := p.bc.ReadBatch(p.ms); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Fatalf("idle read %d = %d, %v; want 0, deadline exceeded", i, n, err)
 			}
 		}
-		waits, parks = p.c.threadWaits.Load()-waits, p.c.parks.Load()-parks
+		waits, parks = p.waits()-waits, p.parks()-parks
 		if waits != 1 {
 			t.Errorf("%d on-thread waits over %d idle reads after one productive read, want 1", waits, idleReads)
 		}
@@ -255,11 +287,11 @@ func TestMmsgWaitPendingGROSegments(t *testing.T) {
 		if _, err := sender.WriteBatch([]Message{train}); err != nil {
 			t.Fatal(err)
 		}
-		_ = p.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_ = p.bc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		var got []string
 		for _, wantN := range []int{4, 2} {
 			recvs := p.c.recvs
-			n, err := p.c.ReadBatch(p.ms)
+			n, err := p.bc.ReadBatch(p.ms)
 			if n != wantN || err != nil {
 				t.Fatalf("ReadBatch = %d, %v; want %d, nil", n, err, wantN)
 			}
@@ -271,12 +303,12 @@ func TestMmsgWaitPendingGROSegments(t *testing.T) {
 			}
 		}
 		sameDatagrams(t, got, want)
-		waits, parks := p.c.threadWaits.Load(), p.c.parks.Load()
-		_ = p.c.SetReadDeadline(time.Now().Add(2 * time.Millisecond))
-		if n, err := p.c.ReadBatch(p.ms); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		waits, parks := p.waits(), p.parks()
+		_ = p.bc.SetReadDeadline(time.Now().Add(2 * time.Millisecond))
+		if n, err := p.bc.ReadBatch(p.ms); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Fatalf("read of the drained socket = %d, %v; want 0, deadline exceeded", n, err)
 		}
-		waits, parks = p.c.threadWaits.Load()-waits, p.c.parks.Load()-parks
+		waits, parks = p.waits()-waits, p.parks()-parks
 		if owned && waits != 1 {
 			t.Errorf("owned reader: %d on-thread waits after the pending read, want 1", waits)
 		}
@@ -293,20 +325,20 @@ func TestMmsgWaitPacedStreamPaths(t *testing.T) {
 		// the budget" whatever the machine is doing.
 		p.c.budget = 2 * time.Second
 		p.readOne()
-		waits, parks := p.c.threadWaits.Load(), p.c.parks.Load()
-		ctr := &p.c.parks
+		waits, parks := p.waits(), p.parks()
+		ctr := p.parks
 		if owned {
-			ctr = &p.c.threadWaits
+			ctr = p.waits
 		}
 		const stream = 50
 		for i := 0; i < stream; i++ {
-			afterCount(ctr, ctr.Load(), p.send)
-			_ = p.c.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if n, err := p.c.ReadBatch(p.ms); n != 1 || err != nil {
+			afterCount(ctr, p.send)
+			_ = p.bc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := p.bc.ReadBatch(p.ms); n != 1 || err != nil {
 				t.Fatalf("read %d = %d, %v; want 1, nil", i, n, err)
 			}
 		}
-		waits, parks = p.c.threadWaits.Load()-waits, p.c.parks.Load()-parks
+		waits, parks = p.waits()-waits, p.parks()-parks
 		if owned && (waits != stream || parks != 0) {
 			t.Errorf("owned reader: %d on-thread waits, %d parks over %d paced reads; want %d, 0", waits, parks, stream, stream)
 		}

@@ -57,9 +57,10 @@ func (m *Message) Segments() int {
 // OwnThread is the reader's declaration that it has locked itself to its
 // OS thread (runtime.LockOSThread) for good, made once by the goroutine
 // that calls ReadBatch, before its first read. A rung may then wait for
-// datagrams on that thread instead of in the netpoller (mmsgConn does);
-// how and when is the rung's business. It is a required method so that a
-// wrapper embedding a BatchConn forwards it without knowing.
+// datagrams on that thread instead of in the netpoller (both batched
+// rungs do); how and when is the rung's business. It is a required
+// method so that a wrapper embedding a BatchConn forwards it without
+// knowing.
 type BatchConn interface {
 	ReadBatch(ms []Message) (int, error)
 	WriteBatch(ms []Message) (int, error)
@@ -153,13 +154,17 @@ type RxStats struct {
 	// CutSegs counts datagrams of those trains that were never delivered
 	// because the receive buffer cut the train short of them.
 	CutSegs uint64
+	// ThreadWaits counts the reader's waits on its own thread (OwnThread,
+	// directly after a productive read) and Parks its parks in the
+	// netpoller, the two ways a batched rung's reader waits for data.
+	ThreadWaits uint64
+	Parks       uint64
 }
 
-// RxStatser is implemented by conns that can take receive trains.
+// RxStatser is implemented by the batched rungs' conns.
 type RxStatser interface{ RxStats() RxStats }
 
-// RxStatsOf reports bc's receive-train telemetry when its rung tracks
-// any.
+// RxStatsOf reports bc's receive telemetry when its rung tracks any.
 func RxStatsOf(bc BatchConn) (RxStats, bool) {
 	if r, ok := bc.(RxStatser); ok {
 		return r.RxStats(), true
@@ -168,18 +173,21 @@ func RxStatsOf(bc BatchConn) (RxStats, bool) {
 }
 
 // rxCounters is the atomic backing of RxStats: the packet path adds once
-// per train, a reader loads.
+// per train or wait, a reader loads.
 type rxCounters struct {
 	gro                        atomic.Bool
 	trains, trainSegs, cutSegs atomic.Uint64
+	threadWaits, parks         atomic.Uint64
 }
 
 func (r *rxCounters) snapshot() RxStats {
 	return RxStats{
-		GRO:       r.gro.Load(),
-		Trains:    r.trains.Load(),
-		TrainSegs: r.trainSegs.Load(),
-		CutSegs:   r.cutSegs.Load(),
+		GRO:         r.gro.Load(),
+		Trains:      r.trains.Load(),
+		TrainSegs:   r.trainSegs.Load(),
+		CutSegs:     r.cutSegs.Load(),
+		ThreadWaits: r.threadWaits.Load(),
+		Parks:       r.parks.Load(),
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -55,8 +54,6 @@ const (
 	cqeBufferShift = 16
 
 	cqEventfdDisabled = 1 << 0 // IORING_CQ_EVENTFD_DISABLED (CQ ring flags)
-
-	enterGetevents = 1 << 0 // IORING_ENTER_GETEVENTS
 
 	setupCQSize      = 1 << 3 // IORING_SETUP_CQSIZE
 	setupClamp       = 1 << 4 // IORING_SETUP_CLAMP
@@ -218,18 +215,24 @@ type uringConn struct {
 	txc txCounters
 
 	// CQ-ready eventfd, registered with the ring and parked on through
-	// the Go netpoller: an idle ReadBatch blocks its goroutine, not an
-	// OS thread inside io_uring_enter. That matters enormously when
-	// cores are scarce — a thread stuck in a blocking enter pins its P
-	// until sysmon retakes it, starving the very peers whose traffic
-	// would produce the next completion. Setup checks that it is
-	// pollable, so read deadlines work.
+	// the Go netpoller: an idle ReadBatch, and every read of a goroutine
+	// that does not own its thread, blocks the goroutine, not an OS
+	// thread. A thread blocked in a syscall holds its P until sysmon
+	// retakes it, and when cores are scarce that P is the one the peers
+	// whose traffic produces the next completion need. Only an owned
+	// reader, directly after a productive read, waits on its thread
+	// instead (waitOnThread), and only until its read deadline. Setup
+	// checks that the eventfd is pollable, so read deadlines work.
 	evFile    *os.File
 	evScratch [8]byte
 
-	deadline atomic.Int64 // unix nanos; 0 = none
-	closed   atomic.Bool
-	waiters  atomic.Int32 // threads inside a lockless io_uring_enter peek
+	// owned and armed (the previous ReadBatch returned data) belong to
+	// the reader goroutine; deadline is the read deadline in unix ns, 0
+	// for none.
+	owned, armed bool
+	deadline     atomic.Int64
+	closed       atomic.Bool
+	waiters      atomic.Int32 // threads inside a lockless on-thread wait
 
 	resubmits uint64
 	starved   uint64
@@ -576,26 +579,21 @@ func (c *uringConn) deliver(ms []Message) int {
 	return n
 }
 
-// readSpins bounds the yield-and-peek passes an empty ReadBatch makes
-// before parking on the eventfd. Parking re-enables per-completion
-// eventfd signals, so under sustained load a couple of scheduler yields
-// (letting producers run, then peeking the CQ) are far cheaper than the
-// park/wake cycle they avoid.
-//
-// Tuned in PR 7 on a windowed DNS reply loop over loopback (4 shards,
-// 16 clients, each with one 32-query window in flight; that bench is
-// gone), where the uring rung trailed mmsg at 260 vs 277 kpps: 4 spins
-// ~285 kpps, 8 ~294, 16 ~293, 32 ~282 on the same rig. 8 recovers most
-// of the gap — the window's last few replies land within the longer
-// peek budget instead of paying a park/wake — and doubling again only
-// burns CPU the shard workers want.
-const readSpins = 8
-
+// ReadBatch hands out what the completion queue holds, and waits for
+// more when it holds nothing: directly after a productive read, a reader
+// that owns its thread waits on it (waitOnThread), with eventfd signals
+// still suppressed; every other wait parks on the CQ eventfd.
 func (c *uringConn) ReadBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
-	spins := 0
+	n, err := c.read(ms, c.owned && c.armed)
+	c.armed = n > 0
+	return n, err
+}
+
+// read is ReadBatch's loop; onThread allows its one on-thread wait.
+func (c *uringConn) read(ms []Message, onThread bool) (int, error) {
 	for {
 		if c.closed.Load() {
 			return 0, net.ErrClosed
@@ -631,17 +629,11 @@ func (c *uringConn) ReadBatch(ms []Message) (int, error) {
 			continue // only trains cut to nothing were queued
 		}
 		err := c.rearmIfPossible()
-		if err == nil && spins < readSpins {
-			// Before committing to a park, yield the processor and ask the
-			// kernel to run deferred completion work (a zero-wait enter).
-			// Under load the next batch is already in the socket and this
-			// finds it without ever re-enabling eventfd signals — parking
-			// is what makes every sender pay a wakeup per datagram until
-			// the reader runs again.
-			spins++
+		if err == nil && onThread {
+			// Signals stay suppressed: the wait watches the CQ itself.
+			onThread = false
 			c.mu.Unlock()
-			runtime.Gosched()
-			c.peekCQ()
+			c.waitOnThread()
 			continue
 		}
 		if err == nil {
@@ -671,26 +663,36 @@ func (c *uringConn) ReadBatch(ms []Message) (int, error) {
 			}
 			wait = min(wait, remaining)
 		}
+		c.split.st.parks.Add(1)
 		if err := c.waitEventfd(wait); err != nil {
 			return 0, err
 		}
 	}
 }
 
-// peekCQ makes the kernel run deferred completion work without waiting:
-// a zero-wait GETEVENTS enter processes the task work that copies
-// already-delivered datagrams into provided buffers and posts their
-// CQEs. The waiter count keeps Close from tearing the ring down under
-// the syscall.
-func (c *uringConn) peekCQ() {
+// waitOnThread blocks the reader's own thread until the completion queue
+// holds an entry or the read deadline passes; with no deadline it does
+// not wait. Its bound is the deadline, not the mmsg rung's budget: the
+// engine re-arms a 1 ms deadline before every read, so a wait ends by
+// the next queue poll, and paced request trains arrive about 800 µs
+// apart, past a 100 µs budget. The waiter count keeps Close from
+// tearing the ring down under the syscall.
+func (c *uringConn) waitOnThread() {
+	dl := c.deadline.Load()
+	if dl == 0 {
+		return
+	}
+	wait := time.Duration(dl - time.Now().UnixNano())
+	if wait <= 0 {
+		return
+	}
 	c.waiters.Add(1)
 	defer c.waiters.Add(-1)
 	if c.closed.Load() {
 		return
 	}
-	c.enters.Add(1)
-	_, _, _ = syscall.Syscall6(sysIoUringEnter, uintptr(c.ringFd),
-		0, 0, enterGetevents, 0, 0)
+	c.split.st.threadWaits.Add(1)
+	pollOnThread(uintptr(c.ringFd), wait)
 }
 
 // waitEventfd parks the reader on the CQ eventfd for up to d. A
@@ -748,9 +750,8 @@ func (c *uringConn) SetReadDeadline(t time.Time) error {
 
 func (c *uringConn) LocalAddr() net.Addr { return c.pc.LocalAddr() }
 
-// OwnThread implements BatchConn; the ring's reader already spins before
-// it parks on the CQ eventfd.
-func (c *uringConn) OwnThread() {}
+// OwnThread implements BatchConn.
+func (c *uringConn) OwnThread() { c.owned = true }
 
 // Backend names the transport rung for stats and logs.
 func (c *uringConn) Backend() string { return "uring" }
@@ -775,9 +776,9 @@ func (c *uringConn) Close() error {
 		return nil
 	}
 	// Wake a reader parked on the CQ eventfd (its Read fails with
-	// ErrClosed and the loop observes closed), then drain lockless
-	// peekCQ enters: a zero-wait enter on the (still open) ring fd
-	// returns at once, and a fresh one sees closed and never enters.
+	// ErrClosed and the loop observes closed), then wait out an
+	// on-thread wait, which ends by its read deadline at the latest; a
+	// fresh one sees closed and never polls the ring.
 	_ = c.evFile.Close()
 	for c.waiters.Load() != 0 {
 		time.Sleep(time.Millisecond)
