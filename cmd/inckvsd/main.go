@@ -51,7 +51,7 @@ func main() {
 	store.EnableHotKeys(16)
 	handler := kvs.NewHandler(store)
 	eng, err := daemon.ListenEngine(opts,
-		handler, dataplane.Config{Name: "inckvsd", Shards: *shards, ShardBy: kvs.ShardByKey})
+		handler, dataplane.Config{Name: "inckvsd", Shards: *shards})
 	if err != nil {
 		log.Fatalf("inckvsd: %v", err)
 	}

@@ -121,7 +121,7 @@ func TestRunLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := dataplane.New(conn, kvs.NewHandler(kvs.NewShardedStore(2, 0)),
-		dataplane.Config{Name: "loadgen-test", Shards: 2, ShardBy: kvs.ShardByKey})
+		dataplane.Config{Name: "loadgen-test", Shards: 2})
 	eng.Start()
 	defer eng.Close()
 

@@ -52,7 +52,7 @@ type BatchFastPath interface {
 // rxBatch is the most datagrams a shard reads per ReadBatch and txBatch
 // the most replies it sends per WriteBatch. Each in-flight receive slot
 // pins one MaxDatagram-sized pooled buffer, so batched-mode overload
-// memory is Sockets*rxBatch*MaxDatagram on top of the queue bound.
+// memory is Sockets*rxBatch*MaxDatagram (doc.go has the whole bound).
 const rxBatch, txBatch = 32, 32
 
 // readerShard is the shard index of the single reader's batchState: no
@@ -66,17 +66,13 @@ const readerShard = -1
 // wraps it, shard i's transport — netio.NewBatchConn, or
 // netio.NewUringConn where ProbeUring passes, so the engine itself stays
 // transport-agnostic behind the BatchConn seam. Each shard reads its own
-// batches, handles same-shard traffic inline without the channel hop,
-// hands cross-shard datagrams to the owning shard's queue, and flushes
-// its replies in batches. cfg.Shards is forced to len(conns). Call
-// Start/Run and Close exactly as with New.
-// With the default dispatch (no cfg.ShardBy), the arrival socket IS the
-// shard: the kernel's reuseport 4-tuple hash already pins each flow to
-// one socket, so per-flow ordering holds with no cross-shard handoff at
-// all (one flow -> one socket -> one shard). An explicit ShardBy (e.g.
-// kvs.ShardByKey, whose key serialization the offload tier's coherence
-// depends on) re-enables the queue handoff for datagrams the kernel
-// landed on the wrong shard's socket.
+// batches, handles every datagram it read inline and flushes its replies
+// in batches: the arrival socket is the shard. The kernel's reuseport
+// 4-tuple hash pins each flow to one socket, so per-flow ordering holds
+// with no cross-shard hop (one flow -> one socket -> one shard); writes
+// from different flows meet only in the handler's own locks. A shard's
+// queue carries nothing but Barrier sentinels. cfg.Shards is forced to
+// len(conns). Call Start/Run and Close exactly as with New.
 func NewBatchedConns(conns []net.PacketConn, bcs []netio.BatchConn, h Handler, cfg Config) *Engine {
 	if len(conns) == 0 {
 		panic("dataplane: NewBatchedConns needs at least one socket")
@@ -84,11 +80,9 @@ func NewBatchedConns(conns []net.PacketConn, bcs []netio.BatchConn, h Handler, c
 	if len(bcs) != len(conns) {
 		panic("dataplane: NewBatchedConns needs one BatchConn per socket")
 	}
-	arrival := cfg.ShardBy == nil
 	cfg.Shards = len(conns)
 	e := newEngine(conns[0], h, cfg)
 	e.batched = true
-	e.arrivalDispatch = arrival
 	e.bconns = bcs
 	e.gsoTx = sendsTrains(bcs)
 	return e
@@ -123,10 +117,9 @@ func (e *Engine) Backend() string {
 }
 
 // queuePollInterval bounds how long a batched shard blocks in recvmmsg
-// before checking its cross-shard queue: the worst-case added latency
-// for a handoff (or Barrier sentinel) landing on an otherwise idle
-// socket. Under load reads return immediately and the deadline never
-// fires.
+// before checking its queue: the worst-case wait for a Barrier sentinel
+// landing on an otherwise idle socket. Under load reads return
+// immediately and the deadline never fires.
 const queuePollInterval = time.Millisecond
 
 // batchState is one shard worker's reusable I/O state: receive slots
@@ -143,14 +136,6 @@ type batchState struct {
 
 	rx     []netio.Message
 	rxBufs []*[]byte
-
-	// free is the worker-private receive-buffer free list (rxBatch
-	// long): pinned workers that recycle through the shared
-	// sync.Pool steal buffers across CPUs, because a pool's per-P caches
-	// follow the scheduler rather than the pinned thread. Buffers parked
-	// here remain counted in bufsOut (they are outside the pool) and are
-	// drained back by release() so the leak invariant still holds.
-	free []*[]byte
 
 	items     []BatchItem
 	ptrs      []*BatchItem
@@ -190,18 +175,13 @@ func (e *Engine) newBatchState(i int) *batchState {
 	for k := range w.replyBufs {
 		w.replyBufs[k] = make([]byte, 0, 512)
 	}
-	// A worker that never reads keeps no free list: its buffers go
-	// straight back to the pool the reader draws from.
-	if e.batched {
-		w.free = make([]*[]byte, 0, n)
-	}
 	return w
 }
 
 // batchWorker is shard i's goroutine in batched mode: it owns the
-// shard's socket and the shard's queue, so all traffic for the shard —
-// read inline or handed off by another reader — is serialized by one
-// goroutine, preserving the per-flow (and per-key) ordering contract.
+// shard's socket and the shard's queue, so all traffic for the shard is
+// serialized by one goroutine, preserving the per-flow ordering
+// contract, and a Barrier sentinel queued behind it waits for it.
 func (e *Engine) batchWorker(i int) {
 	defer e.workersWG.Done()
 	if e.cfg.PinShards {
@@ -249,10 +229,8 @@ func (e *Engine) batchWorker(i int) {
 		}
 		w.drainQueue(false)
 	}
-	e.readPhase.Done()
-	// Final drain: once every reader has left its read phase, Close
-	// closes the queues; handle what is left (and any Barrier sentinel
-	// racing the shutdown), then return the receive slots to the pool.
+	// Final drain: signal any Barrier sentinel racing the shutdown until
+	// Close closes the queue, then return the receive slots to the pool.
 	w.drainQueue(true)
 	w.release()
 }
@@ -265,52 +243,26 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// getBuf takes a buffer from the worker's private free list, falling
-// back to the shared pool.
-func (w *batchState) getBuf() *[]byte {
-	if n := len(w.free); n > 0 {
-		bufp := w.free[n-1]
-		w.free = w.free[:n-1]
-		w.e.bufsCached.Add(-1)
-		return bufp
-	}
-	return w.e.getBuf()
-}
-
-// putBuf parks a buffer on the worker's free list, overflowing into the
-// shared pool when the list is full.
-func (w *batchState) putBuf(bufp *[]byte) {
-	if len(w.free) < cap(w.free) {
-		w.free = append(w.free, bufp)
-		w.e.bufsCached.Add(1)
-		return
-	}
-	w.e.putBuf(bufp)
-}
-
-// fillRx tops up receive slots whose buffers moved into a cross-shard
-// queue since the last read.
+// fillRx tops up receive slots whose buffers the single reader moved
+// into a shard's queue since the last read.
 func (w *batchState) fillRx() {
 	for j := range w.rx {
 		if w.rxBufs[j] == nil {
-			bufp := w.getBuf()
+			bufp := w.e.getBuf()
 			w.rxBufs[j] = bufp
 			w.rx[j].Buf = (*bufp)[:w.e.cfg.MaxDatagram]
 		}
 	}
 }
 
-// processRead dispatches one received batch: same-shard datagrams are
-// handled inline (no channel hop), cross-shard ones are handed to the
-// owning shard's queue with buffer ownership. For the single reader
-// (readerShard) every datagram is cross-shard.
+// processRead dispatches one received batch. A batched worker handles
+// every datagram it read inline; the single reader (readerShard) hands
+// each to its source's shard queue with buffer ownership.
 func (w *batchState) processRead(n int) {
 	e, s := w.e, w.s
 	w.ptrs = w.ptrs[:0]
-	k := 0
 	for j := 0; j < n; j++ {
 		m := &w.rx[j]
-		payload := m.Buf[:m.N]
 		if !m.Src.IsValid() {
 			// A transport that cannot produce a source address (the
 			// portable fallback over a custom conn) must not dispatch a
@@ -320,41 +272,39 @@ func (w *batchState) processRead(n int) {
 			}
 			continue
 		}
-		if e.arrivalDispatch {
-			it := &w.items[k]
-			*it = BatchItem{In: payload, Src: m.Src, Scratch: &w.replyBufs[k]}
-			k++
-			w.ptrs = append(w.ptrs, it)
+		if w.i == readerShard {
+			w.enqueue(j)
 			continue
 		}
-		t := e.shardIndex(payload, m.Src)
-		if t == w.i {
-			it := &w.items[k]
-			*it = BatchItem{In: payload, Src: m.Src, Scratch: &w.replyBufs[k]}
-			k++
-			w.ptrs = append(w.ptrs, it)
-			continue
-		}
-		target := e.shards[t]
-		target.received.Add(1)
-		select {
-		case target.ch <- packet{buf: w.rxBufs[j], n: m.N, src: m.Src}:
-			// Ownership moved to the queue; refill the slot next read.
-			w.rxBufs[j] = nil
-			w.rx[j].Buf = nil
-		default:
-			target.dropped.Add(1)
-			// Keep the buffer in the slot for the next read.
-		}
+		k := len(w.ptrs)
+		it := &w.items[k]
+		*it = BatchItem{In: m.Buf[:m.N], Src: m.Src, Scratch: &w.replyBufs[k]}
+		w.ptrs = append(w.ptrs, it)
 	}
-	if k > 0 {
+	if k := len(w.ptrs); k > 0 {
 		s.received.Add(uint64(k))
 		w.processItems(w.ptrs)
 	}
 	w.flushTx()
 }
 
-// drainQueue consumes the shard's cross-shard queue in batches. With
+// enqueue moves receive slot j's datagram into its shard's queue. A full
+// queue drops it, and the buffer stays in the slot for the next read.
+func (w *batchState) enqueue(j int) {
+	m := &w.rx[j]
+	target := w.e.shards[w.e.shardIndex(m.Src)]
+	target.received.Add(1)
+	select {
+	case target.ch <- packet{buf: w.rxBufs[j], n: m.N, src: m.Src}:
+		// Ownership moved to the queue; refill the slot next read.
+		w.rxBufs[j] = nil
+		w.rx[j].Buf = nil
+	default:
+		target.dropped.Add(1)
+	}
+}
+
+// drainQueue consumes the shard's queue in batches. With
 // final unset it stops when the queue is momentarily empty (the caller
 // goes back to its socket); with final set it blocks until the queue is
 // closed and fully drained.
@@ -416,7 +366,7 @@ func (w *batchState) processQueued(pkts []packet) {
 	// can be recvmmsg'd into by another shard before sendmmsg runs.
 	w.flushTx()
 	for k := range pkts {
-		w.putBuf(pkts[k].buf)
+		w.e.putBuf(pkts[k].buf)
 	}
 }
 
@@ -553,8 +503,8 @@ func (w *batchState) trainBuf(i, n int) []byte {
 	return w.trainBufs[i][:n]
 }
 
-// release returns the worker's receive-slot buffers and its private
-// free list to the pool, so BuffersInFlight drains to zero on shutdown.
+// release returns the worker's receive-slot buffers to the pool, so
+// BuffersInFlight drains to zero on shutdown.
 func (w *batchState) release() {
 	for j, bufp := range w.rxBufs {
 		if bufp != nil {
@@ -562,9 +512,4 @@ func (w *batchState) release() {
 			w.rxBufs[j] = nil
 		}
 	}
-	for _, bufp := range w.free {
-		w.e.bufsCached.Add(-1)
-		w.e.putBuf(bufp)
-	}
-	w.free = w.free[:0]
 }

@@ -106,39 +106,6 @@ func TestBatchedEngineEchoOverLoopback(t *testing.T) {
 	}
 }
 
-func TestBatchedEngineCrossShardHandoff(t *testing.T) {
-	// Every datagram dispatches to shard 1 regardless of which socket
-	// the kernel picked, so roughly half the traffic must cross shards
-	// through the queue — and still be answered.
-	e := newBatchedEngine(t, 2, echoHandler, Config{
-		Name:    "test-handoff",
-		ShardBy: func([]byte, netip.AddrPort) uint64 { return 1 },
-	})
-	e.Start()
-	defer e.Close()
-
-	const clients, msgs = 6, 20
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			echoClient(t, e.LocalAddr().String(), fmt.Sprintf("x%d", c), msgs)
-		}(c)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	st := e.Snapshot()
-	if got := st.Shards[0].Handled; got != 0 {
-		t.Fatalf("shard 0 handled %d datagrams; dispatch pins everything to shard 1", got)
-	}
-	if got := st.Shards[1].Handled; got < clients*msgs {
-		t.Fatalf("shard 1 handled %d, want >= %d", got, clients*msgs)
-	}
-}
-
 // batchingEcho is an echo handler that records the batch sizes it was
 // handed through the BatchHandler interface.
 type batchingEcho struct {

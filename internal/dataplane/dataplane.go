@@ -72,19 +72,22 @@ type Config struct {
 	Name string
 	// Shards is the number of worker goroutines (default GOMAXPROCS).
 	Shards int
-	// QueueDepth is the per-shard queue length (default 256). When a
-	// shard's queue is full the datagram is dropped and counted, like a
-	// NIC ring overrun — backpressure never blocks the reader. Every
-	// queued or collected packet pins one MaxDatagram-sized pooled
-	// buffer; doc.go gives the overload memory bound this implies.
+	// QueueDepth is the per-shard queue length (default 256). In
+	// single-reader mode, when a shard's queue is full the datagram is
+	// dropped and counted, like a NIC ring overrun — backpressure never
+	// blocks the reader — and every queued or collected packet pins one
+	// MaxDatagram-sized pooled buffer; doc.go gives the overload memory
+	// bound this implies. A batched shard's queue carries only Barrier
+	// sentinels.
 	QueueDepth int
 	// MaxDatagram is the receive buffer size (default 64 KiB, the
 	// memcached UDP maximum). Protocols with small datagrams (DNS)
 	// should pass their own bound — it also caps overload memory.
 	MaxDatagram int
-	// ShardBy picks the worker for a datagram (default SourceHash).
-	// Implementations must be pure: the same payload/source pair must
-	// always map to the same value, or per-flow ordering is lost.
+	// ShardBy is ignored: a batched engine serves each datagram on the
+	// shard whose socket it arrived on, and the single reader queues it
+	// by SourceHash. It stays only because benchmark/ still sets it
+	// (ROADMAP item A).
 	ShardBy func(payload []byte, src netip.AddrPort) uint64
 	// PinShards locks each batched shard worker to an OS thread, which
 	// lets its socket wait for datagrams on that thread instead of
@@ -114,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDatagram <= 0 {
 		c.MaxDatagram = 64 * 1024
-	}
-	if c.ShardBy == nil {
-		c.ShardBy = SourceHash
 	}
 	return c
 }
@@ -159,8 +159,8 @@ type shard struct {
 // classic single-reader mode (one reader goroutine, N shard workers) and
 // the batched per-shard-socket mode (NewBatchedConns: each shard reads its
 // own SO_REUSEPORT socket in recvmmsg batches and flushes replies with
-// sendmmsg). Both share pooled buffers, hashed dispatch, graceful drain
-// and the offload-tier hooks. See the package comment.
+// sendmmsg). Both share pooled buffers, graceful drain and the
+// offload-tier hooks. See the package comment.
 type Engine struct {
 	conn net.PacketConn
 	h    Handler
@@ -170,13 +170,9 @@ type Engine struct {
 	// bconns[i] is shard i's transport: its socket in batched mode, a
 	// transmit-only wrapper over conn in single-reader mode, where reader
 	// is the reader's own receive-only one (nil in batched mode).
-	// arrivalDispatch means the kernel's reuseport flow hash is the
-	// dispatch (batched, no cfg.ShardBy given): every datagram is handled
-	// by the shard whose socket it arrived on.
-	batched         bool
-	arrivalDispatch bool
-	bconns          []netio.BatchConn
-	reader          netio.BatchConn
+	batched bool
+	bconns  []netio.BatchConn
+	reader  netio.BatchConn
 	// gsoTx is the reply-train decision (sendsTrains), made once at
 	// construction.
 	gsoTx bool
@@ -190,11 +186,8 @@ type Engine struct {
 	// (in readers, queues or handlers); it must return to zero after
 	// Close, which the overrun tests assert to catch buffer leaks.
 	bufsOut atomic.Int64
-	// bufsCached counts buffers parked in per-worker free lists (a
-	// subset of bufsOut — cached buffers are outside the pool).
-	bufsCached atomic.Int64
-	meter      *telemetry.AtomicRateMeter
-	born       time.Time // the meter's clock reads time.Since(born)
+	meter   *telemetry.AtomicRateMeter
+	born    time.Time // the meter's clock reads time.Since(born)
 
 	// fastPath is the installed offload tier (nil = host-only dispatch);
 	// lastTier remembers the most recently installed one so Snapshot can
@@ -208,13 +201,9 @@ type Engine struct {
 	closing    atomic.Bool
 	started    atomic.Bool
 	readerDone chan struct{}
-	// readPhase counts batched workers still in their socket-read phase;
-	// Close waits for it before closing the cross-shard queues, so no
-	// reader can enqueue into a closed channel.
-	readPhase sync.WaitGroup
-	workersWG sync.WaitGroup
-	closeOnce sync.Once
-	done      chan struct{}
+	workersWG  sync.WaitGroup
+	closeOnce  sync.Once
+	done       chan struct{}
 	// barrierMu serializes Barrier's sentinel sends with Close's channel
 	// close, so a placement shift racing a shutdown cannot panic on a
 	// closed shard queue.
@@ -380,7 +369,6 @@ func (e *Engine) Start() {
 	if e.batched {
 		for i := range e.shards {
 			e.workersWG.Add(1)
-			e.readPhase.Add(1)
 			go e.batchWorker(i)
 		}
 		return
@@ -421,13 +409,14 @@ func (e *Engine) Close() {
 		e.closing.Store(true)
 		if e.started.Load() {
 			// Unblock the reader(s) without tearing the sockets down, so
-			// queued replies can still be written during the drain.
+			// queued replies can still be written during the drain. A
+			// batched worker enqueues nothing, so its queue may close at
+			// once; the single reader's must not close under it.
 			if e.batched {
 				now := time.Now()
 				for _, bc := range e.bconns {
 					_ = bc.SetReadDeadline(now)
 				}
-				e.readPhase.Wait()
 			} else {
 				_ = e.reader.SetReadDeadline(time.Now())
 				<-e.readerDone
@@ -456,9 +445,8 @@ func (e *Engine) Close() {
 // readLoop is the single reader. It reads up to rxBatch datagrams per
 // ReadBatch through its own conn over the socket (recvmmsg and UDP_GRO
 // trains on Linux, one datagram per call elsewhere) and moves each into
-// its shard's queue with buffer ownership, through processRead's
-// cross-shard handoff: the reader is no shard, so no datagram is its
-// own. A full queue drops the datagram and the buffer stays in its slot.
+// its source's shard queue with buffer ownership (processRead). A full
+// queue drops the datagram and the buffer stays in its slot.
 // The reader runs no handler, so backpressure never blocks it. Its reads
 // count in shard 0's read_batches, so only the engine-wide rx_per_read
 // is the reader's amortization.
@@ -495,11 +483,13 @@ func (e *Engine) readLoop() {
 	}
 }
 
-func (e *Engine) shardIndex(payload []byte, src netip.AddrPort) int {
+// shardIndex is the single reader's dispatch: the shard src's flow
+// belongs to.
+func (e *Engine) shardIndex(src netip.AddrPort) int {
 	if len(e.shards) == 1 {
 		return 0
 	}
-	return int(e.cfg.ShardBy(payload, src) % uint64(len(e.shards)))
+	return int(SourceHash(nil, src) % uint64(len(e.shards)))
 }
 
 // FNV-1a, the dispatch hash.
@@ -508,8 +498,8 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// HashBytes returns the FNV-1a hash of b, the building block for custom
-// ShardBy functions and for key-sharded stores.
+// HashBytes returns the FNV-1a hash of b, the key hash of key-sharded
+// stores.
 func HashBytes(b []byte) uint64 {
 	h := uint64(fnvOffset)
 	for _, c := range b {
@@ -527,8 +517,8 @@ func HashString(s string) uint64 {
 	return h
 }
 
-// SourceHash is the default dispatch: hash the source address and port,
-// so each client flow is handled in order by one worker.
+// SourceHash is the single reader's dispatch: hash the source address
+// and port, so each client flow is handled in order by one worker.
 func SourceHash(_ []byte, src netip.AddrPort) uint64 {
 	a := src.Addr().As16()
 	h := uint64(fnvOffset)

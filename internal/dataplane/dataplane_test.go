@@ -112,36 +112,40 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // --- dispatch ------------------------------------------------------------
 
+// The single reader queues each datagram by its source (SourceHash):
+// one source always lands on one shard, and different sources spread.
 func TestShardDispatchDeterminism(t *testing.T) {
 	conn := newFakeConn(64)
 	e := New(conn, HandlerFunc(func(in []byte, scratch *[]byte) ([]byte, bool) {
 		return nil, false
-	}), Config{Shards: 8, ShardBy: func(p []byte, _ netip.AddrPort) uint64 { return HashBytes(p) }})
+	}), Config{Shards: 8})
 
-	// Pure function: the same payload always lands on the same shard.
-	for _, payload := range []string{"get key-1\r\n", "get key-2\r\n", "set a 0 0 1\r\nx\r\n"} {
-		want := e.shardIndex([]byte(payload), netip.AddrPort{})
+	// Pure function: the same source always lands on the same shard.
+	for _, src := range []string{"10.0.0.7:4242", "10.0.0.8:4242", "[2001:db8::1]:53"} {
+		a := netip.MustParseAddrPort(src)
+		want := e.shardIndex(a)
 		for i := 0; i < 100; i++ {
-			if got := e.shardIndex([]byte(payload), netip.AddrPort{}); got != want {
-				t.Fatalf("payload %q: shard %d then %d", payload, want, got)
+			if got := e.shardIndex(a); got != want {
+				t.Fatalf("source %s: shard %d then %d", src, want, got)
 			}
 		}
 	}
 
-	// Different keys spread across more than one shard.
+	// Different sources spread across more than one shard.
 	seen := map[int]bool{}
 	for i := 0; i < 64; i++ {
-		seen[e.shardIndex(fmt.Appendf(nil, "get key-%d\r\n", i), netip.AddrPort{})] = true
+		seen[e.shardIndex(netip.AddrPortFrom(netip.MustParseAddr("10.0.0.7"), uint16(5000+i)))] = true
 	}
 	if len(seen) < 2 {
-		t.Fatalf("64 distinct keys all hashed to one shard")
+		t.Fatalf("64 distinct source ports all hashed to one shard")
 	}
 
-	// End to end: copies of one payload are all counted on a single shard.
+	// End to end: datagrams from one source, whatever their payloads, are
+	// all counted on a single shard.
 	e.Start()
 	defer e.Close()
 	for i := 0; i < 20; i++ {
-		conn.in <- fakePacket{data: []byte("get key-1\r\n"), from: testSrc}
+		conn.in <- fakePacket{data: fmt.Appendf(nil, "get key-%d\r\n", i), from: testSrc}
 	}
 	waitFor(t, "20 packets received", func() bool { return e.Snapshot().Received == 20 })
 	busy := 0
@@ -154,7 +158,7 @@ func TestShardDispatchDeterminism(t *testing.T) {
 		}
 	}
 	if busy != 1 {
-		t.Fatalf("one payload hit %d shards, want 1", busy)
+		t.Fatalf("one source hit %d shards, want 1", busy)
 	}
 }
 

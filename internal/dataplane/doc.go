@@ -13,14 +13,14 @@
 //     largest one (the default MaxDatagram does), as on a batched mmsg
 //     socket. It hands each datagram to its shard's queue with the
 //     buffer and runs no handler;
-//   - N shard workers consume from per-shard queues. Dispatch is hashed —
-//     by source address by default, or by protocol key (e.g. the memcached
-//     key, kvs.ShardByKey) so one shard owns one key range — which keeps
-//     per-source (and per-key) ordering while spreading load across cores;
-//   - a worker drains its queue as a batched shard does, up to rxBatch
-//     datagrams per handler batch, and flushes the replies through its
-//     own netio.NewBatchConn over the socket: one sendmmsg per flush on
-//     Linux, in UDP_SEGMENT trains wherever batched mode sends them;
+//   - N shard workers consume from per-shard queues. Dispatch hashes the
+//     source address and port (SourceHash), which keeps per-flow ordering
+//     while spreading flows across cores;
+//   - a worker drains its queue through a batched shard's code, up to
+//     rxBatch datagrams per handler batch, and flushes the replies
+//     through its own netio.NewBatchConn over the socket: one sendmmsg
+//     per flush on Linux, in UDP_SEGMENT trains wherever batched mode
+//     sends them;
 //   - handlers implement the small Handler interface and encode replies
 //     into a per-worker scratch buffer, so the memcached GET hot path runs
 //     with zero per-request heap allocations.
@@ -46,15 +46,15 @@
 // syscalls per packet, and GET /v1/dataplane reports the achieved
 // amortization (rx_per_read, tx_per_write).
 //
-// Dispatch in batched mode: with the default ShardBy, the arrival socket
-// is the shard — the kernel's reuseport 4-tuple hash pins each flow to
-// one socket, so per-flow ordering holds with no cross-shard hop at all
-// (one flow -> one socket -> one shard), preserving the fairness of
-// processor-sharing service across flows. An explicit ShardBy
-// (kvs.ShardByKey, whose per-key serialization the offload tier's
-// coherence depends on) re-enables the handoff: same-shard datagrams are
-// still handled inline, cross-shard ones move to the owning shard's
-// queue, which that shard's worker drains between its own socket batches
+// Dispatch in batched mode has one rule: the arrival socket is the
+// shard. The kernel's reuseport 4-tuple hash pins each flow to one
+// socket, so per-flow ordering holds with no cross-shard hop at all (one
+// flow -> one socket -> one shard), preserving the fairness of
+// processor-sharing service across flows. Writes from different flows to
+// one piece of state meet in the handler's own locks: the KVS store's
+// per-partition writer mutex, which also orders the offload tier's
+// write-through (internal/nictier). A shard's queue carries only Barrier
+// sentinels, which its worker signals between its own socket batches
 // (bounded by a 1ms queue poll when its socket is idle).
 //
 // How a batched worker waits. Between batches a worker blocks in its
@@ -96,10 +96,9 @@
 // request trains stages the rest of a read's trains in one buffer of its
 // own, so the engine's overload memory is bounded by
 //
-//	Sockets*rxBatch*MaxDatagram + Shards*QueueDepth*MaxDatagram
-//	  + Sockets*rxBatch*MaxTrainBytes
+//	Sockets*rxBatch*MaxDatagram + Sockets*rxBatch*MaxTrainBytes
 //
-// in batched mode, and by
+// in batched mode, where nothing is queued, and by
 //
 //	Shards*(QueueDepth+rxBatch)*MaxDatagram + rxBatch*MaxDatagram
 //	  + rxBatch*MaxTrainBytes
@@ -108,10 +107,11 @@
 // collected from its queue and the reader its rxBatch receive slots. The
 // MaxTrainBytes terms count only mmsg sockets that take trains (gro_rx),
 // which needs a MaxDatagram of at least netio.MaxTrainBytes; the uring
-// rung splits trains out of its own provided buffers. When a shard's
-// queue is full the datagram is dropped and counted, like a NIC ring
-// overrun — backpressure never blocks a reader. Protocols with small
-// datagrams (DNS) should pass their own MaxDatagram to shrink every term.
+// rung splits trains out of its own provided buffers. When a
+// single-reader shard's queue is full the datagram is dropped and
+// counted, like a NIC ring overrun — backpressure never blocks the
+// reader. Protocols with small datagrams (DNS) should pass their own
+// MaxDatagram to shrink every term.
 //
 // # Shared across both modes
 //

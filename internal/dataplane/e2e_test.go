@@ -51,7 +51,7 @@ func exchange(t *testing.T, conn net.Conn, req []byte) []byte {
 func TestE2EKVSFramedAndRawASCII(t *testing.T) {
 	store := kvs.NewShardedStore(4, 0)
 	e, addr := serve(t, kvs.NewHandler(store),
-		dataplane.Config{Name: "kvs-e2e", Shards: 4, ShardBy: kvs.ShardByKey})
+		dataplane.Config{Name: "kvs-e2e", Shards: 4})
 	conn, err := net.Dial("udp", addr)
 	if err != nil {
 		t.Fatal(err)

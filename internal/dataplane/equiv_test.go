@@ -519,7 +519,7 @@ func must[T any](v T, err error) T {
 }
 
 func workloads() []workload {
-	kvsCfg := dataplane.Config{Name: "equiv-kvs", ShardBy: kvs.ShardByKey}
+	kvsCfg := dataplane.Config{Name: "equiv-kvs"}
 	dnsCfg := dataplane.Config{Name: "equiv-dns", MaxDatagram: 4096}
 	paxosCfg := dataplane.Config{Name: "equiv-paxos", MaxDatagram: 4096}
 	kvsScript, dnsScript, acceptorScript := kvsScript(), dnsScript(), acceptorScript()

@@ -85,10 +85,8 @@ type Stats struct {
 
 	// BuffersInFlight is the number of pooled receive buffers currently
 	// outside the pool; it returns to zero on a drained engine, so a
-	// persistent residue indicates a buffer leak. BuffersCached is the
-	// subset parked in per-worker private free lists.
+	// persistent residue indicates a buffer leak.
 	BuffersInFlight int64 `json:"buffers_in_flight"`
-	BuffersCached   int64 `json:"buffers_cached,omitempty"`
 
 	// HotKeys is the handler's merged hot-key top-K (hottest first),
 	// present when the handler samples its GET path.
@@ -244,7 +242,6 @@ func (e *Engine) Snapshot() Stats {
 	if st.WriteBatches > 0 {
 		st.TxPerWrite = float64(st.Replies) / float64(st.WriteBatches)
 	}
-	st.BuffersCached = e.bufsCached.Load()
 	if r, ok := e.h.(StatsReporter); ok {
 		st.Handler = r.StatsCounters().Snapshot()
 	}

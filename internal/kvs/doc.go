@@ -12,8 +12,9 @@
 // ShardedStore is shared-nothing by construction: a key hashes to
 // exactly one partition, each partition has a single writer at a time
 // (enforced by a per-partition mutex that only the write path touches;
-// under the batched dataplane the owning shard is the only writer and
-// the mutex is uncontended), and any number of lock-free readers.
+// the dataplane serves each flow on the shard it arrived on, so two
+// flows writing one partition meet here), and any number of lock-free
+// readers.
 //
 // Entries and records. A slot is 32 bytes and holds no pointer: seq,
 // hash, a loc word (the record's ref plus empty/live/tombstone) and a
@@ -97,6 +98,19 @@
 // the shape a store grown by Set to that count settles into — then
 // copies store to store, record to record, under both partitions'
 // writer mutexes.
+//
+// The mirror. SetMirror arms a second store (the offload tier's table)
+// to receive every Set and Delete of this one, applied inside the
+// writer's critical section, so the two stores see each key's writes in
+// one order. The lock order is always the source partition, then the
+// mirror's: a mirrored write takes them in that order, and so does
+// FillFrom from this store into its mirror. Holding the source
+// partition's mutex for the walk is what orders a warm against a
+// concurrent delete — the delete lands before the walk and the key is
+// not copied, or after it and the mirror drops the copy — so a warm cut
+// into chunks that yield between them must hold that mutex for each
+// whole chunk. Evictions and Sweep stay local: the mirror bounds and
+// expires its own entries.
 //
 // Eviction is CLOCK second-chance: a GET hit sets the slot's reference
 // bit with an atomic OR (no list splice, no lock, and no write at all

@@ -180,10 +180,10 @@ func (h *Handler) serve(it *dataplane.BatchItem, now simnet.Time, n *getTally) {
 	}
 }
 
-// ShardByKey is the dataplane dispatch for memcached traffic: requests
-// hash by their key, so one worker owns one key range (cache-friendly and
-// contention-free), falling back to source hashing when no key can be
-// peeked. Framing is disambiguated by looking for a command verb at both
+// ShardByKey hashes a memcached datagram by its request key, falling
+// back to the source hash when no key can be peeked. No engine
+// dispatches by it: it is the key hash of simhost's on-chip recency
+// model. Framing is disambiguated by looking for a command verb at both
 // offsets, which keeps the mapping deterministic per datagram.
 func ShardByKey(payload []byte, src netip.AddrPort) uint64 {
 	if k := requestKey(payload); len(k) > 0 {

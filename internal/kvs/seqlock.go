@@ -12,12 +12,9 @@ import (
 
 // This file is the lock-free partition behind ShardedStore: an open-
 // addressing hash table whose readers never take a lock. Writers are
-// serialized by a per-partition mutex (the dataplane's shard affinity
-// means there is normally exactly one writer per partition anyway, and
-// the mutex keeps the store correct for arbitrary callers); readers use
-// a per-slot sequence counter to detect torn reads and retry. Entries
-// live as records in the partition's arena (slab.go). See doc.go for the
-// memory-model notes.
+// serialized by a per-partition mutex; readers use a per-slot sequence
+// counter to detect torn reads and retry. Entries live as records in the
+// partition's arena (slab.go). See doc.go for the memory-model notes.
 
 // Slot states, the low two bits of a slot's loc word; above them a live
 // slot's loc holds its record's ref.
@@ -83,8 +80,9 @@ type partition struct {
 
 	// Writer-owned and cold, so kept off the lines readers share above
 	// (but for the arena's chunk directory, which they load).
-	maxSlots int // table size a bounded partition stops growing at, else 0
-	rehashes int // table generations built so far
+	maxSlots int                           // table size a bounded partition stops growing at, else 0
+	rehashes int                           // table generations built so far
+	mirror   *atomic.Pointer[ShardedStore] // the owning store's SetMirror target, loaded under mu
 	slab     arena
 }
 
@@ -93,8 +91,8 @@ const minTableSlots = 64
 // newPartition starts at the minimum table whatever the bound: memory
 // follows contents. A bounded partition grows no further than 2*bound
 // (load 1/2 at the bound), so churn at the bound never grows it.
-func newPartition(maxEntries int) *partition {
-	p := &partition{maxEntries: maxEntries}
+func newPartition(maxEntries int, mirror *atomic.Pointer[ShardedStore]) *partition {
+	p := &partition{maxEntries: maxEntries, mirror: mirror}
 	if maxEntries > 0 {
 		p.maxSlots = minTableSlots
 		for p.maxSlots < 2*maxEntries {
@@ -394,6 +392,9 @@ func (p *partition) set(hash uint64, key []byte, e Entry) {
 		put(p.slab.rec(ref), key, e)
 		p.insertAt(s, hash, ref)
 	}
+	if m := p.mirror.Load(); m != nil {
+		m.parts[hash&m.mask].set(hash, key, e)
+	}
 	p.mu.Unlock()
 }
 
@@ -436,16 +437,20 @@ func (p *partition) installAbsent(hash uint64, key []byte, src []atomic.Uint64) 
 	return true
 }
 
+// del removes key, and removes it from the mirror whether or not this
+// partition held it.
 func (p *partition) del(hash uint64, key []byte) bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.stats.deletes.Add(1)
+	if m := p.mirror.Load(); m != nil {
+		m.parts[hash&m.mask].del(hash, key)
+	}
 	existing, _ := p.findForWrite(p.table.Load(), hash, key)
 	if existing == nil {
-		p.mu.Unlock()
 		return false
 	}
 	p.tombstone(existing)
-	p.mu.Unlock()
 	return true
 }
 

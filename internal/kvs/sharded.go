@@ -3,6 +3,7 @@ package kvs
 import (
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"incod/internal/dataplane"
@@ -43,17 +44,17 @@ func (s *StoreStats) Add(o StoreStats) {
 // partitions with key-hash fan-out. Reads are lock-free — a per-slot
 // sequence counter detects torn reads and the reader retries — so GET
 // hits acquire no mutex at all; writes are serialized per partition by a
-// writer mutex (the batched dataplane's flow->shard affinity means each
-// partition normally has exactly one writer, and cross-shard writes
-// arrive through the engine's queue handoff). Eviction is CLOCK
+// writer mutex, whichever engine shard they arrive on. Eviction is CLOCK
 // second-chance: GET hits set a per-entry reference bit with a plain
 // atomic store instead of splicing an LRU list under a lock. Shard count
 // is rounded up to a power of two and fixed for the store's life, which
-// makes key->shard assignment deterministic. See doc.go for the memory
-// model.
+// makes key->shard assignment deterministic. A store may carry a mirror
+// (SetMirror), which receives every Set and Delete inside the writer's
+// critical section. See doc.go for the memory model.
 type ShardedStore struct {
-	parts []*partition
-	mask  uint64
+	parts  []*partition
+	mask   uint64
+	mirror atomic.Pointer[ShardedStore]
 }
 
 // NewShardedStore returns a store with at least shards partitions (0
@@ -74,10 +75,20 @@ func NewShardedStore(shards, maxEntries int) *ShardedStore {
 		perShard = (maxEntries + n - 1) / n
 	}
 	for i := range st.parts {
-		st.parts[i] = newPartition(perShard)
+		st.parts[i] = newPartition(perShard, &st.mirror)
 	}
 	return st
 }
+
+// SetMirror makes m receive every later SetBytes and DeleteBytes on this
+// store, applied inside the host partition's writer critical section
+// (nil disarms). The lock order is this store's partition, then m's: the
+// order FillFrom takes with this store as its source, so m stays a
+// faithful copy while a warm of m from this store runs. The offload
+// tier arms its table as the mirror while it is staged, so the last
+// write to any key lands in both stores under one lock. Evictions and
+// Sweep are not mirrored; m bounds and expires its own entries.
+func (st *ShardedStore) SetMirror(m *ShardedStore) { st.mirror.Store(m) }
 
 // Shards returns the partition count.
 func (st *ShardedStore) Shards() int { return len(st.parts) }
@@ -172,12 +183,15 @@ func (st *ShardedStore) DeleteBytes(key []byte) bool {
 // keeps serving lock-free reads; writes to that partition wait) and each
 // install checks and inserts under this store's partition mutex, so a
 // concurrent Set of the same key here — newer by definition — is never
-// overwritten by the snapshot. An entry costs one probe and one copy of
-// its record's words into a record of this store's arena. The walk is in
-// hash order and both stores hash alike, so each partition first
-// reserves for exactly the entries it is about to receive: growing
-// mid-walk wraps the ordered stream onto an already dense prefix and
-// linear probing degenerates.
+// overwritten by the snapshot. With this store armed as src's mirror,
+// holding src's writer mutex is also what orders the walk against src's
+// writes: a write either lands before the walk (and is copied) or after
+// it (and is mirrored), so a deleted key is never reinstalled. An entry
+// costs one probe and one copy of its record's words into a record of
+// this store's arena. The walk is in hash order and both stores hash
+// alike, so each partition first reserves for exactly the entries it is
+// about to receive: growing mid-walk wraps the ordered stream onto an
+// already dense prefix and linear probing degenerates.
 func (st *ShardedStore) FillFrom(src *ShardedStore) int {
 	want := make([]int, len(st.parts))
 	for _, p := range src.parts {

@@ -1,9 +1,11 @@
 package kvs
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,6 +119,74 @@ func TestShardedStoreConcurrent(t *testing.T) {
 	s := st.Stats()
 	if s.Gets != workers*per {
 		t.Fatalf("gets = %d, want %d", s.Gets, workers*per)
+	}
+}
+
+// A mirror receives every write of its store inside the store's writer
+// critical section: writers racing a FillFrom into the mirror leave the
+// two stores holding the same keys and values. A disarmed mirror is not
+// touched, and a mirrored overwrite allocates nothing.
+func TestShardedStoreMirror(t *testing.T) {
+	const keys, writers, minOps = 4096, 4, 2000
+	key := func(i int) []byte { return fmt.Appendf(nil, "key-%d", i) }
+	src := NewShardedStore(4, 0)
+	for i := 0; i < keys; i++ {
+		src.SetBytes(key(i), Entry{Value: []byte("preloaded")})
+	}
+	m := NewShardedStore(2, 0)
+	src.SetMirror(m)
+
+	var filled atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < minOps || !filled.Load(); r++ {
+				k := key((r*7 + g*1031) % keys)
+				if r%3 == 0 {
+					src.DeleteBytes(k)
+				} else {
+					src.SetBytes(k, Entry{Flags: uint32(g), Value: fmt.Appendf(nil, "writer%d-op%d", g, r)})
+				}
+			}
+		}()
+	}
+	m.FillFrom(src)
+	filled.Store(true)
+	wg.Wait()
+
+	check := func(when string) {
+		t.Helper()
+		for i := 0; i < keys; i++ {
+			want, inSrc := src.Get(key(i), 0)
+			got, inMirror := m.Get(key(i), 0)
+			if inSrc != inMirror || want.Flags != got.Flags || !bytes.Equal(want.Value, got.Value) {
+				t.Fatalf("%s, key-%d: store %v %+v, mirror %v %+v", when, i, inSrc, want, inMirror, got)
+			}
+		}
+		if src.Len() != m.Len() {
+			t.Fatalf("%s: store holds %d entries, mirror %d", when, src.Len(), m.Len())
+		}
+	}
+	check("after a fill racing 4 writers")
+
+	src.SetMirror(nil)
+	before := m.Stats()
+	src.SetBytes(key(0), Entry{Value: []byte("unmirrored")})
+	src.DeleteBytes(key(1))
+	if after := m.Stats(); after != before {
+		t.Fatalf("disarmed mirror was written: stats %+v -> %+v", before, after)
+	}
+
+	src.SetMirror(m)
+	k, e := key(2), Entry{Value: []byte("overwritten in place")}
+	src.SetBytes(k, e)
+	if a := testing.AllocsPerRun(100, func() { src.SetBytes(k, e) }); a != 0 {
+		t.Errorf("mirrored SetBytes overwrite allocates %.1f per op, want 0", a)
+	}
+	if got, ok := m.Get(k, 0); !ok || !bytes.Equal(got.Value, e.Value) {
+		t.Fatalf("mirror holds %+v %v after a mirrored overwrite", got, ok)
 	}
 }
 

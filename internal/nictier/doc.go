@@ -33,6 +33,7 @@
 // miss; shifting back drains the fast path without dropping an in-flight
 // request, then parks the tier. Correctness across the migration relies
 // on two invariants: the host store/zone/role stays the source of truth
-// (a tier cache may miss, never lie), and same-key operations are
-// serialized by the engine's key-hashed dispatch.
+// (a tier cache may miss, never lie), and the KVS table is the host
+// store's mirror while staged, so the host's writer lock orders every
+// write to a key in both stores, whichever shard it arrived on.
 package nictier

@@ -9,6 +9,8 @@ package nictier_test
 import (
 	"fmt"
 	"net"
+	"net/netip"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,8 +21,10 @@ import (
 	"incod/internal/dns"
 	"incod/internal/kvs"
 	"incod/internal/memcache"
+	"incod/internal/netio"
 	"incod/internal/nictier"
 	"incod/internal/paxos"
+	"incod/internal/simnet"
 )
 
 func listenLoopback(t *testing.T) net.PacketConn {
@@ -37,7 +41,7 @@ func TestE2EShiftUnderLoadKVS(t *testing.T) {
 	h := kvs.NewHandler(store)
 	conn := listenLoopback(t)
 	eng := dataplane.New(conn, h, dataplane.Config{
-		Name: "kvs-shift-e2e", Shards: 4, ShardBy: kvs.ShardByKey,
+		Name: "kvs-shift-e2e", Shards: 4,
 	})
 	eng.Start()
 	t.Cleanup(eng.Close)
@@ -193,6 +197,144 @@ func TestE2EShiftUnderLoadKVS(t *testing.T) {
 	if st.Shifts < 2 {
 		t.Fatalf("want at least up+down shifts, got %+v", st)
 	}
+}
+
+// Client flows SET and DELETE overlapping keys at once while the tier is
+// lit, on a 4-socket batched engine (each flow served by the shard its
+// socket landed on) and on the 4-shard single-reader engine, neither
+// dispatching by key. Once the writers are done, the tier must serve
+// every key exactly as the host store holds it; after the shift down,
+// the host's GETs must still match the store.
+func TestE2ESharedKeyWritersKVS(t *testing.T) {
+	for _, mode := range []string{"batched", "single-reader"} {
+		t.Run(mode, func(t *testing.T) {
+			store := kvs.NewShardedStore(4, 0)
+			h := kvs.NewHandler(store)
+			cfg := dataplane.Config{Name: "kvs-writers-" + mode, Shards: 4}
+			var eng *dataplane.Engine
+			if mode == "batched" {
+				conns, err := netio.ListenReusePortGroup("udp4", "127.0.0.1:0", 4)
+				if err != nil {
+					t.Skipf("reuseport group unavailable: %v", err)
+				}
+				bcs := make([]netio.BatchConn, len(conns))
+				for i, c := range conns {
+					bcs[i] = netio.NewBatchConn(c)
+				}
+				eng = dataplane.NewBatchedConns(conns, bcs, h, cfg)
+			} else {
+				eng = dataplane.New(listenLoopback(t), h, cfg)
+			}
+			eng.Start()
+			t.Cleanup(eng.Close)
+			tier := nictier.NewKVS(h)
+			svc := nictier.NewService("kvs", eng, tier)
+
+			const keys, clients, rounds = 16, 8, 40
+			key := func(i int) string { return fmt.Sprintf("shared-%d", i) }
+			for i := 0; i < keys; i++ {
+				store.Set(key(i), kvs.Entry{Value: []byte("preloaded")})
+			}
+			if err := svc.Shift(core.Network); err != nil {
+				t.Fatal(err)
+			}
+
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				conn, err := net.Dial("udp", eng.LocalAddr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var id uint16
+					for r := 0; r < rounds; r++ {
+						for i := 0; i < keys; i++ {
+							id++
+							req := framedSet(id, key(i), fmt.Sprintf("client%d-round%d", c, r))
+							if (r+c+i)%5 == 0 {
+								req = framedDelete(id, key(i))
+							}
+							if _, err := roundTrip(conn, id, req); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			busy := 0
+			for _, sh := range eng.Snapshot().Shards {
+				if sh.Handled > 0 {
+					busy++
+				}
+			}
+			if busy < 2 {
+				t.Fatalf("%d client flows all landed on one shard", clients)
+			}
+
+			conn, err := net.Dial("udp", eng.LocalAddr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			scratch := make([]byte, 0, 4096)
+			check := func(lit bool) {
+				t.Helper()
+				now := simnet.Time(time.Since(h.Epoch()))
+				for i := 0; i < keys; i++ {
+					want, ok := store.GetString(key(i), now)
+					if lit {
+						out, served, _ := tier.TryHandleDatagram(framedGet(1, key(i)), netip.AddrPort{}, &scratch)
+						if served != ok || served && string(parseFramedResponse(t, out).Value) != string(want.Value) {
+							t.Fatalf("%s: tier served=%v %q, host holds %v %q", key(i), served, out, ok, want.Value)
+						}
+					}
+					out, err := roundTrip(conn, uint16(i), framedGet(uint16(i), key(i)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp := parseFramedResponse(t, out)
+					if resp.Hit != ok || string(resp.Value) != string(want.Value) {
+						t.Fatalf("%s (tier lit %v): GET answered %+v, host holds %v %q", key(i), lit, resp, ok, want.Value)
+					}
+				}
+			}
+			check(true)
+			if err := svc.Shift(core.Host); err != nil {
+				t.Fatal(err)
+			}
+			check(false)
+		})
+	}
+}
+
+// roundTrip sends req and returns the reply framed with request ID id,
+// resending on a timeout (UDP may drop).
+func roundTrip(conn net.Conn, id uint16, req []byte) ([]byte, error) {
+	buf := make([]byte, 64*1024)
+	for attempt := 0; attempt < 10; attempt++ {
+		if _, err := conn.Write(req); err != nil {
+			return nil, err
+		}
+		conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		for {
+			n, err := conn.Read(buf)
+			if err != nil {
+				break
+			}
+			if f, _, err := memcache.DecodeFrame(buf[:n]); err == nil && f.RequestID == id {
+				return buf[:n], nil
+			}
+		}
+	}
+	return nil, fmt.Errorf("request %d: no reply after 10 tries", id)
 }
 
 func statusOf(t *testing.T, o *daemon.Orchestrator) daemon.ServiceStatus {

@@ -2,7 +2,6 @@ package nictier
 
 import (
 	"net/netip"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,11 +25,15 @@ import (
 // on-chip/off-chip hit times live in the cost model the simulated node
 // carries, simhost.LaKe.)
 //
-// Coherence contract: the engine must dispatch by key (kvs.ShardByKey),
-// so all operations on one key are serialized by one worker; the table
-// then observes every write in store order. The one writer the engine
-// does not serialize is Warm's bulk snapshot, which is made safe by
-// install-if-absent plus a deletion log covering the warm window.
+// Coherence: the tier writes SET and DELETE through to the table when
+// it classifies them, so a later GET in the same batch sees the write,
+// and the host store writes them again: while the tier is staged its
+// table is the store's mirror (kvs.ShardedStore.SetMirror), so the host
+// applies each write to the table inside the same writer critical
+// section. The last write to any key therefore lands in both stores
+// under one lock, whichever engine shards two flows writing it arrive
+// on, and Warm's walk of a store partition is ordered against that
+// partition's writes by the same lock.
 type KVSTier struct {
 	store *kvs.ShardedStore // host store of record (warm-up source)
 	epoch time.Time         // shared with the host handler's virtual clock
@@ -41,14 +44,6 @@ type KVSTier struct {
 	bound  int
 	active atomic.Bool
 	power  cardPower
-
-	// The deletion log: while warming, write-through deletes are
-	// recorded so the final warm pass can undo any snapshot install
-	// that raced them (a resurrected deleted key would be served
-	// incorrectly; a missing cache entry is merely a host round trip).
-	delMu   sync.Mutex
-	warming bool
-	delLog  []string
 
 	// Every hit counts under l2_hit — the DRAM-scale layer is the one
 	// that survived — and l1_hit stays exported at 0, because benchmark/
@@ -124,47 +119,34 @@ func (t *KVSTier) PowerWatts() float64 {
 	return t.power.watts(t.active.Load())
 }
 
-// reset drops the table (a fresh one is a few KB until something is
-// cached) and re-arms or disarms the deletion log.
-func (t *KVSTier) reset(warming bool) {
-	t.cache = kvs.NewShardedStore(0, t.bound)
-	t.delMu.Lock()
-	t.warming = warming
-	t.delLog = nil
-	t.delMu.Unlock()
-}
-
 // Stage implements Tier: table dropped — whether or not a Park ran since
-// the last Stage — and deletion log armed.
+// the last Stage — and armed as the store's mirror.
 func (t *KVSTier) Stage() error {
-	t.reset(true)
+	t.cache = kvs.NewShardedStore(0, t.bound)
+	t.store.SetMirror(t.cache)
 	t.active.Store(true)
 	return nil
 }
 
 // Warm implements Tier: the LaKe cache activation — bulk-install the
-// store of record into the table while the host keeps serving. Install-
-// if-absent keeps concurrent write-through values (newer by definition)
-// from being clobbered, and the deletion log erases any install that
-// raced a delete.
+// store of record into the table while the host keeps serving. The table
+// is (re)armed as the store's mirror first, so a store write either
+// lands before the walk of its partition and is copied, or after it and
+// is mirrored; install-if-absent keeps a mirrored value from being
+// clobbered by the snapshot. A tier warmed without a Stage (a table kept
+// across parks) is kept current the same way.
 func (t *KVSTier) Warm() error {
-	installed := t.cache.FillFrom(t.store)
-	t.delMu.Lock()
-	for _, k := range t.delLog {
-		t.cache.Delete(k)
-	}
-	t.delLog = nil
-	t.warming = false
-	t.delMu.Unlock()
-	t.warmed.Store(uint64(installed))
+	t.store.SetMirror(t.cache)
+	t.warmed.Store(uint64(t.cache.FillFrom(t.store)))
 	return nil
 }
 
 // Park implements Tier: the §9.2 park-reset — memories in reset, cached
-// state lost.
+// state lost, and the store's mirror disarmed.
 func (t *KVSTier) Park() error {
 	t.active.Store(false)
-	t.reset(false)
+	t.store.SetMirror(nil)
+	t.cache = kvs.NewShardedStore(0, t.bound)
 	return nil
 }
 
@@ -247,17 +229,6 @@ func (t *KVSTier) tryHandleAt(in []byte, now simnet.Time, scratch *[]byte, n *kv
 		t.cache.SetBytes(v.Key, kvs.Entry{Flags: v.Flags, Value: v.Value, Expires: exp})
 	case v.Op == memcache.OpDelete:
 		n.writes++
-		// Log BEFORE invalidating: if the warm pass already replayed the
-		// log (warming=false here), its snapshot installs are all done
-		// and the delete below lands last; if it has not, the key is in
-		// the log and the replay erases any racing snapshot install.
-		// Invalidate-first would leave a window where Warm reinstalls
-		// the key after the delete but before the log append.
-		t.delMu.Lock()
-		if t.warming {
-			t.delLog = append(t.delLog, string(v.Key))
-		}
-		t.delMu.Unlock()
 		t.cache.DeleteBytes(v.Key)
 	default:
 		// Multi-key gets and anything else: the general host path.

@@ -212,6 +212,87 @@ func TestKVSTierWarmDeleteRace(t *testing.T) {
 	}
 }
 
+// Two flows write the same keys on different engine shards, each in the
+// worker order (tier write-through, then host). Whatever the
+// interleaving, once both are done the lit tier must answer every key
+// exactly as the host store holds it: the same hit or miss and the same
+// value.
+func TestKVSTierCrossFlowWrites(t *testing.T) {
+	h, tier := warmKVSTier(t, func(*kvs.ShardedStore) {})
+	const keys, rounds = 8, 2000
+	key := func(i int) string { return fmt.Sprintf("shared-%d", i) }
+	scratch := make([]byte, 0, 4096)
+	for r := 0; r < rounds; r++ {
+		var ops [2][][]byte
+		for g := range ops {
+			for i := 0; i < keys; i++ {
+				if (r+g+i)%3 == 0 {
+					ops[g] = append(ops[g], framedDelete(uint16(i), key(i)))
+				} else {
+					ops[g] = append(ops[g], framedSet(uint16(i), key(i), fmt.Sprintf("flow%d-round%d", g, r)))
+				}
+			}
+		}
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for g := range ops {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sc := make([]byte, 0, 4096)
+				start.Wait()
+				for _, in := range ops[g] {
+					worker(t, tier, h, in, &sc)
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		now := simnet.Time(time.Since(h.Epoch()))
+		for i := 0; i < keys; i++ {
+			want, ok := h.Store().GetString(key(i), now)
+			out, served, _ := tier.TryHandleDatagram(framedGet(uint16(i), key(i)), netip.AddrPort{}, &scratch)
+			if served != ok {
+				t.Fatalf("round %d, %s: tier hit=%v, host hit=%v", r, key(i), served, ok)
+			}
+			if !served {
+				continue
+			}
+			if got := parseFramedResponse(t, out).Value; !bytes.Equal(got, want.Value) {
+				t.Fatalf("round %d, %s: tier serves %q, host holds %q", r, key(i), got, want.Value)
+			}
+		}
+	}
+}
+
+// A tier whose table survives parking (simhost's KeepWarm skips Stage and
+// Park) must not keep serving a value the host overwrote while it was
+// parked: Warm installs only absent keys, so the table has to have seen
+// the overwrite.
+func TestKVSTierKeepWarmServesHostOverwrite(t *testing.T) {
+	store := kvs.NewShardedStore(2, 0)
+	store.Set("k", kvs.Entry{Value: []byte("v1")})
+	h := kvs.NewHandler(store)
+	tier := nictier.NewKVS(h)
+	if err := tier.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	scratch := make([]byte, 0, 4096)
+	if out, _ := h.HandleDatagram(framedSet(1, "k", "v2"), &scratch); parseFramedResponse(t, out).Status != memcache.StatusStored {
+		t.Fatalf("host SET: %q", out)
+	}
+	if err := tier.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	out, served, _ := tier.TryHandleDatagram(framedGet(2, "k"), netip.AddrPort{}, &scratch)
+	if !served {
+		t.Fatal("warmed tier missed a resident key")
+	}
+	if got := parseFramedResponse(t, out).Value; string(got) != "v2" {
+		t.Fatalf("tier serves %q after the host overwrote it with v2", got)
+	}
+}
+
 func TestDNSTier(t *testing.T) {
 	zone := dns.NewZone()
 	zone.PopulateSequential(8)
@@ -636,11 +717,13 @@ func TestKVSTierStageDropsTable(t *testing.T) {
 // The acceptance bar for the fast path and the cost model the tier is
 // sold on: on a warmed tier a GET hit, a SET overwrite's write-through
 // and a DELETE allocate nothing, through the batch entry point as well
-// as the per-datagram one.
+// as the per-datagram one. A write then goes to the host, as in the
+// engine, whose store writes it through to the table again (the mirror):
+// that costs nothing either.
 func TestKVSTierHotPathsZeroAlloc(t *testing.T) {
 	const n = 512 // DELETEs consume one resident key per run
 	key := func(i int) string { return fmt.Sprintf("key-%03d", i) }
-	_, tier := warmKVSTier(t, func(st *kvs.ShardedStore) {
+	h, tier := warmKVSTier(t, func(st *kvs.ShardedStore) {
 		for i := 0; i < n; i++ {
 			st.Set(key(i), kvs.Entry{Flags: 7, Value: []byte("payload-of-a-modest-size")})
 		}
@@ -665,8 +748,11 @@ func TestKVSTierHotPathsZeroAlloc(t *testing.T) {
 		run := 0
 		next := func() []byte { run++; return tc.ins[(run-1)%len(tc.ins)] }
 		if a := testing.AllocsPerRun(100, func() {
-			if _, served, _ := tier.TryHandleDatagram(next(), netip.AddrPort{}, &scratch); served != tc.served {
+			in := next()
+			if _, served, _ := tier.TryHandleDatagram(in, netip.AddrPort{}, &scratch); served != tc.served {
 				t.Fatalf("%s: served=%v", tc.name, served)
+			} else if !served {
+				h.HandleDatagram(in, &scratch)
 			}
 		}); a != 0 {
 			t.Errorf("%s via TryHandleDatagram allocates %.1f per op, want 0", tc.name, a)
@@ -675,6 +761,8 @@ func TestKVSTierHotPathsZeroAlloc(t *testing.T) {
 			*item = dataplane.BatchItem{In: next(), Scratch: &scratch}
 			if tier.TryHandleBatch(items); item.Served != tc.served {
 				t.Fatalf("%s: batch served=%v", tc.name, item.Served)
+			} else if !item.Served {
+				h.HandleBatch(items)
 			}
 		}); a != 0 {
 			t.Errorf("%s via TryHandleBatch allocates %.1f per op, want 0", tc.name, a)

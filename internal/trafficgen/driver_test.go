@@ -166,7 +166,7 @@ func TestSubstratesAgree(t *testing.T) {
 	}
 
 	eng, err := daemon.ListenEngine(daemon.EngineOptions{Addr: "127.0.0.1:0"}, kvs.NewHandler(store),
-		dataplane.Config{Name: "trafficgen-test", Shards: 2, ShardBy: kvs.ShardByKey})
+		dataplane.Config{Name: "trafficgen-test", Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
