@@ -87,6 +87,31 @@ func TestVoteAuditBites(t *testing.T) {
 	}
 }
 
+// TestEngineBooksBite loses one reply inside the server: a fast path
+// slipped under its engine consumes the tenth datagram and answers
+// nothing. The workload does not require every request answered, so
+// only the engine's books can tell, and they must.
+func TestEngineBooksBite(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		_, err := runServing(kvsApp, seed, Config{Quick: true}, servingOpts{
+			preload: 16, requests: 40, spacing: 8 * time.Microsecond,
+			sabotage: func(st *ServingStack) { st.Node.SetFastPath(&loseNth{n: 10}) },
+		})
+		if err == nil || !strings.Contains(err.Error(), "handled 40 datagrams and sent 39 replies") {
+			t.Errorf("seed %d: a reply lost inside the node, and the run returned %v", seed, err)
+		}
+	}
+}
+
+// loseNth is a fast path that consumes its n-th datagram and sends no
+// reply; it leaves every other one to the host.
+type loseNth struct{ n int }
+
+func (l *loseNth) TryHandleDatagram([]byte, netip.AddrPort, *[]byte) ([]byte, bool, bool) {
+	l.n--
+	return nil, l.n == 0, false
+}
+
 // TestDifferentSeedsDifferentTrace guards against a run that ignores its
 // seed entirely.
 func TestDifferentSeedsDifferentTrace(t *testing.T) {

@@ -7,10 +7,13 @@
 // # Architecture
 //
 // simhost.Node is the bridge: a simnet.Node that runs the dataplane
-// engine's dispatch core (fast-path interposition before the host
-// handler, optional delivery batching with a flush window) and implements
-// nictier.Dataplane, so an unmodified nictier.Service shifts placement on
-// it exactly as it does on a real engine. CrashableTier wraps any
+// engine itself (dataplane.NewDriven: fast-path interposition before the
+// host handler, the batched worker's turn, turned on every delivery or
+// once per batch window) and implements nictier.Dataplane, so an
+// unmodified nictier.Service shifts placement on it exactly as it does
+// on a real engine. After each run every node's engine must balance its
+// books: everything read handled, nothing dropped or failed, and on KVS
+// and DNS one reply per datagram. CrashableTier wraps any
 // nictier.Tier with schedulable failure: a crash armed at Stage makes the
 // following Warm fail before any state leaves the host (the §9.2
 // transition task dying mid-shift), and a crash while lit makes the fast

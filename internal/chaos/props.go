@@ -96,6 +96,9 @@ type servingOpts struct {
 	watchEvery time.Duration
 	// expectAll requires every request answered (loss-free plans only).
 	expectAll bool
+	// sabotage, when set, tampers with the stack before the run, for the
+	// tests that show a check still bites.
+	sabotage func(*ServingStack)
 }
 
 func (o servingOpts) total() time.Duration {
@@ -246,9 +249,15 @@ func runServing(app servingApp, seed int64, cfg Config, o servingOpts) (uint64, 
 		})
 	}
 	stops, crash := scheduleServing(st.Sim, st.Orch, st.Tier, app.name, o, []func(){st.StopTick})
+	if o.sabotage != nil {
+		o.sabotage(st)
+	}
 	runAndDrain(st.Sim, o.total(), stops...)
 
 	hash := st.Net.TraceHash()
+	if err := checkBooks(st.Node, true); err != nil {
+		return hash, err
+	}
 	if err := verifyReplies(rec.replies, reqs, app.oracle(o.preload), o.expectAll); err != nil {
 		return hash, err
 	}
@@ -330,6 +339,11 @@ func paxosVoteSafety(seed int64, cfg Config, sabotage func(*PaxosStack)) (uint64
 	total := time.Duration(toggles)*time.Millisecond + 2*time.Millisecond
 	runAndDrain(st.Sim, total, st.stops...)
 	hash := st.Net.TraceHash()
+	for _, n := range st.nodes() {
+		if err := checkBooks(n, false); err != nil {
+			return hash, err
+		}
+	}
 
 	// Retention audit: park the tier for good, then replay a poisoned 2A
 	// (same ballot, different value) at every instance acceptor 0 voted

@@ -118,6 +118,27 @@ func newServingStack(seed int64, cfg StackConfig, name string, h dataplane.Handl
 	return s
 }
 
+// checkBooks holds a node's engine to its own books once the run has
+// drained: it handled every datagram it read, dropped none, failed no
+// read or write, and holds its receive slots and no other buffer. Where
+// every request gets an answer (answersAll: KVS and DNS), it also sent
+// one reply per datagram it handled.
+func checkBooks(n *simhost.Node, answersAll bool) error {
+	st := n.Stats()
+	switch {
+	case st.Received != st.Handled:
+		return fmt.Errorf("%s: engine read %d datagrams and handled %d", n.Addr(), st.Received, st.Handled)
+	case st.Dropped+st.BadSourceDrops+st.ReadErrors+st.WriteErrors != 0:
+		return fmt.Errorf("%s: engine dropped %d datagrams (%d for a bad source), failed %d reads and %d writes",
+			n.Addr(), st.Dropped+st.BadSourceDrops, st.BadSourceDrops, st.ReadErrors, st.WriteErrors)
+	case st.BuffersInFlight != int64(st.RxBatch):
+		return fmt.Errorf("%s: engine holds %d buffers, for %d receive slots", n.Addr(), st.BuffersInFlight, st.RxBatch)
+	case answersAll && st.Replies != st.Handled:
+		return fmt.Errorf("%s: engine handled %d datagrams and sent %d replies", n.Addr(), st.Handled, st.Replies)
+	}
+	return nil
+}
+
 // kvsHandler is the memcached host software over n preloaded entries.
 func kvsHandler(n int) *kvs.Handler {
 	store := kvs.NewShardedStore(1, 1<<15)
@@ -308,6 +329,19 @@ type PaxosStack struct {
 	Audit   *VoteAuditor
 	Clients []*PaxosClient
 	stops   []func() // the periodic drivers: orchestrator ticks, gap scans
+}
+
+// nodes returns every node of the deployment: both leaders, the
+// acceptors and the learners.
+func (s *PaxosStack) nodes() []*simhost.Node {
+	ns := []*simhost.Node{s.SWLeader.Node, s.HWLeader.Node}
+	for _, a := range s.Acceptors {
+		ns = append(ns, a.Node)
+	}
+	for _, l := range s.Learners {
+		ns = append(ns, l.Node)
+	}
+	return ns
 }
 
 // NewPaxosStack wires the deployment up with nclients proposers.

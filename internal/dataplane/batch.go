@@ -168,15 +168,37 @@ func (e *Engine) newBatchState(i int) *batchState {
 		replyBufs: make([][]byte, n),
 		qpkts:     make([]packet, 0, n),
 		tx:        make([]netio.Message, 0, n),
-		txOut:     make([]netio.Message, 0, n),
-		txUsed:    make([]bool, 0, n),
-		txIdx:     make([]int, 0, n),
-	}
-	for k := range w.replyBufs {
-		w.replyBufs[k] = make([]byte, 0, 512)
 	}
 	return w
 }
+
+// NewDriven builds a one-shard batched engine over bc that no goroutine
+// serves: its caller drives it a Turn at a time, on its own clock
+// (internal/simhost's is simnet's). It is never started: nothing is in
+// flight between turns, so the caller's loop is the Barrier. Its receive
+// slots are filled once, from one allocation, and never given up.
+func NewDriven(bc netio.BatchConn, h Handler, cfg Config) *Engine {
+	cfg.Shards, cfg.QueueDepth = 1, 1 // the queue carries nothing
+	e := newEngine(nil, h, cfg)
+	e.batched = true
+	e.bconns = []netio.BatchConn{bc}
+	e.gsoTx = sendsTrains(e.bconns)
+	w, size := e.newBatchState(0), e.cfg.MaxDatagram
+	slab := make([]byte, rxBatch*size)
+	for j := range w.rxBufs {
+		b := slab[j*size : (j+1)*size]
+		w.rxBufs[j], w.rx[j].Buf = &b, b
+	}
+	e.bufsOut.Add(rxBatch)
+	e.driven = w
+	return e
+}
+
+// Turn runs one turn of an engine built by NewDriven: read one batch,
+// serve it through the tier and the handler, flush the replies. It
+// returns the items it served, in arrival order, valid until the next
+// Turn, or the read's error, in which case it served nothing.
+func (e *Engine) Turn() ([]*BatchItem, error) { return e.driven.turn() }
 
 // batchWorker is shard i's goroutine in batched mode: it owns the
 // shard's socket and the shard's queue, so all traffic for the shard is
@@ -210,12 +232,7 @@ func (e *Engine) batchWorker(i int) {
 		// park succeeds fires a millisecond later and fails the next read
 		// on a socket that has data.
 		_ = w.bc.SetReadDeadline(time.Now().Add(queuePollInterval))
-		w.fillRx()
-		n, err := w.bc.ReadBatch(w.rx)
-		if err == nil {
-			w.s.readBatches.Add(1)
-			w.processRead(n)
-		} else if !isTimeout(err) {
+		if _, err := w.turn(); err != nil && !isTimeout(err) {
 			if e.closing.Load() {
 				break
 			}
@@ -233,6 +250,20 @@ func (e *Engine) batchWorker(i int) {
 	// Close closes the queue, then return the receive slots to the pool.
 	w.drainQueue(true)
 	w.release()
+}
+
+// turn is one turn of a reading worker: top up the receive slots, read
+// one batch and dispatch it (processRead). It returns the items a shard
+// served, none for the single reader.
+func (w *batchState) turn() ([]*BatchItem, error) {
+	w.fillRx()
+	n, err := w.bc.ReadBatch(w.rx)
+	if err != nil {
+		return nil, err
+	}
+	w.s.readBatches.Add(1)
+	w.processRead(n)
+	return w.ptrs, nil
 }
 
 func isTimeout(err error) bool {
@@ -379,7 +410,7 @@ func (w *batchState) processItems(items []*BatchItem) {
 		return
 	}
 	fp, fenced := e.enterTier() // one token per batch
-	w.host = e.disp.Batch(fp, items, w.host)
+	w.host = e.dispatch(fp, items, w.host)
 	if fenced {
 		e.fpInflight.Add(-1)
 	}

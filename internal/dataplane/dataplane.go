@@ -160,11 +160,13 @@ type shard struct {
 // the batched per-shard-socket mode (NewBatchedConns: each shard reads its
 // own SO_REUSEPORT socket in recvmmsg batches and flushes replies with
 // sendmmsg). Both share pooled buffers, graceful drain and the
-// offload-tier hooks. See the package comment.
+// offload-tier hooks. NewDriven builds a batched engine of one shard
+// that its caller turns. See the package comment.
 type Engine struct {
 	conn net.PacketConn
 	h    Handler
-	disp Dispatcher // fast path first, then h: shared with internal/simhost
+	sh   SourceHandler // h, when it is one
+	bh   BatchHandler  // h, when it is one
 	cfg  Config
 
 	// bconns[i] is shard i's transport: its socket in batched mode, a
@@ -173,6 +175,7 @@ type Engine struct {
 	batched bool
 	bconns  []netio.BatchConn
 	reader  netio.BatchConn
+	driven  *batchState // the one shard of an engine built by NewDriven
 	// gsoTx is the reply-train decision (sendsTrains), made once at
 	// construction.
 	gsoTx bool
@@ -229,13 +232,14 @@ func newEngine(conn net.PacketConn, h Handler, cfg Config) *Engine {
 	e := &Engine{
 		conn:       conn,
 		h:          h,
-		disp:       NewDispatcher(h),
 		cfg:        cfg,
 		meter:      telemetry.NewAtomicRateMeter(100*time.Millisecond, 10),
 		born:       time.Now(),
 		readerDone: make(chan struct{}),
 		done:       make(chan struct{}),
 	}
+	e.sh, _ = h.(SourceHandler)
+	e.bh, _ = h.(BatchHandler)
 	e.pool.New = func() any {
 		b := make([]byte, cfg.MaxDatagram)
 		return &b
@@ -249,7 +253,7 @@ func newEngine(conn net.PacketConn, h Handler, cfg Config) *Engine {
 
 // LocalAddr returns the serving socket's address (in batched mode, the
 // address shared by the whole reuseport group).
-func (e *Engine) LocalAddr() net.Addr { return e.conn.LocalAddr() }
+func (e *Engine) LocalAddr() net.Addr { return e.bconns[0].LocalAddr() }
 
 // WriteTo transmits an out-of-band datagram from the serving socket, so
 // daemon side channels (Paxos role-to-role messages) share the engine's
@@ -459,11 +463,8 @@ func (e *Engine) readLoop() {
 	}
 	defer w.release()
 	for {
-		w.fillRx()
-		n, err := w.bc.ReadBatch(w.rx)
+		_, err := w.turn()
 		if err == nil {
-			w.s.readBatches.Add(1)
-			w.processRead(n)
 			continue
 		}
 		if e.closing.Load() {

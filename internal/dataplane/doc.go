@@ -89,6 +89,17 @@
 // per-flow order holds inside a batch too: a datagram gets the reply it
 // would get if its flow's datagrams came one at a time.
 //
+// # Driven on a virtual clock (NewDriven)
+//
+// A driven engine is one batched shard with no goroutine: its caller
+// runs it one Turn at a time, each the batched worker's own — read a
+// batch, offer it to the tier, hand the rest to the handler, flush the
+// replies — and gets back the items it served. internal/simhost drives
+// one per simulated node over a netio.BatchConn on simnet, so the paper
+// figures and the chaos sweep run this package's batching, tier fence
+// and counters on the virtual clock. Its receive slots are filled once,
+// so its Stats show rxBatch buffers in flight for good.
+//
 // # Overload memory bound
 //
 // Every queued packet and every in-flight receive slot pins one

@@ -2,11 +2,12 @@ package dataplane_test
 
 // The equivalence matrix: every workload the daemons serve — host-only
 // and with its nictier tier lit through a real nictier.Service shift —
-// against every way this repository serves it: the simulated node with a
-// batch window, the single-reader engine, and the batched engine on each
-// transport rung, with and without pinned shards. The reference is always
-// the simulated node at window 0, fed one datagram at a time: it makes no
-// syscalls and takes the per-datagram path of the one dispatch core.
+// against every way this repository serves it: the engine driven on
+// simnet's clock by a simulated node with a batch window (the node-window
+// column), the single-reader engine, and the batched engine on each
+// transport rung, with and without pinned shards. The reference is no
+// engine at all: ServeOne fed one datagram at a time, the tier's
+// TryHandleDatagram and then the host handler's per-datagram call.
 //
 // A cell passes when its subject sends the same replies, the same Paxos
 // fan-out in the same order, and ends with the same handler and tier
@@ -20,8 +21,10 @@ package dataplane_test
 // the kernel where it does not.
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"slices"
 	"strconv"
@@ -57,10 +60,14 @@ type workload struct {
 	seed   [][]byte
 	script [][]byte
 	pin    string
+	// cuts lists the script indices before which the node's window
+	// closes: each cut lands the requests sent so far before more go.
+	cuts []int
 }
 
-// subject is one column: the simulated node with a batch window, or an
-// engine — single-reader when rung is empty.
+// subject is one column: the engine driven by a simulated node with a
+// batch window, or an engine on sockets — single-reader when rung is
+// empty.
 type subject struct {
 	name   string
 	window time.Duration
@@ -150,7 +157,7 @@ func matrix(t *testing.T, rows []workload, subjects []subject) {
 	trainCells, perDatagram := 0, 0
 	for _, w := range rows {
 		t.Run(w.name, func(t *testing.T) {
-			perReq, ref := nodeRun(t, w, 0)
+			perReq, ref := refRun(t, w)
 			if ref.counters != w.pin {
 				t.Errorf("reference counters\n got %s\nwant %s", ref.counters, w.pin)
 			}
@@ -274,9 +281,45 @@ func prepare(t *testing.T, w workload, h dataplane.Handler, tier nictier.Tier, d
 	}
 }
 
-// nodeRun serves the script on a simulated node: one datagram at a time
-// at window 0, otherwise all of it inside one batch window. Request i is
-// sent from "req/i", so the reply it gets is the one sent there.
+// refRun serves the script through ServeOne, one datagram at a time, on a
+// stack whose tier a refDataplane lights. Request i comes from its own
+// source port, as it comes from its own sender on the node.
+func refRun(t *testing.T, w workload) ([][]byte, run) {
+	var r run
+	h, tier := w.build(func(to string, m paxos.Msg) { r.fanOut = append(r.fanOut, to+"|"+string(paxos.Encode(m))) })
+	dp := &refDataplane{}
+	prepare(t, w, h, tier, dp)
+	r.fanOut = nil // the seed's
+	perReq := make([][]byte, len(w.script))
+	offloaded := uint64(0)
+	scratch := make([]byte, 0, 4096)
+	for i, dg := range w.script {
+		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(i+1))
+		out, tierServed := dataplane.ServeOne(dp.fp, h, dg, src, &scratch)
+		if len(out) > 0 {
+			perReq[i] = bytes.Clone(out)
+		}
+		if tierServed {
+			offloaded++
+		}
+	}
+	r.counters = counters(h, tier, w.lit, offloaded, len(r.fanOut))
+	return perReq, r
+}
+
+// refDataplane is the reference's nictier.Dataplane: a shift installs
+// the tier where ServeOne finds it, and with nothing ever in flight the
+// barrier has nothing to wait for.
+type refDataplane struct{ fp dataplane.FastPath }
+
+func (d *refDataplane) SetFastPath(fp dataplane.FastPath) { d.fp = fp }
+func (d *refDataplane) ClearFastPath()                    { d.fp = nil }
+func (d *refDataplane) Barrier()                          {}
+
+// nodeRun serves the script on a simulated node, delivered inside one
+// batch window, or one per cut, so the node's engine reads it in turns of
+// up to its batch size. Request i is sent from "req/i", so the reply it
+// gets is the one sent there.
 func nodeRun(t *testing.T, w workload, window time.Duration) ([][]byte, run) {
 	sim := simnet.New(1)
 	net := simnet.NewNetwork(sim, simnet.LinkConfig{})
@@ -298,10 +341,10 @@ func nodeRun(t *testing.T, w workload, window time.Duration) ([][]byte, run) {
 		}
 	})
 	for i, dg := range w.script {
-		net.Send(&simnet.Packet{Src: simnet.Addr("req/" + strconv.Itoa(i)), Dst: "server", Payload: dg})
-		if window == 0 {
+		if slices.Contains(w.cuts, i) {
 			sim.Run()
 		}
+		net.Send(&simnet.Packet{Src: simnet.Addr("req/" + strconv.Itoa(i)), Dst: "server", Payload: dg})
 	}
 	sim.Run()
 	fast, _ := node.Served()

@@ -48,7 +48,7 @@ type readerFlow struct {
 // through New with two shards and sends it two flows' requests: windows
 // of single datagrams, the first queued before the engine starts, then,
 // wherever netio.ProbeGSO passes, windows of UDP_SEGMENT trains. Every
-// flow must get exactly the replies Dispatcher.One gives the same
+// flow must get exactly the replies ServeOne gives the same
 // datagrams one at a time, in order. On the mmsg rung the reader must
 // have read more than one datagram per read; where its socket took
 // UDP_GRO, the trains must have arrived whole; and after Close no pooled
@@ -128,16 +128,16 @@ func TestSingleReaderBatchesAndTrainsOverLoopback(t *testing.T) {
 		}
 	}
 
-	ref := NewDispatcher(newSeqHandler())
+	ref := newSeqHandler()
 	scratch := make([]byte, 0, 64)
 	for f, fl := range flows {
 		if len(fl.got) != len(fl.sent) {
 			t.Fatalf("flow %d: %d replies for %d requests", f, len(fl.got), len(fl.sent))
 		}
 		for i, req := range fl.sent {
-			want, _ := ref.One(nil, req, fl.src, &scratch)
+			want, _ := ServeOne(nil, ref, req, fl.src, &scratch)
 			if !bytes.Equal(fl.got[i], want) {
-				t.Fatalf("flow %d, reply %d: %q, Dispatcher.One gives %q", f, i, fl.got[i], want)
+				t.Fatalf("flow %d, reply %d: %q, ServeOne gives %q", f, i, fl.got[i], want)
 			}
 		}
 	}

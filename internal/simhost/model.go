@@ -132,7 +132,7 @@ func (n *Node) serviceTime(req []byte, offloaded bool) time.Duration {
 		n.count(n.hostRate)
 	}
 	d := n.m.HostTime(rng, n.HostUtilization())
-	if n.fp != nil {
+	if n.lit {
 		d += n.m.PCIe
 	}
 	n.HostLatency.Observe(d)

@@ -1,7 +1,8 @@
 // Package simhost is the simulated serving node: the live handlers and
 // offload tiers of the daemons — kvs.Handler, dns.Handler, the paxos
-// roles, nictier's fast paths — served on simnet's virtual clock under a
-// real nictier.Service. It is the second substrate of the one stack: the
+// roles, nictier's fast paths — served by the daemons' own
+// dataplane.Engine on simnet's virtual clock under a real
+// nictier.Service. It is the second substrate of the one stack: the
 // chaos harness runs it bare, and the paper figures attach a Model to
 // it, the calibrated cost of the card and host it stands for. KVS, DNS
 // and Paxos (paxos.go) are the three stacks built on it; no protocol
@@ -20,54 +21,41 @@ import (
 	"incod/internal/telemetry"
 )
 
-// Node is a serving engine on the simulated network: it receives
-// datagrams as a simnet.Node, dispatches them through the same core the
-// live dataplane engine uses — installed fast path first, host handler
-// for everything unserved — and sends non-empty replies back to the
-// packet source. It implements nictier.Dataplane, so a real
-// nictier.Service drives placement shifts on it unmodified.
+// Node is a dataplane engine (dataplane.NewDriven), a conn that carries
+// its simnet deliveries, and optionally a Model. Each Turn of the engine
+// is the batched engine's own: installed fast path first, host handler
+// for the rest, replies back to their sources. It implements
+// nictier.Dataplane, so a real nictier.Service shifts placement on it.
 //
-// With a zero window every datagram is handled at delivery time (the
-// single-datagram path). With a nonzero window, deliveries queue and
-// flush together after the window elapses, exercising the batched
-// TryHandleBatch/HandleBatch path; Barrier flushes synchronously, which
-// is exactly the pre-warm fence the shift sequence needs.
+// The window is when the node turns its engine: at zero, on every
+// delivery; otherwise once the window has passed since the first unread
+// delivery, and then until all are read, up to 32 datagrams a turn.
+// Barrier turns it at once: the pre-warm fence a shift needs.
 //
-// With a Model the node is the paper's card-and-host: what handling a
-// datagram sends — the reply and a Paxos role's fan-out through Sender —
-// is delayed by the service time of whoever served it, card-observed and
-// host-served rates are metered on the virtual clock, the host sheds
-// load beyond its peak, an fpga.Board follows the placement and the idle
-// strategy, and the node is a telemetry.PowerSource. Without one it
-// costs nothing and answers at once.
-//
-// Everything runs inside the single-threaded simulation loop, so no
-// locking is needed — but replies must be copied before Send, because
-// handlers reuse their scratch buffers while simnet defers delivery.
+// With a Model the node is the paper's card-and-host: what the turns
+// send — replies and a Paxos role's fan-out through Sender — is delayed
+// by the slowest service time of whoever served their datagrams,
+// card-observed and host-served rates are metered on the virtual clock,
+// the host sheds load beyond its peak, an fpga.Board follows the
+// placement and the idle strategy, and the node is a
+// telemetry.PowerSource. Without one it costs nothing and answers at
+// once. Everything runs inside the single-threaded simulation loop.
 type Node struct {
 	sim  *simnet.Simulator
 	net  *simnet.Network
 	addr simnet.Addr
 
-	disp   dataplane.Dispatcher
-	fp     dataplane.FastPath
-	window time.Duration
-
-	pending []*simnet.Packet
-	armed   bool // a flush is scheduled
+	e        *dataplane.Engine
+	conn     *conn
+	lit      bool // a fast path is installed
+	window   time.Duration
+	armed    bool // a turn is scheduled
+	oversize uint64
 
 	// outbox holds what the datagrams being handled send until their
 	// service time is known.
 	handling bool
 	outbox   []*simnet.Packet
-
-	scratch    []byte
-	items      []dataplane.BatchItem
-	itemPtrs   []*dataplane.BatchItem
-	hostPtrs   []*dataplane.BatchItem
-	scratches  [][]byte
-	fastServed uint64
-	hostServed uint64
 
 	// The cost model and what it drives; all unused when m is nil.
 	m         *Model
@@ -88,12 +76,14 @@ var _ simnet.Node = (*Node)(nil)
 var _ nictier.Dataplane = (*Node)(nil)
 var _ telemetry.PowerSource = (*Node)(nil)
 
-// NewNode attaches a node at addr serving host, with deliveries batched
-// over window (0 = single-datagram dispatch), under cost model m (nil =
-// none). The card starts parked: the host serves everything until a
-// fast path is installed.
+// NewNode attaches a node at addr serving host, turning its engine on
+// every delivery or once per window, under cost model m (nil = none).
+// The card starts parked: the host serves everything until a fast path
+// is installed.
 func NewNode(net *simnet.Network, addr simnet.Addr, host dataplane.Handler, window time.Duration, m *Model) *Node {
-	n := &Node{sim: net.Sim(), net: net, addr: addr, disp: dataplane.NewDispatcher(host), window: window, m: m}
+	n := &Node{sim: net.Sim(), net: net, addr: addr, window: window, m: m}
+	n.conn = &conn{n: n, addrs: map[peer]netip.AddrPort{}, peers: map[netip.AddrPort]peer{}}
+	n.e = dataplane.NewDriven(n.conn, host, dataplane.Config{Name: string(addr), MaxDatagram: MaxDatagram})
 	if m != nil {
 		n.cardRate = telemetry.NewAtomicRateMeter(10*time.Millisecond, 100)
 		n.hostRate = telemetry.NewAtomicRateMeter(10*time.Millisecond, 100)
@@ -114,7 +104,18 @@ func (n *Node) Addr() simnet.Addr { return n.addr }
 
 // Served reports how many datagrams the fast path consumed and how many
 // reached the host handler.
-func (n *Node) Served() (fast, host uint64) { return n.fastServed, n.hostServed }
+func (n *Node) Served() (fast, host uint64) {
+	st := n.e.Snapshot()
+	return st.Offloaded, st.Handled - st.Offloaded
+}
+
+// Stats is the engine's snapshot, with the datagrams the node dropped
+// for being longer than MaxDatagram counted in Dropped.
+func (n *Node) Stats() dataplane.Stats {
+	st := n.e.Snapshot()
+	st.Dropped += n.oversize
+	return st
+}
 
 // SetFastPath implements nictier.Dataplane. The simulation loop is
 // single-threaded, so installation is trivially atomic with dispatch.
@@ -123,7 +124,8 @@ func (n *Node) SetFastPath(fp dataplane.FastPath) {
 		n.ClearFastPath()
 		return
 	}
-	n.fp = fp
+	n.e.SetFastPath(fp)
+	n.lit = true
 	if n.board != nil {
 		n.light()
 	}
@@ -132,14 +134,15 @@ func (n *Node) SetFastPath(fp dataplane.FastPath) {
 // ClearFastPath implements nictier.Dataplane. No call can be inside the
 // tier when it returns — dispatch and this call share the event loop.
 func (n *Node) ClearFastPath() {
-	n.fp = nil
+	n.e.ClearFastPath()
+	n.lit = false
 	if n.board != nil {
 		n.park()
 	}
 }
 
 // Barrier implements nictier.Dataplane: every datagram delivered before
-// the call has fully landed once the pending batch is flushed.
+// the call has fully landed once the engine has read them all.
 func (n *Node) Barrier() { n.flush() }
 
 // Receive implements simnet.Node.
@@ -157,7 +160,7 @@ func (n *Node) Receive(pkt *simnet.Packet) {
 	if metered {
 		n.count(n.cardRate)
 	}
-	if n.fp != nil {
+	if n.lit {
 		n.deliver(pkt)
 		return
 	}
@@ -187,75 +190,41 @@ func (n *Node) count(m *telemetry.AtomicRateMeter) {
 	m.Rate(now)
 }
 
-// deliver handles pkt now, or queues it for the window's flush.
+// deliver puts pkt on the conn and turns the engine now, or when the
+// window closes.
 func (n *Node) deliver(pkt *simnet.Packet) {
-	if n.window <= 0 {
-		n.handling = true
-		out, offloaded := n.disp.One(n.fp, pkt.Payload, netip.AddrPort{}, &n.scratch)
-		n.handling = false
-		n.release(n.reply(pkt, out, offloaded))
+	if len(pkt.Payload) > MaxDatagram {
+		n.oversize++
 		return
 	}
-	n.pending = append(n.pending, pkt)
+	n.conn.rx = append(n.conn.rx, pkt)
+	if n.window <= 0 {
+		n.flush()
+		return
+	}
 	if !n.armed {
 		n.armed = true
 		n.sim.Schedule(n.window, n.flush)
 	}
 }
 
-// flush runs the batched dispatch over every pending delivery; the
-// batch's fan-out and then its replies, in arrival order, go out when its
-// slowest datagram is done.
+// flush turns the engine until it has read every delivery, drawing each
+// datagram's service time in arrival order; what the turns send goes out
+// when the slowest is done.
 func (n *Node) flush() {
 	n.armed = false
-	batch := n.pending
-	n.pending = n.pending[:0]
-	if len(batch) == 0 {
-		return
-	}
-	c := len(batch)
-	if cap(n.items) < c {
-		n.items = make([]dataplane.BatchItem, c)
-		n.itemPtrs = make([]*dataplane.BatchItem, c)
-		n.scratches = make([][]byte, c)
-	}
-	items, ptrs := n.items[:c], n.itemPtrs[:c]
-	for i, pkt := range batch {
-		items[i] = dataplane.BatchItem{In: pkt.Payload, Scratch: &n.scratches[i]}
-		ptrs[i] = &items[i]
-	}
-	n.handling = true
-	n.hostPtrs = n.disp.Batch(n.fp, ptrs, n.hostPtrs)
-	n.handling = false
 	var after time.Duration
-	for i, pkt := range batch {
-		after = max(after, n.reply(pkt, items[i].Out, items[i].Served))
+	n.handling = true
+	for n.conn.head < len(n.conn.rx) {
+		batch, _ := n.e.Turn() // a read of a conn with datagrams waiting cannot fail
+		if n.m != nil {
+			for _, it := range batch {
+				after = max(after, n.serviceTime(it.In, it.Served))
+			}
+		}
 	}
+	n.handling = false
 	n.release(after)
-}
-
-// reply accounts one dispatched request, queues out (if any) for its
-// source and returns the server's modeled service time. out is copied:
-// handlers reuse scratch, delivery is deferred.
-func (n *Node) reply(req *simnet.Packet, out []byte, offloaded bool) (after time.Duration) {
-	if offloaded {
-		n.fastServed++
-	} else {
-		n.hostServed++
-	}
-	if n.m != nil {
-		after = n.serviceTime(req.Payload, offloaded)
-	}
-	if len(out) > 0 {
-		n.outbox = append(n.outbox, &simnet.Packet{
-			Src:     n.addr,
-			Dst:     req.Src,
-			SrcPort: req.DstPort,
-			DstPort: req.SrcPort,
-			Payload: append([]byte(nil), out...),
-		})
-	}
-	return after
 }
 
 // release sends the outbox once the service time after has elapsed.

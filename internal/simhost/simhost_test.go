@@ -73,6 +73,26 @@ func TestBarrierFlushesWindow(t *testing.T) {
 	}
 }
 
+// A datagram longer than MaxDatagram never reaches the engine, cut or
+// whole: the node drops it, answers nothing and counts it; one of exactly
+// MaxDatagram bytes is served.
+func TestOversizeDatagramDropped(t *testing.T) {
+	sim := simnet.New(1)
+	net := simnet.NewNetwork(sim, simnet.LinkConfig{})
+	node := NewNode(net, "server", echo, 0, nil)
+	got := listen(net)
+	net.Send(&simnet.Packet{Src: "client", Dst: "server", Payload: make([]byte, 4<<10)})
+	sim.Run()
+	if st := node.Stats(); len(*got) != 0 || st.Dropped != 1 || st.Received != 0 {
+		t.Fatalf("4 KiB datagram: %d replies, dropped %d, engine received %d; want 0, 1, 0", len(*got), st.Dropped, st.Received)
+	}
+	net.Send(&simnet.Packet{Src: "client", Dst: "server", Payload: make([]byte, MaxDatagram)})
+	sim.Run()
+	if st := node.Stats(); len(*got) != 1 || st.Dropped != 1 || st.Replies != 1 {
+		t.Fatalf("MaxDatagram-byte datagram: %d replies, dropped %d, engine replied %d; want 1, 1, 1", len(*got), st.Dropped, st.Replies)
+	}
+}
+
 // A model delays each reply by the service time of whoever served it,
 // through the batch window as well as without it.
 func TestModelDelaysReplies(t *testing.T) {
