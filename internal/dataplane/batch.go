@@ -18,13 +18,18 @@ import (
 // one batch never alias) and sets Out to the encoded bytes — a nil or
 // empty Out sends nothing. Served is set by a BatchFastPath when the
 // offload tier consumed the datagram, in which case the host handler
-// never sees it.
+// never sees it. Whoever sets Out sets Tagged when the reply names its
+// request (a memcached frame's request ID), so the client can match it
+// in any order: a flush may then send that client's replies longest
+// first (buildTrains). An untagged reply keeps its client's replies in
+// arrival order.
 type BatchItem struct {
 	In      []byte
 	Src     netip.AddrPort
 	Scratch *[]byte
 	Out     []byte
 	Served  bool
+	Tagged  bool
 }
 
 // BatchHandler is implemented by handlers that can amortize per-request
@@ -142,8 +147,9 @@ type batchState struct {
 	host      []*BatchItem
 	replyBufs [][]byte
 
-	qpkts []packet
-	tx    []netio.Message
+	qpkts    []packet
+	tx       []netio.Message
+	txTagged []bool // txTagged[k]: tx[k]'s reply names its request
 
 	// GSO train-building scratch (engine.gsoTx): txOut is the staged
 	// send vector after coalescing, trainBufs the reused buffers train
@@ -153,6 +159,7 @@ type batchState struct {
 	txOut     []netio.Message
 	txUsed    []bool
 	txIdx     []int
+	txByLen   []int
 	trainBufs [][]byte
 }
 
@@ -168,6 +175,7 @@ func (e *Engine) newBatchState(i int) *batchState {
 		replyBufs: make([][]byte, n),
 		qpkts:     make([]packet, 0, n),
 		tx:        make([]netio.Message, 0, n),
+		txTagged:  make([]bool, 0, n),
 	}
 	return w
 }
@@ -403,7 +411,8 @@ func (w *batchState) processQueued(pkts []packet) {
 
 // processItems runs one batch through the offload tier (batch form when
 // the tier supports it) and the host handler (likewise), updating the
-// shard counters once per batch and staging replies on the TX queue.
+// shard counters once per batch and staging replies on the TX queue,
+// each with its item's Tagged beside it.
 func (w *batchState) processItems(items []*BatchItem) {
 	e, s := w.e, w.s
 	if len(items) == 0 {
@@ -422,6 +431,7 @@ func (w *batchState) processItems(items []*BatchItem) {
 	for _, it := range items {
 		if len(it.Out) > 0 {
 			w.tx = append(w.tx, netio.Message{Buf: it.Out, N: len(it.Out), Src: it.Src})
+			w.txTagged = append(w.txTagged, it.Tagged)
 		}
 	}
 }
@@ -456,19 +466,26 @@ func (w *batchState) flushTx() {
 		off = end
 	}
 	w.tx = w.tx[:0]
+	w.txTagged = w.txTagged[:0]
 }
 
 // buildTrains coalesces the staged replies into GSO trains: messages are
 // grouped by destination (first-seen order across destinations, arrival
-// order within one — the per-flow ordering contract), and each group is
-// cut into equal-segment-size runs. A shorter reply may close a train as
-// its final segment; a longer one starts a new run, exactly the
+// order within one — the per-flow ordering contract, which tagged
+// replies loosen, below), and each group is
+// cut into equal-segment-size runs (cut). A shorter reply may close a
+// train as its final segment; a longer one starts a new run, exactly the
 // UDP_SEGMENT wire format. Runs of one message pass through untouched
 // (no copy, no cmsg); longer runs are copied into reused train buffers,
 // which also detaches them from the pooled receive buffers a reply may
 // alias. The DNS wire-answer cache and the Paxos encoder produce
 // fixed-size reply images, so in practice one client's whole batch of
-// replies folds into one train.
+// replies folds into one train. ETC-size memcached replies differ in
+// length, and cut in arrival order they would leave in trains of about
+// two; but every framed reply names its request, so a destination whose
+// replies are all tagged is cut longest first (byLength) when that
+// takes fewer sends, and a client's equal-length replies still leave
+// in arrival order.
 func (w *batchState) buildTrains() []netio.Message {
 	out := w.txOut[:0]
 	used := w.txUsed[:0]
@@ -487,22 +504,12 @@ func (w *batchState) buildTrains() []netio.Message {
 				used[j] = true
 			}
 		}
-		for k := 0; k < len(idx); {
-			segSize := w.tx[idx[k]].N
-			run, total := 1, segSize
-			for k+run < len(idx) && run < netio.MaxTrainSegs {
-				n := w.tx[idx[k+run]].N
-				if n > segSize || total+n > netio.MaxTrainBytes {
-					break
-				}
-				total += n
-				run++
-				if n < segSize {
-					break // a short segment legally ends the train
-				}
-			}
-			if run == 1 || segSize == 0 {
-				out = append(out, w.tx[idx[k]])
+		w.txIdx = idx[:0]
+		order := w.byLength(idx)
+		for k := 0; k < len(order); {
+			run, total := w.cut(order, k)
+			if run == 1 {
+				out = append(out, w.tx[order[k]])
 				k++
 				continue
 			}
@@ -510,17 +517,76 @@ func (w *batchState) buildTrains() []netio.Message {
 			trains++
 			off := 0
 			for r := 0; r < run; r++ {
-				m := &w.tx[idx[k+r]]
+				m := &w.tx[order[k+r]]
 				off += copy(buf[off:], m.Buf[:m.N])
 			}
-			out = append(out, netio.Message{Buf: buf, N: total, Src: w.tx[i].Src, SegSize: segSize})
+			out = append(out, netio.Message{Buf: buf, N: total, Src: w.tx[i].Src, SegSize: w.tx[order[k]].N})
 			k += run
 		}
-		w.txIdx = idx[:0]
 	}
 	w.txOut = out[:0]
 	w.txUsed = used[:0]
 	return out
+}
+
+// cut returns how many of the replies order[k:] (indices into tx) the
+// train starting at order[k] carries, and its bytes: the replies as long
+// as the first, then at most one shorter, within the kernel's segment and
+// byte bounds. A run of one goes out as a plain datagram.
+func (w *batchState) cut(order []int, k int) (run, total int) {
+	segSize := w.tx[order[k]].N
+	run, total = 1, segSize
+	for segSize > 0 && k+run < len(order) && run < netio.MaxTrainSegs {
+		n := w.tx[order[k+run]].N
+		if n > segSize || total+n > netio.MaxTrainBytes {
+			break
+		}
+		total += n
+		run++
+		if n < segSize {
+			break // a short segment legally ends the train
+		}
+	}
+	return run, total
+}
+
+// sends is how many messages cut makes of order.
+func (w *batchState) sends(order []int) int {
+	n := 0
+	for k := 0; k < len(order); n++ {
+		run, _ := w.cut(order, k)
+		k += run
+	}
+	return n
+}
+
+// byLength returns the order one destination's replies (idx, in arrival
+// order) go out in: longest first when every one is tagged and that
+// order cuts into fewer sends, else idx itself. The sort is a stable
+// insertion sort into a reused slice, so equal-length replies keep their
+// arrival order and nothing allocates. The arrival cut can win where the
+// kernel's byte or segment bound splits a run of long replies that
+// arrival order had paired with short ones.
+func (w *batchState) byLength(idx []int) []int {
+	if len(idx) < 2 {
+		return idx
+	}
+	for _, i := range idx {
+		if !w.txTagged[i] {
+			return idx
+		}
+	}
+	sorted := append(w.txByLen[:0], idx...)
+	w.txByLen = sorted[:0]
+	for a := 1; a < len(sorted); a++ {
+		for b := a; b > 0 && w.tx[sorted[b-1]].N < w.tx[sorted[b]].N; b-- {
+			sorted[b-1], sorted[b] = sorted[b], sorted[b-1]
+		}
+	}
+	if w.sends(sorted) < w.sends(idx) {
+		return sorted
+	}
+	return idx
 }
 
 // trainBuf returns the i'th reusable train buffer with at least n bytes.

@@ -89,6 +89,22 @@
 // per-flow order holds inside a batch too: a datagram gets the reply it
 // would get if its flow's datagrams came one at a time.
 //
+// # Reply order
+//
+// Per-flow content order always holds: a reply's bytes are what serving
+// its flow's datagrams one at a time would give. Wire order within one
+// flush is kept as well, unless every reply staged for that client in
+// the flush is tagged (BatchItem.Tagged: the reply names its request, as
+// a memcached frame's request ID does, so the client matches it in any
+// order). Such a client's replies may leave longest first, when that
+// cuts them into fewer UDP_SEGMENT trains: ETC-size memcached replies
+// differ in length, and a 32-reply flush of them takes about 12 sends
+// instead of 20 (BenchmarkBuildTrains). One untagged reply — raw ASCII,
+// a DNS answer, a Paxos message — keeps its client's flush in arrival
+// order. Flushes leave in the order they were served, and an engine
+// that sends no trains (the single rung, INCOD_NO_GSOTX, a simulated
+// node's conn) keeps arrival order whatever the tags.
+//
 // # Driven on a virtual clock (NewDriven)
 //
 // A driven engine is one batched shard with no goroutine: its caller

@@ -4,6 +4,7 @@ package dataplane_test
 // engine over real UDP sockets, speaking the real wire protocols.
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"incod/internal/dns"
 	"incod/internal/kvs"
 	"incod/internal/memcache"
+	"incod/internal/netio"
 	"incod/internal/paxos"
 	"incod/internal/simnet"
 )
@@ -93,6 +95,122 @@ func TestE2EKVSFramedAndRawASCII(t *testing.T) {
 
 	if st := e.Snapshot(); st.Handled < 4 || st.Handler["hits"] < 2 {
 		t.Fatalf("engine stats after e2e: %+v", st)
+	}
+}
+
+// TestFramedRepliesTrainByLengthOverLoopback serves kvs.Handler on one
+// batched mmsg socket holding 16 keys of 16 distinct value lengths. A
+// framed client sends 32 GETs, shortest value first, in one sendmmsg
+// queued before the engine starts, so one flush holds all 32 replies.
+// Cut in arrival order, only the longest reply would share a train (31
+// sends); tagged (framed) replies cut longest first must go out in fewer
+// sends than replies, no more than one per value length, each matched
+// by request ID to its key's value. A raw-ASCII
+// client on another port then pipelines the same GETs and must get its
+// replies in request order: raw replies name nothing.
+func TestFramedRepliesTrainByLengthOverLoopback(t *testing.T) {
+	if err := netio.ProbeGSO(); err != nil {
+		t.Skipf("no reply trains here: %v", err)
+	}
+	srv, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := netio.NewBatchConn(srv)
+	if b := netio.BackendOf(bc); b != "mmsg" {
+		bc.Close()
+		t.Skipf("rung %q sends no trains", b)
+	}
+	const keys, gets = 16, 32
+	key := func(i int) string { return fmt.Sprintf("key-%02d", i%keys) }
+	value := func(i int) []byte { return bytes.Repeat([]byte{'a' + byte(i%keys)}, 20+37*(i%keys)) }
+	store := kvs.NewShardedStore(4, 0)
+	for i := range keys {
+		store.Set(key(i), kvs.Entry{Value: value(i)})
+	}
+	e := dataplane.NewBatchedConns([]net.PacketConn{srv}, []netio.BatchConn{bc}, kvs.NewHandler(store), dataplane.Config{Name: "kvs-tagged"})
+	defer e.Close()
+
+	client := func() netio.BatchConn {
+		conn, err := net.Dial("udp4", srv.LocalAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := netio.NewBatchConn(conn.(*net.UDPConn))
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	// exchange sends reqs in one WriteBatch and returns the replies in
+	// arrival order. The slots are too small for UDP_GRO, so each holds
+	// one datagram.
+	exchange := func(c netio.BatchConn, reqs [][]byte, start bool) [][]byte {
+		t.Helper()
+		tx := make([]netio.Message, len(reqs))
+		for i, r := range reqs {
+			tx[i] = netio.Message{Buf: r, N: len(r)}
+		}
+		if n, err := c.WriteBatch(tx); n != len(tx) || err != nil {
+			t.Fatalf("sent %d of %d requests: %v", n, len(tx), err)
+		}
+		if start {
+			e.Start()
+		}
+		rx := make([]netio.Message, gets)
+		for i := range rx {
+			rx[i].Buf = make([]byte, 2048)
+		}
+		var got [][]byte
+		for deadline := time.Now().Add(5 * time.Second); len(got) < len(reqs); {
+			_ = c.SetReadDeadline(deadline)
+			n, err := c.ReadBatch(rx)
+			if err != nil {
+				t.Fatalf("%d of %d replies, then %v", len(got), len(reqs), err)
+			}
+			for _, m := range rx[:n] {
+				got = append(got, bytes.Clone(m.Buf[:m.N]))
+			}
+		}
+		return got
+	}
+	hit := func(what string, body []byte, i int) {
+		t.Helper()
+		resp, err := memcache.ParseResponse(body)
+		if err != nil || !resp.Hit || resp.Key != key(i) || !bytes.Equal(resp.Value, value(i)) {
+			t.Fatalf("%s: reply %q (%v), want %s's %d-byte value", what, body, err, key(i), len(value(i)))
+		}
+	}
+
+	framed := make([][]byte, gets)
+	for i := range framed {
+		framed[i] = memcache.EncodeFrame(memcache.Frame{RequestID: uint16(1000 + i), Total: 1}, []byte("get "+key(i)+"\r\n"))
+	}
+	seen := make([]bool, gets)
+	for _, r := range exchange(client(), framed, true) {
+		f, body, err := memcache.DecodeFrame(r)
+		i := int(f.RequestID) - 1000
+		if err != nil || i < 0 || i >= gets || seen[i] {
+			t.Fatalf("reply frame %+v (%v): not one of the requests, or answered twice", f, err)
+		}
+		seen[i] = true
+		hit(fmt.Sprintf("request ID %d", f.RequestID), body, i)
+	}
+	var st dataplane.Stats
+	for deadline := time.Now().Add(5 * time.Second); st.Replies < gets && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st = e.Snapshot()
+	}
+	sends := st.TxTrains + st.Replies - st.TxTrainSegs
+	t.Logf("%d framed replies in %d sends: %d trains of %.1f segments", st.Replies, sends, st.TxTrains, st.TxSegsPerTrain)
+	if st.Replies != gets || sends >= st.Replies || sends > keys {
+		t.Fatalf("%d replies in %d sends, want %d in at most %d (stats %+v)", st.Replies, sends, gets, keys, st)
+	}
+
+	raw := make([][]byte, gets)
+	for i := range raw {
+		raw[i] = []byte("get " + key(i) + "\r\n")
+	}
+	for i, r := range exchange(client(), raw, false) {
+		hit(fmt.Sprintf("raw reply %d", i), r, i)
 	}
 }
 

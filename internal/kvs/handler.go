@@ -23,6 +23,11 @@ import (
 // hit is encoded straight out of the store's lock-free read
 // (ShardedStore.AppendGetHit) and a SET copies the value into its
 // partition's arena, in place on overwrite (ShardedStore.SetBytes).
+//
+// A framed reply repeats its request's ID, so the batched engine may send
+// it out of arrival order: serve marks it Tagged, and a client whose
+// replies in one flush are all tagged gets them grouped into trains by
+// length. Raw ASCII replies name nothing and keep arrival order.
 type Handler struct {
 	store *ShardedStore
 	epoch time.Time
@@ -121,10 +126,12 @@ func (h *Handler) HandleBatch(items []*dataplane.BatchItem) {
 }
 
 // serve answers one datagram at now into *it.Scratch, setting it.Out
-// unless the request was a noreply mutation.
+// unless the request was a noreply mutation, and it.Tagged exactly when
+// the datagram was framed.
 func (h *Handler) serve(it *dataplane.BatchItem, now simnet.Time, n *getTally) {
 	var v memcache.RequestView
 	body, framed, reqID, ok := ParseDatagram(it.In, &v)
+	it.Tagged = framed
 	if !ok {
 		h.malformed.Add(1)
 		*it.Scratch = memcache.AppendStatus((*it.Scratch)[:0], memcache.StatusError)

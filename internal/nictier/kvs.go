@@ -34,6 +34,11 @@ import (
 // under one lock, whichever engine shards two flows writing it arrive
 // on, and Warm's walk of a store partition is ordered against that
 // partition's writes by the same lock.
+//
+// A hit on a framed GET is served Tagged, as kvs.Handler serves it: the
+// reply names its request, so the engine may send it ahead of an earlier
+// request's reply from the host — LaKe's own order, where a card hit
+// leaves before the miss the host software is still answering.
 type KVSTier struct {
 	store *kvs.ShardedStore // host store of record (warm-up source)
 	epoch time.Time         // shared with the host handler's virtual clock
@@ -171,35 +176,38 @@ func (t *KVSTier) flush(n *kvsTally) {
 // TryHandleDatagram implements dataplane.FastPath.
 func (t *KVSTier) TryHandleDatagram(in []byte, _ netip.AddrPort, scratch *[]byte) ([]byte, bool, bool) {
 	var n kvsTally
-	out, served := t.tryHandleAt(in, simnet.Time(time.Since(t.epoch)), scratch, &n)
+	out, _, served := t.tryHandleAt(in, simnet.Time(time.Since(t.epoch)), scratch, &n)
 	t.flush(&n)
 	return out, served, served
 }
 
 // TryHandleBatch implements dataplane.BatchFastPath: the epoch is read
 // and the counters and rate meter are updated once for the whole batch;
-// each item takes the same classification as TryHandleDatagram.
+// each item takes the same classification as TryHandleDatagram. A served
+// item is Tagged exactly when its request was framed, as the host
+// handler tags its replies.
 func (t *KVSTier) TryHandleBatch(items []*dataplane.BatchItem) {
 	now := simnet.Time(time.Since(t.epoch))
 	var n kvsTally
 	for _, it := range items {
-		if out, served := t.tryHandleAt(it.In, now, it.Scratch, &n); served {
-			it.Served, it.Out = true, out
+		if out, framed, served := t.tryHandleAt(it.In, now, it.Scratch, &n); served {
+			it.Served, it.Out, it.Tagged = true, out, framed
 		}
 	}
 	t.flush(&n)
 }
 
 // tryHandleAt classifies one datagram. Only a GET hit is served (and
-// always with a reply); everything else is the host's, after the table
-// has seen the write.
-func (t *KVSTier) tryHandleAt(in []byte, now simnet.Time, scratch *[]byte, n *kvsTally) ([]byte, bool) {
+// always with a reply, framed when the request was, which the second
+// result reports); everything else is the host's, after the table has
+// seen the write.
+func (t *KVSTier) tryHandleAt(in []byte, now simnet.Time, scratch *[]byte, n *kvsTally) ([]byte, bool, bool) {
 	var v memcache.RequestView
 	_, framed, reqID, ok := kvs.ParseDatagram(in, &v)
 	if !ok {
 		// Malformed: the host path owns error replies.
 		t.passthrough.Add(1)
-		return nil, false
+		return nil, false, false
 	}
 	n.parsed++
 	switch {
@@ -214,7 +222,7 @@ func (t *KVSTier) tryHandleAt(in []byte, now simnet.Time, scratch *[]byte, n *kv
 		if res, ok := t.cache.AppendGetHit(out, v.Key, now); ok {
 			n.hits++
 			*scratch = res
-			return res, true
+			return res, framed, true
 		}
 		// Miss: the host software services it (§3.1).
 		n.misses++
@@ -234,5 +242,5 @@ func (t *KVSTier) tryHandleAt(in []byte, now simnet.Time, scratch *[]byte, n *kv
 		// Multi-key gets and anything else: the general host path.
 		t.passthrough.Add(1)
 	}
-	return nil, false
+	return nil, false, false
 }

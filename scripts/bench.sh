@@ -16,8 +16,10 @@
 # model (GET hit beside the host handler's, miss, SET write-through, a
 # 100k-entry warm and park), what a KVS entry costs in heap and
 # allocations (100k ETC-size entries filled into a store, then warmed
-# into the tier) and the engine's transport sweep (single/mmsg/uring at
-# 1/2/4 shards, an echo handler on loopback).
+# into the tier), the reply-train builder on 32-reply flushes (equal
+# lengths; ETC lengths untagged and tagged, with the sends each flush
+# makes) and the engine's transport sweep (single/mmsg/uring at 1/2/4
+# shards, an echo handler on loopback).
 #
 # The suites run PASSES times over, interleaved, and a row is its
 # fastest pass: on a shared host a row's cost swings by a third from one
@@ -25,7 +27,8 @@
 # can be compared by.
 #
 # Gates, each on rows of this run with at least 10 iterations:
-#   1. every serving row reports 0 B/op and 0 allocs/op;
+#   1. every serving row, the train builder's among them, reports 0 B/op
+#      and 0 allocs/op;
 #   2. the tier's GET hit costs at most 1.25x the host handler's;
 #   3. each batched handler form costs at most 1.25x its single-datagram
 #      form per request;
@@ -33,8 +36,8 @@
 #      table by at most 128 B (the log and the index grow, so it cannot
 #      be 0 B/op, which is why the row is not one of gate 1's);
 #   5. in the sweep, each batched rung answers at least 0.6x the kpps of
-#      the single-reader engine at the same shard count (1.14-1.45x in
-#      BENCH_36.json, where the single reader reads in recvmmsg batches,
+#      the single-reader engine at the same shard count (1.00-1.52x in
+#      BENCH_40.json, where the single reader reads in recvmmsg batches,
 #      its workers flush their replies through sendmmsg in trains, and
 #      the uring rows' readers park without yielding first). The sweep's
 #      workers do not
@@ -47,7 +50,7 @@
 #
 # Usage:
 #   ./scripts/bench.sh                          # writes bench_ci.json (git-ignored)
-#   BENCH_OUT=BENCH_36.json ./scripts/bench.sh  # refresh the committed snapshot
+#   BENCH_OUT=BENCH_40.json ./scripts/bench.sh  # refresh the committed snapshot
 #   BENCH_TIME=50ms ./scripts/bench.sh          # CI: shorter rows, gates still live
 #
 # Output schema (incod-bench/v1): one entry per benchmark with
@@ -82,6 +85,8 @@ for _ in $(seq "$PASSES"); do
   # write-through, the 100k-entry warm/park and the fill-and-warm memory
   # row — all 0 B/op but the last three.
   run_bench ./internal/nictier 'NICTier' "$BENCHTIME"
+  # The reply-train builder on one client's 32-reply flushes.
+  run_bench ./internal/dataplane 'BuildTrains' "$BENCHTIME"
   # The three transport rungs at 1/2/4 shards.
   run_bench ./internal/dataplane 'DataplaneEngineLoopback' "$SWEEPTIME"
 done
@@ -132,7 +137,7 @@ function costs(a, b, bound) {
   # A row under 10 iterations timed lazy init and timer granularity: it
   # is reported and gated nowhere.
   gated = iters >= 10
-  if (gated && name ~ /^(Dataplane(Batched)?(KVS|DNS|Paxos)|DataplaneShardedStore|MemcacheParseGet|PaxosCodecView|DNSQuestionView|NICTierKVS(GetHit|HostGetHit|Miss|Set)$)/) {
+  if (gated && name ~ /^(Dataplane(Batched)?(KVS|DNS|Paxos)|DataplaneShardedStore|MemcacheParseGet|PaxosCodecView|DNSQuestionView|NICTierKVS(GetHit|HostGetHit|Miss|Set)$|BuildTrains\/)/) {
     if (!(key in fastest)) serving++
     if ((bop != "0" || allocs != "0") && !(key in allocates)) {
       printf("bench.sh: FAIL %s allocates on the serving path: %s B/op, %s allocs/op (want 0, 0)\n", \
