@@ -5,9 +5,7 @@ import (
 	"log"
 	"net"
 	"net/netip"
-	"os"
 	"runtime"
-	"time"
 
 	"incod/internal/netio"
 )
@@ -75,9 +73,10 @@ const readerShard = -1
 // in batches: the arrival socket is the shard. The kernel's reuseport
 // 4-tuple hash pins each flow to one socket, so per-flow ordering holds
 // with no cross-shard hop (one flow -> one socket -> one shard); writes
-// from different flows meet only in the handler's own locks. A shard's
-// queue carries nothing but Barrier sentinels. cfg.Shards is forced to
-// len(conns). Call Start/Run and Close exactly as with New.
+// from different flows meet only in the handler's own locks. A batched
+// shard has no queue: Barrier fences its dispatches by epoch, and
+// cfg.QueueDepth is ignored. cfg.Shards is forced to len(conns). Call
+// Start/Run and Close exactly as with New.
 func NewBatchedConns(conns []net.PacketConn, bcs []netio.BatchConn, h Handler, cfg Config) *Engine {
 	if len(conns) == 0 {
 		panic("dataplane: NewBatchedConns needs at least one socket")
@@ -120,12 +119,6 @@ func (e *Engine) Backend() string {
 	}
 	return netio.BackendOf(e.bconns[0])
 }
-
-// queuePollInterval bounds how long a batched shard blocks in recvmmsg
-// before checking its queue: the worst-case wait for a Barrier sentinel
-// landing on an otherwise idle socket. Under load reads return
-// immediately and the deadline never fires.
-const queuePollInterval = time.Millisecond
 
 // batchState is one shard worker's reusable I/O state: receive slots
 // with their pooled buffers (batched mode only), the item vector handed
@@ -186,7 +179,7 @@ func (e *Engine) newBatchState(i int) *batchState {
 // flight between turns, so the caller's loop is the Barrier. Its receive
 // slots are filled once, from one allocation, and never given up.
 func NewDriven(bc netio.BatchConn, h Handler, cfg Config) *Engine {
-	cfg.Shards, cfg.QueueDepth = 1, 1 // the queue carries nothing
+	cfg.Shards = 1
 	e := newEngine(nil, h, cfg)
 	e.batched = true
 	e.bconns = []netio.BatchConn{bc}
@@ -209,9 +202,10 @@ func NewDriven(bc netio.BatchConn, h Handler, cfg Config) *Engine {
 func (e *Engine) Turn() ([]*BatchItem, error) { return e.driven.turn() }
 
 // batchWorker is shard i's goroutine in batched mode: it owns the
-// shard's socket and the shard's queue, so all traffic for the shard is
-// serialized by one goroutine, preserving the per-flow ordering
-// contract, and a Barrier sentinel queued behind it waits for it.
+// shard's socket, so all traffic for the shard is serialized by one
+// goroutine, preserving the per-flow ordering contract. Between turns it
+// blocks in its socket's read with no deadline: an idle worker sleeps
+// until a datagram arrives or Close sets the deadline that ends it.
 func (e *Engine) batchWorker(i int) {
 	defer e.workersWG.Done()
 	if e.cfg.PinShards {
@@ -235,12 +229,7 @@ func (e *Engine) batchWorker(i int) {
 	}
 	w := e.newBatchState(i)
 	for !e.closing.Load() {
-		// Armed before every read, whether or not the read comes to park:
-		// a deadline armed only for a park and left standing after the
-		// park succeeds fires a millisecond later and fails the next read
-		// on a socket that has data.
-		_ = w.bc.SetReadDeadline(time.Now().Add(queuePollInterval))
-		if _, err := w.turn(); err != nil && !isTimeout(err) {
+		if _, err := w.turn(); err != nil {
 			if e.closing.Load() {
 				break
 			}
@@ -252,11 +241,7 @@ func (e *Engine) batchWorker(i int) {
 				log.Printf("%s: transient read error (#%d, serving continues): %v", e.cfg.Name, c, err)
 			}
 		}
-		w.drainQueue(false)
 	}
-	// Final drain: signal any Barrier sentinel racing the shutdown until
-	// Close closes the queue, then return the receive slots to the pool.
-	w.drainQueue(true)
 	w.release()
 }
 
@@ -272,14 +257,6 @@ func (w *batchState) turn() ([]*BatchItem, error) {
 	w.s.readBatches.Add(1)
 	w.processRead(n)
 	return w.ptrs, nil
-}
-
-func isTimeout(err error) bool {
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // fillRx tops up receive slots whose buffers the single reader moved
@@ -343,53 +320,42 @@ func (w *batchState) enqueue(j int) {
 	}
 }
 
-// drainQueue consumes the shard's queue in batches. With
-// final unset it stops when the queue is momentarily empty (the caller
-// goes back to its socket); with final set it blocks until the queue is
-// closed and fully drained.
-func (w *batchState) drainQueue(final bool) {
+// drainQueue is a single-reader shard worker's loop: it consumes the
+// shard's queue in batches until Close closes it and it runs dry.
+func (w *batchState) drainQueue() {
 	for {
-		pkts, barrier, closed := w.collectQueued(final)
+		pkts, closed := w.collectQueued()
 		if len(pkts) > 0 {
 			w.processQueued(pkts)
 		}
-		if barrier != nil {
-			barrier <- struct{}{}
-			continue
-		}
-		if closed || len(pkts) == 0 && !final {
+		if closed {
 			return
 		}
 	}
 }
 
 // collectQueued pulls up to rxBatch queued packets, blocking for the
-// first when final is set. It stops early at a Barrier sentinel so
-// packets queued ahead of the sentinel are handled before it is
-// signaled.
-func (w *batchState) collectQueued(final bool) (pkts []packet, barrier chan<- struct{}, closed bool) {
+// first; closed reports that the queue is closed and empty.
+func (w *batchState) collectQueued() (pkts []packet, closed bool) {
 	pkts = w.qpkts[:0]
 	for len(pkts) < rxBatch {
 		var pkt packet
 		var ok bool
-		if final && len(pkts) == 0 {
+		if len(pkts) == 0 {
 			pkt, ok = <-w.s.ch
 		} else {
 			select {
 			case pkt, ok = <-w.s.ch:
 			default:
-				return pkts, nil, false
+				return pkts, false
 			}
 		}
 		if !ok {
-			return pkts, nil, true
-		}
-		if pkt.barrier != nil {
-			return pkts, pkt.barrier, false
+			return pkts, true
 		}
 		pkts = append(pkts, pkt)
 	}
-	return pkts, nil, false
+	return pkts, false
 }
 
 func (w *batchState) processQueued(pkts []packet) {
@@ -412,17 +378,21 @@ func (w *batchState) processQueued(pkts []packet) {
 // processItems runs one batch through the offload tier (batch form when
 // the tier supports it) and the host handler (likewise), updating the
 // shard counters once per batch and staging replies on the TX queue,
-// each with its item's Tagged beside it.
+// each with its item's Tagged beside it. The shard's epoch is odd from
+// before the tier is looked up until the dispatch returns: the span
+// Barrier fences.
 func (w *batchState) processItems(items []*BatchItem) {
 	e, s := w.e, w.s
 	if len(items) == 0 {
 		return
 	}
+	s.epoch.Add(1)
 	fp, fenced := e.enterTier() // one token per batch
 	w.host = e.dispatch(fp, items, w.host)
 	if fenced {
 		e.fpInflight.Add(-1)
 	}
+	s.epoch.Add(1)
 	if served := len(items) - len(w.host); served > 0 {
 		s.offloaded.Add(uint64(served))
 	}

@@ -212,7 +212,7 @@ func TestBatchedEngineBarrierAndClose(t *testing.T) {
 	e.Start()
 
 	// Barrier against live batched workers must complete promptly even
-	// with idle sockets (the queue poll bounds the wait).
+	// with idle sockets (an idle worker sits at an even epoch).
 	done := make(chan struct{})
 	go func() { e.Barrier(); close(done) }()
 	select {

@@ -72,13 +72,12 @@ type Config struct {
 	Name string
 	// Shards is the number of worker goroutines (default GOMAXPROCS).
 	Shards int
-	// QueueDepth is the per-shard queue length (default 256). In
-	// single-reader mode, when a shard's queue is full the datagram is
-	// dropped and counted, like a NIC ring overrun — backpressure never
-	// blocks the reader — and every queued or collected packet pins one
-	// MaxDatagram-sized pooled buffer; doc.go gives the overload memory
-	// bound this implies. A batched shard's queue carries only Barrier
-	// sentinels.
+	// QueueDepth is the single reader's per-shard queue length (default
+	// 256); a batched engine has no queues and ignores it. When a shard's
+	// queue is full the datagram is dropped and counted, like a NIC ring
+	// overrun — backpressure never blocks the reader — and every queued
+	// or collected packet pins one MaxDatagram-sized pooled buffer;
+	// doc.go gives the overload memory bound this implies.
 	QueueDepth int
 	// MaxDatagram is the receive buffer size (default 64 KiB, the
 	// memcached UDP maximum). Protocols with small datagrams (DNS)
@@ -127,18 +126,19 @@ type packet struct {
 	buf *[]byte
 	n   int
 	src netip.AddrPort
-	// barrier, when non-nil, marks a sentinel injected by Barrier: the
-	// worker signals it and handles nothing.
-	barrier chan<- struct{}
 }
 
-// shard is one worker's queue and counters. The counter block is padded
-// on both sides so two pinned workers bumping their own counters never
-// false-share a cache line across adjacent shard allocations.
+// shard is one worker's counters, and the single reader's queue to it
+// (nil in a batched engine). The counter block is padded on both sides
+// so two pinned workers bumping their own counters never false-share a
+// cache line across adjacent shard allocations.
 type shard struct {
 	ch chan packet
 
-	_         [64]byte
+	_ [64]byte
+	// epoch is the shard's turn epoch: odd while its worker is inside a
+	// dispatch (processItems), even otherwise. Barrier waits on it.
+	epoch     atomic.Uint64
 	received  atomic.Uint64
 	handled   atomic.Uint64
 	offloaded atomic.Uint64
@@ -207,10 +207,6 @@ type Engine struct {
 	workersWG  sync.WaitGroup
 	closeOnce  sync.Once
 	done       chan struct{}
-	// barrierMu serializes Barrier's sentinel sends with Close's channel
-	// close, so a placement shift racing a shutdown cannot panic on a
-	// closed shard queue.
-	barrierMu sync.Mutex
 }
 
 // New builds an engine serving conn through h in single-reader mode.
@@ -218,7 +214,8 @@ type Engine struct {
 func New(conn net.PacketConn, h Handler, cfg Config) *Engine {
 	e := newEngine(conn, h, cfg)
 	e.bconns = make([]netio.BatchConn, len(e.shards))
-	for i := range e.bconns {
+	for i, s := range e.shards {
+		s.ch = make(chan packet, e.cfg.QueueDepth)
 		e.bconns[i] = netio.NewBatchConn(conn)
 	}
 	e.reader = netio.NewBatchConn(conn)
@@ -246,7 +243,7 @@ func newEngine(conn net.PacketConn, h Handler, cfg Config) *Engine {
 	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
-		e.shards[i] = &shard{ch: make(chan packet, cfg.QueueDepth)}
+		e.shards[i] = &shard{}
 	}
 	return e
 }
@@ -300,20 +297,26 @@ func (e *Engine) SetFastPath(fp FastPath) {
 // ClearFastPath uninstalls the offload tier and drains it: it blocks
 // until no worker is still dispatching a datagram (or batch) it offered
 // to the tier, so when it returns the tier can be parked (state flushed)
-// without dropping an in-flight request. Subsequent datagrams go to the host handler. The
-// wait escalates from Gosched through growing sleeps, so a tier call
-// stalled mid-shift-down cannot peg a core.
+// without dropping an in-flight request. Subsequent datagrams go to the
+// host handler.
 func (e *Engine) ClearFastPath() {
 	e.fastPath.Store(nil)
 	for spins := 0; e.fpInflight.Load() != 0; spins++ {
-		switch {
-		case spins < 64:
-			runtime.Gosched()
-		case spins < 256:
-			time.Sleep(20 * time.Microsecond)
-		default:
-			time.Sleep(time.Millisecond)
-		}
+		backoff(spins)
+	}
+}
+
+// backoff is one step of a fence's wait (ClearFastPath, Barrier). It
+// escalates from Gosched through growing sleeps, so a dispatch stalled
+// mid-shift cannot make the waiter peg a core.
+func backoff(spins int) {
+	switch {
+	case spins < 64:
+		runtime.Gosched()
+	case spins < 256:
+		time.Sleep(20 * time.Microsecond)
+	default:
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -334,32 +337,36 @@ func (e *Engine) enterTier() (fp FastPath, fenced bool) {
 	return fp, true
 }
 
-// Barrier blocks until every shard worker has finished the datagrams it
-// had dequeued (or queued ahead of the sentinel) when Barrier was called.
-// The offload shift uses it after SetFastPath so host-handled stragglers
-// from before the flip have fully landed before transition work snapshots
-// host state. It is safe against a concurrent Close — a shutdown racing
-// a shift degrades to a no-op barrier rather than a panic; on an engine
-// that is not started (or already closing) it is a no-op.
+// Barrier blocks until every dispatch that was in flight when it was
+// called has returned. The offload shift uses it after SetFastPath, so
+// host-handled stragglers from before the flip have fully landed before
+// transition work snapshots host state.
+//
+// It is a fence, not a message: each shard's epoch is odd while its
+// worker is inside a dispatch (processItems: from before the tier is
+// looked up until the host handler returns) and even otherwise, and
+// Barrier waits until every epoch it saw odd has moved. That suffices.
+// A dispatch that went to the host for want of a tier loaded a nil fast
+// path, so it made its epoch odd before SetFastPath stored the tier,
+// and Barrier, which runs after the store, sees it odd or sees it done.
+// A dispatch that begins after the store sees the tier. A worker parked
+// in a read sits at an even epoch with nothing in flight, so an idle
+// engine costs Barrier nothing. The fence lives in processItems, so it
+// covers batched, single-reader and driven engines alike, and it needs
+// nothing from a started, closing or closed engine: there, every epoch
+// is even or about to be.
 func (e *Engine) Barrier() {
-	if !e.started.Load() {
-		return
+	seen := make([]uint64, len(e.shards))
+	for i, s := range e.shards {
+		seen[i] = s.epoch.Load()
 	}
-	done := make(chan struct{}, len(e.shards))
-	sent := 0
-	e.barrierMu.Lock()
-	// Re-check under the lock: Close sets closing before it waits for
-	// barrierMu, so either we see it here (and skip the sends) or we
-	// finish sending before Close can close the queues.
-	if !e.closing.Load() {
-		for _, s := range e.shards {
-			s.ch <- packet{barrier: done}
+	for i, s := range e.shards {
+		if seen[i]&1 == 0 {
+			continue
 		}
-		sent = len(e.shards)
-	}
-	e.barrierMu.Unlock()
-	for i := 0; i < sent; i++ {
-		<-done
+		for spins := 0; s.epoch.Load() == seen[i]; spins++ {
+			backoff(spins)
+		}
 	}
 }
 
@@ -384,7 +391,7 @@ func (e *Engine) Start() {
 		e.workersWG.Add(1)
 		go func() {
 			defer e.workersWG.Done()
-			e.newBatchState(i).drainQueue(true)
+			e.newBatchState(i).drainQueue()
 		}()
 	}
 	go e.readLoop()
@@ -413,9 +420,9 @@ func (e *Engine) Close() {
 		e.closing.Store(true)
 		if e.started.Load() {
 			// Unblock the reader(s) without tearing the sockets down, so
-			// queued replies can still be written during the drain. A
-			// batched worker enqueues nothing, so its queue may close at
-			// once; the single reader's must not close under it.
+			// queued replies can still be written during the drain. This
+			// is the only read deadline the engine sets. The single
+			// reader's queues close once it has stopped filling them.
 			if e.batched {
 				now := time.Now()
 				for _, bc := range e.bconns {
@@ -424,15 +431,10 @@ func (e *Engine) Close() {
 			} else {
 				_ = e.reader.SetReadDeadline(time.Now())
 				<-e.readerDone
+				for _, s := range e.shards {
+					close(s.ch)
+				}
 			}
-			// Hold barrierMu across the close: a Barrier that already
-			// passed its closing check finishes its sends first (the
-			// workers are still draining, so those sends progress).
-			e.barrierMu.Lock()
-			for _, s := range e.shards {
-				close(s.ch)
-			}
-			e.barrierMu.Unlock()
 			e.workersWG.Wait()
 		}
 		if e.batched {

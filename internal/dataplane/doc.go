@@ -53,20 +53,21 @@
 // processor-sharing service across flows. Writes from different flows to
 // one piece of state meet in the handler's own locks: the KVS store's
 // per-partition writer mutex, which also orders the offload tier's
-// write-through (internal/nictier). A shard's queue carries only Barrier
-// sentinels, which its worker signals between its own socket batches
-// (bounded by a 1ms queue poll when its socket is idle).
+// write-through (internal/nictier). A batched shard has no queue at all:
+// Barrier is a fence on each shard's turn epoch (see Barrier), which
+// needs nothing from a worker asleep in its read.
 //
 // How a batched worker waits. Between batches a worker blocks in its
-// socket's read under a 1ms deadline (the queue poll above), re-armed
-// before every read; by default that is a park in the runtime netpoller.
-// With PinShards (-pin) the worker locks itself to its OS thread for good
+// socket's read with no deadline; by default that is a park in the
+// runtime netpoller, and an idle worker stays parked until a datagram
+// comes or Close sets the one deadline the engine ever sets. With
+// PinShards (-pin) the worker locks itself to its OS thread for good
 // and tells its socket so, once. Both batched rungs then use the thread:
 // directly after a read that returned datagrams, and only then, the next
 // read waits for data by blocking that thread in the kernel — the mmsg
-// rung on the socket for at most about 100µs, the uring rung on its ring
-// until the read deadline — before falling back to the park. At a paced
-// load nearly every datagram (or train) is its own wake-up, and the
+// rung on the socket for at most 100µs, the uring rung on its ring for
+// at most 1ms — before falling back to the park. At a paced load nearly
+// every datagram (or train) is its own wake-up, and the
 // netpoller park of a thread-locked goroutine costs two thread hand-offs
 // where this costs one kernel wake-up of the worker. That, more than the
 // CPU affinity -pin also sets (shard i on the (i mod n)-th CPU the
@@ -74,10 +75,11 @@
 // server's CPU per request on the KVS workloads of BENCHMARK.json, and
 // about as much on dns_train_uring. The price is bounded: a worker inside
 // that wait holds its P in a syscall until sysmon retakes it, so there is
-// at most one such wait per productive read, none longer than the 1ms
-// queue poll, and none on an idle socket — an idle pinned daemon holds no
-// P. The policy lives in netio; the engine's part is one call after
-// LockOSThread. The single rung ignores it. Stats reports both ways of
+// at most one such wait per productive read, none longer than its rung's
+// budget, and none on an idle socket — an idle pinned daemon holds no P
+// and wakes no thread. The policy lives in netio; the engine's part is
+// one call after LockOSThread. The single rung ignores it. Stats
+// reports both ways of
 // waiting, summed over the receiving sockets, as rx_thread_waits and
 // rx_parks.
 //

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"incod/internal/netio"
 )
 
 // The suites of batch_test.go once more with PinShards set: a pinned
@@ -41,8 +39,8 @@ func TestPinnedEngineBarrierDrainAndClose(t *testing.T) {
 	e := newBatchedEngine(t, 2, echoHandler, Config{Name: "test-pinned-drain", PinShards: true})
 	e.Start()
 
-	// An idle pinned worker is parked in the netpoller like any other;
-	// the queue poll still bounds a Barrier.
+	// An idle pinned worker is parked in the netpoller like any other,
+	// at an even epoch: Barrier has nothing to wait for.
 	done := make(chan struct{})
 	go func() { e.Barrier(); close(done) }()
 	select {
@@ -61,9 +59,10 @@ func TestPinnedEngineBarrierDrainAndClose(t *testing.T) {
 	e.Barrier()
 }
 
-// closeBudget bounds Close on a pinned engine: a worker inside its
+// closeBudget bounds Close on a batched engine: a worker inside its
 // on-thread wait comes back within one wait budget, one parked in the
-// netpoller at once, and the drain that follows is a handful of batches.
+// netpoller (or on a uring rung's CQ eventfd) as soon as Close's
+// deadline wakes it, and the drain that follows is a handful of batches.
 const closeBudget = 50 * time.Millisecond
 
 func TestPinnedEngineClosesPromptly(t *testing.T) {
@@ -79,45 +78,56 @@ func TestPinnedEngineClosesPromptly(t *testing.T) {
 		}
 	}
 
+	// Each case runs on both batched rungs, pinned and not.
+	eachMode := func(t *testing.T, fn func(t *testing.T, e *Engine)) {
+		for _, m := range engineModes {
+			t.Run(m.name, func(t *testing.T) {
+				e := newRungEngine(t, m.rung, echoHandler, Config{Name: "test-close-" + m.name, PinShards: m.pin}, nil)
+				e.Start()
+				fn(t, e)
+			})
+		}
+	}
+
 	t.Run("idle", func(t *testing.T) {
-		e := newBatchedEngine(t, 2, echoHandler, Config{Name: "test-pinned-close-idle", PinShards: true})
-		e.Start()
-		echoClient(t, e.LocalAddr().String(), "ci", 5)
-		time.Sleep(5 * time.Millisecond) // past the last productive read's wait
-		timedClose(t, e)
+		eachMode(t, func(t *testing.T, e *Engine) {
+			echoClient(t, e.LocalAddr().String(), "ci", 5)
+			time.Sleep(5 * time.Millisecond) // past the last productive read's wait
+			timedClose(t, e)
+		})
 	})
 
 	t.Run("under-load", func(t *testing.T) {
-		e := newBatchedEngine(t, 2, echoHandler, Config{Name: "test-pinned-close-load", PinShards: true})
-		e.Start()
-		// Open-loop senders that outlive the engine: Close runs against
-		// workers that are between productive reads.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for c := 0; c < 4; c++ {
-			conn, err := net.Dial("udp", e.LocalAddr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						_, _ = conn.Write([]byte("load"))
-						time.Sleep(20 * time.Microsecond)
-					}
+		eachMode(t, func(t *testing.T, e *Engine) {
+			// Open-loop senders that outlive the engine: Close runs against
+			// workers that are between productive reads.
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for c := 0; c < 4; c++ {
+				conn, err := net.Dial("udp", e.LocalAddr().String())
+				if err != nil {
+					t.Fatal(err)
 				}
-			}()
-		}
-		waitFor(t, "traffic reaches the pinned workers", func() bool { return e.Snapshot().Handled > 200 })
-		timedClose(t, e)
-		close(stop)
-		wg.Wait()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer conn.Close()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							_, _ = conn.Write([]byte("load"))
+							time.Sleep(20 * time.Microsecond)
+						}
+					}
+				}()
+			}
+			waitFor(t, "traffic reaches the workers", func() bool { return e.Snapshot().Handled > 200 })
+			timedClose(t, e)
+			close(stop)
+			wg.Wait()
+		})
 	})
 }
 
@@ -128,29 +138,15 @@ func TestPinnedEngineClosesPromptly(t *testing.T) {
 func TestPinnedEngineReportsThreadWaits(t *testing.T) {
 	for _, rung := range []string{"mmsg", "uring"} {
 		t.Run(rung, func(t *testing.T) {
-			if rung == "uring" {
-				if err := netio.ProbeUring(); err != nil {
-					t.Skipf("io_uring unavailable: %v", err)
-				}
-			}
-			conns, err := netio.ListenReusePortGroup("udp4", "127.0.0.1:0", 2)
-			if err != nil {
-				t.Skipf("reuseport group unavailable: %v", err)
-			}
-			bcs := batchConns(conns)
-			if rung == "uring" {
-				for i, c := range conns {
-					if bcs[i], err = netio.NewUringConn(c, netio.UringConfig{}); err != nil {
-						t.Fatalf("uring conn over a reuseport socket, though the probe passed: %v", err)
-					}
-				}
-			}
-			e := NewBatchedConns(conns, bcs, echoHandler, Config{Name: "test-pinned-waits-" + rung, PinShards: true})
+			e := newRungEngine(t, rung, echoHandler, Config{Name: "test-pinned-waits-" + rung, PinShards: true}, nil)
 			e.Start()
 			defer e.Close()
-			if b := e.Backend(); b != rung {
-				t.Skipf("the %s rung serves here", b)
-			}
+			// Both workers first settle into their reads. A shard still
+			// setting up (its receive slots are 2 MiB of buffers) keeps its
+			// CPU busy, so the client shares the serving worker's CPU, can
+			// queue each request before that worker reads again, and
+			// leaves it nothing to wait for.
+			waitFor(t, "both workers parked in their reads", func() bool { return e.Snapshot().RxParks >= 2 })
 			echoClient(t, e.LocalAddr().String(), "pw", 50)
 			raw, err := json.Marshal(e.Snapshot())
 			if err != nil {

@@ -183,17 +183,19 @@
 // uring variant that waited on the thread when idle too). Both counts
 // are in RxStats, as ThreadWaits and Parks.
 //
-// The rungs differ only in how long the wait may last. The mmsg rung
-// (see mmsgConn) waits at most ownWaitBudget, 100 µs, clipped to the
-// read deadline: its paced KVS traffic arrives inside that, and waiting
-// out the whole deadline cost set-up time and capacity on kvs_get_host
-// more than it saved CPU. The uring rung waits until the read deadline,
-// and not at all without one: the engine re-arms a 1 ms deadline before
-// every read, and its paced trains arrive about 800 µs apart, so a
-// 100 µs budget timed out and parked anyway. Either way Close and a
-// deadline take effect late by at most one wait. (SO_BUSY_POLL, once a
-// flag here, is gone: it polls a NIC queue loopback does not have, and
-// nothing measured ever set it.)
+// The rungs differ only in how long the wait may last: each owns its
+// budget, clipped to the read deadline. The mmsg rung (see mmsgConn)
+// waits at most ownWaitBudget, 100 µs: its paced KVS traffic arrives
+// inside that, and waiting longer cost set-up time and capacity on
+// kvs_get_host more than it saved CPU. The uring rung waits at most
+// uringWaitBudget, 1 ms, because its paced trains arrive about 800 µs
+// apart, so a 100 µs budget timed out and parked anyway. A park has no
+// bound but the read deadline: an idle reader sleeps until data comes,
+// and a deadline set from another goroutine (Close's, in an engine)
+// wakes it, through the netpoller on mmsg and by an eventfd write on
+// uring. Close and a deadline take effect late by at most one on-thread
+// wait. (SO_BUSY_POLL, once a flag here, is gone: it polls a NIC queue
+// loopback does not have, and nothing measured ever set it.)
 //
 // # Saturating the path: GSO at the endpoints
 //

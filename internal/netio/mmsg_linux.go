@@ -151,15 +151,22 @@ func (c *mmsgConn) OwnThread() { c.owned = true }
 // error: the retried recvmmsg reports it) or the budget runs out, and
 // reports whether a read is worth retrying.
 func (c *mmsgConn) waitOnThread(fd uintptr) bool {
-	wait := c.budget
-	if dl := c.deadline.Load(); dl != 0 {
-		wait = min(wait, time.Duration(dl-time.Now().UnixNano()))
-	}
+	wait := ownWait(c.budget, c.deadline.Load())
 	if wait <= 0 {
 		return false
 	}
 	c.split.st.threadWaits.Add(1)
 	return pollOnThread(fd, wait)
+}
+
+// ownWait is how long one on-thread wait of either batched rung may
+// last: its budget, clipped to the read deadline dl (unix ns, 0 for
+// none). Zero or less means no wait.
+func ownWait(budget time.Duration, dl int64) time.Duration {
+	if dl != 0 {
+		budget = min(budget, time.Duration(dl-time.Now().UnixNano()))
+	}
+	return budget
 }
 
 // pollOnThread is the on-thread wait of both batched rungs: it blocks

@@ -221,15 +221,16 @@ type uringConn struct {
 	// retakes it, and when cores are scarce that P is the one the peers
 	// whose traffic produces the next completion need. Only an owned
 	// reader, directly after a productive read, waits on its thread
-	// instead (waitOnThread), and only until its read deadline. Setup
-	// checks that the eventfd is pollable, so read deadlines work.
+	// instead (waitOnThread), and for at most its budget. Setup checks
+	// that the eventfd is pollable, so read deadlines work.
 	evFile    *os.File
 	evScratch [8]byte
 
 	// owned and armed (the previous ReadBatch returned data) belong to
 	// the reader goroutine; deadline is the read deadline in unix ns, 0
-	// for none.
+	// for none. budget is uringWaitBudget outside tests.
 	owned, armed bool
+	budget       time.Duration
 	deadline     atomic.Int64
 	closed       atomic.Bool
 	waiters      atomic.Int32 // threads inside a lockless on-thread wait
@@ -260,7 +261,7 @@ func NewUringConn(pc net.PacketConn, cfg UringConfig) (BatchConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &uringConn{pc: pc, rc: rc, ringFd: -1}
+	c := &uringConn{pc: pc, rc: rc, ringFd: -1, budget: uringWaitBudget}
 	if err := rc.Control(func(fd uintptr) { c.fd = int(fd) }); err != nil {
 		return nil, err
 	}
@@ -652,37 +653,33 @@ func (c *uringConn) read(ms []Message, onThread bool) (int, error) {
 			return 0, err
 		}
 		// Nothing pending: park this goroutine on the CQ eventfd via the
-		// netpoller with the lock dropped, bounded by the read deadline
-		// (or a housekeeping tick, so Close and deadline changes are
-		// honored even with no traffic).
-		wait := 50 * time.Millisecond
+		// netpoller with the lock dropped, until a completion, the read
+		// deadline, or the wake SetReadDeadline and Close give it. With
+		// no deadline an idle reader sleeps until one of those.
+		var until time.Time
 		if dl := c.deadline.Load(); dl != 0 {
-			remaining := time.Until(time.Unix(0, dl))
-			if remaining <= 0 {
+			if until = time.Unix(0, dl); !time.Now().Before(until) {
 				return 0, os.ErrDeadlineExceeded
 			}
-			wait = min(wait, remaining)
 		}
 		c.split.st.parks.Add(1)
-		if err := c.waitEventfd(wait); err != nil {
+		if err := c.waitEventfd(until); err != nil {
 			return 0, err
 		}
 	}
 }
 
+// uringWaitBudget bounds one on-thread wait of the uring rung. It is ten
+// times the mmsg rung's ownWaitBudget because paced request trains
+// arrive about 800 µs apart, past a 100 µs budget.
+const uringWaitBudget = time.Millisecond
+
 // waitOnThread blocks the reader's own thread until the completion queue
-// holds an entry or the read deadline passes; with no deadline it does
-// not wait. Its bound is the deadline, not the mmsg rung's budget: the
-// engine re-arms a 1 ms deadline before every read, so a wait ends by
-// the next queue poll, and paced request trains arrive about 800 µs
-// apart, past a 100 µs budget. The waiter count keeps Close from
-// tearing the ring down under the syscall.
+// holds an entry, or for at most its budget, clipped to the read
+// deadline. The waiter count keeps Close from tearing the ring down
+// under the syscall.
 func (c *uringConn) waitOnThread() {
-	dl := c.deadline.Load()
-	if dl == 0 {
-		return
-	}
-	wait := time.Duration(dl - time.Now().UnixNano())
+	wait := ownWait(c.budget, c.deadline.Load())
 	if wait <= 0 {
 		return
 	}
@@ -695,13 +692,14 @@ func (c *uringConn) waitOnThread() {
 	pollOnThread(uintptr(c.ringFd), wait)
 }
 
-// waitEventfd parks the reader on the CQ eventfd for up to d. A
-// successful read just clears the counter — the caller loops and reaps;
-// a timeout is equally a normal wakeup (the caller re-checks its
-// deadline). Close closes the eventfd, which surfaces here as ErrClosed
-// and is folded into the closed check at the top of the read loop.
-func (c *uringConn) waitEventfd(d time.Duration) error {
-	if err := c.evFile.SetReadDeadline(time.Now().Add(d)); err != nil {
+// waitEventfd parks the reader on the CQ eventfd until until (the zero
+// time: no bound). A successful read just clears the counter — the
+// caller loops and reaps; a timeout is equally a normal wakeup (the
+// caller re-checks its deadline). Close closes the eventfd, which
+// surfaces here as ErrClosed and is folded into the closed check at the
+// top of the read loop.
+func (c *uringConn) waitEventfd(until time.Time) error {
+	if err := c.evFile.SetReadDeadline(until); err != nil {
 		return err
 	}
 	_, err := c.evFile.Read(c.evScratch[:])
@@ -739,14 +737,25 @@ func (c *uringConn) TxStats() TxStats { return c.txc.snapshot() }
 // RxStats implements RxStatser.
 func (c *uringConn) RxStats() RxStats { return c.split.st.snapshot() }
 
+// SetReadDeadline sets the read deadline and then wakes a reader parked
+// on the CQ eventfd, which re-reads it: the park waits on the deadline
+// alone, so a deadline moved closer (Close's, in an engine) must reach
+// it. An eventfd write with nobody parked costs the next park one
+// spurious wake-up; one fails only once Close has closed the eventfd,
+// when no reader is left to wake.
 func (c *uringConn) SetReadDeadline(t time.Time) error {
-	if t.IsZero() {
-		c.deadline.Store(0)
-		return nil
+	var ns int64
+	if !t.IsZero() {
+		ns = t.UnixNano()
 	}
-	c.deadline.Store(t.UnixNano())
+	c.deadline.Store(ns)
+	_, _ = c.evFile.Write(eventfdOne[:])
 	return nil
 }
+
+// eventfdOne is an eventfd write's 8-byte counter increment, 1 in the
+// byte order of the little-endian CPUs this file builds for.
+var eventfdOne = [8]byte{1}
 
 func (c *uringConn) LocalAddr() net.Addr { return c.pc.LocalAddr() }
 
@@ -777,8 +786,8 @@ func (c *uringConn) Close() error {
 	}
 	// Wake a reader parked on the CQ eventfd (its Read fails with
 	// ErrClosed and the loop observes closed), then wait out an
-	// on-thread wait, which ends by its read deadline at the latest; a
-	// fresh one sees closed and never polls the ring.
+	// on-thread wait, which ends within its budget; a fresh one sees
+	// closed and never polls the ring.
 	_ = c.evFile.Close()
 	for c.waiters.Load() != 0 {
 		time.Sleep(time.Millisecond)

@@ -12,7 +12,9 @@ import (
 
 // The uring twin of mmsg_wait_test.go: the same waitPair, over a ring.
 // An owned reader waits on its thread directly after a productive read,
-// until its read deadline; everything else parks on the CQ eventfd.
+// for at most its budget (clipped to the read deadline); everything
+// else parks on the CQ eventfd, and a deadline set from another
+// goroutine wakes the park.
 
 func newUringWaitPair(t *testing.T) *waitPair {
 	t.Helper()
@@ -63,9 +65,10 @@ func TestUringWaitIdleOwnedReaderParks(t *testing.T) {
 
 func TestUringWaitPacedStreamPaths(t *testing.T) {
 	bothUringReaders(t, func(t *testing.T, p *waitPair, owned bool) {
-		// Each datagram is sent once the reader is waiting for it, under a
-		// deadline far beyond scheduling noise, so every owned wait ends
-		// with data, not at the deadline.
+		// Each datagram is sent once the reader is waiting for it, and the
+		// budget is far beyond scheduling noise, so every owned wait ends
+		// with data, not when the budget runs out.
+		p.u.budget = 2 * time.Second
 		p.readOne()
 		waits, parks := p.waits(), p.parks()
 		ctr := p.parks
@@ -91,7 +94,10 @@ func TestUringWaitPacedStreamPaths(t *testing.T) {
 }
 
 func TestUringWaitArrivalDuringWaitIsReturnedByThatRead(t *testing.T) {
-	bothUringReaders(t, arrivalDuringWaitIsReturnedByThatRead)
+	bothUringReaders(t, func(t *testing.T, p *waitPair, owned bool) {
+		p.u.budget = 2 * time.Second // as in the mmsg twin
+		arrivalDuringWaitIsReturnedByThatRead(t, p, owned)
+	})
 }
 
 // A GRO train that lands during the wait comes out of that same read, as
@@ -105,6 +111,7 @@ func TestUringWaitTrainArrivingDuringWait(t *testing.T) {
 		if !p.u.RxStats().GRO {
 			t.Skip("the kernel does not take UDP_GRO")
 		}
+		p.u.budget = 2 * time.Second // the train lands inside the owned wait
 		p.readOne()
 		train, want := trainOf("uwait", 6, 8, 0)
 		sender := NewBatchConn(p.client.(*net.UDPConn))
@@ -147,19 +154,75 @@ func TestUringWaitEmptySocketTimesOutAtTheDeadline(t *testing.T) {
 	bothUringReaders(t, emptySocketTimesOutAtTheDeadline)
 }
 
-func TestUringWaitNoDeadlineNoOnThreadWait(t *testing.T) {
+// With no read deadline an owned reader still waits on its thread after
+// a productive read, for its budget and no longer, and then parks until
+// a datagram comes.
+func TestUringWaitNoDeadlineWaitsOneBudgetThenParks(t *testing.T) {
 	p := newUringWaitPair(t)
 	p.reader(true, func() {
+		p.u.budget = 5 * time.Millisecond
 		p.readOne()
-		waits, parks := p.waits(), p.parks()
 		_ = p.bc.SetReadDeadline(time.Time{})
-		afterCount(p.parks, p.send)
+		waits, parks := p.waits(), p.parks()
+		parked := make(chan time.Duration, 1)
+		start := time.Now()
+		afterCount(p.parks, func() {
+			parked <- time.Since(start)
+			p.send()
+		})
 		if n, err := p.bc.ReadBatch(p.ms); n != 1 || err != nil {
-			t.Fatalf("ReadBatch = %d, %v; want 1, nil", n, err)
+			t.Errorf("ReadBatch = %d, %v; want 1, nil", n, err)
+			return
 		}
 		waits, parks = p.waits()-waits, p.parks()-parks
-		if waits != 0 || parks == 0 {
-			t.Errorf("no deadline: %d on-thread waits, %d parks; want 0, >0", waits, parks)
+		if waits != 1 || parks == 0 {
+			t.Errorf("no deadline: %d on-thread waits, %d parks; want 1, >0", waits, parks)
+		}
+		if took := <-parked; took < p.u.budget || took > p.u.budget+slack {
+			t.Errorf("parked %v after the read began, want within [%v, %v]", took, p.u.budget, p.u.budget+slack)
+		}
+	})
+}
+
+// wakeBound is how soon a deadline set from another goroutine must
+// release a reader parked on the CQ eventfd.
+const wakeBound = 10 * time.Millisecond
+
+// A parked reader waits on its deadline alone, with no periodic tick,
+// so a deadline set from another goroutine must wake it, whether it
+// parked with no deadline or a far one. The fastest of three rounds is
+// judged, so one round a loaded machine delays does not fail it.
+func TestUringWaitDeadlineFromAnotherGoroutineWakesParkedReader(t *testing.T) {
+	bothUringReaders(t, func(t *testing.T, p *waitPair, _ bool) {
+		// A reader nothing wakes would sleep for good: the watchdog
+		// closes the conn under it, which fails the read instead.
+		defer time.AfterFunc(2*time.Second, func() { _ = p.bc.Close() }).Stop()
+		p.readOne()
+		for _, state := range []string{"no deadline", "a far deadline"} {
+			fastest := time.Hour
+			for round := 0; round < 3; round++ {
+				var dl time.Time
+				if state == "a far deadline" {
+					dl = time.Now().Add(5 * time.Second)
+				}
+				_ = p.bc.SetReadDeadline(dl)
+				released := make(chan time.Time, 1)
+				afterCount(p.parks, func() {
+					time.Sleep(time.Millisecond) // into the park, past a spurious wake
+					now := time.Now()
+					_ = p.bc.SetReadDeadline(now)
+					released <- now
+				})
+				n, err := p.bc.ReadBatch(p.ms)
+				if n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Errorf("%s: ReadBatch = %d, %v; want 0, deadline exceeded", state, n, err)
+					return
+				}
+				fastest = min(fastest, time.Since(<-released))
+			}
+			if fastest > wakeBound {
+				t.Errorf("%s: a parked reader released %v after SetReadDeadline(now) at best of 3, want under %v", state, fastest, wakeBound)
+			}
 		}
 	})
 }
@@ -167,8 +230,9 @@ func TestUringWaitNoDeadlineNoOnThreadWait(t *testing.T) {
 func TestUringWaitCloseDuringOnThreadWait(t *testing.T) {
 	p := newUringWaitPair(t)
 	p.reader(true, func() {
-		p.readOne()
 		const d = 100 * time.Millisecond
+		p.u.budget = d // the reader is still inside its wait when Close runs
+		p.readOne()
 		_ = p.bc.SetReadDeadline(time.Now().Add(d))
 		closed := make(chan time.Duration, 1)
 		afterCount(p.waits, func() {

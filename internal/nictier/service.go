@@ -22,9 +22,9 @@ type Dataplane interface {
 	// ClearFastPath uninstalls the tier and drains it: no call may still
 	// be inside the tier when it returns.
 	ClearFastPath()
-	// Barrier returns once every datagram dequeued before the call has
-	// fully landed — the fence between flipping dispatch and snapshotting
-	// host state.
+	// Barrier returns once every dispatch in flight at the call has fully
+	// landed — the fence between flipping dispatch and snapshotting host
+	// state.
 	Barrier()
 }
 

@@ -18,8 +18,10 @@
 # allocations (100k ETC-size entries filled into a store, then warmed
 # into the tier), the reply-train builder on 32-reply flushes (equal
 # lengths; ETC lengths untagged and tagged, with the sends each flush
-# makes) and the engine's transport sweep (single/mmsg/uring at 1/2/4
-# shards, an echo handler on loopback).
+# makes), the engine's transport sweep (single/mmsg/uring at 1/2/4
+# shards, an echo handler on loopback) and an idle two-shard batched
+# engine in the three daemon modes (mmsg, mmsg pinned, uring pinned),
+# with how often its reads returned and the CPU it used while idle.
 #
 # The suites run PASSES times over, interleaved, and a row is its
 # fastest pass: on a shared host a row's cost swings by a third from one
@@ -46,7 +48,12 @@
 #   6. filling a store and warming the tier each allocate at most 0.01
 #      times per entry: the arenas' chunks and the tables, nothing per
 #      entry. Judged on the worst pass, whatever its iterations (each is
-#      100k entries).
+#      100k entries);
+#   7. an idle batched engine's shards return from ReadBatch at most 5
+#      times a second each (reads/shard-s, worst row and pass): an idle
+#      worker sleeps in its read until a datagram or Close comes. Reads
+#      are gated, not the CPU row beside them, because a read count is
+#      deterministic and CPU time on a shared host is not.
 #
 # Usage:
 #   ./scripts/bench.sh                          # writes bench_ci.json (git-ignored)
@@ -67,6 +74,8 @@ BENCHTIME="${BENCH_TIME:-200ms}"
 # calibration lands on small b.N where connection setup and window
 # round trips dominate and the kpps number is noise.
 SWEEPTIME=200000x
+# The idle rows sleep 50 ms an iteration.
+IDLETIME=10x
 PASSES=5
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
@@ -89,6 +98,8 @@ for _ in $(seq "$PASSES"); do
   run_bench ./internal/dataplane 'BuildTrains' "$BENCHTIME"
   # The three transport rungs at 1/2/4 shards.
   run_bench ./internal/dataplane 'DataplaneEngineLoopback' "$SWEEPTIME"
+  # An idle batched engine in the three daemon modes.
+  run_bench ./internal/dataplane 'EngineIdle' "$IDLETIME"
 done
 
 goversion="$(go env GOVERSION)"
@@ -126,6 +137,10 @@ function costs(a, b, bound) {
       gsub(/"/, "", unit)
       if (unit == "achieved-kpps") kpps = val
       if (unit ~ /-allocs\/entry$/ && (!(unit in perentry) || val + 0 > perentry[unit] + 0)) perentry[unit] = val
+      if (unit == "reads/shard-s" && iters >= 10) {
+        idle++
+        if (val + 0 > idlereads + 0) idlereads = val
+      }
       metrics = metrics (metrics == "" ? "" : ",") sprintf("\"%s\":%s", unit, val)
     }
   }
@@ -186,6 +201,7 @@ END {
         gate(rung " / " single " kpps", tput[rung] / tput[single], 0, 0.6)
     }
   }
+  if (idle > 0) gate("EngineIdle reads/shard-s (worst row and pass)", idlereads + 0, 1, 5)
   printf "{\n"
   printf "  \"schema\": \"incod-bench/v1\",\n"
   printf "  \"generated\": \"%s\",\n", stamp
