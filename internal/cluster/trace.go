@@ -31,18 +31,6 @@ func (t LoadTrace) Sample(n int) LoadTrace {
 	return out
 }
 
-// Mean returns the average sample.
-func (t LoadTrace) Mean() float64 {
-	if len(t) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range t {
-		sum += v
-	}
-	return sum / float64(len(t))
-}
-
 // DynamoLoad synthesizes seconds of per-second demand in kpps: the
 // diurnal night/peak envelope modulated by the §9.3 Dynamo workload-kind
 // volatility (caching steady, web volatile, mixed rack between). This is

@@ -15,11 +15,11 @@ func TestDemandCurveEnvelope(t *testing.T) {
 		t.Fatalf("KVS crossover = %v, want ~80", d.CrossKpps)
 	}
 	// Below the crossover: software power, host placement.
-	if d.Power(10) != power.MemcachedMellanox.Power(10) || d.Placement(10) != Host {
+	if d.Power(10) != power.MemcachedMellanox.Power(10) {
 		t.Error("below crossover should be software")
 	}
 	// Above: hardware power, network placement.
-	if d.Power(1000) != 59.2 || d.Placement(1000) != Network {
+	if d.Power(1000) != 59.2 {
 		t.Error("above crossover should be hardware")
 	}
 	// The envelope never exceeds the software curve.
@@ -41,7 +41,7 @@ func TestDemandCurveNoCrossover(t *testing.T) {
 	if d.CrossKpps != -1 {
 		t.Fatalf("CrossKpps = %v, want -1", d.CrossKpps)
 	}
-	if d.Placement(500) != Host || d.Power(500) != 10 {
+	if d.Power(500) != 10 {
 		t.Error("no-crossover envelope should always be software")
 	}
 	if d.SavingFraction(500) != 0 {

@@ -38,15 +38,6 @@ func (d DemandCurve) Power(kpps float64) float64 {
 	return d.SW(kpps)
 }
 
-// Placement returns where the on-demand system runs the service at the
-// given rate.
-func (d DemandCurve) Placement(kpps float64) Placement {
-	if d.CrossKpps >= 0 && kpps >= d.CrossKpps {
-		return Network
-	}
-	return Host
-}
-
 // SavingFraction returns the §9 headline metric at a rate: the fraction of
 // software power the on-demand placement saves (Figure 5; "saves up to 50%
 // of the power compared with software-based solutions").

@@ -132,9 +132,6 @@ func NewThresholdPolicy(cfg NetworkControllerConfig) *ThresholdPolicy {
 // Name implements Policy.
 func (p *ThresholdPolicy) Name() string { return "threshold" }
 
-// Config returns the current parameter set.
-func (p *ThresholdPolicy) Config() NetworkControllerConfig { return p.cfg }
-
 // Observe implements Policy: the ~40-line classifier kernel.
 func (p *ThresholdPolicy) Observe(s Sample) Decision {
 	if !p.hasSince {
@@ -281,9 +278,6 @@ func NewPowerPolicy(cfg HostControllerConfig) *PowerPolicy {
 
 // Name implements Policy.
 func (p *PowerPolicy) Name() string { return "power" }
-
-// Config returns the current parameter set.
-func (p *PowerPolicy) Config() HostControllerConfig { return p.cfg }
 
 // Observe implements Policy.
 func (p *PowerPolicy) Observe(s Sample) Decision {

@@ -124,9 +124,6 @@ func (m *ManagedService) total() uint64 {
 	return m.count.Load()
 }
 
-// Name returns the registered service name.
-func (m *ManagedService) Name() string { return m.name }
-
 // Orchestrator supervises the placement of many services: each sample
 // period it meters every service's request rate, feeds its policy, and
 // applies (or, for advisory services, logs) the decision. One

@@ -577,8 +577,17 @@ func TestStartControlPlanePowerCalibration(t *testing.T) {
 	if !ok {
 		t.Fatalf("policy = %T, want *core.PowerPolicy", orch.services["svc"].pol)
 	}
-	if got, want := pol.Config().ToNetworkPowerWatts, curve.Power(50); got != want {
-		t.Errorf("watts trigger = %v, want curve draw at crossover %v", got, want)
+	// The watts trigger is the curve's draw at the crossover: sustained
+	// power above it offloads, power at it does not.
+	trips := func(watts float64) bool {
+		pol.Reset()
+		hot := core.Sample{Placement: core.Host, PowerW: watts, CPUUtil: 1}
+		pol.Observe(hot)
+		hot.At = time.Hour
+		return pol.Observe(hot).Shift
+	}
+	if want := curve.Power(50); !trips(want+1e-6) || trips(want) {
+		t.Errorf("watts trigger is not the curve draw at crossover %v", want)
 	}
 
 	if _, _, _, err := StartControlPlane(StartOptions{

@@ -380,18 +380,14 @@ func (w *batchState) processQueued(pkts []packet) {
 // shard counters once per batch and staging replies on the TX queue,
 // each with its item's Tagged beside it. The shard's epoch is odd from
 // before the tier is looked up until the dispatch returns: the span
-// Barrier fences.
+// Barrier and ClearFastPath fence.
 func (w *batchState) processItems(items []*BatchItem) {
 	e, s := w.e, w.s
 	if len(items) == 0 {
 		return
 	}
 	s.epoch.Add(1)
-	fp, fenced := e.enterTier() // one token per batch
-	w.host = e.dispatch(fp, items, w.host)
-	if fenced {
-		e.fpInflight.Add(-1)
-	}
+	w.host = e.dispatch(e.enterTier(), items, w.host)
 	s.epoch.Add(1)
 	if served := len(items) - len(w.host); served > 0 {
 		s.offloaded.Add(uint64(served))

@@ -195,9 +195,8 @@ type Engine struct {
 	// fastPath is the installed offload tier (nil = host-only dispatch);
 	// lastTier remembers the most recently installed one so Snapshot can
 	// keep reporting its lifetime counters after a shift back to host.
-	fastPath   atomic.Pointer[fastPathRef]
-	lastTier   atomic.Pointer[fastPathRef]
-	fpInflight atomic.Int64
+	fastPath atomic.Pointer[fastPathRef]
+	lastTier atomic.Pointer[fastPathRef]
 
 	readErrs atomic.Uint64
 
@@ -299,16 +298,19 @@ func (e *Engine) SetFastPath(fp FastPath) {
 // to the tier, so when it returns the tier can be parked (state flushed)
 // without dropping an in-flight request. Subsequent datagrams go to the
 // host handler.
+//
+// The drain is Barrier's fence, run after the store of nil. A dispatch
+// that loaded the tier made its shard's epoch odd before that load, and
+// the load came before the store, so the fence sees that epoch odd, or
+// already moved on; a dispatch that loads after the store gets nil.
 func (e *Engine) ClearFastPath() {
 	e.fastPath.Store(nil)
-	for spins := 0; e.fpInflight.Load() != 0; spins++ {
-		backoff(spins)
-	}
+	e.Barrier()
 }
 
-// backoff is one step of a fence's wait (ClearFastPath, Barrier). It
-// escalates from Gosched through growing sleeps, so a dispatch stalled
-// mid-shift cannot make the waiter peg a core.
+// backoff is one step of Barrier's wait. It escalates from Gosched
+// through growing sleeps, so a dispatch stalled mid-shift cannot make
+// the waiter peg a core.
 func backoff(spins int) {
 	switch {
 	case spins < 64:
@@ -320,41 +322,36 @@ func backoff(spins int) {
 	}
 }
 
-// enterTier returns the installed fast path for one dispatch (nil = none)
-// and whether it took a fence token, which the worker gives back with
-// fpInflight.Add(-1) once the dispatch is done. Token first, then
-// re-load: ClearFastPath stores nil and waits for fpInflight==0, so once
-// it reads zero, any worker that later takes a token re-reads the
-// pointer as nil — no worker can slip into a tier that is being parked.
-func (e *Engine) enterTier() (fp FastPath, fenced bool) {
-	if e.fastPath.Load() == nil {
-		return nil, false
-	}
-	e.fpInflight.Add(1)
+// enterTier returns the installed fast path for one dispatch (nil =
+// none). The caller's shard epoch is already odd: that is what lets
+// Barrier and ClearFastPath fence the dispatch.
+func (e *Engine) enterTier() FastPath {
 	if ref := e.fastPath.Load(); ref != nil {
-		fp = ref.fp
+		return ref.fp
 	}
-	return fp, true
+	return nil
 }
 
 // Barrier blocks until every dispatch that was in flight when it was
 // called has returned. The offload shift uses it after SetFastPath, so
 // host-handled stragglers from before the flip have fully landed before
-// transition work snapshots host state.
+// transition work snapshots host state; ClearFastPath uses it after
+// storing nil, so nothing still runs in the tier it hands back.
 //
 // It is a fence, not a message: each shard's epoch is odd while its
 // worker is inside a dispatch (processItems: from before the tier is
 // looked up until the host handler returns) and even otherwise, and
 // Barrier waits until every epoch it saw odd has moved. That suffices.
-// A dispatch that went to the host for want of a tier loaded a nil fast
-// path, so it made its epoch odd before SetFastPath stored the tier,
-// and Barrier, which runs after the store, sees it odd or sees it done.
-// A dispatch that begins after the store sees the tier. A worker parked
-// in a read sits at an even epoch with nothing in flight, so an idle
-// engine costs Barrier nothing. The fence lives in processItems, so it
-// covers batched, single-reader and driven engines alike, and it needs
-// nothing from a started, closing or closed engine: there, every epoch
-// is even or about to be.
+// A dispatch that acted on the fast path as it was before a store (nil,
+// so the host served; or the old tier) loaded it before the store, so it
+// made its epoch odd before the store too, and Barrier, which runs after
+// the store, sees it odd or sees it done. A dispatch that begins after
+// the store sees the new value. A worker parked in a read sits at an
+// even epoch with nothing in flight, so an idle engine costs Barrier
+// nothing. The fence lives in processItems, so it covers batched,
+// single-reader and driven engines alike, and it needs nothing from a
+// started, closing or closed engine: there, every epoch is even or about
+// to be.
 func (e *Engine) Barrier() {
 	seen := make([]uint64, len(e.shards))
 	for i, s := range e.shards {

@@ -185,7 +185,10 @@ func TestTransientReadErrorsDoNotKillTheEngine(t *testing.T) {
 	defer e.Close()
 
 	// An async ICMP-style error, then real traffic: serving continues.
+	// The packet is queued only once the error has been read: with both
+	// ready, fakeConn.ReadFrom's select would pick either first.
 	conn.errs <- fmt.Errorf("read udp: connection refused")
+	waitFor(t, "the transient error read", func() bool { return e.Snapshot().ReadErrors == 1 })
 	conn.in <- fakePacket{data: []byte("ping"), from: testSrc}
 	waitFor(t, "packet served after transient error", func() bool { return conn.writeCount() == 1 })
 	st := e.Snapshot()

@@ -149,7 +149,14 @@
 //     internal/nictier. SetFastPath atomically flips dispatch to the
 //     tier, Barrier fences host work that predates the flip, and
 //     ClearFastPath drains the tier without dropping in-flight requests
-//     — the mechanics a live placement shift is built on;
+//     — the mechanics a live placement shift is built on. Both waits are
+//     one fence, on each shard's turn epoch: odd while its worker is
+//     inside a dispatch, from before the fast path is loaded until the
+//     host handler returns, so whatever a dispatch did with the fast
+//     path as it was before a flip has returned once every epoch seen
+//     odd after the flip has moved. The packet path pays two adds to its
+//     own shard's epoch per batch for it, and nothing more with a tier
+//     installed;
 //   - Close drains gracefully: the reader(s) stop, queued datagrams are
 //     still handled and answered, then the socket(s) close. Daemons wire
 //     this into daemon.OnShutdown;

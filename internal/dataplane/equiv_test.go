@@ -347,8 +347,7 @@ func nodeRun(t *testing.T, w workload, window time.Duration) ([][]byte, run) {
 		net.Send(&simnet.Packet{Src: simnet.Addr("req/" + strconv.Itoa(i)), Dst: "server", Payload: dg})
 	}
 	sim.Run()
-	fast, _ := node.Served()
-	r.counters = counters(h, tier, w.lit, fast, len(r.fanOut))
+	r.counters = counters(h, tier, w.lit, node.Stats().Offloaded, len(r.fanOut))
 	return perReq, r
 }
 

@@ -97,12 +97,15 @@ func sumReads(rcs []*readCounter) uint64 {
 	return n
 }
 
-// engineModes are the batched daemon modes: -sockets 2, with -pin, and
-// -engine uring with and without it.
-var engineModes = []struct {
+// engineMode is one batched daemon mode: a rung, pinned or not.
+type engineMode struct {
 	name, rung string
 	pin        bool
-}{
+}
+
+// engineModes are the batched daemon modes: -sockets 2, with -pin, and
+// -engine uring with and without it.
+var engineModes = []engineMode{
 	{"mmsg", "mmsg", false},
 	{"mmsg-pin", "mmsg", true},
 	{"uring", "uring", false},
@@ -147,6 +150,57 @@ func (f *servesAll) TryHandleDatagram(in []byte, _ netip.AddrPort, scratch *[]by
 	return *scratch, true, true
 }
 
+// fenceEngines builds, per name, the engines the fence tests load: the
+// single reader and the batched daemon modes given.
+func fenceEngines(h Handler, modes []engineMode) map[string]func(t *testing.T) *Engine {
+	engines := map[string]func(t *testing.T) *Engine{
+		"single-reader": func(t *testing.T) *Engine {
+			conn, err := net.ListenPacket("udp4", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return New(conn, h, Config{Name: "test-fence-single", Shards: 2})
+		},
+	}
+	for _, m := range modes {
+		engines[m.name] = func(t *testing.T) *Engine {
+			return newRungEngine(t, m.rung, h, Config{Name: "test-fence-" + m.name, PinShards: m.pin}, nil)
+		}
+	}
+	return engines
+}
+
+// openLoad sends datagrams to addr from two clients, each one every
+// 20µs whatever the replies do, until the returned stop is called; stop
+// returns once both have stopped and may be called again.
+func openLoad(t *testing.T, addr string) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	stop = sync.OnceFunc(func() { close(done); wg.Wait() })
+	for c := 0; c < 2; c++ {
+		conn, err := net.Dial("udp", addr)
+		if err != nil {
+			stop()
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer conn.Close()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					_, _ = conn.Write([]byte("fence"))
+					time.Sleep(20 * time.Microsecond)
+				}
+			}
+		}()
+	}
+	return stop
+}
+
 // TestBarrierFencesHostDispatchUnderLoad flips a tier that serves
 // everything onto an engine under open-loop load, rounds over: once
 // Barrier returns, no host dispatch may land, so the host count read
@@ -161,49 +215,13 @@ func TestBarrierFencesHostDispatchUnderLoad(t *testing.T) {
 		*scratch = append((*scratch)[:0], in...)
 		return *scratch, true
 	})
-	engines := map[string]func(t *testing.T) *Engine{
-		"single-reader": func(t *testing.T) *Engine {
-			conn, err := net.ListenPacket("udp4", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return New(conn, slow, Config{Name: "test-fence-single", Shards: 2})
-		},
-	}
-	for _, m := range engineModes[:2] {
-		engines[m.name] = func(t *testing.T) *Engine {
-			return newRungEngine(t, m.rung, slow, Config{Name: "test-fence-" + m.name, PinShards: m.pin}, nil)
-		}
-	}
-	for name, build := range engines {
+	for name, build := range fenceEngines(slow, engineModes[:2]) {
 		t.Run(name, func(t *testing.T) {
 			e := build(t)
 			e.Start()
 			defer e.Close()
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			stopLoad := sync.OnceFunc(func() { close(stop); wg.Wait() })
+			stopLoad := openLoad(t, e.LocalAddr().String())
 			defer stopLoad()
-			for c := 0; c < 2; c++ {
-				conn, err := net.Dial("udp", e.LocalAddr().String())
-				if err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer conn.Close()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-							_, _ = conn.Write([]byte("fence"))
-							time.Sleep(20 * time.Microsecond)
-						}
-					}
-				}()
-			}
 			tier := &servesAll{}
 			const rounds = 5
 			for r := 0; r < rounds; r++ {
@@ -221,6 +239,63 @@ func TestBarrierFencesHostDispatchUnderLoad(t *testing.T) {
 					t.Fatalf("round %d: %d host dispatches landed after Barrier returned", r, got-fenced)
 				}
 				e.ClearFastPath()
+			}
+		})
+	}
+}
+
+// slowTier is an offload tier that takes a while over each call and
+// serves everything, without a reply. It counts the calls it has
+// entered and the ones it is inside.
+type slowTier struct{ entered, inside atomic.Int64 }
+
+func (f *slowTier) enter() {
+	f.entered.Add(1)
+	f.inside.Add(1)
+	time.Sleep(20 * time.Microsecond)
+}
+
+func (f *slowTier) TryHandleDatagram([]byte, netip.AddrPort, *[]byte) ([]byte, bool, bool) {
+	f.enter()
+	f.inside.Add(-1)
+	return nil, true, false
+}
+
+func (f *slowTier) TryHandleBatch(items []*BatchItem) {
+	f.enter()
+	for _, it := range items {
+		it.Served = true
+	}
+	f.inside.Add(-1)
+}
+
+// TestClearFastPathDrainsTierUnderLoad installs a slow tier on an
+// engine under open-loop load and clears it, rounds over, on the single
+// reader and every batched mode: once ClearFastPath returns no call may
+// still be inside the tier, and no new one may enter it, so a tier can
+// be parked the moment it is handed back.
+func TestClearFastPathDrainsTierUnderLoad(t *testing.T) {
+	for name, build := range fenceEngines(echoHandler, engineModes) {
+		t.Run(name, func(t *testing.T) {
+			e := build(t)
+			e.Start()
+			defer e.Close()
+			stopLoad := openLoad(t, e.LocalAddr().String())
+			defer stopLoad()
+			tier := &slowTier{}
+			for r := 0; r < 5; r++ {
+				from := tier.entered.Load()
+				e.SetFastPath(tier)
+				waitFor(t, "the tier serves the load", func() bool { return tier.entered.Load() > from+20 })
+				e.ClearFastPath()
+				if n := tier.inside.Load(); n != 0 {
+					t.Fatalf("round %d: %d tier calls still running after ClearFastPath returned", r, n)
+				}
+				cleared := tier.entered.Load()
+				time.Sleep(5 * time.Millisecond) // the host serves the load meanwhile
+				if got := tier.entered.Load(); got != cleared {
+					t.Fatalf("round %d: %d tier calls entered after ClearFastPath returned", r, got-cleared)
+				}
 			}
 		})
 	}

@@ -37,9 +37,9 @@
 // # Cache coherence
 //
 // WireAnswer images are immutable once compiled. Zone.Add replaces the
-// record's image (it never mutates one in place) and Zone.Remove drops
-// it, keeping the cache exactly in sync with the records map; both are
-// writer-side operations — a Zone is a plain map, safe for any number of
+// record's image (it never mutates one in place), keeping the cache
+// exactly in sync with the records map; it is a writer-side operation —
+// a Zone is a plain map, safe for any number of
 // concurrent readers only while nobody writes, which is the daemons'
 // load-then-serve lifecycle. The offload tier's zone sync
 // (nictier.DNSTier.Warm) snapshots the cache with Zone.WireAnswers: the

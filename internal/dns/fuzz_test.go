@@ -74,7 +74,7 @@ func FuzzDecode(f *testing.F) {
 		if got := wireDotted(v.QName); got != m.Name {
 			t.Fatalf("view name %q != decode name %q", got, m.Name)
 		}
-		if m.Response != v.Response() || m.RecDes != v.RecDes() {
+		if m.Response != v.Response() || m.RecDes != (v.Flags&flagRD != 0) {
 			t.Fatalf("flag views diverged: %+v vs %+v", v, m)
 		}
 	})

@@ -7,9 +7,6 @@ import (
 	"strings"
 )
 
-// Port is the DNS UDP port the packet classifier matches.
-const Port = 53
-
 // Record types and classes (only what Emu DNS supports, §3.3).
 const (
 	TypeA   = 1
@@ -19,8 +16,6 @@ const (
 // RCodes.
 const (
 	RCodeNoError  = 0
-	RCodeFormErr  = 1
-	RCodeServFail = 2
 	RCodeNXDomain = 3
 	RCodeNotImpl  = 4
 )
@@ -263,9 +258,6 @@ type QuestionView struct {
 
 // Response reports the QR bit — set on answers, which servers ignore.
 func (v *QuestionView) Response() bool { return v.Flags&flagQR != 0 }
-
-// RecDes reports the RD bit, echoed into responses.
-func (v *QuestionView) RecDes() bool { return v.Flags&flagRD != 0 }
 
 // ParseQuestion parses the header and question section of msg into v
 // without allocating. depthLimit bounds the label depth (0 = unlimited);

@@ -13,17 +13,9 @@ import "encoding/binary"
 // compressed A answer). Images are immutable after compilation — Zone.Add
 // replaces, never mutates — so snapshots share them freely.
 type WireAnswer struct {
-	name  string  // canonical lowercase dotted name
-	qname []byte  // wire-form question name within image
-	image []byte  // the full prebuilt response datagram
-	rec   ARecord // the record the image was compiled from
+	qname []byte // wire-form question name within image
+	image []byte // the full prebuilt response datagram
 }
-
-// Name returns the canonical (lowercase, dot-separated) record name.
-func (a *WireAnswer) Name() string { return a.name }
-
-// Record returns the A record the answer was compiled from.
-func (a *WireAnswer) Record() ARecord { return a.rec }
 
 // AppendReply appends the complete answer for the query parsed into v:
 // one copy of the precompiled image, then patch the ID and flags (QR|AA
@@ -58,7 +50,7 @@ func compileAnswer(name string, r ARecord) (*WireAnswer, error) {
 	if name != "" {
 		nameLen = len(name) + 2
 	}
-	return &WireAnswer{name: name, qname: img[12 : 12+nameLen], image: img, rec: r}, nil
+	return &WireAnswer{qname: img[12 : 12+nameLen], image: img}, nil
 }
 
 // foldByte lowercases ASCII A-Z. Label length bytes are at most 63, below
@@ -97,7 +89,7 @@ func foldEqual(a, b []byte) bool {
 }
 
 // AnswerTable indexes WireAnswers by the folded hash of their wire-form
-// name. The zone owns one (kept coherent by Add/Remove); the NIC tier
+// name. The zone owns one (kept coherent by Add); the NIC tier
 // serves from an independent snapshot sharing the same immutable images.
 // Like Zone, a table is safe for concurrent readers only while nobody
 // writes.
@@ -137,27 +129,6 @@ func (t *AnswerTable) add(a *WireAnswer) {
 	}
 	t.buckets[h] = append(chain, a)
 	t.n++
-}
-
-// remove drops the entry fold-matching qname, reporting whether it
-// existed.
-func (t *AnswerTable) remove(qname []byte) bool {
-	h := foldHash(qname)
-	chain := t.buckets[h]
-	for i, old := range chain {
-		if foldEqual(old.qname, qname) {
-			chain[i] = chain[len(chain)-1]
-			chain = chain[:len(chain)-1]
-			if len(chain) == 0 {
-				delete(t.buckets, h)
-			} else {
-				t.buckets[h] = chain
-			}
-			t.n--
-			return true
-		}
-	}
-	return false
 }
 
 // Clone returns an independent snapshot: its own index, sharing the

@@ -62,17 +62,6 @@ func (z *Zone) Add(name string, addr [4]byte, ttl uint32) {
 	}
 }
 
-// Remove deletes the record for name, reporting whether it existed.
-func (z *Zone) Remove(name string) bool {
-	key := asciiLower(name)
-	_, ok := z.records[key]
-	delete(z.records, key)
-	if wireName, err := appendName(nil, key); err == nil {
-		z.wire.remove(wireName)
-	}
-	return ok
-}
-
 // LookupWire finds the precompiled answer for a wire-form question name,
 // case-insensitively and without allocating — the serving path's lookup.
 func (z *Zone) LookupWire(qname []byte) (*WireAnswer, bool) {
@@ -87,15 +76,6 @@ func (z *Zone) WireAnswers() *AnswerTable { return z.wire.Clone() }
 func (z *Zone) Lookup(name string) (ARecord, bool) {
 	r, ok := z.records[asciiLower(name)]
 	return r, ok
-}
-
-// Names returns all record names (order unspecified).
-func (z *Zone) Names() []string {
-	out := make([]string, 0, len(z.records))
-	for n := range z.records {
-		out = append(out, n)
-	}
-	return out
 }
 
 // PopulateSequential fills the zone with n records named

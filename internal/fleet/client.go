@@ -48,9 +48,6 @@ func NewClient(hostport string) *Client {
 	return &Client{base: "http://" + hostport, http: &http.Client{}}
 }
 
-// Base returns the client's base URL.
-func (c *Client) Base() string { return c.base }
-
 // Retries reports lifetime retry attempts spent on transient failures.
 func (c *Client) Retries() uint64 { return c.retries.Load() }
 
@@ -183,13 +180,6 @@ func (c *Client) Healthy(ctx context.Context) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// Services lists every managed service on the daemon.
-func (c *Client) Services(ctx context.Context) ([]daemon.ServiceStatus, error) {
-	var out []daemon.ServiceStatus
-	err := c.get(ctx, "/v1/services", &out)
-	return out, err
-}
-
 // Service snapshots one service's status.
 func (c *Client) Service(ctx context.Context, name string) (daemon.ServiceStatus, error) {
 	var out daemon.ServiceStatus
@@ -211,12 +201,5 @@ func (c *Client) Pin(ctx context.Context, name, placement string) (daemon.Servic
 	var out daemon.ServiceStatus
 	err := c.post(ctx, "/v1/services/"+name+"/placement",
 		map[string]string{"placement": placement}, &out)
-	return out, err
-}
-
-// SetThresholds updates name's mirrored rate pair.
-func (c *Client) SetThresholds(ctx context.Context, name string, t daemon.Thresholds) (daemon.Thresholds, error) {
-	var out daemon.Thresholds
-	err := c.post(ctx, "/v1/services/"+name+"/thresholds", t, &out)
 	return out, err
 }

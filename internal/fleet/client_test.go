@@ -57,10 +57,6 @@ func TestClientServicesAndPin(t *testing.T) {
 	_, c := newDaemon(t, "kvs")
 	ctx := context.Background()
 
-	all, err := c.Services(ctx)
-	if err != nil || len(all) != 1 || all[0].Name != "kvs" {
-		t.Fatalf("Services = %+v, %v", all, err)
-	}
 	st, err := c.Service(ctx, "kvs")
 	if err != nil || st.Placement != "host" {
 		t.Fatalf("Service = %+v, %v", st, err)
@@ -97,14 +93,14 @@ func flakyServer(t *testing.T, fails int, ok http.HandlerFunc) (*Client, *atomic
 
 func TestClientRetriesTransient5xx(t *testing.T) {
 	c, calls := flakyServer(t, 2, func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`[{"name":"kvs","placement":"host"}]`))
+		w.Write([]byte(`{"name":"kvs","placement":"host"}`))
 	})
-	all, err := c.Services(context.Background())
+	st, err := c.Service(context.Background(), "kvs")
 	if err != nil {
 		t.Fatalf("call should survive two 500s: %v", err)
 	}
-	if len(all) != 1 || all[0].Name != "kvs" {
-		t.Fatalf("Services = %+v", all)
+	if st.Name != "kvs" {
+		t.Fatalf("Service = %+v", st)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d requests, want 3 (two failures + success)", got)
@@ -129,7 +125,7 @@ func TestClientRetriesExhaustTransportError(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
-	if _, err := c.Services(ctx); err == nil {
+	if _, err := c.Service(ctx, "kvs"); err == nil {
 		t.Fatal("dead server must error")
 	}
 	if got := c.Retries(); got != retryAttempts-1 {
@@ -146,7 +142,7 @@ func TestClientRetryStopsOnCanceledContext(t *testing.T) {
 	c := NewClient("127.0.0.1:1")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Services(ctx); err == nil {
+	if _, err := c.Service(ctx, "kvs"); err == nil {
 		t.Fatal("canceled context must error")
 	}
 	if got := c.Retries(); got > 1 {

@@ -19,10 +19,7 @@
 //     18 MB SRAM = 6 W holds 4.7 M free chunks (x32k on-chip).
 package fpga
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // Component power constants (watts). See package comment for provenance.
 const (
@@ -55,8 +52,6 @@ const (
 const (
 	// DRAMValueEntries is how many 64 B value chunks 4 GB DRAM holds.
 	DRAMValueEntries = 33_000_000
-	// DRAMHashEntries is how many hash-table entries 4 GB DRAM holds.
-	DRAMHashEntries = 268_000_000
 	// OnChipValueEntries is x65k fewer than DRAM (§5.3).
 	OnChipValueEntries = DRAMValueEntries / 65_000
 	// SRAMFreeChunks is the SRAM free-list capacity.
@@ -186,21 +181,9 @@ func (b *Board) SetActivePEs(n int) {
 	b.activePEs = n
 }
 
-// ActivePEs returns the number of powered processing elements.
-func (b *Board) ActivePEs() int { return b.activePEs }
-
 // SetModuleActive switches the design between serving (true) and held
 // inactive as a plain NIC (false).
 func (b *Board) SetModuleActive(v bool) { b.moduleActive = v }
-
-// ModuleActive reports whether the design is serving.
-func (b *Board) ModuleActive() bool { return b.moduleActive }
-
-// ClockGated reports the clock gating state.
-func (b *Board) ClockGated() bool { return b.clockGated }
-
-// MemoriesReset reports whether external memories are held in reset.
-func (b *Board) MemoriesReset() bool { return b.memReset }
 
 // PeakKpps returns the effective service capacity given active PEs.
 func (b *Board) PeakKpps() float64 {
@@ -259,15 +242,6 @@ func (b *Board) CardWatts(load float64) float64 {
 	}
 	return w
 }
-
-// Memory access latencies for the on-board memories, used by LaKe's
-// latency model (§5.3: on-chip hits stay under 1.4 µs end to end; DRAM
-// hits land at 1.67 µs median).
-const (
-	BRAMAccess = 10 * time.Nanosecond
-	SRAMAccess = 60 * time.Nanosecond
-	DRAMAccess = 270 * time.Nanosecond
-)
 
 // UltraScalePlusFactor is the §5.4 note that Xilinx UltraScale+ reaches
 // x2.4 the performance per watt of the Virtex-7 generation.

@@ -28,7 +28,7 @@
 // about 1.25x apart (2 words to the largest record, a 255-byte key and a
 // 16 MiB value). An overwrite that keeps the class repacks the record in
 // place; one that changes it writes a record of the new class, re-points
-// the slot and frees the old one. Delete, eviction and Sweep free the
+// the slot and frees the old one. Delete and eviction free the
 // record too. A freed record goes on its class's free list, under the
 // writer mutex, and is only reused as a record of that class, so
 // steady-state churn allocates nothing and a warm copies record words
@@ -109,8 +109,8 @@
 // concurrent delete — the delete lands before the walk and the key is
 // not copied, or after it and the mirror drops the copy — so a warm cut
 // into chunks that yield between them must hold that mutex for each
-// whole chunk. Evictions and Sweep stay local: the mirror bounds and
-// expires its own entries.
+// whole chunk. Evictions stay local: the mirror bounds and expires its
+// own entries.
 //
 // Eviction is CLOCK second-chance: a GET hit sets the slot's reference
 // bit with an atomic OR (no list splice, no lock, and no write at all
@@ -122,8 +122,9 @@
 // Expiry. Lock-free readers cannot remove entries, so a reader that
 // observes an entry expired reports a miss and sets the slot's
 // expiry-seen bit, and whoever set it first charges the expiration stat,
-// exactly once; the entry itself stays (and counts toward Len) until
-// Sweep, running in the writer, reaps it.
+// exactly once; the entry itself stays (and counts toward Len) until a
+// write to its key replaces or deletes it, or the CLOCK hand of a bounded
+// store evicts it. Nothing reaps expired entries on a timer.
 //
 // Hot keys. Each partition optionally feeds a space-saving top-K
 // sketch (telemetry.TopK) from sampled GET hits, with the request's own
@@ -131,7 +132,3 @@
 // when it enters. ShardedStore.HotKeys merges the per-partition
 // sketches, which is exact because a key lives in exactly one partition.
 package kvs
-
-// MemcachedPort is the UDP port the card's packet classifier matches
-// (§3.1).
-const MemcachedPort = 11211

@@ -14,8 +14,9 @@ import (
 // fuzz input, three bytes an op, and checks it against a map model:
 // sets and overwrites whose values cross size classes both ways, deletes
 // and reinserts, CLOCK evictions at a bound (the model learns which key
-// went by looking for the one that vanished), Sweep with expiry, and
-// FillFrom into a second store, which then takes the rest of the stream.
+// went by looking for the one that vanished), expiry as the clock
+// advances, and FillFrom into a second store, which then takes the rest
+// of the stream.
 // Every Get of the op's key, both read forms, must be what the model
 // says, and after each fill and at the end every key must be.
 func FuzzShardedStore(f *testing.F) {
@@ -84,20 +85,8 @@ func FuzzShardedStore(f *testing.F) {
 					t.Fatalf("op %d: Delete(%s) = %v, model holds it: %v", op, key(i), got, want)
 				}
 				delete(model, i)
-			case 3: // a reader's look at another time
+			case 3, 4: // a reader's look at another time
 				now += int64(arg & 3)
-			case 4:
-				now += int64(arg & 3)
-				want := 0
-				for j, e := range model {
-					if e.Expires != 0 && now >= e.Expires {
-						delete(model, j)
-						want++
-					}
-				}
-				if got := st.Sweep(simnet.Time(now)); got != want {
-					t.Fatalf("op %d: Sweep reaped %d, model %d", op, got, want)
-				}
 			case 5: // warm a store that already took one newer write of key i
 				dst := NewShardedStore(1+3*(arg&1), 0)
 				newer := Entry{Flags: 1 << 31, Value: []byte("written-through")}

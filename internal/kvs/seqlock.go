@@ -166,7 +166,7 @@ retry:
 						continue retry
 					}
 					// Readers cannot reap; count the expiration once
-					// and leave the entry for Sweep.
+					// and leave the entry for the writer.
 					if s.bits.Or(bitExpSeen)&bitExpSeen == 0 {
 						p.stats.expirations.Add(1)
 					}
@@ -454,31 +454,6 @@ func (p *partition) del(hash uint64, key []byte) bool {
 	return true
 }
 
-// sweep reaps expired entries, counting each at most once (readers may
-// have observed — and counted — an expiry before the sweep reaps it).
-func (p *partition) sweep(now simnet.Time) int {
-	p.mu.Lock()
-	t := p.table.Load()
-	n := 0
-	for i := range t.slots {
-		s := &t.slots[i]
-		loc := s.loc.Load()
-		if loc&stateMask != slotLive {
-			continue
-		}
-		exp := int64(p.slab.rec(loc >> 2)[1].Load())
-		if exp != 0 && int64(now) >= exp {
-			if s.bits.Or(bitExpSeen)&bitExpSeen == 0 {
-				p.stats.expirations.Add(1)
-			}
-			p.tombstone(s)
-			n++
-		}
-	}
-	p.mu.Unlock()
-	return n
-}
-
 // countInto adds this partition's live entries to want, indexed by the
 // partition of a store with mask they would land in.
 func (p *partition) countInto(want []int, mask uint64) {
@@ -512,22 +487,4 @@ func (p *partition) fillInto(dst *ShardedStore) (installed int) {
 		}
 	}
 	return installed
-}
-
-func (p *partition) len() int {
-	p.mu.Lock()
-	n := p.live
-	p.mu.Unlock()
-	return n
-}
-
-func (p *partition) statsSnapshot() StoreStats {
-	return StoreStats{
-		Gets:        p.stats.gets.Load(),
-		Hits:        p.stats.hits.Load(),
-		Sets:        p.stats.sets.Load(),
-		Deletes:     p.stats.deletes.Load(),
-		Evictions:   p.stats.evictions.Load(),
-		Expirations: p.stats.expirations.Load(),
-	}
 }

@@ -19,27 +19,6 @@ type Entry struct {
 	Expires int64 // virtual nanoseconds; 0 means no expiry
 }
 
-// StoreStats is a snapshot of a store's lifetime counters; partitions
-// merge theirs with StoreStats.Add.
-type StoreStats struct {
-	Gets        uint64 `json:"gets"`
-	Hits        uint64 `json:"hits"`
-	Sets        uint64 `json:"sets"`
-	Deletes     uint64 `json:"deletes"`
-	Evictions   uint64 `json:"evictions"`
-	Expirations uint64 `json:"expirations"`
-}
-
-// Add accumulates o into s.
-func (s *StoreStats) Add(o StoreStats) {
-	s.Gets += o.Gets
-	s.Hits += o.Hits
-	s.Sets += o.Sets
-	s.Deletes += o.Deletes
-	s.Evictions += o.Evictions
-	s.Expirations += o.Expirations
-}
-
 // ShardedStore is the memcached-semantics store: N shared-nothing
 // partitions with key-hash fan-out. Reads are lock-free — a per-slot
 // sequence counter detects torn reads and the reader retries — so GET
@@ -86,8 +65,8 @@ func NewShardedStore(shards, maxEntries int) *ShardedStore {
 // order FillFrom takes with this store as its source, so m stays a
 // faithful copy while a warm of m from this store runs. The offload
 // tier arms its table as the mirror while it is staged, so the last
-// write to any key lands in both stores under one lock. Evictions and
-// Sweep are not mirrored; m bounds and expires its own entries.
+// write to any key lands in both stores under one lock. Evictions are
+// not mirrored; m bounds and expires its own entries.
 func (st *ShardedStore) SetMirror(m *ShardedStore) { st.mirror.Store(m) }
 
 // Shards returns the partition count.
@@ -210,44 +189,6 @@ func (st *ShardedStore) FillFrom(src *ShardedStore) int {
 // Delete removes key, reporting whether it existed.
 func (st *ShardedStore) Delete(key string) bool {
 	return st.DeleteBytes([]byte(key))
-}
-
-// Len returns the number of live entries across all partitions. Entries
-// that readers have observed expired remain counted until Sweep reaps
-// them (lock-free readers cannot remove entries).
-func (st *ShardedStore) Len() int {
-	n := 0
-	for _, p := range st.parts {
-		n += p.len()
-	}
-	return n
-}
-
-// Sweep reaps expired entries in every partition, returning the total.
-func (st *ShardedStore) Sweep(now simnet.Time) int {
-	n := 0
-	for _, p := range st.parts {
-		n += p.sweep(now)
-	}
-	return n
-}
-
-// Stats merges every partition's counters.
-func (st *ShardedStore) Stats() StoreStats {
-	var out StoreStats
-	for _, p := range st.parts {
-		out.Add(p.statsSnapshot())
-	}
-	return out
-}
-
-// HitRatio returns the merged lifetime get hit ratio.
-func (st *ShardedStore) HitRatio() float64 {
-	s := st.Stats()
-	if s.Gets == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Gets)
 }
 
 // Apply executes a parsed memcached request at virtual time now, routing

@@ -39,7 +39,7 @@ func TestStoreExpiry(t *testing.T) {
 		t.Error("entry should expire")
 	}
 	// A lock-free reader cannot remove what it saw expired: the entry is
-	// charged once and stays counted until Sweep reaps it.
+	// charged once and stays counted until a write removes it.
 	s.GetString("k", simnet.Time(7*time.Second))
 	if s.Len() != 1 || s.Stats().Expirations != 1 {
 		t.Errorf("Len=%d Expirations=%d, want 1 and 1", s.Len(), s.Stats().Expirations)
@@ -86,32 +86,15 @@ func TestStoreApplyExptime(t *testing.T) {
 	}
 }
 
-func TestStoreSweep(t *testing.T) {
-	s := NewShardedStore(1, 0)
-	now := simnet.Time(10 * time.Second)
-	s.Set("live", Entry{})
-	s.Set("dead1", Entry{Expires: int64(simnet.Time(5 * time.Second))})
-	s.Set("dead2", Entry{Expires: int64(simnet.Time(9 * time.Second))})
-	if n := s.Sweep(now); n != 2 {
-		t.Errorf("Sweep reaped %d, want 2", n)
-	}
-	if s.Len() != 1 || s.Stats().Expirations != 2 {
-		t.Errorf("Len=%d Expirations=%d", s.Len(), s.Stats().Expirations)
-	}
-	if n := s.Sweep(now); n != 0 {
-		t.Errorf("second Sweep reaped %d, want 0", n)
-	}
-}
-
 func TestStoreHitRatio(t *testing.T) {
 	s := NewShardedStore(1, 0)
-	if s.HitRatio() != 0 {
-		t.Error("empty store hit ratio should be 0")
+	if st := s.Stats(); st.Gets != 0 || st.Hits != 0 {
+		t.Errorf("empty store counted %d hits of %d gets", st.Hits, st.Gets)
 	}
 	s.Set("a", Entry{})
 	s.GetString("a", 0)
 	s.GetString("b", 0)
-	if s.HitRatio() != 0.5 {
-		t.Errorf("hit ratio = %v, want 0.5", s.HitRatio())
+	if st := s.Stats(); st.Gets != 2 || st.Hits != 1 {
+		t.Errorf("counted %d hits of %d gets, want 1 of 2", st.Hits, st.Gets)
 	}
 }

@@ -52,20 +52,17 @@ func TestIdleStrategyPowerOrdering(t *testing.T) {
 func TestKeepWarmPreservesCache(t *testing.T) {
 	b := strategyRig(t, simhost.KeepWarm)
 	b.drive(20, 50*time.Millisecond)
-	if b.Tier.Len() == 0 {
+	if b.fast() == 0 {
 		t.Fatal("the card did not warm")
 	}
 	b.shift(t, core.Host)
-	if b.Tier.Len() == 0 {
-		t.Fatal("KeepWarm must retain the card's state")
-	}
 	b.shift(t, core.Network)
 	if got := b.Tier.Counters().Get("warmed_entries"); got != 0 {
 		t.Errorf("keep-warm reactivation transferred %d entries, want 0", got)
 	}
-	_, host := b.Served()
+	_, host := b.served()
 	b.drive(20, 50*time.Millisecond)
-	if _, now := b.Served(); now != host {
+	if _, now := b.served(); now != host {
 		t.Errorf("%d requests reached the host after keep-warm reactivation, want 0", now-host)
 	}
 }
@@ -75,18 +72,13 @@ func TestPartialReconfigHaltsTraffic(t *testing.T) {
 	b.client.Start(50)
 	b.sim.RunFor(50 * time.Millisecond)
 	b.shift(t, core.Host) // reprogram to NIC: halt starts
-	if !b.Reconfiguring() {
-		t.Fatal("reconfiguration halt should be in progress")
-	}
 	b.sim.RunFor(simhost.ReconfigHalt / 2)
 	if _, halted := b.Dropped(); halted == 0 {
 		t.Error("traffic during the halt must be dropped")
 	}
 	b.sim.RunFor(simhost.ReconfigHalt)
-	if b.Reconfiguring() {
-		t.Error("halt should have ended")
-	}
-	// Software now serves through the NIC bitstream.
+	// Software now serves through the NIC bitstream, and nothing is lost.
+	_, halted := b.Dropped()
 	before := b.client.Counters.Get("recv")
 	b.sim.RunFor(50 * time.Millisecond)
 	b.client.Stop()
@@ -94,8 +86,11 @@ func TestPartialReconfigHaltsTraffic(t *testing.T) {
 	if b.client.Counters.Get("recv") == before {
 		t.Error("no service after reconfiguration completed")
 	}
-	if b.Board().Config().Name != fpga.ReferenceNIC.Name {
-		t.Errorf("board runs %q, want reference NIC", b.Board().Config().Name)
+	if _, now := b.Dropped(); now != halted {
+		t.Errorf("%d datagrams lost after the halt should have ended", now-halted)
+	}
+	if b.CardWatts() != fpga.NICBaseCardWatts {
+		t.Errorf("card draws %v W, want the reference NIC's %v", b.CardWatts(), fpga.NICBaseCardWatts)
 	}
 }
 
@@ -104,15 +99,15 @@ func TestPartialReconfigReactivation(t *testing.T) {
 	b.shift(t, core.Host)
 	b.sim.RunFor(100 * time.Millisecond)
 	b.shift(t, core.Network)
-	if b.Board().Config().Name != fpga.LaKeDesign.Name {
-		t.Fatal("activation should reload the LaKe bitstream")
+	if lit := fpga.NewBoard(fpga.LaKeDesign).CardWatts(0); b.CardWatts() != lit {
+		t.Fatalf("card draws %v W, want the LaKe bitstream's %v: activation should reload it", b.CardWatts(), lit)
 	}
-	if !b.Reconfiguring() {
+	if !b.halts() {
 		t.Fatal("reactivation also halts traffic")
 	}
 	b.sim.RunFor(100 * time.Millisecond)
 	b.drive(20, 50*time.Millisecond)
-	if fast, _ := b.Served(); fast == 0 {
+	if fast, _ := b.served(); fast == 0 {
 		t.Error("the card should serve after reconfigured activation")
 	}
 }
@@ -129,7 +124,18 @@ func TestStrategyString(t *testing.T) {
 func TestActivateIdempotentNoHalt(t *testing.T) {
 	b := strategyRig(t, simhost.PartialReconfig) // already running the LaKe bitstream
 	b.shift(t, core.Network)
-	if b.Reconfiguring() {
+	if b.halts() {
 		t.Error("activating an already-loaded design must not halt traffic")
 	}
+}
+
+// halts reports whether the card drops the requests of a short burst:
+// whether a reconfiguration halt is in progress.
+func (b *bed) halts() bool {
+	_, before := b.Dropped()
+	b.client.Start(50)
+	b.sim.RunFor(time.Millisecond)
+	b.client.Stop()
+	_, after := b.Dropped()
+	return after != before
 }

@@ -108,13 +108,6 @@ type TxStats struct {
 	Fallbacks uint64
 }
 
-// Add accumulates o into s, for summing per-socket stats.
-func (s *TxStats) Add(o TxStats) {
-	s.Trains += o.Trains
-	s.TrainSegs += o.TrainSegs
-	s.Fallbacks += o.Fallbacks
-}
-
 // TxStatser is implemented by conns that track GSO transmit telemetry.
 type TxStatser interface{ TxStats() TxStats }
 

@@ -447,7 +447,7 @@ func TestE2EServiceShiftPaxosAcceptor(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			if resp, err := paxos.Decode(buf[:n]); err == nil {
+			if resp, err := decodePaxos(buf[:n]); err == nil {
 				return resp
 			}
 		}

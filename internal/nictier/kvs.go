@@ -104,9 +104,6 @@ func (t *KVSTier) Counters() *telemetry.AtomicCounters { return t.counters }
 // StatsCounters lets dataplane.Snapshot fold the tier counters in.
 func (t *KVSTier) StatsCounters() *telemetry.AtomicCounters { return t.counters }
 
-// Len returns the number of entries the tier holds.
-func (t *KVSTier) Len() int { return t.cache.Len() }
-
 // HitRatio implements Tier: the fraction of classified GETs served from
 // the table.
 func (t *KVSTier) HitRatio() float64 {

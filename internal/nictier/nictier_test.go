@@ -373,7 +373,7 @@ func TestPaxosTierHandoff(t *testing.T) {
 	if !ok {
 		t.Fatal("host must answer the 2A")
 	}
-	if m, err := paxos.Decode(out); err != nil || m.Type != paxos.MsgPhase2B || m.VBallot != 5 {
+	if m, err := decodePaxos(out); err != nil || m.Type != paxos.MsgPhase2B || m.VBallot != 5 {
 		t.Fatalf("host vote: %+v err %v", m, err)
 	}
 
@@ -402,7 +402,7 @@ func TestPaxosTierHandoff(t *testing.T) {
 	if !served || !reply {
 		t.Fatal("warm tier should serve the 1A")
 	}
-	m, err := paxos.Decode(out)
+	m, err := decodePaxos(out)
 	if err != nil || m.Type != paxos.MsgPhase1B || m.VBallot != 5 || string(m.Value) != "cmd" {
 		t.Fatalf("tier 1B must carry the handed-off vote: %+v err %v", m, err)
 	}
@@ -415,7 +415,7 @@ func TestPaxosTierHandoff(t *testing.T) {
 	if !ok {
 		t.Fatal("host must delegate the straggler")
 	}
-	if m, err = paxos.Decode(out); err != nil || m.VBallot != 5 {
+	if m, err = decodePaxos(out); err != nil || m.VBallot != 5 {
 		t.Fatalf("delegated 1B: %+v err %v", m, err)
 	}
 
@@ -441,7 +441,7 @@ func TestPaxosTierHandoff(t *testing.T) {
 	if !ok {
 		t.Fatal("host must serve after the handback")
 	}
-	if m, err = paxos.Decode(out); err != nil || m.VBallot != 6 || string(m.Value) != "c2" {
+	if m, err = decodePaxos(out); err != nil || m.VBallot != 6 || string(m.Value) != "c2" {
 		t.Fatalf("handback lost the tier vote: %+v err %v", m, err)
 	}
 	if _, served, _ := tier.TryHandleDatagram(p1a2, netip.AddrPort{}, &scratch); served {
@@ -462,7 +462,7 @@ func TestPaxosTierPromisedOverwrite(t *testing.T) {
 		onHost := func(m paxos.Msg) paxos.Msg {
 			t.Helper()
 			out, ok := host.HandleDatagram(paxos.Encode(m), &scratch)
-			reply, err := paxos.Decode(out)
+			reply, err := decodePaxos(out)
 			if !ok || err != nil {
 				t.Fatalf("host gave no reply to %v (%v)", m.Type, err)
 			}
@@ -471,7 +471,7 @@ func TestPaxosTierPromisedOverwrite(t *testing.T) {
 		onTier := func(m paxos.Msg) paxos.Msg {
 			t.Helper()
 			out, served, _ := tier.TryHandleDatagram(paxos.Encode(m), netip.AddrPort{}, &scratch)
-			reply, err := paxos.Decode(out)
+			reply, err := decodePaxos(out)
 			if !served || err != nil {
 				t.Fatalf("tier did not serve %v (%v)", m.Type, err)
 			}
@@ -852,4 +852,13 @@ func TestKVSTierIdleFootprint(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 		t.Fatalf("NewKVS+Stage+Park allocated %d bytes, want < 64 KB", got)
 	}
+}
+
+// decodePaxos is paxos.DecodeView materialized into a standalone Msg.
+func decodePaxos(b []byte) (paxos.Msg, error) {
+	var v paxos.MsgView
+	if err := paxos.DecodeView(b, &v); err != nil {
+		return paxos.Msg{}, err
+	}
+	return v.Msg(), nil
 }

@@ -61,9 +61,6 @@ func NewService(name string, eng Dataplane, tier Tier) *Service {
 // Name implements core.Service.
 func (s *Service) Name() string { return s.name }
 
-// Tier returns the bound tier.
-func (s *Service) Tier() Tier { return s.tier }
-
 // Placement implements core.Service. It never blocks — not even while a
 // transition is in flight — so orchestrator status snapshots stay cheap.
 func (s *Service) Placement() core.Placement {

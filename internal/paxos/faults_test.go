@@ -9,10 +9,24 @@ import (
 	"incod/internal/simnet"
 )
 
+// lossyNet returns a 10GE network that loses the given fraction of every
+// link's packets.
+func lossyNet(seed int64, loss float64) *simnet.Network {
+	net := simnet.NewNetwork(simnet.New(seed), simnet.TenGigE)
+	net.SetFaultPlan(simnet.FaultPlan{Default: simnet.Faults{LossRate: loss}})
+	return net
+}
+
 // Failure injection: with 5% random packet loss, client retries keep the
 // system live and learners still agree on everything decided.
 func TestConsensusUnderPacketLoss(t *testing.T) {
-	net := simnet.NewNetwork(simnet.New(71), simnet.TenGigE.WithLoss(0.05))
+	net := lossyNet(71, 0.05)
+	lost := 0
+	net.SetTracer(func(kind string, _ simnet.Time, _, _ simnet.Addr, _ []byte) {
+		if kind == simnet.TraceDropLoss {
+			lost++
+		}
+	})
 	sim, d := deployOn(net, simhost.PaxosConfig{Learners: 2})
 	c := d.Clients[0]
 	c.RetryTimeout = 50 * time.Millisecond
@@ -24,7 +38,7 @@ func TestConsensusUnderPacketLoss(t *testing.T) {
 	}
 	sim.RunFor(5 * time.Second)
 
-	if net.Dropped() == 0 {
+	if lost == 0 {
 		t.Fatal("loss injection inactive")
 	}
 	// Liveness: the overwhelming majority of requests decide.
@@ -48,7 +62,7 @@ func TestConsensusUnderPacketLoss(t *testing.T) {
 
 // A leader shift while packets are being lost must still converge.
 func TestLeaderShiftUnderPacketLoss(t *testing.T) {
-	net := simnet.NewNetwork(simnet.New(72), simnet.TenGigE.WithLoss(0.03))
+	net := lossyNet(72, 0.03)
 	sim, d := deployOn(net, simhost.PaxosConfig{})
 	c := d.Clients[0]
 	c.RetryTimeout = 50 * time.Millisecond

@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// FuzzDecode guards the codec pair behind the serving path: the
-// zero-copy DecodeView and the allocating Decode must accept exactly the
-// same inputs — short headers, truncated bodies and oversized declared
-// lengths included — agree on every field, and re-encode to the same
-// canonical bytes.
+// FuzzDecode guards the codec behind the serving path: whatever the
+// zero-copy DecodeView accepts — short headers, truncated bodies and
+// oversized declared lengths must be refused — keeps every aliased field
+// inside the datagram, materializes into a Msg with the same fields, and
+// both encoders re-encode it to the same canonical bytes, which decode to
+// the same Msg.
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(Msg{Type: MsgPhase2A, Instance: 9, Ballot: 3, ClientAddr: "client-1:9", Value: []byte("cmd")}))
 	f.Add(Encode(Msg{Type: MsgPhase2B, Instance: 1 << 40, Ballot: 7, VBallot: 6, NodeID: 2,
@@ -29,14 +30,16 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var v MsgView
-		verr := DecodeView(data, &v)
-		m, merr := Decode(data)
-		if (verr == nil) != (merr == nil) {
-			t.Fatalf("DecodeView err=%v, Decode err=%v", verr, merr)
-		}
-		if merr != nil {
+		if err := DecodeView(data, &v); err != nil {
+			if len(data) >= headerSize && len(data) >= headerSize+int(binary.BigEndian.Uint16(data[37:]))+int(binary.BigEndian.Uint16(data[39:])) {
+				t.Fatalf("DecodeView refused a complete datagram: %v", err)
+			}
 			return
 		}
+		if len(v.ClientAddr)+len(v.Value) > len(data)-headerSize {
+			t.Fatalf("view fields (%d+%d bytes) reach past the %d-byte datagram", len(v.ClientAddr), len(v.Value), len(data))
+		}
+		m := v.Msg()
 		if m.Type != v.Type || m.Instance != v.Instance || m.Ballot != v.Ballot ||
 			m.VBallot != v.VBallot || m.NodeID != v.NodeID || m.LastVoted != v.LastVoted ||
 			m.ClientID != v.ClientID || m.Seq != v.Seq {
@@ -51,7 +54,7 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(enc, AppendMsg(nil, m)) {
 			t.Fatalf("AppendMsgView != AppendMsg")
 		}
-		m2, err := Decode(enc)
+		m2, err := decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}

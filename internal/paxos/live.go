@@ -148,19 +148,6 @@ func NewAcceptorTable() *AcceptorTable { return &AcceptorTable{} }
 // size of a state handoff.
 func (t *AcceptorTable) Instances() int { return t.count }
 
-// LastVoted returns the highest instance this acceptor has voted on.
-func (t *AcceptorTable) LastVoted() uint64 { return t.lastVoted.Load() }
-
-// Accepted returns the value voted for inst, if any. Owner-serialized.
-func (t *AcceptorTable) Accepted(inst uint64) ([]byte, bool) {
-	var st voteRecord
-	if t.lookup(inst, &st); !st.accepted {
-		return nil, false
-	}
-	v, end := voteEnds(st.raw)
-	return st.raw[v:end:end], true
-}
-
 // Clone copies the table: the modeled DMA of acceptor state into NIC
 // memory, and the state transfer to a replacement acceptor. It costs the
 // index and one chunk, whatever the history.
@@ -450,27 +437,6 @@ func (a *LiveAcceptor) StatsCounters() *telemetry.AtomicCounters {
 	return a.counters
 }
 
-// LastVoted returns the highest instance the host role's table has voted
-// on (the tier's copy is ahead of it while a handoff is in effect).
-func (a *LiveAcceptor) LastVoted() uint64 { return a.table.Load().LastVoted() }
-
-// AcceptedValue returns the value the host role's table holds for inst.
-func (a *LiveAcceptor) AcceptedValue(inst uint64) ([]byte, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.table.Load().Accepted(inst)
-}
-
-// Snapshot returns a copy of the acceptor's state: what a replacement
-// acceptor installs with EndHandoff to answer exactly like this one
-// (§9.2 defers reconfiguration to Vertical-Paxos-style protocols; this
-// is the state-transfer half).
-func (a *LiveAcceptor) Snapshot() *AcceptorTable {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.table.Load().Clone()
-}
-
 // BeginHandoff surrenders the acceptor's state table to d (the NIC tier)
 // and returns it. Until EndHandoff, any datagram that still reaches the
 // host role — a straggler dispatched before the fast path flipped — is
@@ -689,14 +655,6 @@ func NewLiveLeader(ballot uint32, acceptors []string, send Sender) *LiveLeader {
 // StatsCounters implements dataplane.StatsReporter.
 func (l *LiveLeader) StatsCounters() *telemetry.AtomicCounters { return l.counters }
 
-// Next returns the next unused instance number (what the §9.2 hand-off
-// must learn).
-func (l *LiveLeader) Next() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
 // HighestBallot returns the highest ballot the leader has used, recovery
 // rounds included. A successor must start above it, or a fresh proposal
 // of its could pass for the Phase2A of a recovery still in flight.
@@ -723,17 +681,6 @@ func (l *LiveLeader) SetActive(v bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.paused = !v
-}
-
-// ReplaceAcceptor repoints proposals for acceptor old at its replacement.
-func (l *LiveLeader) ReplaceAcceptor(old, replacement string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, a := range l.acceptors {
-		if a == old {
-			l.acceptors[i] = replacement
-		}
-	}
 }
 
 // HandleDatagram implements dataplane.Handler.

@@ -46,7 +46,7 @@ func TestPartialProposalRecoversOneValue(t *testing.T) {
 		if !ok {
 			t.Fatalf("acceptor %d gave no reply to %v", to.ID(), m.Type)
 		}
-		reply, err := Decode(out)
+		reply, err := decode(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestPartialProposalRecoversOneValue(t *testing.T) {
 		for _, e := range learnBox[i].take() {
 			holding := 0
 			for _, a := range acc {
-				if v, ok := a.AcceptedValue(e.m.Instance); ok && string(v) == string(e.m.Value) {
+				if v, ok := a.Snapshot().Accepted(e.m.Instance); ok && string(v) == string(e.m.Value) {
 					holding++
 				}
 			}
@@ -131,7 +131,7 @@ func TestPromisedOverwriteOnSettledInstance(t *testing.T) {
 		if !ok {
 			t.Fatalf("no reply to %v", m.Type)
 		}
-		reply, err := Decode(out)
+		reply, err := decode(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestPromisedOverwriteOnSettledInstance(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	if v, _ := a.AcceptedValue(5); string(v) != "Y" {
+	if v, _ := a.Snapshot().Accepted(5); string(v) != "Y" {
 		t.Fatalf("accepted %q, want Y", v)
 	}
 	// A fresh 2A above the vote, never promised, overwrites nothing.

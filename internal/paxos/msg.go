@@ -20,9 +20,6 @@ import (
 	"incod/internal/simnet"
 )
 
-// Port is the UDP port Paxos messages use.
-const Port = 9555
-
 // MsgType enumerates Paxos wire messages.
 type MsgType uint8
 
@@ -119,8 +116,7 @@ func appendMsg(dst []byte, m *Msg) []byte {
 // inbound datagram and are valid only until the buffer is reused — the
 // serving hot path's decode. State that must outlive the datagram (an
 // acceptor's retained vote, a learner's quorum entry) is materialized
-// with Msg(), which performs the copies the plain Decode would have done
-// up front for every message.
+// with Msg(), which performs the copies only for what is kept.
 type MsgView struct {
 	Type       MsgType
 	Instance   uint64
@@ -186,15 +182,4 @@ func AppendMsgView(dst []byte, v *MsgView) []byte {
 	b = append(b, v.ClientAddr...)
 	b = append(b, v.Value...)
 	return b
-}
-
-// Decode parses a Paxos datagram into a standalone Msg (DecodeView plus
-// the retention copies). The serving paths use DecodeView and copy only
-// what they keep.
-func Decode(b []byte) (Msg, error) {
-	var v MsgView
-	if err := DecodeView(b, &v); err != nil {
-		return Msg{}, err
-	}
-	return v.Msg(), nil
 }

@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// decode is DecodeView materialized into a standalone Msg.
+func decode(b []byte) (Msg, error) {
+	var v MsgView
+	if err := DecodeView(b, &v); err != nil {
+		return Msg{}, err
+	}
+	return v.Msg(), nil
+}
+
 func TestMsgRoundTrip(t *testing.T) {
 	m := Msg{
 		Type:       MsgPhase2B,
@@ -19,7 +28,7 @@ func TestMsgRoundTrip(t *testing.T) {
 		ClientAddr: "pxclient-5",
 		Value:      []byte("hello"),
 	}
-	got, err := Decode(Encode(m))
+	got, err := decode(Encode(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +41,7 @@ func TestMsgRoundTrip(t *testing.T) {
 }
 
 func TestMsgEmptyValue(t *testing.T) {
-	got, err := Decode(Encode(Msg{Type: MsgGapRequest, Instance: 3}))
+	got, err := decode(Encode(Msg{Type: MsgGapRequest, Instance: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +51,12 @@ func TestMsgEmptyValue(t *testing.T) {
 }
 
 func TestDecodeShort(t *testing.T) {
-	if _, err := Decode([]byte{1, 2}); err != ErrShortMessage {
+	if _, err := decode([]byte{1, 2}); err != ErrShortMessage {
 		t.Errorf("err = %v, want ErrShortMessage", err)
 	}
 	// Declared lengths longer than the buffer.
 	m := Encode(Msg{Type: MsgPhase2A, Value: []byte("abcdef")})
-	if _, err := Decode(m[:len(m)-3]); err != ErrShortMessage {
+	if _, err := decode(m[:len(m)-3]); err != ErrShortMessage {
 		t.Errorf("truncated value err = %v", err)
 	}
 }
@@ -75,7 +84,7 @@ func TestMsgRoundTripProperty(t *testing.T) {
 		if len(m.Value) > 60000 {
 			m.Value = m.Value[:60000]
 		}
-		got, err := Decode(Encode(m))
+		got, err := decode(Encode(m))
 		return err == nil && got.Instance == inst && bytes.Equal(got.Value, m.Value) &&
 			got.Ballot == ballot && got.Seq == seq
 	}

@@ -30,7 +30,7 @@ func deployOn(net *simnet.Network, cfg simhost.PaxosConfig) (*simnet.Simulator, 
 
 // inject delivers a raw message to a node as if from src.
 func inject(n simnet.Node, src simnet.Addr, m Msg) {
-	n.Receive(&simnet.Packet{Src: src, Dst: n.Addr(), SrcPort: Port, DstPort: Port, Payload: Encode(m)})
+	n.Receive(&simnet.Packet{Src: src, Dst: n.Addr(), SrcPort: 9555, DstPort: 9555, Payload: Encode(m)})
 }
 
 func TestBasicConsensus(t *testing.T) {
@@ -51,8 +51,8 @@ func TestBasicConsensus(t *testing.T) {
 		if got := a.StatsCounters().Get("voted"); got != 1 {
 			t.Errorf("acceptor %d voted %d times, want 1", i, got)
 		}
-		if a.LastVoted() != 1 {
-			t.Errorf("acceptor %d LastVoted = %d, want 1", i, a.LastVoted())
+		if a.Snapshot().LastVoted() != 1 {
+			t.Errorf("acceptor %d LastVoted = %d, want 1", i, a.Snapshot().LastVoted())
 		}
 	}
 }
@@ -114,7 +114,7 @@ func TestReinitiationPreservesDecidedValue(t *testing.T) {
 		t.Errorf("decided(1) = %q after re-initiation, want original", v)
 	}
 	for i, a := range d.Acceptors {
-		if v, _ := a.AcceptedValue(1); string(v) != "original" {
+		if v, _ := a.Snapshot().Accepted(1); string(v) != "original" {
 			t.Errorf("acceptor %d value overwritten to %q", i, v)
 		}
 	}
@@ -280,7 +280,7 @@ func TestAcceptorRejectsStaleBallot(t *testing.T) {
 	if got := a.StatsCounters().Get("rejected"); got != 1 {
 		t.Errorf("rejected = %d, want 1", got)
 	}
-	if _, ok := a.AcceptedValue(1); ok {
+	if _, ok := a.Snapshot().Accepted(1); ok {
 		t.Error("stale proposal must not be accepted")
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"incod/internal/paxos"
 	"incod/internal/simhost"
-	"incod/internal/simnet"
 )
 
 // Randomized schedule property: across seeds, loss rates, and shift
@@ -21,7 +21,7 @@ func TestRandomScheduleAgreementProperty(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			loss := float64(seed%4) * 0.01 // 0-3%
-			net := simnet.NewNetwork(simnet.New(seed), simnet.TenGigE.WithLoss(loss))
+			net := lossyNet(seed, loss)
 			sim, d := deployOn(net, simhost.PaxosConfig{Learners: 2, Clients: 2})
 			for _, c := range d.Clients {
 				c.RetryTimeout = 50 * time.Millisecond
@@ -64,14 +64,18 @@ func TestRandomScheduleAgreementProperty(t *testing.T) {
 				}
 			}
 			// Acceptors converged on the learners' values wherever decided.
+			var held []*paxos.AcceptorTable
+			for _, a := range d.Acceptors {
+				held = append(held, a.Snapshot())
+			}
 			for inst := uint64(1); inst <= hi; inst++ {
 				dv, ok := l0.Decided(inst)
 				if !ok {
 					continue
 				}
 				matching := 0
-				for _, a := range d.Acceptors {
-					if av, ok := a.AcceptedValue(inst); ok && string(av) == string(dv) {
+				for _, tab := range held {
+					if av, ok := tab.Accepted(inst); ok && string(av) == string(dv) {
 						matching++
 					}
 				}

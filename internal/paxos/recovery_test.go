@@ -6,6 +6,7 @@ import (
 
 	. "incod/internal/paxos"
 	"incod/internal/simhost"
+	"incod/internal/simnet"
 )
 
 // Divergent instance: one acceptor voted X at ballot 1, the other two
@@ -20,9 +21,12 @@ func TestRecoveryResolvesDivergentInstance(t *testing.T) {
 	// while the divergent votes go out, it never sees them.
 	fresh := d.Learners[1]
 	fresh.GapTimeout = 20 * time.Millisecond
+	cut := map[[2]simnet.Addr]simnet.Faults{}
 	for _, a := range d.Acceptors {
-		d.Net.Partition(a.Addr(), fresh.Addr())
+		cut[[2]simnet.Addr{a.Addr(), fresh.Addr()}] = simnet.Faults{LossRate: 1}
+		cut[[2]simnet.Addr{fresh.Addr(), a.Addr()}] = simnet.Faults{LossRate: 1}
 	}
+	d.Net.SetFaultPlan(simnet.FaultPlan{Links: cut})
 
 	// Hand-craft divergence at instance 1: acceptor 0 accepted "X"@1;
 	// acceptors 1-2 accepted "Y"@2. (As would happen if a shifted leader
@@ -34,7 +38,7 @@ func TestRecoveryResolvesDivergentInstance(t *testing.T) {
 	// decides "Y" at quorum. The stuck case is the learner whose votes
 	// got lost.
 	sim.RunFor(10 * time.Millisecond)
-	d.Net.HealAll()
+	d.Net.SetFaultPlan(simnet.FaultPlan{})
 
 	// Now push the frontier so instance 1 becomes a gap for the fresh
 	// learner that never saw those votes.
@@ -90,7 +94,7 @@ func TestRecoveryResolvesThreeWaySplit(t *testing.T) {
 	}
 	uniform := 0
 	for _, a := range d.Acceptors {
-		if av, ok := a.AcceptedValue(1); ok && string(av) == string(v) {
+		if av, ok := a.Snapshot().Accepted(1); ok && string(av) == string(v) {
 			uniform++
 		}
 	}
@@ -117,7 +121,7 @@ func TestRecoveryNeverDisplacesChosenValue(t *testing.T) {
 		sim.RunFor(50 * time.Millisecond)
 	}
 	for i, a := range d.Acceptors {
-		if v, _ := a.AcceptedValue(1); string(v) != "chosen" {
+		if v, _ := a.Snapshot().Accepted(1); string(v) != "chosen" {
 			t.Errorf("acceptor %d now holds %q, chosen value displaced", i, v)
 		}
 	}

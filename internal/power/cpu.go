@@ -1,5 +1,8 @@
-// Package power models the power draw of the servers, NICs and software
-// stacks in the paper's testbed.
+// Package power models the power draw of the servers and software stacks
+// in the paper's testbed. A SoftwareCurve is one application on the §4
+// i7-6700K server with its NIC, as a function of the offered rate; a
+// CPUModel is a whole server by busy cores and utilization, for the §5.4
+// and §7 machines.
 //
 // All constants are calibrated against numbers printed in the paper:
 //
@@ -74,24 +77,6 @@ func (m CPUModel) Power(activeCores int, util float64) float64 {
 	return p
 }
 
-// PowerAtLoad returns wall watts at an aggregate load fraction (0..1) of
-// the whole machine, spreading the load over the fewest cores that can
-// carry it — the scheduling the §7 synthetic workload uses.
-func (m CPUModel) PowerAtLoad(load float64) float64 {
-	if load <= 0 {
-		return m.IdleWatts
-	}
-	if load > 1 {
-		load = 1
-	}
-	totalUtil := load * float64(m.Cores())
-	active := int(math.Ceil(totalUtil))
-	if active < 1 {
-		active = 1
-	}
-	return m.Power(active, totalUtil/float64(active))
-}
-
 // SocketPower splits the §7 per-socket breakdown: the idle draw divides
 // evenly between sockets, and the first-core jump raises both sockets
 // "almost equally" (60/40 toward the socket running the core).
@@ -120,19 +105,6 @@ func (m CPUModel) SocketPower(activeCores int, util float64) []float64 {
 
 // Predefined server models (calibration sources in the package comment).
 var (
-	// CoreI76700K is the §4 base setup: 4 cores at 4 GHz, 64 GB RAM.
-	// Idle excludes the NIC (add a NICModel; 39 W total with the X520).
-	CoreI76700K = CPUModel{
-		Name:               "Intel Core i7-6700K",
-		Sockets:            1,
-		CoresPerSocket:     4,
-		IdleWatts:          37.5,
-		FirstCoreJumpWatts: 14,
-		ExtraCoreWatts:     3,
-		SaturationUtil:     0.05,
-		LoadSlopeWatts:     49.5,
-	}
-
 	// XeonE52637v4 is the §5.4 SuperMicro X10-DRG-Q comparison machine:
 	// 83 W idle without a NIC.
 	XeonE52637v4 = CPUModel{
@@ -159,30 +131,4 @@ var (
 		SaturationUtil:     0.0514,
 		LoadSlopeWatts:     0,
 	}
-)
-
-// NICModel is a fixed-function NIC's power draw.
-type NICModel struct {
-	Name      string
-	IdleWatts float64
-	// DynWatts is the additional draw at line rate.
-	DynWatts float64
-}
-
-// Power returns watts at the given load fraction of line rate.
-func (n NICModel) Power(load float64) float64 {
-	if load < 0 {
-		load = 0
-	}
-	if load > 1 {
-		load = 1
-	}
-	return n.IdleWatts + n.DynWatts*load
-}
-
-// NICs from the §4.1 setup.
-var (
-	IntelX520      = NICModel{Name: "Intel X520", IdleWatts: 1.5, DynWatts: 1.0}
-	MellanoxCX311A = NICModel{Name: "Mellanox MCX311A-XCCT", IdleWatts: 2.0, DynWatts: 1.5}
-	NoNIC          = NICModel{Name: "none"}
 )

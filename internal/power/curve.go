@@ -46,18 +46,6 @@ func (c SoftwareCurve) Power(kpps float64) float64 {
 	return p
 }
 
-// Goodput returns the served rate in kpps for an offered rate: offered up
-// to the peak, then flat (the software saturates and drops the excess).
-func (c SoftwareCurve) Goodput(offeredKpps float64) float64 {
-	if offeredKpps < 0 {
-		return 0
-	}
-	if c.PeakKpps > 0 && offeredKpps > c.PeakKpps {
-		return c.PeakKpps
-	}
-	return offeredKpps
-}
-
 // Utilization returns the fraction of peak capacity consumed at the
 // offered rate, clamped to 1.
 func (c SoftwareCurve) Utilization(offeredKpps float64) float64 {

@@ -49,25 +49,31 @@ func TestXeonSocketBreakdown(t *testing.T) {
 	}
 }
 
+// Power never falls as utilization or the number of busy cores grows.
 func TestPowerAtLoadMonotone(t *testing.T) {
-	for _, m := range []CPUModel{CoreI76700K, XeonE52660v4Dual, XeonE52637v4} {
-		prev := -1.0
-		for load := 0.0; load <= 1.0001; load += 0.01 {
-			p := m.PowerAtLoad(load)
-			if p < prev-1e-9 {
-				t.Fatalf("%s: power not monotone at load %.2f: %v < %v", m.Name, load, p, prev)
+	for _, m := range []CPUModel{XeonE52660v4Dual, XeonE52637v4} {
+		for cores := 1; cores <= m.Cores(); cores++ {
+			prev := -1.0
+			for util := 0.0; util <= 1.0001; util += 0.01 {
+				p := m.Power(cores, util)
+				if p < prev-1e-9 {
+					t.Fatalf("%s: power not monotone at %d cores, util %.2f: %v < %v", m.Name, cores, util, p, prev)
+				}
+				if cores > 1 && p < m.Power(cores-1, util)-1e-9 {
+					t.Fatalf("%s: %d busy cores draw less than %d at util %.2f", m.Name, cores, cores-1, util)
+				}
+				prev = p
 			}
-			prev = p
 		}
 	}
 }
 
 func TestPowerClamps(t *testing.T) {
-	m := CoreI76700K
+	m := XeonE52637v4
 	if m.Power(100, 2) != m.Power(4, 1) {
 		t.Error("active cores / util should clamp to machine limits")
 	}
-	if m.PowerAtLoad(-1) != m.IdleWatts {
+	if m.Power(1, -1) != m.IdleWatts {
 		t.Error("negative load should be idle")
 	}
 }
@@ -116,12 +122,6 @@ func TestDPDKAlmostConstant(t *testing.T) {
 
 func TestGoodputSaturates(t *testing.T) {
 	c := LibpaxosAcceptor
-	if c.Goodput(100) != 100 {
-		t.Error("goodput below peak should equal offered")
-	}
-	if c.Goodput(500) != 178 {
-		t.Errorf("goodput above peak = %v, want 178", c.Goodput(500))
-	}
 	if c.Utilization(89) != 0.5 {
 		t.Errorf("utilization = %v, want 0.5", c.Utilization(89))
 	}
@@ -175,18 +175,6 @@ func TestCurvesMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNICModels(t *testing.T) {
-	if IntelX520.Power(0) != 1.5 || IntelX520.Power(1) != 2.5 {
-		t.Error("Intel X520 power endpoints wrong")
-	}
-	if IntelX520.Power(-1) != IntelX520.Power(0) || IntelX520.Power(2) != IntelX520.Power(1) {
-		t.Error("NIC load should clamp")
-	}
-	if NoNIC.Power(1) != 0 {
-		t.Error("NoNIC should draw nothing")
 	}
 }
 

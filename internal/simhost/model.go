@@ -149,13 +149,6 @@ func (n *Node) cardLoad() float64 {
 	return min(n.RateKpps()/peak, 1)
 }
 
-// Board exposes the card (design, gating, reset and module state).
-func (n *Node) Board() *fpga.Board { return n.board }
-
-// Reconfiguring reports whether a partial-reconfiguration traffic halt
-// is in progress.
-func (n *Node) Reconfiguring() bool { return n.sim.Now() < n.haltUntil }
-
 // Dropped reports how many datagrams the saturated host shed and how
 // many a reconfiguring card lost.
 func (n *Node) Dropped() (shed, halted uint64) { return n.shed, n.halted }

@@ -102,13 +102,6 @@ func NewNode(net *simnet.Network, addr simnet.Addr, host dataplane.Handler, wind
 // Addr implements simnet.Node.
 func (n *Node) Addr() simnet.Addr { return n.addr }
 
-// Served reports how many datagrams the fast path consumed and how many
-// reached the host handler.
-func (n *Node) Served() (fast, host uint64) {
-	st := n.e.Snapshot()
-	return st.Offloaded, st.Handled - st.Offloaded
-}
-
 // Stats is the engine's snapshot, with the datagrams the node dropped
 // for being longer than MaxDatagram counted in Dropped.
 func (n *Node) Stats() dataplane.Stats {

@@ -254,35 +254,6 @@ func (d *Paxos) ShiftLeader(target *PaxosLeader) {
 	d.Shifts++
 }
 
-// ReplaceAcceptor swaps acceptor i for a fresh node at a new address
-// under m — the reconfiguration §9.2 defers to Vertical-Paxos-style
-// protocols, in its crash-replace form: snapshot a surviving peer,
-// install the copy in the replacement, leave the old node detached. The
-// replacement answers like a caught-up acceptor, so quorums keep
-// overlapping.
-func (d *Paxos) ReplaceAcceptor(i int, m *Model) (*PaxosAcceptor, error) {
-	if i < 0 || i >= len(d.Acceptors) {
-		return nil, fmt.Errorf("simhost: acceptor index %d out of range", i)
-	}
-	if len(d.Acceptors) < 2 {
-		return nil, fmt.Errorf("simhost: need a surviving peer for state transfer")
-	}
-	old := d.Acceptors[i]
-	donor := d.Acceptors[(i+1)%len(d.Acceptors)]
-
-	d.Net.Detach(old.Addr()) // in-flight traffic to it drops
-
-	addr := simnet.Addr(fmt.Sprintf("%s-r%d", old.Addr(), d.Shifts))
-	replacement := d.acceptor(addr, old.ID(), 0, m)
-	replacement.EndHandoff(donor.Snapshot())
-	d.Acceptors[i] = replacement
-
-	// Rewrite the leaders' acceptor sets (the §9.2 "forwarding rules").
-	d.SWLeader.ReplaceAcceptor(string(old.Addr()), string(addr))
-	d.HWLeader.ReplaceAcceptor(string(old.Addr()), string(addr))
-	return replacement, nil
-}
-
 // PowerWatts implements telemetry.PowerSource: the power of the current
 // leader's node — what Figure 3(b)'s leader lines report; a hardware
 // leader is its card in an idle host.

@@ -60,11 +60,11 @@ func TestBarrierFlushesWindow(t *testing.T) {
 		net.Send(&simnet.Packet{Src: "client", Dst: "server", Payload: []byte{byte(i)}})
 	}
 	sim.RunFor(time.Microsecond)
-	if _, host := node.Served(); host != 0 {
+	if host := node.Stats().Handled; host != 0 {
 		t.Fatalf("%d datagrams handled before the window elapsed", host)
 	}
 	node.Barrier()
-	if _, host := node.Served(); host != 3 {
+	if host := node.Stats().Handled; host != 3 {
 		t.Fatalf("Barrier landed %d of 3 pending datagrams", host)
 	}
 	sim.Run()

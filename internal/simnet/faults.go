@@ -9,9 +9,9 @@ import (
 // source in a fixed order, so a whole run — including every injected
 // fault — replays byte-for-byte from (seed, plan).
 //
-// Faults compose with the link's LinkConfig: LossRate here is applied in
-// addition to any LinkConfig.LossRate, and the delay terms add on top of
-// serialization + propagation delay.
+// Faults compose with the link's LinkConfig: the delay terms add on top of
+// serialization + propagation delay, and LossRate drops packets the link's
+// queue accepted.
 type Faults struct {
 	// LossRate drops this fraction of packets.
 	LossRate float64
@@ -68,63 +68,6 @@ func (p FaultPlan) For(src, dst Addr) Faults {
 // sent from now on, existing links included.
 func (n *Network) SetFaultPlan(plan FaultPlan) { n.plan = plan }
 
-// Partition installs a bidirectional partition between a and b: every
-// packet between them (in flight ones included) is dropped until Heal.
-func (n *Network) Partition(a, b Addr) {
-	if n.partitioned == nil {
-		n.partitioned = make(map[[2]Addr]bool)
-	}
-	n.partitioned[[2]Addr{a, b}] = true
-	n.partitioned[[2]Addr{b, a}] = true
-}
-
-// Heal removes the partition between a and b.
-func (n *Network) Heal(a, b Addr) {
-	delete(n.partitioned, [2]Addr{a, b})
-	delete(n.partitioned, [2]Addr{b, a})
-}
-
-// HealAll removes every partition.
-func (n *Network) HealAll() { n.partitioned = nil }
-
-// Crash marks addr as crashed: it neither sends nor receives until
-// Restart, and packets already in flight to it are dropped on delivery.
-// The node stays attached — a crash is a fault, not a topology change.
-func (n *Network) Crash(addr Addr) {
-	if n.crashed == nil {
-		n.crashed = make(map[Addr]bool)
-	}
-	n.crashed[addr] = true
-}
-
-// Restart clears addr's crashed state. State recovery is the node's own
-// concern — the network only resumes delivering to it.
-func (n *Network) Restart(addr Addr) { delete(n.crashed, addr) }
-
-// Crashed reports whether addr is currently crashed.
-func (n *Network) Crashed(addr Addr) bool { return n.crashed[addr] }
-
-// FaultStats aggregates the network-wide fault accounting.
-type FaultStats struct {
-	// PartitionDrops counts packets dropped by an active partition.
-	PartitionDrops uint64
-	// CrashDrops counts packets dropped because an endpoint was crashed.
-	CrashDrops uint64
-	// Duplicated and Reordered total the per-link counters.
-	Duplicated uint64
-	Reordered  uint64
-}
-
-// FaultStats returns the network-wide fault accounting.
-func (n *Network) FaultStats() FaultStats {
-	s := FaultStats{PartitionDrops: n.partitionDrops, CrashDrops: n.crashDrops}
-	for _, l := range n.links {
-		s.Duplicated += l.duplicated
-		s.Reordered += l.reordered
-	}
-	return s
-}
-
 // --- event trace ----------------------------------------------------------
 
 // Trace event kinds, folded into the trace hash and passed to the tracer.
@@ -134,8 +77,6 @@ const (
 	TraceDup        = "dup"
 	TraceDropLoss   = "drop-loss"
 	TraceDropQueue  = "drop-queue"
-	TraceDropPart   = "drop-partition"
-	TraceDropCrash  = "drop-crash"
 	TraceUnroutable = "unroutable"
 )
 

@@ -54,45 +54,17 @@ type LinkConfig struct {
 	// QueueLimit bounds the number of packets in flight on the link
 	// (drop-tail). Zero means unbounded.
 	QueueLimit int
-	// LossRate drops this fraction of packets at random (failure
-	// injection for protocol robustness tests).
-	LossRate float64
-}
-
-// WithLoss returns a copy of the config with the given loss rate.
-func (c LinkConfig) WithLoss(rate float64) LinkConfig {
-	c.LossRate = rate
-	return c
 }
 
 // TenGigE is the link configuration of the NetFPGA SUME front-panel ports.
 var TenGigE = LinkConfig{Bandwidth: 10e9, Delay: 500 * time.Nanosecond, QueueLimit: 4096}
 
-// FortyGigE matches the paper's Tofino snake configuration ports.
-var FortyGigE = LinkConfig{Bandwidth: 40e9, Delay: 500 * time.Nanosecond, QueueLimit: 4096}
-
 // link is the runtime state of a unidirectional link.
 type link struct {
 	cfg LinkConfig
 	// busyUntil is when the transmitter finishes the current packet.
-	busyUntil  Time
-	inFlight   int
-	drops      uint64
-	delivered  uint64
-	bytes      uint64
-	duplicated uint64
-	reordered  uint64
-}
-
-// LinkStats is a snapshot of one direction of a link.
-type LinkStats struct {
-	Delivered uint64
-	Drops     uint64
-	Bytes     uint64
-	// Duplicated counts packets the fault plan delivered twice;
-	// Reordered counts packets it held back past their natural slot.
-	Duplicated uint64
-	Reordered  uint64
+	busyUntil Time
+	inFlight  int
 }
 
 // Network connects nodes with point-to-point links and delivers packets
@@ -103,17 +75,11 @@ type Network struct {
 	links map[[2]Addr]*link
 	// Default link used between nodes with no explicit link.
 	defaultLink LinkConfig
-	dropped     uint64
-	unroutable  uint64
 
 	// Fault-injection state (see faults.go).
-	plan           FaultPlan
-	partitioned    map[[2]Addr]bool
-	crashed        map[Addr]bool
-	partitionDrops uint64
-	crashDrops     uint64
-	hash           uint64
-	tracer         Tracer
+	plan   FaultPlan
+	hash   uint64
+	tracer Tracer
 }
 
 // NewNetwork returns an empty network attached to sim. Packets between
@@ -139,12 +105,6 @@ func (n *Network) Attach(node Node) {
 	n.nodes[node.Addr()] = node
 }
 
-// Detach removes the node with the given address, if present.
-func (n *Network) Detach(addr Addr) { delete(n.nodes, addr) }
-
-// Node returns the attached node with the given address, or nil.
-func (n *Network) Node(addr Addr) Node { return n.nodes[addr] }
-
 func (n *Network) linkFor(src, dst Addr) *link {
 	if l, ok := n.links[[2]Addr{src, dst}]; ok {
 		return l
@@ -156,40 +116,18 @@ func (n *Network) linkFor(src, dst Addr) *link {
 
 // Send transmits pkt from pkt.Src to pkt.Dst. Delivery happens after the
 // link's serialization and propagation delay plus any fault-plan delay
-// terms; packets beyond the link's queue limit, lost to the loss rate, or
-// blocked by a partition or crashed endpoint are dropped. Send reports
-// whether the packet was accepted onto the link.
+// terms; packets beyond the link's queue limit or lost to the fault plan's
+// loss rate are dropped. Send reports whether the packet was accepted onto
+// the link.
 func (n *Network) Send(pkt *Packet) bool {
 	n.trace(TraceSend, pkt.Src, pkt.Dst, pkt.Payload)
-	if n.crashed[pkt.Src] || n.crashed[pkt.Dst] {
-		n.crashDrops++
-		n.dropped++
-		n.trace(TraceDropCrash, pkt.Src, pkt.Dst, nil)
-		return false
-	}
-	if n.partitioned[[2]Addr{pkt.Src, pkt.Dst}] {
-		n.partitionDrops++
-		n.dropped++
-		n.trace(TraceDropPart, pkt.Src, pkt.Dst, nil)
-		return false
-	}
 	l := n.linkFor(pkt.Src, pkt.Dst)
 	if l.cfg.QueueLimit > 0 && l.inFlight >= l.cfg.QueueLimit {
-		l.drops++
-		n.dropped++
 		n.trace(TraceDropQueue, pkt.Src, pkt.Dst, nil)
-		return false
-	}
-	if l.cfg.LossRate > 0 && n.sim.Rand().Float64() < l.cfg.LossRate {
-		l.drops++
-		n.dropped++
-		n.trace(TraceDropLoss, pkt.Src, pkt.Dst, nil)
 		return false
 	}
 	f := n.plan.For(pkt.Src, pkt.Dst)
 	if f.LossRate > 0 && n.sim.Rand().Float64() < f.LossRate {
-		l.drops++
-		n.dropped++
 		n.trace(TraceDropLoss, pkt.Src, pkt.Dst, nil)
 		return false
 	}
@@ -218,13 +156,11 @@ func (n *Network) Send(pkt *Packet) bool {
 		}
 		if f.ReorderRate > 0 && n.sim.Rand().Float64() < f.ReorderRate {
 			deliver = deliver.Add(time.Duration(1 + n.sim.Rand().Int63n(int64(f.reorderWindow()))))
-			l.reordered++
 		}
 	}
 	l.inFlight++
 	n.sim.ScheduleAt(deliver, func() { n.deliver(l, pkt, TraceDeliver) })
 	if f.DupRate > 0 && n.sim.Rand().Float64() < f.DupRate {
-		l.duplicated++
 		l.inFlight++
 		dup := deliver.Add(time.Duration(1 + n.sim.Rand().Int63n(int64(f.reorderWindow()))))
 		n.sim.ScheduleAt(dup, func() { n.deliver(l, pkt, TraceDup) })
@@ -232,50 +168,17 @@ func (n *Network) Send(pkt *Packet) bool {
 	return true
 }
 
-// deliver lands one (possibly duplicated) copy of pkt, re-checking the
-// partition and crash state at delivery time so a fault injected while
-// the packet was in flight still kills it.
+// deliver lands one (possibly duplicated) copy of pkt.
 func (n *Network) deliver(l *link, pkt *Packet, kind string) {
 	l.inFlight--
-	if n.crashed[pkt.Dst] || n.crashed[pkt.Src] {
-		n.crashDrops++
-		n.dropped++
-		n.trace(TraceDropCrash, pkt.Src, pkt.Dst, nil)
-		return
-	}
-	if n.partitioned[[2]Addr{pkt.Src, pkt.Dst}] {
-		n.partitionDrops++
-		n.dropped++
-		n.trace(TraceDropPart, pkt.Src, pkt.Dst, nil)
-		return
-	}
-	l.delivered++
-	l.bytes += uint64(pkt.WireSize())
 	node, ok := n.nodes[pkt.Dst]
 	if !ok {
-		n.unroutable++
 		n.trace(TraceUnroutable, pkt.Src, pkt.Dst, nil)
 		return
 	}
 	n.trace(kind, pkt.Src, pkt.Dst, pkt.Payload)
 	node.Receive(pkt)
 }
-
-// Stats returns a snapshot of the src->dst link.
-func (n *Network) Stats(src, dst Addr) LinkStats {
-	l, ok := n.links[[2]Addr{src, dst}]
-	if !ok {
-		return LinkStats{}
-	}
-	return LinkStats{Delivered: l.delivered, Drops: l.drops, Bytes: l.bytes,
-		Duplicated: l.duplicated, Reordered: l.reordered}
-}
-
-// Dropped reports the total packets dropped at link queues.
-func (n *Network) Dropped() uint64 { return n.dropped }
-
-// Unroutable reports packets delivered to addresses with no attached node.
-func (n *Network) Unroutable() uint64 { return n.unroutable }
 
 // NodeFunc adapts a function to the Node interface.
 type NodeFunc struct {

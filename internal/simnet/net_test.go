@@ -58,6 +58,7 @@ func TestBackToBackPacketsQueueOnLink(t *testing.T) {
 func TestQueueLimitDrops(t *testing.T) {
 	s := New(1)
 	n := NewNetwork(s, LinkConfig{Bandwidth: 1e6, QueueLimit: 2})
+	kinds := countKinds(n)
 	n.Attach(&NodeFunc{Address: "b"})
 	sent := 0
 	for i := 0; i < 5; i++ {
@@ -68,23 +69,27 @@ func TestQueueLimitDrops(t *testing.T) {
 	if sent != 2 {
 		t.Errorf("accepted %d packets, want 2 (queue limit)", sent)
 	}
-	if n.Dropped() != 3 {
-		t.Errorf("Dropped() = %d, want 3", n.Dropped())
-	}
 	s.Run()
-	st := n.Stats("a", "b")
-	if st.Delivered != 2 || st.Drops != 3 {
-		t.Errorf("link stats = %+v, want 2 delivered, 3 drops", st)
+	if kinds[TraceDropQueue] != 3 || kinds[TraceDeliver] != 2 {
+		t.Errorf("trace events = %v, want 2 delivered, 3 queue drops", kinds)
 	}
+}
+
+// countKinds installs a tracer on n that counts events by kind.
+func countKinds(n *Network) map[string]int {
+	kinds := map[string]int{}
+	n.SetTracer(func(kind string, _ Time, _, _ Addr, _ []byte) { kinds[kind]++ })
+	return kinds
 }
 
 func TestUnroutable(t *testing.T) {
 	s := New(1)
 	n := NewNetwork(s, LinkConfig{})
+	kinds := countKinds(n)
 	n.Send(&Packet{Src: "a", Dst: "ghost"})
 	s.Run()
-	if n.Unroutable() != 1 {
-		t.Errorf("Unroutable() = %d, want 1", n.Unroutable())
+	if kinds[TraceUnroutable] != 1 {
+		t.Errorf("unroutable events = %d, want 1", kinds[TraceUnroutable])
 	}
 }
 
@@ -98,19 +103,6 @@ func TestDuplicateAttachPanics(t *testing.T) {
 	n := NewNetwork(s, LinkConfig{})
 	n.Attach(&NodeFunc{Address: "x"})
 	n.Attach(&NodeFunc{Address: "x"})
-}
-
-func TestDetach(t *testing.T) {
-	s := New(1)
-	n := NewNetwork(s, LinkConfig{})
-	n.Attach(&NodeFunc{Address: "x"})
-	if n.Node("x") == nil {
-		t.Fatal("node not attached")
-	}
-	n.Detach("x")
-	if n.Node("x") != nil {
-		t.Error("node still attached after Detach")
-	}
 }
 
 func TestWireSizeDefault(t *testing.T) {

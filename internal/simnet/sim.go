@@ -13,7 +13,6 @@ type Simulator struct {
 	queue   eventQueue
 	nextSeq uint64
 	rng     *rand.Rand
-	stopped bool
 }
 
 // New returns a simulator whose random source is seeded with seed.
@@ -26,9 +25,6 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Rand returns the simulator's deterministic random source.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// Pending reports how many events are waiting in the queue.
-func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Schedule runs fn after delay d of virtual time. A negative delay is
 // treated as zero. It returns the absolute time at which fn will fire.
@@ -60,7 +56,7 @@ func (s *Simulator) Every(period time.Duration, fn func()) (cancel func()) {
 	stopped := false
 	var tick func()
 	tick = func() {
-		if stopped || s.stopped {
+		if stopped {
 			return
 		}
 		fn()
@@ -70,13 +66,9 @@ func (s *Simulator) Every(period time.Duration, fn func()) (cancel func()) {
 	return func() { stopped = true }
 }
 
-// Stop aborts the run loop after the current event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run processes events until the queue is empty or Stop is called.
+// Run processes events until the queue is empty.
 func (s *Simulator) Run() {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		ev := s.queue.peek()
 		if ev == nil {
 			return
@@ -90,8 +82,7 @@ func (s *Simulator) Run() {
 // RunUntil processes events with timestamps <= deadline, then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued.
 func (s *Simulator) RunUntil(deadline Time) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		ev := s.queue.peek()
 		if ev == nil || ev.at > deadline {
 			break

@@ -68,9 +68,6 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	if s.Now() != Time(2*time.Second) {
 		t.Errorf("Now() = %v, want 2s", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending() = %d, want 1", s.Pending())
-	}
 	s.RunFor(time.Second)
 	if ran != 2 {
 		t.Errorf("after RunFor, ran = %d, want 2", ran)
@@ -90,21 +87,6 @@ func TestEveryAndCancel(t *testing.T) {
 	s.RunFor(time.Second)
 	if n != 5 {
 		t.Errorf("periodic fired %d times, want 5 (cancel should stop it)", n)
-	}
-}
-
-func TestStop(t *testing.T) {
-	s := New(1)
-	n := 0
-	s.Every(time.Millisecond, func() {
-		n++
-		if n == 3 {
-			s.Stop()
-		}
-	})
-	s.Run()
-	if n != 3 {
-		t.Errorf("processed %d events, want 3 after Stop", n)
 	}
 }
 

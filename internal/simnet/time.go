@@ -8,14 +8,6 @@ import (
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
 
-// Common durations re-exported for convenience when scheduling events.
-const (
-	Nanosecond  = time.Nanosecond
-	Microsecond = time.Microsecond
-	Millisecond = time.Millisecond
-	Second      = time.Second
-)
-
 // Add returns the time d after t.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 

@@ -15,7 +15,6 @@ type Histogram struct {
 	buckets []uint64
 	count   uint64
 	sum     time.Duration
-	min     time.Duration
 	max     time.Duration
 }
 
@@ -24,10 +23,7 @@ const bucketsPerDecade = 90
 
 // NewHistogram returns an empty histogram covering 1ns to ~1000s.
 func NewHistogram() *Histogram {
-	return &Histogram{
-		buckets: make([]uint64, 12*bucketsPerDecade),
-		min:     math.MaxInt64,
-	}
+	return &Histogram{buckets: make([]uint64, 12*bucketsPerDecade)}
 }
 
 func bucketIndex(d time.Duration) int {
@@ -55,16 +51,10 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[idx]++
 	h.count++
 	h.sum += d
-	if d < h.min {
-		h.min = d
-	}
 	if d > h.max {
 		h.max = d
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
 
 // Mean returns the arithmetic mean of all observations.
 func (h *Histogram) Mean() time.Duration {
@@ -72,14 +62,6 @@ func (h *Histogram) Mean() time.Duration {
 		return 0
 	}
 	return h.sum / time.Duration(h.count)
-}
-
-// Min returns the smallest observation (0 if empty).
-func (h *Histogram) Min() time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest observation.
@@ -123,7 +105,6 @@ func (h *Histogram) Reset() {
 		h.buckets[i] = 0
 	}
 	h.count, h.sum, h.max = 0, 0, 0
-	h.min = math.MaxInt64
 }
 
 // String summarizes the distribution.

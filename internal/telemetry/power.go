@@ -34,9 +34,6 @@ func (m *PowerMeter) Observe(at time.Duration, watts float64) {
 	m.lastAt, m.lastW = at, watts
 }
 
-// Joules returns the energy integrated so far.
-func (m *PowerMeter) Joules() float64 { return m.joules }
-
 // KWh returns the energy integrated so far in kilowatt-hours.
 func (m *PowerMeter) KWh() float64 { return m.joules / 3.6e6 }
 

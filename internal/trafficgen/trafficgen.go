@@ -47,17 +47,12 @@ func (k *KeySampler) NextIndex() uint64 { return k.zipf.Uint64() }
 type ETC struct {
 	Keys *KeySampler
 	rng  *rand.Rand
-	// GetFraction of operations are GETs (ETC is ~30:1 GET:SET).
-	GetFraction float64
 }
 
 // NewETC builds the workload over n keys.
 func NewETC(rng *rand.Rand, n uint64) *ETC {
-	return &ETC{Keys: NewZipfKeys(rng, n, 1.06), rng: rng, GetFraction: 1 - 1.0/30}
+	return &ETC{Keys: NewZipfKeys(rng, n, 1.06), rng: rng}
 }
-
-// IsGet draws the operation type.
-func (e *ETC) IsGet() bool { return e.rng.Float64() < e.GetFraction }
 
 // ValueSize draws a value size in bytes: ETC values are small (tens to a
 // few hundred bytes), matching LaKe's 64 B value-chunk sizing (§5.3).

@@ -1,0 +1,367 @@
+package incod
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reachAllowed names the exported identifiers that no non-test code
+// uses and that stay anyway. Each key is an identifier as
+// TestEveryExportHasAProgramCaller prints it; each value starts with one
+// of safetyReasons, the kinds of code a simplification never removes,
+// and goes on to say which.
+var reachAllowed = map[string]string{
+	"memcache.EncodeResponse": "a reference implementation that tests compare against: TestAppendResponseMatchesEncodeResponse holds the serving path's AppendResponse to it",
+}
+
+// safetyReasons are the kinds of code that stay although only tests call
+// them.
+var safetyReasons = []string{
+	"a check on input from outside the program",
+	"handling of an error a call can return",
+	"synchronisation",
+	"a flush that makes data durable",
+	"a value stored to detect or recover from a fault",
+	"a reference implementation that tests compare against",
+	"a test seam",
+}
+
+// TestEveryExportHasAProgramCaller type-checks the non-test Go files of
+// this module and of the benchmark module and fails on any exported
+// package-level identifier, or exported method of a package-level type,
+// declared in this module that no non-test code uses. A method is used
+// also when types.Implements shows that its type satisfies, through it,
+// an interface the program knows: one that the program or a package it
+// imports declares, or one written out in a type assertion or type
+// switch, which counts only for types that also implement the asserted
+// operand's interface (interface{ Backend() string } on a
+// netio.BatchConn reaches the rungs, not every type with such a method).
+// An identifier that only tests call is therefore either deleted, or
+// reached through the program's own entry points, or listed in
+// reachAllowed with its reason.
+//
+// The files checked are the ones this platform builds; an identifier used
+// only by another platform's files reads as unused here and is listed.
+func TestEveryExportHasAProgramCaller(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks both modules")
+	}
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := loadProgram(root, filepath.Join(root, "benchmark"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var unused []string
+	seen := map[string]bool{}
+	for _, d := range prog.exports() {
+		seen[d.name] = true
+		if prog.uses[d.obj] || prog.satisfiesUsedInterface(d) {
+			if _, ok := reachAllowed[d.name]; ok {
+				t.Errorf("%s is listed in reachAllowed but the program uses it; drop the entry", d.name)
+			}
+			continue
+		}
+		if _, ok := reachAllowed[d.name]; !ok {
+			unused = append(unused, prog.fset.Position(d.obj.Pos()).String()+": "+d.name)
+		}
+	}
+	for name, why := range reachAllowed {
+		if !seen[name] {
+			t.Errorf("reachAllowed names %s, which no longer exists; drop the entry", name)
+		}
+		if !slices.ContainsFunc(safetyReasons, func(r string) bool { return strings.HasPrefix(why, r+": ") }) {
+			t.Errorf("reachAllowed gives %s the reason %q; it must start with one of safetyReasons and a colon", name, why)
+		}
+	}
+	if len(unused) > 0 {
+		sort.Strings(unused)
+		t.Errorf("%d exported identifiers have no caller outside tests (delete them, call them from the program, or list them in reachAllowed with the reason they stay):\n\t%s",
+			len(unused), strings.Join(unused, "\n\t"))
+	}
+}
+
+// listedPackage is the part of `go list -json` this check reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	CgoFiles   []string
+	Export     string
+	Standard   bool
+}
+
+// program is the type-checked non-test code of the root module and the
+// packages of its consumers.
+type program struct {
+	fset       *token.FileSet
+	own        []*types.Package // the root module's packages
+	uses       map[types.Object]bool
+	interfaces []knownInterface
+}
+
+// knownInterface is an interface type the program knows. A guarded one
+// was written out in a type assertion on an operand of the guard's type,
+// so only the guard's implementations reach it.
+type knownInterface struct {
+	it, guard *types.Interface
+}
+
+// export is one identifier the root module exports.
+type export struct {
+	name string
+	obj  types.Object
+	recv *types.Named // the method's type, nil for a package-level name
+}
+
+// loadProgram lists the dependencies of every package under each module
+// directory, type-checks the module packages from source (standard
+// packages come from their export data), and records every object the
+// non-test code uses and every interface type it can reach.
+func loadProgram(moduleDirs ...string) (*program, error) {
+	p := &program{fset: token.NewFileSet(), uses: map[types.Object]bool{}}
+	exportFile := map[string]string{}
+	checked := map[string]*types.Package{}
+	std := importer.ForCompiler(p.fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exportFile[path]
+		if !ok {
+			return nil, errors.New("no export data listed for " + path)
+		}
+		return os.Open(f)
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		return std.Import(path)
+	})
+	for i, dir := range moduleDirs {
+		pkgs, err := goList(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, lp := range pkgs {
+			if lp.Standard {
+				exportFile[lp.ImportPath] = lp.Export
+			}
+		}
+		for _, lp := range pkgs {
+			if lp.Standard || checked[lp.ImportPath] != nil {
+				continue
+			}
+			if len(lp.CgoFiles) > 0 {
+				return nil, errors.New(lp.ImportPath + " has cgo files, which this check does not type-check")
+			}
+			pkg, err := p.check(lp, imp)
+			if err != nil {
+				return nil, err
+			}
+			checked[lp.ImportPath] = pkg
+			if i == 0 {
+				p.own = append(p.own, pkg)
+			}
+		}
+	}
+	for path := range exportFile {
+		pkg, err := imp.Import(path)
+		if err != nil {
+			return nil, err
+		}
+		p.addInterfaces(pkg.Scope())
+	}
+	p.addInterfaces(types.Universe)
+	return p, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// goList runs `go list -deps -export -json` over every package in dir's
+// module, in dependency order.
+func goList(dir string) ([]listedPackage, error) {
+	goCmd := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(goCmd); err != nil {
+		goCmd = "go"
+	}
+	cmd := exec.Command(goCmd, "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,CgoFiles,Export,Standard", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, errors.New("go list in " + dir + ": " + err.Error() + ": " + stderr.String())
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err == io.EOF {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, lp)
+	}
+}
+
+// check parses and type-checks one listed package's non-test files and
+// records what they use.
+func (p *program) check(lp listedPackage, imp types.Importer) (*types.Package, error) {
+	var files []*ast.File
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(p.fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	pkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, p.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	for _, obj := range info.Uses {
+		p.uses[origin(obj)] = true
+	}
+	// An interface written out in a type assertion or a type switch
+	// reaches only the dynamic types the asserted operand can hold.
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			var x ast.Expr
+			var cases []ast.Expr
+			switch n := n.(type) {
+			case *ast.TypeAssertExpr:
+				x, cases = n.X, []ast.Expr{n.Type}
+			case *ast.TypeSwitchStmt:
+				switch a := n.Assign.(type) {
+				case *ast.AssignStmt:
+					x = a.Rhs[0].(*ast.TypeAssertExpr).X
+				case *ast.ExprStmt:
+					x = a.X.(*ast.TypeAssertExpr).X
+				}
+				for _, c := range n.Body.List {
+					cases = append(cases, c.(*ast.CaseClause).List...)
+				}
+			default:
+				return true
+			}
+			operand, ok := info.TypeOf(x).Underlying().(*types.Interface)
+			if !ok {
+				return true
+			}
+			for _, c := range cases {
+				if c == nil { // the x.(type) of a type switch
+					continue
+				}
+				if it, ok := info.TypeOf(c).Underlying().(*types.Interface); ok {
+					p.interfaces = append(p.interfaces, knownInterface{it, operand})
+				}
+			}
+			return true
+		})
+	}
+	p.addInterfaces(pkg.Scope())
+	return pkg, nil
+}
+
+// addInterfaces records the interface types a scope declares.
+func (p *program) addInterfaces(scope *types.Scope) {
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				p.interfaces = append(p.interfaces, knownInterface{it: it})
+			}
+		}
+	}
+}
+
+// origin maps an instantiated generic function or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// exports lists the root module's exported package-level identifiers and
+// the exported methods of its package-level types, exported or not.
+func (p *program) exports() []export {
+	var out []export
+	for _, pkg := range p.own {
+		short := strings.TrimPrefix(strings.TrimPrefix(pkg.Path(), "incod/"), "internal/")
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				out = append(out, export{name: short + "." + name, obj: obj})
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					out = append(out, export{name: short + "." + name + "." + m.Name(), obj: m, recv: named})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// satisfiesUsedInterface reports whether d is a method through which its
+// type implements an interface the program knows.
+func (p *program) satisfiesUsedInterface(d export) bool {
+	if d.recv == nil || d.recv.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, k := range p.interfaces {
+		if !hasMethod(k.it, d.obj.Name()) {
+			continue
+		}
+		for _, t := range []types.Type{d.recv, types.NewPointer(d.recv)} {
+			if types.Implements(t, k.it) && (k.guard == nil || types.Implements(t, k.guard)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func hasMethod(it *types.Interface, name string) bool {
+	for i := 0; i < it.NumMethods(); i++ {
+		if it.Method(i).Name() == name {
+			return true
+		}
+	}
+	return false
+}
