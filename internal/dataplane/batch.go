@@ -17,10 +17,12 @@ import (
 // empty Out sends nothing. Served is set by a BatchFastPath when the
 // offload tier consumed the datagram, in which case the host handler
 // never sees it. Whoever sets Out sets Tagged when the reply names its
-// request (a memcached frame's request ID), so the client can match it
-// in any order: a flush may then send that client's replies longest
-// first (buildTrains). An untagged reply keeps its client's replies in
-// arrival order.
+// request (a memcached frame's request ID, a DNS query's ID), so the
+// client can match it in any order: a flush may then send that client's
+// replies longest first (buildTrains). An untagged reply keeps its
+// client's replies in arrival order: raw ASCII memcached names nothing,
+// and Paxos replies, which are all one size, fold into one train in
+// arrival order anyway.
 type BatchItem struct {
 	In      []byte
 	Src     netip.AddrPort
@@ -444,14 +446,15 @@ func (w *batchState) flushTx() {
 // UDP_SEGMENT wire format. Runs of one message pass through untouched
 // (no copy, no cmsg); longer runs are copied into reused train buffers,
 // which also detaches them from the pooled receive buffers a reply may
-// alias. The DNS wire-answer cache and the Paxos encoder produce
-// fixed-size reply images, so in practice one client's whole batch of
-// replies folds into one train. ETC-size memcached replies differ in
-// length, and cut in arrival order they would leave in trains of about
-// two; but every framed reply names its request, so a destination whose
-// replies are all tagged is cut longest first (byLength) when that
-// takes fewer sends, and a client's equal-length replies still leave
-// in arrival order.
+// alias. The Paxos encoder produces fixed-size replies, so one client's
+// whole batch of them folds into one train in arrival order. DNS
+// answers differ in length (a hit carries an answer record its NXDOMAIN
+// lacks) and ETC-size memcached replies differ more, so cut in arrival
+// order every shorter reply would close a train; but a DNS reply and a
+// framed memcached reply each name their request, so a destination
+// whose replies are all tagged is cut longest first (byLength) when that
+// takes fewer sends, and a client's equal-length replies still leave in
+// arrival order.
 func (w *batchState) buildTrains() []netio.Message {
 	out := w.txOut[:0]
 	used := w.txUsed[:0]
@@ -528,7 +531,9 @@ func (w *batchState) sends(order []int) int {
 
 // byLength returns the order one destination's replies (idx, in arrival
 // order) go out in: longest first when every one is tagged and that
-// order cuts into fewer sends, else idx itself. The sort is a stable
+// order cuts into fewer sends, else idx itself. Replies that all have one
+// length are already in that order, so the scan for tags returns idx for
+// them without sorting or counting sends. The sort is a stable
 // insertion sort into a reused slice, so equal-length replies keep their
 // arrival order and nothing allocates. The arrival cut can win where the
 // kernel's byte or segment bound splits a run of long replies that
@@ -537,10 +542,15 @@ func (w *batchState) byLength(idx []int) []int {
 	if len(idx) < 2 {
 		return idx
 	}
+	n, oneLen := w.tx[idx[0]].N, true
 	for _, i := range idx {
 		if !w.txTagged[i] {
 			return idx
 		}
+		oneLen = oneLen && w.tx[i].N == n
+	}
+	if oneLen {
+		return idx
 	}
 	sorted := append(w.txByLen[:0], idx...)
 	w.txByLen = sorted[:0]

@@ -97,15 +97,22 @@
 // its flow's datagrams one at a time would give. Wire order within one
 // flush is kept as well, unless every reply staged for that client in
 // the flush is tagged (BatchItem.Tagged: the reply names its request, as
-// a memcached frame's request ID does, so the client matches it in any
-// order). Such a client's replies may leave longest first, when that
-// cuts them into fewer UDP_SEGMENT trains: ETC-size memcached replies
-// differ in length, and a 32-reply flush of them takes about 12 sends
-// instead of 20 (BenchmarkBuildTrains). One untagged reply — raw ASCII,
-// a DNS answer, a Paxos message — keeps its client's flush in arrival
-// order. Flushes leave in the order they were served, and an engine
-// that sends no trains (the single rung, INCOD_NO_GSOTX, a simulated
-// node's conn) keeps arrival order whatever the tags.
+// a memcached frame's request ID or a DNS query's ID does, so the client
+// matches it in any order). Such a client's replies may leave longest
+// first, when that cuts them into fewer UDP_SEGMENT trains: ETC-size
+// memcached replies differ in length, and a 32-reply flush of them takes
+// about 12 sends instead of 20; a DNS client's answers leave as one
+// train closed by one shorter NXDOMAIN, the rest of its NXDOMAINs as a
+// second, 1.8 sends a 32-reply flush with 10 % NXDOMAIN instead of 3.8
+// (BenchmarkBuildTrains). kvs.Handler and nictier's KVS tier tag exactly
+// the framed memcached replies, dns.Handler and nictier's DNS tier every
+// reply. One untagged reply — raw ASCII memcached, which names nothing —
+// keeps its client's flush in arrival order. Paxos replies are
+// untagged: they are all one size, so arrival order already folds a
+// client's flush into one train. Flushes leave in the order they were
+// served, and an engine that sends no trains (the single rung,
+// INCOD_NO_GSOTX, a simulated node's conn) keeps arrival order whatever
+// the tags.
 //
 // # Driven on a virtual clock (NewDriven)
 //

@@ -98,17 +98,11 @@ func TestE2EKVSFramedAndRawASCII(t *testing.T) {
 	}
 }
 
-// TestFramedRepliesTrainByLengthOverLoopback serves kvs.Handler on one
-// batched mmsg socket holding 16 keys of 16 distinct value lengths. A
-// framed client sends 32 GETs, shortest value first, in one sendmmsg
-// queued before the engine starts, so one flush holds all 32 replies.
-// Cut in arrival order, only the longest reply would share a train (31
-// sends); tagged (framed) replies cut longest first must go out in fewer
-// sends than replies, no more than one per value length, each matched
-// by request ID to its key's value. A raw-ASCII
-// client on another port then pipelines the same GETs and must get its
-// replies in request order: raw replies name nothing.
-func TestFramedRepliesTrainByLengthOverLoopback(t *testing.T) {
+// trainServer returns a listening loopback socket and its batched conn,
+// skipping the test where the engine would send no reply trains: no GSO,
+// or a rung other than mmsg.
+func trainServer(t *testing.T) (net.PacketConn, netio.BatchConn) {
+	t.Helper()
 	if err := netio.ProbeGSO(); err != nil {
 		t.Skipf("no reply trains here: %v", err)
 	}
@@ -121,6 +115,81 @@ func TestFramedRepliesTrainByLengthOverLoopback(t *testing.T) {
 		bc.Close()
 		t.Skipf("rung %q sends no trains", b)
 	}
+	return srv, bc
+}
+
+// batchClient returns a batched conn connected to addr.
+func batchClient(t *testing.T, addr string) netio.BatchConn {
+	t.Helper()
+	conn, err := net.Dial("udp4", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := netio.NewBatchConn(conn.(*net.UDPConn))
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// batchExchange sends reqs in one WriteBatch, then calls start (when
+// set), and returns the replies in arrival order. The slots are too
+// small for UDP_GRO, so each holds one datagram.
+func batchExchange(t *testing.T, c netio.BatchConn, reqs [][]byte, start func()) [][]byte {
+	t.Helper()
+	tx := make([]netio.Message, len(reqs))
+	for i, r := range reqs {
+		tx[i] = netio.Message{Buf: r, N: len(r)}
+	}
+	if n, err := c.WriteBatch(tx); n != len(tx) || err != nil {
+		t.Fatalf("sent %d of %d requests: %v", n, len(tx), err)
+	}
+	if start != nil {
+		start()
+	}
+	rx := make([]netio.Message, len(reqs))
+	for i := range rx {
+		rx[i].Buf = make([]byte, 2048)
+	}
+	var got [][]byte
+	for deadline := time.Now().Add(5 * time.Second); len(got) < len(reqs); {
+		_ = c.SetReadDeadline(deadline)
+		n, err := c.ReadBatch(rx)
+		if err != nil {
+			t.Fatalf("%d of %d replies, then %v", len(got), len(reqs), err)
+		}
+		for _, m := range rx[:n] {
+			got = append(got, bytes.Clone(m.Buf[:m.N]))
+		}
+	}
+	return got
+}
+
+// trainSends waits until e has counted replies replies and returns its
+// stats and how many sends they left in: each train is one, and so is
+// each reply outside a train.
+func trainSends(t *testing.T, e *dataplane.Engine, replies uint64) (dataplane.Stats, uint64) {
+	t.Helper()
+	var st dataplane.Stats
+	for deadline := time.Now().Add(5 * time.Second); st.Replies < replies && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st = e.Snapshot()
+	}
+	sends := st.TxTrains + st.Replies - st.TxTrainSegs
+	t.Logf("%d replies in %d sends: %d trains of %.1f segments", st.Replies, sends, st.TxTrains, st.TxSegsPerTrain)
+	return st, sends
+}
+
+// TestFramedRepliesTrainByLengthOverLoopback serves kvs.Handler on one
+// batched mmsg socket holding 16 keys of 16 distinct value lengths. A
+// framed client sends 32 GETs, shortest value first, in one sendmmsg
+// queued before the engine starts, so one flush holds all 32 replies.
+// Cut in arrival order, only the longest reply would share a train (31
+// sends); tagged (framed) replies cut longest first must go out in fewer
+// sends than replies, no more than one per value length, each matched
+// by request ID to its key's value. A raw-ASCII
+// client on another port then pipelines the same GETs and must get its
+// replies in request order: raw replies name nothing.
+func TestFramedRepliesTrainByLengthOverLoopback(t *testing.T) {
+	srv, bc := trainServer(t)
 	const keys, gets = 16, 32
 	key := func(i int) string { return fmt.Sprintf("key-%02d", i%keys) }
 	value := func(i int) []byte { return bytes.Repeat([]byte{'a' + byte(i%keys)}, 20+37*(i%keys)) }
@@ -130,48 +199,8 @@ func TestFramedRepliesTrainByLengthOverLoopback(t *testing.T) {
 	}
 	e := dataplane.NewBatchedConns([]net.PacketConn{srv}, []netio.BatchConn{bc}, kvs.NewHandler(store), dataplane.Config{Name: "kvs-tagged"})
 	defer e.Close()
+	addr := srv.LocalAddr().String()
 
-	client := func() netio.BatchConn {
-		conn, err := net.Dial("udp4", srv.LocalAddr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := netio.NewBatchConn(conn.(*net.UDPConn))
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	// exchange sends reqs in one WriteBatch and returns the replies in
-	// arrival order. The slots are too small for UDP_GRO, so each holds
-	// one datagram.
-	exchange := func(c netio.BatchConn, reqs [][]byte, start bool) [][]byte {
-		t.Helper()
-		tx := make([]netio.Message, len(reqs))
-		for i, r := range reqs {
-			tx[i] = netio.Message{Buf: r, N: len(r)}
-		}
-		if n, err := c.WriteBatch(tx); n != len(tx) || err != nil {
-			t.Fatalf("sent %d of %d requests: %v", n, len(tx), err)
-		}
-		if start {
-			e.Start()
-		}
-		rx := make([]netio.Message, gets)
-		for i := range rx {
-			rx[i].Buf = make([]byte, 2048)
-		}
-		var got [][]byte
-		for deadline := time.Now().Add(5 * time.Second); len(got) < len(reqs); {
-			_ = c.SetReadDeadline(deadline)
-			n, err := c.ReadBatch(rx)
-			if err != nil {
-				t.Fatalf("%d of %d replies, then %v", len(got), len(reqs), err)
-			}
-			for _, m := range rx[:n] {
-				got = append(got, bytes.Clone(m.Buf[:m.N]))
-			}
-		}
-		return got
-	}
 	hit := func(what string, body []byte, i int) {
 		t.Helper()
 		resp, err := memcache.ParseResponse(body)
@@ -185,7 +214,7 @@ func TestFramedRepliesTrainByLengthOverLoopback(t *testing.T) {
 		framed[i] = memcache.EncodeFrame(memcache.Frame{RequestID: uint16(1000 + i), Total: 1}, []byte("get "+key(i)+"\r\n"))
 	}
 	seen := make([]bool, gets)
-	for _, r := range exchange(client(), framed, true) {
+	for _, r := range batchExchange(t, batchClient(t, addr), framed, e.Start) {
 		f, body, err := memcache.DecodeFrame(r)
 		i := int(f.RequestID) - 1000
 		if err != nil || i < 0 || i >= gets || seen[i] {
@@ -194,14 +223,7 @@ func TestFramedRepliesTrainByLengthOverLoopback(t *testing.T) {
 		seen[i] = true
 		hit(fmt.Sprintf("request ID %d", f.RequestID), body, i)
 	}
-	var st dataplane.Stats
-	for deadline := time.Now().Add(5 * time.Second); st.Replies < gets && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-		st = e.Snapshot()
-	}
-	sends := st.TxTrains + st.Replies - st.TxTrainSegs
-	t.Logf("%d framed replies in %d sends: %d trains of %.1f segments", st.Replies, sends, st.TxTrains, st.TxSegsPerTrain)
-	if st.Replies != gets || sends >= st.Replies || sends > keys {
+	if st, sends := trainSends(t, e, gets); st.Replies != gets || sends >= st.Replies || sends > keys {
 		t.Fatalf("%d replies in %d sends, want %d in at most %d (stats %+v)", st.Replies, sends, gets, keys, st)
 	}
 
@@ -209,8 +231,70 @@ func TestFramedRepliesTrainByLengthOverLoopback(t *testing.T) {
 	for i := range raw {
 		raw[i] = []byte("get " + key(i) + "\r\n")
 	}
-	for i, r := range exchange(client(), raw, false) {
+	for i, r := range batchExchange(t, batchClient(t, addr), raw, nil) {
 		hit(fmt.Sprintf("raw reply %d", i), r, i)
+	}
+}
+
+// TestDNSRepliesTrainByLengthOverLoopback serves dns.Handler on one
+// batched mmsg socket. A client sends 32 mixed-case A queries, every
+// fifth for an absent name, in one sendmmsg queued before the engine
+// starts, so one flush holds all 32 replies: 26 answers of one length
+// and 6 NXDOMAINs 16 bytes shorter (no answer record). Cut in arrival
+// order each NXDOMAIN would close a train (7 sends); every DNS reply
+// names its query by ID, so the flush must leave in at most 2 sends —
+// the answers with one NXDOMAIN as the short last segment, then the
+// other NXDOMAINs — and each reply must be, byte for byte, what
+// HandleDatagram gives its query alone.
+func TestDNSRepliesTrainByLengthOverLoopback(t *testing.T) {
+	srv, bc := trainServer(t)
+	const queries = 32
+	zone := dns.NewZone()
+	zone.PopulateSequential(10)
+	e := dataplane.NewBatchedConns([]net.PacketConn{srv}, []netio.BatchConn{bc}, dns.NewHandler(zone), dataplane.Config{Name: "dns-tagged"})
+	defer e.Close()
+
+	ref := dns.NewHandler(zone)
+	reqs := make([][]byte, queries)
+	want := map[uint16][]byte{}
+	for i := range reqs {
+		name := fmt.Sprintf("HoSt%d.Example.com", i%10) // host%d.example.com, mixed-case
+		if i%5 == 2 {
+			name = fmt.Sprintf("miss%d.example.com", i%10) // as long, absent
+		}
+		id := uint16(4000 + i)
+		q, err := dns.Encode(dns.NewQuery(id, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = q
+		var scratch []byte
+		out, ok := ref.HandleDatagram(q, &scratch)
+		if !ok {
+			t.Fatalf("%s: no reply served alone", name)
+		}
+		want[id] = bytes.Clone(out)
+	}
+	seen := map[uint16]bool{}
+	for _, r := range batchExchange(t, batchClient(t, srv.LocalAddr().String()), reqs, e.Start) {
+		if len(r) < 2 {
+			t.Fatalf("a %d-byte reply", len(r))
+		}
+		id := uint16(r[0])<<8 | uint16(r[1])
+		w, ok := want[id]
+		if !ok || seen[id] {
+			t.Fatalf("reply ID %d: not one of the queries, or answered twice", id)
+		}
+		seen[id] = true
+		if !bytes.Equal(r, w) {
+			t.Fatalf("reply ID %d is %x, served alone %x", id, r, w)
+		}
+	}
+	if st, sends := trainSends(t, e, queries); st.Replies != queries || sends > 2 {
+		t.Fatalf("%d replies in %d sends, want %d in at most 2 (stats %+v)", st.Replies, sends, queries, st)
+	}
+	if st := e.Snapshot(); st.Handler["answered"] != queries-6 || st.Handler["nxdomain"] != 6 {
+		t.Fatalf("handler counters %v, want %d answered and 6 nxdomain", st.Handler, queries-6)
 	}
 }
 

@@ -208,10 +208,11 @@ func FuzzBuildTrains(f *testing.F) {
 
 // BenchmarkBuildTrains times the train builder on 32-reply flushes to
 // one client: equal-length replies (a 64-byte value's framed GET hit,
-// kvs_get_host's), then ETC-length ones (80 % GET hits of Zipf keys with
-// ETC value sizes, 20 % STORED) staged untagged and tagged. sends/flush
-// is the messages each flush hands the kernel, one loopback traversal
-// each.
+// kvs_get_host's) staged untagged and tagged, ETC-length ones (80 % GET
+// hits of Zipf keys with ETC value sizes, 20 % STORED) and DNS answers
+// (56-byte hits, 10 % 40-byte NXDOMAINs, dns_train_uring's) each staged
+// untagged and tagged. sends/flush is the messages each flush hands the
+// kernel, one loopback traversal each.
 func BenchmarkBuildTrains(b *testing.B) {
 	const flushes, batch = 64, 32
 	rng := rand.New(rand.NewSource(1))
@@ -240,15 +241,24 @@ func BenchmarkBuildTrains(b *testing.B) {
 		}
 		return fl
 	}
-	equal, etcFlushes := build(func() int { return hit(64) }), build(etc)
+	dns := func() int {
+		if rng.Intn(10) == 0 {
+			return 40
+		}
+		return 56
+	}
+	equal, etcFlushes, dnsFlushes := build(func() int { return hit(64) }), build(etc), build(dns)
 	for _, row := range []struct {
 		name   string
 		tagged bool
 		fl     [][]netio.Message
 	}{
 		{"equal", false, equal},
+		{"equal-tagged", true, equal},
 		{"etc-untagged", false, etcFlushes},
 		{"etc-tagged", true, etcFlushes},
+		{"dns-untagged", false, dnsFlushes},
+		{"dns-tagged", true, dnsFlushes},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			tags := make([]bool, batch)

@@ -34,6 +34,12 @@
 // heap allocations per query; only queries using compression pointers in
 // the question name fall back to the allocating Message codec.
 //
+// Every reply, from either path, repeats its query's ID, so the client
+// matches it in any order: HandleBatch (and nictier.DNSTier) serve each
+// reply Tagged (dataplane.BatchItem), and a batched engine that sends
+// UDP_SEGMENT trains may send a client's answers as one train ahead of
+// its NXDOMAINs, which lack the answer record and are shorter.
+//
 // # Cache coherence
 //
 // WireAnswer images are immutable once compiled. Zone.Add replaces the

@@ -146,14 +146,17 @@ func (h *Handler) HandleDatagram(in []byte, scratch *[]byte) ([]byte, bool) {
 // the same zero-alloc resolve as HandleDatagram (the zone is read
 // lock-free, so there is no lock to amortize), with the protocol
 // counters accumulated locally and flushed once per batch instead of
-// once per datagram.
+// once per datagram. Every reply is Tagged: an answer, NXDOMAIN or
+// NOTIMPL, from the wire cache or the compressed-name fallback, repeats
+// its query's ID, so the client matches it in any order and a flush may
+// send a client's hits as one train ahead of its shorter NXDOMAINs.
 func (h *Handler) HandleBatch(items []*dataplane.BatchItem) {
 	var counts [vCount]uint64
 	for _, it := range items {
 		out, verdict := h.serve(it.In, it.Scratch)
 		counts[verdict]++
 		if out != nil {
-			it.Out = out
+			it.Out, it.Tagged = out, true
 		}
 	}
 	for verdict, n := range counts {

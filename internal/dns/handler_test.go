@@ -210,3 +210,46 @@ func TestDNSAnswerHitZeroAlloc(t *testing.T) {
 		t.Fatal("batched query got no reply")
 	}
 }
+
+// TestHandleBatchTagsEveryReply: HandleBatch marks an item Tagged exactly
+// when it sets Out — an answer, NXDOMAIN, NOTIMPL or a compressed-name
+// fallback reply, each repeating its query's ID and byte-identical to
+// HandleDatagram's — and leaves dropped datagrams untagged.
+func TestHandleBatchTagsEveryReply(t *testing.T) {
+	h := NewHandler(testZone())
+	mx := NewQuery(3, "host2.example.com")
+	mx.QType = 15
+	mxq, err := Encode(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := encodeQuery(t, 6, "host1.example.com")
+	stray[2] |= 0x80 // QR: a response, which a server drops
+	queries := [][]byte{
+		encodeQuery(t, 1, "HOST3.Example.COM"),
+		encodeQuery(t, 2, "MISSING.example.com"),
+		mxq,
+		compressedQuery(4),
+		{0, 5, 1}, // malformed
+		stray,
+	}
+	items := make([]*dataplane.BatchItem, len(queries))
+	for i, q := range queries {
+		s := make([]byte, 0, 512)
+		items[i] = &dataplane.BatchItem{In: q, Scratch: &s}
+	}
+	h.HandleBatch(items)
+	for i, it := range items {
+		var scratch []byte
+		want, _ := h.HandleDatagram(queries[i], &scratch)
+		if it.Tagged != (len(it.Out) > 0) || string(it.Out) != string(want) {
+			t.Fatalf("query %d: Tagged %v with a %d-byte reply %x, alone %x", i, it.Tagged, len(it.Out), it.Out, want)
+		}
+		if i < 4 && (!it.Tagged || binary.BigEndian.Uint16(it.Out) != uint16(i+1)) {
+			t.Fatalf("query %d: reply %x does not repeat ID %d", i, it.Out, i+1)
+		}
+	}
+	if items[4].Tagged || items[5].Tagged {
+		t.Fatal("a dropped datagram was tagged")
+	}
+}

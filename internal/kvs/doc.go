@@ -18,7 +18,7 @@
 //
 // Entries and records. A slot is 32 bytes and holds no pointer: seq,
 // hash, a loc word (the record's ref plus empty/live/tombstone) and a
-// bits word (the CLOCK reference bit and expiry-seen). Everything else
+// bits word (the CLOCK reference bit). Everything else
 // about an entry is one record of 64-bit words in the partition's arena:
 // a header (flags, value length, key length), the expiry, then the key
 // and the value, each packed little-endian and zero-padded to a word.
@@ -120,11 +120,10 @@
 // earns its second chance on first touch.
 //
 // Expiry. Lock-free readers cannot remove entries, so a reader that
-// observes an entry expired reports a miss and sets the slot's
-// expiry-seen bit, and whoever set it first charges the expiration stat,
-// exactly once; the entry itself stays (and counts toward Len) until a
-// write to its key replaces or deletes it, or the CLOCK hand of a bounded
-// store evicts it. Nothing reaps expired entries on a timer.
+// observes an entry expired reports a miss and changes nothing; the entry
+// stays (and counts toward Len) until a write to its key replaces or
+// deletes it, or the CLOCK hand of a bounded store evicts it. Nothing
+// reaps expired entries on a timer.
 //
 // Hot keys. Each partition optionally feeds a space-saving top-K
 // sketch (telemetry.TopK) from sampled GET hits, with the request's own

@@ -1,11 +1,6 @@
 package kvs
 
-// The tests' reads of a store's size and lifetime counters.
-
-// StoreStats is a snapshot of a store's lifetime counters.
-type StoreStats struct {
-	Gets, Hits, Sets, Deletes, Evictions, Expirations uint64
-}
+// The tests' reads of a store's size and hit count.
 
 // Len returns the number of live entries across all partitions. Entries
 // that readers have observed expired remain counted until a write
@@ -19,23 +14,13 @@ func (st *ShardedStore) Len() int {
 	return n
 }
 
-// Stats merges every partition's counters.
-func (st *ShardedStore) Stats() StoreStats {
-	var out StoreStats
+// Hits sums every partition's GET hits.
+func (st *ShardedStore) Hits() uint64 {
+	n := uint64(0)
 	for _, p := range st.parts {
-		out.Add(p.statsSnapshot())
+		n += p.stats.hits.Load()
 	}
-	return out
-}
-
-// Add accumulates o into s.
-func (s *StoreStats) Add(o StoreStats) {
-	s.Gets += o.Gets
-	s.Hits += o.Hits
-	s.Sets += o.Sets
-	s.Deletes += o.Deletes
-	s.Evictions += o.Evictions
-	s.Expirations += o.Expirations
+	return n
 }
 
 func (p *partition) len() int {
@@ -43,15 +28,4 @@ func (p *partition) len() int {
 	n := p.live
 	p.mu.Unlock()
 	return n
-}
-
-func (p *partition) statsSnapshot() StoreStats {
-	return StoreStats{
-		Gets:        p.stats.gets.Load(),
-		Hits:        p.stats.hits.Load(),
-		Sets:        p.stats.sets.Load(),
-		Deletes:     p.stats.deletes.Load(),
-		Evictions:   p.stats.evictions.Load(),
-		Expirations: p.stats.expirations.Load(),
-	}
 }

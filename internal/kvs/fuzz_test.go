@@ -64,10 +64,12 @@ func FuzzShardedStore(f *testing.F) {
 				if arg&0x80 != 0 {
 					e.Expires = now + int64(arg>>4&7)
 				}
-				evicted := st.Stats().Evictions
+				// A fresh key that does not grow the store evicted one.
+				_, had := model[i]
+				before := st.Len()
 				st.SetBytes(key(i), e)
 				model[i] = e
-				if bounded && st.Stats().Evictions != evicted {
+				if bounded && !had && st.Len() == before {
 					gone := -1
 					for j := range model {
 						if !held(st, key(j)) {

@@ -25,11 +25,9 @@ const (
 	stateMask = 3
 )
 
-// Bits of a slot's bits word, set by readers with atomic ORs.
-const (
-	bitRef     = 1 // CLOCK reference bit; set on GET hit when bounded
-	bitExpSeen = 2 // set by whoever first sees the entry expired, who counts it
-)
+// bitRef is the CLOCK reference bit of a slot's bits word, set by a GET
+// hit on a bounded store with an atomic OR.
+const bitRef = 1
 
 // slot is one table entry: 32 bytes, no pointers. Every field is atomic:
 // the race detector then sees only synchronized accesses, and the seq
@@ -50,18 +48,14 @@ type lfTable struct {
 	slots []slot
 }
 
-// partStats are the per-partition counters, padded so partitions pinned
-// to different cores never false-share. Readers bump gets/hits/
-// expirations; the writer bumps sets/deletes/evictions.
+// partStats is the per-partition hit count the hot-key sampler paces
+// itself by, padded so partitions pinned to different cores never
+// false-share. The store counts nothing else: kvs.Handler counts GETs,
+// SETs and DELETEs once per batch.
 type partStats struct {
-	_           [64]byte
-	gets        atomic.Uint64
-	hits        atomic.Uint64
-	sets        atomic.Uint64
-	deletes     atomic.Uint64
-	evictions   atomic.Uint64
-	expirations atomic.Uint64
-	_           [64]byte
+	_    [64]byte
+	hits atomic.Uint64
+	_    [64]byte
 }
 
 // partition is one shard of a ShardedStore: single-writer (enforced by
@@ -119,7 +113,6 @@ func newPartition(maxEntries int, mirror *atomic.Pointer[ShardedStore]) *partiti
 //   - matching live  -> copy header+value, then validate seq; a moved
 //     seq means the copy may be torn, so drop it and restart
 func (p *partition) read(dst []byte, key []byte, hash uint64, now simnet.Time, encode bool) (out []byte, flags uint32, expires int64, ok bool) {
-	p.stats.gets.Add(1)
 	out = dst
 	mark := len(dst)
 	spins := 0
@@ -165,11 +158,7 @@ retry:
 					if s.seq.Load() != seq {
 						continue retry
 					}
-					// Readers cannot reap; count the expiration once
-					// and leave the entry for the writer.
-					if s.bits.Or(bitExpSeen)&bitExpSeen == 0 {
-						p.stats.expirations.Add(1)
-					}
+					// Readers cannot reap; leave the entry for the writer.
 					return out, 0, 0, false
 				}
 				fl := uint32(h)
@@ -253,7 +242,6 @@ func (p *partition) overwrite(s *slot, key []byte, e Entry) {
 		r[0].Store(header(e.Flags, len(key), len(e.Value)))
 		r[1].Store(uint64(e.Expires))
 		storeWords(r[recHeader+(len(key)+7)>>3:], e.Value)
-		s.bits.And(^uint64(bitExpSeen))
 		s.seq.Add(1) // -> even, new generation
 		return
 	}
@@ -261,7 +249,6 @@ func (p *partition) overwrite(s *slot, key []byte, e Entry) {
 	put(p.slab.rec(nref), key, e)
 	s.seq.Add(1)
 	s.loc.Store(nref<<2 | slotLive)
-	s.bits.And(^uint64(bitExpSeen))
 	s.seq.Add(1)
 	p.slab.release(ref)
 }
@@ -314,7 +301,6 @@ func (p *partition) evict(t *lfTable) {
 			continue
 		}
 		p.tombstone(s)
-		p.stats.evictions.Add(1)
 		return
 	}
 }
@@ -382,7 +368,6 @@ func (p *partition) makeRoom(claim *slot, hash uint64, key []byte) *slot {
 func (p *partition) set(hash uint64, key []byte, e Entry) {
 	checkSizes(key, e.Value)
 	p.mu.Lock()
-	p.stats.sets.Add(1)
 	existing, claim := p.findForWrite(p.table.Load(), hash, key)
 	if existing != nil {
 		p.overwrite(existing, key, e)
@@ -425,7 +410,6 @@ func (p *partition) installAbsent(hash uint64, key []byte, src []atomic.Uint64) 
 	if existing != nil {
 		return false
 	}
-	p.stats.sets.Add(1)
 	s := p.makeRoom(claim, hash, key)
 	n := recordWords(lengths(src[0].Load()))
 	ref := p.slab.alloc(classOf(n))
@@ -442,7 +426,6 @@ func (p *partition) installAbsent(hash uint64, key []byte, src []atomic.Uint64) 
 func (p *partition) del(hash uint64, key []byte) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.stats.deletes.Add(1)
 	if m := p.mirror.Load(); m != nil {
 		m.parts[hash&m.mask].del(hash, key)
 	}

@@ -141,3 +141,41 @@ func TestPaxosTierSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal("batched 2A was not served")
 	}
 }
+
+// TestDNSTierTagsExactlyWhatItServes: the tier marks an item Tagged
+// exactly when it serves it (an answer or an NXDOMAIN, repeating the
+// query's ID) and leaves what falls through to the host — a non-A
+// question, a malformed datagram — untouched.
+func TestDNSTierTagsExactlyWhatItServes(t *testing.T) {
+	zone := dns.NewZone()
+	zone.PopulateSequential(8)
+	tier := nictier.NewDNS(zone)
+	if err := tier.Stage(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	mx := dns.NewQuery(3, dns.SequentialName(2))
+	mx.QType = 15
+	mxq, err := dns.Encode(mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := mkBatch([][]byte{
+		encodeDNSQuery(t, 1, "HOST3.Example.COM"),
+		encodeDNSQuery(t, 2, "NOWHERE.example.com"),
+		mxq,
+		{0, 4, 1},
+	})
+	tier.TryHandleBatch(items)
+	for i, it := range items {
+		serves := i < 2
+		if it.Served != serves || it.Tagged != serves || (len(it.Out) > 0) != serves {
+			t.Fatalf("item %d: Served %v Tagged %v with %d reply bytes, want served and tagged %v", i, it.Served, it.Tagged, len(it.Out), serves)
+		}
+		if serves && (it.Out[0] != 0 || int(it.Out[1]) != i+1) {
+			t.Fatalf("item %d: reply %x does not repeat ID %d", i, it.Out, i+1)
+		}
+	}
+}

@@ -22,7 +22,9 @@ import (
 // response datagrams), so a tier answer is the same one-copy-and-patch
 // as the host's and byte-identical to it. The installed table is an
 // atomic pointer — the tier's epoch — which the batch path loads once
-// per batch instead of once per datagram.
+// per batch instead of once per datagram. Every reply the tier serves
+// repeats its query's ID, so, like dns.Handler's, it is served Tagged
+// and a client's answers may leave ahead of its shorter NXDOMAINs.
 type DNSTier struct {
 	zone *dns.Zone
 
@@ -168,7 +170,7 @@ func (t *DNSTier) TryHandleDatagram(in []byte, _ netip.AddrPort, scratch *[]byte
 // TryHandleBatch implements dataplane.BatchFastPath: the installed table
 // — the tier's epoch — is loaded once for the whole batch, and the meter
 // and counters are bumped once per batch; each item then takes the same
-// classification as TryHandleDatagram.
+// classification as TryHandleDatagram, and a served item is Tagged.
 func (t *DNSTier) TryHandleBatch(items []*dataplane.BatchItem) {
 	table := t.table.Load()
 	var counts [tierVerdicts]uint64
@@ -176,8 +178,7 @@ func (t *DNSTier) TryHandleBatch(items []*dataplane.BatchItem) {
 		out, served, verdict := t.serve(table, it.In, it.Scratch)
 		counts[verdict]++
 		if served {
-			it.Served = true
-			it.Out = out
+			it.Served, it.Out, it.Tagged = true, out, true
 		}
 	}
 	if classified := counts[tierAnswered] + counts[tierNXDomain] + counts[tierPunted]; classified > 0 {

@@ -38,8 +38,8 @@
 #      table by at most 128 B (the log and the index grow, so it cannot
 #      be 0 B/op, which is why the row is not one of gate 1's);
 #   5. in the sweep, each batched rung answers at least 0.6x the kpps of
-#      the single-reader engine at the same shard count (1.00-1.52x in
-#      BENCH_40.json, where the single reader reads in recvmmsg batches,
+#      the single-reader engine at the same shard count (0.91-1.47x in
+#      BENCH_43.json, where the single reader reads in recvmmsg batches,
 #      its workers flush their replies through sendmmsg in trains, and
 #      the uring rows' readers park without yielding first). The sweep's
 #      workers do not
@@ -57,7 +57,7 @@
 #
 # Usage:
 #   ./scripts/bench.sh                          # writes bench_ci.json (git-ignored)
-#   BENCH_OUT=BENCH_40.json ./scripts/bench.sh  # refresh the committed snapshot
+#   BENCH_OUT=BENCH_43.json ./scripts/bench.sh  # refresh the committed snapshot
 #   BENCH_TIME=50ms ./scripts/bench.sh          # CI: shorter rows, gates still live
 #
 # Output schema (incod-bench/v1): one entry per benchmark with
