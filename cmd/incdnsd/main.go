@@ -37,19 +37,12 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":5353", "UDP listen address")
-	shards := flag.Int("shards", 0, "dataplane shard workers (0 = GOMAXPROCS)")
-	var opts daemon.EngineOptions
-	opts.RegisterFlags(flag.CommandLine)
+	f := daemon.RegisterFlags(flag.CommandLine, daemon.Defaults{
+		Addr: ":5353", Shards: 0, CrossKpps: 150,
+		TierHelp: "attach the emulated NIC offload tier (Emu-DNS-style answer table): policy shifts become real dataplane transitions",
+	})
 	zonePath := flag.String("zone", "", "zone file (name ipv4 [ttl] per line); empty = demo zone")
-	crossKpps := flag.Float64("crossover", 150, "software/hardware crossover (kpps)")
-	policy := flag.String("policy", "threshold",
-		"placement policy: "+strings.Join(core.PolicyNames(), " | "))
-	ctrl := flag.String("ctrl", "", "control-plane HTTP address (e.g. :8081); empty disables")
-	useTier := flag.Bool("nictier", false,
-		"attach the emulated NIC offload tier (Emu-DNS-style answer table): policy shifts become real dataplane transitions")
 	flag.Parse()
-	opts.Addr = *addr
 
 	// The zone must be fully loaded before serving starts: it is read
 	// lock-free by every shard worker.
@@ -61,9 +54,9 @@ func main() {
 		log.Fatalf("incdnsd: %v", err)
 	}
 
-	eng, err := daemon.ListenEngine(opts,
+	eng, err := daemon.ListenEngine(f.EngineOptions,
 		dns.NewHandler(zone), dataplane.Config{
-			Name: "incdnsd", Shards: *shards,
+			Name: "incdnsd", Shards: f.Shards,
 			// DNS datagrams are small; a tight bound also caps the
 			// engine's overload memory (see the dataplane package doc).
 			MaxDatagram: 4096,
@@ -71,39 +64,14 @@ func main() {
 	if err != nil {
 		log.Fatalf("incdnsd: %v", err)
 	}
-	var tierSvc core.Service
-	mode := "advisory"
-	if *useTier {
-		tierSvc = nictier.NewService("dns", eng, nictier.NewDNS(zone))
-		mode = "nictier"
+	var tier core.Service
+	if f.NICTier {
+		tier = nictier.NewService("dns", eng, nictier.NewDNS(zone))
 	}
-	io := "single-reader"
-	if eng.Batched() {
-		io = fmt.Sprintf("batched/%s over %d sockets", eng.Backend(), opts.Sockets)
-	}
-	log.Printf("incdnsd: serving %d records on %s (%s, policy %s, %s)", zone.Len(), *addr, io, *policy, mode)
-
-	orch, svc, ctrlSrv, err := daemon.StartControlPlane(daemon.StartOptions{
-		Name: "dns", Policy: *policy, CrossKpps: *crossKpps,
-		Curve: power.NSDServer, CtrlAddr: *ctrl, Service: tierSvc,
-		Ready: eng.Running,
-	})
-	if err != nil {
+	log.Printf("incdnsd: %d records", zone.Len())
+	if err := f.Serve("incdnsd", "dns", eng, tier, power.NSDServer, nil); err != nil {
 		log.Fatalf("incdnsd: %v", err)
 	}
-	defer orch.Close()
-	svc.UseCounter(eng.Handled)
-	if err := orch.AttachDataplane("dns", eng); err != nil {
-		log.Fatalf("incdnsd: %v", err)
-	}
-	if ctrlSrv != nil {
-		log.Printf("incdnsd: control plane on http://%s/v1/services", ctrlSrv.Addr())
-	}
-
-	daemon.OnShutdown("incdnsd", ctrlSrv, orch, eng.Close)
-
-	eng.Run()
-	log.Printf("incdnsd: shut down cleanly")
 }
 
 func loadZone(zone *dns.Zone, path string) error {

@@ -1,14 +1,24 @@
-// Command incloadgen drives real-UDP load against inckvsd, incdnsd or an
-// incpaxosd acceptor — a software stand-in for the paper's OSNT traffic
-// generator. It is flags around internal/trafficgen: an app per -proto
-// (Zipf key popularity), the client core and the socket driver, whose
-// open-loop pacer offers a rate whether or not the server keeps up; what
-// a daemon can sustain is benchmark/'s question (its generator saturates
-// and checks every reply).
+// Command incloadgen drives real-UDP load against inckvsd, incdnsd, an
+// incpaxosd acceptor or an incpaxosd leader — a software stand-in for the
+// paper's OSNT traffic generator. It is flags around internal/trafficgen:
+// an app per -proto (Zipf key popularity), the client core and the socket
+// driver, whose open-loop pacer offers a rate whether or not the server
+// keeps up; what a daemon can sustain is benchmark/'s question (its
+// generator saturates and checks every reply).
 //
 //	incloadgen -proto kvs -target localhost:11211 -rate 50000 -keys 1000 -duration 5s
 //	incloadgen -proto dns -target localhost:5353  -rate 20000 -keys 16   -duration 5s
 //	incloadgen -proto paxos -target localhost:7000 -rate 20000 -duration 5s
+//	incloadgen -proto proposer -target localhost:7200 -rate 1000 -duration 5s
+//
+// -proto proposer is the client of a Paxos system (incpaxosd's package
+// comment runs one): it submits client requests to the leader at
+// -target, and the decisions come back from the learner, not the leader.
+// So its sockets are not connected: they listen on the local address the
+// route to -target selects, which a learner bound to one interface can
+// answer, and each request names that address. A request nothing
+// decided is resent after 100 ms, the §9.2 client timeout, at most ten
+// times.
 //
 // A phased profile exercises shift-up and shift-down in one run — ramp
 // across the placement threshold, hold above it, drop back under it —
@@ -42,7 +52,7 @@ import (
 )
 
 func main() {
-	proto := flag.String("proto", "kvs", "protocol: kvs | dns | paxos (Phase2A votes against an acceptor)")
+	proto := flag.String("proto", "kvs", "protocol: kvs | dns | paxos (Phase2A votes against an acceptor) | proposer (client requests to a leader)")
 	target := flag.String("target", "localhost:11211", "server address")
 	rate := flag.Float64("rate", 1000, "offered requests per second")
 	duration := flag.Duration("duration", 5*time.Second, "run duration")
@@ -56,7 +66,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-phase progress logs (final summary still printed)")
 	flag.Parse()
 
-	rep, err := run(*proto, *target, *rate, *duration, *keys, *preload, *sockets, *profile, *quiet)
+	rep, _, err := run(*proto, *target, *rate, *duration, *keys, *preload, *sockets, *profile, *quiet)
 	if err != nil {
 		rep.Error = err.Error()
 		log.Printf("incloadgen: %v", err)
@@ -82,18 +92,26 @@ func writeReport(path string, rep *trafficgen.Report) error {
 
 // run drives the whole load session and always returns a report with
 // whatever was achieved — on error the caller records it and exits
-// nonzero instead of silently reporting 0 kpps.
+// nonzero instead of silently reporting 0 kpps — and the client, once
+// one was built, whose counters hold the run's verdicts and retries.
 func run(proto, target string, rate float64, duration time.Duration, keys uint64,
-	preload bool, sockets int, profile string, quiet bool) (*trafficgen.Report, error) {
+	preload bool, sockets int, profile string, quiet bool) (*trafficgen.Report, *trafficgen.Client, error) {
 	rep := &trafficgen.Report{Proto: proto, Target: target}
 	phases, err := trafficgen.ParseProfile(profile, rate, duration)
 	if err != nil {
-		return rep, err
+		return rep, nil, err
 	}
 	rep.Phases = len(phases)
 
+	// A proposer's decisions come from the learner, not from -target.
+	d, err := trafficgen.Dial(target, max(sockets, 1), proto != "proposer")
+	if err != nil {
+		return rep, nil, err
+	}
+	defer d.Close()
 	sampler := trafficgen.NewZipfKeys(rand.New(rand.NewSource(time.Now().UnixNano())), keys, 1.06)
 	var app trafficgen.App
+	var retry time.Duration
 	switch proto {
 	case "kvs":
 		app = &trafficgen.KVS{Key: sampler.Next}
@@ -101,8 +119,10 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 		app = &trafficgen.DNS{Name: func() string { return dns.SequentialName(int(sampler.NextIndex())) }}
 	case "paxos":
 		app = trafficgen.Vote{Value: []byte("incloadgen-cmd")}
+	case "proposer":
+		app, retry = &trafficgen.Proposer{Addr: d.LocalAddr()}, 100*time.Millisecond
 	default:
-		return rep, fmt.Errorf("unknown protocol %q", proto)
+		return rep, nil, fmt.Errorf("unknown protocol %q", proto)
 	}
 	logf := func(format string, args ...any) {
 		if !quiet {
@@ -110,11 +130,6 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 		}
 	}
 
-	d, err := trafficgen.Dial(target, max(sockets, 1), true)
-	if err != nil {
-		return rep, err
-	}
-	defer d.Close()
 	if proto == "kvs" && preload {
 		for i := uint64(0); i < keys; i++ {
 			d.Send(trafficgen.KVSSet(fmt.Sprintf("key-%d", i), []byte("value")))
@@ -123,22 +138,23 @@ func run(proto, target string, rate float64, duration time.Duration, keys uint64
 			}
 		}
 		if err := d.Flush(); err != nil {
-			return rep, fmt.Errorf("preload: %w", err)
+			return rep, nil, fmt.Errorf("preload: %w", err)
 		}
 		time.Sleep(200 * time.Millisecond)
 		logf("preloaded %d keys", keys)
 	}
 
 	c := trafficgen.NewClient(app, d.Send)
+	c.RetryTimeout = retry
 	if err := d.Run(c, phases, rep, logf); err != nil {
-		return rep, err
+		return rep, c, err
 	}
 	frac := 0.0
 	if rep.Sent > 0 {
 		frac = float64(rep.Answered) / float64(rep.Sent) * 100
 	}
-	log.Printf("incloadgen: sent %d (%.1f kpps), answered %d (%.1f kpps, %.1f%%), outstanding %d, bad %d",
-		rep.Sent, rep.AchievedKpps, rep.Answered, rep.AnsweredKpps, frac, rep.Outstanding, rep.Bad)
+	log.Printf("incloadgen: sent %d (%.1f kpps), answered %d (%.1f kpps, %.1f%%), outstanding %d, bad %d, retries %d",
+		rep.Sent, rep.AchievedKpps, rep.Answered, rep.AnsweredKpps, frac, rep.Outstanding, rep.Bad, c.Counters.Get("retries"))
 	log.Printf("incloadgen: latency p50=%v p99=%v max=%v", c.Latency.Median(), c.Latency.P99(), c.Latency.Max())
-	return rep, nil
+	return rep, c, nil
 }

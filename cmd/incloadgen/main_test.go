@@ -14,6 +14,7 @@ import (
 	"incod/internal/dataplane"
 	"incod/internal/fleet"
 	"incod/internal/kvs"
+	"incod/internal/paxos"
 	"incod/internal/trafficgen"
 )
 
@@ -143,7 +144,7 @@ func TestRunLoopback(t *testing.T) {
 	// fails.
 	var rep *trafficgen.Report
 	for attempt := 0; attempt < 5; attempt++ {
-		rep, err = run("kvs", eng.LocalAddr().String(), 0, 0, 64, true, 2, profile, true)
+		rep, _, err = run("kvs", eng.LocalAddr().String(), 0, 0, 64, true, 2, profile, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,5 +182,52 @@ func TestRunLoopback(t *testing.T) {
 	}
 	if got.Report.Sent != rep.Sent || got.Report.Answered != rep.Answered || got.Report.Phases != rep.Phases || got.Report.P99Micros != rep.P99Micros {
 		t.Errorf("fleet's report %+v lost fields of %+v", got.Report, rep)
+	}
+}
+
+// startRole serves the Paxos role build makes on a loopback engine and
+// returns its address; the role sends from the engine's socket, as
+// incpaxosd's roles do.
+func startRole(t *testing.T, build func(paxos.Sender) dataplane.Handler) string {
+	t.Helper()
+	conn, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eng *dataplane.Engine
+	send := func(to string, m paxos.Msg) {
+		if dst, err := net.ResolveUDPAddr("udp", to); err == nil {
+			eng.WriteTo(paxos.AppendMsg(nil, m), dst)
+		}
+	}
+	eng = dataplane.New(conn, build(send), dataplane.Config{Name: "paxos-test", Shards: 1})
+	eng.Start()
+	t.Cleanup(eng.Close)
+	return eng.LocalAddr().String()
+}
+
+// The five-role system of incpaxosd's package comment on loopback, every
+// server role bound to 127.0.0.1, with -proto proposer as its client:
+// the proposer must advertise an address the learner can send to (not
+// the wildcard), so every request it submits is decided and none is
+// retried.
+func TestClientOnLoopback(t *testing.T) {
+	// Nothing is lost on loopback at this rate: no gap requests.
+	learner := startRole(t, func(s paxos.Sender) dataplane.Handler { return paxos.NewLiveLearner(2, "", s) })
+	var acceptors []string
+	for id := uint16(0); id < 3; id++ {
+		acceptors = append(acceptors, startRole(t, func(s paxos.Sender) dataplane.Handler {
+			return paxos.NewLiveAcceptor(id, []string{learner}, s)
+		}))
+	}
+	leader := startRole(t, func(s paxos.Sender) dataplane.Handler { return paxos.NewLiveLeader(1, acceptors, s) })
+
+	rep, c, err := run("proposer", leader, 500, 200*time.Millisecond, 0, false, 1, "", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decided := c.Counters.Get("decided")
+	if rep.Sent < 50 || decided != rep.Sent || c.Counters.Get("retries") != 0 || rep.Outstanding != 0 {
+		t.Errorf("submitted %d, decided %d, outstanding %d: %v", rep.Sent, decided, rep.Outstanding, c.Counters)
 	}
 }

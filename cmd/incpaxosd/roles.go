@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"log"
 	"net"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"incod/internal/dataplane"
 	"incod/internal/nictier"
 	"incod/internal/paxos"
-	"incod/internal/trafficgen"
 )
 
 // The protocol logic lives in internal/paxos (LiveAcceptor, LiveLeader,
@@ -119,33 +117,4 @@ func newLearner(io daemon.EngineOptions, quorum int, leader string, shards int) 
 	h.Start(100 * time.Millisecond)
 	log.Printf("incpaxosd: learner on %s, quorum %d", eng.LocalAddr(), quorum)
 	return serverRole{eng: eng, stop: h.Stop}
-}
-
-// clientRole submits requests at rate for duration through the shared
-// socket driver — the proposer app, the §9.2 retry on timeout — and
-// reports submitted and decided counts and rates, retries and latency
-// percentiles. It fails when a send did, or when requests were submitted
-// and none was decided; the client it returns holds the run's counters.
-func clientRole(leader string, rate float64, duration, timeout time.Duration, svc *daemon.ManagedService) (*trafficgen.Client, error) {
-	d, err := trafficgen.Dial(leader, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	defer d.Close()
-	c := trafficgen.NewClient(&trafficgen.Proposer{Addr: d.LocalAddr()}, d.Send)
-	c.RetryTimeout = timeout
-	if svc != nil {
-		svc.UseCounter(func() uint64 { return c.Counters.Get("recv") })
-	}
-	log.Printf("incpaxosd: client on %s -> leader %s, %.0f req/s for %v", d.LocalAddr(), leader, rate, duration)
-
-	rep := trafficgen.Report{Proto: "paxos", Target: leader}
-	err = d.Run(c, trafficgen.Profile{trafficgen.Hold(rate, duration)}, &rep, func(string, ...any) {})
-	log.Printf("incpaxosd: client done: submitted %d (%.1f kpps), %d decided (%.1f kpps), %d outstanding, %d retries, %d gave up, latency p50=%v p99=%v",
-		rep.Sent, rep.AchievedKpps, rep.Answered, rep.AnsweredKpps, rep.Outstanding,
-		c.Counters.Get("retries"), c.Counters.Get("gave_up"), c.Latency.Median(), c.Latency.P99())
-	if err == nil && rep.Sent > 0 && rep.Answered == 0 {
-		err = errors.New("no submitted request was decided")
-	}
-	return c, err
 }

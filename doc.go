@@ -9,7 +9,7 @@
 // TransitionCost hook for the §9.2 transition tasks) and Policy (the §9.1
 // decision kernels — mirrored-threshold, power-aware, static pin — as
 // pluggable Observe(Sample) Decision rules) — and one loop that runs
-// them: internal/daemon's multi-service Orchestrator, exposed to
+// them: internal/daemon's Orchestrator, exposed to
 // operators through the versioned /v1 HTTP control API served by every
 // daemon (see README.md). The same Orchestrator, reading the simulator's
 // clock instead of the wall clock, places the same handlers, tiers and

@@ -14,7 +14,8 @@ import (
 // Handler returns the versioned control-plane HTTP API — the role the
 // P4Runtime/gRPC channel plays for a hardware deployment's controller:
 //
-//	GET  /v1/services                     -> [ServiceStatus]
+//	GET  /v1/services                     -> [ServiceStatus] (the one
+//	                                         service, once registered)
 //	GET  /v1/services/{name}              -> ServiceStatus (placement,
 //	                                         shifts, in-flight shifting
 //	                                         flag, last shift duration,

@@ -13,30 +13,36 @@ import (
 	"incod/internal/dataplane"
 )
 
-// newAPI builds an orchestrator with two threshold-policy services and
-// one static-policy service behind the /v1 API.
-func newAPI(t *testing.T) (*Orchestrator, *httptest.Server) {
-	t.Helper()
-	o := NewOrchestrator(0)
-	if _, err := o.Register("kvs", ServiceConfig{
-		Policy: core.NewThresholdPolicy(core.DefaultNetworkConfig(100)),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Register("dns", ServiceConfig{
-		Policy: core.NewThresholdPolicy(core.DefaultNetworkConfig(150)),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Register("pinned", ServiceConfig{
-		Policy: &core.StaticPolicy{Target: core.Host},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(o.Handler())
-	t.Cleanup(srv.Close)
-	return o, srv
+// api is one daemon per service, each an orchestrator behind its own /v1
+// server: kvs and dns on threshold policies, pinned on a static one.
+type api map[string]apiDaemon
+
+type apiDaemon struct {
+	o   *Orchestrator
+	url string // the server's base URL
 }
+
+func newAPI(t *testing.T) api {
+	t.Helper()
+	a := api{}
+	for name, pol := range map[string]core.Policy{
+		"kvs":    core.NewThresholdPolicy(core.DefaultNetworkConfig(100)),
+		"dns":    core.NewThresholdPolicy(core.DefaultNetworkConfig(150)),
+		"pinned": &core.StaticPolicy{Target: core.Host},
+	} {
+		o := NewOrchestrator(0)
+		if _, err := o.Register(name, ServiceConfig{Policy: pol}); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(o.Handler())
+		t.Cleanup(srv.Close)
+		a[name] = apiDaemon{o, srv.URL}
+	}
+	return a
+}
+
+// svc is the URL of name's /v1 resource on name's own server.
+func (a api) svc(name string) string { return a[name].url + "/v1/services/" + name }
 
 func getJSON(t *testing.T, url string, v any) int {
 	t.Helper()
@@ -69,75 +75,80 @@ func postJSON(t *testing.T, url, body string, v any) int {
 }
 
 func TestV1ListServices(t *testing.T) {
-	o, srv := newAPI(t)
-	o.services["kvs"].count.Add(5)
+	a := newAPI(t)
+	a["kvs"].o.svc.count.Add(5)
 
-	var list []ServiceStatus
-	if code := getJSON(t, srv.URL+"/v1/services", &list); code != http.StatusOK {
-		t.Fatalf("list -> %d", code)
+	list := map[string][]ServiceStatus{}
+	for name := range a {
+		var l []ServiceStatus
+		if code := getJSON(t, a[name].url+"/v1/services", &l); code != http.StatusOK {
+			t.Fatalf("list %s -> %d", name, code)
+		}
+		if len(l) != 1 || l[0].Name != name {
+			t.Fatalf("%s's daemon lists %+v, want its one service", name, l)
+		}
+		list[name] = l
 	}
-	if len(list) != 3 || list[0].Name != "kvs" || list[1].Name != "dns" || list[2].Name != "pinned" {
-		t.Fatalf("list = %+v", list)
-	}
-	if list[0].Requests != 5 || list[0].Placement != "host" || list[0].Policy != "threshold" {
-		t.Errorf("kvs status = %+v", list[0])
+	kvs, pinned := list["kvs"][0], list["pinned"][0]
+	if kvs.Requests != 5 || kvs.Placement != "host" || kvs.Policy != "threshold" {
+		t.Errorf("kvs status = %+v", kvs)
 	}
 	// DefaultNetworkConfig(100) = crossover*1.1 (floating point).
-	if th := list[0].Thresholds; th == nil || th.ToNetworkKpps < 109.9 || th.ToNetworkKpps > 110.1 {
-		t.Errorf("kvs thresholds = %+v, want to-network ~110", list[0].Thresholds)
+	if th := kvs.Thresholds; th == nil || th.ToNetworkKpps < 109.9 || th.ToNetworkKpps > 110.1 {
+		t.Errorf("kvs thresholds = %+v, want to-network ~110", kvs.Thresholds)
 	}
-	if list[2].Policy != "static-host" || list[2].Thresholds != nil {
-		t.Errorf("static service must expose no thresholds: %+v", list[2])
+	if pinned.Policy != "static-host" || pinned.Thresholds != nil {
+		t.Errorf("static service must expose no thresholds: %+v", pinned)
 	}
 }
 
 func TestV1GetSingleServiceAndUnknown404(t *testing.T) {
-	_, srv := newAPI(t)
+	a := newAPI(t)
 	var s ServiceStatus
-	if code := getJSON(t, srv.URL+"/v1/services/dns", &s); code != http.StatusOK {
+	if code := getJSON(t, a.svc("dns"), &s); code != http.StatusOK {
 		t.Fatalf("get dns -> %d", code)
 	}
 	if s.Name != "dns" || s.Placement != "host" {
 		t.Errorf("dns status = %+v", s)
 	}
-	if code := getJSON(t, srv.URL+"/v1/services/ghost", nil); code != http.StatusNotFound {
-		t.Errorf("unknown service -> %d, want 404", code)
-	}
-	if code := getJSON(t, srv.URL+"/v1/services/ghost/thresholds", nil); code != http.StatusNotFound {
-		t.Errorf("unknown service thresholds -> %d, want 404", code)
-	}
-	if code := postJSON(t, srv.URL+"/v1/services/ghost/placement", `{"placement":"host"}`, nil); code != http.StatusNotFound {
-		t.Errorf("unknown service placement -> %d, want 404", code)
+	srv := a["dns"].url + "/v1/services/"
+	// Another daemon's service is as unknown here as one nobody runs.
+	for _, name := range []string{"ghost", "kvs"} {
+		if code := getJSON(t, srv+name, nil); code != http.StatusNotFound {
+			t.Errorf("unknown service %s -> %d, want 404", name, code)
+		}
+		if code := getJSON(t, srv+name+"/thresholds", nil); code != http.StatusNotFound {
+			t.Errorf("unknown service %s thresholds -> %d, want 404", name, code)
+		}
+		if code := postJSON(t, srv+name+"/placement", `{"placement":"host"}`, nil); code != http.StatusNotFound {
+			t.Errorf("unknown service %s placement -> %d, want 404", name, code)
+		}
 	}
 }
 
 func TestV1ThresholdsRoundTrip(t *testing.T) {
-	_, srv := newAPI(t)
+	a := newAPI(t)
 
 	// Partial update: only the up-threshold; the other side is kept.
 	var got Thresholds
-	if code := postJSON(t, srv.URL+"/v1/services/kvs/thresholds", `{"to_network_kpps": 200}`, &got); code != http.StatusOK {
+	if code := postJSON(t, a.svc("kvs")+"/thresholds", `{"to_network_kpps": 200}`, &got); code != http.StatusOK {
 		t.Fatalf("post -> %d", code)
 	}
 	if got.ToNetworkKpps != 200 || got.ToHostKpps != 70 || got.Clamped {
 		t.Errorf("thresholds = %+v, want 200/70 unclamped", got)
 	}
 
-	// GET reflects the change, and only on the targeted service.
+	// GET reflects the change.
 	var read Thresholds
-	if code := getJSON(t, srv.URL+"/v1/services/kvs/thresholds", &read); code != http.StatusOK || read.ToNetworkKpps != 200 {
+	if code := getJSON(t, a.svc("kvs")+"/thresholds", &read); code != http.StatusOK || read.ToNetworkKpps != 200 {
 		t.Errorf("read back %+v (code %d)", read, code)
-	}
-	var other Thresholds
-	if getJSON(t, srv.URL+"/v1/services/dns/thresholds", &other); other.ToNetworkKpps == 200 {
-		t.Error("update leaked to another service")
 	}
 }
 
 func TestV1ThresholdsClampReported(t *testing.T) {
-	_, srv := newAPI(t)
+	a := newAPI(t)
 	var got Thresholds
-	if code := postJSON(t, srv.URL+"/v1/services/kvs/thresholds", `{"to_host_kpps": 500}`, &got); code != http.StatusOK {
+	if code := postJSON(t, a.svc("kvs")+"/thresholds", `{"to_host_kpps": 500}`, &got); code != http.StatusOK {
 		t.Fatalf("post -> %d", code)
 	}
 	if !got.Clamped || got.Note == "" {
@@ -149,22 +160,22 @@ func TestV1ThresholdsClampReported(t *testing.T) {
 }
 
 func TestV1ThresholdsBadInput(t *testing.T) {
-	_, srv := newAPI(t)
-	if code := postJSON(t, srv.URL+"/v1/services/kvs/thresholds", `{"to_network_kpps": -5}`, nil); code != http.StatusBadRequest {
+	a := newAPI(t)
+	if code := postJSON(t, a.svc("kvs")+"/thresholds", `{"to_network_kpps": -5}`, nil); code != http.StatusBadRequest {
 		t.Errorf("negative threshold -> %d, want 400", code)
 	}
-	if code := postJSON(t, srv.URL+"/v1/services/kvs/thresholds", "not json", nil); code != http.StatusBadRequest {
+	if code := postJSON(t, a.svc("kvs")+"/thresholds", "not json", nil); code != http.StatusBadRequest {
 		t.Errorf("bad JSON -> %d, want 400", code)
 	}
 	// NaN is not valid JSON either.
-	if code := postJSON(t, srv.URL+"/v1/services/kvs/thresholds", `{"to_host_kpps": NaN}`, nil); code != http.StatusBadRequest {
+	if code := postJSON(t, a.svc("kvs")+"/thresholds", `{"to_host_kpps": NaN}`, nil); code != http.StatusBadRequest {
 		t.Errorf("NaN -> %d, want 400", code)
 	}
 	// Thresholds on a policy without rate thresholds: conflict.
-	if code := postJSON(t, srv.URL+"/v1/services/pinned/thresholds", `{"to_network_kpps": 10}`, nil); code != http.StatusConflict {
+	if code := postJSON(t, a.svc("pinned")+"/thresholds", `{"to_network_kpps": 10}`, nil); code != http.StatusConflict {
 		t.Errorf("thresholds on static policy -> %d, want 409", code)
 	}
-	if code := getJSON(t, srv.URL+"/v1/services/pinned/thresholds", nil); code != http.StatusConflict {
+	if code := getJSON(t, a.svc("pinned")+"/thresholds", nil); code != http.StatusConflict {
 		t.Errorf("get thresholds on static policy -> %d, want 409", code)
 	}
 }
@@ -195,13 +206,13 @@ func TestV1PowerPolicyThresholds(t *testing.T) {
 }
 
 func TestV1MethodNotAllowed(t *testing.T) {
-	_, srv := newAPI(t)
+	srv := newAPI(t)["kvs"]
 	for _, tc := range []struct{ method, path string }{
 		{http.MethodDelete, "/v1/services/kvs/thresholds"},
 		{http.MethodDelete, "/v1/services"},
 		{http.MethodGet, "/v1/services/kvs/placement"},
 	} {
-		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+		req, _ := http.NewRequest(tc.method, srv.url+tc.path, nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -214,16 +225,17 @@ func TestV1MethodNotAllowed(t *testing.T) {
 }
 
 func TestV1ManualPlacementPin(t *testing.T) {
-	o, srv := newAPI(t)
+	a := newAPI(t)
+	o, url := a["kvs"].o, a.svc("kvs")+"/placement"
 	var s ServiceStatus
-	if code := postJSON(t, srv.URL+"/v1/services/kvs/placement", `{"placement":"network"}`, &s); code != http.StatusOK {
+	if code := postJSON(t, url, `{"placement":"network"}`, &s); code != http.StatusOK {
 		t.Fatalf("pin -> %d", code)
 	}
 	if s.Placement != "network" || s.Pinned != "network" {
 		t.Errorf("after pin: %+v", s)
 	}
 	// The pin holds against the policy under zero load.
-	m := o.services["kvs"]
+	m := o.svc
 	now := time.Unix(0, 0)
 	o.Tick(now)
 	_ = drive(o, m, now, 0, 5*time.Second)
@@ -232,20 +244,20 @@ func TestV1ManualPlacementPin(t *testing.T) {
 	}
 	// "auto" releases the pin.
 	s = ServiceStatus{}
-	if code := postJSON(t, srv.URL+"/v1/services/kvs/placement", `{"placement":"auto"}`, &s); code != http.StatusOK {
+	if code := postJSON(t, url, `{"placement":"auto"}`, &s); code != http.StatusOK {
 		t.Fatalf("auto -> %d", code)
 	}
 	if s.Pinned != "" {
 		t.Errorf("after auto: %+v", s)
 	}
 	// Bad placement value.
-	if code := postJSON(t, srv.URL+"/v1/services/kvs/placement", `{"placement":"fpga"}`, nil); code != http.StatusBadRequest {
+	if code := postJSON(t, url, `{"placement":"fpga"}`, nil); code != http.StatusBadRequest {
 		t.Errorf("bad placement -> %d, want 400", code)
 	}
 }
 
 func TestServeCtrlLifecycle(t *testing.T) {
-	o, _ := newAPI(t)
+	o := newAPI(t)["kvs"].o
 	// Bind errors surface synchronously instead of being swallowed.
 	if _, err := ServeCtrl("256.0.0.1:99999", o.Handler()); err == nil {
 		t.Fatal("bad address must return a bind error")
@@ -280,7 +292,8 @@ type fakeDataplane struct{ st dataplane.Stats }
 func (f fakeDataplane) Snapshot() dataplane.Stats { return f.st }
 
 func TestV1DataplaneStats(t *testing.T) {
-	o, srv := newAPI(t)
+	a := newAPI(t)
+	o, srv := a["kvs"].o, a["kvs"].url
 	want := dataplane.Stats{
 		Shards: []dataplane.ShardStats{
 			{Shard: 0, Received: 70, Handled: 70, Replies: 70},
@@ -298,7 +311,7 @@ func TestV1DataplaneStats(t *testing.T) {
 	}
 
 	var got dataplane.Stats
-	if code := getJSON(t, srv.URL+"/v1/services/kvs/dataplane", &got); code != http.StatusOK {
+	if code := getJSON(t, srv+"/v1/services/kvs/dataplane", &got); code != http.StatusOK {
 		t.Fatalf("GET dataplane: %d", code)
 	}
 	if got.Handled != 99 || got.Dropped != 1 || len(got.Shards) != 2 ||
@@ -307,20 +320,23 @@ func TestV1DataplaneStats(t *testing.T) {
 	}
 
 	// Services without an engine 404; unknown services 404.
-	if code := getJSON(t, srv.URL+"/v1/services/dns/dataplane", nil); code != http.StatusNotFound {
+	if code := getJSON(t, a.svc("dns")+"/dataplane", nil); code != http.StatusNotFound {
 		t.Fatalf("no-dataplane service: %d, want 404", code)
 	}
-	if code := getJSON(t, srv.URL+"/v1/services/ghost/dataplane", nil); code != http.StatusNotFound {
+	if code := getJSON(t, srv+"/v1/services/ghost/dataplane", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown service: %d, want 404", code)
 	}
 
-	// The all-engines view keys by service name.
-	var all map[string]dataplane.Stats
-	if code := getJSON(t, srv.URL+"/v1/dataplane", &all); code != http.StatusOK {
-		t.Fatalf("GET /v1/dataplane: %d", code)
-	}
-	if len(all) != 1 || all["kvs"].Received != 100 {
-		t.Fatalf("all dataplanes = %+v", all)
+	// The all-engines view keys the one engine by its service's name,
+	// and is empty on a daemon without one.
+	for name, want := range map[string]int{"kvs": 1, "dns": 0} {
+		var all map[string]dataplane.Stats
+		if code := getJSON(t, a[name].url+"/v1/dataplane", &all); code != http.StatusOK {
+			t.Fatalf("GET %s's /v1/dataplane: %d", name, code)
+		}
+		if len(all) != want || want == 1 && all["kvs"].Received != 100 {
+			t.Fatalf("%s's dataplanes = %+v", name, all)
+		}
 	}
 }
 
@@ -351,18 +367,20 @@ func TestUseCounterFeedsOrchestrator(t *testing.T) {
 		t.Fatalf("WindowKpps = %v, want ~100", st.WindowKpps)
 	}
 	// With no external counter wired the service's own count is read.
-	m2, _ := o.Register("raw", ServiceConfig{})
+	o2 := NewOrchestrator(0)
+	m2, _ := o2.Register("raw", ServiceConfig{})
 	m2.count.Add(1)
-	if st, _ := o.Status("raw"); st.Requests != 1 {
+	if st, _ := o2.Status("raw"); st.Requests != 1 {
 		t.Fatalf("raw Requests = %d, want 1", st.Requests)
 	}
 }
 
 func TestV1HealthzFollowsReadiness(t *testing.T) {
-	o, srv := newAPI(t)
+	kvs := newAPI(t)["kvs"]
+	o, srv := kvs.o, kvs.url
 
 	// No probe installed: always ready.
-	if code := getJSON(t, srv.URL+"/v1/healthz", nil); code != http.StatusOK {
+	if code := getJSON(t, srv+"/v1/healthz", nil); code != http.StatusOK {
 		t.Fatalf("default healthz = %d, want 200", code)
 	}
 
@@ -372,7 +390,7 @@ func TestV1HealthzFollowsReadiness(t *testing.T) {
 	serving := false
 	o.SetReady(func() bool { return serving })
 	var body map[string]bool
-	resp, err := http.Get(srv.URL + "/v1/healthz")
+	resp, err := http.Get(srv + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,18 +403,18 @@ func TestV1HealthzFollowsReadiness(t *testing.T) {
 	}
 
 	serving = true
-	if code := getJSON(t, srv.URL+"/v1/healthz", &body); code != http.StatusOK || !body["ready"] {
+	if code := getJSON(t, srv+"/v1/healthz", &body); code != http.StatusOK || !body["ready"] {
 		t.Fatalf("serving healthz = %d %v, want 200 ready=true", code, body)
 	}
 
 	serving = false // engine closing
-	if code := getJSON(t, srv.URL+"/v1/healthz", nil); code != http.StatusServiceUnavailable {
+	if code := getJSON(t, srv+"/v1/healthz", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("closing healthz = %d, want 503", code)
 	}
 
 	// Clearing the probe restores the always-ready default.
 	o.SetReady(nil)
-	if code := getJSON(t, srv.URL+"/v1/healthz", nil); code != http.StatusOK {
+	if code := getJSON(t, srv+"/v1/healthz", nil); code != http.StatusOK {
 		t.Fatalf("cleared-probe healthz = %d, want 200", code)
 	}
 }

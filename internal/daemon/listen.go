@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"net"
@@ -20,27 +19,15 @@ type EngineOptions struct {
 	// socket, recvmmsg/sendmmsg batches). Requires Linux when > 1.
 	Sockets int
 	// Engine picks the batched-mode transport: "" or "batched" uses
-	// recvmmsg/sendmmsg (NewBatchConn's choice), "uring" asks for the
-	// io_uring backend and degrades to mmsg — with a logged warning —
-	// when netio.ProbeUring fails. "single" forces the portable
-	// fallback. Ignored when Sockets is 0.
+	// recvmmsg/sendmmsg (NewBatchConn's choice, which is the portable
+	// one-datagram rung off Linux), "uring" asks for the io_uring backend
+	// and degrades to mmsg — with a logged warning — when
+	// netio.ProbeUring fails. Any other value is refused; the choice is
+	// ignored when Sockets is 0.
 	Engine string
 	// Pin locks each shard worker to its thread and to one of the CPUs
 	// the process is allowed (dataplane.Config.PinShards).
 	Pin bool
-}
-
-// RegisterFlags defines the I/O flags every serving daemon shares
-// (-sockets, -engine, -pin) on fs, parsing into o, plus -gsotx, which is
-// accepted and ignored until benchmark/ stops passing it (ROADMAP item
-// A). Addr stays with the daemon: the default port differs per protocol.
-func (o *EngineOptions) RegisterFlags(fs *flag.FlagSet) {
-	fs.IntVar(&o.Sockets, "sockets", 0,
-		"per-shard SO_REUSEPORT sockets with batched recvmmsg/sendmmsg I/O (0 = classic single-reader engine; batched mode runs one shard per socket, Linux)")
-	fs.StringVar(&o.Engine, "engine", "batched",
-		"batched-mode transport: batched (recvmmsg/sendmmsg) | uring (io_uring multishot recv, falls back to batched when the kernel can't) | single (portable fallback)")
-	fs.BoolVar(&o.Pin, "pin", false, "lock each batched shard worker to its OS thread and pin it to one of the allowed CPUs (sched_setaffinity)")
-	fs.Bool("gsotx", false, "ignored: batched engines coalesce same-destination replies into UDP_SEGMENT trains wherever the kernel and the rung take them (INCOD_NO_GSOTX=1 or -engine single serve per-datagram)")
 }
 
 // ListenEngine opens o.Addr and builds the serving engine in the mode
@@ -51,6 +38,9 @@ func (o *EngineOptions) RegisterFlags(fs *flag.FlagSet) {
 // backend is reported truthfully in the /v1/dataplane stats, and so is
 // whether the engine sends reply trains.
 func ListenEngine(o EngineOptions, h dataplane.Handler, cfg dataplane.Config) (*dataplane.Engine, error) {
+	if o.Engine != "" && o.Engine != "batched" && o.Engine != "uring" {
+		return nil, fmt.Errorf("daemon: -engine must be batched or uring (got %q)", o.Engine)
+	}
 	cfg.PinShards = o.Pin
 	if o.Sockets <= 0 {
 		conn, err := net.ListenPacket("udp", o.Addr)
@@ -118,8 +108,6 @@ func buildBatchConns(conns []net.PacketConn, o EngineOptions, cfg dataplane.Conf
 				return nil, fmt.Errorf("daemon: uring backend failed after probe: %w", err)
 			}
 			bcs[i] = bc
-		case "single":
-			bcs[i] = netio.NewSingleConn(c)
 		default:
 			bcs[i] = netio.NewBatchConn(c)
 		}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"flag"
+	"net"
 	"testing"
 
 	"incod/internal/dataplane"
@@ -40,25 +41,38 @@ func TestListenEngineModes(t *testing.T) {
 // the netio_fallback tag fail it), off on the single rung, and -gsotx is
 // accepted and changes nothing.
 func TestListenEngineDecidesReplyTrains(t *testing.T) {
-	var o EngineOptions
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	o.RegisterFlags(fs)
+	f := RegisterFlags(fs, Defaults{Addr: "127.0.0.1:0"})
 	if err := fs.Parse([]string{"-sockets", "2", "-gsotx"}); err != nil {
 		t.Fatalf("-gsotx must still parse: %v", err)
 	}
-	o.Addr = "127.0.0.1:0"
 	echo := dataplane.HandlerFunc(func(in []byte, _ *[]byte) ([]byte, bool) { return in, true })
-	for _, engine := range []string{"batched", "single"} {
-		o.Engine = engine
-		want := engine != "single" && netio.ProbeGSO() == nil
-		e, err := ListenEngine(o, echo, dataplane.Config{})
-		if err != nil {
-			t.Skipf("reuseport group unavailable: %v", err)
-		}
-		st := e.Snapshot()
+	batched, err := ListenEngine(f.EngineOptions, echo, dataplane.Config{})
+	if err != nil {
+		t.Skipf("reuseport group unavailable: %v", err)
+	}
+	st := batched.Snapshot()
+	batched.Close()
+	if want := netio.ProbeGSO() == nil; st.GSOTx != want {
+		t.Errorf("-engine batched (backend %s): gso_tx=%v, want %v", st.Backend, st.GSOTx, want)
+	}
+
+	// The single rung, which NewBatchConn falls back to off Linux and
+	// under the netio_fallback tag, sends no trains.
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := dataplane.NewBatchedConns([]net.PacketConn{conn}, []netio.BatchConn{netio.NewSingleConn(conn)}, echo, dataplane.Config{})
+	st = single.Snapshot()
+	single.Close()
+	if st.GSOTx {
+		t.Errorf("single rung (backend %s): gso_tx=true, want false", st.Backend)
+	}
+
+	f.Engine = "single"
+	if e, err := ListenEngine(f.EngineOptions, echo, dataplane.Config{}); err == nil {
 		e.Close()
-		if st.GSOTx != want {
-			t.Errorf("-engine %s (backend %s): gso_tx=%v, want %v", engine, st.Backend, st.GSOTx, want)
-		}
+		t.Error("-engine single must be refused: the single rung is a fallback, not a choice")
 	}
 }

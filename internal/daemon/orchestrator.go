@@ -1,7 +1,8 @@
-// Package daemon provides the one control loop of the repository: a
-// multi-service Orchestrator that meters each service's request total,
-// feeds its core.Policy and applies the decision, and the versioned /v1
-// HTTP API that exposes it. It runs on either clock. The daemons Start it
+// Package daemon provides the one control loop of the repository: an
+// Orchestrator that meters its service's request total, feeds its
+// core.Policy and applies the decision, and the versioned /v1 HTTP API
+// that exposes it, plus the serving daemons' shared flags and lifecycle
+// (Flags, Serve). It runs on either clock. The daemons Start it
 // on the wall clock; simhost.Orchestrate installs the simulator's clock
 // (SetClock) and ticks it from the event loop, so every figure, scenario,
 // example and chaos property exercises the loop the daemons run. A service
@@ -124,15 +125,14 @@ func (m *ManagedService) total() uint64 {
 	return m.count.Load()
 }
 
-// Orchestrator supervises the placement of many services: each sample
-// period it meters every service's request rate, feeds its policy, and
-// applies (or, for advisory services, logs) the decision. One
-// orchestrator backs one daemon's /v1 control API.
+// Orchestrator supervises the placement of the one service a program
+// registers: each sample period it meters the service's request rate,
+// feeds its policy, and applies (or, for an advisory service, logs) the
+// decision. One orchestrator backs one daemon's /v1 control API.
 type Orchestrator struct {
-	mu         sync.Mutex
-	services   map[string]*ManagedService
-	order      []string
-	dataplanes map[string]DataplaneSource
+	mu        sync.Mutex
+	svc       *ManagedService // nil until Register
+	dataplane DataplaneSource // nil until AttachDataplane
 	// clock is the one clock the orchestrator reads — for the loop's
 	// ticks, pins, shift durations and the transition log. time.Now
 	// unless SetClock installed another.
@@ -156,10 +156,9 @@ func NewOrchestrator(period time.Duration) *Orchestrator {
 		period = 100 * time.Millisecond
 	}
 	return &Orchestrator{
-		services: make(map[string]*ManagedService),
-		clock:    time.Now,
-		period:   period,
-		stop:     make(chan struct{}),
+		clock:  time.Now,
+		period: period,
+		stop:   make(chan struct{}),
 	}
 }
 
@@ -190,16 +189,17 @@ func (o *Orchestrator) Ready() bool {
 	return true
 }
 
-// Register adds a service under name. It returns the service's handle,
-// on which the daemon wires its request total with UseCounter.
+// Register makes name the orchestrator's service; a second Register
+// fails. It returns the service's handle, on which the daemon wires its
+// request total with UseCounter.
 func (o *Orchestrator) Register(name string, cfg ServiceConfig) (*ManagedService, error) {
 	if name == "" {
 		return nil, fmt.Errorf("daemon: service name must be non-empty")
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, dup := o.services[name]; dup {
-		return nil, fmt.Errorf("daemon: service %q already registered", name)
+	if o.svc != nil {
+		return nil, fmt.Errorf("daemon: cannot register %q: service %q already registered", name, o.svc.name)
 	}
 	svc := cfg.Service
 	if svc == nil {
@@ -211,10 +211,8 @@ func (o *Orchestrator) Register(name string, cfg ServiceConfig) (*ManagedService
 	if pol == nil {
 		pol = core.NewThresholdPolicy(core.DefaultNetworkConfig(80))
 	}
-	m := &ManagedService{name: name, svc: svc, pol: pol, model: cfg.Model}
-	o.services[name] = m
-	o.order = append(o.order, name)
-	return m, nil
+	o.svc = &ManagedService{name: name, svc: svc, pol: pol, model: cfg.Model}
+	return o.svc, nil
 }
 
 // Start launches the background evaluation loop.
@@ -245,7 +243,7 @@ func (o *Orchestrator) loop() {
 	}
 }
 
-// Tick performs one sampling + decision step for every service at time
+// Tick performs one sampling + decision step for the service at time
 // now: the step primitive. Whoever owns time calls it — the background
 // loop with the clock's reading, the simulation driver from the event
 // loop, tests with synthetic times.
@@ -253,8 +251,8 @@ func (o *Orchestrator) Tick(now time.Time) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.since(now)
-	for _, name := range o.order {
-		o.tickService(o.services[name], now)
+	if o.svc != nil {
+		o.tickService(o.svc, now)
 	}
 }
 
@@ -430,11 +428,10 @@ type ServiceStatus struct {
 }
 
 func (o *Orchestrator) lookup(name string) (*ManagedService, error) {
-	m, ok := o.services[name]
-	if !ok {
+	if o.svc == nil || o.svc.name != name {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownService, name)
 	}
-	return m, nil
+	return o.svc, nil
 }
 
 func (o *Orchestrator) statusLocked(m *ManagedService) ServiceStatus {
@@ -490,7 +487,7 @@ func (o *Orchestrator) statusLocked(m *ManagedService) ServiceStatus {
 func (o *Orchestrator) Transitions(name string) []core.Transition {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if m, ok := o.services[name]; ok {
+	if m, err := o.lookup(name); err == nil {
 		return append([]core.Transition(nil), m.transitions...)
 	}
 	return nil
@@ -507,15 +504,15 @@ func (o *Orchestrator) Status(name string) (ServiceStatus, error) {
 	return o.statusLocked(m), nil
 }
 
-// Statuses snapshots every service in registration order.
+// Statuses snapshots the service as a list: one element, or none
+// before Register.
 func (o *Orchestrator) Statuses() []ServiceStatus {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make([]ServiceStatus, 0, len(o.order))
-	for _, name := range o.order {
-		out = append(out, o.statusLocked(o.services[name]))
+	if o.svc == nil {
+		return []ServiceStatus{}
 	}
-	return out
+	return []ServiceStatus{o.statusLocked(o.svc)}
 }
 
 // Thresholds reads a service's mirrored rate pair. ErrNotTunable if its
@@ -591,17 +588,14 @@ func (o *Orchestrator) AttachDataplane(name string, src DataplaneSource) error {
 	if _, err := o.lookup(name); err != nil {
 		return err
 	}
-	if o.dataplanes == nil {
-		o.dataplanes = make(map[string]DataplaneSource)
-	}
-	o.dataplanes[name] = src
+	o.dataplane = src
 	return nil
 }
 
 // Dataplane snapshots the engine attached to name.
 func (o *Orchestrator) Dataplane(name string) (dataplane.Stats, error) {
 	o.mu.Lock()
-	src := o.dataplanes[name]
+	src := o.dataplane
 	_, err := o.lookup(name)
 	o.mu.Unlock()
 	if err != nil {
@@ -613,17 +607,15 @@ func (o *Orchestrator) Dataplane(name string) (dataplane.Stats, error) {
 	return src.Snapshot(), nil
 }
 
-// Dataplanes snapshots every attached engine by service name.
+// Dataplanes snapshots the attached engine keyed by its service's name:
+// one entry, or none before AttachDataplane.
 func (o *Orchestrator) Dataplanes() map[string]dataplane.Stats {
 	o.mu.Lock()
-	srcs := make(map[string]DataplaneSource, len(o.dataplanes))
-	for name, src := range o.dataplanes {
-		srcs[name] = src
-	}
+	src, m := o.dataplane, o.svc
 	o.mu.Unlock()
-	out := make(map[string]dataplane.Stats, len(srcs))
-	for name, src := range srcs {
-		out[name] = src.Snapshot()
+	out := make(map[string]dataplane.Stats, 1)
+	if src != nil {
+		out[m.name] = src.Snapshot()
 	}
 	return out
 }

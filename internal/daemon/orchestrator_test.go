@@ -573,9 +573,9 @@ func TestStartControlPlanePowerCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer orch.Close()
-	pol, ok := orch.services["svc"].pol.(*core.PowerPolicy)
+	pol, ok := orch.svc.pol.(*core.PowerPolicy)
 	if !ok {
-		t.Fatalf("policy = %T, want *core.PowerPolicy", orch.services["svc"].pol)
+		t.Fatalf("policy = %T, want *core.PowerPolicy", orch.svc.pol)
 	}
 	// The watts trigger is the curve's draw at the crossover: sustained
 	// power above it offloads, power at it does not.
@@ -607,6 +607,9 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	if _, err := o.Register("dup", ServiceConfig{}); err == nil {
 		t.Error("duplicate name must be rejected")
+	}
+	if _, err := o.Register("other", ServiceConfig{}); err == nil {
+		t.Error("a second service must be rejected: an orchestrator holds one")
 	}
 	if _, err := o.Status("ghost"); err == nil || !strings.Contains(err.Error(), "unknown service") {
 		t.Errorf("unknown service error, got %v", err)

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// GracefulStop drains the control server (bounded by a 2 s timeout) and
+// gracefulStop drains the control server (bounded by a 2 s timeout) and
 // stops the orchestrator. ctrl may be nil (control plane disabled).
-func GracefulStop(name string, ctrl *CtrlServer, orch *Orchestrator) {
+func gracefulStop(name string, ctrl *CtrlServer, orch *Orchestrator) {
 	if ctrl != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -24,9 +24,9 @@ func GracefulStop(name string, ctrl *CtrlServer, orch *Orchestrator) {
 
 // OnShutdown installs the daemons' shared exit path: a background
 // watcher that waits for SIGINT/SIGTERM or a control-plane serve
-// failure. On a signal it runs GracefulStop then fn (e.g. closing the
+// failure. On a signal it runs gracefulStop then fn (e.g. closing the
 // daemon's packet socket to unblock its read loop, letting main return
-// 0). A control-plane failure is not a clean exit: after GracefulStop
+// 0). A control-plane failure is not a clean exit: after gracefulStop
 // the process exits 1 so supervisors restart the daemon. ctrl may be
 // nil.
 func OnShutdown(name string, ctrl *CtrlServer, orch *Orchestrator, fn func()) {
@@ -42,10 +42,10 @@ func OnShutdown(name string, ctrl *CtrlServer, orch *Orchestrator, fn func()) {
 			log.Printf("%s: %v, shutting down", name, s)
 		case err := <-ctrlErr:
 			log.Printf("%s: control plane failed: %v, exiting", name, err)
-			GracefulStop(name, ctrl, orch)
+			gracefulStop(name, ctrl, orch)
 			os.Exit(1)
 		}
-		GracefulStop(name, ctrl, orch)
+		gracefulStop(name, ctrl, orch)
 		if fn != nil {
 			fn()
 		}

@@ -1,9 +1,110 @@
 package daemon
 
 import (
+	"flag"
+	"fmt"
+	"log"
+	"strings"
+
 	"incod/internal/core"
+	"incod/internal/dataplane"
 	"incod/internal/power"
 )
+
+// Flags is a serving daemon's shared command line: the engine's I/O
+// flags and the control plane's, which inckvsd, incdnsd and incpaxosd
+// define alike and default each its own way.
+type Flags struct {
+	EngineOptions
+	// Shards is the dataplane's shard workers (0 = GOMAXPROCS), which
+	// batched mode supersedes with one per socket.
+	Shards int
+	// CrossKpps is the software/hardware crossover seeding the policy.
+	CrossKpps float64
+	// Policy is one of core.PolicyNames().
+	Policy string
+	// Ctrl serves the /v1 control API when non-empty.
+	Ctrl string
+	// NICTier attaches the daemon's emulated offload tier.
+	NICTier bool
+}
+
+// Defaults is what one daemon's shared flags default to.
+type Defaults struct {
+	Addr      string
+	Shards    int
+	CrossKpps float64
+	// TierHelp is -nictier's help text: what the daemon's tier is.
+	TierHelp string
+}
+
+// RegisterFlags defines the serving daemons' shared flags on fs with d's
+// defaults: -addr, -shards, -crossover, -policy, -ctrl and -nictier,
+// the I/O flags -sockets, -engine and -pin, and -gsotx, which is
+// accepted and ignored until benchmark/ stops passing it (ROADMAP item
+// A).
+func RegisterFlags(fs *flag.FlagSet, d Defaults) *Flags {
+	f := new(Flags)
+	fs.StringVar(&f.Addr, "addr", d.Addr, "UDP listen address")
+	fs.IntVar(&f.Shards, "shards", d.Shards, "dataplane shard workers (0 = GOMAXPROCS)")
+	fs.Float64Var(&f.CrossKpps, "crossover", d.CrossKpps, "software/hardware crossover (kpps)")
+	fs.StringVar(&f.Policy, "policy", "threshold", "placement policy: "+strings.Join(core.PolicyNames(), " | "))
+	fs.StringVar(&f.Ctrl, "ctrl", "", "control-plane HTTP address (e.g. :8080); empty disables")
+	fs.BoolVar(&f.NICTier, "nictier", false, d.TierHelp)
+	fs.IntVar(&f.Sockets, "sockets", 0,
+		"per-shard SO_REUSEPORT sockets with batched recvmmsg/sendmmsg I/O (0 = classic single-reader engine; batched mode runs one shard per socket, Linux)")
+	fs.StringVar(&f.Engine, "engine", "batched",
+		"batched-mode transport: batched (recvmmsg/sendmmsg) | uring (io_uring multishot recv, falls back to batched when the kernel can't)")
+	fs.BoolVar(&f.Pin, "pin", false, "lock each batched shard worker to its OS thread and pin it to one of the allowed CPUs (sched_setaffinity)")
+	fs.Bool("gsotx", false, "ignored: batched engines coalesce same-destination replies into UDP_SEGMENT trains wherever the kernel and the rung take them (INCOD_NO_GSOTX=1 serves per-datagram)")
+	return f
+}
+
+// Serve is the serving daemons' shared lifecycle. It starts the control
+// plane on f's policy, crossover and -ctrl with eng's Running as the
+// readiness probe, meters eng's request total, surfaces eng's stats on
+// /v1, and serves until a signal: then the control plane stops, stop
+// runs when non-nil (the learner's gap scanner), and eng drains. name
+// prefixes the log lines; service names the one registered service;
+// tier is the -nictier service, nil to leave placement advisory.
+func (f *Flags) Serve(name, service string, eng *dataplane.Engine, tier core.Service, curve power.SoftwareCurve, stop func()) error {
+	orch, svc, ctrlSrv, err := StartControlPlane(StartOptions{
+		Name: service, Policy: f.Policy, CrossKpps: f.CrossKpps,
+		Curve: curve, CtrlAddr: f.Ctrl, Service: tier, Ready: eng.Running,
+	})
+	if err != nil {
+		return err
+	}
+	defer orch.Close()
+	svc.UseCounter(eng.Handled)
+	if err := orch.AttachDataplane(service, eng); err != nil {
+		return err
+	}
+	io, mode := "single-reader", "advisory"
+	if eng.Batched() {
+		io = fmt.Sprintf("batched/%s over %d sockets", eng.Backend(), f.Sockets)
+	}
+	if tier != nil {
+		mode = "nictier"
+	}
+	log.Printf("%s: serving %s on %s (%s, policy %s, %s, crossover %.0f kpps)",
+		name, service, eng.LocalAddr(), io, f.Policy, mode, f.CrossKpps)
+	if ctrlSrv != nil {
+		log.Printf("%s: control plane on http://%s/v1/services", name, ctrlSrv.Addr())
+	}
+	// A signal (or a control-plane serve failure) drains the HTTP
+	// server and stops the orchestrator, then the dataplane: queued
+	// datagrams are still answered before the socket closes.
+	OnShutdown(name, ctrlSrv, orch, func() {
+		if stop != nil {
+			stop()
+		}
+		eng.Close()
+	})
+	eng.Run()
+	log.Printf("%s: shut down cleanly", name)
+	return nil
+}
 
 // StartOptions wires one daemon's shared control-plane setup.
 type StartOptions struct {

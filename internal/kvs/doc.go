@@ -91,9 +91,8 @@
 // a record through the new one. A poisoned read reloads the table
 // pointer and re-probes.
 //
-// Table size follows contents: every partition, bounded or not, starts
-// at the minimum table and grows by generations, a bounded one no
-// further than 2*bound. FillFrom (the offload tier's warm-up) first
+// Table size follows contents: every partition starts at the minimum
+// table and grows by generations, no further than 2*bound. FillFrom (the offload tier's warm-up) first
 // sizes each destination table for exactly the entries it will receive —
 // the shape a store grown by Set to that count settles into — then
 // copies store to store, record to record, under both partitions'
@@ -122,8 +121,10 @@
 // Expiry. Lock-free readers cannot remove entries, so a reader that
 // observes an entry expired reports a miss and changes nothing; the entry
 // stays (and counts toward Len) until a write to its key replaces or
-// deletes it, or the CLOCK hand of a bounded store evicts it. Nothing
-// reaps expired entries on a timer.
+// deletes it, or the CLOCK hand evicts it. Nothing reaps expired entries
+// on a timer, which is why every store is bounded: NewShardedStore's
+// maxEntries <= 0 selects DefaultMaxEntries, not an unbounded store, so
+// distinct keys set with an exptime cannot grow the arena past it.
 //
 // Hot keys. Each partition optionally feeds a space-saving top-K
 // sketch (telemetry.TopK) from sampled GET hits, with the request's own

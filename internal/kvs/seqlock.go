@@ -64,7 +64,7 @@ type partition struct {
 	mu    sync.Mutex // serializes writers; the read path never touches it
 	table atomic.Pointer[lfTable]
 
-	maxEntries int // entry bound, 0 = unbounded; writer-owned
+	maxEntries int // entry bound, at least 1; writer-owned
 	live       int // live entries; writer-owned
 	tombs      int // tombstoned slots awaiting a purge; writer-owned
 	hand       int // CLOCK hand; writer-owned
@@ -74,7 +74,7 @@ type partition struct {
 
 	// Writer-owned and cold, so kept off the lines readers share above
 	// (but for the arena's chunk directory, which they load).
-	maxSlots int                           // table size a bounded partition stops growing at, else 0
+	maxSlots int                           // table size the partition stops growing at
 	rehashes int                           // table generations built so far
 	mirror   *atomic.Pointer[ShardedStore] // the owning store's SetMirror target, loaded under mu
 	slab     arena
@@ -83,15 +83,12 @@ type partition struct {
 const minTableSlots = 64
 
 // newPartition starts at the minimum table whatever the bound: memory
-// follows contents. A bounded partition grows no further than 2*bound
-// (load 1/2 at the bound), so churn at the bound never grows it.
+// follows contents. It grows no further than 2*bound (load 1/2 at the
+// bound), so churn at the bound never grows it.
 func newPartition(maxEntries int, mirror *atomic.Pointer[ShardedStore]) *partition {
-	p := &partition{maxEntries: maxEntries, mirror: mirror}
-	if maxEntries > 0 {
-		p.maxSlots = minTableSlots
-		for p.maxSlots < 2*maxEntries {
-			p.maxSlots <<= 1
-		}
+	p := &partition{maxEntries: maxEntries, maxSlots: minTableSlots, mirror: mirror}
+	for p.maxSlots < 2*maxEntries {
+		p.maxSlots <<= 1
 	}
 	p.table.Store(&lfTable{mask: minTableSlots - 1, slots: make([]slot, minTableSlots)})
 	return p
@@ -173,7 +170,7 @@ retry:
 					continue retry // torn value copy; drop and redo
 				}
 				hits := p.stats.hits.Add(1)
-				if p.maxEntries > 0 && s.bits.Load()&bitRef == 0 {
+				if s.bits.Load()&bitRef == 0 {
 					s.bits.Or(bitRef) // CLOCK touch; a hot entry's line stays clean
 				}
 				if sam := p.sampler.Load(); sam != nil && hits&hotSampleMask == 0 {
@@ -349,12 +346,12 @@ func (p *partition) rehash(told *lfTable, size int) {
 // absent key goes in: findForWrite's claim, or the rebuilt table's.
 func (p *partition) makeRoom(claim *slot, hash uint64, key []byte) *slot {
 	t := p.table.Load()
-	if p.maxEntries > 0 && p.live >= p.maxEntries {
+	if p.live >= p.maxEntries {
 		p.evict(t)
 	}
 	if claim == nil || p.needRehash(t) {
 		size := len(t.slots)
-		for p.live*2 >= size && size != p.maxSlots { // an unbounded maxSlots is 0
+		for p.live*2 >= size && size != p.maxSlots {
 			size <<= 1
 		}
 		p.rehash(t, size)

@@ -36,10 +36,16 @@ type ShardedStore struct {
 	mirror atomic.Pointer[ShardedStore]
 }
 
+// DefaultMaxEntries is the bound of a store made with maxEntries <= 0:
+// every store is bounded, because an expired entry is freed only by a
+// write to its key or by eviction.
+const DefaultMaxEntries = 1 << 20
+
 // NewShardedStore returns a store with at least shards partitions (0
-// means GOMAXPROCS) bounded to maxEntries total (0 = unbounded; the
-// bound is split evenly across partitions, so per-partition CLOCK
-// approximates global second-chance under a hashed key distribution).
+// means GOMAXPROCS) bounded to maxEntries total (<= 0 selects
+// DefaultMaxEntries; the bound is split evenly across partitions, so
+// per-partition CLOCK approximates global second-chance under a hashed
+// key distribution).
 func NewShardedStore(shards, maxEntries int) *ShardedStore {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -49,10 +55,10 @@ func NewShardedStore(shards, maxEntries int) *ShardedStore {
 		n <<= 1
 	}
 	st := &ShardedStore{parts: make([]*partition, n), mask: uint64(n - 1)}
-	perShard := 0
-	if maxEntries > 0 {
-		perShard = (maxEntries + n - 1) / n
+	if maxEntries <= 0 {
+		maxEntries = DefaultMaxEntries
 	}
+	perShard := (maxEntries + n - 1) / n
 	for i := range st.parts {
 		st.parts[i] = newPartition(perShard, &st.mirror)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,6 +84,20 @@ func TestShardedStoreBoundSplitsAcrossShards(t *testing.T) {
 	}
 	if evictions == 0 {
 		t.Fatal("no evictions under a bound")
+	}
+}
+
+// A store made without a bound has the default one: distinct keys set
+// with an exptime, which no read frees, stop at DefaultMaxEntries.
+func TestShardedStoreDefaultBound(t *testing.T) {
+	st := NewShardedStore(1, 0)
+	key := make([]byte, 0, 8)
+	for i := 0; i < DefaultMaxEntries+1000; i++ {
+		key = strconv.AppendInt(key[:0], int64(i), 36)
+		st.SetBytes(key, Entry{Expires: 1})
+	}
+	if n := st.Len(); n > DefaultMaxEntries {
+		t.Fatalf("Len = %d after %d distinct keys, want <= %d", n, DefaultMaxEntries+1000, DefaultMaxEntries)
 	}
 }
 

@@ -80,12 +80,12 @@ func NewBatchConn(pc net.PacketConn) BatchConn {
 			return bc
 		}
 	}
-	return &singleConn{pc: pc}
+	return NewSingleConn(pc)
 }
 
 // NewSingleConn wraps pc in the portable one-datagram-per-call backend
-// unconditionally, bypassing the mmsg upgrade. Benches and the engine
-// selector use it to measure (or force) the lowest transport rung on
+// unconditionally, bypassing the mmsg upgrade: NewBatchConn's fallback,
+// which tests and benches build directly to measure the lowest rung on
 // platforms where NewBatchConn would pick a faster one.
 func NewSingleConn(pc net.PacketConn) BatchConn {
 	return &singleConn{pc: pc}

@@ -58,25 +58,21 @@ type KVSTier struct {
 	warmed                            *atomic.Uint64
 }
 
-// defaultBound is the table's entry bound unless NewKVSSized says
-// otherwise. The real board's DRAM holds 33M value entries
-// (fpga.DRAMValueEntries); a smaller default stays memory-friendly
-// while preserving the hit/miss structure.
-const defaultBound = 1 << 20
-
 // NewKVS returns a LaKe-style tier in front of h's store, sharing h's
-// expiry clock, bounded at the board-default DRAM cache capacity.
+// expiry clock, bounded at kvs.DefaultMaxEntries. The real board's DRAM
+// holds 33M value entries (fpga.DRAMValueEntries); the store's default
+// bound stays memory-friendly while preserving the hit/miss structure.
 func NewKVS(h *kvs.Handler) *KVSTier {
-	return NewKVSSized(h, 0, defaultBound)
+	return NewKVSSized(h, 0, 0)
 }
 
-// NewKVSSized is NewKVS with an explicit entry bound (<= 0 selects the
-// board default). The first capacity is accepted and ignored: it sized
+// NewKVSSized is NewKVS with an explicit entry bound (<= 0 selects
+// kvs.DefaultMaxEntries). The first capacity is accepted and ignored: it sized
 // the L1 the tier no longer has, benchmark/ still passes it, and the
 // next benchmark PR removes it.
 func NewKVSSized(h *kvs.Handler, _, bound int) *KVSTier {
 	if bound <= 0 {
-		bound = defaultBound
+		bound = kvs.DefaultMaxEntries
 	}
 	c := telemetry.NewAtomicCounters()
 	c.Handle("l1_hit")

@@ -141,11 +141,10 @@ var (
 )
 
 // LibpaxosRole is the §4.3 curve a libpaxos role is modeled on, on both
-// substrates: the leader's for the roles that originate proposals (leader,
-// client), the acceptor's for the roles that answer them (acceptor,
-// learner).
+// substrates: the leader's for the role that originates proposals, the
+// acceptor's for the roles that answer them (acceptor, learner).
 func LibpaxosRole(role string) SoftwareCurve {
-	if role == "leader" || role == "client" {
+	if role == "leader" {
 		return LibpaxosLeader
 	}
 	return LibpaxosAcceptor

@@ -68,7 +68,7 @@ func TestProfileRateAt(t *testing.T) {
 }
 
 // Due is what the shared pacer sends: rate x duration for a hold — what
-// `incpaxosd -role client -rate 2000 -duration 3s` must submit — and the
+// `incloadgen -proto proposer -rate 2000 -duration 3s` must submit — and the
 // running integral across segment boundaries.
 func TestProfileDue(t *testing.T) {
 	if got := (Profile{Hold(2000, 3*time.Second)}).Due(3 * time.Second); got != 6000 {

@@ -2,11 +2,11 @@
 # Five-process Paxos smoke: the system of cmd/incpaxosd's doc comment —
 # three acceptors, a learner, a leader — as real processes on loopback,
 # every server role bound to an explicit 127.0.0.1 address, then
-# `-role client -rate 2000 -duration 2s` against it. Fails unless the
-# client exits 0, submitted at least 90% of rate x duration, had at least
-# 95% of what it submitted decided, and the learner never failed to send
-# a decision (a proposer advertising an address the learner cannot reach
-# shows up as `send to` errors in its log).
+# `incloadgen -proto proposer -rate 2000 -duration 2s` against it. Fails
+# unless the client exits 0, submitted at least 90% of rate x duration,
+# had at least 95% of what it submitted decided, and the learner never
+# failed to send a decision (a proposer advertising an address the
+# learner cannot reach shows up as `send to` errors in its log).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +16,7 @@ PIDS=()
 trap 'kill "${PIDS[@]}" 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 go build -o "$BIN/incpaxosd" ./cmd/incpaxosd
+go build -o "$BIN/incloadgen" ./cmd/incloadgen
 
 H=127.0.0.1
 role() { # role <name> <flags...>: start a server role, logging to $BIN/<name>.log
@@ -38,11 +39,14 @@ until curl -sf -o /dev/null "http://$H:18082/v1/healthz"; do
   sleep 0.1
 done
 
-"$BIN/incpaxosd" -role client -leader "$H:7120" -rate "$RATE" -duration "${SECS}s" 2>&1 | tee "$BIN/client.log"
+"$BIN/incloadgen" -proto proposer -target "$H:7120" -rate "$RATE" -duration "${SECS}s" \
+  -report "$BIN/client.json"
 
-done_line=$(grep 'client done' "$BIN/client.log")
-submitted=$(echo "$done_line" | sed -E 's/.*submitted ([0-9]+) .*/\1/')
-decided=$(echo "$done_line" | sed -E 's/.* ([0-9]+) decided.*/\1/')
+# A proposer's answers are its decisions.
+field() { sed -nE "s/^  \"$1\": ([0-9]+),?$/\1/p" "$BIN/client.json"; }
+submitted=$(field sent)
+decided=$(field answered)
+[ -n "$submitted" ] && [ -n "$decided" ] || { echo "FAIL: no counts in the client's report" >&2; exit 1; }
 if [ "$submitted" -lt $((RATE * SECS * 90 / 100)) ]; then
   echo "FAIL: submitted $submitted of $((RATE * SECS)) due" >&2
   exit 1
