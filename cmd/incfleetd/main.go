@@ -2,21 +2,24 @@
 // fleet controller that supervises N daemon instances (inckvsd, incdnsd,
 // incpaxosd acceptors) over their /v1 APIs, enforces a global offload
 // budget of K lit NIC tiers, replays a day of demand as real UDP traffic
-// through incloadgen workers, and writes the measured fleet-wide
-// day-saving figures to FLEET_6.json.
+// from load generators in its own process, and writes the measured
+// fleet-wide day-saving figures to FLEET_6.json.
 //
-// One command reproduces the curve end to end on loopback:
+// One command reproduces the curve end to end on loopback, spawning the
+// daemons from the directory incfleetd sits in (or -bin):
 //
-//	incfleetd -spawn -n 10 -k 3 -wall 45s -report FLEET_6.json -assert
+//	incfleetd -n 10 -k 3 -wall 45s -report FLEET_6.json -assert
 //
 // or adopt an already-running fleet:
 //
 //	incfleetd -members 'kvs=127.0.0.1:8080=127.0.0.1:11211,dns=127.0.0.1:8081=127.0.0.1:5353'
 //
-// Loopback cannot offer datacenter rates, so -scale maps between them:
-// the replayer offers trace/scale req/s and the energy model multiplies
-// the measured rates back. -wall compresses the 24h trace; the report
-// extrapolates the integrated energy to kWh/day.
+// The day is fixed: members rotate kvs, dns, paxos; each replays its own
+// seeded realization of the rack-mixed 24h trace between 30 and 300
+// modeled kpps. Loopback cannot offer datacenter rates, so -scale maps
+// between them: the replayer offers trace/scale req/s and the energy
+// model multiplies the measured rates back. -wall compresses the 24h
+// trace; the report extrapolates the integrated energy to kWh/day.
 package main
 
 import (
@@ -28,7 +31,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"strings"
@@ -39,82 +41,72 @@ import (
 	"incod/internal/fleet"
 )
 
+// The §6 day every run replays.
+var dayMix = []string{"kvs", "dns", "paxos"}
+
+const (
+	// dayTrace is the demand volatility of every member's day.
+	dayTrace = cluster.RackMixed
+	// dayNight and dayPeak bound each member's modeled load (kpps).
+	dayNight, dayPeak = 30, 300
+	// daySeed seeds the members' trace realizations.
+	daySeed = 6
+)
+
 func main() {
 	n := flag.Int("n", 10, "fleet size when spawning")
 	k := flag.Int("k", 3, "global budget: max simultaneously lit offload tiers")
-	spawn := flag.Bool("spawn", true, "spawn the fleet's daemons locally (-members overrides)")
 	membersSpec := flag.String("members", "",
-		"adopt running daemons: comma-separated kind=ctrlAddr=dataAddr entries")
-	bin := flag.String("bin", "", "directory holding the daemon and incloadgen binaries (default: incfleetd's own)")
-	mix := flag.String("mix", "kvs,dns,paxos", "kind rotation used to fill -n members")
-	traceKind := flag.String("trace", "rack", "demand volatility: rack | caching | web")
-	night := flag.Float64("night", 30, "modeled per-member night load (kpps)")
-	peak := flag.Float64("peak", 300, "modeled per-member peak load (kpps)")
+		"adopt running daemons instead of spawning: comma-separated kind=ctrlAddr=dataAddr entries")
+	bin := flag.String("bin", "", "directory holding the daemon binaries (default: incfleetd's own)")
 	wall := flag.Duration("wall", 45*time.Second, "wall-clock window the 24h trace is compressed into")
-	segments := flag.Int("segments", 12, "ramp segments per replayed trace")
 	scale := flag.Float64("scale", 20, "rate scale: modeled kpps = offered loopback kpps * scale")
 	period := flag.Duration("period", 500*time.Millisecond, "controller planning tick")
 	hold := flag.Int("hold", 2, "scheduler hold ticks before acting")
 	listen := flag.String("listen", "127.0.0.1:0", "HTTP address for GET /v1/fleet; empty disables")
-	dir := flag.String("dir", "", "output directory for logs and reports (default: a temp dir)")
+	dir := flag.String("dir", "", "output directory for the spawned daemons' logs (default: a temp dir)")
 	reportPath := flag.String("report", "FLEET_6.json", "write the run report here")
 	doAssert := flag.Bool("assert", false, "exit nonzero unless the run reproduces the fleet claims")
-	seed := flag.Int64("seed", 6, "trace RNG seed")
-	daemonFlags := flag.String("daemon-flags", "",
-		"extra whitespace-separated flags appended to every spawned daemon (e.g. \"-engine uring -sockets 4 -pin\")")
 	flag.Parse()
 
-	if err := run(*n, *k, *spawn, *membersSpec, *bin, *mix, *traceKind, *night, *peak,
-		*wall, *segments, *scale, *period, *hold, *listen, *dir, *reportPath,
-		*doAssert, *seed, strings.Fields(*daemonFlags)); err != nil {
+	if err := run(*n, *k, *membersSpec, *bin, *wall, *scale, *period, *hold,
+		*listen, *dir, *reportPath, *doAssert); err != nil {
 		log.Fatalf("incfleetd: %v", err)
 	}
 }
 
-func run(n, k int, spawn bool, membersSpec, bin, mix, traceKind string,
-	night, peak float64, wall time.Duration, segments int, scale float64,
-	period time.Duration, hold int, listen, dir, reportPath string,
-	doAssert bool, seed int64, daemonFlags []string) error {
+func run(n, k int, membersSpec, bin string, wall time.Duration, scale float64,
+	period time.Duration, hold int, listen, dir, reportPath string, doAssert bool) error {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	if bin == "" {
-		if exe, err := os.Executable(); err == nil {
-			bin = filepath.Dir(exe)
-		} else {
-			bin = "."
-		}
-	}
-	if dir == "" {
-		d, err := os.MkdirTemp("", "incfleetd-*")
-		if err != nil {
-			return err
-		}
-		dir = d
-		log.Printf("incfleetd: logs and reports under %s", dir)
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-
-	kind, err := parseTraceKind(traceKind)
-	if err != nil {
-		return err
-	}
-
-	// Assemble the roster: spawn a fresh fleet or adopt a running one.
+	// Assemble the roster: adopt a running fleet or spawn a fresh one.
 	var members []fleet.Member
+	var err error
 	if membersSpec != "" {
 		if members, err = parseMembers(membersSpec); err != nil {
 			return err
 		}
-	} else if spawn {
-		sp := &fleet.Spawner{BinDir: bin, Dir: dir, Logf: log.Printf, ExtraArgs: daemonFlags}
-		defer sp.Stop(5 * time.Second)
-		if members, err = sp.SpawnMix(rotation(mix, n)); err != nil {
+	} else {
+		if bin == "" {
+			bin = "."
+			if exe, err := os.Executable(); err == nil {
+				bin = filepath.Dir(exe)
+			}
+		}
+		if dir == "" {
+			if dir, err = os.MkdirTemp("", "incfleetd-*"); err != nil {
+				return err
+			}
+			log.Printf("incfleetd: daemon logs under %s", dir)
+		} else if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-	} else {
-		return fmt.Errorf("nothing to supervise: pass -spawn or -members")
+		sp := &fleet.Spawner{BinDir: bin, Dir: dir, Logf: log.Printf}
+		defer sp.Stop(5 * time.Second)
+		if members, err = sp.SpawnMix(dayMix, n); err != nil {
+			return err
+		}
 	}
 	if err := fleet.WaitHealthy(ctx, members, 30*time.Second); err != nil {
 		return err
@@ -159,30 +151,20 @@ func run(n, k int, spawn bool, membersSpec, bin, mix, traceKind string,
 
 	// Per-member day traces: the same diurnal envelope, each member's
 	// own volatility realization.
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(daySeed))
 	traces := make(map[string]cluster.LoadTrace, len(members))
 	for _, m := range members {
 		memberRng := rand.New(rand.NewSource(rng.Int63()))
-		traces[m.Name] = cluster.DynamoLoad(memberRng, kind, night, peak, 24*3600)
+		traces[m.Name] = cluster.DynamoLoad(memberRng, dayTrace, dayNight, dayPeak, 24*3600)
 	}
 
-	loadgen := filepath.Join(bin, "incloadgen")
-	if _, err := exec.LookPath(loadgen); err != nil {
-		return fmt.Errorf("incloadgen not found at %s (build it next to incfleetd or pass -bin)", loadgen)
-	}
-	log.Printf("incfleetd: replaying 24h of demand over %v (%d members, %.0f-%.0f modeled kpps)",
-		wall, len(members), night, peak)
+	log.Printf("incfleetd: replaying 24h of demand over %v (%d members, %d-%d modeled kpps)",
+		wall, len(members), dayNight, dayPeak)
 	workers, replayErr := fleet.Replay(ctx, fleet.ReplayConfig{
-		Bin:       loadgen,
 		Wall:      wall,
-		Segments:  segments,
 		RateScale: scale,
-		Dir:       dir,
 		Logf:      log.Printf,
 	}, members, traces)
-	if replayErr != nil {
-		log.Printf("incfleetd: replay: %v", replayErr)
-	}
 
 	// One final tick so the post-replay state lands in the account,
 	// then freeze the controller.
@@ -212,28 +194,6 @@ func run(n, k int, spawn bool, membersSpec, bin, mix, traceKind string,
 		log.Printf("incfleetd: all fleet assertions held")
 	}
 	return nil
-}
-
-// rotation fills n member kinds by cycling the -mix list.
-func rotation(mix string, n int) []string {
-	kinds := strings.Split(mix, ",")
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, strings.TrimSpace(kinds[i%len(kinds)]))
-	}
-	return out
-}
-
-func parseTraceKind(s string) (cluster.WorkloadKind, error) {
-	switch s {
-	case "rack", "mixed":
-		return cluster.RackMixed, nil
-	case "caching":
-		return cluster.Caching, nil
-	case "web":
-		return cluster.WebServer, nil
-	}
-	return 0, fmt.Errorf("unknown -trace %q (want rack, caching or web)", s)
 }
 
 // parseMembers parses the adopt-mode roster: kind=ctrlAddr=dataAddr per

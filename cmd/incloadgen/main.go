@@ -30,24 +30,19 @@
 //	incloadgen: sent 1150000 (71.9 kpps), answered 1149875 (71.9 kpps, 100.0%), outstanding 125, bad 0
 //	incloadgen: latency p50=212µs p99=1.1ms max=3.2ms
 //
-// Worker mode for fleet controllers: -report <path> writes the final
-// trafficgen.Report as JSON on exit (even when the run aborts — the
-// error is recorded in the report), -quiet suppresses the per-phase
-// chatter, and the exit code is nonzero whenever socket setup or a
-// mid-run send fails, so an orchestrating process never mistakes a dead
-// generator for an idle one.
+// -report <path> writes the final trafficgen.Report as JSON on exit, even
+// when the run aborts (the error is recorded in the report), and the exit
+// code is nonzero whenever socket setup or a mid-run send fails, so a
+// script never mistakes a dead generator for an idle one.
 package main
 
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"time"
 
-	"incod/internal/dns"
 	"incod/internal/trafficgen"
 )
 
@@ -56,17 +51,15 @@ func main() {
 	target := flag.String("target", "localhost:11211", "server address")
 	rate := flag.Float64("rate", 1000, "offered requests per second")
 	duration := flag.Duration("duration", 5*time.Second, "run duration")
-	keys := flag.Uint64("keys", 1000, "key-space size (Zipf popularity)")
-	preload := flag.Bool("preload", true, "kvs: SET every key before the run")
+	keys := flag.Uint64("keys", 1000, "key-space size (Zipf popularity; kvs SETs every key before the run)")
 	sockets := flag.Int("sockets", 1,
 		"client sockets (distinct source ports, so a reuseport server spreads the flows)")
 	profile := flag.String("profile", "",
 		"phased load, comma-separated: ramp:<from>-<to>:<dur> | hold:<rate>:<dur> | spike:<rate>:<dur>; overrides -rate/-duration")
 	reportPath := flag.String("report", "", "write the final run report as JSON to this path on exit")
-	quiet := flag.Bool("quiet", false, "suppress per-phase progress logs (final summary still printed)")
 	flag.Parse()
 
-	rep, _, err := run(*proto, *target, *rate, *duration, *keys, *preload, *sockets, *profile, *quiet)
+	rep, _, err := run(*proto, *target, *rate, *duration, *keys, *sockets, *profile)
 	if err != nil {
 		rep.Error = err.Error()
 		log.Printf("incloadgen: %v", err)
@@ -95,58 +88,21 @@ func writeReport(path string, rep *trafficgen.Report) error {
 // nonzero instead of silently reporting 0 kpps — and the client, once
 // one was built, whose counters hold the run's verdicts and retries.
 func run(proto, target string, rate float64, duration time.Duration, keys uint64,
-	preload bool, sockets int, profile string, quiet bool) (*trafficgen.Report, *trafficgen.Client, error) {
+	sockets int, profile string) (*trafficgen.Report, *trafficgen.Client, error) {
 	rep := &trafficgen.Report{Proto: proto, Target: target}
 	phases, err := trafficgen.ParseProfile(profile, rate, duration)
 	if err != nil {
 		return rep, nil, err
 	}
 	rep.Phases = len(phases)
-
-	// A proposer's decisions come from the learner, not from -target.
-	d, err := trafficgen.Dial(target, max(sockets, 1), proto != "proposer")
+	d, c, err := trafficgen.Open(proto, target, sockets, keys)
 	if err != nil {
 		return rep, nil, err
 	}
 	defer d.Close()
-	sampler := trafficgen.NewZipfKeys(rand.New(rand.NewSource(time.Now().UnixNano())), keys, 1.06)
-	var app trafficgen.App
-	var retry time.Duration
-	switch proto {
-	case "kvs":
-		app = &trafficgen.KVS{Key: sampler.Next}
-	case "dns":
-		app = &trafficgen.DNS{Name: func() string { return dns.SequentialName(int(sampler.NextIndex())) }}
-	case "paxos":
-		app = trafficgen.Vote{Value: []byte("incloadgen-cmd")}
-	case "proposer":
-		app, retry = &trafficgen.Proposer{Addr: d.LocalAddr()}, 100*time.Millisecond
-	default:
-		return rep, nil, fmt.Errorf("unknown protocol %q", proto)
-	}
-	logf := func(format string, args ...any) {
-		if !quiet {
-			log.Printf("incloadgen: "+format, args...)
-		}
-	}
-
-	if proto == "kvs" && preload {
-		for i := uint64(0); i < keys; i++ {
-			d.Send(trafficgen.KVSSet(fmt.Sprintf("key-%d", i), []byte("value")))
-			if i%256 == 255 {
-				time.Sleep(time.Millisecond) // don't outrun the socket buffer
-			}
-		}
-		if err := d.Flush(); err != nil {
-			return rep, nil, fmt.Errorf("preload: %w", err)
-		}
-		time.Sleep(200 * time.Millisecond)
-		logf("preloaded %d keys", keys)
-	}
-
-	c := trafficgen.NewClient(app, d.Send)
-	c.RetryTimeout = retry
-	if err := d.Run(c, phases, rep, logf); err != nil {
+	if err := d.Run(c, phases, rep, func(format string, args ...any) {
+		log.Printf("incloadgen: "+format, args...)
+	}); err != nil {
 		return rep, c, err
 	}
 	frac := 0.0

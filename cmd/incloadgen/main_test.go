@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"incod/internal/dataplane"
-	"incod/internal/fleet"
 	"incod/internal/kvs"
 	"incod/internal/paxos"
 	"incod/internal/trafficgen"
@@ -114,8 +113,8 @@ func TestPhaseDueAt(t *testing.T) {
 // TestRunLoopback paces a two-phase profile at an in-process engine on
 // loopback: everything the profile says is due gets sent (the pacer
 // never over-sends and ends each phase at most one tick short),
-// everything sent is answered, and the -report file is the JSON
-// fleet.Replay reads.
+// everything sent is answered, and the -report file reads back as the
+// report written.
 func TestRunLoopback(t *testing.T) {
 	conn, err := net.ListenPacket("udp4", "127.0.0.1:0")
 	if err != nil {
@@ -144,7 +143,7 @@ func TestRunLoopback(t *testing.T) {
 	// fails.
 	var rep *trafficgen.Report
 	for attempt := 0; attempt < 5; attempt++ {
-		rep, _, err = run("kvs", eng.LocalAddr().String(), 0, 0, 64, true, 2, profile, true)
+		rep, _, err = run("kvs", eng.LocalAddr().String(), 0, 0, 64, 2, profile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,14 +173,14 @@ func TestRunLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fleet.WorkerResult{Report: new(trafficgen.Report)} // what fleet.Replay reads it into
+	var got trafficgen.Report
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(got.Report); err != nil {
-		t.Fatalf("report does not parse as fleet's worker report: %v", err)
+	if err := dec.Decode(&got); err != nil {
+		t.Fatalf("report does not parse as a trafficgen.Report: %v", err)
 	}
-	if got.Report.Sent != rep.Sent || got.Report.Answered != rep.Answered || got.Report.Phases != rep.Phases || got.Report.P99Micros != rep.P99Micros {
-		t.Errorf("fleet's report %+v lost fields of %+v", got.Report, rep)
+	if got != *rep {
+		t.Errorf("report read back as %+v, want %+v", got, rep)
 	}
 }
 
@@ -222,7 +221,7 @@ func TestClientOnLoopback(t *testing.T) {
 	}
 	leader := startRole(t, func(s paxos.Sender) dataplane.Handler { return paxos.NewLiveLeader(1, acceptors, s) })
 
-	rep, c, err := run("proposer", leader, 500, 200*time.Millisecond, 0, false, 1, "", true)
+	rep, c, err := run("proposer", leader, 500, 200*time.Millisecond, 0, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}

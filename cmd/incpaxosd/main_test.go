@@ -3,7 +3,6 @@ package main
 import (
 	"testing"
 
-	"incod/internal/fleet"
 	"incod/internal/power"
 	"incod/internal/simhost"
 )
@@ -27,11 +26,10 @@ func TestValidBallot(t *testing.T) {
 }
 
 // Each role reads watts from one curve on both substrates — the daemon's
-// modeled_watts and the simulator's node — and the acceptor's is the one
-// the fleet controller ranks the same daemon by.
+// modeled_watts and the simulator's node.
 func TestRoleCurve(t *testing.T) {
 	for role, want := range map[string]power.SoftwareCurve{
-		"acceptor": fleet.KindSpecs()["paxos"].Curve,
+		"acceptor": power.LibpaxosAcceptor,
 		"learner":  power.LibpaxosAcceptor,
 		"leader":   power.LibpaxosLeader,
 	} {

@@ -2,13 +2,13 @@
 // deterministic simulator and prints the timeline as CSV (or JSON).
 //
 //	incsim -scenario s.json
-//	echo '{"app":"kvs","controller":"network",
+//	echo '{"app":"kvs","policy":"threshold",
 //	       "profile":[{"duration_s":2,"kpps":10},{"duration_s":5,"kpps":200}]}' | incsim
 //
 // See internal/scenario for the schema: application (kvs/dns/paxos),
-// controller (network/host/none) or a named placement policy (threshold/
-// power/static-host/static-network — the same policy code the live
-// daemons run), idle strategy, seed, and an offered-load profile.
+// placement policy (threshold/power/static-host/static-network — the
+// same policy code the live daemons run; none keeps the start
+// placement), idle strategy, seed, and an offered-load profile.
 package main
 
 import (

@@ -18,10 +18,10 @@ import (
 func main() {
 	// 20 -> 400 kpps, hold, back to 20.
 	res, err := scenario.Run(scenario.Scenario{
-		App:        "dns",
-		Controller: "network",
-		Seed:       5,
-		SampleMs:   1000,
+		App:      "dns",
+		Policy:   "threshold",
+		Seed:     5,
+		SampleMs: 1000,
 		Profile: []scenario.Segment{
 			{DurationS: 3, Kpps: 20},
 			{DurationS: 5, Kpps: 400},

@@ -7,8 +7,8 @@ import (
 )
 
 // Report is the machine-readable outcome of one fleet run — the payload
-// of FLEET_6.json, the live counterpart of the simulated day-saving
-// numbers in BENCH.md.
+// of FLEET_6.json, the live counterpart of the simulated day saving
+// (cluster.DaySaving) that examples/datacenter_sweep prints.
 type Report struct {
 	// Members and K restate the run's shape.
 	Members int `json:"members"`

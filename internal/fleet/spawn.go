@@ -11,11 +11,10 @@ import (
 	"time"
 )
 
-// Proc is one spawned daemon process under fleet supervision.
-type Proc struct {
-	Member Member
-	cmd    *exec.Cmd
-	log    *os.File
+// proc is one spawned daemon process under fleet supervision.
+type proc struct {
+	name string
+	cmd  *exec.Cmd
 }
 
 // Spawner launches and reaps local daemon instances for the fleet.
@@ -27,13 +26,8 @@ type Spawner struct {
 	Dir string
 	// Logf receives progress lines; nil is silent.
 	Logf func(format string, args ...any)
-	// ExtraArgs is appended to every spawned daemon's command line after
-	// the fleet-owned flags, so an operator can push I/O tuning
-	// (-engine uring -sockets 4 -pin) to the whole fleet without the
-	// spawner knowing each flag.
-	ExtraArgs []string
 
-	procs []*Proc
+	procs []proc
 }
 
 func (s *Spawner) logf(format string, args ...any) {
@@ -99,36 +93,31 @@ func (s *Spawner) Spawn(kind, name string) (Member, error) {
 	if kind == "paxos" {
 		args = append(args, "-role", "acceptor", "-id", "0")
 	}
-	args = append(args, s.ExtraArgs...)
 	cmd := exec.Command(filepath.Join(s.BinDir, spec.Binary), args...)
 	cmd.SysProcAttr = sysProcAttr()
-	p := &Proc{Member: m, cmd: cmd}
 	if s.Dir != "" {
+		// A started daemon writes through its own copy of the descriptor.
 		if f, err := os.Create(filepath.Join(s.Dir, name+".daemon.log")); err == nil {
+			defer f.Close()
 			cmd.Stdout, cmd.Stderr = f, f
-			p.log = f
 		}
 	}
 	if err := cmd.Start(); err != nil {
-		if p.log != nil {
-			_ = p.log.Close()
-		}
 		return Member{}, fmt.Errorf("fleet: start %s (%s): %w", name, spec.Binary, err)
 	}
-	s.procs = append(s.procs, p)
+	s.procs = append(s.procs, proc{name, cmd})
 	s.logf("fleet: spawned %s (%s) data=%s ctrl=%s pid=%d",
 		name, spec.Binary, m.Data, m.Ctrl, cmd.Process.Pid)
 	return m, nil
 }
 
-// SpawnMix launches one member per kind in kinds, named <kind>-<i>.
-func (s *Spawner) SpawnMix(kinds []string) ([]Member, error) {
-	members := make([]Member, 0, len(kinds))
-	perKind := make(map[string]int)
-	for _, kind := range kinds {
-		name := fmt.Sprintf("%s-%d", kind, perKind[kind])
-		perKind[kind]++
-		m, err := s.Spawn(kind, name)
+// SpawnMix launches n members, cycling through mix's distinct kinds, and
+// names each <kind>-<i>.
+func (s *Spawner) SpawnMix(mix []string, n int) ([]Member, error) {
+	members := make([]Member, 0, n)
+	for i := 0; i < n; i++ {
+		kind := mix[i%len(mix)]
+		m, err := s.Spawn(kind, fmt.Sprintf("%s-%d", kind, i/len(mix)))
 		if err != nil {
 			s.Stop(5 * time.Second)
 			return nil, err
@@ -175,28 +164,21 @@ func WaitHealthy(ctx context.Context, members []Member, timeout time.Duration) e
 // grace) and reaps them.
 func (s *Spawner) Stop(grace time.Duration) {
 	for _, p := range s.procs {
-		if p.cmd.Process != nil {
-			_ = p.cmd.Process.Signal(syscall.SIGTERM)
-		}
+		_ = p.cmd.Process.Signal(syscall.SIGTERM)
 	}
 	for _, p := range s.procs {
 		done := make(chan struct{})
-		go func(p *Proc) {
+		go func() {
 			_ = p.cmd.Wait()
 			close(done)
-		}(p)
+		}()
 		select {
 		case <-done:
 		case <-time.After(grace):
-			if p.cmd.Process != nil {
-				_ = p.cmd.Process.Kill()
-			}
+			_ = p.cmd.Process.Kill()
 			<-done
 		}
-		if p.log != nil {
-			_ = p.log.Close()
-		}
-		s.logf("fleet: stopped %s", p.Member.Name)
+		s.logf("fleet: stopped %s", p.name)
 	}
 	s.procs = nil
 }

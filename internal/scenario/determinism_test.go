@@ -11,11 +11,11 @@ import "testing"
 // each app's timeline comes out byte-identical.
 func TestRunDeterministic(t *testing.T) {
 	for _, s := range []Scenario{
-		{App: "kvs", Controller: "network", Keys: 200,
+		{App: "kvs", Policy: "threshold", Keys: 200,
 			Profile: []Segment{{DurationS: 1, Kpps: 10}, {DurationS: 2, Kpps: 200}}},
-		{App: "dns", Controller: "host", Keys: 50,
+		{App: "dns", Policy: "power", Keys: 50,
 			Profile: []Segment{{DurationS: 1, Kpps: 20}, {DurationS: 2, Kpps: 300}}},
-		{App: "paxos", Controller: "network", CrossoverKpps: 3,
+		{App: "paxos", Policy: "threshold", CrossoverKpps: 3,
 			Profile: []Segment{{DurationS: 1, Kpps: 1}, {DurationS: 2, Kpps: 8}}},
 	} {
 		var out [2]string

@@ -1,15 +1,17 @@
 // Package scenario runs user-defined what-if simulations: a JSON scenario
-// picks an application (kvs/dns/paxos), an on-demand controller
-// (host/network/none), an idle strategy and an offered-load profile; the
-// runner executes it in virtual time — the app on internal/simhost,
-// placed by the daemons' orchestrator on the simulator's clock — and emits
-// a timeline (throughput, latency, power, placement) plus the transition
-// log. It is the front door for exploring the paper's design space beyond
+// picks an application (kvs/dns/paxos), a placement policy (or none), an
+// idle strategy and an offered-load profile; the runner executes it in
+// virtual time — the app on internal/simhost, placed by the daemons'
+// orchestrator on the simulator's clock — and emits a timeline
+// (throughput, latency, power, placement) plus the transition log. It
+// is the front door for exploring the paper's design space beyond
 // the figures the harness reproduces.
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -27,16 +29,14 @@ import (
 type Scenario struct {
 	// App: "kvs", "dns" or "paxos".
 	App string `json:"app"`
-	// Controller: "network" (rate thresholds), "host" (power+CPU), or
-	// "none" (static placement per Start).
-	Controller string `json:"controller"`
-	// Policy selects a named core placement policy (threshold, power,
-	// static-host, static-network) instead of Controller — the names the
-	// daemons' -policy flag takes.
+	// Policy names the core placement policy, as the daemons' -policy
+	// flag does: threshold (the paper's network-side controller, on rate
+	// thresholds), power (the host-side one, on power and CPU),
+	// static-host or static-network. Empty keeps the Start placement.
 	Policy string `json:"policy"`
 	// Start placement: "host" (default) or "network".
 	Start string `json:"start"`
-	// CrossoverKpps seeds the controller thresholds (defaults per app).
+	// CrossoverKpps seeds the policy thresholds (defaults per app).
 	CrossoverKpps float64 `json:"crossover_kpps"`
 	// Strategy (kvs only): "park-reset", "keep-warm", "partial-reconfig".
 	Strategy string `json:"strategy"`
@@ -77,7 +77,13 @@ type Result struct {
 // Parse decodes and validates a JSON scenario.
 func Parse(data []byte) (Scenario, error) {
 	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields() // a misspelt or retired key is not silently a default
+	err := dec.Decode(&s)
+	if err == nil && dec.More() {
+		err = errors.New("data after the scenario object")
+	}
+	if err != nil {
 		return Scenario{}, fmt.Errorf("scenario: %w", err)
 	}
 	return s, s.validate()
@@ -89,17 +95,9 @@ func (s *Scenario) validate() error {
 	default:
 		return fmt.Errorf("scenario: app must be kvs, dns or paxos (got %q)", s.App)
 	}
-	switch s.Controller {
-	case "", "none", "network", "host":
-	default:
-		return fmt.Errorf("scenario: controller must be network, host or none (got %q)", s.Controller)
-	}
 	if s.Policy != "" {
 		if _, err := core.PolicyByName(s.Policy, 1); err != nil {
 			return err
-		}
-		if s.Controller != "" && s.Controller != "none" {
-			return fmt.Errorf("scenario: policy %q conflicts with controller %q; set one", s.Policy, s.Controller)
 		}
 	}
 	switch s.Strategy {
@@ -162,22 +160,12 @@ func Run(s Scenario) (*Result, error) {
 	}
 
 	res := &Result{}
-	// Pick the placement policy: an explicit name, or the paper's two
-	// controller designs mapped onto the same policy kernels. Policies
-	// are curve-calibrated to the app, as in daemon.StartControlPlane.
-	polName := s.Policy
-	if polName == "" {
-		switch s.Controller {
-		case "network":
-			polName = "threshold"
-		case "host":
-			polName = "power"
-		}
-	}
+	// Policies are curve-calibrated to the app, as in
+	// daemon.StartControlPlane.
 	var pol core.Policy
-	if polName != "" {
+	if s.Policy != "" {
 		var err error
-		if pol, err = core.CalibratedPolicyByName(polName, s.CrossoverKpps, appCurve(s.App)); err != nil {
+		if pol, err = core.CalibratedPolicyByName(s.Policy, s.CrossoverKpps, appCurve(s.App)); err != nil {
 			return nil, err
 		}
 	}

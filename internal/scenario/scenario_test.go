@@ -14,13 +14,13 @@ func TestParseValidation(t *testing.T) {
 		{`{"app":"nope","profile":[{"duration_s":1,"kpps":10}]}`, false},
 		{`{"app":"kvs","profile":[]}`, false},
 		{`{"app":"kvs","profile":[{"duration_s":-1,"kpps":10}]}`, false},
-		{`{"app":"kvs","controller":"magic","profile":[{"duration_s":1,"kpps":1}]}`, false},
+		{`{"app":"kvs","controller":"network","profile":[{"duration_s":1,"kpps":1}]}`, false}, // no such key
 		{`{"app":"kvs","strategy":"bogus","profile":[{"duration_s":1,"kpps":1}]}`, false},
 		{`{"app":"kvs","policy":"threshold","profile":[{"duration_s":1,"kpps":1}]}`, true},
 		{`{"app":"kvs","policy":"quantum","profile":[{"duration_s":1,"kpps":1}]}`, false},
-		{`{"app":"kvs","policy":"threshold","controller":"host","profile":[{"duration_s":1,"kpps":1}]}`, false},
-		{`{"app":"kvs","policy":"threshold","controller":"none","profile":[{"duration_s":1,"kpps":1}]}`, true},
+		{`{"app":"kvs","policy":"static-host","start":"network","profile":[{"duration_s":1,"kpps":1}]}`, true},
 		{`not json`, false},
+		{`{"app":"kvs","profile":[{"duration_s":1,"kpps":10}]} {}`, false},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.json))
@@ -42,10 +42,10 @@ func TestParseDefaults(t *testing.T) {
 
 func TestRunKVSWithNetworkController(t *testing.T) {
 	res, err := Run(Scenario{
-		App:        "kvs",
-		Controller: "network",
-		SampleMs:   500,
-		Keys:       200,
+		App:      "kvs",
+		Policy:   "threshold",
+		SampleMs: 500,
+		Keys:     200,
 		Profile: []Segment{
 			{DurationS: 2, Kpps: 10},
 			{DurationS: 4, Kpps: 200},
@@ -108,8 +108,8 @@ func TestRunDNSStatic(t *testing.T) {
 
 func TestRunPaxos(t *testing.T) {
 	res, err := Run(Scenario{
-		App:        "paxos",
-		Controller: "network",
+		App:    "paxos",
+		Policy: "threshold",
 		// Threshold low so the 8 kpps plateau triggers a leader shift.
 		CrossoverKpps: 3,
 		Profile: []Segment{
@@ -131,7 +131,7 @@ func TestRunPaxos(t *testing.T) {
 	}
 }
 
-// A named policy drives the same decision code as the controller field:
+// Every named policy drives the daemons' decision code:
 // "threshold" reproduces the network-controlled shift, "static-network"
 // pins the service in hardware regardless of load.
 func TestRunWithNamedPolicy(t *testing.T) {

@@ -172,9 +172,10 @@ func (c *Client) Sent() uint64 { return c.sent.Load() }
 func (c *Client) Outstanding() int { return len(c.pending) + c.abandoned }
 
 // Report is the outcome of one run: the configured workload beside what
-// was achieved and answered. incloadgen writes it as its -report JSON and
-// fleet controllers read it to verify the offered load arrived and to
-// count wrong answers (Bad: replies that failed to decode).
+// was achieved and answered. incloadgen writes it as its -report JSON;
+// the fleet replay keeps one per member, to verify the offered load
+// arrived and to count wrong answers (Bad: replies that failed to
+// decode).
 type Report struct {
 	Proto  string `json:"proto"`
 	Target string `json:"target"`

@@ -92,19 +92,3 @@ func ParseProfile(spec string, rate float64, dur time.Duration) (Profile, error)
 	}
 	return out, nil
 }
-
-// String renders the profile in the grammar ParseProfile reads.
-func (p Profile) String() string {
-	var b strings.Builder
-	for i, s := range p {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(s.Kind + ":" + strconv.FormatFloat(s.From, 'f', -1, 64))
-		if s.Kind == "ramp" {
-			b.WriteString("-" + strconv.FormatFloat(s.To, 'f', -1, 64))
-		}
-		b.WriteString(":" + s.Dur.String())
-	}
-	return b.String()
-}

@@ -2,11 +2,13 @@ package trafficgen
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
 	"time"
 
+	"incod/internal/dns"
 	"incod/internal/netio"
 )
 
@@ -76,11 +78,70 @@ func Dial(target string, n int, connected bool) (*Sockets, error) {
 	return d, nil
 }
 
+// Open readies a paced run of proto's traffic at target over n sockets:
+// kvs, dns, paxos (Phase2A votes at an acceptor) or proposer (client
+// requests at a leader, resent after the §9.2 client timeout, 100 ms).
+// Requests pick among keys Zipf-popular keys, and every kvs key is SET
+// first, so a GET hits. It returns the driver, which the caller closes,
+// and the client to hand its Run.
+func Open(proto, target string, n int, keys uint64) (*Sockets, *Client, error) {
+	// A proposer's decisions come from the learner, not from target.
+	d, err := Dial(target, max(n, 1), proto != "proposer")
+	if err != nil {
+		return nil, nil, err
+	}
+	sampler := NewZipfKeys(rand.New(rand.NewSource(time.Now().UnixNano())), keys, 1.06)
+	var app App
+	var retry time.Duration
+	switch proto {
+	case "kvs":
+		app = &KVS{Key: sampler.Next}
+		err = d.preload(keys)
+	case "dns":
+		app = &DNS{Name: func() string { return dns.SequentialName(int(sampler.NextIndex())) }}
+	case "paxos":
+		app = Vote{Value: []byte("incloadgen-cmd")}
+	case "proposer":
+		app, retry = &Proposer{Addr: d.LocalAddr()}, 100*time.Millisecond
+	default:
+		err = fmt.Errorf("unknown protocol %q", proto)
+	}
+	if err != nil {
+		d.Close()
+		return nil, nil, err
+	}
+	c := NewClient(app, d.Send)
+	c.RetryTimeout = retry
+	return d, c, nil
+}
+
+// preload SETs key-0 .. key-<keys-1> outside any client's books.
+func (d *Sockets) preload(keys uint64) error {
+	for i := uint64(0); i < keys; i++ {
+		d.Send(KVSSet(fmt.Sprintf("key-%d", i), []byte("value")))
+		if i%256 == 255 {
+			time.Sleep(time.Millisecond) // don't outrun the socket buffer
+		}
+	}
+	if err := d.Flush(); err != nil {
+		return fmt.Errorf("preload: %w", err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	return nil
+}
+
 // LocalAddr is the first socket's address.
 func (d *Sockets) LocalAddr() string { return d.conns[0].LocalAddr().String() }
 
-// Close closes the sockets and waits for the receivers to exit.
+// Close closes the sockets and waits for the receivers to exit. A Run in
+// progress on another goroutine stops at its next tick with
+// net.ErrClosed.
 func (d *Sockets) Close() {
+	d.mu.Lock()
+	if d.err == nil {
+		d.err = net.ErrClosed
+	}
+	d.mu.Unlock()
 	for _, bc := range d.conns {
 		bc.Close()
 	}

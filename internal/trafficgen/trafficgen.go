@@ -7,7 +7,8 @@
 // latency, counters, the §9.2 retry and open- and closed-loop submission,
 // single-threaded with time passed in; Profile is the offered-load
 // schedule and Report the outcome. Two drivers run the core: Sockets
-// (socket.go) on real UDP for incloadgen, and
+// (socket.go, set up by Open) on real UDP for incloadgen and the fleet's
+// day replay, and
 // simhost.Client on the simulated network for every figure, scenario and
 // example. The key and value distributions (Zipf popularity, ETC sizes)
 // live here too.

@@ -2,7 +2,6 @@ package trafficgen
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -84,31 +83,6 @@ func TestProfileDue(t *testing.T) {
 	} {
 		if got := p.Due(c.at); got != c.want {
 			t.Errorf("Due(%v) = %d, want %d", c.at, got, c.want)
-		}
-	}
-}
-
-// String writes what ParseProfile reads, for every kind and for the
-// rounded ramps fleet.ProfileString builds.
-func TestProfileStringRoundTrip(t *testing.T) {
-	for _, spec := range []string{
-		"hold:100:2s",
-		"spike:1500.5:250ms",
-		"ramp:0-8000:2s,hold:8000:3s,ramp:8000-0:2s",
-		"ramp:1000-2000:5s,ramp:2000-3000:5s", // fleet.ProfileString's form
-		"ramp:250-250:2.5s,hold:0:1m0s",
-	} {
-		p, err := ParseProfile(spec, 0, 0)
-		if err != nil {
-			t.Errorf("ParseProfile(%q): %v", spec, err)
-			continue
-		}
-		if got := p.String(); got != spec {
-			t.Errorf("ParseProfile(%q).String() = %q", spec, got)
-		}
-		again, err := ParseProfile(p.String(), 0, 0)
-		if err != nil || !reflect.DeepEqual(again, p) {
-			t.Errorf("%q: reparsed as %v (%v), want %v", spec, again, err, p)
 		}
 	}
 }
