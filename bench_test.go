@@ -478,7 +478,7 @@ func BenchmarkAblationHysteresis(b *testing.B) {
 			}),
 		}, func() uint64 { return total })
 		sim.RunFor(time.Minute)
-		status, _ := orch.Status("x")
+		status, _ := orch.Status()
 		return status.Shifts
 	}
 	var withHyst, without int

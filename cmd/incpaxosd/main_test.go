@@ -34,10 +34,10 @@ func TestRoleCurve(t *testing.T) {
 		"leader":   power.LibpaxosLeader,
 	} {
 		if got := power.LibpaxosRole(role); got != want {
-			t.Errorf("LibpaxosRole(%q) = %q, want %q", role, got.Name, want.Name)
+			t.Errorf("LibpaxosRole(%q) = %+v, want %+v", role, got, want)
 		}
 		if got := simhost.Libpaxos(role).Curve; got != want {
-			t.Errorf("simhost.Libpaxos(%q) runs on %q, the daemon on %q", role, got.Name, want.Name)
+			t.Errorf("simhost.Libpaxos(%q) runs on %+v, the daemon on %+v", role, got, want)
 		}
 	}
 	if c := power.LibpaxosRole("acceptor"); c.PeakKpps != 178 {

@@ -6,7 +6,7 @@
 //
 // The control plane is organized around two abstractions in
 // internal/core — Service (a workload with a fallible Shift and a
-// TransitionCost hook for the §9.2 transition tasks) and Policy (the §9.1
+// TaskNamer hook that names its §9.2 transition task) and Policy (the §9.1
 // decision kernels — mirrored-threshold, power-aware, static pin — as
 // pluggable Observe(Sample) Decision rules) — and one loop that runs
 // them: internal/daemon's Orchestrator, exposed to

@@ -43,9 +43,6 @@ var (
 
 // Switch models one programmable switch ASIC.
 type Switch struct {
-	// Ports and PortSpeedGbps describe the physical configuration.
-	Ports         int
-	PortSpeedGbps float64
 	// IdleWatts is the absolute idle draw (never reported raw; use
 	// Normalized for paper-style figures).
 	IdleWatts float64
@@ -62,8 +59,6 @@ type Switch struct {
 // third of the server's dynamic draw at 180 Kpps.
 func NewTofino() *Switch {
 	return &Switch{
-		Ports:            32,
-		PortSpeedGbps:    40,
 		IdleWatts:        200,
 		DynamicFullWatts: 33,
 		program:          L2Fwd,

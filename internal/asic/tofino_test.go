@@ -95,14 +95,6 @@ func TestNormalized(t *testing.T) {
 	}
 }
 
-// The §6 snake configuration: 32 ports of 40G, 1.28 Tbps in all.
-func TestCapacityAndSnake(t *testing.T) {
-	s := NewTofino()
-	if gbps := float64(s.Ports) * s.PortSpeedGbps; gbps != 1280 {
-		t.Errorf("capacity = %v Gbps, want 1280", gbps)
-	}
-}
-
 func TestFixedFunctionRejectsPrograms(t *testing.T) {
 	s := NewTofino()
 	s.Fixed = true

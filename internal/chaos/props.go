@@ -148,9 +148,9 @@ func (c *crashCheck) verify(watchEvery time.Duration, placement string) error {
 // scheduleServing installs the shared drivers — placement toggles, crash
 // plus failback watchdog — against any stack's orchestrator and tier.
 func scheduleServing(sim *simnet.Simulator, orch *daemon.Orchestrator, tier *CrashableTier,
-	name string, o servingOpts, stops []func()) ([]func(), *crashCheck) {
+	o servingOpts, stops []func()) ([]func(), *crashCheck) {
 	if o.pinAtStart {
-		if err := orch.Pin(name, core.Network); err != nil {
+		if err := orch.Pin(core.Network); err != nil {
 			panic(err) // healthy tier on a fresh stack; cannot fail
 		}
 	}
@@ -158,9 +158,9 @@ func scheduleServing(sim *simnet.Simulator, orch *daemon.Orchestrator, tier *Cra
 		toNetwork := !o.pinAtStart
 		stops = append(stops, sim.Every(o.toggleEvery, func() {
 			if toNetwork {
-				_ = orch.Pin(name, core.Network)
+				_ = orch.Pin(core.Network)
 			} else {
-				_ = orch.Pin(name, core.Host)
+				_ = orch.Pin(core.Host)
 			}
 			toNetwork = !toNetwork
 		}))
@@ -176,8 +176,8 @@ func scheduleServing(sim *simnet.Simulator, orch *daemon.Orchestrator, tier *Cra
 			if !tier.Crashed() || crash.failbackAt != 0 {
 				return
 			}
-			if st, err := orch.Status(name); err == nil && st.Placement == "network" {
-				_ = orch.Pin(name, core.Host)
+			if st, err := orch.Status(); err == nil && st.Placement == "network" {
+				_ = orch.Pin(core.Host)
 				crash.failbackAt = sim.Now()
 			}
 		}))
@@ -248,7 +248,7 @@ func runServing(app servingApp, seed int64, cfg Config, o servingOpts) (uint64, 
 			st.Net.Send(&simnet.Packet{Src: rec.address, Dst: ServerAddr, Payload: reqs[i]})
 		})
 	}
-	stops, crash := scheduleServing(st.Sim, st.Orch, st.Tier, app.name, o, []func(){st.StopTick})
+	stops, crash := scheduleServing(st.Sim, st.Orch, st.Tier, o, []func(){st.StopTick})
 	if o.sabotage != nil {
 		o.sabotage(st)
 	}
@@ -262,7 +262,7 @@ func runServing(app servingApp, seed int64, cfg Config, o servingOpts) (uint64, 
 		return hash, err
 	}
 	if crash != nil {
-		status, _ := st.Orch.Status(app.name)
+		status, _ := st.Orch.Status()
 		if err := crash.verify(o.watchEvery, status.Placement); err != nil {
 			return hash, err
 		}
@@ -325,10 +325,10 @@ func paxosVoteSafety(seed int64, cfg Config, sabotage func(*PaxosStack)) (uint64
 				if j == crashIdx {
 					st.Tier.ArmStageCrash()
 				}
-				_ = st.Orch.Pin("paxos", core.Network)
+				_ = st.Orch.Pin(core.Network)
 			} else {
 				st.Tier.Restart()
-				_ = st.Orch.Pin("paxos", core.Host)
+				_ = st.Orch.Pin(core.Host)
 			}
 		})
 	}
@@ -351,7 +351,7 @@ func paxosVoteSafety(seed int64, cfg Config, sabotage func(*PaxosStack)) (uint64
 	// any other reply means the vote was lost across the shifts (and the
 	// auditor sees the poisoned ballot carry a second value).
 	st.Tier.Restart()
-	if err := st.Orch.Pin("paxos", core.Host); err != nil {
+	if err := st.Orch.Pin(core.Host); err != nil {
 		return hash, fmt.Errorf("final pin to host: %w", err)
 	}
 	var insts []uint64
@@ -513,7 +513,7 @@ func runControllerNoFlap(seed int64, cfg Config) (uint64, error) {
 		Policy:  core.NewThresholdPolicy(core.DefaultNetworkConfig(100)),
 	}, func() uint64 { return total })
 	sim.RunFor(time.Duration(ticks) * tick)
-	status, err := orch.Status("svc")
+	status, err := orch.Status()
 	if err != nil {
 		return 0, err
 	}

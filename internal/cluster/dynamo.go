@@ -80,7 +80,6 @@ func GenerateTrace(rng *rand.Rand, kind WorkloadKind, basePower float64, seconds
 // VariationStats holds the §9.3 Dynamo variance metrics for one window
 // length: the distribution of (max-min)/mean over sliding windows.
 type VariationStats struct {
-	Window    time.Duration
 	MedianPct float64
 	P99Pct    float64
 }
@@ -113,11 +112,10 @@ func (t PowerTrace) Variation(w time.Duration) VariationStats {
 		}
 	}
 	if len(vars) == 0 {
-		return VariationStats{Window: w}
+		return VariationStats{}
 	}
 	sort.Float64s(vars)
 	return VariationStats{
-		Window:    w,
 		MedianPct: percentile(vars, 0.50),
 		P99Pct:    percentile(vars, 0.99),
 	}
@@ -144,9 +142,9 @@ func SafeForOnDemand(v VariationStats, maxP99Pct float64) bool {
 // `go run ./cmd/incbench all`.
 func DynamoPublished() map[string]VariationStats {
 	return map[string]VariationStats{
-		"rack-3s":     {Window: 3 * time.Second, MedianPct: 5, P99Pct: 12.8},
-		"rack-30s":    {Window: 30 * time.Second, MedianPct: 5, P99Pct: 26.6},
-		"caching-60s": {Window: 60 * time.Second, MedianPct: 9.2, P99Pct: 26.2},
-		"web-60s":     {Window: 60 * time.Second, MedianPct: 37.2, P99Pct: 62.2},
+		"rack-3s":     {MedianPct: 5, P99Pct: 12.8},
+		"rack-30s":    {MedianPct: 5, P99Pct: 26.6},
+		"caching-60s": {MedianPct: 9.2, P99Pct: 26.2},
+		"web-60s":     {MedianPct: 37.2, P99Pct: 62.2},
 	}
 }

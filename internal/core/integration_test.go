@@ -62,8 +62,8 @@ func TestNetworkControllerShiftsUpAndBack(t *testing.T) {
 			t.Fatal(step.why)
 		}
 	}
-	if status, _ := orch.Status("test"); status.Shifts != 2 || status.Flaps != 1 {
-		t.Errorf("shifts, flaps = %d, %d, want 2, 1; transitions %v", status.Shifts, status.Flaps, orch.Transitions("test"))
+	if status, _ := orch.Status(); status.Shifts != 2 || status.Flaps != 1 {
+		t.Errorf("shifts, flaps = %d, %d, want 2, 1; transitions %v", status.Shifts, status.Flaps, orch.Transitions())
 	}
 }
 
@@ -81,8 +81,8 @@ func TestNetworkControllerSpikeSuppression(t *testing.T) {
 	sim.RunFor(300 * time.Millisecond)
 	rate = 10
 	sim.RunFor(3 * time.Second)
-	if svc.Placement() != core.Host || len(orch.Transitions("test")) != 0 {
-		t.Errorf("short spike should be averaged away, got %v", orch.Transitions("test"))
+	if svc.Placement() != core.Host || len(orch.Transitions()) != 0 {
+		t.Errorf("short spike should be averaged away, got %v", orch.Transitions())
 	}
 }
 
@@ -103,13 +103,13 @@ func TestControllerRetriesFailedShift(t *testing.T) {
 		ToHostKpps: 50, ToHostWindow: time.Second,
 	}), nil, offered(sim, &rate))
 	sim.RunFor(3 * time.Second)
-	status, _ := orch.Status("flaky")
+	status, _ := orch.Status()
 	if svc.Placement() != core.Host || status.LastError == "" || status.Shifts != 0 {
 		t.Fatalf("failed shift must stay put and record the error, got %+v", status)
 	}
 	fail = false
 	sim.RunFor(2 * time.Second)
-	status, _ = orch.Status("flaky")
+	status, _ = orch.Status()
 	if svc.Placement() != core.Network || status.Shifts != 1 || status.LastError != "" {
 		t.Fatalf("the loop should retry, succeed and clear the error, got %+v", status)
 	}
@@ -164,12 +164,12 @@ func TestHostControllerPowerAndCPU(t *testing.T) {
 	if svc.Placement() != core.Host {
 		t.Fatal("low device rate should shift back to host")
 	}
-	status, _ := orch.Status("test")
+	status, _ := orch.Status()
 	if status.PowerReads == 0 {
 		t.Error("controller should be reading RAPL")
 	}
 	if status.Shifts != 2 || status.Flaps != 1 {
-		t.Errorf("shifts, flaps = %d, %d; transitions %v", status.Shifts, status.Flaps, orch.Transitions("test"))
+		t.Errorf("shifts, flaps = %d, %d; transitions %v", status.Shifts, status.Flaps, orch.Transitions())
 	}
 }
 
@@ -185,7 +185,7 @@ func TestHostControllerSpikeSuppression(t *testing.T) {
 	sim.RunFor(time.Second)
 	powerW, cpu = 40, 0.1
 	sim.RunFor(5 * time.Second)
-	if svc.Placement() != core.Host || len(orch.Transitions("test")) != 0 {
+	if svc.Placement() != core.Host || len(orch.Transitions()) != 0 {
 		t.Error("spike shorter than the sustain window must not shift")
 	}
 }
@@ -216,7 +216,7 @@ func TestKVSOnDemandTransition(t *testing.T) {
 	client.Start(100) // 100 kpps, above the KVS crossover
 	sim.RunFor(5 * time.Second)
 	if svc.Placement() != core.Network {
-		t.Fatalf("controller did not offload (transitions: %v)", orch.Transitions("kvs"))
+		t.Fatalf("controller did not offload (transitions: %v)", orch.Transitions())
 	}
 	// §9.2: "the transition from software to hardware had no effect on
 	// KVS throughput" — every request answered.
@@ -257,7 +257,7 @@ func TestKVSNetworkControlled(t *testing.T) {
 	sim.RunFor(6 * time.Second)
 	client.Stop()
 	if svc.Placement() != core.Host {
-		t.Errorf("network controller did not shift back (transitions: %v)", orch.Transitions("kvs"))
+		t.Errorf("network controller did not shift back (transitions: %v)", orch.Transitions())
 	}
 }
 
@@ -317,7 +317,7 @@ func TestPaxosOnDemandLeaderShift(t *testing.T) {
 	c.Start(8)
 	sim.RunFor(4 * time.Second)
 	if svc.Placement() != core.Network {
-		t.Fatalf("paxos leader not shifted; transitions: %v", orch.Transitions("paxos"))
+		t.Fatalf("paxos leader not shifted; transitions: %v", orch.Transitions())
 	}
 	sim.RunFor(2 * time.Second)
 	c.Stop()

@@ -7,7 +7,8 @@
 //
 //   - Service: a workload that can run on either substrate, with a
 //     fallible Shift (the §9.2 transition tasks can fail) and an optional
-//     TransitionCost hook. The tasks live with what they move, not here:
+//     TaskNamer hook that names the task a shift runs. The tasks live
+//     with what they move, not here:
 //     nictier.Service (LaKe cache activation, DNS zone sync, acceptor
 //     state handoff), simhost.Paxos (leader election).
 //
@@ -63,22 +64,11 @@ type Service interface {
 	Shift(to Placement) error
 }
 
-// TransitionCost describes the expected expense of one placement shift —
-// the price of the §9.2 transition task.
-type TransitionCost struct {
-	// Duration is how long service quality is expected to be degraded
-	// (traffic halt, client stall); zero when the task runs concurrently
-	// with serving.
-	Duration time.Duration
-	// Note names the transition task.
-	Note string
-}
-
-// CostReporter is an optional Service extension reporting the expected
-// cost of shifting to a placement. The orchestrator attaches it to the
-// transition record.
-type CostReporter interface {
-	TransitionCost(to Placement) TransitionCost
+// TaskNamer is an optional Service extension naming the §9.2 transition
+// task a shift to a placement runs. The orchestrator records the name on
+// the transition.
+type TaskNamer interface {
+	TransitionTask(to Placement) string
 }
 
 // Transition records one applied placement change, on whichever clock the
@@ -90,9 +80,9 @@ type Transition struct {
 	Reason string
 	// Took is how long the service's Shift ran.
 	Took time.Duration
-	// Cost is the service-reported transition cost, when the service
-	// implements CostReporter.
-	Cost TransitionCost
+	// Task names the transition task, when the service implements
+	// TaskNamer.
+	Task string
 }
 
 // String renders the transition for figure notes and scenario logs.

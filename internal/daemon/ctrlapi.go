@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"time"
 
 	"incod/internal/core"
+	"incod/internal/dataplane"
 )
 
 // Handler returns the versioned control-plane HTTP API — the role the
@@ -37,7 +39,10 @@ import (
 // Errors are JSON {"error": "..."} with 404 for unknown services or
 // services without an attached dataplane, 400 for invalid input, 409 for
 // threshold operations on a policy without rate thresholds, and 405 for
-// unsupported methods.
+// unsupported methods. The {name} segment is resolved in one place,
+// named: a name other than the registered service's answers 404 on
+// every route, after a POST has checked its body, so a bad body answers
+// 400 whatever the name.
 func (o *Orchestrator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -54,23 +59,21 @@ func (o *Orchestrator) Handler() http.Handler {
 		writeJSON(w, map[string]bool{"ready": true})
 	})
 	mux.HandleFunc("GET /v1/services", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, o.Statuses())
+		list := []ServiceStatus{}
+		if s, err := o.Status(); err == nil {
+			list = append(list, s)
+		}
+		writeJSON(w, list)
 	})
 	mux.HandleFunc("GET /v1/services/{name}", func(w http.ResponseWriter, r *http.Request) {
-		s, err := o.Status(r.PathValue("name"))
-		if err != nil {
-			writeErr(w, err)
-			return
+		if o.named(w, r) {
+			writeResult(w, o.Status)
 		}
-		writeJSON(w, s)
 	})
 	mux.HandleFunc("GET /v1/services/{name}/thresholds", func(w http.ResponseWriter, r *http.Request) {
-		t, err := o.Thresholds(r.PathValue("name"))
-		if err != nil {
-			writeErr(w, err)
-			return
+		if o.named(w, r) {
+			writeResult(w, o.Thresholds)
 		}
-		writeJSON(w, t)
 	})
 	mux.HandleFunc("POST /v1/services/{name}/thresholds", func(w http.ResponseWriter, r *http.Request) {
 		var t Thresholds
@@ -78,26 +81,23 @@ func (o *Orchestrator) Handler() http.Handler {
 			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 			return
 		}
-		got, err := o.SetThresholds(r.PathValue("name"), t)
-		if err != nil {
-			writeErr(w, err)
-			return
+		if o.named(w, r) {
+			writeResult(w, func() (Thresholds, error) { return o.SetThresholds(t) })
 		}
-		writeJSON(w, got)
 	})
 	mux.HandleFunc("GET /v1/dataplane", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, o.Dataplanes())
+		out := map[string]dataplane.Stats{}
+		if st, err := o.Dataplane(); err == nil {
+			out[o.serviceName()] = st
+		}
+		writeJSON(w, out)
 	})
 	mux.HandleFunc("GET /v1/services/{name}/dataplane", func(w http.ResponseWriter, r *http.Request) {
-		st, err := o.Dataplane(r.PathValue("name"))
-		if err != nil {
-			writeErr(w, err)
-			return
+		if o.named(w, r) {
+			writeResult(w, o.Dataplane)
 		}
-		writeJSON(w, st)
 	})
 	mux.HandleFunc("POST /v1/services/{name}/placement", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
 		var req struct {
 			Placement string `json:"placement"`
 		}
@@ -105,30 +105,48 @@ func (o *Orchestrator) Handler() http.Handler {
 			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 			return
 		}
-		if req.Placement == "auto" {
-			if err := o.Unpin(name); err != nil {
-				writeErr(w, err)
-				return
-			}
-		} else {
+		pin := o.Unpin
+		if req.Placement != "auto" {
 			p, err := core.ParsePlacement(req.Placement)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, err.Error())
 				return
 			}
-			if err := o.Pin(name, p); err != nil {
-				writeErr(w, err)
-				return
-			}
+			pin = func() error { return o.Pin(p) }
 		}
-		s, err := o.Status(name)
-		if err != nil {
+		if !o.named(w, r) {
+			return
+		}
+		if err := pin(); err != nil {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, s)
+		writeResult(w, o.Status)
 	})
 	return mux
+}
+
+// named resolves a route's {name} segment, after the route has
+// validated its body: it reports whether name is the registered service,
+// and answers 404 when it is not.
+func (o *Orchestrator) named(w http.ResponseWriter, r *http.Request) bool {
+	name := r.PathValue("name")
+	if name != o.serviceName() {
+		writeErr(w, fmt.Errorf("%w: %q", ErrUnknownService, name))
+		return false
+	}
+	return true
+}
+
+// writeResult writes what the orchestrator call get returns, or its
+// error.
+func writeResult[T any](w http.ResponseWriter, get func() (T, error)) {
+	v, err := get()
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, v)
 }
 
 // writeErr maps orchestrator errors onto HTTP statuses.

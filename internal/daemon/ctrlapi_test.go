@@ -3,14 +3,19 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"incod/internal/core"
 	"incod/internal/dataplane"
+	"incod/internal/power"
 )
 
 // api is one daemon per service, each an orchestrator behind its own /v1
@@ -111,17 +116,34 @@ func TestV1GetSingleServiceAndUnknown404(t *testing.T) {
 	if s.Name != "dns" || s.Placement != "host" {
 		t.Errorf("dns status = %+v", s)
 	}
+
+	// Every {name} route and method resolves the name in the same place:
+	// the daemon's own service is served, and any other name, another
+	// daemon's service included, gets 404 and the same body.
+	if err := a["dns"].o.AttachDataplane("dns", fakeDataplane{}); err != nil {
+		t.Fatal(err)
+	}
 	srv := a["dns"].url + "/v1/services/"
-	// Another daemon's service is as unknown here as one nobody runs.
-	for _, name := range []string{"ghost", "kvs"} {
-		if code := getJSON(t, srv+name, nil); code != http.StatusNotFound {
-			t.Errorf("unknown service %s -> %d, want 404", name, code)
-		}
-		if code := getJSON(t, srv+name+"/thresholds", nil); code != http.StatusNotFound {
-			t.Errorf("unknown service %s thresholds -> %d, want 404", name, code)
-		}
-		if code := postJSON(t, srv+name+"/placement", `{"placement":"host"}`, nil); code != http.StatusNotFound {
-			t.Errorf("unknown service %s placement -> %d, want 404", name, code)
+	for _, tc := range []struct{ method, route, body string }{
+		{http.MethodGet, "", ""},
+		{http.MethodGet, "/thresholds", ""},
+		{http.MethodPost, "/thresholds", `{"to_network_kpps": 200}`},
+		{http.MethodGet, "/dataplane", ""},
+		{http.MethodPost, "/placement", `{"placement":"host"}`},
+		{http.MethodPost, "/placement", `{"placement":"auto"}`},
+	} {
+		for _, name := range []string{"dns", "ghost", "kvs", "DNS"} {
+			code, body := do(t, tc.method, srv+name+tc.route, tc.body)
+			if name == "dns" {
+				if code != http.StatusOK {
+					t.Errorf("%s %s on the daemon's own service -> %d %s", tc.method, tc.route, code, body)
+				}
+				continue
+			}
+			want := fmt.Sprintf("{\"error\":\"daemon: unknown service: \\\"%s\\\"\"}\n", name)
+			if code != http.StatusNotFound || body != want {
+				t.Errorf("%s /v1/services/%s%s -> %d %q, want 404 %q", tc.method, name, tc.route, code, body, want)
+			}
 		}
 	}
 }
@@ -239,7 +261,7 @@ func TestV1ManualPlacementPin(t *testing.T) {
 	now := time.Unix(0, 0)
 	o.Tick(now)
 	_ = drive(o, m, now, 0, 5*time.Second)
-	if placement(t, o, "kvs") != "network" {
+	if placement(t, o) != "network" {
 		t.Error("pin must hold against the policy")
 	}
 	// "auto" releases the pin.
@@ -356,7 +378,7 @@ func TestUseCounterFeedsOrchestrator(t *testing.T) {
 	total = 50_000 // 50k requests in 500ms = 100 kpps
 	o.Tick(now.Add(500 * time.Millisecond))
 
-	st, err := o.Status("kvs")
+	st, err := o.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +392,7 @@ func TestUseCounterFeedsOrchestrator(t *testing.T) {
 	o2 := NewOrchestrator(0)
 	m2, _ := o2.Register("raw", ServiceConfig{})
 	m2.count.Add(1)
-	if st, _ := o2.Status("raw"); st.Requests != 1 {
+	if st, _ := o2.Status(); st.Requests != 1 {
 		t.Fatalf("raw Requests = %d, want 1", st.Requests)
 	}
 }
@@ -417,4 +439,111 @@ func TestV1HealthzFollowsReadiness(t *testing.T) {
 	if code := getJSON(t, srv+"/v1/healthz", nil); code != http.StatusOK {
 		t.Fatalf("cleared-probe healthz = %d, want 200", code)
 	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/v1.golden from this build")
+
+// taskService names its transition task, as nictier.Service does.
+type taskService struct{ *core.FuncService }
+
+func (taskService) TransitionTask(to core.Placement) string { return "warm-up to " + to.String() }
+
+// Every /v1 route, served by one orchestrator on a fixed clock, answers
+// byte for byte as testdata/v1.golden holds: status codes, bodies, error
+// messages, and the order in which a route checks its body and its name.
+func TestV1ResponsesMatchGolden(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0).UTC()
+	o := NewOrchestrator(0)
+	o.SetClock(func() time.Time { return now })
+	m, err := o.Register("kvs", ServiceConfig{
+		Service: taskService{&core.FuncService{ServiceName: "kvs"}},
+		Policy:  core.NewThresholdPolicy(core.DefaultNetworkConfig(100)),
+		Model:   CurveModel(power.MemcachedMellanox),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(o.Handler())
+	defer srv.Close()
+
+	var out strings.Builder
+	call := func(method, path, body string) {
+		code, resp := do(t, method, srv.URL+path, body)
+		fmt.Fprintf(&out, "%s %s %s\n-> %d %s", method, path, body, code, resp)
+	}
+	o.Tick(now)
+	m.count.Add(5000)
+	now = now.Add(100 * time.Millisecond)
+	o.Tick(now)
+
+	call("GET", "/v1/healthz", "")
+	call("GET", "/v1/services", "")
+	call("GET", "/v1/services/kvs", "")
+	call("GET", "/v1/services/ghost", "")
+	call("GET", "/v1/services/kvs/thresholds", "")
+	call("GET", "/v1/services/ghost/thresholds", "")
+	call("POST", "/v1/services/kvs/thresholds", `{"to_network_kpps": 200}`)
+	call("POST", "/v1/services/kvs/thresholds", `{"to_host_kpps": 500}`)
+	call("POST", "/v1/services/kvs/thresholds", `{"to_network_kpps": -5}`)
+	call("POST", "/v1/services/kvs/thresholds", `not json`)
+	call("POST", "/v1/services/ghost/thresholds", `{"to_network_kpps": 10}`)
+	call("POST", "/v1/services/ghost/thresholds", `not json`)
+	call("GET", "/v1/services/kvs/dataplane", "")
+	call("GET", "/v1/services/ghost/dataplane", "")
+	call("GET", "/v1/dataplane", "")
+	if err := o.AttachDataplane("kvs", fakeDataplane{st: dataplane.Stats{
+		Mode: "single-reader", Sockets: 1, Received: 100, Handled: 99, Replies: 99, Dropped: 1, RateKpps: 12.5,
+		Shards:  []dataplane.ShardStats{{Shard: 0, Received: 100, Handled: 99, Replies: 99, Dropped: 1}},
+		Handler: map[string]uint64{"hits": 80, "misses": 19},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	call("GET", "/v1/services/kvs/dataplane", "")
+	call("GET", "/v1/dataplane", "")
+	now = now.Add(time.Second)
+	call("POST", "/v1/services/kvs/placement", `{"placement":"network"}`)
+	call("POST", "/v1/services/kvs/placement", `{"placement":"fpga"}`)
+	call("POST", "/v1/services/kvs/placement", `not json`)
+	call("POST", "/v1/services/ghost/placement", `{"placement":"fpga"}`)
+	call("POST", "/v1/services/ghost/placement", `{"placement":"auto"}`)
+	call("POST", "/v1/services/ghost/placement", `{"placement":"host"}`)
+	now = now.Add(time.Second)
+	call("POST", "/v1/services/kvs/placement", `{"placement":"host"}`)
+	call("POST", "/v1/services/kvs/placement", `{"placement":"auto"}`)
+	call("GET", "/v1/services/kvs/placement", "")
+	call("DELETE", "/v1/services", "")
+	call("GET", "/v1/services", "")
+
+	const golden = "testdata/v1.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("/v1 responses differ from %s:\n%s", golden, got)
+	}
+}
+
+// do sends one request and returns the status code and body.
+func do(t *testing.T, method, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
 }

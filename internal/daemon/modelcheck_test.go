@@ -117,8 +117,8 @@ func mcRun(rates []int, script []outcome, pin *pinPlan) (consumed int, violation
 	// check holds the loop to its invariants once control is back with us
 	// and returns the transition records so far.
 	check := func(step string, strandedBefore int) []core.Transition {
-		st, _ := o.Status("mc")
-		trs := o.Transitions("mc")
+		st, _ := o.Status()
+		trs := o.Transitions()
 		want := core.Host
 		if len(trs) > 0 {
 			want = trs[len(trs)-1].To
@@ -157,11 +157,11 @@ func mcRun(rates []int, script []outcome, pin *pinPlan) (consumed int, violation
 	inBand, seen := true, 0
 	for i, r := range rates {
 		if pin != nil && i == pin.at {
-			_ = o.Pin("mc", pin.to)
+			_ = o.Pin(pin.to)
 			seen = len(check(fmt.Sprintf("pin before tick %d", i), stranded()))
 		}
 		if pin != nil && i == pin.until {
-			_ = o.Unpin("mc")
+			_ = o.Unpin()
 		}
 		inBand = inBand && r == 1
 		now = now.Add(mcTick)
@@ -177,7 +177,7 @@ func mcRun(rates []int, script []outcome, pin *pinPlan) (consumed int, violation
 		}
 		seen = len(trs)
 	}
-	if st, _ := o.Status("mc"); inBand && pin == nil && st.Shifts != 0 {
+	if st, _ := o.Status(); inBand && pin == nil && st.Shifts != 0 {
 		fail("an all-in-band schedule shifted %d times", st.Shifts)
 	}
 	return consumed, violation
@@ -264,11 +264,11 @@ func TestSameRecordsOnBothSubstrates(t *testing.T) {
 		}
 	}
 	dump := func(o *daemon.Orchestrator) string {
-		st, _ := o.Status("svc")
+		st, _ := o.Status()
 		out, err := json.Marshal(struct {
 			Records []core.Transition
 			Status  daemon.ServiceStatus
-		}{o.Transitions("svc"), st})
+		}{o.Transitions(), st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,8 +292,8 @@ func TestSameRecordsOnBothSubstrates(t *testing.T) {
 			at time.Duration
 			do func() error
 		}{
-			{pinAt, func() error { return bare.Pin("svc", core.Host) }},
-			{unpinAt, func() error { return bare.Unpin("svc") }},
+			{pinAt, func() error { return bare.Pin(core.Host) }},
+			{unpinAt, func() error { return bare.Unpin() }},
 		} {
 			if at := time.Unix(0, 0).Add(ev.at); at.After(now) && at.Before(tickAt) {
 				now = at
@@ -313,8 +313,8 @@ func TestSameRecordsOnBothSubstrates(t *testing.T) {
 	i := 0
 	sim.Every(mcTick, func() { simTotal += counts[i]; i++ })
 	driven, stop := simhost.Orchestrate(sim, mcTick, cfg(), func() uint64 { return simTotal })
-	sim.Schedule(pinAt, func() { _ = driven.Pin("svc", core.Host) })
-	sim.Schedule(unpinAt, func() { _ = driven.Unpin("svc") })
+	sim.Schedule(pinAt, func() { _ = driven.Pin(core.Host) })
+	sim.Schedule(unpinAt, func() { _ = driven.Unpin() })
 	sim.RunFor(time.Duration(len(counts)) * mcTick)
 	stop()
 
@@ -322,7 +322,7 @@ func TestSameRecordsOnBothSubstrates(t *testing.T) {
 	if got != want {
 		t.Fatalf("substrates disagree:\n sim:  %s\n bare: %s", got, want)
 	}
-	if n := len(bare.Transitions("svc")); n < 5 {
+	if n := len(bare.Transitions()); n < 5 {
 		t.Fatalf("the schedule should shift up, down by pin, up again, down and up by policy; got %d records: %s", n, want)
 	}
 }

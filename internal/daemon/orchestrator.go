@@ -13,6 +13,13 @@
 // for the duration, so warm-ups and drains never stall the control API,
 // and the measured shift duration, retry count and last error surface in
 // ServiceStatus.
+//
+// An orchestrator holds one service, as the paper's §9.1 controller runs
+// one per device. Only Register, which names it, and AttachDataplane,
+// which checks the engine is attached to that name, take a service
+// name; every other method acts on the one service and fails with
+// ErrUnknownService before Register. The service's name lives on in the
+// /v1 paths, which Handler resolves.
 package daemon
 
 import (
@@ -369,8 +376,8 @@ func (o *Orchestrator) apply(m *ManagedService, now time.Time, target core.Place
 	m.lastErr = ""
 	m.shifts++
 	tr := core.Transition{At: o.since(now), To: target, Reason: reason, Took: dur}
-	if cr, ok := m.svc.(core.CostReporter); ok {
-		tr.Cost = cr.TransitionCost(target)
+	if tn, ok := m.svc.(core.TaskNamer); ok {
+		tr.Task = tn.TransitionTask(target)
 	}
 	m.transitions = append(m.transitions, tr)
 	if len(m.transitions) > 32 {
@@ -427,11 +434,23 @@ type ServiceStatus struct {
 	LastError   string      `json:"last_error,omitempty"`
 }
 
-func (o *Orchestrator) lookup(name string) (*ManagedService, error) {
-	if o.svc == nil || o.svc.name != name {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownService, name)
+// registered returns the service, or ErrUnknownService before
+// Register. Call it with the mutex held.
+func (o *Orchestrator) registered() (*ManagedService, error) {
+	if o.svc == nil {
+		return nil, fmt.Errorf("%w: none registered", ErrUnknownService)
 	}
 	return o.svc, nil
+}
+
+// serviceName is the registered service's name, "" before Register.
+func (o *Orchestrator) serviceName() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.svc == nil {
+		return ""
+	}
+	return o.svc.name
 }
 
 func (o *Orchestrator) statusLocked(m *ManagedService) ServiceStatus {
@@ -473,78 +492,59 @@ func (o *Orchestrator) statusLocked(m *ManagedService) ServiceStatus {
 	for _, tr := range m.transitions {
 		entry := fmt.Sprintf("%s -> %s in %v (%s)", o.epoch.Add(tr.At).Format(time.RFC3339), tr.To,
 			tr.Took.Round(time.Microsecond), tr.Reason)
-		if tr.Cost.Note != "" {
-			entry += " [task: " + tr.Cost.Note + "]"
+		if tr.Task != "" {
+			entry += " [task: " + tr.Task + "]"
 		}
 		s.Transitions = append(s.Transitions, entry)
 	}
 	return s
 }
 
-// Transitions returns name's transition records, oldest first (the last
-// 32; nil for an unknown service): what the status strings are rendered
-// from, and what the figures print.
-func (o *Orchestrator) Transitions(name string) []core.Transition {
+// Transitions returns the service's transition records, oldest first
+// (the last 32; nil before Register): what the status strings are
+// rendered from, and what the figures print.
+func (o *Orchestrator) Transitions() []core.Transition {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if m, err := o.lookup(name); err == nil {
-		return append([]core.Transition(nil), m.transitions...)
+	if o.svc == nil {
+		return nil
 	}
-	return nil
+	return append([]core.Transition(nil), o.svc.transitions...)
 }
 
-// Status snapshots one service.
-func (o *Orchestrator) Status(name string) (ServiceStatus, error) {
+// Status snapshots the service.
+func (o *Orchestrator) Status() (ServiceStatus, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	m, err := o.lookup(name)
+	m, err := o.registered()
 	if err != nil {
 		return ServiceStatus{}, err
 	}
 	return o.statusLocked(m), nil
 }
 
-// Statuses snapshots the service as a list: one element, or none
-// before Register.
-func (o *Orchestrator) Statuses() []ServiceStatus {
+// Thresholds reads the service's mirrored rate pair. ErrNotTunable if
+// its policy has none.
+func (o *Orchestrator) Thresholds() (Thresholds, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.svc == nil {
-		return []ServiceStatus{}
-	}
-	return []ServiceStatus{o.statusLocked(o.svc)}
-}
-
-// Thresholds reads a service's mirrored rate pair. ErrNotTunable if its
-// policy has none.
-func (o *Orchestrator) Thresholds(name string) (Thresholds, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	m, err := o.lookup(name)
+	tun, err := o.tunable()
 	if err != nil {
 		return Thresholds{}, err
-	}
-	tun, ok := m.pol.(core.Tunable)
-	if !ok {
-		return Thresholds{}, fmt.Errorf("%w: %q runs policy %s", ErrNotTunable, name, m.pol.Name())
 	}
 	toNet, toHost := tun.RateThresholds()
 	return Thresholds{ToNetworkKpps: toNet, ToHostKpps: toHost}, nil
 }
 
-// SetThresholds updates a service's mirrored rate pair (partial updates
-// allowed: zero keeps the current value). Invalid values are rejected;
-// any hysteresis clamp is reported in the returned Thresholds.
-func (o *Orchestrator) SetThresholds(name string, t Thresholds) (Thresholds, error) {
+// SetThresholds updates the service's mirrored rate pair (partial
+// updates allowed: zero keeps the current value). Invalid values are
+// rejected; any hysteresis clamp is reported in the returned Thresholds.
+func (o *Orchestrator) SetThresholds(t Thresholds) (Thresholds, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	m, err := o.lookup(name)
+	tun, err := o.tunable()
 	if err != nil {
 		return Thresholds{}, err
-	}
-	tun, ok := m.pol.(core.Tunable)
-	if !ok {
-		return Thresholds{}, fmt.Errorf("%w: %q runs policy %s", ErrNotTunable, name, m.pol.Name())
 	}
 	clamped, err := tun.SetRateThresholds(t.ToNetworkKpps, t.ToHostKpps)
 	if err != nil {
@@ -558,22 +558,52 @@ func (o *Orchestrator) SetThresholds(name string, t Thresholds) (Thresholds, err
 	return out, nil
 }
 
-// Pin overrides the policy, holding name at p until Unpin. The shift is
-// attempted immediately; if the transition task fails the pin still
-// takes effect — the failure is recorded in the service status and the
-// orchestrator retries every tick until it succeeds or the pin is
+// tunable returns the service's policy as a core.Tunable. Call it with
+// the mutex held.
+func (o *Orchestrator) tunable() (core.Tunable, error) {
+	m, err := o.registered()
+	if err != nil {
+		return nil, err
+	}
+	tun, ok := m.pol.(core.Tunable)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q runs policy %s", ErrNotTunable, m.name, m.pol.Name())
+	}
+	return tun, nil
+}
+
+// Pin overrides the policy, holding the service at p until Unpin. The
+// shift is attempted immediately; if the transition task fails the pin
+// still takes effect — the failure is recorded in the service status and
+// the orchestrator retries every tick until it succeeds or the pin is
 // released.
-func (o *Orchestrator) Pin(name string, p core.Placement) error {
+func (o *Orchestrator) Pin(p core.Placement) error {
 	now := o.clock()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	m, err := o.lookup(name)
+	m, err := o.registered()
 	if err != nil {
 		return err
 	}
 	m.pinned = &p
 	if m.svc.Placement() != p {
 		o.apply(m, now, p, "manual placement pin")
+	}
+	return nil
+}
+
+// Unpin releases a manual placement pin, returning the service to its
+// policy.
+func (o *Orchestrator) Unpin() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	m, err := o.registered()
+	if err != nil {
+		return err
+	}
+	if m.pinned != nil {
+		m.pinned = nil
+		m.pol.Reset()
 	}
 	return nil
 }
@@ -585,52 +615,24 @@ func (o *Orchestrator) Pin(name string, p core.Placement) error {
 func (o *Orchestrator) AttachDataplane(name string, src DataplaneSource) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, err := o.lookup(name); err != nil {
-		return err
+	if o.svc == nil || o.svc.name != name {
+		return fmt.Errorf("%w: %q", ErrUnknownService, name)
 	}
 	o.dataplane = src
 	return nil
 }
 
-// Dataplane snapshots the engine attached to name.
-func (o *Orchestrator) Dataplane(name string) (dataplane.Stats, error) {
+// Dataplane snapshots the attached engine.
+func (o *Orchestrator) Dataplane() (dataplane.Stats, error) {
 	o.mu.Lock()
 	src := o.dataplane
-	_, err := o.lookup(name)
+	m, err := o.registered()
 	o.mu.Unlock()
 	if err != nil {
 		return dataplane.Stats{}, err
 	}
 	if src == nil {
-		return dataplane.Stats{}, fmt.Errorf("%w: %q", ErrNoDataplane, name)
+		return dataplane.Stats{}, fmt.Errorf("%w: %q", ErrNoDataplane, m.name)
 	}
 	return src.Snapshot(), nil
-}
-
-// Dataplanes snapshots the attached engine keyed by its service's name:
-// one entry, or none before AttachDataplane.
-func (o *Orchestrator) Dataplanes() map[string]dataplane.Stats {
-	o.mu.Lock()
-	src, m := o.dataplane, o.svc
-	o.mu.Unlock()
-	out := make(map[string]dataplane.Stats, 1)
-	if src != nil {
-		out[m.name] = src.Snapshot()
-	}
-	return out
-}
-
-// Unpin releases a manual placement pin, returning name to its policy.
-func (o *Orchestrator) Unpin(name string) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	m, err := o.lookup(name)
-	if err != nil {
-		return err
-	}
-	if m.pinned != nil {
-		m.pinned = nil
-		m.pol.Reset()
-	}
-	return nil
 }

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -40,9 +42,9 @@ func newTestOrch(t *testing.T, cross float64) (*Orchestrator, *ManagedService, t
 	return o, m, start
 }
 
-func placement(t *testing.T, o *Orchestrator, name string) string {
+func placement(t *testing.T, o *Orchestrator) string {
 	t.Helper()
-	s, err := o.Status(name)
+	s, err := o.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,30 +53,30 @@ func placement(t *testing.T, o *Orchestrator, name string) string {
 
 func TestOrchestratorShiftsUpAndBack(t *testing.T) {
 	o, m, start := newTestOrch(t, 100)
-	if placement(t, o, "test") != "host" {
+	if placement(t, o) != "host" {
 		t.Fatal("service should start on the host")
 	}
 	// Low rate: stays.
 	now := drive(o, m, start, 20, 3*time.Second)
-	if placement(t, o, "test") != "host" {
+	if placement(t, o) != "host" {
 		t.Fatal("low rate must stay on host")
 	}
 	// Sustained high rate: shifts.
 	now = drive(o, m, now, 200, 2*time.Second)
-	if placement(t, o, "test") != "network" {
+	if placement(t, o) != "network" {
 		t.Fatal("sustained high rate should shift to network")
 	}
 	// Inside the hysteresis band: holds.
 	now = drive(o, m, now, 90, 5*time.Second)
-	if placement(t, o, "test") != "network" {
+	if placement(t, o) != "network" {
 		t.Fatal("hysteresis band must not shift back")
 	}
 	// Low: returns.
 	_ = drive(o, m, now, 5, 3*time.Second)
-	if placement(t, o, "test") != "host" {
+	if placement(t, o) != "host" {
 		t.Fatal("low sustained rate should shift back")
 	}
-	s, _ := o.Status("test")
+	s, _ := o.Status()
 	if s.Shifts != 2 {
 		t.Errorf("shifts = %d, want 2", s.Shifts)
 	}
@@ -90,7 +92,7 @@ func TestOrchestratorSpikeSuppression(t *testing.T) {
 	// ~76 kpps, below the 110 kpps up-threshold.
 	now = drive(o, m, now, 300, 200*time.Millisecond)
 	_ = drive(o, m, now, 20, 3*time.Second)
-	s, _ := o.Status("test")
+	s, _ := o.Status()
 	if s.Placement != "host" || s.Shifts != 0 {
 		t.Errorf("spike should not shift (placement %v, shifts %d)", s.Placement, s.Shifts)
 	}
@@ -100,7 +102,7 @@ func TestOrchestratorSpikeSuppression(t *testing.T) {
 // mapping the metered rate to watts and CPU).
 func TestOrchestratorPowerPolicy(t *testing.T) {
 	curve := power.SoftwareCurve{
-		Name: "synthetic", IdleWatts: 40,
+		IdleWatts: 40,
 		JumpWatts: 50, JumpScaleKpps: 50, PeakKpps: 100,
 	}
 	pol, err := core.PolicyByName("power", 80)
@@ -116,23 +118,23 @@ func TestOrchestratorPowerPolicy(t *testing.T) {
 	o.Tick(start)
 	// 90 kpps: ~81 W and 90% utilization, sustained past the 3 s trigger.
 	now := drive(o, m, start, 90, 4*time.Second)
-	if placement(t, o, "kvs") != "network" {
+	if placement(t, o) != "network" {
 		t.Fatal("sustained power+CPU should shift to network")
 	}
 	// The model stands in for RAPL, which the controller reads only while
 	// the service is on the host: in the band above the return threshold
 	// nothing moves and nothing is read.
-	up, _ := o.Status("kvs")
+	up, _ := o.Status()
 	if up.PowerReads == 0 {
 		t.Fatal("the host-side ticks should have read the power model")
 	}
 	now = drive(o, m, now, 90, 2*time.Second)
-	if s, _ := o.Status("kvs"); s.Placement != "network" || s.PowerReads != up.PowerReads {
+	if s, _ := o.Status(); s.Placement != "network" || s.PowerReads != up.PowerReads {
 		t.Fatalf("power_reads went %d -> %d while on the network (%s)", up.PowerReads, s.PowerReads, s.Placement)
 	}
 	// Low device rate sustained: back to host (to-host threshold 56 kpps).
 	_ = drive(o, m, now, 10, 4*time.Second)
-	s, _ := o.Status("kvs")
+	s, _ := o.Status()
 	if s.Placement != "host" || s.Flaps != 1 {
 		t.Fatalf("low sustained rate should shift back to host with one flap, got %+v", s)
 	}
@@ -143,22 +145,22 @@ func TestOrchestratorPowerPolicy(t *testing.T) {
 
 func TestOrchestratorPinOverridesPolicy(t *testing.T) {
 	o, m, start := newTestOrch(t, 100)
-	if err := o.Pin("test", core.Network); err != nil {
+	if err := o.Pin(core.Network); err != nil {
 		t.Fatal(err)
 	}
-	if placement(t, o, "test") != "network" {
+	if placement(t, o) != "network" {
 		t.Fatal("pin must shift immediately")
 	}
 	// Zero traffic would shift an unpinned service back; the pin holds.
 	now := drive(o, m, start, 0, 5*time.Second)
-	if placement(t, o, "test") != "network" {
+	if placement(t, o) != "network" {
 		t.Fatal("pin must override the policy")
 	}
-	if err := o.Unpin("test"); err != nil {
+	if err := o.Unpin(); err != nil {
 		t.Fatal(err)
 	}
 	_ = drive(o, m, now, 0, 4*time.Second)
-	if placement(t, o, "test") != "host" {
+	if placement(t, o) != "host" {
 		t.Fatal("after unpin the policy should take over again")
 	}
 }
@@ -183,13 +185,13 @@ func TestOrchestratorShiftFailureRetries(t *testing.T) {
 	start := time.Unix(0, 0)
 	o.Tick(start)
 	now := drive(o, m, start, 300, 3*time.Second)
-	s, _ := o.Status("flaky")
+	s, _ := o.Status()
 	if s.Placement != "host" || s.LastError == "" {
 		t.Fatalf("failed shift must stay put and record the error, got %+v", s)
 	}
 	fail = false
 	_ = drive(o, m, now, 300, 2*time.Second)
-	s, _ = o.Status("flaky")
+	s, _ = o.Status()
 	if s.Placement != "network" || s.LastError != "" {
 		t.Fatalf("orchestrator should retry and clear the error, got %+v", s)
 	}
@@ -252,7 +254,7 @@ func TestOrchestratorRollsBackStrandedShift(t *testing.T) {
 	start := time.Unix(0, 0)
 	o.Tick(start)
 	now := drive(o, m, start, 300, 1500*time.Millisecond)
-	s, _ := o.Status("strander")
+	s, _ := o.Status()
 	if s.Placement != "host" {
 		t.Fatalf("stranded shift must be rolled back to host, got %+v", s)
 	}
@@ -273,7 +275,7 @@ func TestOrchestratorRollsBackStrandedShift(t *testing.T) {
 	// service converges on the network and the error clears.
 	svc.heal()
 	_ = drive(o, m, now, 300, 2*time.Second)
-	s, _ = o.Status("strander")
+	s, _ = o.Status()
 	if s.Placement != "network" || s.LastError != "" {
 		t.Fatalf("post-rollback retry should converge, got %+v", s)
 	}
@@ -298,10 +300,10 @@ func TestPinWithFailingShiftRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Pin("flaky", core.Network); err != nil {
+	if err := o.Pin(core.Network); err != nil {
 		t.Fatalf("pin must apply even when the shift fails, got %v", err)
 	}
-	s, _ := o.Status("flaky")
+	s, _ := o.Status()
 	if s.Pinned != "network" || s.Placement != "host" || s.LastError == "" {
 		t.Fatalf("want pinned+error status, got %+v", s)
 	}
@@ -309,7 +311,7 @@ func TestPinWithFailingShiftRetries(t *testing.T) {
 	start := time.Unix(0, 0)
 	o.Tick(start)
 	_ = drive(o, m, start, 0, 500*time.Millisecond)
-	s, _ = o.Status("flaky")
+	s, _ = o.Status()
 	if s.Placement != "network" || s.LastError != "" {
 		t.Fatalf("pin retry should converge, got %+v", s)
 	}
@@ -355,7 +357,7 @@ func TestPinRacesInFlightShift(t *testing.T) {
 	<-entered
 
 	// Mid-shift: the control plane must stay responsive and honest...
-	s, err := o.Status("slow")
+	s, err := o.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,14 +368,14 @@ func TestPinRacesInFlightShift(t *testing.T) {
 	// is still on the host (the shift has not landed), so the pin's
 	// immediate apply is a no-op; the in-flight shift lands afterwards
 	// and the next ticks must bring the service back to the pin.
-	if err := o.Pin("slow", core.Host); err != nil {
+	if err := o.Pin(core.Host); err != nil {
 		t.Fatal(err)
 	}
 	close(release)
 	now := <-tickDone
 
 	_ = drive(o, m, now, 300, time.Second)
-	s, _ = o.Status("slow")
+	s, _ = o.Status()
 	if s.Placement != "host" || s.Pinned != "host" {
 		t.Fatalf("pin must win over the raced shift, got %+v", s)
 	}
@@ -407,7 +409,7 @@ func TestShiftRetryCountAndDurationInStatus(t *testing.T) {
 	start := time.Unix(0, 0)
 	o.Tick(start)
 	now := drive(o, m, start, 300, 3*time.Second)
-	s, _ := o.Status("flaky")
+	s, _ := o.Status()
 	if s.ShiftRetries == 0 {
 		t.Fatalf("failed attempts must be counted, got %+v", s)
 	}
@@ -417,7 +419,7 @@ func TestShiftRetryCountAndDurationInStatus(t *testing.T) {
 	retriesSoFar := s.ShiftRetries
 	fail = false
 	_ = drive(o, m, now, 300, 2*time.Second)
-	s, _ = o.Status("flaky")
+	s, _ = o.Status()
 	if s.Placement != "network" || s.LastError != "" {
 		t.Fatalf("success must clear the error, got %+v", s)
 	}
@@ -426,8 +428,8 @@ func TestShiftRetryCountAndDurationInStatus(t *testing.T) {
 	}
 }
 
-// A fleet controller polls /v1 aggressively — many concurrent Status /
-// Statuses / Dataplanes readers — while shifts are in flight and while
+// A fleet controller polls /v1 aggressively — many concurrent Status,
+// Dataplane and /v1 list readers — while shifts are in flight and while
 // the daemon shuts down. None of that may wedge: reads stay responsive
 // mid-shift (the orchestrator's mutex is released for the transition),
 // and Close completes while readers keep hammering.
@@ -483,6 +485,7 @@ func TestConcurrentReadersDuringShiftAndShutdown(t *testing.T) {
 	// through shutdown.
 	readersDone := make(chan struct{})
 	stopReaders := make(chan struct{})
+	h := o.Handler()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -494,13 +497,14 @@ func TestConcurrentReadersDuringShiftAndShutdown(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := o.Status("slow"); err != nil {
+				if _, err := o.Status(); err != nil {
 					t.Errorf("Status: %v", err)
 					return
 				}
-				_ = o.Statuses()
-				_ = o.Dataplanes()
-				if _, err := o.Dataplane("slow"); err != nil {
+				for _, path := range []string{"/v1/services", "/v1/dataplane"} {
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+				}
+				if _, err := o.Dataplane(); err != nil {
 					t.Errorf("Dataplane: %v", err)
 					return
 				}
@@ -513,7 +517,7 @@ func TestConcurrentReadersDuringShiftAndShutdown(t *testing.T) {
 	// Mid-shift reads must observe the in-flight transition.
 	deadline := time.After(5 * time.Second)
 	for {
-		s, err := o.Status("slow")
+		s, err := o.Status()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -564,7 +568,7 @@ func (*testErr) Error() string { return "transition task failed" }
 // workload's own curve at the crossover — a fixed default would be
 // unreachable for low-draw curves like libpaxos.
 func TestStartControlPlanePowerCalibration(t *testing.T) {
-	curve := power.SoftwareCurve{Name: "flat", IdleWatts: 40, JumpWatts: 5,
+	curve := power.SoftwareCurve{IdleWatts: 40, JumpWatts: 5,
 		JumpScaleKpps: 10, PeakKpps: 100}
 	orch, _, _, err := StartControlPlane(StartOptions{
 		Name: "svc", Policy: "power", CrossKpps: 50, Curve: curve,
@@ -611,8 +615,8 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := o.Register("other", ServiceConfig{}); err == nil {
 		t.Error("a second service must be rejected: an orchestrator holds one")
 	}
-	if _, err := o.Status("ghost"); err == nil || !strings.Contains(err.Error(), "unknown service") {
-		t.Errorf("unknown service error, got %v", err)
+	if _, err := NewOrchestrator(0).Status(); err == nil || !strings.Contains(err.Error(), "unknown service") {
+		t.Errorf("unknown service error before Register, got %v", err)
 	}
 }
 

@@ -86,7 +86,7 @@ type Config struct {
 	// ShardBy is ignored: a batched engine serves each datagram on the
 	// shard whose socket it arrived on, and the single reader queues it
 	// by SourceHash. It stays only because benchmark/ still sets it
-	// (ROADMAP item A).
+	// (ROADMAP V part 3).
 	ShardBy func(payload []byte, src netip.AddrPort) uint64
 	// PinShards locks each batched shard worker to an OS thread, which
 	// lets its socket wait for datagrams on that thread instead of
@@ -100,7 +100,7 @@ type Config struct {
 	PinShards bool
 	// GSOTx is ignored: a batched engine builds UDP_SEGMENT reply trains
 	// wherever the kernel and the shard's rung take them (Stats.GSOTx).
-	// It stays only because benchmark/ still sets it (ROADMAP item A).
+	// It stays only because benchmark/ still sets it (ROADMAP V part 3).
 	GSOTx bool
 }
 

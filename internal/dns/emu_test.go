@@ -23,6 +23,7 @@ type bed struct {
 	net    *simnet.Network
 	app    *trafficgen.DNS
 	client *simhost.Client
+	zone   *dns.Zone
 	*simhost.DNS
 }
 
@@ -41,7 +42,7 @@ func dnsRig(t *testing.T, seed int64, where core.Placement) *bed {
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	zone := dns.NewZone()
 	zone.PopulateSequential(100)
-	b := &bed{sim: sim, net: net, DNS: simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())}
+	b := &bed{sim: sim, net: net, zone: zone, DNS: simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())}
 	i := 0
 	b.app = &trafficgen.DNS{Name: func() string { i++; return dns.SequentialName(i % 100) }}
 	b.client = simhost.NewClient(net, "client", "emu", b.app)
@@ -105,7 +106,7 @@ func TestEmuNXDomain(t *testing.T) {
 func TestEmuDeepNamesGoToSoftware(t *testing.T) {
 	b := dnsRig(t, 11, core.Host)
 	deep := strings.Repeat("x.", dns.MaxLabels+2) + "example.com"
-	b.Zone.Add(deep, [4]byte{10, 0, 0, 1}, 60)
+	b.zone.Add(deep, [4]byte{10, 0, 0, 1}, 60)
 	b.shift(t, core.Network)
 	b.app.Name = func() string { return deep }
 	b.drive(10, 50*time.Millisecond)
@@ -209,7 +210,7 @@ func TestEmuNonDNSPassthrough(t *testing.T) {
 // added afterwards is the host's until the next sync.
 func TestSyncZoneCopies(t *testing.T) {
 	b := dnsRig(t, 11, core.Network)
-	b.Zone.Add("new.example.com", [4]byte{10, 9, 8, 7}, 60)
+	b.zone.Add("new.example.com", [4]byte{10, 9, 8, 7}, 60)
 	// Not yet synced: hardware answers NXDOMAIN.
 	b.client.Submit([]byte("new.example.com"))
 	b.sim.RunFor(5 * time.Millisecond)

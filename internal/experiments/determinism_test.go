@@ -20,12 +20,13 @@ var update = flag.Bool("update", false, "rewrite testdata/incbench_all.golden fr
 // Every experiment is a pure function of its seeds — nothing the live
 // handlers and tiers read from the wall clock (expiry epochs, the tiers'
 // own rate meters, measured shift durations) may reach a table. Rendered
-// twice in one process, each must come out byte-identical.
+// twice in one process, the shared copy and a second, independent run,
+// each must come out byte-identical.
 func TestExperimentsDeterministic(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			first := e.Run().Render()
+			first := table(t, e.ID).Render()
 			if again := e.Run().Render(); again != first {
 				t.Errorf("%s rendered differently the second time:\n%s\n--- vs ---\n%s", e.ID, first, again)
 			}
@@ -48,7 +49,7 @@ func TestTablesMatchGolden(t *testing.T) {
 		for i, e := range all {
 			t.Run(e.ID, func(t *testing.T) {
 				t.Parallel()
-				rendered[i] = e.Run().Render() + "\n"
+				rendered[i] = table(t, e.ID).Render() + "\n"
 			})
 		}
 	})

@@ -37,7 +37,7 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 }
 
 func TestFig3aShape(t *testing.T) {
-	tab := fig3a()
+	tab := table(t, "fig3a")
 	if len(tab.Rows) < 20 {
 		t.Fatalf("fig3a rows = %d", len(tab.Rows))
 	}
@@ -119,9 +119,14 @@ func TestFig6Transition(t *testing.T) {
 	if first < 7.5 || first > 12 {
 		t.Errorf("first transition at %.1fs, want ~8-9s", first)
 	}
-	// §9.2: "the transition ... had no effect on KVS throughput".
-	if res.ThroughputDipFraction < 0.85 {
-		t.Errorf("throughput dipped to %.0f%%, want none", res.ThroughputDipFraction*100)
+	// §9.2: "the transition ... had no effect on KVS throughput": the
+	// worst interval after warm-up against the offered 16 kpps.
+	dip := 1.0
+	for row := 2; row < len(res.Table.Rows); row++ {
+		dip = min(dip, cell(t, res.Table, row, 1)/16)
+	}
+	if dip < 0.85 {
+		t.Errorf("throughput dipped to %.0f%%, want none", dip*100)
 	}
 	// Latency improves roughly ten-fold once the cache warms.
 	if res.LatencyImprovement < 5 {
@@ -152,7 +157,7 @@ func TestAllExperimentsRender(t *testing.T) {
 		if e.ID == "fig6" || e.ID == "fig7" {
 			continue // covered above; they are slow
 		}
-		tab := e.Run()
+		tab := table(t, e.ID)
 		if tab == nil || len(tab.Rows) == 0 {
 			t.Errorf("%s produced no rows", e.ID)
 			continue

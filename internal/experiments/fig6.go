@@ -19,9 +19,6 @@ func init() {
 type Fig6Result struct {
 	Table       *Table
 	Transitions []core.Transition
-	// ThroughputDipFraction is the worst per-interval throughput during
-	// the shift relative to the steady rate (1.0 = no dip).
-	ThroughputDipFraction float64
 	// LatencyImprovement is software-phase median / hardware-phase median.
 	LatencyImprovement float64
 }
@@ -130,7 +127,7 @@ func RunFig6(p Fig6Params) *Fig6Result {
 			dip = f
 		}
 	}
-	res := &Fig6Result{Table: t, Transitions: orch.Transitions(svc.Name()), ThroughputDipFraction: dip}
+	res := &Fig6Result{Table: t, Transitions: orch.Transitions()}
 	if hwLat > 0 {
 		res.LatencyImprovement = float64(swLat) / float64(hwLat)
 	}

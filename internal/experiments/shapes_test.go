@@ -10,7 +10,7 @@ import (
 )
 
 func TestFig3bShape(t *testing.T) {
-	tab := fig3b()
+	tab := table(t, "fig3b")
 	// Idle row: libpaxos 39 W, DPDK high flat, P4xos ~49 W, standalone 18.2 W.
 	if got := cell(t, tab, 0, 1); got != 39 {
 		t.Errorf("libpaxos idle = %v", got)
@@ -43,7 +43,7 @@ func TestLaKeEfficiencyX24(t *testing.T) {
 }
 
 func TestFig3cShape(t *testing.T) {
-	tab := fig3c()
+	tab := table(t, "fig3c")
 	if got := cell(t, tab, 0, 2); got < 47 || got > 48 {
 		t.Errorf("Emu idle total = %v, want ~47.5", got)
 	}
@@ -56,7 +56,7 @@ func TestFig3cShape(t *testing.T) {
 }
 
 func TestLatencyTableShape(t *testing.T) {
-	tab := latencyTable()
+	tab := table(t, "latency")
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(tab.Rows))
 	}
@@ -90,7 +90,7 @@ func TestLatencyGoldenRows(t *testing.T) {
 		{"dns", "network", "2.417µs", "2.544µs"},
 		{"dns", "host", "91.434µs", "98.728µs"},
 	}
-	rows := latencyTable().Rows
+	rows := table(t, "latency").Rows
 	for i, w := range want {
 		for j := range w {
 			if rows[i][j] != w[j] {
@@ -122,7 +122,7 @@ func TestOpsPerWattLadder(t *testing.T) {
 }
 
 func TestStrategiesTableShape(t *testing.T) {
-	tab := strategiesTable()
+	tab := table(t, "strategies")
 	byName := map[string][]string{}
 	for _, row := range tab.Rows {
 		byName[row[0]] = row
@@ -152,7 +152,7 @@ func TestStrategiesTableShape(t *testing.T) {
 }
 
 func TestInfraTableShape(t *testing.T) {
-	tab := infraTable()
+	tab := table(t, "infra")
 	// Card share shrinks as the host gets hungrier.
 	i7 := cell(t, tab, 0, 3)
 	xeon := cell(t, tab, 1, 3)
@@ -163,7 +163,7 @@ func TestInfraTableShape(t *testing.T) {
 }
 
 func TestValidateTableAgreement(t *testing.T) {
-	tab := validateTable()
+	tab := table(t, "validate")
 	for _, row := range tab.Rows {
 		delta, err := strconv.ParseFloat(row[3], 64)
 		if err != nil {
@@ -193,7 +193,7 @@ func TestCSVRendering(t *testing.T) {
 }
 
 func TestXeonTableCells(t *testing.T) {
-	tab := xeonTable()
+	tab := table(t, "xeon")
 	if got := cell(t, tab, 0, 2); got != 56 {
 		t.Errorf("idle = %v", got)
 	}
@@ -204,7 +204,7 @@ func TestXeonTableCells(t *testing.T) {
 }
 
 func TestPlaceTableHasAllPlatforms(t *testing.T) {
-	tab := placeTable()
+	tab := table(t, "place")
 	if len(tab.Rows) != 5 {
 		t.Errorf("rows = %d, want 5 platforms", len(tab.Rows))
 	}

@@ -198,11 +198,16 @@ func TestReportCheck(t *testing.T) {
 		Snapshot: Snapshot{
 			K: 2, MaxLit: 2, BudgetViolations: 0, ConcurrentShiftsMax: 1,
 		},
-		SentTotal: 1000, AnsweredTotal: 990,
+		SentTotal: 1000, AnsweredTotal: 1000,
 		SavedKWhDay: 0.5, SoftwareOnlyKWhDay: 4, OnDemandKWhDay: 3.5,
 	}
 	if err := good.Check(); err != nil {
 		t.Fatalf("clean run failed check: %v", err)
+	}
+	atBound := good
+	atBound.AnsweredTotal = 999 // one lost in a thousand
+	if err := atBound.Check(); err != nil {
+		t.Errorf("a run that lost 0.1%% failed check: %v", err)
 	}
 
 	cases := []struct {
@@ -215,6 +220,7 @@ func TestReportCheck(t *testing.T) {
 		{"overlapping shifts", func(r *Report) { r.Snapshot.ConcurrentShiftsMax = 2 }, "not staggered"},
 		{"wrong answers", func(r *Report) { r.WrongAnswers = 7 }, "wrong answers"},
 		{"no traffic", func(r *Report) { r.AnsweredTotal = 0 }, "no traffic"},
+		{"lost 0.7%", func(r *Report) { r.AnsweredTotal = 993 }, "answered 993 of 1000 sent (99.30%), want at least 99.9%"},
 		{"no saving", func(r *Report) { r.SavedKWhDay = -0.1 }, "no energy saved"},
 	}
 	for _, tc := range cases {

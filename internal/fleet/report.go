@@ -77,11 +77,17 @@ func (r Report) WriteFile(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
+// minAnsweredShare is the least share of what the generators sent that
+// a run must have answered. The paper's shifts go unnoticed by clients,
+// so a fleet that loses more than one request in a thousand fails
+// however much energy it saved.
+const minAnsweredShare = 0.999
+
 // Check asserts the run reproduced the paper's fleet claims: the budget
 // was never violated, the full budget was exercised at peak, shifts were
-// staggered, no generator saw a wrong answer, traffic actually flowed,
-// and on-demand offload saved energy. It returns every failure joined,
-// nil on a clean run.
+// staggered, no generator saw a wrong answer, at least minAnsweredShare
+// of the traffic was answered, and on-demand offload saved energy. It
+// returns every failure joined, nil on a clean run.
 func (r Report) Check() error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -103,6 +109,9 @@ func (r Report) Check() error {
 	}
 	if r.AnsweredTotal == 0 {
 		fail("no traffic answered (sent %d)", r.SentTotal)
+	} else if float64(r.AnsweredTotal) < minAnsweredShare*float64(r.SentTotal) {
+		fail("answered %d of %d sent (%.2f%%), want at least %.1f%%", r.AnsweredTotal, r.SentTotal,
+			100*float64(r.AnsweredTotal)/float64(r.SentTotal), 100*minAnsweredShare)
 	}
 	if r.SavedKWhDay <= 0 {
 		fail("no energy saved: %.4f kWh/day (software-only %.4f, on-demand %.4f)",

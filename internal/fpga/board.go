@@ -76,9 +76,6 @@ type Config struct {
 	DynamicWattsMax float64
 	// PeakKpps is the design's peak service rate.
 	PeakKpps float64
-	// ResourceFraction is the share of FPGA logic resources used
-	// (§5.2: LaKe's logic is under 3%).
-	ResourceFraction float64
 }
 
 // Designs evaluated in the paper.
@@ -89,33 +86,30 @@ var (
 	// LaKeDesign is the layered key-value store (§3.1): five PEs,
 	// classifier + interconnect, both external memories.
 	LaKeDesign = Config{
-		Name:             "lake",
-		LogicFixedWatts:  0.95,
-		NumPEs:           5,
-		UsesDRAM:         true,
-		UsesSRAM:         true,
-		DynamicWattsMax:  0.5,
-		PeakKpps:         LineRateKpps,
-		ResourceFraction: 0.03,
+		Name:            "lake",
+		LogicFixedWatts: 0.95,
+		NumPEs:          5,
+		UsesDRAM:        true,
+		UsesSRAM:        true,
+		DynamicWattsMax: 0.5,
+		PeakKpps:        LineRateKpps,
 	}
 
 	// P4xosDesign is the P4 Paxos pipeline (§3.2): on-chip memory only.
 	P4xosDesign = Config{
-		Name:             "p4xos",
-		LogicFixedWatts:  3.0,
-		DynamicWattsMax:  1.2,
-		PeakKpps:         10000, // 10 M msgs/s on NetFPGA SUME (§3.2)
-		ResourceFraction: 0.10,
+		Name:            "p4xos",
+		LogicFixedWatts: 3.0,
+		DynamicWattsMax: 1.2,
+		PeakKpps:        10000, // 10 M msgs/s on NetFPGA SUME (§3.2)
 	}
 
 	// EmuDNSDesign is the Emu-compiled DNS (§3.3) with the added packet
 	// classifier; non-pipelined, so it peaks around 1 Mqps (§4.4).
 	EmuDNSDesign = Config{
-		Name:             "emu-dns",
-		LogicFixedWatts:  1.5,
-		DynamicWattsMax:  0.4,
-		PeakKpps:         1000,
-		ResourceFraction: 0.02,
+		Name:            "emu-dns",
+		LogicFixedWatts: 1.5,
+		DynamicWattsMax: 0.4,
+		PeakKpps:        1000,
 	}
 )
 

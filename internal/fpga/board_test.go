@@ -128,9 +128,6 @@ func TestLaKeLogicOverNICIs2p2W(t *testing.T) {
 	if math.Abs(logic-2.2) > 1e-9 {
 		t.Errorf("LaKe logic = %v W, want 2.2", logic)
 	}
-	if LaKeDesign.ResourceFraction > 0.03 {
-		t.Errorf("LaKe resources = %v, want <= 3%%", LaKeDesign.ResourceFraction)
-	}
 }
 
 func TestInactiveModuleGap(t *testing.T) {

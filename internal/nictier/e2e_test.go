@@ -120,7 +120,7 @@ func TestE2EShiftUnderLoadKVS(t *testing.T) {
 	}()
 
 	placementOf := func() string {
-		s, err := o.Status("kvs")
+		s, err := o.Status()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func roundTrip(conn net.Conn, id uint16, req []byte) ([]byte, error) {
 
 func statusOf(t *testing.T, o *daemon.Orchestrator) daemon.ServiceStatus {
 	t.Helper()
-	s, err := o.Status("kvs")
+	s, err := o.Status()
 	if err != nil {
 		t.Fatal(err)
 	}

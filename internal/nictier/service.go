@@ -50,7 +50,7 @@ type Service struct {
 }
 
 var _ core.Service = (*Service)(nil)
-var _ core.CostReporter = (*Service)(nil)
+var _ core.TaskNamer = (*Service)(nil)
 
 // NewService binds tier to eng under name. The service starts on the
 // host (tier parked, host handler serving everything).
@@ -114,21 +114,21 @@ func (s *Service) Shift(to core.Placement) error {
 	return nil
 }
 
-// TransitionCost implements core.CostReporter. Both directions run
-// concurrently with serving (Duration 0 degradation); the note names the
-// §9.2 task and, once measured, how long the last one took.
-func (s *Service) TransitionCost(to core.Placement) core.TransitionCost {
+// TransitionTask implements core.TaskNamer: the §9.2 task, which runs
+// concurrently with serving in both directions, and, once measured, how
+// long the last one took.
+func (s *Service) TransitionTask(to core.Placement) string {
 	warm, drain := s.LastTransitions()
 	if to == core.Network {
-		note := s.tier.Name() + " warm-up"
+		task := s.tier.Name() + " warm-up"
 		if warm > 0 {
-			note += fmt.Sprintf(" (last %v)", warm.Round(time.Microsecond))
+			task += fmt.Sprintf(" (last %v)", warm.Round(time.Microsecond))
 		}
-		return core.TransitionCost{Note: note}
+		return task
 	}
-	note := s.tier.Name() + " drain+park"
+	task := s.tier.Name() + " drain+park"
 	if drain > 0 {
-		note += fmt.Sprintf(" (last %v)", drain.Round(time.Microsecond))
+		task += fmt.Sprintf(" (last %v)", drain.Round(time.Microsecond))
 	}
-	return core.TransitionCost{Note: note}
+	return task
 }

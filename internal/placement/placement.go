@@ -8,8 +8,8 @@
 // Catalog anchors from §10:
 //
 //   - a switch ASIC provides the highest performance and performance per
-//     watt, halves application packets, but costs "x10 or more" and has
-//     limited per-Gbps resources and a vendor-fixed architecture;
+//     watt, but costs "x10 or more" and has limited per-Gbps resources
+//     and a vendor-fixed architecture;
 //   - SmartNICs stay within the ~25 W PCIe envelope and reach millions of
 //     operations per watt including external memory access;
 //   - Azure's AccelNet FPGA SmartNIC draws 17-19 W standalone on a 40GE
@@ -25,39 +25,9 @@ import (
 	"sort"
 )
 
-// Kind classifies platforms.
-type Kind int
-
-// Platform kinds discussed in §10.
-const (
-	FPGANIC Kind = iota
-	FPGASmartNIC
-	ASICSmartNIC
-	SoCSmartNIC
-	SwitchASIC
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case FPGANIC:
-		return "fpga-nic"
-	case FPGASmartNIC:
-		return "fpga-smartnic"
-	case ASICSmartNIC:
-		return "asic-smartnic"
-	case SoCSmartNIC:
-		return "soc-smartnic"
-	case SwitchASIC:
-		return "switch-asic"
-	}
-	return "unknown"
-}
-
 // Platform describes one in-network computing target.
 type Platform struct {
 	Name string
-	Kind Kind
 	// PeakMpps is the application-message capacity.
 	PeakMpps float64
 	// Watts is the device's power draw at load.
@@ -76,8 +46,6 @@ type Platform struct {
 	// (1 for a NIC next to its host; a rack for a ToR switch, §10's
 	// "implications of a switch failure").
 	BlastRadius int
-	// HalvesPackets: request and reply traverse as one packet (§10).
-	HalvesPackets bool
 }
 
 // PerfPerWatt returns Mpps per watt.
@@ -92,34 +60,34 @@ func (p Platform) PerfPerWatt() float64 {
 func Catalog() []Platform {
 	return []Platform{
 		{
-			Name: "NetFPGA SUME (P4xos)", Kind: FPGANIC,
+			Name:     "NetFPGA SUME (P4xos)",
 			PeakMpps: 10, Watts: 19.4, PriceUnits: 1,
 			Flexibility: 10, ProgrammingEase: 4, ExternalMemory: true,
 			BlastRadius: 1,
 		},
 		{
-			Name: "AccelNet-class FPGA SmartNIC", Kind: FPGASmartNIC,
+			Name:     "AccelNet-class FPGA SmartNIC",
 			PeakMpps: 70, Watts: 18, PriceUnits: 1.2,
 			Flexibility: 9, ProgrammingEase: 4, ExternalMemory: true,
 			BlastRadius: 1,
 		},
 		{
-			Name: "ASIC SmartNIC", Kind: ASICSmartNIC,
+			Name:     "ASIC SmartNIC",
 			PeakMpps: 100, Watts: 25, PriceUnits: 1.5,
 			Flexibility: 5, ProgrammingEase: 6, ExternalMemory: true,
 			BlastRadius: 1,
 		},
 		{
-			Name: "SoC SmartNIC", Kind: SoCSmartNIC,
+			Name:     "SoC SmartNIC",
 			PeakMpps: 30, Watts: 25, PriceUnits: 1.2,
 			Flexibility: 7, ProgrammingEase: 9, ExternalMemory: true,
 			BlastRadius: 1,
 		},
 		{
-			Name: "Tofino-class switch ASIC", Kind: SwitchASIC,
+			Name:     "Tofino-class switch ASIC",
 			PeakMpps: 2500, Watts: 237, PriceUnits: 12,
 			Flexibility: 4, ProgrammingEase: 5, ExternalMemory: false,
-			BlastRadius: 24, HalvesPackets: true,
+			BlastRadius: 24,
 		},
 	}
 }

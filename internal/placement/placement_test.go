@@ -2,17 +2,26 @@ package placement
 
 import "testing"
 
+// The §10 platforms, by their catalog names.
+const (
+	FPGANIC      = "NetFPGA SUME (P4xos)"
+	FPGASmartNIC = "AccelNet-class FPGA SmartNIC"
+	ASICSmartNIC = "ASIC SmartNIC"
+	SoCSmartNIC  = "SoC SmartNIC"
+	SwitchASIC   = "Tofino-class switch ASIC"
+)
+
 func TestCatalogAnchors(t *testing.T) {
-	byKind := map[Kind]Platform{}
+	byName := map[string]Platform{}
 	for _, p := range Catalog() {
-		byKind[p.Kind] = p
+		byName[p.Name] = p
 	}
-	if len(byKind) != 5 {
-		t.Fatalf("catalog kinds = %d, want 5", len(byKind))
+	if len(byName) != 5 {
+		t.Fatalf("catalog platforms = %d, want 5", len(byName))
 	}
 	// §10: switch ASIC has the highest performance and perf/W.
-	sw := byKind[SwitchASIC]
-	for k, p := range byKind {
+	sw := byName[SwitchASIC]
+	for k, p := range byName {
 		if k == SwitchASIC {
 			continue
 		}
@@ -29,18 +38,18 @@ func TestCatalogAnchors(t *testing.T) {
 		t.Errorf("switch price %v, want >= 10x NIC-class", sw.PriceUnits)
 	}
 	// SmartNICs stay within the 25 W PCIe envelope.
-	for _, k := range []Kind{FPGASmartNIC, ASICSmartNIC, SoCSmartNIC} {
-		if byKind[k].Watts > 25 {
-			t.Errorf("%v draws %v W, want <= 25 (PCIe envelope)", k, byKind[k].Watts)
+	for _, k := range []string{FPGASmartNIC, ASICSmartNIC, SoCSmartNIC} {
+		if byName[k].Watts > 25 {
+			t.Errorf("%v draws %v W, want <= 25 (PCIe envelope)", k, byName[k].Watts)
 		}
 	}
 	// AccelNet-class: ~4 Mpps/W.
-	if ppw := byKind[FPGASmartNIC].PerfPerWatt(); ppw < 3 || ppw > 5 {
+	if ppw := byName[FPGASmartNIC].PerfPerWatt(); ppw < 3 || ppw > 5 {
 		t.Errorf("FPGA SmartNIC perf/W = %v, want ~4", ppw)
 	}
 	// FPGA NIC: poorest perf/W, maximum flexibility.
-	fpga := byKind[FPGANIC]
-	for k, p := range byKind {
+	fpga := byName[FPGANIC]
+	for k, p := range byName {
 		if k == FPGANIC {
 			continue
 		}
@@ -52,14 +61,16 @@ func TestCatalogAnchors(t *testing.T) {
 		}
 	}
 	// SoC: easiest trajectory.
-	for k, p := range byKind {
-		if k != SoCSmartNIC && p.ProgrammingEase >= byKind[SoCSmartNIC].ProgrammingEase {
+	for k, p := range byName {
+		if k != SoCSmartNIC && p.ProgrammingEase >= byName[SoCSmartNIC].ProgrammingEase {
 			t.Errorf("%v ease %d >= SoC's", k, p.ProgrammingEase)
 		}
 	}
-	// Only the switch halves packets and only it takes out a whole rack.
-	if !sw.HalvesPackets || sw.BlastRadius <= 1 {
-		t.Error("switch attributes wrong")
+	// Only the switch takes out a whole rack.
+	for k, p := range byName {
+		if (k == SwitchASIC) != (p.BlastRadius > 1) {
+			t.Errorf("%v blast radius %d", k, p.BlastRadius)
+		}
 	}
 }
 
@@ -71,7 +82,7 @@ func TestRankHardConstraints(t *testing.T) {
 		t.Fatalf("no feasible platform: %+v", scores)
 	}
 	for _, s := range scores {
-		switch s.Platform.Kind {
+		switch s.Platform.Name {
 		case SwitchASIC:
 			if s.Feasible {
 				t.Error("switch should be infeasible for memory+flexibility needs")
@@ -89,7 +100,7 @@ func TestRankHardConstraints(t *testing.T) {
 
 func TestRankExtremeThroughputPicksSwitch(t *testing.T) {
 	scores := Rank(Requirements{MinMpps: 1000})
-	if scores[0].Platform.Kind != SwitchASIC || !scores[0].Feasible {
+	if scores[0].Platform.Name != SwitchASIC || !scores[0].Feasible {
 		t.Errorf("1 Gpps requirement should leave only the switch, got %+v", scores[0])
 	}
 	feasible := 0
@@ -106,7 +117,7 @@ func TestRankExtremeThroughputPicksSwitch(t *testing.T) {
 func TestRankBudgetAndBlastRadius(t *testing.T) {
 	scores := Rank(Requirements{MaxPriceUnits: 2, MaxBlastRadius: 1})
 	for _, s := range scores {
-		if s.Platform.Kind == SwitchASIC && s.Feasible {
+		if s.Platform.Name == SwitchASIC && s.Feasible {
 			t.Error("switch violates both budget and blast radius")
 		}
 	}
@@ -120,16 +131,5 @@ func TestRankBudgetAndBlastRadius(t *testing.T) {
 			t.Error("feasible platforms not sorted by value")
 		}
 		prev = s.Value
-	}
-}
-
-func TestKindString(t *testing.T) {
-	names := map[Kind]string{FPGANIC: "fpga-nic", FPGASmartNIC: "fpga-smartnic",
-		ASICSmartNIC: "asic-smartnic", SoCSmartNIC: "soc-smartnic", SwitchASIC: "switch-asic",
-		Kind(99): "unknown"}
-	for k, want := range names {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q", k, k.String())
-		}
 	}
 }

@@ -25,7 +25,6 @@ import "math"
 // jump when the first core wakes (shared uncore, both sockets), a small
 // per-additional-core increment, and a saturating response to utilization.
 type CPUModel struct {
-	Name           string
 	Sockets        int
 	CoresPerSocket int
 	// IdleWatts is the whole-server idle draw.
@@ -108,7 +107,6 @@ var (
 	// XeonE52637v4 is the §5.4 SuperMicro X10-DRG-Q comparison machine:
 	// 83 W idle without a NIC.
 	XeonE52637v4 = CPUModel{
-		Name:               "Intel Xeon E5-2637 v4",
 		Sockets:            1,
 		CoresPerSocket:     4,
 		IdleWatts:          83,
@@ -122,7 +120,6 @@ var (
 	// Anchors: 56 W idle, 91 W one busy core, 134 W full load, 86 W at
 	// 10% single-core load, 1-2 W per additional core.
 	XeonE52660v4Dual = CPUModel{
-		Name:               "2x Intel Xeon E5-2660 v4",
 		Sockets:            2,
 		CoresPerSocket:     14,
 		IdleWatts:          56,

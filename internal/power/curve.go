@@ -13,7 +13,6 @@ import "math"
 // are calibrated so that every crossover and peak-power statement in §4
 // holds (see the DESIGN.md experiment index).
 type SoftwareCurve struct {
-	Name string
 	// IdleWatts is the wall power of the idle server including its NIC.
 	IdleWatts float64
 	// JumpWatts and JumpScaleKpps shape the low-load jump.
@@ -69,7 +68,6 @@ var (
 	// (the Intel X520 bottlenecked KVS, §4.1). Peak ~1 Mpps on 4 cores;
 	// the software/hardware crossover lands at ~80 kpps (§4.2).
 	MemcachedMellanox = SoftwareCurve{
-		Name:               "memcached (Mellanox)",
 		IdleWatts:          39,
 		JumpWatts:          24,
 		JumpScaleKpps:      70,
@@ -81,7 +79,6 @@ var (
 	// efficient at low load (crossover moves past 300 kpps) but peaks
 	// lower (§4.2).
 	MemcachedIntelX520 = SoftwareCurve{
-		Name:               "memcached (Intel X520)",
 		IdleWatts:          39,
 		JumpWatts:          12,
 		JumpScaleKpps:      70,
@@ -92,7 +89,6 @@ var (
 	// LibpaxosLeader / LibpaxosAcceptor: single-core libpaxos (§4.3),
 	// acceptor peak 178 K msgs/s; crossover with P4xos at ~150 kpps.
 	LibpaxosLeader = SoftwareCurve{
-		Name:               "libpaxos leader",
 		IdleWatts:          39,
 		JumpWatts:          8.5,
 		JumpScaleKpps:      40,
@@ -100,7 +96,6 @@ var (
 		PeakKpps:           170,
 	}
 	LibpaxosAcceptor = SoftwareCurve{
-		Name:               "libpaxos acceptor",
 		IdleWatts:          39,
 		JumpWatts:          8.3,
 		JumpScaleKpps:      40,
@@ -112,14 +107,12 @@ var (
 	// consumption ... is high even under low load, and remains almost
 	// constant" because DPDK constantly polls (§4.3).
 	DPDKLeader = SoftwareCurve{
-		Name:               "DPDK leader",
 		IdleWatts:          74,
 		JumpWatts:          0,
 		LinearWattsPerMpps: 3,
 		PeakKpps:           900,
 	}
 	DPDKAcceptor = SoftwareCurve{
-		Name:               "DPDK acceptor",
 		IdleWatts:          72,
 		JumpWatts:          0,
 		LinearWattsPerMpps: 3,
@@ -130,7 +123,6 @@ var (
 	// at peak the server draws ~2x Emu DNS's 48 W; the crossover with the
 	// Emu DNS hardware happens by ~150-200 kpps.
 	NSDServer = SoftwareCurve{
-		Name:               "NSD",
 		IdleWatts:          39,
 		JumpWatts:          5,
 		JumpScaleKpps:      60,

@@ -51,16 +51,16 @@ func TestXeonSocketBreakdown(t *testing.T) {
 
 // Power never falls as utilization or the number of busy cores grows.
 func TestPowerAtLoadMonotone(t *testing.T) {
-	for _, m := range []CPUModel{XeonE52660v4Dual, XeonE52637v4} {
+	for name, m := range map[string]CPUModel{"XeonE52660v4Dual": XeonE52660v4Dual, "XeonE52637v4": XeonE52637v4} {
 		for cores := 1; cores <= m.Cores(); cores++ {
 			prev := -1.0
 			for util := 0.0; util <= 1.0001; util += 0.01 {
 				p := m.Power(cores, util)
 				if p < prev-1e-9 {
-					t.Fatalf("%s: power not monotone at %d cores, util %.2f: %v < %v", m.Name, cores, util, p, prev)
+					t.Fatalf("%s: power not monotone at %d cores, util %.2f: %v < %v", name, cores, util, p, prev)
 				}
 				if cores > 1 && p < m.Power(cores-1, util)-1e-9 {
-					t.Fatalf("%s: %d busy cores draw less than %d at util %.2f", m.Name, cores, cores-1, util)
+					t.Fatalf("%s: %d busy cores draw less than %d at util %.2f", name, cores, cores-1, util)
 				}
 				prev = p
 			}
@@ -89,22 +89,23 @@ func TestServerPowerDoubles(t *testing.T) {
 
 func TestCurveIdleAndPeaks(t *testing.T) {
 	cases := []struct {
+		name   string
 		c      SoftwareCurve
 		idle   float64
 		peakLo float64
 		peakHi float64
 	}{
-		{MemcachedMellanox, 39, 105, 120}, // Fig 3(a) peak band
-		{LibpaxosAcceptor, 39, 48, 52},    // crosses P4xos' ~49 W near peak
-		{NSDServer, 39, 90, 100},          // ~2x Emu DNS's 48 W at peak (§4.4)
+		{"MemcachedMellanox", MemcachedMellanox, 39, 105, 120}, // Fig 3(a) peak band
+		{"LibpaxosAcceptor", LibpaxosAcceptor, 39, 48, 52},     // crosses P4xos' ~49 W near peak
+		{"NSDServer", NSDServer, 39, 90, 100},                  // ~2x Emu DNS's 48 W at peak (§4.4)
 	}
 	for _, tc := range cases {
 		if got := tc.c.Power(0); got != tc.idle {
-			t.Errorf("%s idle = %v, want %v", tc.c.Name, got, tc.idle)
+			t.Errorf("%s idle = %v, want %v", tc.name, got, tc.idle)
 		}
 		p := tc.c.Power(tc.c.PeakKpps)
 		if p < tc.peakLo || p > tc.peakHi {
-			t.Errorf("%s peak = %v W, want in [%v, %v]", tc.c.Name, p, tc.peakLo, tc.peakHi)
+			t.Errorf("%s peak = %v W, want in [%v, %v]", tc.name, p, tc.peakLo, tc.peakHi)
 		}
 	}
 }

@@ -214,7 +214,7 @@ func Run(s Scenario) (*Result, error) {
 		res.ServedFrac = float64(r.client.Counters.Get("recv")) / offeredTotal
 	}
 	if orch != nil {
-		for _, tr := range orch.Transitions(r.svc.Name()) {
+		for _, tr := range orch.Transitions() {
 			res.Transitions = append(res.Transitions, tr.String())
 		}
 	}

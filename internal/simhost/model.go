@@ -322,14 +322,13 @@ func (s *KVS) Preload(n, size int) {
 // over zone on the host, nictier's Emu-DNS answer table on the card.
 type DNS struct {
 	*Node
-	Zone    *dns.Zone
 	Tier    *nictier.DNSTier
 	Service *nictier.Service
 }
 
 // NewDNS attaches the DNS stack serving zone at addr under cost model m.
 func NewDNS(net *simnet.Network, addr simnet.Addr, zone *dns.Zone, m *Model) *DNS {
-	s := &DNS{Zone: zone, Tier: nictier.NewDNS(zone)}
+	s := &DNS{Tier: nictier.NewDNS(zone)}
 	s.Node = NewNode(net, addr, dns.NewHandler(zone), 0, m)
 	s.Service = service("dns", s.Node, s.Tier, m)
 	return s

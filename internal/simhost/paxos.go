@@ -117,7 +117,7 @@ type Paxos struct {
 }
 
 var _ core.Service = (*Paxos)(nil)
-var _ core.CostReporter = (*Paxos)(nil)
+var _ core.TaskNamer = (*Paxos)(nil)
 
 // PaxosConfig sizes a deployment.
 type PaxosConfig struct {
@@ -281,10 +281,9 @@ func (d *Paxos) Shift(to core.Placement) error {
 	return nil
 }
 
-// TransitionCost implements core.CostReporter. Figure 7: throughput
-// stalls for roughly one client retry timeout while clients re-point at
-// the new leader.
-func (d *Paxos) TransitionCost(core.Placement) core.TransitionCost {
-	return core.TransitionCost{Duration: 100 * time.Millisecond,
-		Note: "leader election; clients stall up to one retry timeout"}
+// TransitionTask implements core.TaskNamer. Figure 7: throughput stalls
+// for roughly one client retry timeout while clients re-point at the new
+// leader.
+func (d *Paxos) TransitionTask(core.Placement) string {
+	return "leader election; clients stall up to one retry timeout"
 }

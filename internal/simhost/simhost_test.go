@@ -126,16 +126,16 @@ func TestPinIsDatedOnTheVirtualClock(t *testing.T) {
 		lake.Preload(100, 8)
 		orch, _ := Orchestrate(sim, 100*time.Millisecond, daemon.ServiceConfig{Service: lake.Service}, lake.Observed)
 		sim.RunFor(1250 * time.Millisecond)
-		if err := orch.Pin("kvs", core.Network); err != nil {
+		if err := orch.Pin(core.Network); err != nil {
 			t.Fatal(err)
 		}
 		sim.RunFor(time.Second)
-		status, _ := orch.Status("kvs")
-		trs := orch.Transitions("kvs")
+		status, _ := orch.Status()
+		trs := orch.Transitions()
 		if status.Placement != "network" || len(trs) != 1 || len(status.Transitions) != 1 {
 			t.Fatalf("pin did not shift once: %+v", status)
 		}
-		trs[0].Cost = core.TransitionCost{} // the tier's note times its own steps on the wall clock
+		trs[0].Task = "" // the tier's task name times its own steps on the wall clock
 		return trs[0], status
 	}
 	tr, status := run()

@@ -55,8 +55,9 @@ func TestReorderWindowBoundsDelay(t *testing.T) {
 	net.SetFaultPlan(FaultPlan{Default: Faults{ReorderRate: 1, ReorderWindow: window}})
 	var worst time.Duration
 	held := 0
+	// Packet i leaves at i µs and carries i as its one payload byte.
 	net.Attach(&NodeFunc{Address: "sink", Handler: func(pkt *Packet) {
-		d := sim.Now().Sub(pkt.SentAt)
+		d := sim.Now().Sub(Time(time.Duration(pkt.Payload[0]) * time.Microsecond))
 		if d > worst {
 			worst = d
 		}
@@ -66,7 +67,7 @@ func TestReorderWindowBoundsDelay(t *testing.T) {
 	}})
 	for i := 0; i < 200; i++ {
 		sim.Schedule(time.Duration(i)*time.Microsecond, func() {
-			net.Send(&Packet{Src: "src", Dst: "sink", Payload: []byte("x")})
+			net.Send(&Packet{Src: "src", Dst: "sink", Payload: []byte{byte(i)}})
 		})
 	}
 	sim.Run()

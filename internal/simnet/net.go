@@ -21,8 +21,6 @@ type Packet struct {
 	// Wire is the on-the-wire size in bytes used for serialization delay.
 	// If zero, len(Payload) plus a fixed UDP/IP/Ethernet overhead is used.
 	Wire int
-	// SentAt is stamped by the network when the packet enters a link.
-	SentAt Time
 }
 
 // WireSize returns the byte count used for serialization-delay accounting.
@@ -132,7 +130,6 @@ func (n *Network) Send(pkt *Packet) bool {
 		return false
 	}
 	now := n.sim.Now()
-	pkt.SentAt = now
 	start := now
 	if l.busyUntil > start {
 		start = l.busyUntil

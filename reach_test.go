@@ -13,18 +13,21 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // reachAllowed names the exported identifiers that no non-test code
-// uses and that stay anyway. Each key is an identifier as
-// TestEveryExportHasAProgramCaller prints it; each value starts with one
-// of safetyReasons, the kinds of code a simplification never removes,
-// and goes on to say which.
+// uses, and the exported fields that no non-test code reads, that stay
+// anyway. Each key is an identifier or a field as
+// TestEveryExportHasAProgramCaller or TestEveryFieldHasAProgramRead
+// prints it; each value starts with one of safetyReasons, the kinds of
+// code a simplification never removes, and goes on to say which.
 var reachAllowed = map[string]string{
 	"memcache.EncodeResponse": "a reference implementation that tests compare against: TestAppendResponseMatchesEncodeResponse holds the serving path's AppendResponse to it",
 }
@@ -40,6 +43,25 @@ var safetyReasons = []string{
 	"a reference implementation that tests compare against",
 	"a test seam",
 }
+
+// reachHarness names the exported fields that nothing reads and that
+// the benchmark module still sets, so deleting one breaks its build.
+// They go together with the lines of benchmark/ that set them. Each
+// value says where the harness sets the field.
+var reachHarness = map[string]string{
+	"dataplane.Config.GSOTx":   "benchmark/twin.go sets it from the traced twin's -gsotx flag",
+	"dataplane.Config.ShardBy": "benchmark/twin.go sets it to kvs.ShardByKey for the KVS twin",
+}
+
+// loadedProgram type-checks the root module and the benchmark module
+// once per test binary, for every check that reads the program.
+var loadedProgram = sync.OnceValues(func() (*program, error) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		return nil, err
+	}
+	return loadProgram(root, filepath.Join(root, "benchmark"))
+})
 
 // TestEveryExportHasAProgramCaller type-checks the non-test Go files of
 // this module and of the benchmark module and fails on any exported
@@ -61,11 +83,7 @@ func TestEveryExportHasAProgramCaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks both modules")
 	}
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := loadProgram(root, filepath.Join(root, "benchmark"))
+	prog, err := loadedProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +102,9 @@ func TestEveryExportHasAProgramCaller(t *testing.T) {
 			unused = append(unused, prog.fset.Position(d.obj.Pos()).String()+": "+d.name)
 		}
 	}
+	for _, f := range prog.fields() {
+		seen[f.name] = true
+	}
 	for name, why := range reachAllowed {
 		if !seen[name] {
 			t.Errorf("reachAllowed names %s, which no longer exists; drop the entry", name)
@@ -96,6 +117,54 @@ func TestEveryExportHasAProgramCaller(t *testing.T) {
 		sort.Strings(unused)
 		t.Errorf("%d exported identifiers have no caller outside tests (delete them, call them from the program, or list them in reachAllowed with the reason they stay):\n\t%s",
 			len(unused), strings.Join(unused, "\n\t"))
+	}
+}
+
+// TestEveryFieldHasAProgramRead fails on any exported field of a
+// package-level struct type of the root module that no non-test code of
+// either module reads, has no json tag and is listed neither in
+// reachAllowed nor in reachHarness. A read is a selector of the field
+// that is not the target of an = assignment; a composite-literal key is
+// a write. A value passed whole to a function of fmt or encoding/json
+// reads every field it holds, as the verbs and the encoder walk them. A
+// field the program only writes is state nothing looks at: it is
+// deleted, read, or serialised under a json tag.
+func TestEveryFieldHasAProgramRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks both modules")
+	}
+	prog, err := loadedProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unread []string
+	seen := map[string]bool{}
+	for _, f := range prog.fields() {
+		seen[f.name] = true
+		_, allowed := reachAllowed[f.name]
+		_, harness := reachHarness[f.name]
+		if prog.reads[f.obj] || f.tagged || f.promotes {
+			if allowed || harness {
+				t.Errorf("%s is listed but the program reads it or serialises it under a json tag; drop the entry", f.name)
+			}
+			continue
+		}
+		if !allowed && !harness {
+			unread = append(unread, prog.fset.Position(f.obj.Pos()).String()+": "+f.name)
+		}
+	}
+	for name, where := range reachHarness {
+		if !seen[name] {
+			t.Errorf("reachHarness names %s, which is no longer an exported field; drop the entry", name)
+		}
+		if !strings.HasPrefix(where, "benchmark/") {
+			t.Errorf("reachHarness gives %s the note %q; it must name the benchmark/ file that sets it", name, where)
+		}
+	}
+	if len(unread) > 0 {
+		sort.Strings(unread)
+		t.Errorf("%d exported fields are written but never read outside tests (delete them, read them from the program, or list them in reachAllowed with the reason they stay):\n\t%s",
+			len(unread), strings.Join(unread, "\n\t"))
 	}
 }
 
@@ -115,6 +184,7 @@ type program struct {
 	fset       *token.FileSet
 	own        []*types.Package // the root module's packages
 	uses       map[types.Object]bool
+	reads      map[*types.Var]bool // struct fields the code reads
 	interfaces []knownInterface
 }
 
@@ -123,6 +193,15 @@ type program struct {
 // so only the guard's implementations reach it.
 type knownInterface struct {
 	it, guard *types.Interface
+}
+
+// field is one exported field of a package-level struct type of the
+// root module.
+type field struct {
+	name     string
+	obj      *types.Var
+	tagged   bool // has a json tag
+	promotes bool // embedded, and its type's method set holds a method promoted through it
 }
 
 // export is one identifier the root module exports.
@@ -137,7 +216,7 @@ type export struct {
 // packages come from their export data), and records every object the
 // non-test code uses and every interface type it can reach.
 func loadProgram(moduleDirs ...string) (*program, error) {
-	p := &program{fset: token.NewFileSet(), uses: map[types.Object]bool{}}
+	p := &program{fset: token.NewFileSet(), uses: map[types.Object]bool{}, reads: map[*types.Var]bool{}}
 	exportFile := map[string]string{}
 	checked := map[string]*types.Package{}
 	std := importer.ForCompiler(p.fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -234,8 +313,9 @@ func (p *program) check(lp listedPackage, imp types.Importer) (*types.Package, e
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	pkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, p.fset, files, info)
 	if err != nil {
@@ -281,8 +361,96 @@ func (p *program) check(lp listedPackage, imp types.Importer) (*types.Package, e
 			return true
 		})
 	}
+	for _, f := range files {
+		p.addReads(f, info)
+	}
 	p.addInterfaces(pkg.Scope())
 	return pkg, nil
+}
+
+// addReads records the struct fields a file reads: every field selector
+// that is not the target of an = assignment, the embedded fields a
+// promoted selector passes through, and every field of a value passed
+// to a function of fmt or encoding/json.
+func (p *program) addReads(f *ast.File, info *types.Info) {
+	assigned := map[*ast.SelectorExpr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN {
+				for _, lhs := range n.Lhs {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+						assigned[sel] = true
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			sel, ok := info.Selections[n]
+			if !ok {
+				return true
+			}
+			// The path leads through embedded fields to the field or the
+			// promoted method selected.
+			path, t := sel.Index(), sel.Recv()
+			for i, idx := range path {
+				if i == len(path)-1 && (sel.Kind() != types.FieldVal || assigned[n]) {
+					break
+				}
+				v := structOf(t).Field(idx)
+				p.reads[v.Origin()] = true
+				t = v.Type()
+			}
+		case *ast.CallExpr:
+			var id *ast.Ident
+			switch fun := ast.Unparen(n.Fun).(type) {
+			case *ast.Ident:
+				id = fun
+			case *ast.SelectorExpr:
+				id = fun.Sel
+			}
+			fn, ok := info.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || (fn.Pkg().Path() != "fmt" && fn.Pkg().Path() != "encoding/json") {
+				return true
+			}
+			for _, arg := range n.Args {
+				p.readWhole(info.TypeOf(arg), map[types.Type]bool{})
+			}
+		}
+		return true
+	})
+}
+
+// readWhole records every field a value of type t holds as read, through
+// pointers, slices, arrays, maps and nested structs.
+func (p *program) readWhole(t types.Type, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		p.readWhole(u.Elem(), seen)
+	case *types.Slice:
+		p.readWhole(u.Elem(), seen)
+	case *types.Array:
+		p.readWhole(u.Elem(), seen)
+	case *types.Map:
+		p.readWhole(u.Key(), seen)
+		p.readWhole(u.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			p.reads[u.Field(i).Origin()] = true
+			p.readWhole(u.Field(i).Type(), seen)
+		}
+	}
+}
+
+// structOf returns the struct type t or *t has.
+func structOf(t types.Type) *types.Struct {
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return t.Underlying().(*types.Struct)
 }
 
 // addInterfaces records the interface types a scope declares.
@@ -331,6 +499,40 @@ func (p *program) exports() []export {
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() {
 					out = append(out, export{name: short + "." + name + "." + m.Name(), obj: m, recv: named})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// fields lists the exported fields of the root module's package-level
+// struct types, exported or not.
+func (p *program) fields() []field {
+	var out []field
+	for _, pkg := range p.own {
+		short := strings.TrimPrefix(strings.TrimPrefix(pkg.Path(), "incod/"), "internal/")
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			promoted := map[int]bool{}
+			mset := types.NewMethodSet(types.NewPointer(tn.Type()))
+			for i := 0; i < mset.Len(); i++ {
+				if path := mset.At(i).Index(); len(path) > 1 {
+					promoted[path[0]] = true
+				}
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if v := st.Field(i); v.Exported() {
+					_, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
+					out = append(out, field{name: short + "." + name + "." + v.Name(), obj: v, tagged: tagged, promotes: promoted[i]})
 				}
 			}
 		}
