@@ -69,9 +69,11 @@ func main() {
 		tier = nictier.NewService("dns", eng, nictier.NewDNS(zone))
 	}
 	log.Printf("incdnsd: %d records", zone.Len())
-	if err := f.Serve("incdnsd", "dns", eng, tier, power.NSDServer, nil); err != nil {
+	d, err := f.Start("incdnsd", "dns", eng, tier, power.NSDServer)
+	if err != nil {
 		log.Fatalf("incdnsd: %v", err)
 	}
+	d.Wait(nil)
 }
 
 func loadZone(zone *dns.Zone, path string) error {

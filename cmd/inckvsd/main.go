@@ -51,7 +51,9 @@ func main() {
 		tier = nictier.NewService("kvs", eng, nictier.NewKVS(handler))
 	}
 	log.Printf("inckvsd: memcached UDP over %d store shards", store.Shards())
-	if err := f.Serve("inckvsd", "kvs", eng, tier, power.MemcachedMellanox, nil); err != nil {
+	d, err := f.Start("inckvsd", "kvs", eng, tier, power.MemcachedMellanox)
+	if err != nil {
 		log.Fatalf("inckvsd: %v", err)
 	}
+	d.Wait(nil)
 }

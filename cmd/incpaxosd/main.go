@@ -71,9 +71,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := f.Serve("incpaxosd", "paxos", r.eng, r.svc, power.LibpaxosRole(*role), r.stop); err != nil {
+	d, err := f.Start("incpaxosd", "paxos", r.eng, r.svc, power.LibpaxosRole(*role))
+	if err != nil {
 		log.Fatalf("incpaxosd: %v", err)
 	}
+	d.Wait(r.stop)
 }
 
 // validBallot checks -ballot. Ballots start at 1 — the leader reads an

@@ -14,7 +14,7 @@ import (
 // flagBudget is how many command-line flags the programs under cmd/ and
 // internal/ may define. A new flag deletes an old one, or raises this
 // number in a reviewed diff.
-const flagBudget = 51
+const flagBudget = 47
 
 // flagDefiners maps each flag.FlagSet (and package flag) method that
 // defines a flag to the index of its name argument.

@@ -19,9 +19,9 @@ package asic
 
 import "math"
 
-// Program identifies a data-plane program loaded on the switch.
+// Program is what a data-plane program loaded on the switch costs and
+// carries.
 type Program struct {
-	Name string
 	// OverheadFraction is the relative power overhead versus plain L2
 	// forwarding, phased in with load (identical at idle).
 	OverheadFraction float64
@@ -33,12 +33,13 @@ type Program struct {
 // Programs from §6.
 var (
 	// L2Fwd is the baseline layer-2 forwarding program.
-	L2Fwd = Program{Name: "l2fwd"}
+	L2Fwd = Program{}
 	// P4xosL2Fwd combines forwarding with the Paxos pipeline: "the switch
 	// executes both standard switching and the consensus algorithm".
-	P4xosL2Fwd = Program{Name: "l2fwd+p4xos", OverheadFraction: 0.02, MsgCapacityKpps: 2_500_000}
-	// DiagP4 is the vendor diagnostic program (+4.8% at full load).
-	DiagP4 = Program{Name: "diag.p4", OverheadFraction: 0.048}
+	P4xosL2Fwd = Program{OverheadFraction: 0.02, MsgCapacityKpps: 2_500_000}
+	// DiagP4 is the vendor diagnostic program, diag.p4 (+4.8% at full
+	// load).
+	DiagP4 = Program{OverheadFraction: 0.048}
 )
 
 // Switch models one programmable switch ASIC.
@@ -48,8 +49,6 @@ type Switch struct {
 	IdleWatts float64
 	// DynamicFullWatts is the extra draw at 100% forwarding load.
 	DynamicFullWatts float64
-	// Fixed marks a fixed-function switch (cannot load programs).
-	Fixed bool
 
 	program Program
 }
@@ -65,15 +64,8 @@ func NewTofino() *Switch {
 	}
 }
 
-// Load loads a data-plane program. Loading onto a fixed-function switch
-// returns false and leaves the program unchanged.
-func (s *Switch) Load(p Program) bool {
-	if s.Fixed && p.Name != L2Fwd.Name {
-		return false
-	}
-	s.program = p
-	return true
-}
+// Load loads a data-plane program.
+func (s *Switch) Load(p Program) { s.program = p }
 
 // Power returns absolute watts at the given forwarding load fraction.
 // Program overhead phases in with load, so idle power is program-agnostic.

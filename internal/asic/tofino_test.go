@@ -95,20 +95,6 @@ func TestNormalized(t *testing.T) {
 	}
 }
 
-func TestFixedFunctionRejectsPrograms(t *testing.T) {
-	s := NewTofino()
-	s.Fixed = true
-	if s.Load(P4xosL2Fwd) {
-		t.Error("fixed-function switch must reject P4 programs")
-	}
-	if s.Power(1) != NewTofino().Power(1) {
-		t.Error("rejected load must not change the program")
-	}
-	if !s.Load(L2Fwd) {
-		t.Error("fixed-function switch still forwards")
-	}
-}
-
 func TestPortDynamicWatts(t *testing.T) {
 	// §9.4: a million 1500 B queries per second draws < 1 W.
 	if w := PortDynamicWatts(1e6, 1500); w >= 1 {

@@ -47,9 +47,9 @@ func (o *Orchestrator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Readiness, not liveness: 200 only once the installed probe
-		// (the serving engine's Running) says the dataplane serves.
-		// Fleet controllers gate trace replay on this instead of
-		// sleeping an arbitrary spawn delay.
+		// (the serving engine's Running) says the dataplane serves, so
+		// a supervisor gates traffic on it instead of sleeping an
+		// arbitrary start-up delay.
 		if !o.Ready() {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusServiceUnavailable)

@@ -2,7 +2,8 @@
 // Orchestrator that meters its service's request total, feeds its
 // core.Policy and applies the decision, and the versioned /v1 HTTP API
 // that exposes it, plus the serving daemons' shared flags and lifecycle
-// (Flags, Serve). It runs on either clock. The daemons Start it
+// (Flags.Start, then Daemon.Wait; incfleetd runs the same Start for each
+// in-process fleet member). It runs on either clock. The daemons Start it
 // on the wall clock; simhost.Orchestrate installs the simulator's clock
 // (SetClock) and ticks it from the event loop, so every figure, scenario,
 // example and chaos property exercises the loop the daemons run. A service

@@ -60,25 +60,34 @@ func RegisterFlags(fs *flag.FlagSet, d Defaults) *Flags {
 	return f
 }
 
-// Serve is the serving daemons' shared lifecycle. It starts the control
-// plane on f's policy, crossover and -ctrl with eng's Running as the
-// readiness probe, meters eng's request total, surfaces eng's stats on
-// /v1, and serves until a signal: then the control plane stops, stop
-// runs when non-nil (the learner's gap scanner), and eng drains. name
-// prefixes the log lines; service names the one registered service;
-// tier is the -nictier service, nil to leave placement advisory.
-func (f *Flags) Serve(name, service string, eng *dataplane.Engine, tier core.Service, curve power.SoftwareCurve, stop func()) error {
+// Daemon is a started serving daemon: its engine serving and its
+// control plane ticking.
+type Daemon struct {
+	// Orch is the daemon's orchestrator, its one service registered.
+	Orch *Orchestrator
+	name string
+	eng  *dataplane.Engine
+	ctrl *CtrlServer
+}
+
+// Start is the serving daemons' shared start, which does not block. It
+// starts the control plane on f's policy, crossover and -ctrl with eng's
+// Running as the readiness probe, meters eng's request total, surfaces
+// eng's stats on /v1 and starts eng serving. name prefixes the log
+// lines; service names the one registered service; tier is the -nictier
+// service, nil to leave placement advisory.
+func (f *Flags) Start(name, service string, eng *dataplane.Engine, tier core.Service, curve power.SoftwareCurve) (*Daemon, error) {
 	orch, svc, ctrlSrv, err := StartControlPlane(StartOptions{
 		Name: service, Policy: f.Policy, CrossKpps: f.CrossKpps,
 		Curve: curve, CtrlAddr: f.Ctrl, Service: tier, Ready: eng.Running,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer orch.Close()
 	svc.UseCounter(eng.Handled)
 	if err := orch.AttachDataplane(service, eng); err != nil {
-		return err
+		gracefulStop(name, ctrlSrv, orch)
+		return nil, err
 	}
 	io, mode := "single-reader", "advisory"
 	if eng.Batched() {
@@ -92,18 +101,31 @@ func (f *Flags) Serve(name, service string, eng *dataplane.Engine, tier core.Ser
 	if ctrlSrv != nil {
 		log.Printf("%s: control plane on http://%s/v1/services", name, ctrlSrv.Addr())
 	}
+	eng.Start()
+	return &Daemon{Orch: orch, name: name, eng: eng, ctrl: ctrlSrv}, nil
+}
+
+// Wait serves until a signal: then the control plane stops, stop runs
+// when non-nil (the learner's gap scanner), and the engine drains.
+func (d *Daemon) Wait(stop func()) {
 	// A signal (or a control-plane serve failure) drains the HTTP
 	// server and stops the orchestrator, then the dataplane: queued
 	// datagrams are still answered before the socket closes.
-	OnShutdown(name, ctrlSrv, orch, func() {
+	OnShutdown(d.name, d.ctrl, d.Orch, func() {
 		if stop != nil {
 			stop()
 		}
-		eng.Close()
+		d.eng.Close()
 	})
-	eng.Run()
-	log.Printf("%s: shut down cleanly", name)
-	return nil
+	d.eng.Run()
+	log.Printf("%s: shut down cleanly", d.name)
+}
+
+// Close stops the control plane and drains the engine, as a signal
+// would: the exit path of a daemon that serves inside a larger program.
+func (d *Daemon) Close() {
+	gracefulStop(d.name, d.ctrl, d.Orch)
+	d.eng.Close()
 }
 
 // StartOptions wires one daemon's shared control-plane setup.

@@ -402,8 +402,8 @@ func (e *Engine) Run() {
 
 // Running reports whether the engine is serving right now: started and
 // not yet closing. It is the daemons' readiness signal — the /v1/healthz
-// endpoint answers 200 only while this is true, so a fleet controller
-// can gate traffic replay on actual serving instead of sleeping.
+// endpoint answers 200 only while this is true, and the fleet controller
+// reads a member whose engine is not running as unhealthy.
 func (e *Engine) Running() bool {
 	return e.started.Load() && !e.closing.Load()
 }

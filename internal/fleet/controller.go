@@ -3,30 +3,17 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"sync"
 	"time"
 
+	"incod/internal/core"
 	"incod/internal/power"
 	"incod/internal/telemetry"
 )
-
-// Member is one supervised daemon instance.
-type Member struct {
-	// Name uniquely identifies the member fleet-wide (e.g. "kvs-0").
-	Name string `json:"name"`
-	// Kind is the daemon flavor: "kvs", "dns" or "paxos".
-	Kind string `json:"kind"`
-	// Ctrl is the /v1 control API hostport.
-	Ctrl string `json:"ctrl"`
-	// Data is the UDP serving hostport load generators target.
-	Data string `json:"data"`
-
-	spec   KindSpec
-	client *Client
-}
 
 // Config parameterizes the fleet controller.
 type Config struct {
@@ -50,13 +37,16 @@ type Config struct {
 type MemberStatus struct {
 	Name      string `json:"name"`
 	Kind      string `json:"kind"`
-	Ctrl      string `json:"ctrl"`
 	Data      string `json:"data,omitempty"`
 	Healthy   bool   `json:"healthy"`
 	Placement string `json:"placement,omitempty"`
 	Lit       bool   `json:"lit"`
 	Shifting  bool   `json:"shifting,omitempty"`
 	Shifts    int    `json:"shifts"`
+	// Dropped is the member engine's count of datagrams it received and
+	// dropped unserved: where a lossy run's requests went, beside the
+	// generators' outstanding counts.
+	Dropped uint64 `json:"dropped"`
 
 	MeasuredKpps float64 `json:"measured_kpps"`
 	ModeledKpps  float64 `json:"modeled_kpps"`
@@ -117,12 +107,6 @@ type Snapshot struct {
 	BudgetViolations    int `json:"budget_violations"`
 	ConcurrentShiftsMax int `json:"concurrent_shifts_max"`
 
-	// RetriesTotal counts transient-failure retries the controller's
-	// member clients spent (backoff policy in client.go) — a cheap fleet
-	// health signal: rising retries with steady Healthy means members are
-	// flapping faster than the poll notices.
-	RetriesTotal uint64 `json:"retries_total"`
-
 	Energy EnergyTotals   `json:"energy"`
 	Roster []MemberStatus `json:"roster"`
 }
@@ -148,7 +132,7 @@ type Controller struct {
 }
 
 // NewController validates cfg and builds a controller. Member names must
-// be unique and kinds known.
+// be unique, kinds known and orchestrators present.
 func NewController(cfg Config) (*Controller, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("fleet: no members")
@@ -173,8 +157,10 @@ func NewController(cfg Config) (*Controller, error) {
 		if err != nil {
 			return nil, err
 		}
+		if m.Orch == nil {
+			return nil, fmt.Errorf("fleet: member %q has no orchestrator", m.Name)
+		}
 		m.spec = spec
-		m.client = NewClient(m.Ctrl)
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -204,7 +190,7 @@ func (c *Controller) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			c.Tick(ctx)
+			c.Tick()
 		}
 	}
 }
@@ -219,11 +205,13 @@ type sample struct {
 // planned action is synchronous — the pin returns only after the
 // member's transition task lands — which, combined with the scheduler
 // emitting at most one action per tick, staggers migrations fleet-wide.
-func (c *Controller) Tick(ctx context.Context) {
+func (c *Controller) Tick() {
 	now := time.Now()
-	samples := c.poll(ctx)
-
 	c.mu.Lock()
+	samples := make([]sample, len(c.cfg.Members))
+	for i := range c.cfg.Members {
+		samples[i] = c.pollLocked(&c.cfg.Members[i])
+	}
 	if c.startAt.IsZero() {
 		c.startAt = now
 	}
@@ -284,7 +272,7 @@ func (c *Controller) Tick(ctx context.Context) {
 	if !ok {
 		return
 	}
-	c.apply(ctx, action)
+	c.apply(action)
 }
 
 func (c *Controller) energyLocked() EnergyTotals {
@@ -299,7 +287,7 @@ func (c *Controller) energyLocked() EnergyTotals {
 }
 
 // apply pins the planned member and records the outcome.
-func (c *Controller) apply(ctx context.Context, a Action) {
+func (c *Controller) apply(a Action) {
 	var target *Member
 	for i := range c.cfg.Members {
 		if c.cfg.Members[i].Name == a.Member {
@@ -310,46 +298,31 @@ func (c *Controller) apply(ctx context.Context, a Action) {
 	if target == nil {
 		return
 	}
-	placement := "network"
+	placement := core.Network
 	if a.Kind == Douse {
-		placement = "host"
+		placement = core.Host
 	}
-	actx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
 	start := time.Now()
-	_, err := target.client.Pin(actx, target.spec.Service, placement)
-	if err != nil {
+	if err := target.Orch.Pin(placement); err != nil {
 		c.logf("fleet: %s %s failed: %v", a.Kind, a.Member, err)
 		return
 	}
 	c.logf("fleet: %s %s in %v (%s)", a.Kind, a.Member,
-		time.Since(start).Round(time.Millisecond), a.Reason)
+		time.Since(start).Round(time.Microsecond), a.Reason)
 	c.mu.Lock()
 	c.snap.Shifts++
 	c.mu.Unlock()
 }
 
-// poll fans out to every member concurrently and models its power draws.
-func (c *Controller) poll(ctx context.Context) []sample {
-	out := make([]sample, len(c.cfg.Members))
-	var wg sync.WaitGroup
-	for i := range c.cfg.Members {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = c.pollMember(ctx, &c.cfg.Members[i])
-		}(i)
+// pollLocked reads one member's orchestrator and models its power draws.
+// A member whose engine is not serving reads unhealthy and is left out of
+// planning.
+func (c *Controller) pollLocked(m *Member) sample {
+	st := MemberStatus{Name: m.Name, Kind: m.Kind, Data: m.Data}
+	svc, err := m.Orch.Status()
+	if err == nil && !m.Orch.Ready() {
+		err = errors.New("engine not serving")
 	}
-	wg.Wait()
-	return out
-}
-
-func (c *Controller) pollMember(ctx context.Context, m *Member) sample {
-	st := MemberStatus{Name: m.Name, Kind: m.Kind, Ctrl: m.Ctrl, Data: m.Data}
-	mctx, cancel := context.WithTimeout(ctx, 3*time.Second)
-	defer cancel()
-
-	svc, err := m.client.Service(mctx, m.spec.Service)
 	if err != nil {
 		st.Error = err.Error()
 		return sample{status: st, cand: Candidate{Name: m.Name}}
@@ -367,11 +340,10 @@ func (c *Controller) pollMember(ctx context.Context, m *Member) sample {
 	// which case predictions stand in.
 	hit, tierW := m.spec.PredictedHitRatio, m.spec.TierActiveWatts
 	measuredHit := false
-	if dp, err := m.client.Dataplane(mctx, m.spec.Service); err == nil {
+	if dp, err := m.Orch.Dataplane(); err == nil {
+		st.Dropped = dp.Dropped
 		if dp.TierName != "" && dp.TierHitRatio > 0 {
-			c.mu.Lock()
 			c.lastHit[m.Name] = dp.TierHitRatio
-			c.mu.Unlock()
 			hit, measuredHit = dp.TierHitRatio, true
 		}
 		if st.Lit && dp.TierPowerWatts > 0 {
@@ -379,11 +351,9 @@ func (c *Controller) pollMember(ctx context.Context, m *Member) sample {
 		}
 	}
 	if !measuredHit {
-		c.mu.Lock()
 		if h, ok := c.lastHit[m.Name]; ok {
 			hit = h
 		}
-		c.mu.Unlock()
 	}
 	st.HitRatio = hit
 
@@ -427,11 +397,6 @@ func (c *Controller) Snapshot() Snapshot {
 	s := c.snap
 	s.Roster = append([]MemberStatus(nil), c.snap.Roster...)
 	c.mu.Unlock()
-	for i := range c.cfg.Members {
-		if cl := c.cfg.Members[i].client; cl != nil {
-			s.RetriesTotal += cl.Retries()
-		}
-	}
 	return s
 }
 
@@ -445,14 +410,10 @@ func (c *Controller) Curve() []CurvePoint {
 // AdoptAll pins every member's service to the host so the fleet starts
 // dark and only lights what the budget grants. It returns the first
 // error but tries every member.
-func (c *Controller) AdoptAll(ctx context.Context) error {
+func (c *Controller) AdoptAll() error {
 	var first error
-	for i := range c.cfg.Members {
-		m := &c.cfg.Members[i]
-		actx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		_, err := m.client.Pin(actx, m.spec.Service, "host")
-		cancel()
-		if err != nil && first == nil {
+	for _, m := range c.cfg.Members {
+		if err := m.Orch.Pin(core.Host); err != nil && first == nil {
 			first = fmt.Errorf("fleet: adopt %s: %w", m.Name, err)
 		}
 	}

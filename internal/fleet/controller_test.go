@@ -1,10 +1,7 @@
 package fleet
 
 import (
-	"context"
 	"math"
-	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,8 +10,8 @@ import (
 	"incod/internal/daemon"
 )
 
-// testMember is one in-process daemon: a real orchestrator with a real
-// /v1 handler, so the controller's HTTP path is exercised end to end.
+// testMember is a member whose orchestrator the test ticks on a
+// synthetic clock, fed a synthetic request total.
 type testMember struct {
 	orch   *daemon.Orchestrator
 	served atomic.Uint64 // the request total the orchestrator samples
@@ -28,21 +25,14 @@ func newTestMember(t *testing.T, name string) (Member, *testMember) {
 	svc := &core.FuncService{ServiceName: "kvs"}
 	ms, err := o.Register("kvs", daemon.ServiceConfig{
 		Service: svc,
-		// The fleet owns placement, like the spawner's -policy
-		// static-host daemons; pins override it.
+		// The fleet owns placement, like StartMember's static-host
+		// members; pins override it.
 		Policy: &core.StaticPolicy{Target: core.Host},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(o.Handler())
-	t.Cleanup(srv.Close)
-	m := Member{
-		Name: name,
-		Kind: "kvs",
-		Ctrl: strings.TrimPrefix(srv.URL, "http://"),
-		Data: "127.0.0.1:0",
-	}
+	m := Member{Name: name, Kind: "kvs", Data: "127.0.0.1:0", Orch: o}
 	tm := &testMember{orch: o, svc: svc, now: time.Unix(1000, 0)}
 	ms.UseCounter(tm.served.Load)
 	return m, tm
@@ -70,6 +60,8 @@ func litCount(tms []*testMember) int {
 	return n
 }
 
+// The controller holds the budget through the members' live
+// orchestrator API, called directly.
 func TestControllerEnforcesBudgetOverLiveAPI(t *testing.T) {
 	names := []string{"kvs-0", "kvs-1", "kvs-2"}
 	members := make([]Member, len(names))
@@ -89,8 +81,7 @@ func TestControllerEnforcesBudgetOverLiveAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if err := ctrl.AdoptAll(ctx); err != nil {
+	if err := ctrl.AdoptAll(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,7 +91,7 @@ func TestControllerEnforcesBudgetOverLiveAPI(t *testing.T) {
 	backends[1].serve(2, 35)
 	backends[2].serve(10, 35)
 
-	ctrl.Tick(ctx)
+	ctrl.Tick()
 	if got := litCount(backends); got != 1 {
 		t.Fatalf("after first tick: %d lit, want 1", got)
 	}
@@ -110,7 +101,7 @@ func TestControllerEnforcesBudgetOverLiveAPI(t *testing.T) {
 
 	// Steady state: re-ticking the same load changes nothing.
 	for i := 0; i < 5; i++ {
-		ctrl.Tick(ctx)
+		ctrl.Tick()
 	}
 	snap := ctrl.Snapshot()
 	if snap.Lit != 1 || snap.MaxLit != 1 || snap.BudgetViolations != 0 {
@@ -130,7 +121,7 @@ func TestControllerEnforcesBudgetOverLiveAPI(t *testing.T) {
 	backends[2].serve(0.2, 40)
 	sawDark := false
 	for i := 0; i < 6 && backends[0].placement() != core.Network; i++ {
-		ctrl.Tick(ctx)
+		ctrl.Tick()
 		if n := litCount(backends); n > 1 {
 			t.Fatalf("swap overlit the fleet: %d lit", n)
 		} else if n == 0 {
@@ -157,11 +148,18 @@ func TestControllerEnforcesBudgetOverLiveAPI(t *testing.T) {
 	}
 }
 
+// A member whose engine has closed reads unhealthy and is left out of
+// planning; the others are still served.
 func TestControllerSurvivesDeadMember(t *testing.T) {
 	members := make([]Member, 2)
 	backends := make([]*testMember, 1)
 	members[0], backends[0] = newTestMember(t, "kvs-0")
-	members[1] = Member{Name: "kvs-1", Kind: "kvs", Ctrl: "127.0.0.1:1", Data: "127.0.0.1:0"}
+	dead, err := StartMember("kvs", "kvs-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	members[1] = dead
 
 	ctrl, err := NewController(Config{
 		Members:   members,
@@ -172,9 +170,8 @@ func TestControllerSurvivesDeadMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	backends[0].serve(10, 35)
-	ctrl.Tick(ctx)
+	ctrl.Tick()
 
 	snap := ctrl.Snapshot()
 	if snap.Healthy != 1 || snap.Members != 2 {
@@ -211,13 +208,12 @@ func TestControllerEnergyIsTrapezoidOfCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	const pause = 5 * time.Millisecond
 	loads := []float64{1, 5, 10, 2, 0.5}
 	for _, kpps := range loads {
 		tm.serve(kpps, 35)
 		time.Sleep(pause)
-		ctrl.Tick(ctx)
+		ctrl.Tick()
 	}
 
 	snap, curve := ctrl.Snapshot(), ctrl.Curve()
@@ -257,5 +253,10 @@ func TestNewControllerValidation(t *testing.T) {
 		{Name: "a", Kind: "mystery"},
 	}}); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+	if _, err := NewController(Config{Members: []Member{
+		{Name: "a", Kind: "kvs"},
+	}}); err == nil {
+		t.Fatal("member without an orchestrator accepted")
 	}
 }

@@ -1,10 +1,24 @@
 // Package fleet is the datacenter-scale control plane of the paper's §6
 // argument made live: a controller (cmd/incfleetd) that supervises N
-// daemon instances (inckvsd, incdnsd, incpaxosd acceptors) through their
-// existing /v1 HTTP APIs, enforces a global offload budget, replays the
+// serving members, enforces a global offload budget, replays the
 // internal/cluster demand traces as real traffic, and aggregates the
-// per-daemon measurements into a fleet-wide day-saving energy figure —
+// per-member measurements into a fleet-wide day-saving energy figure —
 // the simulated curve of internal/cluster reproduced from live serving.
+//
+// # Members
+//
+// A Member is reached through its *daemon.Orchestrator, the one control
+// loop every daemon runs: the controller reads its Status and Dataplane,
+// pins its placement, and counts it healthy while it is Ready (its
+// engine Running). StartMember builds a kvs, dns or paxos-acceptor
+// member in this process with the daemons' own start sequence
+// (daemon.Flags.Start, as inckvsd, incdnsd and incpaxosd run it with
+// -nictier and -policy static-host), each on its own loopback UDP
+// engine. Members run in process rather than as spawned daemons reached
+// over /v1: the data the fleet moves is the orchestrator's method set,
+// so an HTTP client, a process spawner and a health poll only copied
+// it. Adopting remote daemons is left out for the same reason; the /v1
+// API they serve is unchanged.
 //
 // # Budget scheduler invariants
 //
@@ -35,15 +49,15 @@
 //     same inputs always plan the same actions.
 //
 // The controller (controller.go) applies scheduler actions as manual
-// placement pins (POST /v1/services/{name}/placement), which override
-// each daemon's local policy — global budget beats local greed. Every
-// member is pinned to host at adoption, so a fleet starts dark and only
-// lights tiers the budget grants.
+// placement pins (Orchestrator.Pin), which override each member's local
+// policy — global budget beats local greed. Every member is pinned to
+// host at adoption, so a fleet starts dark and only lights tiers the
+// budget grants.
 //
 // # Energy accounting
 //
-// Each control tick samples every member's /v1 status and dataplane
-// stats and models two fleet-wide power draws, using each member's §4
+// Each control tick samples every member's status and dataplane stats
+// and models two fleet-wide power draws, using each member's §4
 // software curve and the measured tier hit ratio:
 //
 //	software-only: P_sw(modeled kpps)
@@ -62,6 +76,6 @@
 // wall time since the first tick scaled by WallScale back to the trace's
 // native duration. What is *measured* is real: served
 // rates, hit ratios, shift counts and durations, and wrong answers from
-// the load generators' reports — the model only converts those
+// the load generators' counts — the model only converts those
 // measurements into watts.
 package fleet

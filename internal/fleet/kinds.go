@@ -12,10 +12,8 @@ import (
 // what hit ratio to expect from a tier that has not yet served (once a
 // member's tier has real measurements, those win).
 type KindSpec struct {
-	// Service is the daemon's registered service name on /v1.
+	// Service is the member's registered service name.
 	Service string
-	// Binary is the daemon executable that serves this kind.
-	Binary string
 	// Curve is the §4 software power curve of the host implementation.
 	Curve power.SoftwareCurve
 	// TierActiveWatts is the modeled in-server draw of the lit tier,
@@ -36,7 +34,6 @@ func LookupKind(kind string) (KindSpec, error) {
 	spec, ok := map[string]KindSpec{
 		"kvs": {
 			Service: "kvs",
-			Binary:  "inckvsd",
 			Curve:   power.MemcachedMellanox,
 			// LaKe's cache keeps hot keys on the card; a Zipf workload
 			// lands most GETs there.
@@ -45,7 +42,6 @@ func LookupKind(kind string) (KindSpec, error) {
 		},
 		"dns": {
 			Service: "dns",
-			Binary:  "incdnsd",
 			Curve:   power.NSDServer,
 			// Emu DNS holds the whole zone; only out-of-zone queries fall
 			// through.
@@ -54,7 +50,6 @@ func LookupKind(kind string) (KindSpec, error) {
 		},
 		"paxos": {
 			Service: "paxos",
-			Binary:  "incpaxosd",
 			Curve:   power.LibpaxosAcceptor,
 			// P4xos acceptors handle every classified consensus message.
 			TierActiveWatts:   p4.CardWatts(0.5),

@@ -24,13 +24,19 @@ const (
 	replayKeys, replayDNSNames = 1000, 16
 )
 
-// WorkerResult is one member's finished load run.
+// WorkerResult is one member's finished load run: the generator's
+// counts of what it sent and how that was answered. Latencies are left
+// out: the generators, the controller and the members share one runtime,
+// so they would measure neither the clients nor the servers.
 type WorkerResult struct {
 	Member string `json:"member"`
-	// Report is the generator-side truth about what load arrived and how
-	// it was answered (Bad, replies that failed to decode, is the fleet's
-	// wrong-answer metric); nil when the generator never started.
-	Report *trafficgen.Report `json:"report,omitempty"`
+	// Sent and Answered count requests and their replies; Bad counts
+	// replies that failed to decode, the fleet's wrong-answer metric.
+	Sent     uint64 `json:"sent"`
+	Answered uint64 `json:"answered"`
+	Bad      uint64 `json:"bad"`
+	// Outstanding counts requests nothing answered by the end.
+	Outstanding int `json:"outstanding"`
 	// Err records why the generator did not start or stopped early.
 	Err string `json:"error,omitempty"`
 }
@@ -125,9 +131,10 @@ func replayMember(ctx context.Context, cfg ReplayConfig, m Member, trace cluster
 
 	profile := traceProfile(trace, cfg.Wall, replaySegments, cfg.RateScale)
 	logf("fleet: replaying %s on %s (%d ramps over %v)", m.Name, m.Data, len(profile), cfg.Wall)
-	res.Report = &trafficgen.Report{Proto: m.Kind, Target: m.Data, Phases: len(profile)}
-	if err := d.Run(c, profile, res.Report, func(string, ...any) {}); err != nil {
+	var rep trafficgen.Report
+	if err := d.Run(c, profile, &rep, func(string, ...any) {}); err != nil {
 		res.Err = err.Error()
 	}
+	res.Sent, res.Answered, res.Bad, res.Outstanding = rep.Sent, rep.Answered, rep.Bad, rep.Outstanding
 	return res
 }

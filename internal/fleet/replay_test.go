@@ -11,10 +11,6 @@ import (
 	"time"
 
 	"incod/internal/cluster"
-	"incod/internal/dataplane"
-	"incod/internal/dns"
-	"incod/internal/kvs"
-	"incod/internal/paxos"
 	"incod/internal/trafficgen"
 )
 
@@ -56,42 +52,20 @@ func TestTraceProfileDegenerate(t *testing.T) {
 	}
 }
 
-// serveLoopback serves h on a loopback engine and returns its address;
-// h sends through the engine's socket.
-func serveLoopback(t *testing.T, build func(send func(to string, m paxos.Msg)) dataplane.Handler) string {
-	t.Helper()
-	conn, err := net.ListenPacket("udp4", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eng *dataplane.Engine
-	send := func(to string, m paxos.Msg) {
-		if dst, err := net.ResolveUDPAddr("udp", to); err == nil {
-			eng.WriteTo(paxos.AppendMsg(nil, m), dst)
-		}
-	}
-	eng = dataplane.New(conn, build(send), dataplane.Config{Name: "replay-test", Shards: 2})
-	eng.Start()
-	t.Cleanup(eng.Close)
-	return eng.LocalAddr().String()
-}
-
-// replayFleet is one member of each kind, each on its own loopback
-// engine: a KVS store, the 16-name demo zone, an acceptor.
+// replayFleet is one in-process member of each kind, each on its own
+// loopback engine.
 func replayFleet(t *testing.T) []Member {
-	zone := dns.NewZone()
-	zone.PopulateSequential(replayDNSNames)
-	return []Member{
-		{Name: "kvs-0", Kind: "kvs", Data: serveLoopback(t, func(func(string, paxos.Msg)) dataplane.Handler {
-			return kvs.NewHandler(kvs.NewShardedStore(2, 0))
-		})},
-		{Name: "dns-0", Kind: "dns", Data: serveLoopback(t, func(func(string, paxos.Msg)) dataplane.Handler {
-			return dns.NewHandler(zone)
-		})},
-		{Name: "paxos-0", Kind: "paxos", Data: serveLoopback(t, func(send func(string, paxos.Msg)) dataplane.Handler {
-			return paxos.NewLiveAcceptor(0, nil, send)
-		})},
+	t.Helper()
+	var members []Member
+	for _, kind := range []string{"kvs", "dns", "paxos"} {
+		m, err := StartMember(kind, kind+"-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		members = append(members, m)
 	}
+	return members
 }
 
 // Replay drives each member's trace from this process: every request the
@@ -118,23 +92,19 @@ func TestReplayLoopback(t *testing.T) {
 		}
 		short = short[:0]
 		for i, r := range results {
-			if r.Member != members[i].Name || r.Report == nil {
+			if r.Member != members[i].Name || r.Err != "" {
 				t.Fatalf("result %d: %+v", i, r)
 			}
-			rep := r.Report
 			p := traceProfile(traces[r.Member], cfg.Wall, replaySegments, cfg.RateScale)
 			due := p.Due(p.Total())
 			last := p[len(p)-1]
 			tick := uint64(math.Ceil(math.Max(last.From, last.To)*time.Millisecond.Seconds())) + 1
-			if rep.Sent > due || rep.Answered != rep.Sent || rep.Bad != 0 || rep.Outstanding != 0 {
+			if r.Sent > due || r.Answered != r.Sent || r.Bad != 0 || r.Outstanding != 0 {
 				t.Fatalf("%s: sent %d of %d due, answered %d, bad %d, outstanding %d: want all answered",
-					r.Member, rep.Sent, due, rep.Answered, rep.Bad, rep.Outstanding)
+					r.Member, r.Sent, due, r.Answered, r.Bad, r.Outstanding)
 			}
-			if rep.Phases != replaySegments || rep.Proto != members[i].Kind {
-				t.Fatalf("%s: report %+v", r.Member, rep)
-			}
-			if rep.Sent+tick < due {
-				short = append(short, fmt.Sprintf("%s sent %d of %d due (tick %d)", r.Member, rep.Sent, due, tick))
+			if r.Sent+tick < due {
+				short = append(short, fmt.Sprintf("%s sent %d of %d due (tick %d)", r.Member, r.Sent, due, tick))
 			}
 		}
 		if len(short) == 0 {
@@ -160,8 +130,8 @@ func TestReplayStopsWithContext(t *testing.T) {
 		t.Fatal("a cancelled replay reported no error")
 	}
 	for _, r := range results {
-		if r.Report == nil || r.Report.Sent == 0 || !strings.Contains(r.Err, net.ErrClosed.Error()) {
-			t.Errorf("%s: %+v (report %+v), want traffic sent and then the sockets closed", r.Member, r, r.Report)
+		if r.Sent == 0 || !strings.Contains(r.Err, net.ErrClosed.Error()) {
+			t.Errorf("%s: %+v, want traffic sent and then the sockets closed", r.Member, r)
 		}
 	}
 }
@@ -177,13 +147,15 @@ func TestBuildReportTotalsAndDayExtrapolation(t *testing.T) {
 			SavedPct:        25,
 		},
 	}
+	snap.Roster = []MemberStatus{{Name: "a", Dropped: 2}, {Name: "b", Dropped: 1}, {Name: "c"}}
 	workers := []WorkerResult{
-		{Member: "a", Report: &trafficgen.Report{Sent: 100, Answered: 99, Bad: 1}},
-		{Member: "b", Report: &trafficgen.Report{Sent: 50, Answered: 50}},
-		{Member: "c"}, // died before reporting
+		{Member: "a", Sent: 100, Answered: 96, Bad: 1, Outstanding: 4},
+		{Member: "b", Sent: 50, Answered: 50},
+		{Member: "c", Err: "no trace"}, // never started
 	}
 	r := BuildReport(snap, nil, workers)
-	if r.SentTotal != 150 || r.AnsweredTotal != 149 || r.WrongAnswers != 1 {
+	if r.SentTotal != 150 || r.AnsweredTotal != 146 || r.WrongAnswers != 1 ||
+		r.OutstandingTotal != 4 || r.DroppedTotal != 3 {
 		t.Fatalf("totals: %+v", r)
 	}
 	// Half a day of 0.5 kWh saved extrapolates to 1 kWh/day.
@@ -220,7 +192,8 @@ func TestReportCheck(t *testing.T) {
 		{"overlapping shifts", func(r *Report) { r.Snapshot.ConcurrentShiftsMax = 2 }, "not staggered"},
 		{"wrong answers", func(r *Report) { r.WrongAnswers = 7 }, "wrong answers"},
 		{"no traffic", func(r *Report) { r.AnsweredTotal = 0 }, "no traffic"},
-		{"lost 0.7%", func(r *Report) { r.AnsweredTotal = 993 }, "answered 993 of 1000 sent (99.30%), want at least 99.9%"},
+		{"lost 0.7%", func(r *Report) { r.AnsweredTotal, r.OutstandingTotal, r.DroppedTotal = 993, 7, 2 },
+			"answered 993 of 1000 sent (99.30%), want at least 99.9% (7 outstanding at the generators, 2 dropped by the engines)"},
 		{"no saving", func(r *Report) { r.SavedKWhDay = -0.1 }, "no energy saved"},
 	}
 	for _, tc := range cases {

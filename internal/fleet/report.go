@@ -22,14 +22,22 @@ type Report struct {
 	// Curve is the tick-by-tick fleet draw, software-only vs on-demand.
 	Curve []CurvePoint `json:"curve"`
 
-	// Workers are the load generators' end-of-run reports.
+	// Workers are the load generators' end-of-run counts.
 	Workers []WorkerResult `json:"workers"`
 
 	// Traffic totals across all workers. WrongAnswers sums replies that
-	// failed to decode (the generators' bad counters).
-	SentTotal     uint64 `json:"sent_total"`
-	AnsweredTotal uint64 `json:"answered_total"`
-	WrongAnswers  uint64 `json:"wrong_answers"`
+	// failed to decode (the generators' bad counters). OutstandingTotal
+	// counts the requests the generators still waited for at the end.
+	// DroppedTotal counts the datagrams the member engines received and
+	// dropped, a KVS generator's preload SETs included, which no
+	// generator count holds. An outstanding request that no engine
+	// dropped was lost in the kernel's socket buffers, on the way to an
+	// engine or back.
+	SentTotal        uint64 `json:"sent_total"`
+	AnsweredTotal    uint64 `json:"answered_total"`
+	WrongAnswers     uint64 `json:"wrong_answers"`
+	OutstandingTotal uint64 `json:"outstanding_total"`
+	DroppedTotal     uint64 `json:"dropped_total"`
 
 	// Day extrapolation: the modeled energy account scaled to 24 hours,
 	// so runs replaying partial or compressed days report comparable
@@ -41,7 +49,7 @@ type Report struct {
 }
 
 // BuildReport assembles the run outcome from the controller's final
-// snapshot and curve plus the workers' reports.
+// snapshot and curve plus the workers' counts.
 func BuildReport(snap Snapshot, curve []CurvePoint, workers []WorkerResult) Report {
 	r := Report{
 		Members:  snap.Members,
@@ -52,12 +60,13 @@ func BuildReport(snap Snapshot, curve []CurvePoint, workers []WorkerResult) Repo
 		SavedPct: snap.Energy.SavedPct,
 	}
 	for _, w := range workers {
-		if w.Report == nil {
-			continue
-		}
-		r.SentTotal += w.Report.Sent
-		r.AnsweredTotal += w.Report.Answered
-		r.WrongAnswers += w.Report.Bad
+		r.SentTotal += w.Sent
+		r.AnsweredTotal += w.Answered
+		r.WrongAnswers += w.Bad
+		r.OutstandingTotal += uint64(w.Outstanding)
+	}
+	for _, m := range snap.Roster {
+		r.DroppedTotal += m.Dropped
 	}
 	if secs := snap.Energy.ModeledSeconds; secs > 0 {
 		f := 86400 / secs
@@ -110,8 +119,9 @@ func (r Report) Check() error {
 	if r.AnsweredTotal == 0 {
 		fail("no traffic answered (sent %d)", r.SentTotal)
 	} else if float64(r.AnsweredTotal) < minAnsweredShare*float64(r.SentTotal) {
-		fail("answered %d of %d sent (%.2f%%), want at least %.1f%%", r.AnsweredTotal, r.SentTotal,
-			100*float64(r.AnsweredTotal)/float64(r.SentTotal), 100*minAnsweredShare)
+		fail("answered %d of %d sent (%.2f%%), want at least %.1f%% (%d outstanding at the generators, %d dropped by the engines)",
+			r.AnsweredTotal, r.SentTotal, 100*float64(r.AnsweredTotal)/float64(r.SentTotal), 100*minAnsweredShare,
+			r.OutstandingTotal, r.DroppedTotal)
 	}
 	if r.SavedKWhDay <= 0 {
 		fail("no energy saved: %.4f kWh/day (software-only %.4f, on-demand %.4f)",

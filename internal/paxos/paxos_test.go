@@ -187,6 +187,7 @@ func TestLeaderShiftLatencyDrops(t *testing.T) {
 func TestShiftBackToSoftware(t *testing.T) {
 	sim, d := deploy(t, 7, simhost.PaxosConfig{})
 	c := d.Clients[0]
+	ballot := d.SWLeader.HighestBallot()
 	c.Start(5)
 	sim.RunFor(300 * time.Millisecond)
 	d.ShiftLeader(d.HWLeader)
@@ -196,8 +197,10 @@ func TestShiftBackToSoftware(t *testing.T) {
 	c.Stop()
 	sim.RunFor(500 * time.Millisecond)
 
-	if d.Shifts != 2 {
-		t.Errorf("shifts = %d, want 2", d.Shifts)
+	// Each shift restarts the incoming leader one ballot above the
+	// outgoing one's.
+	if got := d.SWLeader.HighestBallot(); got != ballot+2 {
+		t.Errorf("ballot after two shifts = %d, want %d", got, ballot+2)
 	}
 	if d.CurrentLeader() != d.SWLeader {
 		t.Error("leadership should be back in software")
@@ -212,8 +215,9 @@ func TestShiftBackToSoftware(t *testing.T) {
 
 func TestShiftToSameLeaderIsNoop(t *testing.T) {
 	_, d := deploy(t, 8, simhost.PaxosConfig{})
+	sw, hw := d.SWLeader.HighestBallot(), d.HWLeader.HighestBallot()
 	d.ShiftLeader(d.SWLeader)
-	if d.Shifts != 0 {
+	if d.CurrentLeader() != d.SWLeader || d.SWLeader.HighestBallot() != sw || d.HWLeader.HighestBallot() != hw {
 		t.Error("shifting to the current leader should be a no-op")
 	}
 }

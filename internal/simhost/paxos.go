@@ -105,8 +105,6 @@ type Paxos struct {
 	// SWLeader and HWLeader are the two placements of the leader role.
 	SWLeader *PaxosLeader
 	HWLeader *PaxosLeader
-	// Shifts counts completed leader shifts.
-	Shifts int
 	// Stop ends the learners' periodic gap scans, so a drained simulation
 	// comes to rest.
 	Stop func()
@@ -251,7 +249,6 @@ func (d *Paxos) ShiftLeader(target *PaxosLeader) {
 		c.Retarget(target.Addr())
 	}
 	d.current = target
-	d.Shifts++
 }
 
 // PowerWatts implements telemetry.PowerSource: the power of the current

@@ -124,8 +124,8 @@ func TestEveryExportHasAProgramCaller(t *testing.T) {
 // package-level struct type of the root module that no non-test code of
 // either module reads, has no json tag and is listed neither in
 // reachAllowed nor in reachHarness. A read is a selector of the field
-// that is not the target of an = assignment; a composite-literal key is
-// a write. A value passed whole to a function of fmt or encoding/json
+// that is not the target of an assignment: =, an op= such as += and
+// ++/-- all write a field, as a composite-literal key does. A value passed whole to a function of fmt or encoding/json
 // reads every field it holds, as the verbs and the encoder walk them. A
 // field the program only writes is state nothing looks at: it is
 // deleted, read, or serialised under a json tag.
@@ -369,21 +369,24 @@ func (p *program) check(lp listedPackage, imp types.Importer) (*types.Package, e
 }
 
 // addReads records the struct fields a file reads: every field selector
-// that is not the target of an = assignment, the embedded fields a
-// promoted selector passes through, and every field of a value passed
-// to a function of fmt or encoding/json.
+// that is not the target of an assignment (=, op= or ++/--), the
+// embedded fields a promoted selector passes through, and every field of
+// a value passed to a function of fmt or encoding/json.
 func (p *program) addReads(f *ast.File, info *types.Info) {
 	assigned := map[*ast.SelectorExpr]bool{}
+	assign := func(x ast.Expr) {
+		if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+			assigned[sel] = true
+		}
+	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if n.Tok == token.ASSIGN {
-				for _, lhs := range n.Lhs {
-					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-						assigned[sel] = true
-					}
-				}
+			for _, lhs := range n.Lhs {
+				assign(lhs)
 			}
+		case *ast.IncDecStmt:
+			assign(n.X)
 		case *ast.SelectorExpr:
 			sel, ok := info.Selections[n]
 			if !ok {
