@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
@@ -269,18 +270,15 @@ func BenchmarkDataplaneBatchedPaxosAcceptor(b *testing.B) {
 	}
 }
 
-// freshVoter returns an acceptor and a function that casts the next
-// fresh vote on it: monotonically increasing instances in a 2A shaped
-// like benchmark/stream.go's — ballot 1, a client id and seq, a 16-byte
-// value, no client address.
-func freshVoter() (*paxos.LiveAcceptor, func() bool) {
+// voter returns an acceptor and a function that sends it a Phase 2A for
+// an instance, shaped like benchmark/stream.go's: ballot 1, a client id
+// and seq, a 16-byte value, no client address.
+func voter() (*paxos.LiveAcceptor, func(inst uint64) bool) {
 	a := paxos.NewLiveAcceptor(1, nil, func(string, paxos.Msg) {})
 	scratch := make([]byte, 0, 4096)
 	p2a := paxos.Encode(paxos.Msg{Type: paxos.MsgPhase2A, Ballot: 1, ClientID: 1, Seq: 9,
 		Value: []byte("0123456789abcdef")})
-	inst := uint64(0)
-	return a, func() bool {
-		inst++
+	return a, func(inst uint64) bool {
 		binary.BigEndian.PutUint64(p2a[1:], inst) // the wire header's instance field
 		out, ok := a.HandleDatagram(p2a, &scratch)
 		return ok && len(out) > 0
@@ -288,17 +286,52 @@ func freshVoter() (*paxos.LiveAcceptor, func() bool) {
 }
 
 // BenchmarkPaxosAcceptorFresh is the vote that is 90 % of
-// paxos_vote_default and all of steady-state Paxos, into one growing
-// table. The log and the index grow, so B/op is the table's amortised
-// footprint per instance, not garbage; allocs/op must be 0.
+// paxos_vote_default and all of steady-state Paxos: monotonically
+// increasing instances. Every freshTable votes the table is replaced by
+// an empty one, with the timer stopped, so a run of a few tables or more
+// averages the same growth at any benchtime. The log and the index grow,
+// so B/op is the table's amortised footprint per instance, not garbage;
+// allocs/op must be 0.
 func BenchmarkPaxosAcceptorFresh(b *testing.B) {
-	_, vote := freshVoter()
+	const freshTable = 1 << 18 // the index ends at 2^19 slots, 8 MB
+	_, vote := voter()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !vote() {
+		if i > 0 && i%freshTable == 0 {
+			b.StopTimer()
+			_, vote = voter()
+			b.StartTimer()
+		}
+		if !vote(uint64(i%freshTable + 1)) {
 			b.Fatal("fresh 2A failed")
 		}
+	}
+}
+
+// BenchmarkPaxosAcceptorRevote is the other 10 % of paxos_vote_default:
+// a Phase 2A re-sent for an instance 512–1536 behind the fresh frontier
+// (benchmark/stream.go's lag and window), which TryVote answers without
+// the role mutex, in a table of 1M instances. The frontier walks the
+// table as a run's does. 0 B/op.
+func BenchmarkPaxosAcceptorRevote(b *testing.B) {
+	const instances, lag, window = 1 << 20, 512, 1024
+	a, vote := voter()
+	for inst := uint64(1); inst <= instances; inst++ {
+		vote(inst)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		front := lag + window + uint64(i)%(instances-lag-window)
+		if !vote(front - lag - uint64(rng.Intn(window))) {
+			b.Fatal("re-vote failed")
+		}
+	}
+	b.StopTimer()
+	if got := a.StatsCounters().Get("reannounce"); got != uint64(b.N) {
+		b.Fatalf("%d of %d re-votes answered", got, b.N)
 	}
 }
 
@@ -306,9 +339,9 @@ func BenchmarkPaxosAcceptorFresh(b *testing.B) {
 // tier's Warm: the clone of the table the host role hands off) of 100k
 // voted instances: while it runs no copy of the state answers.
 func BenchmarkPaxosAcceptorSnapshot100k(b *testing.B) {
-	a, vote := freshVoter()
-	for i := 0; i < 100_000; i++ {
-		vote()
+	a, vote := voter()
+	for inst := uint64(1); inst <= 100_000; inst++ {
+		vote(inst)
 	}
 	table := a.BeginHandoff(nil)
 	b.ReportAllocs()

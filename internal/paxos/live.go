@@ -97,7 +97,23 @@ func (o Outcome) Vote() bool { return o == Voted || o == Reannounced || o == Rec
 // shares the sealed chunks, which neither side can write, and copies the
 // open one and the index, so later votes are private to their side. The
 // table never shrinks: trimming needs a decided watermark from the
-// learners, a message the wire format does not have.
+// learners, a message the wire format does not have (ROADMAP item H).
+//
+// Placement. The index is linearly probed from the home slot inst & mask:
+// the instance itself, as P4xos indexes its register arrays. A leader
+// numbers instances consecutively, so a fresh vote takes the slot beside
+// the previous one (four slots share a cache line, and the prefetcher
+// follows the run), a re-vote a thousand instances back lands a few
+// pages back, and a run shorter than the index at any odd stride has a
+// home of its own for every instance: no collision at all. An even-stride
+// run shares homes once it spans more than the index, and an instance
+// then lies at most stride-1 slots past its home. What identity gives up
+// is a hash's defence against chosen instance numbers: instances that
+// share their low bits (a stride of the index size) pile into one probe
+// run, and each vote among them walks it. That costs time, never a wrong
+// answer: find stops at the key or at an empty slot, and growth at 7/8
+// load keeps one. Such a sender can already grow the table without
+// bound, which only the watermark above would stop.
 type AcceptorTable struct {
 	lastVoted atomic.Uint64
 	index     atomic.Pointer[voteIndex] // current generation; nil until the first record
@@ -117,9 +133,6 @@ type voteIndex struct {
 }
 
 const (
-	// indexFib is the Fibonacci multiplier spreading sequential instance
-	// numbers across the index, which grows at 7/8 load.
-	indexFib = 0x9E3779B97F4A7C15
 	// A chunk holds the largest record: header plus two 65 535-byte fields.
 	logChunkShift = 18
 	logChunkSize  = 1 << logChunkShift
@@ -131,10 +144,10 @@ const (
 	refLive, refSettled = 1, 2
 )
 
-// find probes for inst: the slot holding it (ref != 0), or the empty
-// slot it would take (ref == 0).
+// find probes for inst from its home slot, inst & mask: the slot holding
+// it (ref != 0), or the empty slot it would take (ref == 0).
 func (x *voteIndex) find(inst uint64) (slot, ref uint64) {
-	for i := (inst * indexFib) & x.mask; ; i = (i + 1) & x.mask {
+	for i := inst & x.mask; ; i = (i + 1) & x.mask {
 		if ref = x.slots[2*i+1].Load(); ref == 0 || x.slots[2*i].Load() == inst {
 			return i, ref
 		}
@@ -251,7 +264,10 @@ func (t *AcceptorTable) put(inst uint64, st *voteRecord, slot *atomic.Uint64, v 
 	}
 }
 
-// grow publishes a generation of twice the slots carrying every entry.
+// grow publishes a generation of twice the slots carrying every entry
+// (put grows at 7/8 load). It walks the old slots in order, and an
+// entry's new home is its old one or that plus the old size, so a dense
+// run is copied as two sequential streams.
 func (t *AcceptorTable) grow(old *voteIndex) *voteIndex {
 	size := 256
 	if old != nil {

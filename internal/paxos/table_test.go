@@ -311,6 +311,116 @@ func FuzzAcceptorTable(f *testing.F) {
 	})
 }
 
+// probe is how many slots past its home find met inst at: 0 means the
+// instance sits at its home slot.
+func probe(t *testing.T, x *voteIndex, inst uint64) uint64 {
+	t.Helper()
+	slot, ref := x.find(inst)
+	if ref == 0 || x.slots[2*slot].Load() != inst {
+		t.Fatalf("instance %d is not in the index", inst)
+	}
+	return (slot - inst) & x.mask
+}
+
+// TestVoteIndexRunsAtHome votes runs of 10 000 instances at strides 1
+// to 4 from bases near 0, in the middle of the space and across the wrap
+// from 2^64-1 to 0, and after each of the run's index generations looks
+// every instance up. A run at an odd stride shorter than the index has a
+// home slot of its own for every instance, so each sits at its home; an
+// even-stride run shares homes once it spans more than the index, and an
+// instance then lies at most stride-1 slots past its home (the free
+// neighbours between the run's homes).
+func TestVoteIndexRunsAtHome(t *testing.T) {
+	const n = 10_000 // the index grows 256 -> 16 384 slots
+	for stride := uint64(1); stride <= 4; stride++ {
+		for _, base := range []uint64{0, 1, 0x0123_4567_89ab_cdef, math.MaxUint64 - n/2} {
+			tab := NewAcceptorTable()
+			var voted []uint64
+			check := func(x *voteIndex) {
+				for _, inst := range voted {
+					if p := probe(t, x, inst); stride%2 == 1 && p != 0 || p >= stride {
+						t.Fatalf("stride %d base %d, %d slots: instance %d lies %d slots past its home",
+							stride, base, len(x.slots)/2, inst, p)
+					}
+				}
+			}
+			generations := 0
+			for k := uint64(0); k < n; k++ {
+				x := tab.index.Load()
+				inst := base + k*stride
+				v := MsgView{Type: MsgPhase2A, Instance: inst, Ballot: 1, Value: []byte("v")}
+				if _, o := tab.ProcessView(&v, 1); o != Voted {
+					t.Fatalf("instance %d: %v", inst, o)
+				}
+				if x != nil && tab.index.Load() != x {
+					check(x) // the generation that just filled
+					generations++
+				}
+				voted = append(voted, inst)
+			}
+			check(tab.index.Load())
+			if generations < 5 {
+				t.Fatalf("stride %d: the run grew the index only %d times", stride, generations)
+			}
+		}
+	}
+}
+
+// TestVoteIndexStridedWorstCase drives the instances identity placement
+// is weakest against — a stride of 2^16, a multiple of every index size
+// the run reaches, so all of them share one home slot — interleaved with
+// a dense run whose homes the pile-up spills over, re-votes, promises,
+// recoveries and clones, through the table and the model: slow probes,
+// but every answer the model's.
+func TestVoteIndexStridedWorstCase(t *testing.T) {
+	const stride = 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	pairs := []tablePair{newTablePair()}
+	var v MsgView
+	var strided, dense uint64
+	for i := 0; i < 3000; i++ {
+		v = MsgView{Type: MsgPhase2A, Ballot: uint32(1 + rng.Intn(3)), ClientID: 1, Seq: uint64(i),
+			Value: fmt.Appendf(nil, "op-%d", i)}
+		switch n := rng.Intn(10); {
+		case n < 4:
+			strided++
+			v.Instance = strided * stride
+		case n < 8:
+			dense++
+			v.Instance = dense
+		case n < 9: // back onto a strided instance: a re-vote, or a promise
+			v.Instance = uint64(rng.Int63n(int64(strided+1))) * stride
+			if rng.Intn(2) == 0 {
+				v.Type = MsgPhase1A
+			}
+		default:
+			v.Instance = uint64(rng.Int63n(int64(dense + 1)))
+			if rng.Intn(2) == 0 {
+				v.Type = MsgPhase1A
+			}
+		}
+		target := pairs[rng.Intn(len(pairs))]
+		if i%750 == 749 {
+			target = target.clone()
+			pairs = append(pairs, target)
+		}
+		target.step(t, &v)
+	}
+	for _, q := range pairs {
+		q.checkAll(t)
+		var piled, longest uint64
+		for inst := range q.ref.states {
+			if inst%stride == 0 {
+				piled++
+				longest = max(longest, probe(t, q.tab.index.Load(), inst))
+			}
+		}
+		if piled < 300 || longest < piled/2 {
+			t.Fatalf("%d strided instances, the farthest %d slots past its home: the pile-up did not happen", piled, longest)
+		}
+	}
+}
+
 // tortureValue is the only value the torture's owner ever proposes for
 // inst at ballot: a reader can judge any answer on its own.
 func tortureValue(inst uint64, ballot uint32) []byte {

@@ -49,12 +49,6 @@ type KVS struct {
 	Rand        *rand.Rand
 }
 
-// KVSSet is the datagram that stores value under key outside any
-// client's books: a preload.
-func KVSSet(key string, value []byte) []byte {
-	return kvsDatagram(0, memcache.Request{Op: memcache.OpSet, Key: key, Value: value})
-}
-
 func kvsDatagram(id uint16, req memcache.Request) []byte {
 	return memcache.EncodeFrame(memcache.Frame{RequestID: id, Total: 1}, memcache.EncodeRequest(req))
 }

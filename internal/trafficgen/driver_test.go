@@ -7,6 +7,8 @@ package trafficgen_test
 import (
 	"fmt"
 	"math/rand"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,5 +208,68 @@ func TestSubstratesAgree(t *testing.T) {
 	}
 	if a, b := simulated.Counters.Get("hit"), live.Counters.Get("hit"); a != b || a == 0 || a == onSim.Answered {
 		t.Errorf("hits: %d simulated, %d on sockets, of %d answered; want equal, and some misses", a, b, onSim.Answered)
+	}
+}
+
+// slowServer serves h on loopback from the smallest socket buffer the
+// kernel allows (a couple of datagrams), spinning 20 µs before each: a
+// burst of SETs overruns it and the kernel drops the rest.
+func slowServer(t *testing.T, h dataplane.Handler) string {
+	t.Helper()
+	srv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SetReadBuffer(1); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf, scratch := make([]byte, 2048), make([]byte, 0, 2048)
+		for {
+			n, from, err := srv.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				return
+			}
+			for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+			}
+			if out, ok := h.HandleDatagram(buf[:n], &scratch); ok {
+				srv.WriteToUDPAddrPort(out, from)
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+	})
+	return srv.LocalAddr().String()
+}
+
+// TestOpenPreloadsEveryKey: Open returns a kvs run only once every key
+// is in the server's store, however many SETs the kernel dropped on the
+// way, and against a server that never answers it fails naming how many
+// keys were stored.
+func TestOpenPreloadsEveryKey(t *testing.T) {
+	const keys = 1000
+	store := kvs.NewShardedStore(2, 0)
+	d, _, err := Open("kvs", slowServer(t, kvs.NewHandler(store)), 2, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	missing := 0
+	for i := 0; i < keys; i++ {
+		if _, ok := store.GetString(fmt.Sprintf("key-%d", i), 0); !ok {
+			missing++
+		}
+	}
+	if missing > 0 {
+		t.Fatalf("%d of %d keys missing from the store when Open returned", missing, keys)
+	}
+
+	silent := dataplane.HandlerFunc(func([]byte, *[]byte) ([]byte, bool) { return nil, false })
+	if _, _, err := Open("kvs", slowServer(t, silent), 1, 10); err == nil || !strings.Contains(err.Error(), "0 of 10 keys stored") {
+		t.Fatalf("Open against a server that never answers: %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"incod/internal/dns"
+	"incod/internal/memcache"
 	"incod/internal/netio"
 )
 
@@ -23,6 +24,12 @@ const (
 	maxCatchUp = 4096
 	// linger is how long a run waits for stragglers after its last send.
 	linger = 300 * time.Millisecond
+	// A preload keeps at most preloadWindow SETs unanswered, sends a SET
+	// again when its STORED has not come within preloadResend, and gives
+	// up when preloadStall passes with no new key stored.
+	preloadWindow = 128
+	preloadResend = 20 * time.Millisecond
+	preloadStall  = 2 * time.Second
 )
 
 // Sockets is the socket driver: it runs a Client against a real UDP
@@ -37,9 +44,11 @@ type Sockets struct {
 	readers sync.WaitGroup
 
 	// mu serializes the core, which is single-threaded by contract,
-	// between the pacer and the receivers, and guards the send queue.
+	// between the pacer and the receivers, and guards the send queue and
+	// a preload's books.
 	mu     sync.Mutex
 	client *Client
+	pre    *preloadBook
 	txq    []netio.Message
 	next   int
 	err    error
@@ -82,8 +91,8 @@ func Dial(target string, n int, connected bool) (*Sockets, error) {
 // kvs, dns, paxos (Phase2A votes at an acceptor) or proposer (client
 // requests at a leader, resent after the §9.2 client timeout, 100 ms).
 // Requests pick among keys Zipf-popular keys, and every kvs key is SET
-// first, so a GET hits. It returns the driver, which the caller closes,
-// and the client to hand its Run.
+// and its STORED awaited first, so a GET hits. It returns the driver,
+// which the caller closes, and the client to hand its Run.
 func Open(proto, target string, n int, keys uint64) (*Sockets, *Client, error) {
 	// A proposer's decisions come from the learner, not from target.
 	d, err := Dial(target, max(n, 1), proto != "proposer")
@@ -115,19 +124,93 @@ func Open(proto, target string, n int, keys uint64) (*Sockets, *Client, error) {
 	return d, c, nil
 }
 
-// preload SETs key-0 .. key-<keys-1> outside any client's books.
+// preload SETs key-0 .. key-<keys-1> outside any client's books, closed
+// loop: a SET goes out under its key's number as the wire id, at most
+// preloadWindow of them unanswered, and one whose STORED has not come
+// within preloadResend goes again — a server's socket buffer drops what a
+// burst overruns. It fails, naming how many keys were stored, when
+// preloadStall passes with no new one.
 func (d *Sockets) preload(keys uint64) error {
-	for i := uint64(0); i < keys; i++ {
-		d.Send(KVSSet(fmt.Sprintf("key-%d", i), []byte("value")))
-		if i%256 == 255 {
-			time.Sleep(time.Millisecond) // don't outrun the socket buffer
+	b := &preloadBook{}
+	d.mu.Lock()
+	d.pre = b
+	defer func() {
+		d.pre = nil
+		d.mu.Unlock()
+	}()
+	var next, stored uint64
+	progress := time.Now()
+	for b.stored < keys {
+		now := time.Now()
+		if b.stored > stored {
+			stored, progress = b.stored, now
+		} else if now.Sub(progress) >= preloadStall {
+			return fmt.Errorf("preload: %d of %d keys stored, none in the last %v", b.stored, keys, preloadStall)
+		}
+		for i := range b.out {
+			if now.Sub(b.out[i].sent) >= preloadResend {
+				d.Send(setKey(b.out[i].key))
+				b.out[i].sent = now
+			}
+		}
+		for ; len(b.out) < preloadWindow && next < keys && !b.waiting(uint16(next)); next++ {
+			b.out = append(b.out, preloadSet{key: next, sent: now})
+			d.Send(setKey(next))
+		}
+		if err := d.Flush(); err != nil {
+			return fmt.Errorf("preload: %w", err)
+		}
+		d.mu.Unlock()
+		time.Sleep(tickEvery)
+		d.mu.Lock()
+	}
+	return nil
+}
+
+// setKey is the preload SET of key-<key>, under the key's number as its
+// wire id.
+func setKey(key uint64) []byte {
+	return kvsDatagram(uint16(key), memcache.Request{Op: memcache.OpSet,
+		Key: fmt.Sprintf("key-%d", key), Value: []byte("value")})
+}
+
+// preloadSet is one preload SET awaiting its STORED.
+type preloadSet struct {
+	key  uint64
+	sent time.Time
+}
+
+// preloadBook is a preload's account, guarded by Sockets.mu: the SETs
+// out, at most one per wire id, and how many keys are stored.
+type preloadBook struct {
+	out    []preloadSet
+	stored uint64
+}
+
+// waiting reports whether a SET under wire id is out.
+func (b *preloadBook) waiting(id uint16) bool {
+	for _, s := range b.out {
+		if uint16(s.key) == id {
+			return true
 		}
 	}
-	if err := d.Flush(); err != nil {
-		return fmt.Errorf("preload: %w", err)
+	return false
+}
+
+// ack counts the key a STORED in answers, if its SET is still out.
+func (b *preloadBook) ack(in []byte) {
+	f, body, err := memcache.DecodeFrame(in)
+	if err != nil || string(body) != memcache.StatusStored+"\r\n" {
+		return
 	}
-	time.Sleep(200 * time.Millisecond)
-	return nil
+	for i, s := range b.out {
+		if uint16(s.key) == f.RequestID {
+			b.out[i] = b.out[len(b.out)-1]
+			b.out = b.out[:len(b.out)-1]
+			b.stored++
+			return
+		}
+	}
 }
 
 // LocalAddr is the first socket's address.
@@ -150,8 +233,8 @@ func (d *Sockets) Close() {
 
 func (d *Sockets) now() time.Duration { return time.Since(d.epoch) }
 
-// receive hands every datagram one socket hears to the client, until the
-// socket closes.
+// receive hands every datagram one socket hears to the client, or to a
+// preload's books while no client is attached, until the socket closes.
 func (d *Sockets) receive(bc netio.BatchConn) {
 	defer d.readers.Done()
 	ms := make([]netio.Message, ioBatch)
@@ -165,8 +248,13 @@ func (d *Sockets) receive(bc netio.BatchConn) {
 		}
 		now := d.now()
 		d.mu.Lock()
-		for i := 0; i < n && d.client != nil; i++ {
-			d.client.Receive(now, ms[i].Buf[:ms[i].N])
+		for i := 0; i < n; i++ {
+			switch in := ms[i].Buf[:ms[i].N]; {
+			case d.client != nil:
+				d.client.Receive(now, in)
+			case d.pre != nil:
+				d.pre.ack(in)
+			}
 		}
 		d.mu.Unlock()
 	}

@@ -11,7 +11,9 @@
 # nothing here is compared with an earlier snapshot.
 #
 # Rows: the handler hot paths (KVS/DNS/Paxos, single and batched), the
-# acceptor's fresh vote and 100k-instance state snapshot, the store
+# acceptor's fresh vote (into a table replaced every 2^18 votes), its
+# lock-free re-vote in a 1M-instance table and its 100k-instance state
+# snapshot, the store
 # under parallel readers, the codecs, the NIC KVS tier's cost
 # model (GET hit beside the host handler's, miss, SET write-through, a
 # 100k-entry warm and park), what a KVS entry costs in heap and
@@ -29,8 +31,8 @@
 # can be compared by.
 #
 # Gates, each on rows of this run with at least 10 iterations:
-#   1. every serving row, the train builder's among them, reports 0 B/op
-#      and 0 allocs/op;
+#   1. every serving row, the train builder's and the acceptor re-vote's
+#      among them, reports 0 B/op and 0 allocs/op;
 #   2. the tier's GET hit costs at most 1.25x the host handler's;
 #   3. each batched handler form costs at most 1.25x its single-datagram
 #      form per request;
@@ -57,7 +59,7 @@
 #
 # Usage:
 #   ./scripts/bench.sh                          # writes bench_ci.json (git-ignored)
-#   BENCH_OUT=BENCH_43.json ./scripts/bench.sh  # refresh the committed snapshot
+#   BENCH_OUT=BENCH_48.json ./scripts/bench.sh  # refresh the committed snapshot
 #   BENCH_TIME=50ms ./scripts/bench.sh          # CI: shorter rows, gates still live
 #
 # Output schema (incod-bench/v1): one entry per benchmark with
@@ -152,7 +154,7 @@ function costs(a, b, bound) {
   # A row under 10 iterations timed lazy init and timer granularity: it
   # is reported and gated nowhere.
   gated = iters >= 10
-  if (gated && name ~ /^(Dataplane(Batched)?(KVS|DNS|Paxos)|DataplaneShardedStore|MemcacheParseGet|PaxosCodecView|DNSQuestionView|NICTierKVS(GetHit|HostGetHit|Miss|Set)$|BuildTrains\/)/) {
+  if (gated && name ~ /^(Dataplane(Batched)?(KVS|DNS|Paxos)|DataplaneShardedStore|MemcacheParseGet|PaxosCodecView|DNSQuestionView|PaxosAcceptorRevote$|NICTierKVS(GetHit|HostGetHit|Miss|Set)$|BuildTrains\/)/) {
     if (!(key in fastest)) serving++
     if ((bop != "0" || allocs != "0") && !(key in allocates)) {
       printf("bench.sh: FAIL %s allocates on the serving path: %s B/op, %s allocs/op (want 0, 0)\n", \
