@@ -12,6 +12,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"incod/internal/fpga"
 	"incod/internal/kvs"
 	"incod/internal/memcache"
+	"incod/internal/nictier"
 	"incod/internal/paxos"
 	"incod/internal/power"
 	"incod/internal/simhost"
@@ -188,14 +190,44 @@ func BenchmarkDataplaneDNSMixedCase(b *testing.B) {
 // BenchmarkDataplaneBatchedDNS is the batch form of the DNS hit path: 32
 // queries per HandleBatch call, counters flushed once per batch. 0 B/op.
 func BenchmarkDataplaneBatchedDNS(b *testing.B) {
+	benchDNSBatches(b, dns.SequentialName, func(zone *dns.Zone) func([]*dataplane.BatchItem) {
+		return dns.NewHandler(zone).HandleBatch
+	})
+}
+
+// BenchmarkDataplaneBatchedDNSNXDomain is the same batches of names the
+// zone does not hold: the NXDOMAIN echo of the question. 0 B/op.
+func BenchmarkDataplaneBatchedDNSNXDomain(b *testing.B) {
+	benchDNSBatches(b, func(i int) string { return fmt.Sprintf("absent%d.example.com", i) },
+		func(zone *dns.Zone) func([]*dataplane.BatchItem) { return dns.NewHandler(zone).HandleBatch })
+}
+
+// BenchmarkNICTierDNSHit is the batched hit answered by the warmed
+// Emu-DNS tier instead of the host handler. 0 B/op.
+func BenchmarkNICTierDNSHit(b *testing.B) {
+	benchDNSBatches(b, dns.SequentialName, func(zone *dns.Zone) func([]*dataplane.BatchItem) {
+		tier := nictier.NewDNS(zone)
+		if err := tier.Stage(); err != nil {
+			b.Fatal(err)
+		}
+		if err := tier.Warm(); err != nil {
+			b.Fatal(err)
+		}
+		return tier.TryHandleBatch
+	})
+}
+
+// benchDNSBatches serves 32 queries for name(0..31) per call of the
+// batch form serve builds over a 64-record zone.
+func benchDNSBatches(b *testing.B, name func(int) string, serve func(*dns.Zone) func([]*dataplane.BatchItem)) {
 	zone := dns.NewZone()
 	zone.PopulateSequential(64)
-	h := dns.NewHandler(zone)
+	handle := serve(zone)
 	const batch = 32
 	items := make([]*dataplane.BatchItem, batch)
 	queries := make([][]byte, batch)
 	for i := range items {
-		q, err := dns.Encode(dns.NewQuery(uint16(i), dns.SequentialName(i)))
+		q, err := dns.Encode(dns.NewQuery(uint16(i), name(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,9 +243,64 @@ func BenchmarkDataplaneBatchedDNS(b *testing.B) {
 			items[k].Out = nil
 			items[k].Served = false
 		}
-		h.HandleBatch(items)
+		handle(items)
 		if len(items[0].Out) == 0 {
 			b.Fatal("batched query failed")
+		}
+	}
+}
+
+// harnessZone is a zone file of n records in benchmark/'s format (its
+// writeZone): fixed-width names, one address each, TTL 300.
+func harnessZone(n int) []byte {
+	var file []byte
+	for i := 0; i < n; i++ {
+		file = fmt.Appendf(file, "n%05d.zone.test 10.%d.%d.%d 300\n", i, byte(i>>16), byte(i>>8), byte(i))
+	}
+	return file
+}
+
+// BenchmarkDNSZoneParse10k is incdnsd's zone load: ParseZone over the
+// bytes of a 10 000-record file. allocs/record is what a record costs
+// beyond the index, answer array and arena sized up front;
+// scripts/bench.sh holds it at 0.01.
+func BenchmarkDNSZoneParse10k(b *testing.B) {
+	const records = 10_000
+	file := harnessZone(records)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		zone, err := dns.ParseZone(file)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if zone.Len() != records {
+			b.Fatalf("parsed %d records, want %d", zone.Len(), records)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*records), "allocs/record")
+}
+
+// BenchmarkNICTierDNSWarm10k is the DNS tier's up-shift sync with a
+// 10 000-record zone: a copy of the zone's index.
+func BenchmarkNICTierDNSWarm10k(b *testing.B) {
+	zone, err := dns.ParseZone(harnessZone(10_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tier := nictier.NewDNS(zone)
+	if err := tier.Stage(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tier.Warm(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -6,9 +6,9 @@
 // lookups are case-insensitive without per-query lowering, and batched
 // mode resolves whole recvmmsg batches per handler call.
 //
-// Zone files are simple "name ipv4 [ttl]" lines:
+// Zone files are simple "name ipv4 [ttl]" lines (dns.ParseZone):
 //
-//	host0.example.com 10.0.0.1 300
+//	host0.example.com. 10.0.0.1 300
 //
 // Try it:
 //
@@ -19,14 +19,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
-	"fmt"
 	"log"
-	"net"
 	"os"
-	"strconv"
-	"strings"
 
 	"incod/internal/core"
 	"incod/internal/daemon"
@@ -46,12 +41,19 @@ func main() {
 
 	// The zone must be fully loaded before serving starts: it is read
 	// lock-free by every shard worker.
-	zone := dns.NewZone()
+	var zone *dns.Zone
 	if *zonePath == "" {
+		zone = dns.NewZone()
 		zone.PopulateSequential(16)
 		log.Printf("incdnsd: no -zone given; serving %d demo records (host0.example.com ...)", zone.Len())
-	} else if err := loadZone(zone, *zonePath); err != nil {
-		log.Fatalf("incdnsd: %v", err)
+	} else {
+		data, err := os.ReadFile(*zonePath)
+		if err != nil {
+			log.Fatalf("incdnsd: %v", err)
+		}
+		if zone, err = dns.ParseZone(data); err != nil {
+			log.Fatalf("incdnsd: %s: %v", *zonePath, err)
+		}
 	}
 
 	eng, err := daemon.ListenEngine(f.EngineOptions,
@@ -74,39 +76,4 @@ func main() {
 		log.Fatalf("incdnsd: %v", err)
 	}
 	d.Wait(nil)
-}
-
-func loadZone(zone *dns.Zone, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return fmt.Errorf("%s:%d: want 'name ipv4 [ttl]'", path, line)
-		}
-		ip := net.ParseIP(fields[1]).To4()
-		if ip == nil {
-			return fmt.Errorf("%s:%d: bad IPv4 %q", path, line, fields[1])
-		}
-		ttl := uint32(300)
-		if len(fields) >= 3 {
-			v, err := strconv.ParseUint(fields[2], 10, 32)
-			if err != nil {
-				return fmt.Errorf("%s:%d: bad TTL %q", path, line, fields[2])
-			}
-			ttl = uint32(v)
-		}
-		zone.Add(fields[0], [4]byte{ip[0], ip[1], ip[2], ip[3]}, ttl)
-	}
-	return sc.Err()
 }

@@ -13,16 +13,21 @@
 // answer table) never touches the string-based Message API. Queries are
 // parsed into a QuestionView whose QName is a byte view over the inbound
 // datagram — no per-packet name string — and answers come from the
-// zone's precompiled wire-answer cache:
+// zone's precompiled wire answers:
 //
 //   - Zone.Add compiles the full response datagram for the record once —
 //     header, question (canonical lowercase name), and a compressed A
-//     answer — into a WireAnswer. Answering a query is then one copy of
-//     that image into the reply buffer plus patching the two ID bytes,
-//     the two flags bytes (QR|AA plus the query's RD bit), and echoing
-//     the client's spelling of the name over the question section
-//     (fold-equal names have identical wire length, so the patch is
-//     in place).
+//     answer — into a WireAnswer, its image carved from the zone's
+//     append-only arena. The zone is nothing else: one open-addressed
+//     index of positions into a flat answer array, which the string
+//     Lookup probes too, reading the address and TTL back from the
+//     image. ParseZone builds it in one pass from a zone file's bytes,
+//     sized up front, with no allocation per record. Answering a query
+//     is then one copy of that image into the reply buffer plus
+//     patching the two ID bytes, the two flags bytes (QR|AA plus the
+//     query's RD bit), and echoing the client's spelling of the name
+//     over the question section (fold-equal names have identical wire
+//     length, so the patch is in place).
 //   - Lookups are case-insensitive without allocating: the wire-form
 //     name is hashed and compared under ASCII folding (FNV-1a over
 //     folded bytes) instead of strings.ToLower, which allocates on every
@@ -42,14 +47,14 @@
 //
 // # Cache coherence
 //
-// WireAnswer images are immutable once compiled. Zone.Add replaces the
-// record's image (it never mutates one in place), keeping the cache
-// exactly in sync with the records map; it is a writer-side operation —
-// a Zone is a plain map, safe for any number of
-// concurrent readers only while nobody writes, which is the daemons'
+// WireAnswer images are immutable once compiled. Zone.Add replaces a
+// record by appending a new answer and image and repointing the index
+// (it never mutates one in place); there is no second index to keep in
+// step. Add is a writer-side operation — a Zone is safe for any number
+// of concurrent readers only while nobody writes, which is the daemons'
 // load-then-serve lifecycle. The offload tier's zone sync
-// (nictier.DNSTier.Warm) snapshots the cache with Zone.WireAnswers: the
-// snapshot owns its own index but shares the immutable images, so a
-// sync is one map copy, not a recompilation, and a tier answer is
-// byte-identical to the host's.
+// (nictier.DNSTier.Warm) snapshots the zone with Zone.WireAnswers: the
+// snapshot owns a copy of the index and shares the answer array up to
+// its length and the images, so a sync is one slice copy, not a
+// recompilation, and a tier answer is byte-identical to the host's.
 package dns

@@ -10,9 +10,9 @@ import (
 
 // Handler serves authoritative A lookups from a Zone — the dataplane
 // adapter behind incdnsd. The zone must be fully loaded before serving
-// starts: Zone is a plain map, safe for any number of concurrent readers
-// only while nobody writes, which is exactly the daemon's lifecycle
-// (load, then serve).
+// starts: a Zone is safe for any number of concurrent readers only while
+// nobody writes, which is exactly the daemon's lifecycle (load, then
+// serve).
 //
 // The hot path is allocation-free for every outcome: queries parse into
 // a QuestionView over the datagram, hits are one copy of the record's

@@ -57,21 +57,31 @@ var (
 // supported depth"). Software servers have no such limit.
 const MaxLabels = 8
 
-// appendName encodes a dot-separated name as DNS labels.
-func appendName(b []byte, name string) ([]byte, error) {
-	if name != "" {
-		for _, label := range strings.Split(name, ".") {
-			if label == "" {
-				return nil, ErrBadName
-			}
-			if len(label) > 63 {
-				return nil, ErrLabelTooLong
-			}
-			b = append(b, byte(len(label)))
-			b = append(b, label...)
-		}
+// appendName encodes a dot-separated name as DNS labels. The empty name
+// is the root; any other name with an empty label (a trailing dot
+// included) or a label over 63 bytes has no wire form.
+func appendName[S string | []byte](b []byte, name S) ([]byte, error) {
+	if len(name) == 0 {
+		return append(b, 0), nil
 	}
-	return append(b, 0), nil
+	for {
+		l := 0
+		for l < len(name) && name[l] != '.' {
+			l++
+		}
+		switch {
+		case l == 0:
+			return nil, ErrBadName
+		case l > 63:
+			return nil, ErrLabelTooLong
+		}
+		b = append(b, byte(l))
+		b = append(b, name[:l]...)
+		if l == len(name) {
+			return append(b, 0), nil
+		}
+		name = name[l+1:]
+	}
 }
 
 // parseName decodes labels at off, enforcing depthLimit (0 = unlimited).
@@ -147,28 +157,37 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	if m.HasAnswer {
 		an = 1
 	}
-	b := binary.BigEndian.AppendUint16(dst, m.ID)
-	b = binary.BigEndian.AppendUint16(b, flags)
-	b = binary.BigEndian.AppendUint16(b, 1) // QDCOUNT
-	b = binary.BigEndian.AppendUint16(b, uint16(an))
-	b = binary.BigEndian.AppendUint16(b, 0) // NSCOUNT
-	b = binary.BigEndian.AppendUint16(b, 0) // ARCOUNT
-	var err error
-	b, err = appendName(b, m.Name)
+	b, err := appendName(appendHeader(dst, m.ID, flags, an), m.Name)
 	if err != nil {
 		return nil, err
 	}
 	b = binary.BigEndian.AppendUint16(b, m.QType)
 	b = binary.BigEndian.AppendUint16(b, m.QClass)
 	if m.HasAnswer {
-		b = append(b, 0xC0, 12) // pointer to the question name
-		b = binary.BigEndian.AppendUint16(b, TypeA)
-		b = binary.BigEndian.AppendUint16(b, ClassIN)
-		b = binary.BigEndian.AppendUint32(b, m.TTL)
-		b = binary.BigEndian.AppendUint16(b, 4)
-		b = append(b, m.Addr[:]...)
+		b = appendARecord(b, m.TTL, m.Addr)
 	}
 	return b, nil
+}
+
+// appendHeader appends a header for one question and an answers.
+func appendHeader(b []byte, id, flags uint16, an int) []byte {
+	b = binary.BigEndian.AppendUint16(b, id)
+	b = binary.BigEndian.AppendUint16(b, flags)
+	b = binary.BigEndian.AppendUint16(b, 1) // QDCOUNT
+	b = binary.BigEndian.AppendUint16(b, uint16(an))
+	b = binary.BigEndian.AppendUint16(b, 0)    // NSCOUNT
+	return binary.BigEndian.AppendUint16(b, 0) // ARCOUNT
+}
+
+// appendARecord appends an A answer whose name is a compression pointer
+// to the question name, like real servers send.
+func appendARecord(b []byte, ttl uint32, addr [4]byte) []byte {
+	b = append(b, 0xC0, 12)
+	b = binary.BigEndian.AppendUint16(b, TypeA)
+	b = binary.BigEndian.AppendUint16(b, ClassIN)
+	b = binary.BigEndian.AppendUint32(b, ttl)
+	b = binary.BigEndian.AppendUint16(b, 4)
+	return append(b, addr[:]...)
 }
 
 // Decode parses a message with at most one question and one A answer.

@@ -2,19 +2,38 @@ package dns
 
 import "encoding/binary"
 
-// This file is the precompiled wire-answer cache behind the zero-copy
+// This file is the precompiled wire-answer index behind the zero-copy
 // serving path: one immutable response datagram per A record, compiled at
-// Zone.Add time, indexed by an ASCII-folded hash of the wire-form name so
-// lookups are case-insensitive without strings.ToLower's allocation. See
-// the package comment for the coherence contract.
+// Zone.Add time into the zone's arena, indexed by an ASCII-folded hash of
+// the wire-form name so lookups are case-insensitive without
+// strings.ToLower's allocation. See the package comment for the
+// coherence contract.
 
 // WireAnswer is the precompiled answer for one record: the full response
 // datagram (ID 0, flags QR|AA, canonical lowercase question name,
-// compressed A answer). Images are immutable after compilation — Zone.Add
-// replaces, never mutates — so snapshots share them freely.
+// compressed A answer), a slice of the zone's arena. Images are immutable
+// after compilation — Zone.Add replaces, never mutates — so snapshots
+// share them freely.
 type WireAnswer struct {
-	qname []byte // wire-form question name within image
-	image []byte // the full prebuilt response datagram
+	image []byte
+}
+
+// answerTail is what an image holds after its question name: QTYPE and
+// QCLASS, then the answer record (name pointer, type, class, TTL,
+// RDLENGTH, address). The record's TTL and address are its last 10 bytes.
+const answerTail = 4 + 16
+
+// imageLen is the size of the image for a name whose wire form is
+// wireLen bytes.
+func imageLen(wireLen int) int { return 12 + wireLen + answerTail }
+
+// qname is the image's wire-form question name.
+func (a *WireAnswer) qname() []byte { return a.image[12 : len(a.image)-answerTail] }
+
+// record reads the address and TTL back from the image.
+func (a *WireAnswer) record() ARecord {
+	tail := a.image[len(a.image)-10:]
+	return ARecord{TTL: binary.BigEndian.Uint32(tail), Addr: [4]byte(tail[6:])}
 }
 
 // AppendReply appends the complete answer for the query parsed into v:
@@ -33,24 +52,21 @@ func (a *WireAnswer) AppendReply(dst []byte, v *QuestionView) []byte {
 	return dst
 }
 
-// compileAnswer builds the wire image for a record. name must already be
-// lowercase. Names that cannot be wire-encoded (empty labels, labels over
-// 63 bytes) return an error — such names can never appear in a wire query
-// either, so they are simply absent from the cache.
-func compileAnswer(name string, r ARecord) (*WireAnswer, error) {
-	img, err := AppendMessage(make([]byte, 0, 12+len(name)+2+4+16), Message{
-		Response: true, Authority: true,
-		Name: name, QType: TypeA, QClass: ClassIN,
-		HasAnswer: true, TTL: r.TTL, Addr: r.Addr,
-	})
+// appendImage appends the wire image of name's A record: the datagram
+// AppendMessage encodes for an authoritative answer with ID 0, its
+// question name lowercased. Names with no wire form (see appendName)
+// return an error: no wire query can spell them.
+func appendImage[S string | []byte](b []byte, name S, r ARecord) ([]byte, error) {
+	start := len(b) + 12
+	b, err := appendName(appendHeader(b, 0, flagQR|flagAA, 1), name)
 	if err != nil {
 		return nil, err
 	}
-	nameLen := 1
-	if name != "" {
-		nameLen = len(name) + 2
+	for i := start; i < len(b); i++ {
+		b[i] = foldByte(b[i])
 	}
-	return &WireAnswer{qname: img[12 : 12+nameLen], image: img}, nil
+	b = append(b, 0, TypeA, 0, ClassIN)
+	return appendARecord(b, r.TTL, r.Addr), nil
 }
 
 // foldByte lowercases ASCII A-Z. Label length bytes are at most 63, below
@@ -89,54 +105,85 @@ func foldEqual(a, b []byte) bool {
 }
 
 // AnswerTable indexes WireAnswers by the folded hash of their wire-form
-// name. The zone owns one (kept coherent by Add); the NIC tier
-// serves from an independent snapshot sharing the same immutable images.
-// Like Zone, a table is safe for concurrent readers only while nobody
-// writes.
+// name: an open-addressed array of positions into a flat answer array,
+// at most half full, probed linearly. The zone owns one (kept coherent
+// by Add); the NIC tier serves from an independent snapshot sharing the
+// same immutable images. Like Zone, a table is safe for concurrent
+// readers only while nobody writes.
 type AnswerTable struct {
-	buckets map[uint64][]*WireAnswer
-	n       int
+	slots   []uint32     // position in answers + 1, 0 = empty; a power of two long
+	answers []WireAnswer // append-only: a replaced answer stays, unreachable
+	n       int          // answers reachable from slots
 }
 
-// NewAnswerTable returns an empty table.
-func NewAnswerTable() *AnswerTable {
-	return &AnswerTable{buckets: make(map[uint64][]*WireAnswer)}
+// newAnswerTable returns an empty table sized for records answers.
+func newAnswerTable(records int) AnswerTable {
+	size := 8
+	for size < 2*records {
+		size <<= 1
+	}
+	return AnswerTable{slots: make([]uint32, size), answers: make([]WireAnswer, 0, records)}
 }
 
 // Len returns the number of answers in the table.
 func (t *AnswerTable) Len() int { return t.n }
 
+// find returns the slot that holds the answer fold-equal to qname, or
+// the empty slot where it belongs. FNV-1a's low bits mix only the low
+// bits of each byte, so the high half is folded in before masking.
+func (t *AnswerTable) find(qname []byte, h uint64) int {
+	mask := len(t.slots) - 1
+	for i := int(h^h>>32) & mask; ; i = (i + 1) & mask {
+		if s := t.slots[i]; s == 0 || foldEqual(t.answers[s-1].qname(), qname) {
+			return i
+		}
+	}
+}
+
 // Lookup finds the answer whose name fold-matches the wire-form qname.
 // It allocates nothing.
 func (t *AnswerTable) Lookup(qname []byte) (*WireAnswer, bool) {
-	for _, a := range t.buckets[foldHash(qname)] {
-		if foldEqual(a.qname, qname) {
-			return a, true
-		}
+	s := t.slots[t.find(qname, foldHash(qname))]
+	if s == 0 {
+		return nil, false
 	}
-	return nil, false
+	return &t.answers[s-1], true
 }
 
-// add installs a, replacing any fold-equal entry.
-func (t *AnswerTable) add(a *WireAnswer) {
-	h := foldHash(a.qname)
-	chain := t.buckets[h]
-	for i, old := range chain {
-		if foldEqual(old.qname, a.qname) {
-			chain[i] = a
-			return
-		}
+// put installs a, replacing any fold-equal entry.
+func (t *AnswerTable) put(a WireAnswer) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
 	}
-	t.buckets[h] = append(chain, a)
-	t.n++
+	q := a.qname()
+	i := t.find(q, foldHash(q))
+	if t.slots[i] == 0 {
+		t.n++
+	}
+	t.answers = append(t.answers, a)
+	t.slots[i] = uint32(len(t.answers))
 }
 
-// Clone returns an independent snapshot: its own index, sharing the
-// immutable answer images — the NIC tier's zone sync.
-func (t *AnswerTable) Clone() *AnswerTable {
-	out := &AnswerTable{buckets: make(map[uint64][]*WireAnswer, len(t.buckets)), n: t.n}
-	for h, chain := range t.buckets {
-		out.buckets[h] = append([]*WireAnswer(nil), chain...)
+// grow doubles the index and rehashes the reachable answers into it.
+func (t *AnswerTable) grow() {
+	old := t.slots
+	t.slots = make([]uint32, 2*len(old))
+	for _, s := range old {
+		if s != 0 {
+			q := t.answers[s-1].qname()
+			t.slots[t.find(q, foldHash(q))] = s
+		}
 	}
-	return out
+}
+
+// clone returns an independent snapshot — the NIC tier's zone sync: its
+// own copy of the index, and the answer array up to its current length.
+// The array is shared: the zone only appends past that length, and
+// nothing rewrites an answer or its image.
+func (t *AnswerTable) clone() *AnswerTable {
+	return &AnswerTable{
+		slots:   append([]uint32(nil), t.slots...),
+		answers: t.answers[:len(t.answers):len(t.answers)],
+		n:       t.n,
+	}
 }

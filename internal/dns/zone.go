@@ -2,37 +2,20 @@ package dns
 
 import "fmt"
 
-// asciiLower lowercases ASCII A-Z only, allocating only when a change
-// is needed. DNS case-insensitivity is defined over ASCII (RFC 4343) —
-// using it for the zone's string index keeps that index exactly
-// consistent with the wire cache's fold rules, where strings.ToLower's
-// Unicode folding would make a non-ASCII name reachable by one spelling
-// and not the other.
-func asciiLower(s string) string {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c >= 'A' && c <= 'Z' {
-			b := []byte(s)
-			for j := i; j < len(b); j++ {
-				if b[j] >= 'A' && b[j] <= 'Z' {
-					b[j] += 'a' - 'A'
-				}
-			}
-			return string(b)
-		}
-	}
-	return s
-}
-
 // Zone is an authoritative resolution table from names to IPv4 addresses
 // (§3.3: "the design supports resolution queries from names to IPv4
-// addresses"). Lookups are case-insensitive per RFC 1035. Alongside the
-// records map the zone keeps the precompiled wire-answer cache (see
-// wire.go and the package comment): Add compiles the record's full
-// response datagram once, Remove drops it, so the serving path answers
-// with one copy and a header patch instead of encoding per query.
+// addresses"). Lookups are case-insensitive per RFC 1035. The zone is
+// its precompiled wire answers and nothing else (see wire.go and the
+// package comment): Add compiles the record's full response datagram
+// once into the zone's arena and indexes it, so the serving path answers
+// with one copy and a header patch instead of encoding per query, and
+// the string API reads the record back from the same image.
 type Zone struct {
-	records map[string]ARecord
-	wire    *AnswerTable
+	wire AnswerTable
+	// arena is the current chunk of the append-only arena the images are
+	// carved from: a pointer-free []byte, so a record owns no heap object
+	// of its own. Earlier chunks live on in the images cut from them.
+	arena []byte
 }
 
 // ARecord is one address record.
@@ -41,25 +24,50 @@ type ARecord struct {
 	TTL  uint32
 }
 
+// A new arena chunk is twice the last one, from 4 KiB up to 1 MiB, or one
+// image if that is larger; ParseZone sizes the first one for the whole
+// file.
+const (
+	minChunk = 4 << 10
+	maxChunk = 1 << 20
+)
+
 // NewZone returns an empty zone.
-func NewZone() *Zone {
-	return &Zone{records: make(map[string]ARecord), wire: NewAnswerTable()}
+func NewZone() *Zone { return newZone(0, 0) }
+
+// newZone returns an empty zone with room for records answers and arena
+// bytes of images.
+func newZone(records, arena int) *Zone {
+	return &Zone{wire: newAnswerTable(records), arena: make([]byte, 0, arena)}
 }
 
 // Len returns the number of records.
-func (z *Zone) Len() int { return len(z.records) }
+func (z *Zone) Len() int { return z.wire.Len() }
 
 // Add installs or replaces the A record for name, compiling its wire
-// answer. Names that cannot be wire-encoded (empty or oversized labels)
-// stay out of the wire cache — no wire query can spell them either — but
-// remain visible to the string API.
+// answer. A name with no wire form — an empty label, a trailing dot
+// included, or a label over 63 bytes — is not kept: no query can spell
+// it, so LookupWire could never answer it. ParseZone strips one trailing
+// root dot from a zone file's names and rejects the rest.
 func (z *Zone) Add(name string, addr [4]byte, ttl uint32) {
-	lower := asciiLower(name)
-	rec := ARecord{Addr: addr, TTL: ttl}
-	z.records[lower] = rec
-	if a, err := compileAnswer(lower, rec); err == nil {
-		z.wire.add(a)
+	addRecord(z, name, ARecord{Addr: addr, TTL: ttl})
+}
+
+// addRecord is Add for a name as a string or as bytes of a zone file. It
+// reports whether the name had a wire form.
+func addRecord[S string | []byte](z *Zone, name S, r ARecord) bool {
+	need := imageLen(len(name) + 2)
+	if cap(z.arena)-len(z.arena) < need {
+		z.arena = make([]byte, 0, max(min(max(2*cap(z.arena), minChunk), maxChunk), need))
 	}
+	start := len(z.arena)
+	img, err := appendImage(z.arena, name, r)
+	if err != nil {
+		return false
+	}
+	z.arena = img
+	z.wire.put(WireAnswer{image: img[start:len(img):len(img)]})
+	return true
 }
 
 // LookupWire finds the precompiled answer for a wire-form question name,
@@ -68,14 +76,23 @@ func (z *Zone) LookupWire(qname []byte) (*WireAnswer, bool) {
 	return z.wire.Lookup(qname)
 }
 
-// WireAnswers snapshots the wire-answer cache: an independent index
-// sharing the immutable images, for the NIC tier's zone sync.
-func (z *Zone) WireAnswers() *AnswerTable { return z.wire.Clone() }
+// WireAnswers snapshots the wire answers for the NIC tier's zone sync:
+// an independent index over the answers the zone holds now, sharing
+// their immutable images.
+func (z *Zone) WireAnswers() *AnswerTable { return z.wire.clone() }
 
-// Lookup resolves name.
+// Lookup resolves name: it encodes the name and probes the wire index.
 func (z *Zone) Lookup(name string) (ARecord, bool) {
-	r, ok := z.records[asciiLower(name)]
-	return r, ok
+	var buf [256]byte
+	qname, err := appendName(buf[:0], name)
+	if err != nil {
+		return ARecord{}, false
+	}
+	a, ok := z.wire.Lookup(qname)
+	if !ok {
+		return ARecord{}, false
+	}
+	return a.record(), true
 }
 
 // PopulateSequential fills the zone with n records named

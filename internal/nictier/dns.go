@@ -90,8 +90,9 @@ func (t *DNSTier) Stage() error {
 }
 
 // Warm implements Tier: the zone sync — snapshot the zone's wire-answer
-// cache into the tier's own table while the host keeps serving. One map
-// copy; the precompiled images are shared, immutable.
+// index into the tier's own table while the host keeps serving. One
+// slice copy of the index; the answers and their precompiled images are
+// shared, immutable.
 func (t *DNSTier) Warm() error {
 	table := t.zone.WireAnswers()
 	t.table.Store(table)

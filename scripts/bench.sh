@@ -10,13 +10,16 @@
 # cores — is benchmark/'s job (BENCHMARK.json), not this script's, and
 # nothing here is compared with an earlier snapshot.
 #
-# Rows: the handler hot paths (KVS/DNS/Paxos, single and batched), the
+# Rows: the handler hot paths (KVS/DNS/Paxos, single and batched, the
+# DNS NXDOMAIN and the DNS tier's hit among them), the
 # acceptor's fresh vote (into a table replaced every 2^18 votes), its
 # lock-free re-vote in a 1M-instance table and its 100k-instance state
 # snapshot, the store
 # under parallel readers, the codecs, the NIC KVS tier's cost
 # model (GET hit beside the host handler's, miss, SET write-through, a
-# 100k-entry warm and park), what a KVS entry costs in heap and
+# 100k-entry warm and park), a 10k-record DNS zone parsed from the
+# harness's zone format and the DNS tier's warm of it, what a KVS entry
+# costs in heap and
 # allocations (100k ETC-size entries filled into a store, then warmed
 # into the tier), the reply-train builder on 32-reply flushes (equal
 # lengths; ETC lengths untagged and tagged, with the sends each flush
@@ -48,9 +51,10 @@
 #      own their threads, a mode no BENCHMARK.json workload runs; the
 #      bound catches a collapse, not a drift;
 #   6. filling a store and warming the tier each allocate at most 0.01
-#      times per entry: the arenas' chunks and the tables, nothing per
-#      entry. Judged on the worst pass, whatever its iterations (each is
-#      100k entries);
+#      times per entry, and parsing a DNS zone file at most 0.01 times
+#      per record: the arenas' chunks and the tables, nothing per entry.
+#      Judged on the worst pass, whatever its iterations (each is 100k
+#      entries or 10k records);
 #   7. an idle batched engine's shards return from ReadBatch at most 5
 #      times a second each (reads/shard-s, worst row and pass): an idle
 #      worker sleeps in its read until a datagram or Close comes. Reads
@@ -59,7 +63,7 @@
 #
 # Usage:
 #   ./scripts/bench.sh                          # writes bench_ci.json (git-ignored)
-#   BENCH_OUT=BENCH_48.json ./scripts/bench.sh  # refresh the committed snapshot
+#   BENCH_OUT=BENCH_49.json ./scripts/bench.sh  # refresh the committed snapshot
 #   BENCH_TIME=50ms ./scripts/bench.sh          # CI: shorter rows, gates still live
 #
 # Output schema (incod-bench/v1): one entry per benchmark with
@@ -91,7 +95,7 @@ run_bench() {
 
 for _ in $(seq "$PASSES"); do
   # The serving hot paths and codecs (root suite).
-  run_bench . 'DataplaneKVS|DataplaneBatchedKVS|DataplaneDNS|DataplaneBatchedDNS|PaxosAcceptor|DataplaneShardedStore|MemcacheParseGet|PaxosCodec|DNSCodec|DNSQuestionView' "$BENCHTIME"
+  run_bench . 'DataplaneKVS|DataplaneBatchedKVS|DataplaneDNS|DataplaneBatchedDNS|NICTierDNS|DNSZoneParse|PaxosAcceptor|DataplaneShardedStore|MemcacheParseGet|PaxosCodec|DNSCodec|DNSQuestionView' "$BENCHTIME"
   # The offload tier: KVS GET hit (tier and host side by side), miss, SET
   # write-through, the 100k-entry warm/park and the fill-and-warm memory
   # row — all 0 B/op but the last three.
@@ -138,7 +142,7 @@ function costs(a, b, bound) {
     else {
       gsub(/"/, "", unit)
       if (unit == "achieved-kpps") kpps = val
-      if (unit ~ /-allocs\/entry$/ && (!(unit in perentry) || val + 0 > perentry[unit] + 0)) perentry[unit] = val
+      if (unit ~ /-allocs\/entry$|^allocs\/record$/ && (!(unit in perentry) || val + 0 > perentry[unit] + 0)) perentry[unit] = val
       if (unit == "reads/shard-s" && iters >= 10) {
         idle++
         if (val + 0 > idlereads + 0) idlereads = val
@@ -154,7 +158,7 @@ function costs(a, b, bound) {
   # A row under 10 iterations timed lazy init and timer granularity: it
   # is reported and gated nowhere.
   gated = iters >= 10
-  if (gated && name ~ /^(Dataplane(Batched)?(KVS|DNS|Paxos)|DataplaneShardedStore|MemcacheParseGet|PaxosCodecView|DNSQuestionView|PaxosAcceptorRevote$|NICTierKVS(GetHit|HostGetHit|Miss|Set)$|BuildTrains\/)/) {
+  if (gated && name ~ /^(Dataplane(Batched)?(KVS|DNS|Paxos)|DataplaneShardedStore|MemcacheParseGet|PaxosCodecView|DNSQuestionView|PaxosAcceptorRevote$|NICTierKVS(GetHit|HostGetHit|Miss|Set)$|NICTierDNSHit$|BuildTrains\/)/) {
     if (!(key in fastest)) serving++
     if ((bop != "0" || allocs != "0") && !(key in allocates)) {
       printf("bench.sh: FAIL %s allocates on the serving path: %s B/op, %s allocs/op (want 0, 0)\n", \
@@ -195,6 +199,7 @@ END {
     u = (i ? "warm" : "fill") "-allocs/entry"
     if (u in perentry) gate("NICTierKVSFillWarm100k " u, perentry[u] + 0, 1, 0.01)
   }
+  if ("allocs/record" in perentry) gate("DNSZoneParse10k allocs/record", perentry["allocs/record"] + 0, 1, 0.01)
   for (s = 1; s <= 4; s *= 2) {
     single = "DataplaneEngineLoopback/single-" s "shard"
     for (b = 0; b < 2; b++) {

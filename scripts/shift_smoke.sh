@@ -5,6 +5,10 @@
 # threshold and back, and assert on the /v1 control API that the policy
 # shifted the service up and down once each and the tier served traffic.
 #
+# The dns leg boots incdnsd from a 1000-record zone file it writes, in
+# FQDN form, so the daemon serves a parsed file and the tier's warm
+# snapshots it; incloadgen -keys 1000 names the same hosts.
+#
 # DAEMON_EXTRA_FLAGS / INCLOADGEN_EXTRA_FLAGS let CI run the same
 # assertions in batched per-shard-socket mode (e.g. "-sockets 2").
 set -euo pipefail
@@ -13,7 +17,7 @@ cd "$(dirname "$0")/.."
 APP=${1:-kvs}
 case "$APP" in
   kvs)   DAEMON=inckvsd   ROLE=""               TIER=lake           KEYS=200 ;;
-  dns)   DAEMON=incdnsd   ROLE=""               TIER=emu-dns        KEYS=16 ;; # the demo zone
+  dns)   DAEMON=incdnsd   ROLE=""               TIER=emu-dns        KEYS=1000 ;;
   paxos) DAEMON=incpaxosd ROLE="-role acceptor" TIER=p4xos-acceptor KEYS=200 ;;
   *) echo "usage: $0 [kvs|dns|paxos]" >&2; exit 2 ;;
 esac
@@ -24,10 +28,19 @@ trap 'kill "${DAEMON_PID:-}" 2>/dev/null || true; rm -rf "$BIN"' EXIT
 go build -o "$BIN/$DAEMON" "./cmd/$DAEMON"
 go build -o "$BIN/incloadgen" ./cmd/incloadgen
 
+ZONE_FLAG=""
+if [ "$APP" = dns ]; then
+  awk -v n="$KEYS" 'BEGIN {
+    print "# hostN.example.com, as incloadgen -proto dns names them"
+    for (i = 0; i < n; i++) printf "host%d.example.com. 10.0.%d.%d 300\n", i, int(i / 256), i % 256
+  }' > "$BIN/zone.txt"
+  ZONE_FLAG="-zone $BIN/zone.txt"
+fi
+
 ADDR=127.0.0.1:11311
 CTRL=127.0.0.1:18080
 # shellcheck disable=SC2086  # role and extra flags are intentionally word-split
-"$BIN/$DAEMON" $ROLE -addr "$ADDR" -ctrl "$CTRL" -nictier -crossover 2 -shards 2 \
+"$BIN/$DAEMON" $ROLE $ZONE_FLAG -addr "$ADDR" -ctrl "$CTRL" -nictier -crossover 2 -shards 2 \
   ${DAEMON_EXTRA_FLAGS:-} &
 DAEMON_PID=$!
 
@@ -93,6 +106,13 @@ echo "$dataplane" | grep -q "\"tier_name\":\"$TIER\"" || {
   echo "FAIL: tier stats missing from /v1/dataplane" >&2
   exit 1
 }
+if [ "$APP" = dns ]; then
+  # The up-shift's warm synced every record of the parsed file.
+  echo "$dataplane" | grep -q "\"synced_records\":$KEYS[,}]" || {
+    echo "FAIL: the tier did not sync the $KEYS-record zone file" >&2
+    exit 1
+  }
+fi
 if [ "$APP" = paxos ]; then
   # The state handoff on real sockets: the up-shift moved at least one
   # vote record to the card (handoff_instances is stored at Warm and
