@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"incod/internal/core"
+	"incod/internal/kvs"
 	"incod/internal/power"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
@@ -31,7 +32,7 @@ func main() {
 		panic(err)
 	}
 	i := 0
-	app := &trafficgen.KVS{Key: func() string { i++; return fmt.Sprintf("key-%d", i%100) }}
+	app := &trafficgen.KVS{Key: func() string { i++; return kvs.SequentialKey(i % 100) }}
 	client := simhost.NewClient(net, "client", "lake", app)
 
 	// Measure combined wall power like the paper's SHW-3A meter.

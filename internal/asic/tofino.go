@@ -42,27 +42,24 @@ var (
 	DiagP4 = Program{OverheadFraction: 0.048}
 )
 
+// The §6 evaluation switch (32x40G snake) is calibrated so the min-max
+// span is ~16.5% and the 10%-load dynamic power is about one third of
+// the server's dynamic draw at 180 Kpps.
+const (
+	// idleWatts is the absolute idle draw (never reported raw; use
+	// Normalized for paper-style figures).
+	idleWatts = 200.0
+	// dynamicFullWatts is the extra draw at 100% forwarding load.
+	dynamicFullWatts = 33.0
+)
+
 // Switch models one programmable switch ASIC.
 type Switch struct {
-	// IdleWatts is the absolute idle draw (never reported raw; use
-	// Normalized for paper-style figures).
-	IdleWatts float64
-	// DynamicFullWatts is the extra draw at 100% forwarding load.
-	DynamicFullWatts float64
-
 	program Program
 }
 
-// NewTofino returns the §6 evaluation switch: 32x40G snake, calibrated so
-// the min-max span is ~16.5% and the 10%-load dynamic power is about one
-// third of the server's dynamic draw at 180 Kpps.
-func NewTofino() *Switch {
-	return &Switch{
-		IdleWatts:        200,
-		DynamicFullWatts: 33,
-		program:          L2Fwd,
-	}
-}
+// NewTofino returns the §6 evaluation switch running plain forwarding.
+func NewTofino() *Switch { return &Switch{program: L2Fwd} }
 
 // Load loads a data-plane program.
 func (s *Switch) Load(p Program) { s.program = p }
@@ -76,13 +73,13 @@ func (s *Switch) Power(load float64) float64 {
 	if load > 1 {
 		load = 1
 	}
-	base := s.IdleWatts + s.DynamicFullWatts*load
+	base := idleWatts + dynamicFullWatts*load
 	return base * (1 + s.program.OverheadFraction*load)
 }
 
 // Normalized returns power at the given load normalized to the idle draw,
 // the unit the paper reports for ASICs.
-func (s *Switch) Normalized(load float64) float64 { return s.Power(load) / s.IdleWatts }
+func (s *Switch) Normalized(load float64) float64 { return s.Power(load) / idleWatts }
 
 // DynamicWatts returns power above idle at the given load — the paper's
 // "absolute dynamic power consumption" (footnote 3).

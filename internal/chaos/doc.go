@@ -22,11 +22,12 @@
 // other orchestrator on the virtual clock: its pins, shift durations and
 // transition log are dated by the simulator, never by the host.
 //
-// Faults come from simnet's FaultPlan — per-link loss, duplication,
-// bounded reordering, jitter, stragglers — all drawn from the
-// simulator's seeded RNG. Everything
-// in a run is therefore a pure function of (seed, property): any failure
-// replays byte-for-byte from the seed printed with the violation.
+// Each run installs one network-wide simnet.FaultPlan — loss,
+// duplication, reordering, jitter — and the crash properties schedule
+// tier crashes, all drawn from the simulator's seeded RNG. The stack's tracer folds every packet
+// event into the run's trace hash. Everything in a run is therefore a
+// pure function of (seed, property): any failure replays byte-for-byte
+// from the seed printed with the violation.
 //
 // # Properties
 //

@@ -12,6 +12,7 @@ import (
 	"incod/internal/daemon"
 	"incod/internal/dns"
 	"incod/internal/fleet"
+	"incod/internal/kvs"
 	"incod/internal/memcache"
 	"incod/internal/paxos"
 	"incod/internal/simhost"
@@ -206,7 +207,7 @@ var kvsApp = servingApp{"kvs", NewKVSStack, NewKVSOracle,
 		case o.mutate && draw < 0.40:
 			req = memcache.Request{Op: memcache.OpGet, Key: fmt.Sprintf("missing-%d", r.Intn(16))}
 		default:
-			req = memcache.Request{Op: memcache.OpGet, Key: chaosKey(r.Intn(o.preload))}
+			req = memcache.Request{Op: memcache.OpGet, Key: kvs.SequentialKey(r.Intn(o.preload))}
 		}
 		return memcache.EncodeFrame(memcache.Frame{RequestID: uint16(i), Total: 1},
 			memcache.EncodeRequest(req)), nil
@@ -254,7 +255,7 @@ func runServing(app servingApp, seed int64, cfg Config, o servingOpts) (uint64, 
 	}
 	runAndDrain(st.Sim, o.total(), stops...)
 
-	hash := st.Net.TraceHash()
+	hash := uint64(*st.trace)
 	if err := checkBooks(st.Node, true); err != nil {
 		return hash, err
 	}
@@ -284,11 +285,10 @@ func runPaxosVoteSafety(seed int64, cfg Config) (uint64, error) {
 // before the run, for the test that shows the audit still bites.
 func paxosVoteSafety(seed int64, cfg Config, sabotage func(*PaxosStack)) (uint64, error) {
 	plan := simnet.FaultPlan{Default: simnet.Faults{
-		LossRate:      0.05,
-		DupRate:       0.10,
-		ReorderRate:   0.20,
-		ReorderWindow: 20 * time.Microsecond,
-		JitterMax:     5 * time.Microsecond,
+		LossRate:    0.05,
+		DupRate:     0.10,
+		ReorderRate: 0.20,
+		JitterMax:   5 * time.Microsecond,
 	}}
 	st := NewPaxosStack(seed, StackConfig{
 		Link:        simnet.LinkConfig{Delay: 2 * time.Microsecond},
@@ -338,7 +338,7 @@ func paxosVoteSafety(seed int64, cfg Config, sabotage func(*PaxosStack)) (uint64
 
 	total := time.Duration(toggles)*time.Millisecond + 2*time.Millisecond
 	runAndDrain(st.Sim, total, st.stops...)
-	hash := st.Net.TraceHash()
+	hash := uint64(*st.trace)
 	for _, n := range st.nodes() {
 		if err := checkBooks(n, false); err != nil {
 			return hash, err
@@ -431,10 +431,9 @@ func runBatchEquivalence(seed int64, cfg Config) (uint64, error) {
 	base := servingOpts{
 		window: 2 * time.Microsecond,
 		faults: simnet.FaultPlan{Default: simnet.Faults{
-			DupRate:       0.05,
-			ReorderRate:   0.30,
-			ReorderWindow: 20 * time.Microsecond,
-			JitterMax:     3 * time.Microsecond,
+			DupRate:     0.05,
+			ReorderRate: 0.30,
+			JitterMax:   3 * time.Microsecond,
 		}},
 		requests:    cfg.scale(120, 250),
 		spacing:     8 * time.Microsecond,
@@ -465,11 +464,10 @@ func runMigrationCorrectness(seed int64, cfg Config) (uint64, error) {
 	base := servingOpts{
 		window: 2 * time.Microsecond,
 		faults: simnet.FaultPlan{Default: simnet.Faults{
-			LossRate:      0.08,
-			DupRate:       0.12,
-			ReorderRate:   0.20,
-			ReorderWindow: 20 * time.Microsecond,
-			JitterMax:     3 * time.Microsecond,
+			LossRate:    0.08,
+			DupRate:     0.12,
+			ReorderRate: 0.20,
+			JitterMax:   3 * time.Microsecond,
 		}},
 		requests:    cfg.scale(150, 300),
 		spacing:     8 * time.Microsecond,

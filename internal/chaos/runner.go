@@ -17,7 +17,7 @@ type Config struct {
 
 // Property is one standing invariant the harness sweeps. Run executes a
 // full deterministic chaos run for (seed, property): the returned hash is
-// the network's order-sensitive trace hash (0 for network-free
+// the stack's order-sensitive trace hash (0 for network-free
 // properties), identical across runs of the same seed; err reports a
 // violation.
 type Property struct {

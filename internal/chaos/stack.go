@@ -33,13 +33,13 @@ type StackConfig struct {
 	Trace io.Writer
 }
 
-// attachTrace installs a line-per-event tracer when w is set, and shows
-// every datagram to sent (if set) as it enters the network.
-func attachTrace(net *simnet.Network, w io.Writer, sent func(payload []byte)) {
-	if w == nil && sent == nil {
-		return
-	}
+// attachTrace installs the network's one tracer: it folds every packet
+// event into the returned hash, writes one line per event to w when set,
+// and shows every datagram to sent (if set) as it enters the network.
+func attachTrace(net *simnet.Network, w io.Writer, sent func(payload []byte)) *traceHash {
+	h := new(traceHash)
 	net.SetTracer(func(kind string, at simnet.Time, src, dst simnet.Addr, payload []byte) {
+		h.fold(kind, at, src, dst, payload)
 		if sent != nil && kind == simnet.TraceSend {
 			sent(payload)
 		}
@@ -48,6 +48,45 @@ func attachTrace(net *simnet.Network, w io.Writer, sent func(payload []byte)) {
 				time.Duration(at), kind, src, dst, len(payload))
 		}
 	})
+	return h
+}
+
+// traceHash is an order-sensitive FNV-1a fold of every packet event on
+// one network: kind, virtual time, endpoints and payload bytes. Two runs
+// with the same seed and plan produce the same hash; any divergence in
+// content or interleaving changes it, which is the determinism check the
+// sweep makes. It reads 0 until the first event.
+type traceHash uint64
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func (h *traceHash) fold(kind string, at simnet.Time, src, dst simnet.Addr, payload []byte) {
+	x := uint64(*h)
+	if x == 0 {
+		x = fnvOffset
+	}
+	x = fnvString(x, kind)
+	for i := 0; i < 8; i++ {
+		x = fnvByte(x, byte(at>>(8*i)))
+	}
+	x = fnvString(x, string(src))
+	x = fnvString(x, string(dst))
+	for _, b := range payload {
+		x = fnvByte(x, b)
+	}
+	*h = traceHash(x)
+}
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return fnvByte(h, 0xff)
 }
 
 // tickEvery is the orchestrator's period on the virtual clock. Its
@@ -68,14 +107,13 @@ func runAndDrain(sim *simnet.Simulator, d time.Duration, stops ...func()) {
 	sim.Run()
 }
 
-// chaosKey and chaosValue are the deterministic preloaded KVS keyspace.
-func chaosKey(i int) string   { return fmt.Sprintf("key-%d", i) }
+// chaosValue is the value of the i'th preloaded key.
 func chaosValue(i int) string { return fmt.Sprintf("value-%d-%08x", i, uint32(i)*2654435761) }
 
 // preloadKVS installs n immutable entries into store.
 func preloadKVS(store *kvs.ShardedStore, n int) {
 	for i := 0; i < n; i++ {
-		store.Set(chaosKey(i), kvs.Entry{Flags: uint32(i), Value: []byte(chaosValue(i))})
+		store.Set(kvs.SequentialKey(i), kvs.Entry{Flags: uint32(i), Value: []byte(chaosValue(i))})
 	}
 }
 
@@ -91,6 +129,7 @@ type ServingStack struct {
 	Node     *simhost.Node
 	Orch     *daemon.Orchestrator
 	StopTick func()
+	trace    *traceHash
 }
 
 // newServingStack wires h and its tier up as service name. Placement
@@ -99,8 +138,7 @@ func newServingStack(seed int64, cfg StackConfig, name string, h dataplane.Handl
 	sim := simnet.New(seed)
 	net := simnet.NewNetwork(sim, cfg.Link)
 	net.SetFaultPlan(cfg.Faults)
-	attachTrace(net, cfg.Trace, nil)
-	s := &ServingStack{Sim: sim, Net: net, Tier: NewCrashableTier(tier)}
+	s := &ServingStack{Sim: sim, Net: net, Tier: NewCrashableTier(tier), trace: attachTrace(net, cfg.Trace, nil)}
 	s.Node = simhost.NewNode(net, ServerAddr, h, cfg.BatchWindow, nil)
 	s.Orch, s.StopTick = simhost.Orchestrate(sim, tickEvery, daemon.ServiceConfig{
 		Service: nictier.NewService(name, s.Node, s.Tier),
@@ -319,6 +357,7 @@ type PaxosStack struct {
 	Audit   *VoteAuditor
 	Clients []*PaxosClient
 	stops   []func() // the periodic drivers: orchestrator ticks, gap scans
+	trace   *traceHash
 }
 
 // nodes returns every node of the deployment: both leaders, the
@@ -342,7 +381,7 @@ func NewPaxosStack(seed int64, cfg StackConfig, nclients int) *PaxosStack {
 	net := simnet.NewNetwork(sim, cfg.Link)
 	net.SetFaultPlan(cfg.Faults)
 	s := &PaxosStack{Sim: sim, Audit: NewVoteAuditor()}
-	attachTrace(net, cfg.Trace, s.Audit.observe)
+	s.trace = attachTrace(net, cfg.Trace, s.Audit.observe)
 	s.Paxos = simhost.NewPaxos(net, simhost.PaxosConfig{
 		Learners: 2, Bare: true, Window: cfg.BatchWindow, GapTimeout: 500 * time.Microsecond,
 	})

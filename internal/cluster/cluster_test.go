@@ -125,8 +125,8 @@ func TestLastJobSaving(t *testing.T) {
 }
 
 func TestSwitchTippingNearZero(t *testing.T) {
-	cfg := ToRConfig{Nodes: 24, PacketBytes: 1500, ServerCurve: power.MemcachedMellanox}
-	tip := SwitchTippingKpps(cfg, 2000)
+	curve := power.MemcachedMellanox
+	tip := SwitchTippingKpps(curve, 2000)
 	// §9.4: "PdN(R) will equal PdS(R) when R is almost zero".
 	if tip < 0 || tip > 10 {
 		t.Errorf("switch tipping point = %v kpps, want ~0", tip)
@@ -134,18 +134,18 @@ func TestSwitchTippingNearZero(t *testing.T) {
 }
 
 func TestCacheSplitPower(t *testing.T) {
-	cfg := ToRConfig{Nodes: 24, PacketBytes: 1500, ServerCurve: power.MemcachedMellanox}
-	split, hostOnly := CacheSplitPower(cfg, 2400, 0.9)
+	curve := power.MemcachedMellanox
+	split, hostOnly := CacheSplitPower(curve, 2400, 0.9)
 	if split >= hostOnly {
 		t.Errorf("90%% hit split (%v W) should beat host-only (%v W)", split, hostOnly)
 	}
 	// Zero hit ratio: no switch benefit beyond the (tiny) port power.
-	split0, host0 := CacheSplitPower(cfg, 2400, 0)
+	split0, host0 := CacheSplitPower(curve, 2400, 0)
 	if split0 < host0-1e-9 {
 		t.Errorf("0%% hits shouldn't beat host-only: %v vs %v", split0, host0)
 	}
 	// Clamping.
-	if s, _ := CacheSplitPower(cfg, 2400, 2); s <= 0 {
+	if s, _ := CacheSplitPower(curve, 2400, 2); s <= 0 {
 		t.Error("hit ratio should clamp to 1")
 	}
 }

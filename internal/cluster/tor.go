@@ -10,56 +10,45 @@ import (
 // compares dynamic power only — and switch dynamic power is so small
 // (<5 W per 100G port) that the tipping point "R is almost zero".
 
-// ToRConfig describes the rack.
-type ToRConfig struct {
-	// Nodes in the rack.
-	Nodes int
-	// PacketBytes sizes the application's packets.
-	PacketBytes int
-	// ServerCurve is the per-server software power curve.
-	ServerCurve power.SoftwareCurve
-}
+// The §9.4 rack.
+const (
+	// rackNodes is how many servers the ToR switch serves.
+	rackNodes = 24
+	// packetBytes sizes the application's packets.
+	packetBytes = 1500
+)
 
 // SwitchTippingKpps returns the rate at which running the workload on the
-// ToR switch becomes cheaper than one server running it, using the §9.4
-// per-port dynamic-power arithmetic for the switch side.
-func SwitchTippingKpps(cfg ToRConfig, limitKpps float64) float64 {
+// ToR switch becomes cheaper than one server on curve running it, using
+// the §9.4 per-port dynamic-power arithmetic for the switch side.
+func SwitchTippingKpps(curve power.SoftwareCurve, limitKpps float64) float64 {
 	server := func(kpps float64) float64 {
-		return cfg.ServerCurve.Power(kpps) - cfg.ServerCurve.Power(0)
+		return curve.Power(kpps) - curve.Power(0)
 	}
 	tor := func(kpps float64) float64 {
-		return asic.PortDynamicWatts(kpps*1000, cfg.PacketBytes)
+		return asic.PortDynamicWatts(kpps*1000, packetBytes)
 	}
 	return power.Crossover(server, tor, limitKpps)
 }
 
 // CacheSplitPower models the §9.4 partial-offload case: the switch serves
-// hitRatio of the aggregate rack request rate (in kpps) and the host
-// serves the rest. It returns total dynamic watts for the split and for
-// the host-only deployment, so callers can see the efficiency as a
-// function of the hit:miss ratio.
-func CacheSplitPower(cfg ToRConfig, rackKpps, hitRatio float64) (split, hostOnly float64) {
+// hitRatio of the aggregate rack request rate (in kpps) and the rack's
+// servers, each on curve, serve the rest. It returns total dynamic watts
+// for the split and for the host-only deployment, so callers can see the
+// efficiency as a function of the hit:miss ratio.
+func CacheSplitPower(curve power.SoftwareCurve, rackKpps, hitRatio float64) (split, hostOnly float64) {
 	if hitRatio < 0 {
 		hitRatio = 0
 	}
 	if hitRatio > 1 {
 		hitRatio = 1
 	}
-	missKpps := rackKpps * (1 - hitRatio)
-	perServerMiss := missKpps
-	if cfg.Nodes > 0 {
-		perServerMiss = missKpps / float64(cfg.Nodes)
-	}
 	hostDyn := func(kpps float64) float64 {
-		return cfg.ServerCurve.Power(kpps) - cfg.ServerCurve.Power(0)
+		return curve.Power(kpps) - curve.Power(0)
 	}
-	switchDyn := asic.PortDynamicWatts(rackKpps*hitRatio*1000, cfg.PacketBytes)
-	split = switchDyn + float64(max(cfg.Nodes, 1))*hostDyn(perServerMiss)
-	perServerAll := rackKpps
-	if cfg.Nodes > 0 {
-		perServerAll = rackKpps / float64(cfg.Nodes)
-	}
-	hostOnly = float64(max(cfg.Nodes, 1)) * hostDyn(perServerAll)
+	switchDyn := asic.PortDynamicWatts(rackKpps*hitRatio*1000, packetBytes)
+	split = switchDyn + rackNodes*hostDyn(rackKpps*(1-hitRatio)/rackNodes)
+	hostOnly = rackNodes * hostDyn(rackKpps/rackNodes)
 	return split, hostOnly
 }
 

@@ -81,7 +81,7 @@ func postJSON(t *testing.T, url, body string, v any) int {
 
 func TestV1ListServices(t *testing.T) {
 	a := newAPI(t)
-	a["kvs"].o.svc.count.Add(5)
+	counter(a["kvs"].o.svc).Add(5)
 
 	list := map[string][]ServiceStatus{}
 	for name := range a {
@@ -388,12 +388,11 @@ func TestUseCounterFeedsOrchestrator(t *testing.T) {
 	if st.WindowKpps < 99 || st.WindowKpps > 101 {
 		t.Fatalf("WindowKpps = %v, want ~100", st.WindowKpps)
 	}
-	// With no external counter wired the service's own count is read.
+	// With no counter wired the service reads no requests.
 	o2 := NewOrchestrator(0)
-	m2, _ := o2.Register("raw", ServiceConfig{})
-	m2.count.Add(1)
-	if st, _ := o2.Status(); st.Requests != 1 {
-		t.Fatalf("raw Requests = %d, want 1", st.Requests)
+	o2.Register("raw", ServiceConfig{})
+	if st, _ := o2.Status(); st.Requests != 0 {
+		t.Fatalf("raw Requests = %d, want 0", st.Requests)
 	}
 }
 
@@ -472,7 +471,7 @@ func TestV1ResponsesMatchGolden(t *testing.T) {
 		fmt.Fprintf(&out, "%s %s %s\n-> %d %s", method, path, body, code, resp)
 	}
 	o.Tick(now)
-	m.count.Add(5000)
+	counter(m).Add(5000)
 	now = now.Add(100 * time.Millisecond)
 	o.Tick(now)
 

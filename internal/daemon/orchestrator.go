@@ -92,12 +92,9 @@ type ManagedService struct {
 	pol   core.Policy
 	model PowerModel
 
-	// count is the request total until UseCounter wires one; nothing in
-	// a daemon adds to it (tests do, to feed the loop directly).
-	count atomic.Uint64
-	// external, when set, supplies the monotonic request total instead
-	// of count (e.g. a dataplane engine's Handled).
-	external atomic.Pointer[func() uint64]
+	// counter, once UseCounter wires it, supplies the monotonic request
+	// total (e.g. a dataplane engine's Handled).
+	counter atomic.Pointer[func() uint64]
 
 	// Below are guarded by the orchestrator mutex.
 	lastCount   uint64
@@ -122,15 +119,14 @@ type ManagedService struct {
 // sampled once per orchestrator tick — the dataplane wiring, where the
 // engine already counts every handled datagram. Call it before traffic
 // starts; fn must be safe for concurrent use.
-func (m *ManagedService) UseCounter(fn func() uint64) { m.external.Store(&fn) }
+func (m *ManagedService) UseCounter(fn func() uint64) { m.counter.Store(&fn) }
 
-// total returns the current request count from whichever source is
-// wired.
+// total returns the current request count, 0 while no counter is wired.
 func (m *ManagedService) total() uint64 {
-	if p := m.external.Load(); p != nil {
+	if p := m.counter.Load(); p != nil {
 		return (*p)()
 	}
-	return m.count.Load()
+	return 0
 }
 
 // Orchestrator supervises the placement of the one service a program

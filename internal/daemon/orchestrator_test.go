@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,19 @@ import (
 	"incod/internal/power"
 )
 
+// counters holds the request total each test service is fed through
+// UseCounter, as a daemon wires its engine's.
+var counters sync.Map // *ManagedService -> *atomic.Uint64
+
+// counter returns m's request total, wiring it on first use.
+func counter(m *ManagedService) *atomic.Uint64 {
+	c, loaded := counters.LoadOrStore(m, new(atomic.Uint64))
+	if !loaded {
+		m.UseCounter(c.(*atomic.Uint64).Load)
+	}
+	return c.(*atomic.Uint64)
+}
+
 // drive feeds m a synthetic request stream at kpps for d of synthetic
 // wall time, stepping the orchestrator's decision tick manually.
 func drive(o *Orchestrator, m *ManagedService, start time.Time, kpps float64, d time.Duration) time.Time {
@@ -20,7 +34,7 @@ func drive(o *Orchestrator, m *ManagedService, start time.Time, kpps float64, d 
 	now := start
 	for elapsed := time.Duration(0); elapsed < d; elapsed += step {
 		now = now.Add(step)
-		m.count.Add(uint64(kpps * 1000 * step.Seconds()))
+		counter(m).Add(uint64(kpps * 1000 * step.Seconds()))
 		o.Tick(now)
 	}
 	return now
@@ -470,7 +484,7 @@ func TestConcurrentReadersDuringShiftAndShutdown(t *testing.T) {
 			case <-feedStop:
 				return
 			default:
-				m.count.Add(5000)
+				counter(m).Add(5000)
 				time.Sleep(time.Millisecond)
 			}
 		}

@@ -129,7 +129,7 @@ func TestEmuDeepNamesGoToSoftware(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply []byte
-	b.net.Attach(&simnet.NodeFunc{Address: "probe", Handler: func(p *simnet.Packet) { reply = p.Payload }})
+	b.net.Attach(&replyNode{"probe", func(p *simnet.Packet) { reply = p.Payload }})
 	_, host := b.served()
 	b.Receive(&simnet.Packet{Src: "probe", Dst: "emu", SrcPort: 41000, DstPort: 53, Payload: payload})
 	b.sim.RunFor(time.Millisecond)
@@ -228,3 +228,12 @@ func TestSyncZoneCopies(t *testing.T) {
 		t.Errorf("host served %d queries; both answers should be the card's", host)
 	}
 }
+
+// replyNode is a simnet node that hands every packet it receives to fn.
+type replyNode struct {
+	addr simnet.Addr
+	fn   func(*simnet.Packet)
+}
+
+func (r *replyNode) Addr() simnet.Addr          { return r.addr }
+func (r *replyNode) Receive(pkt *simnet.Packet) { r.fn(pkt) }

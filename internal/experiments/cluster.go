@@ -77,12 +77,12 @@ func torTable() *Table {
 		Title:   "§9.4: ToR switch on-demand",
 		Columns: []string{"metric", "value"},
 	}
-	cfg := cluster.ToRConfig{Nodes: 24, PacketBytes: 1500, ServerCurve: power.MemcachedMellanox}
-	tip := cluster.SwitchTippingKpps(cfg, 2000)
+	curve := power.MemcachedMellanox
+	tip := cluster.SwitchTippingKpps(curve, 2000)
 	t.AddRow("switch-vs-server tipping point [kpps]", tip)
 	t.AddRow("switch dynamic power for 1 Mpps x 1500 B [W]", torPortWatts(1000, 1500))
 	for _, hit := range []float64{0.5, 0.9, 0.99} {
-		split, hostOnly := cluster.CacheSplitPower(cfg, 2400, hit)
+		split, hostOnly := cluster.CacheSplitPower(curve, 2400, hit)
 		t.AddRow(fmtReasonLocal("rack dynamic power, %.0f%% switch hits [W]", hit*100), split)
 		if hit == 0.5 {
 			t.AddRow("rack dynamic power, host-only [W]", hostOnly)

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"incod/internal/core"
 	"incod/internal/dns"
+	"incod/internal/kvs"
 	"incod/internal/placement"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
@@ -20,7 +20,7 @@ func init() {
 // cyclingKeys is GET traffic cycling over n preloaded keys.
 func cyclingKeys(n int) *trafficgen.KVS {
 	i := 0
-	return &trafficgen.KVS{Key: func() string { i++; return fmt.Sprintf("key-%d", i%n) }}
+	return &trafficgen.KVS{Key: func() string { i++; return kvs.SequentialKey(i % n) }}
 }
 
 // mustShift moves svc to a placement; on the simulated stacks, which

@@ -53,27 +53,26 @@ type SchedulerConfig struct {
 	// Hold is how many consecutive ticks a verdict (light X, douse Y,
 	// swap X for Y) must repeat before the action is emitted. Minimum 1.
 	Hold int
-	// LightMarginW: a dark member only becomes light-eligible when its
-	// saving exceeds this (watts).
-	LightMarginW float64
-	// DouseMarginW: a lit member is only doused when its saving falls
-	// below this. Must be below LightMarginW for hysteresis.
-	DouseMarginW float64
-	// SwapMarginW: a dark challenger only preempts a lit incumbent when
-	// it out-saves it by at least this much.
-	SwapMarginW float64
 }
 
-// DefaultSchedulerConfig returns margins suited to the §4 power curves,
+// The scheduler's margins, in watts of saving, suit the §4 power curves,
 // where lighting a tier pays ~7 W of NIC base power before any saving.
+const (
+	// lightMarginW: a dark member only becomes light-eligible when its
+	// saving exceeds this.
+	lightMarginW = 1.0
+	// douseMarginW: a lit member is only doused when its saving falls
+	// below this; it is below lightMarginW for hysteresis.
+	douseMarginW = 0.25
+	// swapMarginW: a dark challenger only preempts a lit incumbent when
+	// it out-saves it by at least this much.
+	swapMarginW = 2.0
+)
+
+// DefaultSchedulerConfig returns a budget of k lit tiers held for 3
+// ticks.
 func DefaultSchedulerConfig(k int) SchedulerConfig {
-	return SchedulerConfig{
-		K:            k,
-		Hold:         3,
-		LightMarginW: 1.0,
-		DouseMarginW: 0.25,
-		SwapMarginW:  2.0,
-	}
+	return SchedulerConfig{K: k, Hold: 3}
 }
 
 // Scheduler plans at most one placement action per tick under a global
@@ -94,9 +93,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	}
 	if cfg.K < 0 {
 		cfg.K = 0
-	}
-	if cfg.DouseMarginW > cfg.LightMarginW {
-		cfg.DouseMarginW = cfg.LightMarginW
 	}
 	return &Scheduler{cfg: cfg}
 }
@@ -173,12 +169,12 @@ func (s *Scheduler) verdict(cands []Candidate) (Action, bool) {
 	// of spare budget.
 	if len(lit) > 0 {
 		w := lit[len(lit)-1]
-		if w.SavingW < s.cfg.DouseMarginW {
+		if w.SavingW < douseMarginW {
 			return Action{Douse, w.Name, "unprofitable"}, true
 		}
 	}
 	// Spare budget: light the best dark member that clears the margin.
-	if len(lit) < s.cfg.K && len(dark) > 0 && dark[0].SavingW > s.cfg.LightMarginW {
+	if len(lit) < s.cfg.K && len(dark) > 0 && dark[0].SavingW > lightMarginW {
 		return Action{Light, dark[0].Name, "best saving under budget"}, true
 	}
 	// Budget full: a sufficiently better challenger preempts the worst
@@ -186,8 +182,8 @@ func (s *Scheduler) verdict(cands []Candidate) (Action, bool) {
 	// the lit count never exceeds K.
 	if len(lit) == s.cfg.K && s.cfg.K > 0 && len(dark) > 0 {
 		worst := lit[len(lit)-1]
-		if dark[0].SavingW > worst.SavingW+s.cfg.SwapMarginW &&
-			dark[0].SavingW > s.cfg.LightMarginW {
+		if dark[0].SavingW > worst.SavingW+swapMarginW &&
+			dark[0].SavingW > lightMarginW {
 			return Action{Douse, worst.Name, "preempted by " + dark[0].Name}, true
 		}
 	}

@@ -20,7 +20,7 @@ func planUntil(t *testing.T, s *Scheduler, cands []Candidate, limit int) (Action
 }
 
 func TestSchedulerHoldDelaysAction(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{K: 1, Hold: 3, LightMarginW: 1})
+	s := NewScheduler(SchedulerConfig{K: 1, Hold: 3})
 	cands := []Candidate{{Name: "a", SavingW: 10}}
 	for i := 0; i < 2; i++ {
 		if _, ok := plan(t, s, cands); ok {
@@ -34,7 +34,7 @@ func TestSchedulerHoldDelaysAction(t *testing.T) {
 }
 
 func TestSchedulerChangedVerdictResetsHold(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{K: 1, Hold: 2, LightMarginW: 1})
+	s := NewScheduler(SchedulerConfig{K: 1, Hold: 2})
 	plan(t, s, []Candidate{{Name: "a", SavingW: 10}})
 	// The front-runner changes: the streak must restart, not carry over.
 	if _, ok := plan(t, s, []Candidate{{Name: "b", SavingW: 20}}); ok {
@@ -47,7 +47,7 @@ func TestSchedulerChangedVerdictResetsHold(t *testing.T) {
 }
 
 func TestSchedulerNeverLightsBeyondBudget(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{K: 2, Hold: 1, LightMarginW: 1})
+	s := NewScheduler(SchedulerConfig{K: 2, Hold: 1})
 	cands := []Candidate{
 		{Name: "a", Lit: true, SavingW: 10},
 		{Name: "b", Lit: true, SavingW: 9},
@@ -59,7 +59,7 @@ func TestSchedulerNeverLightsBeyondBudget(t *testing.T) {
 }
 
 func TestSchedulerNoActionWhileAnyShifting(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{K: 2, Hold: 1, LightMarginW: 1})
+	s := NewScheduler(SchedulerConfig{K: 2, Hold: 1})
 	cands := []Candidate{
 		{Name: "a", SavingW: 50},
 		{Name: "b", Shifting: true, SavingW: 2},
@@ -84,7 +84,7 @@ func TestSchedulerDousesOverBudget(t *testing.T) {
 }
 
 func TestSchedulerDousesUnprofitable(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{K: 2, Hold: 1, LightMarginW: 1, DouseMarginW: 0.5})
+	s := NewScheduler(SchedulerConfig{K: 2, Hold: 1})
 	cands := []Candidate{{Name: "a", Lit: true, SavingW: -3}}
 	a, ok := plan(t, s, cands)
 	if !ok || a.Kind != Douse || a.Member != "a" {
@@ -95,17 +95,17 @@ func TestSchedulerDousesUnprofitable(t *testing.T) {
 func TestSchedulerHysteresisBand(t *testing.T) {
 	// Saving between the douse and light margins must move nothing in
 	// either direction — that band is what stops flapping.
-	s := NewScheduler(SchedulerConfig{K: 1, Hold: 1, LightMarginW: 2, DouseMarginW: 0.5})
-	if a, ok := plan(t, s, []Candidate{{Name: "a", SavingW: 1}}); ok {
+	s := NewScheduler(SchedulerConfig{K: 1, Hold: 1})
+	if a, ok := plan(t, s, []Candidate{{Name: "a", SavingW: 0.5}}); ok {
 		t.Fatalf("dark member inside band lit: %+v", a)
 	}
-	if a, ok := plan(t, s, []Candidate{{Name: "a", Lit: true, SavingW: 1}}); ok {
+	if a, ok := plan(t, s, []Candidate{{Name: "a", Lit: true, SavingW: 0.5}}); ok {
 		t.Fatalf("lit member inside band doused: %+v", a)
 	}
 }
 
 func TestSchedulerSwapDousesFirstThenLights(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{K: 1, Hold: 1, LightMarginW: 1, SwapMarginW: 2})
+	s := NewScheduler(SchedulerConfig{K: 1, Hold: 1})
 	cands := []Candidate{
 		{Name: "weak", Lit: true, SavingW: 3},
 		{Name: "strong", SavingW: 10},
@@ -127,10 +127,10 @@ func TestSchedulerSwapDousesFirstThenLights(t *testing.T) {
 }
 
 func TestSchedulerSwapNeedsMargin(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{K: 1, Hold: 1, LightMarginW: 1, SwapMarginW: 5})
+	s := NewScheduler(SchedulerConfig{K: 1, Hold: 1})
 	cands := []Candidate{
 		{Name: "weak", Lit: true, SavingW: 3},
-		{Name: "strong", SavingW: 6}, // better, but not by SwapMarginW
+		{Name: "strong", SavingW: 4.5}, // better, but not by swapMarginW
 	}
 	if a, ok := plan(t, s, cands); ok {
 		t.Fatalf("marginal challenger swapped: %+v", a)
@@ -139,7 +139,7 @@ func TestSchedulerSwapNeedsMargin(t *testing.T) {
 
 func TestSchedulerDeterministicTieBreak(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
-		s := NewScheduler(SchedulerConfig{K: 1, Hold: 1, LightMarginW: 1})
+		s := NewScheduler(SchedulerConfig{K: 1, Hold: 1})
 		cands := []Candidate{
 			{Name: "zeta", SavingW: 7},
 			{Name: "alpha", SavingW: 7},
@@ -155,7 +155,7 @@ func TestSchedulerConvergesToKAndStops(t *testing.T) {
 	// Drive a 6-member fleet to steady state, applying each action to
 	// the candidate set, and verify: lit never exceeds K, and once the
 	// best K are lit the scheduler goes quiet.
-	s := NewScheduler(SchedulerConfig{K: 2, Hold: 2, LightMarginW: 1, DouseMarginW: 0.25, SwapMarginW: 2})
+	s := NewScheduler(SchedulerConfig{K: 2, Hold: 2})
 	cands := []Candidate{
 		{Name: "a", SavingW: 9},
 		{Name: "b", SavingW: 7},

@@ -73,7 +73,7 @@ func TestControllerEnforcesBudgetOverLiveAPI(t *testing.T) {
 	ctrl, err := NewController(Config{
 		Members: members,
 		Sched: SchedulerConfig{
-			K: 1, Hold: 1, LightMarginW: 1, DouseMarginW: 0.25, SwapMarginW: 2,
+			K: 1, Hold: 1,
 		},
 		RateScale: 30,
 		Logf:      t.Logf,
@@ -163,7 +163,7 @@ func TestControllerSurvivesDeadMember(t *testing.T) {
 
 	ctrl, err := NewController(Config{
 		Members:   members,
-		Sched:     SchedulerConfig{K: 1, Hold: 1, LightMarginW: 1},
+		Sched:     SchedulerConfig{K: 1, Hold: 1},
 		RateScale: 30,
 		Logf:      t.Logf,
 	})
@@ -200,7 +200,7 @@ func TestControllerEnergyIsTrapezoidOfCurve(t *testing.T) {
 	const wallScale = 3600
 	ctrl, err := NewController(Config{
 		Members:   []Member{m},
-		Sched:     SchedulerConfig{K: 1, Hold: 1, LightMarginW: 1},
+		Sched:     SchedulerConfig{K: 1, Hold: 1},
 		RateScale: 30,
 		WallScale: wallScale,
 		Logf:      t.Logf,

@@ -40,10 +40,9 @@
 //
 //   - No placement flapping: a candidate must hold its ranking verdict
 //     for Hold consecutive ticks before an action is emitted, and the
-//     light/douse thresholds are hysteretic (light above LightMarginW,
-//     douse only below DouseMarginW < LightMarginW). An incumbent is
-//     preempted only when a challenger has out-ranked it by SwapMarginW
-//     for Hold ticks.
+//     light/douse thresholds are hysteretic (light above a 1 W saving,
+//     douse only below 0.25 W). An incumbent is preempted only when a
+//     challenger has out-saved it by 2 W for Hold ticks.
 //
 //   - Determinism: equal-saving candidates are ordered by name, so the
 //     same inputs always plan the same actions.

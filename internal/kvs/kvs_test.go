@@ -60,7 +60,7 @@ func rig(seed int64, m *simhost.Model) *bed {
 	sim := simnet.New(seed)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	lake := simhost.NewKVS(net, "lake", m)
-	app := &trafficgen.KVS{Key: func() string { return "key" }, ValueSize: 64, Rand: sim.Rand()}
+	app := &trafficgen.KVS{Key: func() string { return "key" }}
 	return &bed{sim: sim, net: net, app: app, client: simhost.NewClient(net, "client", "lake", app), KVS: lake}
 }
 
@@ -85,11 +85,20 @@ func (b *bed) probe(payload []byte) []byte {
 	var reply []byte
 	b.probes++
 	src := simnet.Addr(fmt.Sprintf("probe-%d", b.probes))
-	b.net.Attach(&simnet.NodeFunc{Address: src, Handler: func(p *simnet.Packet) { reply = p.Payload }})
+	b.net.Attach(&replyNode{src, func(p *simnet.Packet) { reply = p.Payload }})
 	b.Receive(&simnet.Packet{Src: src, Dst: "lake", SrcPort: 9, DstPort: 11211, Payload: payload})
 	b.sim.RunFor(time.Millisecond)
 	return reply
 }
+
+// replyNode is a simnet node that hands every packet it receives to fn.
+type replyNode struct {
+	addr simnet.Addr
+	fn   func(*simnet.Packet)
+}
+
+func (r *replyNode) Addr() simnet.Addr          { return r.addr }
+func (r *replyNode) Receive(pkt *simnet.Packet) { r.fn(pkt) }
 
 // framed wraps an ASCII request body in a UDP frame.
 func framed(body string) []byte {
@@ -135,10 +144,9 @@ func TestLaKeLatencyAnchors(t *testing.T) {
 func TestLaKeSetWriteThrough(t *testing.T) {
 	b := rig(7, nil)
 	b.shift(t, core.Network)
-	b.app.Key = func() string { return "w" }
-	b.app.SetFraction = 1
-	b.drive(10, 10*time.Millisecond)
-
+	if reply := b.probe(framed("set w 0 0 1\r\nv\r\n")); len(reply) < 8 || string(reply[8:]) != "STORED\r\n" {
+		t.Fatalf("set through the card answered %q", reply)
+	}
 	if b.Tier.Counters().Get("write_through") == 0 {
 		t.Fatal("no sets classified by the card")
 	}
@@ -147,7 +155,7 @@ func TestLaKeSetWriteThrough(t *testing.T) {
 	}
 	// The written value is served from the card from then on.
 	fast, _ := b.served()
-	b.app.SetFraction = 0
+	b.app.Key = func() string { return "w" }
 	b.drive(10, 5*time.Millisecond)
 	if now, _ := b.served(); now == fast {
 		t.Error("a get after the set should hit the card")

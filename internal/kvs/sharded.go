@@ -3,6 +3,7 @@ package kvs
 import (
 	"runtime"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -18,6 +19,10 @@ type Entry struct {
 	Value   []byte
 	Expires int64 // virtual nanoseconds; 0 means no expiry
 }
+
+// SequentialKey returns the i'th generated key, "key-<i>": the name every
+// preload stores and every load generator asks for.
+func SequentialKey(i int) string { return "key-" + strconv.Itoa(i) }
 
 // ShardedStore is the memcached-semantics store: N shared-nothing
 // partitions with key-hash fan-out. Reads are lock-free — a per-slot

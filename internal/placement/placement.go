@@ -103,8 +103,6 @@ type Requirements struct {
 	MinFlexibility int
 	// MaxPriceUnits bounds the budget (NIC-class = 1).
 	MaxPriceUnits float64
-	// MaxBlastRadius bounds acceptable failure impact.
-	MaxBlastRadius int
 }
 
 // Score is a ranked platform.
@@ -139,10 +137,6 @@ func Rank(req Requirements) []Score {
 		if req.MaxPriceUnits > 0 && p.PriceUnits > req.MaxPriceUnits {
 			s.Feasible = false
 			s.Why = append(s.Why, fmt.Sprintf("price %.1f > budget %.1f", p.PriceUnits, req.MaxPriceUnits))
-		}
-		if req.MaxBlastRadius > 0 && p.BlastRadius > req.MaxBlastRadius {
-			s.Feasible = false
-			s.Why = append(s.Why, fmt.Sprintf("blast radius %d > limit %d", p.BlastRadius, req.MaxBlastRadius))
 		}
 		s.Value = p.PerfPerWatt() / p.PriceUnits
 		out = append(out, s)

@@ -114,11 +114,11 @@ func TestRankExtremeThroughputPicksSwitch(t *testing.T) {
 	}
 }
 
-func TestRankBudgetAndBlastRadius(t *testing.T) {
-	scores := Rank(Requirements{MaxPriceUnits: 2, MaxBlastRadius: 1})
+func TestRankBudget(t *testing.T) {
+	scores := Rank(Requirements{MaxPriceUnits: 2})
 	for _, s := range scores {
 		if s.Platform.Name == SwitchASIC && s.Feasible {
-			t.Error("switch violates both budget and blast radius")
+			t.Error("switch violates the budget")
 		}
 	}
 	// Feasible entries sort by value, descending.

@@ -2,7 +2,6 @@ package simhost
 
 import (
 	"container/list"
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -310,11 +309,11 @@ func NewKVS(net *simnet.Network, addr simnet.Addr, m *Model) *KVS {
 	return s
 }
 
-// Preload stores n sequentially named keys ("key-0".."key-n-1") of size
+// Preload stores the n keys kvs.SequentialKey names (0..n-1) of size
 // bytes in the host store.
 func (s *KVS) Preload(n, size int) {
 	for i := 0; i < n; i++ {
-		s.Store.Set(fmt.Sprintf("key-%d", i), kvs.Entry{Value: make([]byte, size)})
+		s.Store.Set(kvs.SequentialKey(i), kvs.Entry{Value: make([]byte, size)})
 	}
 }
 

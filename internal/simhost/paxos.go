@@ -117,10 +117,12 @@ type Paxos struct {
 var _ core.Service = (*Paxos)(nil)
 var _ core.TaskNamer = (*Paxos)(nil)
 
+// acceptors is how many acceptors a deployment runs; quorum is a
+// majority.
+const acceptors = 3
+
 // PaxosConfig sizes a deployment.
 type PaxosConfig struct {
-	// Acceptors must be odd; quorum is a majority. Default 3.
-	Acceptors int
 	// Learners observe decisions, each hearing every acceptor. Default 1.
 	Learners int
 	// Clients is how many proposers (trafficgen.Proposer load clients,
@@ -141,9 +143,6 @@ type PaxosConfig struct {
 // NewPaxos wires up leaders (software active, hardware standby),
 // acceptors, learners and clients.
 func NewPaxos(net *simnet.Network, cfg PaxosConfig) *Paxos {
-	if cfg.Acceptors <= 0 {
-		cfg.Acceptors = 3
-	}
 	if cfg.Learners <= 0 {
 		cfg.Learners = 1
 	}
@@ -151,9 +150,9 @@ func NewPaxos(net *simnet.Network, cfg PaxosConfig) *Paxos {
 		cfg.GapTimeout = 50 * time.Millisecond
 	}
 	d := &Paxos{Net: net, bare: cfg.Bare}
-	acceptors := make([]string, cfg.Acceptors)
-	for i := range acceptors {
-		acceptors[i] = fmt.Sprintf("acceptor-%d", i)
+	acceptorAddrs := make([]string, acceptors)
+	for i := range acceptorAddrs {
+		acceptorAddrs[i] = fmt.Sprintf("acceptor-%d", i)
 	}
 	d.learners = make([]string, cfg.Learners)
 	for i := range d.learners {
@@ -165,7 +164,7 @@ func NewPaxos(net *simnet.Network, cfg PaxosConfig) *Paxos {
 
 	leader := func(addr simnet.Addr, m *Model) *PaxosLeader {
 		role, n := roleNode(net, addr, 0, d.model(m), func(send paxos.Sender) *paxos.LiveLeader {
-			return paxos.NewLiveLeader(1, acceptors, send)
+			return paxos.NewLiveLeader(1, acceptorAddrs, send)
 		})
 		return &PaxosLeader{role, n}
 	}
@@ -176,7 +175,7 @@ func NewPaxos(net *simnet.Network, cfg PaxosConfig) *Paxos {
 	d.HWLeader.SetActive(false)
 	d.current = d.SWLeader
 
-	for i, addr := range acceptors {
+	for i, addr := range acceptorAddrs {
 		window := time.Duration(0)
 		if i == 0 {
 			window = cfg.Window
@@ -185,7 +184,7 @@ func NewPaxos(net *simnet.Network, cfg PaxosConfig) *Paxos {
 	}
 	for _, addr := range d.learners {
 		role, n := roleNode(net, simnet.Addr(addr), 0, d.model(Libpaxos("learner")), func(send paxos.Sender) *paxos.LiveLearner {
-			return paxos.NewLiveLearner(cfg.Acceptors/2+1, string(d.current.Addr()), send)
+			return paxos.NewLiveLearner(acceptors/2+1, string(d.current.Addr()), send)
 		})
 		role.GapTimeout = cfg.GapTimeout
 		d.Learners = append(d.Learners, &PaxosLearner{role, n})

@@ -43,11 +43,20 @@ var echo = dataplane.HandlerFunc(func(in []byte, scratch *[]byte) ([]byte, bool)
 // it receives.
 func listen(net *simnet.Network) *[]simnet.Time {
 	var at []simnet.Time
-	net.Attach(&simnet.NodeFunc{Address: "client", Handler: func(*simnet.Packet) {
+	net.Attach(&replyNode{"client", func(*simnet.Packet) {
 		at = append(at, net.Sim().Now())
 	}})
 	return &at
 }
+
+// replyNode is a simnet node that hands every packet it receives to fn.
+type replyNode struct {
+	addr simnet.Addr
+	fn   func(*simnet.Packet)
+}
+
+func (r *replyNode) Addr() simnet.Addr          { return r.addr }
+func (r *replyNode) Receive(pkt *simnet.Packet) { r.fn(pkt) }
 
 // Barrier is the pre-warm fence of a shift: with a batch window it must
 // land everything delivered so far at once, not when the window elapses.

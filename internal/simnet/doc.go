@@ -12,20 +12,19 @@
 // # Fault plans
 //
 // A FaultPlan turns the network into a chaos substrate. Per link (or as a
-// network-wide default) it injects packet loss, duplication, bounded
-// reordering, latency jitter and stragglers. A link that loses every
+// network-wide default) it injects packet loss, duplication, reordering
+// within a fixed 20µs window and latency jitter. A link that loses every
 // packet (LossRate 1) in both directions is a partition, and installing
 // a new plan heals it; packets already in flight still land. Every
 // probabilistic choice is drawn from the simulator's seeded random source
 // in a fixed order, so an entire faulted run — including every drop,
 // duplicate and delay — is a pure function of (seed, plan).
 //
-// The network maintains an order-sensitive hash of every packet event
-// (TraceHash) and an optional Tracer callback. The chaos harness in
-// internal/chaos sweeps seeds, asserts properties, and on a violation
-// prints the exact seed to replay; re-running with that seed reproduces
-// the failure byte-for-byte, and SetTracer dumps the full schedule. The
-// network keeps no counters of its own: every drop, duplicate and
-// delivery is a trace event, and a caller that wants a count counts the
-// events its tracer sees.
+// An optional Tracer sees every packet event in order. The chaos harness
+// in internal/chaos folds them into a hash, sweeps seeds, asserts
+// properties, and on a violation prints the exact seed to replay;
+// re-running with that seed reproduces the failure byte-for-byte, and a
+// tracer dumps the full schedule. The network keeps no counters of its
+// own: every drop, duplicate and delivery is a trace event, and a caller
+// that wants a count counts the events its tracer sees.
 package simnet

@@ -18,20 +18,12 @@ type Packet struct {
 	// Emu DNS's) dispatch on DstPort.
 	SrcPort, DstPort uint16
 	Payload          []byte
-	// Wire is the on-the-wire size in bytes used for serialization delay.
-	// If zero, len(Payload) plus a fixed UDP/IP/Ethernet overhead is used.
-	Wire int
 }
 
-// WireSize returns the byte count used for serialization-delay accounting.
-func (p *Packet) WireSize() int {
-	if p.Wire > 0 {
-		return p.Wire
-	}
-	// 42 bytes of Ethernet+IPv4+UDP headers, the common case for the
-	// paper's workloads.
-	return len(p.Payload) + 42
-}
+// WireSize returns the byte count used for serialization-delay
+// accounting: the payload plus 42 bytes of Ethernet+IPv4+UDP headers,
+// the common case for the paper's workloads.
+func (p *Packet) WireSize() int { return len(p.Payload) + 42 }
 
 // Node is anything that can receive packets from the network.
 type Node interface {
@@ -76,7 +68,6 @@ type Network struct {
 
 	// Fault-injection state (see faults.go).
 	plan   FaultPlan
-	hash   uint64
 	tracer Tracer
 }
 
@@ -142,24 +133,19 @@ func (n *Network) Send(pkt *Packet) bool {
 	l.busyUntil = start.Add(ser)
 	deliver := l.busyUntil.Add(l.cfg.Delay)
 	// Fault-plan delay terms, all drawn from the seeded RNG in fixed
-	// order: jitter on every packet, then the straggler hold, then the
-	// reordering hold (which lets naturally later packets overtake).
-	if f.active() {
-		if f.JitterMax > 0 {
-			deliver = deliver.Add(time.Duration(n.sim.Rand().Int63n(int64(f.JitterMax))))
-		}
-		if f.StraggleRate > 0 && n.sim.Rand().Float64() < f.StraggleRate {
-			deliver = deliver.Add(f.StraggleDelay)
-		}
-		if f.ReorderRate > 0 && n.sim.Rand().Float64() < f.ReorderRate {
-			deliver = deliver.Add(time.Duration(1 + n.sim.Rand().Int63n(int64(f.reorderWindow()))))
-		}
+	// order: jitter on every packet, then the reordering hold (which lets
+	// naturally later packets overtake).
+	if f.JitterMax > 0 {
+		deliver = deliver.Add(time.Duration(n.sim.Rand().Int63n(int64(f.JitterMax))))
+	}
+	if f.ReorderRate > 0 && n.sim.Rand().Float64() < f.ReorderRate {
+		deliver = deliver.Add(time.Duration(1 + n.sim.Rand().Int63n(int64(reorderWindow))))
 	}
 	l.inFlight++
 	n.sim.ScheduleAt(deliver, func() { n.deliver(l, pkt, TraceDeliver) })
 	if f.DupRate > 0 && n.sim.Rand().Float64() < f.DupRate {
 		l.inFlight++
-		dup := deliver.Add(time.Duration(1 + n.sim.Rand().Int63n(int64(f.reorderWindow()))))
+		dup := deliver.Add(time.Duration(1 + n.sim.Rand().Int63n(int64(reorderWindow))))
 		n.sim.ScheduleAt(dup, func() { n.deliver(l, pkt, TraceDup) })
 	}
 	return true
@@ -175,20 +161,4 @@ func (n *Network) deliver(l *link, pkt *Packet, kind string) {
 	}
 	n.trace(kind, pkt.Src, pkt.Dst, pkt.Payload)
 	node.Receive(pkt)
-}
-
-// NodeFunc adapts a function to the Node interface.
-type NodeFunc struct {
-	Address Addr
-	Handler func(pkt *Packet)
-}
-
-// Addr implements Node.
-func (f *NodeFunc) Addr() Addr { return f.Address }
-
-// Receive implements Node.
-func (f *NodeFunc) Receive(pkt *Packet) {
-	if f.Handler != nil {
-		f.Handler(pkt)
-	}
 }

@@ -5,6 +5,20 @@ import (
 	"time"
 )
 
+// NodeFunc adapts a function to the Node interface.
+type NodeFunc struct {
+	Address Addr
+	Handler func(pkt *Packet)
+}
+
+func (f *NodeFunc) Addr() Addr { return f.Address }
+
+func (f *NodeFunc) Receive(pkt *Packet) {
+	if f.Handler != nil {
+		f.Handler(pkt)
+	}
+}
+
 func TestDelivery(t *testing.T) {
 	s := New(1)
 	n := NewNetwork(s, LinkConfig{Delay: time.Microsecond})
@@ -31,7 +45,7 @@ func TestSerializationDelay(t *testing.T) {
 	n := NewNetwork(s, LinkConfig{Bandwidth: 1e9})
 	var at Time
 	n.Attach(&NodeFunc{Address: "b", Handler: func(p *Packet) { at = s.Now() }})
-	n.Send(&Packet{Src: "a", Dst: "b", Wire: 1250})
+	n.Send(&Packet{Src: "a", Dst: "b", Payload: make([]byte, 1250-42)})
 	s.Run()
 	if at != Time(10*time.Microsecond) {
 		t.Errorf("delivered at %v, want 10µs", at)
@@ -44,8 +58,8 @@ func TestBackToBackPacketsQueueOnLink(t *testing.T) {
 	var times []Time
 	n.Attach(&NodeFunc{Address: "b", Handler: func(p *Packet) { times = append(times, s.Now()) }})
 	// Two packets sent at t=0 must serialize one after the other.
-	n.Send(&Packet{Src: "a", Dst: "b", Wire: 1250})
-	n.Send(&Packet{Src: "a", Dst: "b", Wire: 1250})
+	n.Send(&Packet{Src: "a", Dst: "b", Payload: make([]byte, 1250-42)})
+	n.Send(&Packet{Src: "a", Dst: "b", Payload: make([]byte, 1250-42)})
 	s.Run()
 	if len(times) != 2 {
 		t.Fatalf("delivered %d packets, want 2", len(times))
@@ -62,7 +76,7 @@ func TestQueueLimitDrops(t *testing.T) {
 	n.Attach(&NodeFunc{Address: "b"})
 	sent := 0
 	for i := 0; i < 5; i++ {
-		if n.Send(&Packet{Src: "a", Dst: "b", Wire: 1000}) {
+		if n.Send(&Packet{Src: "a", Dst: "b", Payload: make([]byte, 1000-42)}) {
 			sent++
 		}
 	}
@@ -109,9 +123,5 @@ func TestWireSizeDefault(t *testing.T) {
 	p := &Packet{Payload: make([]byte, 100)}
 	if p.WireSize() != 142 {
 		t.Errorf("WireSize() = %d, want 142 (payload+headers)", p.WireSize())
-	}
-	p.Wire = 64
-	if p.WireSize() != 64 {
-		t.Errorf("explicit WireSize() = %d, want 64", p.WireSize())
 	}
 }

@@ -2,7 +2,6 @@ package trafficgen
 
 import (
 	"encoding/binary"
-	"math/rand"
 
 	"incod/internal/dns"
 	"incod/internal/memcache"
@@ -38,15 +37,10 @@ type App interface {
 	Reply(in []byte) (key uint64, v Verdict)
 }
 
-// KVS is memcached-over-UDP traffic: GETs, and a SetFraction of SETs.
+// KVS is memcached-over-UDP GET traffic.
 type KVS struct {
 	// Key picks each request's key (a Zipf sampler, a cycling counter).
 	Key func() string
-	// SetFraction of requests, drawn from Rand before the key, are SETs of
-	// ValueSize bytes.
-	SetFraction float64
-	ValueSize   int
-	Rand        *rand.Rand
 }
 
 func kvsDatagram(id uint16, req memcache.Request) []byte {
@@ -56,9 +50,6 @@ func kvsDatagram(id uint16, req memcache.Request) []byte {
 // Request implements App.
 func (k *KVS) Request(n uint64, arg []byte) ([]byte, uint64, error) {
 	req := memcache.Request{Op: memcache.OpGet}
-	if k.SetFraction > 0 && k.Rand.Float64() < k.SetFraction {
-		req.Op, req.Value = memcache.OpSet, make([]byte, k.ValueSize)
-	}
 	if req.Key = string(arg); arg == nil {
 		req.Key = k.Key()
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"incod/internal/dns"
+	"incod/internal/kvs"
 	"incod/internal/memcache"
 	"incod/internal/netio"
 )
@@ -167,11 +168,11 @@ func (d *Sockets) preload(keys uint64) error {
 	return nil
 }
 
-// setKey is the preload SET of key-<key>, under the key's number as its
-// wire id.
+// setKey is the preload SET of kvs.SequentialKey(key), under the key's
+// number as its wire id.
 func setKey(key uint64) []byte {
 	return kvsDatagram(uint16(key), memcache.Request{Op: memcache.OpSet,
-		Key: fmt.Sprintf("key-%d", key), Value: []byte("value")})
+		Key: kvs.SequentialKey(int(key)), Value: []byte("value")})
 }
 
 // preloadSet is one preload SET awaiting its STORED.

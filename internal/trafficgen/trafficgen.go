@@ -15,8 +15,9 @@
 package trafficgen
 
 import (
-	"fmt"
 	"math/rand"
+
+	"incod/internal/kvs"
 )
 
 // KeySampler yields keys with a configured popularity distribution.
@@ -37,8 +38,8 @@ func NewZipfKeys(rng *rand.Rand, n uint64, s float64) *KeySampler {
 	return &KeySampler{zipf: rand.NewZipf(rng, s, 1, n-1)}
 }
 
-// Next returns the next key ("key-<i>").
-func (k *KeySampler) Next() string { return fmt.Sprintf("key-%d", k.zipf.Uint64()) }
+// Next returns the next key, kvs.SequentialKey of the next index.
+func (k *KeySampler) Next() string { return kvs.SequentialKey(int(k.zipf.Uint64())) }
 
 // NextIndex returns the next key index.
 func (k *KeySampler) NextIndex() uint64 { return k.zipf.Uint64() }

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -23,13 +25,19 @@ import (
 )
 
 // reachAllowed names the exported identifiers that no non-test code
-// uses, and the exported fields that no non-test code reads, that stay
-// anyway. Each key is an identifier or a field as
-// TestEveryExportHasAProgramCaller or TestEveryFieldHasAProgramRead
-// prints it; each value starts with one of safetyReasons, the kinds of
-// code a simplification never removes, and goes on to say which.
+// uses, the exported fields that no non-test code reads, and the fields
+// it reads but gives only one value, that stay anyway. Each key is an
+// identifier or a field as TestEveryExportHasAProgramCaller,
+// TestEveryFieldHasAProgramRead or TestEveryKnobIsTurned prints it; each
+// value starts with one of safetyReasons, the kinds of code a
+// simplification never removes, and goes on to say which.
 var reachAllowed = map[string]string{
-	"memcache.EncodeResponse": "a reference implementation that tests compare against: TestAppendResponseMatchesEncodeResponse holds the serving path's AppendResponse to it",
+	"memcache.EncodeResponse":      "a reference implementation that tests compare against: TestAppendResponseMatchesEncodeResponse holds the serving path's AppendResponse to it",
+	"core.FuncService.OnShift":     "a test seam: core's TestFuncServiceShiftNoop and TestControllerRetriesFailedShift and daemon's shift-failure, retry and pin-race tests (TestOrchestratorShiftFailureRetries, TestPinRacesInFlightShift and three more) make a shift fail or block through it",
+	"fleet.Config.Logf":            "a test seam: TestControllerEnforcesBudgetOverLiveAPI, TestControllerSurvivesDeadMember and TestControllerEnergyIsTrapezoidOfCurve send the controller's progress lines to t.Logf",
+	"simnet.FaultPlan.Links":       "a test seam: paxos's TestRecoveryResolvesDivergentInstance and TestDetachedAcceptorStopsVoting cut single links with it, and simnet's TestPartitionHeal partitions two nodes",
+	"dataplane.Config.QueueDepth":  "a test seam: TestQueueOverrunDropsAreCounted, TestQueueOverrunAccountingUnderSustainedPressure and TestCloseDrainsQueuedDatagrams shrink the single reader's queues to overrun them; ROADMAP item N deletes the queues with the single reader",
+	"trafficgen.Client.MaxRetries": "a test seam: paxos's TestInactiveLeaderIgnoresRequests sets it to 1 so that a request to a paused leader is given up on within the run",
 }
 
 // safetyReasons are the kinds of code that stay although only tests call
@@ -144,7 +152,8 @@ func TestEveryFieldHasAProgramRead(t *testing.T) {
 		_, allowed := reachAllowed[f.name]
 		_, harness := reachHarness[f.name]
 		if prog.reads[f.obj] || f.tagged || f.promotes {
-			if allowed || harness {
+			// TestEveryKnobIsTurned judges an entry for a field it checks.
+			if harness || allowed && !prog.isKnob(f) {
 				t.Errorf("%s is listed but the program reads it or serialises it under a json tag; drop the entry", f.name)
 			}
 			continue
@@ -168,6 +177,54 @@ func TestEveryFieldHasAProgramRead(t *testing.T) {
 	}
 }
 
+// TestEveryKnobIsTurned fails on any exported field of a package-level
+// struct type of the root module that non-test code of either module
+// reads, that has no json tag and is not embedded, and that the same
+// code gives one value or none (see addWrites for what gives a value),
+// unless reachAllowed lists it. A setting the program never turns is a
+// constant, or it selects code only tests run: it is made a constant,
+// deleted with that code, or listed as a test seam. An entry for a field
+// the program turns fails too.
+func TestEveryKnobIsTurned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks both modules")
+	}
+	prog, err := loadedProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixed []string
+	for _, f := range prog.fields() {
+		if !prog.isKnob(f) {
+			continue
+		}
+		_, allowed := reachAllowed[f.name]
+		k := prog.knobs[f.obj]
+		switch {
+		case k != nil && (k.turned || len(k.values) > 1):
+			if allowed {
+				t.Errorf("%s is listed in reachAllowed but the program gives it more than one value; drop the entry", f.name)
+			}
+		case !allowed:
+			what := "is never given a value"
+			if k != nil {
+				what = "is only ever " + slices.Collect(maps.Keys(k.values))[0]
+			}
+			fixed = append(fixed, prog.fset.Position(f.obj.Pos()).String()+": "+f.name+" "+what)
+		}
+	}
+	if len(fixed) > 0 {
+		sort.Strings(fixed)
+		t.Errorf("%d exported fields that the program reads have one value outside tests (make them constants, delete them with the code they select, or list them in reachAllowed with the reason they stay):\n\t%s",
+			len(fixed), strings.Join(fixed, "\n\t"))
+	}
+}
+
+// isKnob reports whether TestEveryKnobIsTurned checks f.
+func (p *program) isKnob(f field) bool {
+	return p.reads[f.obj] && !f.tagged && !f.obj.Embedded()
+}
+
 // listedPackage is the part of `go list -json` this check reads.
 type listedPackage struct {
 	ImportPath string
@@ -184,8 +241,15 @@ type program struct {
 	fset       *token.FileSet
 	own        []*types.Package // the root module's packages
 	uses       map[types.Object]bool
-	reads      map[*types.Var]bool // struct fields the code reads
+	reads      map[*types.Var]bool  // struct fields the code reads
+	knobs      map[*types.Var]*knob // what the code gives each struct field
 	interfaces []knownInterface
+}
+
+// knob is what the non-test code gives one struct field.
+type knob struct {
+	values map[string]bool // each constant it is given, "zero value" for its zero value
+	turned bool            // given a value that is not a constant, changed in place or addressed
 }
 
 // knownInterface is an interface type the program knows. A guarded one
@@ -216,7 +280,7 @@ type export struct {
 // packages come from their export data), and records every object the
 // non-test code uses and every interface type it can reach.
 func loadProgram(moduleDirs ...string) (*program, error) {
-	p := &program{fset: token.NewFileSet(), uses: map[types.Object]bool{}, reads: map[*types.Var]bool{}}
+	p := &program{fset: token.NewFileSet(), uses: map[types.Object]bool{}, reads: map[*types.Var]bool{}, knobs: map[*types.Var]*knob{}}
 	exportFile := map[string]string{}
 	checked := map[string]*types.Package{}
 	std := importer.ForCompiler(p.fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -321,8 +385,24 @@ func (p *program) check(lp listedPackage, imp types.Importer) (*types.Package, e
 	if err != nil {
 		return nil, err
 	}
-	for _, obj := range info.Uses {
-		p.uses[origin(obj)] = true
+	// A method's receiver names its own type; that is no use of it.
+	receivers := map[*ast.Ident]bool{}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv.List[0].Type, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						receivers[id] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	for id, obj := range info.Uses {
+		if !receivers[id] {
+			p.uses[origin(obj)] = true
+		}
 	}
 	// An interface written out in a type assertion or a type switch
 	// reaches only the dynamic types the asserted operand can hold.
@@ -363,6 +443,7 @@ func (p *program) check(lp listedPackage, imp types.Importer) (*types.Package, e
 	}
 	for _, f := range files {
 		p.addReads(f, info)
+		p.addWrites(f, info)
 	}
 	p.addInterfaces(pkg.Scope())
 	return pkg, nil
@@ -446,6 +527,164 @@ func (p *program) readWhole(t types.Type, seen map[types.Type]bool) {
 			p.readWhole(u.Field(i).Type(), seen)
 		}
 	}
+}
+
+// addWrites records the values a file gives struct fields. A keyed
+// composite literal gives each field the value it writes, or the zero
+// value for a key it omits; a positional one gives each field its
+// element. x.F = e gives e's constant value, or the zero value inside an
+// if whose condition holds x.F zero (a default filled in). An op=, ++/--,
+// &x.F, a pointer method called on x.F or a non-constant value turns the
+// field: the program sets it to more than one value.
+func (p *program) addWrites(f *ast.File, info *types.Info) {
+	var stack []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			t := info.TypeOf(n) // *T for an element of a []*T literal
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			keyed := map[string]ast.Expr{}
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					keyed[kv.Key.(*ast.Ident).Name] = kv.Value
+				} else {
+					p.give(st.Field(i), e, info)
+				}
+			}
+			if len(keyed) > 0 || len(n.Elts) == 0 {
+				for i := 0; i < st.NumFields(); i++ {
+					p.give(st.Field(i), keyed[st.Field(i).Name()], info)
+				}
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				v := fieldOf(lhs, info)
+				switch {
+				case v == nil:
+				case n.Tok != token.ASSIGN || len(n.Lhs) != len(n.Rhs):
+					p.turn(v)
+				case defaulted(stack, lhs, info):
+					p.give(v, nil, info)
+				default:
+					p.give(v, n.Rhs[i], info)
+				}
+			}
+		case *ast.IncDecStmt:
+			p.turn(fieldOf(n.X, info))
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				p.turn(fieldOf(n.X, info))
+			}
+		case *ast.SelectorExpr:
+			// x.F.M() with a pointer receiver takes &x.F.
+			sel, ok := info.Selections[n]
+			if !ok || sel.Kind() != types.MethodVal {
+				return true
+			}
+			_, ptrRecv := sel.Obj().(*types.Func).Type().(*types.Signature).Recv().Type().(*types.Pointer)
+			if _, ptr := info.TypeOf(n.X).Underlying().(*types.Pointer); ptrRecv && !ptr {
+				p.turn(fieldOf(n.X, info))
+			}
+		}
+		return true
+	})
+}
+
+// fieldOf returns the field x selects, or nil.
+func fieldOf(x ast.Expr, info *types.Info) *types.Var {
+	sel, ok := ast.Unparen(x).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		return s.Obj().(*types.Var).Origin()
+	}
+	return nil
+}
+
+// defaulted reports whether the assignment to lhs at the top of stack
+// sits in the body of an if whose condition holds lhs zero: == 0,
+// == nil, == "", == false or <= 0, alone or joined by && or ||.
+func defaulted(stack []ast.Node, lhs ast.Expr, info *types.Info) bool {
+	want := types.ExprString(lhs)
+	var zero func(c ast.Expr) bool
+	zero = func(c ast.Expr) bool {
+		b, ok := ast.Unparen(c).(*ast.BinaryExpr)
+		if !ok {
+			return false
+		}
+		switch b.Op {
+		case token.LAND, token.LOR:
+			return zero(b.X) || zero(b.Y)
+		case token.EQL, token.LEQ:
+			tv := info.Types[b.Y]
+			return types.ExprString(b.X) == want && (tv.IsNil() || tv.Value != nil && isZero(tv.Value))
+		}
+		return false
+	}
+	for i := len(stack) - 2; i >= 0; i-- {
+		if ifs, ok := stack[i].(*ast.IfStmt); ok && stack[i+1] == ifs.Body && zero(ifs.Cond) {
+			return true
+		}
+	}
+	return false
+}
+
+// give records that v is given e, or its zero value when e is nil.
+func (p *program) give(v *types.Var, e ast.Expr, info *types.Info) {
+	k := p.knob(v)
+	if e == nil {
+		k.values["zero value"] = true
+		return
+	}
+	switch tv := info.Types[e]; {
+	case tv.IsNil() || tv.Value != nil && isZero(tv.Value):
+		k.values["zero value"] = true
+	case tv.Value != nil:
+		k.values[tv.Value.ExactString()] = true
+	default:
+		k.turned = true
+	}
+}
+
+// turn records that the program sets v to more than one value.
+func (p *program) turn(v *types.Var) {
+	if v != nil {
+		p.knob(v).turned = true
+	}
+}
+
+func (p *program) knob(v *types.Var) *knob {
+	v = v.Origin()
+	k := p.knobs[v]
+	if k == nil {
+		k = &knob{values: map[string]bool{}}
+		p.knobs[v] = k
+	}
+	return k
+}
+
+func isZero(v constant.Value) bool {
+	switch v.Kind() {
+	case constant.Bool:
+		return !constant.BoolVal(v)
+	case constant.String:
+		return constant.StringVal(v) == ""
+	case constant.Int, constant.Float:
+		return constant.Sign(v) == 0
+	}
+	return false
 }
 
 // structOf returns the struct type t or *t has.
