@@ -19,34 +19,23 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"log"
 	"os"
 
-	"incod/internal/core"
 	"incod/internal/daemon"
-	"incod/internal/dataplane"
 	"incod/internal/dns"
-	"incod/internal/nictier"
-	"incod/internal/power"
+	"incod/internal/protocol"
 )
 
 func main() {
-	f := daemon.RegisterFlags(flag.CommandLine, daemon.Defaults{
-		Addr: ":5353", Shards: 0, CrossKpps: 150,
-		TierHelp: "attach the emulated NIC offload tier (Emu-DNS-style answer table): policy shifts become real dataplane transitions",
-	})
+	f := daemon.RegisterFlags(flag.CommandLine, protocol.DNS)
 	zonePath := flag.String("zone", "", "zone file (name ipv4 [ttl] per line); empty = demo zone")
 	flag.Parse()
 
-	// The zone must be fully loaded before serving starts: it is read
-	// lock-free by every shard worker.
 	var zone *dns.Zone
-	if *zonePath == "" {
-		zone = dns.NewZone()
-		zone.PopulateSequential(16)
-		log.Printf("incdnsd: no -zone given; serving %d demo records (host0.example.com ...)", zone.Len())
-	} else {
+	if *zonePath != "" {
 		data, err := os.ReadFile(*zonePath)
 		if err != nil {
 			log.Fatalf("incdnsd: %v", err)
@@ -55,23 +44,12 @@ func main() {
 			log.Fatalf("incdnsd: %s: %v", *zonePath, err)
 		}
 	}
-
-	eng, err := daemon.ListenEngine(f.EngineOptions,
-		dns.NewHandler(zone), dataplane.Config{
-			Name: "incdnsd", Shards: f.Shards,
-			// DNS datagrams are small; a tight bound also caps the
-			// engine's overload memory (see the dataplane package doc).
-			MaxDatagram: 4096,
-		})
+	eng, srv, err := f.Listen("incdnsd", protocol.Options{Zone: zone})
 	if err != nil {
 		log.Fatalf("incdnsd: %v", err)
 	}
-	var tier core.Service
-	if f.NICTier {
-		tier = nictier.NewService("dns", eng, nictier.NewDNS(zone))
-	}
-	log.Printf("incdnsd: %d records", zone.Len())
-	d, err := f.Start("incdnsd", "dns", eng, tier, power.NSDServer)
+	log.Printf("incdnsd: %d records from %s", srv.Zone.Len(), cmp.Or(*zonePath, "the demo zone (host0.example.com ...)"))
+	d, err := f.Start("incdnsd", eng, srv.Tier)
 	if err != nil {
 		log.Fatalf("incdnsd: %v", err)
 	}

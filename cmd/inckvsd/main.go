@@ -20,38 +20,21 @@ import (
 	"flag"
 	"log"
 
-	"incod/internal/core"
 	"incod/internal/daemon"
-	"incod/internal/dataplane"
-	"incod/internal/kvs"
-	"incod/internal/nictier"
-	"incod/internal/power"
+	"incod/internal/protocol"
 )
 
 func main() {
-	f := daemon.RegisterFlags(flag.CommandLine, daemon.Defaults{
-		Addr: ":11211", Shards: 0, CrossKpps: 80,
-		TierHelp: "attach the emulated NIC offload tier (LaKe-style lookaside cache): policy shifts become real dataplane transitions",
-	})
+	f := daemon.RegisterFlags(flag.CommandLine, protocol.KVS)
 	maxEntries := flag.Int("max-entries", 0, "LRU-bound the store to this many entries (0 = the default, 1<<20)")
 	flag.Parse()
 
-	store := kvs.NewShardedStore(f.Shards, *maxEntries)
-	// A per-shard top-16 of the GET path, surfaced as hot_keys in
-	// /v1/dataplane.
-	store.EnableHotKeys(16)
-	handler := kvs.NewHandler(store)
-	eng, err := daemon.ListenEngine(f.EngineOptions,
-		handler, dataplane.Config{Name: "inckvsd", Shards: f.Shards})
+	eng, srv, err := f.Listen("inckvsd", protocol.Options{MaxEntries: *maxEntries})
 	if err != nil {
 		log.Fatalf("inckvsd: %v", err)
 	}
-	var tier core.Service
-	if f.NICTier {
-		tier = nictier.NewService("kvs", eng, nictier.NewKVS(handler))
-	}
-	log.Printf("inckvsd: memcached UDP over %d store shards", store.Shards())
-	d, err := f.Start("inckvsd", "kvs", eng, tier, power.MemcachedMellanox)
+	log.Printf("inckvsd: memcached UDP over %d store shards", srv.Store.Shards())
+	d, err := f.Start("inckvsd", eng, srv.Tier)
 	if err != nil {
 		log.Fatalf("inckvsd: %v", err)
 	}

@@ -34,13 +34,11 @@ import (
 
 	"incod/internal/daemon"
 	"incod/internal/power"
+	"incod/internal/protocol"
 )
 
 func main() {
-	f := daemon.RegisterFlags(flag.CommandLine, daemon.Defaults{
-		Addr: ":0", Shards: 1, CrossKpps: 150,
-		TierHelp: "acceptor role: attach the emulated P4xos acceptor fast path; policy shifts hand the acceptor state between host and NIC",
-	})
+	f := daemon.RegisterFlags(flag.CommandLine, protocol.Paxos)
 	role := flag.String("role", "", "acceptor | leader | learner")
 	id := flag.Int("id", 0, "acceptor id")
 	ballot := flag.Int("ballot", 1, "leader ballot (epoch); a replacement leader must use a higher one")
@@ -61,7 +59,7 @@ func main() {
 	var r serverRole
 	switch *role {
 	case "acceptor":
-		r = newAcceptor(f.EngineOptions, uint16(*id), splitAddrs(*learners), f.Shards, f.NICTier)
+		r = newAcceptor(f, uint16(*id), splitAddrs(*learners))
 	case "leader":
 		r = newLeader(f.EngineOptions, leaderBallot, splitAddrs(*acceptors), f.Shards)
 	case "learner":
@@ -71,7 +69,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	d, err := f.Start("incpaxosd", "paxos", r.eng, r.svc, power.LibpaxosRole(*role))
+	// Each role meters its own message stream on its role's curve.
+	f.Row.Curve = power.LibpaxosRole(*role)
+	d, err := f.Start("incpaxosd", r.eng, r.tier)
 	if err != nil {
 		log.Fatalf("incpaxosd: %v", err)
 	}

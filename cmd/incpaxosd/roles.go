@@ -6,11 +6,11 @@ import (
 	"sync"
 	"time"
 
-	"incod/internal/core"
 	"incod/internal/daemon"
 	"incod/internal/dataplane"
 	"incod/internal/nictier"
 	"incod/internal/paxos"
+	"incod/internal/protocol"
 )
 
 // The protocol logic lives in internal/paxos (LiveAcceptor, LiveLeader,
@@ -69,11 +69,11 @@ func sender(w *datagramWriter) paxos.Sender {
 
 // serverRole is a built server role: its engine, any extra teardown to
 // run before the engine drains, and — when the role supports offload —
-// the placement-bearing service for the orchestrator.
+// its NIC tier.
 type serverRole struct {
 	eng  *dataplane.Engine
 	stop func()
-	svc  core.Service
+	tier nictier.Tier
 }
 
 // buildEngine opens the role's serving engine per the shared I/O flags
@@ -87,18 +87,17 @@ func buildEngine(io daemon.EngineOptions, w *datagramWriter, h dataplane.Handler
 	return eng
 }
 
-func newAcceptor(io daemon.EngineOptions, id uint16, learners []string, shards int, useTier bool) serverRole {
+// newAcceptor builds the acceptor from the paxos row, its P4xos tier
+// attached when -nictier is set.
+func newAcceptor(f *daemon.Flags, id uint16, learners []string) serverRole {
 	var w datagramWriter
-	h := paxos.NewLiveAcceptor(id, learners, sender(&w))
-	eng := buildEngine(io, &w, h, shards)
-	r := serverRole{eng: eng}
-	mode := "advisory"
-	if useTier {
-		r.svc = nictier.NewService("paxos", eng, nictier.NewPaxosAcceptor(h))
-		mode = "nictier"
+	eng, srv, err := f.Listen("incpaxosd", protocol.Options{ID: id, Learners: learners, Send: sender(&w)})
+	if err != nil {
+		log.Fatalf("incpaxosd: %v", err)
 	}
-	log.Printf("incpaxosd: acceptor %d on %s (%s), learners %v", id, eng.LocalAddr(), mode, learners)
-	return r
+	w = eng
+	log.Printf("incpaxosd: acceptor %d on %s, learners %v", id, eng.LocalAddr(), learners)
+	return serverRole{eng: eng, tier: srv.Tier}
 }
 
 func newLeader(io daemon.EngineOptions, ballot uint32, acceptors []string, shards int) serverRole {

@@ -14,6 +14,7 @@ import (
 	"incod/internal/core"
 	"incod/internal/kvs"
 	"incod/internal/power"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
@@ -26,7 +27,7 @@ func main() {
 
 	// Host software (memcached-style) behind a LaKe FPGA NIC, with a
 	// small working set already shifted onto the card.
-	lake := simhost.NewKVS(net, "lake", simhost.LaKe())
+	lake := simhost.NewStack(net, "lake", protocol.KVS, protocol.Options{}, simhost.LaKe())
 	lake.Preload(100, 5)
 	if err := lake.Service.Shift(core.Network); err != nil {
 		panic(err)

@@ -13,7 +13,9 @@
 // unmodified nictier.Service shifts placement on it exactly as it does
 // on a real engine. After each run every node's engine must balance its
 // books: everything read handled, nothing dropped or failed, and on KVS
-// and DNS one reply per datagram. CrashableTier wraps any
+// and DNS one reply per datagram. The KVS and DNS stacks, and the
+// oracles their replies are held to, are built from the
+// internal/protocol rows the daemons serve. CrashableTier wraps any
 // nictier.Tier with schedulable failure: a crash armed at Stage makes the
 // following Warm fail before any state leaves the host (the §9.2
 // transition task dying mid-shift), and a crash while lit makes the fast

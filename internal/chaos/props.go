@@ -15,6 +15,7 @@ import (
 	"incod/internal/kvs"
 	"incod/internal/memcache"
 	"incod/internal/paxos"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
@@ -188,15 +189,13 @@ func scheduleServing(sim *simnet.Simulator, orch *daemon.Orchestrator, tier *Cra
 
 // servingApp is what differs between the KVS and the DNS serving runs.
 type servingApp struct {
-	name   string
-	stack  func(seed int64, cfg StackConfig, n int) *ServingStack
-	oracle func(n int) *Oracle
+	row protocol.Row
 	// request draws request i of the workload.
 	request func(r *rand.Rand, o servingOpts, i int) ([]byte, error)
 	replyID func([]byte) (uint16, bool)
 }
 
-var kvsApp = servingApp{"kvs", NewKVSStack, NewKVSOracle,
+var kvsApp = servingApp{protocol.KVS,
 	func(r *rand.Rand, o servingOpts, i int) ([]byte, error) {
 		var req memcache.Request
 		switch draw := r.Float64(); {
@@ -213,7 +212,7 @@ var kvsApp = servingApp{"kvs", NewKVSStack, NewKVSOracle,
 			memcache.EncodeRequest(req)), nil
 	}, kvsReplyID}
 
-var dnsApp = servingApp{"dns", NewDNSStack, NewDNSOracle,
+var dnsApp = servingApp{protocol.DNS,
 	func(r *rand.Rand, o servingOpts, i int) ([]byte, error) {
 		name := dns.SequentialName(r.Intn(o.preload))
 		if o.mutate && r.Float64() < 0.3 {
@@ -225,12 +224,12 @@ var dnsApp = servingApp{"dns", NewDNSStack, NewDNSOracle,
 // runServing drives a faulted KVS or DNS workload and byte-compares
 // every reply against the fault-free single-datagram oracle.
 func runServing(app servingApp, seed int64, cfg Config, o servingOpts) (uint64, error) {
-	st := app.stack(seed, StackConfig{
+	st := NewServingStack(seed, StackConfig{
 		Link:        simnet.LinkConfig{Delay: 2 * time.Microsecond},
 		Faults:      o.faults,
 		BatchWindow: o.window,
 		Trace:       cfg.Trace,
-	}, o.preload)
+	}, app.row, o.preload)
 	r := st.Sim.Rand()
 
 	reqs := make([][]byte, o.requests)
@@ -259,7 +258,7 @@ func runServing(app servingApp, seed int64, cfg Config, o servingOpts) (uint64, 
 	if err := checkBooks(st.Node, true); err != nil {
 		return hash, err
 	}
-	if err := verifyReplies(rec.replies, reqs, app.oracle(o.preload), o.expectAll); err != nil {
+	if err := verifyReplies(rec.replies, reqs, NewOracle(app.row, o.preload), o.expectAll); err != nil {
 		return hash, err
 	}
 	if crash != nil {

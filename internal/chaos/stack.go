@@ -8,10 +8,10 @@ import (
 
 	"incod/internal/daemon"
 	"incod/internal/dataplane"
-	"incod/internal/dns"
 	"incod/internal/kvs"
 	"incod/internal/nictier"
 	"incod/internal/paxos"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
@@ -110,13 +110,6 @@ func runAndDrain(sim *simnet.Simulator, d time.Duration, stops ...func()) {
 // chaosValue is the value of the i'th preloaded key.
 func chaosValue(i int) string { return fmt.Sprintf("value-%d-%08x", i, uint32(i)*2654435761) }
 
-// preloadKVS installs n immutable entries into store.
-func preloadKVS(store *kvs.ShardedStore, n int) {
-	for i := 0; i < n; i++ {
-		store.Set(kvs.SequentialKey(i), kvs.Entry{Flags: uint32(i), Value: []byte(chaosValue(i))})
-	}
-}
-
 // --- KVS and DNS ----------------------------------------------------------
 
 // ServingStack is a live host handler with its offload tier behind a
@@ -132,18 +125,31 @@ type ServingStack struct {
 	trace    *traceHash
 }
 
-// newServingStack wires h and its tier up as service name. Placement
-// starts on the host.
-func newServingStack(seed int64, cfg StackConfig, name string, h dataplane.Handler, tier nictier.Tier) *ServingStack {
+// NewServingStack is row's stack over n preloaded entries (or a zone
+// of n names), its host handler and its tier behind a CrashableTier, as
+// service row.Name. Placement starts on the host.
+func NewServingStack(seed int64, cfg StackConfig, row protocol.Row, n int) *ServingStack {
 	sim := simnet.New(seed)
 	net := simnet.NewNetwork(sim, cfg.Link)
 	net.SetFaultPlan(cfg.Faults)
-	s := &ServingStack{Sim: sim, Net: net, Tier: NewCrashableTier(tier), trace: attachTrace(net, cfg.Trace, nil)}
-	s.Node = simhost.NewNode(net, ServerAddr, h, cfg.BatchWindow, nil)
+	srv := buildServer(row, n)
+	s := &ServingStack{Sim: sim, Net: net, Tier: NewCrashableTier(srv.Tier), trace: attachTrace(net, cfg.Trace, nil)}
+	s.Node = simhost.NewNode(net, ServerAddr, srv.Handler, cfg.BatchWindow, nil)
 	s.Orch, s.StopTick = simhost.Orchestrate(sim, tickEvery, daemon.ServiceConfig{
-		Service: nictier.NewService(name, s.Node, s.Tier),
+		Service: nictier.NewService(row.Name, s.Node, s.Tier),
 	}, nil)
 	return s
+}
+
+// buildServer is row's server as every serving stack and oracle holds
+// it: a zone of n names, or n entries in one store partition whose bound
+// keeps the LaKe tier's table to what it caches.
+func buildServer(row protocol.Row, n int) protocol.Server {
+	srv := row.Build(protocol.Options{Shards: 1, MaxEntries: 1 << 15, Names: n})
+	for i := 0; srv.Store != nil && i < n; i++ {
+		srv.Store.Set(kvs.SequentialKey(i), kvs.Entry{Flags: uint32(i), Value: []byte(chaosValue(i))})
+	}
+	return srv
 }
 
 // checkBooks holds a node's engine to its own books once the run has
@@ -167,30 +173,6 @@ func checkBooks(n *simhost.Node, answersAll bool) error {
 	return nil
 }
 
-// kvsHandler is the memcached host software over n preloaded entries.
-func kvsHandler(n int) *kvs.Handler {
-	store := kvs.NewShardedStore(1, 1<<15)
-	preloadKVS(store, n)
-	return kvs.NewHandler(store)
-}
-
-// NewKVSStack is the KVS stack with n preloaded entries: kvs.Handler and
-// the board-default LaKe tier, whose table holds memory only for what it
-// caches, so a stack build and a Park reset cost microseconds, and no
-// property relies on the tier evicting.
-func NewKVSStack(seed int64, cfg StackConfig, n int) *ServingStack {
-	h := kvsHandler(n)
-	return newServingStack(seed, cfg, "kvs", h, nictier.NewKVS(h))
-}
-
-// NewDNSStack is the Emu-DNS stack: a zone of n sequentially populated
-// names, its host handler and its answer-table tier.
-func NewDNSStack(seed int64, cfg StackConfig, n int) *ServingStack {
-	zone := dns.NewZone()
-	zone.PopulateSequential(n)
-	return newServingStack(seed, cfg, "dns", dns.NewHandler(zone), nictier.NewDNS(zone))
-}
-
 // --- Oracle ---------------------------------------------------------------
 
 // Oracle is a fault-free replica of a stack's host handler: feed it the
@@ -202,16 +184,9 @@ type Oracle struct {
 	memo    map[uint16][]byte
 }
 
-// NewKVSOracle replicates a KVS stack preloaded with n entries.
-func NewKVSOracle(n int) *Oracle {
-	return &Oracle{h: kvsHandler(n), memo: make(map[uint16][]byte)}
-}
-
-// NewDNSOracle replicates a DNS stack populated with n names.
-func NewDNSOracle(n int) *Oracle {
-	zone := dns.NewZone()
-	zone.PopulateSequential(n)
-	return &Oracle{h: dns.NewHandler(zone), memo: make(map[uint16][]byte)}
+// NewOracle replicates row's stack over n preloaded entries or names.
+func NewOracle(row protocol.Row, n int) *Oracle {
+	return &Oracle{h: buildServer(row, n).Handler, memo: make(map[uint16][]byte)}
 }
 
 // Reply returns the host software's answer to req (nil for no reply).

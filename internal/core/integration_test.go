@@ -10,6 +10,7 @@ import (
 	"incod/internal/daemon"
 	"incod/internal/dns"
 	"incod/internal/kvs"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/trafficgen"
@@ -196,7 +197,7 @@ func TestHostControllerSpikeSuppression(t *testing.T) {
 func TestKVSOnDemandTransition(t *testing.T) {
 	sim := simnet.New(21)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	lake := simhost.NewKVS(net, "lake", simhost.LaKe()) // the "start of the day" state: software
+	lake := simhost.NewStack(net, "lake", protocol.KVS, protocol.Options{}, simhost.LaKe()) // the "start of the day" state: software
 	lake.Preload(200, 1)
 	i := 0
 	client := simhost.NewClient(net, "client", "lake",
@@ -240,7 +241,7 @@ func TestKVSOnDemandTransition(t *testing.T) {
 func TestKVSNetworkControlled(t *testing.T) {
 	sim := simnet.New(22)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	lake := simhost.NewKVS(net, "lake", simhost.LaKe())
+	lake := simhost.NewStack(net, "lake", protocol.KVS, protocol.Options{}, simhost.LaKe())
 	lake.Store.Set("k", kvs.Entry{Value: []byte("v")})
 	client := simhost.NewClient(net, "client", "lake", &trafficgen.KVS{Key: func() string { return "k" }})
 
@@ -267,7 +268,7 @@ func TestDNSOnDemand(t *testing.T) {
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	zone := dns.NewZone()
 	zone.PopulateSequential(50)
-	emu := simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())
+	emu := simhost.NewStack(net, "emu", protocol.DNS, protocol.Options{Zone: zone}, simhost.EmuDNS())
 	i := 0
 	client := simhost.NewClient(net, "client", "emu",
 		&trafficgen.DNS{Name: func() string { i++; return dns.SequentialName(i % 50) }})

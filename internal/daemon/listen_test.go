@@ -7,6 +7,7 @@ import (
 
 	"incod/internal/dataplane"
 	"incod/internal/netio"
+	"incod/internal/protocol"
 )
 
 func TestListenEngineModes(t *testing.T) {
@@ -42,8 +43,8 @@ func TestListenEngineModes(t *testing.T) {
 // accepted and changes nothing.
 func TestListenEngineDecidesReplyTrains(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f := RegisterFlags(fs, Defaults{Addr: "127.0.0.1:0"})
-	if err := fs.Parse([]string{"-sockets", "2", "-gsotx"}); err != nil {
+	f := RegisterFlags(fs, protocol.KVS)
+	if err := fs.Parse([]string{"-addr", "127.0.0.1:0", "-sockets", "2", "-gsotx"}); err != nil {
 		t.Fatalf("-gsotx must still parse: %v", err)
 	}
 	echo := dataplane.HandlerFunc(func(in []byte, _ *[]byte) ([]byte, bool) { return in, true })

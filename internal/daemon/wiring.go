@@ -8,16 +8,21 @@ import (
 
 	"incod/internal/core"
 	"incod/internal/dataplane"
+	"incod/internal/nictier"
 	"incod/internal/power"
+	"incod/internal/protocol"
 )
 
 // Flags is a serving daemon's shared command line: the engine's I/O
 // flags and the control plane's, which inckvsd, incdnsd and incpaxosd
-// define alike and default each its own way.
+// define alike and default each from its protocol's row.
 type Flags struct {
 	EngineOptions
+	// Row is the protocol the daemon serves.
+	Row protocol.Row
 	// Shards is the dataplane's shard workers (0 = GOMAXPROCS), which
-	// batched mode supersedes with one per socket.
+	// batched mode supersedes with one per socket; a KVS store has as
+	// many partitions.
 	Shards int
 	// CrossKpps is the software/hardware crossover seeding the policy.
 	CrossKpps float64
@@ -25,32 +30,23 @@ type Flags struct {
 	Policy string
 	// Ctrl serves the /v1 control API when non-empty.
 	Ctrl string
-	// NICTier attaches the daemon's emulated offload tier.
+	// NICTier attaches the row's emulated offload tier.
 	NICTier bool
 }
 
-// Defaults is what one daemon's shared flags default to.
-type Defaults struct {
-	Addr      string
-	Shards    int
-	CrossKpps float64
-	// TierHelp is -nictier's help text: what the daemon's tier is.
-	TierHelp string
-}
-
-// RegisterFlags defines the serving daemons' shared flags on fs with d's
-// defaults: -addr, -shards, -crossover, -policy, -ctrl and -nictier,
-// the I/O flags -sockets, -engine and -pin, and -gsotx, which is
-// accepted and ignored until benchmark/ stops passing it (ROADMAP item
-// A).
-func RegisterFlags(fs *flag.FlagSet, d Defaults) *Flags {
-	f := new(Flags)
-	fs.StringVar(&f.Addr, "addr", d.Addr, "UDP listen address")
-	fs.IntVar(&f.Shards, "shards", d.Shards, "dataplane shard workers (0 = GOMAXPROCS)")
-	fs.Float64Var(&f.CrossKpps, "crossover", d.CrossKpps, "software/hardware crossover (kpps)")
+// RegisterFlags defines the serving daemons' shared flags on fs with
+// row's defaults: -addr, -shards, -crossover, -policy, -ctrl and
+// -nictier, the I/O flags -sockets, -engine and -pin, and -gsotx, which
+// is accepted and ignored until benchmark/ stops passing it (ROADMAP
+// item A).
+func RegisterFlags(fs *flag.FlagSet, row protocol.Row) *Flags {
+	f := &Flags{Row: row}
+	fs.StringVar(&f.Addr, "addr", row.Addr, "UDP listen address")
+	fs.IntVar(&f.Shards, "shards", row.Shards, "dataplane shard workers (0 = GOMAXPROCS)")
+	fs.Float64Var(&f.CrossKpps, "crossover", row.CrossKpps, "software/hardware crossover (kpps)")
 	fs.StringVar(&f.Policy, "policy", "threshold", "placement policy: "+strings.Join(core.PolicyNames(), " | "))
 	fs.StringVar(&f.Ctrl, "ctrl", "", "control-plane HTTP address (e.g. :8080); empty disables")
-	fs.BoolVar(&f.NICTier, "nictier", false, d.TierHelp)
+	fs.BoolVar(&f.NICTier, "nictier", false, row.TierHelp)
 	fs.IntVar(&f.Sockets, "sockets", 0,
 		"per-shard SO_REUSEPORT sockets with batched recvmmsg/sendmmsg I/O (0 = classic single-reader engine; batched mode runs one shard per socket, Linux)")
 	fs.StringVar(&f.Engine, "engine", "batched",
@@ -70,16 +66,32 @@ type Daemon struct {
 	ctrl *CtrlServer
 }
 
+// Listen builds the row's server with o, its store partitioned as the
+// engine is sharded, and opens the engine named name on f's I/O flags.
+func (f *Flags) Listen(name string, o protocol.Options) (*dataplane.Engine, protocol.Server, error) {
+	o.Shards = f.Shards
+	srv := f.Row.Build(o)
+	eng, err := ListenEngine(f.EngineOptions, srv.Handler,
+		dataplane.Config{Name: name, Shards: f.Shards, MaxDatagram: f.Row.MaxDatagram})
+	return eng, srv, err
+}
+
 // Start is the serving daemons' shared start, which does not block. It
-// starts the control plane on f's policy, crossover and -ctrl with eng's
-// Running as the readiness probe, meters eng's request total, surfaces
-// eng's stats on /v1 and starts eng serving. name prefixes the log
-// lines; service names the one registered service; tier is the -nictier
-// service, nil to leave placement advisory.
-func (f *Flags) Start(name, service string, eng *dataplane.Engine, tier core.Service, curve power.SoftwareCurve) (*Daemon, error) {
+// starts the control plane on f's policy, crossover, row curve and
+// -ctrl with eng's Running as the readiness probe, meters eng's request
+// total, surfaces eng's stats on /v1 and starts eng serving, under the
+// row's service name. With -nictier, tier (nil for a role with none)
+// becomes the placement-bearing service; otherwise placement stays
+// advisory. name prefixes the log lines.
+func (f *Flags) Start(name string, eng *dataplane.Engine, tier nictier.Tier) (*Daemon, error) {
+	service := f.Row.Name
+	var placed core.Service
+	if f.NICTier && tier != nil {
+		placed = nictier.NewService(service, eng, tier)
+	}
 	orch, svc, ctrlSrv, err := StartControlPlane(StartOptions{
 		Name: service, Policy: f.Policy, CrossKpps: f.CrossKpps,
-		Curve: curve, CtrlAddr: f.Ctrl, Service: tier, Ready: eng.Running,
+		Curve: f.Row.Curve, CtrlAddr: f.Ctrl, Service: placed, Ready: eng.Running,
 	})
 	if err != nil {
 		return nil, err
@@ -93,7 +105,7 @@ func (f *Flags) Start(name, service string, eng *dataplane.Engine, tier core.Ser
 	if eng.Batched() {
 		io = fmt.Sprintf("batched/%s over %d sockets", eng.Backend(), f.Sockets)
 	}
-	if tier != nil {
+	if placed != nil {
 		mode = "nictier"
 	}
 	log.Printf("%s: serving %s on %s (%s, policy %s, %s, crossover %.0f kpps)",

@@ -12,6 +12,7 @@ import (
 
 	"incod/internal/core"
 	"incod/internal/dns"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/trafficgen"
@@ -24,7 +25,7 @@ type bed struct {
 	app    *trafficgen.DNS
 	client *simhost.Client
 	zone   *dns.Zone
-	*simhost.DNS
+	*simhost.Stack
 }
 
 // served splits the node's engine counts into the datagrams the card's
@@ -42,7 +43,7 @@ func dnsRig(t *testing.T, seed int64, where core.Placement) *bed {
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	zone := dns.NewZone()
 	zone.PopulateSequential(100)
-	b := &bed{sim: sim, net: net, zone: zone, DNS: simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())}
+	b := &bed{sim: sim, net: net, zone: zone, Stack: simhost.NewStack(net, "emu", protocol.DNS, protocol.Options{Zone: zone}, simhost.EmuDNS())}
 	i := 0
 	b.app = &trafficgen.DNS{Name: func() string { i++; return dns.SequentialName(i % 100) }}
 	b.client = simhost.NewClient(net, "client", "emu", b.app)

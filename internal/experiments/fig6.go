@@ -6,6 +6,7 @@ import (
 
 	"incod/internal/core"
 	"incod/internal/daemon"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/trafficgen"
@@ -46,7 +47,7 @@ func RunFig6(p Fig6Params) *Fig6Result {
 
 	sim := simnet.New(p.Seed)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	lake := simhost.NewKVS(net, "lake", simhost.LaKe()) // start of the day: everything in software
+	lake := simhost.NewStack(net, "lake", protocol.KVS, protocol.Options{}, simhost.LaKe()) // start of the day: everything in software
 	// ETC key popularity over a modest pool (cache-warmable).
 	etc := trafficgen.NewETC(sim.Rand(), uint64(p.Keys))
 	lake.Preload(p.Keys, 64)

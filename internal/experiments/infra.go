@@ -7,6 +7,7 @@ import (
 	"incod/internal/core"
 	"incod/internal/fpga"
 	"incod/internal/power"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 )
@@ -70,7 +71,7 @@ func measureStrategy(s simhost.IdleStrategy) (parked float64, warmed, halted uin
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
 	m := simhost.LaKe()
 	m.Strategy = s
-	lake := simhost.NewKVS(net, "lake", m)
+	lake := simhost.NewStack(net, "lake", protocol.KVS, protocol.Options{}, m)
 	lake.Preload(200, 64)
 	mustShift(lake.Service, core.Network)
 	sim.RunFor(simhost.ReconfigHalt) // past the first programming, if any

@@ -7,6 +7,7 @@ import (
 	"incod/internal/dns"
 	"incod/internal/kvs"
 	"incod/internal/placement"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/trafficgen"
@@ -58,7 +59,7 @@ func latencyTable() *Table {
 	{
 		sim := simnet.New(951)
 		net := simnet.NewNetwork(sim, simnet.TenGigE)
-		lake := simhost.NewKVS(net, "lake", simhost.LaKe())
+		lake := simhost.NewStack(net, "lake", protocol.KVS, protocol.Options{}, simhost.LaKe())
 		lake.Preload(100, 64)
 		client := simhost.NewClient(net, "client", "lake", cyclingKeys(100))
 		phases("kvs", sim, lake.Service, client)
@@ -68,9 +69,7 @@ func latencyTable() *Table {
 	{
 		sim := simnet.New(952)
 		net := simnet.NewNetwork(sim, simnet.TenGigE)
-		zone := dns.NewZone()
-		zone.PopulateSequential(100)
-		emu := simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())
+		emu := simhost.NewStack(net, "emu", protocol.DNS, protocol.Options{Names: 100}, simhost.EmuDNS())
 		i := 0
 		client := simhost.NewClient(net, "client", "emu",
 			&trafficgen.DNS{Name: func() string { i++; return dns.SequentialName(i % 100) }})

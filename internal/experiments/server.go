@@ -6,6 +6,7 @@ import (
 	"incod/internal/core"
 	"incod/internal/fpga"
 	"incod/internal/power"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/trafficgen"
@@ -50,10 +51,10 @@ func memoriesTable() *Table {
 	}
 	// drive cycles a client over n preloaded keys, all of them on the
 	// lit card, for d at kpps.
-	drive := func(seed int64, n int, kpps float64, d time.Duration) (*simnet.Simulator, *simhost.KVS, *trafficgen.KVS, *simhost.Client) {
+	drive := func(seed int64, n int, kpps float64, d time.Duration) (*simnet.Simulator, *simhost.Stack, *trafficgen.KVS, *simhost.Client) {
 		sim := simnet.New(seed)
 		net := simnet.NewNetwork(sim, simnet.TenGigE)
-		lake := simhost.NewKVS(net, "lake", simhost.LaKe())
+		lake := simhost.NewStack(net, "lake", protocol.KVS, protocol.Options{}, simhost.LaKe())
 		lake.Preload(n, 64)
 		mustShift(lake.Service, core.Network)
 		app := cyclingKeys(n)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"incod/internal/core"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
@@ -41,7 +42,7 @@ func validateTable() *Table {
 func simulateKVSPower(kpps float64) float64 {
 	sim := simnet.New(1701)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	lake := simhost.NewKVS(net, "lake", simhost.LaKe())
+	lake := simhost.NewStack(net, "lake", protocol.KVS, protocol.Options{}, simhost.LaKe())
 	lake.Preload(100, 64)
 	mustShift(lake.Service, core.Network)
 	client := simhost.NewClient(net, "client", "lake", cyclingKeys(100))

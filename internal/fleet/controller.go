@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"incod/internal/core"
+	"incod/internal/fpga"
 	"incod/internal/power"
+	"incod/internal/protocol"
 	"incod/internal/telemetry"
 )
 
@@ -153,14 +155,14 @@ func NewController(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("fleet: member %d needs a unique name (%q)", i, m.Name)
 		}
 		seen[m.Name] = true
-		spec, err := LookupKind(m.Kind)
+		row, err := protocol.Lookup(m.Kind)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fleet: member %q: %w", m.Name, err)
 		}
 		if m.Orch == nil {
 			return nil, fmt.Errorf("fleet: member %q has no orchestrator", m.Name)
 		}
-		m.spec = spec
+		m.row = row
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -338,7 +340,8 @@ func (c *Controller) pollLocked(m *Member) sample {
 	// Dataplane stats carry the tier's measured hit ratio and power; a
 	// member may legitimately lack an attached engine (advisory), in
 	// which case predictions stand in.
-	hit, tierW := m.spec.PredictedHitRatio, m.spec.TierActiveWatts
+	// A dark tier is ranked on its design's modeled draw.
+	hit, tierW := m.row.HitRatio, fpga.NewBoard(m.row.Design).CardWatts(0.5)
 	measuredHit := false
 	if dp, err := m.Orch.Dataplane(); err == nil {
 		st.Dropped = dp.Dropped
@@ -357,7 +360,7 @@ func (c *Controller) pollLocked(m *Member) sample {
 	}
 	st.HitRatio = hit
 
-	curve := m.spec.Curve
+	curve := m.row.Curve
 	modeled := st.ModeledKpps
 	residual := modeled * (1 - hit)
 

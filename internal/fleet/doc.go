@@ -11,10 +11,12 @@
 // loop every daemon runs: the controller reads its Status and Dataplane,
 // pins its placement, and counts it healthy while it is Ready (its
 // engine Running). StartMember builds a kvs, dns or paxos-acceptor
-// member in this process with the daemons' own start sequence
-// (daemon.Flags.Start, as inckvsd, incdnsd and incpaxosd run it with
-// -nictier and -policy static-host), each on its own loopback UDP
-// engine. Members run in process rather than as spawned daemons reached
+// member in this process from its internal/protocol row with the
+// daemons' own serve sequence (daemon.Flags.Listen and Start, as
+// inckvsd, incdnsd and incpaxosd run it with -nictier and -policy
+// static-host), each on its own loopback UDP engine. A member's kind is
+// its row's name; the controller reads the row's software curve, tier
+// design and predicted hit ratio. Members run in process rather than as spawned daemons reached
 // over /v1: the data the fleet moves is the orchestrator's method set,
 // so an HTTP client, a process spawner and a health poll only copied
 // it. Adopting remote daemons is left out for the same reason; the /v1

@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"net"
 	"testing"
 	"time"
 
 	"incod/internal/cluster"
 	"incod/internal/core"
+	"incod/internal/memcache"
 )
 
 // A member of each kind, pinned to the network, serves real UDP from its
@@ -116,5 +119,46 @@ func TestClientServicesAndPin(t *testing.T) {
 	}
 	if st, err = m.Orch.Status(); err != nil || st.Placement != "host" {
 		t.Fatalf("after pin to host: %+v, %v", st, err)
+	}
+}
+
+// A kvs member is built from the kvs row as inckvsd is, hot-key sketch
+// included: after SETs and GETs over loopback, its dataplane stats carry
+// hot_keys.
+func TestKVSMemberReportsHotKeys(t *testing.T) {
+	m, err := StartMember("kvs", "kvs-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	conn, err := net.Dial("udp", m.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, 2048)
+	ask := func(id int, req memcache.Request) {
+		t.Helper()
+		if _, err := conn.Write(memcache.EncodeFrame(memcache.Frame{RequestID: uint16(id), Total: 1}, memcache.EncodeRequest(req))); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := conn.Read(buf); err != nil {
+			t.Fatalf("request %d (%s %s): %v", id, req.Op, req.Key, err)
+		}
+	}
+	const keys = 4
+	for k := 0; k < keys; k++ {
+		ask(k, memcache.Request{Op: memcache.OpSet, Key: fmt.Sprintf("hot-%d", k), Value: []byte("v")})
+	}
+	for i := 0; i < 256; i++ {
+		ask(keys+i, memcache.Request{Op: memcache.OpGet, Key: fmt.Sprintf("hot-%d", i%keys)})
+	}
+	dp, err := m.Orch.Dataplane()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dp.HotKeys) == 0 {
+		t.Fatalf("256 GET hits over %d keys and no hot_keys: the member's store has no sketch", keys)
 	}
 }

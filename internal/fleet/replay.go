@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -18,10 +19,10 @@ const (
 	// replaySockets is the client sockets each member's generator sends
 	// from.
 	replaySockets = 2
-	// replayKeys is the key space a member's traffic draws on. The DNS
-	// demo zone holds 16 names; querying beyond it would turn the replay
-	// into an NXDOMAIN benchmark.
-	replayKeys, replayDNSNames = 1000, 16
+	// replayKeys is the key space a member's traffic draws on, unless its
+	// row serves a demo zone: querying beyond the zone's names would turn
+	// the replay into an NXDOMAIN benchmark.
+	replayKeys = 1000
 )
 
 // WorkerResult is one member's finished load run: the generator's
@@ -116,10 +117,7 @@ func replayMember(ctx context.Context, cfg ReplayConfig, m Member, trace cluster
 		res.Err = "no trace"
 		return res
 	}
-	keys := uint64(replayKeys)
-	if m.Kind == "dns" {
-		keys = replayDNSNames
-	}
+	keys := uint64(cmp.Or(m.row.DemoNames, replayKeys))
 	// A member's kind is its traffic's trafficgen protocol.
 	d, c, err := trafficgen.Open(m.Kind, m.Data, replaySockets, keys)
 	if err != nil {

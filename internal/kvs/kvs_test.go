@@ -16,6 +16,7 @@ import (
 	"incod/internal/kvs"
 	"incod/internal/memcache"
 	"incod/internal/power"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/trafficgen"
@@ -28,7 +29,7 @@ type bed struct {
 	app    *trafficgen.KVS
 	client *simhost.Client
 	probes int
-	*simhost.KVS
+	*simhost.Stack
 }
 
 // served splits the node's engine counts into the datagrams the card's
@@ -59,9 +60,9 @@ func rig(seed int64, m *simhost.Model) *bed {
 	}
 	sim := simnet.New(seed)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	lake := simhost.NewKVS(net, "lake", m)
+	lake := simhost.NewStack(net, "lake", protocol.KVS, protocol.Options{}, m)
 	app := &trafficgen.KVS{Key: func() string { return "key" }}
-	return &bed{sim: sim, net: net, app: app, client: simhost.NewClient(net, "client", "lake", app), KVS: lake}
+	return &bed{sim: sim, net: net, app: app, client: simhost.NewClient(net, "client", "lake", app), Stack: lake}
 }
 
 func (b *bed) shift(t *testing.T, to core.Placement) {

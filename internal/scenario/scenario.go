@@ -19,6 +19,7 @@ import (
 	"incod/internal/daemon"
 	"incod/internal/dns"
 	"incod/internal/power"
+	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
 	"incod/internal/telemetry"
@@ -38,7 +39,9 @@ type Scenario struct {
 	Start string `json:"start"`
 	// CrossoverKpps seeds the policy thresholds (defaults per app).
 	CrossoverKpps float64 `json:"crossover_kpps"`
-	// Strategy (kvs only): "park-reset", "keep-warm", "partial-reconfig".
+	// Strategy: "park-reset", "keep-warm", "partial-reconfig" — how the
+	// card parks while the host serves. Only a card with external
+	// memories (kvs's) takes one.
 	Strategy string `json:"strategy"`
 	// Seed for the deterministic simulator. Default 1.
 	Seed int64 `json:"seed"`
@@ -90,20 +93,27 @@ func Parse(data []byte) (Scenario, error) {
 }
 
 func (s *Scenario) validate() error {
-	switch s.App {
-	case "kvs", "dns", "paxos":
-	default:
-		return fmt.Errorf("scenario: app must be kvs, dns or paxos (got %q)", s.App)
+	row, err := protocol.Lookup(s.App)
+	if err != nil {
+		return fmt.Errorf("scenario: app: %w", err)
 	}
 	if s.Policy != "" {
 		if _, err := core.PolicyByName(s.Policy, 1); err != nil {
 			return err
 		}
 	}
-	switch s.Strategy {
-	case "", "park-reset", "keep-warm", "partial-reconfig":
-	default:
+	if s.Start != "" {
+		if _, err := core.ParsePlacement(s.Start); err != nil {
+			return fmt.Errorf("scenario: start: %w", err)
+		}
+	}
+	if _, ok := strategies[s.Strategy]; !ok {
 		return fmt.Errorf("scenario: unknown strategy %q", s.Strategy)
+	}
+	// §9.2's idle strategies trade the card's external memories' state
+	// against their power; a design without them has nothing to trade.
+	if s.Strategy != "" && !row.Design.UsesDRAM {
+		return fmt.Errorf("scenario: strategy %q: the %s card keeps no external memory to park", s.Strategy, s.App)
 	}
 	if len(s.Profile) == 0 {
 		return fmt.Errorf("scenario: empty load profile")
@@ -123,19 +133,19 @@ func (s *Scenario) validate() error {
 		s.Keys = 1000
 	}
 	if s.CrossoverKpps <= 0 {
-		switch s.App {
-		case "kvs":
-			s.CrossoverKpps = 80
-		default:
-			s.CrossoverKpps = 150
-		}
+		s.CrossoverKpps = row.CrossKpps
 	}
 	return nil
 }
 
+// strategies are the idle strategies by name ("" is the paper's choice).
+var strategies = map[string]simhost.IdleStrategy{"": simhost.ParkReset,
+	"park-reset": simhost.ParkReset, "keep-warm": simhost.KeepWarm, "partial-reconfig": simhost.PartialReconfig}
+
 // rig is the per-app wiring the runner needs.
 type rig struct {
 	svc      core.Service
+	curve    power.SoftwareCurve // what the policy is calibrated on
 	power    telemetry.PowerSource
 	observed func() uint64     // device-observed application requests, monotonic
 	hostTele daemon.PowerModel // host watts and CPU; the rate argument is unused
@@ -149,10 +159,7 @@ func Run(s Scenario) (*Result, error) {
 	}
 	sim := simnet.New(s.Seed)
 	net := simnet.NewNetwork(sim, simnet.TenGigE)
-	r, err := buildRig(s, sim, net)
-	if err != nil {
-		return nil, err
-	}
+	r := buildRig(s, sim, net)
 	if s.Start == "network" {
 		if err := r.svc.Shift(core.Network); err != nil {
 			return nil, fmt.Errorf("scenario: start placement: %w", err)
@@ -160,21 +167,16 @@ func Run(s Scenario) (*Result, error) {
 	}
 
 	res := &Result{}
-	// Policies are curve-calibrated to the app, as in
-	// daemon.StartControlPlane.
-	var pol core.Policy
+	var orch *daemon.Orchestrator
 	if s.Policy != "" {
-		var err error
-		if pol, err = core.CalibratedPolicyByName(s.Policy, s.CrossoverKpps, appCurve(s.App)); err != nil {
+		// Policies are curve-calibrated to the metered role, as in
+		// daemon.StartControlPlane.
+		pol, err := core.CalibratedPolicyByName(s.Policy, s.CrossoverKpps, r.curve)
+		if err != nil {
 			return nil, err
 		}
-	}
-	var orch *daemon.Orchestrator
-	if pol != nil {
 		orch, _ = simhost.Orchestrate(sim, 100*time.Millisecond, daemon.ServiceConfig{
-			Service: r.svc,
-			Policy:  pol,
-			Model:   r.hostTele,
+			Service: r.svc, Policy: pol, Model: r.hostTele,
 		}, r.observed)
 	}
 
@@ -221,42 +223,16 @@ func Run(s Scenario) (*Result, error) {
 	return res, nil
 }
 
-// appCurve is the calibrated §4 software power curve for an application.
-func appCurve(app string) power.SoftwareCurve {
-	switch app {
-	case "dns":
-		return power.NSDServer
-	case "paxos":
-		return power.LibpaxosLeader
-	}
-	return power.MemcachedMellanox
-}
-
-func buildRig(s Scenario, sim *simnet.Simulator, net *simnet.Network) (*rig, error) {
-	switch s.App {
-	case "kvs":
-		m := simhost.LaKe()
-		switch s.Strategy {
-		case "keep-warm":
-			m.Strategy = simhost.KeepWarm
-		case "partial-reconfig":
-			m.Strategy = simhost.PartialReconfig
-		}
-		lake := simhost.NewKVS(net, "lake", m)
-		etc := trafficgen.NewETC(sim.Rand(), uint64(s.Keys))
-		lake.Preload(s.Keys, 64)
-		return nodeRig(lake.Node, lake.Service, simhost.NewClient(net, "client", "lake", &trafficgen.KVS{Key: etc.Keys.Next})), nil
-	case "dns":
-		zone := dns.NewZone()
-		zone.PopulateSequential(s.Keys)
-		emu := simhost.NewDNS(net, "emu", zone, simhost.EmuDNS())
-		keys := trafficgen.NewZipfKeys(sim.Rand(), uint64(s.Keys), 1.1)
-		name := func() string { return dns.SequentialName(int(keys.NextIndex())) }
-		return nodeRig(emu.Node, emu.Service, simhost.NewClient(net, "client", "emu", &trafficgen.DNS{Name: name})), nil
-	case "paxos":
+// buildRig wires a validated scenario's app onto the network.
+func buildRig(s Scenario, sim *simnet.Simulator, net *simnet.Network) *rig {
+	row, _ := protocol.Lookup(s.App)
+	if row.Name == protocol.Paxos.Name {
+		// The whole deployment, metered at the leader: its role is the one
+		// a shift moves.
 		dep := simhost.NewPaxos(net, simhost.PaxosConfig{Clients: 1})
 		return &rig{
 			svc:      dep,
+			curve:    power.LibpaxosLeader,
 			power:    dep,
 			observed: dep.Requests,
 			hostTele: func(float64) (float64, float64) {
@@ -264,20 +240,30 @@ func buildRig(s Scenario, sim *simnet.Simulator, net *simnet.Network) (*rig, err
 				return w, dep.SWLeader.RateKpps() / 170
 			},
 			client: dep.Clients[0],
-		}, nil
+		}
 	}
-	return nil, fmt.Errorf("scenario: unknown app %q", s.App)
-}
 
-// nodeRig wires a simulated card-and-host and its load client into the
-// runner.
-func nodeRig(n *simhost.Node, svc core.Service, client *simhost.Client) *rig {
+	m := simhost.PaperModel(row.Design)
+	m.Strategy = strategies[s.Strategy]
+	st := simhost.NewStack(net, "server", row, protocol.Options{Names: s.Keys}, m)
+	// The app draws on the state the row serves: the store's keys, ETC
+	// popular, or the zone's names, Zipf popular.
+	var app trafficgen.App
+	if st.Store != nil {
+		etc := trafficgen.NewETC(sim.Rand(), uint64(s.Keys))
+		st.Preload(s.Keys, 64)
+		app = &trafficgen.KVS{Key: etc.Keys.Next}
+	} else {
+		keys := trafficgen.NewZipfKeys(sim.Rand(), uint64(s.Keys), 1.1)
+		app = &trafficgen.DNS{Name: func() string { return dns.SequentialName(int(keys.NextIndex())) }}
+	}
 	return &rig{
-		svc:      svc,
-		power:    n,
-		observed: n.Observed,
-		hostTele: func(float64) (float64, float64) { return n.HostWatts(), n.HostUtilization() },
-		client:   client,
+		svc:      st.Service,
+		curve:    row.Curve,
+		power:    st.Node,
+		observed: st.Observed,
+		hostTele: func(float64) (float64, float64) { return st.HostWatts(), st.HostUtilization() },
+		client:   simhost.NewClient(net, "client", "server", app),
 	}
 }
 

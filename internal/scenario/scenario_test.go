@@ -9,23 +9,33 @@ func TestParseValidation(t *testing.T) {
 	cases := []struct {
 		json string
 		ok   bool
+		// field, when set, is what the error must name.
+		field string
 	}{
-		{`{"app":"kvs","profile":[{"duration_s":1,"kpps":10}]}`, true},
-		{`{"app":"nope","profile":[{"duration_s":1,"kpps":10}]}`, false},
-		{`{"app":"kvs","profile":[]}`, false},
-		{`{"app":"kvs","profile":[{"duration_s":-1,"kpps":10}]}`, false},
-		{`{"app":"kvs","controller":"network","profile":[{"duration_s":1,"kpps":1}]}`, false}, // no such key
-		{`{"app":"kvs","strategy":"bogus","profile":[{"duration_s":1,"kpps":1}]}`, false},
-		{`{"app":"kvs","policy":"threshold","profile":[{"duration_s":1,"kpps":1}]}`, true},
-		{`{"app":"kvs","policy":"quantum","profile":[{"duration_s":1,"kpps":1}]}`, false},
-		{`{"app":"kvs","policy":"static-host","start":"network","profile":[{"duration_s":1,"kpps":1}]}`, true},
-		{`not json`, false},
-		{`{"app":"kvs","profile":[{"duration_s":1,"kpps":10}]} {}`, false},
+		{`{"app":"kvs","profile":[{"duration_s":1,"kpps":10}]}`, true, ""},
+		{`{"app":"nope","profile":[{"duration_s":1,"kpps":10}]}`, false, "app"},
+		{`{"app":"kvs","profile":[]}`, false, ""},
+		{`{"app":"kvs","profile":[{"duration_s":-1,"kpps":10}]}`, false, ""},
+		{`{"app":"kvs","controller":"network","profile":[{"duration_s":1,"kpps":1}]}`, false, ""}, // no such key
+		{`{"app":"kvs","strategy":"bogus","profile":[{"duration_s":1,"kpps":1}]}`, false, "strategy"},
+		{`{"app":"kvs","strategy":"keep-warm","profile":[{"duration_s":1,"kpps":1}]}`, true, ""},
+		{`{"app":"dns","strategy":"keep-warm","profile":[{"duration_s":1,"kpps":1}]}`, false, "strategy"},
+		{`{"app":"paxos","strategy":"partial-reconfig","profile":[{"duration_s":1,"kpps":1}]}`, false, "strategy"},
+		{`{"app":"kvs","policy":"threshold","profile":[{"duration_s":1,"kpps":1}]}`, true, ""},
+		{`{"app":"kvs","policy":"quantum","profile":[{"duration_s":1,"kpps":1}]}`, false, ""},
+		{`{"app":"kvs","policy":"static-host","start":"network","profile":[{"duration_s":1,"kpps":1}]}`, true, ""},
+		{`{"app":"kvs","start":"Network","profile":[{"duration_s":1,"kpps":1}]}`, false, "start"},
+		{`{"app":"dns","start":"netwrok","profile":[{"duration_s":1,"kpps":1}]}`, false, "start"},
+		{`not json`, false, ""},
+		{`{"app":"kvs","profile":[{"duration_s":1,"kpps":10}]} {}`, false, ""},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.json))
 		if (err == nil) != tc.ok {
 			t.Errorf("Parse(%s) err = %v, ok = %v", tc.json, err, tc.ok)
+		}
+		if err != nil && tc.field != "" && !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Parse(%s) err = %v: want it to name %q", tc.json, err, tc.field)
 		}
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"net/netip"
 	"time"
 
-	"incod/internal/dns"
 	"incod/internal/fpga"
 	"incod/internal/kvs"
 	"incod/internal/nictier"
 	"incod/internal/power"
+	"incod/internal/protocol"
 	"incod/internal/simnet"
 )
 
@@ -208,8 +208,8 @@ func queueing(util float64, scale time.Duration) time.Duration {
 func LaKe() *Model {
 	l1 := recency{bound: fpga.OnChipValueEntries, at: make(map[uint64]*list.Element)}
 	return &Model{
-		Curve:  power.MemcachedMellanox,
-		Design: fpga.LaKeDesign,
+		Curve:  protocol.KVS.Curve,
+		Design: protocol.KVS.Design,
 		HostTime: func(rng *rand.Rand, util float64) time.Duration {
 			return 13300*time.Nanosecond + expJitter(rng, 200*time.Nanosecond) + queueing(util, 4*time.Microsecond)
 		},
@@ -235,8 +235,8 @@ func LaKe() *Model {
 // design with no external memories.
 func EmuDNS() *Model {
 	return &Model{
-		Curve:  power.NSDServer,
-		Design: fpga.EmuDNSDesign,
+		Curve:  protocol.DNS.Curve,
+		Design: protocol.DNS.Design,
 		HostTime: func(rng *rand.Rand, util float64) time.Duration {
 			return 88*time.Microsecond + expJitter(rng, 2*time.Microsecond) + queueing(util, 30*time.Microsecond)
 		},
@@ -246,6 +246,18 @@ func EmuDNS() *Model {
 		Passthrough: 600 * time.Nanosecond,
 		PCIe:        300 * time.Nanosecond,
 	}
+}
+
+// PaperModel returns the paper's calibrated model of the card-and-host
+// whose card runs design: LaKe's or Emu DNS's (nil for any other).
+func PaperModel(design fpga.Config) *Model {
+	switch design {
+	case protocol.KVS.Design:
+		return LaKe()
+	case protocol.DNS.Design:
+		return EmuDNS()
+	}
+	return nil
 }
 
 // recency is a bounded most-recently-used set of key hashes.
@@ -281,54 +293,34 @@ type keepWarm struct{ nictier.Tier }
 func (keepWarm) Stage() error { return nil }
 func (keepWarm) Park() error  { return nil }
 
-// service binds tier to n the way the daemons do, under m's strategy.
-func service(name string, n *Node, tier nictier.Tier, m *Model) *nictier.Service {
-	if m.Strategy == KeepWarm {
-		tier = keepWarm{tier}
-	}
-	return nictier.NewService(name, n, tier)
-}
-
-// KVS is the live memcached stack on a simulated card-and-host:
-// kvs.Handler over a ShardedStore on the host, nictier's LaKe table on
-// the card, a real nictier.Service moving between them.
-type KVS struct {
+// Stack is a protocol's live serving stack on a simulated card-and-host:
+// the row's host handler on the node, its tier on the card, a real
+// nictier.Service moving between them.
+type Stack struct {
 	*Node
-	Store   *kvs.ShardedStore
-	Tier    *nictier.KVSTier
+	protocol.Server
 	Service *nictier.Service
 }
 
-// NewKVS attaches the KVS stack at addr under cost model m.
-func NewKVS(net *simnet.Network, addr simnet.Addr, m *Model) *KVS {
-	s := &KVS{Store: kvs.NewShardedStore(1, 0)}
-	h := kvs.NewHandler(s.Store)
-	s.Tier = nictier.NewKVS(h)
-	s.Node = NewNode(net, addr, h, 0, m)
-	s.Service = service("kvs", s.Node, s.Tier, m)
+// NewStack builds row's server with o, its store in one partition, and
+// attaches it at addr under cost model m, its tier bound to the node as
+// the daemons bind it, under m's strategy.
+func NewStack(net *simnet.Network, addr simnet.Addr, row protocol.Row, o protocol.Options, m *Model) *Stack {
+	o.Shards = 1
+	s := &Stack{Server: row.Build(o)}
+	s.Node = NewNode(net, addr, s.Handler, 0, m)
+	tier := s.Tier
+	if m.Strategy == KeepWarm {
+		tier = keepWarm{tier}
+	}
+	s.Service = nictier.NewService(row.Name, s.Node, tier)
 	return s
 }
 
 // Preload stores the n keys kvs.SequentialKey names (0..n-1) of size
-// bytes in the host store.
-func (s *KVS) Preload(n, size int) {
+// bytes in the host store of a KVS stack.
+func (s *Stack) Preload(n, size int) {
 	for i := 0; i < n; i++ {
 		s.Store.Set(kvs.SequentialKey(i), kvs.Entry{Value: make([]byte, size)})
 	}
-}
-
-// DNS is the live DNS stack on a simulated card-and-host: dns.Handler
-// over zone on the host, nictier's Emu-DNS answer table on the card.
-type DNS struct {
-	*Node
-	Tier    *nictier.DNSTier
-	Service *nictier.Service
-}
-
-// NewDNS attaches the DNS stack serving zone at addr under cost model m.
-func NewDNS(net *simnet.Network, addr simnet.Addr, zone *dns.Zone, m *Model) *DNS {
-	s := &DNS{Tier: nictier.NewDNS(zone)}
-	s.Node = NewNode(net, addr, dns.NewHandler(zone), 0, m)
-	s.Service = service("dns", s.Node, s.Tier, m)
-	return s
 }

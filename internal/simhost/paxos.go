@@ -8,9 +8,9 @@ import (
 
 	"incod/internal/core"
 	"incod/internal/dataplane"
-	"incod/internal/fpga"
 	"incod/internal/paxos"
 	"incod/internal/power"
+	"incod/internal/protocol"
 	"incod/internal/simnet"
 	"incod/internal/trafficgen"
 )
@@ -38,7 +38,7 @@ func Libpaxos(role string) *Model {
 func P4xos() *Model {
 	return &Model{
 		Curve:  power.LibpaxosLeader,
-		Design: fpga.P4xosDesign,
+		Design: protocol.Paxos.Design,
 		CardTime: func(rng *rand.Rand, _ []byte, _ float64) time.Duration {
 			return 1500*time.Nanosecond + expJitter(rng, 100*time.Nanosecond)
 		},

@@ -12,6 +12,7 @@ import (
 	"incod/internal/dataplane"
 	"incod/internal/fpga"
 	"incod/internal/power"
+	"incod/internal/protocol"
 	"incod/internal/simnet"
 )
 
@@ -131,7 +132,7 @@ func TestModelDelaysReplies(t *testing.T) {
 func TestPinIsDatedOnTheVirtualClock(t *testing.T) {
 	run := func() (core.Transition, daemon.ServiceStatus) {
 		sim := simnet.New(3)
-		lake := NewKVS(simnet.NewNetwork(sim, simnet.TenGigE), "lake", LaKe())
+		lake := NewStack(simnet.NewNetwork(sim, simnet.TenGigE), "lake", protocol.KVS, protocol.Options{}, LaKe())
 		lake.Preload(100, 8)
 		orch, _ := Orchestrate(sim, 100*time.Millisecond, daemon.ServiceConfig{Service: lake.Service}, lake.Observed)
 		sim.RunFor(1250 * time.Millisecond)
