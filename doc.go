@@ -13,7 +13,7 @@
 // operators through the versioned /v1 HTTP control API served by every
 // daemon (see README.md). The same Orchestrator, reading the simulator's
 // clock instead of the wall clock, places the same handlers, tiers and
-// nictier.Service in every figure, scenario and example: internal/simhost
+// nictier.Service in every figure and example: internal/simhost
 // serves them in simulated time under the paper's cost model.
 //
 // The implementation lives under internal/ (see DESIGN.md for the system

@@ -313,7 +313,11 @@ func TestPaxosOnDemandLeaderShift(t *testing.T) {
 	orch := orchestrate(sim, svc, core.NewThresholdPolicy(core.NetworkControllerConfig{
 		ToNetworkKpps: 3, ToNetworkWindow: time.Second,
 		ToHostKpps: 1, ToHostWindow: 2 * time.Second,
-	}), nil, dep.Requests)
+	}), nil, func() uint64 {
+		// Every client request either leader has seen: the rate that
+		// moves the leader.
+		return dep.SWLeader.Observed() + dep.HWLeader.Observed()
+	})
 
 	c.Start(8)
 	sim.RunFor(4 * time.Second)

@@ -21,7 +21,7 @@
 //
 // The loop that samples, decides and shifts is daemon.Orchestrator — one
 // implementation, on the wall clock in the daemons and on the simulator's
-// clock (simhost.Orchestrate) in every figure, scenario and example. This
+// clock (simhost.Orchestrate) in every figure and example. This
 // package knows no clock: a Sample and a Transition carry durations since
 // the loop's first tick.
 package core
@@ -85,7 +85,7 @@ type Transition struct {
 	Task string
 }
 
-// String renders the transition for figure notes and scenario logs.
+// String renders the transition for figure notes and example logs.
 func (t Transition) String() string {
 	return fmt.Sprintf("%v -> %s (%s)", t.At, t.To, t.Reason)
 }

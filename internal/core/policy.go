@@ -442,8 +442,9 @@ func PolicyByName(name string, crossKpps float64) (Policy, error) {
 // CalibratedPolicyByName is PolicyByName with the power policy's
 // package-power trigger taken from the workload's calibrated §4 software
 // curve at the crossover rate — the fixed DefaultPowerThresholdWatts is
-// unreachable for low-draw curves like libpaxos (~49 W peak). Both the
-// live daemons and the scenario runner build policies through this.
+// unreachable for low-draw curves like libpaxos (~49 W peak). The live
+// daemons build their policies through this, and so does the simulated
+// run of examples/dns_ondemand.
 func CalibratedPolicyByName(name string, crossKpps float64, curve power.SoftwareCurve) (Policy, error) {
 	if name == "power" {
 		return NewPowerPolicy(DefaultHostConfig(curve.Power(crossKpps), crossKpps*0.7)), nil

@@ -5,8 +5,8 @@
 // (Flags.Start, then Daemon.Wait; incfleetd runs the same Start for each
 // in-process fleet member). It runs on either clock. The daemons Start it
 // on the wall clock; simhost.Orchestrate installs the simulator's clock
-// (SetClock) and ticks it from the event loop, so every figure, scenario,
-// example and chaos property exercises the loop the daemons run. A service
+// (SetClock) and ticks it from the event loop, so every figure, example
+// and chaos property exercises the loop the daemons run. A service
 // registered without a Service implementation is advisory — the
 // orchestrator only reports where it *would* run — while a real one
 // (nictier.Service, wired by the daemons' -nictier flag) performs actual

@@ -80,10 +80,10 @@ func torTable() *Table {
 	curve := power.MemcachedMellanox
 	tip := cluster.SwitchTippingKpps(curve, 2000)
 	t.AddRow("switch-vs-server tipping point [kpps]", tip)
-	t.AddRow("switch dynamic power for 1 Mpps x 1500 B [W]", torPortWatts(1000, 1500))
+	t.AddRow("switch dynamic power for 1 Mpps x 1500 B [W]", asic.PortDynamicWatts(1e6, 1500))
 	for _, hit := range []float64{0.5, 0.9, 0.99} {
 		split, hostOnly := cluster.CacheSplitPower(curve, 2400, hit)
-		t.AddRow(fmtReasonLocal("rack dynamic power, %.0f%% switch hits [W]", hit*100), split)
+		t.AddRow(fmt.Sprintf("rack dynamic power, %.0f%% switch hits [W]", hit*100), split)
 		if hit == 0.5 {
 			t.AddRow("rack dynamic power, host-only [W]", hostOnly)
 		}
@@ -94,12 +94,4 @@ func torTable() *Table {
 	t.AddNote("§9.4: tipping point 'when R is almost zero'; a million queries draw <1 W of switch power")
 	t.AddNote("§10: serving in the switch halves the application packets through it")
 	return t
-}
-
-func torPortWatts(kpps float64, bytes int) float64 {
-	return asic.PortDynamicWatts(kpps*1000, bytes)
-}
-
-func fmtReasonLocal(format string, args ...any) string {
-	return fmt.Sprintf(format, args...)
 }

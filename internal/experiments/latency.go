@@ -6,7 +6,6 @@ import (
 	"incod/internal/core"
 	"incod/internal/dns"
 	"incod/internal/kvs"
-	"incod/internal/placement"
 	"incod/internal/protocol"
 	"incod/internal/simhost"
 	"incod/internal/simnet"
@@ -15,7 +14,6 @@ import (
 
 func init() {
 	register("latency", "Software vs hardware latency across applications (§9.5)", latencyTable)
-	register("place", "FPGA, SmartNIC or Switch? platform guide (§10)", placeTable)
 }
 
 // cyclingKeys is GET traffic cycling over n preloaded keys.
@@ -95,36 +93,5 @@ func latencyTable() *Table {
 
 	t.AddNote("§9.5: 'where latency is the target, there is no need for in-network computing on demand, as in-network computing will provide lower latency'")
 	t.AddNote("fully pipelined on-chip designs have near-constant latency; external memories add hundreds of ns but still beat the PCIe trip to the host")
-	return t
-}
-
-func placeTable() *Table {
-	t := &Table{
-		ID:      "place",
-		Title:   "§10: FPGA, SmartNIC or Switch?",
-		Columns: []string{"platform", "peak[Mpps]", "watts", "Mpps/W", "price[xNIC]", "flex", "ease", "ext-mem", "blast"},
-	}
-	for _, p := range placement.Catalog() {
-		t.AddRow(p.Name, p.PeakMpps, p.Watts, p.PerfPerWatt(), p.PriceUnits,
-			p.Flexibility, p.ProgrammingEase, p.ExternalMemory, p.BlastRadius)
-	}
-	// Example rankings for the three case studies.
-	apps := []struct {
-		name string
-		req  placement.Requirements
-	}{
-		{"kvs (large state)", placement.Requirements{MinMpps: 10, NeedExternalMemory: true, MinFlexibility: 8}},
-		{"paxos (wire-speed coordination)", placement.Requirements{MinMpps: 100}},
-		{"dns (small table, modest rate)", placement.Requirements{MinMpps: 1, MaxPriceUnits: 2}},
-	}
-	for _, app := range apps {
-		ranked := placement.Rank(app.req)
-		best := "none"
-		if ranked[0].Feasible {
-			best = ranked[0].Platform.Name
-		}
-		t.AddNote("%s -> %s", app.name, best)
-	}
-	t.AddNote("§10: 'the answer is not conclusive' — the guide applies the paper's hard constraints, then ranks by perf/W per price")
 	return t
 }

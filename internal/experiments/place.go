@@ -1,4 +1,12 @@
-// Package placement encodes §10 of the paper — "FPGA, SmartNIC or
+package experiments
+
+import "sort"
+
+func init() {
+	register("place", "FPGA, SmartNIC or Switch? platform guide (§10)", placeTable)
+}
+
+// The place table encodes §10 of the paper — "FPGA, SmartNIC or
 // Switch?" — as an executable decision guide: a catalog of in-network
 // computing platforms with the attributes the paper discusses (peak
 // throughput, power, performance per watt, price, flexibility, failure
@@ -18,15 +26,9 @@
 //     earliest;
 //   - FPGAs have the poorest performance per watt but maximum flexibility
 //     (any application, any interface or memory on a bespoke board).
-package placement
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Platform describes one in-network computing target.
-type Platform struct {
+// platform describes one in-network computing target.
+type platform struct {
 	Name string
 	// PeakMpps is the application-message capacity.
 	PeakMpps float64
@@ -49,16 +51,16 @@ type Platform struct {
 }
 
 // PerfPerWatt returns Mpps per watt.
-func (p Platform) PerfPerWatt() float64 {
+func (p platform) PerfPerWatt() float64 {
 	if p.Watts <= 0 {
 		return 0
 	}
 	return p.PeakMpps / p.Watts
 }
 
-// Catalog returns the §10 platform set.
-func Catalog() []Platform {
-	return []Platform{
+// catalog returns the §10 platform set.
+func catalog() []platform {
+	return []platform{
 		{
 			Name:     "NetFPGA SUME (P4xos)",
 			PeakMpps: 10, Watts: 19.4, PriceUnits: 1,
@@ -92,8 +94,8 @@ func Catalog() []Platform {
 	}
 }
 
-// Requirements describe an application's needs.
-type Requirements struct {
+// requirements describe an application's needs.
+type requirements struct {
 	// MinMpps is the required message rate.
 	MinMpps float64
 	// NeedExternalMemory for large state (e.g. a full KVS, §5.3).
@@ -105,41 +107,28 @@ type Requirements struct {
 	MaxPriceUnits float64
 }
 
-// Score is a ranked platform.
-type Score struct {
-	Platform Platform
+// score is a ranked platform.
+type score struct {
+	Platform platform
 	// Feasible platforms meet every hard requirement.
 	Feasible bool
-	// Why lists violated requirements for infeasible platforms.
-	Why []string
 	// Value ranks feasible platforms: performance per watt per price.
 	Value float64
 }
 
-// Rank evaluates the catalog against req, feasible platforms first,
+// rank evaluates the catalog against req, feasible platforms first,
 // ordered by Value (perf/W normalized by price).
-func Rank(req Requirements) []Score {
-	var out []Score
-	for _, p := range Catalog() {
-		s := Score{Platform: p, Feasible: true}
-		if p.PeakMpps < req.MinMpps {
-			s.Feasible = false
-			s.Why = append(s.Why, fmt.Sprintf("peak %.0f Mpps < required %.0f", p.PeakMpps, req.MinMpps))
-		}
-		if req.NeedExternalMemory && !p.ExternalMemory {
-			s.Feasible = false
-			s.Why = append(s.Why, "no external memory")
-		}
-		if p.Flexibility < req.MinFlexibility {
-			s.Feasible = false
-			s.Why = append(s.Why, fmt.Sprintf("flexibility %d < required %d", p.Flexibility, req.MinFlexibility))
-		}
-		if req.MaxPriceUnits > 0 && p.PriceUnits > req.MaxPriceUnits {
-			s.Feasible = false
-			s.Why = append(s.Why, fmt.Sprintf("price %.1f > budget %.1f", p.PriceUnits, req.MaxPriceUnits))
-		}
-		s.Value = p.PerfPerWatt() / p.PriceUnits
-		out = append(out, s)
+func rank(req requirements) []score {
+	var out []score
+	for _, p := range catalog() {
+		out = append(out, score{
+			Platform: p,
+			Feasible: p.PeakMpps >= req.MinMpps &&
+				(!req.NeedExternalMemory || p.ExternalMemory) &&
+				p.Flexibility >= req.MinFlexibility &&
+				(req.MaxPriceUnits <= 0 || p.PriceUnits <= req.MaxPriceUnits),
+			Value: p.PerfPerWatt() / p.PriceUnits,
+		})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Feasible != out[j].Feasible {
@@ -148,4 +137,35 @@ func Rank(req Requirements) []Score {
 		return out[i].Value > out[j].Value
 	})
 	return out
+}
+
+func placeTable() *Table {
+	t := &Table{
+		ID:      "place",
+		Title:   "§10: FPGA, SmartNIC or Switch?",
+		Columns: []string{"platform", "peak[Mpps]", "watts", "Mpps/W", "price[xNIC]", "flex", "ease", "ext-mem", "blast"},
+	}
+	for _, p := range catalog() {
+		t.AddRow(p.Name, p.PeakMpps, p.Watts, p.PerfPerWatt(), p.PriceUnits,
+			p.Flexibility, p.ProgrammingEase, p.ExternalMemory, p.BlastRadius)
+	}
+	// Example rankings for the three case studies.
+	apps := []struct {
+		name string
+		req  requirements
+	}{
+		{"kvs (large state)", requirements{MinMpps: 10, NeedExternalMemory: true, MinFlexibility: 8}},
+		{"paxos (wire-speed coordination)", requirements{MinMpps: 100}},
+		{"dns (small table, modest rate)", requirements{MinMpps: 1, MaxPriceUnits: 2}},
+	}
+	for _, app := range apps {
+		ranked := rank(app.req)
+		best := "none"
+		if ranked[0].Feasible {
+			best = ranked[0].Platform.Name
+		}
+		t.AddNote("%s -> %s", app.name, best)
+	}
+	t.AddNote("§10: 'the answer is not conclusive' — the guide applies the paper's hard constraints, then ranks by perf/W per price")
+	return t
 }

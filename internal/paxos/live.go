@@ -18,11 +18,11 @@ import (
 // This file holds the protocol roles, once: acceptor, leader and learner
 // as dataplane handlers. incpaxosd serves them through the sharded engine
 // on real sockets; internal/simhost serves the same values on simnet's
-// virtual clock for the figures, the scenario runner and the chaos
-// harness. Role state is mutex-protected — the engine may run several
-// shard workers. Replies to the message source go back through the
-// serving loop; fan-out (acceptor→learners, leader→acceptors,
-// learner→client) goes through a Sender the substrate provides.
+// virtual clock for the figures, the examples and the chaos harness.
+// Role state is mutex-protected — the engine may run several shard
+// workers. Replies to the message source go back through the serving
+// loop; fan-out (acceptor→learners, leader→acceptors, learner→client)
+// goes through a Sender the substrate provides.
 
 // Sender transmits one message to a peer address ("host:port" on
 // sockets, a simnet.Addr in simulation).

@@ -1,7 +1,7 @@
 // Package protocol is the one table of the services this repository
 // serves: a Row each for LaKe's KVS, Emu's DNS and P4xos's acceptor. The
-// daemons, the fleet's members, the simulator's stacks, the chaos stacks
-// and the scenario runner all build a service from its row, so it stays
+// daemons, the fleet's members, the simulator's stacks and the chaos
+// stacks all build a service from its row, so it stays
 // the same service whether the host or the NIC serves it, on real
 // sockets or on simnet. The package imports only the protocols, their
 // tiers, the dataplane and the power and board models, so it sits below
@@ -23,12 +23,12 @@ import (
 
 // Row is one protocol.
 type Row struct {
-	// Name is the protocol's service name, fleet kind, scenario app and
-	// trafficgen protocol.
+	// Name is the protocol's service name, fleet kind and trafficgen
+	// protocol.
 	Name string
 	// Addr, Shards and CrossKpps are the daemon's -addr, -shards and
-	// -crossover defaults (Shards a fleet member's too, CrossKpps a
-	// scenario's), and TierHelp is its -nictier help text.
+	// -crossover defaults (Shards a fleet member's too, CrossKpps
+	// examples/dns_ondemand's), and TierHelp is its -nictier help text.
 	Addr      string
 	Shards    int
 	CrossKpps float64

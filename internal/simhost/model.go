@@ -248,18 +248,6 @@ func EmuDNS() *Model {
 	}
 }
 
-// PaperModel returns the paper's calibrated model of the card-and-host
-// whose card runs design: LaKe's or Emu DNS's (nil for any other).
-func PaperModel(design fpga.Config) *Model {
-	switch design {
-	case protocol.KVS.Design:
-		return LaKe()
-	case protocol.DNS.Design:
-		return EmuDNS()
-	}
-	return nil
-}
-
 // recency is a bounded most-recently-used set of key hashes.
 type recency struct {
 	bound int

@@ -224,10 +224,6 @@ func (d *Paxos) acceptor(addr simnet.Addr, id uint16, window time.Duration, m *M
 // CurrentLeader returns the active leader.
 func (d *Paxos) CurrentLeader() *PaxosLeader { return d.current }
 
-// Requests is the monotonic count of client requests either leader has
-// seen — the orchestrator's rate input for the leader shift.
-func (d *Paxos) Requests() uint64 { return d.SWLeader.Observed() + d.HWLeader.Observed() }
-
 // ShiftLeader moves the leader role to target (SWLeader or HWLeader), the
 // §9.2 centralized-controller shift: the outgoing leader is paused, the
 // incoming one restarts at sequence 1 with a ballot above any the

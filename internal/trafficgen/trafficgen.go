@@ -9,8 +9,8 @@
 // schedule and Report the outcome. Two drivers run the core: Sockets
 // (socket.go, set up by Open) on real UDP for incloadgen and the fleet's
 // day replay, and
-// simhost.Client on the simulated network for every figure, scenario and
-// example. The key and value distributions (Zipf popularity, ETC sizes)
+// simhost.Client on the simulated network for every figure and example.
+// The key and value distributions (Zipf popularity, ETC sizes)
 // live here too.
 package trafficgen
 

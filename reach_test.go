@@ -133,10 +133,12 @@ func TestEveryExportHasAProgramCaller(t *testing.T) {
 // either module reads, has no json tag and is listed neither in
 // reachAllowed nor in reachHarness. A read is a selector of the field
 // that is not the target of an assignment: =, an op= such as += and
-// ++/-- all write a field, as a composite-literal key does. A value passed whole to a function of fmt or encoding/json
-// reads every field it holds, as the verbs and the encoder walk them. A
-// field the program only writes is state nothing looks at: it is
-// deleted, read, or serialised under a json tag.
+// ++/-- all write a field, as a composite-literal key does, and the x.F
+// that x.F = append(x.F, ...) appends to is part of that write. A value
+// passed whole to a function of fmt or encoding/json reads every field
+// it holds, as the verbs and the encoder walk them. A field the program
+// only writes is state nothing looks at: it is deleted, read, or
+// serialised under a json tag.
 func TestEveryFieldHasAProgramRead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks both modules")
@@ -450,7 +452,8 @@ func (p *program) check(lp listedPackage, imp types.Importer) (*types.Package, e
 }
 
 // addReads records the struct fields a file reads: every field selector
-// that is not the target of an assignment (=, op= or ++/--), the
+// that is not the target of an assignment (=, op= or ++/--) or the first
+// argument of an append assigned back to it, the
 // embedded fields a promoted selector passes through, and every field of
 // a value passed to a function of fmt or encoding/json.
 func (p *program) addReads(f *ast.File, info *types.Info) {
@@ -463,8 +466,12 @@ func (p *program) addReads(f *ast.File, info *types.Info) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
+			for i, lhs := range n.Lhs {
 				assign(lhs)
+				// x.F = append(x.F, ...) writes x.F on both sides.
+				if len(n.Lhs) == len(n.Rhs) && appendsTo(n.Rhs[i], lhs, info) {
+					assign(n.Rhs[i].(*ast.CallExpr).Args[0])
+				}
 			}
 		case *ast.IncDecStmt:
 			assign(n.X)
@@ -502,6 +509,23 @@ func (p *program) addReads(f *ast.File, info *types.Info) {
 		}
 		return true
 	})
+}
+
+// appendsTo reports whether e is a call of the builtin append whose first
+// argument is lhs itself.
+func appendsTo(e, lhs ast.Expr, info *types.Info) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	if b, ok := info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
+		return false
+	}
+	return types.ExprString(ast.Unparen(call.Args[0])) == types.ExprString(ast.Unparen(lhs))
 }
 
 // readWhole records every field a value of type t holds as read, through
